@@ -46,7 +46,7 @@ import (
 
 func main() {
 	// `regless serve` owns its own flag set (serve.go); everything else
-	// is the classic single-invocation CLI below.
+	// is the single-invocation CLI below.
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		serveMain(os.Args[2:])
 		return
@@ -157,15 +157,7 @@ func main() {
 			bench: *bench, scheme: experiments.Scheme(*scheme),
 			bucket: *bucket, csv: *csvOut, timeline: *timeline,
 			traceFile: *traceOut, report: *traceRep, sms: *sms,
-			setup: experiments.SimSetup{
-				Capacity:      *capacity,
-				Warps:         *warps,
-				MaxCycles:     *maxCycles,
-				Watchdog:      *watchdog,
-				Sanitize:      *sanitize,
-				Faults:        opts.Faults,
-				NoFastForward: *noFF,
-			},
+			setup: opts.Setup(*capacity),
 		})
 	case *bench != "":
 		runOne(suite, out, *bench, experiments.Scheme(*scheme), *capacity)
@@ -274,7 +266,7 @@ func emitSnapshot(s *experiments.Suite, out io.Writer, experiment, gitSHA string
 		Parallelism:   s.Opts.Parallelism,
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Warps:         s.Opts.Warps,
-		SMs:           snapshotSMs(s.Opts.SMs),
+		SMs:           s.Opts.SMs,
 		Benchmarks:    len(s.Opts.Benchmarks),
 		Tables:        tables,
 		Runs:          len(runs),
@@ -288,15 +280,6 @@ func emitSnapshot(s *experiments.Suite, out io.Writer, experiment, gitSHA string
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	check(enc.Encode(snap))
-}
-
-// snapshotSMs canonicalizes the chip size for the snapshot: 0 (unset)
-// and 1 both mean the classic single-SM path.
-func snapshotSMs(sms int) int {
-	if sms < 1 {
-		return 1
-	}
-	return sms
 }
 
 func render(tb *experiments.Table, md bool) string {
@@ -346,22 +329,28 @@ type traceOpts struct {
 	setup     experiments.SimSetup
 }
 
+// runTrace traces a run of any chip size: one recorder per SM, the chip
+// run in lockstep, the Perfetto export grouping each SM's tracks in its
+// own process block with global warp IDs, and the stall report rendered
+// per SM. -timeline renders one SM's warp states, so there (validateFlags
+// guarantees a chip of one) the timeline tracer steps SM 0 itself and its
+// recorder feeds the other two outputs.
 func runTrace(o traceOpts) {
-	if o.sms > 1 {
-		runChipTrace(o)
-		return
-	}
-	smv, _, err := experiments.BuildSM(o.bench, o.scheme, o.setup)
+	g, _, err := experiments.BuildChip(o.bench, o.scheme, o.sms, o.setup)
 	check(err)
-	// The timeline alone needs only warp-state events; the Perfetto
-	// export and the stall report consume every family.
-	var mask events.Mask
-	if o.traceFile != "" || o.report {
-		mask = events.MaskAll
-	}
-	res, err := trace.Run(smv, o.bucket, mask)
-	check(err)
+	recs := make([]*events.Recorder, len(g.SMs))
+	cycles := make([]uint64, len(g.SMs))
+	var chipCycles uint64
 	if o.timeline {
+		// The timeline alone needs only warp-state events; the Perfetto
+		// export and the stall report consume every family.
+		var mask events.Mask
+		if o.traceFile != "" || o.report {
+			mask = events.MaskAll
+		}
+		res, err := trace.Run(g.SMs[0], o.bucket, mask)
+		check(err)
+		recs[0], cycles[0] = res.Events, res.Stats.Cycles
 		if o.csv {
 			fmt.Print(res.CSV())
 		} else {
@@ -369,76 +358,58 @@ func runTrace(o traceOpts) {
 			fmt.Print(res.Render(160))
 			fmt.Printf("total: %d cycles, IPC %.2f\n", res.Stats.Cycles, res.Stats.IPC())
 		}
-	}
-	if o.traceFile != "" {
-		f, err := os.Create(o.traceFile)
+	} else {
+		for i, smv := range g.SMs {
+			recs[i] = events.NewRecorder(smv.Cfg.Schedulers, events.MaskAll)
+			smv.AttachRecorder(recs[i])
+		}
+		res, err := g.Run()
 		check(err)
-		check(events.WritePerfetto(f, res.Events, events.TraceMeta{
-			Bench:        o.bench,
-			Scheme:       string(o.scheme),
-			Warps:        len(smv.Warps),
-			Schedulers:   smv.Cfg.Schedulers,
-			Cycles:       res.Stats.Cycles,
-			PatternNames: patternNames(),
-		}))
-		check(f.Close())
-		fmt.Fprintf(os.Stderr, "regless: wrote %d events to %s (open in ui.perfetto.dev)\n",
-			res.Events.Len(), o.traceFile)
-	}
-	if o.report {
-		rep := events.Analyze(res.Events, res.Stats.Cycles, smv.Cfg.Schedulers)
-		fmt.Printf("%s under %s: stall attribution over %d cycles\n", o.bench, o.scheme, res.Stats.Cycles)
-		fmt.Print(rep.Render(10))
-	}
-}
-
-// runChipTrace traces a multi-SM run: one recorder per SM, the chip run
-// lockstep, the Perfetto export grouping each SM's tracks in its own
-// process block with global warp IDs, and the stall report rendered per
-// SM with explicit SM/warp labels.
-func runChipTrace(o traceOpts) {
-	g, _, err := experiments.BuildChip(o.bench, o.scheme, o.sms, o.setup)
-	check(err)
-	recs := make([]*events.Recorder, len(g.SMs))
-	metas := make([]events.TraceMeta, len(g.SMs))
-	for i, smv := range g.SMs {
-		recs[i] = events.NewRecorder(smv.Cfg.Schedulers, events.MaskAll)
-		smv.AttachRecorder(recs[i])
-	}
-	res, err := g.Run()
-	check(err)
-	for i, smv := range g.SMs {
-		metas[i] = events.TraceMeta{
-			Bench:        o.bench,
-			Scheme:       string(o.scheme),
-			Warps:        len(smv.Warps),
-			Schedulers:   smv.Cfg.Schedulers,
-			Cycles:       res.PerSM[i].Cycles,
-			SM:           i,
-			WarpIDBase:   smv.Cfg.WarpIDBase,
-			PatternNames: patternNames(),
+		chipCycles = res.Cycles
+		for i, st := range res.PerSM {
+			cycles[i] = st.Cycles
 		}
 	}
+	// Labels name the SM only on a chip of several, as the Perfetto
+	// writer does for its "SM%d " track prefix.
+	chip := len(g.SMs) > 1
 	if o.traceFile != "" {
+		metas := make([]events.TraceMeta, len(g.SMs))
+		total := 0
+		for i, smv := range g.SMs {
+			metas[i] = events.TraceMeta{
+				Bench:        o.bench,
+				Scheme:       string(o.scheme),
+				Warps:        len(smv.Warps),
+				Schedulers:   smv.Cfg.Schedulers,
+				Cycles:       cycles[i],
+				SM:           i,
+				WarpIDBase:   smv.Cfg.WarpIDBase,
+				PatternNames: patternNames(),
+			}
+			total += recs[i].Len()
+		}
 		f, err := os.Create(o.traceFile)
 		check(err)
 		check(events.WriteChipPerfetto(f, recs, metas))
 		check(f.Close())
-		var total int
-		for _, rec := range recs {
-			total += rec.Len()
+		of := ""
+		if chip {
+			of = fmt.Sprintf(" (%d SMs)", len(recs))
 		}
-		fmt.Fprintf(os.Stderr, "regless: wrote %d events (%d SMs) to %s (open in ui.perfetto.dev)\n",
-			total, len(recs), o.traceFile)
+		fmt.Fprintf(os.Stderr, "regless: wrote %d events%s to %s (open in ui.perfetto.dev)\n", total, of, o.traceFile)
 	}
 	if o.report {
-		fmt.Printf("%s under %s on %d SMs: %d chip cycles\n", o.bench, o.scheme, o.sms, res.Cycles)
-		for i := range recs {
-			rep := events.Analyze(recs[i], res.PerSM[i].Cycles, g.SMs[i].Cfg.Schedulers)
-			fmt.Printf("SM %d (warps %d..%d): stall attribution over %d cycles\n",
-				i, g.SMs[i].Cfg.WarpIDBase, g.SMs[i].Cfg.WarpIDBase+len(g.SMs[i].Warps)-1,
-				res.PerSM[i].Cycles)
-			fmt.Print(rep.Render(10))
+		if chip {
+			fmt.Printf("%s under %s on %d SMs: %d chip cycles\n", o.bench, o.scheme, o.sms, chipCycles)
+		}
+		for i, smv := range g.SMs {
+			who := fmt.Sprintf("%s under %s", o.bench, o.scheme)
+			if chip {
+				who = fmt.Sprintf("SM %d (warps %d..%d)", i, smv.Cfg.WarpIDBase, smv.Cfg.WarpIDBase+len(smv.Warps)-1)
+			}
+			fmt.Printf("%s: stall attribution over %d cycles\n", who, cycles[i])
+			fmt.Print(events.Analyze(recs[i], cycles[i], smv.Cfg.Schedulers).Render(10))
 		}
 	}
 }

@@ -14,8 +14,8 @@ type TraceMeta struct {
 	Warps      int
 	Schedulers int
 	Cycles     uint64
-	// SM is this recording's SM index on a multi-SM chip (0 for
-	// single-SM runs); WarpIDBase is the SM's first global warp ID.
+	// SM is this recording's SM index on the chip (0 on a chip of
+	// one); WarpIDBase is the SM's first global warp ID.
 	// Warp events already carry global IDs — these place the SM's
 	// tracks in the right process group and name them.
 	SM         int

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/kernels"
 	"repro/internal/sim"
 )
@@ -50,24 +49,15 @@ func (s *Suite) runAblation(bench string, mutate func(*core.Config)) (*ablationR
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.ConfigForCapacity(AblationCapacity)
-	mutate(&cfg)
-	p, err := core.New(cfg, k)
+	// A chip of one at suite scale, whatever Opts.SMs says: the design
+	// choices under test are per-SM.
+	r, err := SimulateKernel(k, SchemeRegLess,
+		SimSetup{Capacity: AblationCapacity, Warps: s.Opts.Warps, MaxCycles: s.Opts.MaxCycles},
+		func(_ *sim.Config, c *core.Config) { mutate(c) })
 	if err != nil {
 		return nil, err
 	}
-	simCfg := sim.DefaultConfig()
-	simCfg.Warps = s.Opts.Warps
-	simCfg.MaxCycles = s.Opts.MaxCycles
-	smv, err := sim.New(simCfg, k, p, exec.NewMemory(nil))
-	if err != nil {
-		return nil, err
-	}
-	st, err := smv.Run()
-	if err != nil {
-		return nil, err
-	}
-	ps := p.Stats()
+	st, ps := r.Stats, &r.Prov
 	out := &ablationRun{cycles: st.Cycles, metaInsn: ps.MetaInsns}
 	if n := ps.Preloads(); n > 0 {
 		out.osuHit = float64(ps.PreloadFromOSU+ps.PreloadFromCompressor) / float64(n)

@@ -1,21 +1,26 @@
 package experiments
 
-// Multi-SM suite path: when Options.SMs > 1 every simulation in the run
-// cache is a full chip — N lockstep SMs with private L1s and register
-// schemes, one banked L2, one DRAM budget, the grid striped across SMs
-// by warp ID. The cached Run aggregates the chip (cycles = slowest SM,
-// counters summed) so every paper experiment's table logic works
-// unchanged; the chip result itself is retained on Run.Chip for the
-// chip-level columns (gpuscale, Table 1's configuration row).
+// The one run pipeline. Every simulation — the suite cache, serve's
+// instrumented deep-dives, the CLI tracer, the public Simulate, the
+// ablation table — is a chip built by Assemble and run by gpu.GPU.Run:
+// N lockstep SMs with private L1s and register schemes, the grid striped
+// across them by warp ID. The paper's per-SM evaluation is the chip of
+// one, and the only thing that differs there is the L2 level (Assemble
+// decides it). The resulting Run aggregates the chip (cycles = slowest
+// SM, counters summed) through the same merges at one SM as at sixteen,
+// so every table's logic is SM-count-agnostic; the chip result itself is
+// retained on Run.Chip for the chip-level columns.
 
 import (
 	"context"
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/gpu"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -31,17 +36,26 @@ import (
 // never register lines).
 func regLessSMOffset(sm int) uint32 { return uint32(sm) << 24 }
 
-// BuildChip constructs a ready-to-run multi-SM chip for (bench, scheme):
-// the chip-level counterpart of BuildSM. The returned core provider is
-// SM 0's (non-nil only for RegLess schemes); scheme-wide provider
-// statistics are summed across SMs at result time.
-func BuildChip(bench string, scheme Scheme, sms int, su SimSetup) (*gpu.GPU, *core.Provider, error) {
-	k, err := kernels.Load(bench)
-	if err != nil {
-		return nil, nil, err
-	}
+// Tune adjusts an assembly after the scheme's defaults are applied: the
+// per-SM timing configuration and, for RegLess schemes, the core
+// configuration. It exists for the two callers whose variants are not
+// schemes — the ablation table's design mutations and the public API's
+// scheduler override — and is not reachable from the CLI or serve.
+type Tune func(*sim.Config, *core.Config)
+
+// Assemble builds the ready-to-run chip for one point: sms lockstep SMs
+// running k under scheme, sized and instrumented by su. The returned
+// core provider is SM 0's (non-nil only for RegLess schemes);
+// scheme-wide provider statistics are summed across SMs at result time.
+// tune may be nil.
+func Assemble(k *isa.Kernel, scheme Scheme, sms int, su SimSetup, tune Tune) (*gpu.GPU, *core.Provider, error) {
 	cfg := gpu.DefaultConfig()
 	cfg.SMs = sms
+	// The one place the L2 level follows from the SM count: a chip of one
+	// is the paper's per-SM configuration — a private 512 KB slice of the
+	// L2 with the SM's 1/16 share of DRAM bandwidth — while several SMs
+	// contend for the banked 2 MB L2 and the whole DRAM interface.
+	cfg.PrivateL2 = sms == 1
 	cfg.SM.Warps = su.Warps
 	if su.MaxCycles > 0 {
 		cfg.SM.MaxCycles = su.MaxCycles
@@ -51,12 +65,16 @@ func BuildChip(bench string, scheme Scheme, sms int, su SimSetup) (*gpu.GPU, *co
 	}
 	cfg.SM.NoFastForward = su.NoFastForward
 
+	rl := core.ConfigForCapacity(su.Capacity)
+	rl.EnableCompressor = scheme == SchemeRegLess
 	var rp *core.Provider
-	factory := func(i int) (sim.Provider, error) { return rf.NewBaseline(), nil }
+	var factory gpu.ProviderFactory
 	switch scheme {
 	case SchemeBaseline:
+		factory = baselineChipFactory()
 	case SchemeBaseline2L:
 		cfg.SM.Sched = sim.SchedTwoLevel
+		factory = baselineChipFactory()
 	case SchemeRFV:
 		cfg.SM.Sched = sim.SchedTwoLevel
 		factory = func(int) (sim.Provider, error) { return rf.NewRFV(RFVEntries), nil }
@@ -65,8 +83,7 @@ func BuildChip(bench string, scheme Scheme, sms int, su SimSetup) (*gpu.GPU, *co
 		factory = func(int) (sim.Provider, error) { return rf.NewRFH(RFHORFEntries), nil }
 	case SchemeRegLess, SchemeRegLessNC:
 		factory = func(i int) (sim.Provider, error) {
-			c := core.ConfigForCapacity(su.Capacity)
-			c.EnableCompressor = scheme == SchemeRegLess
+			c := rl // after tune: the factory runs inside gpu.New
 			c.AddrOffset = regLessSMOffset(i)
 			p, err := core.New(c, k)
 			if err != nil {
@@ -79,6 +96,9 @@ func BuildChip(bench string, scheme Scheme, sms int, su SimSetup) (*gpu.GPU, *co
 		}
 	default:
 		return nil, nil, fmt.Errorf("unknown scheme %q", scheme)
+	}
+	if tune != nil {
+		tune(&cfg.SM, &rl)
 	}
 	mm := su.Memory
 	if mm == nil {
@@ -99,45 +119,82 @@ func BuildChip(bench string, scheme Scheme, sms int, su SimSetup) (*gpu.GPU, *co
 	return g, rp, nil
 }
 
-// simulateChip is the Opts.SMs>1 branch of Suite.simulate: one chip run,
-// aggregated into the same Run shape the single-SM path produces.
-func (s *Suite) simulateChip(ctx context.Context, bench string, scheme Scheme, capacity int) (*Run, error) {
-	tr, parent := obs.FromContext(ctx)
-	kl := tr.Start(parent, "kernel-load")
-	if _, err := kernels.Load(bench); err != nil {
-		tr.End(kl)
+// BuildChip is Assemble for a suite benchmark by name.
+func BuildChip(bench string, scheme Scheme, sms int, su SimSetup) (*gpu.GPU, *core.Provider, error) {
+	k, err := kernels.Load(bench)
+	if err != nil {
+		return nil, nil, err
+	}
+	return Assemble(k, scheme, sms, su, nil)
+}
+
+// BuildSM returns the lone SM of a chip of one, for tools that drive the
+// cycles themselves (the timeline tracer steps it; its Run is the same
+// lockstep loop the chip's is).
+func BuildSM(bench string, scheme Scheme, su SimSetup) (*sim.SM, *core.Provider, error) {
+	g, rp, err := BuildChip(bench, scheme, 1, su)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g.SMs[0], rp, nil
+}
+
+// Instrumented is one simulation with the event recorders that observed
+// it.
+type Instrumented struct {
+	Run *Run
+	// Recs holds one recorder per SM (nil when nothing was recorded);
+	// Schedulers and Cycles are the matching events.Analyze inputs
+	// (per-SM scheduler group count and per-SM cycle count).
+	Recs       []*events.Recorder
+	Schedulers []int
+	Cycles     []uint64
+}
+
+// runPoint is the one way a point is simulated: assemble the chip,
+// attach what observes it — an event recorder per SM when mask is
+// non-zero, the JSONL window stream when jsonl is non-nil, ctx's
+// cancellation and "build"/"run" trace spans — run it, and fold the
+// per-SM results into a Run. Recording and streaming are passive, so the
+// Run is the same whatever is attached.
+func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, sms int,
+	su SimSetup, tune Tune, mask events.Mask, jsonl *metrics.JSONLWriter) (*Instrumented, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tr.End(kl)
+	tr, parent := obs.FromContext(ctx)
 	build := tr.Start(parent, "build")
-	g, rp, err := BuildChip(bench, scheme, s.Opts.SMs, SimSetup{
-		Capacity:      capacity,
-		Warps:         s.Opts.Warps,
-		MaxCycles:     s.Opts.MaxCycles,
-		Watchdog:      s.Opts.Watchdog,
-		Sanitize:      s.Opts.Sanitize,
-		Faults:        s.Opts.Faults,
-		NoFastForward: s.Opts.NoFastForward,
-	})
+	g, rp, err := Assemble(k, scheme, sms, su, tune)
 	tr.End(build)
 	if err != nil {
 		return nil, err
 	}
-	if s.jsonl != nil {
-		for i, smv := range g.SMs {
-			smv.Metrics.SetSink(s.jsonl.Run(
+	key := normKey(bench, scheme, su.Capacity)
+	inst := &Instrumented{Run: &Run{Bench: bench, Scheme: scheme, Capacity: key.capacity, RegLess: rp}}
+	if jsonl != nil && g.L2 != nil {
+		// Chip-level L2/DRAM counters ride SM 0's window stream (bound
+		// before the sink: a registry freezes once it streams).
+		g.L2.BindMetrics(g.SMs[0].Metrics)
+	}
+	for i, smv := range g.SMs {
+		if mask != 0 {
+			rec := events.NewRecorder(smv.Cfg.Schedulers, mask)
+			smv.AttachRecorder(rec)
+			inst.Recs = append(inst.Recs, rec)
+			inst.Schedulers = append(inst.Schedulers, smv.Cfg.Schedulers)
+		}
+		if jsonl != nil {
+			labels := []metrics.Label{
 				metrics.String("bench", bench),
 				metrics.String("scheme", string(scheme)),
-				metrics.Int("capacity", capacity),
-				metrics.Int("sm", i),
-			))
-			if i == 0 {
-				// Chip-level L2/DRAM counters ride SM 0's window stream.
-				g.L2.BindMetrics(smv.Metrics)
+				metrics.Int("capacity", key.capacity),
 			}
+			if len(g.SMs) > 1 { // one SM's records stay as they always were
+				labels = append(labels, metrics.Int("sm", i))
+			}
+			smv.Metrics.SetSink(jsonl.Run(labels...))
 		}
 	}
-	run := &Run{Bench: bench, Scheme: scheme, Capacity: capacity, RegLess: rp}
 	g.AttachContext(ctx)
 	cycle := tr.Start(parent, "run")
 	res, err := g.Run()
@@ -145,13 +202,51 @@ func (s *Suite) simulateChip(ctx context.Context, bench string, scheme Scheme, c
 	if err != nil {
 		return nil, err
 	}
+	run := inst.Run
 	run.Chip = res
 	run.Stats = mergeSimStats(res)
-	for _, smv := range g.SMs {
+	for i, smv := range g.SMs {
 		addProviderStats(&run.Prov, smv.Provider.Stats())
 		addMemStats(&run.Mem, &smv.Mem.Stats)
+		if mask != 0 {
+			inst.Cycles = append(inst.Cycles, res.PerSM[i].Cycles)
+		}
 	}
-	return run, nil
+	return inst, nil
+}
+
+// loadKernel is kernels.Load under a "kernel-load" trace span.
+// kernels.Load memoizes per bench, so the span measures the real (first)
+// load.
+func loadKernel(ctx context.Context, bench string) (*isa.Kernel, error) {
+	tr, parent := obs.FromContext(ctx)
+	kl := tr.Start(parent, "kernel-load")
+	defer tr.End(kl)
+	return kernels.Load(bench)
+}
+
+// SimulateKernel runs an arbitrary kernel on a chip of one, outside the
+// suite cache: the public Simulate and the ablation table.
+func SimulateKernel(k *isa.Kernel, scheme Scheme, su SimSetup, tune Tune) (*Run, error) {
+	inst, err := runPoint(context.Background(), k, k.Name, scheme, 1, su, tune, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	return inst.Run, nil
+}
+
+// SimulateInstrumented runs (bench, scheme) once with an event recorder
+// attached to every SM and the su sizing (su.Capacity is the RegLess
+// capacity) — serve's deep-dive path ("report": [...]), which attaches
+// the stall-attribution/preload analysis (events.Analyze) to the stored
+// result. Unlike Suite.Get it is never cached or shared: recorders are
+// per-call state. Cancellation and trace spans work as in Suite.GetCtx.
+func SimulateInstrumented(ctx context.Context, bench string, scheme Scheme, sms int, su SimSetup, mask events.Mask) (*Instrumented, error) {
+	k, err := loadKernel(ctx, bench)
+	if err != nil {
+		return nil, err
+	}
+	return runPoint(ctx, k, bench, scheme, sms, su, nil, mask, nil)
 }
 
 // mergeSimStats folds per-SM statistics into one SM-shaped Stats:
@@ -176,8 +271,8 @@ func mergeSimStats(res *gpu.Result) *sim.Stats {
 		out.WorkingSetKB += st.WorkingSetKB
 		out.FFSkippedCycles += st.FFSkippedCycles
 		out.FFJumps += st.FFJumps
-		for len(out.BackingSeries) < len(st.BackingSeries) {
-			out.BackingSeries = append(out.BackingSeries, 0)
+		if grow := len(st.BackingSeries) - len(out.BackingSeries); grow > 0 {
+			out.BackingSeries = append(out.BackingSeries, make([]uint64, grow)...)
 		}
 		for i, v := range st.BackingSeries {
 			out.BackingSeries[i] += v

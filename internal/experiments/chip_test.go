@@ -2,8 +2,20 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/events"
+	"repro/internal/gpu"
+	"repro/internal/isa"
+	"repro/internal/kernels"
+	"repro/internal/mem"
+	"repro/internal/rf"
+	"repro/internal/sim"
 )
 
 // chipOpts is a small chip configuration the differential tests share.
@@ -16,28 +28,181 @@ func chipOpts(sms int) Options {
 	}
 }
 
-// TestSMs1TakesClassicPath guards the golden gate: Opts.SMs values 0 and
-// 1 must both take the untouched single-SM path and render byte-identical
-// tables (the multi-SM machinery may only engage at SMs > 1).
-func TestSMs1TakesClassicPath(t *testing.T) {
-	run, ok := ByID("fig14")
-	if !ok {
-		t.Fatal("fig14 not registered")
+// bareSM builds the reference for the chip-of-one differential: a lone
+// SM constructed directly with sim.New — its own provider table, no gpu,
+// no assembly, no merges.
+func bareSM(t *testing.T, scheme Scheme, k *isa.Kernel, opts Options) *sim.SM {
+	t.Helper()
+	simCfg := sim.DefaultConfig()
+	simCfg.Warps = opts.Warps
+	simCfg.MaxCycles = opts.MaxCycles
+	simCfg.NoFastForward = opts.NoFastForward
+	var p sim.Provider
+	var err error
+	switch scheme {
+	case SchemeBaseline2L:
+		simCfg.Sched = sim.SchedTwoLevel
+		p = rf.NewBaseline()
+	case SchemeRegLessNC:
+		c := core.ConfigForCapacity(DefaultCapacity)
+		c.EnableCompressor = false
+		p, err = core.New(c, k)
+	default:
+		p, err = buildProviderFor(scheme, k, &simCfg)
 	}
-	opts0 := chipOpts(0)
-	opts0.Benchmarks = []string{"bfs", "hotspot"}
-	opts1 := opts0
-	opts1.SMs = 1
-	tb0, err := run(NewSuite(opts0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb1, err := run(NewSuite(opts1))
+	smv, err := sim.New(simCfg, k, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tb0, tb1) {
-		t.Fatalf("-sms 1 diverged from the classic path:\n%v\nvs\n%v", tb0, tb1)
+	return smv
+}
+
+// TestChipOfOneMatchesBareSM is the differential behind "a 1-SM run is a
+// chip of one": for every scheme on the Quick benchmarks, with
+// fast-forward on and off, the suite's Run — assembled as a chip, run by
+// the chip loop, folded through the per-SM merges — must deep-equal what
+// a bare sim.New(...).Run() of the same kernel and provider reports.
+func TestChipOfOneMatchesBareSM(t *testing.T) {
+	for _, noFF := range []bool{false, true} {
+		opts := Quick()
+		opts.NoFastForward = noFF
+		s := NewSuite(opts)
+		for _, bench := range opts.Benchmarks {
+			k, err := kernels.Load(bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, scheme := range Schemes() {
+				ref := bareSM(t, scheme, k, opts)
+				want, err := ref.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.Get(bench, scheme, DefaultCapacity)
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := fmt.Sprintf("%s/%s noFF=%v", bench, scheme, noFF)
+				if !reflect.DeepEqual(got.Stats, want) {
+					t.Errorf("%s: Stats diverge:\nchip %+v\nbare %+v", where, got.Stats, want)
+				}
+				if !reflect.DeepEqual(got.Prov, *ref.Provider.Stats()) {
+					t.Errorf("%s: Prov diverge:\nchip %+v\nbare %+v", where, got.Prov, *ref.Provider.Stats())
+				}
+				if got.Mem != ref.Mem.Stats {
+					t.Errorf("%s: Mem diverge:\nchip %+v\nbare %+v", where, got.Mem, ref.Mem.Stats)
+				}
+				if len(got.Chip.PerSM) != 1 || got.Chip.L2 != (mem.BankedL2Stats{}) {
+					t.Errorf("%s: a chip of one ran on the banked L2: %+v", where, got.Chip)
+				}
+			}
+		}
+	}
+}
+
+// fillNumeric sets every numeric field of the struct v points at to a
+// distinct non-zero value derived from seed (slices get two elements),
+// and fails on a field kind it does not know — a new kind of counter
+// must be taught to the merge test, not skipped by it.
+func fillNumeric(t *testing.T, v any, seed uint64) {
+	t.Helper()
+	rv := reflect.ValueOf(v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		f, n := rv.Field(i), seed+uint64(i)
+		switch f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(n)
+		case reflect.Float64:
+			f.SetFloat(float64(n))
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]uint64{n, n + 1}))
+		default:
+			t.Fatalf("%s.%s: unhandled kind %s", rv.Type(), rv.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// TestMergesCoverEveryCounter: every run's Stats/Prov/Mem now come out of
+// the field-by-field merges, so a counter added to one of the structs but
+// not to its merge would read zero in every table. Merging two filled
+// structs must sum every field (Cycles: the chip's, i.e. the slowest
+// SM's; WorkingSetKB: the mean over SMs).
+func TestMergesCoverEveryCounter(t *testing.T) {
+	const seedA, seedB = 100, 1000
+	checkSums := func(merged any, special map[string]float64) {
+		t.Helper()
+		rv := reflect.ValueOf(merged).Elem()
+		for i := 0; i < rv.NumField(); i++ {
+			name := rv.Type().Field(i).Name
+			want := float64(seedA + seedB + 2*i)
+			if w, ok := special[name]; ok {
+				want = w
+			}
+			var got float64
+			switch f := rv.Field(i); f.Kind() {
+			case reflect.Uint64:
+				got = float64(f.Uint())
+			case reflect.Float64:
+				got = f.Float()
+			case reflect.Slice:
+				if f.Len() != 2 || f.Index(1).Uint() != f.Index(0).Uint()+2 {
+					t.Errorf("%s.%s = %v, want an elementwise sum", rv.Type(), name, f)
+					continue
+				}
+				got = float64(f.Index(0).Uint())
+			}
+			if got != want {
+				t.Errorf("%s.%s = %v after merging, want %v", rv.Type(), name, got, want)
+			}
+		}
+	}
+
+	var sa, sb sim.Stats
+	fillNumeric(t, &sa, seedA)
+	fillNumeric(t, &sb, seedB)
+	merged := mergeSimStats(&gpu.Result{Cycles: sb.Cycles, PerSM: []*sim.Stats{&sa, &sb}})
+	checkSums(merged, map[string]float64{
+		"Cycles":       float64(sb.Cycles),
+		"WorkingSetKB": (sa.WorkingSetKB + sb.WorkingSetKB) / 2,
+	})
+
+	var pa, pb, pm sim.ProviderStats
+	fillNumeric(t, &pa, seedA)
+	fillNumeric(t, &pb, seedB)
+	addProviderStats(&pm, &pa)
+	addProviderStats(&pm, &pb)
+	checkSums(&pm, nil)
+
+	var ma, mb, mm mem.Stats
+	fillNumeric(t, &ma, seedA)
+	fillNumeric(t, &mb, seedB)
+	addMemStats(&mm, &ma)
+	addMemStats(&mm, &mb)
+	checkSums(&mm, nil)
+}
+
+// TestInstrumentedRunHonorsContext: the instrumented path (serve's
+// "report" requests) is the same pipeline as Suite.GetCtx, so it stops
+// for a context that is already done and for one that expires mid-run.
+// It used never to attach the context and simulated to completion.
+func TestInstrumentedRunHonorsContext(t *testing.T) {
+	opts := cancelOpts() // one response parked for 800k stepped cycles
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := SimulateInstrumented(canceled, "nw", SchemeRegLess, 1, opts.Setup(512), events.MaskSched)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled instrumented run = %v, want context.Canceled", err)
+	}
+	for _, sms := range []int{1, 2} {
+		expiring, stop := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, err = SimulateInstrumented(expiring, "nw", SchemeRegLess, sms, opts.Setup(512), events.MaskSched)
+		stop()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%d SMs: instrumented run past its deadline = %v, want DeadlineExceeded", sms, err)
+		}
 	}
 }
 
@@ -54,11 +219,11 @@ func TestChipFFParity(t *testing.T) {
 		if scheme == SchemeRegLess {
 			cap = DefaultCapacity
 		}
-		a, err := ff.simulateChip(context.Background(), "bfs", scheme, cap)
+		a, err := ff.simulate(context.Background(), "bfs", scheme, cap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := stepped.simulateChip(context.Background(), "bfs", scheme, cap)
+		b, err := stepped.simulate(context.Background(), "bfs", scheme, cap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +250,11 @@ func TestChipFFParity(t *testing.T) {
 // and requires bit-identical results: cycles, per-SM stats, chip L2 and
 // DRAM counters.
 func TestChipDeterminism16(t *testing.T) {
-	a, err := NewSuite(chipOpts(16)).simulateChip(context.Background(), "bfs", SchemeRegLess, DefaultCapacity)
+	a, err := NewSuite(chipOpts(16)).simulate(context.Background(), "bfs", SchemeRegLess, DefaultCapacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSuite(chipOpts(16)).simulateChip(context.Background(), "bfs", SchemeRegLess, DefaultCapacity)
+	b, err := NewSuite(chipOpts(16)).simulate(context.Background(), "bfs", SchemeRegLess, DefaultCapacity)
 	if err != nil {
 		t.Fatal(err)
 	}

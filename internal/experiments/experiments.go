@@ -27,8 +27,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/rf"
-	"repro/internal/sanitizer"
 	"repro/internal/sim"
 )
 
@@ -119,12 +117,28 @@ type Options struct {
 	// results are identical either way).
 	NoFastForward bool
 
-	// SMs scales every simulation to a multi-SM chip: N lockstep SMs
-	// with private L1s sharing the banked L2 and DRAM interface, the
-	// kernel's grid striped across them. 0 or 1 keeps the classic
-	// single-SM path (private L2 slice) — the byte-identical golden
-	// configuration.
+	// SMs is the chip size every simulation runs at: N lockstep SMs with
+	// private L1s, the kernel's grid striped across them. The pipeline is
+	// the same at any N; only the L2 level follows from it (Assemble): one
+	// SM — the paper's per-SM evaluation and the golden configuration —
+	// gets a private L2 slice with its share of DRAM bandwidth, several
+	// share the banked L2 and the DRAM interface. 0 means 1; NewSuite
+	// normalises it, so everything downstream reads a count >= 1.
 	SMs int
+}
+
+// Setup is the SimSetup every suite simulation of a point at the given
+// RegLess capacity is assembled with.
+func (o Options) Setup(capacity int) SimSetup {
+	return SimSetup{
+		Capacity:      capacity,
+		Warps:         o.Warps,
+		MaxCycles:     o.MaxCycles,
+		Watchdog:      o.Watchdog,
+		Sanitize:      o.Sanitize,
+		Faults:        o.Faults,
+		NoFastForward: o.NoFastForward,
+	}
 }
 
 // Default returns the full-scale options (Table 1's 64 warps per SM).
@@ -163,8 +177,9 @@ type Run struct {
 	// compiled regions; SM 0's in multi-SM runs).
 	RegLess *core.Provider
 
-	// Chip holds the full multi-SM result when the suite ran with
-	// Options.SMs > 1 (nil on the classic single-SM path).
+	// Chip is the per-SM and chip-level result Stats/Prov/Mem were
+	// folded from (one PerSM entry and a zero L2 on a chip of one, whose
+	// L2 is the SM's private slice).
 	Chip *gpu.Result
 }
 
@@ -237,6 +252,9 @@ type Suite struct {
 
 // NewSuite builds an experiment suite.
 func NewSuite(opts Options) *Suite {
+	if opts.SMs < 1 {
+		opts.SMs = 1
+	}
 	s := &Suite{Opts: opts, Params: energy.DefaultParams(), cache: map[runKey]*runEntry{}}
 	if opts.MetricsWriter != nil {
 		s.jsonl = metrics.NewJSONLWriter(opts.MetricsWriter)
@@ -435,59 +453,20 @@ func (s *Suite) CachedRuns() []*Run {
 }
 
 func (s *Suite) simulate(ctx context.Context, bench string, scheme Scheme, capacity int) (*Run, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.Opts.SMs > 1 {
-		return s.simulateChip(ctx, bench, scheme, capacity)
-	}
-	tr, parent := obs.FromContext(ctx)
-	// kernels.Load memoizes per bench, so this explicit warm makes the
-	// span measure the real (first) load; BuildSM's own call then hits.
-	kl := tr.Start(parent, "kernel-load")
-	if _, err := kernels.Load(bench); err != nil {
-		tr.End(kl)
-		return nil, err
-	}
-	tr.End(kl)
-	build := tr.Start(parent, "build")
-	smv, rp, err := BuildSM(bench, scheme, SimSetup{
-		Capacity:      capacity,
-		Warps:         s.Opts.Warps,
-		MaxCycles:     s.Opts.MaxCycles,
-		Watchdog:      s.Opts.Watchdog,
-		Sanitize:      s.Opts.Sanitize,
-		Faults:        s.Opts.Faults,
-		NoFastForward: s.Opts.NoFastForward,
-	})
-	tr.End(build)
+	k, err := loadKernel(ctx, bench)
 	if err != nil {
 		return nil, err
 	}
-	if s.jsonl != nil {
-		smv.Metrics.SetSink(s.jsonl.Run(
-			metrics.String("bench", bench),
-			metrics.String("scheme", string(scheme)),
-			metrics.Int("capacity", capacity),
-		))
-	}
-	run := &Run{Bench: bench, Scheme: scheme, Capacity: capacity, RegLess: rp}
-	smv.AttachContext(ctx)
-	cycle := tr.Start(parent, "run")
-	st, err := smv.Run()
-	tr.End(cycle)
+	inst, err := runPoint(ctx, k, bench, scheme, s.Opts.SMs, s.Opts.Setup(capacity), nil, 0, s.jsonl)
 	if err != nil {
 		return nil, err
 	}
-	run.Stats = st
-	run.Prov = *smv.Provider.Stats()
-	run.Mem = smv.Mem.Stats
-	return run, nil
+	return inst.Run, nil
 }
 
-// SimSetup parameterizes one SM assembly beyond (bench, scheme): sizing,
-// termination bounds, and the robustness instrumentation (sanitizer,
-// fault injection).
+// SimSetup parameterizes one chip assembly beyond (kernel, scheme, SM
+// count): sizing, termination bounds, and the robustness instrumentation
+// (sanitizer, fault injection).
 type SimSetup struct {
 	// Capacity is RegLess's OSU registers per SM (ignored otherwise).
 	Capacity int
@@ -498,76 +477,13 @@ type SimSetup struct {
 	Watchdog  uint64
 	// Sanitize attaches the cycle-level invariant sanitizer.
 	Sanitize bool
-	// Faults, when non-nil, arms a fresh injector for this simulation.
+	// Faults, when non-nil, arms a fresh injector per SM.
 	Faults *faults.Plan
 	// Memory, when non-nil, backs the run's functional state (tests
 	// retain it to compare final stores against the exec reference).
 	Memory *exec.Memory
 	// NoFastForward disables the cycle-skip fast-forward.
 	NoFastForward bool
-}
-
-// BuildSM constructs a ready-to-run SM for (bench, scheme): the shared
-// assembly used by the suite cache and by tools that drive the simulation
-// themselves (the timeline tracer). The returned core provider is non-nil
-// only for RegLess schemes.
-func BuildSM(bench string, scheme Scheme, su SimSetup) (*sim.SM, *core.Provider, error) {
-	k, err := kernels.Load(bench)
-	if err != nil {
-		return nil, nil, err
-	}
-	simCfg := sim.DefaultConfig()
-	simCfg.Warps = su.Warps
-	if su.MaxCycles > 0 {
-		simCfg.MaxCycles = su.MaxCycles
-	}
-	if su.Watchdog > 0 {
-		simCfg.WatchdogCycles = su.Watchdog
-	}
-	simCfg.NoFastForward = su.NoFastForward
-
-	var provider sim.Provider
-	var rp *core.Provider
-	switch scheme {
-	case SchemeBaseline:
-		provider = rf.NewBaseline()
-	case SchemeBaseline2L:
-		provider = rf.NewBaseline()
-		simCfg.Sched = sim.SchedTwoLevel
-	case SchemeRFV:
-		provider = rf.NewRFV(RFVEntries)
-		simCfg.Sched = sim.SchedTwoLevel
-	case SchemeRFH:
-		provider = rf.NewRFH(RFHORFEntries)
-		simCfg.Sched = sim.SchedTwoLevel
-	case SchemeRegLess, SchemeRegLessNC:
-		cfg := core.ConfigForCapacity(su.Capacity)
-		cfg.EnableCompressor = scheme == SchemeRegLess
-		p, err := core.New(cfg, k)
-		if err != nil {
-			return nil, nil, err
-		}
-		rp = p
-		provider = p
-	default:
-		return nil, nil, fmt.Errorf("unknown scheme %q", scheme)
-	}
-	mm := su.Memory
-	if mm == nil {
-		mm = exec.NewMemory(nil)
-	}
-	smv, err := sim.New(simCfg, k, provider, mm)
-	if err != nil {
-		return nil, nil, err
-	}
-	if su.Faults != nil {
-		smv.AttachFaults(faults.NewInjector(su.Faults))
-	}
-	if su.Sanitize {
-		san := sanitizer.New()
-		smv.AttachSanitizer(san)
-	}
-	return smv, rp, nil
 }
 
 // GeoMean returns the geometric mean of xs.

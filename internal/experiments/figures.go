@@ -20,25 +20,23 @@ const DefaultCapacity = 512
 func Table1(s *Suite) (*Table, error) {
 	c := sim.DefaultConfig()
 	t := &Table{ID: "table1", Title: "Simulation parameters", Header: []string{"Parameter", "Value"}}
+	// The two rows the L2 level (chosen by SM count in Assemble) changes.
+	smsRow := "1 (paper: 16; all RegLess mechanisms are per-SM)"
+	memRow := fmt.Sprintf("512KB L2 slice, DRAM %d cycles, 1 line per %d cycles",
+		c.Mem.DRAMLatency, c.Mem.DRAMCyclesPerLine)
 	if s.Opts.SMs > 1 {
 		l2 := mem.DefaultBankedL2Config()
-		t.AddRow("SMs simulated", fmt.Sprintf("%d, lockstep, shared banked L2 (paper: 16)", s.Opts.SMs))
-		t.AddRow("Warps per SM", fmt.Sprintf("%d", s.Opts.Warps))
-		t.AddRow("Warp schedulers", fmt.Sprintf("%d, GTO", c.Schedulers))
-		t.AddRow("L1 cache", "48KB (64 sets x 6 ways x 128B), 32 MSHRs, data accesses bypassed")
-		t.AddRow("L1 bandwidth", "one request per cycle")
-		t.AddRow("Memory system", fmt.Sprintf(
+		smsRow = fmt.Sprintf("%d, lockstep, shared banked L2 (paper: 16)", s.Opts.SMs)
+		memRow = fmt.Sprintf(
 			"2MB L2 (%d banks x %d sets x %d ways), %d MSHRs/bank, DRAM %d cycles, 1 line per %d cycles",
-			l2.Banks, l2.SetsPerBank, l2.Ways, l2.MSHRsPerBank, l2.DRAMLatency, l2.DRAMCyclesPerLine))
-	} else {
-		t.AddRow("SMs simulated", "1 (paper: 16; all RegLess mechanisms are per-SM)")
-		t.AddRow("Warps per SM", fmt.Sprintf("%d", s.Opts.Warps))
-		t.AddRow("Warp schedulers", fmt.Sprintf("%d, GTO", c.Schedulers))
-		t.AddRow("L1 cache", "48KB (64 sets x 6 ways x 128B), 32 MSHRs, data accesses bypassed")
-		t.AddRow("L1 bandwidth", "one request per cycle")
-		t.AddRow("Memory system", fmt.Sprintf("512KB L2 slice, DRAM %d cycles, 1 line per %d cycles",
-			c.Mem.DRAMLatency, c.Mem.DRAMCyclesPerLine))
+			l2.Banks, l2.SetsPerBank, l2.Ways, l2.MSHRsPerBank, l2.DRAMLatency, l2.DRAMCyclesPerLine)
 	}
+	t.AddRow("SMs simulated", smsRow)
+	t.AddRow("Warps per SM", fmt.Sprintf("%d", s.Opts.Warps))
+	t.AddRow("Warp schedulers", fmt.Sprintf("%d, GTO", c.Schedulers))
+	t.AddRow("L1 cache", "48KB (64 sets x 6 ways x 128B), 32 MSHRs, data accesses bypassed")
+	t.AddRow("L1 bandwidth", "one request per cycle")
+	t.AddRow("Memory system", memRow)
 	t.AddRow("Compressor", "one op per cycle, 12 lines per shard (48 per SM)")
 	t.AddRow("OSU (chosen point)", "512 registers/SM = 4 shards x 8 banks x 16 lines")
 	return t, nil

@@ -35,7 +35,7 @@ func GPUScale(s *Suite) (*Table, error) {
 	benches := s.benchmarks()
 	if s.Opts.SMs <= 1 && len(benches) > 6 {
 		// The full 21-benchmark sweep is the -sms mode's job; the default
-		// single-SM invocation keeps the extension table affordable.
+		// one-SM invocation keeps the extension table affordable.
 		benches = benches[:6]
 	}
 	totalWarps := 16 * s.Opts.Warps

@@ -127,3 +127,44 @@ func TestMetricsStreamParallelComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsStreamSMLabel: the window stream names the SM only on a
+// chip of several (one SM's records stay as they always were), and a
+// chip's shared-L2 counters ride SM 0's stream. Streaming a multi-SM run
+// used to panic: the L2 counters were bound after SM 0's registry had
+// been given its sink.
+func TestMetricsStreamSMLabel(t *testing.T) {
+	for _, sms := range []int{1, 2} {
+		var stream bytes.Buffer
+		opts := chipOpts(sms)
+		opts.MetricsWriter = &stream
+		suite := NewSuite(opts)
+		if _, err := suite.Get("bfs", SchemeBaseline, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := suite.FlushMetrics(); err != nil {
+			t.Fatal(err)
+		}
+		labelled, l2 := map[float64]bool{}, false
+		for i, ln := range strings.Split(strings.TrimSpace(stream.String()), "\n") {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(ln), &rec); err != nil {
+				t.Fatalf("%d SMs: line %d: %v", sms, i+1, err)
+			}
+			sm, has := rec["sm"].(float64)
+			if has != (sms > 1) {
+				t.Fatalf("%d SMs: line %d sm label present=%v: %s", sms, i+1, has, ln)
+			}
+			labelled[sm] = true
+			if _, ok := rec["counters"].(map[string]any)["l2/misses"]; ok {
+				if sm != 0 {
+					t.Fatalf("%d SMs: chip L2 counters on SM %v's stream", sms, sm)
+				}
+				l2 = true
+			}
+		}
+		if len(labelled) != sms || l2 != (sms > 1) {
+			t.Fatalf("%d SMs: streams from %d SMs, chip L2 counters seen=%v", sms, len(labelled), l2)
+		}
+	}
+}

@@ -1,7 +1,9 @@
-// Package gpu scales the single-SM model up to the paper's full chip: N
-// streaming multiprocessors in lockstep, each with a private L1 and
-// register scheme, sharing one banked 2 MB L2 and the DRAM interface
-// (Table 1's 16-SM GTX 980). In the default single-kernel mode all SMs
+// Package gpu is the chip every run executes on: N streaming
+// multiprocessors in lockstep, each with a private L1 and register
+// scheme, sharing one banked 2 MB L2 and the DRAM interface (Table 1's
+// 16-SM GTX 980) — or, when the assembler says so (Config.PrivateL2: the
+// paper's per-SM evaluation, a chip of one), each on its own L2 slice.
+// In the default single-kernel mode all SMs
 // run the same kernel over disjoint global warp ID ranges — the CUDA
 // grid is striped across SMs — and share one functional memory, so the
 // multi-SM run is architecturally equivalent to a single functional
@@ -11,11 +13,10 @@
 //
 // The chip clock is the lockstep invariant: every non-finished SM sits
 // at the same cycle, which makes SM index the deterministic arbitration
-// order for same-cycle L2 bank conflicts and lets the chip reuse the
-// per-SM cycle-skip fast-forward — a coordinated jump to the earliest
-// wake cycle across all SMs (one SM may never jump past another's
-// wakeup, since the waker's DRAM response can occupy a bank port the
-// sleeper would have raced for).
+// order for same-cycle L2 bank conflicts. The cycle loop itself —
+// stepping, health checks, the coordinated fast-forward, context polling
+// — is sim.RunLockstep, the same loop a lone sim.SM.Run is; this package
+// builds the SMs over their L2 level and folds their results.
 package gpu
 
 import (
@@ -36,6 +37,14 @@ type Config struct {
 	SM sim.Config
 	// L2 sizes the chip-wide banked L2 and DRAM interface.
 	L2 mem.BankedL2Config
+	// PrivateL2 gives every SM its own flat L2 slice and DRAM share
+	// (sized by SM.Mem) instead of attaching it to the banked L2. It
+	// carries one decision made by whoever assembles the chip
+	// (experiments.Assemble sets it for a chip of one — the paper's
+	// per-SM evaluation); nothing here infers it from the SM count,
+	// because 1-SM chips on the banked L2 are legitimate (gpuscale,
+	// coresident).
+	PrivateL2 bool
 }
 
 // DefaultConfig returns the 16-SM GTX 980 configuration.
@@ -70,48 +79,24 @@ type GPU struct {
 	// Slot maps SM index -> co-resident kernel slot (all zero in
 	// single-kernel mode).
 	Slot []int
-	L2   *mem.BankedL2
+	// L2 is the shared banked level (nil when Cfg.PrivateL2 gave each
+	// SM its own slice).
+	L2 *mem.BankedL2
 	// Mems holds each slot's functional memory (one entry in
 	// single-kernel mode).
 	Mems []*exec.Memory
 
-	// Cooperative cancellation (nil when disabled — see AttachContext).
-	cancelCh         <-chan struct{}
-	cancelCtx        context.Context
-	sinceCancelCheck uint64
+	// ctx is what Run hands the cycle loop to poll (AttachContext).
+	ctx context.Context
 }
 
-// AttachContext arms cooperative cancellation of Run on the same terms as
-// sim.SM.AttachContext: the chip loop polls ctx every
-// sim.CancelCheckInterval iterations, and context.Background() (nil Done
-// channel) leaves the check disabled at the cost of one nil compare per
-// chip cycle.
-func (g *GPU) AttachContext(ctx context.Context) {
-	if ctx == nil || ctx.Done() == nil {
-		g.cancelCh, g.cancelCtx = nil, nil
-		return
-	}
-	g.cancelCh = ctx.Done()
-	g.cancelCtx = ctx
-}
+// AttachContext makes Run abandon the simulation once ctx is done (the
+// cycle loop polls it; see sim.RunLockstep). Without it Run cannot be
+// canceled.
+func (g *GPU) AttachContext(ctx context.Context) { g.ctx = ctx }
 
-// canceled polls the attached context on the check cadence.
-func (g *GPU) canceled() error {
-	g.sinceCancelCheck++
-	if g.sinceCancelCheck < sim.CancelCheckInterval {
-		return nil
-	}
-	g.sinceCancelCheck = 0
-	select {
-	case <-g.cancelCh:
-		return fmt.Errorf("gpu: chip abandoned: %w", g.cancelCtx.Err())
-	default:
-		return nil
-	}
-}
-
-// New builds a single-kernel GPU: one SM per index, private L1s, shared
-// banked L2, the grid striped across SMs by warp ID.
+// New builds a single-kernel GPU: one SM per index, private L1s over the
+// configured L2 level, the grid striped across SMs by warp ID.
 func New(cfgv Config, k *isa.Kernel, factory ProviderFactory, mm *exec.Memory) (*GPU, error) {
 	if mm == nil {
 		mm = exec.NewMemory(nil)
@@ -133,11 +118,14 @@ func NewCoResident(cfgv Config, slots []KernelSlot) (*GPU, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("gpu: need at least one SM")
 	}
-	l2, err := mem.NewBankedL2(cfgv.L2)
-	if err != nil {
-		return nil, err
+	g := &GPU{Cfg: cfgv, ctx: context.Background()}
+	if !cfgv.PrivateL2 {
+		l2, err := mem.NewBankedL2(cfgv.L2)
+		if err != nil {
+			return nil, err
+		}
+		g.L2 = l2
 	}
-	g := &GPU{Cfg: cfgv, L2: l2}
 	for si := range slots {
 		s := &slots[si]
 		if s.Mem == nil {
@@ -154,7 +142,10 @@ func NewCoResident(cfgv Config, slots []KernelSlot) (*GPU, error) {
 			// [0, SMs*Warps) of its own grid.
 			smCfg.WarpIDBase = i * smCfg.Warps
 			smCfg.Mem.AddrBias = s.AddrBias
-			hier := l2.AttachHierarchy(smCfg.Mem)
+			var hier *mem.Hierarchy // nil: sim builds the private slice
+			if g.L2 != nil {
+				hier = g.L2.AttachHierarchy(smCfg.Mem)
+			}
 			smv, err := sim.NewWithHierarchy(smCfg, s.K, p, s.Mem, hier)
 			if err != nil {
 				return nil, fmt.Errorf("gpu: slot %d SM %d: %w", si, i, err)
@@ -170,7 +161,7 @@ func NewCoResident(cfgv Config, slots []KernelSlot) (*GPU, error) {
 // runner — the launch package's block scheduler builds one chip per
 // occupancy wave this way, keeping the banked L2 warm across waves.
 func FromSMs(cfgv Config, l2 *mem.BankedL2, sms []*sim.SM, mems []*exec.Memory) *GPU {
-	return &GPU{Cfg: cfgv, L2: l2, SMs: sms, Slot: make([]int, len(sms)), Mems: mems}
+	return &GPU{Cfg: cfgv, L2: l2, SMs: sms, Slot: make([]int, len(sms)), Mems: mems, ctx: context.Background()}
 }
 
 // Result summarizes a multi-SM run.
@@ -192,47 +183,29 @@ type Result struct {
 	FFSkippedCycles, FFJumps uint64
 }
 
-// Run advances every SM one cycle at a time (lockstep) until all
-// finish, jumping provably inert spans chip-coordinated: only when every
-// active SM is frozen, and only to the earliest wake cycle any of them
-// has. Abnormal terminations (MaxCycles, watchdog, sanitizer, L2
-// invariant violations) return an error naming the SM.
+// Run advances every SM in lockstep until all finish (sim.RunLockstep),
+// checking the shared L2's invariants at every fast-forward boundary and
+// at the end. An SM's abnormal termination (MaxCycles, watchdog,
+// sanitizer) is its *sanitizer.Diagnostic, prefixed with the SM's index
+// when the chip has more than one.
 func (g *GPU) Run() (*Result, error) {
-	for {
-		if g.cancelCh != nil {
-			if err := g.canceled(); err != nil {
-				return nil, err
-			}
-		}
-		allDone := true
-		for i, smv := range g.SMs {
-			if smv.Done() {
-				continue
-			}
-			allDone = false
-			if smv.Cycle() >= smv.Cfg.MaxCycles {
-				return nil, fmt.Errorf("gpu: SM %d exceeded %d cycles", i, smv.Cfg.MaxCycles)
-			}
-			smv.StepOne()
-			if err := smv.CheckHealth(); err != nil {
-				return nil, fmt.Errorf("gpu: SM %d: %w", i, err)
-			}
-		}
-		if allDone {
-			break
-		}
-		if jumped, err := g.tryFastForward(); err != nil {
-			return nil, err
-		} else if jumped {
-			if err := g.L2.CheckInvariants(); err != nil {
-				return nil, err
-			}
-		}
+	var checkL2 func() error
+	if g.L2 != nil {
+		checkL2 = g.L2.CheckInvariants
 	}
-	if err := g.L2.CheckInvariants(); err != nil {
+	if sm, err := sim.RunLockstep(g.ctx, g.SMs, checkL2); err != nil {
+		if sm >= 0 && len(g.SMs) > 1 {
+			err = fmt.Errorf("gpu: SM %d: %w", sm, err)
+		}
 		return nil, err
 	}
-	res := &Result{L2: g.L2.Stats, KernelCycles: make([]uint64, len(g.Mems))}
+	res := &Result{KernelCycles: make([]uint64, len(g.Mems))}
+	if g.L2 != nil {
+		if err := g.L2.CheckInvariants(); err != nil {
+			return nil, err
+		}
+		res.L2 = g.L2.Stats
+	}
 	for i, smv := range g.SMs {
 		st := smv.Finalize()
 		res.PerSM = append(res.PerSM, st)
@@ -247,47 +220,4 @@ func (g *GPU) Run() (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// tryFastForward attempts one chip-coordinated cycle skip: every active
-// SM must be provably frozen (per-SM FFEligible gates), and the jump
-// target is the minimum wake cycle across them — an SM may not skip past
-// another SM's wakeup because the waker's new L2/DRAM traffic changes
-// the bank-port and bandwidth arbitration every sleeper would see.
-// Per-SM watchdog trips and MaxCycles already cap each SM's wake target,
-// so abnormal runs keep their stepped-run cycle numbers.
-func (g *GPU) tryFastForward() (bool, error) {
-	target := ^uint64(0)
-	cur := uint64(0)
-	active := 0
-	for _, smv := range g.SMs {
-		if smv.Done() {
-			continue
-		}
-		active++
-		cur = smv.Cycle() // identical across active SMs (lockstep)
-		if !smv.FFEligible() {
-			return false, nil
-		}
-		t, ok := smv.FFWakeTarget()
-		if !ok {
-			return false, nil
-		}
-		if t < target {
-			target = t
-		}
-	}
-	if active == 0 || target <= cur+1 {
-		return false, nil
-	}
-	for i, smv := range g.SMs {
-		if smv.Done() {
-			continue
-		}
-		smv.FFJumpTo(target - 1)
-		if err := smv.CheckHealth(); err != nil {
-			return false, fmt.Errorf("gpu: SM %d: %w", i, err)
-		}
-	}
-	return true, nil
 }

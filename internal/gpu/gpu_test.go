@@ -1,12 +1,15 @@
 package gpu
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/kernels"
 	"repro/internal/rf"
+	"repro/internal/sanitizer"
 	"repro/internal/sim"
 )
 
@@ -124,5 +127,36 @@ func TestGPURejectsZeroSMs(t *testing.T) {
 	k := kernels.MustLoad("nw")
 	if _, err := New(Config{SMs: 0, SM: sim.DefaultConfig()}, k, baselineFactory(), nil); err == nil {
 		t.Fatal("accepted zero SMs")
+	}
+}
+
+// TestAbnormalTerminationIsDiagnostic: a chip's MaxCycles overrun is the
+// cycle loop's *sanitizer.Diagnostic at any SM count. A chip of one
+// reports it bare — the text every 1-SM consumer (serve errText, CLI)
+// has always seen — and a larger chip names the SM.
+func TestAbnormalTerminationIsDiagnostic(t *testing.T) {
+	k := kernels.MustLoad("nw")
+	for _, sms := range []int{1, 4} {
+		cfg := smallCfg(sms, 8)
+		cfg.SM.MaxCycles = 1000
+		cfg.PrivateL2 = sms == 1
+		g, err := New(cfg, k, baselineFactory(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (g.L2 == nil) != cfg.PrivateL2 {
+			t.Fatalf("%d SMs: PrivateL2=%v but banked L2 present=%v", sms, cfg.PrivateL2, g.L2 != nil)
+		}
+		_, err = g.Run()
+		var d *sanitizer.Diagnostic
+		if !errors.As(err, &d) || d.Component != "sim/maxcycles" {
+			t.Fatalf("%d SMs: Run = %v, want a sim/maxcycles Diagnostic", sms, err)
+		}
+		if named := strings.HasPrefix(err.Error(), "gpu: SM 0: "); named != (sms > 1) {
+			t.Errorf("%d SMs: error text %q", sms, err)
+		}
+		if sms == 1 && err.Error() != d.Error() {
+			t.Errorf("chip of one wraps its diagnostic: %q vs %q", err, d)
+		}
 	}
 }

@@ -1,14 +1,13 @@
 // Banked chip-level L2 + DRAM back end for multi-SM simulation.
 //
-// The single-SM model gives each SM a private flat L2 slice (mem.go);
-// the full-GPU model replaces that with one BankedL2 shared by every
-// SM's hierarchy: a set-associative cache interleaved across banks by
-// line address, each bank with its own single-request-per-cycle port
-// and its own MSHR file (secondary misses from *any* SM merge onto the
-// first fetch of a line), all backed by one DRAM interface with a
-// latency and a chip-wide bandwidth budget. This is where inter-SM
-// interference lives: one SM's preload traffic occupies bank ports,
-// steals MSHRs, and evicts lines another SM staged.
+// Where mem.go's privateL2 is a flat slice per SM, BankedL2 is the
+// l2Level every SM's hierarchy on a chip shares: a set-associative cache
+// interleaved across banks by line address, each bank with its own
+// single-request-per-cycle port and its own MSHR file (secondary misses
+// from *any* SM merge onto the first fetch of a line), all backed by one
+// DRAM interface with a latency and a chip-wide bandwidth budget. This
+// is where inter-SM interference lives: one SM's preload traffic
+// occupies bank ports, steals MSHRs, and evicts lines another SM staged.
 //
 // Access is single-threaded: the GPU model ticks its SMs in lockstep on
 // one goroutine, so SM index order is the (deterministic) arbitration
@@ -360,7 +359,5 @@ func (l2 *BankedL2) CheckInvariants() error {
 // AttachHierarchy builds a per-SM hierarchy (private L1) whose L2 level
 // is this chip-wide banked L2.
 func (l2 *BankedL2) AttachHierarchy(cfg Config) *Hierarchy {
-	h := New(cfg)
-	h.banked = l2
-	return h
+	return newHierarchy(cfg, l2)
 }

@@ -1,9 +1,11 @@
 // Package mem models the memory hierarchy at cycle granularity: the
 // per-SM L1 data cache (48 KB, 32 MSHRs, one request per cycle —
-// Table 1), an L2, and DRAM with a bandwidth limit. The L2 comes in two
-// forms: a private flat slice with a per-SM DRAM share (the single-SM
-// model, this file) or the chip-wide BankedL2 (l2.go) that all SMs'
-// hierarchies share in the multi-SM model.
+// Table 1), an L2, and DRAM with a bandwidth limit. The L2 level sits
+// behind one seam (l2Level) with two implementations: a private flat
+// slice with a per-SM DRAM share (privateL2, this file — what a chip of
+// one SM runs on) or the chip-wide BankedL2 (l2.go) that all SMs'
+// hierarchies share. Which one a run gets is decided where the chip is
+// assembled (experiments.Assemble), not here.
 //
 // Following the paper's GTX 980 configuration, ordinary global data
 // accesses *bypass* the L1 and go straight to L2 ("data accesses bypassed",
@@ -211,7 +213,9 @@ type Hierarchy struct {
 	Stats Stats
 
 	l1 *cache
-	l2 *cache
+	// l2 is the level below the L1: this hierarchy's private slice or
+	// the chip-wide banked L2 it is attached to.
+	l2 l2Level
 
 	now uint64
 
@@ -224,13 +228,6 @@ type Hierarchy struct {
 	// Bypassing data path.
 	dataInFlight int
 	dataNextFree uint64
-
-	// DRAM bandwidth throttle.
-	dramNextFree uint64
-
-	// banked, when non-nil, replaces the private L2 slice and DRAM
-	// throttle with the chip-wide banked level (multi-SM simulation).
-	banked *BankedL2
 
 	// rec, when attached, observes accepted L1 accesses (nil-safe).
 	rec *events.Recorder
@@ -271,19 +268,24 @@ func (h *Hierarchy) applyFault(done func(Source)) func(Source) {
 	return done
 }
 
-// l2addr applies the co-residency address bias for the shared level.
-func (h *Hierarchy) l2addr(a uint32) uint32 { return a + h.cfg.AddrBias }
+// l2Level is what sits below a hierarchy's L1. Both calls take the
+// bias-adjusted line address; access charges the requesting hierarchy's
+// statistics and schedules done (nil for writes) on its event queue.
+type l2Level interface {
+	access(h *Hierarchy, a uint32, write bool, done func(Source))
+	invalidate(a uint32)
+}
 
-// BankedL2 returns the chip-wide L2 this hierarchy is attached to, or
-// nil when it runs against its private slice.
-func (h *Hierarchy) BankedL2() *BankedL2 { return h.banked }
-
-// New builds a hierarchy.
+// New builds a hierarchy over its own private L2 slice.
 func New(cfg Config) *Hierarchy {
+	return newHierarchy(cfg, &privateL2{cache: newCache(cfg.L2Sets, cfg.L2Ways)})
+}
+
+func newHierarchy(cfg Config, l2 l2Level) *Hierarchy {
 	return &Hierarchy{
 		cfg:   cfg,
 		l1:    newCache(cfg.L1Sets, cfg.L1Ways),
-		l2:    newCache(cfg.L2Sets, cfg.L2Ways),
+		l2:    l2,
 		mshrs: make(map[uint32][]func(Source)),
 	}
 }
@@ -445,7 +447,7 @@ func (h *Hierarchy) L1Invalidate(addr uint32) bool {
 	h.claimL1Port()
 	h.Stats.L1Invalidations++
 	h.l1.invalidate(a)
-	h.l2Invalidate(a)
+	h.l2.invalidate(a + h.cfg.AddrBias)
 	return true
 }
 
@@ -455,29 +457,29 @@ func (h *Hierarchy) L1Invalidate(addr uint32) bool {
 func (h *Hierarchy) L1InvalidateQuiet(addr uint32) {
 	a := align(addr)
 	h.l1.invalidate(a)
-	h.l2Invalidate(a)
+	h.l2.invalidate(a + h.cfg.AddrBias)
 }
 
-// l2Invalidate drops a line from whichever L2 this hierarchy talks to.
-func (h *Hierarchy) l2Invalidate(a uint32) {
-	if h.banked != nil {
-		h.banked.invalidate(h.l2addr(a))
-		return
-	}
-	h.l2.invalidate(a)
-}
-
-// l2Access runs an access at the L2 (from L1 misses/writebacks); done may
-// be nil (writes). With a chip-wide banked L2 attached, the access is
-// routed there (bank port arbitration, shared MSHRs, chip DRAM budget);
-// otherwise it probes the private slice.
+// l2Access runs an access at the L2 level (L1 misses and writebacks,
+// bypassing data accesses); done may be nil (writes). The co-residency
+// address bias is applied here, once, for either implementation.
 func (h *Hierarchy) l2Access(a uint32, write bool, done func(Source)) {
-	if h.banked != nil {
-		h.banked.access(h, h.l2addr(a), write, done)
-		return
-	}
-	l2 := h.l2
-	if ln := l2.lookup(a, h.now); ln != nil {
+	h.l2.access(h, a+h.cfg.AddrBias, write, done)
+}
+
+// privateL2 is one SM's flat L2 slice with its own share of the DRAM
+// bandwidth: no banks, ports, or MSHRs, so nothing another SM does can
+// be seen through it.
+type privateL2 struct {
+	cache *cache
+	// DRAM bandwidth throttle (this SM's share).
+	dramNextFree uint64
+}
+
+func (l2 *privateL2) invalidate(a uint32) { l2.cache.invalidate(a) }
+
+func (l2 *privateL2) access(h *Hierarchy, a uint32, write bool, done func(Source)) {
+	if ln := l2.cache.lookup(a, h.now); ln != nil {
 		h.Stats.L2Hits++
 		if write {
 			ln.dirty = true
@@ -490,18 +492,18 @@ func (h *Hierarchy) l2Access(a uint32, write bool, done func(Source)) {
 	h.Stats.L2Misses++
 	if write {
 		// Write-allocate without fetch (register lines are whole).
-		v := l2.victim(a)
+		v := l2.cache.victim(a)
 		if v.valid && v.dirty {
-			h.dramWrite()
+			l2.dramQueueDelay(h) // consumes bandwidth; completion not tracked
 		}
 		*v = line{tag: a / LineSize, valid: true, dirty: true, lru: h.now}
 		return
 	}
-	delay := h.cfg.L2Latency + h.cfg.DRAMLatency + h.dramQueueDelay()
+	delay := h.cfg.L2Latency + h.cfg.DRAMLatency + l2.dramQueueDelay(h)
 	h.after(delay, func() {
-		v := l2.victim(a)
+		v := l2.cache.victim(a)
 		if v.valid && v.dirty {
-			h.dramWrite()
+			l2.dramQueueDelay(h)
 		}
 		*v = line{tag: a / LineSize, valid: true, lru: h.now}
 		if done != nil {
@@ -510,21 +512,16 @@ func (h *Hierarchy) l2Access(a uint32, write bool, done func(Source)) {
 	})
 }
 
-// dramQueueDelay advances the private DRAM bandwidth throttle and
-// returns the queueing delay for one line transfer (chip-wide runs use
-// BankedL2's throttle instead).
-func (h *Hierarchy) dramQueueDelay() int {
+// dramQueueDelay advances the slice's DRAM bandwidth throttle and
+// returns the queueing delay for one line transfer.
+func (l2 *privateL2) dramQueueDelay(h *Hierarchy) int {
 	h.Stats.DRAMAccesses++
 	start := h.now
-	if h.dramNextFree > start {
-		start = h.dramNextFree
+	if l2.dramNextFree > start {
+		start = l2.dramNextFree
 	}
-	h.dramNextFree = start + uint64(h.cfg.DRAMCyclesPerLine)
+	l2.dramNextFree = start + uint64(h.cfg.DRAMCyclesPerLine)
 	return int(start - h.now)
-}
-
-func (h *Hierarchy) dramWrite() {
-	h.dramQueueDelay() // consumes bandwidth; completion not tracked
 }
 
 // DataAccess submits a global data access that bypasses L1 (Table 1).

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
 )
 
 // waitUntil polls cond until it holds or the deadline passes.
@@ -145,6 +147,41 @@ func TestRequestBudgetExpires(t *testing.T) {
 	}
 	if got := counter(t, s, "serve/failures"); got != 0 {
 		t.Fatalf("expiry recorded %d failures", got)
+	}
+}
+
+// TestReportRunBudgetExpires: a deep-dive ("report") request runs the
+// instrumented pipeline, which must poll its budget like any other run.
+// It used to ignore it — simulating to completion while holding a pool
+// slot, then answering "done" and persisting the result.
+func TestReportRunBudgetExpires(t *testing.T) {
+	// Park one memory response for 800k stepped cycles so the run far
+	// outlasts the budget and crosses many context polls.
+	plan, err := faults.Parse("mem-delay@500:delay=800000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := testOpts()
+	opts.Faults, opts.NoFastForward = plan, true
+	s, err := New(Config{Opts: opts, StoreDir: t.TempDir(), RequestTimeout: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	var st RunStatus
+	req := RunRequest{Bench: "nw", Scheme: "regless", Report: []string{"stalls"}}
+	if code := doJSON(t, s.Handler(), "POST", "/v1/runs?wait=1", "rep", req, &st); code != http.StatusOK {
+		t.Fatalf("POST run = %d", code)
+	}
+	if st.Status != "expired" || st.Error == "" {
+		t.Fatalf("budgeted report run = %q (%s), want expired", st.Status, st.Error)
+	}
+	if got := counter(t, s, "serve/expired"); got != 1 {
+		t.Fatalf("serve/expired = %d, want 1", got)
+	}
+	if n, err := s.Store().Len(); err != nil || n != 0 {
+		t.Fatalf("expired report run persisted: %d store entries (err %v)", n, err)
 	}
 }
 

@@ -91,21 +91,14 @@ func canonicalizeReport(kinds []string) (string, error) {
 }
 
 // simulateWithReport runs the key's point once with event recording and
-// attaches the requested analysis sections per SM. The context carries
-// the job's obs trace, so the instrumented path records the same
-// kernel-load/build/run child spans as the suite path.
+// attaches the requested analysis sections per SM. It is the suite's run
+// pipeline with recorders attached, so the job's context carries its
+// budget and obs trace into it exactly as into Suite.GetCtx.
 func (s *Server) simulateWithReport(ctx context.Context, key store.Key) (*experiments.Run, *RunReport, error) {
 	kinds := strings.Split(key.Report, ",")
 	inst, err := experiments.SimulateInstrumented(ctx, key.Bench,
-		experiments.Scheme(key.Scheme), s.cfg.Opts.SMs, experiments.SimSetup{
-			Capacity:      key.Capacity,
-			Warps:         s.cfg.Opts.Warps,
-			MaxCycles:     s.cfg.Opts.MaxCycles,
-			Watchdog:      s.cfg.Opts.Watchdog,
-			Sanitize:      s.cfg.Opts.Sanitize,
-			Faults:        s.cfg.Opts.Faults,
-			NoFastForward: s.cfg.Opts.NoFastForward,
-		}, events.MaskSched|events.MaskStates|events.MaskPreloads)
+		experiments.Scheme(key.Scheme), s.suite.Opts.SMs, s.suite.Opts.Setup(key.Capacity),
+		events.MaskSched|events.MaskStates|events.MaskPreloads)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -346,9 +346,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Opts.MaxCycles < 1 {
 		return nil, fmt.Errorf("serve: max-cycles must be at least 1")
 	}
-	if cfg.Opts.SMs < 1 {
-		cfg.Opts.SMs = 1
-	}
 	if cfg.Opts.Parallelism < 1 {
 		cfg.Opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -524,7 +521,7 @@ func (s *Server) KeyFor(req RunRequest) (store.Key, error) {
 		Scheme:    string(scheme),
 		Capacity:  capacity,
 		Warps:     s.cfg.Opts.Warps,
-		SMs:       s.cfg.Opts.SMs,
+		SMs:       s.suite.Opts.SMs,
 		MaxCycles: s.cfg.Opts.MaxCycles,
 		Watchdog:  s.cfg.Opts.Watchdog,
 		Sanitize:  s.cfg.Opts.Sanitize,
@@ -708,7 +705,7 @@ func (s *Server) resultFrom(r *experiments.Run) RunResult {
 		Scheme:   string(r.Scheme),
 		Capacity: r.Capacity,
 		Warps:    s.cfg.Opts.Warps,
-		SMs:      s.cfg.Opts.SMs,
+		SMs:      s.suite.Opts.SMs,
 		Stats:    *r.Stats,
 		Prov:     r.Prov,
 		Mem:      r.Mem,
@@ -1136,7 +1133,7 @@ func (s *Server) handleSweepTable(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	tb, err := sw.table(s.cfg.Opts.Warps, s.cfg.Opts.SMs)
+	tb, err := sw.table(s.cfg.Opts.Warps, s.suite.Opts.SMs)
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -36,34 +36,72 @@ import "repro/internal/events"
 // noWake is the "no wakeup source" sentinel for the target computation.
 const noWake = ^uint64(0)
 
-// TryFastForward attempts a cycle skip after a step. It returns the
-// number of cycles skipped (0 when any gate fails or the machine wakes
-// next cycle anyway). Call it between StepOne and the next cycle's step;
-// Run and trace.Run do. Multi-SM chips coordinate instead via
-// FFEligible / FFWakeTarget / FFJumpTo (a lone SM may not jump past
-// another SM's wakeup — gpu.Chip takes the min across SMs).
+// TryFastForward is the lone-SM form of the skip for callers that step
+// the SM themselves (trace.Run): after a StepOne it attempts a jump and
+// returns the number of cycles skipped (0 when any gate fails or the
+// machine wakes next cycle anyway).
 func (sm *SM) TryFastForward() uint64 {
-	if !sm.FFEligible() {
-		return 0
-	}
-	target, ok := sm.FFWakeTarget()
-	if !ok || target <= sm.cycle+1 {
-		return 0
-	}
-	return sm.FFJumpTo(target - 1)
+	from := sm.cycle
+	fastForward([]*SM{sm})
+	return sm.cycle - from
 }
 
-// FFEligible reports whether this SM is provably frozen after the cycle
+// fastForward attempts one coordinated cycle skip across lockstep SMs
+// (one SM is the degenerate case): every unfinished SM must be provably
+// frozen, and the jump target is the minimum wake cycle across them — an
+// SM may not skip past another SM's wakeup because the waker's new
+// L2/DRAM traffic changes the bank-port and bandwidth arbitration every
+// sleeper would see. It stops one cycle short of that minimum, so the
+// next stepped cycle performs the wakeup normally. Per-SM watchdog trips
+// and MaxCycles already cap each SM's wake target, so abnormal runs keep
+// their stepped-run cycle numbers.
+func fastForward(sms []*SM) bool {
+	target := noWake
+	for _, sm := range sms {
+		if !sm.ffEligible() {
+			// A finished SM no longer takes part; an unfinished one that
+			// is not frozen vetoes the jump.
+			if sm.Done() {
+				continue
+			}
+			return false
+		}
+		t := sm.wakeTarget()
+		if t == noWake {
+			// Nothing will ever wake this SM: a hang, which only the
+			// stepped path may diagnose (the watchdog target is included,
+			// so this needs the watchdog disabled).
+			return false
+		}
+		if t <= sm.cycle+1 {
+			return false
+		}
+		if t < target {
+			target = t
+		}
+	}
+	if target == noWake {
+		return false
+	}
+	for _, sm := range sms {
+		if !sm.Done() {
+			sm.Stats.FFSkippedCycles += target - 1 - sm.cycle
+			sm.Stats.FFJumps++
+			sm.replicateSkip(target - 1)
+		}
+	}
+	return true
+}
+
+// ffEligible reports whether this SM is provably frozen after the cycle
 // just stepped. Gates: the feature is on, no fault injector is armed
 // (faults fire on wall-clock cycles inside provider ticks), this cycle
 // issued nothing (an issue moves architectural state: windows, barriers,
 // scheduler structures), the provider is provably idle — either
-// hint-passive or reporting TickIdle on its current state — and every
-// group's scheduler is mutation-free on failed picks (two-level
-// demote/promote churns on zero-issue cycles). A finished SM is NOT
-// eligible via this method (the single-SM loop exits instead); chips
-// exclude done SMs before asking.
-func (sm *SM) FFEligible() bool {
+// hint-passive or reporting TickIdle on its current state — the SM is
+// not finished, and every group's scheduler is mutation-free on failed
+// picks (two-level demote/promote churns on zero-issue cycles).
+func (sm *SM) ffEligible() bool {
 	if sm.Cfg.NoFastForward || sm.flt != nil || sm.lastProgress == sm.cycle {
 		return false
 	}
@@ -82,31 +120,6 @@ func (sm *SM) FFEligible() bool {
 		}
 	}
 	return true
-}
-
-// FFWakeTarget exposes this SM's earliest wake cycle for chip-level
-// coordination; ok=false means nothing will ever wake this SM (a hang —
-// the watchdog target is included, so this only happens with the
-// watchdog disabled).
-func (sm *SM) FFWakeTarget() (uint64, bool) {
-	t := sm.wakeTarget()
-	return t, t != noWake
-}
-
-// FFJumpTo advances the frozen SM to cycle `to` (exclusive of the wake
-// cycle: callers pass target-1), replicating the skipped span's
-// accounting, and returns the cycles skipped. The caller has verified
-// FFEligible and to <= every relevant wake target - 1; jumping past a
-// wake is unsound.
-func (sm *SM) FFJumpTo(to uint64) uint64 {
-	if to <= sm.cycle {
-		return 0
-	}
-	n := to - sm.cycle
-	sm.replicateSkip(to)
-	sm.Stats.FFSkippedCycles += n
-	sm.Stats.FFJumps++
-	return n
 }
 
 // wakeTarget computes the earliest future cycle at which the frozen

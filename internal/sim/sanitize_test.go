@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -89,25 +90,42 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 }
 
 // TestMaxCyclesProducesDiagnostic: the MaxCycles abort is a structured
-// bundle naming sim/maxcycles, not a bare error.
+// bundle naming sim/maxcycles, not a bare error — from the one cycle loop,
+// so at any SM count (a chip used to return a bare "exceeded" error that
+// -diag-out, serve's Diagnostic report and the breaker never saw).
 func TestMaxCyclesProducesDiagnostic(t *testing.T) {
 	cfgv := testConfig()
 	cfgv.MaxCycles = 10
 	cfgv.WatchdogCycles = 0 // isolate the MaxCycles path
-	sm, err := New(cfgv, smallKernel(t), &stuckProvider{}, exec.NewMemory(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sm.Run()
-	d := asDiagnostic(t, err)
-	if d.Component != "sim/maxcycles" {
-		t.Errorf("component = %q, want sim/maxcycles", d.Component)
-	}
-	if !strings.Contains(d.Violation, "exceeded 10 cycles") {
-		t.Errorf("violation = %q", d.Violation)
-	}
-	if d.Kernel != "small" || d.Provider == "" {
-		t.Errorf("bundle lacks run identity: kernel %q provider %q", d.Kernel, d.Provider)
+	for _, n := range []int{1, 4} {
+		sms := make([]*SM, n)
+		for i := range sms {
+			sm, err := New(cfgv, smallKernel(t), &stuckProvider{}, exec.NewMemory(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sms[i] = sm
+		}
+		var err error
+		if n == 1 {
+			_, err = sms[0].Run()
+		} else {
+			var at int
+			at, err = RunLockstep(context.Background(), sms, nil)
+			if at != 0 {
+				t.Errorf("%d SMs: overrun attributed to SM %d, want 0 (first in index order)", n, at)
+			}
+		}
+		d := asDiagnostic(t, err)
+		if d.Component != "sim/maxcycles" {
+			t.Errorf("%d SMs: component = %q, want sim/maxcycles", n, d.Component)
+		}
+		if d.Cycle != 10 || !strings.Contains(d.Violation, "exceeded 10 cycles") {
+			t.Errorf("%d SMs: cycle %d violation = %q", n, d.Cycle, d.Violation)
+		}
+		if d.Kernel != "small" || d.Provider == "" {
+			t.Errorf("%d SMs: bundle lacks run identity: kernel %q provider %q", n, d.Kernel, d.Provider)
+		}
 	}
 }
 

@@ -257,11 +257,6 @@ type SM struct {
 	fault        *sanitizer.Diagnostic
 	lastProgress uint64
 
-	// Cooperative cancellation (nil when disabled — see AttachContext).
-	cancelCh         <-chan struct{}
-	cancelCtx        context.Context
-	sinceCancelCheck uint64
-
 	sfuNextIssue []uint64
 
 	// Working-set window tracking: a per-warp register bitmask (maskWords
@@ -407,38 +402,12 @@ func (sm *SM) after(delay int, fn func()) {
 	sm.wheel.push(wheelEntry{cycle: sm.cycle + uint64(delay), fn: fn})
 }
 
-// Run simulates to completion and returns the statistics. Abnormal
-// terminations — a MaxCycles overrun, a watchdog trip, a sanitizer
-// violation, or a fault reported by the provider — return a
-// *sanitizer.Diagnostic error carrying the machine state at detection.
+// Run simulates to completion and returns the statistics: the lockstep
+// cycle loop over this one SM (see RunLockstep for the abnormal
+// terminations it reports).
 func (sm *SM) Run() (*Stats, error) {
-	for !sm.Done() {
-		if sm.cancelCh != nil {
-			if err := sm.canceled(); err != nil {
-				return nil, err
-			}
-		}
-		if sm.cycle >= sm.Cfg.MaxCycles {
-			return nil, sm.diagnose(&sanitizer.Diagnostic{
-				Component: "sim/maxcycles",
-				Violation: fmt.Sprintf("kernel %q exceeded %d cycles (%d insns retired)",
-					sm.K.Name, sm.Cfg.MaxCycles, sm.Stats.DynInsns),
-				Cycle: sm.cycle,
-				Warp:  -1,
-			})
-		}
-		sm.StepOne()
-		if err := sm.CheckHealth(); err != nil {
-			return nil, err
-		}
-		if sm.TryFastForward() > 0 {
-			// Re-check at the skip boundary: the sanitizer sweep is pure,
-			// so one check of the frozen state stands in for the per-cycle
-			// checks the skipped span would have run.
-			if err := sm.CheckHealth(); err != nil {
-				return nil, err
-			}
-		}
+	if _, err := RunLockstep(context.Background(), []*SM{sm}, nil); err != nil {
+		return nil, err
 	}
 	return sm.Finalize(), nil
 }
@@ -448,7 +417,8 @@ func (sm *SM) Done() bool {
 	return sm.allDone() && sm.Provider.Drained() && sm.Mem.Drained() && sm.lsu.empty()
 }
 
-// StepOne advances the SM by one cycle (lockstep multi-SM simulation).
+// StepOne advances the SM by one cycle, for callers that drive the clock
+// themselves (trace.Run's per-cycle bucketing).
 func (sm *SM) StepOne() { sm.step() }
 
 // Finalize closes the statistics windows and returns the stats. Call once

@@ -76,8 +76,9 @@ type Key struct {
 func reglessScheme(s string) bool { return s == "regless" || s == "regless-nocomp" }
 
 // Normalized returns the canonical form of the key: capacity folded to 0
-// for non-RegLess schemes and the 0/1 SM aliasing resolved (both mean the
-// classic single-SM path).
+// for non-RegLess schemes and the 0/1 SM aliasing resolved (both mean a
+// chip of one SM, so keys written before the suite normalised the count
+// keep resolving).
 func (k Key) Normalized() Key {
 	if !reglessScheme(k.Scheme) {
 		k.Capacity = 0

@@ -109,7 +109,7 @@ func TestKeyNormalizationAliases(t *testing.T) {
 		t.Error("regless keys with different capacities collided")
 	}
 
-	// SMs 0 and 1 both mean the classic single-SM path.
+	// SMs 0 and 1 both mean a chip of one SM.
 	e, f := testKey("nw"), testKey("nw")
 	e.SMs, f.SMs = 0, 1
 	he, _ := e.Hash()

@@ -24,14 +24,12 @@ import (
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/energy"
-	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/metadata"
 	"repro/internal/regalloc"
 	"repro/internal/regions"
-	"repro/internal/rf"
 	"repro/internal/sim"
 )
 
@@ -168,62 +166,28 @@ type SimResult struct {
 // and RegLess is architecturally transparent.
 func Simulate(k *Kernel, scheme Scheme, opts SimOptions) (*SimResult, error) {
 	opts.fill()
-	cfg := sim.DefaultConfig()
-	cfg.Warps = opts.Warps
-	cfg.MaxCycles = opts.MaxCycles
-	if opts.TwoLevelScheduler {
-		cfg.Sched = sim.SchedTwoLevel
-	}
-
-	var provider sim.Provider
-	var es energy.Scheme
-	var compiled *Compiled
-	switch scheme {
-	case Baseline:
-		provider = rf.NewBaseline()
-		es = energy.Scheme{Kind: energy.KindBaseline, Entries: experiments.BaselineEntries}
-	case RFV:
-		provider = rf.NewRFV(experiments.RFVEntries)
-		cfg.Sched = sim.SchedTwoLevel
-		es = energy.Scheme{Kind: energy.KindRFV, Entries: experiments.RFVEntries}
-	case RFH:
-		provider = rf.NewRFH(experiments.RFHORFEntries)
-		cfg.Sched = sim.SchedTwoLevel
-		es = energy.Scheme{Kind: energy.KindRFH, Entries: experiments.BaselineEntries}
-	case RegLess, RegLessNoCompressor:
-		ccfg := core.ConfigForCapacity(opts.Capacity)
-		ccfg.EnableCompressor = scheme == RegLess
-		p, err := core.New(ccfg, k)
-		if err != nil {
-			return nil, err
-		}
-		provider = p
-		compiled = p.Compiled()
-		es = energy.Scheme{Kind: energy.KindRegLess, Entries: opts.Capacity,
-			Compressor: scheme == RegLess}
-	default:
-		return nil, fmt.Errorf("repro: unknown scheme %q", scheme)
-	}
-
-	smv, err := sim.New(cfg, k, provider, exec.NewMemory(nil))
+	r, err := experiments.SimulateKernel(k, experiments.Scheme(scheme),
+		experiments.SimSetup{Capacity: opts.Capacity, Warps: opts.Warps, MaxCycles: opts.MaxCycles},
+		func(c *sim.Config, _ *core.Config) {
+			if opts.TwoLevelScheduler {
+				c.Sched = sim.SchedTwoLevel
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
-	st, err := smv.Run()
-	if err != nil {
-		return nil, err
+	res := &SimResult{
+		Cycles:       r.Stats.Cycles,
+		Instructions: r.Stats.DynInsns,
+		IPC:          r.Stats.IPC(),
+		Stats:        r.Stats,
+		Provider:     r.Prov,
+		Energy:       energy.Compute(energy.DefaultParams(), r.EnergyScheme(), r.Activity()),
 	}
-	ps := *provider.Stats()
-	return &SimResult{
-		Cycles:       st.Cycles,
-		Instructions: st.DynInsns,
-		IPC:          st.IPC(),
-		Stats:        st,
-		Provider:     ps,
-		Energy: energy.Compute(energy.DefaultParams(), es,
-			energy.FromRun(st, &ps, smv.Mem.Stats)),
-		Compiled: compiled,
-	}, nil
+	if r.RegLess != nil {
+		res.Compiled = r.RegLess.Compiled()
+	}
+	return res, nil
 }
 
 // ExperimentTable is one regenerated paper table/figure.
