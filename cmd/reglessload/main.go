@@ -155,14 +155,14 @@ func main() {
 type errClass int
 
 const (
-	clsOK errClass = iota
-	clsFailed     // server answered 200 with a non-done run (failed/expired/canceled)
-	clsRejected   // 4xx admission rejection (bad request, quarantined config)
-	clsTimeout    // client-side -timeout elapsed
-	clsShed       // 429 shedding outlasted every retry
-	cls5xx        // server error
-	clsDisconnect // connection severed mid-request
-	clsClasses    // count
+	clsOK         errClass = iota
+	clsFailed              // server answered 200 with a non-done run (failed/expired/canceled)
+	clsRejected            // 4xx admission rejection (bad request, quarantined config)
+	clsTimeout             // client-side -timeout elapsed
+	clsShed                // 429 shedding outlasted every retry
+	cls5xx                 // server error
+	clsDisconnect          // connection severed mid-request
+	clsClasses             // count
 )
 
 var classNames = [clsClasses]string{

@@ -107,14 +107,21 @@ type l1op struct {
 	done  func(mem.Source)
 }
 
+// queueRoom is the capacity a shard's queues start with: deeper than the
+// suite's kernels drive them, so a queue's first use — which may come
+// thousands of cycles into a run — does not allocate.
+const queueRoom = 16
+
 type shard struct {
 	cm  *cm.CM
 	osu *osu.OSU
 	cmp *compress.Compressor
 
 	// preloadQ[b] is bank b's preload queue (one tag lookup per bank per
-	// cycle).
-	preloadQ [][]preloadReq
+	// cycle); preloadsQueued is their total length, so a shard with none
+	// skips the bank walk.
+	preloadQ       [][]preloadReq
+	preloadsQueued int
 	// invalQ holds cache-invalidation annotations awaiting processing.
 	invalQ []preloadReq
 	// evictQ holds displaced dirty lines awaiting compression/writeback
@@ -122,6 +129,12 @@ type shard struct {
 	evictQ []preloadReq
 	// l1ops holds L1 requests awaiting the shared port.
 	l1ops []l1op
+}
+
+// backlog is the work queued in the shard: preloads, invalidations,
+// evictions and L1 operations.
+func (sh *shard) backlog() int {
+	return sh.preloadsQueued + len(sh.invalQ) + len(sh.evictQ) + len(sh.l1ops)
 }
 
 type warpState struct {
@@ -159,6 +172,8 @@ type Provider struct {
 	regionActivations []uint64
 
 	rrShard int // round-robin start for L1 port arbitration
+
+	freeFills *fill // preload-fetch record pool (runtime.go)
 
 	// usageScratch is the bank-rotated usage vector tryActivate and
 	// TickIdle rebuild each attempt; the CM copies values out, so one
@@ -308,18 +323,18 @@ func (p *Provider) Attach(smv *sim.SM) error {
 				Patterns:   p.cfg.CompressorPatterns,
 			}),
 			preloadQ: make([][]preloadReq, p.cfg.Banks),
+			invalQ:   make([]preloadReq, 0, queueRoom),
+			evictQ:   make([]preloadReq, 0, queueRoom),
+			l1ops:    make([]l1op, 0, queueRoom),
+		}
+		for b := range sh.preloadQ {
+			sh.preloadQ[b] = make([]preloadReq, 0, queueRoom)
 		}
 		p.shards[s] = sh
 		sh.cm.BindMetrics(smv.Metrics, fmt.Sprintf("cm/s%d", s))
 		sh.osu.BindMetrics(smv.Metrics, fmt.Sprintf("osu/s%d", s))
 		sh.cmp.BindMetrics(smv.Metrics, fmt.Sprintf("compress/s%d", s))
-		smv.Metrics.Gauge(fmt.Sprintf("core/s%d/preload_backlog", s), func() uint64 {
-			n := len(sh.invalQ) + len(sh.evictQ) + len(sh.l1ops)
-			for _, q := range sh.preloadQ {
-				n += len(q)
-			}
-			return uint64(n)
-		})
+		smv.Metrics.Gauge(fmt.Sprintf("core/s%d/preload_backlog", s), func() uint64 { return uint64(sh.backlog()) })
 	}
 	p.warps = make([]*warpState, smv.Cfg.Warps)
 	for w := range p.warps {
@@ -389,13 +404,8 @@ func (p *Provider) AttachRecorder(rec *events.Recorder) {
 // Drained implements sim.Provider.
 func (p *Provider) Drained() bool {
 	for _, sh := range p.shards {
-		if len(sh.invalQ) > 0 || len(sh.evictQ) > 0 || len(sh.l1ops) > 0 {
+		if sh.backlog() > 0 {
 			return false
-		}
-		for _, q := range sh.preloadQ {
-			if len(q) > 0 {
-				return false
-			}
 		}
 	}
 	return true

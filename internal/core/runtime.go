@@ -27,6 +27,16 @@ func (p *Provider) Tick() {
 	}
 }
 
+// popFront removes q's head by copying the tail down. Reslicing from the
+// front instead (q[1:]) sheds a slot of capacity per pop, so the next
+// append regrows the queue — for the whole run, on every queue here.
+func popFront[T any](q []T) []T {
+	var zero T
+	n := copy(q, q[1:])
+	q[n] = zero
+	return q[:n]
+}
+
 // drainL1Ops submits at most one queued L1 operation (the single shared
 // port, Table 1), round-robin across shards.
 func (p *Provider) drainL1Ops() {
@@ -55,7 +65,7 @@ func (p *Provider) drainL1Ops() {
 		}
 		if ok {
 			p.m.BackingAccesses.Inc()
-			sh.l1ops = sh.l1ops[1:]
+			sh.l1ops = popFront(sh.l1ops)
 			p.rrShard = (p.rrShard + i + 1) % n
 			return
 		}
@@ -71,7 +81,7 @@ func (p *Provider) processEvictions(sh *shard) {
 		return
 	}
 	req := sh.evictQ[0]
-	sh.evictQ = sh.evictQ[1:]
+	sh.evictQ = popFront(sh.evictQ)
 	p.m.Evictions.Inc()
 	if p.cfg.EnableCompressor {
 		val := p.sm.Warps[req.warp].Exec.ReadReg(req.reg)
@@ -99,12 +109,16 @@ func (p *Provider) processEvictions(sh *shard) {
 // processPreloads runs each bank's preload queue: one tag lookup per bank
 // per cycle (§5.2.1).
 func (p *Provider) processPreloads(sh *shard) {
+	if sh.preloadsQueued == 0 {
+		return
+	}
 	for b := range sh.preloadQ {
 		if len(sh.preloadQ[b]) == 0 {
 			continue
 		}
 		req := sh.preloadQ[b][0]
-		sh.preloadQ[b] = sh.preloadQ[b][1:]
+		sh.preloadQ[b] = popFront(sh.preloadQ[b])
+		sh.preloadsQueued--
 		p.preload(sh, req)
 	}
 }
@@ -148,55 +162,81 @@ func (p *Provider) preload(sh *shard, req preloadReq) {
 		if res.HasWriteback {
 			sh.l1ops = append(sh.l1ops, l1op{addr: res.WritebackLine + p.cfg.AddrOffset, write: true})
 		}
+		f := p.newFill(sh, ws, req, true)
 		if res.Hit {
 			// Two extra cycles to match tags and decompress (§5.3),
 			// one for the bit vector.
-			p.sm.After(3, func() {
-				p.install(sh, ws, req.reg, false)
-				p.m.PreloadFromCompressor.Inc()
-				p.rec.PreloadFill(ws.shard, req.warp, uint32(req.reg), events.SrcCompressor)
-				if req.invalidate {
-					sh.cmp.Drop(req.warp, req.reg)
-				}
-				sh.cm.PreloadDone(ws.local)
-			})
+			p.sm.After(3, f.decompressed)
 			return
 		}
 		// Fetch the compressed line from L1.
-		sh.l1ops = append(sh.l1ops, l1op{addr: res.FetchLine + p.cfg.AddrOffset, done: func(src mem.Source) {
-			p.install(sh, ws, req.reg, false)
-			p.countPreloadSource(src)
-			p.rec.PreloadFill(ws.shard, req.warp, uint32(req.reg), fillSrc(src))
-			if req.invalidate {
-				sh.cmp.Drop(req.warp, req.reg)
-			}
-			sh.cm.PreloadDone(ws.local)
-		}})
+		sh.l1ops = append(sh.l1ops, l1op{addr: res.FetchLine + p.cfg.AddrOffset, done: f.fetched})
 		return
 	}
 	// Raw register line from the backing store.
-	addr := p.regAddr(req.warp, req.reg)
-	sh.l1ops = append(sh.l1ops, l1op{addr: addr, done: func(src mem.Source) {
-		p.install(sh, ws, req.reg, false)
-		p.countPreloadSource(src)
-		p.rec.PreloadFill(ws.shard, req.warp, uint32(req.reg), fillSrc(src))
-		if req.invalidate {
-			p.sm.Mem.L1InvalidateQuiet(addr)
-		}
-		sh.cm.PreloadDone(ws.local)
-	}})
+	f := p.newFill(sh, ws, req, false)
+	sh.l1ops = append(sh.l1ops, l1op{addr: p.regAddr(req.warp, req.reg), done: f.fetched})
 }
 
-func (p *Provider) countPreloadSource(src mem.Source) {
-	if src == mem.SrcL1 {
-		p.m.PreloadFromL1.Inc()
+// fill is one preload on its way in from below the OSU: a compressor hit
+// waiting out its decompress delay, or a compressed or raw register line
+// being fetched through the L1. Fills are pooled and carry the two
+// callbacks the wheel and the memory system take, bound once when the
+// fill is first made, so a preload allocates no closure.
+type fill struct {
+	sh         *shard
+	ws         *warpState
+	req        preloadReq
+	compressed bool // the value sits in the compressor's space, not at regAddr
+
+	decompressed func()
+	fetched      func(mem.Source)
+	next         *fill // pool free list
+}
+
+func (p *Provider) newFill(sh *shard, ws *warpState, req preloadReq, compressed bool) *fill {
+	f := p.freeFills
+	if f == nil {
+		f = &fill{}
+		f.decompressed = func() { p.landed(f, events.SrcCompressor) }
+		f.fetched = func(src mem.Source) { p.landed(f, fillSrc(src)) }
 	} else {
+		p.freeFills = f.next
+	}
+	f.sh, f.ws, f.req, f.compressed = sh, ws, req, compressed
+	return f
+}
+
+// landed stages a fill's value, counts where it came from, drops the
+// backing copy of a value read for the last time, and returns the fill
+// to the pool.
+func (p *Provider) landed(f *fill, src events.PreloadSrc) {
+	sh, ws, req := f.sh, f.ws, f.req
+	p.install(sh, ws, req.reg, false)
+	switch src {
+	case events.SrcCompressor:
+		p.m.PreloadFromCompressor.Inc()
+	case events.SrcL1:
+		p.m.PreloadFromL1.Inc()
+	default:
 		p.m.PreloadFromL2DRAM.Inc()
 	}
+	p.rec.PreloadFill(ws.shard, req.warp, uint32(req.reg), src)
+	if req.invalidate {
+		if f.compressed {
+			sh.cmp.Drop(req.warp, req.reg)
+		} else {
+			p.sm.Mem.L1InvalidateQuiet(p.regAddr(req.warp, req.reg))
+		}
+	}
+	sh.cm.PreloadDone(ws.local)
+	f.sh, f.ws = nil, nil
+	f.next = p.freeFills
+	p.freeFills = f
 }
 
-// fillSrc maps a memory-hierarchy source to the event-taxonomy source,
-// mirroring countPreloadSource's two-way split.
+// fillSrc maps a memory-hierarchy source to the event-taxonomy source:
+// the L1, or anything below it.
 func fillSrc(src mem.Source) events.PreloadSrc {
 	if src == mem.SrcL1 {
 		return events.SrcL1
@@ -253,7 +293,7 @@ func (p *Provider) processInvalidations(sh *shard) {
 		return
 	}
 	req := sh.invalQ[0]
-	sh.invalQ = sh.invalQ[1:]
+	sh.invalQ = popFront(sh.invalQ)
 	p.m.CacheInvalidations.Inc()
 	// Purge a dead pending writeback.
 	for i := range sh.evictQ {
@@ -314,6 +354,7 @@ func (p *Provider) tryActivate(s int, sh *shard) {
 	for _, pl := range region.Preloads {
 		b := (warp + int(pl.Reg)) % p.cfg.Banks
 		sh.preloadQ[b] = append(sh.preloadQ[b], preloadReq{warp: warp, reg: pl.Reg, invalidate: pl.Invalidate})
+		sh.preloadsQueued++
 		p.rec.PreloadIssue(s, warp, uint32(pl.Reg))
 	}
 	for _, reg := range region.CacheInvalidations {
@@ -328,8 +369,12 @@ func (p *Provider) rotatedUsage(warp int, bankUsage [8]int) []int {
 	for i := range usage {
 		usage[i] = 0
 	}
-	for i, u := range bankUsage {
-		usage[(warp+i)%p.cfg.Banks] = u
+	b := warp % p.cfg.Banks
+	for _, u := range bankUsage {
+		usage[b] = u
+		if b++; b == p.cfg.Banks {
+			b = 0
+		}
 	}
 	return usage
 }
@@ -343,13 +388,8 @@ func (p *Provider) rotatedUsage(warp int, bankUsage [8]int) []int {
 // injector is armed.
 func (p *Provider) TickIdle() bool {
 	for s, sh := range p.shards {
-		if len(sh.invalQ) > 0 || len(sh.evictQ) > 0 || len(sh.l1ops) > 0 {
+		if sh.backlog() > 0 {
 			return false
-		}
-		for _, q := range sh.preloadQ {
-			if len(q) > 0 {
-				return false
-			}
 		}
 		local := sh.cm.Top()
 		if local < 0 {

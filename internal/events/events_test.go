@@ -44,11 +44,11 @@ func TestMaskFiltering(t *testing.T) {
 	r.SetCycle(1)
 	r.Issue(0, 3, 10)
 	r.Stall(1, StallLSU, 4)
-	r.State(0, 3, PhaseActive, 0)     // MaskStates: dropped
-	r.PreloadIssue(0, 3, 1)           // MaskPreloads: dropped
+	r.State(0, 3, PhaseActive, 0)                // MaskStates: dropped
+	r.PreloadIssue(0, 3, 1)                      // MaskPreloads: dropped
 	r.OSULine(KindOSUAlloc, 0, 3, 1, LineActive) // MaskOSU: dropped
-	r.Compress(0, 3, 1, true)         // MaskCompress: dropped
-	r.L1(false, true, 7)              // MaskMem: dropped
+	r.Compress(0, 3, 1, true)                    // MaskCompress: dropped
+	r.L1(false, true, 7)                         // MaskMem: dropped
 
 	if got := r.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)

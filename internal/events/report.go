@@ -168,7 +168,7 @@ func Analyze(rec *Recorder, cycles uint64, schedulers int) *Report {
 		case KindPreloadFill:
 			rep.Preloads++
 			rep.FillsBySrc[PreloadSrc(e.A)]++
-			key := uint64(e.Warp) << 32 | uint64(e.Arg)
+			key := uint64(e.Warp)<<32 | uint64(e.Arg)
 			if issued, ok := pendingFill[key]; ok {
 				delete(pendingFill, key)
 				lat := e.Cycle - issued

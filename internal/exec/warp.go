@@ -62,6 +62,8 @@ func NewWarp(k *isa.Kernel, g *cfg.Graph, id, cta int, mem *Memory) *Warp {
 		G:    g,
 		Mem:  mem,
 		Regs: make([][isa.WarpWidth]uint32, k.NumRegs),
+		// Room for divergence nested three deep before the stack regrows.
+		stack: make([]frame, 0, 8),
 	}
 	w.stack = append(w.stack, frame{pc: isa.PC{Block: 0, Index: 0}, rejoin: -1, mask: FullMask})
 	return w

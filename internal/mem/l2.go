@@ -98,9 +98,11 @@ type BankedL2Stats struct {
 	DRAMQueueCycles uint64
 }
 
-// l2waiter is one merged requester parked on an in-flight fetch.
+// l2waiter is one merged requester parked on an in-flight fetch: the
+// request and the hierarchy (any SM's) that delivers it.
 type l2waiter struct {
-	done func(Source)
+	h *Hierarchy
+	r request
 }
 
 // l2bank is one address-interleaved slice of the chip L2.
@@ -112,7 +114,7 @@ type l2bank struct {
 	portsUsed int
 	nextFree  uint64
 	// In-flight DRAM fetches by (bias-adjusted) line address.
-	mshrs map[uint32][]l2waiter
+	mshrs        map[uint32][]l2waiter
 	hits, misses uint64
 }
 
@@ -122,6 +124,8 @@ type BankedL2 struct {
 	banks []l2bank
 	// DRAM bandwidth throttle (chip-wide).
 	dramNextFree uint64
+	// waiterFree holds released MSHR waiter lists for the next miss.
+	waiterFree [][]l2waiter
 
 	Stats BankedL2Stats
 }
@@ -199,7 +203,7 @@ func (l2 *BankedL2) dramWrite(now uint64) {
 // address must already carry the hierarchy's timing bias. Completions
 // are scheduled on h's event queue; merged secondary misses fire from
 // the *first* requester's queue (deterministic under lockstep).
-func (l2 *BankedL2) access(h *Hierarchy, a uint32, write bool, done func(Source)) {
+func (l2 *BankedL2) access(h *Hierarchy, a uint32, write bool, r request) {
 	now := h.now
 	bank, ba := l2.bankOf(a)
 	if ln := bank.cache.lookup(ba, now); ln != nil {
@@ -210,8 +214,8 @@ func (l2 *BankedL2) access(h *Hierarchy, a uint32, write bool, done func(Source)
 		if write {
 			ln.dirty = true
 		}
-		if done != nil {
-			h.after(pd+l2.cfg.Latency, func() { done(SrcL2) })
+		if r.kind != reqNone {
+			h.deliverAfter(pd+l2.cfg.Latency, r, SrcL2)
 		}
 		return
 	}
@@ -238,7 +242,7 @@ func (l2 *BankedL2) access(h *Hierarchy, a uint32, write bool, done func(Source)
 			bank.misses++
 			h.Stats.L2Misses++
 			l2.Stats.MSHRMerges++
-			bank.mshrs[a] = append(waiters, l2waiter{done: done})
+			bank.mshrs[a] = append(waiters, l2waiter{h, r})
 			return
 		}
 		if len(bank.mshrs) >= l2.cfg.MSHRsPerBank {
@@ -255,10 +259,10 @@ func (l2 *BankedL2) access(h *Hierarchy, a uint32, write bool, done func(Source)
 			if retry < 1 {
 				retry = 1
 			}
-			h.after(retry, func() { l2.access(h, a, false, done) })
+			h.events.push(event{cycle: h.now + uint64(retry), kind: evRetry, addr: a, req: r})
 			return
 		}
-		bank.mshrs[a] = []l2waiter{{done: done}}
+		bank.mshrs[a] = append(reuse(&l2.waiterFree), l2waiter{h, r})
 	}
 	pd := l2.portDelay(bank, now)
 	l2.Stats.Misses++
@@ -267,25 +271,29 @@ func (l2 *BankedL2) access(h *Hierarchy, a uint32, write bool, done func(Source)
 	delay := pd + l2.cfg.Latency + l2.cfg.DRAMLatency + l2.dramQueueDelay(now)
 	l2.Stats.DRAMAccesses++
 	h.Stats.DRAMAccesses++
-	h.after(delay, func() {
-		v := bank.cache.victim(ba)
-		if v.valid && v.dirty {
-			l2.dramWrite(h.now)
-		}
-		*v = line{tag: ba / LineSize, valid: true, lru: h.now}
-		if l2.cfg.MSHRsPerBank > 0 {
-			for _, w := range bank.mshrs[a] {
-				if w.done != nil {
-					w.done(SrcDRAM)
-				}
-			}
-			delete(bank.mshrs, a)
-			return
-		}
-		if done != nil {
-			done(SrcDRAM)
-		}
-	})
+	h.events.push(event{cycle: h.now + uint64(delay), kind: evFetched, addr: a, req: r})
+}
+
+// fetched installs line a, fetched on behalf of h's request r, and wakes
+// everyone waiting on it: with MSHR tracking every requester merged on
+// the fetch (r among them, first), without it r alone.
+func (l2 *BankedL2) fetched(h *Hierarchy, a uint32, r request) {
+	bank, ba := l2.bankOf(a)
+	v := bank.cache.victim(ba)
+	if v.valid && v.dirty {
+		l2.dramWrite(h.now)
+	}
+	*v = line{tag: ba / LineSize, valid: true, lru: h.now}
+	if l2.cfg.MSHRsPerBank == 0 {
+		h.deliver(r, SrcDRAM)
+		return
+	}
+	waiters := bank.mshrs[a]
+	for _, w := range waiters {
+		w.h.deliver(w.r, SrcDRAM)
+	}
+	delete(bank.mshrs, a)
+	release(&l2.waiterFree, waiters)
 }
 
 // ResetTiming clears the level's timing bookkeeping at a wave boundary

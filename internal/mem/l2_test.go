@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// call is the request form of a bare completion callback.
+func call(done func(Source)) request { return request{kind: reqCall, done: done} }
+
 // drainHier ticks the hierarchy until every scheduled completion (L2
 // fetches, MSHR retries) has fired.
 func drainHier(t *testing.T, h *Hierarchy) {
@@ -115,7 +118,7 @@ func TestBankedL2MapOracle(t *testing.T) {
 		a := uint32(rng.Intn(lines)) * LineSize
 		write := rng.Intn(3) == 0
 		fired := false
-		l2.access(h, a, write, func(Source) { fired = true })
+		l2.access(h, a, write, call(func(Source) { fired = true }))
 		drainHier(t, h)
 		// Write misses complete inline with no event, so the drain can do
 		// zero ticks; advance one cycle so LRU stamps strictly increase
@@ -152,7 +155,7 @@ func TestBankedL2MapOracle(t *testing.T) {
 			// Reconstruct the global address from (bank, tag).
 			a := (ln.tag*uint32(cfg.Banks) + uint32(b)) * LineSize
 			before := l2.Stats.Hits
-			l2.access(h, a, false, nil)
+			l2.access(h, a, false, request{})
 			drainHier(t, h)
 			if l2.Stats.Hits != before+1 {
 				t.Fatalf("bank %d tag %d: resident line missed after ResetTiming", b, ln.tag)
@@ -176,8 +179,8 @@ func TestBankedL2MSHRMerge(t *testing.T) {
 	h := l2.AttachHierarchy(DefaultConfig())
 	var got []Source
 	addr := uint32(0x1000)
-	l2.access(h, addr, false, func(s Source) { got = append(got, s) })
-	l2.access(h, addr, false, func(s Source) { got = append(got, s) })
+	l2.access(h, addr, false, call(func(s Source) { got = append(got, s) }))
+	l2.access(h, addr, false, call(func(s Source) { got = append(got, s) }))
 	if l2.Stats.MSHRMerges != 1 {
 		t.Fatalf("merges = %d, want 1", l2.Stats.MSHRMerges)
 	}
@@ -207,8 +210,8 @@ func TestBankedL2MSHRFull(t *testing.T) {
 	}
 	h := l2.AttachHierarchy(DefaultConfig())
 	done := 0
-	l2.access(h, 0, false, func(Source) { done++ })
-	l2.access(h, 128, false, func(Source) { done++ })
+	l2.access(h, 0, false, call(func(Source) { done++ }))
+	l2.access(h, 128, false, call(func(Source) { done++ }))
 	if l2.Stats.MSHRFullRetries == 0 {
 		t.Fatal("second miss was not bounced by the full MSHR file")
 	}
@@ -240,8 +243,8 @@ func TestBankedL2PortContention(t *testing.T) {
 	h := l2.AttachHierarchy(DefaultConfig())
 	var t1, t2 uint64
 	// Lines 0 and 2 both land in bank 0 (line mod 2).
-	l2.access(h, 0, false, func(Source) { t1 = h.Now() })
-	l2.access(h, 2*LineSize, false, func(Source) { t2 = h.Now() })
+	l2.access(h, 0, false, call(func(Source) { t1 = h.Now() }))
+	l2.access(h, 2*LineSize, false, call(func(Source) { t2 = h.Now() }))
 	drainHier(t, h)
 	if l2.Stats.PortQueueCycles != 1 {
 		t.Fatalf("port queue cycles = %d, want 1", l2.Stats.PortQueueCycles)
@@ -261,7 +264,7 @@ func TestBankedL2Interleave(t *testing.T) {
 	}
 	h := l2.AttachHierarchy(DefaultConfig())
 	for i := 0; i < cfg.Banks; i++ {
-		l2.access(h, uint32(i)*LineSize, false, nil)
+		l2.access(h, uint32(i)*LineSize, false, request{})
 	}
 	drainHier(t, h)
 	_, misses := l2.BankLoads()
@@ -286,8 +289,8 @@ func TestBankedL2DRAMThrottle(t *testing.T) {
 	}
 	h := l2.AttachHierarchy(DefaultConfig())
 	var t1, t2 uint64
-	l2.access(h, 0, false, func(Source) { t1 = h.Now() })        // bank 0
-	l2.access(h, LineSize, false, func(Source) { t2 = h.Now() }) // bank 1
+	l2.access(h, 0, false, call(func(Source) { t1 = h.Now() }))        // bank 0
+	l2.access(h, LineSize, false, call(func(Source) { t2 = h.Now() })) // bank 1
 	drainHier(t, h)
 	if l2.Stats.DRAMQueueCycles != 10 {
 		t.Fatalf("DRAM queue cycles = %d, want 10", l2.Stats.DRAMQueueCycles)
@@ -307,12 +310,12 @@ func TestBankedL2WriteAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := l2.AttachHierarchy(DefaultConfig())
-	l2.access(h, 0x2000, true, nil)
+	l2.access(h, 0x2000, true, request{})
 	if l2.Stats.DRAMAccesses != 0 {
 		t.Fatalf("write miss fetched from DRAM (%d accesses)", l2.Stats.DRAMAccesses)
 	}
 	hit := false
-	l2.access(h, 0x2000, false, func(s Source) { hit = s == SrcL2 })
+	l2.access(h, 0x2000, false, call(func(s Source) { hit = s == SrcL2 }))
 	drainHier(t, h)
 	if !hit || l2.Stats.Hits != 1 {
 		t.Fatalf("read after write-allocate: hit=%v hits=%d", hit, l2.Stats.Hits)

@@ -201,12 +201,6 @@ func (c *cache) invalidate(addr uint32) (present, dirty bool) {
 	return false, false
 }
 
-// event is a pending completion.
-type event struct {
-	cycle uint64
-	fn    func()
-}
-
 // Hierarchy is the per-SM memory system.
 type Hierarchy struct {
 	cfg   Config
@@ -222,8 +216,10 @@ type Hierarchy struct {
 	// L1 port: one request per cycle (Table 1).
 	l1PortCycle uint64
 
-	// MSHRs: line address -> waiting callbacks.
-	mshrs map[uint32][]func(Source)
+	// MSHRs: line address -> waiting callbacks. A released MSHR's waiter
+	// list goes to mshrFree for the next miss to reuse.
+	mshrs    map[uint32][]func(Source)
+	mshrFree [][]func(Source)
 
 	// Bypassing data path.
 	dataInFlight int
@@ -262,17 +258,20 @@ func (h *Hierarchy) applyFault(done func(Source)) func(Source) {
 	}
 	if delay > 0 {
 		h.Stats.FaultDelays++
-		orig := done
-		return func(s Source) { h.after(delay, func() { orig(s) }) }
+		orig := request{kind: reqCall, done: done}
+		return func(s Source) { h.deliverAfter(delay, orig, s) }
 	}
 	return done
 }
 
-// l2Level is what sits below a hierarchy's L1. Both calls take the
-// bias-adjusted line address; access charges the requesting hierarchy's
-// statistics and schedules done (nil for writes) on its event queue.
+// l2Level is what sits below a hierarchy's L1. Every call takes the
+// bias-adjusted line address. access charges the requesting hierarchy's
+// statistics and schedules r's delivery (reqNone for writes) on its event
+// queue; a read miss schedules evFetched there instead, which comes back
+// through fetched when the line arrives from DRAM.
 type l2Level interface {
-	access(h *Hierarchy, a uint32, write bool, done func(Source))
+	access(h *Hierarchy, a uint32, write bool, r request)
+	fetched(h *Hierarchy, a uint32, r request)
 	invalidate(a uint32)
 }
 
@@ -296,17 +295,44 @@ func (h *Hierarchy) Now() uint64 { return h.now }
 // Tick advances one cycle and fires due completions.
 func (h *Hierarchy) Tick() {
 	h.now++
-	for {
-		fn, ok := h.events.popDue(h.now)
-		if !ok {
-			return
+	for h.events.due(h.now) {
+		switch e := h.events.pop(); e.kind {
+		case evDeliver:
+			h.deliver(e.req, e.src)
+		case evFetched:
+			h.l2.fetched(h, e.addr, e.req)
+		case evRetry:
+			h.l2.access(h, e.addr, false, e.req)
 		}
-		fn()
 	}
 }
 
-func (h *Hierarchy) after(delay int, fn func()) {
-	h.events.push(event{cycle: h.now + uint64(delay), fn: fn})
+// deliverAfter schedules r's delivery delay cycles from now.
+func (h *Hierarchy) deliverAfter(delay int, r request, src Source) {
+	h.events.push(event{cycle: h.now + uint64(delay), kind: evDeliver, src: src, req: r})
+}
+
+// deliver completes a request: src is the level that supplied the data.
+func (h *Hierarchy) deliver(r request, src Source) {
+	switch r.kind {
+	case reqData:
+		h.dataInFlight--
+		fallthrough
+	case reqCall:
+		if r.done != nil {
+			r.done(src)
+		}
+	case reqL1Fill:
+		h.fill(r.line, false)
+		waiters := h.mshrs[r.line]
+		for _, fn := range waiters {
+			if fn != nil {
+				fn(src)
+			}
+		}
+		delete(h.mshrs, r.line)
+		release(&h.mshrFree, waiters)
+	}
 }
 
 // NextWake returns the earliest future cycle at which the hierarchy can
@@ -367,11 +393,6 @@ func (h *Hierarchy) L1Access(addr uint32, write bool, done func(Source)) bool {
 		h.Stats.L1PortRejects++
 		return false
 	}
-	complete := func(delay int, src Source) {
-		if done != nil {
-			h.after(delay, func() { done(src) })
-		}
-	}
 	if ln := h.l1.lookup(a, h.now); ln != nil {
 		h.claimL1Port()
 		h.countL1(write)
@@ -380,8 +401,7 @@ func (h *Hierarchy) L1Access(addr uint32, write bool, done func(Source)) bool {
 		if write {
 			ln.dirty = true
 		}
-		done = h.applyFault(done)
-		complete(h.cfg.L1HitLatency, SrcL1)
+		h.l1HitDone(done)
 		return true
 	}
 	if write {
@@ -392,8 +412,7 @@ func (h *Hierarchy) L1Access(addr uint32, write bool, done func(Source)) bool {
 		h.Stats.L1Hits++ // counts as a hit: no lower-level traffic
 		h.rec.L1(write, true, a)
 		h.fill(a, true)
-		done = h.applyFault(done)
-		complete(h.cfg.L1HitLatency, SrcL1)
+		h.l1HitDone(done)
 		return true
 	}
 	// Read miss: take an MSHR (merge secondary misses).
@@ -413,17 +432,16 @@ func (h *Hierarchy) L1Access(addr uint32, write bool, done func(Source)) bool {
 	h.countL1(write)
 	h.Stats.L1Misses++
 	h.rec.L1(write, false, a)
-	h.mshrs[a] = []func(Source){h.applyFault(done)}
-	h.l2Access(a, false, func(src Source) {
-		h.fill(a, false)
-		for _, fn := range h.mshrs[a] {
-			if fn != nil {
-				fn(src)
-			}
-		}
-		delete(h.mshrs, a)
-	})
+	h.mshrs[a] = append(reuse(&h.mshrFree), h.applyFault(done))
+	h.l2Access(a, false, request{kind: reqL1Fill, line: a})
 	return true
+}
+
+// l1HitDone schedules the completion of an access the L1 absorbed.
+func (h *Hierarchy) l1HitDone(done func(Source)) {
+	if done = h.applyFault(done); done != nil {
+		h.deliverAfter(h.cfg.L1HitLatency, request{kind: reqCall, done: done}, SrcL1)
+	}
 }
 
 // fill installs a line in L1, writing back a dirty victim.
@@ -431,7 +449,7 @@ func (h *Hierarchy) fill(a uint32, dirty bool) {
 	v := h.l1.victim(a)
 	if v.valid && v.dirty {
 		h.Stats.L1Writebacks++
-		h.l2Access(v.tag*LineSize, true, nil)
+		h.l2Access(v.tag*LineSize, true, request{})
 	}
 	*v = line{tag: a / LineSize, valid: true, dirty: dirty, lru: h.now}
 }
@@ -461,10 +479,10 @@ func (h *Hierarchy) L1InvalidateQuiet(addr uint32) {
 }
 
 // l2Access runs an access at the L2 level (L1 misses and writebacks,
-// bypassing data accesses); done may be nil (writes). The co-residency
+// bypassing data accesses); r is reqNone for writes. The co-residency
 // address bias is applied here, once, for either implementation.
-func (h *Hierarchy) l2Access(a uint32, write bool, done func(Source)) {
-	h.l2.access(h, a+h.cfg.AddrBias, write, done)
+func (h *Hierarchy) l2Access(a uint32, write bool, r request) {
+	h.l2.access(h, a+h.cfg.AddrBias, write, r)
 }
 
 // privateL2 is one SM's flat L2 slice with its own share of the DRAM
@@ -478,14 +496,14 @@ type privateL2 struct {
 
 func (l2 *privateL2) invalidate(a uint32) { l2.cache.invalidate(a) }
 
-func (l2 *privateL2) access(h *Hierarchy, a uint32, write bool, done func(Source)) {
+func (l2 *privateL2) access(h *Hierarchy, a uint32, write bool, r request) {
 	if ln := l2.cache.lookup(a, h.now); ln != nil {
 		h.Stats.L2Hits++
 		if write {
 			ln.dirty = true
 		}
-		if done != nil {
-			h.after(h.cfg.L2Latency, func() { done(SrcL2) })
+		if r.kind != reqNone {
+			h.deliverAfter(h.cfg.L2Latency, r, SrcL2)
 		}
 		return
 	}
@@ -500,16 +518,16 @@ func (l2 *privateL2) access(h *Hierarchy, a uint32, write bool, done func(Source
 		return
 	}
 	delay := h.cfg.L2Latency + h.cfg.DRAMLatency + l2.dramQueueDelay(h)
-	h.after(delay, func() {
-		v := l2.cache.victim(a)
-		if v.valid && v.dirty {
-			l2.dramQueueDelay(h)
-		}
-		*v = line{tag: a / LineSize, valid: true, lru: h.now}
-		if done != nil {
-			done(SrcDRAM)
-		}
-	})
+	h.events.push(event{cycle: h.now + uint64(delay), kind: evFetched, addr: a, req: r})
+}
+
+func (l2 *privateL2) fetched(h *Hierarchy, a uint32, r request) {
+	v := l2.cache.victim(a)
+	if v.valid && v.dirty {
+		l2.dramQueueDelay(h)
+	}
+	*v = line{tag: a / LineSize, valid: true, lru: h.now}
+	h.deliver(r, SrcDRAM)
 }
 
 // dramQueueDelay advances the slice's DRAM bandwidth throttle and
@@ -542,20 +560,15 @@ func (h *Hierarchy) DataAccess(addr uint32, write bool, done func(Source)) bool 
 		// submitted now, the queue slot frees after the injection
 		// latency, and the warp-side callback fires immediately.
 		h.Stats.DataWrites++
-		h.l2Access(a, true, nil)
-		h.after(h.cfg.L2Latency, func() { h.dataInFlight-- })
+		h.l2Access(a, true, request{})
+		h.deliverAfter(h.cfg.L2Latency, request{kind: reqData}, SrcL2)
 		if done != nil {
-			h.after(1, func() { done(SrcL2) })
+			h.deliverAfter(1, request{kind: reqCall, done: done}, SrcL2)
 		}
 		return true
 	}
 	h.Stats.DataReads++
-	h.l2Access(a, false, func(src Source) {
-		h.dataInFlight--
-		if done != nil {
-			done(src)
-		}
-	})
+	h.l2Access(a, false, request{kind: reqData, done: done})
 	return true
 }
 

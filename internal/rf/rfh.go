@@ -68,7 +68,13 @@ func (h *RFH) orfInsert(w int, r isa.Reg) {
 	}
 	lst := h.orf[w]
 	if len(lst) < h.ORFEntries {
-		h.orf[w] = append([]isa.Reg{r}, lst...)
+		if lst == nil {
+			lst = make([]isa.Reg, 0, h.ORFEntries)
+		}
+		lst = append(lst, r)
+		copy(lst[1:], lst)
+		lst[0] = r
+		h.orf[w] = lst
 		return
 	}
 	// Evict LRU to the main register file.

@@ -177,12 +177,12 @@ type Health struct {
 	// StoreEntries counts the persisted results on disk (-1 when the
 	// listing itself failed); StoreBytes is the entry-file total the GC
 	// budget is enforced against.
-	StoreEntries int   `json:"store_entries"`
-	StoreBytes   int64 `json:"store_bytes"`
-	Jobs         int   `json:"jobs"`
-	Queued        int64   `json:"queued"`
-	Inflight      int64   `json:"inflight"`
-	Failures      uint64  `json:"failures"`
+	StoreEntries int    `json:"store_entries"`
+	StoreBytes   int64  `json:"store_bytes"`
+	Jobs         int    `json:"jobs"`
+	Queued       int64  `json:"queued"`
+	Inflight     int64  `json:"inflight"`
+	Failures     uint64 `json:"failures"`
 	// ArmedFaults, Sanitize, and Watchdog describe the robustness
 	// campaign this server runs under, so a degraded status is
 	// attributable to injection rather than mistaken for organic decay.

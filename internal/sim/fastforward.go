@@ -1,6 +1,10 @@
 package sim
 
-import "repro/internal/events"
+import (
+	"math/bits"
+
+	"repro/internal/events"
+)
 
 // Cycle-skip fast-forward: when a stepped cycle issues nothing and every
 // component is provably frozen, the SM jumps straight to the cycle before
@@ -138,9 +142,10 @@ func (sm *SM) wakeTarget() uint64 {
 	// Warp stall timers: only live, non-barrier warps can wake this way
 	// (a barrier release needs another warp's issue, which needs one of
 	// the other wakeup sources first).
-	for id := range sm.wFlags {
-		if sm.wFlags[id] == 0 {
-			if t := sm.wStallUntil[id]; t > sm.cycle && t < target {
+	for i, armed := range sm.mStall {
+		for m := armed & sm.mLive[i]; m != 0; m &= m - 1 {
+			w := sm.groups[i/sm.grpWords][i%sm.grpWords<<6+bits.TrailingZeros64(m)]
+			if t := sm.wStallUntil[w.ID]; t > sm.cycle && t < target {
 				target = t
 			}
 		}

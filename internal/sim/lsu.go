@@ -37,7 +37,7 @@ type memOp struct {
 }
 
 func newLSU(sm *SM, capacity int) *lsu {
-	return &lsu{sm: sm, cap: capacity}
+	return &lsu{sm: sm, cap: capacity, queue: make([]*memOp, 0, capacity)}
 }
 
 func (l *lsu) hasRoom() bool { return len(l.queue) < l.cap }
@@ -95,7 +95,12 @@ func (l *lsu) tick() {
 			op.submitted++
 		}
 		// All lines injected; pop. Completion happens via callbacks.
-		l.queue = l.queue[1:]
+		// Copy down rather than reslice from the front: queue[1:] gives
+		// up a slot of capacity per pop, so submit's append regrew the
+		// queue for the whole run.
+		n := copy(l.queue, l.queue[1:])
+		l.queue[n] = nil
+		l.queue = l.queue[:n]
 	}
 }
 

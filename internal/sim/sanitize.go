@@ -38,6 +38,7 @@ type WarpReporter interface {
 func (sm *SM) AttachSanitizer(s *sanitizer.Sanitizer) {
 	sm.san = s
 	s.Register("sim/warps", sm.checkWarps)
+	s.Register("sim/readymask", sm.checkMasks)
 	if sa, ok := sm.Provider.(SanitizerAware); ok {
 		sa.AttachSanitizer(s)
 	}

@@ -9,10 +9,9 @@ package sim
 // scheduler is frozen, or the post-skip pick order diverges from a
 // stepped run's.
 //
-// The hot pick scans walk packed warp-ID slices (SM.groupIDs) rather
-// than Warp pointers: a ready test against a blocked warp touches only
-// the SM's SoA arrays, so a fully stalled group costs a handful of
-// contiguous loads instead of a pointer chase per candidate.
+// Every policy finds its warp through SM.scan over the ready masks
+// (readymask.go); what differs is which positions it offers and in what
+// order.
 type scheduler interface {
 	pick(group int, sm *SM) *Warp
 	candidates(group int) []*Warp
@@ -23,17 +22,12 @@ type scheduler interface {
 // stalls, then switch to the oldest ready warp (smallest ID — all warps
 // launch together).
 type gto struct {
-	current []int32 // per group; -1 when unset
-	ids     [][]int32
+	current []*Warp // per group; nil when unset
 	groups  [][]*Warp
 }
 
-func newGTO(sm *SM) *gto {
-	cur := make([]int32, len(sm.groups))
-	for i := range cur {
-		cur[i] = -1
-	}
-	return &gto{current: cur, ids: sm.groupIDs, groups: sm.groups}
+func newGTO(groups [][]*Warp) *gto {
+	return &gto{current: make([]*Warp, len(groups)), groups: groups}
 }
 
 func (s *gto) candidates(g int) []*Warp { return s.groups[g] }
@@ -41,17 +35,18 @@ func (s *gto) candidates(g int) []*Warp { return s.groups[g] }
 // frozen: a failed GTO pick leaves current untouched.
 func (s *gto) frozen(int, *SM) bool { return true }
 
+// pick tests current on its own and, when that fails, again inside the
+// oldest-first scan: a blocked current warp is charged twice. Every
+// stored result carries that count, so it stays.
 func (s *gto) pick(g int, sm *SM) *Warp {
-	if cur := s.current[g]; cur >= 0 && sm.ready(g, cur) {
-		return sm.Warps[cur]
+	if cur := s.current[g]; cur != nil && sm.scanWarp(cur) {
+		return cur
 	}
-	for _, id := range s.ids[g] {
-		if sm.ready(g, id) {
-			s.current[g] = id
-			return sm.Warps[id]
-		}
+	w := sm.scan(g, 0, len(s.groups[g]))
+	if w != nil {
+		s.current[g] = w
 	}
-	return nil
+	return w
 }
 
 // twoLevel keeps a small active set per group; only active warps may
@@ -95,7 +90,7 @@ func (s *twoLevel) candidates(g int) []*Warp { return s.active[g] }
 func (s *twoLevel) frozen(g int, sm *SM) bool {
 	act := s.active[g]
 	for _, w := range act {
-		if sm.wFlags[w.ID] != 0 || w.MemoryBlocked() {
+		if sm.mLive[w.mword]&w.mbit == 0 || w.MemoryBlocked() {
 			return false // a demotion is due next pick
 		}
 	}
@@ -115,15 +110,11 @@ func (s *twoLevel) pick(g int, sm *SM) *Warp {
 	act := s.active[g]
 	for i := 0; i < len(act); i++ {
 		w := act[i]
-		if sm.wFlags[w.ID] == 0 && !w.MemoryBlocked() {
+		if sm.mLive[w.mword]&w.mbit != 0 && !w.MemoryBlocked() {
 			continue
 		}
 		if next := s.promote(g); next != nil {
-			if lat := uint64(sm.Cfg.PromoteLatency); lat > 0 {
-				if t := sm.Cycle() + lat; t > sm.wStallUntil[next.ID] {
-					sm.wStallUntil[next.ID] = t
-				}
-			}
+			s.refill(sm, next)
 			act[i] = next
 			if !w.Finished() {
 				s.pending[g] = append(s.pending[g], w)
@@ -145,20 +136,25 @@ func (s *twoLevel) pick(g int, sm *SM) *Warp {
 		if next == nil {
 			break
 		}
-		if lat := uint64(sm.Cfg.PromoteLatency); lat > 0 {
-			if t := sm.Cycle() + lat; t > sm.wStallUntil[next.ID] {
-				sm.wStallUntil[next.ID] = t
-			}
-		}
+		s.refill(sm, next)
 		act = append(act, next)
 	}
 	s.active[g] = act
 	for _, w := range act {
-		if sm.ready(g, int32(w.ID)) {
+		if sm.scanWarp(w) {
 			return w
 		}
 	}
 	return nil
+}
+
+// refill charges a promoted warp the pipeline-refill latency.
+func (s *twoLevel) refill(sm *SM, w *Warp) {
+	if lat := uint64(sm.Cfg.PromoteLatency); lat > 0 {
+		if t := sm.cycle + lat; t > sm.wStallUntil[w.ID] {
+			sm.armStall(w, t)
+		}
+	}
 }
 
 // promote pops the first pending warp that can make progress. Removal is
@@ -184,13 +180,12 @@ func (s *twoLevel) promote(g int) *Warp {
 // lrr is loose round-robin: each cycle starts the scan one past the last
 // issuer, giving every ready warp an equal share of issue slots.
 type lrr struct {
-	next   []int
-	ids    [][]int32
+	next   []int // per group: the position the next scan starts at
 	groups [][]*Warp
 }
 
-func newLRR(sm *SM) *lrr {
-	return &lrr{next: make([]int, len(sm.groups)), ids: sm.groupIDs, groups: sm.groups}
+func newLRR(groups [][]*Warp) *lrr {
+	return &lrr{next: make([]int, len(groups)), groups: groups}
 }
 
 func (s *lrr) candidates(g int) []*Warp { return s.groups[g] }
@@ -199,14 +194,13 @@ func (s *lrr) candidates(g int) []*Warp { return s.groups[g] }
 func (s *lrr) frozen(int, *SM) bool { return true }
 
 func (s *lrr) pick(g int, sm *SM) *Warp {
-	ids := s.ids[g]
-	n := len(ids)
-	for i := 0; i < n; i++ {
-		id := ids[(s.next[g]+i)%n]
-		if sm.ready(g, id) {
-			s.next[g] = (s.next[g] + i + 1) % n
-			return sm.Warps[id]
-		}
+	n := len(s.groups[g])
+	w := sm.scan(g, s.next[g], n)
+	if w == nil {
+		w = sm.scan(g, 0, s.next[g])
 	}
-	return nil
+	if w != nil {
+		s.next[g] = (w.ID/sm.Cfg.Schedulers + 1) % n
+	}
+	return w
 }

@@ -192,12 +192,8 @@ type SM struct {
 	prober IssueProber
 
 	groups [][]*Warp
-	// groupIDs mirrors groups as packed warp IDs: the per-cycle pick scan
-	// walks these instead of chasing Warp pointers (a ready test touches
-	// only the SoA arrays, indexed by ID).
-	groupIDs [][]int32
-	sched    scheduler
-	lsu      *lsu
+	sched  scheduler
+	lsu    *lsu
 
 	// Devirtualized hot-path dispatch, resolved once at construction:
 	// pickFn is the concrete scheduler's pick (no itab lookup per group
@@ -220,8 +216,8 @@ type SM struct {
 
 	// Struct-of-arrays warp hot state, indexed by warp ID (see Warp).
 	// wPending and wNeed are maskWords 64-bit words per warp; wInsn and
-	// wClass cache the decoded next instruction so the ready-scan never
-	// re-derives it.
+	// wClass cache the decoded next instruction so pick never re-derives
+	// it.
 	wFlags      []uint8
 	wStallUntil []uint64
 	wClass      []isa.Class
@@ -230,8 +226,19 @@ type SM struct {
 	wNeed       []uint64
 	maskWords   int
 
-	// Per-cycle ready-scan tallies (zeroed each step): how many
-	// scoreboard and provider rejections each group's pick scan charged
+	// Per-group ready masks over that state, grpWords words per group,
+	// and the count of warps yet to finish (readymask.go).
+	mLive, mSB, mStall []uint64
+	grpWords           int
+	unfinished         int
+
+	// stepInfo is issue's one StepInfo: providers read it during OnIssue
+	// and keep no pointer, so every issue reuses it instead of letting a
+	// fresh one escape to the heap.
+	stepInfo exec.StepInfo
+
+	// Per-cycle pick tallies (zeroed each step): how many scoreboard
+	// and provider rejections each group's pick charged
 	// this cycle. The cycle-skip fast-forward replays these for skipped
 	// cycles so counters stay byte-identical with a stepped run.
 	scanSB   []uint32
@@ -321,21 +328,26 @@ func NewWithHierarchy(cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, h
 	sm.ctaAt = make([]int32, numCTAs)
 	sm.ctaLive = make([]int32, numCTAs)
 	sm.ctaDirtyFlg = make([]bool, numCTAs)
+	sm.ctaDirty = make([]int32, 0, numCTAs)
 	sm.registerMetrics()
+	sm.initMasks()
 	sm.groups = make([][]*Warp, cfgv.Schedulers)
-	sm.groupIDs = make([][]int32, cfgv.Schedulers)
 	for i := 0; i < cfgv.Warps; i++ {
 		gid := cfgv.WarpIDBase + i
+		pos := i / cfgv.Schedulers
 		w := &Warp{
 			ID:    i,
 			Group: i % cfgv.Schedulers,
 			Exec:  exec.NewWarp(k, g, gid, gid/k.WarpsPerCTA, mm),
 			sm:    sm,
+			mword: (i%cfgv.Schedulers)*sm.grpWords + pos>>6,
+			mbit:  1 << (uint(pos) & 63),
 		}
 		sm.Warps = append(sm.Warps, w)
 		sm.groups[w.Group] = append(sm.groups[w.Group], w)
-		sm.groupIDs[w.Group] = append(sm.groupIDs[w.Group], int32(w.ID))
 		sm.ctaLive[i/k.WarpsPerCTA]++
+		sm.unfinished++
+		sm.setLive(w)
 		sm.refreshInsn(w)
 	}
 	switch cfgv.Sched {
@@ -343,10 +355,10 @@ func NewWithHierarchy(cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, h
 		s := newTwoLevel(sm.groups, cfgv.ActiveSet)
 		sm.sched, sm.pickFn = s, s.pick
 	case SchedLRR:
-		s := newLRR(sm)
+		s := newLRR(sm.groups)
 		sm.sched, sm.pickFn = s, s.pick
 	default:
-		s := newGTO(sm)
+		s := newGTO(sm.groups)
 		sm.sched, sm.pickFn = s, s.pick
 	}
 	sm.lsu = newLSU(sm, cfgv.LSUQueue)
@@ -429,26 +441,15 @@ func (sm *SM) Finalize() *Stats {
 	return &sm.Stats
 }
 
-func (sm *SM) allDone() bool {
-	for _, f := range sm.wFlags {
-		if f&warpFinished == 0 {
-			return false
-		}
-	}
-	return true
-}
+func (sm *SM) allDone() bool { return sm.unfinished == 0 }
 
 // step advances the SM one cycle.
 func (sm *SM) step() {
 	sm.cycle++
 	sm.Rec.SetCycle(sm.cycle)
 	sm.Mem.Tick()
-	for {
-		e, ok := sm.wheel.popDue(sm.cycle)
-		if !ok {
-			break
-		}
-		if e.fn != nil {
+	for sm.wheel.due(sm.cycle) {
+		if e := sm.wheel.pop(); e.fn != nil {
 			e.fn()
 		} else {
 			sm.Warps[e.warp].completePending(e.reg, e.mem)
@@ -481,52 +482,21 @@ func (sm *SM) step() {
 	sm.sampleWindow()
 }
 
-// ready reports whether warp id (in scheduler group g) can issue this
-// cycle (all hazards clear). It touches only the SoA arrays until the
-// provider consult, so a pick scan over blocked warps stays off the Warp
-// structs entirely.
-func (sm *SM) ready(g int, id int32) bool {
-	if sm.wFlags[id] != 0 || sm.wStallUntil[id] > sm.cycle {
-		return false
-	}
-	if !sm.sbReady(int(id)) {
-		sm.mScoreboard[g].Inc()
-		sm.scanSB[g]++
-		return false
-	}
-	switch sm.wClass[id] {
-	case isa.ClassMemGlobal:
-		if !sm.lsu.hasRoom() {
-			return false
-		}
-	case isa.ClassSFU:
-		if sm.sfuNextIssue[g] > sm.cycle {
-			return false
-		}
-	}
-	if !sm.alwaysIssuable && !sm.Provider.CanIssue(sm.Warps[id]) {
-		sm.Stats.IssueStalls++
-		sm.mProviderStall[g].Inc()
-		sm.scanProv[g]++
-		return false
-	}
-	return true
-}
-
 // issue executes one instruction from w and models its timing.
 func (sm *SM) issue(w *Warp) {
 	id := w.ID
 	cls := sm.wClass[id] // the issuing instruction's class (pre-refresh)
-	info := w.Exec.Step()
+	info := &sm.stepInfo
+	*info = w.Exec.Step()
 	w.lastIssue = sm.cycle
 	sm.lastProgress = sm.cycle
 	sm.Stats.DynInsns++
 	sm.Stats.ActiveLanes += uint64(bits.OnesCount32(info.Mask))
 	sm.trackWindow(id)
 
-	penalty := sm.Provider.OnIssue(w, &info)
+	penalty := sm.Provider.OnIssue(w, info)
 	if penalty > 0 {
-		sm.wStallUntil[id] = sm.cycle + uint64(penalty)
+		sm.armStall(w, sm.cycle+uint64(penalty))
 	}
 
 	in := info.Insn
@@ -558,12 +528,15 @@ func (sm *SM) issue(w *Warp) {
 	case isa.ClassBarrier:
 		sm.Stats.Barriers++
 		sm.wFlags[id] |= warpAtBarrier
+		sm.setLive(w)
 		sm.markCTADirty(id)
 		sm.ctaAt[id/sm.K.WarpsPerCTA]++
 		sm.Rec.Barrier(w.Group, id, true)
 	case isa.ClassExit:
 		if info.Exited {
 			sm.wFlags[id] |= warpFinished
+			sm.setLive(w)
+			sm.unfinished--
 			sm.markCTADirty(id)
 			sm.ctaLive[id/sm.K.WarpsPerCTA]--
 			sm.Rec.Exit(w.Group, id)
@@ -571,6 +544,7 @@ func (sm *SM) issue(w *Warp) {
 		}
 	}
 	sm.refreshInsn(w)
+	sm.refreshSB(w)
 }
 
 // retire schedules the scoreboard release for a fixed-latency op.
@@ -621,6 +595,7 @@ func (sm *SM) releaseBarriers() {
 		for i := lo; i < hi; i++ {
 			if sm.wFlags[i]&warpAtBarrier != 0 {
 				sm.wFlags[i] &^= warpAtBarrier
+				sm.setLive(sm.Warps[i])
 				sm.Rec.Barrier(sm.Warps[i].Group, i, false)
 			}
 		}

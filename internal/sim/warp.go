@@ -13,11 +13,11 @@ const (
 	warpAtBarrier uint8 = 1 << 1
 )
 
-// Warp is the timing-level wrapper around a functional warp. The fields
-// the per-cycle ready-scan touches — finished/barrier flags, stall timers,
-// the pending-register scoreboard, and the decoded next instruction — live
-// in packed per-SM arrays (SM.wFlags and friends) so the scan walks
-// contiguous memory instead of chasing warp pointers; Warp keeps only the
+// Warp is the timing-level wrapper around a functional warp. The state
+// readiness is made of — finished/barrier flags, stall timers, the
+// pending-register scoreboard, and the decoded next instruction — lives
+// in packed per-SM arrays (SM.wFlags and friends), summarized per
+// scheduler group by the ready masks pick reads; Warp keeps only the
 // identity and the cold bookkeeping.
 type Warp struct {
 	ID    int
@@ -26,6 +26,11 @@ type Warp struct {
 	Exec *exec.Warp
 
 	sm *SM
+
+	// mword and mbit locate the warp in the SM's per-group ready masks
+	// (readymask.go).
+	mword int
+	mbit  uint64
 
 	// pendingMem counts outstanding global-load destinations (used by
 	// the two-level scheduler to demote stalled warps).
@@ -93,6 +98,9 @@ func (w *Warp) completePending(r isa.Reg, memOp bool) {
 	if memOp {
 		w.pendingMem--
 	}
+	if sm.mSB[w.mword]&w.mbit != 0 {
+		sm.refreshSB(w) // a write landing can only unblock
+	}
 	if !sm.passiveWB {
 		sm.Provider.OnWriteback(w, r)
 	}
@@ -112,7 +120,7 @@ func (sm *SM) pendingCount(id int) int {
 // MemoryBlocked reports the warp is waiting on an outstanding global load
 // whose destination its next instruction needs.
 func (w *Warp) MemoryBlocked() bool {
-	return w.pendingMem > 0 && !w.Finished() && !w.sm.sbReady(w.ID)
+	return w.pendingMem > 0 && !w.Finished() && w.sm.mSB[w.mword]&w.mbit != 0
 }
 
 // refreshInsn re-derives warp w's cached decode — next instruction,

@@ -57,11 +57,12 @@ func (w *eventWheel) push(e wheelEntry) {
 	}
 }
 
-// popDue removes the earliest entry due at or before now.
-func (w *eventWheel) popDue(now uint64) (wheelEntry, bool) {
-	if len(w.h) == 0 || w.h[0].cycle > now {
-		return wheelEntry{}, false
-	}
+// due reports whether an entry is scheduled at or before now; step asks
+// before popping, so a cycle with nothing due builds no empty entry.
+func (w *eventWheel) due(now uint64) bool { return len(w.h) > 0 && w.h[0].cycle <= now }
+
+// pop removes the earliest entry; the wheel must not be empty.
+func (w *eventWheel) pop() wheelEntry {
 	top := w.h[0]
 	n := len(w.h) - 1
 	w.h[0] = w.h[n]
@@ -83,5 +84,5 @@ func (w *eventWheel) popDue(now uint64) (wheelEntry, bool) {
 		w.h[i], w.h[min] = w.h[min], w.h[i]
 		i = min
 	}
-	return top, true
+	return top
 }

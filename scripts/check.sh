@@ -7,6 +7,7 @@
 # simulation core (scripts/cover.sh) rides along.
 set -eux
 cd "$(dirname "$0")/.."
+test -z "$(gofmt -l cmd internal scripts *.go)"
 go vet ./...
 go test -race ./...
 scripts/cover.sh
@@ -25,6 +26,16 @@ go -C benchmark test ./...
 ffa="$(go run ./cmd/regless -bench nw -scheme regless -warps 8)"
 ffb="$(go run ./cmd/regless -bench nw -scheme regless -warps 8 -no-fastforward)"
 test "$ffa" = "$ffb"
+
+# Sanitizer smoke, one per scheduler kind (GTO under baseline, two-level
+# under rfh): every invariant, sim/readymask among them, runs every
+# cycle of a healthy machine end to end and must stay silent — and the
+# sanitized run must print what the plain one does.
+for scheme in baseline rfh; do
+	sana="$(go run ./cmd/regless -bench nw -scheme "$scheme" -warps 8)"
+	sanb="$(go run ./cmd/regless -bench nw -scheme "$scheme" -warps 8 -sanitize)"
+	test "$sana" = "$sanb"
+done
 
 # Multi-SM smoke: a 4-SM chip run of Figure 14 must reproduce the
 # committed golden byte for byte (lockstep determinism + the banked-L2
