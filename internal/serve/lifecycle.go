@@ -97,7 +97,7 @@ func (s *Server) Drain(timeout time.Duration) (DrainReport, error) {
 
 	rep := DrainReport{Pending: len(pending), TimedOut: timedOut.Load()}
 	for _, j := range pending {
-		switch j.state.get() {
+		switch j.state.Load() {
 		case jobCanceled, jobExpired:
 			rep.Canceled++
 		default:

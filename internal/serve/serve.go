@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -219,8 +220,8 @@ const (
 )
 
 // job is one admitted simulation, shared by every submission of its key.
-// done closes after the final fields (payload, errText, diag) are set, so
-// any reader that observed the closed channel reads them race-free.
+// done closes after the final fields (reply, cached, errText, diag) are
+// set, so any reader that observed the closed channel reads them race-free.
 type job struct {
 	id     string
 	key    store.Key
@@ -240,7 +241,7 @@ type job struct {
 	waiters atomic.Int64
 	pinned  atomic.Bool
 
-	state stateCell
+	state atomic.Int32 // a job state; the zero job is queued
 	done  chan struct{}
 
 	// trace spans the job's life from submission; qspan is the
@@ -249,7 +250,7 @@ type job struct {
 	trace *obs.Trace
 	qspan obs.SpanID
 
-	payload json.RawMessage
+	reply   []byte // a done job's response: replyHead, the payload as stored, "}\n"
 	cached  bool
 	errText string
 	diag    *sanitizer.Diagnostic
@@ -264,7 +265,7 @@ func (j *job) abandonedFinal() bool {
 	default:
 		return false
 	}
-	st := j.state.get()
+	st := j.state.Load()
 	return st == jobExpired || st == jobCanceled
 }
 
@@ -560,7 +561,7 @@ func (s *Server) submit(key store.Key, client, reqID string, budget time.Duratio
 		// Diagnostic counts against the breaker even though the job map
 		// never re-simulates the identical key: the breaker's purpose is
 		// to stop variations of the config from re-simulating forever.
-		if j.state.get() == jobFailed && j.diag != nil {
+		if j.state.Load() == jobFailed && j.diag != nil {
 			s.noteDiagnostic(bk)
 		}
 		return j, nil
@@ -600,7 +601,7 @@ func (s *Server) execute(j *job) {
 		gate(j)
 	}
 	defer j.cancel()
-	j.state.set(jobRunning)
+	j.state.Store(jobRunning)
 	defer s.publishRun(j)
 	tr := j.trace
 	t0 := tr.Now()
@@ -622,9 +623,8 @@ func (s *Server) execute(j *job) {
 	s.hSpanStoreGet.Observe(uint64(t1 - t0))
 	if err == nil && ok {
 		s.cHits.Inc()
-		j.payload = payload
-		j.cached = true
 		tr.CloseAt(t1)
+		j.reply = append(append(j.replyHead(true), payload...), "}\n"...)
 		j.finish(jobDone)
 		return
 	} else if err != nil {
@@ -662,7 +662,10 @@ func (s *Server) execute(j *job) {
 	asm := tr.StartAt(obs.Root, "assemble", t2)
 	res := s.resultFrom(run)
 	res.Report = rep
-	payload, merr := json.Marshal(res)
+	// Marshaled straight into the reply: one buffer for store and responses.
+	buf := bytes.NewBuffer(j.replyHead(false))
+	head := buf.Len()
+	merr := json.NewEncoder(buf).Encode(res)
 	t3 := tr.Now()
 	tr.EndAt(asm, t3)
 	s.hSpanAssemble.Observe(uint64(t3 - t2))
@@ -673,10 +676,10 @@ func (s *Server) execute(j *job) {
 		j.finish(jobFailed)
 		return
 	}
-	j.payload = payload
+	reply := buf.Bytes()[:buf.Len()-1] // Encode ends with a newline
 
 	sp := tr.StartAt(obs.Root, "store-put", t3)
-	perr := s.st.Put(j.key, payload)
+	perr := s.st.Put(j.key, reply[head:])
 	t4 := tr.Now()
 	tr.EndAt(sp, t4)
 	s.hSpanStorePut.Observe(uint64(t4 - t3))
@@ -686,6 +689,7 @@ func (s *Server) execute(j *job) {
 		s.cStoreErrors.Inc()
 	}
 	tr.CloseAt(t4)
+	j.reply = append(reply, "}\n"...)
 	j.finish(jobDone)
 }
 
@@ -749,46 +753,34 @@ func (s *Server) recordFailure(j *job) {
 	s.mu.Unlock()
 }
 
-// stateCell wraps the job-state atomic so the zero job is queued.
-type stateCell struct{ v atomic.Int32 }
+func (j *job) finish(state int32) { j.state.Store(state); close(j.done) }
 
-func (c *stateCell) set(s int32)  { c.v.Store(s) }
-func (c *stateCell) get() int32   { return c.v.Load() }
-func (j *job) finish(state int32) { j.state.set(state); close(j.done) }
+// replyHead opens a done job's reply (and records whether it is a disk
+// hit): the encoding of its RunStatus up to the result value; the caller
+// appends the payload and "}\n". The payload is json.Marshal output
+// (checksum-verified when read from disk), which json.Encoder copies
+// through unchanged: the bytes are the encoder's own.
+func (j *job) replyHead(cached bool) []byte {
+	j.cached = cached
+	st := RunStatus{ID: j.id, Status: "done", RequestID: j.reqID, Cached: cached}
+	head, _ := json.Marshal(st) // strings and a bool: cannot fail
+	return append(head[:len(head)-1], `,"result":`...)
+}
 
-// status renders the job for a response; includeResult attaches the
-// payload bytes (exactly as stored, so hits are byte-identical).
-func (j *job) status(includeResult bool) RunStatus {
-	st := RunStatus{ID: j.id, RequestID: j.reqID}
+var stateNames = [...]string{jobQueued: "queued", jobRunning: "running", jobDone: "done",
+	jobFailed: "failed", jobExpired: "expired", jobCanceled: "canceled"}
+
+// status renders the job without its result (a done job's is in j.reply).
+func (j *job) status() RunStatus {
+	st := RunStatus{ID: j.id, RequestID: j.reqID, Status: "queued"}
 	select {
 	case <-j.done:
+		st.Status = stateNames[j.state.Load()]
+		st.Cached, st.Error, st.Diagnostic = j.cached, j.errText, j.diag
 	default:
-		if j.state.get() == jobRunning {
+		if j.state.Load() == jobRunning {
 			st.Status = "running"
-		} else {
-			st.Status = "queued"
 		}
-		return st
-	}
-	switch j.state.get() {
-	case jobFailed:
-		st.Status = "failed"
-		st.Error = j.errText
-		st.Diagnostic = j.diag
-		return st
-	case jobExpired:
-		st.Status = "expired"
-		st.Error = j.errText
-		return st
-	case jobCanceled:
-		st.Status = "canceled"
-		st.Error = j.errText
-		return st
-	}
-	st.Status = "done"
-	st.Cached = j.cached
-	if includeResult {
-		st.Result = j.payload
 	}
 	return st
 }
@@ -855,15 +847,25 @@ func wantWait(r *http.Request) bool {
 
 func (s *Server) httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	s.cHTTPErrors.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeRun answers a run submission or poll: a done job's reply verbatim
+// (reading the done state orders this after j.reply's write), else status.
+func writeRun(w http.ResponseWriter, code int, j *job) {
+	if j.state.Load() != jobDone {
+		writeJSON(w, code, j.status())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(j.reply)
 }
 
 // decodeBody strictly decodes a JSON request body: unknown fields,
@@ -949,13 +951,13 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, http.StatusServiceUnavailable, "client gave up waiting")
 			return
 		}
-		writeJSON(w, http.StatusOK, j.status(true))
+		writeRun(w, http.StatusOK, j)
 		return
 	}
 	// An async submission intends to poll later: pin the job so it
 	// survives having no waiter attached right now.
 	j.pinned.Store(true)
-	writeJSON(w, http.StatusAccepted, j.status(true))
+	writeRun(w, http.StatusAccepted, j)
 }
 
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
@@ -971,7 +973,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusServiceUnavailable, "client gave up waiting")
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status(true))
+	writeRun(w, http.StatusOK, j)
 }
 
 // expand builds the sweep's run requests in deterministic grid order.
@@ -1069,7 +1071,7 @@ func (s *Server) handlePostSweep(w http.ResponseWriter, r *http.Request) {
 func (sw *sweep) status() SweepStatus {
 	st := SweepStatus{ID: sw.id, Total: len(sw.jobs)}
 	for _, j := range sw.jobs {
-		rs := j.status(false)
+		rs := j.status()
 		st.Runs = append(st.Runs, rs)
 		switch rs.Status {
 		case "done":
@@ -1152,7 +1154,7 @@ func (sw *sweep) table(warps, sms int) (*experiments.Table, error) {
 		Header: []string{"bench", "scheme", "capacity", "cycles", "insns", "IPC", "SIMT eff"},
 	}
 	for _, j := range sw.jobs {
-		switch j.state.get() {
+		switch j.state.Load() {
 		case jobFailed:
 			tb.AddRow(j.key.Bench, j.key.Scheme, fmt.Sprint(j.key.Capacity), "error", j.errText, "", "")
 			continue
@@ -1163,10 +1165,11 @@ func (sw *sweep) table(warps, sms int) (*experiments.Table, error) {
 			tb.AddRow(j.key.Bench, j.key.Scheme, fmt.Sprint(j.key.Capacity), "canceled", j.errText, "", "")
 			continue
 		}
-		var res RunResult
-		if err := json.Unmarshal(j.payload, &res); err != nil {
+		var st struct{ Result RunResult }
+		if err := json.Unmarshal(j.reply, &st); err != nil {
 			return nil, fmt.Errorf("decoding result %s: %w", j.id, err)
 		}
+		res := st.Result
 		tb.AddRow(res.Bench, res.Scheme, fmt.Sprint(res.Capacity),
 			fmt.Sprint(res.Stats.Cycles), fmt.Sprint(res.Stats.DynInsns),
 			fmt.Sprintf("%.2f", res.Stats.IPC()), fmt.Sprintf("%.2f", res.Stats.SIMTEfficiency()))
@@ -1250,7 +1253,7 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-j.done:
 	default:
-		s.httpError(w, http.StatusConflict, "run %s still %s", id, j.status(false).Status)
+		s.httpError(w, http.StatusConflict, "run %s still %s", id, j.status().Status)
 		return
 	}
 	if r.URL.Query().Get("format") == "perfetto" {

@@ -24,7 +24,7 @@ func testOpts() experiments.Options {
 	}
 }
 
-func newTestServer(t *testing.T, dir string, opts experiments.Options) *Server {
+func newTestServer(t testing.TB, dir string, opts experiments.Options) *Server {
 	t.Helper()
 	s, err := New(Config{Opts: opts, StoreDir: dir})
 	if err != nil {

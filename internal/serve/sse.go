@@ -95,20 +95,9 @@ func runEventFrame(j *job) []byte {
 		Bench:    j.key.Bench,
 		Scheme:   j.key.Scheme,
 		Capacity: j.key.Capacity,
-	}
-	switch j.state.get() {
-	case jobFailed:
-		ev.Status = "failed"
-		ev.Error = j.errText
-	case jobExpired:
-		ev.Status = "expired"
-		ev.Error = j.errText
-	case jobCanceled:
-		ev.Status = "canceled"
-		ev.Error = j.errText
-	default:
-		ev.Status = "done"
-		ev.Cached = j.cached
+		Status:   stateNames[j.state.Load()],
+		Cached:   j.cached,
+		Error:    j.errText,
 	}
 	data, _ := json.Marshal(ev)
 	return sseFrame("run", data)

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/faults"
@@ -45,27 +43,15 @@ func (s *Store) now() time.Time {
 	return time.Now()
 }
 
-// sidecarPath is the access-time sidecar for an entry: decimal unix
-// nanoseconds, best-effort. A missing or torn sidecar parses as epoch 0,
-// which makes its entry the first eviction candidate — crash-safe in the
-// degraded-but-correct sense (nothing wrong is ever served, the entry is
-// just recomputed sooner than strict LRU would have).
-func (s *Store) sidecarPath(hash string) string {
-	return filepath.Join(s.dir, hash[:2], hash+".atime")
+// touch stamps an access on the entry's own mtime (one atomic inode
+// update, best effort), moved into the past by any armed clock-skew fault
+// so the entry ages early.
+func (s *Store) touch(path string, op uint64) {
+	now := s.now().Add(-time.Duration(s.opts.Chaos.ClockSkewSeconds(op)) * time.Second)
+	_ = os.Chtimes(path, now, now)
 }
 
-// touch stamps the entry's access time, applying any armed clock-skew
-// fault (the stamp moves into the past, so the entry ages early).
-func (s *Store) touch(hash string, op uint64) {
-	now := s.now()
-	if sec := s.opts.Chaos.ClockSkewSeconds(op); sec != 0 {
-		now = now.Add(-time.Duration(sec) * time.Second)
-	}
-	_ = os.WriteFile(s.sidecarPath(hash), []byte(strconv.FormatInt(now.UnixNano(), 10)), 0o644)
-}
-
-// Bytes returns the current entry-file byte total (excluding sidecars,
-// tmp, and quarantine).
+// Bytes returns the current entry-file byte total (tmp and quarantine excluded).
 func (s *Store) Bytes() int64 { return s.bytes.Load() }
 
 // maybeGC runs a GC pass if the byte budget is exceeded. Called after
@@ -80,7 +66,6 @@ func (s *Store) maybeGC() {
 // gcCandidate is one entry considered for eviction.
 type gcCandidate struct {
 	hash  string
-	path  string
 	size  int64
 	atime int64
 }
@@ -105,14 +90,8 @@ func (s *Store) GC() (int, error) {
 		if err != nil {
 			return nil // raced with nothing (we hold the lock); vanished entries just drop out
 		}
-		var atime int64
-		if raw, err := os.ReadFile(s.sidecarPath(hash)); err == nil {
-			if n, perr := strconv.ParseInt(strings.TrimSpace(string(raw)), 10, 64); perr == nil {
-				atime = n
-			}
-		}
 		total += fi.Size()
-		cands = append(cands, gcCandidate{hash: hash, path: path, size: fi.Size(), atime: atime})
+		cands = append(cands, gcCandidate{hash: hash, size: fi.Size(), atime: fi.ModTime().UnixNano()})
 		return nil
 	})
 	if err != nil {
@@ -131,10 +110,10 @@ func (s *Store) GC() (int, error) {
 			if total <= s.opts.MaxBytes {
 				break
 			}
-			if rmErr := os.Remove(c.path); rmErr != nil && !os.IsNotExist(rmErr) {
+			if rmErr := os.Remove(s.path(c.hash)); rmErr != nil && !os.IsNotExist(rmErr) {
 				continue
 			}
-			os.Remove(s.sidecarPath(c.hash))
+			s.dirty.Store(true)
 			total -= c.size
 			evicted++
 			s.evictions.Add(1)
@@ -173,10 +152,16 @@ func (s *Store) ageQuarantineLocked() {
 
 // Sync fsyncs the store's directories so every completed rename is
 // durable. Called at drain; entry file contents were written before their
-// rename, so syncing the directories pins the namespace.
+// rename, so syncing the directories pins the namespace. With no rename,
+// quarantine or eviction since the last Sync (access stamps are inode
+// metadata, best effort by contract) there is nothing to pin; otherwise
+// the writer lock makes the cleared mark cover every change before it.
 func (s *Store) Sync() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	if !s.dirty.Load() {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	dirs := []string{s.dir, s.tmpDir(), s.quarantineDir()}
 	shards, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -198,6 +183,7 @@ func (s *Store) Sync() error {
 			return fmt.Errorf("store: sync %s: %w", d, serr)
 		}
 	}
+	s.dirty.Store(false)
 	return nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,23 +110,24 @@ func TestGCEnforcesBudgetLRU(t *testing.T) {
 	if st.Evictions != 1 || st.GCRuns == 0 {
 		t.Errorf("stats = %+v, want 1 eviction and >0 gc runs", st)
 	}
-	// The consistency sweep still passes: no sidecar confuses Verify.
+	// The consistency sweep still passes over the trimmed store.
 	if n, err := s.Verify(); err != nil || n != 3 {
 		t.Errorf("Verify = %d, %v", n, err)
 	}
 }
 
-func TestGCMissingSidecarEvictedFirst(t *testing.T) {
-	dir := t.TempDir()
+// TestGCOrdersByEntryMtime pins the LRU key: the entry's own mtime. A
+// back-dated entry (a restore from backup keeps old mtimes) is the first
+// evicted; entries with equal stamps go in hash order.
+func TestGCOrdersByEntryMtime(t *testing.T) {
 	clk := newFakeClock()
 	payload := []byte(`{"cycles":7}`)
-	s := mustOpenWith(t, dir, Options{Now: clk.Now})
-	keys := putN(t, s, 3, payload)
+	s := mustOpenWith(t, t.TempDir(), Options{Now: clk.Now})
+	keys := putN(t, s, 4, payload) // one fake-clock instant: four equal stamps
+	entrySize := s.Bytes() / 4
 
-	// Simulate a crash that lost one sidecar: that entry must be the
-	// first eviction candidate (epoch 0), not a GC error.
-	h, _ := keys[2].Hash()
-	if err := os.Remove(s.sidecarPath(h)); err != nil {
+	old := clk.Now().Add(-48 * time.Hour)
+	if err := os.Chtimes(entryPath(t, s, keys[2]), old, old); err != nil {
 		t.Fatal(err)
 	}
 	s.opts.MaxBytes = s.Bytes() - 1 // force exactly one eviction
@@ -132,8 +135,170 @@ func TestGCMissingSidecarEvictedFirst(t *testing.T) {
 		t.Fatalf("GC = %d, %v, want 1 eviction", n, err)
 	}
 	if _, ok, _ := s.Get(keys[2]); ok {
-		t.Error("sidecar-less entry survived; LRU order not crash-safe")
+		t.Error("back-dated entry survived; GC does not order by entry mtime")
 	}
+
+	// The three left carry equal stamps (the Get above missed, so it
+	// stamped nothing): the smallest hash goes next.
+	rest := []Key{keys[0], keys[1], keys[3]}
+	first := rest[0]
+	for _, k := range rest[1:] {
+		if filepath.Base(entryPath(t, s, k)) < filepath.Base(entryPath(t, s, first)) {
+			first = k
+		}
+	}
+	s.opts.MaxBytes = 2 * entrySize
+	if n, err := s.GC(); err != nil || n != 1 {
+		t.Fatalf("second GC = %d, %v, want 1 eviction", n, err)
+	}
+	if _, err := os.Stat(entryPath(t, s, first)); !os.IsNotExist(err) {
+		t.Errorf("equal stamps: entry %s with the smallest hash survived (stat err %v)", first.Bench, err)
+	}
+	if n, err := s.Len(); err != nil || n != 2 {
+		t.Errorf("Len = %d, %v, want 2", n, err)
+	}
+}
+
+// listing maps every file under root to its size.
+func listing(t *testing.T, root string) map[string]int64 {
+	t.Helper()
+	files := map[string]int64{}
+	err := filepath.Walk(root, func(p string, fi os.FileInfo, err error) error {
+		if err == nil && !fi.IsDir() {
+			files[p] = fi.Size()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestGetHitChangesNoDirectory pins the read side's contract: a hit
+// creates, renames, resizes and removes nothing — its only trace on disk
+// is the entry's own mtime, set to Options.Now.
+func TestGetHitChangesNoDirectory(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	s := mustOpenWith(t, dir, Options{Now: clk.Now})
+	keys := putN(t, s, 6, []byte(`{"cycles":1120,"ipc":0.96}`))
+	before := listing(t, dir)
+	if len(before) != len(keys) {
+		t.Fatalf("store of %d entries holds %d files: %v", len(keys), len(before), before)
+	}
+
+	clk.Advance(time.Hour)
+	for rep := 0; rep < 3; rep++ {
+		for _, k := range keys {
+			if _, ok, err := s.Get(k); !ok || err != nil {
+				t.Fatalf("Get %s = ok=%v err=%v", k.Bench, ok, err)
+			}
+		}
+	}
+	if after := listing(t, dir); !reflect.DeepEqual(before, after) {
+		t.Errorf("hits changed the store's files:\nbefore %v\nafter  %v", before, after)
+	}
+	for _, k := range keys {
+		fi, err := os.Stat(entryPath(t, s, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fi.ModTime().Equal(clk.Now()) {
+			t.Errorf("%s: mtime %v after a hit, want Options.Now() = %v", k.Bench, fi.ModTime(), clk.Now())
+		}
+	}
+}
+
+// TestOpenSweepsLegacySidecars: a store written by a binary that kept
+// access times in <hash>.atime sidecars loses them at the first open;
+// entries, their bytes and everything else stay.
+func TestOpenSweepsLegacySidecars(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	keys := putN(t, s, 3, []byte(`{"cycles":7}`))
+	want := listing(t, dir)
+	for _, k := range keys {
+		side := strings.TrimSuffix(entryPath(t, s, k), ".json") + ".atime"
+		if err := os.WriteFile(side, []byte("1767225600000000000"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Not a sidecar, not an entry: the sweep leaves it alone.
+	note := filepath.Join(filepath.Dir(entryPath(t, s, keys[0])), "README")
+	if err := os.WriteFile(note, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want[note] = 1
+
+	s2 := mustOpen(t, dir)
+	if got := listing(t, dir); !reflect.DeepEqual(got, want) {
+		t.Errorf("after reopen:\ngot  %v\nwant %v", got, want)
+	}
+	if n, err := s2.Verify(); err != nil || n != len(keys) {
+		t.Errorf("Verify = %d, %v", n, err)
+	}
+}
+
+// TestSyncSkipsWhenClean: Sync has work only after a namespace change.
+// Hits (mtime stamps) and misses leave the mark clear; a Put, a
+// quarantine and an eviction each set it, and a Sync clears it.
+func TestSyncSkipsWhenClean(t *testing.T) {
+	s := mustOpenWith(t, t.TempDir(), Options{})
+	if s.dirty.Load() {
+		t.Error("fresh store is dirty")
+	}
+	payload := []byte(`{"cycles":7}`)
+	settles := func(what string) {
+		t.Helper()
+		if !s.dirty.Load() {
+			t.Errorf("%s left the store clean", what)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatalf("Sync after %s: %v", what, err)
+		}
+		if s.dirty.Load() {
+			t.Errorf("Sync after %s left the store dirty", what)
+		}
+	}
+
+	keys := putN(t, s, 3, payload)
+	settles("Put")
+
+	for rep := 0; rep < 3; rep++ {
+		for _, k := range keys {
+			if _, ok, err := s.Get(k); !ok || err != nil {
+				t.Fatalf("Get = ok=%v err=%v", ok, err)
+			}
+		}
+	}
+	if _, ok, _ := s.Get(testKey("absent")); ok {
+		t.Fatal("Get of an absent key hit")
+	}
+	if s.dirty.Load() {
+		t.Error("hits and a miss dirtied the store")
+	}
+	// A clean Sync must not touch the disk: it succeeds with the root gone.
+	gone := s.dir
+	s.dir = filepath.Join(gone, "no-such-dir")
+	if err := s.Sync(); err != nil {
+		t.Errorf("clean Sync did work: %v", err)
+	}
+	s.dir = gone
+
+	if err := os.WriteFile(entryPath(t, s, keys[0]), []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get(keys[0]); ok || err != nil {
+		t.Fatalf("Get corrupt = ok=%v err=%v", ok, err)
+	}
+	settles("quarantine")
+
+	s.opts.MaxBytes = 1 // under any entry's size: GC evicts the two left
+	if n, err := s.GC(); err != nil || n != 2 {
+		t.Fatalf("GC = %d, %v, want 2 evictions", n, err)
+	}
+	settles("eviction")
 }
 
 func TestWarmRestartTrimsToSmallerBudget(t *testing.T) {
@@ -161,30 +326,45 @@ func TestQuarantineAging(t *testing.T) {
 	if err := s.Put(k, []byte(`{"x":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the entry on disk; the next Get quarantines it.
+	// The entry sits untouched for two days — twice the retention — and
+	// only then rots; the next Get quarantines it.
+	clk.Advance(48 * time.Hour)
 	p := entryPath(t, s, k)
 	if err := os.WriteFile(p, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stale := clk.Now().Add(-48 * time.Hour)
+	if err := os.Chtimes(p, stale, stale); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := s.Get(k); ok || err != nil {
 		t.Fatalf("Get corrupt = ok=%v err=%v", ok, err)
 	}
 	qdir := s.quarantineDir()
-	if ents, _ := os.ReadDir(qdir); len(ents) != 1 {
-		t.Fatalf("quarantine holds %d files, want 1", len(ents))
+	corpses := func() int {
+		ents, _ := os.ReadDir(qdir)
+		return len(ents)
 	}
-	// Aging uses file mtimes against Options.Now; backdate the corpse
-	// beyond the retention window and GC must remove it.
-	corpse := filepath.Join(qdir, filepath.Base(p))
-	old := clk.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(corpse, old, old); err != nil {
-		t.Fatal(err)
+	if corpses() != 1 {
+		t.Fatalf("quarantine holds %d files, want 1", corpses())
 	}
+	// Retention counts from the quarantine, not from the entry's last
+	// stamp: the corpse outlives a GC now and one just inside the window.
+	for _, wait := range []time.Duration{0, 59 * time.Minute} {
+		clk.Advance(wait)
+		if _, err := s.GC(); err != nil {
+			t.Fatal(err)
+		}
+		if corpses() != 1 {
+			t.Fatalf("corpse of an old entry removed %v into its %v retention", wait, time.Hour)
+		}
+	}
+	clk.Advance(2 * time.Minute)
 	if _, err := s.GC(); err != nil {
 		t.Fatal(err)
 	}
-	if ents, _ := os.ReadDir(qdir); len(ents) != 0 {
-		t.Fatalf("aged corpse not removed: %d files remain", len(ents))
+	if corpses() != 0 {
+		t.Fatalf("aged corpse not removed: %d files remain", corpses())
 	}
 }
 

@@ -19,6 +19,8 @@
 //     name) before serving; anything torn, truncated, or tampered is
 //     moved to quarantine/ and reported as a miss, so the caller
 //     recomputes instead of serving corruption.
+//   - The read side writes no file: a hit's only trace is the entry's own
+//     mtime (GC's LRU stamp), and Sync fsyncs only after a namespace change.
 //
 // The store holds opaque payload bytes. Serving layers store their
 // response encoding verbatim, which is what makes cache hits byte-
@@ -192,6 +194,7 @@ type Store struct {
 	evictions, gcRuns, gcMicros                atomic.Uint64
 	bytes                                      atomic.Int64
 	ops                                        atomic.Uint64
+	dirty                                      atomic.Bool // namespace changed since the last Sync
 }
 
 // entry is the on-disk format: the full key (so a listing is
@@ -275,8 +278,8 @@ func payloadSHA(p []byte) string {
 // Get returns the stored payload for the key, reporting whether it was
 // found intact. Corrupt entries (unparseable, checksum mismatch, key not
 // matching the address) are quarantined and reported as a miss; only I/O
-// errors other than not-exist surface as err. A hit refreshes the
-// entry's access-time sidecar, which is what GC's LRU ordering reads.
+// errors other than not-exist surface as err. A hit stamps the entry's
+// mtime (what GC's LRU ordering reads) and changes nothing else on disk.
 func (s *Store) Get(k Key) ([]byte, bool, error) {
 	hash, err := k.Hash()
 	if err != nil {
@@ -307,7 +310,7 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	s.hits.Add(1)
-	s.touch(hash, op)
+	s.touch(path, op)
 	return payload, true, nil
 }
 
@@ -335,11 +338,14 @@ func verifyEntry(hash string, raw []byte) ([]byte, error) {
 }
 
 // quarantine moves a corrupt entry aside (best effort: a concurrent Get
-// may have already moved it).
+// may have already moved it), stamped now: QuarantineMaxAge counts from here.
 func (s *Store) quarantine(path string) {
 	dst := filepath.Join(s.quarantineDir(), filepath.Base(path))
 	if err := os.Rename(path, dst); err == nil {
 		s.quarantined.Add(1)
+		s.dirty.Store(true)
+		now := s.now()
+		_ = os.Chtimes(dst, now, now)
 	}
 }
 
@@ -410,9 +416,10 @@ func (s *Store) put(k Key, hash string, payload []byte, op uint64) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
+	s.dirty.Store(true)
 	s.bytes.Add(int64(len(body)) - old)
 	s.puts.Add(1)
-	s.touch(hash, op)
+	s.touch(final, op)
 	return nil
 }
 
@@ -462,7 +469,9 @@ func (s *Store) Verify() (int, error) {
 }
 
 // walkEntries visits every entry file as (hash, path), skipping the tmp
-// and quarantine directories and non-entry files (access-time sidecars).
+// and quarantine directories and anything that is not an entry. An
+// access-time sidecar (<hash>.atime, from binaries that predate mtime
+// stamps) is unlinked: Open's GC walk meets them all, at the first boot.
 func (s *Store) walkEntries(fn func(hash, path string) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -488,6 +497,9 @@ func (s *Store) walkEntriesLocked(fn func(hash, path string) error) error {
 		for _, f := range files {
 			hash, ok := strings.CutSuffix(f.Name(), ".json")
 			if !ok {
+				if strings.HasSuffix(f.Name(), ".atime") {
+					os.Remove(filepath.Join(s.dir, name, f.Name()))
+				}
 				continue
 			}
 			if err := fn(hash, filepath.Join(s.dir, name, f.Name())); err != nil {

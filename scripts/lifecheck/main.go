@@ -153,9 +153,9 @@ func readLog(path string) string {
 }
 
 // checkStore walks the store directory after shutdown: tmp/ must be
-// empty (no orphaned partial writes) and the entry files — everything
-// outside tmp/ and quarantine/ that is not an .atime sidecar — must fit
-// the byte budget the server was given.
+// empty (no orphaned partial writes), a shard directory must hold
+// <hash>.json entries and nothing else, and the entries must fit the byte
+// budget the server was given.
 func checkStore(storeDir string, budget int64) {
 	temps, err := os.ReadDir(filepath.Join(storeDir, "tmp"))
 	if err != nil {
@@ -178,8 +178,8 @@ func checkStore(storeDir string, budget int64) {
 			fail("store shard %s: %v", sh.Name(), err)
 		}
 		for _, f := range files {
-			if strings.HasSuffix(f.Name(), ".atime") {
-				continue
+			if hash, ok := strings.CutSuffix(f.Name(), ".json"); !ok || len(hash) != 64 {
+				fail("store shard %s holds %s, which is not an entry", sh.Name(), f.Name())
 			}
 			fi, err := f.Info()
 			if err != nil {
