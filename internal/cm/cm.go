@@ -99,6 +99,14 @@ type CM struct {
 	OnTransition func(w int, to State, region int)
 
 	state []State
+	// active is the Active set as a bit mask, bit w for warp w — the one
+	// wire per warp the scheduler sees (§5.1). setState, the only writer
+	// of state, keeps it.
+	active []uint64
+	// epoch counts writes to reserved and stack: whether the stack's top
+	// fits is a function of those two alone, so a caller that found it
+	// does not fit need not ask again until the epoch moves.
+	epoch uint64
 	// stack holds Inactive warps; the top (last element) activates next.
 	stack []int
 	// reserved[b] counts lines reserved in bank b across Preloading,
@@ -121,6 +129,8 @@ func New(cfg Config, n int) *CM {
 	c := &CM{
 		cfg:             cfg,
 		state:           make([]State, n),
+		active:          make([]uint64, max(1, (n+63)/64)),
+		epoch:           1,
 		reserved:        make([]int, cfg.Banks),
 		warpRes:         make([][]int, n),
 		region:          make([]int, n),
@@ -141,6 +151,24 @@ func New(cfg Config, n int) *CM {
 
 // StateOf returns a warp's capacity state.
 func (c *CM) StateOf(w int) State { return c.state[w] }
+
+// setState is the one place a warp's state is written: the Active mask
+// moves with it.
+func (c *CM) setState(w int, s State) {
+	c.state[w] = s
+	if s == Active {
+		c.active[w>>6] |= 1 << (uint(w) & 63)
+	} else {
+		c.active[w>>6] &^= 1 << (uint(w) & 63)
+	}
+}
+
+// ActiveMask returns the Active set, bit w for warp w. The slice aliases
+// the manager's own words, so a caller may hold it for the run.
+func (c *CM) ActiveMask() []uint64 { return c.active }
+
+// Epoch changes whenever a reservation or the warp stack does (see Fits).
+func (c *CM) Epoch() uint64 { return c.epoch }
 
 // RegionOf returns the warp's current region ID (-1 when none).
 func (c *CM) RegionOf(w int) int { return c.region[w] }
@@ -163,6 +191,7 @@ func (c *CM) DeferTop() {
 		return
 	}
 	c.Stats.Deferrals++
+	c.epoch++
 	top := c.stack[n-1]
 	copy(c.stack[1:], c.stack[:n-1])
 	c.stack[0] = top
@@ -170,7 +199,8 @@ func (c *CM) DeferTop() {
 
 // Fits reports whether a region with the given bank usage (already rotated
 // to absolute banks by the caller, matching the OSU's (warp+reg) mod banks
-// placement) fits the remaining capacity.
+// placement) fits the remaining capacity. The answer for the stack's top
+// holds until Epoch moves.
 func (c *CM) Fits(usage []int) bool {
 	for b, u := range usage {
 		if c.reserved[b]+u > c.cfg.LinesPerBank {
@@ -195,6 +225,7 @@ func (c *CM) ActivateTop(region int, usage []int, preloads int, now uint64) (int
 	if !c.Fits(usage) {
 		return -1, fmt.Errorf("cm: region %d does not fit for warp %d", region, w)
 	}
+	c.epoch++
 	c.stack = c.stack[:len(c.stack)-1]
 	for b, u := range usage {
 		c.reserved[b] += u
@@ -206,9 +237,9 @@ func (c *CM) ActivateTop(region int, usage []int, preloads int, now uint64) (int
 	c.Stats.Activations++
 	if preloads == 0 {
 		c.Stats.Immediate++
-		c.state[w] = Active
+		c.setState(w, Active)
 	} else {
-		c.state[w] = Preloading
+		c.setState(w, Preloading)
 	}
 	c.notify(w, region)
 	return w, nil
@@ -229,7 +260,7 @@ func (c *CM) PreloadDone(w int) {
 	c.pendingPreloads[w]--
 	c.Stats.PreloadsDone++
 	if c.pendingPreloads[w] <= 0 {
-		c.state[w] = Active
+		c.setState(w, Active)
 		c.notify(w, c.region[w])
 	}
 }
@@ -241,8 +272,9 @@ func (c *CM) BeginDrain(w int, activeLines []int) {
 	if c.state[w] != Active {
 		return
 	}
-	c.state[w] = Draining
+	c.setState(w, Draining)
 	c.Stats.Drains++
+	c.epoch++
 	c.notify(w, c.region[w])
 	for b := 0; b < c.cfg.Banks; b++ {
 		excess := c.warpRes[w][b] - activeLines[b]
@@ -259,6 +291,7 @@ func (c *CM) ReleaseLine(w, b int) {
 	if c.warpRes[w][b] > 0 {
 		c.warpRes[w][b]--
 		c.reserved[b]--
+		c.epoch++
 		c.Stats.LinesReleased++
 	}
 }
@@ -272,7 +305,7 @@ func (c *CM) FinishDrain(w int, now uint64) (cycles uint64) {
 	cycles = now - c.activatedAt[w]
 	left := c.region[w]
 	c.region[w] = -1
-	c.state[w] = Inactive
+	c.setState(w, Inactive)
 	c.notify(w, left)
 	if c.cfg.FIFOStack {
 		// Oldest-first: rejoin at the bottom.
@@ -289,11 +322,12 @@ func (c *CM) Finish(w int) {
 	c.Stats.Finishes++
 	left := c.region[w]
 	c.region[w] = -1
-	c.state[w] = Finished
+	c.setState(w, Finished)
 	c.notify(w, left)
 }
 
 func (c *CM) releaseAll(w int) {
+	c.epoch++ // also covers FinishDrain's push back onto the stack
 	for b := 0; b < c.cfg.Banks; b++ {
 		c.reserved[b] -= c.warpRes[w][b]
 		c.warpRes[w][b] = 0
@@ -332,6 +366,9 @@ func (c *CM) CheckInvariants() error {
 		onStack[w]++
 	}
 	for w, st := range c.state {
+		if bit := c.active[w>>6]>>(uint(w)&63)&1 != 0; bit != (st == Active) {
+			return fmt.Errorf("cm: warp %d active bit %v but state %v", w, bit, st)
+		}
 		switch st {
 		case Inactive:
 			if onStack[w] != 1 {

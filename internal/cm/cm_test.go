@@ -236,3 +236,98 @@ func TestReleaseLineClampsAtZero(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestActiveMaskTracksState walks warps through every transition and
+// holds the Active mask to the state array after each: the mask is what
+// the warp scheduler reads instead of asking about one warp at a time.
+// More than 64 warps, so the mask spans two words.
+func TestActiveMaskTracksState(t *testing.T) {
+	const n = 70
+	c := New(Config{Banks: 8, LinesPerBank: 2 * n}, n)
+	mask := c.ActiveMask()
+	check := func(step string) {
+		t.Helper()
+		for w := 0; w < n; w++ {
+			if bit := mask[w>>6]>>(uint(w)&63)&1 != 0; bit != (c.StateOf(w) == Active) {
+				t.Fatalf("%s: warp %d bit %v, state %v", step, w, bit, c.StateOf(w))
+			}
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	check("new")
+	for w := 0; w < n; w++ {
+		if _, err := c.ActivateTop(w, usage(1), w%2, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("activated (odd warps preloading)")
+	for w := 1; w < n; w += 2 {
+		c.PreloadDone(w)
+	}
+	check("preloads done")
+	c.BeginDrain(3, usage(1))
+	c.BeginDrain(66, usage())
+	check("draining")
+	c.FinishDrain(3, 10)
+	c.Finish(66)
+	c.Finish(67)
+	check("drained and finished")
+
+	mask[1] ^= 1 << 5 // warp 69: Active, bit dropped
+	if err := c.CheckInvariants(); err == nil {
+		t.Fatal("a dropped Active bit passed CheckInvariants")
+	}
+	mask[1] ^= 1 << 5
+	mask[0] |= 1 << 3 // warp 3: Inactive, bit set
+	if err := c.CheckInvariants(); err == nil {
+		t.Fatal("a stray Active bit passed CheckInvariants")
+	}
+}
+
+// TestEpochMovesWithReservationsAndStack: whether the stack's top fits
+// depends on the reservations and the stack alone, and Epoch is the
+// caller's licence to remember the answer — so every write to either
+// must move it, and nothing else needs to.
+func TestEpochMovesWithReservationsAndStack(t *testing.T) {
+	c := New(cfg(), 3)
+	last := c.Epoch()
+	if last == 0 {
+		t.Fatal("a fresh manager's epoch must differ from the zero value a caller starts with")
+	}
+	moved := func(step string, want bool) {
+		t.Helper()
+		if got := c.Epoch() != last; got != want {
+			t.Fatalf("%s: epoch moved = %v, want %v", step, got, want)
+		}
+		last = c.Epoch()
+	}
+	c.Fits(usage(4))
+	c.Top()
+	moved("queries", false)
+	c.ActivateTop(1, usage(2, 1), 1, 0)
+	moved("ActivateTop", true)
+	c.PreloadDone(0)
+	moved("PreloadDone", false)
+	c.DeferTop()
+	moved("DeferTop", true)
+	c.BeginDrain(0, usage(1, 1))
+	moved("BeginDrain", true)
+	c.ReleaseLine(0, 0)
+	moved("ReleaseLine", true)
+	c.ReleaseLine(0, 0) // nothing left in bank 0
+	moved("empty ReleaseLine", false)
+	c.FinishDrain(0, 5)
+	moved("FinishDrain", true)
+	w, err := c.ActivateTop(2, usage(1), 0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved("second ActivateTop", true)
+	c.Finish(w)
+	moved("Finish", true)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

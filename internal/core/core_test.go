@@ -237,3 +237,101 @@ func TestDynamicRegionStats(t *testing.T) {
 		t.Fatal("no activations")
 	}
 }
+
+// TestOSUTagStatsPinned pins the OSU's tag-array event counts — tag
+// lookups, preload hits, installs, summed over the four shards — on the
+// 21 kernels at the default configuration. The energy model charges
+// these events, so however a lookup is carried out (the tag index is one
+// load where a bank walk used to be) the events counted must not move.
+// The values were read off the bank-walk implementation.
+func TestOSUTagStatsPinned(t *testing.T) {
+	want := map[string][3]uint64{
+		"b+tree":          {816, 832, 464},
+		"backprop":        {848, 880, 496},
+		"bfs":             {1196, 1182, 970},
+		"dwt2d":           {560, 528, 992},
+		"gaussian":        {624, 576, 336},
+		"heartwall":       {1504, 1600, 480},
+		"hotspot":         {640, 608, 512},
+		"hybridsort":      {2384, 2720, 784},
+		"kmeans":          {560, 592, 432},
+		"lavaMD":          {2960, 3184, 2096},
+		"leukocyte":       {368, 400, 288},
+		"lud":             {416, 384, 288},
+		"mummergpu":       {1104, 1056, 1120},
+		"myocyte":         {80, 80, 384},
+		"nn":              {80, 80, 96},
+		"nw":              {976, 976, 768},
+		"particle_filter": {736, 704, 1152},
+		"pathfinder":      {800, 832, 448},
+		"srad_v1":         {464, 432, 272},
+		"srad_v2":         {624, 576, 352},
+		"streamcluster":   {816, 816, 464},
+	}
+	for _, bm := range kernels.Suite() {
+		_, p := runRegLess(t, kernels.MustLoad(bm.Name), testSimCfg(), DefaultConfig())
+		var got [3]uint64
+		for _, sh := range p.shards {
+			got[0] += sh.osu.Stats.TagLookups
+			got[1] += sh.osu.Stats.Hits
+			got[2] += sh.osu.Stats.Installs
+		}
+		if got != want[bm.Name] {
+			t.Errorf("%s: tag lookups, hits, installs = %v, want %v", bm.Name, got, want[bm.Name])
+		}
+	}
+	if len(want) != len(kernels.Suite()) {
+		t.Errorf("%d kernels pinned, suite has %d", len(want), len(kernels.Suite()))
+	}
+}
+
+// TestActivationMemoIsInvisible: tryActivate and TickIdle remember that a
+// shard's stack top does not fit until the CM's epoch moves. A machine
+// whose memo is wiped before every cycle re-derives the verdict each time,
+// as the code did before the memo existed; it must reach the same cycle
+// with the same statistics — a stale memo (an epoch bump missing where a
+// reservation or the stack is written) delays an activation and shows
+// here. Both machines step and fast-forward the same way.
+func TestActivationMemoIsInvisible(t *testing.T) {
+	for _, bench := range []string{"bfs", "hotspot", "lud", "nw", "streamcluster"} {
+		for _, capacity := range []int{128, 512} {
+			run := func(wipe bool) (sim.Stats, sim.ProviderStats) {
+				k := kernels.MustLoad(bench)
+				p, err := New(ConfigForCapacity(capacity), k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				simCfg := testSimCfg()
+				simCfg.Warps = 64 // enough warps that regions queue for capacity
+				smv, err := sim.New(simCfg, k, p, exec.NewMemory(nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for !smv.Done() {
+					if wipe {
+						for _, sh := range p.shards {
+							sh.noFit = 0
+						}
+					}
+					smv.StepOne()
+					if err := smv.CheckHealth(); err != nil {
+						t.Fatal(err)
+					}
+					smv.TryFastForward()
+				}
+				return *smv.Finalize(), *p.Stats()
+			}
+			st, ps := run(false)
+			wst, wps := run(true)
+			st.BackingSeries, wst.BackingSeries = nil, nil
+			if st.Cycles != wst.Cycles || st.IssueStalls != wst.IssueStalls || st.FFSkippedCycles != wst.FFSkippedCycles {
+				t.Errorf("%s@%d: memo changed the run: cycles %d/%d, issue stalls %d/%d, skipped %d/%d",
+					bench, capacity, st.Cycles, wst.Cycles, st.IssueStalls, wst.IssueStalls,
+					st.FFSkippedCycles, wst.FFSkippedCycles)
+			}
+			if ps != wps {
+				t.Errorf("%s@%d: memo changed the provider's statistics:\n%+v\n%+v", bench, capacity, ps, wps)
+			}
+		}
+	}
+}

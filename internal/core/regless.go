@@ -129,6 +129,11 @@ type shard struct {
 	evictQ []preloadReq
 	// l1ops holds L1 requests awaiting the shared port.
 	l1ops []l1op
+
+	// noFit is the CM epoch at which the stack's top warp was found not
+	// to fit (0: no such verdict). Until the epoch moves the answer
+	// stands, so tryActivate and TickIdle do not rebuild it every cycle.
+	noFit uint64
 }
 
 // backlog is the work queued in the shard: preloads, invalidations,
@@ -238,6 +243,9 @@ func New(cfgv Config, k *isa.Kernel) (*Provider, error) {
 	if err != nil {
 		return nil, err
 	}
+	if lines := cfgv.Banks * cfgv.LinesPerBank; lines > osu.MaxLines {
+		return nil, fmt.Errorf("core: %d OSU lines per shard exceed the %d a unit can index", lines, osu.MaxLines)
+	}
 	// Safety: every region must fit a shard's banks or the CM could
 	// never activate it.
 	for _, r := range comp.Regions {
@@ -315,7 +323,13 @@ func (p *Provider) Attach(smv *sim.SM) error {
 				LinesPerBank: p.cfg.LinesPerBank,
 				FIFOStack:    p.cfg.FIFOStack,
 			}, warpsPerShard),
-			osu: osu.New(osu.Config{Banks: p.cfg.Banks, LinesPerBank: p.cfg.LinesPerBank}),
+			osu: osu.New(osu.Config{
+				Banks:        p.cfg.Banks,
+				LinesPerBank: p.cfg.LinesPerBank,
+				Warps:        smv.Cfg.Warps,
+				Shards:       p.cfg.Shards,
+				NumRegs:      smv.K.NumRegs,
+			}),
 			cmp: compress.New(compress.Config{
 				CacheLines: p.cfg.CompressorLines,
 				NumRegs:    smv.K.NumRegs,
@@ -358,17 +372,15 @@ func (p *Provider) regAddr(warp int, reg isa.Reg) uint32 {
 	return mem.RegSpaceBase + p.cfg.AddrOffset + uint32(int(reg)*p.sm.Cfg.Warps+warp)*mem.LineSize
 }
 
-// CanIssue implements sim.Provider: a warp issues only while Active.
-func (p *Provider) CanIssue(w *sim.Warp) bool {
-	if p.CanIssueQuiet(w) {
-		return true
-	}
-	p.m.StallCycles.Inc()
-	return false
-}
+// IssueMask implements sim.IssueMasker: a warp issues only while Active,
+// so scheduler group g's issue mask is shard g's Active set itself — a
+// shard's local warp index is the warp's position in its group, because
+// Attach requires one shard per scheduler.
+func (p *Provider) IssueMask(g int) []uint64 { return p.shards[g].cm.ActiveMask() }
 
-// CanIssueQuiet implements sim.IssueProber: CanIssue's staging check
-// without the stall accounting, for side-effect-free stall attribution.
+// CanIssueQuiet implements sim.IssueProber: the per-warp reading of the
+// issue mask, for stall attribution and the checks that hold the mask to
+// it.
 func (p *Provider) CanIssueQuiet(w *sim.Warp) bool {
 	ws := p.warps[w.ID]
 	return p.shards[ws.shard].cm.StateOf(ws.local) == cm.Active

@@ -315,6 +315,9 @@ func (p *Provider) processInvalidations(sh *shard) {
 // tryActivate activates the top warp of the shard's stack if its next
 // region fits (one activation attempt per cycle, §5.1).
 func (p *Provider) tryActivate(s int, sh *shard) {
+	if sh.noFit == sh.cm.Epoch() {
+		return // same top, same reservations: it still does not fit
+	}
 	local := sh.cm.Top()
 	if local < 0 {
 		return
@@ -341,6 +344,7 @@ func (p *Provider) tryActivate(s int, sh *shard) {
 	region := p.comp.RegionAt(w.NextGI())
 	usage := p.rotatedUsage(warp, region.BankUsage)
 	if !sh.cm.Fits(usage) {
+		sh.noFit = sh.cm.Epoch()
 		return
 	}
 	if _, err := sh.cm.ActivateTop(region.ID, usage, len(region.Preloads), p.sm.Cycle()); err != nil {
@@ -391,6 +395,9 @@ func (p *Provider) TickIdle() bool {
 		if sh.backlog() > 0 {
 			return false
 		}
+		if sh.noFit == sh.cm.Epoch() {
+			continue
+		}
 		local := sh.cm.Top()
 		if local < 0 {
 			continue
@@ -404,11 +411,12 @@ func (p *Provider) TickIdle() bool {
 		if sh.cm.Fits(p.rotatedUsage(warp, region.BankUsage)) {
 			return false
 		}
+		sh.noFit = sh.cm.Epoch()
 	}
 	return true
 }
 
-// ReplicateStalls implements sim.StallReplicator for the cycle-skip
-// fast-forward: bulk-account the CanIssue refusals a frozen span would
-// have charged.
-func (p *Provider) ReplicateStalls(n uint64) { p.m.StallCycles.Add(n) }
+// ChargeStalls implements sim.StallCharger: the refusals the SM's picks
+// counted against the issue mask (a stepped cycle's, or a skipped
+// span's).
+func (p *Provider) ChargeStalls(n uint64) { p.m.StallCycles.Add(n) }

@@ -105,7 +105,13 @@ func wordAddr(addr uint32) uint32 { return addr &^ 3 }
 // LoadGlobal reads the 32-bit word containing addr.
 func (m *Memory) LoadGlobal(addr uint32) uint32 {
 	a := wordAddr(addr)
-	if pg := m.global.lookup(a); pg != nil {
+	return m.loadGlobalIn(m.global.lookup(a), a)
+}
+
+// loadGlobalIn reads word address a from pg, its page as lookup returned
+// it (nil: never stored to).
+func (m *Memory) loadGlobalIn(pg *page, a uint32) uint32 {
+	if pg != nil {
 		idx := (a >> 2) & pageMask
 		if pg.written[idx>>6]&(1<<(idx&63)) != 0 {
 			return pg.vals[idx]
@@ -114,10 +120,8 @@ func (m *Memory) LoadGlobal(addr uint32) uint32 {
 	return m.init(a)
 }
 
-// StoreGlobal writes the 32-bit word containing addr.
-func (m *Memory) StoreGlobal(addr, val uint32) {
-	a := wordAddr(addr)
-	pg := m.global.ensure(a)
+// store writes word address a, which lies in pg.
+func (pg *page) store(a, val uint32) {
 	idx := (a >> 2) & pageMask
 	pg.vals[idx] = val
 	pg.written[idx>>6] |= 1 << (idx & 63)

@@ -284,8 +284,11 @@ func (w *Warp) Step() StepInfo {
 		}
 		w.advance()
 	case isa.OpLDG, isa.OpLDS:
-		addrs := &w.Regs[in.Src[0]]
-		n := 0
+		// The lanes of a global access mostly share a 64 KiB page: it is
+		// resolved when a lane leaves the previous lane's, not per lane.
+		addrs, dst := &w.Regs[in.Src[0]], &w.Regs[in.Dst]
+		var pg *page
+		key, n := ^uint32(0), 0
 		for lane := 0; lane < isa.WarpWidth; lane++ {
 			if mask&(1<<uint(lane)) == 0 {
 				continue
@@ -293,18 +296,21 @@ func (w *Warp) Step() StepInfo {
 			a := addrs[lane] + in.Imm
 			w.addrBuf[n] = a
 			n++
-			if in.Op == isa.OpLDG {
-				w.Regs[in.Dst][lane] = w.Mem.LoadGlobal(a)
-			} else {
-				w.Regs[in.Dst][lane] = w.Mem.LoadShared(w.CTA, a)
+			if in.Op == isa.OpLDS {
+				dst[lane] = w.Mem.LoadShared(w.CTA, a)
+				continue
 			}
+			if a = wordAddr(a); a>>pageShift != key {
+				key, pg = a>>pageShift, w.Mem.global.lookup(a)
+			}
+			dst[lane] = w.Mem.loadGlobalIn(pg, a)
 		}
 		info.Addrs = w.addrBuf[:n]
 		w.advance()
 	case isa.OpSTG, isa.OpSTS:
-		addrs := &w.Regs[in.Src[0]]
-		vals := &w.Regs[in.Src[1]]
-		n := 0
+		addrs, vals := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]]
+		var pg *page
+		key, n := ^uint32(0), 0
 		for lane := 0; lane < isa.WarpWidth; lane++ {
 			if mask&(1<<uint(lane)) == 0 {
 				continue
@@ -312,11 +318,14 @@ func (w *Warp) Step() StepInfo {
 			a := addrs[lane] + in.Imm
 			w.addrBuf[n] = a
 			n++
-			if in.Op == isa.OpSTG {
-				w.Mem.StoreGlobal(a, vals[lane])
-			} else {
+			if in.Op == isa.OpSTS {
 				w.Mem.StoreShared(w.CTA, a, vals[lane])
+				continue
 			}
+			if a = wordAddr(a); a>>pageShift != key {
+				key, pg = a>>pageShift, w.Mem.global.ensure(a)
+			}
+			pg.store(a, vals[lane])
 		}
 		info.Addrs = w.addrBuf[:n]
 		w.advance()

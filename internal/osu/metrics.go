@@ -4,9 +4,9 @@ import "repro/internal/metrics"
 
 // Occupancy returns the live line population by state across all banks.
 func (o *OSU) Occupancy() (active, clean, dirty int) {
-	for bi := range o.banks {
-		for i := range o.banks[bi].lines {
-			switch o.banks[bi].lines[i].state {
+	for b := range o.count {
+		for _, ln := range o.resident(b) {
+			switch ln.state {
 			case StateActive:
 				active++
 			case StateClean:

@@ -22,6 +22,11 @@ import (
 type Config struct {
 	Banks        int
 	LinesPerBank int
+	// Warps and NumRegs bound the (warp, register) tags the unit will see
+	// and size its tag index. Warp IDs are SM-wide; a unit that is one of
+	// Shards per-scheduler shards (§5) sees every Shards-th of them, so
+	// the index keeps a row per Warps/Shards warps (Shards 0 means 1).
+	Warps, Shards, NumRegs int
 }
 
 // State classifies a resident line.
@@ -49,15 +54,12 @@ func (s State) String() string {
 	}
 }
 
+// line is one tagged entry; a free cell carries the tag NoReg.
 type line struct {
-	warp  int
+	lru   uint64
+	warp  int32
 	reg   isa.Reg
 	state State
-	lru   uint64
-}
-
-type bank struct {
-	lines []line // resident lines, at most LinesPerBank
 }
 
 // Stats counts OSU events.
@@ -74,8 +76,18 @@ type Stats struct {
 type OSU struct {
 	cfg   Config
 	Stats Stats
-	banks []bank
 	clock uint64
+
+	// lines is every bank's cells back to back: bank b's resident lines
+	// are lines[b*LinesPerBank:][:count[b]], packed (a removal moves the
+	// bank's last line into the hole).
+	lines []line
+	count []int
+	// index maps a (warp, register) tag to 1 + its line's position in
+	// lines (0: not resident; hence MaxLines), so a tag lookup is one load
+	// and a compare against the line's own tag instead of a walk over the
+	// bank. Install and remove are its only writers.
+	index []uint16
 
 	rec   *events.Recorder // nil-safe: disabled tracing costs one branch
 	shard int
@@ -90,11 +102,22 @@ func (o *OSU) SetRecorder(r *events.Recorder, shard int) {
 
 func lineState(s State) events.LineState { return events.LineState(s) }
 
+// MaxLines is the most lines (Banks x LinesPerBank) one unit can index.
+const MaxLines = 1<<16 - 1
+
 // New builds an OSU.
 func New(cfg Config) *OSU {
-	o := &OSU{cfg: cfg, banks: make([]bank, cfg.Banks)}
-	for i := range o.banks {
-		o.banks[i].lines = make([]line, 0, cfg.LinesPerBank)
+	if cfg.Shards < 1 {
+		cfg.Shards = 1
+	}
+	o := &OSU{
+		cfg:   cfg,
+		lines: make([]line, cfg.Banks*cfg.LinesPerBank),
+		count: make([]int, cfg.Banks),
+		index: make([]uint16, (cfg.Warps+cfg.Shards-1)/cfg.Shards*cfg.NumRegs),
+	}
+	for i := range o.lines {
+		o.lines[i].reg = isa.NoReg
 	}
 	return o
 }
@@ -111,39 +134,57 @@ func (o *OSU) Banks() int { return o.cfg.Banks }
 // LinesPerBank returns per-bank capacity.
 func (o *OSU) LinesPerBank() int { return o.cfg.LinesPerBank }
 
-func (o *OSU) find(warp int, reg isa.Reg) (*bank, int) {
-	b := &o.banks[o.Bank(warp, reg)]
-	for i := range b.lines {
-		if b.lines[i].warp == warp && b.lines[i].reg == reg {
-			return b, i
+// resident returns bank b's resident lines.
+func (o *OSU) resident(b int) []line {
+	return o.lines[b*o.cfg.LinesPerBank:][:o.count[b]]
+}
+
+// slot returns the tag's index cell, or nil for a tag outside the
+// configured bounds (only a corrupted tag is).
+func (o *OSU) slot(warp int, reg isa.Reg) *uint16 {
+	row := warp / o.cfg.Shards
+	if k := row*o.cfg.NumRegs + int(reg); int(reg) < o.cfg.NumRegs && uint(k) < uint(len(o.index)) {
+		return &o.index[k]
+	}
+	return nil
+}
+
+// find returns the position in o.lines of the resident line tagged
+// (warp, reg), or -1. The index proposes a line and the line's own tag
+// confirms it, so a line whose tag was corrupted no longer answers to
+// its name.
+func (o *OSU) find(warp int, reg isa.Reg) int {
+	if s := o.slot(warp, reg); s != nil && *s > 0 {
+		if ln := &o.lines[*s-1]; ln.warp == int32(warp) && ln.reg == reg {
+			return int(*s - 1)
 		}
 	}
-	return b, -1
+	return -1
 }
 
 // Lookup performs a tag lookup, reporting presence and state.
 func (o *OSU) Lookup(warp int, reg isa.Reg) (State, bool) {
 	o.Stats.TagLookups++
-	_, i := o.find(warp, reg)
-	if i < 0 {
+	at := o.find(warp, reg)
+	if at < 0 {
 		return 0, false
 	}
-	b := &o.banks[o.Bank(warp, reg)]
-	return b.lines[i].state, true
+	return o.lines[at].state, true
 }
 
 // Activate turns a resident evictable line back into an active one (a
 // preload hit). It reports whether the line was present.
 func (o *OSU) Activate(warp int, reg isa.Reg) bool {
-	b, i := o.find(warp, reg)
-	if i < 0 {
+	at := o.find(warp, reg)
+	if at < 0 {
 		return false
 	}
+	ln := &o.lines[at]
 	o.Stats.Hits++
 	o.clock++
-	o.rec.OSULine(events.KindOSUActivate, o.shard, warp, uint32(reg), lineState(b.lines[i].state))
-	b.lines[i].state = StateActive
-	b.lines[i].lru = o.clock
+	o.rec.OSULine(events.KindOSUActivate, o.shard, warp, uint32(reg), lineState(ln.state))
+	ln.state = StateActive
+	ln.lru = o.clock
 	return true
 }
 
@@ -160,79 +201,111 @@ type Victim struct {
 // line (returned for writeback). It fails only if every line in the bank
 // is active, which the capacity manager's reservations must prevent.
 func (o *OSU) Install(warp int, reg isa.Reg) (Victim, bool, error) {
-	if _, i := o.find(warp, reg); i >= 0 {
+	s := o.slot(warp, reg)
+	if s == nil {
+		return Victim{}, false, fmt.Errorf("osu: install of w%d %v outside the unit's %d warps x %d registers",
+			warp, reg, o.cfg.Warps, o.cfg.NumRegs)
+	}
+	if o.find(warp, reg) >= 0 {
 		return Victim{}, false, fmt.Errorf("osu: install of resident line w%d %v", warp, reg)
 	}
-	b := &o.banks[o.Bank(warp, reg)]
+	b := o.Bank(warp, reg)
 	o.clock++
 	o.Stats.Installs++
 	o.rec.OSULine(events.KindOSUAlloc, o.shard, warp, uint32(reg), events.LineActive)
-	nl := line{warp: warp, reg: reg, state: StateActive, lru: o.clock}
-	if len(b.lines) < o.cfg.LinesPerBank {
-		b.lines = append(b.lines, nl)
+	nl := line{warp: int32(warp), reg: reg, state: StateActive, lru: o.clock}
+	base := b * o.cfg.LinesPerBank
+	if o.count[b] < o.cfg.LinesPerBank {
+		o.lines[base+o.count[b]] = nl
+		*s = uint16(base + o.count[b] + 1)
+		o.count[b]++
 		return Victim{}, false, nil
 	}
 	// Reclaim: LRU clean first, then LRU dirty.
-	idx := -1
-	var oldest uint64 = ^uint64(0)
-	for i := range b.lines {
-		if b.lines[i].state == StateClean && b.lines[i].lru < oldest {
-			oldest = b.lines[i].lru
-			idx = i
+	lines := o.resident(b)
+	idx := lruOf(lines, StateClean)
+	dirty := idx < 0
+	if dirty {
+		if idx = lruOf(lines, StateDirty); idx < 0 {
+			return Victim{}, false, fmt.Errorf("osu: bank %d full of active lines installing w%d %v", b, warp, reg)
 		}
 	}
-	if idx >= 0 {
-		o.rec.OSULine(events.KindOSUErase, o.shard, b.lines[idx].warp, uint32(b.lines[idx].reg), events.LineClean)
-		b.lines[idx] = nl
+	v := Victim{Warp: int(lines[idx].warp), Reg: lines[idx].reg}
+	o.reindex(&lines[idx], base+idx+1, 0)
+	lines[idx] = nl
+	*s = uint16(base + idx + 1)
+	if !dirty {
+		o.rec.OSULine(events.KindOSUErase, o.shard, v.Warp, uint32(v.Reg), events.LineClean)
 		return Victim{}, false, nil
 	}
-	oldest = ^uint64(0)
-	for i := range b.lines {
-		if b.lines[i].state == StateDirty && b.lines[i].lru < oldest {
-			oldest = b.lines[i].lru
-			idx = i
+	o.rec.OSULine(events.KindOSUEvict, o.shard, v.Warp, uint32(v.Reg), events.LineDirty)
+	return v, true, nil
+}
+
+// lruOf returns the least recently used line in state st, or -1.
+func lruOf(lines []line, st State) int {
+	idx, oldest := -1, ^uint64(0)
+	for i := range lines {
+		if lines[i].state == st && lines[i].lru < oldest {
+			oldest, idx = lines[i].lru, i
 		}
 	}
-	if idx < 0 {
-		return Victim{}, false, fmt.Errorf("osu: bank %d full of active lines installing w%d %v",
-			o.Bank(warp, reg), warp, reg)
+	return idx
+}
+
+// reindex moves ln's index cell from one value to another (0 clears it) —
+// if the cell still holds the old value: a line whose tag was corrupted
+// must not disturb the cell of the line that rightfully carries the tag.
+func (o *OSU) reindex(ln *line, from, to int) {
+	if s := o.slot(int(ln.warp), ln.reg); s != nil && *s == uint16(from) {
+		*s = uint16(to)
 	}
-	v := Victim{Warp: b.lines[idx].warp, Reg: b.lines[idx].reg}
-	o.rec.OSULine(events.KindOSUEvict, o.shard, v.Warp, uint32(v.Reg), events.LineDirty)
-	b.lines[idx] = nl
-	return v, true, nil
+}
+
+// remove frees the line at position at, moving its bank's last line into
+// the hole.
+func (o *OSU) remove(at int) {
+	o.reindex(&o.lines[at], at+1, 0)
+	b := at / o.cfg.LinesPerBank
+	o.count[b]--
+	last := b*o.cfg.LinesPerBank + o.count[b]
+	if at != last {
+		o.lines[at] = o.lines[last]
+		o.reindex(&o.lines[at], last+1, at+1)
+	}
+	o.lines[last] = line{reg: isa.NoReg}
 }
 
 // Erase frees a line outright (dead value: interior last use, invalidating
 // read completion, or cache invalidation of a resident register). It
 // reports whether the line was present.
 func (o *OSU) Erase(warp int, reg isa.Reg) bool {
-	b, i := o.find(warp, reg)
-	if i < 0 {
+	at := o.find(warp, reg)
+	if at < 0 {
 		return false
 	}
 	o.Stats.Erases++
-	o.rec.OSULine(events.KindOSUErase, o.shard, warp, uint32(reg), lineState(b.lines[i].state))
-	b.lines[i] = b.lines[len(b.lines)-1]
-	b.lines = b.lines[:len(b.lines)-1]
+	o.rec.OSULine(events.KindOSUErase, o.shard, warp, uint32(reg), lineState(o.lines[at].state))
+	o.remove(at)
 	return true
 }
 
 // MarkEvictable demotes an active line to the clean or dirty list. It
 // reports whether the line was present and active.
 func (o *OSU) MarkEvictable(warp int, reg isa.Reg, dirty bool) bool {
-	b, i := o.find(warp, reg)
-	if i < 0 || b.lines[i].state != StateActive {
+	at := o.find(warp, reg)
+	if at < 0 || o.lines[at].state != StateActive {
 		return false
 	}
+	ln := &o.lines[at]
 	o.clock++
 	if dirty {
-		b.lines[i].state = StateDirty
+		ln.state = StateDirty
 	} else {
-		b.lines[i].state = StateClean
+		ln.state = StateClean
 	}
-	o.rec.OSULine(events.KindOSUDemote, o.shard, warp, uint32(reg), lineState(b.lines[i].state))
-	b.lines[i].lru = o.clock
+	o.rec.OSULine(events.KindOSUDemote, o.shard, warp, uint32(reg), lineState(ln.state))
+	ln.lru = o.clock
 	return true
 }
 
@@ -246,13 +319,12 @@ func (o *OSU) CountWrite() { o.Stats.Writes++ }
 // many were freed.
 func (o *OSU) FreeWarp(warp int) int {
 	n := 0
-	for bi := range o.banks {
-		b := &o.banks[bi]
-		for i := 0; i < len(b.lines); {
-			if b.lines[i].warp == warp {
-				o.rec.OSULine(events.KindOSUErase, o.shard, warp, uint32(b.lines[i].reg), lineState(b.lines[i].state))
-				b.lines[i] = b.lines[len(b.lines)-1]
-				b.lines = b.lines[:len(b.lines)-1]
+	for b := range o.count {
+		base := b * o.cfg.LinesPerBank
+		for i := 0; i < o.count[b]; {
+			if ln := &o.lines[base+i]; ln.warp == int32(warp) {
+				o.rec.OSULine(events.KindOSUErase, o.shard, warp, uint32(ln.reg), lineState(ln.state))
+				o.remove(base + i)
 				n++
 			} else {
 				i++
@@ -265,8 +337,8 @@ func (o *OSU) FreeWarp(warp int) int {
 // ActiveLines returns the active-line count in a bank (capacity checks).
 func (o *OSU) ActiveLines(bank int) int {
 	n := 0
-	for i := range o.banks[bank].lines {
-		if o.banks[bank].lines[i].state == StateActive {
+	for _, ln := range o.resident(bank) {
+		if ln.state == StateActive {
 			n++
 		}
 	}
@@ -274,32 +346,33 @@ func (o *OSU) ActiveLines(bank int) int {
 }
 
 // ResidentLines returns the total resident lines in a bank.
-func (o *OSU) ResidentLines(bank int) int { return len(o.banks[bank].lines) }
+func (o *OSU) ResidentLines(bank int) int { return o.count[bank] }
 
 // pickLine returns the pick-th resident line counting across banks, or
 // nil when the unit is empty (fault injection retries next cycle).
 func (o *OSU) pickLine(pick int) *line {
 	total := 0
-	for bi := range o.banks {
-		total += len(o.banks[bi].lines)
+	for _, c := range o.count {
+		total += c
 	}
 	if total == 0 {
 		return nil
 	}
 	idx := pick % total
-	for bi := range o.banks {
-		if idx < len(o.banks[bi].lines) {
-			return &o.banks[bi].lines[idx]
+	for b, c := range o.count {
+		if idx < c {
+			return &o.lines[b*o.cfg.LinesPerBank+idx]
 		}
-		idx -= len(o.banks[bi].lines)
+		idx -= c
 	}
 	return nil
 }
 
 // CorruptTag bumps a resident line's register tag (fault injection: a
-// tag-array bit flip). The line stays in its original bank, so the bank
-// placement invariant breaks and CheckInvariants names this unit. It
-// reports what was corrupted, or false when no line is resident yet.
+// tag-array bit flip). The line stays in its original bank and the index
+// keeps its old name, so the bank placement invariant breaks and
+// CheckInvariants names this unit. It reports what was corrupted, or
+// false when no line is resident yet.
 func (o *OSU) CorruptTag(pick int) (string, bool) {
 	ln := o.pickLine(pick)
 	if ln == nil {
@@ -307,7 +380,7 @@ func (o *OSU) CorruptTag(pick int) (string, bool) {
 	}
 	old := ln.reg
 	ln.reg++
-	return fmt.Sprintf("line w%d tag %v -> %v (bank %d)", ln.warp, old, ln.reg, o.Bank(ln.warp, old)), true
+	return fmt.Sprintf("line w%d tag %v -> %v (bank %d)", ln.warp, old, ln.reg, o.Bank(int(ln.warp), old)), true
 }
 
 // CorruptState flips a resident line between the active and evictable
@@ -328,26 +401,35 @@ func (o *OSU) CorruptState(pick int) (string, bool) {
 	return fmt.Sprintf("line w%d %v state %v -> %v", ln.warp, ln.reg, old, ln.state), true
 }
 
-// CheckInvariants verifies structural sanity (tests): no duplicate tags,
-// per-bank occupancy within capacity, correct bank placement.
+// CheckInvariants verifies structural sanity (tests): per-bank occupancy
+// within capacity, correct bank placement, and the tag index naming
+// exactly the resident lines, each at its position — which also rules out
+// two lines under one tag, since one cell names one position.
 func (o *OSU) CheckInvariants() error {
-	seen := map[[2]int]bool{}
-	for bi := range o.banks {
-		b := &o.banks[bi]
-		if len(b.lines) > o.cfg.LinesPerBank {
-			return fmt.Errorf("osu: bank %d holds %d lines (cap %d)", bi, len(b.lines), o.cfg.LinesPerBank)
+	resident := 0
+	for b, c := range o.count {
+		if c > o.cfg.LinesPerBank {
+			return fmt.Errorf("osu: bank %d holds %d lines (cap %d)", b, c, o.cfg.LinesPerBank)
 		}
-		for i := range b.lines {
-			ln := &b.lines[i]
-			key := [2]int{ln.warp, int(ln.reg)}
-			if seen[key] {
-				return fmt.Errorf("osu: duplicate line w%d %v", ln.warp, ln.reg)
+		resident += c
+		for i, ln := range o.resident(b) {
+			if o.Bank(int(ln.warp), ln.reg) != b {
+				return fmt.Errorf("osu: line w%d %v in wrong bank %d", ln.warp, ln.reg, b)
 			}
-			seen[key] = true
-			if o.Bank(ln.warp, ln.reg) != bi {
-				return fmt.Errorf("osu: line w%d %v in wrong bank %d", ln.warp, ln.reg, bi)
+			if at := b*o.cfg.LinesPerBank + i; o.find(int(ln.warp), ln.reg) != at {
+				return fmt.Errorf("osu: line w%d %v at %d is not where the tag index says (duplicate or stale tag)",
+					ln.warp, ln.reg, at)
 			}
 		}
+	}
+	indexed := 0
+	for _, v := range o.index {
+		if v != 0 {
+			indexed++
+		}
+	}
+	if indexed != resident {
+		return fmt.Errorf("osu: tag index names %d lines but %d are resident", indexed, resident)
 	}
 	return nil
 }

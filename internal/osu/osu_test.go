@@ -7,7 +7,7 @@ import (
 	"repro/internal/isa"
 )
 
-func newTestOSU() *OSU { return New(Config{Banks: 8, LinesPerBank: 4}) }
+func newTestOSU() *OSU { return New(Config{Banks: 8, LinesPerBank: 4, Warps: 16, NumRegs: 32}) }
 
 func TestBankMapping(t *testing.T) {
 	o := newTestOSU()
@@ -43,7 +43,7 @@ func TestInstallLookupErase(t *testing.T) {
 }
 
 func TestEvictionPreference(t *testing.T) {
-	o := New(Config{Banks: 1, LinesPerBank: 3})
+	o := New(Config{Banks: 1, LinesPerBank: 3, Warps: 1, NumRegs: 8})
 	// Fill the single bank: one clean, one dirty, one active.
 	mustInstall(t, o, 0, 0)
 	o.MarkEvictable(0, 0, false) // clean
@@ -146,7 +146,7 @@ func TestActiveLinesCount(t *testing.T) {
 // activates; invariants must hold throughout and capacity never exceeded.
 func TestRandomWorkout(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	o := New(Config{Banks: 4, LinesPerBank: 3})
+	o := New(Config{Banks: 4, LinesPerBank: 3, Warps: 6, NumRegs: 12})
 	type key struct {
 		w int
 		r isa.Reg
@@ -191,5 +191,100 @@ func TestRandomWorkout(t *testing.T) {
 		if err := o.CheckInvariants(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+	}
+}
+
+// TestTagIndexUnderShards: a unit that is one of four shards is handed
+// SM-wide warp IDs a stride apart and keeps one index row per warp it
+// serves; removals move lines within a bank and the index follows them.
+func TestTagIndexUnderShards(t *testing.T) {
+	o := New(Config{Banks: 2, LinesPerBank: 4, Warps: 16, Shards: 4, NumRegs: 8})
+	if len(o.index) != 4*8 {
+		t.Fatalf("index holds %d cells, want one row of 8 per served warp (32)", len(o.index))
+	}
+	warps := []int{1, 5, 9, 13} // shard 1 of 4
+	for _, w := range warps {
+		for r := isa.Reg(0); r < 2; r++ {
+			mustInstall(t, o, w, r)
+		}
+	}
+	if err := o.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Erase from the front of each bank: the bank's last line moves into
+	// the hole and must still answer to its tag.
+	if !o.Erase(1, 0) || !o.Erase(1, 1) {
+		t.Fatal("erase missed")
+	}
+	for _, w := range warps[1:] {
+		for r := isa.Reg(0); r < 2; r++ {
+			if st, ok := o.Lookup(w, r); !ok || st != StateActive {
+				t.Fatalf("w%d %v lost after a removal moved lines: %v, %v", w, r, st, ok)
+			}
+		}
+	}
+	if _, ok := o.Lookup(1, 0); ok {
+		t.Fatal("erased line still found")
+	}
+	if err := o.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if n := o.FreeWarp(9); n != 2 {
+		t.Fatalf("FreeWarp freed %d lines, want 2", n)
+	}
+	if err := o.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// A tag outside the configured bounds is an error, not a panic.
+	if _, _, err := o.Install(16, 0); err == nil {
+		t.Fatal("install of a warp beyond the unit's bound accepted")
+	}
+	if _, _, err := o.Install(1, 8); err == nil {
+		t.Fatal("install of a register beyond the unit's bound accepted")
+	}
+}
+
+// TestCorruptedTagStopsAnswering: a line whose tag was flipped (fault
+// injection) no longer answers to its old name or its new one, keeps its
+// cell until its warp is freed, and never disturbs the index of the line
+// that rightfully carries the tag it now shows.
+func TestCorruptedTagStopsAnswering(t *testing.T) {
+	o := New(Config{Banks: 4, LinesPerBank: 2, Warps: 2, NumRegs: 8})
+	mustInstall(t, o, 0, 2) // bank 2; corrupted below to show tag r3
+	mustInstall(t, o, 0, 3) // bank 3: the rightful r3
+	if _, ok := o.CorruptTag(0); !ok {
+		t.Fatal("nothing to corrupt")
+	}
+	if err := o.CheckInvariants(); err == nil {
+		t.Fatal("corrupted tag passed CheckInvariants")
+	}
+	if _, ok := o.Lookup(0, 2); ok {
+		t.Fatal("corrupted line still answers to its old tag")
+	}
+	if st, ok := o.Lookup(0, 3); !ok || st != StateActive {
+		t.Fatal("the rightful r3 line was disturbed")
+	}
+	mustInstall(t, o, 0, 6) // bank 2 again: sits beside the orphan
+	if !o.Erase(0, 6) {
+		t.Fatal("erase missed")
+	}
+	if _, ok := o.Lookup(0, 3); !ok {
+		t.Fatal("the rightful r3 line lost its index cell to the orphan")
+	}
+	if n := o.FreeWarp(0); n != 2 {
+		t.Fatalf("FreeWarp freed %d lines, want the orphan and r3", n)
+	}
+	for b := 0; b < o.Banks(); b++ {
+		if o.ResidentLines(b) != 0 {
+			t.Fatalf("bank %d still holds %d lines", b, o.ResidentLines(b))
+		}
+	}
+	// The orphan's old index cell is stale for good — harmless to lookups
+	// (a free cell matches no tag), and the unit stays flagged.
+	if _, ok := o.Lookup(0, 2); ok {
+		t.Fatal("stale index cell answered a lookup")
+	}
+	if err := o.CheckInvariants(); err == nil {
+		t.Fatal("a unit with a stale index cell passed CheckInvariants")
 	}
 }

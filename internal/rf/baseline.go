@@ -33,9 +33,6 @@ func (b *Baseline) Attach(sm *sim.SM) error {
 	return nil
 }
 
-// CanIssue implements sim.Provider: the full RF always has every register.
-func (b *Baseline) CanIssue(*sim.Warp) bool { return true }
-
 // OnIssue counts RF accesses and charges operand-bank conflicts.
 func (b *Baseline) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 	in := info.Insn
@@ -77,8 +74,9 @@ func (b *Baseline) Drained() bool { return true }
 // Stats implements sim.Provider.
 func (b *Baseline) Stats() *sim.ProviderStats { return b.m.Stats() }
 
-// HotHints implements sim.HintedProvider: the full RF never gates issue
-// and has no per-cycle machinery or writeback work.
+// HotHints implements sim.HintedProvider: the full RF has no per-cycle
+// machinery or writeback work. (It always has every register, so it
+// publishes no issue mask either.)
 func (b *Baseline) HotHints() sim.HotPathHints {
-	return sim.HotPathHints{AlwaysIssuable: true, PassiveTick: true, PassiveWriteback: true}
+	return sim.HotPathHints{PassiveTick: true, PassiveWriteback: true}
 }

@@ -45,9 +45,6 @@ func (h *RFH) Attach(sm *sim.SM) error {
 	return nil
 }
 
-// CanIssue implements sim.Provider: the hierarchy never blocks issue.
-func (h *RFH) CanIssue(*sim.Warp) bool { return true }
-
 // orfHit reports whether r is buffered for warp w, refreshing LRU order.
 func (h *RFH) orfHit(w int, r isa.Reg) bool {
 	lst := h.orf[w]
@@ -131,8 +128,9 @@ func (h *RFH) Drained() bool { return true }
 // Stats implements sim.Provider.
 func (h *RFH) Stats() *sim.ProviderStats { return h.m.Stats() }
 
-// HotHints implements sim.HintedProvider: RFH never gates issue and has
-// no per-cycle machinery or writeback work.
+// HotHints implements sim.HintedProvider: RFH has no per-cycle machinery
+// or writeback work. (The hierarchy never gates issue, so it publishes
+// no issue mask.)
 func (h *RFH) HotHints() sim.HotPathHints {
-	return sim.HotPathHints{AlwaysIssuable: true, PassiveTick: true, PassiveWriteback: true}
+	return sim.HotPathHints{PassiveTick: true, PassiveWriteback: true}
 }

@@ -65,10 +65,6 @@ func (v *RFV) Attach(sm *sim.SM) error {
 	return nil
 }
 
-// CanIssue implements sim.Provider: RFV never blocks issue; pressure shows
-// up as spill/refill penalties instead.
-func (v *RFV) CanIssue(*sim.Warp) bool { return true }
-
 // alloc maps (w, r), victimizing the oldest resident mapping if needed,
 // and returns the penalty incurred.
 func (v *RFV) alloc(w int, r isa.Reg) int {
@@ -180,9 +176,9 @@ func (v *RFV) LiveMapped() int { return v.physRegs - v.free }
 // Spills returns the victimization count (tests and experiments).
 func (v *RFV) Spills() uint64 { return v.spills }
 
-// HotHints implements sim.HintedProvider: RFV never gates issue (pressure
-// shows up as OnIssue penalties) and has no per-cycle machinery or
-// writeback work.
+// HotHints implements sim.HintedProvider: RFV has no per-cycle machinery
+// or writeback work. (It never gates issue — pressure shows up as
+// spill/refill penalties from OnIssue — so it publishes no issue mask.)
 func (v *RFV) HotHints() sim.HotPathHints {
-	return sim.HotPathHints{AlwaysIssuable: true, PassiveTick: true, PassiveWriteback: true}
+	return sim.HotPathHints{PassiveTick: true, PassiveWriteback: true}
 }

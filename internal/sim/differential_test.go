@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -25,33 +26,42 @@ type maskedRun struct {
 	jsonl []byte
 }
 
-func runPick(t *testing.T, bench string, scheme experiments.Scheme, su experiments.SimSetup,
+func runPick(k *isa.Kernel, scheme experiments.Scheme, su experiments.SimSetup,
+	tune experiments.Tune, oracle bool) (maskedRun, error) {
+	var out maskedRun
+	g, _, err := experiments.Assemble(k, scheme, 1, su, tune)
+	if err != nil {
+		return out, err
+	}
+	sm := g.SMs[0]
+	if oracle {
+		sm.UseLinearOracle()
+	}
+	sm.LogPicks(&out.picks)
+	var buf bytes.Buffer
+	jw := metrics.NewJSONLWriter(&buf)
+	sm.Metrics.SetSink(jw.Run(metrics.String("bench", k.Name)))
+	if _, err := g.Run(); err != nil {
+		return out, err
+	}
+	if err := jw.Flush(); err != nil {
+		return out, err
+	}
+	out.stats, out.prov, out.mem, out.jsonl = sm.Stats, *sm.Provider.Stats(), sm.Mem.Stats, buf.Bytes()
+	return out, nil
+}
+
+func mustRunPick(t *testing.T, bench string, scheme experiments.Scheme, su experiments.SimSetup,
 	tune experiments.Tune, oracle bool) maskedRun {
 	t.Helper()
 	k, err := kernels.Load(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := experiments.Assemble(k, scheme, 1, su, tune)
+	out, err := runPick(k, scheme, su, tune, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := g.SMs[0]
-	if oracle {
-		sm.UseLinearOracle()
-	}
-	var out maskedRun
-	sm.LogPicks(&out.picks)
-	var buf bytes.Buffer
-	jw := metrics.NewJSONLWriter(&buf)
-	sm.Metrics.SetSink(jw.Run(metrics.String("bench", bench)))
-	if _, err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	out.stats, out.prov, out.mem, out.jsonl = sm.Stats, *sm.Provider.Stats(), sm.Mem.Stats, buf.Bytes()
 	return out
 }
 
@@ -94,8 +104,8 @@ func TestMaskPickMatchesLinearOracle(t *testing.T) {
 					su.Warps = p.warps
 				}
 				where := fmt.Sprintf("%s/%s noFF=%v", bench, p.name, noFF)
-				got := runPick(t, bench, p.scheme, su, p.tune, false)
-				want := runPick(t, bench, p.scheme, su, p.tune, true)
+				got := mustRunPick(t, bench, p.scheme, su, p.tune, false)
+				want := mustRunPick(t, bench, p.scheme, su, p.tune, true)
 				if len(got.picks) == 0 {
 					t.Fatalf("%s: no picks logged", where)
 				}

@@ -5,11 +5,12 @@ import (
 	"repro/internal/isa"
 )
 
-// IssueProber is an optional Provider refinement: a side-effect-free
-// CanIssue used by stall attribution. CanIssue itself counts refusals
-// (Stats.IssueStalls, provider stall counters), so the classifier —
-// which probes warps the scheduler never tried — must not call it.
-// Providers whose CanIssue is unconditional need not implement this.
+// IssueProber is an optional Provider refinement: whether warp w may
+// issue its next instruction as far as register availability is
+// concerned, free of side effects. It is the per-warp definition of the
+// provider's issue mask (IssueMasker): stall attribution classifies with
+// it, and the sanitizer and the test oracle hold the mask to it.
+// Providers that never gate issue need not implement it.
 type IssueProber interface {
 	CanIssueQuiet(w *Warp) bool
 }
@@ -27,7 +28,6 @@ type RecorderAware interface {
 // RecorderAware. Call once, before Run; a nil recorder detaches.
 func (sm *SM) AttachRecorder(r *events.Recorder) {
 	sm.Rec = r
-	sm.prober, _ = sm.Provider.(IssueProber)
 	sm.Mem.SetRecorder(r)
 	if ra, ok := sm.Provider.(RecorderAware); ok {
 		ra.AttachRecorder(r)

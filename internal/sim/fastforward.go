@@ -133,7 +133,7 @@ func (sm *SM) ffEligible() bool {
 // inert cycle and fast-forwards again); missing one would be unsound.
 func (sm *SM) wakeTarget() uint64 {
 	target := noWake
-	if t, ok := sm.wheel.nextCycle(); ok && t < target {
+	if t, ok := sm.wheel.nextCycle(sm.cycle); ok && t < target {
 		target = t
 	}
 	if t, ok := sm.Mem.NextWake(!sm.lsu.empty()); ok && t < target {
@@ -216,8 +216,8 @@ func (sm *SM) replicateSkip(end uint64) {
 		}
 		if sumProv > 0 {
 			sm.Stats.IssueStalls += seg * sumProv
-			if sr, ok := sm.Provider.(StallReplicator); ok {
-				sr.ReplicateStalls(seg * sumProv)
+			if sm.stalls != nil {
+				sm.stalls.ChargeStalls(seg * sumProv)
 			}
 		}
 		if lsuWaiting {

@@ -13,15 +13,14 @@ import (
 type passiveProvider struct{ nullProvider }
 
 func (*passiveProvider) HotHints() HotPathHints {
-	return HotPathHints{AlwaysIssuable: true, PassiveTick: true, PassiveWriteback: true}
+	return HotPathHints{PassiveTick: true, PassiveWriteback: true}
 }
 
 // stuckPassiveProvider refuses every issue but has a passive tick: a
 // livelock the fast-forward is allowed to skip across — straight into
 // the watchdog window, never past it.
-type stuckPassiveProvider struct{ nullProvider }
+type stuckPassiveProvider struct{ stuckProvider }
 
-func (*stuckPassiveProvider) CanIssue(*Warp) bool { return false }
 func (*stuckPassiveProvider) HotHints() HotPathHints {
 	return HotPathHints{PassiveTick: true, PassiveWriteback: true}
 }

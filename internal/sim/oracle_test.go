@@ -11,7 +11,10 @@ import "repro/internal/isa"
 // sees the same state under either pick.
 
 // readyLinear reports whether warp id (in scheduler group g) can issue
-// this cycle, charging a scoreboard or provider rejection as it goes.
+// this cycle, charging a scoreboard or provider rejection as it goes. The
+// provider is asked about the one warp through CanIssueQuiet, the
+// definition its issue mask must agree with, and each refusal is charged
+// on the spot — the per-warp consult production replaced with a popcount.
 func (sm *SM) readyLinear(g int, id int32) bool {
 	if sm.wFlags[id] != 0 || sm.wStallUntil[id] > sm.cycle {
 		return false
@@ -31,7 +34,7 @@ func (sm *SM) readyLinear(g int, id int32) bool {
 			return false
 		}
 	}
-	if !sm.alwaysIssuable && !sm.Provider.CanIssue(sm.Warps[id]) {
+	if sm.prober != nil && !sm.prober.CanIssueQuiet(sm.Warps[id]) {
 		sm.Stats.IssueStalls++
 		sm.mProviderStall[g].Inc()
 		sm.scanProv[g]++

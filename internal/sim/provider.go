@@ -8,10 +8,13 @@ import (
 // Provider abstracts the register storage scheme under evaluation: the
 // baseline register file, RFV (register file virtualization, Jeon et al.),
 // RFH (the compile-time register hierarchy, Gebhart et al.), or RegLess.
-// The SM consults the provider before issuing from a warp (RegLess gates
-// warps whose regions are not staged) and notifies it of issues,
-// writebacks, and warp completion; the provider drives its own machinery
-// (capacity managers, preload queues, compressors) from Tick.
+// The SM notifies the provider of issues, writebacks, and warp completion;
+// the provider drives its own machinery (capacity managers, preload
+// queues, compressors) from Tick. A provider that gates issue (RegLess
+// holds back warps whose regions are not staged) publishes a maintained
+// bit mask of the warps it lets through (IssueMasker) — the one Active
+// wire per warp the paper's scheduler sees (§5.1) — and the pick reads
+// that; the SM never asks about one warp at a time.
 type Provider interface {
 	// Name identifies the scheme in reports.
 	Name() string
@@ -19,9 +22,6 @@ type Provider interface {
 	// non-nil error (kernel mismatch, shard/scheduler disagreement)
 	// aborts construction instead of crashing mid-run.
 	Attach(sm *SM) error
-	// CanIssue reports whether warp w may issue its next instruction
-	// this cycle as far as register availability is concerned.
-	CanIssue(w *Warp) bool
 	// OnIssue is called when w issues; info is the executed instruction.
 	// The returned penalty is added as issue-stall cycles (operand bank
 	// conflicts, metadata instruction slots).
@@ -37,6 +37,23 @@ type Provider interface {
 	Drained() bool
 	// Stats exposes the provider's event counters.
 	Stats() *ProviderStats
+}
+
+// IssueMasker is an optional Provider refinement for schemes that gate
+// issue. IssueMask returns scheduler group g's words of the provider's
+// issue mask: bit p set means the warp at position p of the group (warp
+// g + p*Schedulers) may issue as far as register availability is
+// concerned. The SM fetches the slices once, after Attach, and reads
+// them every pick, so they must alias storage the provider keeps current
+// for the whole run. A provider without a mask is always issuable.
+//
+// Refusals are counted by the SM, by popcount below the pick, and handed
+// to the provider's StallCharger in bulk. A masked provider must also be
+// an IssueProber: CanIssueQuiet is the per-warp definition of the bit,
+// which the sanitizer, the test oracle and stall attribution compare
+// the mask against.
+type IssueMasker interface {
+	IssueMask(g int) []uint64
 }
 
 // ProviderStats counts register-scheme events; the energy model and the
@@ -104,15 +121,12 @@ func (s *ProviderStats) Preloads() uint64 {
 
 // HotPathHints devirtualizes the per-cycle provider dispatch: the provider
 // set is closed (baseline/RFV/RFH/RegLess), and the three RF-style
-// providers have an unconditional CanIssue and no-op Tick/OnWriteback — so
-// the SM skips those interface calls entirely on its hot path instead of
-// paying a dynamic dispatch per warp per cycle. Hints are capability
-// declarations, not tuning knobs: set a field only when the corresponding
-// method is a provable no-op for the provider's whole lifetime.
+// providers have no-op Tick/OnWriteback — so the SM skips those interface
+// calls entirely on its hot path instead of paying a dynamic dispatch per
+// cycle and per writeback. Hints are capability declarations, not tuning
+// knobs: set a field only when the corresponding method is a provable
+// no-op for the provider's whole lifetime.
 type HotPathHints struct {
-	// AlwaysIssuable: CanIssue returns true unconditionally (no gating,
-	// no counter side effects).
-	AlwaysIssuable bool
 	// PassiveTick: Tick is a no-op (no internal machinery to advance).
 	PassiveTick bool
 	// PassiveWriteback: OnWriteback is a no-op.
@@ -136,11 +150,11 @@ type TickIdler interface {
 	TickIdle() bool
 }
 
-// StallReplicator is an optional Provider refinement for the cycle-skip
-// fast-forward: the SM bulk-replays the provider-refusal stall cycles a
-// skipped span would have accumulated (CanIssue refusals count
-// Stats().StallCycles per probe, and a frozen span repeats the same
-// probes every cycle).
-type StallReplicator interface {
-	ReplicateStalls(n uint64)
+// StallCharger is an optional Provider refinement: the provider-side
+// count of refusals (Stats().StallCycles). The SM charges what its picks
+// counted against the issue mask once per stepped cycle, and the
+// cycle-skip fast-forward charges a skipped span's worth in one call (a
+// frozen span repeats the same refusals every cycle).
+type StallCharger interface {
+	ChargeStalls(n uint64)
 }

@@ -7,18 +7,24 @@ import (
 	"repro/internal/isa"
 )
 
-// Ready masks: per scheduler group, three bit-per-warp sets that answer
-// "who could issue?" without re-deriving every warp's state each cycle.
+// Ready masks: per scheduler group, bit-per-warp sets that answer "who
+// could issue?" without re-deriving every warp's state each cycle.
 // Position p of group g is warp g + p*Schedulers (the order the linear
 // pick scans walked); a group spans grpWords 64-bit words, so any -warps
 // value fits.
 //
-//	mLive   wFlags == 0 (neither finished nor at a barrier) — exact
-//	mSB     the scoreboard blocks the next instruction
-//	        (wPending & wNeed != 0) — exact
-//	mStall  a stall timer was armed — a superset of wStallUntil > cycle;
-//	        expired bits are dropped lazily by the next pick that meets
-//	        them (expireStalls)
+//	mLive    wFlags == 0 (neither finished nor at a barrier) — exact
+//	mSB      the scoreboard blocks the next instruction
+//	         (wPending & wNeed != 0) — exact
+//	mStall   a stall timer was armed — a superset of wStallUntil > cycle;
+//	         expired bits are dropped lazily by the next pick that meets
+//	         them (expireStalls)
+//	mGlobal  the next instruction is a global memory access (wClass ==
+//	         ClassMemGlobal) — exact
+//	mSFU     the next instruction is an SFU op (wClass == ClassSFU) — exact
+//	mProv    the provider lets the warp issue — the provider's own words
+//	         (IssueMasker), exact by its contract; all ones for a provider
+//	         that does not gate issue
 //
 // The masks are written only where the state under them is written; that
 // list is the contract (DESIGN.md §12) and the sanitizer's sim/readymask
@@ -26,9 +32,12 @@ import (
 //
 //	issue            barrier/exit flags (setLive), the provider's penalty
 //	                 stall (armStall), and refreshSB once after refreshInsn
+//	refreshInsn      the class masks, beside wClass
 //	completePending  the wheel's and the LSU's writebacks both end here
 //	releaseBarriers  barrier flag cleared
 //	twoLevel.pick    the promotion-latency stall (armStall)
+//	the provider     mProv, at its own state transitions (for RegLess the
+//	                 capacity manager's setState)
 //
 // unfinished counts warps without warpFinished, so allDone is a compare.
 
@@ -44,6 +53,36 @@ func (sm *SM) initMasks() {
 	sm.mLive = make([]uint64, n)
 	sm.mSB = make([]uint64, n)
 	sm.mStall = make([]uint64, n)
+	sm.mGlobal = make([]uint64, n)
+	sm.mSFU = make([]uint64, n)
+}
+
+// bindIssueMask fetches the provider's issue mask, one slice per group,
+// after Attach. A provider without one is always issuable: every group
+// shares one all-ones slice.
+func (sm *SM) bindIssueMask() error {
+	sm.mProv = make([][]uint64, sm.Cfg.Schedulers)
+	im, ok := sm.Provider.(IssueMasker)
+	if !ok {
+		open := make([]uint64, sm.grpWords)
+		for i := range open {
+			open[i] = ^uint64(0)
+		}
+		for g := range sm.mProv {
+			sm.mProv[g] = open
+		}
+		return nil
+	}
+	if sm.prober == nil {
+		return fmt.Errorf("sim: provider %q has an issue mask but no CanIssueQuiet to define it", sm.Provider.Name())
+	}
+	for g := range sm.mProv {
+		if sm.mProv[g] = im.IssueMask(g); len(sm.mProv[g]) != sm.grpWords {
+			return fmt.Errorf("sim: provider %q issue mask for group %d has %d words, want %d",
+				sm.Provider.Name(), g, len(sm.mProv[g]), sm.grpWords)
+		}
+	}
+	return nil
 }
 
 // setLive mirrors a wFlags write into the live mask.
@@ -85,16 +124,20 @@ func (sm *SM) expireStalls(g, w, i int) {
 
 // scan is the pick primitive every scheduler issues through: the first
 // warp among group g's positions [lo, hi), in position order, that can
-// issue this cycle, or nil. Warps that are not live or still stalled are
-// passed over for free; a scoreboard-blocked warp met before the pick is
-// a scoreboard rejection, charged in bulk by popcount; the rest get the
-// structural check (LSU room, SFU interval) and then the provider
-// consult, one call per warp in order because CanIssue counts its own
-// refusals. The charges are exactly those of testing the same warps one
-// at a time in the same order, which is what the schedulers did before
-// the masks (the test oracle still does).
+// issue this cycle, or nil — as mask arithmetic, a word of warps at a
+// time. Warps that are not live or still stalled are passed over for
+// free, and so are those whose next instruction has no room in its unit
+// this cycle (LSU full, SFU interval running): one test per scan drops
+// the whole class. The pick is the first bit left that the provider lets
+// through. Two kinds of warp met before it are rejections, charged in
+// bulk by popcount: scoreboard-blocked warps, and free warps the
+// provider refused. The charges are exactly those of testing the same
+// warps one at a time in the same order, which is what the schedulers
+// did before the masks (the test oracle still does).
 func (sm *SM) scan(g, lo, hi int) *Warp {
-	base, warps := g*sm.grpWords, sm.groups[g]
+	base, prov := g*sm.grpWords, sm.mProv[g]
+	lsuFull := !sm.lsu.hasRoom()
+	sfuBusy := sm.sfuNextIssue[g] > sm.cycle
 	for w := lo >> 6; w<<6 < hi; w++ {
 		span := ^uint64(0)
 		if s := lo - w<<6; s > 0 {
@@ -109,14 +152,23 @@ func (sm *SM) scan(g, lo, hi int) *Warp {
 		}
 		cand := sm.mLive[i] &^ sm.mStall[i] & span
 		blocked := cand & sm.mSB[i]
-		for free := cand &^ blocked; free != 0; free &= free - 1 {
-			b := bits.TrailingZeros64(free)
-			if wp := warps[w<<6+b]; sm.issuable(wp) {
-				sm.chargeScoreboard(g, bits.OnesCount64(blocked&(1<<uint(b)-1)))
-				return wp
-			}
+		free := cand &^ blocked
+		if lsuFull {
+			free &^= sm.mGlobal[i]
+		}
+		if sfuBusy {
+			free &^= sm.mSFU[i]
+		}
+		refused := free &^ prov[w]
+		if pick := free & prov[w]; pick != 0 {
+			b := bits.TrailingZeros64(pick)
+			below := uint64(1)<<uint(b) - 1
+			sm.chargeScoreboard(g, bits.OnesCount64(blocked&below))
+			sm.chargeProvider(g, bits.OnesCount64(refused&below))
+			return sm.groups[g][w<<6+b]
 		}
 		sm.chargeScoreboard(g, bits.OnesCount64(blocked))
+		sm.chargeProvider(g, bits.OnesCount64(refused))
 	}
 	return nil
 }
@@ -124,7 +176,7 @@ func (sm *SM) scan(g, lo, hi int) *Warp {
 // scanWarp is scan over w's one position — GTO's greedy check, the
 // two-level active set — as straight bit tests.
 func (sm *SM) scanWarp(w *Warp) bool {
-	i, bit := w.mword, w.mbit
+	i, bit, g := w.mword, w.mbit, w.Group
 	if sm.mLive[i]&bit == 0 {
 		return false
 	}
@@ -135,10 +187,20 @@ func (sm *SM) scanWarp(w *Warp) bool {
 		sm.mStall[i] &^= bit
 	}
 	if sm.mSB[i]&bit != 0 {
-		sm.chargeScoreboard(w.Group, 1)
+		sm.chargeScoreboard(g, 1)
 		return false
 	}
-	return sm.issuable(w)
+	if sm.mGlobal[i]&bit != 0 && !sm.lsu.hasRoom() {
+		return false
+	}
+	if sm.mSFU[i]&bit != 0 && sm.sfuNextIssue[g] > sm.cycle {
+		return false
+	}
+	if sm.mProv[g][i-g*sm.grpWords]&bit == 0 {
+		sm.chargeProvider(g, 1)
+		return false
+	}
+	return true
 }
 
 func (sm *SM) chargeScoreboard(g, n int) {
@@ -148,26 +210,14 @@ func (sm *SM) chargeScoreboard(g, n int) {
 	}
 }
 
-// issuable runs the checks the masks do not cover for a live, unstalled,
-// scoreboard-clear warp: room in its execution unit, then the provider.
-func (sm *SM) issuable(w *Warp) bool {
-	switch sm.wClass[w.ID] {
-	case isa.ClassMemGlobal:
-		if !sm.lsu.hasRoom() {
-			return false
-		}
-	case isa.ClassSFU:
-		if sm.sfuNextIssue[w.Group] > sm.cycle {
-			return false
-		}
+// chargeProvider counts n provider refusals on the SM's side; step hands
+// the cycle's total to the provider's own counter.
+func (sm *SM) chargeProvider(g, n int) {
+	if n > 0 {
+		sm.Stats.IssueStalls += uint64(n)
+		sm.mProviderStall[g].Add(uint64(n))
+		sm.scanProv[g] += uint32(n)
 	}
-	if !sm.alwaysIssuable && !sm.Provider.CanIssue(w) {
-		sm.Stats.IssueStalls++
-		sm.mProviderStall[w.Group].Inc()
-		sm.scanProv[w.Group]++
-		return false
-	}
-	return true
 }
 
 // checkMasks is the sanitizer's sim/readymask invariant: the masks and
@@ -188,6 +238,17 @@ func (sm *SM) checkMasks() error {
 		if sm.wStallUntil[id] > sm.cycle && sm.mStall[w.mword]&w.mbit == 0 {
 			return fmt.Errorf("warp %d: stalled until cycle %d but its stall bit is not armed",
 				id, sm.wStallUntil[id])
+		}
+		cls := sm.wClass[id]
+		if global := sm.mGlobal[w.mword]&w.mbit != 0; global != (cls == isa.ClassMemGlobal) {
+			return fmt.Errorf("warp %d: global-access bit %v but next instruction class is %v", id, global, cls)
+		}
+		if sfu := sm.mSFU[w.mword]&w.mbit != 0; sfu != (cls == isa.ClassSFU) {
+			return fmt.Errorf("warp %d: SFU bit %v but next instruction class is %v", id, sfu, cls)
+		}
+		open := sm.mProv[w.Group][w.mword-w.Group*sm.grpWords]&w.mbit != 0
+		if want := sm.prober == nil || sm.prober.CanIssueQuiet(w); open != want {
+			return fmt.Errorf("warp %d: provider issue bit %v but CanIssueQuiet says %v", id, open, want)
 		}
 	}
 	if unfinished != sm.unfinished {

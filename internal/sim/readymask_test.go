@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/cm"
 	"repro/internal/exec"
 	"repro/internal/isa"
 	"repro/internal/sanitizer"
@@ -47,18 +49,100 @@ func TestGTOChargesBlockedCurrentTwice(t *testing.T) {
 	}
 }
 
-// TestSanitizerCatchesMaskDrift: each mask and the unfinished count,
-// knocked out of step with the SoA state it summarizes, trips the
-// sim/readymask invariant naming the warp.
-func TestSanitizerCatchesMaskDrift(t *testing.T) {
-	drift := map[string]func(sm *SM, w *Warp){
-		"live bit set on a barrier warp": func(sm *SM, w *Warp) { sm.wFlags[w.ID] |= warpAtBarrier },
-		"live bit flipped":               func(sm *SM, w *Warp) { sm.mLive[w.mword] ^= w.mbit },
-		"scoreboard bit flipped":         func(sm *SM, w *Warp) { sm.mSB[w.mword] ^= w.mbit },
-		"stall written past armStall":    func(sm *SM, w *Warp) { sm.wStallUntil[w.ID] = sm.cycle + 5 },
+// gateProvider gates issue through a mask it keeps beside its own
+// per-warp truth (everything open), as a real gating provider keeps its
+// mask beside its state machine.
+type gateProvider struct {
+	nullProvider
+	open []bool
+	mask [][]uint64
+}
+
+func (p *gateProvider) Attach(sm *SM) error {
+	p.open = make([]bool, sm.Cfg.Warps)
+	p.mask = make([][]uint64, sm.Cfg.Schedulers)
+	for g := range p.mask {
+		p.mask[g] = make([]uint64, sm.grpWords)
 	}
-	for name, corrupt := range drift {
-		sm, err := New(testConfig(), smallKernel(t), &nullProvider{}, exec.NewMemory(nil))
+	for _, w := range sm.Warps {
+		p.open[w.ID] = true
+		p.mask[w.Group][w.mword-w.Group*sm.grpWords] |= w.mbit
+	}
+	return nil
+}
+func (p *gateProvider) IssueMask(g int) []uint64   { return p.mask[g] }
+func (p *gateProvider) CanIssueQuiet(w *Warp) bool { return p.open[w.ID] }
+
+// cmProvider publishes real capacity managers' Active sets as its issue
+// mask, every warp activated at attach, and registers the managers' own
+// invariants with the sanitizer. Its per-warp answer reads the mask back,
+// so a drifted Active bit is left for the manager's check to find.
+type cmProvider struct {
+	nullProvider
+	cms []*cm.CM
+}
+
+func (p *cmProvider) Attach(sm *SM) error {
+	per := sm.Cfg.Warps / sm.Cfg.Schedulers
+	for g := 0; g < sm.Cfg.Schedulers; g++ {
+		c := cm.New(cm.Config{Banks: 1, LinesPerBank: 1}, per)
+		for i := 0; i < per; i++ {
+			if _, err := c.ActivateTop(0, []int{0}, 0, 0); err != nil {
+				return err
+			}
+		}
+		p.cms = append(p.cms, c)
+	}
+	return nil
+}
+func (p *cmProvider) IssueMask(g int) []uint64 { return p.cms[g].ActiveMask() }
+func (p *cmProvider) CanIssueQuiet(w *Warp) bool {
+	return p.cms[w.Group].ActiveMask()[0]&w.mbit != 0
+}
+func (p *cmProvider) AttachSanitizer(s *sanitizer.Sanitizer) {
+	for g, c := range p.cms {
+		s.Register(fmt.Sprintf("cm/g%d", g), c.CheckInvariants)
+	}
+}
+
+// TestSanitizerCatchesMaskDrift: each mask and the unfinished count,
+// knocked out of step with the state it summarizes, trips the invariant
+// that owns it, naming the warp: sim/readymask for the SM's masks and the
+// provider's issue mask, the capacity manager's own check for its Active
+// set (warp 5 is local warp 1 of group 1).
+func TestSanitizerCatchesMaskDrift(t *testing.T) {
+	type drift struct {
+		name     string
+		provider func() Provider
+		corrupt  func(sm *SM, w *Warp)
+		comp     string
+		naming   string
+	}
+	null := func() Provider { return &nullProvider{} }
+	drifts := []drift{
+		{"live bit set on a barrier warp", null,
+			func(sm *SM, w *Warp) { sm.wFlags[w.ID] |= warpAtBarrier }, "sim/readymask", "warp 5"},
+		{"live bit flipped", null,
+			func(sm *SM, w *Warp) { sm.mLive[w.mword] ^= w.mbit }, "sim/readymask", "warp 5"},
+		{"scoreboard bit flipped", null,
+			func(sm *SM, w *Warp) { sm.mSB[w.mword] ^= w.mbit }, "sim/readymask", "warp 5"},
+		{"stall written past armStall", null,
+			func(sm *SM, w *Warp) { sm.wStallUntil[w.ID] = sm.cycle + 5 }, "sim/readymask", "warp 5"},
+		{"global-access class bit flipped", null,
+			func(sm *SM, w *Warp) { sm.mGlobal[w.mword] ^= w.mbit }, "sim/readymask", "warp 5"},
+		{"SFU class bit flipped", null,
+			func(sm *SM, w *Warp) { sm.mSFU[w.mword] ^= w.mbit }, "sim/readymask", "warp 5"},
+		{"class written past refreshInsn", null,
+			func(sm *SM, w *Warp) { sm.wClass[w.ID] = isa.ClassSFU }, "sim/readymask", "warp 5"},
+		{"provider issue bit flipped", func() Provider { return &gateProvider{} },
+			func(sm *SM, w *Warp) { sm.mProv[w.Group][0] ^= w.mbit }, "sim/readymask", "warp 5"},
+		{"provider state moved without its bit", func() Provider { return &gateProvider{} },
+			func(sm *SM, w *Warp) { sm.Provider.(*gateProvider).open[w.ID] = false }, "sim/readymask", "warp 5"},
+		{"capacity manager active bit flipped", func() Provider { return &cmProvider{} },
+			func(sm *SM, w *Warp) { sm.mProv[w.Group][0] ^= w.mbit }, "cm/g1", "warp 1 active bit"},
+	}
+	for _, d := range drifts {
+		sm, err := New(testConfig(), smallKernel(t), d.provider(), exec.NewMemory(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,13 +150,16 @@ func TestSanitizerCatchesMaskDrift(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			sm.step()
 			if err := sm.CheckHealth(); err != nil {
-				t.Fatalf("%s: healthy machine tripped at cycle %d: %v", name, sm.cycle, err)
+				t.Fatalf("%s: healthy machine tripped at cycle %d: %v", d.name, sm.cycle, err)
 			}
 		}
-		corrupt(sm, sm.Warps[5])
-		d := asDiagnostic(t, sm.CheckHealth())
-		if d.Component != "sim/readymask" || !strings.Contains(d.Violation, "warp 5") {
-			t.Errorf("%s: got %s: %q, want sim/readymask naming warp 5", name, d.Component, d.Violation)
+		if sm.Stats.DynInsns == 0 {
+			t.Fatalf("%s: nothing issued in the healthy prefix", d.name)
+		}
+		d.corrupt(sm, sm.Warps[5])
+		got := asDiagnostic(t, sm.CheckHealth())
+		if got.Component != d.comp || !strings.Contains(got.Violation, d.naming) {
+			t.Errorf("%s: got %s: %q, want %s naming %q", d.name, got.Component, got.Violation, d.comp, d.naming)
 		}
 	}
 	sm, err := New(testConfig(), smallKernel(t), &nullProvider{}, exec.NewMemory(nil))

@@ -10,11 +10,13 @@ import (
 	"repro/internal/sanitizer"
 )
 
-// stuckProvider refuses every issue: a synthetic livelock (the machine
-// ticks but no warp ever makes forward progress).
+// stuckProvider refuses every issue — an issue mask with no bit set: a
+// synthetic livelock (the machine ticks but no warp ever makes forward
+// progress).
 type stuckProvider struct{ nullProvider }
 
-func (*stuckProvider) CanIssue(*Warp) bool { return false }
+func (*stuckProvider) IssueMask(int) []uint64   { return []uint64{0} }
+func (*stuckProvider) CanIssueQuiet(*Warp) bool { return false }
 
 // faultingProvider latches a fault report from inside Tick, modeling a
 // layer that detects corruption in a hook with no error return.

@@ -187,9 +187,11 @@ type SM struct {
 	// emission site.
 	Rec *events.Recorder
 
-	// prober is the provider's side-effect-free CanIssue, cached at
-	// AttachRecorder for stall attribution (nil: always issuable).
+	// prober is the provider's per-warp issue test (nil: always
+	// issuable) and stalls its refusal counter (nil: it keeps none),
+	// both resolved once at construction.
 	prober IssueProber
+	stalls StallCharger
 
 	groups [][]*Warp
 	sched  scheduler
@@ -199,10 +201,9 @@ type SM struct {
 	// pickFn is the concrete scheduler's pick (no itab lookup per group
 	// per cycle) and the hint flags elide provider calls that are
 	// provable no-ops (HotPathHints).
-	pickFn         func(int, *SM) *Warp
-	alwaysIssuable bool
-	passiveTick    bool
-	passiveWB      bool
+	pickFn      func(int, *SM) *Warp
+	passiveTick bool
+	passiveWB   bool
 
 	// Per-scheduler-group issue accounting (cycles with an issue, cycles
 	// without, scoreboard rejections, provider staging rejections).
@@ -227,8 +228,11 @@ type SM struct {
 	maskWords   int
 
 	// Per-group ready masks over that state, grpWords words per group,
-	// and the count of warps yet to finish (readymask.go).
+	// the provider's issue mask (one slice per group, the provider's own
+	// words), and the count of warps yet to finish (readymask.go).
 	mLive, mSB, mStall []uint64
+	mGlobal, mSFU      []uint64
+	mProv              [][]uint64
 	grpWords           int
 	unfinished         int
 
@@ -295,6 +299,12 @@ func NewWithHierarchy(cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, h
 	if cfgv.WarpIDBase%k.WarpsPerCTA != 0 {
 		return nil, fmt.Errorf("sim: warp ID base %d not aligned to CTA size %d", cfgv.WarpIDBase, k.WarpsPerCTA)
 	}
+	// A writeback lands on a later cycle than its issue: the timing
+	// calendar drains a cycle's slot before that cycle's picks.
+	maxLat := max(cfgv.ALULat, cfgv.FMALat, cfgv.SFULat, cfgv.ShmemLat)
+	if min(cfgv.ALULat, cfgv.FMALat, cfgv.SFULat, cfgv.ShmemLat) < 1 {
+		return nil, fmt.Errorf("sim: execution latencies must be at least one cycle")
+	}
 	if mm == nil {
 		mm = exec.NewMemory(nil)
 	}
@@ -310,6 +320,7 @@ func NewWithHierarchy(cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, h
 		Provider:     p,
 		Metrics:      metrics.NewRegistry(),
 		sfuNextIssue: make([]uint64, cfgv.Schedulers),
+		wheel:        newEventWheel(maxLat),
 	}
 	sm.maskWords = (k.NumRegs + 63) / 64
 	if sm.maskWords < 1 {
@@ -367,9 +378,13 @@ func NewWithHierarchy(cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, h
 	}
 	if hp, ok := p.(HintedProvider); ok {
 		h := hp.HotHints()
-		sm.alwaysIssuable = h.AlwaysIssuable
 		sm.passiveTick = h.PassiveTick
 		sm.passiveWB = h.PassiveWriteback
+	}
+	sm.prober, _ = p.(IssueProber)
+	sm.stalls, _ = p.(StallCharger)
+	if err := sm.bindIssueMask(); err != nil {
+		return nil, err
 	}
 	return sm, nil
 }
@@ -407,11 +422,15 @@ func (sm *SM) Cycle() uint64 { return sm.cycle }
 
 // After schedules fn to run delay cycles from now; providers use it for
 // fixed-latency internal operations (e.g. compressor decompress delay).
-func (sm *SM) After(delay int, fn func()) { sm.after(delay, fn) }
-
-// after schedules fn at cycle now+delay.
-func (sm *SM) after(delay int, fn func()) {
-	sm.wheel.push(wheelEntry{cycle: sm.cycle + uint64(delay), fn: fn})
+// The delay must be at least one cycle — this cycle's events have
+// already fired when a provider runs — so anything less is reported as a
+// fault (the run ends with a Diagnostic) and fn is dropped.
+func (sm *SM) After(delay int, fn func()) {
+	if delay < 1 {
+		sm.ReportFault("sim/after", fmt.Sprintf("event scheduled %d cycles ahead, want at least 1", delay), -1)
+		return
+	}
+	sm.wheel.push(sm.cycle, sm.cycle+uint64(delay), wheelEntry{fn: fn})
 }
 
 // Run simulates to completion and returns the statistics: the lockstep
@@ -449,7 +468,7 @@ func (sm *SM) step() {
 	sm.Rec.SetCycle(sm.cycle)
 	sm.Mem.Tick()
 	for sm.wheel.due(sm.cycle) {
-		if e := sm.wheel.pop(); e.fn != nil {
+		if e := sm.wheel.pop(sm.cycle); e.fn != nil {
 			e.fn()
 		} else {
 			sm.Warps[e.warp].completePending(e.reg, e.mem)
@@ -476,6 +495,16 @@ func (sm *SM) step() {
 				reason, culprit := sm.stallReason(g)
 				sm.Rec.Stall(g, reason, culprit)
 			}
+		}
+	}
+	// The provider's own refusal counter takes the cycle's total at once.
+	if sm.stalls != nil {
+		n := uint64(0)
+		for _, c := range sm.scanProv {
+			n += uint64(c)
+		}
+		if n > 0 {
+			sm.stalls.ChargeStalls(n)
 		}
 	}
 	sm.releaseBarriers()
@@ -554,7 +583,7 @@ func (sm *SM) retire(w *Warp, in *isa.Instruction, lat int, memOp bool) {
 	}
 	dst := in.Dst
 	w.addPending(dst, memOp)
-	sm.wheel.push(wheelEntry{cycle: sm.cycle + uint64(lat), warp: int32(w.ID), reg: dst, mem: memOp})
+	sm.wheel.push(sm.cycle, sm.cycle+uint64(lat), wheelEntry{warp: int32(w.ID), reg: dst, mem: memOp})
 }
 
 // markCTADirty queues warp id's CTA for a barrier-release check at the

@@ -12,7 +12,6 @@ type nullProvider struct{ stats ProviderStats }
 
 func (nullProvider) Name() string                       { return "null" }
 func (*nullProvider) Attach(*SM) error                  { return nil }
-func (*nullProvider) CanIssue(*Warp) bool               { return true }
 func (*nullProvider) OnIssue(*Warp, *exec.StepInfo) int { return 0 }
 func (*nullProvider) OnWriteback(*Warp, isa.Reg)        {}
 func (*nullProvider) OnWarpFinish(*Warp)                {}

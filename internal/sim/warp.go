@@ -124,15 +124,18 @@ func (w *Warp) MemoryBlocked() bool {
 }
 
 // refreshInsn re-derives warp w's cached decode — next instruction,
-// class, and scoreboard need mask — after its PC moved (issue) or it
-// finished. The need mask covers valid sources plus the destination: the
-// same register set the map-based scoreboard walked.
+// class (with its two class-mask bits), and scoreboard need mask — after
+// its PC moved (issue) or it finished. The need mask covers valid sources
+// plus the destination: the same register set the map-based scoreboard
+// walked.
 func (sm *SM) refreshInsn(w *Warp) {
 	id := w.ID
 	base := id * sm.maskWords
 	for i := 0; i < sm.maskWords; i++ {
 		sm.wNeed[base+i] = 0
 	}
+	sm.mGlobal[w.mword] &^= w.mbit
+	sm.mSFU[w.mword] &^= w.mbit
 	if sm.wFlags[id]&warpFinished != 0 {
 		sm.wInsn[id] = nil
 		sm.wClass[id] = isa.ClassALU
@@ -140,7 +143,14 @@ func (sm *SM) refreshInsn(w *Warp) {
 	}
 	in := w.Exec.Insn()
 	sm.wInsn[id] = in
-	sm.wClass[id] = in.Op.ClassOf()
+	cls := in.Op.ClassOf()
+	sm.wClass[id] = cls
+	switch cls {
+	case isa.ClassMemGlobal:
+		sm.mGlobal[w.mword] |= w.mbit
+	case isa.ClassSFU:
+		sm.mSFU[w.mword] |= w.mbit
+	}
 	for i := 0; i < in.Op.NumSrc(); i++ {
 		if r := in.Src[i]; r.Valid() {
 			sm.wNeed[base+int(r)>>6] |= 1 << (uint(r) & 63)

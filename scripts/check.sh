@@ -28,10 +28,13 @@ ffb="$(go run ./cmd/regless -bench nw -scheme regless -warps 8 -no-fastforward)"
 test "$ffa" = "$ffb"
 
 # Sanitizer smoke, one per scheduler kind (GTO under baseline, two-level
-# under rfh): every invariant, sim/readymask among them, runs every
-# cycle of a healthy machine end to end and must stay silent — and the
-# sanitized run must print what the plain one does.
-for scheme in baseline rfh; do
+# under rfh) and one under regless, the provider that gates issue — the
+# only one whose issue mask sim/readymask can find out of step with
+# CanIssueQuiet, and the one that brings the CM/OSU invariants along:
+# every invariant runs every cycle of a healthy machine end to end and
+# must stay silent — and the sanitized run must print what the plain one
+# does.
+for scheme in baseline rfh regless; do
 	sana="$(go run ./cmd/regless -bench nw -scheme "$scheme" -warps 8)"
 	sanb="$(go run ./cmd/regless -bench nw -scheme "$scheme" -warps 8 -sanitize)"
 	test "$sana" = "$sanb"
