@@ -220,7 +220,7 @@ func TestProviderRejectsOversizedRegion(t *testing.T) {
 func TestDynamicRegionStats(t *testing.T) {
 	k := kernels.MustLoad("lud")
 	_, p := runRegLess(t, k, testSimCfg(), DefaultConfig())
-	insns, preloads, meanLive, stdLive := p.DynamicRegionStats()
+	insns, preloads, meanLive, stdLive := p.Compiled().DynamicStats(p.RegionActivations())
 	if insns <= 0 || meanLive <= 0 {
 		t.Fatalf("degenerate dynamic stats: %v %v %v %v", insns, preloads, meanLive, stdLive)
 	}

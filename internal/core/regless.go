@@ -15,7 +15,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/cm"
@@ -263,35 +263,11 @@ func New(cfgv Config, k *isa.Kernel) (*Provider, error) {
 	}, nil
 }
 
-// DynamicRegionStats returns execution-weighted per-region statistics:
-// mean instructions, preloads, and concurrent-live registers per dynamic
-// region activation (the weighting the paper's Figure 19 and Table 2
-// report), plus the weighted standard deviation of concurrent live.
-func (p *Provider) DynamicRegionStats() (insns, preloads, meanLive, stdLive float64) {
-	var n, is, ps, lv, lv2 float64
-	for id, count := range p.regionActivations {
-		if count == 0 {
-			continue
-		}
-		c := float64(count)
-		r := p.comp.Regions[id]
-		n += c
-		is += c * float64(r.NumInsns())
-		ps += c * float64(len(r.Preloads))
-		lv += c * float64(r.MaxLive)
-		lv2 += c * float64(r.MaxLive) * float64(r.MaxLive)
-	}
-	if n == 0 {
-		return 0, 0, 0, 0
-	}
-	insns = is / n
-	preloads = ps / n
-	meanLive = lv / n
-	variance := lv2/n - meanLive*meanLive
-	if variance > 0 {
-		stdLive = math.Sqrt(variance)
-	}
-	return
+// RegionActivations returns a copy of the region-activation profile:
+// entry id counts the dynamic executions of compiled region id — what
+// regions.Compiled.DynamicStats folds for Figure 19 and Table 2.
+func (p *Provider) RegionActivations() []uint64 {
+	return slices.Clone(p.regionActivations)
 }
 
 // Compiled exposes the compiler output (region statistics experiments).
@@ -410,6 +386,14 @@ func (p *Provider) AttachRecorder(rec *events.Recorder) {
 			rec.State(s, local*p.cfg.Shards+s, events.Phase(to), region)
 		}
 		sh.osu.SetRecorder(rec, s)
+	}
+}
+
+// Release implements sim.Releaser: each shard's OSU hands its line array
+// back for the next provider's units to reuse.
+func (p *Provider) Release() {
+	for _, sh := range p.shards {
+		sh.osu.Release()
 	}
 }
 

@@ -10,7 +10,11 @@
 // induction, not synthesized statistics.
 package exec
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/freelist"
+)
 
 // The functional memory is paged: 64 KiB pages held in a map keyed by
 // the high address bits, with the last-touched page cached so the
@@ -28,6 +32,26 @@ const (
 type page struct {
 	vals    [pageWords]uint32
 	written [pageWords / 64]uint64
+}
+
+// pageFree recycles the pages of released memories (Memory.Release): a
+// page is 66 KiB, and a run touches a handful for a few KB of stores.
+var pageFree = freelist.New(
+	func(pg *page) { *pg = page{} },
+	func(pg *page) {
+		for i := range pg.vals {
+			pg.vals[i] = ^uint32(0)
+		}
+		for i := range pg.written {
+			pg.written[i] = ^uint64(0)
+		}
+	})
+
+func newPage() *page {
+	if pg, ok := pageFree.Take(0); ok {
+		return pg
+	}
+	return new(page)
 }
 
 // pagedMem is one paged address space with a one-entry page cache.
@@ -63,7 +87,7 @@ func (p *pagedMem) ensure(a uint32) *page {
 	}
 	pg := p.pages[key]
 	if pg == nil {
-		pg = new(page)
+		pg = newPage()
 		p.pages[key] = pg
 	}
 	p.lastKey, p.lastPg = key, pg
@@ -87,6 +111,23 @@ func NewMemory(init func(addr uint32) uint32) *Memory {
 		init = func(addr uint32) uint32 { return Mix(addr) }
 	}
 	return &Memory{init: init}
+}
+
+// Release hands the memory's pages back for the next run's memory to
+// reuse and empties m: only whoever made the memory may call it, once
+// nothing will read its stores again. The emptied memory holds no
+// reference to what it gave back (and no init generator, so a stray load
+// panics instead of reading a page that now belongs to another run).
+func (m *Memory) Release() {
+	for _, pg := range m.global.pages {
+		pageFree.Put(0, pg)
+	}
+	for i := range m.shared {
+		for _, pg := range m.shared[i].pages {
+			pageFree.Put(0, pg)
+		}
+	}
+	*m = Memory{}
 }
 
 // Mix is a deterministic 32-bit hash used for SFU results and default

@@ -55,13 +55,19 @@ type Warp struct {
 // NewWarp creates a warp at the kernel entry with all lanes active.
 // Graph g must be cfg.New(k) (shared across warps).
 func NewWarp(k *isa.Kernel, g *cfg.Graph, id, cta int, mem *Memory) *Warp {
+	return NewWarpOn(make([][isa.WarpWidth]uint32, k.NumRegs), k, g, id, cta, mem)
+}
+
+// NewWarpOn is NewWarp over caller-provided register storage: k.NumRegs
+// zeroed registers (a RegFile's Warp slice).
+func NewWarpOn(regs [][isa.WarpWidth]uint32, k *isa.Kernel, g *cfg.Graph, id, cta int, mem *Memory) *Warp {
 	w := &Warp{
 		ID:   id,
 		CTA:  cta,
 		K:    k,
 		G:    g,
 		Mem:  mem,
-		Regs: make([][isa.WarpWidth]uint32, k.NumRegs),
+		Regs: regs,
 		// Room for divergence nested three deep before the stack regrows.
 		stack: make([]frame, 0, 8),
 	}

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/events"
-	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/isa"
@@ -100,11 +99,9 @@ func Assemble(k *isa.Kernel, scheme Scheme, sms int, su SimSetup, tune Tune) (*g
 	if tune != nil {
 		tune(&cfg.SM, &rl)
 	}
-	mm := su.Memory
-	if mm == nil {
-		mm = exec.NewMemory(nil)
-	}
-	g, err := gpu.New(cfg, k, factory, mm)
+	// A nil su.Memory makes the chip build (and own, and on Release
+	// recycle) its functional memory.
+	g, err := gpu.New(cfg, k, factory, su.Memory)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -154,9 +151,12 @@ type Instrumented struct {
 // runPoint is the one way a point is simulated: assemble the chip,
 // attach what observes it — an event recorder per SM when mask is
 // non-zero, the JSONL window stream when jsonl is non-nil, ctx's
-// cancellation and "build"/"run" trace spans — run it, and fold the
-// per-SM results into a Run. Recording and streaming are passive, so the
-// Run is the same whatever is attached.
+// cancellation and "build"/"run" trace spans — run it, fold the per-SM
+// results into a Run, and release the chip's buffers for the next
+// assembly to reuse. Recording and streaming are passive, so the Run is
+// the same whatever is attached. A failed run releases nothing: its
+// *sanitizer.Diagnostic may quote machine state, and failures are rare
+// enough to leave to the collector.
 func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, sms int,
 	su SimSetup, tune Tune, mask events.Mask, jsonl *metrics.JSONLWriter) (*Instrumented, error) {
 	if err := ctx.Err(); err != nil {
@@ -170,7 +170,7 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 		return nil, err
 	}
 	key := normKey(bench, scheme, su.Capacity)
-	inst := &Instrumented{Run: &Run{Bench: bench, Scheme: scheme, Capacity: key.capacity, RegLess: rp}}
+	inst := &Instrumented{Run: &Run{Bench: bench, Scheme: scheme, Capacity: key.capacity}}
 	if jsonl != nil && g.L2 != nil {
 		// Chip-level L2/DRAM counters ride SM 0's window stream (bound
 		// before the sink: a registry freezes once it streams).
@@ -212,6 +212,10 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 			inst.Cycles = append(inst.Cycles, res.PerSM[i].Cycles)
 		}
 	}
+	if rp != nil {
+		run.Compiled, run.RegionActivations = rp.Compiled(), rp.RegionActivations()
+	}
+	g.Release()
 	return inst, nil
 }
 

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/exec"
 	"repro/internal/faults"
@@ -27,6 +26,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/regions"
 	"repro/internal/sim"
 )
 
@@ -163,7 +163,11 @@ func (o Options) benchmarks() []string {
 	return out
 }
 
-// Run is one completed simulation.
+// Run is one completed simulation: numbers only. Nothing reachable from
+// it points into the machine it was measured on (sim.SM, core.Provider,
+// exec.Memory, mem.Hierarchy) — the Suite and serve cache Runs for the
+// life of the process, and the machine's buffers are recycled the moment
+// the run is folded (runPoint).
 type Run struct {
 	Bench    string
 	Scheme   Scheme
@@ -173,9 +177,13 @@ type Run struct {
 	Prov  sim.ProviderStats
 	Mem   mem.Stats
 
-	// Provider is retained for scheme-specific inspection (RegLess's
-	// compiled regions; SM 0's in multi-SM runs).
-	RegLess *core.Provider
+	// Compiled is the RegLess compiler output the run executed under —
+	// the read-only result core caches per (kernel, region config) and
+	// every run of that pair shares — and RegionActivations the dynamic
+	// execution count of each of its regions (SM 0's on a chip of
+	// several). Both nil for other schemes.
+	Compiled          *regions.Compiled
+	RegionActivations []uint64
 
 	// Chip is the per-SM and chip-level result Stats/Prov/Mem were
 	// folded from (one PerSM entry and a zero L2 on a chip of one, whose

@@ -480,7 +480,7 @@ func Fig19(s *Suite) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, preloads, meanLive, stdLive := r.RegLess.DynamicRegionStats()
+		_, preloads, meanLive, stdLive := r.Compiled.DynamicStats(r.RegionActivations)
 		t.AddRow(bench, f1(preloads), f1(meanLive), f1(stdLive))
 	}
 	t.Note("execution-weighted, as in the paper; live registers consistently exceed preloads — most lifetimes are interior")
@@ -500,7 +500,7 @@ func Table2(s *Suite) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		insns, _, _, _ := r.RegLess.DynamicRegionStats()
+		insns, _, _, _ := r.Compiled.DynamicStats(r.RegionActivations)
 		cpr := 0.0
 		if r.Prov.RegionActivations > 0 {
 			cpr = float64(r.Prov.RegionCycles) / float64(r.Prov.RegionActivations)

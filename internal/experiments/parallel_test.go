@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/freelist"
 )
 
 // parOpts keeps concurrency tests fast: one tiny benchmark, forced
@@ -132,8 +134,15 @@ func TestRequirementsCoverRunners(t *testing.T) {
 }
 
 // TestParallelAllMatchesSerial runs the full paper suite serially and in
-// parallel and requires identical rendered tables.
+// parallel and requires identical rendered tables. It is also where the
+// free lists meet concurrency (run under -race): the serial pass leaves
+// one machine's buffers parked, poisoned, and the eight workers of the
+// parallel pass then take and release them against each other — a buffer
+// handed to two machines, or taken while its last owner still wrote to
+// it, is a race report or a different table.
 func TestParallelAllMatchesSerial(t *testing.T) {
+	freelist.SetPoison(true)
+	defer freelist.SetPoison(false)
 	render := func(par int) string {
 		opts := parOpts()
 		opts.Parallelism = par
@@ -149,6 +158,9 @@ func TestParallelAllMatchesSerial(t *testing.T) {
 		return out
 	}
 	serial := render(1)
+	if freelist.Held() == 0 {
+		t.Fatal("the serial pass parked nothing for the parallel workers to take")
+	}
 	parallel := render(8)
 	if serial != parallel {
 		t.Fatal("parallel output differs from serial output")

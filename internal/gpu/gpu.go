@@ -85,6 +85,11 @@ type GPU struct {
 	// Mems holds each slot's functional memory (one entry in
 	// single-kernel mode).
 	Mems []*exec.Memory
+	// ownL2 and ownMems mark what the chip made itself — the L2 unless
+	// FromSMs was handed one, the memories its caller passed nil for:
+	// Release may recycle those, never a caller's.
+	ownL2   bool
+	ownMems []*exec.Memory
 
 	// ctx is what Run hands the cycle loop to poll (AttachContext).
 	ctx context.Context
@@ -98,9 +103,6 @@ func (g *GPU) AttachContext(ctx context.Context) { g.ctx = ctx }
 // New builds a single-kernel GPU: one SM per index, private L1s over the
 // configured L2 level, the grid striped across SMs by warp ID.
 func New(cfgv Config, k *isa.Kernel, factory ProviderFactory, mm *exec.Memory) (*GPU, error) {
-	if mm == nil {
-		mm = exec.NewMemory(nil)
-	}
 	return NewCoResident(cfgv, []KernelSlot{{K: k, SMs: cfgv.SMs, Factory: factory, Mem: mm}})
 }
 
@@ -124,12 +126,13 @@ func NewCoResident(cfgv Config, slots []KernelSlot) (*GPU, error) {
 		if err != nil {
 			return nil, err
 		}
-		g.L2 = l2
+		g.L2, g.ownL2 = l2, true
 	}
 	for si := range slots {
 		s := &slots[si]
 		if s.Mem == nil {
 			s.Mem = exec.NewMemory(nil)
+			g.ownMems = append(g.ownMems, s.Mem)
 		}
 		g.Mems = append(g.Mems, s.Mem)
 		for i := 0; i < s.SMs; i++ {
@@ -162,6 +165,24 @@ func NewCoResident(cfgv Config, slots []KernelSlot) (*GPU, error) {
 // occupancy wave this way, keeping the banked L2 warm across waves.
 func FromSMs(cfgv Config, l2 *mem.BankedL2, sms []*sim.SM, mems []*exec.Memory) *GPU {
 	return &GPU{Cfg: cfgv, L2: l2, SMs: sms, Slot: make([]int, len(sms)), Mems: mems, ctx: context.Background()}
+}
+
+// Release hands the chip's large flat buffers back for the next chip
+// built to reuse: every SM's (sim.SM.Release), and of the shared L2's
+// bank arrays and the functional memories' pages those the chip made
+// itself — an L2 or a memory the caller passed in stays the caller's, to
+// read and to release. Call it only after a clean Run whose results have
+// been read out; the chip cannot run again.
+func (g *GPU) Release() {
+	for _, smv := range g.SMs {
+		smv.Release()
+	}
+	if g.ownL2 {
+		g.L2.Release()
+	}
+	for _, mm := range g.ownMems {
+		mm.Release()
+	}
 }
 
 // Result summarizes a multi-SM run.

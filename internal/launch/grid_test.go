@@ -1,6 +1,7 @@
 package launch
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -131,4 +132,41 @@ func TestGridValidation(t *testing.T) {
 			t.Fatalf("%s: accepted", c.name)
 		}
 	}
+}
+
+// liveHeap is the heap in use once everything unreachable is collected.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestGridResultPinsNoMachine: a GridResult holds each wave's numbers,
+// not each wave's chip. Four 64-warp SMs per wave are about 1 MB of
+// registers, caches and scoreboards; a result that pointed into them
+// (PerWave -> PerSM -> &sm.Stats did) would keep every wave's alive.
+func TestGridResultPinsNoMachine(t *testing.T) {
+	k := kernels.MustLoad("streamcluster")
+	cfgv := sim.DefaultConfig()
+	cfgv.MaxCycles = 5_000_000
+	grid := func() *GridResult {
+		res, err := RunGrid(k, 8*4*64, 64, 4, cfgv, mem.DefaultBankedL2Config(), gridBaseFactory(), exec.NewMemory(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	grid() // compile caches, kernel tables: not the result's
+	before := liveHeap()
+	res := grid()
+	grown := liveHeap() - before
+	if res.Waves != 8 {
+		t.Fatalf("%d waves, want 8", res.Waves)
+	}
+	if perWave := grown / int64(res.Waves); perWave > 32<<10 {
+		t.Fatalf("holding the GridResult holds %d KiB per wave, want at most 32: it pins the waves' chips", perWave>>10)
+	}
+	runtime.KeepAlive(res)
 }

@@ -143,6 +143,14 @@ func NewBankedL2(cfg BankedL2Config) (*BankedL2, error) {
 	return l2, nil
 }
 
+// Release hands every bank's line array back for the next chip's L2 to
+// reuse. Statistics stay readable; any further access panics.
+func (l2 *BankedL2) Release() {
+	for i := range l2.banks {
+		l2.banks[i].cache.release()
+	}
+}
+
 // Config returns the geometry the level was built with.
 func (l2 *BankedL2) Config() BankedL2Config { return l2.cfg }
 

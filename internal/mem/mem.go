@@ -21,6 +21,7 @@ package mem
 import (
 	"repro/internal/events"
 	"repro/internal/faults"
+	"repro/internal/freelist"
 )
 
 // LineSize is the cache line size in bytes; one register (32 lanes x 4 B)
@@ -151,8 +152,31 @@ type cache struct {
 	lines      []line
 }
 
+// lineFree recycles the line arrays of released caches (L1s, private L2
+// slices, the banked L2's banks), one size class per array length.
+var lineFree = freelist.New(
+	func(s []line) { clear(s) },
+	func(s []line) {
+		for i := range s {
+			s[i] = line{tag: ^uint32(0) - uint32(i), valid: true, dirty: true, lru: ^uint64(0)}
+		}
+	})
+
 func newCache(sets, ways int) *cache {
-	return &cache{sets: sets, ways: ways, lines: make([]line, sets*ways)}
+	lines, ok := lineFree.Take(sets * ways)
+	if !ok {
+		lines = make([]line, sets*ways)
+	}
+	return &cache{sets: sets, ways: ways, lines: lines}
+}
+
+// release hands the line array back; the cache is unusable afterwards
+// (any access indexes a nil array).
+func (c *cache) release() {
+	if c.lines != nil {
+		lineFree.Put(len(c.lines), c.lines)
+		c.lines = nil
+	}
 }
 
 func (c *cache) set(addr uint32) []line {
@@ -286,6 +310,17 @@ func newHierarchy(cfg Config, l2 l2Level) *Hierarchy {
 		l1:    newCache(cfg.L1Sets, cfg.L1Ways),
 		l2:    l2,
 		mshrs: make(map[uint32][]func(Source)),
+	}
+}
+
+// Release hands the hierarchy's cache arrays — the L1 and, when the L2
+// below it is its own private slice, that — back for the next hierarchy
+// to reuse. A shared banked L2 belongs to the chip (BankedL2.Release).
+// Statistics stay readable; any further access panics.
+func (h *Hierarchy) Release() {
+	h.l1.release()
+	if l2, ok := h.l2.(*privateL2); ok {
+		l2.cache.release()
 	}
 }
 

@@ -68,6 +68,9 @@ func (c *cell) load() uint64 {
 type Registry struct {
 	cells []cell
 	index map[string]int
+	// words is the chunk owned counter cells are carved from (word): one
+	// allocation per wordChunk counters instead of one each.
+	words []uint64
 	// hists records each histogram's shape (bounds + first cell index) so
 	// exporters that need family structure (Prometheus text format) can
 	// reassemble buckets from the flat cell list.
@@ -85,9 +88,30 @@ type Registry struct {
 	winKinds []Kind
 }
 
+// Room is the cell count NewRegistry makes room for up front: what the
+// largest simulation registers — a RegLess SM with four shards; package
+// sim's TestRegistryRoomFitsRegLessSM holds the constant to that — so a
+// run's registrations never regrow the cell table or rehash the index. A
+// registry that outgrows it (serve's) grows as any slice and map do.
+const Room = 214
+
+// wordChunk is how many owned counters share one allocation.
+const wordChunk = 64
+
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{index: map[string]int{}}
+	return &Registry{cells: make([]cell, 0, Room), index: make(map[string]int, Room)}
+}
+
+// word returns a fresh zeroed counter word from the current chunk. A
+// full chunk is left to the counters that point into it and a new one
+// started: handed-out words never move.
+func (r *Registry) word() *uint64 {
+	if len(r.words) == cap(r.words) {
+		r.words = make([]uint64, 0, wordChunk)
+	}
+	r.words = r.words[:len(r.words)+1]
+	return &r.words[len(r.words)-1]
 }
 
 func (r *Registry) register(c cell) int {
@@ -109,7 +133,7 @@ func (r *Registry) Counter(name string) Counter {
 	if r == nil {
 		return Counter{}
 	}
-	v := new(uint64)
+	v := r.word()
 	r.register(cell{name: name, kind: KindCounter, val: v})
 	return Counter{v: v}
 }
@@ -125,7 +149,7 @@ func (r *Registry) AtomicCounter(name string) AtomicCounter {
 	if r == nil {
 		return AtomicCounter{}
 	}
-	v := new(uint64)
+	v := r.word()
 	r.register(cell{name: name, kind: KindCounter, val: v, atomic: true})
 	return AtomicCounter{v: v}
 }
@@ -189,12 +213,12 @@ func (r *Registry) histogram(name string, bounds []uint64, atomicCells bool) His
 	first := len(r.cells)
 	h := Histogram{bounds: bounds, cells: make([]*uint64, len(bounds)+1), atomic: atomicCells}
 	for i, b := range bounds {
-		h.cells[i] = new(uint64)
+		h.cells[i] = r.word()
 		r.register(cell{name: fmt.Sprintf("%s/le_%d", name, b), kind: KindCounter, val: h.cells[i], atomic: atomicCells})
 	}
-	h.cells[len(bounds)] = new(uint64)
+	h.cells[len(bounds)] = r.word()
 	r.register(cell{name: name + "/inf", kind: KindCounter, val: h.cells[len(bounds)], atomic: atomicCells})
-	h.sum = new(uint64)
+	h.sum = r.word()
 	r.register(cell{name: name + "/sum", kind: KindCounter, val: h.sum, atomic: atomicCells})
 	r.hists = append(r.hists, histMeta{name: name, bounds: bounds, first: first, atomic: atomicCells})
 	return h

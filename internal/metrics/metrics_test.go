@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -267,5 +268,54 @@ func BenchmarkCounterEnabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
+	}
+}
+
+// TestOwnedCountersShareChunksAndStayPut: owned cells are carved from
+// shared chunks — wordChunk counters cost one allocation, not one each —
+// and a handle taken before a chunk filled keeps counting into the same
+// word after later registrations start the next chunk.
+func TestOwnedCountersShareChunksAndStayPut(t *testing.T) {
+	r := NewRegistry()
+	first := r.Counter("c/first")
+	first.Add(3)
+	h := r.Histogram("h", 1, 2)
+	h.Observe(2)
+	var rest []Counter
+	for i := 0; i < 3*wordChunk; i++ {
+		c := r.Counter(fmt.Sprintf("c/%d", i))
+		c.Add(uint64(i))
+		rest = append(rest, c)
+	}
+	first.Inc()
+	if v, _ := r.Value("c/first"); v != 4 || first.Value() != 4 {
+		t.Fatalf("first counter reads %d through the registry, %d through its handle, want 4", v, first.Value())
+	}
+	if v, _ := r.Value("h/le_2"); v != 1 {
+		t.Fatalf("h/le_2 = %d, want 1", v)
+	}
+	for i, c := range rest {
+		if v, _ := r.Value(fmt.Sprintf("c/%d", i)); v != uint64(i) || c.Value() != uint64(i) {
+			t.Fatalf("c/%d = %d, want %d", i, v, i)
+		}
+	}
+
+	// A simulation's worth of registrations: the table and index are
+	// presized, so what is left is the chunks (and the names, which the
+	// callers build).
+	names := make([]string, Room)
+	for i := range names {
+		names[i] = fmt.Sprintf("n/%d", i)
+	}
+	perRegistry := testing.AllocsPerRun(20, func() {
+		r := NewRegistry()
+		for _, n := range names {
+			r.Counter(n)
+		}
+	})
+	// The registry, its table, its index (a few allocations of the map's
+	// own) and ceil(Room/wordChunk) chunks; one per counter would be 200+.
+	if limit := float64(8 + (Room+wordChunk-1)/wordChunk); perRegistry > limit {
+		t.Fatalf("registering %d counters allocates %.0f times, want at most %.0f", Room, perRegistry, limit)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/events"
+	"repro/internal/freelist"
 	"repro/internal/isa"
 )
 
@@ -110,16 +111,42 @@ func New(cfg Config) *OSU {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	o := &OSU{
+	lines, ok := lineFree.Take(cfg.Banks * cfg.LinesPerBank)
+	if !ok {
+		lines = make([]line, cfg.Banks*cfg.LinesPerBank)
+		freeLines(lines)
+	}
+	return &OSU{
 		cfg:   cfg,
-		lines: make([]line, cfg.Banks*cfg.LinesPerBank),
+		lines: lines,
 		count: make([]int, cfg.Banks),
 		index: make([]uint16, (cfg.Warps+cfg.Shards-1)/cfg.Shards*cfg.NumRegs),
 	}
-	for i := range o.lines {
-		o.lines[i].reg = isa.NoReg
+}
+
+// freeLines marks every cell free, the state New starts from.
+func freeLines(s []line) {
+	for i := range s {
+		s[i] = line{reg: isa.NoReg}
 	}
-	return o
+}
+
+// lineFree recycles the line arrays of released units, one size class
+// per array length.
+var lineFree = freelist.New(freeLines,
+	func(s []line) {
+		for i := range s {
+			s[i] = line{lru: ^uint64(0), warp: int32(i), reg: isa.Reg(i), state: StateDirty}
+		}
+	})
+
+// Release hands the line array back for the next unit to reuse.
+// Statistics stay readable; any further access panics.
+func (o *OSU) Release() {
+	if o.lines != nil {
+		lineFree.Put(len(o.lines), o.lines)
+		o.lines = nil
+	}
 }
 
 // Bank returns the bank index for (warp, reg) — (warp+reg) mod banks

@@ -57,3 +57,36 @@ func (c *Compiled) Summarize() Summary {
 	}
 	return s
 }
+
+// DynamicStats folds a region-activation profile (activations[id] counts
+// the dynamic executions of region id, as the RegLess provider records
+// them) into execution-weighted per-region statistics: mean instructions,
+// preloads, and concurrent-live registers per dynamic region activation
+// (the weighting the paper's Figure 19 and Table 2 report), plus the
+// weighted standard deviation of concurrent live.
+func (c *Compiled) DynamicStats(activations []uint64) (insns, preloads, meanLive, stdLive float64) {
+	var n, is, ps, lv, lv2 float64
+	for id, count := range activations {
+		if count == 0 {
+			continue
+		}
+		w := float64(count)
+		r := c.Regions[id]
+		n += w
+		is += w * float64(r.NumInsns())
+		ps += w * float64(len(r.Preloads))
+		lv += w * float64(r.MaxLive)
+		lv2 += w * float64(r.MaxLive) * float64(r.MaxLive)
+	}
+	if n == 0 {
+		return 0, 0, 0, 0
+	}
+	insns = is / n
+	preloads = ps / n
+	meanLive = lv / n
+	variance := lv2/n - meanLive*meanLive
+	if variance > 0 {
+		stdLive = math.Sqrt(variance)
+	}
+	return
+}

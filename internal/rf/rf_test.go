@@ -157,3 +157,86 @@ func TestRFHBackingBelowBaseline(t *testing.T) {
 			hier.Stats().BackingAccesses, base.Stats().BackingAccesses)
 	}
 }
+
+// TestRFVVictimOrderPinned holds the victim FIFO to the values the
+// append-and-reslice queue it replaced produced: a pool of four warps'
+// worth of registers under 16 warps spills on every suite kernel, and
+// which mapping each spill takes — stale entries of released mappings
+// included — decides every number here.
+func TestRFVVictimOrderPinned(t *testing.T) {
+	pins := []struct {
+		bench                                       string
+		cycles, evictions, backing, spills, refills uint64
+	}{
+		{"b+tree", 5685, 760, 1505, 760, 745},
+		{"backprop", 4820, 695, 1381, 695, 686},
+		{"bfs", 7316, 1019, 2038, 1019, 1019},
+		{"dwt2d", 5905, 1270, 2540, 1270, 1270},
+		{"gaussian", 3631, 503, 1003, 503, 500},
+		{"heartwall", 3939, 672, 1344, 672, 672},
+		{"hotspot", 2754, 485, 954, 485, 469},
+		{"hybridsort", 5082, 799, 1474, 799, 675},
+		{"kmeans", 5686, 1344, 2671, 1344, 1327},
+		{"lavaMD", 13016, 3255, 6369, 3255, 3114},
+		{"leukocyte", 2769, 304, 608, 304, 304},
+		{"lud", 4171, 637, 1274, 637, 637},
+		{"mummergpu", 11979, 901, 1802, 901, 901},
+		{"myocyte", 4660, 1026, 2052, 1026, 1026},
+		{"nn", 837, 75, 150, 75, 75},
+		{"nw", 4248, 762, 1516, 762, 754},
+		{"particle_filter", 5621, 914, 1828, 914, 914},
+		{"pathfinder", 4177, 728, 1440, 728, 712},
+		{"srad_v1", 2638, 324, 638, 324, 314},
+		{"srad_v2", 2506, 268, 535, 268, 267},
+		{"streamcluster", 4820, 673, 1346, 673, 673},
+	}
+	if len(pins) != len(kernels.Suite()) {
+		t.Fatalf("%d pins for %d suite kernels", len(pins), len(kernels.Suite()))
+	}
+	for _, pin := range pins {
+		k := kernels.MustLoad(pin.bench)
+		cfgv := testCfg()
+		cfgv.Sched = sim.SchedTwoLevel
+		p := NewRFV(4 * k.NumRegs)
+		// Not runProvider: hybridsort's stored words move with timing this
+		// far from the suite's configuration (every thread stores to one of
+		// four bucket words, last writer wins), which is no business of
+		// the queue.
+		smv, err := sim.New(cfgv, k, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := smv.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", pin.bench, err)
+		}
+		ps := p.Stats()
+		got := [5]uint64{st.Cycles, ps.Evictions, ps.BackingAccesses, p.spills, p.refills}
+		want := [5]uint64{pin.cycles, pin.evictions, pin.backing, pin.spills, pin.refills}
+		if got != want {
+			t.Errorf("%s: cycles/evictions/backing/spills/refills %v, pinned %v", pin.bench, got, want)
+		}
+	}
+}
+
+// TestRFVFIFOSteadyStateAllocatesNothing drives the ring the way a pool
+// under pressure does — one pop, one push — far past its length.
+func TestRFVFIFOSteadyStateAllocatesNothing(t *testing.T) {
+	var q victimFIFO
+	for i := 0; i < 300; i++ { // past one doubling, head off zero
+		q.push(rfvEntry{warp: uint16(i)})
+	}
+	for i := 0; i < 100; i++ {
+		q.pop()
+	}
+	next := uint16(100)
+	if avg := testing.AllocsPerRun(10_000, func() {
+		if e := q.pop(); e.warp != next {
+			t.Fatalf("popped warp %d, want %d", e.warp, next)
+		}
+		next = (next + 1) % 300
+		q.push(rfvEntry{warp: uint16((int(next) + 199) % 300)})
+	}); avg != 0 {
+		t.Fatalf("steady-state pop+push allocates %.2f times", avg)
+	}
+}

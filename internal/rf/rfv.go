@@ -1,6 +1,8 @@
 package rf
 
 import (
+	"fmt"
+
 	"repro/internal/cfg"
 	"repro/internal/exec"
 	"repro/internal/isa"
@@ -28,7 +30,7 @@ type RFV struct {
 	// spilled[w][r]: the value was victimized and lives in memory.
 	spilled [][]bool
 	// fifo orders resident mappings for victim selection.
-	fifo []rfvEntry
+	fifo victimFIFO
 
 	// SpillPenalty is the issue-stall charged to refill a spilled value.
 	SpillPenalty int
@@ -36,9 +38,41 @@ type RFV struct {
 	refills      uint64
 }
 
+// rfvEntry is four bytes: every allocation queues one, and a mapping
+// released at its last read leaves its entry queued until it reaches the
+// head, so with a pool that never runs dry the queue grows by one entry
+// per register write for the whole run.
 type rfvEntry struct {
-	warp int
+	warp uint16
 	reg  isa.Reg
+}
+
+// victimFIFO is a ring buffer of mappings, oldest first. Under register
+// pressure every allocation pops a victim and pushes the new mapping, so
+// the queue must not pay for its length on either end: popping by
+// reslicing from the front made append regrow the array again and again.
+// The ring doubles when full and allocates nothing in steady state.
+type victimFIFO struct {
+	buf     []rfvEntry // len is a power of two
+	head, n int
+}
+
+func (q *victimFIFO) push(e rfvEntry) {
+	if q.n == len(q.buf) {
+		grown := make([]rfvEntry, max(2*len(q.buf), 256))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = e
+	q.n++
+}
+
+func (q *victimFIFO) pop() rfvEntry {
+	e := q.buf[q.head]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return e
 }
 
 // NewRFV builds the provider with the given physical pool size (the paper
@@ -52,6 +86,9 @@ func (v *RFV) Name() string { return "rfv" }
 
 // Attach implements sim.Provider.
 func (v *RFV) Attach(sm *sim.SM) error {
+	if len(sm.Warps) > 1<<16 {
+		return fmt.Errorf("rf: RFV indexes at most %d warps, SM has %d", 1<<16, len(sm.Warps))
+	}
 	v.sm = sm
 	v.m = sim.NewProviderCounters(sm.Metrics)
 	v.lv = cfg.ComputeLiveness(sm.G)
@@ -73,9 +110,8 @@ func (v *RFV) alloc(w int, r isa.Reg) int {
 		// Victimize the oldest resident mapping: its value moves to
 		// the memory system (costing a backing write) and must be
 		// refilled before reuse.
-		for len(v.fifo) > 0 {
-			e := v.fifo[0]
-			v.fifo = v.fifo[1:]
+		for v.fifo.n > 0 {
+			e := v.fifo.pop()
 			if v.mapped[e.warp][e.reg] {
 				v.mapped[e.warp][e.reg] = false
 				v.spilled[e.warp][e.reg] = true
@@ -95,7 +131,7 @@ func (v *RFV) alloc(w int, r isa.Reg) int {
 	}
 	v.free--
 	v.mapped[w][r] = true
-	v.fifo = append(v.fifo, rfvEntry{warp: w, reg: r})
+	v.fifo.push(rfvEntry{warp: uint16(w), reg: r})
 	return penalty
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
@@ -28,10 +29,18 @@ type maskedRun struct {
 
 func runPick(k *isa.Kernel, scheme experiments.Scheme, su experiments.SimSetup,
 	tune experiments.Tune, oracle bool) (maskedRun, error) {
+	out, _, err := runPickChip(k, scheme, su, tune, oracle)
+	return out, err
+}
+
+// runPickChip is runPick that also returns the finished chip, for the
+// caller that goes on to release it.
+func runPickChip(k *isa.Kernel, scheme experiments.Scheme, su experiments.SimSetup,
+	tune experiments.Tune, oracle bool) (maskedRun, *gpu.GPU, error) {
 	var out maskedRun
 	g, _, err := experiments.Assemble(k, scheme, 1, su, tune)
 	if err != nil {
-		return out, err
+		return out, nil, err
 	}
 	sm := g.SMs[0]
 	if oracle {
@@ -42,13 +51,13 @@ func runPick(k *isa.Kernel, scheme experiments.Scheme, su experiments.SimSetup,
 	jw := metrics.NewJSONLWriter(&buf)
 	sm.Metrics.SetSink(jw.Run(metrics.String("bench", k.Name)))
 	if _, err := g.Run(); err != nil {
-		return out, err
+		return out, nil, err
 	}
 	if err := jw.Flush(); err != nil {
-		return out, err
+		return out, nil, err
 	}
 	out.stats, out.prov, out.mem, out.jsonl = sm.Stats, *sm.Provider.Stats(), sm.Mem.Stats, buf.Bytes()
-	return out, nil
+	return out, g, nil
 }
 
 func mustRunPick(t *testing.T, bench string, scheme experiments.Scheme, su experiments.SimSetup,

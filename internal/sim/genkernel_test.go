@@ -10,6 +10,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/exec"
 	"repro/internal/experiments"
+	"repro/internal/freelist"
 	"repro/internal/isa"
 	"repro/internal/regalloc"
 )
@@ -240,7 +241,18 @@ func genKernel(seed int64) (*isa.Kernel, error) {
 // the sanitizer must stay silent and equal too, and the stored words
 // must be the functional reference's. A failure prints the seed and the
 // kernel as assembly, which internal/asm (and `kernelinfo`) read back.
+//
+// A fourth relation rides along: recycled ≡ fresh. Each point's first
+// run is built on the buffers the previous point — another scheme, or
+// the previous seed's kernel with its own register count and pages —
+// released, poisoned on their way into the free lists; the lists are
+// then emptied so that the point's other runs are built on fresh
+// allocations, the recycled run is held to them, and only then is its
+// chip released for the next point to build on.
 func TestGeneratedKernelDifferential(t *testing.T) {
+	freelist.Drop()
+	freelist.SetPoison(true)
+	defer freelist.SetPoison(false)
 	const seeds, warps = 50, 8
 	points := []struct {
 		scheme   experiments.Scheme
@@ -273,14 +285,16 @@ func TestGeneratedKernelDifferential(t *testing.T) {
 		}
 		for _, p := range points {
 			where := fmt.Sprintf("%s@%d", p.scheme, p.capacity)
-			run := func(what string, oracle bool, tweak func(*experiments.SimSetup)) maskedRun {
+			// runChip also returns what hands the finished chip and its
+			// memory to the free lists.
+			runChip := func(what string, oracle bool, tweak func(*experiments.SimSetup)) (maskedRun, func()) {
 				t.Helper()
 				su := experiments.SimSetup{Capacity: p.capacity, Warps: warps, MaxCycles: 5_000_000,
 					Memory: exec.NewMemory(nil)}
 				if tweak != nil {
 					tweak(&su)
 				}
-				out, err := runPick(k, p.scheme, su, nil, oracle)
+				out, g, err := runPickChip(k, p.scheme, su, nil, oracle)
 				if err != nil {
 					fail("%s, %s: %v", where, what, err)
 				}
@@ -293,6 +307,11 @@ func TestGeneratedKernelDifferential(t *testing.T) {
 						fail("%s, %s: word %#x = %d, reference %d", where, what, a, got[a], v)
 					}
 				}
+				return out, func() { g.Release(); su.Memory.Release() }
+			}
+			run := func(what string, oracle bool, tweak func(*experiments.SimSetup)) maskedRun {
+				t.Helper()
+				out, _ := runChip(what, oracle, tweak)
 				return out
 			}
 			same := func(what string, got, want maskedRun, ffCounters bool) {
@@ -322,15 +341,22 @@ func TestGeneratedKernelDifferential(t *testing.T) {
 					fail("%s, %s: JSONL metric streams differ", where, what)
 				}
 			}
+			recycled, releaseRecycled := runChip("on recycled buffers", false, nil)
+			freelist.Drop()
 			masks := run("mask pick", false, nil)
 			if len(masks.picks) == 0 {
 				fail("%s: no picks logged", where)
 			}
+			same("recycled vs fresh buffers", recycled, masks, true)
 			same("mask pick vs linear oracle", masks, run("linear oracle", true, nil), true)
 			same("fast-forward on vs off", masks,
 				run("fast-forward off", false, func(su *experiments.SimSetup) { su.NoFastForward = true }), false)
 			same("plain vs sanitized", masks,
 				run("sanitized", false, func(su *experiments.SimSetup) { su.Sanitize = true }), true)
+			if freelist.Held() != 0 {
+				fail("%s: buffers were parked while the fresh runs were built", where)
+			}
+			releaseRecycled()
 		}
 	}
 	if under < 5 || over < 5 {

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/events"
@@ -215,6 +216,10 @@ type SM struct {
 	cycle uint64
 	wheel eventWheel
 
+	// regs backs every warp's architectural registers (Release hands it
+	// back).
+	regs *exec.RegFile
+
 	// Struct-of-arrays warp hot state, indexed by warp ID (see Warp).
 	// wPending and wNeed are maskWords 64-bit words per warp; wInsn and
 	// wClass cache the decoded next instruction so pick never re-derives
@@ -321,6 +326,7 @@ func NewWithHierarchy(cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, h
 		Metrics:      metrics.NewRegistry(),
 		sfuNextIssue: make([]uint64, cfgv.Schedulers),
 		wheel:        newEventWheel(maxLat),
+		regs:         exec.NewRegFile(cfgv.Warps, k.NumRegs),
 	}
 	sm.maskWords = (k.NumRegs + 63) / 64
 	if sm.maskWords < 1 {
@@ -349,7 +355,7 @@ func NewWithHierarchy(cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, h
 		w := &Warp{
 			ID:    i,
 			Group: i % cfgv.Schedulers,
-			Exec:  exec.NewWarp(k, g, gid, gid/k.WarpsPerCTA, mm),
+			Exec:  exec.NewWarpOn(sm.regs.Warp(i), k, g, gid, gid/k.WarpsPerCTA, mm),
 			sm:    sm,
 			mword: (i%cfgv.Schedulers)*sm.grpWords + pos>>6,
 			mbit:  1 << (uint(pos) & 63),
@@ -453,11 +459,42 @@ func (sm *SM) Done() bool {
 func (sm *SM) StepOne() { sm.step() }
 
 // Finalize closes the statistics windows and returns the stats. Call once
-// after the last StepOne.
+// after the last StepOne. What it returns is a detached copy: a result
+// that keeps it keeps these numbers, not the machine they were counted
+// on (a pointer into sm.Stats would hold every warp's registers, the
+// caches and the provider reachable for as long as the result lives).
 func (sm *SM) Finalize() *Stats {
 	sm.finishWindows()
 	sm.Stats.Cycles = sm.cycle
-	return &sm.Stats
+	st := sm.Stats
+	st.BackingSeries = slices.Clone(st.BackingSeries)
+	return &st
+}
+
+// Releaser is an optional Provider refinement: providers that own large
+// flat buffers (RegLess's OSU line arrays) hand them back when the SM is
+// released.
+type Releaser interface {
+	Release()
+}
+
+// Release hands the SM's large flat buffers — the warps' register
+// chunks, the hierarchy's cache arrays, the provider's — back to the free
+// lists of the packages that allocated them, for the next machine built
+// to reuse (package freelist). It is for a machine that ran to a clean
+// finish and whose results have been read out: counters stay readable,
+// but the SM cannot be stepped again, and what it gave back is nilled so
+// that misuse panics instead of touching another run's state. An SM that
+// is never released is simply garbage-collected.
+func (sm *SM) Release() {
+	sm.regs.Release()
+	for _, w := range sm.Warps {
+		w.Exec.Regs = nil
+	}
+	sm.Mem.Release()
+	if r, ok := sm.Provider.(Releaser); ok {
+		r.Release()
+	}
 }
 
 func (sm *SM) allDone() bool { return sm.unfinished == 0 }

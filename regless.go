@@ -183,9 +183,7 @@ func Simulate(k *Kernel, scheme Scheme, opts SimOptions) (*SimResult, error) {
 		Stats:        r.Stats,
 		Provider:     r.Prov,
 		Energy:       energy.Compute(energy.DefaultParams(), r.EnergyScheme(), r.Activity()),
-	}
-	if r.RegLess != nil {
-		res.Compiled = r.RegLess.Compiled()
+		Compiled:     r.Compiled,
 	}
 	return res, nil
 }

@@ -9,7 +9,7 @@ set -eux
 cd "$(dirname "$0")/.."
 test -z "$(gofmt -l cmd internal scripts *.go)"
 go vet ./...
-go test -race ./...
+go test -race -shuffle=on ./...
 scripts/cover.sh
 # The benchmark is its own module (benchmark/go.mod), so the root
 # ./... patterns never compile it: a signature change that breaks it
