@@ -21,6 +21,8 @@ package cm
 
 import (
 	"fmt"
+
+	"repro/internal/arena"
 )
 
 // State is a warp's capacity state.
@@ -123,22 +125,34 @@ type CM struct {
 	pendingPreloads []int
 }
 
-// New builds a CM for n warps. All warps start Inactive with warp 0 on
-// top of the stack (oldest-first activation at kernel launch).
-func New(cfg Config, n int) *CM {
-	c := &CM{
+var (
+	cmT    = arena.Of[CM]()
+	stateT = arena.Of[State]()
+	wordT  = arena.Of[uint64]()
+	intT   = arena.Of[int]()
+	intsT  = arena.Of[[]int]()
+)
+
+// New builds a CM for n warps, allocated from a (nil: the heap). All
+// warps start Inactive with warp 0 on top of the stack (oldest-first
+// activation at kernel launch).
+func New(a *arena.Arena, cfg Config, n int) *CM {
+	c := cmT.New(a)
+	*c = CM{
 		cfg:             cfg,
-		state:           make([]State, n),
-		active:          make([]uint64, max(1, (n+63)/64)),
+		state:           stateT.Make(a, n),
+		active:          wordT.Make(a, max(1, (n+63)/64)),
 		epoch:           1,
-		reserved:        make([]int, cfg.Banks),
-		warpRes:         make([][]int, n),
-		region:          make([]int, n),
-		activatedAt:     make([]uint64, n),
-		pendingPreloads: make([]int, n),
+		stack:           intT.Make(a, n)[:0], // a warp is on it at most once
+		reserved:        intT.Make(a, cfg.Banks),
+		warpRes:         intsT.Make(a, n),
+		region:          intT.Make(a, n),
+		activatedAt:     wordT.Make(a, n),
+		pendingPreloads: intT.Make(a, n),
 	}
+	res := intT.Make(a, n*cfg.Banks)
 	for w := 0; w < n; w++ {
-		c.warpRes[w] = make([]int, cfg.Banks)
+		c.warpRes[w] = res[w*cfg.Banks : (w+1)*cfg.Banks : (w+1)*cfg.Banks]
 		c.region[w] = -1
 	}
 	// Stack top is the last element; push in reverse so warp 0 pops
@@ -309,7 +323,9 @@ func (c *CM) FinishDrain(w int, now uint64) (cycles uint64) {
 	c.notify(w, left)
 	if c.cfg.FIFOStack {
 		// Oldest-first: rejoin at the bottom.
-		c.stack = append([]int{w}, c.stack...)
+		c.stack = append(c.stack, 0)
+		copy(c.stack[1:], c.stack)
+		c.stack[0] = w
 	} else {
 		c.stack = append(c.stack, w)
 	}

@@ -11,7 +11,7 @@ func usage(vals ...int) []int {
 }
 
 func TestInitialStackOrder(t *testing.T) {
-	c := New(cfg(), 4)
+	c := New(nil, cfg(), 4)
 	if c.Top() != 0 {
 		t.Fatalf("top = %d, want warp 0 first", c.Top())
 	}
@@ -23,7 +23,7 @@ func TestInitialStackOrder(t *testing.T) {
 }
 
 func TestActivateReserveRelease(t *testing.T) {
-	c := New(cfg(), 2)
+	c := New(nil, cfg(), 2)
 	w, err := c.ActivateTop(7, usage(2, 1), 0, 100)
 	if err != nil || w != 0 {
 		t.Fatalf("ActivateTop = %d, %v", w, err)
@@ -62,7 +62,7 @@ func TestActivateReserveRelease(t *testing.T) {
 }
 
 func TestSecondWarpReservesIndependently(t *testing.T) {
-	c := New(cfg(), 4)
+	c := New(nil, cfg(), 4)
 	// Pop warp 0 with zero usage so warp 1 is next.
 	if _, err := c.ActivateTop(0, usage(), 0, 0); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestSecondWarpReservesIndependently(t *testing.T) {
 }
 
 func TestFitsRejectsOverflow(t *testing.T) {
-	c := New(cfg(), 2)
+	c := New(nil, cfg(), 2)
 	if _, err := c.ActivateTop(0, usage(3), 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFitsRejectsOverflow(t *testing.T) {
 }
 
 func TestPreloadingTransition(t *testing.T) {
-	c := New(cfg(), 1)
+	c := New(nil, cfg(), 1)
 	if _, err := c.ActivateTop(0, usage(1), 2, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPreloadingTransition(t *testing.T) {
 }
 
 func TestLIFOPrefersRecentWarp(t *testing.T) {
-	c := New(cfg(), 3)
+	c := New(nil, cfg(), 3)
 	// Activate warps 0 and 1, finish warp 0's region: it must return to
 	// the top, ahead of warp 2 which never ran.
 	if _, err := c.ActivateTop(0, usage(1), 0, 0); err != nil {
@@ -135,7 +135,7 @@ func TestLIFOPrefersRecentWarp(t *testing.T) {
 }
 
 func TestFinishReleasesEverything(t *testing.T) {
-	c := New(cfg(), 2)
+	c := New(nil, cfg(), 2)
 	if _, err := c.ActivateTop(0, usage(2, 2, 2), 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestFinishReleasesEverything(t *testing.T) {
 }
 
 func TestActivateTopErrors(t *testing.T) {
-	c := New(cfg(), 1)
+	c := New(nil, cfg(), 1)
 	if _, err := c.ActivateTop(0, usage(9), 0, 0); err == nil {
 		t.Fatal("oversized region activated")
 	}
@@ -167,7 +167,7 @@ func TestActivateTopErrors(t *testing.T) {
 }
 
 func TestDeferTop(t *testing.T) {
-	c := New(cfg(), 3) // stack (bottom..top): 2, 1, 0
+	c := New(nil, cfg(), 3) // stack (bottom..top): 2, 1, 0
 	if c.Top() != 0 {
 		t.Fatalf("top = %d", c.Top())
 	}
@@ -181,7 +181,7 @@ func TestDeferTop(t *testing.T) {
 		t.Fatalf("top after full rotation = %d", c.Top())
 	}
 	// Defer on a single-element stack is a no-op.
-	c1 := New(cfg(), 1)
+	c1 := New(nil, cfg(), 1)
 	c1.DeferTop()
 	if c1.Top() != 0 {
 		t.Fatal("single-warp defer changed the stack")
@@ -189,7 +189,7 @@ func TestDeferTop(t *testing.T) {
 }
 
 func TestFIFOStackOrder(t *testing.T) {
-	c := New(Config{Banks: 8, LinesPerBank: 4, FIFOStack: true}, 3)
+	c := New(nil, Config{Banks: 8, LinesPerBank: 4, FIFOStack: true}, 3)
 	if _, err := c.ActivateTop(0, usage(1), 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFIFOStackOrder(t *testing.T) {
 }
 
 func TestBeginDrainOnlyFromActive(t *testing.T) {
-	c := New(cfg(), 1)
+	c := New(nil, cfg(), 1)
 	c.BeginDrain(0, usage()) // Inactive: must be a no-op
 	if c.StateOf(0) != Inactive {
 		t.Fatalf("state = %v", c.StateOf(0))
@@ -223,7 +223,7 @@ func TestBeginDrainOnlyFromActive(t *testing.T) {
 }
 
 func TestReleaseLineClampsAtZero(t *testing.T) {
-	c := New(cfg(), 1)
+	c := New(nil, cfg(), 1)
 	if _, err := c.ActivateTop(0, usage(1), 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestReleaseLineClampsAtZero(t *testing.T) {
 // More than 64 warps, so the mask spans two words.
 func TestActiveMaskTracksState(t *testing.T) {
 	const n = 70
-	c := New(Config{Banks: 8, LinesPerBank: 2 * n}, n)
+	c := New(nil, Config{Banks: 8, LinesPerBank: 2 * n}, n)
 	mask := c.ActiveMask()
 	check := func(step string) {
 		t.Helper()
@@ -291,7 +291,7 @@ func TestActiveMaskTracksState(t *testing.T) {
 // caller's licence to remember the answer — so every write to either
 // must move it, and nothing else needs to.
 func TestEpochMovesWithReservationsAndStack(t *testing.T) {
-	c := New(cfg(), 3)
+	c := New(nil, cfg(), 3)
 	last := c.Epoch()
 	if last == 0 {
 		t.Fatal("a fresh manager's epoch must differ from the zero value a caller starts with")

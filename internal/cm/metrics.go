@@ -2,20 +2,26 @@ package cm
 
 import "repro/internal/metrics"
 
+// cellNames holds every shard's cell names, in BindMetrics' order.
+var cellNames = metrics.Names("cm/s%d",
+	"/activations", "/immediate_activations", "/deferrals", "/preloads_done",
+	"/drains", "/drains_done", "/finishes", "/lines_released",
+	"/stack_depth", "/reserved_lines")
+
 // BindMetrics exposes the transition counters and live stack/reservation
-// occupancy on r under prefix+"/..." (one CM per shard, so callers pass
-// e.g. "cm/s0").
-func (c *CM) BindMetrics(r *metrics.Registry, prefix string) {
-	r.Bind(prefix+"/activations", &c.Stats.Activations)
-	r.Bind(prefix+"/immediate_activations", &c.Stats.Immediate)
-	r.Bind(prefix+"/deferrals", &c.Stats.Deferrals)
-	r.Bind(prefix+"/preloads_done", &c.Stats.PreloadsDone)
-	r.Bind(prefix+"/drains", &c.Stats.Drains)
-	r.Bind(prefix+"/drains_done", &c.Stats.DrainsDone)
-	r.Bind(prefix+"/finishes", &c.Stats.Finishes)
-	r.Bind(prefix+"/lines_released", &c.Stats.LinesReleased)
-	r.Gauge(prefix+"/stack_depth", func() uint64 { return uint64(len(c.stack)) })
-	r.Gauge(prefix+"/reserved_lines", func() uint64 {
+// occupancy on r under "cm/s<shard>/..." (one CM per shard).
+func (c *CM) BindMetrics(r *metrics.Registry, shard int) {
+	n := cellNames(shard)
+	r.Bind(n[0], &c.Stats.Activations)
+	r.Bind(n[1], &c.Stats.Immediate)
+	r.Bind(n[2], &c.Stats.Deferrals)
+	r.Bind(n[3], &c.Stats.PreloadsDone)
+	r.Bind(n[4], &c.Stats.Drains)
+	r.Bind(n[5], &c.Stats.DrainsDone)
+	r.Bind(n[6], &c.Stats.Finishes)
+	r.Bind(n[7], &c.Stats.LinesReleased)
+	r.Gauge(n[8], func() uint64 { return uint64(len(c.stack)) })
+	r.Gauge(n[9], func() uint64 {
 		n := 0
 		for _, v := range c.reserved {
 			n += v

@@ -15,6 +15,7 @@ package compress
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -170,23 +171,34 @@ type Compressor struct {
 	// hardware's bit vector plus 3-bit state array.
 	compressed []Pattern
 
-	// cache of compressed lines: line id -> entry.
-	cache map[uint32]*clineEntry
+	// cache is the compressed-line cache: the resident lines, unordered,
+	// with room for CacheLines. A dozen entries are searched faster than
+	// hashed, and the LRU victim walk visits them all anyway.
+	cache []cline
 	clock uint64
 }
 
-type clineEntry struct {
+type cline struct {
+	id    uint32
 	dirty bool
 	lru   uint64
 }
 
-// New builds a compressor.
-func New(cfg Config) *Compressor {
-	return &Compressor{
+var (
+	compressorT = arena.Of[Compressor]()
+	patternT    = arena.Of[Pattern]()
+	clineT      = arena.Of[cline]()
+)
+
+// New builds a compressor, allocated from a (nil: the heap).
+func New(a *arena.Arena, cfg Config) *Compressor {
+	c := compressorT.New(a)
+	*c = Compressor{
 		cfg:        cfg,
-		compressed: make([]Pattern, cfg.NumRegs*cfg.Warps),
-		cache:      make(map[uint32]*clineEntry),
+		compressed: patternT.Make(a, cfg.NumRegs*cfg.Warps),
+		cache:      clineT.Make(a, cfg.CacheLines)[:0],
 	}
+	return c
 }
 
 func (c *Compressor) index(warp int, reg isa.Reg) int {
@@ -231,34 +243,35 @@ type CacheResult struct {
 func (c *Compressor) AccessLine(warp int, reg isa.Reg, write bool) CacheResult {
 	c.clock++
 	line := c.LineID(warp, reg)
-	if e, ok := c.cache[line]; ok {
-		c.Stats.CacheHits++
-		e.lru = c.clock
-		if write {
-			e.dirty = true
+	for i := range c.cache {
+		if e := &c.cache[i]; e.id == line {
+			c.Stats.CacheHits++
+			e.lru = c.clock
+			if write {
+				e.dirty = true
+			}
+			return CacheResult{Hit: true}
 		}
-		return CacheResult{Hit: true}
 	}
 	c.Stats.CacheMisses++
 	res := CacheResult{FetchLine: LineAddr(line), HasFetch: true}
-	if len(c.cache) >= c.cfg.CacheLines {
-		// Evict LRU.
-		var victim uint32
-		var oldest uint64 = ^uint64(0)
-		for l, e := range c.cache {
-			if e.lru < oldest {
-				oldest = e.lru
-				victim = l
+	if len(c.cache) < cap(c.cache) {
+		c.cache = append(c.cache, cline{id: line, dirty: write, lru: c.clock})
+	} else {
+		// Evict LRU; the incoming line takes its place.
+		victim := &c.cache[0]
+		for i := range c.cache {
+			if c.cache[i].lru < victim.lru {
+				victim = &c.cache[i]
 			}
 		}
-		if c.cache[victim].dirty {
+		if victim.dirty {
 			c.Stats.LineEvicts++
-			res.WritebackLine = LineAddr(victim)
+			res.WritebackLine = LineAddr(victim.id)
 			res.HasWriteback = true
 		}
-		delete(c.cache, victim)
+		*victim = cline{id: line, dirty: write, lru: c.clock}
 	}
-	c.cache[line] = &clineEntry{dirty: write, lru: c.clock}
 	if res.HasFetch {
 		c.Stats.LineFetches++
 	}

@@ -78,7 +78,7 @@ func TestPerturbationBreaksPattern(t *testing.T) {
 }
 
 func newTestCompressor() *Compressor {
-	return New(Config{CacheLines: 2, NumRegs: 16, Warps: 4})
+	return New(nil, Config{CacheLines: 2, NumRegs: 16, Warps: 4})
 }
 
 func TestCompressorBitVector(t *testing.T) {

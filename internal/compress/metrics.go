@@ -2,23 +2,36 @@ package compress
 
 import "repro/internal/metrics"
 
-// BindMetrics exposes the compressor's counters and live populations on r
-// under prefix+"/..." (one compressor per shard, so callers pass e.g.
-// "compress/s0"). The per-pattern hit mix is exported one counter per
-// pattern ("<prefix>/hits/stride4", ...).
-func (c *Compressor) BindMetrics(r *metrics.Registry, prefix string) {
-	r.Bind(prefix+"/matches", &c.Stats.Matches)
-	r.Bind(prefix+"/hits", &c.Stats.Hits)
-	r.Bind(prefix+"/misses", &c.Stats.Misses)
-	r.Bind(prefix+"/bit_checks", &c.Stats.BitChecks)
-	r.Bind(prefix+"/cache_hits", &c.Stats.CacheHits)
-	r.Bind(prefix+"/cache_misses", &c.Stats.CacheMisses)
-	r.Bind(prefix+"/line_fetches", &c.Stats.LineFetches)
-	r.Bind(prefix+"/line_evicts", &c.Stats.LineEvicts)
-	r.Bind(prefix+"/invalidations", &c.Stats.Invalidation)
+// cellNames holds every shard's cell names, in BindMetrics' order: the
+// counters, the per-pattern hit mix ("compress/s0/hits/stride4", ...),
+// the gauges.
+var cellNames = func() func(int) []string {
+	suffixes := []string{"/matches", "/hits", "/misses", "/bit_checks", "/cache_hits",
+		"/cache_misses", "/line_fetches", "/line_evicts", "/invalidations"}
 	for p := PatConst; p < NumPatterns; p++ {
-		r.Bind(prefix+"/hits/"+p.String(), &c.Stats.PatHits[p])
+		suffixes = append(suffixes, "/hits/"+p.String())
 	}
-	r.Gauge(prefix+"/compressed_regs", func() uint64 { return uint64(c.CompressedCount()) })
-	r.Gauge(prefix+"/cache_lines", func() uint64 { return uint64(len(c.cache)) })
+	return metrics.Names("compress/s%d", append(suffixes, "/compressed_regs", "/cache_lines")...)
+}()
+
+// BindMetrics exposes the compressor's counters and live populations on r
+// under "compress/s<shard>/..." (one compressor per shard).
+func (c *Compressor) BindMetrics(r *metrics.Registry, shard int) {
+	n := cellNames(shard)
+	r.Bind(n[0], &c.Stats.Matches)
+	r.Bind(n[1], &c.Stats.Hits)
+	r.Bind(n[2], &c.Stats.Misses)
+	r.Bind(n[3], &c.Stats.BitChecks)
+	r.Bind(n[4], &c.Stats.CacheHits)
+	r.Bind(n[5], &c.Stats.CacheMisses)
+	r.Bind(n[6], &c.Stats.LineFetches)
+	r.Bind(n[7], &c.Stats.LineEvicts)
+	r.Bind(n[8], &c.Stats.Invalidation)
+	n = n[9:]
+	for p := PatConst; p < NumPatterns; p++ {
+		r.Bind(n[p-PatConst], &c.Stats.PatHits[p])
+	}
+	n = n[NumPatterns-PatConst:]
+	r.Gauge(n[0], func() uint64 { return uint64(c.CompressedCount()) })
+	r.Gauge(n[1], func() uint64 { return uint64(len(c.cache)) })
 }

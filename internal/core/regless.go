@@ -18,6 +18,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/arena"
 	"repro/internal/cm"
 	"repro/internal/compress"
 	"repro/internal/events"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/metadata"
+	"repro/internal/metrics"
 	"repro/internal/osu"
 	"repro/internal/regions"
 	"repro/internal/sim"
@@ -113,6 +115,7 @@ type l1op struct {
 const queueRoom = 16
 
 type shard struct {
+	a   *arena.Arena // what the queues grow in (nil: the heap)
 	cm  *cm.CM
 	osu *osu.OSU
 	cmp *compress.Compressor
@@ -135,6 +138,12 @@ type shard struct {
 	// stands, so tryActivate and TickIdle do not rebuild it every cycle.
 	noFit uint64
 }
+
+// pushL1 queues an L1 request for the shared port.
+func (sh *shard) pushL1(op l1op) { sh.l1ops = append(l1opT.Grow(sh.a, sh.l1ops, 1), op) }
+
+// push appends r to one of the shard's request queues.
+func (sh *shard) push(q *[]preloadReq, r preloadReq) { *q = append(reqT.Grow(sh.a, *q, 1), r) }
 
 // backlog is the work queued in the shard: preloads, invalidations,
 // evictions and L1 operations.
@@ -166,6 +175,7 @@ type Provider struct {
 	m    *sim.ProviderCounters
 	rec  *events.Recorder // nil-safe event recorder (sim.RecorderAware)
 
+	a      *arena.Arena // the SM's: what Attach builds from (nil: the heap)
 	shards []*shard
 	warps  []*warpState
 
@@ -256,11 +266,7 @@ func New(cfgv Config, k *isa.Kernel) (*Provider, error) {
 			}
 		}
 	}
-	return &Provider{
-		cfg:               cfgv,
-		comp:              comp,
-		regionActivations: make([]uint64, len(comp.Regions)),
-	}, nil
+	return &Provider{cfg: cfgv, comp: comp}, nil
 }
 
 // RegionActivations returns a copy of the region-activation profile:
@@ -279,7 +285,25 @@ func (p *Provider) Name() string { return "regless" }
 // Stats implements sim.Provider.
 func (p *Provider) Stats() *sim.ProviderStats { return p.m.Stats() }
 
-// Attach implements sim.Provider.
+// The element types a provider's run-time state is made of (package
+// arena), and the per-shard cell name the provider registers itself.
+var (
+	shardT    = arena.Of[shard]()
+	shardPtrT = arena.Of[*shard]()
+	wsT       = arena.Of[warpState]()
+	wsPtrT    = arena.Of[*warpState]()
+	reqT      = arena.Of[preloadReq]()
+	reqsT     = arena.Of[[]preloadReq]()
+	l1opT     = arena.Of[l1op]()
+	fillT     = arena.Of[fill]()
+	wordT     = arena.Of[uint64]()
+	intT      = arena.Of[int]()
+
+	shardNames = metrics.Names("core/s%d", "/preload_backlog")
+)
+
+// Attach implements sim.Provider. Everything the run mutates is built
+// here, from the SM's arena.
 func (p *Provider) Attach(smv *sim.SM) error {
 	if smv.K != p.comp.Kernel {
 		return fmt.Errorf("core: provider compiled for kernel %q attached to %q", p.comp.Kernel.Name, smv.K.Name)
@@ -287,57 +311,64 @@ func (p *Provider) Attach(smv *sim.SM) error {
 	if smv.Cfg.Schedulers != p.cfg.Shards {
 		return fmt.Errorf("core: %d shards but %d schedulers", p.cfg.Shards, smv.Cfg.Schedulers)
 	}
-	p.sm = smv
-	p.m = sim.NewProviderCounters(smv.Metrics)
-	p.usageScratch = make([]int, p.cfg.Banks)
+	a := smv.Arena()
+	p.sm, p.a = smv, a
+	p.m = sim.NewProviderCounters(smv)
+	p.regionActivations = wordT.Make(a, len(p.comp.Regions))
+	p.usageScratch = intT.Make(a, p.cfg.Banks)
 	warpsPerShard := smv.Cfg.Warps / p.cfg.Shards
-	p.shards = make([]*shard, p.cfg.Shards)
+	shards := shardT.Make(a, p.cfg.Shards)
+	p.shards = shardPtrT.Make(a, p.cfg.Shards)
 	for s := range p.shards {
-		sh := &shard{
-			cm: cm.New(cm.Config{
+		sh := &shards[s]
+		*sh = shard{
+			a: a,
+			cm: cm.New(a, cm.Config{
 				Banks:        p.cfg.Banks,
 				LinesPerBank: p.cfg.LinesPerBank,
 				FIFOStack:    p.cfg.FIFOStack,
 			}, warpsPerShard),
-			osu: osu.New(osu.Config{
+			osu: osu.New(a, osu.Config{
 				Banks:        p.cfg.Banks,
 				LinesPerBank: p.cfg.LinesPerBank,
 				Warps:        smv.Cfg.Warps,
 				Shards:       p.cfg.Shards,
 				NumRegs:      smv.K.NumRegs,
 			}),
-			cmp: compress.New(compress.Config{
+			cmp: compress.New(a, compress.Config{
 				CacheLines: p.cfg.CompressorLines,
 				NumRegs:    smv.K.NumRegs,
 				Warps:      smv.Cfg.Warps,
 				Patterns:   p.cfg.CompressorPatterns,
 			}),
-			preloadQ: make([][]preloadReq, p.cfg.Banks),
-			invalQ:   make([]preloadReq, 0, queueRoom),
-			evictQ:   make([]preloadReq, 0, queueRoom),
-			l1ops:    make([]l1op, 0, queueRoom),
+			preloadQ: reqsT.Make(a, p.cfg.Banks),
+			invalQ:   reqT.Make(a, queueRoom)[:0],
+			evictQ:   reqT.Make(a, queueRoom)[:0],
+			l1ops:    l1opT.Make(a, queueRoom)[:0],
 		}
 		for b := range sh.preloadQ {
-			sh.preloadQ[b] = make([]preloadReq, 0, queueRoom)
+			sh.preloadQ[b] = reqT.Make(a, queueRoom)[:0]
 		}
 		p.shards[s] = sh
-		sh.cm.BindMetrics(smv.Metrics, fmt.Sprintf("cm/s%d", s))
-		sh.osu.BindMetrics(smv.Metrics, fmt.Sprintf("osu/s%d", s))
-		sh.cmp.BindMetrics(smv.Metrics, fmt.Sprintf("compress/s%d", s))
-		smv.Metrics.Gauge(fmt.Sprintf("core/s%d/preload_backlog", s), func() uint64 { return uint64(sh.backlog()) })
+		sh.cm.BindMetrics(smv.Metrics, s)
+		sh.osu.BindMetrics(smv.Metrics, s)
+		sh.cmp.BindMetrics(smv.Metrics, s)
+		smv.Metrics.Gauge(shardNames(s)[0], func() uint64 { return uint64(sh.backlog()) })
 	}
-	p.warps = make([]*warpState, smv.Cfg.Warps)
+	warps := wsT.Make(a, smv.Cfg.Warps)
+	p.warps = wsPtrT.Make(a, smv.Cfg.Warps)
 	for w := range p.warps {
-		p.warps[w] = &warpState{
+		warps[w] = warpState{
 			shard:         w % p.cfg.Shards,
 			local:         w / p.cfg.Shards,
 			regionID:      -1,
-			staged:        newRegSet(smv.K.NumRegs),
-			dirty:         newRegSet(smv.K.NumRegs),
-			deferred:      newRegSet(smv.K.NumRegs),
-			deferErase:    newRegSet(smv.K.NumRegs),
-			activePerBank: make([]int, p.cfg.Banks),
+			staged:        newRegSet(a, smv.K.NumRegs),
+			dirty:         newRegSet(a, smv.K.NumRegs),
+			deferred:      newRegSet(a, smv.K.NumRegs),
+			deferErase:    newRegSet(a, smv.K.NumRegs),
+			activePerBank: intT.Make(a, p.cfg.Banks),
 		}
+		p.warps[w] = &warps[w]
 	}
 	return nil
 }
@@ -386,14 +417,6 @@ func (p *Provider) AttachRecorder(rec *events.Recorder) {
 			rec.State(s, local*p.cfg.Shards+s, events.Phase(to), region)
 		}
 		sh.osu.SetRecorder(rec, s)
-	}
-}
-
-// Release implements sim.Releaser: each shard's OSU hands its line array
-// back for the next provider's units to reuse.
-func (p *Provider) Release() {
-	for _, sh := range p.shards {
-		sh.osu.Release()
 	}
 }
 

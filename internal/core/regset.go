@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/isa"
+import (
+	"repro/internal/arena"
+	"repro/internal/isa"
+)
 
 // regSet is a fixed-capacity register bitset sized by the kernel's
 // NumRegs. It replaces the per-warp map[isa.Reg]bool staged/dirty/
@@ -12,8 +15,8 @@ type regSet struct {
 	n    int
 }
 
-func newRegSet(numRegs int) regSet {
-	return regSet{bits: make([]uint64, (numRegs+63)/64)}
+func newRegSet(a *arena.Arena, numRegs int) regSet {
+	return regSet{bits: wordT.Make(a, (numRegs+63)/64)}
 }
 
 func (s *regSet) has(r isa.Reg) bool {

@@ -94,16 +94,16 @@ func (p *Provider) processEvictions(sh *shard) {
 			if res.HasFetch {
 				// Read-modify-write of a non-resident compressed
 				// line (fire-and-forget for timing).
-				sh.l1ops = append(sh.l1ops, l1op{addr: res.FetchLine + p.cfg.AddrOffset})
+				sh.pushL1(l1op{addr: res.FetchLine + p.cfg.AddrOffset})
 			}
 			if res.HasWriteback {
-				sh.l1ops = append(sh.l1ops, l1op{addr: res.WritebackLine + p.cfg.AddrOffset, write: true})
+				sh.pushL1(l1op{addr: res.WritebackLine + p.cfg.AddrOffset, write: true})
 			}
 			return
 		}
 		p.m.CompressorMisses.Inc()
 	}
-	sh.l1ops = append(sh.l1ops, l1op{addr: p.regAddr(req.warp, req.reg), write: true})
+	sh.pushL1(l1op{addr: p.regAddr(req.warp, req.reg), write: true})
 }
 
 // processPreloads runs each bank's preload queue: one tag lookup per bank
@@ -160,7 +160,7 @@ func (p *Provider) preload(sh *shard, req preloadReq) {
 		p.m.CompressorCacheOps.Inc()
 		res := sh.cmp.AccessLine(req.warp, req.reg, false)
 		if res.HasWriteback {
-			sh.l1ops = append(sh.l1ops, l1op{addr: res.WritebackLine + p.cfg.AddrOffset, write: true})
+			sh.pushL1(l1op{addr: res.WritebackLine + p.cfg.AddrOffset, write: true})
 		}
 		f := p.newFill(sh, ws, req, true)
 		if res.Hit {
@@ -170,12 +170,12 @@ func (p *Provider) preload(sh *shard, req preloadReq) {
 			return
 		}
 		// Fetch the compressed line from L1.
-		sh.l1ops = append(sh.l1ops, l1op{addr: res.FetchLine + p.cfg.AddrOffset, done: f.fetched})
+		sh.pushL1(l1op{addr: res.FetchLine + p.cfg.AddrOffset, done: f.fetched})
 		return
 	}
 	// Raw register line from the backing store.
 	f := p.newFill(sh, ws, req, false)
-	sh.l1ops = append(sh.l1ops, l1op{addr: p.regAddr(req.warp, req.reg), done: f.fetched})
+	sh.pushL1(l1op{addr: p.regAddr(req.warp, req.reg), done: f.fetched})
 }
 
 // fill is one preload on its way in from below the OSU: a compressor hit
@@ -197,7 +197,7 @@ type fill struct {
 func (p *Provider) newFill(sh *shard, ws *warpState, req preloadReq, compressed bool) *fill {
 	f := p.freeFills
 	if f == nil {
-		f = &fill{}
+		f = fillT.New(p.a)
 		f.decompressed = func() { p.landed(f, events.SrcCompressor) }
 		f.fetched = func(src mem.Source) { p.landed(f, fillSrc(src)) }
 	} else {
@@ -273,7 +273,7 @@ func (p *Provider) install(sh *shard, ws *warpState, reg isa.Reg, dirty bool) {
 		return
 	}
 	if hasVictim {
-		sh.evictQ = append(sh.evictQ, preloadReq{warp: victim.Warp, reg: victim.Reg})
+		sh.push(&sh.evictQ, preloadReq{warp: victim.Warp, reg: victim.Reg})
 	}
 	p.stage(ws, reg, dirty)
 }
@@ -309,7 +309,7 @@ func (p *Provider) processInvalidations(sh *shard) {
 	if p.cfg.EnableCompressor && sh.cmp.Drop(req.warp, req.reg) {
 		return // compressed: bit-vector update only, no L1 traffic
 	}
-	sh.l1ops = append(sh.l1ops, l1op{addr: p.regAddr(req.warp, req.reg), inval: true})
+	sh.pushL1(l1op{addr: p.regAddr(req.warp, req.reg), inval: true})
 }
 
 // tryActivate activates the top warp of the shard's stack if its next
@@ -357,12 +357,12 @@ func (p *Provider) tryActivate(s int, sh *shard) {
 	ws.regionID = region.ID
 	for _, pl := range region.Preloads {
 		b := (warp + int(pl.Reg)) % p.cfg.Banks
-		sh.preloadQ[b] = append(sh.preloadQ[b], preloadReq{warp: warp, reg: pl.Reg, invalidate: pl.Invalidate})
+		sh.push(&sh.preloadQ[b], preloadReq{warp: warp, reg: pl.Reg, invalidate: pl.Invalidate})
 		sh.preloadsQueued++
 		p.rec.PreloadIssue(s, warp, uint32(pl.Reg))
 	}
 	for _, reg := range region.CacheInvalidations {
-		sh.invalQ = append(sh.invalQ, preloadReq{warp: warp, reg: reg})
+		sh.push(&sh.invalQ, preloadReq{warp: warp, reg: reg})
 	}
 }
 

@@ -13,7 +13,7 @@ package exec
 import (
 	"math/bits"
 
-	"repro/internal/freelist"
+	"repro/internal/arena"
 )
 
 // The functional memory is paged: 64 KiB pages held in a map keyed by
@@ -34,25 +34,14 @@ type page struct {
 	written [pageWords / 64]uint64
 }
 
-// pageFree recycles the pages of released memories (Memory.Release): a
-// page is 66 KiB, and a run touches a handful for a few KB of stores.
-var pageFree = freelist.New(
-	func(pg *page) { *pg = page{} },
-	func(pg *page) {
-		for i := range pg.vals {
-			pg.vals[i] = ^uint32(0)
-		}
-		for i := range pg.written {
-			pg.written[i] = ^uint64(0)
-		}
-	})
-
-func newPage() *page {
-	if pg, ok := pageFree.Take(0); ok {
-		return pg
-	}
-	return new(page)
-}
+// A page is 66 KiB and a run touches a handful for a few KB of stores, so
+// pages are made on first store — from the memory's arena, where each is
+// a chunk of its own that the next machine's pages reuse.
+var (
+	memoryT   = arena.Of[Memory]()
+	pagedMemT = arena.Of[pagedMem]()
+	pageT     = arena.Of[page]()
+)
 
 // pagedMem is one paged address space with a one-entry page cache.
 type pagedMem struct {
@@ -75,9 +64,9 @@ func (p *pagedMem) lookup(a uint32) *page {
 	return pg
 }
 
-// ensure returns the page containing word address a, allocating it on
-// first store.
-func (p *pagedMem) ensure(a uint32) *page {
+// ensure returns the page containing word address a, allocating it from
+// ar on first store.
+func (p *pagedMem) ensure(ar *arena.Arena, a uint32) *page {
 	key := a >> pageShift
 	if pg := p.lastPg; pg != nil && p.lastKey == key {
 		return pg
@@ -87,7 +76,7 @@ func (p *pagedMem) ensure(a uint32) *page {
 	}
 	pg := p.pages[key]
 	if pg == nil {
-		pg = newPage()
+		pg = pageT.New(ar)
 		p.pages[key] = pg
 	}
 	p.lastKey, p.lastPg = key, pg
@@ -98,6 +87,7 @@ func (p *pagedMem) ensure(a uint32) *page {
 // shared-memory space per CTA. Uninitialized global words read through an
 // init generator so loads always return deterministic values.
 type Memory struct {
+	a      *arena.Arena // what the pages are made from (nil: the heap)
 	global pagedMem
 	shared []pagedMem // indexed by CTA
 	init   func(addr uint32) uint32
@@ -106,28 +96,17 @@ type Memory struct {
 // NewMemory returns a Memory whose uninitialized global words read as
 // init(addr); a nil init reads as a mixed hash of the address (so values
 // are deterministic but not trivially compressible).
-func NewMemory(init func(addr uint32) uint32) *Memory {
-	if init == nil {
-		init = func(addr uint32) uint32 { return Mix(addr) }
-	}
-	return &Memory{init: init}
-}
+func NewMemory(init func(addr uint32) uint32) *Memory { return NewMemoryIn(nil, init) }
 
-// Release hands the memory's pages back for the next run's memory to
-// reuse and empties m: only whoever made the memory may call it, once
-// nothing will read its stores again. The emptied memory holds no
-// reference to what it gave back (and no init generator, so a stray load
-// panics instead of reading a page that now belongs to another run).
-func (m *Memory) Release() {
-	for _, pg := range m.global.pages {
-		pageFree.Put(0, pg)
+// NewMemoryIn is NewMemory with the memory and the pages it comes to
+// hold allocated from a (nil: the heap).
+func NewMemoryIn(a *arena.Arena, init func(addr uint32) uint32) *Memory {
+	if init == nil {
+		init = Mix
 	}
-	for i := range m.shared {
-		for _, pg := range m.shared[i].pages {
-			pageFree.Put(0, pg)
-		}
-	}
-	*m = Memory{}
+	m := memoryT.New(a)
+	m.a, m.init = a, init
+	return m
 }
 
 // Mix is a deterministic 32-bit hash used for SFU results and default
@@ -184,10 +163,10 @@ func (m *Memory) LoadShared(cta int, addr uint32) uint32 {
 // StoreShared writes to cta's shared memory.
 func (m *Memory) StoreShared(cta int, addr, val uint32) {
 	for cta >= len(m.shared) {
-		m.shared = append(m.shared, pagedMem{})
+		m.shared = append(pagedMemT.Grow(m.a, m.shared, 1), pagedMem{})
 	}
 	a := wordAddr(addr)
-	m.shared[cta].ensure(a).vals[(a>>2)&pageMask] = val
+	m.shared[cta].ensure(m.a, a).vals[(a>>2)&pageMask] = val
 }
 
 // GlobalStores returns a copy of every explicitly written global word —

@@ -3,40 +3,46 @@ package exec
 import (
 	"testing"
 
-	"repro/internal/freelist"
+	"repro/internal/arena"
 	"repro/internal/isa"
 )
 
-// TestRecycledPagesReadAsFresh: a memory built on pages another memory
-// released — scribbled over on the way into the list — reads exactly as
-// one built on new pages: unwritten global words through the init
-// generator, unwritten shared words as zero, and GlobalStores only what
-// it stored itself.
-func TestRecycledPagesReadAsFresh(t *testing.T) {
-	storeGlobal := func(m *Memory, a, v uint32) { m.global.ensure(a).store(a, v) }
-	freelist.Drop()
-	freelist.SetPoison(true)
-	defer freelist.SetPoison(false)
+// recycled returns what arena.Take hands out after a was put back under
+// poison: the same arena, everything it had handed out scribbled over
+// and then reset.
+func recycled(t *testing.T, a *arena.Arena) *arena.Arena {
+	t.Helper()
+	arena.Drop()
+	arena.SetPoison(true)
+	arena.Put(a)
+	arena.SetPoison(false)
+	if got := arena.Take(); got != a {
+		t.Fatal("Take did not return the arena just put")
+	}
+	return a
+}
 
-	old := NewMemory(nil)
-	for a := uint32(0); a < 3<<pageShift; a += 4096 {
-		storeGlobal(old, a, a+1)
+// TestRecycledPagesReadAsFresh: a memory built in an arena another
+// memory's pages were made from — scribbled over on the way back — reads
+// exactly as one built on the heap: unwritten global words through the
+// init generator, unwritten shared words as zero, and GlobalStores only
+// what it stored itself.
+func TestRecycledPagesReadAsFresh(t *testing.T) {
+	storeGlobal := func(m *Memory, a, v uint32) { m.global.ensure(m.a, a).store(a, v) }
+	a := arena.Take()
+	old := NewMemoryIn(a, nil)
+	for addr := uint32(0); addr < 3<<pageShift; addr += 4096 {
+		storeGlobal(old, addr, addr+1)
 	}
 	old.StoreShared(0, 64, 7)
 	old.StoreShared(2, 128, 9)
-	old.Release()
-	if n := freelist.Held(); n != 5 {
-		t.Fatalf("released memory parked %d pages, want 3 global + 2 shared", n)
-	}
-	if got := old.GlobalStores(); len(got) != 0 {
-		t.Fatalf("released memory still reports %d stores", len(got))
-	}
+	firstPage := old.global.pages[0]
 
-	m := NewMemory(nil)
+	m := NewMemoryIn(recycled(t, a), nil)
 	storeGlobal(m, 8, 42)
 	m.StoreShared(1, 16, 5)
-	if n := freelist.Held(); n != 3 {
-		t.Fatalf("%d pages parked after two takes, want 3", n)
+	if m.global.pages[0] != firstPage {
+		t.Fatal("the second memory's page is not the first's, recycled")
 	}
 	if got := m.GlobalStores(); len(got) != 1 || got[8] != 42 {
 		t.Fatalf("GlobalStores on a recycled page = %v, want {8: 42}", got)
@@ -53,70 +59,34 @@ func TestRecycledPagesReadAsFresh(t *testing.T) {
 }
 
 // TestRegFileLayoutAndRecycling: warps get disjoint, zeroed, full-length
-// register slices that cannot grow into a neighbour's; a released file's
-// chunks come back zeroed however they were left; a released file
-// panics instead of handing out storage it no longer owns.
+// register slices that cannot grow into a neighbour's, from the heap and
+// from an arena alike, and a file made in a recycled arena comes back
+// zeroed however the last one was left.
 func TestRegFileLayoutAndRecycling(t *testing.T) {
-	freelist.Drop()
-	freelist.SetPoison(true)
-	defer freelist.SetPoison(false)
-
-	for _, tc := range []struct{ warps, numRegs, chunks int }{
-		{64, 15, 2},                // 34 warps per chunk
-		{16, 40, 2},                // 12 per chunk
-		{3, regChunkRegs, 3},       // one warp fills a chunk
-		{2, regChunkRegs + 1, 0},   // more than a chunk: plain allocations
-		{4, 0, 0},                  // a kernel with no registers
-		{regChunkRegs / 8, 8, 1},   // exactly full
-		{regChunkRegs/8 + 1, 8, 2}, // one warp over
+	a := arena.Take()
+	for _, tc := range []struct{ warps, numRegs int }{
+		{64, 15}, {16, 40}, {3, 512}, {2, 513}, {4, 0}, {64, 8},
 	} {
-		rf := NewRegFile(tc.warps, tc.numRegs)
-		if len(rf.chunks) != tc.chunks {
-			t.Fatalf("%d warps x %d regs: %d chunks, want %d", tc.warps, tc.numRegs, len(rf.chunks), tc.chunks)
-		}
-		seen := map[*[isa.WarpWidth]uint32]bool{}
-		for w := 0; w < tc.warps; w++ {
-			regs := rf.Warp(w)
-			if len(regs) != tc.numRegs || cap(regs) != tc.numRegs {
-				t.Fatalf("warp %d: len %d cap %d, want %d", w, len(regs), cap(regs), tc.numRegs)
-			}
-			for r := range regs {
-				if seen[&regs[r]] {
-					t.Fatalf("warp %d register %d aliases another warp's", w, r)
+		for _, from := range []*arena.Arena{nil, a} {
+			rf := NewRegFile(from, tc.warps, tc.numRegs)
+			seen := map[*[isa.WarpWidth]uint32]bool{}
+			for w := 0; w < tc.warps; w++ {
+				regs := rf.Warp(w)
+				if len(regs) != tc.numRegs || cap(regs) != tc.numRegs {
+					t.Fatalf("warp %d: len %d cap %d, want %d", w, len(regs), cap(regs), tc.numRegs)
 				}
-				seen[&regs[r]] = true
-				for lane, v := range regs[r] {
-					if v != 0 {
-						t.Fatalf("warp %d r%d lane %d = %#x on a fresh file", w, r, lane, v)
+				for r := range regs {
+					if seen[&regs[r]] {
+						t.Fatalf("warp %d register %d aliases another warp's", w, r)
 					}
-				}
-				regs[r][w%isa.WarpWidth] = uint32(w + 1) // leave something behind
-			}
-		}
-		rf.Release()
-		if n := freelist.Held(); n != tc.chunks {
-			t.Fatalf("released file parked %d chunks, want %d", n, tc.chunks)
-		}
-		again := NewRegFile(tc.warps, tc.numRegs)
-		if n := freelist.Held(); n != 0 {
-			t.Fatalf("the next file left %d chunks parked", n)
-		}
-		for w := 0; w < tc.warps; w++ {
-			for r, reg := range again.Warp(w) {
-				if reg != ([isa.WarpWidth]uint32{}) {
-					t.Fatalf("warp %d r%d on a recycled chunk = %v, want zeros", w, r, reg)
-				}
-			}
-		}
-		if tc.chunks > 0 {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatal("a released file handed out registers")
+					seen[&regs[r]] = true
+					if regs[r] != ([isa.WarpWidth]uint32{}) {
+						t.Fatalf("%d warps x %d regs: warp %d r%d = %v, want zeros", tc.warps, tc.numRegs, w, r, regs[r])
 					}
-				}()
-				rf.Warp(0)
-			}()
+					regs[r][w%isa.WarpWidth] = uint32(w + 1) // leave something behind
+				}
+			}
 		}
+		a = recycled(t, a)
 	}
 }

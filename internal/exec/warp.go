@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/arena"
 	"repro/internal/cfg"
 	"repro/internal/isa"
 )
@@ -46,6 +47,7 @@ type Warp struct {
 	Mem  *Memory
 	Regs [][isa.WarpWidth]uint32
 
+	a       *arena.Arena // what the SIMT stack grows in (nil: the heap)
 	stack   []frame
 	done    bool
 	addrBuf [isa.WarpWidth]uint32
@@ -55,21 +57,28 @@ type Warp struct {
 // NewWarp creates a warp at the kernel entry with all lanes active.
 // Graph g must be cfg.New(k) (shared across warps).
 func NewWarp(k *isa.Kernel, g *cfg.Graph, id, cta int, mem *Memory) *Warp {
-	return NewWarpOn(make([][isa.WarpWidth]uint32, k.NumRegs), k, g, id, cta, mem)
+	return NewWarpOn(nil, make([][isa.WarpWidth]uint32, k.NumRegs), k, g, id, cta, mem)
 }
 
-// NewWarpOn is NewWarp over caller-provided register storage: k.NumRegs
-// zeroed registers (a RegFile's Warp slice).
-func NewWarpOn(regs [][isa.WarpWidth]uint32, k *isa.Kernel, g *cfg.Graph, id, cta int, mem *Memory) *Warp {
-	w := &Warp{
+var (
+	warpT  = arena.Of[Warp]()
+	frameT = arena.Of[frame]()
+)
+
+// NewWarpOn is NewWarp made from a (nil: the heap) over caller-provided
+// register storage: k.NumRegs zeroed registers (a RegFile's Warp slice).
+func NewWarpOn(a *arena.Arena, regs [][isa.WarpWidth]uint32, k *isa.Kernel, g *cfg.Graph, id, cta int, mem *Memory) *Warp {
+	w := warpT.New(a)
+	*w = Warp{
 		ID:   id,
 		CTA:  cta,
 		K:    k,
 		G:    g,
 		Mem:  mem,
 		Regs: regs,
+		a:    a,
 		// Room for divergence nested three deep before the stack regrows.
-		stack: make([]frame, 0, 8),
+		stack: frameT.Make(a, 8)[:0],
 	}
 	w.stack = append(w.stack, frame{pc: isa.PC{Block: 0, Index: 0}, rejoin: -1, mask: FullMask})
 	return w
@@ -104,6 +113,15 @@ func (w *Warp) ReadReg(r isa.Reg) [isa.WarpWidth]uint32 { return w.Regs[r] }
 // current mask, updating architectural state and the SIMT stack, and
 // returns what happened. The caller must not Step a Done warp.
 func (w *Warp) Step() StepInfo {
+	var info StepInfo
+	w.StepInto(&info)
+	return info
+}
+
+// StepInto is Step reporting into the caller's StepInfo, for a caller
+// that steps in a loop and keeps one (the SM's issue path): nothing is
+// built on the stack and copied out per instruction.
+func (w *Warp) StepInto(info *StepInfo) {
 	if w.done {
 		panic("exec: Step on finished warp")
 	}
@@ -111,7 +129,7 @@ func (w *Warp) Step() StepInfo {
 	pc := f.pc
 	in := w.K.At(pc)
 	mask := f.mask
-	info := StepInfo{PC: pc, Insn: in, Mask: mask}
+	*info = StepInfo{PC: pc, Insn: in, Mask: mask}
 	w.stepped++
 
 	// Arithmetic cases carry their own lane loops rather than sharing a
@@ -329,7 +347,7 @@ func (w *Warp) Step() StepInfo {
 				continue
 			}
 			if a = wordAddr(a); a>>pageShift != key {
-				key, pg = a>>pageShift, w.Mem.global.ensure(a)
+				key, pg = a>>pageShift, w.Mem.global.ensure(w.Mem.a, a)
 			}
 			pg.store(a, vals[lane])
 		}
@@ -360,7 +378,6 @@ func (w *Warp) Step() StepInfo {
 	default:
 		panic(fmt.Sprintf("exec: unhandled opcode %v", in.Op))
 	}
-	return info
 }
 
 // advance moves to the next instruction, following fallthrough at block
@@ -413,7 +430,7 @@ func (w *Warp) branch(pc isa.PC, target int, taken, mask uint32) {
 		} else {
 			f.pc = isa.PC{Block: rejoin, Index: 0}
 		}
-		w.stack = append(w.stack,
+		w.stack = append(frameT.Grow(w.a, w.stack, 2),
 			frame{pc: isa.PC{Block: pc.Block + 1, Index: 0}, rejoin: rejoin, mask: fall},
 			frame{pc: isa.PC{Block: target, Index: 0}, rejoin: rejoin, mask: taken},
 		)

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/faults"
@@ -47,7 +48,12 @@ type Tune func(*sim.Config, *core.Config)
 // core provider is SM 0's (non-nil only for RegLess schemes);
 // scheme-wide provider statistics are summed across SMs at result time.
 // tune may be nil.
-func Assemble(k *isa.Kernel, scheme Scheme, sms int, su SimSetup, tune Tune) (*gpu.GPU, *core.Provider, error) {
+//
+// The machine is allocated from a: runPoint passes the arena it took and
+// puts it back when the run is folded; everyone who keeps the chip —
+// BuildChip and BuildSM's callers, tests — passes nil, the heap. A
+// su.Memory is the caller's either way.
+func Assemble(a *arena.Arena, k *isa.Kernel, scheme Scheme, sms int, su SimSetup, tune Tune) (*gpu.GPU, *core.Provider, error) {
 	cfg := gpu.DefaultConfig()
 	cfg.SMs = sms
 	// The one place the L2 level follows from the SM count: a chip of one
@@ -99,9 +105,7 @@ func Assemble(k *isa.Kernel, scheme Scheme, sms int, su SimSetup, tune Tune) (*g
 	if tune != nil {
 		tune(&cfg.SM, &rl)
 	}
-	// A nil su.Memory makes the chip build (and own, and on Release
-	// recycle) its functional memory.
-	g, err := gpu.New(cfg, k, factory, su.Memory)
+	g, err := gpu.NewIn(a, cfg, k, factory, su.Memory)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -122,7 +126,7 @@ func BuildChip(bench string, scheme Scheme, sms int, su SimSetup) (*gpu.GPU, *co
 	if err != nil {
 		return nil, nil, err
 	}
-	return Assemble(k, scheme, sms, su, nil)
+	return Assemble(nil, k, scheme, sms, su, nil)
 }
 
 // BuildSM returns the lone SM of a chip of one, for tools that drive the
@@ -148,13 +152,15 @@ type Instrumented struct {
 	Cycles     []uint64
 }
 
-// runPoint is the one way a point is simulated: assemble the chip,
-// attach what observes it — an event recorder per SM when mask is
-// non-zero, the JSONL window stream when jsonl is non-nil, ctx's
-// cancellation and "build"/"run" trace spans — run it, fold the per-SM
-// results into a Run, and release the chip's buffers for the next
-// assembly to reuse. Recording and streaming are passive, so the Run is
-// the same whatever is attached. A failed run releases nothing: its
+// runPoint is the one way a point is simulated: take an arena, assemble
+// the chip in it, attach what observes it — an event recorder per SM
+// when mask is non-zero, the JSONL window stream when jsonl is non-nil,
+// ctx's cancellation and "build"/"run" trace spans — run it, fold the
+// per-SM results into a Run, and put the arena back for the next
+// assembly. Recording and streaming are passive, so the Run is the same
+// whatever is attached. Nothing the Run, the recorders or the stream keep
+// may point into the machine: once the arena is back, the machine is the
+// next run's memory. A failed run puts nothing back: its
 // *sanitizer.Diagnostic may quote machine state, and failures are rare
 // enough to leave to the collector.
 func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, sms int,
@@ -164,7 +170,8 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 	}
 	tr, parent := obs.FromContext(ctx)
 	build := tr.Start(parent, "build")
-	g, rp, err := Assemble(k, scheme, sms, su, tune)
+	a := arena.Take()
+	g, rp, err := Assemble(a, k, scheme, sms, su, tune)
 	tr.End(build)
 	if err != nil {
 		return nil, err
@@ -215,7 +222,7 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 	if rp != nil {
 		run.Compiled, run.RegionActivations = rp.Compiled(), rp.RegionActivations()
 	}
-	g.Release()
+	arena.Put(a)
 	return inst, nil
 }
 

@@ -166,8 +166,8 @@ func (o Options) benchmarks() []string {
 // Run is one completed simulation: numbers only. Nothing reachable from
 // it points into the machine it was measured on (sim.SM, core.Provider,
 // exec.Memory, mem.Hierarchy) — the Suite and serve cache Runs for the
-// life of the process, and the machine's buffers are recycled the moment
-// the run is folded (runPoint).
+// life of the process, and the machine's arena is the next machine's the
+// moment the run is folded (runPoint).
 type Run struct {
 	Bench    string
 	Scheme   Scheme

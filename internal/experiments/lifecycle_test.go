@@ -1,23 +1,27 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/arena"
+	"repro/internal/events"
 	"repro/internal/exec"
-	"repro/internal/freelist"
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
 // The run lifecycle (DESIGN.md): a cached Run holds numbers and no
-// machine, a finished machine's buffers are recycled, and a recycled
-// buffer is indistinguishable from a fresh one.
+// machine, a finished machine's arena is the next machine's, and a
+// machine built in a recycled arena is indistinguishable from one built
+// on the heap.
 
 // liveHeap is the heap in use once everything unreachable is collected.
 func liveHeap() int64 {
@@ -52,8 +56,8 @@ func TestCachedRunPinsNoMachine(t *testing.T) {
 		return s
 	}
 	// The first suite is dropped: it leaves behind what is not the
-	// cache's — loaded kernels, compiled regions, and free lists holding
-	// one machine's buffers — so the second's growth is its Runs.
+	// cache's — loaded kernels, compiled regions, and the parked arena
+	// that held its machines — so the second's growth is its Runs.
 	warm()
 	before := liveHeap()
 	s := warm()
@@ -75,16 +79,16 @@ type outcome struct {
 	stores map[uint32]uint32
 }
 
-// TestRecycledMatchesFreshUnderPoison is what proves clear-on-take. The
-// reference for every point is a chip built while the free lists are
-// empty — fresh allocations throughout — and never released. Then, with
-// every buffer that enters a list scribbled over on the way in (all-ones
-// words, written bitmaps full, cache lines valid and dirty under wild
-// tags, OSU cells resident), the same points go through runPoint in a
-// shuffled order, each built on what the ones before it released, and
-// must report the same Stats, ProviderStats, mem.Stats and stored words.
-// A take that skipped the page, the written bitmap, a register chunk or
-// a line array hands the next run that garbage and cannot pass.
+// TestRecycledMatchesFreshUnderPoison is what proves Reset. The
+// reference for every point is a chip built on the heap — fresh
+// allocations throughout. Then, with every arena that goes back
+// scribbled over on the way (all-ones words, written bitmaps full, cache
+// lines valid and dirty under wild tags, OSU cells resident, scoreboards
+// and masks set), the same points go through runPoint in a shuffled
+// order, each built in the arena the ones before it ran in, and must
+// report the same Stats, ProviderStats, mem.Stats and stored words. A
+// Reset that missed a page, a written bitmap, the registers or a line
+// array hands the next run that garbage and cannot pass.
 func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
 	type point struct {
 		bench    string
@@ -102,13 +106,15 @@ func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
 		}
 	}
 	setup := func(p point) SimSetup {
-		return SimSetup{Capacity: p.capacity, Warps: 16, MaxCycles: 20_000_000, Memory: exec.NewMemory(nil)}
+		return SimSetup{Capacity: p.capacity, Warps: 16, MaxCycles: 20_000_000}
 	}
 
-	freelist.Drop()
+	arena.Drop()
+	defer arena.Drop()
 	fresh := make(map[point]outcome, len(points))
 	for _, p := range points {
 		su := setup(p)
+		su.Memory = exec.NewMemory(nil)
 		g, _, err := BuildChip(p.bench, p.scheme, p.sms, su)
 		if err != nil {
 			t.Fatal(err)
@@ -124,19 +130,25 @@ func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
 		}
 		fresh[p] = o
 	}
-	if n := freelist.Held(); n != 0 {
-		t.Fatalf("%d buffers parked while building the references: they were not all fresh", n)
+	if n := arena.Held(); n != 0 {
+		t.Fatalf("%d arenas parked while building the references: a kept chip must be built on the heap", n)
 	}
 
-	freelist.SetPoison(true)
-	defer freelist.SetPoison(false)
+	arena.SetPoison(true)
+	defer arena.SetPoison(false)
 	rand.New(rand.NewSource(17)).Shuffle(len(points), func(i, j int) { points[i], points[j] = points[j], points[i] })
 	for i, p := range points {
 		k, err := kernels.Load(p.bench)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Odd runs keep their stores to compare — in a memory of the
+		// test's own, which the machine's arena must leave alone; even
+		// runs let the chip make its memory in the arena, pages and all.
 		su := setup(p)
+		if i%2 == 1 {
+			su.Memory = exec.NewMemory(nil)
+		}
 		inst, err := runPoint(context.Background(), k, p.bench, p.scheme, p.sms, su, nil, 0, nil)
 		if err != nil {
 			t.Fatalf("%+v: %v", p, err)
@@ -144,7 +156,7 @@ func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
 		r, want := inst.Run, fresh[p]
 		where := fmt.Sprintf("run %d, %+v", i, p)
 		if !reflect.DeepEqual(*r.Stats, want.stats) {
-			t.Fatalf("%s: Stats on recycled buffers differ from fresh:\n%+v\n%+v", where, *r.Stats, want.stats)
+			t.Fatalf("%s: Stats in a recycled arena differ from the heap's:\n%+v\n%+v", where, *r.Stats, want.stats)
 		}
 		if r.Prov != want.prov {
 			t.Fatalf("%s: ProviderStats differ:\n%+v\n%+v", where, r.Prov, want.prov)
@@ -152,22 +164,21 @@ func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
 		if r.Mem != want.mem {
 			t.Fatalf("%s: mem.Stats differ:\n%+v\n%+v", where, r.Mem, want.mem)
 		}
-		if got := su.Memory.GlobalStores(); !reflect.DeepEqual(got, want.stores) {
-			t.Fatalf("%s: %d stored words differ from the fresh run's %d", where, len(got), len(want.stores))
+		if su.Memory != nil {
+			if got := su.Memory.GlobalStores(); !reflect.DeepEqual(got, want.stores) {
+				t.Fatalf("%s: %d stored words differ from the fresh run's %d", where, len(got), len(want.stores))
+			}
 		}
-		su.Memory.Release() // the test's memory, so the test's to recycle
-		if freelist.Held() == 0 {
-			t.Fatalf("%s: nothing was parked, so nothing is being recycled", where)
+		if arena.Held() != 1 {
+			t.Fatalf("%s: %d arenas parked, want the one every run takes and puts back", where, arena.Held())
 		}
 	}
 }
 
-// TestFreeListsBoundedByMachinesAlive states the lists' bound. A buffer
-// enters a list only by release, so one worker — one machine alive at a
-// time — leaves each size class holding what its hungriest machine
-// needed: a second pass over the same runs finds everything it needs
-// parked and parks the same again, and W workers can leave at most W
-// times that.
+// TestFreeListsBoundedByMachinesAlive states the bound of the one free
+// list there is, the LIFO of arenas. An arena enters it only by Put, so
+// one worker — one machine alive at a time — leaves one arena parked
+// however many runs it makes, and W workers leave at most W.
 func TestFreeListsBoundedByMachinesAlive(t *testing.T) {
 	opts := Quick()
 	var keys []runKey
@@ -179,18 +190,81 @@ func TestFreeListsBoundedByMachinesAlive(t *testing.T) {
 		if err := NewSuite(opts).Warm(keys); err != nil {
 			t.Fatal(err)
 		}
-		return freelist.Held()
+		return arena.Held()
 	}
-	freelist.Drop()
-	one := pass(1)
-	if one == 0 {
-		t.Fatal("a serial pass parked nothing")
+	arena.Drop()
+	defer arena.Drop()
+	if one := pass(1); one != 1 {
+		t.Fatalf("a serial pass left %d arenas parked, want 1", one)
 	}
-	if again := pass(1); again != one {
-		t.Fatalf("a second serial pass left %d buffers parked, the first %d: the lists grow without more machines alive", again, one)
+	if again := pass(1); again != 1 {
+		t.Fatalf("a second serial pass left %d arenas parked: the LIFO grows without more machines alive", again)
 	}
 	const workers = 4
-	if par := pass(workers); par > workers*one {
-		t.Fatalf("%d workers left %d buffers parked, more than %d times one machine's %d", workers, par, workers, one)
+	if par := pass(workers); par > workers {
+		t.Fatalf("%d workers left %d arenas parked", workers, par)
+	}
+}
+
+// TestResultSurvivesArenaReuse: everything run A hands its consumers — the
+// Run with its chip result and region profile, the JSONL window stream,
+// the recorders' analysis — is the same bytes after A's arena has gone
+// back under poison and run B has been built and run in it. A result that
+// aliased the arena (a Stats pointing at the SM's, a series sharing its
+// backing array, a sink that kept the registry's name table) reads
+// scribble or B's numbers instead.
+func TestResultSurvivesArenaReuse(t *testing.T) {
+	arena.Drop()
+	arena.SetPoison(true)
+	defer arena.SetPoison(false)
+	defer arena.Drop()
+
+	var stream bytes.Buffer
+	opts := Quick()
+	opts.MetricsWriter = &stream
+	s := NewSuite(opts)
+	k, err := kernels.Load("nw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	su := opts.Setup(DefaultCapacity)
+	a, err := runPoint(context.Background(), k, "nw", SchemeRegLess, 1, su, nil, events.MaskAll, s.jsonl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FlushMetrics(); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() []byte {
+		t.Helper()
+		out, err := json.Marshal(struct {
+			Run         *Run
+			Activations []uint64
+			Report      *events.Report
+			Stream      string
+		}{a.Run, a.Run.RegionActivations, events.Analyze(a.Recs[0], a.Cycles[0], a.Schedulers[0]), stream.String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before := snapshot()
+	if len(a.Run.RegionActivations) == 0 || a.Run.Chip == nil || stream.Len() == 0 {
+		t.Fatal("run A left nothing to alias")
+	}
+	taken := arena.Held()
+
+	kb, err := kernels.Load("hotspot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runPoint(context.Background(), kb, "hotspot", SchemeRegLess, 1, su, nil, events.MaskAll, nil); err != nil {
+		t.Fatal(err)
+	}
+	if taken != 1 || arena.Held() != 1 {
+		t.Fatalf("run B did not run in run A's arena (%d parked before, %d after)", taken, arena.Held())
+	}
+	if after := snapshot(); !bytes.Equal(before, after) {
+		t.Fatalf("run A's results changed once its arena was reused:\n%s\n%s", before, after)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/freelist"
+	"repro/internal/arena"
 )
 
 // parOpts keeps concurrency tests fast: one tiny benchmark, forced
@@ -135,14 +135,14 @@ func TestRequirementsCoverRunners(t *testing.T) {
 
 // TestParallelAllMatchesSerial runs the full paper suite serially and in
 // parallel and requires identical rendered tables. It is also where the
-// free lists meet concurrency (run under -race): the serial pass leaves
-// one machine's buffers parked, poisoned, and the eight workers of the
-// parallel pass then take and release them against each other — a buffer
-// handed to two machines, or taken while its last owner still wrote to
-// it, is a race report or a different table.
+// arena LIFO meets concurrency (run under -race): the serial pass leaves
+// one arena parked, poisoned, and the eight workers of the parallel pass
+// then take and put arenas against each other — an arena handed to two
+// machines, or taken while its last owner still wrote to it, is a race
+// report or a different table.
 func TestParallelAllMatchesSerial(t *testing.T) {
-	freelist.SetPoison(true)
-	defer freelist.SetPoison(false)
+	arena.SetPoison(true)
+	defer arena.SetPoison(false)
 	render := func(par int) string {
 		opts := parOpts()
 		opts.Parallelism = par
@@ -158,7 +158,7 @@ func TestParallelAllMatchesSerial(t *testing.T) {
 		return out
 	}
 	serial := render(1)
-	if freelist.Held() == 0 {
+	if arena.Held() == 0 {
 		t.Fatal("the serial pass parked nothing for the parallel workers to take")
 	}
 	parallel := render(8)

@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/exec"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -85,11 +86,6 @@ type GPU struct {
 	// Mems holds each slot's functional memory (one entry in
 	// single-kernel mode).
 	Mems []*exec.Memory
-	// ownL2 and ownMems mark what the chip made itself — the L2 unless
-	// FromSMs was handed one, the memories its caller passed nil for:
-	// Release may recycle those, never a caller's.
-	ownL2   bool
-	ownMems []*exec.Memory
 
 	// ctx is what Run hands the cycle loop to poll (AttachContext).
 	ctx context.Context
@@ -103,13 +99,32 @@ func (g *GPU) AttachContext(ctx context.Context) { g.ctx = ctx }
 // New builds a single-kernel GPU: one SM per index, private L1s over the
 // configured L2 level, the grid striped across SMs by warp ID.
 func New(cfgv Config, k *isa.Kernel, factory ProviderFactory, mm *exec.Memory) (*GPU, error) {
-	return NewCoResident(cfgv, []KernelSlot{{K: k, SMs: cfgv.SMs, Factory: factory, Mem: mm}})
+	return NewIn(nil, cfgv, k, factory, mm)
+}
+
+// NewIn is New with the whole chip — the SMs and everything under them,
+// the L2 level, a memory the caller passed nil for — allocated from a
+// (nil: the heap). The caller owns a: once the run's results have been
+// read out it may put the arena back and the chip is gone with it
+// (experiments.runPoint). A memory the caller passed in stays the
+// caller's, wherever it was made.
+func NewIn(a *arena.Arena, cfgv Config, k *isa.Kernel, factory ProviderFactory, mm *exec.Memory) (*GPU, error) {
+	return newChip(a, cfgv, []KernelSlot{{K: k, SMs: cfgv.SMs, Factory: factory, Mem: mm}})
 }
 
 // NewCoResident builds a chip whose SMs are partitioned between kernel
 // slots contending for the shared L2 and DRAM. Config.SMs is ignored;
 // the chip has the sum of the slots' SM counts.
-func NewCoResident(cfgv Config, slots []KernelSlot) (*GPU, error) {
+func NewCoResident(cfgv Config, slots []KernelSlot) (*GPU, error) { return newChip(nil, cfgv, slots) }
+
+var (
+	gpuT   = arena.Of[GPU]()
+	smPtrT = arena.Of[*sim.SM]()
+	memT   = arena.Of[*exec.Memory]()
+	intT   = arena.Of[int]()
+)
+
+func newChip(a *arena.Arena, cfgv Config, slots []KernelSlot) (*GPU, error) {
 	total := 0
 	for _, s := range slots {
 		if s.SMs <= 0 {
@@ -120,19 +135,25 @@ func NewCoResident(cfgv Config, slots []KernelSlot) (*GPU, error) {
 	if total <= 0 {
 		return nil, fmt.Errorf("gpu: need at least one SM")
 	}
-	g := &GPU{Cfg: cfgv, ctx: context.Background()}
+	g := gpuT.New(a)
+	*g = GPU{
+		Cfg:  cfgv,
+		SMs:  smPtrT.Make(a, total)[:0],
+		Slot: intT.Make(a, total)[:0],
+		Mems: memT.Make(a, len(slots))[:0],
+		ctx:  context.Background(),
+	}
 	if !cfgv.PrivateL2 {
-		l2, err := mem.NewBankedL2(cfgv.L2)
+		l2, err := mem.NewBankedL2In(a, cfgv.L2)
 		if err != nil {
 			return nil, err
 		}
-		g.L2, g.ownL2 = l2, true
+		g.L2 = l2
 	}
 	for si := range slots {
 		s := &slots[si]
 		if s.Mem == nil {
-			s.Mem = exec.NewMemory(nil)
-			g.ownMems = append(g.ownMems, s.Mem)
+			s.Mem = exec.NewMemoryIn(a, nil)
 		}
 		g.Mems = append(g.Mems, s.Mem)
 		for i := 0; i < s.SMs; i++ {
@@ -147,9 +168,9 @@ func NewCoResident(cfgv Config, slots []KernelSlot) (*GPU, error) {
 			smCfg.Mem.AddrBias = s.AddrBias
 			var hier *mem.Hierarchy // nil: sim builds the private slice
 			if g.L2 != nil {
-				hier = g.L2.AttachHierarchy(smCfg.Mem)
+				hier = g.L2.AttachHierarchy(smCfg.Mem) // made where the L2 was
 			}
-			smv, err := sim.NewWithHierarchy(smCfg, s.K, p, s.Mem, hier)
+			smv, err := sim.NewWithHierarchyIn(a, smCfg, s.K, p, s.Mem, hier)
 			if err != nil {
 				return nil, fmt.Errorf("gpu: slot %d SM %d: %w", si, i, err)
 			}
@@ -165,24 +186,6 @@ func NewCoResident(cfgv Config, slots []KernelSlot) (*GPU, error) {
 // occupancy wave this way, keeping the banked L2 warm across waves.
 func FromSMs(cfgv Config, l2 *mem.BankedL2, sms []*sim.SM, mems []*exec.Memory) *GPU {
 	return &GPU{Cfg: cfgv, L2: l2, SMs: sms, Slot: make([]int, len(sms)), Mems: mems, ctx: context.Background()}
-}
-
-// Release hands the chip's large flat buffers back for the next chip
-// built to reuse: every SM's (sim.SM.Release), and of the shared L2's
-// bank arrays and the functional memories' pages those the chip made
-// itself — an L2 or a memory the caller passed in stays the caller's, to
-// read and to release. Call it only after a clean Run whose results have
-// been read out; the chip cannot run again.
-func (g *GPU) Release() {
-	for _, smv := range g.SMs {
-		smv.Release()
-	}
-	if g.ownL2 {
-		g.L2.Release()
-	}
-	for _, mm := range g.ownMems {
-		mm.Release()
-	}
 }
 
 // Result summarizes a multi-SM run.

@@ -5,9 +5,9 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/freelist"
 	"repro/internal/kernels"
 	"repro/internal/sim"
 )
@@ -45,58 +45,59 @@ func TestResultDetachedFromSM(t *testing.T) {
 	}
 }
 
-// TestReleaseRecyclesWhatTheChipOwns: a released chip parks its SMs'
-// buffers, its L2's bank arrays and the memory it made — and a chip
-// handed its L2 and memory (FromSMs, a caller's *exec.Memory) leaves
-// those alone. A released SM panics when stepped.
-func TestReleaseRecyclesWhatTheChipOwns(t *testing.T) {
+// TestArenaChipLeavesCallersMemoryAlone: a chip built in an arena takes
+// everything it makes from it — SMs, the L2 level, the memory it was not
+// handed — and the arena going back (scribbled over, under poison) takes
+// all of that with it; a memory the caller passed in was made elsewhere
+// and keeps its stores. Both chips count what a chip on the heap counts.
+func TestArenaChipLeavesCallersMemoryAlone(t *testing.T) {
 	k := kernels.MustLoad("nw")
 	factory := func(i int) (sim.Provider, error) {
 		cfg := core.DefaultConfig()
 		cfg.AddrOffset = uint32(i) << 24
 		return core.New(cfg, k)
 	}
-	run := func(mm *exec.Memory) *GPU {
+	run := func(a *arena.Arena, mm *exec.Memory) (*GPU, *Result) {
 		t.Helper()
-		g, err := New(smallCfg(2, 8), k, factory, mm)
+		g, err := NewIn(a, smallCfg(2, 8), k, factory, mm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.Run(); err != nil {
+		res, err := g.Run()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return g
+		return g, res
 	}
-	// Per SM: one register chunk (8 warps fit one), the L1's array, four
-	// shards' OSU arrays.
-	const sms, perSM = 2, 1 + 1 + 4
-	freelist.Drop()
-	own := run(nil)
-	own.Release()
-	if got, min := freelist.Held(), sms*perSM+own.Cfg.L2.Banks+1; got < min {
-		t.Fatalf("released chip parked %d buffers, want at least %d (the SMs', %d bank arrays, a page)",
-			got, min, own.Cfg.L2.Banks)
+	onHeap, want := run(nil, nil)
+	stores := onHeap.Mems[0].GlobalStores()
+	if len(stores) == 0 {
+		t.Fatal("the kernel stores nothing to test with")
 	}
 
-	freelist.Drop()
+	arena.Drop()
+	arena.SetPoison(true)
+	defer arena.SetPoison(false)
+	defer arena.Drop()
+	a := arena.Take()
+	own, got := run(a, nil)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("a chip in an arena counts\n%+v\non the heap\n%+v", got, want)
+	}
+	regs := own.SMs[0].Warps[0].Exec.Regs
+	arena.Put(a)
+	if regs[0][0] != ^uint32(0) {
+		t.Fatal("the chip's registers were not the arena's: putting it back left them readable")
+	}
+
 	mm := exec.NewMemory(nil)
-	lent := run(mm)
-	FromSMs(lent.Cfg, lent.L2, lent.SMs, lent.Mems).Release()
-	if got := freelist.Held(); got != sms*perSM {
-		t.Fatalf("a chip lent its L2 and memory parked %d buffers, want the SMs' %d", got, sms*perSM)
+	a = arena.Take()
+	_, got = run(a, mm)
+	arena.Put(a)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("a chip in a recycled arena counts\n%+v\non the heap\n%+v", got, want)
 	}
-	if len(mm.GlobalStores()) == 0 {
-		t.Fatal("the caller's memory was emptied")
+	if !reflect.DeepEqual(mm.GlobalStores(), stores) {
+		t.Fatal("the caller's memory lost its stores with the arena")
 	}
-	lent.L2.Release() // still whole: hands back every bank
-	if got := freelist.Held(); got != sms*perSM+lent.Cfg.L2.Banks {
-		t.Fatalf("the lent L2 had %d bank arrays left to release, want %d", got-sms*perSM, lent.Cfg.L2.Banks)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("stepping a released SM did not panic")
-		}
-	}()
-	own.SMs[0].Warps[0].Exec.Regs[0][0]++
 }

@@ -18,7 +18,11 @@
 // fast-forward's per-SM wake computation covers all chip-level events.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/arena"
+)
 
 // BankedL2Config sizes the chip-level L2 and DRAM interface.
 type BankedL2Config struct {
@@ -114,41 +118,45 @@ type l2bank struct {
 	portsUsed int
 	nextFree  uint64
 	// In-flight DRAM fetches by (bias-adjusted) line address.
-	mshrs        map[uint32][]l2waiter
+	mshrs        mshrFile[l2waiter]
 	hits, misses uint64
 }
 
 // BankedL2 is the chip-wide shared L2 + DRAM interface.
 type BankedL2 struct {
-	cfg   BankedL2Config
+	cfg BankedL2Config
+	// a is what the level was made from, its waiter lists grow in, and the
+	// hierarchies attached to it are made from (nil: the heap).
+	a     *arena.Arena
 	banks []l2bank
 	// DRAM bandwidth throttle (chip-wide).
 	dramNextFree uint64
-	// waiterFree holds released MSHR waiter lists for the next miss.
-	waiterFree [][]l2waiter
-
-	Stats BankedL2Stats
+	Stats        BankedL2Stats
 }
 
+var (
+	bankedL2T = arena.Of[BankedL2]()
+	l2bankT   = arena.Of[l2bank]()
+	l2waiterT = arena.Of[l2waiter]()
+	l2mshrT   = arena.Of[mshr[l2waiter]]()
+)
+
 // NewBankedL2 builds the shared level.
-func NewBankedL2(cfg BankedL2Config) (*BankedL2, error) {
+func NewBankedL2(cfg BankedL2Config) (*BankedL2, error) { return NewBankedL2In(nil, cfg) }
+
+// NewBankedL2In is NewBankedL2 with the level — and every hierarchy later
+// attached to it — allocated from a (nil: the heap).
+func NewBankedL2In(a *arena.Arena, cfg BankedL2Config) (*BankedL2, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	l2 := &BankedL2{cfg: cfg, banks: make([]l2bank, cfg.Banks)}
+	l2 := bankedL2T.New(a)
+	*l2 = BankedL2{cfg: cfg, a: a, banks: l2bankT.Make(a, cfg.Banks)}
 	for i := range l2.banks {
-		l2.banks[i].cache = newCache(cfg.SetsPerBank, cfg.Ways)
-		l2.banks[i].mshrs = make(map[uint32][]l2waiter)
+		l2.banks[i].cache = newCache(a, cfg.SetsPerBank, cfg.Ways)
+		l2.banks[i].mshrs = newMSHRFile(a, l2mshrT, cfg.MSHRsPerBank)
 	}
 	return l2, nil
-}
-
-// Release hands every bank's line array back for the next chip's L2 to
-// reuse. Statistics stay readable; any further access panics.
-func (l2 *BankedL2) Release() {
-	for i := range l2.banks {
-		l2.banks[i].cache.release()
-	}
 }
 
 // Config returns the geometry the level was built with.
@@ -244,16 +252,16 @@ func (l2 *BankedL2) access(h *Hierarchy, a uint32, write bool, r request) {
 	}
 	// Read miss: merge onto an in-flight fetch when MSHR tracking is on.
 	if l2.cfg.MSHRsPerBank > 0 {
-		if waiters, ok := bank.mshrs[a]; ok {
+		if m := bank.mshrs.find(a); m != nil {
 			l2.portDelay(bank, now)
 			l2.Stats.Misses++
 			bank.misses++
 			h.Stats.L2Misses++
 			l2.Stats.MSHRMerges++
-			bank.mshrs[a] = append(waiters, l2waiter{h, r})
+			m.waiters = append(l2waiterT.Grow(l2.a, m.waiters, 1), l2waiter{h, r})
 			return
 		}
-		if len(bank.mshrs) >= l2.cfg.MSHRsPerBank {
+		if bank.mshrs.full() {
 			// MSHR file full: the request is refused at the bank input
 			// queue and retries after the back-off. Critically, a bounced
 			// request consumes NO port slot and counts NO miss — hundreds
@@ -263,14 +271,11 @@ func (l2 *BankedL2) access(h *Hierarchy, a uint32, write bool, r request) {
 			// observed at 16 SMs, not a slowdown: MSHRs stop turning over
 			// entirely). The miss is counted once, when accepted.
 			l2.Stats.MSHRFullRetries++
-			retry := l2.cfg.MSHRRetry
-			if retry < 1 {
-				retry = 1
-			}
-			h.events.push(event{cycle: h.now + uint64(retry), kind: evRetry, addr: a, req: r})
+			h.schedule(l2.cfg.MSHRRetry, event{kind: evRetry, addr: a, req: r})
 			return
 		}
-		bank.mshrs[a] = append(reuse(&l2.waiterFree), l2waiter{h, r})
+		m := bank.mshrs.take(a)
+		m.waiters = append(l2waiterT.Grow(l2.a, m.waiters, 1), l2waiter{h, r})
 	}
 	pd := l2.portDelay(bank, now)
 	l2.Stats.Misses++
@@ -279,7 +284,7 @@ func (l2 *BankedL2) access(h *Hierarchy, a uint32, write bool, r request) {
 	delay := pd + l2.cfg.Latency + l2.cfg.DRAMLatency + l2.dramQueueDelay(now)
 	l2.Stats.DRAMAccesses++
 	h.Stats.DRAMAccesses++
-	h.events.push(event{cycle: h.now + uint64(delay), kind: evFetched, addr: a, req: r})
+	h.schedule(delay, event{kind: evFetched, addr: a, req: r})
 }
 
 // fetched installs line a, fetched on behalf of h's request r, and wakes
@@ -296,12 +301,12 @@ func (l2 *BankedL2) fetched(h *Hierarchy, a uint32, r request) {
 		h.deliver(r, SrcDRAM)
 		return
 	}
-	waiters := bank.mshrs[a]
-	for _, w := range waiters {
-		w.h.deliver(w.r, SrcDRAM)
+	if m := bank.mshrs.find(a); m != nil {
+		for _, w := range m.waiters {
+			w.h.deliver(w.r, SrcDRAM)
+		}
+		bank.mshrs.release(m)
 	}
-	delete(bank.mshrs, a)
-	release(&l2.waiterFree, waiters)
 }
 
 // ResetTiming clears the level's timing bookkeeping at a wave boundary
@@ -334,7 +339,7 @@ func (l2 *BankedL2) invalidate(a uint32) {
 func (l2 *BankedL2) MSHROccupancy() []int {
 	out := make([]int, len(l2.banks))
 	for i := range l2.banks {
-		out[i] = len(l2.banks[i].mshrs)
+		out[i] = l2.banks[i].mshrs.inUse()
 	}
 	return out
 }
@@ -358,9 +363,9 @@ func (l2 *BankedL2) CheckInvariants() error {
 	var hits, misses uint64
 	for i := range l2.banks {
 		b := &l2.banks[i]
-		if l2.cfg.MSHRsPerBank > 0 && len(b.mshrs) > l2.cfg.MSHRsPerBank {
+		if l2.cfg.MSHRsPerBank > 0 && b.mshrs.inUse() > l2.cfg.MSHRsPerBank {
 			return fmt.Errorf("mem/l2bank: bank %d holds %d MSHRs (limit %d)",
-				i, len(b.mshrs), l2.cfg.MSHRsPerBank)
+				i, b.mshrs.inUse(), l2.cfg.MSHRsPerBank)
 		}
 		hits += b.hits
 		misses += b.misses
@@ -375,5 +380,5 @@ func (l2 *BankedL2) CheckInvariants() error {
 // AttachHierarchy builds a per-SM hierarchy (private L1) whose L2 level
 // is this chip-wide banked L2.
 func (l2 *BankedL2) AttachHierarchy(cfg Config) *Hierarchy {
-	return newHierarchy(cfg, l2)
+	return newHierarchy(l2.a, cfg, l2)
 }

@@ -19,9 +19,10 @@
 package mem
 
 import (
+	"repro/internal/arena"
+	"repro/internal/calendar"
 	"repro/internal/events"
 	"repro/internal/faults"
-	"repro/internal/freelist"
 )
 
 // LineSize is the cache line size in bytes; one register (32 lanes x 4 B)
@@ -152,31 +153,19 @@ type cache struct {
 	lines      []line
 }
 
-// lineFree recycles the line arrays of released caches (L1s, private L2
-// slices, the banked L2's banks), one size class per array length.
-var lineFree = freelist.New(
-	func(s []line) { clear(s) },
-	func(s []line) {
-		for i := range s {
-			s[i] = line{tag: ^uint32(0) - uint32(i), valid: true, dirty: true, lru: ^uint64(0)}
-		}
-	})
+var (
+	cacheT     = arena.Of[cache]()
+	lineT      = arena.Of[line]()
+	hierarchyT = arena.Of[Hierarchy]()
+	privateL2T = arena.Of[privateL2]()
+	waiterT    = arena.Of[func(Source)]()
+	l1mshrT    = arena.Of[mshr[func(Source)]]()
+)
 
-func newCache(sets, ways int) *cache {
-	lines, ok := lineFree.Take(sets * ways)
-	if !ok {
-		lines = make([]line, sets*ways)
-	}
-	return &cache{sets: sets, ways: ways, lines: lines}
-}
-
-// release hands the line array back; the cache is unusable afterwards
-// (any access indexes a nil array).
-func (c *cache) release() {
-	if c.lines != nil {
-		lineFree.Put(len(c.lines), c.lines)
-		c.lines = nil
-	}
+func newCache(a *arena.Arena, sets, ways int) *cache {
+	c := cacheT.New(a)
+	*c = cache{sets: sets, ways: ways, lines: lineT.Make(a, sets*ways)}
+	return c
 }
 
 func (c *cache) set(addr uint32) []line {
@@ -230,6 +219,10 @@ type Hierarchy struct {
 	cfg   Config
 	Stats Stats
 
+	// a is what the hierarchy was made from and its waiter lists and
+	// calendar grow in (nil: the heap).
+	a *arena.Arena
+
 	l1 *cache
 	// l2 is the level below the L1: this hierarchy's private slice or
 	// the chip-wide banked L2 it is attached to.
@@ -240,10 +233,8 @@ type Hierarchy struct {
 	// L1 port: one request per cycle (Table 1).
 	l1PortCycle uint64
 
-	// MSHRs: line address -> waiting callbacks. A released MSHR's waiter
-	// list goes to mshrFree for the next miss to reuse.
-	mshrs    map[uint32][]func(Source)
-	mshrFree [][]func(Source)
+	// MSHRs: the L1 lines being fetched, each with its waiting callbacks.
+	mshrs mshrFile[func(Source)]
 
 	// Bypassing data path.
 	dataInFlight int
@@ -256,7 +247,7 @@ type Hierarchy struct {
 	// the disabled path costs one branch per accepted access).
 	flt *faults.Injector
 
-	events eventQueue
+	events calendar.Ring[event]
 }
 
 // SetRecorder attaches an event recorder for backing-store L1 traffic.
@@ -300,28 +291,28 @@ type l2Level interface {
 }
 
 // New builds a hierarchy over its own private L2 slice.
-func New(cfg Config) *Hierarchy {
-	return newHierarchy(cfg, &privateL2{cache: newCache(cfg.L2Sets, cfg.L2Ways)})
+func New(cfg Config) *Hierarchy { return NewIn(nil, cfg) }
+
+// NewIn is New with everything allocated from a (nil: the heap).
+func NewIn(a *arena.Arena, cfg Config) *Hierarchy {
+	l2 := privateL2T.New(a)
+	l2.cache = newCache(a, cfg.L2Sets, cfg.L2Ways)
+	return newHierarchy(a, cfg, l2)
 }
 
-func newHierarchy(cfg Config, l2 l2Level) *Hierarchy {
-	return &Hierarchy{
+func newHierarchy(a *arena.Arena, cfg Config, l2 l2Level) *Hierarchy {
+	h := hierarchyT.New(a)
+	*h = Hierarchy{
 		cfg:   cfg,
-		l1:    newCache(cfg.L1Sets, cfg.L1Ways),
+		a:     a,
+		l1:    newCache(a, cfg.L1Sets, cfg.L1Ways),
 		l2:    l2,
-		mshrs: make(map[uint32][]func(Source)),
+		mshrs: newMSHRFile(a, l1mshrT, cfg.L1MSHRs),
+		// Sized for a DRAM round trip; a backlog behind the bandwidth
+		// throttle re-buckets the ring.
+		events: calendar.New(a, eventCellT, cfg.L2Latency+cfg.DRAMLatency),
 	}
-}
-
-// Release hands the hierarchy's cache arrays — the L1 and, when the L2
-// below it is its own private slice, that — back for the next hierarchy
-// to reuse. A shared banked L2 belongs to the chip (BankedL2.Release).
-// Statistics stay readable; any further access panics.
-func (h *Hierarchy) Release() {
-	h.l1.release()
-	if l2, ok := h.l2.(*privateL2); ok {
-		l2.cache.release()
-	}
+	return h
 }
 
 // Now returns the hierarchy's current cycle.
@@ -330,8 +321,14 @@ func (h *Hierarchy) Now() uint64 { return h.now }
 // Tick advances one cycle and fires due completions.
 func (h *Hierarchy) Tick() {
 	h.now++
-	for h.events.due(h.now) {
-		switch e := h.events.pop(); e.kind {
+	for h.events.Due(h.now) {
+		e := h.events.Pop(h.now)
+		if wait := e.wait; wait > 0 {
+			e.wait = 0
+			h.schedule(wait, e) // a hop on the way to a cycle past the horizon
+			continue
+		}
+		switch e.kind {
 		case evDeliver:
 			h.deliver(e.req, e.src)
 		case evFetched:
@@ -344,7 +341,7 @@ func (h *Hierarchy) Tick() {
 
 // deliverAfter schedules r's delivery delay cycles from now.
 func (h *Hierarchy) deliverAfter(delay int, r request, src Source) {
-	h.events.push(event{cycle: h.now + uint64(delay), kind: evDeliver, src: src, req: r})
+	h.schedule(delay, event{kind: evDeliver, src: src, req: r})
 }
 
 // deliver completes a request: src is the level that supplied the data.
@@ -359,14 +356,14 @@ func (h *Hierarchy) deliver(r request, src Source) {
 		}
 	case reqL1Fill:
 		h.fill(r.line, false)
-		waiters := h.mshrs[r.line]
-		for _, fn := range waiters {
-			if fn != nil {
-				fn(src)
+		if m := h.mshrs.find(r.line); m != nil {
+			for _, fn := range m.waiters {
+				if fn != nil {
+					fn(src)
+				}
 			}
+			h.mshrs.release(m)
 		}
-		delete(h.mshrs, r.line)
-		release(&h.mshrFree, waiters)
 	}
 }
 
@@ -376,7 +373,7 @@ func (h *Hierarchy) deliver(r request, src Source) {
 // the cycle the injection port frees. ok=false means no self-driven
 // activity is pending. Used by the SM's cycle-skip fast-forward.
 func (h *Hierarchy) NextWake(dataWaiting bool) (uint64, bool) {
-	wake, ok := h.events.nextCycle()
+	wake, ok := h.events.NextCycle(h.now)
 	if dataWaiting && h.dataInFlight < h.cfg.DataQueueDepth {
 		// The port frees at dataNextFree; a retry then succeeds (queue
 		// depth permitting). If the port is already free the retry
@@ -451,15 +448,15 @@ func (h *Hierarchy) L1Access(addr uint32, write bool, done func(Source)) bool {
 		return true
 	}
 	// Read miss: take an MSHR (merge secondary misses).
-	if waiters, ok := h.mshrs[a]; ok {
+	if m := h.mshrs.find(a); m != nil {
 		h.claimL1Port()
 		h.countL1(write)
-		h.mshrs[a] = append(waiters, h.applyFault(done))
+		m.waiters = append(waiterT.Grow(h.a, m.waiters, 1), h.applyFault(done))
 		h.Stats.L1Misses++
 		h.rec.L1(write, false, a)
 		return true
 	}
-	if len(h.mshrs) >= h.cfg.L1MSHRs {
+	if h.mshrs.full() {
 		h.Stats.MSHRRejects++
 		return false
 	}
@@ -467,7 +464,8 @@ func (h *Hierarchy) L1Access(addr uint32, write bool, done func(Source)) bool {
 	h.countL1(write)
 	h.Stats.L1Misses++
 	h.rec.L1(write, false, a)
-	h.mshrs[a] = append(reuse(&h.mshrFree), h.applyFault(done))
+	m := h.mshrs.take(a)
+	m.waiters = append(waiterT.Grow(h.a, m.waiters, 1), h.applyFault(done))
 	h.l2Access(a, false, request{kind: reqL1Fill, line: a})
 	return true
 }
@@ -553,7 +551,7 @@ func (l2 *privateL2) access(h *Hierarchy, a uint32, write bool, r request) {
 		return
 	}
 	delay := h.cfg.L2Latency + h.cfg.DRAMLatency + l2.dramQueueDelay(h)
-	h.events.push(event{cycle: h.now + uint64(delay), kind: evFetched, addr: a, req: r})
+	h.schedule(delay, event{kind: evFetched, addr: a, req: r})
 }
 
 func (l2 *privateL2) fetched(h *Hierarchy, a uint32, r request) {
@@ -609,5 +607,5 @@ func (h *Hierarchy) DataAccess(addr uint32, write bool, done func(Source)) bool 
 
 // Drained reports whether no events or in-flight accesses remain.
 func (h *Hierarchy) Drained() bool {
-	return h.events.len() == 0 && len(h.mshrs) == 0 && h.dataInFlight == 0
+	return h.events.Len() == 0 && h.mshrs.inUse() == 0 && h.dataInFlight == 0
 }

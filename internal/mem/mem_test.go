@@ -315,3 +315,28 @@ func TestCallbackSourceReporting(t *testing.T) {
 		t.Fatalf("L2 read source = %v, want L2", first)
 	}
 }
+
+// TestFarEventsHopToTheirCycle: an event due past the calendar's horizon
+// — a mem-delay fault names its own delay — fires on exactly its cycle,
+// after the events that were due on the way, and NextWake never reports a
+// wake later than it; the calendar holds it without spanning the wait.
+func TestFarEventsHopToTheirCycle(t *testing.T) {
+	const far = 3*horizon + 17
+	h := New(DefaultConfig())
+	var order []string
+	var firedAt uint64
+	h.deliverAfter(far, request{kind: reqCall, done: func(Source) { order = append(order, "far"); firedAt = h.Now() }}, SrcL2)
+	h.deliverAfter(far-1, request{kind: reqCall, done: func(Source) { order = append(order, "near") }}, SrcL2)
+	for h.Now() < far+10 {
+		if wake, ok := h.NextWake(false); len(order) < 2 && (!ok || wake <= h.Now() || (len(order) == 1 && wake > far)) {
+			t.Fatalf("cycle %d: NextWake = %d,%v with an event pending for cycle %d", h.Now(), wake, ok, far)
+		}
+		h.Tick()
+	}
+	if len(order) != 2 || order[0] != "near" || order[1] != "far" || firedAt != far {
+		t.Fatalf("fired %v, the far event at cycle %d; want [near far] at %d", order, firedAt, far)
+	}
+	if !h.Drained() {
+		t.Fatal("hops left the calendar non-empty")
+	}
+}

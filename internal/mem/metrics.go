@@ -21,7 +21,7 @@ func (h *Hierarchy) BindMetrics(r *metrics.Registry) {
 	r.Bind("mem/l1_port_rejects", &h.Stats.L1PortRejects)
 	r.Bind("mem/mshr_rejects", &h.Stats.MSHRRejects)
 	r.Bind("mem/data_rejects", &h.Stats.DataRejects)
-	r.Gauge("mem/mshr_occupancy", func() uint64 { return uint64(len(h.mshrs)) })
+	r.Gauge("mem/mshr_occupancy", func() uint64 { return uint64(h.mshrs.inUse()) })
 	r.Gauge("mem/data_in_flight", func() uint64 { return uint64(h.dataInFlight) })
 }
 
@@ -41,7 +41,7 @@ func (l2 *BankedL2) BindMetrics(r *metrics.Registry) {
 	r.Gauge("l2/mshr_occupancy", func() uint64 {
 		var n uint64
 		for i := range l2.banks {
-			n += uint64(len(l2.banks[i].mshrs))
+			n += uint64(l2.banks[i].mshrs.inUse())
 		}
 		return n
 	})

@@ -4,20 +4,22 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/freelist"
+	"repro/internal/arena"
 )
 
 // TestRecycledCachesBehaveAsFresh drives one seeded mix of register and
 // data traffic through three hierarchies in turn — private L2, then two
-// sharing a banked L2 — each generation built on the arrays the previous
-// one released, scribbled over (valid, dirty, wild tags, lru at the
-// maximum) on the way into the list. Every generation must count exactly
-// what the first, built on fresh arrays, counted: a stale valid bit
-// shows as a hit, a stale dirty bit as a writeback or a DRAM write.
+// sharing a banked L2 — first built on the heap, then twice in an arena
+// that goes back under poison (every line valid, dirty, wildly tagged,
+// lru at the maximum; waiter lists and calendar cells all-ones) between
+// generations. Every generation must count exactly what the first
+// counted: a stale valid bit shows as a hit, a stale dirty bit as a
+// writeback or a DRAM write.
 func TestRecycledCachesBehaveAsFresh(t *testing.T) {
-	freelist.Drop()
-	freelist.SetPoison(true)
-	defer freelist.SetPoison(false)
+	arena.Drop()
+	arena.SetPoison(true)
+	defer arena.SetPoison(false)
+	defer arena.Drop()
 
 	drive := func(hs ...*Hierarchy) {
 		rng := rand.New(rand.NewSource(5))
@@ -38,51 +40,38 @@ func TestRecycledCachesBehaveAsFresh(t *testing.T) {
 		a, b Stats
 		l2   BankedL2Stats
 	}
-	generation := func() (private Stats, banked counts) {
-		h := New(DefaultConfig())
+	generation := func(ar *arena.Arena) (private Stats, banked counts) {
+		h := NewIn(ar, DefaultConfig())
 		drive(h)
-		h.Release()
+		private = h.Stats
 
-		l2, err := NewBankedL2(DefaultBankedL2Config())
+		l2, err := NewBankedL2In(ar, DefaultBankedL2Config())
 		if err != nil {
 			t.Fatal(err)
 		}
 		a, b := l2.AttachHierarchy(DefaultConfig()), l2.AttachHierarchy(DefaultConfig())
 		drive(a, b)
-		a.Release()
-		b.Release()
-		l2.Release()
-		return h.Stats, counts{a.Stats, b.Stats, l2.Stats}
+		return private, counts{a.Stats, b.Stats, l2.Stats}
 	}
-	wantP, wantB := generation()
+	wantP, wantB := generation(nil)
 	if wantP.L1Hits == 0 || wantP.L1Writebacks == 0 || wantP.L2Misses == 0 || wantB.l2.DRAMWrites == 0 {
 		t.Fatalf("the traffic does not exercise hits, writebacks and misses: %+v %+v", wantP, wantB)
 	}
-	// The private slice, the two L1s alive at once, every bank.
-	parked := 3 + DefaultBankedL2Config().Banks
-	if got, want := freelist.Held(), parked; got != want {
-		t.Fatalf("%d arrays parked after one generation, want %d", got, want)
-	}
-	for gen := 1; gen <= 2; gen++ {
-		gotP, gotB := generation()
+	var first *arena.Arena
+	for gen := 1; gen <= 3; gen++ {
+		ar := arena.Take()
+		if first == nil {
+			first = ar
+		} else if ar != first {
+			t.Fatalf("generation %d was not built in the arena the last one put back", gen)
+		}
+		gotP, gotB := generation(ar)
 		if gotP != wantP {
-			t.Fatalf("generation %d, private L2: recycled arrays count\n%+v\nfresh\n%+v", gen, gotP, wantP)
+			t.Fatalf("generation %d, private L2: in the arena it counts\n%+v\non the heap\n%+v", gen, gotP, wantP)
 		}
 		if gotB != wantB {
-			t.Fatalf("generation %d, banked L2: recycled arrays count\n%+v\nfresh\n%+v", gen, gotB, wantB)
+			t.Fatalf("generation %d, banked L2: in the arena it counts\n%+v\non the heap\n%+v", gen, gotB, wantB)
 		}
+		arena.Put(ar)
 	}
-
-	h := New(DefaultConfig())
-	h.Release()
-	h.Release() // idempotent: nothing is parked twice
-	if got, want := freelist.Held(), parked; got != want {
-		t.Fatalf("%d arrays parked after a double release, want %d", got, want)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a released hierarchy accepted an access")
-		}
-	}()
-	h.L1Access(RegSpaceBase, false, nil)
 }

@@ -26,7 +26,10 @@ package metrics
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
+
+	"repro/internal/arena"
 )
 
 // Kind classifies a registered cell for export.
@@ -66,11 +69,16 @@ func (c *cell) load() uint64 {
 // further lookups. The registry is not goroutine-safe: one registry per
 // simulation, driven from the simulation's goroutine.
 type Registry struct {
+	// a is what the registry, its cell table, its owned counter words and
+	// its window buffers are made from (nil: the heap).
+	a     *arena.Arena
 	cells []cell
-	index map[string]int
-	// words is the chunk owned counter cells are carved from (word): one
-	// allocation per wordChunk counters instead of one each.
-	words []uint64
+	// index maps a name to its cell. Only Value reads it, and a
+	// simulation's few hundred names are looked up rarely or never, so it
+	// is built on the first Value call (or CheckNames) and kept current
+	// from then on.
+	index     map[string]int
+	indexOnce sync.Once
 	// hists records each histogram's shape (bounds + first cell index) so
 	// exporters that need family structure (Prometheus text format) can
 	// reassemble buckets from the flat cell list.
@@ -88,52 +96,94 @@ type Registry struct {
 	winKinds []Kind
 }
 
-// Room is the cell count NewRegistry makes room for up front: what the
-// largest simulation registers — a RegLess SM with four shards; package
-// sim's TestRegistryRoomFitsRegLessSM holds the constant to that — so a
-// run's registrations never regrow the cell table or rehash the index. A
-// registry that outgrows it (serve's) grows as any slice and map do.
-const Room = 214
-
-// wordChunk is how many owned counters share one allocation.
-const wordChunk = 64
+var (
+	registryT = arena.Of[Registry]()
+	cellT     = arena.Of[cell]()
+	wordT     = arena.Of[uint64]()
+	nameT     = arena.Of[string]()
+	kindT     = arena.Of[Kind]()
+)
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{cells: make([]cell, 0, Room), index: make(map[string]int, Room)}
-}
+func NewRegistry() *Registry { return NewRegistryIn(nil) }
 
-// word returns a fresh zeroed counter word from the current chunk. A
-// full chunk is left to the counters that point into it and a new one
-// started: handed-out words never move.
-func (r *Registry) word() *uint64 {
-	if len(r.words) == cap(r.words) {
-		r.words = make([]uint64, 0, wordChunk)
-	}
-	r.words = r.words[:len(r.words)+1]
-	return &r.words[len(r.words)-1]
+// NewRegistryIn is NewRegistry with the registry and everything it comes
+// to own allocated from a (nil: the heap). Names, gauge closures and the
+// sink stay the caller's.
+func NewRegistryIn(a *arena.Arena) *Registry {
+	r := registryT.New(a)
+	r.a = a
+	return r
 }
 
 func (r *Registry) register(c cell) int {
-	if _, dup := r.index[c.name]; dup {
-		panic(fmt.Sprintf("metrics: duplicate registration of %q", c.name))
-	}
 	if r.last != nil {
 		panic(fmt.Sprintf("metrics: registration of %q after SetSink", c.name))
 	}
-	r.index[c.name] = len(r.cells)
-	r.cells = append(r.cells, c)
+	if r.index != nil {
+		r.indexCell(c.name, len(r.cells))
+	}
+	r.cells = append(cellT.Grow(r.a, r.cells, 1), c)
 	return len(r.cells) - 1
 }
 
-// Counter registers (or re-acquires) an owned counter cell. Registering a
-// name twice panics; use Lookup for re-acquisition if needed. A nil
-// registry returns the zero Counter, whose methods are no-ops.
+func (r *Registry) indexCell(name string, i int) {
+	if _, dup := r.index[name]; dup {
+		panic(fmt.Sprintf("metrics: duplicate registration of %q", name))
+	}
+	r.index[name] = i
+}
+
+// CheckNames panics if a name was registered twice. Registration itself
+// does not look: the check needs the name index, which is built here and
+// on the first Value call (once, whichever goroutines make it) — whoever
+// attaches a sanitizer calls this, so every sanitized run holds its names
+// to it.
+func (r *Registry) CheckNames() {
+	if r == nil {
+		return
+	}
+	r.indexOnce.Do(func() {
+		r.index = make(map[string]int, len(r.cells))
+		for i := range r.cells {
+			r.indexCell(r.cells[i].name, i)
+		}
+	})
+}
+
+// Names describes cell names that exist per instance of something — per
+// RegLess shard, per scheduler group — and returns the function that
+// yields instance i's: the format applied to i, followed by each suffix
+// ("cm/s%d" and "/drains" give "cm/s2/drains"). A row is built once per
+// process and shared (callers do not modify it): building a few hundred
+// such strings is most of what registering a simulation's cells would
+// otherwise cost, every run.
+func Names(format string, suffixes ...string) func(i int) []string {
+	var mu sync.Mutex
+	var rows [][]string
+	return func(i int) []string {
+		mu.Lock()
+		defer mu.Unlock()
+		for len(rows) <= i {
+			prefix := fmt.Sprintf(format, len(rows))
+			row := make([]string, len(suffixes))
+			for j, s := range suffixes {
+				row[j] = prefix + s
+			}
+			rows = append(rows, row)
+		}
+		return rows[i]
+	}
+}
+
+// Counter registers an owned counter cell. Names must be unique
+// (CheckNames). A nil registry returns the zero Counter, whose methods
+// are no-ops.
 func (r *Registry) Counter(name string) Counter {
 	if r == nil {
 		return Counter{}
 	}
-	v := r.word()
+	v := wordT.New(r.a)
 	r.register(cell{name: name, kind: KindCounter, val: v})
 	return Counter{v: v}
 }
@@ -149,7 +199,7 @@ func (r *Registry) AtomicCounter(name string) AtomicCounter {
 	if r == nil {
 		return AtomicCounter{}
 	}
-	v := r.word()
+	v := wordT.New(r.a)
 	r.register(cell{name: name, kind: KindCounter, val: v, atomic: true})
 	return AtomicCounter{v: v}
 }
@@ -213,12 +263,12 @@ func (r *Registry) histogram(name string, bounds []uint64, atomicCells bool) His
 	first := len(r.cells)
 	h := Histogram{bounds: bounds, cells: make([]*uint64, len(bounds)+1), atomic: atomicCells}
 	for i, b := range bounds {
-		h.cells[i] = r.word()
+		h.cells[i] = wordT.New(r.a)
 		r.register(cell{name: fmt.Sprintf("%s/le_%d", name, b), kind: KindCounter, val: h.cells[i], atomic: atomicCells})
 	}
-	h.cells[len(bounds)] = r.word()
+	h.cells[len(bounds)] = wordT.New(r.a)
 	r.register(cell{name: name + "/inf", kind: KindCounter, val: h.cells[len(bounds)], atomic: atomicCells})
-	h.sum = r.word()
+	h.sum = wordT.New(r.a)
 	r.register(cell{name: name + "/sum", kind: KindCounter, val: h.sum, atomic: atomicCells})
 	r.hists = append(r.hists, histMeta{name: name, bounds: bounds, first: first, atomic: atomicCells})
 	return h
@@ -341,6 +391,7 @@ func (r *Registry) Value(name string) (uint64, bool) {
 	if r == nil {
 		return 0, false
 	}
+	r.CheckNames()
 	i, ok := r.index[name]
 	if !ok {
 		return 0, false
@@ -419,9 +470,9 @@ func (r *Registry) SetSink(s Sink) {
 		return
 	}
 	r.sink = s
-	r.last = make([]uint64, len(r.cells))
-	r.winNames = make([]string, len(r.cells))
-	r.winKinds = make([]Kind, len(r.cells))
+	r.last = wordT.Make(r.a, len(r.cells))
+	r.winNames = nameT.Make(r.a, len(r.cells))
+	r.winKinds = kindT.Make(r.a, len(r.cells))
 	for i := range r.cells {
 		c := &r.cells[i]
 		if c.kind == KindCounter {
@@ -430,7 +481,7 @@ func (r *Registry) SetSink(s Sink) {
 		r.winNames[i] = c.name
 		r.winKinds[i] = c.kind
 	}
-	r.scratch = make([]uint64, len(r.cells))
+	r.scratch = wordT.Make(r.a, len(r.cells))
 }
 
 // HasSink reports whether a sink is installed — the simulator's one-branch

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/arena"
 )
 
 func TestCounterAndBind(t *testing.T) {
@@ -68,6 +70,28 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	}()
 	r := NewRegistry()
 	r.Counter("dup")
+	r.Counter("dup")
+	r.CheckNames() // registration does not look; the index build does
+}
+
+// TestDuplicateAfterIndexPanicsAtRegistration: once the index exists (a
+// Value call built it), a duplicate is caught as it is registered.
+func TestDuplicateAfterIndexPanicsAtRegistration(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("dup")
+	if _, ok := r.Value("dup"); !ok {
+		t.Fatal("Value did not find a registered cell")
+	}
+	late := r.Counter("late")
+	late.Inc()
+	if v, ok := r.Value("late"); !ok || v != 1 {
+		t.Fatalf("a cell registered after the index was built reads %d, %v", v, ok)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate registration did not panic")
+		}
+	}()
 	r.Counter("dup")
 }
 
@@ -271,51 +295,74 @@ func BenchmarkCounterEnabled(b *testing.B) {
 	}
 }
 
-// TestOwnedCountersShareChunksAndStayPut: owned cells are carved from
-// shared chunks — wordChunk counters cost one allocation, not one each —
-// and a handle taken before a chunk filled keeps counting into the same
-// word after later registrations start the next chunk.
+// TestOwnedCountersShareChunksAndStayPut: a registry made in an arena
+// carves its cell table and owned words from the arena's chunks — a
+// simulation's worth of registrations allocates nothing once the arena
+// has served one — and a handle taken early keeps counting into the same
+// word however the table grows after it, in an arena and on the heap.
 func TestOwnedCountersShareChunksAndStayPut(t *testing.T) {
-	r := NewRegistry()
-	first := r.Counter("c/first")
-	first.Add(3)
-	h := r.Histogram("h", 1, 2)
-	h.Observe(2)
-	var rest []Counter
-	for i := 0; i < 3*wordChunk; i++ {
-		c := r.Counter(fmt.Sprintf("c/%d", i))
-		c.Add(uint64(i))
-		rest = append(rest, c)
-	}
-	first.Inc()
-	if v, _ := r.Value("c/first"); v != 4 || first.Value() != 4 {
-		t.Fatalf("first counter reads %d through the registry, %d through its handle, want 4", v, first.Value())
-	}
-	if v, _ := r.Value("h/le_2"); v != 1 {
-		t.Fatalf("h/le_2 = %d, want 1", v)
-	}
-	for i, c := range rest {
-		if v, _ := r.Value(fmt.Sprintf("c/%d", i)); v != uint64(i) || c.Value() != uint64(i) {
-			t.Fatalf("c/%d = %d, want %d", i, v, i)
+	for _, a := range []*arena.Arena{nil, new(arena.Arena)} {
+		r := NewRegistryIn(a)
+		first := r.Counter("c/first")
+		first.Add(3)
+		h := r.Histogram("h", 1, 2)
+		h.Observe(2)
+		var rest []Counter
+		for i := 0; i < 200; i++ {
+			c := r.Counter(fmt.Sprintf("c/%d", i))
+			c.Add(uint64(i))
+			rest = append(rest, c)
+		}
+		first.Inc()
+		if v, _ := r.Value("c/first"); v != 4 || first.Value() != 4 {
+			t.Fatalf("first counter reads %d through the registry, %d through its handle, want 4", v, first.Value())
+		}
+		if v, _ := r.Value("h/le_2"); v != 1 {
+			t.Fatalf("h/le_2 = %d, want 1", v)
+		}
+		for i, c := range rest {
+			if v, _ := r.Value(fmt.Sprintf("c/%d", i)); v != uint64(i) || c.Value() != uint64(i) {
+				t.Fatalf("c/%d = %d, want %d", i, v, i)
+			}
 		}
 	}
 
-	// A simulation's worth of registrations: the table and index are
-	// presized, so what is left is the chunks (and the names, which the
-	// callers build).
-	names := make([]string, Room)
-	for i := range names {
-		names[i] = fmt.Sprintf("n/%d", i)
+	all := make([]string, 214)
+	for i := range all {
+		all[i] = fmt.Sprintf("n/%d", i)
 	}
+	a := new(arena.Arena)
 	perRegistry := testing.AllocsPerRun(20, func() {
-		r := NewRegistry()
-		for _, n := range names {
+		a.Reset()
+		r := NewRegistryIn(a)
+		for _, n := range all {
 			r.Counter(n)
 		}
+		r.SetSink(nopSink{})
 	})
-	// The registry, its table, its index (a few allocations of the map's
-	// own) and ceil(Room/wordChunk) chunks; one per counter would be 200+.
-	if limit := float64(8 + (Room+wordChunk-1)/wordChunk); perRegistry > limit {
-		t.Fatalf("registering %d counters allocates %.0f times, want at most %.0f", Room, perRegistry, limit)
+	if perRegistry != 0 {
+		t.Fatalf("registering %d counters in a warm arena allocates %.0f times, want 0", len(all), perRegistry)
+	}
+}
+
+type nopSink struct{}
+
+func (nopSink) Emit(Window) {}
+
+// TestNamesRowsAreBuiltOnce: a row is the format applied to its index
+// joined to every suffix, and asking again returns the same strings.
+func TestNamesRowsAreBuiltOnce(t *testing.T) {
+	n := Names("cm/s%d", "/drains", "/finishes")
+	if got := n(2); len(got) != 2 || got[0] != "cm/s2/drains" || got[1] != "cm/s2/finishes" {
+		t.Fatalf("Row(2) = %q", got)
+	}
+	if got := n(0); got[1] != "cm/s0/finishes" {
+		t.Fatalf("Row(0) = %q", got)
+	}
+	if a, b := n(1), n(1); &a[0] != &b[0] {
+		t.Fatal("a row was built twice")
+	}
+	if got := testing.AllocsPerRun(10, func() { n(2) }); got != 0 {
+		t.Fatalf("Row allocates %v times on a built row", got)
 	}
 }

@@ -19,25 +19,31 @@ func (o *OSU) Occupancy() (active, clean, dirty int) {
 	return
 }
 
+// cellNames holds every shard's cell names, in BindMetrics' order.
+var cellNames = metrics.Names("osu/s%d",
+	"/reads", "/writes", "/tag_lookups", "/installs", "/erases", "/hits",
+	"/active_lines", "/clean_lines", "/dirty_lines")
+
 // BindMetrics exposes the unit's counters and occupancy on r under
-// prefix+"/..." (one OSU per shard, so callers pass e.g. "osu/s0"). The
-// occupancy gauges walk the banks only at window boundaries.
-func (o *OSU) BindMetrics(r *metrics.Registry, prefix string) {
-	r.Bind(prefix+"/reads", &o.Stats.Reads)
-	r.Bind(prefix+"/writes", &o.Stats.Writes)
-	r.Bind(prefix+"/tag_lookups", &o.Stats.TagLookups)
-	r.Bind(prefix+"/installs", &o.Stats.Installs)
-	r.Bind(prefix+"/erases", &o.Stats.Erases)
-	r.Bind(prefix+"/hits", &o.Stats.Hits)
-	r.Gauge(prefix+"/active_lines", func() uint64 {
+// "osu/s<shard>/..." (one OSU per shard). The occupancy gauges walk the
+// banks only at window boundaries.
+func (o *OSU) BindMetrics(r *metrics.Registry, shard int) {
+	n := cellNames(shard)
+	r.Bind(n[0], &o.Stats.Reads)
+	r.Bind(n[1], &o.Stats.Writes)
+	r.Bind(n[2], &o.Stats.TagLookups)
+	r.Bind(n[3], &o.Stats.Installs)
+	r.Bind(n[4], &o.Stats.Erases)
+	r.Bind(n[5], &o.Stats.Hits)
+	r.Gauge(n[6], func() uint64 {
 		a, _, _ := o.Occupancy()
 		return uint64(a)
 	})
-	r.Gauge(prefix+"/clean_lines", func() uint64 {
+	r.Gauge(n[7], func() uint64 {
 		_, c, _ := o.Occupancy()
 		return uint64(c)
 	})
-	r.Gauge(prefix+"/dirty_lines", func() uint64 {
+	r.Gauge(n[8], func() uint64 {
 		_, _, d := o.Occupancy()
 		return uint64(d)
 	})

@@ -13,8 +13,8 @@ package osu
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/events"
-	"repro/internal/freelist"
 	"repro/internal/isa"
 )
 
@@ -106,47 +106,29 @@ func lineState(s State) events.LineState { return events.LineState(s) }
 // MaxLines is the most lines (Banks x LinesPerBank) one unit can index.
 const MaxLines = 1<<16 - 1
 
-// New builds an OSU.
-func New(cfg Config) *OSU {
+var (
+	osuT   = arena.Of[OSU]()
+	lineT  = arena.Of[line]()
+	intT   = arena.Of[int]()
+	indexT = arena.Of[uint16]()
+)
+
+// New builds an OSU, allocated from a (nil: the heap).
+func New(a *arena.Arena, cfg Config) *OSU {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	lines, ok := lineFree.Take(cfg.Banks * cfg.LinesPerBank)
-	if !ok {
-		lines = make([]line, cfg.Banks*cfg.LinesPerBank)
-		freeLines(lines)
-	}
-	return &OSU{
+	o := osuT.New(a)
+	*o = OSU{
 		cfg:   cfg,
-		lines: lines,
-		count: make([]int, cfg.Banks),
-		index: make([]uint16, (cfg.Warps+cfg.Shards-1)/cfg.Shards*cfg.NumRegs),
+		lines: lineT.Make(a, cfg.Banks*cfg.LinesPerBank),
+		count: intT.Make(a, cfg.Banks),
+		index: indexT.Make(a, (cfg.Warps+cfg.Shards-1)/cfg.Shards*cfg.NumRegs),
 	}
-}
-
-// freeLines marks every cell free, the state New starts from.
-func freeLines(s []line) {
-	for i := range s {
-		s[i] = line{reg: isa.NoReg}
+	for i := range o.lines {
+		o.lines[i].reg = isa.NoReg // a free cell's tag
 	}
-}
-
-// lineFree recycles the line arrays of released units, one size class
-// per array length.
-var lineFree = freelist.New(freeLines,
-	func(s []line) {
-		for i := range s {
-			s[i] = line{lru: ^uint64(0), warp: int32(i), reg: isa.Reg(i), state: StateDirty}
-		}
-	})
-
-// Release hands the line array back for the next unit to reuse.
-// Statistics stay readable; any further access panics.
-func (o *OSU) Release() {
-	if o.lines != nil {
-		lineFree.Put(len(o.lines), o.lines)
-		o.lines = nil
-	}
+	return o
 }
 
 // Bank returns the bank index for (warp, reg) — (warp+reg) mod banks

@@ -7,7 +7,7 @@ import (
 	"repro/internal/isa"
 )
 
-func newTestOSU() *OSU { return New(Config{Banks: 8, LinesPerBank: 4, Warps: 16, NumRegs: 32}) }
+func newTestOSU() *OSU { return New(nil, Config{Banks: 8, LinesPerBank: 4, Warps: 16, NumRegs: 32}) }
 
 func TestBankMapping(t *testing.T) {
 	o := newTestOSU()
@@ -43,7 +43,7 @@ func TestInstallLookupErase(t *testing.T) {
 }
 
 func TestEvictionPreference(t *testing.T) {
-	o := New(Config{Banks: 1, LinesPerBank: 3, Warps: 1, NumRegs: 8})
+	o := New(nil, Config{Banks: 1, LinesPerBank: 3, Warps: 1, NumRegs: 8})
 	// Fill the single bank: one clean, one dirty, one active.
 	mustInstall(t, o, 0, 0)
 	o.MarkEvictable(0, 0, false) // clean
@@ -146,7 +146,7 @@ func TestActiveLinesCount(t *testing.T) {
 // activates; invariants must hold throughout and capacity never exceeded.
 func TestRandomWorkout(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	o := New(Config{Banks: 4, LinesPerBank: 3, Warps: 6, NumRegs: 12})
+	o := New(nil, Config{Banks: 4, LinesPerBank: 3, Warps: 6, NumRegs: 12})
 	type key struct {
 		w int
 		r isa.Reg
@@ -198,7 +198,7 @@ func TestRandomWorkout(t *testing.T) {
 // SM-wide warp IDs a stride apart and keeps one index row per warp it
 // serves; removals move lines within a bank and the index follows them.
 func TestTagIndexUnderShards(t *testing.T) {
-	o := New(Config{Banks: 2, LinesPerBank: 4, Warps: 16, Shards: 4, NumRegs: 8})
+	o := New(nil, Config{Banks: 2, LinesPerBank: 4, Warps: 16, Shards: 4, NumRegs: 8})
 	if len(o.index) != 4*8 {
 		t.Fatalf("index holds %d cells, want one row of 8 per served warp (32)", len(o.index))
 	}
@@ -249,7 +249,7 @@ func TestTagIndexUnderShards(t *testing.T) {
 // cell until its warp is freed, and never disturbs the index of the line
 // that rightfully carries the tag it now shows.
 func TestCorruptedTagStopsAnswering(t *testing.T) {
-	o := New(Config{Banks: 4, LinesPerBank: 2, Warps: 2, NumRegs: 8})
+	o := New(nil, Config{Banks: 4, LinesPerBank: 2, Warps: 2, NumRegs: 8})
 	mustInstall(t, o, 0, 2) // bank 2; corrupted below to show tag r3
 	mustInstall(t, o, 0, 3) // bank 3: the rightful r3
 	if _, ok := o.CorruptTag(0); !ok {

@@ -29,7 +29,7 @@ func (b *Baseline) Name() string { return "baseline" }
 // Attach implements sim.Provider.
 func (b *Baseline) Attach(sm *sim.SM) error {
 	b.sm = sm
-	b.m = sim.NewProviderCounters(sm.Metrics)
+	b.m = sim.NewProviderCounters(sm)
 	return nil
 }
 

@@ -1,9 +1,15 @@
 package rf
 
 import (
+	"repro/internal/arena"
 	"repro/internal/exec"
 	"repro/internal/isa"
 	"repro/internal/sim"
+)
+
+var (
+	regT  = arena.Of[isa.Reg]()
+	regsT = arena.Of[[]isa.Reg]()
 )
 
 // RFH models the compile-time managed register file hierarchy (Gebhart et
@@ -36,12 +42,12 @@ func (h *RFH) Name() string { return "rfh" }
 // Attach implements sim.Provider.
 func (h *RFH) Attach(sm *sim.SM) error {
 	h.sm = sm
-	h.m = sim.NewProviderCounters(sm.Metrics)
-	h.lastDst = make([]isa.Reg, len(sm.Warps))
+	h.m = sim.NewProviderCounters(sm)
+	h.lastDst = regT.Make(sm.Arena(), len(sm.Warps))
 	for i := range h.lastDst {
 		h.lastDst[i] = isa.NoReg
 	}
-	h.orf = make([][]isa.Reg, len(sm.Warps))
+	h.orf = regsT.Make(sm.Arena(), len(sm.Warps))
 	return nil
 }
 
@@ -66,7 +72,7 @@ func (h *RFH) orfInsert(w int, r isa.Reg) {
 	lst := h.orf[w]
 	if len(lst) < h.ORFEntries {
 		if lst == nil {
-			lst = make([]isa.Reg, 0, h.ORFEntries)
+			lst = regT.Make(h.sm.Arena(), h.ORFEntries)[:0]
 		}
 		lst = append(lst, r)
 		copy(lst[1:], lst)

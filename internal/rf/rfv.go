@@ -3,6 +3,7 @@ package rf
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/cfg"
 	"repro/internal/exec"
 	"repro/internal/isa"
@@ -55,11 +56,18 @@ type rfvEntry struct {
 type victimFIFO struct {
 	buf     []rfvEntry // len is a power of two
 	head, n int
+	a       *arena.Arena // what the ring grows in (nil: the heap)
 }
+
+var (
+	entryT = arena.Of[rfvEntry]()
+	boolT  = arena.Of[bool]()
+	boolsT = arena.Of[[]bool]()
+)
 
 func (q *victimFIFO) push(e rfvEntry) {
 	if q.n == len(q.buf) {
-		grown := make([]rfvEntry, max(2*len(q.buf), 256))
+		grown := entryT.Make(q.a, max(2*len(q.buf), 256))
 		k := copy(grown, q.buf[q.head:])
 		copy(grown[k:], q.buf[:q.head])
 		q.buf, q.head = grown, 0
@@ -89,15 +97,17 @@ func (v *RFV) Attach(sm *sim.SM) error {
 	if len(sm.Warps) > 1<<16 {
 		return fmt.Errorf("rf: RFV indexes at most %d warps, SM has %d", 1<<16, len(sm.Warps))
 	}
+	a, warps, regs := sm.Arena(), len(sm.Warps), sm.K.NumRegs
 	v.sm = sm
-	v.m = sim.NewProviderCounters(sm.Metrics)
+	v.m = sim.NewProviderCounters(sm)
 	v.lv = cfg.ComputeLiveness(sm.G)
 	v.free = v.physRegs
-	v.mapped = make([][]bool, len(sm.Warps))
-	v.spilled = make([][]bool, len(sm.Warps))
+	v.fifo.a = a
+	v.mapped, v.spilled = boolsT.Make(a, warps), boolsT.Make(a, warps)
+	bits := boolT.Make(a, 2*warps*regs)
 	for i := range v.mapped {
-		v.mapped[i] = make([]bool, sm.K.NumRegs)
-		v.spilled[i] = make([]bool, sm.K.NumRegs)
+		v.mapped[i], bits = bits[:regs:regs], bits[regs:]
+		v.spilled[i], bits = bits[:regs:regs], bits[regs:]
 	}
 	return nil
 }

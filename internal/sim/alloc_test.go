@@ -35,7 +35,7 @@ func TestSteppedCycleAllocatesNothing(t *testing.T) {
 		if _, err := exec.Run(k, su.Warps, su.Memory); err != nil {
 			t.Fatal(err)
 		}
-		g, _, err := experiments.Assemble(k, scheme, 1, su, nil)
+		g, _, err := experiments.Assemble(nil, k, scheme, 1, su, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,9 @@
 package sim
 
-import "repro/internal/metrics"
+import (
+	"repro/internal/arena"
+	"repro/internal/metrics"
+)
 
 // ProviderCounters is the registry-backed storage behind ProviderStats.
 // Providers used to carry an ad-hoc ProviderStats struct each and bump its
@@ -47,10 +50,14 @@ type ProviderCounters struct {
 	snap ProviderStats
 }
 
-// NewProviderCounters registers the canonical provider counter set on r
-// (nil r yields no-op counters; Stats() then reports zeros).
-func NewProviderCounters(r *metrics.Registry) *ProviderCounters {
-	return &ProviderCounters{
+var providerCountersT = arena.Of[ProviderCounters]()
+
+// NewProviderCounters registers the canonical provider counter set on
+// sm's registry; a provider calls it from Attach.
+func NewProviderCounters(sm *SM) *ProviderCounters {
+	r := sm.Metrics
+	c := providerCountersT.New(sm.a)
+	*c = ProviderCounters{
 		StructReads:     r.Counter("provider/struct_reads"),
 		StructWrites:    r.Counter("provider/struct_writes"),
 		TagLookups:      r.Counter("provider/tag_lookups"),
@@ -82,6 +89,7 @@ func NewProviderCounters(r *metrics.Registry) *ProviderCounters {
 		RegionActivations: r.Counter("provider/region_activations"),
 		RegionCycles:      r.Counter("provider/region_cycles"),
 	}
+	return c
 }
 
 // Stats refreshes and returns the ProviderStats view of the counters. The

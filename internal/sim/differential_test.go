@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
@@ -27,20 +28,15 @@ type maskedRun struct {
 	jsonl []byte
 }
 
-func runPick(k *isa.Kernel, scheme experiments.Scheme, su experiments.SimSetup,
+// runPick builds the chip in a (nil: the heap), runs it, and copies out
+// what it leaves behind: nothing in the result points into the machine,
+// so the caller may put a back.
+func runPick(a *arena.Arena, k *isa.Kernel, scheme experiments.Scheme, su experiments.SimSetup,
 	tune experiments.Tune, oracle bool) (maskedRun, error) {
-	out, _, err := runPickChip(k, scheme, su, tune, oracle)
-	return out, err
-}
-
-// runPickChip is runPick that also returns the finished chip, for the
-// caller that goes on to release it.
-func runPickChip(k *isa.Kernel, scheme experiments.Scheme, su experiments.SimSetup,
-	tune experiments.Tune, oracle bool) (maskedRun, *gpu.GPU, error) {
 	var out maskedRun
-	g, _, err := experiments.Assemble(k, scheme, 1, su, tune)
+	g, _, err := experiments.Assemble(a, k, scheme, 1, su, tune)
 	if err != nil {
-		return out, nil, err
+		return out, err
 	}
 	sm := g.SMs[0]
 	if oracle {
@@ -51,13 +47,14 @@ func runPickChip(k *isa.Kernel, scheme experiments.Scheme, su experiments.SimSet
 	jw := metrics.NewJSONLWriter(&buf)
 	sm.Metrics.SetSink(jw.Run(metrics.String("bench", k.Name)))
 	if _, err := g.Run(); err != nil {
-		return out, nil, err
+		return out, err
 	}
 	if err := jw.Flush(); err != nil {
-		return out, nil, err
+		return out, err
 	}
 	out.stats, out.prov, out.mem, out.jsonl = sm.Stats, *sm.Provider.Stats(), sm.Mem.Stats, buf.Bytes()
-	return out, g, nil
+	out.stats.BackingSeries = slices.Clone(out.stats.BackingSeries)
+	return out, nil
 }
 
 func mustRunPick(t *testing.T, bench string, scheme experiments.Scheme, su experiments.SimSetup,
@@ -67,7 +64,7 @@ func mustRunPick(t *testing.T, bench string, scheme experiments.Scheme, su exper
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := runPick(k, scheme, su, tune, oracle)
+	out, err := runPick(nil, k, scheme, su, tune, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}

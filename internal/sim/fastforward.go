@@ -98,15 +98,25 @@ func fastForward(sms []*SM) bool {
 }
 
 // ffEligible reports whether this SM is provably frozen after the cycle
-// just stepped. Gates: the feature is on, no fault injector is armed
-// (faults fire on wall-clock cycles inside provider ticks), this cycle
-// issued nothing (an issue moves architectural state: windows, barriers,
-// scheduler structures), the provider is provably idle — either
-// hint-passive or reporting TickIdle on its current state — the SM is
-// not finished, and every group's scheduler is mutation-free on failed
-// picks (two-level demote/promote churns on zero-issue cycles).
+// just stepped, and worth skipping from. Gates, cheapest first: the
+// feature is on, no fault injector is armed (faults fire on wall-clock
+// cycles inside provider ticks), this cycle issued nothing (an issue
+// moves architectural state: windows, barriers, scheduler structures);
+// nothing is due next cycle on either calendar — the refusal that ends
+// nine attempts in ten, and exactly the one fastForward would make of
+// wakeTarget's answer after the costlier questions below, whose only
+// effect is the provider's does-not-fit memo; the provider is provably
+// idle — either hint-passive or reporting TickIdle on its current state;
+// the SM is not finished; and every group's scheduler is mutation-free on
+// failed picks (two-level demote/promote churns on zero-issue cycles).
 func (sm *SM) ffEligible() bool {
 	if sm.Cfg.NoFastForward || sm.flt != nil || sm.lastProgress == sm.cycle {
+		return false
+	}
+	if sm.wheel.Due(sm.cycle + 1) {
+		return false
+	}
+	if t, ok := sm.Mem.NextWake(!sm.lsu.empty()); ok && t <= sm.cycle+1 {
 		return false
 	}
 	if !sm.passiveTick {
@@ -133,7 +143,7 @@ func (sm *SM) ffEligible() bool {
 // inert cycle and fast-forwards again); missing one would be unsound.
 func (sm *SM) wakeTarget() uint64 {
 	target := noWake
-	if t, ok := sm.wheel.nextCycle(sm.cycle); ok && t < target {
+	if t, ok := sm.wheel.NextCycle(sm.cycle); ok && t < target {
 		target = t
 	}
 	if t, ok := sm.Mem.NextWake(!sm.lsu.empty()); ok && t < target {
@@ -182,8 +192,8 @@ func (sm *SM) replicateSkip(end uint64) {
 	recSched := sm.Rec.Enabled(events.MaskSched)
 	if recSched {
 		if sm.ffReason == nil {
-			sm.ffReason = make([]events.StallReason, sm.Cfg.Schedulers)
-			sm.ffCulprit = make([]int, sm.Cfg.Schedulers)
+			sm.ffReason = reasonT.Make(sm.a, sm.Cfg.Schedulers)
+			sm.ffCulprit = intT.Make(sm.a, sm.Cfg.Schedulers)
 		}
 		// The attribution is a pure function of the frozen state:
 		// compute it once (sm.cycle still on the stepped cycle) and
@@ -193,17 +203,8 @@ func (sm *SM) replicateSkip(end uint64) {
 		}
 	}
 
-	ws := uint64(0)
-	if sm.Cfg.WindowSize > 0 {
-		ws = uint64(sm.Cfg.WindowSize)
-	}
 	for sm.cycle < end {
-		next := end
-		if ws > 0 {
-			if b := sm.cycle + ws - sm.cycle%ws; b < next {
-				next = b
-			}
-		}
+		next := min(end, sm.nextWindow)
 		seg := next - sm.cycle
 		for g := 0; g < sm.Cfg.Schedulers; g++ {
 			sm.mNoIssue[g].Add(seg)
@@ -235,9 +236,7 @@ func (sm *SM) replicateSkip(end uint64) {
 			}
 		}
 		sm.cycle = next
-		if ws > 0 && next%ws == 0 {
-			sm.closeWindow()
-		}
+		sm.sampleWindow()
 	}
 	sm.Mem.FastForwardTo(end)
 }

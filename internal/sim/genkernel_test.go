@@ -7,10 +7,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/asm"
 	"repro/internal/exec"
 	"repro/internal/experiments"
-	"repro/internal/freelist"
 	"repro/internal/isa"
 	"repro/internal/regalloc"
 )
@@ -243,16 +243,16 @@ func genKernel(seed int64) (*isa.Kernel, error) {
 // kernel as assembly, which internal/asm (and `kernelinfo`) read back.
 //
 // A fourth relation rides along: recycled ≡ fresh. Each point's first
-// run is built on the buffers the previous point — another scheme, or
-// the previous seed's kernel with its own register count and pages —
-// released, poisoned on their way into the free lists; the lists are
-// then emptied so that the point's other runs are built on fresh
-// allocations, the recycled run is held to them, and only then is its
-// chip released for the next point to build on.
+// run is built in the arena the previous point — another scheme, or the
+// previous seed's kernel with its own register count and pages — was
+// built and run in, poisoned on its way back; the point's other runs are
+// built on the heap, the recycled run is held to them, and then its
+// arena goes back for the next point to build in.
 func TestGeneratedKernelDifferential(t *testing.T) {
-	freelist.Drop()
-	freelist.SetPoison(true)
-	defer freelist.SetPoison(false)
+	arena.Drop()
+	arena.SetPoison(true)
+	defer arena.SetPoison(false)
+	defer arena.Drop()
 	const seeds, warps = 50, 8
 	points := []struct {
 		scheme   experiments.Scheme
@@ -285,16 +285,14 @@ func TestGeneratedKernelDifferential(t *testing.T) {
 		}
 		for _, p := range points {
 			where := fmt.Sprintf("%s@%d", p.scheme, p.capacity)
-			// runChip also returns what hands the finished chip and its
-			// memory to the free lists.
-			runChip := func(what string, oracle bool, tweak func(*experiments.SimSetup)) (maskedRun, func()) {
+			runIn := func(a *arena.Arena, what string, oracle bool, tweak func(*experiments.SimSetup)) maskedRun {
 				t.Helper()
 				su := experiments.SimSetup{Capacity: p.capacity, Warps: warps, MaxCycles: 5_000_000,
-					Memory: exec.NewMemory(nil)}
+					Memory: exec.NewMemoryIn(a, nil)}
 				if tweak != nil {
 					tweak(&su)
 				}
-				out, g, err := runPickChip(k, p.scheme, su, nil, oracle)
+				out, err := runPick(a, k, p.scheme, su, nil, oracle)
 				if err != nil {
 					fail("%s, %s: %v", where, what, err)
 				}
@@ -307,12 +305,11 @@ func TestGeneratedKernelDifferential(t *testing.T) {
 						fail("%s, %s: word %#x = %d, reference %d", where, what, a, got[a], v)
 					}
 				}
-				return out, func() { g.Release(); su.Memory.Release() }
+				return out
 			}
 			run := func(what string, oracle bool, tweak func(*experiments.SimSetup)) maskedRun {
 				t.Helper()
-				out, _ := runChip(what, oracle, tweak)
-				return out
+				return runIn(nil, what, oracle, tweak)
 			}
 			same := func(what string, got, want maskedRun, ffCounters bool) {
 				t.Helper()
@@ -341,22 +338,22 @@ func TestGeneratedKernelDifferential(t *testing.T) {
 					fail("%s, %s: JSONL metric streams differ", where, what)
 				}
 			}
-			recycled, releaseRecycled := runChip("on recycled buffers", false, nil)
-			freelist.Drop()
+			a := arena.Take()
+			recycled := runIn(a, "in a recycled arena", false, nil)
+			arena.Put(a)
 			masks := run("mask pick", false, nil)
 			if len(masks.picks) == 0 {
 				fail("%s: no picks logged", where)
 			}
-			same("recycled vs fresh buffers", recycled, masks, true)
+			same("recycled arena vs the heap", recycled, masks, true)
 			same("mask pick vs linear oracle", masks, run("linear oracle", true, nil), true)
 			same("fast-forward on vs off", masks,
 				run("fast-forward off", false, func(su *experiments.SimSetup) { su.NoFastForward = true }), false)
 			same("plain vs sanitized", masks,
 				run("sanitized", false, func(su *experiments.SimSetup) { su.Sanitize = true }), true)
-			if freelist.Held() != 0 {
-				fail("%s: buffers were parked while the fresh runs were built", where)
+			if arena.Held() != 1 {
+				fail("%s: %d arenas parked; the heap runs must neither take nor put one", where, arena.Held())
 			}
-			releaseRecycled()
 		}
 	}
 	if under < 5 || over < 5 {

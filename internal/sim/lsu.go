@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"repro/internal/arena"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -36,8 +37,18 @@ type memOp struct {
 	next *memOp // pool free list
 }
 
+var (
+	lsuT      = arena.Of[lsu]()
+	memOpT    = arena.Of[memOp]()
+	memOpPtrT = arena.Of[*memOp]()
+)
+
 func newLSU(sm *SM, capacity int) *lsu {
-	return &lsu{sm: sm, cap: capacity, queue: make([]*memOp, 0, capacity)}
+	l := lsuT.New(sm.a)
+	// The pick refuses a global access while the queue is full, so it
+	// never outgrows its capacity.
+	*l = lsu{sm: sm, cap: capacity, queue: memOpPtrT.Make(sm.a, capacity)[:0]}
+	return l
 }
 
 func (l *lsu) hasRoom() bool { return len(l.queue) < l.cap }
@@ -47,7 +58,7 @@ func (l *lsu) empty() bool { return len(l.queue) == 0 }
 func (l *lsu) alloc() *memOp {
 	op := l.free
 	if op == nil {
-		op = &memOp{}
+		op = memOpT.New(l.sm.a)
 		op.done = func(mem.Source) {
 			op.remaining--
 			if op.remaining == 0 {

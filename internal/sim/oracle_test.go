@@ -182,7 +182,7 @@ func (s *lrrLinear) pick(g int, sm *SM) *Warp {
 func (sm *SM) UseLinearOracle() {
 	switch sm.Cfg.Sched {
 	case SchedTwoLevel:
-		tl := newTwoLevel(sm.groups, sm.Cfg.ActiveSet) // for the initial sets
+		tl := newTwoLevel(nil, sm.groups, sm.Cfg.ActiveSet) // for the initial sets
 		s := &twoLevelLinear{active: tl.active, pending: tl.pending, size: tl.size}
 		sm.sched, sm.pickFn = s, s.pick
 	case SchedLRR:

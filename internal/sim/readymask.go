@@ -49,22 +49,22 @@ func (sm *SM) initMasks() {
 	if sm.grpWords < 1 {
 		sm.grpWords = 1
 	}
+	// One span cut in five: a pick reads all five masks of its group, and
+	// side by side they share cache lines instead of holding one each.
 	n := sm.Cfg.Schedulers * sm.grpWords
-	sm.mLive = make([]uint64, n)
-	sm.mSB = make([]uint64, n)
-	sm.mStall = make([]uint64, n)
-	sm.mGlobal = make([]uint64, n)
-	sm.mSFU = make([]uint64, n)
+	m := wordT.Make(sm.a, 5*n)
+	cut := func(i int) []uint64 { return m[i*n : (i+1)*n : (i+1)*n] }
+	sm.mLive, sm.mSB, sm.mStall, sm.mGlobal, sm.mSFU = cut(0), cut(1), cut(2), cut(3), cut(4)
 }
 
 // bindIssueMask fetches the provider's issue mask, one slice per group,
 // after Attach. A provider without one is always issuable: every group
 // shares one all-ones slice.
 func (sm *SM) bindIssueMask() error {
-	sm.mProv = make([][]uint64, sm.Cfg.Schedulers)
+	sm.mProv = wordsT.Make(sm.a, sm.Cfg.Schedulers)
 	im, ok := sm.Provider.(IssueMasker)
 	if !ok {
-		open := make([]uint64, sm.grpWords)
+		open := wordT.Make(sm.a, sm.grpWords)
 		for i := range open {
 			open[i] = ^uint64(0)
 		}

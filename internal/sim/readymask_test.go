@@ -85,7 +85,7 @@ type cmProvider struct {
 func (p *cmProvider) Attach(sm *SM) error {
 	per := sm.Cfg.Warps / sm.Cfg.Schedulers
 	for g := 0; g < sm.Cfg.Schedulers; g++ {
-		c := cm.New(cm.Config{Banks: 1, LinesPerBank: 1}, per)
+		c := cm.New(nil, cm.Config{Banks: 1, LinesPerBank: 1}, per)
 		for i := 0; i < per; i++ {
 			if _, err := c.ActivateTop(0, []int{0}, 0, 0); err != nil {
 				return err

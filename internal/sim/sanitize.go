@@ -37,6 +37,7 @@ type WarpReporter interface {
 // sanitizer leaves checking disabled at one branch per cycle.
 func (sm *SM) AttachSanitizer(s *sanitizer.Sanitizer) {
 	sm.san = s
+	sm.Metrics.CheckNames() // a sanitized run also holds its cell names unique
 	s.Register("sim/warps", sm.checkWarps)
 	s.Register("sim/readymask", sm.checkMasks)
 	if sa, ok := sm.Provider.(SanitizerAware); ok {

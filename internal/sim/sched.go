@@ -1,5 +1,13 @@
 package sim
 
+import "repro/internal/arena"
+
+var (
+	gtoT      = arena.Of[gto]()
+	twoLevelT = arena.Of[twoLevel]()
+	lrrT      = arena.Of[lrr]()
+)
+
 // scheduler picks the warp a scheduler group issues from each cycle.
 // candidates exposes the warps pick actually considered this cycle so
 // stall attribution classifies the same set (the two-level scheduler
@@ -26,8 +34,10 @@ type gto struct {
 	groups  [][]*Warp
 }
 
-func newGTO(groups [][]*Warp) *gto {
-	return &gto{current: make([]*Warp, len(groups)), groups: groups}
+func newGTO(a *arena.Arena, groups [][]*Warp) *gto {
+	s := gtoT.New(a)
+	s.current, s.groups = warpPtrT.Make(a, len(groups)), groups
+	return s
 }
 
 func (s *gto) candidates(g int) []*Warp { return s.groups[g] }
@@ -59,19 +69,16 @@ type twoLevel struct {
 	size    int
 }
 
-func newTwoLevel(groups [][]*Warp, size int) *twoLevel {
-	s := &twoLevel{size: size}
-	for _, g := range groups {
-		n := size
-		if n > len(g) {
-			n = len(g)
-		}
-		act := make([]*Warp, n)
-		copy(act, g[:n])
-		pend := make([]*Warp, len(g)-n)
-		copy(pend, g[n:])
-		s.active = append(s.active, act)
-		s.pending = append(s.pending, pend)
+func newTwoLevel(a *arena.Arena, groups [][]*Warp, size int) *twoLevel {
+	s := twoLevelT.New(a)
+	s.size = size
+	s.active, s.pending = groupT.Make(a, len(groups)), groupT.Make(a, len(groups))
+	for i, g := range groups {
+		n := min(size, len(g))
+		// Room for the most either can hold: the active set is capped at
+		// size, and with it empty every warp of the group is pending.
+		s.active[i] = append(warpPtrT.Make(a, size)[:0], g[:n]...)
+		s.pending[i] = append(warpPtrT.Make(a, len(g))[:0], g[n:]...)
 	}
 	return s
 }
@@ -184,8 +191,10 @@ type lrr struct {
 	groups [][]*Warp
 }
 
-func newLRR(groups [][]*Warp) *lrr {
-	return &lrr{next: make([]int, len(groups)), groups: groups}
+func newLRR(a *arena.Arena, groups [][]*Warp) *lrr {
+	s := lrrT.New(a)
+	s.next, s.groups = intT.Make(a, len(groups)), groups
+	return s
 }
 
 func (s *lrr) candidates(g int) []*Warp { return s.groups[g] }

@@ -16,6 +16,8 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/arena"
+	"repro/internal/calendar"
 	"repro/internal/cfg"
 	"repro/internal/events"
 	"repro/internal/exec"
@@ -214,11 +216,11 @@ type SM struct {
 	mProviderStall []metrics.Counter
 
 	cycle uint64
-	wheel eventWheel
+	wheel calendar.Ring[wheelEntry]
 
-	// regs backs every warp's architectural registers (Release hands it
-	// back).
-	regs *exec.RegFile
+	// a is the arena the SM and everything under it were made from and
+	// grow in (nil: the heap).
+	a *arena.Arena
 
 	// Struct-of-arrays warp hot state, indexed by warp ID (see Warp).
 	// wPending and wNeed are maskWords 64-bit words per warp; wInsn and
@@ -283,7 +285,33 @@ type SM struct {
 	windowSum      float64
 	windowCount    uint64
 	lastBackingCt  uint64
+	// nextWindow is the cycle the open window closes at (never, with
+	// windows off): the per-cycle test is one compare.
+	nextWindow uint64
 }
+
+// The element types an SM is made of (package arena).
+var (
+	smT      = arena.Of[SM]()
+	warpT    = arena.Of[Warp]()
+	warpPtrT = arena.Of[*Warp]()
+	groupT   = arena.Of[[]*Warp]()
+	wordT    = arena.Of[uint64]()
+	wordsT   = arena.Of[[]uint64]()
+	u32T     = arena.Of[uint32]()
+	i32T     = arena.Of[int32]()
+	intT     = arena.Of[int]()
+	byteT    = arena.Of[uint8]()
+	boolT    = arena.Of[bool]()
+	classT   = arena.Of[isa.Class]()
+	insnT    = arena.Of[*isa.Instruction]()
+	counterT = arena.Of[metrics.Counter]()
+	reasonT  = arena.Of[events.StallReason]()
+)
+
+// schedNames holds the per-scheduler-group cell names.
+var schedNames = metrics.Names("sim/sched/g%d",
+	"/issue_cycles", "/stall_cycles", "/scoreboard_rejects", "/provider_rejects")
 
 // New builds an SM running kernel k under the given provider. The memory
 // image mm may be nil for the default deterministic contents.
@@ -295,6 +323,15 @@ func New(cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory) (*SM, error) {
 // simulation attaches per-SM hierarchies to a shared L2). A nil hierarchy
 // builds a private one from cfgv.Mem.
 func NewWithHierarchy(cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, hier *mem.Hierarchy) (*SM, error) {
+	return NewWithHierarchyIn(nil, cfgv, k, p, mm, hier)
+}
+
+// NewWithHierarchyIn is NewWithHierarchy with the SM and everything it
+// builds — warps, scoreboards, masks, calendar, registry, a default
+// memory or hierarchy, and what the provider attaches (Arena) —
+// allocated from a. It is for a caller that puts the arena back once the
+// run's results are read out (experiments.runPoint); nil is the heap.
+func NewWithHierarchyIn(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, hier *mem.Hierarchy) (*SM, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
@@ -311,56 +348,68 @@ func NewWithHierarchy(cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, h
 		return nil, fmt.Errorf("sim: execution latencies must be at least one cycle")
 	}
 	if mm == nil {
-		mm = exec.NewMemory(nil)
+		mm = exec.NewMemoryIn(a, nil)
 	}
 	if hier == nil {
-		hier = mem.New(cfgv.Mem)
+		hier = mem.NewIn(a, cfgv.Mem)
 	}
 	g := cfg.New(k)
-	sm := &SM{
+	sm := smT.New(a)
+	*sm = SM{
 		Cfg:          cfgv,
 		K:            k,
 		G:            g,
 		Mem:          hier,
 		Provider:     p,
-		Metrics:      metrics.NewRegistry(),
-		sfuNextIssue: make([]uint64, cfgv.Schedulers),
-		wheel:        newEventWheel(maxLat),
-		regs:         exec.NewRegFile(cfgv.Warps, k.NumRegs),
+		Metrics:      metrics.NewRegistryIn(a),
+		a:            a,
+		sfuNextIssue: wordT.Make(a, cfgv.Schedulers),
+		wheel:        calendar.New(a, wheelCellT, maxLat),
+		nextWindow:   noWake,
+	}
+	if cfgv.WindowSize > 0 {
+		sm.nextWindow = uint64(cfgv.WindowSize)
 	}
 	sm.maskWords = (k.NumRegs + 63) / 64
 	if sm.maskWords < 1 {
 		sm.maskWords = 1
 	}
-	sm.wFlags = make([]uint8, cfgv.Warps)
-	sm.wStallUntil = make([]uint64, cfgv.Warps)
-	sm.wClass = make([]isa.Class, cfgv.Warps)
-	sm.wInsn = make([]*isa.Instruction, cfgv.Warps)
-	sm.wPending = make([]uint64, cfgv.Warps*sm.maskWords)
-	sm.wNeed = make([]uint64, cfgv.Warps*sm.maskWords)
-	sm.windowMask = make([]uint64, cfgv.Warps*sm.maskWords)
-	sm.scanSB = make([]uint32, cfgv.Schedulers)
-	sm.scanProv = make([]uint32, cfgv.Schedulers)
+	sm.wFlags = byteT.Make(a, cfgv.Warps)
+	sm.wStallUntil = wordT.Make(a, cfgv.Warps)
+	sm.wClass = classT.Make(a, cfgv.Warps)
+	sm.wInsn = insnT.Make(a, cfgv.Warps)
+	sm.wPending = wordT.Make(a, cfgv.Warps*sm.maskWords)
+	sm.wNeed = wordT.Make(a, cfgv.Warps*sm.maskWords)
+	sm.windowMask = wordT.Make(a, cfgv.Warps*sm.maskWords)
+	sm.scanSB = u32T.Make(a, cfgv.Schedulers)
+	sm.scanProv = u32T.Make(a, cfgv.Schedulers)
 	numCTAs := (cfgv.Warps + k.WarpsPerCTA - 1) / k.WarpsPerCTA
-	sm.ctaAt = make([]int32, numCTAs)
-	sm.ctaLive = make([]int32, numCTAs)
-	sm.ctaDirtyFlg = make([]bool, numCTAs)
-	sm.ctaDirty = make([]int32, 0, numCTAs)
+	sm.ctaAt = i32T.Make(a, numCTAs)
+	sm.ctaLive = i32T.Make(a, numCTAs)
+	sm.ctaDirtyFlg = boolT.Make(a, numCTAs)
+	sm.ctaDirty = i32T.Make(a, numCTAs)[:0]
 	sm.registerMetrics()
 	sm.initMasks()
-	sm.groups = make([][]*Warp, cfgv.Schedulers)
+	regs := exec.NewRegFile(a, cfgv.Warps, k.NumRegs)
+	warps := warpT.Make(a, cfgv.Warps)
+	sm.Warps = warpPtrT.Make(a, cfgv.Warps)
+	sm.groups = groupT.Make(a, cfgv.Schedulers)
+	for i := range sm.groups {
+		sm.groups[i] = warpPtrT.Make(a, cfgv.Warps/cfgv.Schedulers)[:0]
+	}
 	for i := 0; i < cfgv.Warps; i++ {
 		gid := cfgv.WarpIDBase + i
 		pos := i / cfgv.Schedulers
-		w := &Warp{
+		w := &warps[i]
+		*w = Warp{
 			ID:    i,
 			Group: i % cfgv.Schedulers,
-			Exec:  exec.NewWarpOn(sm.regs.Warp(i), k, g, gid, gid/k.WarpsPerCTA, mm),
+			Exec:  exec.NewWarpOn(a, regs.Warp(i), k, g, gid, gid/k.WarpsPerCTA, mm),
 			sm:    sm,
 			mword: (i%cfgv.Schedulers)*sm.grpWords + pos>>6,
 			mbit:  1 << (uint(pos) & 63),
 		}
-		sm.Warps = append(sm.Warps, w)
+		sm.Warps[i] = w
 		sm.groups[w.Group] = append(sm.groups[w.Group], w)
 		sm.ctaLive[i/k.WarpsPerCTA]++
 		sm.unfinished++
@@ -369,13 +418,13 @@ func NewWithHierarchy(cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, h
 	}
 	switch cfgv.Sched {
 	case SchedTwoLevel:
-		s := newTwoLevel(sm.groups, cfgv.ActiveSet)
+		s := newTwoLevel(a, sm.groups, cfgv.ActiveSet)
 		sm.sched, sm.pickFn = s, s.pick
 	case SchedLRR:
-		s := newLRR(sm.groups)
+		s := newLRR(a, sm.groups)
 		sm.sched, sm.pickFn = s, s.pick
 	default:
-		s := newGTO(sm.groups)
+		s := newGTO(a, sm.groups)
 		sm.sched, sm.pickFn = s, s.pick
 	}
 	sm.lsu = newLSU(sm, cfgv.LSUQueue)
@@ -414,17 +463,25 @@ func (sm *SM) registerMetrics() {
 	r.Bind("sim/mem_lines", &sm.Stats.MemLines)
 	r.Bind("sim/active_lanes", &sm.Stats.ActiveLanes)
 	r.Gauge("sim/lsu_queue_depth", func() uint64 { return uint64(len(sm.lsu.queue)) })
-	for g := 0; g < sm.Cfg.Schedulers; g++ {
-		sm.mIssued = append(sm.mIssued, r.Counter(fmt.Sprintf("sim/sched/g%d/issue_cycles", g)))
-		sm.mNoIssue = append(sm.mNoIssue, r.Counter(fmt.Sprintf("sim/sched/g%d/stall_cycles", g)))
-		sm.mScoreboard = append(sm.mScoreboard, r.Counter(fmt.Sprintf("sim/sched/g%d/scoreboard_rejects", g)))
-		sm.mProviderStall = append(sm.mProviderStall, r.Counter(fmt.Sprintf("sim/sched/g%d/provider_rejects", g)))
+	n := sm.Cfg.Schedulers
+	sm.mIssued, sm.mNoIssue = counterT.Make(sm.a, n), counterT.Make(sm.a, n)
+	sm.mScoreboard, sm.mProviderStall = counterT.Make(sm.a, n), counterT.Make(sm.a, n)
+	for g := 0; g < n; g++ {
+		names := schedNames(g)
+		sm.mIssued[g] = r.Counter(names[0])
+		sm.mNoIssue[g] = r.Counter(names[1])
+		sm.mScoreboard[g] = r.Counter(names[2])
+		sm.mProviderStall[g] = r.Counter(names[3])
 	}
 	sm.Mem.BindMetrics(r)
 }
 
 // Cycle returns the current cycle.
 func (sm *SM) Cycle() uint64 { return sm.cycle }
+
+// Arena returns what the SM was built from, for the provider to build its
+// own state from in Attach and grow it in at run time (nil: the heap).
+func (sm *SM) Arena() *arena.Arena { return sm.a }
 
 // After schedules fn to run delay cycles from now; providers use it for
 // fixed-latency internal operations (e.g. compressor decompress delay).
@@ -436,7 +493,7 @@ func (sm *SM) After(delay int, fn func()) {
 		sm.ReportFault("sim/after", fmt.Sprintf("event scheduled %d cycles ahead, want at least 1", delay), -1)
 		return
 	}
-	sm.wheel.push(sm.cycle, sm.cycle+uint64(delay), wheelEntry{fn: fn})
+	sm.wheel.Push(sm.cycle, sm.cycle+uint64(delay), wheelEntry{fn: fn})
 }
 
 // Run simulates to completion and returns the statistics: the lockstep
@@ -471,32 +528,6 @@ func (sm *SM) Finalize() *Stats {
 	return &st
 }
 
-// Releaser is an optional Provider refinement: providers that own large
-// flat buffers (RegLess's OSU line arrays) hand them back when the SM is
-// released.
-type Releaser interface {
-	Release()
-}
-
-// Release hands the SM's large flat buffers — the warps' register
-// chunks, the hierarchy's cache arrays, the provider's — back to the free
-// lists of the packages that allocated them, for the next machine built
-// to reuse (package freelist). It is for a machine that ran to a clean
-// finish and whose results have been read out: counters stay readable,
-// but the SM cannot be stepped again, and what it gave back is nilled so
-// that misuse panics instead of touching another run's state. An SM that
-// is never released is simply garbage-collected.
-func (sm *SM) Release() {
-	sm.regs.Release()
-	for _, w := range sm.Warps {
-		w.Exec.Regs = nil
-	}
-	sm.Mem.Release()
-	if r, ok := sm.Provider.(Releaser); ok {
-		r.Release()
-	}
-}
-
 func (sm *SM) allDone() bool { return sm.unfinished == 0 }
 
 // step advances the SM one cycle.
@@ -504,8 +535,8 @@ func (sm *SM) step() {
 	sm.cycle++
 	sm.Rec.SetCycle(sm.cycle)
 	sm.Mem.Tick()
-	for sm.wheel.due(sm.cycle) {
-		if e := sm.wheel.pop(sm.cycle); e.fn != nil {
+	for sm.wheel.Due(sm.cycle) {
+		if e := sm.wheel.Pop(sm.cycle); e.fn != nil {
 			e.fn()
 		} else {
 			sm.Warps[e.warp].completePending(e.reg, e.mem)
@@ -553,7 +584,7 @@ func (sm *SM) issue(w *Warp) {
 	id := w.ID
 	cls := sm.wClass[id] // the issuing instruction's class (pre-refresh)
 	info := &sm.stepInfo
-	*info = w.Exec.Step()
+	w.Exec.StepInto(info)
 	w.lastIssue = sm.cycle
 	sm.lastProgress = sm.cycle
 	sm.Stats.DynInsns++
@@ -620,7 +651,7 @@ func (sm *SM) retire(w *Warp, in *isa.Instruction, lat int, memOp bool) {
 	}
 	dst := in.Dst
 	w.addPending(dst, memOp)
-	sm.wheel.push(sm.cycle, sm.cycle+uint64(lat), wheelEntry{warp: int32(w.ID), reg: dst, mem: memOp})
+	sm.wheel.Push(sm.cycle, sm.cycle+uint64(lat), wheelEntry{warp: int32(w.ID), reg: dst, mem: memOp})
 }
 
 // markCTADirty queues warp id's CTA for a barrier-release check at the
@@ -685,17 +716,17 @@ func (sm *SM) trackWindow(id int) {
 
 // sampleWindow closes a window at each WindowSize boundary.
 func (sm *SM) sampleWindow() {
-	if sm.Cfg.WindowSize <= 0 || sm.cycle%uint64(sm.Cfg.WindowSize) != 0 {
-		return
+	if sm.cycle == sm.nextWindow {
+		sm.closeWindow()
 	}
-	sm.closeWindow()
 }
 
 // closeWindow performs the per-boundary sampling work: the working-set
-// point, the backing-traffic series point, and the metrics window. The
-// stepped path reaches it from sampleWindow; the fast-forward path calls
-// it directly at each boundary a skip crosses.
+// point, the backing-traffic series point, and the metrics window, at the
+// boundary sampleWindow found — a stepped cycle, or each one a
+// fast-forward skip crosses.
 func (sm *SM) closeWindow() {
+	sm.nextWindow = sm.cycle + uint64(sm.Cfg.WindowSize)
 	sm.windowSum += float64(sm.windowDistinct) * mem.LineSize / 1024.0
 	sm.windowCount++
 	if sm.windowDistinct > 0 {
@@ -705,7 +736,7 @@ func (sm *SM) closeWindow() {
 		sm.windowDistinct = 0
 	}
 	cur := sm.Provider.Stats().BackingAccesses
-	sm.Stats.BackingSeries = append(sm.Stats.BackingSeries, cur-sm.lastBackingCt)
+	sm.Stats.BackingSeries = append(wordT.Grow(sm.a, sm.Stats.BackingSeries, 1), cur-sm.lastBackingCt)
 	sm.lastBackingCt = cur
 	if sm.Metrics.HasSink() {
 		sm.Metrics.CloseWindow(sm.cycle)

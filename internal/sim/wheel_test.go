@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/calendar"
 	"repro/internal/exec"
 )
 
@@ -35,7 +36,8 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// TestWheelMatchesReferenceHeap drives the calendar and the reference
+// TestWheelMatchesReferenceHeap drives the SM's calendar (package
+// calendar's ring over wheelEntry) and the reference
 // with the same random schedule — the machine's own delays, so bursts
 // from several of them meet in one cycle; now and then a delay past the
 // ring, which must re-bucket; pushes made from inside a firing callback,
@@ -47,7 +49,8 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 	delays := []uint64{1, 3, 6, 6, 6, 24, 26}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		w := newEventWheel(26)
+		w := calendar.New(nil, wheelCellT, 26)
+		ring := uint64(64) // the delays the ring holds: 26 fits the smallest
 		var ref refHeap
 		var now, seq uint64
 		var nextID int32
@@ -69,11 +72,11 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 					}
 				}
 			}
-			w.push(now, now+delay, e)
+			w.Push(now, now+delay, e)
 		}
 		checkNext := func(where string) {
 			t.Helper()
-			got, ok := w.nextCycle(now)
+			got, ok := w.NextCycle(now)
 			if len(ref) == 0 {
 				if ok {
 					t.Fatalf("seed %d cycle %d %s: nextCycle = %d on an empty wheel", seed, now, where, got)
@@ -91,16 +94,20 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 				schedule(delays[rng.Intn(len(delays))])
 			}
 			if rng.Intn(500) == 0 {
-				schedule(uint64(len(w.slots) + rng.Intn(300))) // past the ring
+				delay := ring + uint64(rng.Intn(300)) // past the ring
+				for ring <= delay {
+					ring <<= 1
+				}
+				schedule(delay)
 				grown = true
 			}
 			checkNext("before the drain")
 			for len(ref) > 0 && ref[0].cycle == now {
 				want := heap.Pop(&ref).(refEvent)
-				if !w.due(now) {
+				if !w.Due(now) {
 					t.Fatalf("seed %d cycle %d: reference fires event %d, wheel has nothing due", seed, now, want.id)
 				}
-				e := w.pop(now)
+				e := w.Pop(now)
 				if e.warp != want.id {
 					t.Fatalf("seed %d cycle %d: wheel fired event %d, reference %d (after %v)",
 						seed, now, e.warp, want.id, fired)
@@ -110,11 +117,11 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 					e.fn()
 				}
 			}
-			if w.due(now) {
+			if w.Due(now) {
 				t.Fatalf("seed %d cycle %d: wheel still has an event due after the reference drained", seed, now)
 			}
 			checkNext("after the drain")
-			if next, ok := w.nextCycle(now); ok && next > now+1 && rng.Intn(3) == 0 {
+			if next, ok := w.NextCycle(now); ok && next > now+1 && rng.Intn(3) == 0 {
 				now = next - 1 // fast-forward stops one short of the wakeup
 			}
 			now++
@@ -129,14 +136,14 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 // list, so a wheel that has reached its working size pushes and pops
 // without allocating.
 func TestWheelSteadyStateAllocatesNothing(t *testing.T) {
-	w := newEventWheel(26)
+	w := calendar.New(nil, wheelCellT, 26)
 	now := uint64(0)
 	round := func() {
 		for i := 0; i < 200; i++ {
-			w.push(now, now+6, wheelEntry{warp: 1})
-			w.push(now, now+26, wheelEntry{warp: 2})
-			for w.due(now) {
-				w.pop(now)
+			w.Push(now, now+6, wheelEntry{warp: 1})
+			w.Push(now, now+26, wheelEntry{warp: 2})
+			for w.Due(now) {
+				w.Pop(now)
 			}
 			now++
 		}

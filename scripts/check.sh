@@ -7,9 +7,13 @@
 # simulation core (scripts/cover.sh) rides along.
 set -eux
 cd "$(dirname "$0")/.."
-test -z "$(gofmt -l cmd internal scripts *.go)"
+test -z "$(gofmt -l cmd internal scripts examples *.go)"
 go vet ./...
 go test -race -shuffle=on ./...
+# The allocation budget of a steady-state run is the program's only
+# without the race detector, whose instrumentation changes what
+# allocates: the test is built out of the race gate above and run here.
+go test -count=1 -run TestSteadyStateRunBudget ./internal/experiments
 scripts/cover.sh
 # The benchmark is its own module (benchmark/go.mod), so the root
 # ./... patterns never compile it: a signature change that breaks it
