@@ -49,19 +49,31 @@ func FuzzRunRequestDecode(f *testing.F) {
 	f.Add(`{`)
 	f.Add("\x00\xff\xfe")
 	f.Add(`{"bench":"` + strings.Repeat("A", 1<<10) + `"}`)
+	f.Add(`{"bench":"nw","scheme":"regless"}}`)
+	f.Add(`{"bench":"nw","scheme":"regless"}]`)
+	f.Add(" {\"bench\" : \"nw\",\n\"scheme\":\"regless\"}\n")
 
-	h := fuzzServer(f).Handler()
+	s := fuzzServer(f)
+	h := s.Handler()
 	f.Fuzz(func(t *testing.T, body string) {
 		req := httptest.NewRequest("POST", "/v1/runs", strings.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req) // a panic here fails the fuzz target
+		// The strict decoder is the reference for what is admissible: the
+		// body memo in front of it may never change an answer.
+		var rr RunRequest
+		admissible := decodeStrict([]byte(body), &rr) == nil
+		if admissible {
+			_, err := s.KeyFor(rr)
+			admissible = err == nil
+		}
 		switch {
-		case rec.Code == http.StatusAccepted:
+		case rec.Code == http.StatusAccepted && admissible:
 			// A syntactically valid request naming a real point: fine.
-		case rec.Code >= 400 && rec.Code < 500:
+		case rec.Code >= 400 && rec.Code < 500 && !admissible:
 			// Malformed: rejected, not crashed.
 		default:
-			t.Fatalf("POST /v1/runs with %q = %d, want 202 or 4xx", body, rec.Code)
+			t.Fatalf("POST /v1/runs with %q = %d (admissible: %v), want 202 or 4xx", body, rec.Code, admissible)
 		}
 	})
 }
@@ -78,6 +90,8 @@ func FuzzSweepRequestDecode(f *testing.F) {
 	f.Add(`{"benchmarks":"nw"}`)
 	f.Add(`{}`)
 	f.Add(`00`)
+	f.Add(`{"benchmarks":["nw"],"schemes":["baseline"]}}`)
+	f.Add(`{"benchmarks":["nw"],"schemes":["baseline"]}]`)
 
 	s := fuzzServer(f)
 	h := s.Handler()

@@ -10,8 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // Service states. Transitions are one-way: accepting -> draining ->
@@ -233,24 +235,36 @@ func (s *Server) openBreakers() []string {
 // ---------------------------------------------------------------------
 // Request IDs
 
-// newRequestID mints a process-unique request id. The boot component
-// distinguishes restarts so ids in persisted diagnostics stay unique
-// across a server's lifetimes.
+// newRequestID mints a process-unique request id, "r-<boot>-<n>". The
+// boot component distinguishes restarts so ids in persisted diagnostics
+// stay unique across a server's lifetimes.
 func (s *Server) newRequestID() string {
-	return fmt.Sprintf("r-%s-%d", s.bootID, s.reqSeq.Add(1))
+	var buf [40]byte
+	id := append(append(append(buf[:0], "r-"...), s.bootID...), '-')
+	return string(strconv.AppendUint(id, s.reqSeq.Add(1), 10))
 }
+
+// maxRequestID bounds a client-provided request id, in bytes.
+const maxRequestID = 128
 
 // requestID returns the client-provided X-Request-ID or mints one.
 // Client-provided ids are truncated rather than rejected: they are
-// annotations, not addresses.
+// annotations, not addresses. The cut backs up to a rune boundary, so the
+// id is the same string in the header echo and in JSON (a split rune would
+// be echoed as bytes there and encoded as U+FFFD here).
 func (s *Server) requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-ID"); id != "" {
-		if len(id) > 128 {
-			id = id[:128]
-		}
-		return id
+	id := r.Header.Get(headerRequestID)
+	if id == "" {
+		return s.newRequestID()
 	}
-	return s.newRequestID()
+	if len(id) > maxRequestID {
+		n := maxRequestID
+		for n > maxRequestID-utf8.UTFMax && !utf8.RuneStart(id[n]) {
+			n--
+		}
+		id = id[:n]
+	}
+	return id
 }
 
 // bootIDFrom derives the server's boot id from its start time.

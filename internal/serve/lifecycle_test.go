@@ -6,6 +6,7 @@ package serve
 
 import (
 	"bufio"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -373,6 +374,50 @@ func TestRequestIDsAssignedAndEchoed(t *testing.T) {
 	b := mint()
 	if !strings.HasPrefix(a, "r-") || a == b {
 		t.Fatalf("minted ids %q, %q", a, b)
+	}
+}
+
+// TestRequestIDTruncatesOnRuneBoundary: an over-long client id is cut
+// where a rune ends, so the one string that joins the HTTP log, the run
+// status and a failure's Diagnostic is the same string in all three. Cut
+// mid-rune, the header would echo a stray lead byte and the JSON would
+// read U+FFFD in its place.
+func TestRequestIDTruncatesOnRuneBoundary(t *testing.T) {
+	// Every case fails the same config: keep the breaker out of the way.
+	s, err := New(Config{Opts: faultOpts(t, "osu-tag@200; seed=3"), StoreDir: t.TempDir(), BreakerThreshold: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	for _, c := range []struct{ name, sent, want string }{
+		{"two-byte rune across the limit", strings.Repeat("a", 127) + "é" + "tail", strings.Repeat("a", 127)},
+		{"four-byte rune across the limit", strings.Repeat("a", 125) + "\U0001F600" + "tail", strings.Repeat("a", 125)},
+		{"rune ending at the limit", strings.Repeat("a", 126) + "é" + "tail", strings.Repeat("a", 126) + "é"},
+		{"ascii", strings.Repeat("a", 200), strings.Repeat("a", 128)},
+		{"short", "trace-é", "trace-é"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s.mu.Lock()
+			clear(s.jobs) // every case creates the job anew, under its own id
+			s.mu.Unlock()
+			r := httptest.NewRequest("POST", "/v1/runs?wait=1", strings.NewReader(`{"bench":"nw","scheme":"regless"}`))
+			r.Header.Set("X-Request-ID", c.sent)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			var st RunStatus
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatalf("reply %d does not parse: %v\n%s", rec.Code, err, rec.Body.Bytes())
+			}
+			if st.Status != "failed" || st.Diagnostic == nil {
+				t.Fatalf("run is %q without a diagnostic, want the injected failure: %s", st.Status, rec.Body.Bytes())
+			}
+			echo := rec.Header().Get("X-Request-ID")
+			if echo != c.want || st.RequestID != c.want || st.Diagnostic.RequestID != c.want {
+				t.Fatalf("header %q, status %q, diagnostic %q, want all three %q",
+					echo, st.RequestID, st.Diagnostic.RequestID, c.want)
+			}
+		})
 	}
 }
 

@@ -188,7 +188,7 @@ func TestRunReplyBytesMatchEncodingJSON(t *testing.T) {
 
 // hitLoop prepares one server holding one done job and returns a function
 // that replays the submission through the whole handler stack — request
-// id, counters, mux, decode, KeyFor, job-map dedupe, reply — reusing one
+// id, counters, mux, body memo, job-map dedupe, reply — reusing one
 // request and one writer, so what it costs is the server's.
 func hitLoop(tb testing.TB, s *Server) func() {
 	tb.Helper()
@@ -222,10 +222,18 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// memHitAllocCeiling is what hitLoop read per job-map hit when every reply
-// went through json.NewEncoder (25 objects; the prebuilt reply reads 24).
-// It may only go down.
-const memHitAllocCeiling = 25
+// The allocation ceilings are what hitLoop reads per request, plus one
+// object of slack. They may only go down.
+//
+// A job-map hit: the request-id header value and the body's size limiter
+// (2 objects; 24 when the body was decoded and the key hashed per request,
+// 25 when the reply went through json.NewEncoder as well).
+const memHitAllocCeiling = 3
+
+// A disk hit adds the job with its context and trace, the hand-off to the
+// pool, store.Get's file read and the reply built around the payload (19
+// objects; 65 when the entry was decoded to be verified).
+const diskHitAllocCeiling = 20
 
 func TestMemHitAllocations(t *testing.T) {
 	if raceEnabled {
@@ -236,6 +244,33 @@ func TestMemHitAllocations(t *testing.T) {
 	fire := hitLoop(t, s)
 	if got := testing.AllocsPerRun(200, fire); got > memHitAllocCeiling {
 		t.Errorf("a job-map hit allocates %.0f objects in the handler, ceiling %d", got, memHitAllocCeiling)
+	}
+}
+
+func TestDiskHitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	s := newTestServer(t, t.TempDir(), testOpts())
+	defer s.Close()
+	fire := diskHitLoop(hitLoop(t, s), s)
+	if got := testing.AllocsPerRun(200, fire); got > diskHitAllocCeiling {
+		t.Errorf("a disk hit allocates %.0f objects in the handler, pool and store, ceiling %d", got, diskHitAllocCeiling)
+	}
+	if hits := s.Store().Stats().Hits; hits < 200 {
+		t.Fatalf("store served %d hits: the loop is not reading the disk", hits)
+	}
+}
+
+// diskHitLoop turns hitLoop's request into a disk hit: the job map is
+// emptied before every request, so each one runs admission, the pool
+// hand-off, store.Get and the reply build.
+func diskHitLoop(fire func(), s *Server) func() {
+	return func() {
+		s.mu.Lock()
+		clear(s.jobs)
+		s.mu.Unlock()
+		fire()
 	}
 }
 
@@ -251,19 +286,14 @@ func BenchmarkHandlerMemHit(b *testing.B) {
 	}
 }
 
-// BenchmarkHandlerDiskHit is one disk hit through Handler().ServeHTTP:
-// the job map is emptied before every request, so each one runs admission,
-// the pool hand-off, store.Get and the reply build.
+// BenchmarkHandlerDiskHit is one disk hit through Handler().ServeHTTP.
 func BenchmarkHandlerDiskHit(b *testing.B) {
 	s := newTestServer(b, b.TempDir(), testOpts())
 	defer s.Close()
-	fire := hitLoop(b, s)
+	fire := diskHitLoop(hitLoop(b, s), s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.mu.Lock()
-		clear(s.jobs)
-		s.mu.Unlock()
 		fire()
 	}
 }

@@ -11,6 +11,7 @@
 // Layering per request:
 //
 //	HTTP handler  -> canonical store.Key (content-addressed job id)
+//	  body memo   -> a body seen before is its (key, id) again: no decode
 //	  jobs map    -> submissions of the same key attach to one job (dedupe)
 //	  admitter    -> per-client round-robin FIFO into a bounded pool
 //	  store.Get   -> disk hit: serve the stored bytes verbatim
@@ -33,12 +34,14 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/jsonstr"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -311,6 +314,11 @@ type Server struct {
 	breakerHits map[breakerKey]int
 	breakerOpen map[breakerKey]bool
 
+	// memo maps run-request bodies to what they were admitted as
+	// (admitRun), under memoMu.
+	memoMu sync.Mutex
+	memo   map[string]admitted
+
 	// sseMu guards runSubs: per-job SSE subscriber lists, appended at
 	// stream registration and drained by publishRun when the job ends.
 	sseMu   sync.Mutex
@@ -386,6 +394,7 @@ func New(cfg Config) (*Server, error) {
 		chaos:       chaos,
 		jobs:        map[string]*job{},
 		sweeps:      map[string]*sweep{},
+		memo:        map[string]admitted{},
 		runSubs:     map[string][]*sseStream{},
 		breakerHits: map[breakerKey]int{},
 		breakerOpen: map[breakerKey]bool{},
@@ -535,15 +544,72 @@ func (s *Server) KeyFor(req RunRequest) (store.Key, error) {
 	return k, nil
 }
 
+// admitted is what a run request comes to once it has been accepted: the
+// canonical key and its content address, which is the job's id.
+type admitted struct {
+	key store.Key
+	id  string
+}
+
+// resolve canonicalizes a run request and addresses it.
+func (s *Server) resolve(req RunRequest) (admitted, error) {
+	key, err := s.KeyFor(req)
+	if err != nil {
+		return admitted{}, err
+	}
+	id, err := key.Hash()
+	if err != nil {
+		return admitted{}, err
+	}
+	return admitted{key: key, id: id}, nil
+}
+
+// The body memo. Strict decode, KeyFor and Hash are together a pure
+// function of the body's bytes for the life of a Server (its configuration
+// and the kernels are fixed), and a figure re-reads the same few hundred
+// points, so a body that was admitted once is looked up instead. The memo
+// holds successful admissions only — a rejected body is decoded, and
+// rejected, again every time — and is bounded by constants rather than
+// evicted: at most memoEntries bodies of at most memoBodyMax bytes (2 MiB
+// of bodies at worst, and a suite's bodies are under 70 bytes); past
+// either bound a body simply takes the decoder, as every body does first.
+const (
+	memoEntries = 4096
+	memoBodyMax = 512
+)
+
+// admitRun resolves the body of a run submission.
+func (s *Server) admitRun(body []byte) (admitted, error) {
+	s.memoMu.Lock()
+	a, ok := s.memo[string(body)]
+	s.memoMu.Unlock()
+	if ok {
+		return a, nil
+	}
+	var req RunRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return admitted{}, fmt.Errorf("bad run request: %v", err)
+	}
+	a, err := s.resolve(req)
+	if err != nil {
+		return admitted{}, err
+	}
+	if len(body) <= memoBodyMax {
+		s.memoMu.Lock()
+		if len(s.memo) < memoEntries {
+			s.memo[string(body)] = a
+		}
+		s.memoMu.Unlock()
+	}
+	return a, nil
+}
+
 // submit admits one run (or attaches to the job already covering its
 // key) and returns the shared job. Admission can reject: errDraining
 // (shutdown in progress, 503), errOverloaded (queue at its limit, 429),
 // or a quarantined config (breaker open, 503).
-func (s *Server) submit(key store.Key, client, reqID string, budget time.Duration) (*job, error) {
-	id, err := key.Hash()
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) submit(a admitted, client, reqID string, budget time.Duration) (*job, error) {
+	key, id := a.key, a.id
 	if s.draining() {
 		return nil, errDraining
 	}
@@ -624,7 +690,8 @@ func (s *Server) execute(j *job) {
 	if err == nil && ok {
 		s.cHits.Inc()
 		tr.CloseAt(t1)
-		j.reply = append(append(j.replyHead(true), payload...), "}\n"...)
+		reply := j.appendReplyHead(make([]byte, 0, replyHeadRoom+len(j.reqID)+len(payload)), true)
+		j.reply = append(append(reply, payload...), "}\n"...)
 		j.finish(jobDone)
 		return
 	} else if err != nil {
@@ -663,7 +730,7 @@ func (s *Server) execute(j *job) {
 	res := s.resultFrom(run)
 	res.Report = rep
 	// Marshaled straight into the reply: one buffer for store and responses.
-	buf := bytes.NewBuffer(j.replyHead(false))
+	buf := bytes.NewBuffer(j.appendReplyHead(nil, false))
 	head := buf.Len()
 	merr := json.NewEncoder(buf).Encode(res)
 	t3 := tr.Now()
@@ -755,17 +822,28 @@ func (s *Server) recordFailure(j *job) {
 
 func (j *job) finish(state int32) { j.state.Store(state); close(j.done) }
 
-// replyHead opens a done job's reply (and records whether it is a disk
-// hit): the encoding of its RunStatus up to the result value; the caller
-// appends the payload and "}\n". The payload is json.Marshal output
-// (checksum-verified when read from disk), which json.Encoder copies
-// through unchanged: the bytes are the encoder's own.
-func (j *job) replyHead(cached bool) []byte {
+// appendReplyHead opens a done job's reply (and records whether it is a
+// disk hit): the encoding of its RunStatus up to the result value, field
+// for field as json.Marshal writes it; the caller appends the payload and
+// "}\n". The payload is json.Marshal output (checksum-verified when read
+// from disk), which json.Encoder copies through unchanged: the bytes are
+// the encoder's own (TestRunReplyBytesMatchEncodingJSON).
+func (j *job) appendReplyHead(dst []byte, cached bool) []byte {
 	j.cached = cached
-	st := RunStatus{ID: j.id, Status: "done", RequestID: j.reqID, Cached: cached}
-	head, _ := json.Marshal(st) // strings and a bool: cannot fail
-	return append(head[:len(head)-1], `,"result":`...)
+	dst = jsonstr.Append(append(dst, `{"id":`...), j.id)
+	dst = append(dst, `,"status":"done"`...)
+	if j.reqID != "" {
+		dst = jsonstr.Append(append(dst, `,"request_id":`...), j.reqID)
+	}
+	if cached {
+		dst = append(dst, `,"cached":true`...)
+	}
+	return append(dst, `,"result":`...)
 }
+
+// replyHeadRoom covers a reply's head and tail around a request id that
+// needs no escaping (one that does grows the buffer once more).
+const replyHeadRoom = 160
 
 var stateNames = [...]string{jobQueued: "queued", jobRunning: "running", jobDone: "done",
 	jobFailed: "failed", jobExpired: "expired", jobCanceled: "canceled"}
@@ -820,16 +898,22 @@ func (s *Server) Handler() http.Handler {
 		if s.chaos != nil && s.chaos.AbortsClient(s.reqNum.Add(1)) {
 			panic(http.ErrAbortHandler)
 		}
-		reqID := s.requestID(r)
-		w.Header().Set("X-Request-ID", reqID)
-		// Normalize onto the request so downstream handlers read one place.
-		r.Header.Set("X-Request-ID", reqID)
+		// One value, set on the response and normalized onto the request
+		// so downstream handlers read one place.
+		reqID := []string{s.requestID(r)}
+		w.Header()[headerRequestID] = reqID
+		r.Header[headerRequestID] = reqID
 		s.cHTTPRequests.Inc()
 		start := time.Now()
 		s.handler.ServeHTTP(w, r)
 		s.hHTTP.Observe(uint64(time.Since(start) / time.Microsecond))
 	})
 }
+
+// headerRequestID is X-Request-ID as net/http keys it. Spelled this way
+// the header map is indexed directly; any other spelling is canonicalized
+// into a fresh string on every Get and Set.
+const headerRequestID = "X-Request-Id"
 
 // client identifies the fairness bucket: an explicit header, else one
 // shared anonymous bucket.
@@ -840,9 +924,19 @@ func clientOf(r *http.Request) string {
 	return "anon"
 }
 
+// wantWait reports whether the query asks to block for the result: its
+// first wait parameter, if any, is 1 or true. The raw query is scanned in
+// place (percent-escaped spellings of the name or the value are not
+// decoded, and so not recognised).
 func wantWait(r *http.Request) bool {
-	v := r.URL.Query().Get("wait")
-	return v == "1" || v == "true"
+	for q := r.URL.RawQuery; q != ""; {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if name, v, _ := strings.Cut(pair, "="); name == "wait" {
+			return v == "1" || v == "true"
+		}
+	}
+	return false
 }
 
 func (s *Server) httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -850,8 +944,12 @@ func (s *Server) httpError(w http.ResponseWriter, code int, format string, args 
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// jsonContentType is the Content-Type value every JSON response shares;
+// nothing appends to a response header's value slice.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
@@ -863,20 +961,48 @@ func writeRun(w http.ResponseWriter, code int, j *job) {
 		writeJSON(w, code, j.status())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	w.Write(j.reply)
 }
 
-// decodeBody strictly decodes a JSON request body: unknown fields,
-// trailing garbage, and bodies over 1 MiB are admission errors.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+// maxBody bounds a request body; a longer one is an admission error.
+const maxBody = 1 << 20
+
+// bodyPool recycles the buffers request bodies are read into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads the request's body, at most maxBody bytes of it, into a
+// pooled buffer the caller hands back with putBody.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+		putBody(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// putBody returns a body buffer to the pool, unless one oversized request
+// grew it: the pool is for the suite's 70-byte bodies.
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= 64<<10 {
+		bodyPool.Put(buf)
+	}
+}
+
+// decodeStrict decodes a JSON request body into v: one object, no unknown
+// fields, and nothing after it but whitespace — the decoder must report
+// the end of the input, not merely no further value (More is also false in
+// front of a stray closing bracket).
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("trailing data after request object")
 	}
 	return nil
@@ -891,25 +1017,26 @@ func (s *Server) waitJobs(r *http.Request, jobs ...*job) bool {
 	for _, j := range jobs {
 		j.waiters.Add(1)
 	}
-	defer func() {
-		for _, j := range jobs {
-			if j.waiters.Add(-1) == 0 && !j.pinned.Load() {
-				select {
-				case <-j.done:
-				default:
-					j.cancel()
-				}
-			}
-		}
-	}()
+	finished := true
+wait:
 	for _, j := range jobs {
 		select {
 		case <-j.done:
 		case <-r.Context().Done():
-			return false
+			finished = false
+			break wait
 		}
 	}
-	return true
+	for _, j := range jobs {
+		if j.waiters.Add(-1) == 0 && !j.pinned.Load() {
+			select {
+			case <-j.done:
+			default:
+				j.cancel()
+			}
+		}
+	}
+	return finished
 }
 
 // submitError maps an admission rejection to its HTTP shape.
@@ -926,12 +1053,13 @@ func (s *Server) submitError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	body, err := readBody(w, r)
+	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "bad run request: %v", err)
 		return
 	}
-	key, err := s.KeyFor(req)
+	a, err := s.admitRun(body.Bytes())
+	putBody(body)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -941,7 +1069,7 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	j, err := s.submit(key, clientOf(r), r.Header.Get("X-Request-ID"), budget)
+	j, err := s.submit(a, clientOf(r), r.Header.Get(headerRequestID), budget)
 	if err != nil {
 		s.submitError(w, err)
 		return
@@ -1000,8 +1128,15 @@ func (req SweepRequest) expand() ([]RunRequest, error) {
 }
 
 func (s *Server) handlePostSweep(w http.ResponseWriter, r *http.Request) {
+	body, err := readBody(w, r)
+	if err != nil {
+		s.httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
+		return
+	}
 	var req SweepRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	err = decodeStrict(body.Bytes(), &req)
+	putBody(body)
+	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "bad sweep request: %v", err)
 		return
 	}
@@ -1012,14 +1147,14 @@ func (s *Server) handlePostSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	// Canonicalize the whole grid first so a bad cell rejects the sweep
 	// before anything is admitted.
-	keys := make([]store.Key, 0, len(runs))
+	cells := make([]admitted, 0, len(runs))
 	for _, rr := range runs {
-		k, err := s.KeyFor(rr)
+		a, err := s.resolve(rr)
 		if err != nil {
 			s.httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		keys = append(keys, k)
+		cells = append(cells, a)
 	}
 	budget, err := s.budgetFor(r)
 	if err != nil {
@@ -1027,11 +1162,11 @@ func (s *Server) handlePostSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	client := clientOf(r)
-	reqID := r.Header.Get("X-Request-ID")
+	reqID := r.Header.Get(headerRequestID)
 	var jobs []*job
 	seen := map[string]bool{}
-	for _, k := range keys {
-		j, err := s.submit(k, client, reqID, budget)
+	for _, a := range cells {
+		j, err := s.submit(a, client, reqID, budget)
 		if err != nil {
 			s.submitError(w, err)
 			return

@@ -155,10 +155,17 @@ func TestBadRequestsAre4xx(t *testing.T) {
 		{"negative capacity", "/v1/runs", `{"bench":"nw","scheme":"regless","capacity":-1}`},
 		{"unknown field", "/v1/runs", `{"bench":"nw","scheme":"regless","warps":4}`},
 		{"trailing garbage", "/v1/runs", `{"bench":"nw","scheme":"regless"} extra`},
+		{"trailing brace", "/v1/runs", `{"bench":"nw","scheme":"regless"}}`},
+		{"trailing bracket", "/v1/runs", `{"bench":"nw","scheme":"regless"}]`},
+		{"trailing bracket after space", "/v1/runs", "{\"bench\":\"nw\",\"scheme\":\"regless\"}\n ]"},
+		{"second object", "/v1/runs", `{"bench":"nw","scheme":"regless"}{}`},
 		{"not json", "/v1/runs", `cycles go brr`},
 		{"empty body", "/v1/runs", ``},
 		{"empty sweep", "/v1/sweeps", `{"benchmarks":[],"schemes":["regless"]}`},
 		{"sweep bad cell", "/v1/sweeps", `{"benchmarks":["nw","nope"],"schemes":["regless"]}`},
+		{"sweep trailing brace", "/v1/sweeps", `{"benchmarks":["nw"],"schemes":["regless"]}}`},
+		{"sweep trailing bracket", "/v1/sweeps", `{"benchmarks":["nw"],"schemes":["regless"]}]`},
+		{"sweep trailing garbage", "/v1/sweeps", `{"benchmarks":["nw"],"schemes":["regless"]} extra`},
 	}
 	for _, c := range cases {
 		if code := post(c.path, c.body); code < 400 || code >= 500 {

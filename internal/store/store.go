@@ -15,10 +15,12 @@
 //     entry where Get would find it. Leftover tmp files are swept (and
 //     counted) when the store reopens.
 //   - Every entry embeds a sha256 checksum of its payload and its full
-//     key. Get verifies both (and that the key hashes to the file's own
-//     name) before serving; anything torn, truncated, or tampered is
-//     moved to quarantine/ and reported as a miss, so the caller
-//     recomputes instead of serving corruption.
+//     key, in one fixed byte layout (see verifyEntry). Get checks the file
+//     against that layout in place — the requested key's canonical bytes,
+//     the checksum over the payload where it lies — before serving;
+//     anything torn, truncated, tampered or merely reformatted is moved to
+//     quarantine/ and reported as a miss, so the caller recomputes instead
+//     of serving corruption.
 //   - The read side writes no file: a hit's only trace is the entry's own
 //     mtime (GC's LRU stamp), and Sync fsyncs only after a namespace change.
 //
@@ -28,16 +30,21 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"unicode/utf8"
+
+	"repro/internal/jsonstr"
 )
 
 // Key names one simulation result. Every field participates in the
@@ -138,23 +145,67 @@ func (k Key) Validate() error {
 }
 
 // Canonical returns the canonical serialized key: validated, normalized,
-// and marshaled with a fixed field order. Equal keys produce equal bytes;
+// and written with a fixed field order. Equal keys produce equal bytes;
 // re-canonicalizing a decoded canonical form is the identity (fuzzed).
 func (k Key) Canonical() ([]byte, error) {
+	return k.appendCanonical(nil)
+}
+
+// appendCanonical appends the canonical form to dst: the normalized
+// fields in declaration order, the optional ones omitted at their zero
+// value — byte for byte what json.Marshal(k.Normalized()) writes (fuzzed
+// against it), without the reflection. Every address and every entry ever
+// written hangs off these bytes: a field is added at the end, omitted when
+// empty, or not at all.
+func (k Key) appendCanonical(dst []byte) ([]byte, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	return json.Marshal(k.Normalized())
+	k = k.Normalized()
+	dst = jsonstr.Append(append(dst, `{"kernel_sha":`...), k.KernelSHA)
+	dst = jsonstr.Append(append(dst, `,"bench":`...), k.Bench)
+	dst = jsonstr.Append(append(dst, `,"scheme":`...), k.Scheme)
+	dst = strconv.AppendInt(append(dst, `,"capacity":`...), int64(k.Capacity), 10)
+	dst = strconv.AppendInt(append(dst, `,"warps":`...), int64(k.Warps), 10)
+	dst = strconv.AppendInt(append(dst, `,"sms":`...), int64(k.SMs), 10)
+	dst = strconv.AppendUint(append(dst, `,"max_cycles":`...), k.MaxCycles, 10)
+	if k.Watchdog != 0 {
+		dst = strconv.AppendUint(append(dst, `,"watchdog":`...), k.Watchdog, 10)
+	}
+	if k.Sanitize {
+		dst = append(dst, `,"sanitize":true`...)
+	}
+	if k.Faults != "" {
+		dst = jsonstr.Append(append(dst, `,"faults":`...), k.Faults)
+	}
+	if k.Report != "" {
+		dst = jsonstr.Append(append(dst, `,"report":`...), k.Report)
+	}
+	return append(dst, '}'), nil
 }
+
+// canonicalBuf sizes the stack buffers canonical forms are appended into:
+// a key of the paper's suite is about 190 bytes, and a longer one (a long
+// fault plan) only moves the append to the heap.
+const canonicalBuf = 384
 
 // Hash returns the key's content address: sha256 hex over Canonical.
 func (k Key) Hash() (string, error) {
-	c, err := k.Canonical()
+	var buf [canonicalBuf]byte
+	c, err := k.appendCanonical(buf[:0])
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(c)
-	return hex.EncodeToString(sum[:]), nil
+	return sha256Hex(c), nil
+}
+
+// sha256Hex is the digest both addresses and payload checksums are
+// written as.
+func sha256Hex(p []byte) string {
+	sum := sha256.Sum256(p)
+	var hx [sha256.Size * 2]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
 // Stats counts store activity since Open. All fields except Bytes (a
@@ -197,14 +248,20 @@ type Store struct {
 	dirty                                      atomic.Bool // namespace changed since the last Sync
 }
 
-// entry is the on-disk format: the full key (so a listing is
-// self-describing and Get can cross-check the address), the payload, and
-// the payload checksum that detects torn or tampered bytes.
-type entry struct {
-	Key        Key             `json:"key"`
-	PayloadSHA string          `json:"payload_sha256"`
-	Payload    json.RawMessage `json:"payload"`
-}
+// An entry file is, byte for byte,
+//
+//	{"key":<canonical key>,"payload_sha256":"<64 hex>","payload":<payload>}
+//
+// — the full key (so a listing is self-describing and the address can be
+// cross-checked), the checksum that detects torn or tampered bytes, and
+// the payload verbatim. This is what json.Marshal of the three fields
+// writes for a payload that is itself json.Marshal output, so stores
+// written before the layout was a contract read back unchanged.
+var (
+	entryKeyField     = []byte(`{"key":`)
+	entrySumField     = []byte(`,"payload_sha256":"`)
+	entryPayloadField = []byte(`","payload":`)
+)
 
 // Open opens (creating if needed) a store rooted at dir and sweeps any
 // partial tmp files a previous crash left behind. Equivalent to OpenWith
@@ -270,18 +327,15 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-func payloadSHA(p []byte) string {
-	sum := sha256.Sum256(p)
-	return hex.EncodeToString(sum[:])
-}
-
 // Get returns the stored payload for the key, reporting whether it was
-// found intact. Corrupt entries (unparseable, checksum mismatch, key not
-// matching the address) are quarantined and reported as a miss; only I/O
-// errors other than not-exist surface as err. A hit stamps the entry's
-// mtime (what GC's LRU ordering reads) and changes nothing else on disk.
+// found intact. Corrupt entries (not the layout Put writes for this key,
+// checksum mismatch, unparseable payload) are quarantined and reported as
+// a miss; only I/O errors other than not-exist surface as err. A hit
+// stamps the entry's mtime (what GC's LRU ordering reads) and changes
+// nothing else on disk. The payload is a sub-slice of the bytes read.
 func (s *Store) Get(k Key) ([]byte, bool, error) {
-	hash, err := k.Hash()
+	var buf [canonicalBuf]byte
+	canon, err := k.appendCanonical(buf[:0])
 	if err != nil {
 		return nil, false, err
 	}
@@ -289,7 +343,7 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 	s.chaosDelay(op)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	path := s.path(hash)
+	path := s.path(sha256Hex(canon))
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		s.misses.Add(1)
@@ -300,10 +354,10 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 	}
 	if s.opts.Chaos.StoreCorrupts(op) && len(raw) > 0 {
 		// Simulated bit rot: flip one byte of what was read so the
-		// checksum path below detects it and the caller recomputes.
+		// checks below detect it and the caller recomputes.
 		raw[len(raw)/2] ^= 0x40
 	}
-	payload, verr := verifyEntry(hash, raw)
+	payload, verr := verifyEntry(canon, raw)
 	if verr != nil {
 		s.quarantine(path)
 		s.misses.Add(1)
@@ -314,27 +368,85 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 	return payload, true, nil
 }
 
-// verifyEntry checks one entry file body against its address and returns
-// the payload bytes.
-func verifyEntry(hash string, raw []byte) ([]byte, error) {
-	var e entry
-	if err := json.Unmarshal(raw, &e); err != nil {
-		return nil, fmt.Errorf("store: entry %s: %w", hash, err)
+var (
+	errEntryLayout   = errors.New("not the entry layout for its key")
+	errEntryChecksum = errors.New("payload does not match its checksum")
+	errEntryPayload  = errors.New("payload is not JSON")
+)
+
+// verifyEntry checks an entry file's bytes against the canonical form of
+// the key it is supposed to hold and returns the payload, a sub-slice of
+// raw. In order: the file is exactly the entry layout around canon (the
+// key is compared as its preimage, not as a hash of it), the checksum
+// field is the sha256 of the payload bytes where they lie, and the payload
+// is one JSON value (isJSONValue). Nothing is decoded and nothing
+// allocated; a file that says the same thing in other bytes (reordered
+// fields, added whitespace) fails like any other damage and is recomputed.
+func verifyEntry(canon, raw []byte) ([]byte, error) {
+	rest := raw
+	for _, part := range [...][]byte{entryKeyField, canon, entrySumField} {
+		var ok bool
+		if rest, ok = bytes.CutPrefix(rest, part); !ok {
+			return nil, errEntryLayout
+		}
 	}
-	keyHash, err := e.Key.Hash()
+	if len(rest) < sha256.Size*2 {
+		return nil, errEntryLayout
+	}
+	want := rest[:sha256.Size*2]
+	payload, ok := bytes.CutPrefix(rest[sha256.Size*2:], entryPayloadField)
+	if !ok || len(payload) < 2 || payload[len(payload)-1] != '}' {
+		return nil, errEntryLayout
+	}
+	payload = payload[:len(payload)-1]
+	sum := sha256.Sum256(payload)
+	var got [sha256.Size * 2]byte
+	hex.Encode(got[:], sum[:])
+	if !bytes.Equal(got[:], want) {
+		return nil, errEntryChecksum
+	}
+	if !isJSONValue(payload) {
+		return nil, errEntryPayload
+	}
+	return payload, nil
+}
+
+// isJSONValue reports whether p is one JSON value and nothing else: no
+// whitespace around it either, which a decoder reading the entry would not
+// count into the value (and so not into its checksum).
+func isJSONValue(p []byte) bool {
+	return len(bytes.TrimSpace(p)) == len(p) && json.Valid(p)
+}
+
+// verifyFile is verifyEntry for a caller that holds only the file's name
+// (Verify's walk): the key is recovered from the file itself. The key
+// region ends at the first `},"payload_sha256":"` — a sequence no JSON
+// string can contain, since a quote inside one is escaped — and must
+// decode to a valid key that re-canonicalises to exactly those bytes and
+// hashes to the file's name; from there it is verifyEntry.
+func verifyFile(hash string, raw []byte) error {
+	rest, ok := bytes.CutPrefix(raw, entryKeyField)
+	end := bytes.Index(rest, append([]byte{'}'}, entrySumField...))
+	if !ok || end < 0 {
+		return errEntryLayout
+	}
+	region := rest[:end+1]
+	var k Key
+	if err := json.Unmarshal(region, &k); err != nil {
+		return fmt.Errorf("bad key: %w", err)
+	}
+	canon, err := k.Canonical()
 	if err != nil {
-		return nil, fmt.Errorf("store: entry %s: bad key: %w", hash, err)
+		return fmt.Errorf("bad key: %w", err)
 	}
-	if keyHash != hash {
-		return nil, fmt.Errorf("store: entry %s: key hashes to %s", hash, keyHash)
+	if !bytes.Equal(canon, region) {
+		return errors.New("key is not in canonical form")
 	}
-	if len(e.Payload) == 0 {
-		return nil, fmt.Errorf("store: entry %s: empty payload", hash)
+	if got := sha256Hex(canon); got != hash {
+		return fmt.Errorf("key hashes to %s", got)
 	}
-	if got := payloadSHA(e.Payload); got != e.PayloadSHA {
-		return nil, fmt.Errorf("store: entry %s: payload checksum %s, want %s", hash, got, e.PayloadSHA)
-	}
-	return e.Payload, nil
+	_, err = verifyEntry(canon, raw)
+	return err
 }
 
 // quarantine moves a corrupt entry aside (best effort: a concurrent Get
@@ -351,14 +463,16 @@ func (s *Store) quarantine(path string) {
 
 // Put durably stores payload under the key: the entry is assembled in a
 // private tmp file and renamed into place, so readers only ever see
-// complete entries. Re-putting an existing key atomically replaces it
-// with identical content (results are deterministic), so concurrent Puts
-// of the same key are harmless.
+// complete entries. The payload must be one JSON value (not empty, no
+// whitespace around it) and is stored verbatim. Re-putting an existing key
+// atomically replaces it with identical content (results are
+// deterministic), so concurrent Puts of the same key are harmless.
 func (s *Store) Put(k Key, payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("store: refusing to put empty payload")
+	if !isJSONValue(payload) {
+		return fmt.Errorf("store: refusing to put a payload that is not exactly one JSON value")
 	}
-	hash, err := k.Hash()
+	var buf [canonicalBuf]byte
+	canon, err := k.appendCanonical(buf[:0])
 	if err != nil {
 		return err
 	}
@@ -367,7 +481,7 @@ func (s *Store) Put(k Key, payload []byte) error {
 	if s.opts.Chaos.StoreWriteFails(op) {
 		return fmt.Errorf("store: %w", errInjectedDiskFull)
 	}
-	if err := s.put(k, hash, payload, op); err != nil {
+	if err := s.put(canon, payload, op); err != nil {
 		return err
 	}
 	// Budget enforcement happens outside the read lock put held.
@@ -380,13 +494,19 @@ func (s *Store) Put(k Key, payload []byte) error {
 // recomputed next time).
 var errInjectedDiskFull = fmt.Errorf("injected disk-full fault")
 
-func (s *Store) put(k Key, hash string, payload []byte, op uint64) error {
+// appendEntry appends the entry file for a canonical key and its payload.
+func appendEntry(dst, canon, payload []byte) []byte {
+	dst = append(append(dst, entryKeyField...), canon...)
+	dst = append(append(dst, entrySumField...), sha256Hex(payload)...)
+	dst = append(append(dst, entryPayloadField...), payload...)
+	return append(dst, '}')
+}
+
+func (s *Store) put(canon, payload []byte, op uint64) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	body, err := json.Marshal(entry{Key: k.Normalized(), PayloadSHA: payloadSHA(payload), Payload: payload})
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	hash := sha256Hex(canon)
+	body := appendEntry(make([]byte, 0, len(canon)+len(payload)+128), canon, payload)
 	tmp, err := os.CreateTemp(s.tmpDir(), hash+".*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -431,11 +551,12 @@ func (s *Store) Len() (int, error) {
 	return n, err
 }
 
-// Verify walks every entry, checks it parses, matches its checksum, and
-// lives at the path its key hashes to, and confirms no partial tmp files
-// remain. Corrupt entries are quarantined (counted, like Get) and
-// reported in the returned error; the int is the number of intact
-// entries. A consistency check for tests and operators, not a hot path.
+// Verify walks every entry, checks it is the layout Put writes for a
+// valid key that hashes to the file's own name (verifyFile), checksum and
+// payload included, and confirms no partial tmp files remain. Corrupt
+// entries are quarantined (counted, like Get) and reported in the returned
+// error; the int is the number of intact entries. A consistency check for
+// tests and operators, not a hot path.
 func (s *Store) Verify() (int, error) {
 	temps, err := os.ReadDir(s.tmpDir())
 	if err != nil {
@@ -451,9 +572,9 @@ func (s *Store) Verify() (int, error) {
 		if err != nil {
 			return err
 		}
-		if _, verr := verifyEntry(hash, raw); verr != nil {
+		if verr := verifyFile(hash, raw); verr != nil {
 			s.quarantine(path)
-			bad = append(bad, verr.Error())
+			bad = append(bad, fmt.Sprintf("entry %s: %v", hash, verr))
 			return nil
 		}
 		intact++

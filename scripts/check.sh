@@ -20,6 +20,19 @@ scripts/cover.sh
 # must fail here, not in the pipeline that runs BENCHMARK.json.
 go -C benchmark vet ./...
 go -C benchmark test ./...
+# Fuzz smokes, five seconds each (go test takes one package and one
+# target per -fuzz run): the store's canonical key bytes against
+# json.Marshal, its in-place entry verifier against the decode-based
+# oracle, and the service's body memo against the strict decoder. The
+# committed seeds run in the race gate above; this looks a little past
+# them on every check.
+go test -run '^$' -fuzz '^FuzzKeyCanonical$' -fuzztime 5s ./internal/store
+go test -run '^$' -fuzz '^FuzzVerifyEntry$' -fuzztime 5s ./internal/store
+go test -run '^$' -fuzz '^FuzzRunRequestDecode$' -fuzztime 5s ./internal/serve
+# The handler/store benchmarks are the quick rulers DESIGN.md §14 and
+# the README quote; one iteration each keeps them compiling and passing
+# their own checks.
+go test -run '^$' -bench . -benchtime 1x ./internal/serve ./internal/store
 
 # Fast-forward differential smoke: the cycle-skip fast-forward must be
 # invisible in the output — a run with -no-fastforward (stepping every
