@@ -30,26 +30,31 @@ func TestValidateFlags(t *testing.T) {
 		bench     string
 		maxCycles uint64
 		faults    string
+		timeline  bool
+		csv       bool
 		wantErr   string
 	}{
-		{1, "", 100, "", false, "", 1, "", ""},
-		{8, "jsonl", 1, "", false, "", 60_000_000, "", ""},
-		{0, "", 100, "", false, "", 1, "", "-parallel must be at least 1"},
-		{-3, "", 100, "", false, "", 1, "", "-parallel must be at least 1"},
-		{1, "xml", 100, "", false, "", 1, "", `unknown -metrics format "xml"`},
-		{0, "xml", 100, "", false, "", 1, "", "-parallel must be at least 1"}, // first error wins
-		{1, "", 0, "", false, "", 1, "", "-bucket must be at least 1, got 0"},
-		{1, "", -50, "", false, "", 1, "", "-bucket must be at least 1, got -50"},
-		{1, "", 100, "out.json", false, "", 1, "", "-trace and -trace-report require -bench"},
-		{1, "", 100, "", true, "", 1, "", "-trace and -trace-report require -bench"},
-		{1, "", 100, "out.json", true, "nw", 1, "", ""},
-		{1, "", 100, "", false, "", 0, "", "-max-cycles must be at least 1"},
-		{1, "", 100, "", false, "", 1, "mem-drop@5000", ""},
-		{1, "", 100, "", false, "", 1, "warp-eater", "unknown class"},
-		{1, "", 100, "", false, "", 1, "mem-drop:delay=9", "delay= applies to mem-delay"},
+		{1, "", 100, "", false, "", 1, "", false, false, ""},
+		{8, "jsonl", 1, "", false, "", 60_000_000, "", false, false, ""},
+		{0, "", 100, "", false, "", 1, "", false, false, "-parallel must be at least 1"},
+		{-3, "", 100, "", false, "", 1, "", false, false, "-parallel must be at least 1"},
+		{1, "xml", 100, "", false, "", 1, "", false, false, `unknown -metrics format "xml"`},
+		{0, "xml", 100, "", false, "", 1, "", false, false, "-parallel must be at least 1"}, // first error wins
+		{1, "", 0, "", false, "", 1, "", false, false, "-bucket must be at least 1, got 0"},
+		{1, "", -50, "", false, "", 1, "", false, false, "-bucket must be at least 1, got -50"},
+		{1, "", 100, "out.json", false, "", 1, "", false, false, "-trace and -trace-report require -bench"},
+		{1, "", 100, "", true, "", 1, "", false, false, "-trace and -trace-report require -bench"},
+		{1, "", 100, "out.json", true, "nw", 1, "", false, false, ""},
+		{1, "", 100, "", false, "", 1, "", true, false, "-timeline and -csv require -bench"},
+		{1, "", 100, "", false, "", 1, "", false, true, "-timeline and -csv require -bench"},
+		{1, "", 100, "", false, "nw", 1, "", true, true, ""},
+		{1, "", 100, "", false, "", 0, "", false, false, "-max-cycles must be at least 1"},
+		{1, "", 100, "", false, "", 1, "mem-drop@5000", false, false, ""},
+		{1, "", 100, "", false, "", 1, "warp-eater", false, false, "unknown class"},
+		{1, "", 100, "", false, "", 1, "mem-drop:delay=9", false, false, "delay= applies to mem-delay"},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.parallel, c.metrics, c.bucket, c.trace, c.report, c.bench, c.maxCycles, c.faults, 1, false, "")
+		err := validateFlags(c.parallel, c.metrics, c.bucket, c.trace, c.report, c.bench, c.maxCycles, c.faults, 1, c.timeline, c.csv, "")
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("validateFlags(%+v) = %v, want nil", c, err)
@@ -63,7 +68,7 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestValidateSMsFlag covers the multi-SM flag combinations: -sms must be
-// positive, and the single-SM-only renderers reject chips.
+// positive, the timeline renders chips, and -app (single-SM) rejects them.
 func TestValidateSMsFlag(t *testing.T) {
 	cases := []struct {
 		sms      int
@@ -75,13 +80,13 @@ func TestValidateSMsFlag(t *testing.T) {
 		{16, false, "", ""},
 		{0, false, "", "-sms must be at least 1"},
 		{-4, false, "", "-sms must be at least 1"},
-		{4, true, "", "-timeline renders one SM"},
+		{4, true, "", ""},
 		{4, false, "srad_app", "-app runs are single-SM"},
 		{1, true, "", ""},
 		{1, false, "srad_app", ""},
 	}
 	for _, c := range cases {
-		err := validateFlags(1, "", 100, "", false, "nw", 1, "", c.sms, c.timeline, c.app)
+		err := validateFlags(1, "", 100, "", false, "nw", 1, "", c.sms, c.timeline, false, c.app)
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("validateFlags(sms=%d timeline=%v app=%q) = %v, want nil", c.sms, c.timeline, c.app, err)
@@ -128,6 +133,7 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{[]string{"-metrics", "csv", "-experiment", "fig2"}, `unknown -metrics format "csv"`},
 		{[]string{"-bucket", "0", "-bench", "nw", "-timeline"}, "-bucket must be at least 1, got 0"},
 		{[]string{"-trace-report", "-experiment", "fig2"}, "-trace and -trace-report require -bench"},
+		{[]string{"-experiment", "fig14", "-timeline", "-csv"}, "-timeline and -csv require -bench"},
 	}
 	for _, c := range cases {
 		stdout, stderr, code := runMain(t, c.args...)
@@ -314,5 +320,46 @@ func TestToleratedFaultRunSucceeds(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "benchmark      nw") {
 		t.Fatalf("missing stats output:\n%s", stdout)
+	}
+}
+
+// TestTimelineRunsEndInDiagnostics: a -timeline run is the ordinary
+// cycle loop with a recorder attached, so each abnormal termination is
+// the same Diagnostic bundle as without the flag — exit 1, the bundle on
+// stderr, -diag-out honoured — not a bare error from a tracer's own loop.
+func TestTimelineRunsEndInDiagnostics(t *testing.T) {
+	for _, c := range []struct {
+		component string
+		args      []string
+	}{
+		{"sim/maxcycles", []string{"-max-cycles", "100"}},
+		{"sim/watchdog", []string{"-faults", "mem-drop@0; seed=3", "-watchdog", "2000"}},
+		{"osu/", []string{"-faults", "osu-tag@200; seed=3", "-sanitize", "-watchdog", "20000"}},
+	} {
+		diagFile := t.TempDir() + "/diag.json"
+		args := append([]string{"-bench", "nw", "-scheme", "regless", "-warps", "8", "-timeline", "-diag-out", diagFile}, c.args...)
+		stdout, stderr, code := runMain(t, args...)
+		if code != 1 || stdout != "" {
+			t.Fatalf("%v: exit %d, want 1 with nothing on stdout\nstdout:\n%s\nstderr:\n%s", c.args, code, stdout, stderr)
+		}
+		for _, want := range []string{"component  " + c.component, "violation", "wrote diagnostic bundle to"} {
+			if !strings.Contains(stderr, want) {
+				t.Fatalf("%v: stderr missing %q:\n%s", c.args, want, stderr)
+			}
+		}
+		raw, err := os.ReadFile(diagFile)
+		if err != nil {
+			t.Fatalf("%v: bundle file: %v", c.args, err)
+		}
+		var bundle struct {
+			Component string `json:"component"`
+			Kernel    string `json:"kernel"`
+		}
+		if err := json.Unmarshal(raw, &bundle); err != nil {
+			t.Fatalf("%v: bundle is not valid JSON: %v\n%s", c.args, err, raw)
+		}
+		if !strings.HasPrefix(bundle.Component, c.component) || bundle.Kernel != "nw" {
+			t.Fatalf("%v: bundle content: %+v", c.args, bundle)
+		}
 	}
 }

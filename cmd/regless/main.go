@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -31,14 +32,12 @@ import (
 	"time"
 
 	"repro/internal/compress"
-	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/launch"
-	"repro/internal/rf"
 	"repro/internal/sanitizer"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -90,7 +89,7 @@ func main() {
 		}
 		return
 	}
-	if err := validateFlags(*parallel, *metricsFmt, *bucket, *traceOut, *traceRep, *bench, *maxCycles, *faultSpec, *sms, *timeline, *app); err != nil {
+	if err := validateFlags(*parallel, *metricsFmt, *bucket, *traceOut, *traceRep, *bench, *maxCycles, *faultSpec, *sms, *timeline, *csvOut, *app); err != nil {
 		fmt.Fprintln(os.Stderr, "regless:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -194,18 +193,14 @@ func main() {
 
 // validateFlags rejects flag values that would otherwise be silently
 // misread: a non-positive planner width used to mean "GOMAXPROCS" but now
-// the default carries that value, so anything below 1 is a mistake; a
-// non-positive bucket used to be silently replaced by 100 inside the
-// tracer.
-func validateFlags(parallel int, metricsFmt string, bucket int, traceOut string, traceRep bool, bench string, maxCycles uint64, faultSpec string, sms int, timeline bool, app string) error {
+// the default carries that value, so anything below 1 is a mistake; the
+// timeline divides by the bucket.
+func validateFlags(parallel int, metricsFmt string, bucket int, traceOut string, traceRep bool, bench string, maxCycles uint64, faultSpec string, sms int, timeline, csv bool, app string) error {
 	if parallel < 1 {
 		return fmt.Errorf("-parallel must be at least 1, got %d", parallel)
 	}
 	if sms < 1 {
 		return fmt.Errorf("-sms must be at least 1, got %d", sms)
-	}
-	if sms > 1 && timeline {
-		return fmt.Errorf("-timeline renders one SM; use -sms 1 (Perfetto -trace supports chips)")
 	}
 	if sms > 1 && app != "" {
 		return fmt.Errorf("-app runs are single-SM; use -sms 1")
@@ -218,6 +213,9 @@ func validateFlags(parallel int, metricsFmt string, bucket int, traceOut string,
 	}
 	if (traceOut != "" || traceRep) && bench == "" {
 		return fmt.Errorf("-trace and -trace-report require -bench")
+	}
+	if (timeline || csv) && bench == "" {
+		return fmt.Errorf("-timeline and -csv require -bench")
 	}
 	if maxCycles < 1 {
 		return fmt.Errorf("-max-cycles must be at least 1, got %d", maxCycles)
@@ -295,16 +293,9 @@ func runApp(name string, scheme experiments.Scheme, capacity, warps int, maxCycl
 	cfg := sim.DefaultConfig()
 	cfg.MaxCycles = maxCycles
 	cfg.WatchdogCycles = watchdog
-	factory := func(_ int, k *isa.Kernel) (sim.Provider, error) {
-		switch scheme {
-		case experiments.SchemeBaseline:
-			return rf.NewBaseline(), nil
-		case experiments.SchemeRegLess:
-			return core.New(core.ConfigForCapacity(capacity), k)
-		default:
-			return nil, fmt.Errorf("app runs support baseline and regless, not %q", scheme)
-		}
-	}
+	mk, _, err := experiments.SchemeProvider(scheme, capacity, &cfg)
+	check(err)
+	factory := func(_ int, k *isa.Kernel) (sim.Provider, error) { return mk(0, k) }
 	res, err := launch.RunApp(application, warps, cfg, factory, nil)
 	check(err)
 	fmt.Printf("application    %s (%d kernels), scheme %s\n", application.Name, len(application.Kernels), scheme)
@@ -329,87 +320,76 @@ type traceOpts struct {
 	setup     experiments.SimSetup
 }
 
-// runTrace traces a run of any chip size: one recorder per SM, the chip
-// run in lockstep, the Perfetto export grouping each SM's tracks in its
-// own process block with global warp IDs, and the stall report rendered
-// per SM. -timeline renders one SM's warp states, so there (validateFlags
-// guarantees a chip of one) the timeline tracer steps SM 0 itself and its
-// recorder feeds the other two outputs.
+// runTrace is one instrumented run of any chip size, one recorder per
+// SM, rendered as asked: a warp-state timeline and a stall report per SM,
+// and one Perfetto export grouping each SM's tracks in its own process
+// block. The timeline alone needs only its own event families; the
+// Perfetto export and the stall report consume every family.
 func runTrace(o traceOpts) {
-	g, _, err := experiments.BuildChip(o.bench, o.scheme, o.sms, o.setup)
-	check(err)
-	recs := make([]*events.Recorder, len(g.SMs))
-	cycles := make([]uint64, len(g.SMs))
-	var chipCycles uint64
-	if o.timeline {
-		// The timeline alone needs only warp-state events; the Perfetto
-		// export and the stall report consume every family.
-		var mask events.Mask
-		if o.traceFile != "" || o.report {
-			mask = events.MaskAll
-		}
-		res, err := trace.Run(g.SMs[0], o.bucket, mask)
-		check(err)
-		recs[0], cycles[0] = res.Events, res.Stats.Cycles
-		if o.csv {
-			fmt.Print(res.CSV())
-		} else {
-			fmt.Printf("%s under %s:\n", o.bench, o.scheme)
-			fmt.Print(res.Render(160))
-			fmt.Printf("total: %d cycles, IPC %.2f\n", res.Stats.Cycles, res.Stats.IPC())
-		}
-	} else {
-		for i, smv := range g.SMs {
-			recs[i] = events.NewRecorder(smv.Cfg.Schedulers, events.MaskAll)
-			smv.AttachRecorder(recs[i])
-		}
-		res, err := g.Run()
-		check(err)
-		chipCycles = res.Cycles
-		for i, st := range res.PerSM {
-			cycles[i] = st.Cycles
-		}
+	mask := events.MaskTimeline
+	if o.traceFile != "" || o.report {
+		mask = events.MaskAll
 	}
+	inst, err := experiments.SimulateInstrumented(context.Background(), o.bench, o.scheme, o.sms, o.setup, mask)
+	check(err)
 	// Labels name the SM only on a chip of several, as the Perfetto
 	// writer does for its "SM%d " track prefix.
-	chip := len(g.SMs) > 1
+	chip := o.sms > 1
+	who := func(i int) string {
+		if !chip {
+			return fmt.Sprintf("%s under %s", o.bench, o.scheme)
+		}
+		return fmt.Sprintf("SM %d (warps %d..%d)", i, inst.FirstWarp[i], inst.FirstWarp[i]+inst.Warps[i]-1)
+	}
+	if chip && (o.report || o.timeline && !o.csv) {
+		fmt.Printf("%s under %s on %d SMs: %d chip cycles\n", o.bench, o.scheme, o.sms, inst.Run.Stats.Cycles)
+	}
+	if o.timeline {
+		for i, rec := range inst.Recs {
+			tl := trace.Fold(rec, inst.Cycles[i], inst.Warps[i], inst.FirstWarp[i], o.bucket)
+			if o.csv {
+				if chip {
+					fmt.Printf("# %s\n", who(i))
+				}
+				fmt.Print(tl.CSV())
+				continue
+			}
+			st := inst.Run.Chip.PerSM[i]
+			fmt.Printf("%s:\n", who(i))
+			fmt.Print(tl.Render(160))
+			fmt.Printf("total: %d cycles, IPC %.2f\n", st.Cycles, st.IPC())
+		}
+	}
 	if o.traceFile != "" {
-		metas := make([]events.TraceMeta, len(g.SMs))
+		metas := make([]events.TraceMeta, len(inst.Recs))
 		total := 0
-		for i, smv := range g.SMs {
+		for i, rec := range inst.Recs {
 			metas[i] = events.TraceMeta{
 				Bench:        o.bench,
 				Scheme:       string(o.scheme),
-				Warps:        len(smv.Warps),
-				Schedulers:   smv.Cfg.Schedulers,
-				Cycles:       cycles[i],
+				Warps:        inst.Warps[i],
+				Schedulers:   inst.Schedulers[i],
+				Cycles:       inst.Cycles[i],
 				SM:           i,
-				WarpIDBase:   smv.Cfg.WarpIDBase,
+				WarpIDBase:   inst.FirstWarp[i],
 				PatternNames: patternNames(),
 			}
-			total += recs[i].Len()
+			total += rec.Len()
 		}
 		f, err := os.Create(o.traceFile)
 		check(err)
-		check(events.WriteChipPerfetto(f, recs, metas))
+		check(events.WriteChipPerfetto(f, inst.Recs, metas))
 		check(f.Close())
 		of := ""
 		if chip {
-			of = fmt.Sprintf(" (%d SMs)", len(recs))
+			of = fmt.Sprintf(" (%d SMs)", len(inst.Recs))
 		}
 		fmt.Fprintf(os.Stderr, "regless: wrote %d events%s to %s (open in ui.perfetto.dev)\n", total, of, o.traceFile)
 	}
 	if o.report {
-		if chip {
-			fmt.Printf("%s under %s on %d SMs: %d chip cycles\n", o.bench, o.scheme, o.sms, chipCycles)
-		}
-		for i, smv := range g.SMs {
-			who := fmt.Sprintf("%s under %s", o.bench, o.scheme)
-			if chip {
-				who = fmt.Sprintf("SM %d (warps %d..%d)", i, smv.Cfg.WarpIDBase, smv.Cfg.WarpIDBase+len(smv.Warps)-1)
-			}
-			fmt.Printf("%s: stall attribution over %d cycles\n", who, cycles[i])
-			fmt.Print(events.Analyze(recs[i], cycles[i], smv.Cfg.Schedulers).Render(10))
+		for i, rec := range inst.Recs {
+			fmt.Printf("%s: stall attribution over %d cycles\n", who(i), inst.Cycles[i])
+			fmt.Print(events.Analyze(rec, inst.Cycles[i], inst.Schedulers[i]).Render(10))
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -31,5 +33,28 @@ func TestParallelOutputIdentical(t *testing.T) {
 	if serial != parallel {
 		t.Fatalf("-parallel 1 and -parallel 8 disagree:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, parallel)
+	}
+}
+
+// TestExtensionGoldens pins what experiments.All (hence TestSuiteGolden)
+// leaves out — the three extension tables and an application run, every
+// one of which builds its SMs from experiments.SchemeProvider — byte for
+// byte against output captured from the binary that still built them
+// from four private scheme switches (scripts/golden/).
+func TestExtensionGoldens(t *testing.T) {
+	for golden, args := range map[string][]string{
+		"gpuscale_warps8.txt":     {"-experiment", "gpuscale"},
+		"coresident_warps8.txt":   {"-experiment", "coresident"},
+		"oversub_warps8.txt":      {"-experiment", "oversub"},
+		"app_backprop_warps8.txt": {"-app", "backprop_app"},
+	} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "scripts", "golden", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout, stderr, code := runMain(t, append(args, "-warps", "8")...)
+		if code != 0 || stdout != string(want) {
+			t.Errorf("%v: exit %d, output differs from %s\n%s%s", args, code, golden, stdout, stderr)
+		}
 	}
 }

@@ -254,14 +254,6 @@ func (lv *Liveness) LiveOut(gi int) *bitvec.Set { return lv.liveOut[gi] }
 // BlockLiveIn returns the live-in set of a block (shared; do not mutate).
 func (lv *Liveness) BlockLiveIn(b int) *bitvec.Set { return lv.blockIn[b] }
 
-// BlockLiveOut returns the live-out set of a block (shared; do not mutate).
-func (lv *Liveness) BlockLiveOut(b int) *bitvec.Set { return lv.blockOut[b] }
-
-// LiveOnEdge reports whether reg is live on the CFG edge from -> to.
-func (lv *Liveness) LiveOnEdge(reg isa.Reg, from, to int) bool {
-	return lv.blockIn[to].Get(int(reg))
-}
-
 // IsLastUse reports whether the instruction at gi is a last use of reg:
 // reg is read there and not live out.
 func (lv *Liveness) IsLastUse(gi int, reg isa.Reg) bool {

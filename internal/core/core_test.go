@@ -285,13 +285,32 @@ func TestOSUTagStatsPinned(t *testing.T) {
 	}
 }
 
+// memoWiper is a Provider whose does-not-fit memo is wiped at every entry
+// point the SM calls that reads or leads to a read of it.
+type memoWiper struct{ *Provider }
+
+func (m memoWiper) wipe() {
+	for _, sh := range m.shards {
+		sh.noFit = 0
+	}
+}
+
+func (m memoWiper) Tick()          { m.wipe(); m.Provider.Tick() }
+func (m memoWiper) TickIdle() bool { m.wipe(); return m.Provider.TickIdle() }
+func (m memoWiper) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
+	m.wipe()
+	return m.Provider.OnIssue(w, info)
+}
+func (m memoWiper) OnWriteback(w *sim.Warp, reg isa.Reg) { m.wipe(); m.Provider.OnWriteback(w, reg) }
+func (m memoWiper) OnWarpFinish(w *sim.Warp)             { m.wipe(); m.Provider.OnWarpFinish(w) }
+
 // TestActivationMemoIsInvisible: tryActivate and TickIdle remember that a
 // shard's stack top does not fit until the CM's epoch moves. A machine
-// whose memo is wiped before every cycle re-derives the verdict each time,
-// as the code did before the memo existed; it must reach the same cycle
-// with the same statistics — a stale memo (an epoch bump missing where a
-// reservation or the stack is written) delays an activation and shows
-// here. Both machines step and fast-forward the same way.
+// whose memo is wiped before every consult re-derives the verdict each
+// time, as the code did before the memo existed; it must reach the same
+// cycle with the same statistics — a stale memo (an epoch bump missing
+// where a reservation or the stack is written) delays an activation and
+// shows here. Both machines run the ordinary cycle loop.
 func TestActivationMemoIsInvisible(t *testing.T) {
 	for _, bench := range []string{"bfs", "hotspot", "lud", "nw", "streamcluster"} {
 		for _, capacity := range []int{128, 512} {
@@ -301,25 +320,21 @@ func TestActivationMemoIsInvisible(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				var prov sim.Provider = p
+				if wipe {
+					prov = memoWiper{p}
+				}
 				simCfg := testSimCfg()
 				simCfg.Warps = 64 // enough warps that regions queue for capacity
-				smv, err := sim.New(simCfg, k, p, exec.NewMemory(nil))
+				smv, err := sim.New(simCfg, k, prov, exec.NewMemory(nil))
 				if err != nil {
 					t.Fatal(err)
 				}
-				for !smv.Done() {
-					if wipe {
-						for _, sh := range p.shards {
-							sh.noFit = 0
-						}
-					}
-					smv.StepOne()
-					if err := smv.CheckHealth(); err != nil {
-						t.Fatal(err)
-					}
-					smv.TryFastForward()
+				st, err := smv.Run()
+				if err != nil {
+					t.Fatal(err)
 				}
-				return *smv.Finalize(), *p.Stats()
+				return *st, *p.Stats()
 			}
 			st, ps := run(false)
 			wst, wps := run(true)

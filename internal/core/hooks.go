@@ -187,12 +187,6 @@ func (p *Provider) OnWarpFinish(w *sim.Warp) {
 	ws.regionID = -1
 }
 
-// WarpState reports warp w's capacity-manager state (tracing tools).
-func (p *Provider) WarpState(w int) cm.State {
-	ws := p.warps[w]
-	return p.shards[ws.shard].cm.StateOf(ws.local)
-}
-
 // CheckInvariants verifies cross-structure consistency (tests).
 func (p *Provider) CheckInvariants() error {
 	for s, sh := range p.shards {

@@ -1,6 +1,8 @@
 // Package events is the simulation's structured event recorder: a
-// cycle-stamped, typed log of what the machine did, feeding the Perfetto
-// exporter, the stall-attribution analyzer, and the warp-state timeline.
+// cycle-stamped, typed log of what the machine did. Every consumer reads
+// the recording of a finished run: the Perfetto exporter and the
+// stall-attribution analyzer here, the warp-state timeline in
+// internal/trace, the diagnostic bundle's last-events view (Tail).
 //
 // The design follows internal/metrics: a nil *Recorder is a valid no-op
 // (every emit method checks the receiver), so instrumented code calls
@@ -8,12 +10,12 @@
 // tracing is off. When tracing is on, events append to per-shard chunked
 // buffers — no per-event allocation, no locking (each shard's emitters
 // run on the single simulation goroutine), no reordering (cycles only
-// grow). A Mask selects event families so the timeline tracer can record
-// warp states without paying for per-cycle scheduler events.
+// grow). A Mask selects event families, so a report that needs no OSU or
+// memory events does not pay for them.
 //
 // Events are 24-byte structs with kind-specific payload fields; the
 // emitting layer defines the encoding and the consumers in this package
-// (Analyze, WritePerfetto) and in internal/trace decode it:
+// (Analyze, WriteChipPerfetto) and in internal/trace decode it:
 //
 //	Kind          Warp       A             B        Arg
 //	Issue         issuer     -             group    global insn index
@@ -257,8 +259,9 @@ const (
 
 	// MaskAll keeps everything.
 	MaskAll = MaskSched | MaskStates | MaskPreloads | MaskOSU | MaskCompress | MaskMem
-	// MaskTimeline is what the warp-state timeline needs.
-	MaskTimeline = MaskStates
+	// MaskTimeline is what the warp-state timeline needs: the states, and
+	// the issues its ipc row counts.
+	MaskTimeline = MaskStates | MaskSched
 )
 
 // NoRegion is the Arg encoding for "no region" in WarpState events.
@@ -287,11 +290,9 @@ func (e Event) Region() int {
 // fills (every 8192 events), keeping the hot path allocation-free.
 const chunkEvents = 1 << 13
 
-// shardBuf is an append-only chunked event buffer with a drain cursor.
+// shardBuf is an append-only chunked event buffer.
 type shardBuf struct {
 	chunks [][]Event
-	// drain cursor (Drain hands out each event exactly once).
-	dChunk, dOff int
 }
 
 func (b *shardBuf) append(e Event) {
@@ -316,20 +317,6 @@ func (b *shardBuf) forEach(fn func(Event)) {
 		for i := range c {
 			fn(c[i])
 		}
-	}
-}
-
-// drain hands fn every event appended since the previous drain.
-func (b *shardBuf) drain(fn func(Event)) {
-	for ; b.dChunk < len(b.chunks); b.dChunk++ {
-		c := b.chunks[b.dChunk]
-		for ; b.dOff < len(c); b.dOff++ {
-			fn(c[b.dOff])
-		}
-		if len(c) < chunkEvents {
-			return // chunk may still grow; keep the cursor here
-		}
-		b.dOff = 0
 	}
 }
 
@@ -364,14 +351,6 @@ func (r *Recorder) SetCycle(c uint64) {
 	if r != nil {
 		r.cycle = c
 	}
-}
-
-// Cycle returns the current stamp.
-func (r *Recorder) Cycle() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.cycle
 }
 
 // NumShards returns the per-shard buffer count (excluding the global
@@ -455,19 +434,6 @@ func (r *Recorder) Tail(n int) []Event {
 		cand = cand[len(cand)-n:]
 	}
 	return cand
-}
-
-// Drain visits every event appended since the previous Drain, shard by
-// shard (per-warp event order is preserved: all of a warp's events live
-// in one shard's buffer). In-run consumers (the timeline tracer) call it
-// each cycle.
-func (r *Recorder) Drain(fn func(Event)) {
-	if r == nil {
-		return
-	}
-	for i := range r.bufs {
-		r.bufs[i].drain(fn)
-	}
 }
 
 func (r *Recorder) emit(shard int, e Event) {

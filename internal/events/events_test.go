@@ -25,11 +25,10 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.OSULine(KindOSUAlloc, 0, 1, 3, LineActive)
 	r.Compress(0, 1, 2, true)
 	r.L1(true, false, 99)
-	if r.Len() != 0 || r.Count(KindIssue) != 0 || r.Cycle() != 0 || r.NumShards() != 0 {
+	if r.Len() != 0 || r.Count(KindIssue) != 0 || r.NumShards() != 0 {
 		t.Fatal("nil recorder reports recorded state")
 	}
 	r.ForEach(func(Event) { t.Fatal("nil ForEach visited an event") })
-	r.Drain(func(Event) { t.Fatal("nil Drain visited an event") })
 
 	rep := Analyze(nil, 100, 4)
 	if rep.IssueSlots != 400 || rep.Issued != 0 {
@@ -66,54 +65,31 @@ func TestMaskFiltering(t *testing.T) {
 	}
 }
 
-// TestChunkGrowthAndDrain: buffers must grow past the chunk size without
-// losing or reordering events, and Drain must hand out each event
-// exactly once across interleaved append/drain rounds (including the
-// partially-filled-chunk cursor case).
-func TestChunkGrowthAndDrain(t *testing.T) {
+// TestChunkGrowth: buffers must grow past the chunk size without losing
+// or reordering events, across appends that land mid-chunk and appends
+// that span several chunk boundaries.
+func TestChunkGrowth(t *testing.T) {
 	r := NewRecorder(1, MaskSched)
-	emitted, drained := 0, 0
-	lastCycle := uint64(0)
-	drainAll := func() {
-		r.Drain(func(e Event) {
-			if e.Cycle < lastCycle {
-				t.Fatalf("drain out of order: cycle %d after %d", e.Cycle, lastCycle)
-			}
-			lastCycle = e.Cycle
-			drained++
-		})
-	}
-	emit := func(n int) {
+	emitted := 0
+	for _, n := range []int{chunkEvents + 17, 5, 3*chunkEvents - 2} {
 		for i := 0; i < n; i++ {
 			r.SetCycle(uint64(emitted))
 			r.Issue(0, emitted%64, emitted)
 			emitted++
 		}
-	}
-
-	emit(chunkEvents + 17) // cursor lands mid-chunk
-	drainAll()
-	if drained != emitted {
-		t.Fatalf("first drain: %d of %d", drained, emitted)
-	}
-	emit(5) // appends to the same partially-filled chunk
-	drainAll()
-	emit(3*chunkEvents - 2) // spans multiple chunk boundaries
-	drainAll()
-	if drained != emitted {
-		t.Fatalf("drained %d, emitted %d", drained, emitted)
-	}
-	if r.Len() != emitted || r.Count(KindIssue) != uint64(emitted) {
-		t.Fatalf("Len=%d Count=%d, want %d", r.Len(), r.Count(KindIssue), emitted)
-	}
-	n := 0
-	r.ForEach(func(Event) { n++ })
-	if n != emitted {
-		t.Fatalf("ForEach visited %d, want %d", n, emitted)
-	}
-	drainAll()
-	if drained != emitted {
-		t.Fatal("idle drain produced events")
+		if r.Len() != emitted || r.Count(KindIssue) != uint64(emitted) {
+			t.Fatalf("Len=%d Count=%d, want %d", r.Len(), r.Count(KindIssue), emitted)
+		}
+		next := 0
+		r.ForEach(func(e Event) {
+			if e.Cycle != uint64(next) || int(e.Arg) != next {
+				t.Fatalf("event %d is cycle %d insn %d", next, e.Cycle, e.Arg)
+			}
+			next++
+		})
+		if next != emitted {
+			t.Fatalf("ForEach visited %d, want %d", next, emitted)
+		}
 	}
 }
 
@@ -212,9 +188,9 @@ func TestAnalyzeWarnsWhenNotTiling(t *testing.T) {
 // the spans a hand-checkable recording implies.
 func TestWritePerfettoParses(t *testing.T) {
 	var buf bytes.Buffer
-	err := WritePerfetto(&buf, synthRecording(), TraceMeta{
+	err := WriteChipPerfetto(&buf, []*Recorder{synthRecording()}, []TraceMeta{{
 		Bench: "synthetic", Scheme: "regless", Warps: 2, Schedulers: 1, Cycles: 5,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

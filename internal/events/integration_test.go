@@ -7,13 +7,12 @@ import (
 	"repro/internal/events"
 	"repro/internal/experiments"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // tracedRun simulates one benchmark under a scheme with every event
-// family recorded, via the same path the CLI uses, returning the SM for
-// its metrics registry.
-func tracedRun(t *testing.T, scheme experiments.Scheme) (*trace.Result, *sim.SM) {
+// family recorded, returning the recorder, the run's stats and the SM
+// for its metrics registry.
+func tracedRun(t *testing.T, scheme experiments.Scheme) (*events.Recorder, *sim.Stats, *sim.SM) {
 	t.Helper()
 	smv, _, err := experiments.BuildSM("nw", scheme, experiments.SimSetup{
 		Capacity: experiments.DefaultCapacity, Warps: 8, MaxCycles: 5_000_000,
@@ -21,14 +20,16 @@ func tracedRun(t *testing.T, scheme experiments.Scheme) (*trace.Result, *sim.SM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := trace.Run(smv, 50, events.MaskAll)
+	rec := events.NewRecorder(smv.Cfg.Schedulers, events.MaskAll)
+	smv.AttachRecorder(rec)
+	st, err := smv.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Cycles == 0 || res.Events == nil {
+	if st.Cycles == 0 || rec.Len() == 0 {
 		t.Fatal("empty traced run")
 	}
-	return res, smv
+	return rec, st, smv
 }
 
 func metric(t *testing.T, smv *sim.SM, name string) uint64 {
@@ -54,8 +55,7 @@ func TestSchedEventsReconcileAcrossSchemes(t *testing.T) {
 		experiments.SchemeRegLessNC,
 	} {
 		t.Run(string(scheme), func(t *testing.T) {
-			res, smv := tracedRun(t, scheme)
-			rec := res.Events
+			rec, st, smv := tracedRun(t, scheme)
 			schedulers := rec.NumShards()
 
 			var mIssued, mStalled uint64
@@ -70,7 +70,7 @@ func TestSchedEventsReconcileAcrossSchemes(t *testing.T) {
 				t.Errorf("stall events %d != stall_cycles metric %d", got, mStalled)
 			}
 
-			rep := events.Analyze(rec, res.Stats.Cycles, schedulers)
+			rep := events.Analyze(rec, st.Cycles, schedulers)
 			if !rep.TilesExactly() {
 				var total uint64
 				for _, s := range rep.Stalls {
@@ -95,8 +95,7 @@ func TestNonRegLessSchemesEmitNoStagingEvents(t *testing.T) {
 		experiments.SchemeRFH,
 	} {
 		t.Run(string(scheme), func(t *testing.T) {
-			res, _ := tracedRun(t, scheme)
-			rec := res.Events
+			rec, _, _ := tracedRun(t, scheme)
 			for _, k := range []events.Kind{
 				events.KindWarpState, events.KindPreloadIssue, events.KindPreloadFill,
 				events.KindOSUAlloc, events.KindOSUActivate, events.KindOSUDemote,
@@ -118,9 +117,8 @@ func TestNonRegLessSchemesEmitNoStagingEvents(t *testing.T) {
 // attribution against the provider's own stall count, and the staging
 // lifecycle's internal consistency.
 func TestRegLessEventsReconcileWithFig17(t *testing.T) {
-	res, smv := tracedRun(t, experiments.SchemeRegLess)
-	rec := res.Events
-	rep := events.Analyze(rec, res.Stats.Cycles, rec.NumShards())
+	rec, st, smv := tracedRun(t, experiments.SchemeRegLess)
+	rep := events.Analyze(rec, st.Cycles, rec.NumShards())
 
 	for src, name := range map[events.PreloadSrc]string{
 		events.SrcOSU:        "provider/preload_from_osu",
@@ -142,7 +140,7 @@ func TestRegLessEventsReconcileWithFig17(t *testing.T) {
 	// Each capacity-attributed slot required at least one provider
 	// rejection that cycle, so the attribution is bounded by the
 	// provider-reject count.
-	if capStalls, rejects := rep.Stalls[events.StallCapacity], res.Stats.IssueStalls; capStalls > rejects {
+	if capStalls, rejects := rep.Stalls[events.StallCapacity], st.IssueStalls; capStalls > rejects {
 		t.Errorf("capacity stalls %d exceed provider rejects %d", capStalls, rejects)
 	}
 

@@ -113,18 +113,13 @@ func (ct *ChromeTrace) Close() error {
 	return ct.w.Flush()
 }
 
-// WritePerfetto exports the recording as Chrome trace-event JSON,
-// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing: scheduler
-// groups as merged issue/stall spans, warps as capacity-phase tracks,
-// preload spans, OSU occupancy counters, and compressor decisions.
-func WritePerfetto(w io.Writer, rec *Recorder, meta TraceMeta) error {
-	return WriteChipPerfetto(w, []*Recorder{rec}, []TraceMeta{meta})
-}
-
-// WriteChipPerfetto exports one recording per SM into a single trace:
-// each SM's five track families live in their own process-ID block, so
-// Perfetto's process groups cluster by SM and warp tracks carry global
-// warp IDs. metas[i] labels recs[i]; otherData comes from metas[0].
+// WriteChipPerfetto exports one recording per SM as Chrome trace-event
+// JSON, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing:
+// scheduler groups as merged issue/stall spans, warps as capacity-phase
+// tracks, preload spans, OSU occupancy counters, and compressor
+// decisions. Each SM's five track families live in their own process-ID
+// block, so Perfetto's process groups cluster by SM and warp tracks carry
+// global warp IDs. metas[i] labels recs[i]; otherData comes from metas[0].
 func WriteChipPerfetto(w io.Writer, recs []*Recorder, metas []TraceMeta) error {
 	if len(recs) == 0 || len(recs) != len(metas) {
 		return fmt.Errorf("events: %d recorders with %d metas", len(recs), len(metas))

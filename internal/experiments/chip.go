@@ -1,8 +1,8 @@
 package experiments
 
-// The one run pipeline. Every simulation — the suite cache, serve's
-// instrumented deep-dives, the CLI tracer, the public Simulate, the
-// ablation table — is a chip built by Assemble and run by gpu.GPU.Run:
+// The one run pipeline. Every simulation — the suite cache, serve's runs,
+// the CLI's -timeline/-trace runs, the public Simulate, the ablation
+// table — is a chip built by Assemble and run by gpu.GPU.Run:
 // N lockstep SMs with private L1s and register schemes, the grid striped
 // across them by warp ID. The paper's per-SM evaluation is the chip of
 // one, and the only thing that differs there is the L2 level (Assemble
@@ -30,11 +30,41 @@ import (
 	"repro/internal/sim"
 )
 
-// regLessSMOffset returns the backing-store offset for one SM's RegLess
-// shard: disjoint 16 MB windows keep per-SM register spills from
-// aliasing in the shared L2 (one kernel's SMs share data lines but
-// never register lines).
-func regLessSMOffset(sm int) uint32 { return uint32(sm) << 24 }
+// SchemeProvider is the one scheme → register file table, for every
+// runner that builds SMs (Assemble, the grid, co-residency and
+// oversubscription extensions, the CLI's application runs): it sets the
+// warp scheduler the scheme implies on simCfg and returns what builds the
+// provider for SM number sm running k. RegLess providers are built from
+// the returned configuration as it reads when mk runs — so an Assemble
+// Tune applied in between is seen — in the SM's own backing-store window:
+// disjoint 16 MB offsets keep per-SM register spills from aliasing in a
+// shared L2 (one kernel's SMs share data lines but never register lines).
+func SchemeProvider(scheme Scheme, capacity int, simCfg *sim.Config) (mk func(sm int, k *isa.Kernel) (sim.Provider, error), rl *core.Config, err error) {
+	c := core.ConfigForCapacity(capacity)
+	c.EnableCompressor = scheme == SchemeRegLess
+	baseline := func(int, *isa.Kernel) (sim.Provider, error) { return rf.NewBaseline(), nil }
+	switch scheme {
+	case SchemeBaseline:
+		mk = baseline
+	case SchemeBaseline2L:
+		simCfg.Sched, mk = sim.SchedTwoLevel, baseline
+	case SchemeRFV:
+		simCfg.Sched = sim.SchedTwoLevel
+		mk = func(int, *isa.Kernel) (sim.Provider, error) { return rf.NewRFV(RFVEntries), nil }
+	case SchemeRFH:
+		simCfg.Sched = sim.SchedTwoLevel
+		mk = func(int, *isa.Kernel) (sim.Provider, error) { return rf.NewRFH(RFHORFEntries), nil }
+	case SchemeRegLess, SchemeRegLessNC:
+		mk = func(sm int, k *isa.Kernel) (sim.Provider, error) {
+			smc := c
+			smc.AddrOffset = uint32(sm) << 24
+			return core.New(smc, k)
+		}
+	default:
+		return nil, nil, fmt.Errorf("unknown scheme %q", scheme)
+	}
+	return mk, &c, nil
+}
 
 // Tune adjusts an assembly after the scheme's defaults are applied: the
 // per-SM timing configuration and, for RegLess schemes, the core
@@ -70,41 +100,14 @@ func Assemble(a *arena.Arena, k *isa.Kernel, scheme Scheme, sms int, su SimSetup
 	}
 	cfg.SM.NoFastForward = su.NoFastForward
 
-	rl := core.ConfigForCapacity(su.Capacity)
-	rl.EnableCompressor = scheme == SchemeRegLess
-	var rp *core.Provider
-	var factory gpu.ProviderFactory
-	switch scheme {
-	case SchemeBaseline:
-		factory = baselineChipFactory()
-	case SchemeBaseline2L:
-		cfg.SM.Sched = sim.SchedTwoLevel
-		factory = baselineChipFactory()
-	case SchemeRFV:
-		cfg.SM.Sched = sim.SchedTwoLevel
-		factory = func(int) (sim.Provider, error) { return rf.NewRFV(RFVEntries), nil }
-	case SchemeRFH:
-		cfg.SM.Sched = sim.SchedTwoLevel
-		factory = func(int) (sim.Provider, error) { return rf.NewRFH(RFHORFEntries), nil }
-	case SchemeRegLess, SchemeRegLessNC:
-		factory = func(i int) (sim.Provider, error) {
-			c := rl // after tune: the factory runs inside gpu.New
-			c.AddrOffset = regLessSMOffset(i)
-			p, err := core.New(c, k)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				rp = p
-			}
-			return p, nil
-		}
-	default:
-		return nil, nil, fmt.Errorf("unknown scheme %q", scheme)
+	mk, rl, err := SchemeProvider(scheme, su.Capacity, &cfg.SM)
+	if err != nil {
+		return nil, nil, err
 	}
 	if tune != nil {
-		tune(&cfg.SM, &rl)
+		tune(&cfg.SM, rl)
 	}
+	factory := func(sm int) (sim.Provider, error) { return mk(sm, k) }
 	g, err := gpu.NewIn(a, cfg, k, factory, su.Memory)
 	if err != nil {
 		return nil, nil, err
@@ -117,6 +120,7 @@ func Assemble(a *arena.Arena, k *isa.Kernel, scheme Scheme, sms int, su SimSetup
 			smv.AttachSanitizer(sanitizer.New())
 		}
 	}
+	rp, _ := g.SMs[0].Provider.(*core.Provider)
 	return g, rp, nil
 }
 
@@ -129,9 +133,7 @@ func BuildChip(bench string, scheme Scheme, sms int, su SimSetup) (*gpu.GPU, *co
 	return Assemble(nil, k, scheme, sms, su, nil)
 }
 
-// BuildSM returns the lone SM of a chip of one, for tools that drive the
-// cycles themselves (the timeline tracer steps it; its Run is the same
-// lockstep loop the chip's is).
+// BuildSM returns the lone SM of a chip of one.
 func BuildSM(bench string, scheme Scheme, su SimSetup) (*sim.SM, *core.Provider, error) {
 	g, rp, err := BuildChip(bench, scheme, 1, su)
 	if err != nil {
@@ -145,11 +147,15 @@ func BuildSM(bench string, scheme Scheme, su SimSetup) (*sim.SM, *core.Provider,
 type Instrumented struct {
 	Run *Run
 	// Recs holds one recorder per SM (nil when nothing was recorded);
-	// Schedulers and Cycles are the matching events.Analyze inputs
-	// (per-SM scheduler group count and per-SM cycle count).
+	// the other slices are what a view of Recs[i] needs to know of SM i:
+	// Schedulers and Cycles are the events.Analyze inputs (scheduler group
+	// count, cycle count), Warps and FirstWarp the trace.Fold ones (warp
+	// count, global ID of its warp 0).
 	Recs       []*events.Recorder
 	Schedulers []int
 	Cycles     []uint64
+	Warps      []int
+	FirstWarp  []int
 }
 
 // runPoint is the one way a point is simulated: take an arena, assemble
@@ -189,6 +195,8 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 			smv.AttachRecorder(rec)
 			inst.Recs = append(inst.Recs, rec)
 			inst.Schedulers = append(inst.Schedulers, smv.Cfg.Schedulers)
+			inst.Warps = append(inst.Warps, smv.Cfg.Warps)
+			inst.FirstWarp = append(inst.FirstWarp, smv.Cfg.WarpIDBase)
 		}
 		if jsonl != nil {
 			labels := []metrics.Label{
@@ -246,12 +254,13 @@ func SimulateKernel(k *isa.Kernel, scheme Scheme, su SimSetup, tune Tune) (*Run,
 	return inst.Run, nil
 }
 
-// SimulateInstrumented runs (bench, scheme) once with an event recorder
-// attached to every SM and the su sizing (su.Capacity is the RegLess
-// capacity) — serve's deep-dive path ("report": [...]), which attaches
-// the stall-attribution/preload analysis (events.Analyze) to the stored
-// result. Unlike Suite.Get it is never cached or shared: recorders are
-// per-call state. Cancellation and trace spans work as in Suite.GetCtx.
+// SimulateInstrumented runs (bench, scheme) once on sms SMs with the su
+// sizing (su.Capacity is the RegLess capacity) and, when mask is
+// non-zero, an event recorder keeping those families on every SM — how
+// serve runs every point (a "report" request is a non-zero mask) and how
+// the CLI runs -timeline, -trace and -trace-report. Nothing is cached or
+// shared: callers that want that have the store, or a Suite.
+// Cancellation and trace spans work as in Suite.GetCtx.
 func SimulateInstrumented(ctx context.Context, bench string, scheme Scheme, sms int, su SimSetup, mask events.Mask) (*Instrumented, error) {
 	k, err := loadKernel(ctx, bench)
 	if err != nil {

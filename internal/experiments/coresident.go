@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/kernels"
-	"repro/internal/rf"
 	"repro/internal/sim"
 )
 
@@ -60,23 +58,17 @@ func CoResident(s *Suite) (*Table, error) {
 		cfg.SM.Warps = s.Opts.Warps
 		cfg.SM.MaxCycles = s.Opts.MaxCycles
 		cfg.SM.NoFastForward = s.Opts.NoFastForward
+		mk, _, err := SchemeProvider(scheme, DefaultCapacity, &cfg.SM)
+		if err != nil {
+			return err
+		}
 
 		slot := func(bench string, bias uint32) (gpu.KernelSlot, error) {
 			k, err := kernels.Load(bench)
 			if err != nil {
 				return gpu.KernelSlot{}, err
 			}
-			factory := func(int) (sim.Provider, error) { return nil, nil }
-			switch scheme {
-			case SchemeBaseline:
-				factory = baselineChipFactory()
-			case SchemeRegLess:
-				factory = func(smi int) (sim.Provider, error) {
-					c := core.ConfigForCapacity(DefaultCapacity)
-					c.AddrOffset = regLessSMOffset(smi)
-					return core.New(c, k)
-				}
-			}
+			factory := func(sm int) (sim.Provider, error) { return mk(sm, k) }
 			return gpu.KernelSlot{K: k, SMs: half, Factory: factory, AddrBias: bias}, nil
 		}
 
@@ -141,9 +133,4 @@ func CoResident(s *Suite) (*Table, error) {
 	}
 	t.Note(fmt.Sprintf("extension: %d SMs per kernel on a %d-SM chip; slowdown = co-resident / isolated cycles", half, sms))
 	return t, nil
-}
-
-// baselineChipFactory builds baseline-RF providers for every SM.
-func baselineChipFactory() gpu.ProviderFactory {
-	return func(int) (sim.Provider, error) { return rf.NewBaseline(), nil }
 }

@@ -165,8 +165,8 @@ func (o Options) benchmarks() []string {
 
 // Run is one completed simulation: numbers only. Nothing reachable from
 // it points into the machine it was measured on (sim.SM, core.Provider,
-// exec.Memory, mem.Hierarchy) — the Suite and serve cache Runs for the
-// life of the process, and the machine's arena is the next machine's the
+// exec.Memory, mem.Hierarchy) — the Suite caches Runs for the life of
+// the process, and the machine's arena is the next machine's the
 // moment the run is folded (runPoint).
 type Run struct {
 	Bench    string
@@ -289,10 +289,10 @@ func (s *Suite) Get(bench string, scheme Scheme, capacity int) (*Run, error) {
 }
 
 // GetCtx is Get with service-level span recording and cooperative
-// cancellation. When ctx carries an obs trace (serve's execute path), the
-// suite records its phases — "suite-wait" when another caller's in-flight
-// simulation is joined, else "kernel-load"/"build"/"run" children under
-// the carried parent span. When ctx is cancelable, the cycle loop polls
+// cancellation. When ctx carries an obs trace, the suite records its
+// phases — "suite-wait" when another caller's in-flight simulation is
+// joined, else "kernel-load"/"build"/"run" children under the carried
+// parent span. When ctx is cancelable, the cycle loop polls
 // it and an abandoned simulation returns ctx's error instead of running
 // to completion.
 //

@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/launch"
 	"repro/internal/mem"
-	"repro/internal/rf"
 	"repro/internal/sim"
 )
 
@@ -51,25 +48,15 @@ func GPUScale(s *Suite) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		if i%2 == 0 {
-			res, err := runGrid(s, k, totalWarps, sms, func(sm, wave int) (sim.Provider, error) {
-				return rf.NewBaseline(), nil
-			})
-			if err != nil {
-				return fmt.Errorf("%s/%d SMs baseline: %w", bench, sms, err)
-			}
-			cells[ci].base = res
-			return nil
+		scheme, dst := SchemeBaseline, &cells[ci].base
+		if i%2 == 1 {
+			scheme, dst = SchemeRegLess, &cells[ci].rgls
 		}
-		res, err := runGrid(s, k, totalWarps, sms, func(sm, wave int) (sim.Provider, error) {
-			c := core.ConfigForCapacity(DefaultCapacity)
-			c.AddrOffset = regLessSMOffset(sm)
-			return core.New(c, k)
-		})
+		res, err := runGrid(s, k, scheme, totalWarps, sms)
 		if err != nil {
-			return fmt.Errorf("%s/%d SMs regless: %w", bench, sms, err)
+			return fmt.Errorf("%s/%d SMs %s: %w", bench, sms, scheme, err)
 		}
-		cells[ci].rgls = res
+		*dst = res
 		return nil
 	})
 	if err != nil {
@@ -96,21 +83,15 @@ func GPUScale(s *Suite) (*Table, error) {
 }
 
 // runGrid launches the fixed grid on an sms-SM chip at suite scale.
-func runGrid(s *Suite, k *isa.Kernel, totalWarps, sms int, factory launch.GridFactory) (*launch.GridResult, error) {
+func runGrid(s *Suite, k *isa.Kernel, scheme Scheme, totalWarps, sms int) (*launch.GridResult, error) {
 	cfg := sim.DefaultConfig()
 	cfg.Warps = s.Opts.Warps
 	cfg.MaxCycles = s.Opts.MaxCycles
 	cfg.NoFastForward = s.Opts.NoFastForward
-	return launch.RunGrid(k, totalWarps, s.Opts.Warps, sms, cfg,
-		mem.DefaultBankedL2Config(), factory, nil)
-}
-
-// runChip runs one single-wave chip (all warps resident) — the
-// co-residency experiment's building block.
-func runChip(cfg gpu.Config, k *isa.Kernel, factory gpu.ProviderFactory) (*gpu.Result, error) {
-	g, err := gpu.New(cfg, k, factory, nil)
+	mk, _, err := SchemeProvider(scheme, DefaultCapacity, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	return g.Run()
+	return launch.RunGrid(k, totalWarps, s.Opts.Warps, sms, cfg, mem.DefaultBankedL2Config(),
+		func(sm, wave int) (sim.Provider, error) { return mk(sm, k) }, nil)
 }

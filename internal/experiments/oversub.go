@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/kernels"
 	"repro/internal/launch"
-	"repro/internal/rf"
 	"repro/internal/sim"
 )
 
@@ -34,26 +32,22 @@ func Oversubscription(s *Suite) (*Table, error) {
 	}
 	grid := 2 * fullWarps // the same total work for both schemes
 
-	simCfg := sim.DefaultConfig()
-	simCfg.MaxCycles = s.Opts.MaxCycles
-
 	// The two launches are independent (each gets a private functional
 	// memory); run them on the worker pool.
 	var base, rgl *launch.Result
 	err = s.forEach(2, func(i int) error {
-		if i == 0 {
-			r, err := launch.Run(k, grid, baseWarps, simCfg,
-				func(int) (sim.Provider, error) { return rf.NewBaseline(), nil },
-				exec.NewMemory(nil))
-			base = r
+		scheme, resident, dst := SchemeBaseline, baseWarps, &base
+		if i == 1 {
+			scheme, resident, dst = SchemeRegLess, fullWarps, &rgl
+		}
+		simCfg := sim.DefaultConfig()
+		simCfg.MaxCycles = s.Opts.MaxCycles
+		mk, _, err := SchemeProvider(scheme, DefaultCapacity, &simCfg)
+		if err != nil {
 			return err
 		}
-		r, err := launch.Run(k, grid, fullWarps, simCfg,
-			func(int) (sim.Provider, error) {
-				return core.New(core.ConfigForCapacity(DefaultCapacity), k)
-			},
-			exec.NewMemory(nil))
-		rgl = r
+		*dst, err = launch.Run(k, grid, resident, simCfg,
+			func(int) (sim.Provider, error) { return mk(0, k) }, exec.NewMemory(nil))
 		return err
 	})
 	if err != nil {

@@ -334,16 +334,6 @@ func (l2 *BankedL2) invalidate(a uint32) {
 	bank.cache.invalidate(ba)
 }
 
-// MSHROccupancy reports each bank's in-flight fetch count (diagnostics
-// and the chip-level invariant sweep).
-func (l2 *BankedL2) MSHROccupancy() []int {
-	out := make([]int, len(l2.banks))
-	for i := range l2.banks {
-		out[i] = l2.banks[i].mshrs.inUse()
-	}
-	return out
-}
-
 // BankLoads reports per-bank (hits, misses) — the interleaving-balance
 // signal for the gpuscale table and the sanitizer's bank accounting.
 func (l2 *BankedL2) BankLoads() (hits, misses []uint64) {

@@ -6,8 +6,8 @@ package serve
 // every stale entry, so two binaries may serve each other's cached
 // results only while they would simulate identical code. This lives here
 // rather than in internal/kernels because the asm package's own tests
-// load suite kernels, which would make kernels -> asm a test-only import
-// cycle.
+// load benchmark kernels, which would make kernels -> asm a test-only
+// import cycle.
 
 import (
 	"crypto/sha256"

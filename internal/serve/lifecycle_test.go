@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/faults"
 )
 
@@ -508,5 +509,62 @@ func TestAbandonedWaiterCancelsJob(t *testing.T) {
 	})
 	if got := counter(t, s, "serve/failures"); got != 0 {
 		t.Fatalf("abandonment recorded %d failures", got)
+	}
+}
+
+// TestCanceledMidRunKeyResimulates: a job whose only client hangs up
+// while the cycle loop is running ends "canceled" from inside the loop;
+// that must say nothing about its key. The next submission replaces the
+// job (abandonedFinal), simulates from scratch — no layer under the jobs
+// map remembers the abandoned attempt — and serves and persists exactly
+// what an undisturbed run of the point produces.
+func TestCanceledMidRunKeyResimulates(t *testing.T) {
+	// One memory response parked for 800k stepped cycles: long enough
+	// that the client's timeout lands in mid-run, across many polls.
+	plan, err := faults.Parse("mem-delay@500:delay=800000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := testOpts()
+	opts.Faults, opts.NoFastForward = plan, true
+	want := refPayload(t, experiments.NewSuite(opts), opts, "nw", experiments.SchemeRegLess, experiments.DefaultCapacity)
+
+	s := newTestServer(t, t.TempDir(), opts)
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const body = `{"bench":"nw","scheme":"regless"}`
+	hc := &http.Client{Timeout: 20 * time.Millisecond}
+	if _, err := hc.Post(ts.URL+"/v1/runs?wait=1", "application/json", strings.NewReader(body)); err == nil {
+		t.Fatal("the run finished inside its client's timeout; lengthen the delay")
+	}
+	waitUntil(t, "abandoned job cancellation", func() bool {
+		return counter(t, s, "serve/canceled") == 1
+	})
+	a, err := s.admitRun([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first RunStatus
+	if code := doJSON(t, s.Handler(), "GET", "/v1/runs/"+a.id, "", nil, &first); code != http.StatusOK {
+		t.Fatalf("GET canceled run = %d", code)
+	}
+	if first.Status != "canceled" || !strings.Contains(first.Error, "abandoned at cycle") {
+		t.Fatalf("first job = %q (%s), want canceled from inside the cycle loop", first.Status, first.Error)
+	}
+
+	var again RunStatus
+	if code := doJSON(t, s.Handler(), "POST", "/v1/runs?wait=1", "", json.RawMessage(body), &again); code != http.StatusOK {
+		t.Fatalf("resubmission = %d", code)
+	}
+	if again.Status != "done" || again.Cached || string(again.Result) != string(want) {
+		t.Fatalf("resubmission = %q cached=%v (%s), result == undisturbed run: %v",
+			again.Status, again.Cached, again.Error, string(again.Result) == string(want))
+	}
+	if misses, fails := counter(t, s, "serve/misses"), counter(t, s, "serve/failures"); misses != 2 || fails != 0 {
+		t.Fatalf("%d misses and %d failures, want both jobs to have simulated and neither to have failed", misses, fails)
+	}
+	if n, err := s.Store().Len(); err != nil || n != 1 {
+		t.Fatalf("%d store entries (err %v), want the second job's alone", n, err)
 	}
 }

@@ -90,18 +90,26 @@ func canonicalizeReport(kinds []string) (string, error) {
 	return strings.Join(out, ","), nil
 }
 
-// simulateWithReport runs the key's point once with event recording and
-// attaches the requested analysis sections per SM. It is the suite's run
-// pipeline with recorders attached, so the job's context carries its
-// budget and obs trace into it exactly as into Suite.GetCtx.
-func (s *Server) simulateWithReport(ctx context.Context, key store.Key) (*experiments.Run, *RunReport, error) {
-	kinds := strings.Split(key.Report, ",")
-	inst, err := experiments.SimulateInstrumented(ctx, key.Bench,
-		experiments.Scheme(key.Scheme), s.suite.Opts.SMs, s.suite.Opts.Setup(key.Capacity),
-		events.MaskSched|events.MaskStates|events.MaskPreloads)
-	if err != nil {
-		return nil, nil, err
+// simulate runs the key's point: the one place the server simulates. A
+// key that asks for report sections runs with event recorders attached
+// (passive: the statistics are the plain run's) and gets the analysis per
+// SM. ctx carries the job's budget, which the cycle loop polls, and its
+// obs trace, under which the run records "kernel-load"/"build"/"run".
+// Nothing below caches or dedupes: that is the jobs map's and the store's.
+func (s *Server) simulate(ctx context.Context, key store.Key) (*experiments.Run, *RunReport, error) {
+	var mask events.Mask
+	if key.Report != "" {
+		mask = events.MaskSched | events.MaskStates | events.MaskPreloads
 	}
+	inst, err := experiments.SimulateInstrumented(ctx, key.Bench,
+		experiments.Scheme(key.Scheme), s.cfg.Opts.SMs, s.cfg.Opts.Setup(key.Capacity), mask)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s/%s/%d: %w", key.Bench, key.Scheme, key.Capacity, err)
+	}
+	if mask == 0 {
+		return inst.Run, nil, nil
+	}
+	kinds := strings.Split(key.Report, ",")
 	rep := &RunReport{Kinds: kinds}
 	for i, rec := range inst.Recs {
 		an := events.Analyze(rec, inst.Cycles[i], inst.Schedulers[i])

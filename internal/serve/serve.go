@@ -15,7 +15,7 @@
 //	  jobs map    -> submissions of the same key attach to one job (dedupe)
 //	  admitter    -> per-client round-robin FIFO into a bounded pool
 //	  store.Get   -> disk hit: serve the stored bytes verbatim
-//	  Suite.Get   -> miss: simulate (in-memory singleflight), store.Put
+//	  simulate    -> miss: experiments.SimulateInstrumented, store.Put
 //
 // Because the store holds the marshaled response payload itself, a hit —
 // in this process or any later one — is byte-identical to the response
@@ -54,8 +54,9 @@ import (
 // the same Options (warps, SMs, cycle bounds, robustness
 // instrumentation); requests choose the (bench, scheme, capacity) point.
 type Config struct {
-	// Opts configures the embedded experiment suite. Parallelism bounds
-	// the admission pool's in-flight simulations (0: GOMAXPROCS).
+	// Opts sizes every simulation (Opts.Setup; SMs 0 means 1).
+	// Parallelism bounds the admission pool's in-flight simulations
+	// (0: GOMAXPROCS).
 	Opts experiments.Options
 	// StoreDir roots the persistent result store (required).
 	StoreDir string
@@ -281,14 +282,13 @@ type sweep struct {
 // to drain the pool and flush metrics.
 type Server struct {
 	cfg   Config
-	suite *experiments.Suite
 	st    *store.Store
 	admit *admitter
 
 	faultsSpec string
 	// chaos is the serve-level fault injector (disk-full, slow-disk,
 	// store-corrupt, client-abort, clock-skew), split off the config's
-	// fault plan; the sim-level clauses go to the suite. Nil-safe.
+	// fault plan; the sim-level clauses stay in cfg.Opts. Nil-safe.
 	chaos *faults.Injector
 
 	reg    *metrics.Registry
@@ -358,6 +358,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Opts.Parallelism < 1 {
 		cfg.Opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
+	if cfg.Opts.SMs < 1 {
+		cfg.Opts.SMs = 1
+	}
 	if cfg.MetricsEvery <= 0 {
 		cfg.MetricsEvery = time.Second
 	}
@@ -370,10 +373,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueLimit < 1 {
 		cfg.QueueLimit = 1024
 	}
-	// Split the fault plan: sim-level clauses go to the suite (and into
-	// store keys — they change simulation output), serve-level clauses
-	// arm the chaos injector shared by the store and the HTTP layer
-	// (they must NOT change any result byte).
+	// Split the fault plan: sim-level clauses go to every simulation (and
+	// into store keys — they change simulation output), serve-level
+	// clauses arm the chaos injector shared by the store and the HTTP
+	// layer (they must NOT change any result byte).
 	simPlan, servePlan := cfg.Opts.Faults.Split()
 	cfg.Opts.Faults = simPlan
 	var chaos *faults.Injector
@@ -389,7 +392,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:         cfg,
-		suite:       experiments.NewSuite(cfg.Opts),
 		st:          st,
 		chaos:       chaos,
 		jobs:        map[string]*job{},
@@ -531,7 +533,7 @@ func (s *Server) KeyFor(req RunRequest) (store.Key, error) {
 		Scheme:    string(scheme),
 		Capacity:  capacity,
 		Warps:     s.cfg.Opts.Warps,
-		SMs:       s.suite.Opts.SMs,
+		SMs:       s.cfg.Opts.SMs,
 		MaxCycles: s.cfg.Opts.MaxCycles,
 		Watchdog:  s.cfg.Opts.Watchdog,
 		Sanitize:  s.cfg.Opts.Sanitize,
@@ -571,7 +573,7 @@ func (s *Server) resolve(req RunRequest) (admitted, error) {
 // holds successful admissions only — a rejected body is decoded, and
 // rejected, again every time — and is bounded by constants rather than
 // evicted: at most memoEntries bodies of at most memoBodyMax bytes (2 MiB
-// of bodies at worst, and a suite's bodies are under 70 bytes); past
+// of bodies at worst, and a sweep's bodies are under 70 bytes); past
 // either bound a body simply takes the decoder, as every body does first.
 const (
 	memoEntries = 4096
@@ -658,10 +660,9 @@ func (s *Server) submit(a admitted, client, reqID string, budget time.Duration) 
 }
 
 // execute runs one admitted job on a pool worker: disk hit, else
-// simulate through the suite's singleflight cache and persist. The job's
-// trace records the phases as sibling spans that tile the run span
-// exactly: every boundary timestamp is read once and closes one span
-// where it opens the next.
+// simulate and persist. The job's trace records the phases as sibling
+// spans that tile the run span exactly: every boundary timestamp is read
+// once and closes one span where it opens the next.
 func (s *Server) execute(j *job) {
 	if gate := s.testExecGate; gate != nil {
 		gate(j)
@@ -676,7 +677,7 @@ func (s *Server) execute(j *job) {
 
 	if err := j.ctx.Err(); err != nil {
 		// Abandoned (or expired) while queued: free the slot without
-		// touching the store or the suite.
+		// touching the store or simulating.
 		tr.CloseAt(t0)
 		s.finishAbandoned(j, err)
 		return
@@ -700,7 +701,7 @@ func (s *Server) execute(j *job) {
 	s.cMisses.Inc()
 
 	simSpan := tr.StartAt(obs.Root, "simulate", t1)
-	run, rep, err := s.simulateJob(obs.NewContext(j.ctx, tr, simSpan), j.key)
+	run, rep, err := s.simulate(obs.NewContext(j.ctx, tr, simSpan), j.key)
 	t2 := tr.Now()
 	tr.EndAt(simSpan, t2)
 	s.hSpanSimulate.Observe(uint64(t2 - t1))
@@ -713,11 +714,8 @@ func (s *Server) execute(j *job) {
 		j.errText = err.Error()
 		var d *sanitizer.Diagnostic
 		if errors.As(err, &d) {
-			// Annotate a copy: the Diagnostic value is shared through the
-			// suite's error cache with other requests.
-			dc := *d
-			dc.RequestID = j.reqID
-			j.diag = &dc
+			d.RequestID = j.reqID
+			j.diag = d
 			s.noteDiagnostic(breakerKey{bench: j.key.Bench, scheme: j.key.Scheme, capacity: j.key.Capacity})
 		}
 		s.recordFailure(j)
@@ -760,23 +758,13 @@ func (s *Server) execute(j *job) {
 	j.finish(jobDone)
 }
 
-// simulateJob dispatches the key to the plain suite path or — when the
-// key asks for deep-dive report sections — the instrumented path.
-func (s *Server) simulateJob(ctx context.Context, key store.Key) (*experiments.Run, *RunReport, error) {
-	if key.Report == "" {
-		run, err := s.suite.GetCtx(ctx, key.Bench, experiments.Scheme(key.Scheme), key.Capacity)
-		return run, nil, err
-	}
-	return s.simulateWithReport(ctx, key)
-}
-
 func (s *Server) resultFrom(r *experiments.Run) RunResult {
 	return RunResult{
 		Bench:    r.Bench,
 		Scheme:   string(r.Scheme),
 		Capacity: r.Capacity,
 		Warps:    s.cfg.Opts.Warps,
-		SMs:      s.suite.Opts.SMs,
+		SMs:      s.cfg.Opts.SMs,
 		Stats:    *r.Stats,
 		Prov:     r.Prov,
 		Mem:      r.Mem,
@@ -985,7 +973,7 @@ func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
 }
 
 // putBody returns a body buffer to the pool, unless one oversized request
-// grew it: the pool is for the suite's 70-byte bodies.
+// grew it: the pool is for a sweep's 70-byte bodies.
 func putBody(buf *bytes.Buffer) {
 	if buf.Cap() <= 64<<10 {
 		bodyPool.Put(buf)
@@ -1270,7 +1258,7 @@ func (s *Server) handleSweepTable(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	tb, err := sw.table(s.cfg.Opts.Warps, s.suite.Opts.SMs)
+	tb, err := sw.table(s.cfg.Opts.Warps, s.cfg.Opts.SMs)
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -48,7 +48,7 @@ func TestSteppedCycleAllocatesNothing(t *testing.T) {
 		const span = 3000
 		step := func() {
 			for i := 0; i < span; i++ {
-				sm.StepOne()
+				sm.Step()
 			}
 		}
 		step() // warm-up, on top of the one AllocsPerRun makes itself

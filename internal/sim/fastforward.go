@@ -40,16 +40,6 @@ import (
 // noWake is the "no wakeup source" sentinel for the target computation.
 const noWake = ^uint64(0)
 
-// TryFastForward is the lone-SM form of the skip for callers that step
-// the SM themselves (trace.Run): after a StepOne it attempts a jump and
-// returns the number of cycles skipped (0 when any gate fails or the
-// machine wakes next cycle anyway).
-func (sm *SM) TryFastForward() uint64 {
-	from := sm.cycle
-	fastForward([]*SM{sm})
-	return sm.cycle - from
-}
-
 // fastForward attempts one coordinated cycle skip across lockstep SMs
 // (one SM is the degenerate case): every unfinished SM must be provably
 // frozen, and the jump target is the minimum wake cycle across them — an

@@ -67,7 +67,7 @@ func RunLockstep(ctx context.Context, sms []*SM, afterJump func() error) (int, e
 				})
 			}
 			sm.step()
-			if err := sm.CheckHealth(); err != nil {
+			if err := sm.checkHealth(); err != nil {
 				return i, err
 			}
 		}
@@ -82,7 +82,7 @@ func RunLockstep(ctx context.Context, sms []*SM, afterJump func() error) (int, e
 		// the skipped span would have run.
 		for i, sm := range sms {
 			if !sm.Done() {
-				if err := sm.CheckHealth(); err != nil {
+				if err := sm.checkHealth(); err != nil {
 					return i, err
 				}
 			}

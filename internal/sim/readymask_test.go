@@ -149,7 +149,7 @@ func TestSanitizerCatchesMaskDrift(t *testing.T) {
 		sm.AttachSanitizer(sanitizer.New())
 		for i := 0; i < 50; i++ {
 			sm.step()
-			if err := sm.CheckHealth(); err != nil {
+			if err := sm.checkHealth(); err != nil {
 				t.Fatalf("%s: healthy machine tripped at cycle %d: %v", d.name, sm.cycle, err)
 			}
 		}
@@ -157,7 +157,7 @@ func TestSanitizerCatchesMaskDrift(t *testing.T) {
 			t.Fatalf("%s: nothing issued in the healthy prefix", d.name)
 		}
 		d.corrupt(sm, sm.Warps[5])
-		got := asDiagnostic(t, sm.CheckHealth())
+		got := asDiagnostic(t, sm.checkHealth())
 		if got.Component != d.comp || !strings.Contains(got.Violation, d.naming) {
 			t.Errorf("%s: got %s: %q, want %s naming %q", d.name, got.Component, got.Violation, d.comp, d.naming)
 		}
@@ -168,7 +168,7 @@ func TestSanitizerCatchesMaskDrift(t *testing.T) {
 	}
 	sm.AttachSanitizer(sanitizer.New())
 	sm.unfinished--
-	if d := asDiagnostic(t, sm.CheckHealth()); d.Component != "sim/readymask" {
+	if d := asDiagnostic(t, sm.checkHealth()); d.Component != "sim/readymask" {
 		t.Errorf("live-count drift: got %s: %q", d.Component, d.Violation)
 	}
 }

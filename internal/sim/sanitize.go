@@ -73,11 +73,11 @@ func (sm *SM) ReportFault(component, violation string, warp int) {
 	}
 }
 
-// CheckHealth inspects the machine after a step: a latched fault report,
+// checkHealth inspects the machine after a step: a latched fault report,
 // the forward-progress watchdog, then the sanitizer sweep. It returns a
 // fully-populated Diagnostic error on the first problem. The healthy
 // path costs two nil checks and one compare.
-func (sm *SM) CheckHealth() error {
+func (sm *SM) checkHealth() error {
 	if sm.fault != nil {
 		return sm.diagnose(sm.fault)
 	}

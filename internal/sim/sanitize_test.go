@@ -162,11 +162,11 @@ func TestSanitizerSweepCatchesScoreboardCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	sm.AttachSanitizer(sanitizer.New())
-	if err := sm.CheckHealth(); err != nil {
+	if err := sm.checkHealth(); err != nil {
 		t.Fatalf("fresh machine unhealthy: %v", err)
 	}
 	sm.Warps[2].pendingTotal = 7 // desync from the per-register counters
-	err = sm.CheckHealth()
+	err = sm.checkHealth()
 	d := asDiagnostic(t, err)
 	if d.Component != "sim/warps" {
 		t.Errorf("component = %q, want sim/warps", d.Component)

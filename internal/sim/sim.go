@@ -511,12 +511,8 @@ func (sm *SM) Done() bool {
 	return sm.allDone() && sm.Provider.Drained() && sm.Mem.Drained() && sm.lsu.empty()
 }
 
-// StepOne advances the SM by one cycle, for callers that drive the clock
-// themselves (trace.Run's per-cycle bucketing).
-func (sm *SM) StepOne() { sm.step() }
-
 // Finalize closes the statistics windows and returns the stats. Call once
-// after the last StepOne. What it returns is a detached copy: a result
+// after RunLockstep. What it returns is a detached copy: a result
 // that keeps it keeps these numbers, not the machine they were counted
 // on (a pointer into sm.Stats would hold every warp's registers, the
 // caches and the provider reachable for as long as the result lives).

@@ -52,12 +52,6 @@ func (w *Warp) Finished() bool { return w.sm.wFlags[w.ID]&warpFinished != 0 }
 // AtBarrier reports whether the warp is waiting at a CTA barrier.
 func (w *Warp) AtBarrier() bool { return w.sm.wFlags[w.ID]&warpAtBarrier != 0 }
 
-// NextPC returns the next instruction's location (valid if !Finished).
-func (w *Warp) NextPC() isa.PC { return w.Exec.PC() }
-
-// NextInsn returns the next instruction (valid if !Finished).
-func (w *Warp) NextInsn() *isa.Instruction { return w.sm.wInsn[w.ID] }
-
 // NextGI returns the next instruction's global index.
 func (w *Warp) NextGI() int { return w.sm.G.GlobalIndex(w.Exec.PC()) }
 

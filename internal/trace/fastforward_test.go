@@ -10,8 +10,8 @@ import (
 
 // TestFastForwardTraceParity: the traced run — timeline buckets, CSV,
 // and the stall-attribution report built from the recorded event stream —
-// must be identical whether the tracer fast-forwards frozen spans or
-// steps every cycle, for every scheme the CLI exposes.
+// must be identical whether the run fast-forwards frozen spans or steps
+// every cycle, for every scheme the CLI exposes.
 func TestFastForwardTraceParity(t *testing.T) {
 	schemes := []experiments.Scheme{
 		experiments.SchemeBaseline,
@@ -23,7 +23,7 @@ func TestFastForwardTraceParity(t *testing.T) {
 	}
 	var skipped uint64
 	for _, scheme := range schemes {
-		run := func(noFF bool) (*Result, *sim.SM) {
+		run := func(noFF bool) (traced, *sim.SM) {
 			smv, _, err := experiments.BuildSM("hotspot", scheme, experiments.SimSetup{
 				Capacity:      experiments.DefaultCapacity,
 				Warps:         16,
@@ -33,11 +33,7 @@ func TestFastForwardTraceParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(smv, 50, events.MaskAll)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res, smv
+			return foldRun(t, smv, 50, events.MaskAll), smv
 		}
 		ff, ffSM := run(false)
 		st, _ := run(true)
@@ -62,6 +58,6 @@ func TestFastForwardTraceParity(t *testing.T) {
 		skipped += ff.Stats.FFSkippedCycles
 	}
 	if skipped == 0 {
-		t.Fatal("fast-forward never engaged under the tracer — parity proved nothing")
+		t.Fatal("fast-forward never engaged under the recorder — parity proved nothing")
 	}
 }

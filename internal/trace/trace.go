@@ -3,20 +3,20 @@
 // through inactive/preloading/active/draining as regions stage, and
 // issue slots filling or starving.
 //
-// The tracer steps the SM itself (sim.SM.StepOne) with an event
-// recorder attached, and folds the drained event stream into per-cycle
-// warp states: capacity phases from KindWarpState transitions, barriers
-// and exits from the scheduler events every scheme emits. Nothing is
-// re-sampled from provider internals, so the same recorder doubles as
-// the source for Perfetto export and stall-attribution analysis.
+// A timeline is a fold over the event recording of a finished run (any
+// run: the package knows nothing of the simulator): capacity phases from
+// KindWarpState transitions, barriers and exits from the scheduler events
+// every scheme emits, instructions from KindIssue. The same recorder
+// doubles as the source for Perfetto export and stall-attribution
+// analysis.
 package trace
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/events"
-	"repro/internal/sim"
 )
 
 // State is the per-warp condition in one bucket.
@@ -46,101 +46,87 @@ type Sample struct {
 	StartCycle uint64
 	// Warp[i] is warp i's dominant state in the bucket.
 	Warp []State
-	// Insns is the number of instructions retired in the bucket.
+	// Insns is the number of instructions issued in the bucket.
 	Insns uint64
 }
 
-// Result is the full traced run.
+// Result is one SM's timeline.
 type Result struct {
-	Bucket  int
-	Samples []Sample
-	Stats   *sim.Stats
-	// Events is the recorder that backed the run; callers hand it to
-	// events.WritePerfetto or events.Analyze for the richer views.
-	Events *events.Recorder
+	Bucket int
+	// FirstWarp is the global ID of the SM's warp 0 (row labels).
+	FirstWarp int
+	Samples   []Sample
 }
 
-// Run simulates smv to completion with an event recorder attached,
-// bucketing per-cycle warp states every `bucket` cycles. mask selects
-// extra event families to record beyond the timeline's own
-// (events.MaskTimeline is always added); pass events.MaskAll when the
-// recorder will also feed Perfetto export or stall attribution.
-func Run(smv *sim.SM, bucket int, mask events.Mask) (*Result, error) {
-	if bucket <= 0 {
-		bucket = 100
+// Fold buckets one SM's finished run every `bucket` (at least 1) cycles:
+// rec is the recorder that observed it (it must have kept
+// events.MaskTimeline), cycles the SM's cycle count, warps its warp count
+// and firstWarp its first global warp ID.
+func Fold(rec *events.Recorder, cycles uint64, warps, firstWarp, bucket int) *Result {
+	hists, insns := histograms(rec, cycles, warps, uint64(bucket))
+	res := &Result{Bucket: bucket, FirstWarp: firstWarp, Samples: make([]Sample, len(hists))}
+	for k, h := range hists {
+		s := Sample{StartCycle: uint64(k) * uint64(bucket), Warp: make([]State, warps), Insns: insns[k]}
+		for w := range h {
+			s.Warp[w] = dominant(&h[w])
+		}
+		res.Samples[k] = s
 	}
-	rec := events.NewRecorder(smv.Cfg.Schedulers, mask|events.MaskTimeline)
-	smv.AttachRecorder(rec)
-	res := &Result{Bucket: bucket, Events: rec}
+	return res
+}
 
-	tr := newTracker(len(smv.Warps))
-	counts := make([][7]int, len(smv.Warps)) // per-warp state histogram
-	cls := make([]int, len(smv.Warps))       // fast-forward classify scratch
-	lastInsns := uint64(0)
-	sampled := 0 // cycles accumulated since the last flush
-	flush := func(start uint64) {
-		s := Sample{StartCycle: start, Warp: make([]State, len(smv.Warps))}
-		for i := range counts {
-			s.Warp[i] = dominant(&counts[i])
-			counts[i] = [7]int{}
-		}
-		s.Insns = smv.Stats.DynInsns - lastInsns
-		lastInsns = smv.Stats.DynInsns
-		sampled = 0
-		res.Samples = append(res.Samples, s)
+// histograms is the fold proper. Cycle stamps run 1..cycles, so bucket k
+// holds the stamps in (k*b, (k+1)*b] (the last one may be short);
+// hists[k][w][c] is how many of them warp w spent in class c (a
+// stateOrder index) and insns[k] how many instructions issued in them. A
+// warp's class changes only where a state, barrier or exit event is
+// stamped and holds from that cycle until the next one, so each stretch
+// is charged to the buckets it overlaps by interval arithmetic: a span
+// the run fast-forwarded over needs no special case, because nothing
+// fires inside it.
+func histograms(rec *events.Recorder, cycles uint64, warps int, b uint64) (hists [][][7]int, insns []uint64) {
+	hists = make([][][7]int, (cycles+b-1)/b)
+	for k := range hists {
+		hists[k] = make([][7]int, warps)
 	}
+	insns = make([]uint64, len(hists))
+	// A warp's state events and its barrier/exit events may sit in
+	// different buffers (shard vs. scheduler group), each in cycle order:
+	// collect them and merge by cycle. They set independent fields, so the
+	// order within one cycle does not matter.
+	var changes []events.Event
+	rec.ForEach(func(e events.Event) {
+		switch e.Kind {
+		case events.KindIssue:
+			insns[(e.Cycle-1)/b]++
+		case events.KindWarpState, events.KindBarrier, events.KindExit:
+			changes = append(changes, e)
+		}
+	})
+	sort.SliceStable(changes, func(i, j int) bool { return changes[i].Cycle < changes[j].Cycle })
 
-	start := smv.Cycle()
-	for !smv.Done() {
-		if smv.Cycle() >= smv.Cfg.MaxCycles {
-			return nil, fmt.Errorf("trace: exceeded %d cycles", smv.Cfg.MaxCycles)
-		}
-		smv.StepOne()
-		if err := smv.CheckHealth(); err != nil {
-			return nil, err
-		}
-		rec.Drain(tr.apply)
-		for i := range smv.Warps {
-			counts[i][tr.classify(i)]++
-		}
-		sampled++
-		if (smv.Cycle()-start)%uint64(bucket) == 0 {
-			flush(smv.Cycle() - uint64(bucket))
-		}
-		if n := smv.TryFastForward(); n > 0 {
-			if err := smv.CheckHealth(); err != nil {
-				return nil, err
-			}
-			// The skipped span is frozen: no state/barrier/exit events
-			// fire inside it (the replayed stall events don't move the
-			// tracker), so every skipped cycle classifies like the cycle
-			// just stepped. Spread the span across bucket boundaries.
-			rec.Drain(tr.apply)
-			cyc := smv.Cycle() - n // the last stepped cycle
-			for i := range smv.Warps {
-				cls[i] = tr.classify(i)
-			}
-			for cyc < smv.Cycle() {
-				seg := smv.Cycle() - cyc
-				if untilFlush := uint64(bucket) - (cyc-start)%uint64(bucket); untilFlush < seg {
-					seg = untilFlush
-				}
-				for i := range smv.Warps {
-					counts[i][cls[i]] += int(seg)
-				}
-				sampled += int(seg)
-				cyc += seg
-				if (cyc-start)%uint64(bucket) == 0 {
-					flush(cyc - uint64(bucket))
-				}
-			}
+	ws := make([]warpFold, warps)
+	// charge books warp w's current class for its uncharged cycles before
+	// `before`.
+	charge := func(w int, before uint64) {
+		wf := &ws[w]
+		c := wf.class()
+		for wf.charged+1 < before {
+			k := wf.charged / b
+			end := min((k+1)*b, before-1)
+			hists[k][w][c] += int(end - wf.charged)
+			wf.charged = end
 		}
 	}
-	if sampled > 0 {
-		flush(smv.Cycle() / uint64(bucket) * uint64(bucket))
+	for _, e := range changes {
+		// The event's own cycle already reads the new class.
+		charge(int(e.Warp), e.Cycle)
+		ws[e.Warp].apply(e)
 	}
-	res.Stats = smv.Finalize()
-	return res, nil
+	for w := range ws {
+		charge(w, cycles+1)
+	}
+	return hists, insns
 }
 
 var stateOrder = [7]State{StateIdle, StateInactive, StatePreloading,
@@ -156,52 +142,39 @@ func dominant(hist *[7]int) State {
 	return stateOrder[best]
 }
 
-// tracker folds the drained event stream into per-warp instantaneous
-// state. Per-warp ordering holds because each warp's state events live
-// in a single shard buffer and each warp's barrier/exit events live in
-// a single group buffer.
-type tracker struct {
-	finished []bool
-	barrier  []bool
-	phase    []int8 // events.Phase; -1 until a WarpState event arrives
+// warpFold is one warp in mid-fold: what its events so far add up to, and
+// the last cycle already charged to a bucket.
+type warpFold struct {
+	finished, barrier bool
+	phased            bool // a WarpState event has arrived (never, on baseline schemes)
+	phase             events.Phase
+	charged           uint64
 }
 
-func newTracker(n int) *tracker {
-	t := &tracker{
-		finished: make([]bool, n),
-		barrier:  make([]bool, n),
-		phase:    make([]int8, n),
-	}
-	for i := range t.phase {
-		t.phase[i] = -1
-	}
-	return t
-}
-
-func (t *tracker) apply(e events.Event) {
+func (wf *warpFold) apply(e events.Event) {
 	switch e.Kind {
 	case events.KindWarpState:
-		t.phase[e.Warp] = int8(e.A)
+		wf.phased, wf.phase = true, events.Phase(e.A)
 	case events.KindBarrier:
-		t.barrier[e.Warp] = e.A == 1
+		wf.barrier = e.A == 1
 	case events.KindExit:
-		t.finished[e.Warp] = true
+		wf.finished = true
 	}
 }
 
-// classify returns warp w's stateOrder index with the timeline's
-// priority: finished beats barrier beats capacity phase; warps that
-// never emitted a phase (baseline schemes) read as Idle.
-func (t *tracker) classify(w int) int {
+// class returns the warp's stateOrder index with the timeline's
+// priority: finished beats barrier beats capacity phase; a warp that
+// never emitted a phase reads as Idle.
+func (wf *warpFold) class() int {
 	switch {
-	case t.finished[w]:
+	case wf.finished:
 		return 6 // StateFinished
-	case t.barrier[w]:
+	case wf.barrier:
 		return 5 // StateBarrier
-	case t.phase[w] < 0:
+	case !wf.phased:
 		return 0 // StateIdle
 	}
-	switch events.Phase(t.phase[w]) {
+	switch wf.phase {
 	case events.PhaseInactive:
 		return 1
 	case events.PhasePreloading:
@@ -230,7 +203,7 @@ func (r *Result) Render(maxCols int) string {
 	fmt.Fprintf(&b, "warp-state timeline: %d buckets x %d cycles  (A=active p=preloading d=draining -=inactive b=barrier)\n",
 		cols, r.Bucket)
 	for w := 0; w < warps; w++ {
-		fmt.Fprintf(&b, "w%02d |", w)
+		fmt.Fprintf(&b, "w%02d |", r.FirstWarp+w)
 		for c := 0; c < cols; c++ {
 			b.WriteByte(byte(r.Samples[c].Warp[w]))
 		}
@@ -267,7 +240,7 @@ func (r *Result) CSV() string {
 	b.WriteString("cycle,insns")
 	if len(r.Samples) > 0 {
 		for w := range r.Samples[0].Warp {
-			fmt.Fprintf(&b, ",w%d", w)
+			fmt.Fprintf(&b, ",w%d", r.FirstWarp+w)
 		}
 	}
 	b.WriteByte('\n')

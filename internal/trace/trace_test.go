@@ -5,13 +5,34 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/events"
 	"repro/internal/exec"
 	"repro/internal/kernels"
 	"repro/internal/rf"
 	"repro/internal/sim"
 )
 
-func traceRun(t *testing.T, regless bool) *Result {
+// traced is a finished run with everything a view of it needs.
+type traced struct {
+	*Result
+	Stats  *sim.Stats
+	Events *events.Recorder
+}
+
+// foldRun runs smv to completion through the ordinary cycle loop with a
+// recorder keeping mask attached, and folds the recording.
+func foldRun(t *testing.T, smv *sim.SM, bucket int, mask events.Mask) traced {
+	t.Helper()
+	rec := events.NewRecorder(smv.Cfg.Schedulers, mask)
+	smv.AttachRecorder(rec)
+	st, err := smv.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return traced{Fold(rec, st.Cycles, smv.Cfg.Warps, smv.Cfg.WarpIDBase, bucket), st, rec}
+}
+
+func traceRun(t *testing.T, regless bool) traced {
 	t.Helper()
 	k := kernels.MustLoad("hotspot")
 	cfg := sim.DefaultConfig()
@@ -31,11 +52,7 @@ func traceRun(t *testing.T, regless bool) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(smv, 50, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return foldRun(t, smv, 50, events.MaskTimeline)
 }
 
 func TestTimelineRegLess(t *testing.T) {

@@ -9,6 +9,10 @@ set -eux
 cd "$(dirname "$0")/.."
 test -z "$(gofmt -l cmd internal scripts examples *.go)"
 go vet ./...
+# The timeline is a view of a finished recording: it may know the event
+# format and nothing of the machine that produced it. (test -z, not
+# `! ... | grep -q`: set -e ignores the status of a negated pipeline.)
+test -z "$(go list -deps ./internal/trace | grep '^repro/internal/sim$')"
 go test -race -shuffle=on ./...
 # The allocation budget of a steady-state run is the program's only
 # without the race detector, whose instrumentation changes what
@@ -64,6 +68,13 @@ done
 # is TestChipOfOneMatchesBareSM in the race gate above.
 smsout="$(go run ./cmd/regless -sms 4 -experiment fig14 -warps 16)"
 test "$smsout" = "$(cat scripts/golden/sms4_fig14_warps16.txt)"
+
+# Timeline smoke: the fold over a run's recording must print what the
+# tracer that stepped the SM itself printed (the golden is that binary's
+# output), and a chip gets one timeline per SM.
+tlout="$(go run ./cmd/regless -bench nw -scheme regless -warps 8 -timeline)"
+test "$tlout" = "$(cat scripts/golden/timeline_nw_warps8.txt)"
+test "$(go run ./cmd/regless -bench nw -scheme regless -warps 8 -sms 4 -timeline | grep -c '^SM [0-3] ')" = 4
 
 # Trace-schema smoke test: a small traced run must produce a Perfetto
 # trace that validates and a stall report that tiles (no WARNING line).
