@@ -3,6 +3,13 @@
 // (Cooper–Harvey–Kennedy), immediate postdominators for SIMT reconvergence,
 // loop back-edge detection, and register liveness that accounts for GPU
 // control divergence via soft-definition analysis (paper §4.4, Algorithm 2).
+//
+// What is true of a kernel is computed once per kernel: everything that
+// simulates, compiles or executes a finished kernel asks For, which builds
+// the Graph and the Liveness on first use and hands every caller the same
+// read-only pair (memo.go). New and ComputeLiveness remain for the one
+// pass that analyses a kernel it goes on to rewrite, the register
+// allocator, and for examples.
 package cfg
 
 import (
@@ -11,9 +18,9 @@ import (
 	"repro/internal/isa"
 )
 
-// Graph is the control-flow graph of a kernel plus derived structure.
-// Construct with New; the analyses are computed eagerly (they are cheap
-// relative to simulation and every consumer needs them).
+// Graph is the control-flow graph of a kernel plus derived structure,
+// computed eagerly by New (every consumer needs all of it). A Graph is
+// never written after New returns; the one For returns is shared.
 type Graph struct {
 	K *isa.Kernel
 

@@ -20,12 +20,19 @@ func (c *CM) BindMetrics(r *metrics.Registry, shard int) {
 	r.Bind(n[5], &c.Stats.DrainsDone)
 	r.Bind(n[6], &c.Stats.Finishes)
 	r.Bind(n[7], &c.Stats.LinesReleased)
-	r.Gauge(n[8], func() uint64 { return uint64(len(c.stack)) })
-	r.Gauge(n[9], func() uint64 {
-		n := 0
-		for _, v := range c.reserved {
-			n += v
-		}
-		return uint64(n)
-	})
+	r.Gauges((*gauges)(c), n[8:10]...)
+}
+
+// gauges is the manager as a metrics.Sampler: stack depth, reserved lines.
+type gauges CM
+
+func (c *gauges) Sample(i int) uint64 {
+	if i == 0 {
+		return uint64(len(c.stack))
+	}
+	n := 0
+	for _, v := range c.reserved {
+		n += v
+	}
+	return uint64(n)
 }

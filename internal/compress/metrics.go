@@ -32,6 +32,16 @@ func (c *Compressor) BindMetrics(r *metrics.Registry, shard int) {
 		r.Bind(n[p-PatConst], &c.Stats.PatHits[p])
 	}
 	n = n[NumPatterns-PatConst:]
-	r.Gauge(n[0], func() uint64 { return uint64(c.CompressedCount()) })
-	r.Gauge(n[1], func() uint64 { return uint64(len(c.cache)) })
+	r.Gauges((*gauges)(c), n[:2]...)
+}
+
+// gauges is the compressor as a metrics.Sampler: compressed registers,
+// resident cache lines.
+type gauges Compressor
+
+func (c *gauges) Sample(i int) uint64 {
+	if i == 0 {
+		return uint64((*Compressor)(c).CompressedCount())
+	}
+	return uint64(len(c.cache))
 }

@@ -106,7 +106,7 @@ type l1op struct {
 	addr  uint32
 	write bool
 	inval bool
-	done  func(mem.Source)
+	w     mem.Waiter
 }
 
 // queueRoom is the capacity a shard's queues start with: deeper than the
@@ -150,6 +150,9 @@ func (sh *shard) push(q *[]preloadReq, r preloadReq) { *q = append(reqT.Grow(sh.
 func (sh *shard) backlog() int {
 	return sh.preloadsQueued + len(sh.invalQ) + len(sh.evictQ) + len(sh.l1ops)
 }
+
+// Sample implements metrics.Sampler: the shard's one gauge, its backlog.
+func (sh *shard) Sample(int) uint64 { return uint64(sh.backlog()) }
 
 type warpState struct {
 	shard    int
@@ -353,7 +356,7 @@ func (p *Provider) Attach(smv *sim.SM) error {
 		sh.cm.BindMetrics(smv.Metrics, s)
 		sh.osu.BindMetrics(smv.Metrics, s)
 		sh.cmp.BindMetrics(smv.Metrics, s)
-		smv.Metrics.Gauge(shardNames(s)[0], func() uint64 { return uint64(sh.backlog()) })
+		smv.Metrics.Gauges(sh, shardNames(s)[0])
 	}
 	warps := wsT.Make(a, smv.Cfg.Warps)
 	p.warps = wsPtrT.Make(a, smv.Cfg.Warps)

@@ -54,7 +54,7 @@ func (p *Provider) drainL1Ops() {
 				p.m.L1Invalidates.Inc()
 			}
 		} else {
-			ok = p.sm.Mem.L1Access(op.addr, op.write, op.done)
+			ok = p.sm.Mem.L1AccessFor(op.addr, op.write, op.w)
 			if ok {
 				if op.write {
 					p.m.L1StoreWrites.Inc()
@@ -166,40 +166,43 @@ func (p *Provider) preload(sh *shard, req preloadReq) {
 		if res.Hit {
 			// Two extra cycles to match tags and decompress (§5.3),
 			// one for the bit vector.
-			p.sm.After(3, f.decompressed)
+			p.sm.After(3, f)
 			return
 		}
 		// Fetch the compressed line from L1.
-		sh.pushL1(l1op{addr: res.FetchLine + p.cfg.AddrOffset, done: f.fetched})
+		sh.pushL1(l1op{addr: res.FetchLine + p.cfg.AddrOffset, w: f})
 		return
 	}
 	// Raw register line from the backing store.
 	f := p.newFill(sh, ws, req, false)
-	sh.pushL1(l1op{addr: p.regAddr(req.warp, req.reg), done: f.fetched})
+	sh.pushL1(l1op{addr: p.regAddr(req.warp, req.reg), w: f})
 }
 
 // fill is one preload on its way in from below the OSU: a compressor hit
 // waiting out its decompress delay, or a compressed or raw register line
-// being fetched through the L1. Fills are pooled and carry the two
-// callbacks the wheel and the memory system take, bound once when the
-// fill is first made, so a preload allocates no closure.
+// being fetched through the L1. Fills are pooled, and a fill is itself
+// what the wheel fires (sim.Timer) and the memory system calls back
+// (mem.Waiter), so a preload allocates nothing.
 type fill struct {
+	p          *Provider
 	sh         *shard
 	ws         *warpState
 	req        preloadReq
-	compressed bool // the value sits in the compressor's space, not at regAddr
-
-	decompressed func()
-	fetched      func(mem.Source)
-	next         *fill // pool free list
+	compressed bool  // the value sits in the compressor's space, not at regAddr
+	next       *fill // pool free list
 }
+
+// Fire implements sim.Timer: the decompress delay is over.
+func (f *fill) Fire() { f.p.landed(f, events.SrcCompressor) }
+
+// MemDone implements mem.Waiter: the line has come in through the L1.
+func (f *fill) MemDone(src mem.Source) { f.p.landed(f, fillSrc(src)) }
 
 func (p *Provider) newFill(sh *shard, ws *warpState, req preloadReq, compressed bool) *fill {
 	f := p.freeFills
 	if f == nil {
 		f = fillT.New(p.a)
-		f.decompressed = func() { p.landed(f, events.SrcCompressor) }
-		f.fetched = func(src mem.Source) { p.landed(f, fillSrc(src)) }
+		f.p = p
 	} else {
 		p.freeFills = f.next
 	}

@@ -1,6 +1,9 @@
 package events_test
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -162,5 +165,84 @@ func TestRegLessEventsReconcileWithFig17(t *testing.T) {
 	}
 	if erases > allocs {
 		t.Errorf("more erases (%d) than allocations (%d)", erases, allocs)
+	}
+}
+
+// TestChipPerfettoSpansSitOnNamedTracks exports a four-SM run and holds
+// every span to a track a thread_name record names. Events carry SM-local
+// warp IDs while the warp and preload tracks are named by global ID, so
+// an exporter that files spans under the ID as recorded leaves the named
+// tracks of every SM but the first empty, with the spans on anonymous
+// rows (it did). Every SM's warp-state process must also show spans on
+// tracks of its own warps.
+func TestChipPerfettoSpansSitOnNamedTracks(t *testing.T) {
+	const sms, warps = 4, 8
+	inst, err := experiments.SimulateInstrumented(context.Background(), "nw", experiments.SchemeRegLess, sms,
+		experiments.SimSetup{Capacity: experiments.DefaultCapacity, Warps: warps, MaxCycles: 5_000_000}, events.MaskAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := make([]events.TraceMeta, len(inst.Recs))
+	for i := range inst.Recs {
+		metas[i] = events.TraceMeta{Bench: "nw", Scheme: "regless", Warps: inst.Warps[i],
+			Schedulers: inst.Schedulers[i], Cycles: inst.Cycles[i], SM: i, WarpIDBase: inst.FirstWarp[i]}
+	}
+	var buf bytes.Buffer
+	if err := events.WriteChipPerfetto(&buf, inst.Recs, metas); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Pid  int            `json:"pid"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	type track struct{ pid, tid int }
+	named := map[track]string{}
+	warpPids := map[int]int{} // pid of "SM<i> warp states" -> i
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "M" {
+			continue
+		}
+		name, _ := ev.Args["name"].(string)
+		switch ev.Name {
+		case "thread_name":
+			named[track{ev.Pid, ev.Tid}] = name
+		case "process_name":
+			var sm int
+			if _, err := fmt.Sscanf(name, "SM%d warp states", &sm); err == nil {
+				warpPids[ev.Pid] = sm
+			}
+		}
+	}
+	if len(warpPids) != sms {
+		t.Fatalf("%d warp-state processes, want %d", len(warpPids), sms)
+	}
+	spansOn := map[int]int{} // SM -> warp-state spans
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		name, ok := named[track{ev.Pid, ev.Tid}]
+		if !ok {
+			t.Fatalf("span %q on pid %d tid %d, which no thread_name record names", ev.Name, ev.Pid, ev.Tid)
+		}
+		if sm, ok := warpPids[ev.Pid]; ok {
+			if lo := sm * warps; ev.Tid < lo || ev.Tid >= lo+warps || name != fmt.Sprintf("w%02d", ev.Tid) {
+				t.Fatalf("SM %d warp-state span on tid %d (%q), want a warp of %d..%d", sm, ev.Tid, name, lo, lo+warps-1)
+			}
+			spansOn[sm]++
+		}
+	}
+	for sm := 0; sm < sms; sm++ {
+		if spansOn[sm] == 0 {
+			t.Errorf("SM %d: no warp-state spans on its named tracks", sm)
+		}
 	}
 }

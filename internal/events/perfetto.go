@@ -15,9 +15,9 @@ type TraceMeta struct {
 	Schedulers int
 	Cycles     uint64
 	// SM is this recording's SM index on the chip (0 on a chip of
-	// one); WarpIDBase is the SM's first global warp ID.
-	// Warp events already carry global IDs — these place the SM's
-	// tracks in the right process group and name them.
+	// one); WarpIDBase is the SM's first global warp ID. Events carry
+	// SM-local warp IDs — these place the SM's tracks in the right
+	// process group and turn its warps' IDs into global ones.
 	SM         int
 	WarpIDBase int
 	// PatternNames optionally names compressor pattern IDs (A field of
@@ -163,7 +163,13 @@ func WriteChipPerfetto(w io.Writer, recs []*Recorder, metas []TraceMeta) error {
 
 // exportShard walks one shard's buffer once, maintaining the small
 // per-track run/span state needed to merge per-cycle events into spans.
+// Events name warps by their SM-local ID; everything written — warp and
+// preload track tids, the warp named on a scheduler span or a compressor
+// decision — carries the global one (gid), which is what
+// WriteChipPerfetto named the tracks by.
 func exportShard(pw *ChromeTrace, rec *Recorder, s int, meta TraceMeta, pidBase int) {
+	gid := func(warp int32) int { return meta.WarpIDBase + int(warp) }
+
 	// Scheduler track: merge consecutive same-labelled cycles into spans.
 	type run struct {
 		name    string
@@ -261,15 +267,15 @@ func exportShard(pw *ChromeTrace, rec *Recorder, s int, meta TraceMeta, pidBase 
 		lastCycle = e.Cycle
 		switch e.Kind {
 		case KindIssue:
-			schedStep(fmt.Sprintf("w%02d", e.Warp), false, e.Cycle)
+			schedStep(fmt.Sprintf("w%02d", gid(e.Warp)), false, e.Cycle)
 		case KindStall:
 			schedStep(StallReason(e.A).String(), true, e.Cycle)
 		case KindWarpState:
-			w := int(e.Warp)
+			w := gid(e.Warp)
 			flushPhase(w, e.Cycle)
 			phases[w] = &openSpan{ph: Phase(e.A), region: e.Region(), start: e.Cycle}
 		case KindBarrier:
-			w := int(e.Warp)
+			w := gid(e.Warp)
 			if e.A == 1 {
 				barriers[w] = e.Cycle
 			} else if start, ok := barriers[w]; ok {
@@ -282,7 +288,7 @@ func exportShard(pw *ChromeTrace, rec *Recorder, s int, meta TraceMeta, pidBase 
 					Pid: pidBase + pidWarps, Tid: w, Args: map[string]any{"kind": "barrier"}})
 			}
 		case KindExit:
-			flushPhase(int(e.Warp), e.Cycle)
+			flushPhase(gid(e.Warp), e.Cycle)
 		case KindPreloadIssue:
 			preloads[uint64(e.Warp)<<32|uint64(e.Arg)] = e.Cycle
 		case KindPreloadFill:
@@ -294,7 +300,7 @@ func exportShard(pw *ChromeTrace, rec *Recorder, s int, meta TraceMeta, pidBase 
 					dur = 1
 				}
 				pw.Emit(TraceEvent{Name: fmt.Sprintf("R%d", e.Arg), Ph: "X", Ts: start,
-					Dur: dur, Pid: pidBase + pidPreloads, Tid: int(e.Warp),
+					Dur: dur, Pid: pidBase + pidPreloads, Tid: gid(e.Warp),
 					Args: map[string]any{"src": PreloadSrc(e.A).String()}})
 			}
 		case KindOSUAlloc:
@@ -319,7 +325,7 @@ func exportShard(pw *ChromeTrace, rec *Recorder, s int, meta TraceMeta, pidBase 
 				name = "miss"
 			}
 			pw.Emit(TraceEvent{Name: name, Ph: "i", Ts: e.Cycle, S: "t",
-				Pid: pidBase + pidCompress, Tid: s, Args: map[string]any{"warp": e.Warp}})
+				Pid: pidBase + pidCompress, Tid: s, Args: map[string]any{"warp": gid(e.Warp)}})
 		}
 	})
 	flushSched()

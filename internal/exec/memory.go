@@ -11,18 +11,23 @@
 package exec
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"repro/internal/arena"
 )
 
-// The functional memory is paged: 64 KiB pages held in a map keyed by
-// the high address bits, with the last-touched page cached so the
-// streaming access patterns the kernels produce (unit-stride rows,
-// per-warp tiles) hit a two-compare fast path instead of a map lookup
-// per lane. Global pages carry a written bitmap because unwritten words
-// read through the init generator; shared pages don't — their words are
-// zero-initialized, which a zeroed page already encodes.
+// The functional memory is paged: 64 KiB pages listed in order of the
+// high address bits (a run stores to a handful, so the list is a few
+// entries searched by bisection, and it comes from the arena like the
+// pages — a map would be rebuilt on the heap every run), with the
+// last-touched page cached so the streaming access patterns the kernels
+// produce (unit-stride rows, per-warp tiles) hit a two-compare fast path
+// instead of a search per lane. Global pages carry a written bitmap
+// because unwritten words read through the init generator; shared pages
+// don't — their words are zero-initialized, which a zeroed page already
+// encodes.
 const (
 	pageShift = 16                    // 64 KiB of address space per page
 	pageWords = 1 << (pageShift - 2)  // 4-byte words per page
@@ -41,13 +46,25 @@ var (
 	memoryT   = arena.Of[Memory]()
 	pagedMemT = arena.Of[pagedMem]()
 	pageT     = arena.Of[page]()
+	pageRefT  = arena.Of[pageRef]()
 )
+
+// pageRef lists one page under its key (the address bits above pageShift).
+type pageRef struct {
+	key uint32
+	pg  *page
+}
 
 // pagedMem is one paged address space with a one-entry page cache.
 type pagedMem struct {
-	pages   map[uint32]*page
+	pages   []pageRef // ascending by key
 	lastKey uint32
 	lastPg  *page
+}
+
+// search returns where key is, or belongs, in the page list.
+func (p *pagedMem) search(key uint32) (int, bool) {
+	return slices.BinarySearchFunc(p.pages, key, func(r pageRef, key uint32) int { return cmp.Compare(r.key, key) })
 }
 
 // lookup returns the page containing word address a, or nil if no store
@@ -57,11 +74,12 @@ func (p *pagedMem) lookup(a uint32) *page {
 	if pg := p.lastPg; pg != nil && p.lastKey == key {
 		return pg
 	}
-	pg := p.pages[key]
-	if pg != nil {
-		p.lastKey, p.lastPg = key, pg
+	i, ok := p.search(key)
+	if !ok {
+		return nil
 	}
-	return pg
+	p.lastKey, p.lastPg = key, p.pages[i].pg
+	return p.lastPg
 }
 
 // ensure returns the page containing word address a, allocating it from
@@ -71,16 +89,14 @@ func (p *pagedMem) ensure(ar *arena.Arena, a uint32) *page {
 	if pg := p.lastPg; pg != nil && p.lastKey == key {
 		return pg
 	}
-	if p.pages == nil {
-		p.pages = make(map[uint32]*page)
+	i, ok := p.search(key)
+	if !ok {
+		p.pages = append(pageRefT.Grow(ar, p.pages, 1), pageRef{})
+		copy(p.pages[i+1:], p.pages[i:])
+		p.pages[i] = pageRef{key, pageT.New(ar)}
 	}
-	pg := p.pages[key]
-	if pg == nil {
-		pg = pageT.New(ar)
-		p.pages[key] = pg
-	}
-	p.lastKey, p.lastPg = key, pg
-	return pg
+	p.lastKey, p.lastPg = key, p.pages[i].pg
+	return p.lastPg
 }
 
 // Memory is the functional (value-level) memory: a global space plus one
@@ -173,12 +189,12 @@ func (m *Memory) StoreShared(cta int, addr, val uint32) {
 // the kernel's observable output, used by equivalence tests.
 func (m *Memory) GlobalStores() map[uint32]uint32 {
 	out := make(map[uint32]uint32)
-	for key, pg := range m.global.pages {
-		base := key << pageShift
-		for w, mask := range pg.written {
+	for _, ref := range m.global.pages {
+		base := ref.key << pageShift
+		for w, mask := range ref.pg.written {
 			for mask != 0 {
 				i := w*64 + bits.TrailingZeros64(mask)
-				out[base+uint32(i)<<2] = pg.vals[i]
+				out[base+uint32(i)<<2] = ref.pg.vals[i]
 				mask &= mask - 1
 			}
 		}

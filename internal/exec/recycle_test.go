@@ -36,12 +36,12 @@ func TestRecycledPagesReadAsFresh(t *testing.T) {
 	}
 	old.StoreShared(0, 64, 7)
 	old.StoreShared(2, 128, 9)
-	firstPage := old.global.pages[0]
+	firstPage := old.global.pages[0].pg
 
 	m := NewMemoryIn(recycled(t, a), nil)
 	storeGlobal(m, 8, 42)
 	m.StoreShared(1, 16, 5)
-	if m.global.pages[0] != firstPage {
+	if m.global.pages[0].pg != firstPage {
 		t.Fatal("the second memory's page is not the first's, recycled")
 	}
 	if got := m.GlobalStores(); len(got) != 1 || got[8] != 42 {
@@ -55,6 +55,57 @@ func TestRecycledPagesReadAsFresh(t *testing.T) {
 	}
 	if got := m.LoadShared(1, 16); got != 5 {
 		t.Fatalf("shared word reads %d, want 5", got)
+	}
+}
+
+// TestPagesFoundInAnyStoreOrder: the page list is kept in key order by
+// insertion, so pages first stored to in descending, ascending or
+// scattered order — from the heap and from an arena, whose list moves to
+// a larger span as it grows — are all found again, unwritten pages are
+// not, and GlobalStores reports every word once.
+func TestPagesFoundInAnyStoreOrder(t *testing.T) {
+	orders := map[string][]uint32{
+		"descending": {9, 7, 5, 3, 1},
+		"ascending":  {0, 2, 4, 6, 8, 10, 12, 14, 16, 18},
+		"scattered":  {40000, 3, 65535, 0, 977, 12, 30001, 4, 5, 977, 3},
+	}
+	for name, keys := range orders {
+		for _, a := range []*arena.Arena{nil, arena.Take()} {
+			m := NewMemoryIn(a, nil)
+			want := map[uint32]uint32{}
+			for i, key := range keys {
+				addr := key<<pageShift + uint32(i)*4
+				m.global.ensure(m.a, addr).store(addr, addr^0x5a5a)
+				want[addr] = addr ^ 0x5a5a
+				m.StoreShared(0, addr, uint32(i)+1)
+			}
+			for i := 1; i < len(m.global.pages); i++ {
+				if m.global.pages[i-1].key >= m.global.pages[i].key {
+					t.Fatalf("%s: page list out of order at %d: %d then %d", name, i, m.global.pages[i-1].key, m.global.pages[i].key)
+				}
+			}
+			got := m.GlobalStores()
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d stored words, want %d", name, len(got), len(want))
+			}
+			for addr, v := range want {
+				if got[addr] != v || m.LoadGlobal(addr) != v {
+					t.Fatalf("%s: word %#x reads %#x (GlobalStores %#x), want %#x", name, addr, m.LoadGlobal(addr), got[addr], v)
+				}
+			}
+			for i, key := range keys {
+				if addr := key<<pageShift + uint32(i)*4; m.LoadShared(0, addr) == 0 {
+					t.Fatalf("%s: shared word %#x lost", name, addr)
+				}
+			}
+			const unwritten = 20 << pageShift
+			if got, want := m.LoadGlobal(unwritten), Mix(unwritten); got != want {
+				t.Fatalf("%s: a page never stored to reads %#x, want the init value %#x", name, got, want)
+			}
+			if m.global.lookup(unwritten) != nil {
+				t.Fatalf("%s: lookup made a page", name)
+			}
+		}
 	}
 }
 

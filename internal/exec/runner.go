@@ -32,7 +32,7 @@ func RunLimit(k *isa.Kernel, numWarps int, mem *Memory, maxSteps uint64) (*RunRe
 	if mem == nil {
 		mem = NewMemory(nil)
 	}
-	g := cfg.New(k)
+	g, _ := cfg.For(k)
 	warps := make([]*Warp, numWarps)
 	for i := range warps {
 		warps[i] = NewWarp(k, g, i, i/k.WarpsPerCTA, mem)

@@ -55,7 +55,7 @@ type Warp struct {
 }
 
 // NewWarp creates a warp at the kernel entry with all lanes active.
-// Graph g must be cfg.New(k) (shared across warps).
+// Graph g must be k's (cfg.For; shared across warps).
 func NewWarp(k *isa.Kernel, g *cfg.Graph, id, cta int, mem *Memory) *Warp {
 	return NewWarpOn(nil, make([][isa.WarpWidth]uint32, k.NumRegs), k, g, id, cta, mem)
 }

@@ -273,7 +273,13 @@ func SimulateInstrumented(ctx context.Context, bench string, scheme Scheme, sms 
 // cycles are the chip run time (slowest SM), event counters sum,
 // WorkingSetKB averages over SMs (it is itself a per-window mean), and
 // BackingSeries sums elementwise (the chip's backing traffic over time).
+// The fold of one SM is that SM's statistics, so a chip of one returns
+// them as they are — Run.Stats and Run.Chip.PerSM[0] are then one Stats
+// with one series, which is sound because a Run is read-only.
 func mergeSimStats(res *gpu.Result) *sim.Stats {
+	if len(res.PerSM) == 1 {
+		return res.PerSM[0]
+	}
 	out := &sim.Stats{Cycles: res.Cycles}
 	for _, st := range res.PerSM {
 		out.DynInsns += st.DynInsns

@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -151,15 +152,26 @@ func Quick() Options {
 	return Options{Warps: 16, Benchmarks: []string{"bfs", "hotspot", "lud", "nw", "streamcluster"}, MaxCycles: 20_000_000}
 }
 
-// benchmarks returns o.Benchmarks in canonical suite order.
-func (o Options) benchmarks() []string {
-	out := make([]string, len(o.Benchmarks))
-	copy(out, o.Benchmarks)
-	order := map[string]int{}
+// suiteRank maps a benchmark name to its position in the suite.
+var suiteRank = sync.OnceValue(func() map[string]int {
+	rank := map[string]int{}
 	for i, n := range kernels.Names() {
-		order[n] = i
+		rank[n] = i
 	}
-	sort.Slice(out, func(a, b int) bool { return order[out[a]] < order[out[b]] })
+	return rank
+})
+
+// benchmarks returns o.Benchmarks in canonical suite order: the list
+// itself when it is in that order already — NewSuite leaves a suite's so,
+// and every table asks — or an ordered copy. Callers do not modify it.
+func (o Options) benchmarks() []string {
+	rank := suiteRank()
+	byRank := func(a, b string) int { return rank[a] - rank[b] }
+	if slices.IsSortedFunc(o.Benchmarks, byRank) {
+		return o.Benchmarks
+	}
+	out := slices.Clone(o.Benchmarks)
+	slices.SortFunc(out, byRank)
 	return out
 }
 
@@ -167,7 +179,9 @@ func (o Options) benchmarks() []string {
 // it points into the machine it was measured on (sim.SM, core.Provider,
 // exec.Memory, mem.Hierarchy) — the Suite caches Runs for the life of
 // the process, and the machine's arena is the next machine's the
-// moment the run is folded (runPoint).
+// moment the run is folded (runPoint). A Run is read-only: every caller
+// of a key gets the same one, Compiled is shared with every run of its
+// (kernel, region config), and on a chip of one Stats is Chip.PerSM[0].
 type Run struct {
 	Bench    string
 	Scheme   Scheme
@@ -263,6 +277,7 @@ func NewSuite(opts Options) *Suite {
 	if opts.SMs < 1 {
 		opts.SMs = 1
 	}
+	opts.Benchmarks = opts.benchmarks()
 	s := &Suite{Opts: opts, Params: energy.DefaultParams(), cache: map[runKey]*runEntry{}}
 	if opts.MetricsWriter != nil {
 		s.jsonl = metrics.NewJSONLWriter(opts.MetricsWriter)

@@ -136,8 +136,7 @@ func Fig5(s *Suite) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := cfg.New(k)
-	lv := cfg.ComputeLiveness(g)
+	_, lv := cfg.For(k)
 	counts := lv.LiveCounts()
 	t := &Table{
 		ID:     "fig5",

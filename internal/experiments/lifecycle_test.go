@@ -13,6 +13,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/events"
 	"repro/internal/exec"
+	"repro/internal/gpu"
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -266,5 +267,68 @@ func TestResultSurvivesArenaReuse(t *testing.T) {
 	}
 	if after := snapshot(); !bytes.Equal(before, after) {
 		t.Fatalf("run A's results changed once its arena was reused:\n%s\n%s", before, after)
+	}
+}
+
+// TestRunsAreReadOnly: a Run is shared — by every caller of its key, and
+// since a chip of one no longer copies, Run.Stats is Run.Chip.PerSM[0],
+// one Stats with one series — so nobody may write one. Every Run of a
+// warm suite is serialised, every consumer there is runs over them (all
+// the paper's tables, then the two extension tables that read cached
+// runs, twice, so a writer that compounds shows), and the bytes must not
+// have moved. On a chip of several the fold is a Stats of its own.
+func TestRunsAreReadOnly(t *testing.T) {
+	s := quickSuite()
+	if _, err := All(s); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() []byte {
+		t.Helper()
+		type numbers struct {
+			Stats       *sim.Stats
+			Prov        sim.ProviderStats
+			Mem         mem.Stats
+			Chip        *gpu.Result
+			Activations []uint64
+		}
+		var all []numbers
+		for _, r := range s.CachedRuns() {
+			all = append(all, numbers{r.Stats, r.Prov, r.Mem, r.Chip, r.RegionActivations})
+		}
+		out, err := json.Marshal(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before := snapshot()
+	for _, r := range s.CachedRuns() {
+		if len(r.Chip.PerSM) != 1 || r.Stats != r.Chip.PerSM[0] {
+			t.Fatalf("%s/%s: a chip of one must hand out its SM's own detached Stats", r.Bench, r.Scheme)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		if _, err := All(s); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{"breakdown", "sensitivity"} {
+			run, _ := ByID(id)
+			if _, err := run(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if after := snapshot(); !bytes.Equal(before, after) {
+		t.Fatal("a table wrote to a cached Run")
+	}
+
+	opts := Quick()
+	opts.SMs = 2
+	r, err := NewSuite(opts).Get("nw", SchemeRegLess, DefaultCapacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Chip.PerSM) != 2 || r.Stats == r.Chip.PerSM[0] || r.Stats == r.Chip.PerSM[1] {
+		t.Fatal("the fold of two SMs must be a Stats of its own")
 	}
 }

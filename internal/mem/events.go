@@ -7,13 +7,12 @@ import (
 
 // request says who waits on an access below the L1 and what the data's
 // arrival means to them. It travels by value through the L2 level and
-// the event queue, so a line request allocates no closure on its way
-// down and back: the callback the caller passed in is the only func
-// involved.
+// the event queue, so a line request allocates nothing on its way down
+// and back: the Waiter the caller passed in is the only party involved.
 type request struct {
 	kind reqKind
 	line uint32 // reqL1Fill: the L1 line (unbiased address) to install
-	done func(Source)
+	w    Waiter
 }
 
 type reqKind uint8
@@ -21,10 +20,10 @@ type reqKind uint8
 const (
 	// reqNone: nobody waits (writes).
 	reqNone reqKind = iota
-	// reqCall: call done with the source.
+	// reqCall: tell w the source.
 	reqCall
-	// reqData: a bypassing data access — free its queue slot, then call
-	// done if there is one.
+	// reqData: a bypassing data access — free its queue slot, then tell
+	// w if there is one.
 	reqData
 	// reqL1Fill: an L1 read miss — install the line and wake every
 	// waiter merged on its MSHR.

@@ -6,7 +6,7 @@ import (
 )
 
 // call is the request form of a bare completion callback.
-func call(done func(Source)) request { return request{kind: reqCall, done: done} }
+func call(done func(Source)) request { return request{kind: reqCall, w: funcWaiter(done)} }
 
 // drainHier ticks the hierarchy until every scheduled completion (L2
 // fetches, MSHR retries) has fired.

@@ -15,7 +15,12 @@
 //
 // Timing is cycle-ticked: callers submit requests (which may be refused
 // when a port or MSHR is unavailable — callers retry next cycle) and
-// completion callbacks fire during Tick.
+// completions are delivered during Tick. Whoever waits on an access is a
+// Waiter — the requester's own record (the SM's memory op, RegLess's
+// preload fill), held by pointer through the request, the MSHR waiter
+// lists, the L2 level and the event queue, so an access allocates
+// nothing on its way down and back. L1Access and DataAccess take a func
+// instead and are adaptors over the same path (WaiterFunc).
 package mem
 
 import (
@@ -87,8 +92,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Source tells a completion callback which level satisfied the access —
-// the provenance Figure 17 reports for register preloads.
+// Source tells a waiter which level satisfied the access — the
+// provenance Figure 17 reports for register preloads.
 type Source uint8
 
 const (
@@ -110,6 +115,29 @@ func (s Source) String() string {
 	default:
 		return "DRAM"
 	}
+}
+
+// Waiter is whoever an access completes for: MemDone is called during
+// Tick, once, when a read's data is available or a write is accepted,
+// with the level that supplied it. A pointer that implements it is
+// carried as is — no closure per access.
+type Waiter interface {
+	MemDone(Source)
+}
+
+// WaiterFunc makes a Waiter of a func (a func value is a pointer, so the
+// conversion allocates nothing either).
+type WaiterFunc func(Source)
+
+// MemDone calls f.
+func (f WaiterFunc) MemDone(src Source) { f(src) }
+
+// funcWaiter is the Waiter for the func-taking entry points: none for nil.
+func funcWaiter(done func(Source)) Waiter {
+	if done == nil {
+		return nil
+	}
+	return WaiterFunc(done)
 }
 
 // Stats counts hierarchy events for the energy model and Figures 17/18.
@@ -158,8 +186,8 @@ var (
 	lineT      = arena.Of[line]()
 	hierarchyT = arena.Of[Hierarchy]()
 	privateL2T = arena.Of[privateL2]()
-	waiterT    = arena.Of[func(Source)]()
-	l1mshrT    = arena.Of[mshr[func(Source)]]()
+	waiterT    = arena.Of[Waiter]()
+	l1mshrT    = arena.Of[mshr[Waiter]]()
 )
 
 func newCache(a *arena.Arena, sets, ways int) *cache {
@@ -233,8 +261,8 @@ type Hierarchy struct {
 	// L1 port: one request per cycle (Table 1).
 	l1PortCycle uint64
 
-	// MSHRs: the L1 lines being fetched, each with its waiting callbacks.
-	mshrs mshrFile[func(Source)]
+	// MSHRs: the L1 lines being fetched, each with who waits on it.
+	mshrs mshrFile[Waiter]
 
 	// Bypassing data path.
 	dataInFlight int
@@ -243,8 +271,8 @@ type Hierarchy struct {
 	// rec, when attached, observes accepted L1 accesses (nil-safe).
 	rec *events.Recorder
 
-	// flt, when armed, corrupts accepted response callbacks (nil-safe:
-	// the disabled path costs one branch per accepted access).
+	// flt, when armed, corrupts accepted responses (nil-safe: the
+	// disabled path costs one branch per accepted access).
 	flt *faults.Injector
 
 	events calendar.Ring[event]
@@ -253,18 +281,19 @@ type Hierarchy struct {
 // SetRecorder attaches an event recorder for backing-store L1 traffic.
 func (h *Hierarchy) SetRecorder(r *events.Recorder) { h.rec = r }
 
-// SetFaults arms a fault injector: accepted L1/data response callbacks
-// consult it for mem-delay/mem-drop faults.
+// SetFaults arms a fault injector: accepted L1/data responses consult it
+// for mem-delay/mem-drop faults.
 func (h *Hierarchy) SetFaults(in *faults.Injector) { h.flt = in }
 
-// applyFault runs one accepted response callback through the injector:
+// applyFault runs the waiter of one accepted access through the injector:
 // a dropped response returns nil (the requester never hears back — the
-// hierarchy's own accounting is unaffected), a delayed one is rescheduled
-// after the extra latency. Called only at accept points, never on
-// rejected requests, so a fault is consumed exactly when it takes effect.
-func (h *Hierarchy) applyFault(done func(Source)) func(Source) {
-	if h.flt == nil || done == nil {
-		return done
+// hierarchy's own accounting is unaffected), a delayed one a stand-in
+// that re-delivers to w after the extra latency. Called only at accept
+// points, never on rejected requests, so a fault is consumed exactly when
+// it takes effect.
+func (h *Hierarchy) applyFault(w Waiter) Waiter {
+	if h.flt == nil || w == nil {
+		return w
 	}
 	drop, delay := h.flt.MemResponse(h.now)
 	if drop {
@@ -273,10 +302,21 @@ func (h *Hierarchy) applyFault(done func(Source)) func(Source) {
 	}
 	if delay > 0 {
 		h.Stats.FaultDelays++
-		orig := request{kind: reqCall, done: done}
-		return func(s Source) { h.deliverAfter(delay, orig, s) }
+		return &delayed{h: h, delay: delay, w: w}
 	}
-	return done
+	return w
+}
+
+// delayed is a mem-delay fault standing between an access and its waiter
+// (fault runs only: the one completion record the hierarchy allocates).
+type delayed struct {
+	h     *Hierarchy
+	delay int
+	w     Waiter
+}
+
+func (d *delayed) MemDone(src Source) {
+	d.h.deliverAfter(d.delay, request{kind: reqCall, w: d.w}, src)
 }
 
 // l2Level is what sits below a hierarchy's L1. Every call takes the
@@ -351,15 +391,15 @@ func (h *Hierarchy) deliver(r request, src Source) {
 		h.dataInFlight--
 		fallthrough
 	case reqCall:
-		if r.done != nil {
-			r.done(src)
+		if r.w != nil {
+			r.w.MemDone(src)
 		}
 	case reqL1Fill:
 		h.fill(r.line, false)
 		if m := h.mshrs.find(r.line); m != nil {
-			for _, fn := range m.waiters {
-				if fn != nil {
-					fn(src)
+			for _, w := range m.waiters {
+				if w != nil {
+					w.MemDone(src)
 				}
 			}
 			h.mshrs.release(m)
@@ -415,11 +455,17 @@ func (h *Hierarchy) countL1(write bool) {
 func (h *Hierarchy) l1PortAvailable() bool { return h.l1PortCycle != h.now+1 }
 func (h *Hierarchy) claimL1Port()          { h.l1PortCycle = h.now + 1 }
 
-// L1Access submits a register-space L1 access. done fires when the data is
-// available (reads) or accepted (writes), and reports which level supplied
-// it. Returns false when the port or an MSHR is unavailable; the caller
-// retries. done may be nil.
+// L1Access is L1AccessFor with a func to call in place of a Waiter (nil:
+// nobody waits).
 func (h *Hierarchy) L1Access(addr uint32, write bool, done func(Source)) bool {
+	return h.L1AccessFor(addr, write, funcWaiter(done))
+}
+
+// L1AccessFor submits a register-space L1 access. w hears when the data is
+// available (reads) or accepted (writes), and which level supplied it.
+// Returns false when the port or an MSHR is unavailable; the caller
+// retries. w may be nil.
+func (h *Hierarchy) L1AccessFor(addr uint32, write bool, w Waiter) bool {
 	a := align(addr)
 	if !h.l1PortAvailable() {
 		h.Stats.L1PortRejects++
@@ -433,7 +479,7 @@ func (h *Hierarchy) L1Access(addr uint32, write bool, done func(Source)) bool {
 		if write {
 			ln.dirty = true
 		}
-		h.l1HitDone(done)
+		h.l1HitDone(w)
 		return true
 	}
 	if write {
@@ -444,14 +490,14 @@ func (h *Hierarchy) L1Access(addr uint32, write bool, done func(Source)) bool {
 		h.Stats.L1Hits++ // counts as a hit: no lower-level traffic
 		h.rec.L1(write, true, a)
 		h.fill(a, true)
-		h.l1HitDone(done)
+		h.l1HitDone(w)
 		return true
 	}
 	// Read miss: take an MSHR (merge secondary misses).
 	if m := h.mshrs.find(a); m != nil {
 		h.claimL1Port()
 		h.countL1(write)
-		m.waiters = append(waiterT.Grow(h.a, m.waiters, 1), h.applyFault(done))
+		m.waiters = append(waiterT.Grow(h.a, m.waiters, 1), h.applyFault(w))
 		h.Stats.L1Misses++
 		h.rec.L1(write, false, a)
 		return true
@@ -465,15 +511,15 @@ func (h *Hierarchy) L1Access(addr uint32, write bool, done func(Source)) bool {
 	h.Stats.L1Misses++
 	h.rec.L1(write, false, a)
 	m := h.mshrs.take(a)
-	m.waiters = append(waiterT.Grow(h.a, m.waiters, 1), h.applyFault(done))
+	m.waiters = append(waiterT.Grow(h.a, m.waiters, 1), h.applyFault(w))
 	h.l2Access(a, false, request{kind: reqL1Fill, line: a})
 	return true
 }
 
 // l1HitDone schedules the completion of an access the L1 absorbed.
-func (h *Hierarchy) l1HitDone(done func(Source)) {
-	if done = h.applyFault(done); done != nil {
-		h.deliverAfter(h.cfg.L1HitLatency, request{kind: reqCall, done: done}, SrcL1)
+func (h *Hierarchy) l1HitDone(w Waiter) {
+	if w = h.applyFault(w); w != nil {
+		h.deliverAfter(h.cfg.L1HitLatency, request{kind: reqCall, w: w}, SrcL1)
 	}
 }
 
@@ -575,11 +621,17 @@ func (l2 *privateL2) dramQueueDelay(h *Hierarchy) int {
 	return int(start - h.now)
 }
 
-// DataAccess submits a global data access that bypasses L1 (Table 1).
-// done fires when a read's data returns; writes complete immediately after
-// acceptance. Returns false when the data queue is full or the injection
-// port is busy.
+// DataAccess is DataAccessFor with a func to call in place of a Waiter
+// (nil: nobody waits).
 func (h *Hierarchy) DataAccess(addr uint32, write bool, done func(Source)) bool {
+	return h.DataAccessFor(addr, write, funcWaiter(done))
+}
+
+// DataAccessFor submits a global data access that bypasses L1 (Table 1).
+// w hears when a read's data returns; writes complete immediately after
+// acceptance. Returns false when the data queue is full or the injection
+// port is busy. w may be nil.
+func (h *Hierarchy) DataAccessFor(addr uint32, write bool, w Waiter) bool {
 	a := align(addr)
 	if h.dataInFlight >= h.cfg.DataQueueDepth || h.dataNextFree > h.now {
 		h.Stats.DataRejects++
@@ -587,21 +639,21 @@ func (h *Hierarchy) DataAccess(addr uint32, write bool, done func(Source)) bool 
 	}
 	h.dataNextFree = h.now + uint64(h.cfg.DataCyclesPerReq)
 	h.dataInFlight++
-	done = h.applyFault(done)
+	w = h.applyFault(w)
 	if write {
 		// Writes are fire-and-forget at the core: the L2 update is
 		// submitted now, the queue slot frees after the injection
-		// latency, and the warp-side callback fires immediately.
+		// latency, and the warp side hears immediately.
 		h.Stats.DataWrites++
 		h.l2Access(a, true, request{})
 		h.deliverAfter(h.cfg.L2Latency, request{kind: reqData}, SrcL2)
-		if done != nil {
-			h.deliverAfter(1, request{kind: reqCall, done: done}, SrcL2)
+		if w != nil {
+			h.deliverAfter(1, request{kind: reqCall, w: w}, SrcL2)
 		}
 		return true
 	}
 	h.Stats.DataReads++
-	h.l2Access(a, false, request{kind: reqData, done: done})
+	h.l2Access(a, false, request{kind: reqData, w: w})
 	return true
 }
 

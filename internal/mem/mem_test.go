@@ -325,8 +325,8 @@ func TestFarEventsHopToTheirCycle(t *testing.T) {
 	h := New(DefaultConfig())
 	var order []string
 	var firedAt uint64
-	h.deliverAfter(far, request{kind: reqCall, done: func(Source) { order = append(order, "far"); firedAt = h.Now() }}, SrcL2)
-	h.deliverAfter(far-1, request{kind: reqCall, done: func(Source) { order = append(order, "near") }}, SrcL2)
+	h.deliverAfter(far, call(func(Source) { order = append(order, "far"); firedAt = h.Now() }), SrcL2)
+	h.deliverAfter(far-1, call(func(Source) { order = append(order, "near") }), SrcL2)
 	for h.Now() < far+10 {
 		if wake, ok := h.NextWake(false); len(order) < 2 && (!ok || wake <= h.Now() || (len(order) == 1 && wake > far)) {
 			t.Fatalf("cycle %d: NextWake = %d,%v with an event pending for cycle %d", h.Now(), wake, ok, far)

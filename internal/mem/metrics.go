@@ -21,8 +21,18 @@ func (h *Hierarchy) BindMetrics(r *metrics.Registry) {
 	r.Bind("mem/l1_port_rejects", &h.Stats.L1PortRejects)
 	r.Bind("mem/mshr_rejects", &h.Stats.MSHRRejects)
 	r.Bind("mem/data_rejects", &h.Stats.DataRejects)
-	r.Gauge("mem/mshr_occupancy", func() uint64 { return uint64(h.mshrs.inUse()) })
-	r.Gauge("mem/data_in_flight", func() uint64 { return uint64(h.dataInFlight) })
+	r.Gauges((*gauges)(h), "mem/mshr_occupancy", "mem/data_in_flight")
+}
+
+// gauges is the hierarchy as a metrics.Sampler: MSHRs in use, bypassing
+// data accesses in flight.
+type gauges Hierarchy
+
+func (h *gauges) Sample(i int) uint64 {
+	if i == 0 {
+		return uint64(h.mshrs.inUse())
+	}
+	return uint64(h.dataInFlight)
 }
 
 // BindMetrics exposes the chip-level L2/DRAM counters on r under
@@ -38,11 +48,16 @@ func (l2 *BankedL2) BindMetrics(r *metrics.Registry) {
 	r.Bind("l2/dram_accesses", &l2.Stats.DRAMAccesses)
 	r.Bind("l2/dram_writes", &l2.Stats.DRAMWrites)
 	r.Bind("l2/dram_queue_cycles", &l2.Stats.DRAMQueueCycles)
-	r.Gauge("l2/mshr_occupancy", func() uint64 {
-		var n uint64
-		for i := range l2.banks {
-			n += uint64(l2.banks[i].mshrs.inUse())
-		}
-		return n
-	})
+	r.Gauges((*l2gauges)(l2), "l2/mshr_occupancy")
+}
+
+// l2gauges is the banked L2 as a metrics.Sampler: MSHRs in use, all banks.
+type l2gauges BankedL2
+
+func (l2 *l2gauges) Sample(int) uint64 {
+	var n uint64
+	for i := range l2.banks {
+		n += uint64(l2.banks[i].mshrs.inUse())
+	}
+	return n
 }

@@ -18,9 +18,11 @@
 // Existing statistics structs integrate without touching their hot paths:
 // Bind registers a view over an external *uint64 field, so `stats.X++`
 // keeps compiling to a bare increment while the registry can still
-// snapshot, diff, and export the cell. Gauges sample a closure only at
+// snapshot, diff, and export the cell. Gauges are sampled only at
 // snapshot/window boundaries, which makes occupancy-style metrics (queue
-// depths, cache residency) free during simulation.
+// depths, cache residency) free during simulation; a component registers
+// its gauges as one Sampler (Gauges), held by pointer, so registering
+// them allocates no closure per gauge per run.
 package metrics
 
 import (
@@ -45,11 +47,12 @@ const (
 
 type cell struct {
 	name string
-	kind Kind
 	// val backs counters (owned or bound); nil for gauges.
 	val *uint64
-	// sample backs gauges.
-	sample func() uint64
+	// src backs gauges: the cell reads its idx-th.
+	src  Sampler
+	idx  int32
+	kind Kind
 	// atomic marks cells incremented from concurrent goroutines
 	// (AtomicCounter); registry reads then use atomic loads.
 	atomic bool
@@ -221,7 +224,30 @@ func (r *Registry) Gauge(name string, fn func() uint64) {
 	if r == nil {
 		return
 	}
-	r.register(cell{name: name, kind: KindGauge, sample: fn})
+	r.register(cell{name: name, kind: KindGauge, src: samplerFunc(fn)})
+}
+
+// samplerFunc is the Sampler of a lone func gauge.
+type samplerFunc func() uint64
+
+func (f samplerFunc) Sample(int) uint64 { return f() }
+
+// Sampler is a component's gauges read through one pointer: Sample(i) is
+// the current value of the i-th gauge it was registered with.
+type Sampler interface {
+	Sample(i int) uint64
+}
+
+// Gauges registers one gauge per name, the i-th reading s.Sample(i) at
+// snapshot and window boundaries — Gauge for a component that has
+// several, without a closure apiece. A nil registry ignores the call.
+func (r *Registry) Gauges(s Sampler, names ...string) {
+	if r == nil {
+		return
+	}
+	for i, name := range names {
+		r.register(cell{name: name, kind: KindGauge, src: s, idx: int32(i)})
+	}
 }
 
 // histMeta is one histogram's registration record: its family name, the
@@ -402,7 +428,7 @@ func (r *Registry) Value(name string) (uint64, bool) {
 func (r *Registry) read(i int) uint64 {
 	c := &r.cells[i]
 	if c.kind == KindGauge {
-		return c.sample()
+		return c.src.Sample(int(c.idx))
 	}
 	return c.load()
 }
@@ -498,7 +524,7 @@ func (r *Registry) CloseWindow(end uint64) {
 	for i := range r.cells {
 		c := &r.cells[i]
 		if c.kind == KindGauge {
-			r.scratch[i] = c.sample()
+			r.scratch[i] = c.src.Sample(int(c.idx))
 			continue
 		}
 		v := c.load()

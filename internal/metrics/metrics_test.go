@@ -122,6 +122,52 @@ func TestGaugeSampledAtSnapshot(t *testing.T) {
 	}
 }
 
+// queues is a component with two gauges, read through one pointer.
+type queues struct{ depth, inFlight uint64 }
+
+func (q *queues) Sample(i int) uint64 { return [2]uint64{q.depth, q.inFlight}[i] }
+
+// TestGaugesSampleTheirComponent: Gauges registers one gauge cell per
+// name, each reading the Sampler's i-th value at snapshot time and at a
+// window close as a value, not a delta — what Gauge does with a closure
+// apiece — and registering them allocates nothing beyond the cell table.
+func TestGaugesSampleTheirComponent(t *testing.T) {
+	r := NewRegistry()
+	q := &queues{}
+	c := r.Counter("q/pushed")
+	r.Gauges(q, "q/depth", "q/in_flight")
+	var got []uint64
+	r.SetSink(sinkFunc(func(w Window) { got = append(got[:0], w.Values...) }))
+	q.depth, q.inFlight = 9, 4
+	c.Add(3)
+	snap := r.Snapshot()
+	if len(snap) != 3 || snap[1] != (Sample{"q/depth", KindGauge, 9}) || snap[2] != (Sample{"q/in_flight", KindGauge, 4}) {
+		t.Fatalf("snapshot = %+v", snap)
+	}
+	if v, ok := r.Value("q/in_flight"); !ok || v != 4 {
+		t.Fatalf("Value = %d,%v", v, ok)
+	}
+	r.CloseWindow(100)
+	r.CloseWindow(200)
+	if len(got) != 3 || got[0] != 0 || got[1] != 9 || got[2] != 4 {
+		t.Fatalf("second window = %v, want the counter's delta 0 and the gauges' values 9, 4", got)
+	}
+	(*Registry)(nil).Gauges(q, "ignored")
+	var prom bytes.Buffer
+	if err := WritePrometheus(&prom, r, "t"); err != nil || !strings.Contains(prom.String(), "# TYPE t_q_depth gauge\nt_q_depth 9\n") {
+		t.Fatalf("exposition of a Sampler's gauge (err %v):\n%s", err, prom.String())
+	}
+
+	r2 := NewRegistry()
+	r2.Gauges(q, "warm/a", "warm/b") // the cell table reaches its size
+	if n := testing.AllocsPerRun(10, func() {
+		r2.cells = r2.cells[:0]
+		r2.Gauges(q, "warm/a", "warm/b")
+	}); n != 0 {
+		t.Fatalf("registering a component's gauges allocates %v objects, want 0", n)
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", 1, 8, 64)

@@ -54,7 +54,7 @@ func WritePrometheus(w io.Writer, r *Registry, namespace string) error {
 			bw.WriteString("# TYPE " + name + " gauge\n")
 			bw.WriteString(name)
 			bw.WriteByte(' ')
-			scratch = strconv.AppendUint(scratch[:0], c.sample(), 10)
+			scratch = strconv.AppendUint(scratch[:0], r.read(i), 10)
 			bw.Write(scratch)
 			bw.WriteByte('\n')
 			continue

@@ -35,16 +35,14 @@ func (o *OSU) BindMetrics(r *metrics.Registry, shard int) {
 	r.Bind(n[3], &o.Stats.Installs)
 	r.Bind(n[4], &o.Stats.Erases)
 	r.Bind(n[5], &o.Stats.Hits)
-	r.Gauge(n[6], func() uint64 {
-		a, _, _ := o.Occupancy()
-		return uint64(a)
-	})
-	r.Gauge(n[7], func() uint64 {
-		_, c, _ := o.Occupancy()
-		return uint64(c)
-	})
-	r.Gauge(n[8], func() uint64 {
-		_, _, d := o.Occupancy()
-		return uint64(d)
-	})
+	r.Gauges((*occupancy)(o), n[6:9]...)
+}
+
+// occupancy is the unit as a metrics.Sampler: its active, clean and dirty
+// line populations.
+type occupancy OSU
+
+func (o *occupancy) Sample(i int) uint64 {
+	a, c, d := (*OSU)(o).Occupancy()
+	return uint64([3]int{a, c, d}[i])
 }

@@ -134,8 +134,7 @@ func Compile(k *isa.Kernel, cfgOpts Config) (*Compiled, error) {
 	if cfgOpts.MaxRegsPerRegion <= 0 || cfgOpts.BankLines <= 0 {
 		return nil, fmt.Errorf("regions: invalid config %+v", cfgOpts)
 	}
-	g := cfg.New(k)
-	lv := cfg.ComputeLiveness(g)
+	g, lv := cfg.For(k)
 	c := &Compiled{
 		Kernel:   k,
 		G:        g,

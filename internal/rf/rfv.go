@@ -100,7 +100,7 @@ func (v *RFV) Attach(sm *sim.SM) error {
 	a, warps, regs := sm.Arena(), len(sm.Warps), sm.K.NumRegs
 	v.sm = sm
 	v.m = sim.NewProviderCounters(sm)
-	v.lv = cfg.ComputeLiveness(sm.G)
+	_, v.lv = cfg.For(sm.K)
 	v.free = v.physRegs
 	v.fifo.a = a
 	v.mapped, v.spilled = boolsT.Make(a, warps), boolsT.Make(a, warps)

@@ -11,10 +11,10 @@ import (
 // accepts them. One memory instruction is accepted per issue (the SM's
 // single LSU port); its lines may take several cycles to inject.
 //
-// Ops are pooled and their line list is an inline array (a warp has at
-// most WarpWidth lanes, so at most WarpWidth distinct lines), so the
-// steady state performs no allocation per memory instruction — the fresh
-// []uint32 per coalesce call the profiles surfaced is gone.
+// Ops are pooled, their line list is an inline array (a warp has at most
+// WarpWidth lanes, so at most WarpWidth distinct lines), and the op is
+// itself what the memory system calls back (mem.Waiter), so a memory
+// instruction allocates nothing: no line slice, no completion closure.
 type lsu struct {
 	sm    *SM
 	queue []*memOp
@@ -23,6 +23,7 @@ type lsu struct {
 }
 
 type memOp struct {
+	l         *lsu
 	w         *Warp
 	dst       isa.Reg // NoReg for stores
 	write     bool
@@ -30,11 +31,16 @@ type memOp struct {
 	nLines    int
 	submitted int
 	remaining int
-	// done is the completion callback handed to the memory system; bound
-	// to the op once at first allocation so pooled reuse allocates no
-	// closures.
-	done func(mem.Source)
-	next *memOp // pool free list
+	next      *memOp // pool free list
+}
+
+// MemDone implements mem.Waiter: one of the op's lines has completed.
+func (op *memOp) MemDone(mem.Source) {
+	op.remaining--
+	if op.remaining == 0 {
+		op.l.finish(op)
+		op.l.release(op)
+	}
 }
 
 var (
@@ -59,13 +65,7 @@ func (l *lsu) alloc() *memOp {
 	op := l.free
 	if op == nil {
 		op = memOpT.New(l.sm.a)
-		op.done = func(mem.Source) {
-			op.remaining--
-			if op.remaining == 0 {
-				l.finish(op)
-				l.release(op)
-			}
-		}
+		op.l = l
 		return op
 	}
 	l.free = op.next
@@ -100,12 +100,12 @@ func (l *lsu) tick() {
 	for len(l.queue) > 0 {
 		op := l.queue[0]
 		for op.submitted < op.nLines {
-			if !l.sm.Mem.DataAccess(op.lines[op.submitted], op.write, op.done) {
+			if !l.sm.Mem.DataAccessFor(op.lines[op.submitted], op.write, op) {
 				return
 			}
 			op.submitted++
 		}
-		// All lines injected; pop. Completion happens via callbacks.
+		// All lines injected; pop. Completion happens via MemDone.
 		// Copy down rather than reslice from the front: queue[1:] gives
 		// up a slot of capacity per pop, so submit's append regrew the
 		// queue for the whole run.

@@ -353,7 +353,7 @@ func NewWithHierarchyIn(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, 
 	if hier == nil {
 		hier = mem.NewIn(a, cfgv.Mem)
 	}
-	g := cfg.New(k)
+	g, _ := cfg.For(k)
 	sm := smT.New(a)
 	*sm = SM{
 		Cfg:          cfgv,
@@ -462,7 +462,7 @@ func (sm *SM) registerMetrics() {
 	r.Bind("sim/barriers", &sm.Stats.Barriers)
 	r.Bind("sim/mem_lines", &sm.Stats.MemLines)
 	r.Bind("sim/active_lanes", &sm.Stats.ActiveLanes)
-	r.Gauge("sim/lsu_queue_depth", func() uint64 { return uint64(len(sm.lsu.queue)) })
+	r.Gauges((*lsuDepth)(sm), "sim/lsu_queue_depth")
 	n := sm.Cfg.Schedulers
 	sm.mIssued, sm.mNoIssue = counterT.Make(sm.a, n), counterT.Make(sm.a, n)
 	sm.mScoreboard, sm.mProviderStall = counterT.Make(sm.a, n), counterT.Make(sm.a, n)
@@ -476,6 +476,12 @@ func (sm *SM) registerMetrics() {
 	sm.Mem.BindMetrics(r)
 }
 
+// lsuDepth is the SM as a metrics.Sampler: memory instructions queued at
+// the LSU (which is built after the registry, so the SM is what is held).
+type lsuDepth SM
+
+func (sm *lsuDepth) Sample(int) uint64 { return uint64(len(sm.lsu.queue)) }
+
 // Cycle returns the current cycle.
 func (sm *SM) Cycle() uint64 { return sm.cycle }
 
@@ -483,17 +489,17 @@ func (sm *SM) Cycle() uint64 { return sm.cycle }
 // own state from in Attach and grow it in at run time (nil: the heap).
 func (sm *SM) Arena() *arena.Arena { return sm.a }
 
-// After schedules fn to run delay cycles from now; providers use it for
-// fixed-latency internal operations (e.g. compressor decompress delay).
-// The delay must be at least one cycle — this cycle's events have
-// already fired when a provider runs — so anything less is reported as a
-// fault (the run ends with a Diagnostic) and fn is dropped.
-func (sm *SM) After(delay int, fn func()) {
+// After fires t delay cycles from now; providers use it for fixed-latency
+// internal operations (e.g. compressor decompress delay). The delay must
+// be at least one cycle — this cycle's events have already fired when a
+// provider runs — so anything less is reported as a fault (the run ends
+// with a Diagnostic) and t is dropped.
+func (sm *SM) After(delay int, t Timer) {
 	if delay < 1 {
 		sm.ReportFault("sim/after", fmt.Sprintf("event scheduled %d cycles ahead, want at least 1", delay), -1)
 		return
 	}
-	sm.wheel.Push(sm.cycle, sm.cycle+uint64(delay), wheelEntry{fn: fn})
+	sm.wheel.Push(sm.cycle, sm.cycle+uint64(delay), wheelEntry{t: t})
 }
 
 // Run simulates to completion and returns the statistics: the lockstep
@@ -532,8 +538,8 @@ func (sm *SM) step() {
 	sm.Rec.SetCycle(sm.cycle)
 	sm.Mem.Tick()
 	for sm.wheel.Due(sm.cycle) {
-		if e := sm.wheel.Pop(sm.cycle); e.fn != nil {
-			e.fn()
+		if e := sm.wheel.Pop(sm.cycle); e.t != nil {
+			e.t.Fire()
 		} else {
 			sm.Warps[e.warp].completePending(e.reg, e.mem)
 		}

@@ -66,11 +66,11 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				// A callback event: firing it schedules more, sometimes
 				// into the cycle being drained.
-				e.fn = func() {
+				e.t = timerFunc(func() {
 					for n := rng.Intn(3); n > 0; n-- {
 						schedule(uint64(rng.Intn(8)))
 					}
-				}
+				})
 			}
 			w.Push(now, now+delay, e)
 		}
@@ -113,8 +113,8 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 						seed, now, e.warp, want.id, fired)
 				}
 				fired = append(fired, e.warp)
-				if e.fn != nil {
-					e.fn()
+				if e.t != nil {
+					e.t.Fire()
 				}
 			}
 			if w.Due(now) {
@@ -154,6 +154,11 @@ func TestWheelSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// timerFunc is a Timer that calls a func.
+type timerFunc func()
+
+func (f timerFunc) Fire() { f() }
+
 // afterProvider schedules a callback delay cycles ahead at cycle 50.
 type afterProvider struct {
 	nullProvider
@@ -165,9 +170,10 @@ type afterProvider struct {
 func (p *afterProvider) Attach(sm *SM) error { p.sm = sm; return nil }
 func (p *afterProvider) Tick() {
 	if p.sm.Cycle() == 50 {
-		p.sm.After(p.delay, func() { p.ran = true })
+		p.sm.After(p.delay, p)
 	}
 }
+func (p *afterProvider) Fire() { p.ran = true }
 
 // TestAfterRejectsNonPositiveDelay: this cycle's events have already
 // fired when a provider runs, so a delay below one cycle has no cycle to

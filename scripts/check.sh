@@ -13,6 +13,11 @@ go vet ./...
 # format and nothing of the machine that produced it. (test -z, not
 # `! ... | grep -q`: set -e ignores the status of a negated pipeline.)
 test -z "$(go list -deps ./internal/trace | grep '^repro/internal/sim$')"
+# A kernel's graph and liveness are computed once per kernel, by cfg.For:
+# the only other analysis site is regalloc, which analyses a kernel it
+# then rewrites (examples/ are not product code and are not looked at).
+test -z "$(grep -rn 'cfg\.New(\|cfg\.ComputeLiveness(' --include=*.go cmd internal regless.go |
+	grep -v _test | grep -v '^internal/cfg/\|^internal/regalloc/')"
 go test -race -shuffle=on ./...
 # The allocation budget of a steady-state run is the program's only
 # without the race detector, whose instrumentation changes what
@@ -77,14 +82,18 @@ test "$tlout" = "$(cat scripts/golden/timeline_nw_warps8.txt)"
 test "$(go run ./cmd/regless -bench nw -scheme regless -warps 8 -sms 4 -timeline | grep -c '^SM [0-3] ')" = 4
 
 # Trace-schema smoke test: a small traced run must produce a Perfetto
-# trace that validates and a stall report that tiles (no WARNING line).
+# trace that validates — every span on a named track, on a chip's later
+# SMs too — and a stall report that tiles (no WARNING line).
 tracedir="$(mktemp -d)"
 trap 'rm -rf "$tracedir"' EXIT
 go run ./cmd/regless -bench nw -scheme regless -warps 8 \
 	-trace "$tracedir/trace.json" -trace-report > "$tracedir/report.txt"
 go run ./scripts/tracecheck "$tracedir/trace.json"
 grep -q "stall attribution" "$tracedir/report.txt"
-! grep -q "WARNING" "$tracedir/report.txt"
+test -z "$(grep "WARNING" "$tracedir/report.txt")"
+go run ./cmd/regless -bench nw -scheme regless -warps 8 -sms 4 \
+	-trace "$tracedir/trace4.json" > /dev/null
+go run ./scripts/tracecheck "$tracedir/trace4.json"
 
 # Fault-injection smoke suite (DESIGN.md §11): every class must be
 # tolerated (exit 0) or detected with a diagnostic naming a component
@@ -97,7 +106,7 @@ for class in mem-delay mem-drop osu-tag osu-state compress-pattern meta-bank met
 		-faults "${class}@200; seed=3" -sanitize -watchdog 20000 \
 		-diag-out "$tracedir/diag-${class}.json" \
 		> "$tracedir/out-${class}.txt" 2> "$tracedir/err-${class}.txt" || rc=$?
-	! grep -q "panic:" "$tracedir/err-${class}.txt"
+	test -z "$(grep "panic:" "$tracedir/err-${class}.txt")"
 	case "$rc" in
 	0) ;; # tolerated
 	1)

@@ -1,8 +1,10 @@
 // Command tracecheck validates a Chrome trace-event JSON file produced
 // by `regless -trace`: the file must parse, carry the run's metadata,
-// and contain at least one complete ("X") span with a duration —
-// the minimum for Perfetto to render something useful. scripts/check.sh
-// runs it as the trace-schema smoke test.
+// contain at least one complete ("X") span with a duration — the minimum
+// for Perfetto to render something useful — and put every span on a track
+// a thread_name record names (a span filed under another tid than the one
+// that was named renders on an anonymous row beside an empty named one).
+// scripts/check.sh runs it as the trace-schema smoke test.
 //
 // Usage: go run ./scripts/tracecheck FILE
 package main
@@ -26,6 +28,7 @@ type traceFile struct {
 		Ts   float64 `json:"ts"`
 		Dur  float64 `json:"dur"`
 		Pid  int     `json:"pid"`
+		Tid  int     `json:"tid"`
 	} `json:"traceEvents"`
 }
 
@@ -45,15 +48,26 @@ func main() {
 	if len(tf.TraceEvents) == 0 {
 		die("no trace events")
 	}
+	type track struct{ pid, tid int }
+	named := map[track]bool{}
+	for _, ev := range tf.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" {
+			named[track{ev.Pid, ev.Tid}] = true
+		}
+	}
 	var spans, counters, metas int
 	for _, ev := range tf.TraceEvents {
 		switch ev.Ph {
-		case "X":
+		case "X", "B", "E":
 			if ev.Name == "" {
-				die("X event without a name at ts %v", ev.Ts)
+				die("%s event without a name at ts %v", ev.Ph, ev.Ts)
 			}
-			if ev.Dur < 1 {
+			if ev.Ph == "X" && ev.Dur < 1 {
 				die("X event %q has dur %v < 1", ev.Name, ev.Dur)
+			}
+			if !named[track{ev.Pid, ev.Tid}] {
+				die("%s event %q at ts %v sits on pid %d tid %d, which no thread_name record names",
+					ev.Ph, ev.Name, ev.Ts, ev.Pid, ev.Tid)
 			}
 			spans++
 		case "C":
@@ -66,7 +80,7 @@ func main() {
 		}
 	}
 	if spans == 0 {
-		die("no complete (X) spans")
+		die("no spans")
 	}
 	if metas == 0 {
 		die("no metadata (M) events: tracks would be unnamed")
