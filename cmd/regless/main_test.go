@@ -37,22 +37,23 @@ func TestParallelOutputIdentical(t *testing.T) {
 }
 
 // TestExtensionGoldens pins what experiments.All (hence TestSuiteGolden)
-// leaves out — the three extension tables and an application run, every
-// one of which builds its SMs from experiments.SchemeProvider — byte for
-// byte against output captured from the binary that still built them
-// from four private scheme switches (scripts/golden/).
+// leaves out — the four extension tables and an application run — byte
+// for byte against output captured from the binary before the refactor
+// that last touched how they build their machines (scripts/golden/). The
+// ablation table runs at 16 warps: at 8 every variant reads 1.000.
 func TestExtensionGoldens(t *testing.T) {
 	for golden, args := range map[string][]string{
-		"gpuscale_warps8.txt":     {"-experiment", "gpuscale"},
-		"coresident_warps8.txt":   {"-experiment", "coresident"},
-		"oversub_warps8.txt":      {"-experiment", "oversub"},
-		"app_backprop_warps8.txt": {"-app", "backprop_app"},
+		"ablation_warps16.txt":    {"-experiment", "ablation", "-warps", "16"},
+		"gpuscale_warps8.txt":     {"-experiment", "gpuscale", "-warps", "8"},
+		"coresident_warps8.txt":   {"-experiment", "coresident", "-warps", "8"},
+		"oversub_warps8.txt":      {"-experiment", "oversub", "-warps", "8"},
+		"app_backprop_warps8.txt": {"-app", "backprop_app", "-warps", "8"},
 	} {
 		want, err := os.ReadFile(filepath.Join("..", "..", "scripts", "golden", golden))
 		if err != nil {
 			t.Fatal(err)
 		}
-		stdout, stderr, code := runMain(t, append(args, "-warps", "8")...)
+		stdout, stderr, code := runMain(t, args...)
 		if code != 0 || stdout != string(want) {
 			t.Errorf("%v: exit %d, output differs from %s\n%s%s", args, code, golden, stdout, stderr)
 		}
