@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // TestMain lets tests re-exec this binary as the real CLI: with
@@ -54,7 +56,7 @@ func TestValidateFlags(t *testing.T) {
 		{1, "", 100, "", false, "", 1, "mem-drop:delay=9", false, false, "delay= applies to mem-delay"},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.parallel, c.metrics, c.bucket, c.trace, c.report, c.bench, c.maxCycles, c.faults, 1, c.timeline, c.csv, "")
+		err := validateFlags(c.parallel, c.metrics, c.bucket, c.trace, c.report, c.bench, c.maxCycles, c.faults, 1, c.timeline, c.csv, "", "regless")
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("validateFlags(%+v) = %v, want nil", c, err)
@@ -63,6 +65,24 @@ func TestValidateFlags(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("validateFlags(%+v) = %v, want error containing %q", c, err, c.wantErr)
+		}
+	}
+}
+
+// TestValidateSchemeFlag: -scheme is admitted by experiments.ParseScheme,
+// the check serve makes of a request's scheme.
+func TestValidateSchemeFlag(t *testing.T) {
+	check := func(scheme, app string) error {
+		return validateFlags(1, "", 100, "", false, "nw", 1, "", 1, false, false, app, scheme)
+	}
+	for _, sc := range experiments.Schemes() {
+		if err := check(string(sc), ""); err != nil {
+			t.Errorf("-scheme %s: %v", sc, err)
+		}
+	}
+	for _, app := range []string{"", "backprop_app"} {
+		if err := check("foo", app); err == nil || !strings.Contains(err.Error(), `unknown scheme "foo"`) {
+			t.Errorf("-scheme foo -app %q: %v", app, err)
 		}
 	}
 }
@@ -86,7 +106,7 @@ func TestValidateSMsFlag(t *testing.T) {
 		{1, false, "srad_app", ""},
 	}
 	for _, c := range cases {
-		err := validateFlags(1, "", 100, "", false, "nw", 1, "", c.sms, c.timeline, false, c.app)
+		err := validateFlags(1, "", 100, "", false, "nw", 1, "", c.sms, c.timeline, false, c.app, "regless")
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("validateFlags(sms=%d timeline=%v app=%q) = %v, want nil", c.sms, c.timeline, c.app, err)
@@ -134,6 +154,8 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{[]string{"-bucket", "0", "-bench", "nw", "-timeline"}, "-bucket must be at least 1, got 0"},
 		{[]string{"-trace-report", "-experiment", "fig2"}, "-trace and -trace-report require -bench"},
 		{[]string{"-experiment", "fig14", "-timeline", "-csv"}, "-timeline and -csv require -bench"},
+		{[]string{"-bench", "nw", "-scheme", "foo"}, `unknown scheme "foo"`},
+		{[]string{"-app", "backprop_app", "-scheme", "foo"}, `unknown scheme "foo"`},
 	}
 	for _, c := range cases {
 		stdout, stderr, code := runMain(t, c.args...)
@@ -360,6 +382,82 @@ func TestTimelineRunsEndInDiagnostics(t *testing.T) {
 		}
 		if !strings.HasPrefix(bundle.Component, c.component) || bundle.Kernel != "nw" {
 			t.Fatalf("%v: bundle content: %+v", c.args, bundle)
+		}
+	}
+}
+
+// everyMachine is one invocation per way the CLI builds a machine outside
+// the suite cache: the four extension tables and an application.
+var everyMachine = [][]string{
+	{"-experiment", "ablation", "-benchmarks", "nw"},
+	{"-experiment", "gpuscale"},
+	{"-experiment", "coresident"},
+	{"-experiment", "oversub"},
+	{"-app", "backprop_app", "-scheme", "regless"},
+}
+
+// TestRobustnessFlagsReachEveryMachine: every machine the CLI can build
+// is assembled from the same options, so the sanitizer, the injector and
+// the cycle bounds reach the extension tables and -app as they reach
+// -bench — each abnormal end is exit 1 with the Diagnostic bundle on
+// stderr and in -diag-out — and a sanitized or stepped healthy run prints
+// what the plain one does.
+func TestRobustnessFlagsReachEveryMachine(t *testing.T) {
+	for _, machine := range everyMachine {
+		run := func(extra ...string) (string, string, int) {
+			return runMain(t, append(append([]string{"-warps", "8"}, machine...), extra...)...)
+		}
+		for _, c := range []struct {
+			component string
+			args      []string
+		}{
+			{"osu/", []string{"-faults", "osu-tag@200; seed=3", "-sanitize", "-watchdog", "20000"}},
+			{"sim/maxcycles", []string{"-max-cycles", "100"}},
+			{"sim/watchdog", []string{"-faults", "mem-drop@0; seed=3", "-watchdog", "2000"}},
+		} {
+			diagFile := t.TempDir() + "/diag.json"
+			_, stderr, code := run(append(c.args, "-diag-out", diagFile)...)
+			if code != 1 || !strings.Contains(stderr, "component  "+c.component) {
+				t.Fatalf("%v %v: exit %d, want 1 naming %s\n%s", machine, c.args, code, c.component, stderr)
+			}
+			var bundle struct {
+				Component string `json:"component"`
+			}
+			if raw, err := os.ReadFile(diagFile); err != nil || json.Unmarshal(raw, &bundle) != nil ||
+				!strings.HasPrefix(bundle.Component, c.component) {
+				t.Fatalf("%v %v: -diag-out bundle %q (%v)", machine, c.args, raw, err)
+			}
+		}
+		plain, stderr, code := run()
+		if code != 0 {
+			t.Fatalf("%v: exit %d\n%s", machine, code, stderr)
+		}
+		flags := []string{"-sanitize", "-no-fastforward"}
+		if machine[0] == "-app" {
+			// A stepped application run is not compared: the fast-forward
+			// reads a standing hierarchy's clock as the new SM's, so later
+			// kernels of a fast-forwarded application are charged the
+			// earlier ones' cycles (ROADMAP item 8(3)); the plain output is
+			// the golden's.
+			flags = flags[:1]
+		}
+		for _, flag := range flags {
+			if got, stderr, code := run(flag); code != 0 || got != plain {
+				t.Errorf("%v %s: exit %d, output differs from the plain run\n%s%s", machine, flag, code, got, stderr)
+			}
+		}
+	}
+}
+
+// TestOversubscriptionFaultClasses is check.sh's fault smoke on a launch
+// sequence: every class is tolerated (exit 0) or detected with a named
+// component (exit 1), never a panic.
+func TestOversubscriptionFaultClasses(t *testing.T) {
+	for _, class := range []string{"mem-delay", "mem-drop", "osu-tag", "osu-state", "compress-pattern", "meta-bank", "meta-erase"} {
+		_, stderr, code := runMain(t, "-experiment", "oversub", "-warps", "8",
+			"-faults", class+"@200; seed=3", "-sanitize", "-watchdog", "20000")
+		if strings.Contains(stderr, "panic:") || code != 0 && (code != 1 || !strings.Contains(stderr, "\ncomponent  ")) {
+			t.Errorf("%s: exit %d\n%s", class, code, stderr)
 		}
 	}
 }

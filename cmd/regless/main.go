@@ -35,11 +35,9 @@ import (
 	"repro/internal/events"
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/launch"
+	"repro/internal/mem"
 	"repro/internal/sanitizer"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -54,7 +52,7 @@ func main() {
 		experiment = flag.String("experiment", "", "experiment id (table1, fig2..fig19, table2, ablation, gpuscale, coresident, oversub, or 'all')")
 		bench      = flag.String("bench", "", "run one benchmark (with -scheme)")
 		app        = flag.String("app", "", "run a multi-kernel application (backprop_app, bfs_app, srad_app)")
-		scheme     = flag.String("scheme", "regless", "scheme for -bench: baseline, baseline-2level, rfv, rfh, regless, regless-nocomp")
+		scheme     = flag.String("scheme", "regless", fmt.Sprintf("scheme for -bench and -app, one of %v", experiments.Schemes()))
 		capacity   = flag.Int("capacity", experiments.DefaultCapacity, "RegLess OSU registers per SM")
 		warps      = flag.Int("warps", 64, "warps per SM")
 		sms        = flag.Int("sms", 1, "SMs on the chip (must be >= 1); >1 runs lockstep SMs sharing the banked L2 and DRAM")
@@ -89,7 +87,7 @@ func main() {
 		}
 		return
 	}
-	if err := validateFlags(*parallel, *metricsFmt, *bucket, *traceOut, *traceRep, *bench, *maxCycles, *faultSpec, *sms, *timeline, *csvOut, *app); err != nil {
+	if err := validateFlags(*parallel, *metricsFmt, *bucket, *traceOut, *traceRep, *bench, *maxCycles, *faultSpec, *sms, *timeline, *csvOut, *app, *scheme); err != nil {
 		fmt.Fprintln(os.Stderr, "regless:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -148,18 +146,19 @@ func main() {
 		}
 	}()
 
+	sch := experiments.Scheme(*scheme) // validateFlags vetted the name
 	switch {
 	case *app != "":
-		runApp(*app, experiments.Scheme(*scheme), *capacity, *warps, *maxCycles, *watchdog)
+		runApp(*app, sch, opts.Setup(*capacity))
 	case *bench != "" && (*timeline || *traceOut != "" || *traceRep):
 		runTrace(traceOpts{
-			bench: *bench, scheme: experiments.Scheme(*scheme),
+			bench: *bench, scheme: sch,
 			bucket: *bucket, csv: *csvOut, timeline: *timeline,
 			traceFile: *traceOut, report: *traceRep, sms: *sms,
 			setup: opts.Setup(*capacity),
 		})
 	case *bench != "":
-		runOne(suite, out, *bench, experiments.Scheme(*scheme), *capacity)
+		runOne(suite, out, *bench, sch, *capacity)
 	case *experiment == "all":
 		start := time.Now()
 		tables, err := experiments.All(suite)
@@ -195,7 +194,7 @@ func main() {
 // misread: a non-positive planner width used to mean "GOMAXPROCS" but now
 // the default carries that value, so anything below 1 is a mistake; the
 // timeline divides by the bucket.
-func validateFlags(parallel int, metricsFmt string, bucket int, traceOut string, traceRep bool, bench string, maxCycles uint64, faultSpec string, sms int, timeline, csv bool, app string) error {
+func validateFlags(parallel int, metricsFmt string, bucket int, traceOut string, traceRep bool, bench string, maxCycles uint64, faultSpec string, sms int, timeline, csv bool, app, scheme string) error {
 	if parallel < 1 {
 		return fmt.Errorf("-parallel must be at least 1, got %d", parallel)
 	}
@@ -225,7 +224,8 @@ func validateFlags(parallel int, metricsFmt string, bucket int, traceOut string,
 			return err
 		}
 	}
-	return nil
+	_, err := experiments.ParseScheme(scheme)
+	return err
 }
 
 // benchSnapshot is the -json performance record: scripts/bench.sh writes
@@ -287,23 +287,22 @@ func render(tb *experiments.Table, md bool) string {
 	return tb.Render()
 }
 
-func runApp(name string, scheme experiments.Scheme, capacity, warps int, maxCycles, watchdog uint64) {
+// runApp runs an application's kernels back to back on one SM: one
+// functional memory (later kernels read earlier kernels' stores) and one
+// memory hierarchy (they hit lines earlier kernels left in its caches).
+func runApp(name string, scheme experiments.Scheme, su experiments.SimSetup) {
 	application, err := kernels.AppByName(name)
 	check(err)
-	cfg := sim.DefaultConfig()
-	cfg.MaxCycles = maxCycles
-	cfg.WatchdogCycles = watchdog
-	mk, _, err := experiments.SchemeProvider(scheme, capacity, &cfg)
-	check(err)
-	factory := func(_ int, k *isa.Kernel) (sim.Provider, error) { return mk(0, k) }
-	res, err := launch.RunApp(application, warps, cfg, factory, nil)
+	su.Hier = mem.New(mem.DefaultConfig())
+	res, err := experiments.Launch(application.Kernels, scheme, 1, su.Warps, su)
 	check(err)
 	fmt.Printf("application    %s (%d kernels), scheme %s\n", application.Name, len(application.Kernels), scheme)
-	for i, st := range res.PerKernel {
+	for i, r := range res.PerLaunch {
+		st := r.PerSM[0]
 		fmt.Printf("  kernel %d (%-18s) %7d cycles, IPC %.2f, SIMT eff %.2f\n",
 			i, application.Kernels[i].Name, st.Cycles, st.IPC(), st.SIMTEfficiency())
 	}
-	fmt.Printf("total          %d cycles; L2 hits across launches: %d\n", res.Cycles, res.MemStats.L2Hits)
+	fmt.Printf("total          %d cycles; L2 hits across launches: %d\n", res.Cycles, su.Hier.Stats.L2Hits)
 }
 
 // traceOpts parameterizes the traced single-benchmark run shared by
@@ -409,7 +408,7 @@ func runOne(suite *experiments.Suite, out io.Writer, bench string, scheme experi
 	st := r.Stats
 	fmt.Fprintf(out, "benchmark      %s\n", bench)
 	fmt.Fprintf(out, "scheme         %s", scheme)
-	if scheme == experiments.SchemeRegLess || scheme == experiments.SchemeRegLessNC {
+	if scheme.HasCapacity() {
 		fmt.Fprintf(out, " (%d registers/SM)", capacity)
 	}
 	fmt.Fprintln(out)

@@ -51,8 +51,7 @@ func (s *Suite) runAblation(bench string, mutate func(*core.Config)) (*ablationR
 	}
 	// A chip of one at suite scale, whatever Opts.SMs says: the design
 	// choices under test are per-SM.
-	r, err := SimulateKernel(k, SchemeRegLess,
-		SimSetup{Capacity: AblationCapacity, Warps: s.Opts.Warps, MaxCycles: s.Opts.MaxCycles},
+	r, err := SimulateKernel(k, SchemeRegLess, s.Opts.Setup(AblationCapacity),
 		func(_ *sim.Config, c *core.Config) { mutate(c) })
 	if err != nil {
 		return nil, err

@@ -18,10 +18,12 @@ import (
 	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/launch"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -30,16 +32,15 @@ import (
 	"repro/internal/sim"
 )
 
-// SchemeProvider is the one scheme → register file table, for every
-// runner that builds SMs (Assemble, the grid, co-residency and
-// oversubscription extensions, the CLI's application runs): it sets the
+// schemeProvider is the one scheme → register file table: it sets the
 // warp scheduler the scheme implies on simCfg and returns what builds the
-// provider for SM number sm running k. RegLess providers are built from
-// the returned configuration as it reads when mk runs — so an Assemble
-// Tune applied in between is seen — in the SM's own backing-store window:
-// disjoint 16 MB offsets keep per-SM register spills from aliasing in a
-// shared L2 (one kernel's SMs share data lines but never register lines).
-func SchemeProvider(scheme Scheme, capacity int, simCfg *sim.Config) (mk func(sm int, k *isa.Kernel) (sim.Provider, error), rl *core.Config, err error) {
+// provider for SM number sm of a slot running k. RegLess providers are
+// built from the returned configuration as it reads when mk runs — so an
+// Assemble Tune applied in between is seen — in the SM's own
+// backing-store window: disjoint 16 MB offsets keep per-SM register
+// spills from aliasing in a shared L2 (one kernel's SMs share data lines
+// but never register lines).
+func schemeProvider(scheme Scheme, capacity int, simCfg *sim.Config) (mk gpu.ProviderFactory, rl *core.Config, err error) {
 	c := core.ConfigForCapacity(capacity)
 	c.EnableCompressor = scheme == SchemeRegLess
 	baseline := func(int, *isa.Kernel) (sim.Provider, error) { return rf.NewBaseline(), nil }
@@ -73,24 +74,33 @@ func SchemeProvider(scheme Scheme, capacity int, simCfg *sim.Config) (mk func(sm
 // scheduler override — and is not reachable from the CLI or serve.
 type Tune func(*sim.Config, *core.Config)
 
-// Assemble builds the ready-to-run chip for one point: sms lockstep SMs
-// running k under scheme, sized and instrumented by su. The returned
-// core provider is SM 0's (non-nil only for RegLess schemes);
-// scheme-wide provider statistics are summed across SMs at result time.
-// tune may be nil.
+// Assemble is the one place options become a machine: the ready-to-run
+// chip for one launch of k on sms lockstep SMs under scheme, sized and
+// instrumented by su — which also says what else the launch is (kernels
+// co-resident with k, the warp range of the grid it covers, the memory it
+// inherits). The returned core provider is SM 0's (non-nil only for
+// RegLess schemes); scheme-wide provider statistics are summed across SMs
+// at result time. tune may be nil.
 //
 // The machine is allocated from a: runPoint passes the arena it took and
 // puts it back when the run is folded; everyone who keeps the chip —
-// BuildChip and BuildSM's callers, tests — passes nil, the heap. A
-// su.Memory is the caller's either way.
+// BuildChip and BuildSM's callers, the launch sequences, tests — passes
+// nil, the heap. What su hands in is the caller's either way.
 func Assemble(a *arena.Arena, k *isa.Kernel, scheme Scheme, sms int, su SimSetup, tune Tune) (*gpu.GPU, *core.Provider, error) {
 	cfg := gpu.DefaultConfig()
-	cfg.SMs = sms
+	slots := make([]gpu.KernelSlot, 1, 1+len(su.CoResident))
+	slots[0] = gpu.KernelSlot{K: k, SMs: sms, Mem: su.Memory}
+	total := sms
+	for _, s := range su.CoResident {
+		slots = append(slots, s)
+		total += s.SMs
+	}
 	// The one place the L2 level follows from the SM count: a chip of one
 	// is the paper's per-SM configuration — a private 512 KB slice of the
-	// L2 with the SM's 1/16 share of DRAM bandwidth — while several SMs
-	// contend for the banked 2 MB L2 and the whole DRAM interface.
-	cfg.PrivateL2 = sms == 1
+	// L2 with the SM's 1/16 share of DRAM bandwidth — while several SMs,
+	// or one that inherits a banked L2's contents, contend for the banked
+	// 2 MB L2 and the whole DRAM interface.
+	cfg.PrivateL2 = total == 1 && su.L2 == nil
 	cfg.SM.Warps = su.Warps
 	if su.MaxCycles > 0 {
 		cfg.SM.MaxCycles = su.MaxCycles
@@ -100,15 +110,18 @@ func Assemble(a *arena.Arena, k *isa.Kernel, scheme Scheme, sms int, su SimSetup
 	}
 	cfg.SM.NoFastForward = su.NoFastForward
 
-	mk, rl, err := SchemeProvider(scheme, su.Capacity, &cfg.SM)
+	mk, rl, err := schemeProvider(scheme, su.Capacity, &cfg.SM)
 	if err != nil {
 		return nil, nil, err
 	}
 	if tune != nil {
 		tune(&cfg.SM, rl)
 	}
-	factory := func(sm int) (sim.Provider, error) { return mk(sm, k) }
-	g, err := gpu.NewIn(a, cfg, k, factory, su.Memory)
+	g, err := gpu.New(a, cfg, gpu.Launch{
+		Slots: slots, Factory: mk,
+		FirstWarp: su.FirstWarp, EndWarp: su.EndWarp,
+		L2: su.L2, Hier: su.Hier,
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -122,6 +135,24 @@ func Assemble(a *arena.Arena, k *isa.Kernel, scheme Scheme, sms int, su SimSetup
 	}
 	rp, _ := g.SMs[0].Provider.(*core.Provider)
 	return g, rp, nil
+}
+
+// Launch runs kernels back to back on chips of sms SMs, each over a grid of
+// gridWarps warps in waves of at most su.Warps resident per SM
+// (launch.Run): every chip is assembled from su with its wave's warp
+// range. All launches share su.Memory (a fresh one when nil), so the
+// sequence is architecturally one big run; what timing state persists
+// between them is the standing memory su hands in — nothing, a banked L2,
+// or the SM's hierarchy.
+func Launch(ks []*isa.Kernel, scheme Scheme, sms, gridWarps int, su SimSetup) (*launch.Result, error) {
+	if su.Memory == nil {
+		su.Memory = exec.NewMemory(nil)
+	}
+	return launch.Run(ks, gridWarps, su.Warps*sms, func(k *isa.Kernel, first, end int) (*gpu.GPU, error) {
+		su.FirstWarp, su.EndWarp = first, end
+		g, _, err := Assemble(nil, k, scheme, sms, su, nil)
+		return g, err
+	})
 }
 
 // BuildChip is Assemble for a suite benchmark by name.

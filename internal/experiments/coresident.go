@@ -4,8 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/gpu"
+	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/sim"
+	"repro/internal/mem"
 )
 
 // coResidentPairs is the kernel pairings the interference table runs:
@@ -38,11 +39,10 @@ func CoResident(s *Suite) (*Table, error) {
 		Header: []string{"Pair", "Scheme", "Iso cycles (A/B)", "Co cycles (A/B)",
 			"Slowdown A", "Slowdown B", "L2 hit% (iso A/co)"},
 	}
-	sms := s.Opts.SMs
-	if sms < 2 {
-		sms = 8
+	half := s.Opts.SMs / 2
+	if half < 1 {
+		half = 4
 	}
-	half := sms / 2
 	schemes := []Scheme{SchemeBaseline, SchemeRegLess}
 	type cell struct {
 		isoA, isoB uint64
@@ -53,57 +53,38 @@ func CoResident(s *Suite) (*Table, error) {
 	err := s.forEach(len(cells), func(i int) error {
 		pair := coResidentPairs[i/len(schemes)]
 		scheme := schemes[i%len(schemes)]
-		cfg := gpu.DefaultConfig()
-		cfg.SMs = half
-		cfg.SM.Warps = s.Opts.Warps
-		cfg.SM.MaxCycles = s.Opts.MaxCycles
-		cfg.SM.NoFastForward = s.Opts.NoFastForward
-		mk, _, err := SchemeProvider(scheme, DefaultCapacity, &cfg.SM)
-		if err != nil {
-			return err
-		}
-
-		slot := func(bench string, bias uint32) (gpu.KernelSlot, error) {
+		var ks [2]*isa.Kernel
+		for j, bench := range pair {
 			k, err := kernels.Load(bench)
 			if err != nil {
-				return gpu.KernelSlot{}, err
+				return err
 			}
-			factory := func(sm int) (sim.Provider, error) { return mk(sm, k) }
-			return gpu.KernelSlot{K: k, SMs: half, Factory: factory, AddrBias: bias}, nil
+			ks[j] = k
 		}
-
-		iso := func(bench string) (*gpu.Result, error) {
-			sl, err := slot(bench, 0)
+		// chip runs k on its half of the chip, alone or beside co. Every
+		// chip is on a banked L2 of its own, a half of one SM included.
+		chip := func(k *isa.Kernel, co ...gpu.KernelSlot) (*gpu.Result, error) {
+			su := s.Opts.Setup(DefaultCapacity)
+			su.CoResident = co
+			var err error
+			if su.L2, err = mem.NewBankedL2(mem.DefaultBankedL2Config()); err != nil {
+				return nil, err
+			}
+			res, err := Launch([]*isa.Kernel{k}, scheme, half, half*su.Warps, su)
 			if err != nil {
 				return nil, err
 			}
-			g, err := gpu.NewCoResident(cfg, []gpu.KernelSlot{sl})
-			if err != nil {
-				return nil, err
-			}
-			return g.Run()
+			return res.PerLaunch[0], nil
 		}
-		resA, err := iso(pair[0])
+		resA, err := chip(ks[0])
 		if err != nil {
 			return fmt.Errorf("%s iso %s: %w", pair[0], scheme, err)
 		}
-		resB, err := iso(pair[1])
+		resB, err := chip(ks[1])
 		if err != nil {
 			return fmt.Errorf("%s iso %s: %w", pair[1], scheme, err)
 		}
-		slA, err := slot(pair[0], 0)
-		if err != nil {
-			return err
-		}
-		slB, err := slot(pair[1], coResidentBias)
-		if err != nil {
-			return err
-		}
-		co, err := gpu.NewCoResident(cfg, []gpu.KernelSlot{slA, slB})
-		if err != nil {
-			return err
-		}
-		cores, err := co.Run()
+		cores, err := chip(ks[0], gpu.KernelSlot{K: ks[1], SMs: half, AddrBias: coResidentBias})
 		if err != nil {
 			return fmt.Errorf("%s+%s co %s: %w", pair[0], pair[1], scheme, err)
 		}
@@ -131,6 +112,6 @@ func CoResident(s *Suite) (*Table, error) {
 			f3(float64(c.co.KernelCycles[1])/float64(c.isoB)),
 			fmt.Sprintf("%.1f/%.1f", c.isoAL2Hit, coHit))
 	}
-	t.Note(fmt.Sprintf("extension: %d SMs per kernel on a %d-SM chip; slowdown = co-resident / isolated cycles", half, sms))
+	t.Note(fmt.Sprintf("extension: %d SMs per kernel on a %d-SM chip; slowdown = co-resident / isolated cycles", half, 2*half))
 	return t, nil
 }

@@ -74,6 +74,13 @@ func ParseScheme(name string) (Scheme, error) {
 	return "", fmt.Errorf("unknown scheme %q (have %s)", name, strings.Join(have, ", "))
 }
 
+// HasCapacity reports whether a run's capacity means anything under the
+// scheme: it sizes RegLess's OSU and nothing else, so every other scheme's
+// runs are keyed, labelled and stored at capacity 0. (internal/store
+// canonicalises keys it reads back from disk without importing the engine
+// and keeps its own copy; a serve test holds the two together.)
+func (s Scheme) HasCapacity() bool { return s == SchemeRegLess || s == SchemeRegLessNC }
+
 // BaselineEntries is the full register file capacity per SM in registers.
 const BaselineEntries = 2048
 
@@ -123,9 +130,19 @@ type Options struct {
 	// the same at any N; only the L2 level follows from it (Assemble): one
 	// SM — the paper's per-SM evaluation and the golden configuration —
 	// gets a private L2 slice with its share of DRAM bandwidth, several
-	// share the banked L2 and the DRAM interface. 0 means 1; NewSuite
-	// normalises it, so everything downstream reads a count >= 1.
+	// share the banked L2 and the DRAM interface. 0 means 1; Normalized
+	// resolves it, so everything downstream reads a count >= 1.
 	SMs int
+}
+
+// Normalized returns the options as NewSuite and serve run under them: an
+// SM count of at least 1 (0 means 1) and the benchmarks in suite order.
+func (o Options) Normalized() Options {
+	if o.SMs < 1 {
+		o.SMs = 1
+	}
+	o.Benchmarks = o.benchmarks()
+	return o
 }
 
 // Setup is the SimSetup every suite simulation of a point at the given
@@ -232,10 +249,9 @@ type runKey struct {
 	capacity int
 }
 
-// normKey canonicalizes a run key: capacity applies to RegLess schemes
-// only, so non-RegLess keys fold to capacity 0.
+// normKey canonicalizes a run key: schemes without a capacity fold to 0.
 func normKey(bench string, scheme Scheme, capacity int) runKey {
-	if scheme != SchemeRegLess && scheme != SchemeRegLessNC {
+	if !scheme.HasCapacity() {
 		capacity = 0
 	}
 	return runKey{bench, scheme, capacity}
@@ -274,10 +290,7 @@ type Suite struct {
 
 // NewSuite builds an experiment suite.
 func NewSuite(opts Options) *Suite {
-	if opts.SMs < 1 {
-		opts.SMs = 1
-	}
-	opts.Benchmarks = opts.benchmarks()
+	opts = opts.Normalized()
 	s := &Suite{Opts: opts, Params: energy.DefaultParams(), cache: map[runKey]*runEntry{}}
 	if opts.MetricsWriter != nil {
 		s.jsonl = metrics.NewJSONLWriter(opts.MetricsWriter)
@@ -507,6 +520,23 @@ type SimSetup struct {
 	Memory *exec.Memory
 	// NoFastForward disables the cycle-skip fast-forward.
 	NoFastForward bool
+
+	// The rest says which launch of a sequence the chip is; the zero
+	// values are the suite's: one kernel's whole grid on cold memory.
+
+	// CoResident lists the kernels sharing the chip with the assembled
+	// one, each on its own SMs after it (gpu.KernelSlot).
+	CoResident []gpu.KernelSlot
+	// FirstWarp and EndWarp are the warp range of the grid this launch
+	// covers (gpu.Launch): the global ID of its first warp and, when
+	// non-zero, where the grid ends short of filling every SM.
+	FirstWarp, EndWarp int
+	// L2 and Hier are standing timing memory, handed in the way Memory
+	// hands in functional state: a banked L2 whose contents outlive the
+	// chip (a grid's waves; any SM count runs on it), or the private
+	// hierarchy of a chip of one (an application's kernels).
+	L2   *mem.BankedL2
+	Hier *mem.Hierarchy
 }
 
 // GeoMean returns the geometric mean of xs.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/launch"
 	"repro/internal/mem"
-	"repro/internal/sim"
 )
 
 // gpuScaleSMs is the chip sizes the scaling table sweeps (the GTX 980
@@ -36,27 +35,37 @@ func GPUScale(s *Suite) (*Table, error) {
 		benches = benches[:6]
 	}
 	totalWarps := 16 * s.Opts.Warps
+	// One grid launch: its sequence and the cumulative traffic of the
+	// banked L2 its waves shared. Cell 2i is point i's baseline, 2i+1 its
+	// RegLess run.
 	type cell struct {
-		base, rgls *launch.GridResult
+		*launch.Result
+		l2 mem.BankedL2Stats
 	}
-	cells := make([]cell, len(benches)*len(gpuScaleSMs))
-	err := s.forEach(2*len(cells), func(i int) error {
-		ci := i / 2
-		bench := benches[ci/len(gpuScaleSMs)]
-		sms := gpuScaleSMs[ci%len(gpuScaleSMs)]
+	cells := make([]cell, 2*len(benches)*len(gpuScaleSMs))
+	point := func(i int) (string, int) {
+		return benches[i/2/len(gpuScaleSMs)], gpuScaleSMs[i/2%len(gpuScaleSMs)]
+	}
+	err := s.forEach(len(cells), func(i int) error {
+		bench, sms := point(i)
 		k, err := kernels.Load(bench)
 		if err != nil {
 			return err
 		}
-		scheme, dst := SchemeBaseline, &cells[ci].base
-		if i%2 == 1 {
-			scheme, dst = SchemeRegLess, &cells[ci].rgls
+		scheme := []Scheme{SchemeBaseline, SchemeRegLess}[i%2]
+		// Every wave runs on the one banked L2, whatever the SM count:
+		// its contents stay warm across waves (a later wave reuses lines
+		// an earlier wave staged) while its timing restarts with each
+		// wave's clocks.
+		su := s.Opts.Setup(DefaultCapacity)
+		if su.L2, err = mem.NewBankedL2(mem.DefaultBankedL2Config()); err != nil {
+			return err
 		}
-		res, err := runGrid(s, k, scheme, totalWarps, sms)
+		res, err := Launch([]*isa.Kernel{k}, scheme, sms, totalWarps, su)
 		if err != nil {
 			return fmt.Errorf("%s/%d SMs %s: %w", bench, sms, scheme, err)
 		}
-		*dst = res
+		cells[i] = cell{res, su.L2.Stats}
 		return nil
 	})
 	if err != nil {
@@ -68,30 +77,16 @@ func GPUScale(s *Suite) (*Table, error) {
 		}
 		return 100 * float64(st.Hits) / float64(st.Hits+st.Misses)
 	}
-	for ci, c := range cells {
-		bench := benches[ci/len(gpuScaleSMs)]
-		sms := gpuScaleSMs[ci%len(gpuScaleSMs)]
+	for i := 0; i < len(cells); i += 2 {
+		bench, sms := point(i)
+		base, rgls := cells[i], cells[i+1]
 		t.AddRow(bench, fmt.Sprintf("%d", sms),
-			fmt.Sprintf("%d", c.base.Cycles), fmt.Sprintf("%d", c.rgls.Cycles),
-			f3(float64(c.rgls.Cycles)/float64(c.base.Cycles)),
-			fmt.Sprintf("%.1f/%.1f", hitPct(c.base.L2), hitPct(c.rgls.L2)),
-			fmt.Sprintf("%d/%d", c.base.L2.DRAMAccesses, c.rgls.L2.DRAMAccesses),
-			fmt.Sprintf("%d/%d", c.base.L2.PortQueueCycles, c.rgls.L2.PortQueueCycles))
+			fmt.Sprintf("%d", base.Cycles), fmt.Sprintf("%d", rgls.Cycles),
+			f3(float64(rgls.Cycles)/float64(base.Cycles)),
+			fmt.Sprintf("%.1f/%.1f", hitPct(base.l2), hitPct(rgls.l2)),
+			fmt.Sprintf("%d/%d", base.l2.DRAMAccesses, rgls.l2.DRAMAccesses),
+			fmt.Sprintf("%d/%d", base.l2.PortQueueCycles, rgls.l2.PortQueueCycles))
 	}
 	t.Note("extension: fixed grid of 16xWarps warps, waves x SMs swept; contention = bank ports + MSHRs + DRAM budget")
 	return t, nil
-}
-
-// runGrid launches the fixed grid on an sms-SM chip at suite scale.
-func runGrid(s *Suite, k *isa.Kernel, scheme Scheme, totalWarps, sms int) (*launch.GridResult, error) {
-	cfg := sim.DefaultConfig()
-	cfg.Warps = s.Opts.Warps
-	cfg.MaxCycles = s.Opts.MaxCycles
-	cfg.NoFastForward = s.Opts.NoFastForward
-	mk, _, err := SchemeProvider(scheme, DefaultCapacity, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	return launch.RunGrid(k, totalWarps, s.Opts.Warps, sms, cfg, mem.DefaultBankedL2Config(),
-		func(sm, wave int) (sim.Provider, error) { return mk(sm, k) }, nil)
 }

@@ -3,10 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/exec"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/launch"
-	"repro/internal/sim"
 )
 
 // Oversubscription (extension) demonstrates the paper's related-work claim
@@ -33,21 +32,19 @@ func Oversubscription(s *Suite) (*Table, error) {
 	grid := 2 * fullWarps // the same total work for both schemes
 
 	// The two launches are independent (each gets a private functional
-	// memory); run them on the worker pool.
+	// memory, and nothing but it persists between a launch's waves); run
+	// them on the worker pool.
 	var base, rgl *launch.Result
 	err = s.forEach(2, func(i int) error {
-		scheme, resident, dst := SchemeBaseline, baseWarps, &base
+		scheme, dst := SchemeBaseline, &base
+		su := s.Opts.Setup(DefaultCapacity)
 		if i == 1 {
-			scheme, resident, dst = SchemeRegLess, fullWarps, &rgl
+			scheme, dst = SchemeRegLess, &rgl
+		} else {
+			su.Warps = baseWarps
 		}
-		simCfg := sim.DefaultConfig()
-		simCfg.MaxCycles = s.Opts.MaxCycles
-		mk, _, err := SchemeProvider(scheme, DefaultCapacity, &simCfg)
-		if err != nil {
-			return err
-		}
-		*dst, err = launch.Run(k, grid, resident, simCfg,
-			func(int) (sim.Provider, error) { return mk(0, k) }, exec.NewMemory(nil))
+		res, err := Launch([]*isa.Kernel{k}, scheme, 1, grid, su)
+		*dst = res
 		return err
 	})
 	if err != nil {
@@ -61,11 +58,11 @@ func Oversubscription(s *Suite) (*Table, error) {
 		Header: []string{"Scheme", "Resident warps", "Waves", "Total cycles", "Speedup"},
 	}
 	t.AddRow("baseline (occupancy-limited)", fmt.Sprintf("%d", baseWarps),
-		fmt.Sprintf("%d", base.Waves), fmt.Sprintf("%d", base.Cycles), "1.000")
+		fmt.Sprintf("%d", base.Launches), fmt.Sprintf("%d", base.Cycles), "1.000")
 	t.AddRow("RegLess-512 (oversubscribed)", fmt.Sprintf("%d", fullWarps),
-		fmt.Sprintf("%d", rgl.Waves), fmt.Sprintf("%d", rgl.Cycles),
+		fmt.Sprintf("%d", rgl.Launches), fmt.Sprintf("%d", rgl.Cycles),
 		f3(float64(base.Cycles)/float64(rgl.Cycles)))
 	t.Note("baseline RF holds %d entries: at %d regs/warp only %d warps fit, forcing %d waves; RegLess keeps %d resident",
-		BaselineEntries, k.NumRegs, baseWarps, base.Waves, fullWarps)
+		BaselineEntries, k.NumRegs, baseWarps, base.Launches, fullWarps)
 	return t, nil
 }

@@ -7,22 +7,27 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/rf"
 	"repro/internal/sanitizer"
 	"repro/internal/sim"
 )
 
-func smallCfg(sms, warps int) Config {
+func smallCfg(warps int) Config {
 	c := DefaultConfig()
-	c.SMs = sms
 	c.SM.Warps = warps
 	c.SM.MaxCycles = 10_000_000
 	return c
 }
 
 func baselineFactory() ProviderFactory {
-	return func(int) (sim.Provider, error) { return rf.NewBaseline(), nil }
+	return func(int, *isa.Kernel) (sim.Provider, error) { return rf.NewBaseline(), nil }
+}
+
+// oneKernel is the launch most tests here build: k's grid across sms SMs.
+func oneKernel(k *isa.Kernel, sms int, f ProviderFactory, mm *exec.Memory) Launch {
+	return Launch{Slots: []KernelSlot{{K: k, SMs: sms, Mem: mm}}, Factory: f}
 }
 
 func TestMultiSMEquivalence(t *testing.T) {
@@ -33,7 +38,7 @@ func TestMultiSMEquivalence(t *testing.T) {
 			k := kernels.MustLoad(name)
 			const sms, warps = 4, 8
 			mm := exec.NewMemory(nil)
-			g, err := New(smallCfg(sms, warps), k, baselineFactory(), mm)
+			g, err := New(nil, smallCfg(warps), oneKernel(k, sms, baselineFactory(), mm))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,13 +74,13 @@ func TestMultiSMEquivalence(t *testing.T) {
 func TestMultiSMRegLess(t *testing.T) {
 	k := kernels.MustLoad("hotspot")
 	const sms, warps = 4, 8
-	factory := func(i int) (sim.Provider, error) {
+	factory := func(i int, k *isa.Kernel) (sim.Provider, error) {
 		cfg := core.DefaultConfig()
 		cfg.AddrOffset = uint32(i) << 24 // disjoint backing stores
 		return core.New(cfg, k)
 	}
 	mm := exec.NewMemory(nil)
-	g, err := New(smallCfg(sms, warps), k, factory, mm)
+	g, err := New(nil, smallCfg(warps), oneKernel(k, sms, factory, mm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +106,7 @@ func TestSharedL2Contention(t *testing.T) {
 	// (graph adjacency + visited), so SMs genuinely share L2 lines.
 	k := kernels.MustLoad("bfs")
 	run := func(sms int) *Result {
-		g, err := New(smallCfg(sms, 8), k, baselineFactory(), exec.NewMemory(nil))
+		g, err := New(nil, smallCfg(8), oneKernel(k, sms, baselineFactory(), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +130,7 @@ func TestSharedL2Contention(t *testing.T) {
 
 func TestGPURejectsZeroSMs(t *testing.T) {
 	k := kernels.MustLoad("nw")
-	if _, err := New(Config{SMs: 0, SM: sim.DefaultConfig()}, k, baselineFactory(), nil); err == nil {
+	if _, err := New(nil, smallCfg(8), oneKernel(k, 0, baselineFactory(), nil)); err == nil {
 		t.Fatal("accepted zero SMs")
 	}
 }
@@ -137,10 +142,10 @@ func TestGPURejectsZeroSMs(t *testing.T) {
 func TestAbnormalTerminationIsDiagnostic(t *testing.T) {
 	k := kernels.MustLoad("nw")
 	for _, sms := range []int{1, 4} {
-		cfg := smallCfg(sms, 8)
+		cfg := smallCfg(8)
 		cfg.SM.MaxCycles = 1000
 		cfg.PrivateL2 = sms == 1
-		g, err := New(cfg, k, baselineFactory(), nil)
+		g, err := New(nil, cfg, oneKernel(k, sms, baselineFactory(), nil))
 		if err != nil {
 			t.Fatal(err)
 		}

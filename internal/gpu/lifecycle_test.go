@@ -8,6 +8,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/sim"
 )
@@ -18,7 +19,7 @@ import (
 // Run returned it, and holding the result holds no machine.
 func TestResultDetachedFromSM(t *testing.T) {
 	k := kernels.MustLoad("nw")
-	g, err := New(smallCfg(2, 8), k, baselineFactory(), nil)
+	g, err := New(nil, smallCfg(8), oneKernel(k, 2, baselineFactory(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +53,14 @@ func TestResultDetachedFromSM(t *testing.T) {
 // and keeps its stores. Both chips count what a chip on the heap counts.
 func TestArenaChipLeavesCallersMemoryAlone(t *testing.T) {
 	k := kernels.MustLoad("nw")
-	factory := func(i int) (sim.Provider, error) {
+	factory := func(i int, k *isa.Kernel) (sim.Provider, error) {
 		cfg := core.DefaultConfig()
 		cfg.AddrOffset = uint32(i) << 24
 		return core.New(cfg, k)
 	}
 	run := func(a *arena.Arena, mm *exec.Memory) (*GPU, *Result) {
 		t.Helper()
-		g, err := NewIn(a, smallCfg(2, 8), k, factory, mm)
+		g, err := New(a, smallCfg(8), oneKernel(k, 2, factory, mm))
 		if err != nil {
 			t.Fatal(err)
 		}

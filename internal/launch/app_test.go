@@ -1,17 +1,41 @@
-package launch
+package launch_test
 
 import (
+	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/isa"
+	"repro/internal/experiments"
 	"repro/internal/kernels"
+	"repro/internal/launch"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
-func appBaseFactory() AppProviderFactory {
-	return func(int, *isa.Kernel) (sim.Provider, error) { return baseFactory()(0) }
+// runApp launches an application's kernels back to back on one SM, mm
+// and one hierarchy standing between them; it returns the hierarchy's
+// cumulative statistics with the sequence.
+func runApp(app kernels.Application, scheme experiments.Scheme, noFF bool, mm *exec.Memory) (*launch.Result, mem.Stats, error) {
+	su := setup(8)
+	su.NoFastForward = noFF
+	su.Memory, su.Hier = mm, mem.New(mem.DefaultConfig())
+	res, err := experiments.Launch(app.Kernels, scheme, 1, 8, su)
+	return res, su.Hier.Stats, err
+}
+
+// sameAsFunctional demands mm hold what the application's kernels store
+// when run in order through the pure functional executor on one memory.
+func sameAsFunctional(t *testing.T, app kernels.Application, mm *exec.Memory) {
+	t.Helper()
+	ref := exec.NewMemory(nil)
+	for _, k := range app.Kernels {
+		if _, err := exec.Run(k, 8, ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want, got := ref.GlobalStores(), mm.GlobalStores(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("app chain stores diverge from the functional run's (%d vs %d)", len(got), len(want))
+	}
 }
 
 func TestAppsRunAndChain(t *testing.T) {
@@ -23,31 +47,14 @@ func TestAppsRunAndChain(t *testing.T) {
 				t.Fatalf("application has %d kernels", len(app.Kernels))
 			}
 			mm := exec.NewMemory(nil)
-			res, err := RunApp(app, 8, testCfg(), appBaseFactory(), mm)
+			res, _, err := runApp(app, experiments.SchemeBaseline, false, mm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.PerKernel) != len(app.Kernels) || res.Cycles == 0 {
+			if len(res.PerLaunch) != len(app.Kernels) || res.Cycles == 0 {
 				t.Fatalf("degenerate result %+v", res)
 			}
-			// Reference: run the kernels sequentially through the pure
-			// functional executor on one memory.
-			ref := exec.NewMemory(nil)
-			for _, k := range app.Kernels {
-				if _, err := exec.Run(k, 8, ref); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := ref.GlobalStores()
-			got := mm.GlobalStores()
-			if len(got) != len(want) {
-				t.Fatalf("store count %d, want %d", len(got), len(want))
-			}
-			for a, v := range want {
-				if got[a] != v {
-					t.Fatalf("app chain diverged at %#x: %d vs %d", a, got[a], v)
-				}
-			}
+			sameAsFunctional(t, app, mm)
 		})
 	}
 }
@@ -57,26 +64,11 @@ func TestAppRegLess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func(_ int, k *isa.Kernel) (sim.Provider, error) {
-		return core.New(core.DefaultConfig(), k)
-	}
 	mm := exec.NewMemory(nil)
-	if _, err := RunApp(app, 8, testCfg(), factory, mm); err != nil {
+	if _, _, err := runApp(app, experiments.SchemeRegLess, false, mm); err != nil {
 		t.Fatal(err)
 	}
-	ref := exec.NewMemory(nil)
-	for _, k := range app.Kernels {
-		if _, err := exec.Run(k, 8, ref); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := ref.GlobalStores()
-	got := mm.GlobalStores()
-	for a, v := range want {
-		if got[a] != v {
-			t.Fatalf("RegLess app diverged at %#x", a)
-		}
-	}
+	sameAsFunctional(t, app, mm)
 }
 
 func TestAppWarmCaches(t *testing.T) {
@@ -86,11 +78,11 @@ func TestAppWarmCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunApp(app, 8, testCfg(), appBaseFactory(), exec.NewMemory(nil))
+	_, hier, err := runApp(app, experiments.SchemeBaseline, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MemStats.L2Hits == 0 {
+	if hier.L2Hits == 0 {
 		t.Fatal("no L2 hits across the kernel sequence — cache state not shared")
 	}
 }
@@ -99,7 +91,48 @@ func TestAppByNameUnknown(t *testing.T) {
 	if _, err := kernels.AppByName("nosuch_app"); err == nil {
 		t.Fatal("unknown app accepted")
 	}
-	if _, err := RunApp(kernels.Application{Name: "empty"}, 8, testCfg(), appBaseFactory(), nil); err == nil {
+	if _, _, err := runApp(kernels.Application{Name: "empty"}, experiments.SchemeBaseline, false, nil); err == nil {
 		t.Fatal("empty app accepted")
+	}
+}
+
+// TestAppMatchesBareLoop: an application through the one loop — each
+// kernel a chip of one handed the standing hierarchy — is the loop as it
+// read before every launch was a chip: a bare sim.NewWithHierarchy per
+// kernel over one mem.New and one functional memory.
+func TestAppMatchesBareLoop(t *testing.T) {
+	for _, app := range kernels.Apps() {
+		for _, scheme := range referenceSchemes {
+			for _, noFF := range []bool{false, true} {
+				want := exec.NewMemory(nil)
+				hier := mem.New(mem.DefaultConfig())
+				var cycles uint64
+				var per []*sim.Stats
+				for _, k := range app.Kernels {
+					cfg, p := bareSM(t, scheme, k, noFF)
+					cfg.Warps = 8
+					smv, err := sim.NewWithHierarchy(cfg, k, p, want, hier)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st, err := smv.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cycles += st.Cycles
+					per = append(per, st)
+				}
+				mm := exec.NewMemory(nil)
+				res, stats, err := runApp(app, scheme, noFF, mm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := app.Name + "/" + string(scheme)
+				sameSequence(t, where, res, cycles, per, mm, want)
+				if stats != hier.Stats {
+					t.Errorf("%s: hierarchy statistics diverge:\nchip %+v\nbare %+v", where, stats, hier.Stats)
+				}
+			}
+		}
 	}
 }

@@ -1,19 +1,30 @@
-package launch
+package launch_test
 
 import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/experiments"
+	"repro/internal/isa"
 	"repro/internal/kernels"
+	"repro/internal/launch"
 	"repro/internal/mem"
-	"repro/internal/rf"
-	"repro/internal/sim"
 )
 
-func gridBaseFactory() GridFactory {
-	return func(int, int) (sim.Provider, error) { return rf.NewBaseline(), nil }
+// grid launches one kernel's grid on an sms-SM chip, mm and one banked L2
+// standing between the waves; it returns the L2's cumulative traffic with
+// the sequence.
+func grid(t *testing.T, k *isa.Kernel, scheme experiments.Scheme, total, resident, sms int, mm *exec.Memory) (*launch.Result, mem.BankedL2Stats, error) {
+	t.Helper()
+	l2, err := mem.NewBankedL2(mem.DefaultBankedL2Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	su := setup(resident)
+	su.Memory, su.L2 = mm, l2
+	res, err := experiments.Launch([]*isa.Kernel{k}, scheme, sms, total, su)
+	return res, l2.Stats, err
 }
 
 // TestGridEquivalence checks that distributing a grid across a 2-SM chip
@@ -22,39 +33,27 @@ func gridBaseFactory() GridFactory {
 func TestGridEquivalence(t *testing.T) {
 	k := kernels.MustLoad("streamcluster")
 	mm := exec.NewMemory(nil)
-	res, err := RunGrid(k, 32, 8, 2, testCfg(), mem.DefaultBankedL2Config(), gridBaseFactory(), mm)
+	res, l2, err := grid(t, k, experiments.SchemeBaseline, 32, 8, 2, mm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 32 warps / (8 resident x 2 SMs) = 2 waves.
-	if res.Waves != 2 || res.TotalWarps != 32 {
-		t.Fatalf("waves = %d total = %d", res.Waves, res.TotalWarps)
+	if res.Launches != 2 {
+		t.Fatalf("waves = %d", res.Launches)
 	}
-	ref, err := exec.Run(k, 32, exec.NewMemory(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Insns != ref.DynInsns {
+	if ref := sameStores(t, k, 32, mm); res.Insns != ref.DynInsns {
 		t.Fatalf("insns %d vs %d", res.Insns, ref.DynInsns)
 	}
-	got := mm.GlobalStores()
-	if len(got) != len(ref.Stores) {
-		t.Fatalf("stores %d vs %d", len(got), len(ref.Stores))
-	}
-	for a, v := range ref.Stores {
-		if got[a] != v {
-			t.Fatalf("grid launch diverged at %#x", a)
-		}
-	}
-	var sum uint64
-	for _, w := range res.PerWave {
-		sum += w.Cycles
-	}
-	if sum != res.Cycles {
+	if sum := launchSum(res); sum != res.Cycles {
 		t.Fatalf("cycles %d != wave sum %d", res.Cycles, sum)
 	}
-	if res.L2.Hits+res.L2.Misses == 0 {
+	if l2.Hits+l2.Misses == 0 {
 		t.Fatal("no traffic reached the shared L2")
+	}
+	// The standing level counts from its first launch: the last wave's
+	// chip reports the whole grid's traffic.
+	if last := res.PerLaunch[1].L2; last != l2 || res.PerLaunch[0].L2 == l2 {
+		t.Fatalf("per-wave L2 counters are not cumulative: %+v then %+v, standing %+v", res.PerLaunch[0].L2, last, l2)
 	}
 }
 
@@ -63,22 +62,25 @@ func TestGridEquivalence(t *testing.T) {
 // wider chip.
 func TestGridMoreSMsFewerWaves(t *testing.T) {
 	k := kernels.MustLoad("streamcluster")
-	one, err := RunGrid(k, 32, 8, 1, testCfg(), mem.DefaultBankedL2Config(), gridBaseFactory(), exec.NewMemory(nil))
+	one, l2, err := grid(t, k, experiments.SchemeBaseline, 32, 8, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := RunGrid(k, 32, 8, 4, testCfg(), mem.DefaultBankedL2Config(), gridBaseFactory(), exec.NewMemory(nil))
+	four, _, err := grid(t, k, experiments.SchemeBaseline, 32, 8, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.Waves != 4 || four.Waves != 1 {
-		t.Fatalf("waves = %d/%d, want 4/1", one.Waves, four.Waves)
+	if one.Launches != 4 || four.Launches != 1 {
+		t.Fatalf("waves = %d/%d, want 4/1", one.Launches, four.Launches)
 	}
 	if four.Cycles >= one.Cycles {
 		t.Fatalf("4 SMs (%d cycles) not faster than 1 SM (%d cycles)", four.Cycles, one.Cycles)
 	}
 	if one.Insns != four.Insns {
 		t.Fatalf("insns diverge across SM counts: %d vs %d", one.Insns, four.Insns)
+	}
+	if l2.Hits+l2.Misses == 0 {
+		t.Fatal("the 1-SM chip's waves ran on private slices, not the standing banked L2")
 	}
 }
 
@@ -87,36 +89,37 @@ func TestGridMoreSMsFewerWaves(t *testing.T) {
 func TestGridRegLess(t *testing.T) {
 	k := kernels.MustLoad("nw")
 	mm := exec.NewMemory(nil)
-	factory := func(sm, wave int) (sim.Provider, error) {
-		c := core.DefaultConfig()
-		c.AddrOffset = uint32(sm) << 24
-		return core.New(c, k)
-	}
-	res, err := RunGrid(k, 32, 8, 2, testCfg(), mem.DefaultBankedL2Config(), factory, mm)
+	res, _, err := grid(t, k, experiments.SchemeRegLess, 32, 8, 2, mm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Waves != 2 {
-		t.Fatalf("waves = %d", res.Waves)
+	if res.Launches != 2 {
+		t.Fatalf("waves = %d", res.Launches)
 	}
-	ref, err := exec.Run(k, 32, exec.NewMemory(nil))
+	sameStores(t, k, 32, mm)
+}
+
+// TestGridShortLastWave: a grid that does not fill its last wave builds
+// only the SMs the range reaches, the last of them short (40 warps, 8
+// resident on 4 SMs: a full wave, then one full SM and nothing else).
+func TestGridShortLastWave(t *testing.T) {
+	k := kernels.MustLoad("nw")
+	mm := exec.NewMemory(nil)
+	res, _, err := grid(t, k, experiments.SchemeRegLess, 40, 8, 4, mm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mm.GlobalStores()
-	for a, v := range ref.Stores {
-		if got[a] != v {
-			t.Fatalf("RegLess grid launch diverged at %#x", a)
-		}
+	if res.Launches != 2 || len(res.PerLaunch[0].PerSM) != 4 || len(res.PerLaunch[1].PerSM) != 1 {
+		t.Fatalf("%d launches, last on %d SMs", res.Launches, len(res.PerLaunch[res.Launches-1].PerSM))
+	}
+	if ref := sameStores(t, k, 40, mm); res.Insns != ref.DynInsns {
+		t.Fatalf("insns %d vs %d", res.Insns, ref.DynInsns)
 	}
 }
 
 // TestGridValidation exercises the launch-shape checks.
 func TestGridValidation(t *testing.T) {
 	k := kernels.MustLoad("streamcluster")
-	cfg := testCfg()
-	l2 := mem.DefaultBankedL2Config()
-	mm := exec.NewMemory(nil)
 	cases := []struct {
 		name                 string
 		total, resident, sms int
@@ -128,7 +131,7 @@ func TestGridValidation(t *testing.T) {
 		{"total not CTA-aligned", 33, 8, 2},
 	}
 	for _, c := range cases {
-		if _, err := RunGrid(k, c.total, c.resident, c.sms, cfg, l2, gridBaseFactory(), mm); err == nil {
+		if _, _, err := grid(t, k, experiments.SchemeBaseline, c.total, c.resident, c.sms, nil); err == nil {
 			t.Fatalf("%s: accepted", c.name)
 		}
 	}
@@ -143,30 +146,28 @@ func liveHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// TestGridResultPinsNoMachine: a GridResult holds each wave's numbers,
-// not each wave's chip. Four 64-warp SMs per wave are about 1 MB of
+// TestGridResultPinsNoMachine: a Result holds each wave's numbers, not
+// each wave's chip. Four 64-warp SMs per wave are about 1 MB of
 // registers, caches and scoreboards; a result that pointed into them
-// (PerWave -> PerSM -> &sm.Stats did) would keep every wave's alive.
+// (PerLaunch -> PerSM -> &sm.Stats did) would keep every wave's alive.
 func TestGridResultPinsNoMachine(t *testing.T) {
 	k := kernels.MustLoad("streamcluster")
-	cfgv := sim.DefaultConfig()
-	cfgv.MaxCycles = 5_000_000
-	grid := func() *GridResult {
-		res, err := RunGrid(k, 8*4*64, 64, 4, cfgv, mem.DefaultBankedL2Config(), gridBaseFactory(), exec.NewMemory(nil))
+	run := func() *launch.Result {
+		res, _, err := grid(t, k, experiments.SchemeBaseline, 8*4*64, 64, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	grid() // compile caches, kernel tables: not the result's
+	run() // compile caches, kernel tables: not the result's
 	before := liveHeap()
-	res := grid()
+	res := run()
 	grown := liveHeap() - before
-	if res.Waves != 8 {
-		t.Fatalf("%d waves, want 8", res.Waves)
+	if res.Launches != 8 {
+		t.Fatalf("%d waves, want 8", res.Launches)
 	}
-	if perWave := grown / int64(res.Waves); perWave > 32<<10 {
-		t.Fatalf("holding the GridResult holds %d KiB per wave, want at most 32: it pins the waves' chips", perWave>>10)
+	if perWave := grown / int64(res.Launches); perWave > 32<<10 {
+		t.Fatalf("holding the Result holds %d KiB per wave, want at most 32: it pins the waves' chips", perWave>>10)
 	}
 	runtime.KeepAlive(res)
 }

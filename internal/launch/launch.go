@@ -1,88 +1,84 @@
-// Package launch runs a CUDA-style grid on the simulator: when the grid
-// holds more warps than an SM can keep resident, the launch proceeds in
-// sequential *waves* (as hardware CTA schedulers do once occupancy is
-// exhausted). This is what makes occupancy experiments fair: an
-// occupancy-limited configuration runs the same total work in more waves
-// rather than silently doing less work.
+// Package launch runs a sequence of chip launches back to back, the way
+// a CUDA stream does: each kernel's grid, when it holds more warps than
+// the chip keeps resident, proceeds in sequential *waves* (as hardware
+// CTA schedulers do once occupancy is exhausted), and an application's
+// kernels follow one another. This is what makes occupancy experiments
+// fair: an occupancy-limited configuration runs the same total work in
+// more waves rather than silently doing less work.
+//
+// Within a wave each SM takes a contiguous CTA-aligned chunk of warps
+// (gpu.Launch's warp range) and all SMs run concurrently. Waves are
+// synchronous: a fast SM idles at the wave boundary rather than stealing
+// the next chunk early. That sacrifices a little fidelity (real
+// schedulers backfill per-CTA) for determinism — chunk->SM assignment is
+// a pure function of grid size, chip size and occupancy, never of timing.
+//
+// Hardware state does not persist between launches unless the caller
+// holds it and hands it to every chip it builds: the functional memory
+// (always, or later launches would not see earlier stores), a banked L2
+// whose contents stay warm across waves, an SM's whole hierarchy across
+// an application's kernels. The loop itself carries nothing over.
 package launch
 
 import (
 	"fmt"
 
-	"repro/internal/exec"
+	"repro/internal/gpu"
 	"repro/internal/isa"
-	"repro/internal/sim"
 )
 
-// ProviderFactory builds a register provider for one wave. Waves run
-// sequentially on the same SM; hardware state does not persist between
-// them (each wave's provider is fresh, like a new kernel launch).
-type ProviderFactory func(wave int) (sim.Provider, error)
-
-// Result aggregates a multi-wave launch.
+// Result aggregates a launch sequence.
 type Result struct {
-	// Cycles is the total run time: waves execute back-to-back.
+	// Cycles is the total run time: launches execute back to back, each
+	// taking its chip's time (the slowest SM).
 	Cycles uint64
-	// Waves is how many launches were needed.
-	Waves int
-	// TotalWarps is the grid size executed.
-	TotalWarps int
-	// Insns sums dynamic instructions across waves.
+	// Launches is how many chips ran.
+	Launches int
+	// Insns sums dynamic instructions across all SMs and launches.
 	Insns uint64
-	// PerWave holds each wave's statistics.
-	PerWave []*sim.Stats
+	// FFSkippedCycles/FFJumps total the coordinated fast-forward's work.
+	FFSkippedCycles, FFJumps uint64
+	// PerLaunch holds each launch's chip result: numbers only, never the
+	// chip.
+	PerLaunch []*gpu.Result
 }
 
-// Run executes totalWarps warps of k with at most residentWarps resident
-// at a time (the occupancy limit of the register scheme under test). The
-// simulator configuration's Warps field is set per wave. All waves share
-// one functional memory, so the launch is architecturally equivalent to
-// one big run.
-func Run(k *isa.Kernel, totalWarps, residentWarps int, cfg sim.Config,
-	factory ProviderFactory, mm *exec.Memory) (*Result, error) {
-	if totalWarps <= 0 || residentWarps <= 0 {
+// Run executes the kernels in order, each over a grid of gridWarps warps
+// in waves of at most chipWarps (resident warps per SM x SMs). chip
+// builds the machine for one launch: kernel k over warps [first, end) of
+// its grid.
+func Run(kernels []*isa.Kernel, gridWarps, chipWarps int,
+	chip func(k *isa.Kernel, first, end int) (*gpu.GPU, error)) (*Result, error) {
+	if len(kernels) == 0 {
+		return nil, fmt.Errorf("launch: no kernels")
+	}
+	if gridWarps <= 0 || chipWarps <= 0 {
 		return nil, fmt.Errorf("launch: warps must be positive")
 	}
-	if residentWarps%cfg.Schedulers != 0 {
-		return nil, fmt.Errorf("launch: resident warps %d not divisible by %d schedulers",
-			residentWarps, cfg.Schedulers)
-	}
-	if residentWarps%k.WarpsPerCTA != 0 {
-		return nil, fmt.Errorf("launch: resident warps %d not a multiple of CTA size %d",
-			residentWarps, k.WarpsPerCTA)
-	}
-	if totalWarps%k.WarpsPerCTA != 0 {
-		return nil, fmt.Errorf("launch: grid %d not a multiple of CTA size %d",
-			totalWarps, k.WarpsPerCTA)
-	}
-	if mm == nil {
-		mm = exec.NewMemory(nil)
-	}
-	res := &Result{TotalWarps: totalWarps}
-	for base := 0; base < totalWarps; base += residentWarps {
-		n := residentWarps
-		if base+n > totalWarps {
-			n = totalWarps - base
+	for _, k := range kernels {
+		if gridWarps%k.WarpsPerCTA != 0 {
+			return nil, fmt.Errorf("launch: grid %d not a multiple of %s's CTA size %d",
+				gridWarps, k.Name, k.WarpsPerCTA)
 		}
-		waveCfg := cfg
-		waveCfg.Warps = n
-		waveCfg.WarpIDBase = base
-		p, err := factory(res.Waves)
-		if err != nil {
-			return nil, fmt.Errorf("launch: wave %d provider: %w", res.Waves, err)
+	}
+	res := &Result{}
+	for ki, k := range kernels {
+		for first := 0; first < gridWarps; first += chipWarps {
+			g, err := chip(k, first, min(first+chipWarps, gridWarps))
+			var r *gpu.Result
+			if err == nil {
+				r, err = g.Run()
+			}
+			if err != nil {
+				return nil, fmt.Errorf("launch: kernel %d (%s) wave %d: %w", ki, k.Name, first/chipWarps, err)
+			}
+			res.Cycles += r.Cycles
+			res.Insns += r.TotalInsns
+			res.FFSkippedCycles += r.FFSkippedCycles
+			res.FFJumps += r.FFJumps
+			res.PerLaunch = append(res.PerLaunch, r)
+			res.Launches++
 		}
-		smv, err := sim.New(waveCfg, k, p, mm)
-		if err != nil {
-			return nil, fmt.Errorf("launch: wave %d: %w", res.Waves, err)
-		}
-		st, err := smv.Run()
-		if err != nil {
-			return nil, fmt.Errorf("launch: wave %d: %w", res.Waves, err)
-		}
-		res.Cycles += st.Cycles
-		res.Insns += st.DynInsns
-		res.PerWave = append(res.PerWave, st)
-		res.Waves++
 	}
 	return res, nil
 }

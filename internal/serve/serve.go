@@ -358,9 +358,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Opts.Parallelism < 1 {
 		cfg.Opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Opts.SMs < 1 {
-		cfg.Opts.SMs = 1
-	}
+	cfg.Opts = cfg.Opts.Normalized()
 	if cfg.MetricsEvery <= 0 {
 		cfg.MetricsEvery = time.Second
 	}
@@ -516,7 +514,7 @@ func (s *Server) KeyFor(req RunRequest) (store.Key, error) {
 		return store.Key{}, fmt.Errorf("negative capacity %d", req.Capacity)
 	}
 	capacity := req.Capacity
-	if capacity == 0 && (scheme == experiments.SchemeRegLess || scheme == experiments.SchemeRegLessNC) {
+	if capacity == 0 && scheme.HasCapacity() {
 		capacity = experiments.DefaultCapacity
 	}
 	report, err := canonicalizeReport(req.Report)

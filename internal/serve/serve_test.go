@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/store"
 )
 
 // testOpts is the reduced-scale server configuration shared by the serve
@@ -314,5 +315,27 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Opts: experiments.Options{Warps: 1, MaxCycles: 1}}); err == nil {
 		t.Error("New accepted empty store dir")
+	}
+}
+
+// TestStoreKeyNormalisationMatchesEngine: the store canonicalises keys
+// without importing the engine, so it says again which schemes have a
+// capacity and that 0 SMs means 1. Its copy must agree with
+// experiments.Scheme.HasCapacity and experiments.Options.Normalized, or a
+// key the server admits and a key the store reads back would differ.
+func TestStoreKeyNormalisationMatchesEngine(t *testing.T) {
+	for _, scheme := range experiments.Schemes() {
+		for _, sms := range []int{0, 1} {
+			got := store.Key{Scheme: string(scheme), Capacity: 256, SMs: sms}.Normalized()
+			wantCap := 0
+			if scheme.HasCapacity() {
+				wantCap = 256
+			}
+			wantSMs := experiments.Options{SMs: sms}.Normalized().SMs
+			if got.Capacity != wantCap || got.SMs != wantSMs {
+				t.Errorf("%s at %d SMs: store keeps capacity %d on %d SMs, the engine %d on %d",
+					scheme, sms, got.Capacity, got.SMs, wantCap, wantSMs)
+			}
+		}
 	}
 }

@@ -80,8 +80,11 @@ type Key struct {
 	Report string `json:"report,omitempty"`
 }
 
-// reglessScheme mirrors the experiment suite's normKey: capacity is
-// meaningful for RegLess schemes only.
+// reglessScheme is experiments.Scheme.HasCapacity, and Normalized's SM
+// alias experiments.Options.Normalized's, said again: the store
+// canonicalises keys it reads back from disk and imports nothing of the
+// engine. serve's TestStoreKeyNormalisationMatchesEngine holds the copies
+// together.
 func reglessScheme(s string) bool { return s == "regless" || s == "regless-nocomp" }
 
 // Normalized returns the canonical form of the key: capacity folded to 0

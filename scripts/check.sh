@@ -18,6 +18,16 @@ test -z "$(go list -deps ./internal/trace | grep '^repro/internal/sim$')"
 # then rewrites (examples/ are not product code and are not looked at).
 test -z "$(grep -rn 'cfg\.New(\|cfg\.ComputeLiveness(' --include=*.go cmd internal regless.go |
 	grep -v _test | grep -v '^internal/cfg/\|^internal/regalloc/')"
+# One way to build a machine (DESIGN.md §8): gpu.New is the only product
+# code that calls an SM constructor, experiments.Assemble the only place
+# options meet the default configuration (Table 1 prints it) and the only
+# one that attaches the sanitizer or the injector to an SM.
+test -z "$(grep -rn 'sim\.New(\|sim\.NewWithHierarchy(\|sim\.NewWithHierarchyIn(' --include=*.go cmd internal regless.go |
+	grep -v _test.go | grep -v '^internal/gpu/')"
+test -z "$(grep -rn 'sim\.DefaultConfig()\|gpu\.DefaultConfig()' --include=*.go cmd internal/experiments |
+	grep -v _test.go | grep -v '^internal/experiments/chip.go:\|^internal/experiments/figures.go:')"
+test "$(grep -rn 'AttachSanitizer(\|AttachFaults(' --include=*.go cmd internal regless.go |
+	grep -v _test.go | grep -vc '^internal/sim/\|^internal/core/')" = 2
 go test -race -shuffle=on ./...
 # The allocation budget of a steady-state run is the program's only
 # without the race detector, whose instrumentation changes what
@@ -65,6 +75,13 @@ for scheme in baseline rfh regless; do
 	sanb="$(go run ./cmd/regless -bench nw -scheme "$scheme" -warps 8 -sanitize)"
 	test "$sana" = "$sanb"
 done
+# The same on machines the suite cache does not build: co-resident kernels
+# on a split chip, and an application over a standing hierarchy.
+for machine in "-experiment coresident" "-app srad_app"; do
+	sana="$(go run ./cmd/regless $machine -warps 8)"
+	sanb="$(go run ./cmd/regless $machine -warps 8 -sanitize)"
+	test "$sana" = "$sanb"
+done
 
 # Multi-SM smoke: a 4-SM chip run of Figure 14 must reproduce the
 # committed golden byte for byte (lockstep determinism + the banked-L2
@@ -100,24 +117,27 @@ go run ./scripts/tracecheck "$tracedir/trace4.json"
 # (exit 1 + bundle) — never a hang (the watchdog bounds the run) and
 # never a raw panic.
 go build -o "$tracedir/regless" ./cmd/regless
-for class in mem-delay mem-drop osu-tag osu-state compress-pattern meta-bank meta-erase; do
-	rc=0
-	"$tracedir/regless" -bench nw -scheme regless -warps 8 \
-		-faults "${class}@200; seed=3" -sanitize -watchdog 20000 \
-		-diag-out "$tracedir/diag-${class}.json" \
-		> "$tracedir/out-${class}.txt" 2> "$tracedir/err-${class}.txt" || rc=$?
-	test -z "$(grep "panic:" "$tracedir/err-${class}.txt")"
-	case "$rc" in
-	0) ;; # tolerated
-	1)
-		grep -q "^component  " "$tracedir/err-${class}.txt"
-		grep -q '"component"' "$tracedir/diag-${class}.json"
-		;;
-	*)
-		echo "fault smoke: $class exited $rc" >&2
-		exit 1
-		;;
-	esac
+for machine in "-bench nw -scheme regless" "-experiment oversub"; do
+	for class in mem-delay mem-drop osu-tag osu-state compress-pattern meta-bank meta-erase; do
+		rc=0
+		rm -f "$tracedir/diag-${class}.json"
+		"$tracedir/regless" $machine -warps 8 \
+			-faults "${class}@200; seed=3" -sanitize -watchdog 20000 \
+			-diag-out "$tracedir/diag-${class}.json" \
+			> "$tracedir/out-${class}.txt" 2> "$tracedir/err-${class}.txt" || rc=$?
+		test -z "$(grep "panic:" "$tracedir/err-${class}.txt")"
+		case "$rc" in
+		0) ;; # tolerated
+		1)
+			grep -q "^component  " "$tracedir/err-${class}.txt"
+			grep -q '"component"' "$tracedir/diag-${class}.json"
+			;;
+		*)
+			echo "fault smoke: $machine $class exited $rc" >&2
+			exit 1
+			;;
+		esac
+	done
 done
 # A pinned detection: a corrupted OSU tag must be caught by the OSU
 # partition invariant, not merely time out.
