@@ -40,7 +40,9 @@ func TestParallelOutputIdentical(t *testing.T) {
 // leaves out — the four extension tables and an application run — byte
 // for byte against output captured from the binary before the refactor
 // that last touched how they build their machines (scripts/golden/). The
-// ablation table runs at 16 warps: at 8 every variant reads 1.000.
+// ablation table runs at 16 warps: at 8 every variant reads 1.000. The
+// metrics_*.jsonl goldens are the window stream on stdout — cell names,
+// their order, window boundaries and values — captured the same way.
 func TestExtensionGoldens(t *testing.T) {
 	for golden, args := range map[string][]string{
 		"ablation_warps16.txt":    {"-experiment", "ablation", "-warps", "16"},
@@ -48,6 +50,10 @@ func TestExtensionGoldens(t *testing.T) {
 		"coresident_warps8.txt":   {"-experiment", "coresident", "-warps", "8"},
 		"oversub_warps8.txt":      {"-experiment", "oversub", "-warps", "8"},
 		"app_backprop_warps8.txt": {"-app", "backprop_app", "-warps", "8"},
+
+		"metrics_nw_regless_warps8.jsonl":      {"-bench", "nw", "-scheme", "regless", "-warps", "8", "-metrics", "jsonl"},
+		"metrics_nw_regless_warps8_sms4.jsonl": {"-bench", "nw", "-scheme", "regless", "-warps", "8", "-sms", "4", "-metrics", "jsonl"},
+		"metrics_nw_rfv_warps8.jsonl":          {"-bench", "nw", "-scheme", "rfv", "-warps", "8", "-metrics", "jsonl"},
 	} {
 		want, err := os.ReadFile(filepath.Join("..", "..", "scripts", "golden", golden))
 		if err != nil {

@@ -98,6 +98,15 @@ tlout="$(go run ./cmd/regless -bench nw -scheme regless -warps 8 -timeline)"
 test "$tlout" = "$(cat scripts/golden/timeline_nw_warps8.txt)"
 test "$(go run ./cmd/regless -bench nw -scheme regless -warps 8 -sms 4 -timeline | grep -c '^SM [0-3] ')" = 4
 
+# Metrics-wire smoke: the per-window JSONL stream — cell names, their
+# order, window boundaries, values — is a contract with whoever reads it;
+# the goldens are the output of the binary before statistics became
+# tagged struct fields and are not regenerated.
+for m in "regless_warps8:-scheme regless" "regless_warps8_sms4:-scheme regless -sms 4" "rfv_warps8:-scheme rfv"; do
+	go run ./cmd/regless -bench nw ${m#*:} -warps 8 -metrics jsonl 2> /dev/null |
+		cmp - "scripts/golden/metrics_nw_${m%%:*}.jsonl"
+done
+
 # Trace-schema smoke test: a small traced run must produce a Perfetto
 # trace that validates — every span on a named track, on a chip's later
 # SMs too — and a stall report that tiles (no WARNING line).
