@@ -73,19 +73,19 @@ type Stats struct {
 	// Activations counts ActivateTop successes (Inactive -> Preloading or
 	// Active); Immediate is the subset that skipped Preloading because the
 	// region needed no input fetches.
-	Activations uint64
-	Immediate   uint64
+	Activations uint64 `metric:"activations"`
+	Immediate   uint64 `metric:"immediate_activations"`
 	// Deferrals counts DeferTop stack rotations (barrier waits).
-	Deferrals uint64
+	Deferrals uint64 `metric:"deferrals"`
 	// PreloadsDone counts completed input fetches signalled to the CM.
-	PreloadsDone uint64
+	PreloadsDone uint64 `metric:"preloads_done"`
 	// Drains counts Active -> Draining transitions, DrainsDone the
 	// Draining -> Inactive completions, and Finishes warp retirements.
-	Drains     uint64
-	DrainsDone uint64
-	Finishes   uint64
+	Drains     uint64 `metric:"drains"`
+	DrainsDone uint64 `metric:"drains_done"`
+	Finishes   uint64 `metric:"finishes"`
 	// LinesReleased counts single-line reservation returns during drains.
-	LinesReleased uint64
+	LinesReleased uint64 `metric:"lines_released"`
 }
 
 // CM is one shard's capacity manager. Warps are identified by a dense

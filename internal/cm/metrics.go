@@ -2,25 +2,13 @@ package cm
 
 import "repro/internal/metrics"
 
-// cellNames holds every shard's cell names, in BindMetrics' order.
-var cellNames = metrics.Names("cm/s%d",
-	"/activations", "/immediate_activations", "/deferrals", "/preloads_done",
-	"/drains", "/drains_done", "/finishes", "/lines_released",
-	"/stack_depth", "/reserved_lines")
+// statCells is the tagged Stats fields, then the gauges.
+var statCells = metrics.FieldsOf[Stats]("cm/s%d/", "stack_depth", "reserved_lines")
 
 // BindMetrics exposes the transition counters and live stack/reservation
 // occupancy on r under "cm/s<shard>/..." (one CM per shard).
 func (c *CM) BindMetrics(r *metrics.Registry, shard int) {
-	n := cellNames(shard)
-	r.Bind(n[0], &c.Stats.Activations)
-	r.Bind(n[1], &c.Stats.Immediate)
-	r.Bind(n[2], &c.Stats.Deferrals)
-	r.Bind(n[3], &c.Stats.PreloadsDone)
-	r.Bind(n[4], &c.Stats.Drains)
-	r.Bind(n[5], &c.Stats.DrainsDone)
-	r.Bind(n[6], &c.Stats.Finishes)
-	r.Bind(n[7], &c.Stats.LinesReleased)
-	r.Gauges((*gauges)(c), n[8:10]...)
+	r.Gauges((*gauges)(c), statCells.BindAt(r, shard, &c.Stats)...)
 }
 
 // gauges is the manager as a metrics.Sampler: stack depth, reserved lines.

@@ -145,15 +145,15 @@ type Config struct {
 
 // Stats counts compressor events for the energy model.
 type Stats struct {
-	Matches      uint64 // pattern-match operations (eviction side)
-	Hits         uint64 // compressible evictions
-	Misses       uint64 // incompressible evictions
-	BitChecks    uint64 // bit-vector lookups (preload side)
-	CacheHits    uint64 // compressed-line cache hits
-	CacheMisses  uint64
-	LineFetches  uint64 // compressed lines fetched from L1
-	LineEvicts   uint64 // dirty compressed lines written to L1
-	Invalidation uint64 // compressed entries dropped by invalidations
+	Matches      uint64 `metric:"matches"`    // pattern-match operations (eviction side)
+	Hits         uint64 `metric:"hits"`       // compressible evictions
+	Misses       uint64 `metric:"misses"`     // incompressible evictions
+	BitChecks    uint64 `metric:"bit_checks"` // bit-vector lookups (preload side)
+	CacheHits    uint64 `metric:"cache_hits"` // compressed-line cache hits
+	CacheMisses  uint64 `metric:"cache_misses"`
+	LineFetches  uint64 `metric:"line_fetches"`  // compressed lines fetched from L1
+	LineEvicts   uint64 `metric:"line_evicts"`   // dirty compressed lines written to L1
+	Invalidation uint64 `metric:"invalidations"` // compressed entries dropped by invalidations
 
 	// PatHits breaks Hits down by matched pattern (PatHits[PatNone] stays
 	// zero); the hit-mix figure reads these.

@@ -59,7 +59,7 @@ func TestRegLessAllBenchmarks(t *testing.T) {
 			t.Parallel()
 			k := kernels.MustLoad(bm.Name)
 			st, p := runRegLess(t, k, testSimCfg(), DefaultConfig())
-			ps := p.Stats()
+			ps := p.st
 			if st.DynInsns == 0 {
 				t.Fatal("nothing executed")
 			}
@@ -96,7 +96,7 @@ func TestRegLessPreloadsMostlyHitOSU(t *testing.T) {
 	// working-set kernel and a weak form overall.
 	k := kernels.MustLoad("nw")
 	_, p := runRegLess(t, k, testSimCfg(), DefaultConfig())
-	ps := p.Stats()
+	ps := p.st
 	total := ps.Preloads()
 	if total == 0 {
 		t.Fatal("no preloads")
@@ -118,22 +118,22 @@ func TestRegLessCompressorReducesL1Traffic(t *testing.T) {
 	off, pOff := runRegLess(t, k, testSimCfg(), cfgOff)
 	_ = on
 	_ = off
-	if pOn.Stats().Evictions == 0 {
+	if pOn.st.Evictions == 0 {
 		t.Skip("no evictions at this capacity; nothing to compare")
 	}
-	if pOn.Stats().CompressorHits == 0 {
+	if pOn.st.CompressorHits == 0 {
 		t.Fatal("compressor never matched on hotspot's address-heavy registers")
 	}
-	if pOn.Stats().L1StoreWrites >= pOff.Stats().L1StoreWrites && pOff.Stats().L1StoreWrites > 0 {
+	if pOn.st.L1StoreWrites >= pOff.st.L1StoreWrites && pOff.st.L1StoreWrites > 0 {
 		t.Fatalf("compressor did not reduce L1 stores: %d (on) vs %d (off)",
-			pOn.Stats().L1StoreWrites, pOff.Stats().L1StoreWrites)
+			pOn.st.L1StoreWrites, pOff.st.L1StoreWrites)
 	}
 }
 
 func TestRegLessRegionStatsPlausible(t *testing.T) {
 	k := kernels.MustLoad("lud")
 	st, p := runRegLess(t, k, testSimCfg(), DefaultConfig())
-	ps := p.Stats()
+	ps := p.st
 	if ps.RegionActivations == 0 || ps.RegionCycles == 0 {
 		t.Fatalf("region stats empty: %+v", ps)
 	}
@@ -167,10 +167,10 @@ func TestRegLessMetadataChargesIssueSlots(t *testing.T) {
 	with, pWith := runRegLess(t, k, testSimCfg(), cfg)
 	cfg.MetadataOverhead = false
 	without, pWithout := runRegLess(t, k, testSimCfg(), cfg)
-	if pWith.Stats().MetaInsns == 0 {
+	if pWith.st.MetaInsns == 0 {
 		t.Fatal("no metadata instructions charged")
 	}
-	if pWithout.Stats().MetaInsns != 0 {
+	if pWithout.st.MetaInsns != 0 {
 		t.Fatal("metadata charged while disabled")
 	}
 	if with.Cycles < without.Cycles {
@@ -233,7 +233,7 @@ func TestDynamicRegionStats(t *testing.T) {
 			insns, static.AvgInsns)
 	}
 	// Total activations recorded must match the provider counter.
-	if p.Stats().RegionActivations == 0 {
+	if p.st.RegionActivations == 0 {
 		t.Fatal("no activations")
 	}
 }
@@ -334,7 +334,7 @@ func TestActivationMemoIsInvisible(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return *st, *p.Stats()
+				return *st, *p.st
 			}
 			st, ps := run(false)
 			wst, wps := run(true)

@@ -23,7 +23,7 @@ func (p *Provider) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 	// Metadata instructions precede the region's first real instruction.
 	if p.cfg.MetadataOverhead && gi == region.StartGI {
 		penalty += region.MetaInsns
-		p.m.MetaInsns.Add(uint64(region.MetaInsns))
+		p.st.MetaInsns += uint64(region.MetaInsns)
 	}
 
 	// Source reads: one OSU bank access each; same-bank collisions
@@ -34,17 +34,17 @@ func (p *Provider) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 		if !r.Valid() {
 			continue
 		}
-		p.m.StructReads.Inc()
+		p.st.StructReads++
 		sh.osu.CountRead()
 		b := (w.ID + int(r)) % p.cfg.Banks
 		if banksUsed[b] {
-			p.m.BankConflicts.Inc()
+			p.st.BankConflicts++
 			penalty++
 		}
 		banksUsed[b] = true
 	}
 	if in.Op.HasDst() && in.Dst.Valid() {
-		p.m.StructWrites.Inc()
+		p.st.StructWrites++
 		sh.osu.CountWrite()
 		if !ws.staged.has(in.Dst) {
 			// Interior register's first write allocates its line.
@@ -138,8 +138,8 @@ func (p *Provider) finishDrain(sh *shard, ws *warpState) {
 		return
 	}
 	cycles := sh.cm.FinishDrain(ws.local, p.sm.Cycle())
-	p.m.RegionCycles.Add(cycles)
-	p.m.RegionActivations.Inc()
+	p.st.RegionCycles += cycles
+	p.st.RegionActivations++
 	ws.regionID = -1
 }
 

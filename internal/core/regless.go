@@ -175,7 +175,7 @@ type Provider struct {
 	cfg  Config
 	comp *regions.Compiled
 	sm   *sim.SM
-	m    *sim.ProviderCounters
+	st   *sim.ProviderStats
 	rec  *events.Recorder // nil-safe event recorder (sim.RecorderAware)
 
 	a      *arena.Arena // the SM's: what Attach builds from (nil: the heap)
@@ -285,11 +285,9 @@ func (p *Provider) Compiled() *regions.Compiled { return p.comp }
 // Name implements sim.Provider.
 func (p *Provider) Name() string { return "regless" }
 
-// Stats implements sim.Provider.
-func (p *Provider) Stats() *sim.ProviderStats { return p.m.Stats() }
-
 // The element types a provider's run-time state is made of (package
-// arena), and the per-shard cell name the provider registers itself.
+// arena), and the per-shard name of the one cell the provider registers
+// itself — a gauge; a shard has no counters of its own, hence no fields.
 var (
 	shardT    = arena.Of[shard]()
 	shardPtrT = arena.Of[*shard]()
@@ -302,7 +300,7 @@ var (
 	wordT     = arena.Of[uint64]()
 	intT      = arena.Of[int]()
 
-	shardNames = metrics.Names("core/s%d", "/preload_backlog")
+	shardCells = metrics.FieldsOf[struct{}]("core/s%d/", "preload_backlog")
 )
 
 // Attach implements sim.Provider. Everything the run mutates is built
@@ -316,7 +314,7 @@ func (p *Provider) Attach(smv *sim.SM) error {
 	}
 	a := smv.Arena()
 	p.sm, p.a = smv, a
-	p.m = sim.NewProviderCounters(smv)
+	p.st = &smv.Prov
 	p.regionActivations = wordT.Make(a, len(p.comp.Regions))
 	p.usageScratch = intT.Make(a, p.cfg.Banks)
 	warpsPerShard := smv.Cfg.Warps / p.cfg.Shards
@@ -356,7 +354,7 @@ func (p *Provider) Attach(smv *sim.SM) error {
 		sh.cm.BindMetrics(smv.Metrics, s)
 		sh.osu.BindMetrics(smv.Metrics, s)
 		sh.cmp.BindMetrics(smv.Metrics, s)
-		smv.Metrics.Gauges(sh, shardNames(s)[0])
+		smv.Metrics.Gauges(sh, shardCells.BindAt(smv.Metrics, s, &struct{}{})...)
 	}
 	warps := wsT.Make(a, smv.Cfg.Warps)
 	p.warps = wsPtrT.Make(a, smv.Cfg.Warps)

@@ -51,20 +51,20 @@ func (p *Provider) drainL1Ops() {
 		if op.inval {
 			ok = p.sm.Mem.L1Invalidate(op.addr)
 			if ok {
-				p.m.L1Invalidates.Inc()
+				p.st.L1Invalidates++
 			}
 		} else {
 			ok = p.sm.Mem.L1AccessFor(op.addr, op.write, op.w)
 			if ok {
 				if op.write {
-					p.m.L1StoreWrites.Inc()
+					p.st.L1StoreWrites++
 				} else {
-					p.m.L1PreloadReads.Inc()
+					p.st.L1PreloadReads++
 				}
 			}
 		}
 		if ok {
-			p.m.BackingAccesses.Inc()
+			p.st.BackingAccesses++
 			sh.l1ops = popFront(sh.l1ops)
 			p.rrShard = (p.rrShard + i + 1) % n
 			return
@@ -82,14 +82,14 @@ func (p *Provider) processEvictions(sh *shard) {
 	}
 	req := sh.evictQ[0]
 	sh.evictQ = popFront(sh.evictQ)
-	p.m.Evictions.Inc()
+	p.st.Evictions++
 	if p.cfg.EnableCompressor {
 		val := p.sm.Warps[req.warp].Exec.ReadReg(req.reg)
 		pat, ok := sh.cmp.TryCompress(req.warp, req.reg, &val)
 		p.rec.Compress(p.warps[req.warp].shard, req.warp, uint8(pat), ok)
 		if ok {
-			p.m.CompressorHits.Inc()
-			p.m.CompressorCacheOps.Inc()
+			p.st.CompressorHits++
+			p.st.CompressorCacheOps++
 			res := sh.cmp.AccessLine(req.warp, req.reg, true)
 			if res.HasFetch {
 				// Read-modify-write of a non-resident compressed
@@ -101,7 +101,7 @@ func (p *Provider) processEvictions(sh *shard) {
 			}
 			return
 		}
-		p.m.CompressorMisses.Inc()
+		p.st.CompressorMisses++
 	}
 	sh.pushL1(l1op{addr: p.regAddr(req.warp, req.reg), write: true})
 }
@@ -127,11 +127,11 @@ func (p *Provider) processPreloads(sh *shard) {
 // path, or raw L1 read.
 func (p *Provider) preload(sh *shard, req preloadReq) {
 	ws := p.warps[req.warp]
-	p.m.TagLookups.Inc()
+	p.st.TagLookups++
 	if st, ok := sh.osu.Lookup(req.warp, req.reg); ok {
 		sh.osu.Activate(req.warp, req.reg)
 		p.stage(ws, req.reg, st == osu.StateDirty)
-		p.m.PreloadFromOSU.Inc()
+		p.st.PreloadFromOSU++
 		p.rec.PreloadFill(ws.shard, req.warp, uint32(req.reg), events.SrcOSU)
 		if req.invalidate {
 			p.dropBacking(sh, req.warp, req.reg)
@@ -144,7 +144,7 @@ func (p *Provider) preload(sh *shard, req preloadReq) {
 		if sh.evictQ[i].warp == req.warp && sh.evictQ[i].reg == req.reg {
 			sh.evictQ = append(sh.evictQ[:i], sh.evictQ[i+1:]...)
 			p.install(sh, ws, req.reg, true)
-			p.m.PreloadFromOSU.Inc()
+			p.st.PreloadFromOSU++
 			p.rec.PreloadFill(ws.shard, req.warp, uint32(req.reg), events.SrcOSU)
 			if req.invalidate {
 				p.dropBacking(sh, req.warp, req.reg)
@@ -154,10 +154,10 @@ func (p *Provider) preload(sh *shard, req preloadReq) {
 		}
 	}
 	if p.cfg.EnableCompressor {
-		p.m.CompressorBitChecks.Inc()
+		p.st.CompressorBitChecks++
 	}
 	if p.cfg.EnableCompressor && sh.cmp.IsCompressed(req.warp, req.reg) {
-		p.m.CompressorCacheOps.Inc()
+		p.st.CompressorCacheOps++
 		res := sh.cmp.AccessLine(req.warp, req.reg, false)
 		if res.HasWriteback {
 			sh.pushL1(l1op{addr: res.WritebackLine + p.cfg.AddrOffset, write: true})
@@ -218,11 +218,11 @@ func (p *Provider) landed(f *fill, src events.PreloadSrc) {
 	p.install(sh, ws, req.reg, false)
 	switch src {
 	case events.SrcCompressor:
-		p.m.PreloadFromCompressor.Inc()
+		p.st.PreloadFromCompressor++
 	case events.SrcL1:
-		p.m.PreloadFromL1.Inc()
+		p.st.PreloadFromL1++
 	default:
-		p.m.PreloadFromL2DRAM.Inc()
+		p.st.PreloadFromL2DRAM++
 	}
 	p.rec.PreloadFill(ws.shard, req.warp, uint32(req.reg), src)
 	if req.invalidate {
@@ -297,7 +297,7 @@ func (p *Provider) processInvalidations(sh *shard) {
 	}
 	req := sh.invalQ[0]
 	sh.invalQ = popFront(sh.invalQ)
-	p.m.CacheInvalidations.Inc()
+	p.st.CacheInvalidations++
 	// Purge a dead pending writeback.
 	for i := range sh.evictQ {
 		if sh.evictQ[i].warp == req.warp && sh.evictQ[i].reg == req.reg {
@@ -418,8 +418,3 @@ func (p *Provider) TickIdle() bool {
 	}
 	return true
 }
-
-// ChargeStalls implements sim.StallCharger: the refusals the SM's picks
-// counted against the issue mask (a stepped cycle's, or a skipped
-// span's).
-func (p *Provider) ChargeStalls(n uint64) { p.m.StallCycles.Add(n) }

@@ -30,7 +30,7 @@ func runBaseline(t *testing.T, name string) energy.Activity {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return energy.FromRun(st, p.Stats(), smv.Mem.Stats)
+	return energy.FromRun(st, &smv.Prov, smv.Mem.Stats)
 }
 
 // Calibration: across a representative subset, the baseline register file
@@ -154,7 +154,7 @@ func TestGPUEnergySavingsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aRL := energy.FromRun(st, p.Stats(), smv.Mem.Stats)
+	aRL := energy.FromRun(st, &smv.Prov, smv.Mem.Stats)
 	bRL := energy.Compute(params, energy.Scheme{Kind: energy.KindRegLess, Entries: 512, Compressor: true}, aRL)
 
 	if !(bNoRF.Total < bRL.Total && bRL.Total < bBase.Total) {

@@ -24,7 +24,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/launch"
-	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rf"
@@ -252,8 +251,8 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 	run.Chip = res
 	run.Stats = mergeSimStats(res)
 	for i, smv := range g.SMs {
-		addProviderStats(&run.Prov, smv.Provider.Stats())
-		addMemStats(&run.Mem, &smv.Mem.Stats)
+		metrics.Add(&run.Prov, &smv.Prov)
+		metrics.Add(&run.Mem, &smv.Mem.Stats)
 		if mask != 0 {
 			inst.Cycles = append(inst.Cycles, res.PerSM[i].Cycles)
 		}
@@ -300,34 +299,22 @@ func SimulateInstrumented(ctx context.Context, bench string, scheme Scheme, sms 
 	return runPoint(ctx, k, bench, scheme, sms, su, nil, mask, nil)
 }
 
-// mergeSimStats folds per-SM statistics into one SM-shaped Stats:
-// cycles are the chip run time (slowest SM), event counters sum,
-// WorkingSetKB averages over SMs (it is itself a per-window mean), and
-// BackingSeries sums elementwise (the chip's backing traffic over time).
-// The fold of one SM is that SM's statistics, so a chip of one returns
-// them as they are — Run.Stats and Run.Chip.PerSM[0] are then one Stats
-// with one series, which is sound because a Run is read-only.
+// mergeSimStats folds per-SM statistics into one SM-shaped Stats: event
+// counters sum (metrics.Add), and what is not a sum is set here — cycles
+// are the chip run time (slowest SM), WorkingSetKB averages over SMs (it
+// is itself a per-window mean), and BackingSeries sums elementwise (the
+// chip's backing traffic over time). The fold of one SM is that SM's
+// statistics, so a chip of one returns them as they are — Run.Stats and
+// Run.Chip.PerSM[0] are then one Stats with one series, which is sound
+// because a Run is read-only.
 func mergeSimStats(res *gpu.Result) *sim.Stats {
 	if len(res.PerSM) == 1 {
 		return res.PerSM[0]
 	}
-	out := &sim.Stats{Cycles: res.Cycles}
+	out := &sim.Stats{}
 	for _, st := range res.PerSM {
-		out.DynInsns += st.DynInsns
-		out.IssueStalls += st.IssueStalls
-		out.ALUOps += st.ALUOps
-		out.FMAOps += st.FMAOps
-		out.SFUOps += st.SFUOps
-		out.GlobalLoads += st.GlobalLoads
-		out.GlobalStores += st.GlobalStores
-		out.SharedOps += st.SharedOps
-		out.Branches += st.Branches
-		out.Barriers += st.Barriers
-		out.MemLines += st.MemLines
-		out.ActiveLanes += st.ActiveLanes
+		metrics.Add(out, st)
 		out.WorkingSetKB += st.WorkingSetKB
-		out.FFSkippedCycles += st.FFSkippedCycles
-		out.FFJumps += st.FFJumps
 		if grow := len(st.BackingSeries) - len(out.BackingSeries); grow > 0 {
 			out.BackingSeries = append(out.BackingSeries, make([]uint64, grow)...)
 		}
@@ -335,55 +322,9 @@ func mergeSimStats(res *gpu.Result) *sim.Stats {
 			out.BackingSeries[i] += v
 		}
 	}
+	out.Cycles = res.Cycles
 	if n := len(res.PerSM); n > 0 {
 		out.WorkingSetKB /= float64(n)
 	}
 	return out
-}
-
-func addProviderStats(dst *sim.ProviderStats, src *sim.ProviderStats) {
-	dst.StructReads += src.StructReads
-	dst.StructWrites += src.StructWrites
-	dst.TagLookups += src.TagLookups
-	dst.BankConflicts += src.BankConflicts
-	dst.BackingAccesses += src.BackingAccesses
-	dst.PreloadFromOSU += src.PreloadFromOSU
-	dst.PreloadFromCompressor += src.PreloadFromCompressor
-	dst.PreloadFromL1 += src.PreloadFromL1
-	dst.PreloadFromL2DRAM += src.PreloadFromL2DRAM
-	dst.Evictions += src.Evictions
-	dst.CompressorHits += src.CompressorHits
-	dst.CompressorMisses += src.CompressorMisses
-	dst.CompressorBitChecks += src.CompressorBitChecks
-	dst.CompressorCacheOps += src.CompressorCacheOps
-	dst.CacheInvalidations += src.CacheInvalidations
-	dst.MetaInsns += src.MetaInsns
-	dst.StallCycles += src.StallCycles
-	dst.L1PreloadReads += src.L1PreloadReads
-	dst.L1StoreWrites += src.L1StoreWrites
-	dst.L1Invalidates += src.L1Invalidates
-	dst.LRFAccesses += src.LRFAccesses
-	dst.ORFAccesses += src.ORFAccesses
-	dst.MRFAccesses += src.MRFAccesses
-	dst.RegionActivations += src.RegionActivations
-	dst.RegionCycles += src.RegionCycles
-}
-
-func addMemStats(dst *mem.Stats, src *mem.Stats) {
-	dst.L1Hits += src.L1Hits
-	dst.L1Misses += src.L1Misses
-	dst.L1Reads += src.L1Reads
-	dst.L1Writes += src.L1Writes
-	dst.L1Writebacks += src.L1Writebacks
-	dst.L1Invalidations += src.L1Invalidations
-	dst.L2Hits += src.L2Hits
-	dst.L2Misses += src.L2Misses
-	dst.DataReads += src.DataReads
-	dst.DataWrites += src.DataWrites
-	dst.DRAMAccesses += src.DRAMAccesses
-	dst.L1PortRejects += src.L1PortRejects
-	dst.MSHRRejects += src.MSHRRejects
-	dst.DataRejects += src.DataRejects
-	dst.FaultDrops += src.FaultDrops
-	dst.FaultDelays += src.FaultDelays
 }

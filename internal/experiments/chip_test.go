@@ -14,6 +14,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/rf"
 	"repro/internal/sim"
 )
@@ -89,8 +90,8 @@ func TestChipOfOneMatchesBareSM(t *testing.T) {
 				if !reflect.DeepEqual(got.Stats, want) {
 					t.Errorf("%s: Stats diverge:\nchip %+v\nbare %+v", where, got.Stats, want)
 				}
-				if !reflect.DeepEqual(got.Prov, *ref.Provider.Stats()) {
-					t.Errorf("%s: Prov diverge:\nchip %+v\nbare %+v", where, got.Prov, *ref.Provider.Stats())
+				if !reflect.DeepEqual(got.Prov, ref.Prov) {
+					t.Errorf("%s: Prov diverge:\nchip %+v\nbare %+v", where, got.Prov, ref.Prov)
 				}
 				if got.Mem != ref.Mem.Stats {
 					t.Errorf("%s: Mem diverge:\nchip %+v\nbare %+v", where, got.Mem, ref.Mem.Stats)
@@ -125,9 +126,9 @@ func fillNumeric(t *testing.T, v any, seed uint64) {
 	}
 }
 
-// TestMergesCoverEveryCounter: every run's Stats/Prov/Mem now come out of
-// the field-by-field merges, so a counter added to one of the structs but
-// not to its merge would read zero in every table. Merging two filled
+// TestMergesCoverEveryCounter: every run's Stats/Prov/Mem come out of
+// mergeSimStats and metrics.Add, so a counter one of them skipped would
+// read zero in every table. Merging two filled
 // structs must sum every field (Cycles: the chip's, i.e. the slowest
 // SM's; WorkingSetKB: the mean over SMs).
 func TestMergesCoverEveryCounter(t *testing.T) {
@@ -172,15 +173,15 @@ func TestMergesCoverEveryCounter(t *testing.T) {
 	var pa, pb, pm sim.ProviderStats
 	fillNumeric(t, &pa, seedA)
 	fillNumeric(t, &pb, seedB)
-	addProviderStats(&pm, &pa)
-	addProviderStats(&pm, &pb)
+	metrics.Add(&pm, &pa)
+	metrics.Add(&pm, &pb)
 	checkSums(&pm, nil)
 
 	var ma, mb, mm mem.Stats
 	fillNumeric(t, &ma, seedA)
 	fillNumeric(t, &mb, seedB)
-	addMemStats(&mm, &ma)
-	addMemStats(&mm, &mb)
+	metrics.Add(&mm, &ma)
+	metrics.Add(&mm, &mb)
 	checkSums(&mm, nil)
 }
 

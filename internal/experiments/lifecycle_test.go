@@ -16,6 +16,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/kernels"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -126,8 +127,8 @@ func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
 		}
 		o := outcome{stats: *mergeSimStats(res), stores: su.Memory.GlobalStores()}
 		for _, smv := range g.SMs {
-			addProviderStats(&o.prov, smv.Provider.Stats())
-			addMemStats(&o.mem, &smv.Mem.Stats)
+			metrics.Add(&o.prov, &smv.Prov)
+			metrics.Add(&o.mem, &smv.Mem.Stats)
 		}
 		fresh[p] = o
 	}

@@ -84,22 +84,22 @@ func (c BankedL2Config) Validate() error {
 
 // BankedL2Stats aggregates chip-level memory traffic.
 type BankedL2Stats struct {
-	Hits   uint64
-	Misses uint64
+	Hits   uint64 `metric:"hits"`
+	Misses uint64 `metric:"misses"`
 	// PortQueueCycles sums the cycles requests waited for a bank port
 	// (the chip-level contention signal).
-	PortQueueCycles uint64
+	PortQueueCycles uint64 `metric:"port_queue_cycles"`
 	// MSHRMerges counts secondary misses folded onto an in-flight fetch
 	// (cross-SM merges included).
-	MSHRMerges uint64
+	MSHRMerges uint64 `metric:"mshr_merges"`
 	// MSHRFullRetries counts requests bounced by a full per-bank MSHR
 	// file (each retries after MSHRRetry cycles).
-	MSHRFullRetries uint64
+	MSHRFullRetries uint64 `metric:"mshr_full_retries"`
 	// DRAMAccesses counts line fetches, DRAMWrites dirty writebacks;
 	// DRAMQueueCycles sums bandwidth-throttle queueing delay.
-	DRAMAccesses    uint64
-	DRAMWrites      uint64
-	DRAMQueueCycles uint64
+	DRAMAccesses    uint64 `metric:"dram_accesses"`
+	DRAMWrites      uint64 `metric:"dram_writes"`
+	DRAMQueueCycles uint64 `metric:"dram_queue_cycles"`
 }
 
 // l2waiter is one merged requester parked on an in-flight fetch: the

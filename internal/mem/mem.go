@@ -142,26 +142,26 @@ func funcWaiter(done func(Source)) Waiter {
 
 // Stats counts hierarchy events for the energy model and Figures 17/18.
 type Stats struct {
-	L1Hits          uint64
-	L1Misses        uint64
-	L1Reads         uint64
-	L1Writes        uint64
-	L1Writebacks    uint64
-	L1Invalidations uint64
-	L2Hits          uint64
-	L2Misses        uint64
-	DataReads       uint64
-	DataWrites      uint64
-	DRAMAccesses    uint64
+	L1Hits          uint64 `metric:"l1_hits"`
+	L1Misses        uint64 `metric:"l1_misses"`
+	L1Reads         uint64 `metric:"l1_reads"`
+	L1Writes        uint64 `metric:"l1_writes"`
+	L1Writebacks    uint64 `metric:"l1_writebacks"`
+	L1Invalidations uint64 `metric:"l1_invalidations"`
+	L2Hits          uint64 `metric:"l2_hits"`
+	L2Misses        uint64 `metric:"l2_misses"`
+	DataReads       uint64 `metric:"data_reads"`
+	DataWrites      uint64 `metric:"data_writes"`
+	DRAMAccesses    uint64 `metric:"dram_accesses"`
 
 	// Structural-hazard rejections (the submitting unit retries next
 	// cycle, so these count contention cycles, not lost requests):
 	// L1PortRejects are requests refused because the single L1 port was
 	// claimed this cycle, MSHRRejects because all MSHRs were in use, and
 	// DataRejects because the bypass queue or injection port was busy.
-	L1PortRejects uint64
-	MSHRRejects   uint64
-	DataRejects   uint64
+	L1PortRejects uint64 `metric:"l1_port_rejects"`
+	MSHRRejects   uint64 `metric:"mshr_rejects"`
+	DataRejects   uint64 `metric:"data_rejects"`
 
 	// FaultDrops/FaultDelays count injected response faults applied
 	// (zero outside fault-injection runs).

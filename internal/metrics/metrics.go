@@ -4,25 +4,28 @@
 //
 // Design constraints (this package sits under every hot simulation loop):
 //
-//   - Counting is allocation-free. A Counter is one pointer; Inc/Add are a
-//     nil check plus an increment. Registration (done once, at simulation
-//     construction) is the only place that allocates.
-//   - The zero value of every instrument is a safe no-op, so code compiled
-//     with instrumentation pays exactly one predictable branch when the
-//     owning registry is absent or the handle was never registered.
+//   - Counting is allocation-free, and a counter is spelled once. A
+//     simulation's counter is a plain uint64 field of its owner's
+//     statistics struct, written `stats.X++`; a `metric:"name"` tag on the
+//     field makes it a cell, and the registry holds a view of it (Fields
+//     binds a struct's tagged fields, Bind one word). The serving layer
+//     counts from many goroutines, so its cells are owned ones behind an
+//     AtomicCounter or Histogram handle: a nil check plus an atomic add.
+//     Registration (done once, at construction) is the only place that
+//     allocates.
+//   - The zero value of every handle is a safe no-op, and a nil registry
+//     binds nothing, so code compiled with instrumentation pays at most
+//     one predictable branch when the registry is absent.
 //   - A Registry belongs to one simulation and is driven from a single
 //     goroutine (the simulator is deterministic and single-threaded per
 //     SM); cross-simulation aggregation happens at the export layer
 //     (JSONLWriter serializes emits from concurrent simulations).
 //
-// Existing statistics structs integrate without touching their hot paths:
-// Bind registers a view over an external *uint64 field, so `stats.X++`
-// keeps compiling to a bare increment while the registry can still
-// snapshot, diff, and export the cell. Gauges are sampled only at
-// snapshot/window boundaries, which makes occupancy-style metrics (queue
-// depths, cache residency) free during simulation; a component registers
-// its gauges as one Sampler (Gauges), held by pointer, so registering
-// them allocates no closure per gauge per run.
+// Gauges are sampled only at snapshot/window boundaries, which makes
+// occupancy-style metrics (queue depths, cache residency) free during
+// simulation; a component registers its gauges as one Sampler (Gauges),
+// held by pointer, so registering them allocates no closure per gauge per
+// run.
 package metrics
 
 import (
@@ -154,46 +157,10 @@ func (r *Registry) CheckNames() {
 	})
 }
 
-// Names describes cell names that exist per instance of something — per
-// RegLess shard, per scheduler group — and returns the function that
-// yields instance i's: the format applied to i, followed by each suffix
-// ("cm/s%d" and "/drains" give "cm/s2/drains"). A row is built once per
-// process and shared (callers do not modify it): building a few hundred
-// such strings is most of what registering a simulation's cells would
-// otherwise cost, every run.
-func Names(format string, suffixes ...string) func(i int) []string {
-	var mu sync.Mutex
-	var rows [][]string
-	return func(i int) []string {
-		mu.Lock()
-		defer mu.Unlock()
-		for len(rows) <= i {
-			prefix := fmt.Sprintf(format, len(rows))
-			row := make([]string, len(suffixes))
-			for j, s := range suffixes {
-				row[j] = prefix + s
-			}
-			rows = append(rows, row)
-		}
-		return rows[i]
-	}
-}
-
-// Counter registers an owned counter cell. Names must be unique
-// (CheckNames). A nil registry returns the zero Counter, whose methods
-// are no-ops.
-func (r *Registry) Counter(name string) Counter {
-	if r == nil {
-		return Counter{}
-	}
-	v := wordT.New(r.a)
-	r.register(cell{name: name, kind: KindCounter, val: v})
-	return Counter{v: v}
-}
-
-// AtomicCounter registers a counter cell whose increments are safe from
-// concurrent goroutines. Simulations never need this (one registry per
-// simulation, one goroutine); the serving layer does — request handlers
+// AtomicCounter registers an owned counter cell whose increments are safe
+// from concurrent goroutines. Names must be unique (CheckNames). A
+// simulation never needs this (one registry, one goroutine, counters that
+// are struct fields under Bind); the serving layer does — request handlers
 // and pool workers count hits, misses, and admissions concurrently while
 // a metrics loop snapshots and closes windows. Reads of an atomic cell
 // (Value, Snapshot, CloseWindow) use atomic loads, so counting never
@@ -252,32 +219,23 @@ func (r *Registry) Gauges(s Sampler, names ...string) {
 
 // histMeta is one histogram's registration record: its family name, the
 // bucket bounds, the index of its first cell (buckets, then the overflow
-// cell, then the sum cell, contiguously), and the counting discipline.
+// cell, then the sum cell, contiguously).
 type histMeta struct {
 	name   string
 	bounds []uint64
 	first  int
-	atomic bool
 }
 
-// Histogram registers a bucketed counter under name: one cell per bucket
-// (`name/le_B` for each bound, `name/inf` for the overflow, `name/sum`
-// for the running total of observed values), so histogram buckets ride
-// through snapshots and windows like any counter. Bounds must be strictly
-// increasing. A nil registry returns the zero Histogram.
-func (r *Registry) Histogram(name string, bounds ...uint64) Histogram {
-	return r.histogram(name, bounds, false)
-}
-
-// AtomicHistogram registers a histogram whose observations are safe from
-// concurrent goroutines — the histogram counterpart of AtomicCounter,
-// for serving-layer latency distributions observed from handlers and
-// pool workers while the metrics loop exports.
+// AtomicHistogram registers a bucketed counter under name: one cell per
+// bucket (`name/le_B` for each bound, `name/inf` for the overflow,
+// `name/sum` for the running total of observed values), so histogram
+// buckets ride through snapshots and windows like any counter. Bounds
+// must be strictly increasing. Observations are safe from concurrent
+// goroutines — the histogram counterpart of AtomicCounter, for
+// serving-layer latency distributions observed from handlers and pool
+// workers while the metrics loop exports. A nil registry returns the zero
+// Histogram.
 func (r *Registry) AtomicHistogram(name string, bounds ...uint64) Histogram {
-	return r.histogram(name, bounds, true)
-}
-
-func (r *Registry) histogram(name string, bounds []uint64, atomicCells bool) Histogram {
 	if r == nil {
 		return Histogram{}
 	}
@@ -287,49 +245,21 @@ func (r *Registry) histogram(name string, bounds []uint64, atomicCells bool) His
 		}
 	}
 	first := len(r.cells)
-	h := Histogram{bounds: bounds, cells: make([]*uint64, len(bounds)+1), atomic: atomicCells}
+	h := Histogram{bounds: bounds, cells: make([]*uint64, len(bounds)+1)}
 	for i, b := range bounds {
 		h.cells[i] = wordT.New(r.a)
-		r.register(cell{name: fmt.Sprintf("%s/le_%d", name, b), kind: KindCounter, val: h.cells[i], atomic: atomicCells})
+		r.register(cell{name: fmt.Sprintf("%s/le_%d", name, b), kind: KindCounter, val: h.cells[i], atomic: true})
 	}
 	h.cells[len(bounds)] = wordT.New(r.a)
-	r.register(cell{name: name + "/inf", kind: KindCounter, val: h.cells[len(bounds)], atomic: atomicCells})
+	r.register(cell{name: name + "/inf", kind: KindCounter, val: h.cells[len(bounds)], atomic: true})
 	h.sum = wordT.New(r.a)
-	r.register(cell{name: name + "/sum", kind: KindCounter, val: h.sum, atomic: atomicCells})
-	r.hists = append(r.hists, histMeta{name: name, bounds: bounds, first: first, atomic: atomicCells})
+	r.register(cell{name: name + "/sum", kind: KindCounter, val: h.sum, atomic: true})
+	r.hists = append(r.hists, histMeta{name: name, bounds: bounds, first: first})
 	return h
 }
 
-// Counter is a handle to one registered cell. The zero value is a no-op:
-// instrumented code pays one predictable branch when disabled.
-type Counter struct {
-	v *uint64
-}
-
-// Inc adds one.
-func (c Counter) Inc() {
-	if c.v != nil {
-		*c.v++
-	}
-}
-
-// Add adds n.
-func (c Counter) Add(n uint64) {
-	if c.v != nil {
-		*c.v += n
-	}
-}
-
-// Value returns the current count (0 for the zero Counter).
-func (c Counter) Value() uint64 {
-	if c.v == nil {
-		return 0
-	}
-	return *c.v
-}
-
 // AtomicCounter is a handle to one registered atomic cell. The zero value
-// is a no-op, matching Counter.
+// is a no-op: instrumented code pays one predictable branch when disabled.
 type AtomicCounter struct {
 	v *uint64
 }
@@ -361,7 +291,6 @@ type Histogram struct {
 	bounds []uint64
 	cells  []*uint64
 	sum    *uint64
-	atomic bool
 }
 
 // Observe records one sample of v into its bucket and the running sum.
@@ -375,13 +304,8 @@ func (h Histogram) Observe(v uint64) {
 			break
 		}
 	}
-	if h.atomic {
-		atomic.AddUint64(h.cells[i], 1)
-		atomic.AddUint64(h.sum, v)
-		return
-	}
-	*h.cells[i]++
-	*h.sum += v
+	atomic.AddUint64(h.cells[i], 1)
+	atomic.AddUint64(h.sum, v)
 }
 
 // Sample is one named value in a snapshot.

@@ -12,7 +12,7 @@ import (
 
 func TestCounterAndBind(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("a/ops")
+	c := r.AtomicCounter("a/ops")
 	var external uint64
 	r.Bind("b/ops", &external)
 
@@ -35,11 +35,11 @@ func TestCounterAndBind(t *testing.T) {
 }
 
 func TestZeroValueInstrumentsAreNoOps(t *testing.T) {
-	var c Counter
+	var c AtomicCounter
 	c.Inc()
 	c.Add(10)
 	if c.Value() != 0 {
-		t.Fatal("zero Counter counted")
+		t.Fatal("zero AtomicCounter counted")
 	}
 	var h Histogram
 	h.Observe(3) // must not panic
@@ -47,11 +47,11 @@ func TestZeroValueInstrumentsAreNoOps(t *testing.T) {
 
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
+	c := r.AtomicCounter("x")
 	c.Inc()
 	r.Bind("y", new(uint64))
 	r.Gauge("z", func() uint64 { return 1 })
-	h := r.Histogram("h", 1, 2)
+	h := r.AtomicHistogram("h", 1, 2)
 	h.Observe(5)
 	if r.Len() != 0 || r.Names() != nil || r.Snapshot() != nil {
 		t.Fatal("nil registry not empty")
@@ -69,8 +69,8 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("dup")
-	r.Counter("dup")
+	r.AtomicCounter("dup")
+	r.AtomicCounter("dup")
 	r.CheckNames() // registration does not look; the index build does
 }
 
@@ -78,11 +78,11 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 // Value call built it), a duplicate is caught as it is registered.
 func TestDuplicateAfterIndexPanicsAtRegistration(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup")
+	r.AtomicCounter("dup")
 	if _, ok := r.Value("dup"); !ok {
 		t.Fatal("Value did not find a registered cell")
 	}
-	late := r.Counter("late")
+	late := r.AtomicCounter("late")
 	late.Inc()
 	if v, ok := r.Value("late"); !ok || v != 1 {
 		t.Fatalf("a cell registered after the index was built reads %d, %v", v, ok)
@@ -92,7 +92,7 @@ func TestDuplicateAfterIndexPanicsAtRegistration(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.Counter("dup")
+	r.AtomicCounter("dup")
 }
 
 func TestRegistrationAfterSinkPanics(t *testing.T) {
@@ -102,9 +102,9 @@ func TestRegistrationAfterSinkPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("a")
+	r.AtomicCounter("a")
 	r.SetSink(sinkFunc(func(Window) {}))
-	r.Counter("b")
+	r.AtomicCounter("b")
 }
 
 type sinkFunc func(Window)
@@ -134,7 +134,7 @@ func (q *queues) Sample(i int) uint64 { return [2]uint64{q.depth, q.inFlight}[i]
 func TestGaugesSampleTheirComponent(t *testing.T) {
 	r := NewRegistry()
 	q := &queues{}
-	c := r.Counter("q/pushed")
+	c := r.AtomicCounter("q/pushed")
 	r.Gauges(q, "q/depth", "q/in_flight")
 	var got []uint64
 	r.SetSink(sinkFunc(func(w Window) { got = append(got[:0], w.Values...) }))
@@ -170,7 +170,7 @@ func TestGaugesSampleTheirComponent(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", 1, 8, 64)
+	h := r.AtomicHistogram("lat", 1, 8, 64)
 	for _, v := range []uint64{0, 1, 2, 8, 9, 64, 65, 1000} {
 		h.Observe(v)
 	}
@@ -188,12 +188,12 @@ func TestHistogramBadBoundsPanics(t *testing.T) {
 			t.Fatal("non-increasing bounds did not panic")
 		}
 	}()
-	NewRegistry().Histogram("bad", 4, 4)
+	NewRegistry().AtomicHistogram("bad", 4, 4)
 }
 
 func TestSnapshotDiff(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c")
+	c := r.AtomicCounter("c")
 	g := uint64(1)
 	r.Gauge("g", func() uint64 { return g })
 	c.Add(10)
@@ -215,7 +215,7 @@ func TestSnapshotDiff(t *testing.T) {
 
 func TestWindowDeltasSumToTotal(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("events")
+	c := r.AtomicCounter("events")
 	var wins []Window
 	var deltas []uint64
 	r.SetSink(sinkFunc(func(w Window) {
@@ -261,8 +261,8 @@ func TestJSONLWriterValidAndLabeled(t *testing.T) {
 	jw := NewJSONLWriter(&buf)
 
 	r := NewRegistry()
-	c := r.Counter("provider/preloads")
-	z := r.Counter("provider/zero") // zero delta: must be elided
+	c := r.AtomicCounter("provider/preloads")
+	z := r.AtomicCounter("provider/zero") // zero delta: must be elided
 	depth := uint64(4)
 	r.Gauge("osu/depth", func() uint64 { return depth })
 	r.SetSink(jw.Run(String("bench", "bfs"), String("scheme", "regless"), Int("capacity", 512)))
@@ -323,10 +323,10 @@ func TestJSONLWriterValidAndLabeled(t *testing.T) {
 	}
 }
 
-// The disabled path must stay allocation-free and cheap: a zero Counter's
+// The disabled path must stay allocation-free and cheap: a zero AtomicCounter's
 // Inc is a single branch.
 func BenchmarkCounterDisabled(b *testing.B) {
-	var c Counter
+	var c AtomicCounter
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
@@ -334,7 +334,7 @@ func BenchmarkCounterDisabled(b *testing.B) {
 }
 
 func BenchmarkCounterEnabled(b *testing.B) {
-	c := NewRegistry().Counter("x")
+	c := NewRegistry().AtomicCounter("x")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
@@ -349,13 +349,13 @@ func BenchmarkCounterEnabled(b *testing.B) {
 func TestOwnedCountersShareChunksAndStayPut(t *testing.T) {
 	for _, a := range []*arena.Arena{nil, new(arena.Arena)} {
 		r := NewRegistryIn(a)
-		first := r.Counter("c/first")
+		first := r.AtomicCounter("c/first")
 		first.Add(3)
-		h := r.Histogram("h", 1, 2)
+		h := r.AtomicHistogram("h", 1, 2)
 		h.Observe(2)
-		var rest []Counter
+		var rest []AtomicCounter
 		for i := 0; i < 200; i++ {
-			c := r.Counter(fmt.Sprintf("c/%d", i))
+			c := r.AtomicCounter(fmt.Sprintf("c/%d", i))
 			c.Add(uint64(i))
 			rest = append(rest, c)
 		}
@@ -382,7 +382,7 @@ func TestOwnedCountersShareChunksAndStayPut(t *testing.T) {
 		a.Reset()
 		r := NewRegistryIn(a)
 		for _, n := range all {
-			r.Counter(n)
+			r.AtomicCounter(n)
 		}
 		r.SetSink(nopSink{})
 	})
@@ -395,20 +395,71 @@ type nopSink struct{}
 
 func (nopSink) Emit(Window) {}
 
-// TestNamesRowsAreBuiltOnce: a row is the format applied to its index
-// joined to every suffix, and asking again returns the same strings.
+// shardStats is a statistics struct as the simulator declares them.
+type shardStats struct {
+	Drains   uint64 `metric:"drains"`
+	Finishes uint64 `metric:"finishes"`
+	Skipped  uint64 // untagged: counted and summed, never a cell
+	Mean     float64
+}
+
+// TestNamesRowsAreBuiltOnce: a descriptor's row is its format applied to
+// the instance joined to every suffix — the tagged fields', in
+// declaration order, then the extra ones — and binding again returns the
+// same strings.
 func TestNamesRowsAreBuiltOnce(t *testing.T) {
-	n := Names("cm/s%d", "/drains", "/finishes")
-	if got := n(2); len(got) != 2 || got[0] != "cm/s2/drains" || got[1] != "cm/s2/finishes" {
-		t.Fatalf("Row(2) = %q", got)
+	f := FieldsOf[shardStats]("cm/s%d/", "stack_depth")
+	r := NewRegistry()
+	var st shardStats
+	extra := f.BindAt(r, 2, &st)
+	if got := r.Names(); len(got) != 2 || got[0] != "cm/s2/drains" || got[1] != "cm/s2/finishes" {
+		t.Fatalf("bound cells = %q", got)
 	}
-	if got := n(0); got[1] != "cm/s0/finishes" {
-		t.Fatalf("Row(0) = %q", got)
+	if len(extra) != 1 || extra[0] != "cm/s2/stack_depth" {
+		t.Fatalf("extra names = %q", extra)
 	}
-	if a, b := n(1), n(1); &a[0] != &b[0] {
+	st.Finishes += 3
+	st.Skipped++
+	if v, ok := r.Value("cm/s2/finishes"); !ok || v != 3 {
+		t.Fatalf("cm/s2/finishes = %d,%v: the cell is not a view of the field", v, ok)
+	}
+	if a, b := f.names(1), f.names(1); &a[0] != &b[0] {
 		t.Fatal("a row was built twice")
 	}
-	if got := testing.AllocsPerRun(10, func() { n(2) }); got != 0 {
-		t.Fatalf("Row allocates %v times on a built row", got)
+	if fixed := FieldsOf[shardStats]("mem/").Bind(nil, &st); len(fixed) != 0 {
+		t.Fatalf("a nil registry's Bind returned %q", fixed)
 	}
+	r2 := NewRegistry()
+	f.BindAt(r2, 2, &st) // the cell table reaches its size
+	if got := testing.AllocsPerRun(10, func() {
+		r2.cells = r2.cells[:0]
+		f.BindAt(r2, 2, &st)
+	}); got != 0 {
+		t.Fatalf("binding a built row allocates %v times", got)
+	}
+}
+
+// TestAddSumsEveryUint64Field: tagged or not, and nothing else.
+func TestAddSumsEveryUint64Field(t *testing.T) {
+	dst := shardStats{Drains: 2, Finishes: 3, Skipped: 5, Mean: 1.5}
+	Add(&dst, &shardStats{Drains: 7, Finishes: 11, Skipped: 13, Mean: 9})
+	if want := (shardStats{Drains: 9, Finishes: 14, Skipped: 18, Mean: 1.5}); dst != want {
+		t.Fatalf("Add = %+v, want %+v", dst, want)
+	}
+	if got := testing.AllocsPerRun(10, func() { Add(&dst, &dst) }); got != 0 {
+		t.Fatalf("Add allocates %v times", got)
+	}
+}
+
+// TestTagOnNonCounterPanics: a metric tag on a field the registry cannot
+// view is a bug caught when the descriptor is resolved.
+func TestTagOnNonCounterPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a metric tag on a float64 did not panic")
+		}
+	}()
+	FieldsOf[struct {
+		Mean float64 `metric:"mean"`
+	}]("x/")
 }

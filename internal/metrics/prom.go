@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"io"
 	"strconv"
-	"sync/atomic"
 )
 
 // WritePrometheus renders a snapshot of the registry in the Prometheus
@@ -71,13 +70,7 @@ func WritePrometheus(w io.Writer, r *Registry, namespace string) error {
 func writePromHistogram(bw *bufio.Writer, r *Registry, m *histMeta, namespace string, scratch *[]byte) {
 	name := promName(namespace, m.name)
 	bw.WriteString("# TYPE " + name + " histogram\n")
-	load := func(i int) uint64 {
-		v := r.cells[i].val
-		if m.atomic {
-			return atomic.LoadUint64(v)
-		}
-		return *v
-	}
+	load := func(i int) uint64 { return r.cells[i].load() }
 	var cum uint64
 	for bi, b := range m.bounds {
 		cum += load(m.first + bi)

@@ -9,11 +9,11 @@ import (
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("serve/hits")
+	c := r.AtomicCounter("serve/hits")
 	c.Add(7)
 	g := uint64(3)
 	r.Gauge("serve/queue_depth", func() uint64 { return g })
-	h := r.Histogram("serve/span_us", 10, 100)
+	h := r.AtomicHistogram("serve/span_us", 10, 100)
 	h.Observe(5)   // le_10
 	h.Observe(50)  // le_100
 	h.Observe(500) // inf
@@ -53,7 +53,7 @@ func TestWritePrometheusNilRegistry(t *testing.T) {
 
 func TestHistogramSumCell(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", 1, 8)
+	h := r.AtomicHistogram("lat", 1, 8)
 	h.Observe(0)
 	h.Observe(9)
 	if v, ok := r.Value("lat/sum"); !ok || v != 9 {
@@ -90,7 +90,7 @@ func TestAtomicHistogramConcurrent(t *testing.T) {
 
 func TestAppendWindowMatchesJSONL(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("a")
+	c := r.AtomicCounter("a")
 	var got Window
 	r.SetSink(sinkFunc(func(w Window) {
 		got = Window{Index: w.Index, Start: w.Start, End: w.End}

@@ -65,12 +65,12 @@ type line struct {
 
 // Stats counts OSU events.
 type Stats struct {
-	Reads      uint64
-	Writes     uint64
-	TagLookups uint64
-	Installs   uint64
-	Erases     uint64
-	Hits       uint64 // preload tag hits
+	Reads      uint64 `metric:"reads"`
+	Writes     uint64 `metric:"writes"`
+	TagLookups uint64 `metric:"tag_lookups"`
+	Installs   uint64 `metric:"installs"`
+	Erases     uint64 `metric:"erases"`
+	Hits       uint64 `metric:"hits"` // preload tag hits
 }
 
 // OSU is one shard's staging unit.

@@ -17,7 +17,7 @@ const BaselineBanks = 32
 // and write accesses the main RF. It never stalls a warp.
 type Baseline struct {
 	sm *sim.SM
-	m  *sim.ProviderCounters
+	st *sim.ProviderStats
 }
 
 // NewBaseline returns the baseline provider.
@@ -29,7 +29,7 @@ func (b *Baseline) Name() string { return "baseline" }
 // Attach implements sim.Provider.
 func (b *Baseline) Attach(sm *sim.SM) error {
 	b.sm = sm
-	b.m = sim.NewProviderCounters(sm)
+	b.st = &sm.Prov
 	return nil
 }
 
@@ -43,8 +43,8 @@ func (b *Baseline) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 		if !r.Valid() {
 			continue
 		}
-		b.m.StructReads.Inc()
-		b.m.BackingAccesses.Inc()
+		b.st.StructReads++
+		b.st.BackingAccesses++
 		bank := (int(r) + w.ID) % BaselineBanks
 		if banks[bank] {
 			conflicts++
@@ -52,10 +52,10 @@ func (b *Baseline) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 		banks[bank] = true
 	}
 	if in.Op.HasDst() && in.Dst.Valid() {
-		b.m.StructWrites.Inc()
-		b.m.BackingAccesses.Inc()
+		b.st.StructWrites++
+		b.st.BackingAccesses++
 	}
-	b.m.BankConflicts.Add(uint64(conflicts))
+	b.st.BankConflicts += uint64(conflicts)
 	return conflicts
 }
 
@@ -70,9 +70,6 @@ func (b *Baseline) Tick() {}
 
 // Drained implements sim.Provider.
 func (b *Baseline) Drained() bool { return true }
-
-// Stats implements sim.Provider.
-func (b *Baseline) Stats() *sim.ProviderStats { return b.m.Stats() }
 
 // HotHints implements sim.HintedProvider: the full RF has no per-cycle
 // machinery or writeback work. (It always has every register, so it

@@ -63,7 +63,7 @@ func TestBaselineCountsAccesses(t *testing.T) {
 	k := kernels.MustLoad("streamcluster")
 	p := NewBaseline()
 	st := runProvider(t, k, testCfg(), p)
-	ps := p.Stats()
+	ps := p.st
 	if ps.StructReads == 0 || ps.StructWrites == 0 {
 		t.Fatalf("no RF accesses counted: %+v", ps)
 	}
@@ -89,7 +89,7 @@ func TestRFVEquivalenceAndRelease(t *testing.T) {
 			if p.LiveMapped() != 0 {
 				t.Fatalf("%d physical registers leaked", p.LiveMapped())
 			}
-			if p.Stats().StructReads == 0 {
+			if p.st.StructReads == 0 {
 				t.Fatal("no reads counted")
 			}
 		})
@@ -124,7 +124,7 @@ func TestRFHLevelSplit(t *testing.T) {
 		cfgv.Sched = sim.SchedTwoLevel
 		p := NewRFH(4)
 		runProvider(t, k, cfgv, p)
-		ps := p.Stats()
+		ps := p.st
 		lrf += ps.LRFAccesses
 		orf += ps.ORFAccesses
 		mrf += ps.MRFAccesses
@@ -152,9 +152,9 @@ func TestRFHBackingBelowBaseline(t *testing.T) {
 	cfgv.Sched = sim.SchedTwoLevel
 	hier := NewRFH(8)
 	runProvider(t, k, cfgv, hier)
-	if hier.Stats().BackingAccesses*2 >= base.Stats().BackingAccesses {
+	if hier.st.BackingAccesses*2 >= base.st.BackingAccesses {
 		t.Fatalf("RFH backing %d not well below baseline %d",
-			hier.Stats().BackingAccesses, base.Stats().BackingAccesses)
+			hier.st.BackingAccesses, base.st.BackingAccesses)
 	}
 }
 
@@ -210,7 +210,7 @@ func TestRFVVictimOrderPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pin.bench, err)
 		}
-		ps := p.Stats()
+		ps := p.st
 		got := [5]uint64{st.Cycles, ps.Evictions, ps.BackingAccesses, p.spills, p.refills}
 		want := [5]uint64{pin.cycles, pin.evictions, pin.backing, pin.spills, pin.refills}
 		if got != want {

@@ -23,7 +23,7 @@ var (
 // §6.4).
 type RFH struct {
 	sm *sim.SM
-	m  *sim.ProviderCounters
+	st *sim.ProviderStats
 
 	// ORFEntries is the per-warp operand buffer capacity (8-entry
 	// scratchpad in Figure 3's configuration).
@@ -42,7 +42,7 @@ func (h *RFH) Name() string { return "rfh" }
 // Attach implements sim.Provider.
 func (h *RFH) Attach(sm *sim.SM) error {
 	h.sm = sm
-	h.m = sim.NewProviderCounters(sm)
+	h.st = &sm.Prov
 	h.lastDst = regT.Make(sm.Arena(), len(sm.Warps))
 	for i := range h.lastDst {
 		h.lastDst[i] = isa.NoReg
@@ -81,8 +81,8 @@ func (h *RFH) orfInsert(w int, r isa.Reg) {
 		return
 	}
 	// Evict LRU to the main register file.
-	h.m.MRFAccesses.Inc()
-	h.m.BackingAccesses.Inc()
+	h.st.MRFAccesses++
+	h.st.BackingAccesses++
 	copy(lst[1:], lst[:len(lst)-1])
 	lst[0] = r
 }
@@ -95,20 +95,20 @@ func (h *RFH) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 		if !r.Valid() {
 			continue
 		}
-		h.m.StructReads.Inc()
+		h.st.StructReads++
 		switch {
 		case r == h.lastDst[w.ID]:
-			h.m.LRFAccesses.Inc()
+			h.st.LRFAccesses++
 		case h.orfHit(w.ID, r):
-			h.m.ORFAccesses.Inc()
+			h.st.ORFAccesses++
 		default:
-			h.m.MRFAccesses.Inc()
-			h.m.BackingAccesses.Inc()
+			h.st.MRFAccesses++
+			h.st.BackingAccesses++
 			h.orfInsert(w.ID, r)
 		}
 	}
 	if in.Op.HasDst() && in.Dst.Valid() {
-		h.m.StructWrites.Inc()
+		h.st.StructWrites++
 		// Writes land in the ORF (compiler-allocated); eviction later
 		// costs an MRF access.
 		h.orfInsert(w.ID, in.Dst)
@@ -130,9 +130,6 @@ func (h *RFH) Tick() {}
 
 // Drained implements sim.Provider.
 func (h *RFH) Drained() bool { return true }
-
-// Stats implements sim.Provider.
-func (h *RFH) Stats() *sim.ProviderStats { return h.m.Stats() }
 
 // HotHints implements sim.HintedProvider: RFH has no per-cycle machinery
 // or writeback work. (The hierarchy never gates issue, so it publishes

@@ -21,7 +21,7 @@ import (
 type RFV struct {
 	sm *sim.SM
 	lv *cfg.Liveness
-	m  *sim.ProviderCounters
+	st *sim.ProviderStats
 
 	physRegs int
 	free     int
@@ -99,7 +99,7 @@ func (v *RFV) Attach(sm *sim.SM) error {
 	}
 	a, warps, regs := sm.Arena(), len(sm.Warps), sm.K.NumRegs
 	v.sm = sm
-	v.m = sim.NewProviderCounters(sm)
+	v.st = &sm.Prov
 	_, v.lv = cfg.For(sm.K)
 	v.free = v.physRegs
 	v.fifo.a = a
@@ -127,15 +127,15 @@ func (v *RFV) alloc(w int, r isa.Reg) int {
 				v.spilled[e.warp][e.reg] = true
 				v.free++
 				v.spills++
-				v.m.Evictions.Inc()
-				v.m.BackingAccesses.Inc()
+				v.st.Evictions++
+				v.st.BackingAccesses++
 				break
 			}
 		}
 		if v.free == 0 {
 			// Pool smaller than one instruction's needs; charge the
 			// penalty and proceed (degenerate configuration).
-			v.m.StallCycles.Inc()
+			v.st.StallCycles++
 			return v.SpillPenalty
 		}
 	}
@@ -154,7 +154,7 @@ func (v *RFV) touch(w int, r isa.Reg) int {
 	if v.spilled[w][r] {
 		v.spilled[w][r] = false
 		v.refills++
-		v.m.BackingAccesses.Inc() // refill read from the memory system
+		v.st.BackingAccesses++ // refill read from the memory system
 		penalty += v.SpillPenalty
 	}
 	return penalty
@@ -171,7 +171,7 @@ func (v *RFV) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 		if !r.Valid() {
 			continue
 		}
-		v.m.StructReads.Inc()
+		v.st.StructReads++
 		penalty += v.touch(w.ID, r)
 		// Release at last read (renaming reclaims dead values).
 		if v.lv.IsLastUse(gi, r) && v.mapped[w.ID][r] {
@@ -180,7 +180,7 @@ func (v *RFV) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 		}
 	}
 	if in.Op.HasDst() && in.Dst.Valid() {
-		v.m.StructWrites.Inc()
+		v.st.StructWrites++
 		if !v.mapped[w.ID][in.Dst] {
 			// A fresh write does not refill: the old value dies.
 			v.spilled[w.ID][in.Dst] = false
@@ -188,7 +188,7 @@ func (v *RFV) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 		}
 	}
 	if penalty > 0 {
-		v.m.StallCycles.Add(uint64(penalty))
+		v.st.StallCycles += uint64(penalty)
 	}
 	return penalty
 }
@@ -212,9 +212,6 @@ func (v *RFV) Tick() {}
 
 // Drained implements sim.Provider.
 func (v *RFV) Drained() bool { return true }
-
-// Stats implements sim.Provider.
-func (v *RFV) Stats() *sim.ProviderStats { return v.m.Stats() }
 
 // LiveMapped returns the currently mapped physical register count (tests).
 func (v *RFV) LiveMapped() int { return v.physRegs - v.free }

@@ -52,7 +52,7 @@ func runPick(a *arena.Arena, k *isa.Kernel, scheme experiments.Scheme, su experi
 	if err := jw.Flush(); err != nil {
 		return out, err
 	}
-	out.stats, out.prov, out.mem, out.jsonl = sm.Stats, *sm.Provider.Stats(), sm.Mem.Stats, buf.Bytes()
+	out.stats, out.prov, out.mem, out.jsonl = sm.Stats, sm.Prov, sm.Mem.Stats, buf.Bytes()
 	out.stats.BackingSeries = slices.Clone(out.stats.BackingSeries)
 	return out, nil
 }

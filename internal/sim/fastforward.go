@@ -197,20 +197,12 @@ func (sm *SM) replicateSkip(end uint64) {
 		next := min(end, sm.nextWindow)
 		seg := next - sm.cycle
 		for g := 0; g < sm.Cfg.Schedulers; g++ {
-			sm.mNoIssue[g].Add(seg)
-			if c := uint64(sm.scanSB[g]); c > 0 {
-				sm.mScoreboard[g].Add(seg * c)
-			}
-			if c := uint64(sm.scanProv[g]); c > 0 {
-				sm.mProviderStall[g].Add(seg * c)
-			}
+			sm.grp[g].NoIssue += seg
+			sm.grp[g].Scoreboard += seg * uint64(sm.scanSB[g])
+			sm.grp[g].ProviderStall += seg * uint64(sm.scanProv[g])
 		}
-		if sumProv > 0 {
-			sm.Stats.IssueStalls += seg * sumProv
-			if sm.stalls != nil {
-				sm.stalls.ChargeStalls(seg * sumProv)
-			}
-		}
+		sm.Stats.IssueStalls += seg * sumProv
+		sm.Prov.StallCycles += seg * sumProv
 		if lsuWaiting {
 			// Each stepped cycle would have retried queue-head injection
 			// exactly once and been rejected (the wake target stops short

@@ -20,7 +20,7 @@ func (sm *SM) readyLinear(g int, id int32) bool {
 		return false
 	}
 	if !sm.sbReady(int(id)) {
-		sm.mScoreboard[g].Inc()
+		sm.grp[g].Scoreboard++
 		sm.scanSB[g]++
 		return false
 	}
@@ -36,7 +36,8 @@ func (sm *SM) readyLinear(g int, id int32) bool {
 	}
 	if sm.prober != nil && !sm.prober.CanIssueQuiet(sm.Warps[id]) {
 		sm.Stats.IssueStalls++
-		sm.mProviderStall[g].Inc()
+		sm.Prov.StallCycles++
+		sm.grp[g].ProviderStall++
 		sm.scanProv[g]++
 		return false
 	}

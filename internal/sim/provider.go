@@ -18,8 +18,8 @@ import (
 type Provider interface {
 	// Name identifies the scheme in reports.
 	Name() string
-	// Attach binds the provider to the SM before simulation starts. A
-	// non-nil error (kernel mismatch, shard/scheduler disagreement)
+	// Attach binds the provider to the SM before simulation starts; the
+	// provider counts its events into sm.Prov from then on. A non-nil error (kernel mismatch, shard/scheduler disagreement)
 	// aborts construction instead of crashing mid-run.
 	Attach(sm *SM) error
 	// OnIssue is called when w issues; info is the executed instruction.
@@ -35,8 +35,6 @@ type Provider interface {
 	Tick()
 	// Drained reports whether no provider work is outstanding.
 	Drained() bool
-	// Stats exposes the provider's event counters.
-	Stats() *ProviderStats
 }
 
 // IssueMasker is an optional Provider refinement for schemes that gate
@@ -47,8 +45,8 @@ type Provider interface {
 // them every pick, so they must alias storage the provider keeps current
 // for the whole run. A provider without a mask is always issuable.
 //
-// Refusals are counted by the SM, by popcount below the pick, and handed
-// to the provider's StallCharger in bulk. A masked provider must also be
+// Refusals are counted by the SM, by popcount below the pick, into
+// Stats.IssueStalls and Prov.StallCycles. A masked provider must also be
 // an IssueProber: CanIssueQuiet is the per-warp definition of the bit,
 // which the sanitizer, the test oracle and stall attribution compare
 // the mask against.
@@ -57,61 +55,63 @@ type IssueMasker interface {
 }
 
 // ProviderStats counts register-scheme events; the energy model and the
-// per-figure experiments consume these.
+// per-figure experiments consume these. One lives on each SM (SM.Prov),
+// on the registry as "provider/..." — the names are shared across
+// schemes, so window streams from different providers line up column-wise.
 type ProviderStats struct {
 	// StructReads/StructWrites are accesses to the primary operand
 	// structure (main RF for baseline/RFV, OSU data banks for RegLess).
-	StructReads  uint64
-	StructWrites uint64
+	StructReads  uint64 `metric:"struct_reads"`
+	StructWrites uint64 `metric:"struct_writes"`
 	// TagLookups counts OSU tag-array lookups (RegLess).
-	TagLookups uint64
+	TagLookups uint64 `metric:"tag_lookups"`
 	// BankConflicts counts same-cycle operand bank collisions.
-	BankConflicts uint64
+	BankConflicts uint64 `metric:"bank_conflicts"`
 	// BackingAccesses counts accesses to the scheme's backing store:
 	// the main RF behind RFH's buffers, or the L1 for RegLess — the
 	// quantity plotted in Figure 3.
-	BackingAccesses uint64
+	BackingAccesses uint64 `metric:"backing_accesses"`
 
 	// Preload source breakdown (RegLess; Figure 17).
-	PreloadFromOSU        uint64
-	PreloadFromCompressor uint64
-	PreloadFromL1         uint64
-	PreloadFromL2DRAM     uint64
+	PreloadFromOSU        uint64 `metric:"preload_from_osu"`
+	PreloadFromCompressor uint64 `metric:"preload_from_compressor"`
+	PreloadFromL1         uint64 `metric:"preload_from_l1"`
+	PreloadFromL2DRAM     uint64 `metric:"preload_from_l2dram"`
 
 	// Evictions counts OSU lines written out toward the memory system.
-	Evictions uint64
+	Evictions uint64 `metric:"evictions"`
 	// CompressorHits/Misses count eviction-side pattern matches;
 	// CompressorBitChecks counts preload-side bit-vector probes and
 	// CompressorCacheOps internal compressed-line cache accesses.
-	CompressorHits      uint64
-	CompressorMisses    uint64
-	CompressorBitChecks uint64
-	CompressorCacheOps  uint64
+	CompressorHits      uint64 `metric:"compressor_hits"`
+	CompressorMisses    uint64 `metric:"compressor_misses"`
+	CompressorBitChecks uint64 `metric:"compressor_bit_checks"`
+	CompressorCacheOps  uint64 `metric:"compressor_cache_ops"`
 	// CacheInvalidations counts invalidation annotations executed.
-	CacheInvalidations uint64
+	CacheInvalidations uint64 `metric:"cache_invalidations"`
 	// MetaInsns counts metadata instruction issue slots consumed.
-	MetaInsns uint64
+	MetaInsns uint64 `metric:"meta_insns"`
 	// StallCycles counts cycles a warp wanted to issue but the provider
 	// refused (waiting for staging).
-	StallCycles uint64
+	StallCycles uint64 `metric:"stall_cycles"`
 
 	// L1 traffic split for Figure 18 (RegLess): reads issued for
 	// preloads (including compressed-line fetches), writes issued for
 	// evictions, and invalidation operations.
-	L1PreloadReads uint64
-	L1StoreWrites  uint64
-	L1Invalidates  uint64
+	L1PreloadReads uint64 `metric:"l1_preload_reads"`
+	L1StoreWrites  uint64 `metric:"l1_store_writes"`
+	L1Invalidates  uint64 `metric:"l1_invalidates"`
 
 	// RFH access split across the hierarchy levels.
-	LRFAccesses uint64
-	ORFAccesses uint64
-	MRFAccesses uint64
+	LRFAccesses uint64 `metric:"lrf_accesses"`
+	ORFAccesses uint64 `metric:"orf_accesses"`
+	MRFAccesses uint64 `metric:"mrf_accesses"`
 
 	// RegionActivations and RegionCycles accumulate dynamic region
 	// statistics (Table 2's cycles/region) for schemes that track
 	// regions.
-	RegionActivations uint64
-	RegionCycles      uint64
+	RegionActivations uint64 `metric:"region_activations"`
+	RegionCycles      uint64 `metric:"region_cycles"`
 }
 
 // Preloads returns the total preload count across sources.
@@ -148,13 +148,4 @@ type HintedProvider interface {
 // and need not implement this.
 type TickIdler interface {
 	TickIdle() bool
-}
-
-// StallCharger is an optional Provider refinement: the provider-side
-// count of refusals (Stats().StallCycles). The SM charges what its picks
-// counted against the issue mask once per stepped cycle, and the
-// cycle-skip fast-forward charges a skipped span's worth in one call (a
-// frozen span repeats the same refusals every cycle).
-type StallCharger interface {
-	ChargeStalls(n uint64)
 }

@@ -205,17 +205,17 @@ func (sm *SM) scanWarp(w *Warp) bool {
 
 func (sm *SM) chargeScoreboard(g, n int) {
 	if n > 0 {
-		sm.mScoreboard[g].Add(uint64(n))
+		sm.grp[g].Scoreboard += uint64(n)
 		sm.scanSB[g] += uint32(n)
 	}
 }
 
-// chargeProvider counts n provider refusals on the SM's side; step hands
-// the cycle's total to the provider's own counter.
+// chargeProvider counts n provider refusals.
 func (sm *SM) chargeProvider(g, n int) {
 	if n > 0 {
 		sm.Stats.IssueStalls += uint64(n)
-		sm.mProviderStall[g].Add(uint64(n))
+		sm.Prov.StallCycles += uint64(n)
+		sm.grp[g].ProviderStall += uint64(n)
 		sm.scanProv[g] += uint32(n)
 	}
 }

@@ -36,7 +36,7 @@ func TestGTOChargesBlockedCurrentTwice(t *testing.T) {
 		if _, err := sm.Run(); err != nil {
 			t.Fatal(err)
 		}
-		stalls, rejects := sm.mNoIssue[0].Value(), sm.mScoreboard[0].Value()
+		stalls, rejects := sm.grp[0].NoIssue, sm.grp[0].Scoreboard
 		// Eight dependent adds each wait out the ALU latency behind the
 		// instruction before them.
 		if want := uint64(8 * (cfgv.ALULat - 1)); stalls != want {

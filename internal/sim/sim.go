@@ -121,20 +121,26 @@ func DefaultConfig() Config {
 
 // Stats aggregates SM-level counters.
 type Stats struct {
+	// Cycles is the clock, not a cell: a window carries it as its end.
 	Cycles      uint64
-	DynInsns    uint64
-	IssueStalls uint64
+	DynInsns    uint64 `metric:"dyn_insns"`
+	IssueStalls uint64 `metric:"issue_stalls"`
 
-	ALUOps, FMAOps, SFUOps        uint64
-	GlobalLoads, GlobalStores     uint64
-	SharedOps, Branches, Barriers uint64
+	ALUOps       uint64 `metric:"alu_ops"`
+	FMAOps       uint64 `metric:"fma_ops"`
+	SFUOps       uint64 `metric:"sfu_ops"`
+	GlobalLoads  uint64 `metric:"global_loads"`
+	GlobalStores uint64 `metric:"global_stores"`
+	SharedOps    uint64 `metric:"shared_ops"`
+	Branches     uint64 `metric:"branches"`
+	Barriers     uint64 `metric:"barriers"`
 
 	// MemLines counts coalesced line requests issued by the LSU.
-	MemLines uint64
+	MemLines uint64 `metric:"mem_lines"`
 
 	// ActiveLanes sums the active-lane count over issued instructions;
 	// ActiveLanes / (DynInsns*32) is SIMT lane efficiency.
-	ActiveLanes uint64
+	ActiveLanes uint64 `metric:"active_lanes"`
 
 	// WorkingSetKB is the average distinct register bytes touched per
 	// window (Figure 2).
@@ -144,11 +150,21 @@ type Stats struct {
 	BackingSeries []uint64
 
 	// FFSkippedCycles counts cycles covered by fast-forward jumps and
-	// FFJumps the jumps themselves (fastforward.go). Deliberately not
-	// bound into the metrics registry: a fast-forwarded run must export
-	// byte-identical window snapshots to a stepped one.
+	// FFJumps the jumps themselves (fastforward.go). Deliberately
+	// untagged: a fast-forwarded run must export byte-identical window
+	// snapshots to a stepped one.
 	FFSkippedCycles uint64
 	FFJumps         uint64
+}
+
+// groupStats is one scheduler group's issue accounting: cycles with an
+// issue, cycles without, scoreboard rejections, provider staging
+// rejections.
+type groupStats struct {
+	Issued        uint64 `metric:"issue_cycles"`
+	NoIssue       uint64 `metric:"stall_cycles"`
+	Scoreboard    uint64 `metric:"scoreboard_rejects"`
+	ProviderStall uint64 `metric:"provider_rejects"`
 }
 
 // IPC returns retired instructions per cycle.
@@ -178,6 +194,11 @@ type SM struct {
 	Warps    []*Warp
 
 	Stats Stats
+	// Prov is the register scheme's event counters. The SM owns the
+	// storage (and counts StallCycles, the refusals its picks read off the
+	// issue mask); the provider writes the rest through the pointer it
+	// takes at Attach.
+	Prov ProviderStats
 
 	// Metrics is the simulation's observability registry: every layer
 	// (SM, provider, OSU/CM/compressor shards, memory hierarchy)
@@ -191,10 +212,8 @@ type SM struct {
 	Rec *events.Recorder
 
 	// prober is the provider's per-warp issue test (nil: always
-	// issuable) and stalls its refusal counter (nil: it keeps none),
-	// both resolved once at construction.
+	// issuable), resolved once at construction.
 	prober IssueProber
-	stalls StallCharger
 
 	groups [][]*Warp
 	sched  scheduler
@@ -208,12 +227,7 @@ type SM struct {
 	passiveTick bool
 	passiveWB   bool
 
-	// Per-scheduler-group issue accounting (cycles with an issue, cycles
-	// without, scoreboard rejections, provider staging rejections).
-	mIssued        []metrics.Counter
-	mNoIssue       []metrics.Counter
-	mScoreboard    []metrics.Counter
-	mProviderStall []metrics.Counter
+	grp []groupStats // per scheduler group
 
 	cycle uint64
 	wheel calendar.Ring[wheelEntry]
@@ -305,13 +319,16 @@ var (
 	boolT    = arena.Of[bool]()
 	classT   = arena.Of[isa.Class]()
 	insnT    = arena.Of[*isa.Instruction]()
-	counterT = arena.Of[metrics.Counter]()
+	groupSt  = arena.Of[groupStats]()
 	reasonT  = arena.Of[events.StallReason]()
 )
 
-// schedNames holds the per-scheduler-group cell names.
-var schedNames = metrics.Names("sim/sched/g%d",
-	"/issue_cycles", "/stall_cycles", "/scoreboard_rejects", "/provider_rejects")
+// The cells of the SM's statistics structs (their tagged fields).
+var (
+	statCells  = metrics.FieldsOf[Stats]("sim/", "lsu_queue_depth")
+	groupCells = metrics.FieldsOf[groupStats]("sim/sched/g%d/")
+	provCells  = metrics.FieldsOf[ProviderStats]("provider/")
+)
 
 // New builds an SM running kernel k under the given provider. The memory
 // image mm may be nil for the default deterministic contents.
@@ -437,43 +454,25 @@ func NewWithHierarchyIn(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, 
 		sm.passiveWB = h.PassiveWriteback
 	}
 	sm.prober, _ = p.(IssueProber)
-	sm.stalls, _ = p.(StallCharger)
 	if err := sm.bindIssueMask(); err != nil {
 		return nil, err
 	}
 	return sm, nil
 }
 
-// registerMetrics binds the SM's own counters into the registry: views
-// over the Stats struct (zero hot-path cost) plus per-scheduler-group
-// issue/stall counters and an LSU backlog gauge. The memory hierarchy and
-// the provider add their own cells afterwards (provider at Attach).
+// registerMetrics puts the SM's cells on the registry, in the order the
+// window stream carries them: its own Stats, the LSU backlog gauge, each
+// scheduler group's accounting, the memory hierarchy's, the register
+// scheme's. What the provider is made of adds its cells at Attach.
 func (sm *SM) registerMetrics() {
 	r := sm.Metrics
-	r.Bind("sim/dyn_insns", &sm.Stats.DynInsns)
-	r.Bind("sim/issue_stalls", &sm.Stats.IssueStalls)
-	r.Bind("sim/alu_ops", &sm.Stats.ALUOps)
-	r.Bind("sim/fma_ops", &sm.Stats.FMAOps)
-	r.Bind("sim/sfu_ops", &sm.Stats.SFUOps)
-	r.Bind("sim/global_loads", &sm.Stats.GlobalLoads)
-	r.Bind("sim/global_stores", &sm.Stats.GlobalStores)
-	r.Bind("sim/shared_ops", &sm.Stats.SharedOps)
-	r.Bind("sim/branches", &sm.Stats.Branches)
-	r.Bind("sim/barriers", &sm.Stats.Barriers)
-	r.Bind("sim/mem_lines", &sm.Stats.MemLines)
-	r.Bind("sim/active_lanes", &sm.Stats.ActiveLanes)
-	r.Gauges((*lsuDepth)(sm), "sim/lsu_queue_depth")
-	n := sm.Cfg.Schedulers
-	sm.mIssued, sm.mNoIssue = counterT.Make(sm.a, n), counterT.Make(sm.a, n)
-	sm.mScoreboard, sm.mProviderStall = counterT.Make(sm.a, n), counterT.Make(sm.a, n)
-	for g := 0; g < n; g++ {
-		names := schedNames(g)
-		sm.mIssued[g] = r.Counter(names[0])
-		sm.mNoIssue[g] = r.Counter(names[1])
-		sm.mScoreboard[g] = r.Counter(names[2])
-		sm.mProviderStall[g] = r.Counter(names[3])
+	r.Gauges((*lsuDepth)(sm), statCells.Bind(r, &sm.Stats)...)
+	sm.grp = groupSt.Make(sm.a, sm.Cfg.Schedulers)
+	for g := range sm.grp {
+		groupCells.BindAt(r, g, &sm.grp[g])
 	}
 	sm.Mem.BindMetrics(r)
+	provCells.Bind(r, &sm.Prov)
 }
 
 // lsuDepth is the SM as a metrics.Sampler: memory instructions queued at
@@ -554,27 +553,17 @@ func (sm *SM) step() {
 	}
 	for g := 0; g < sm.Cfg.Schedulers; g++ {
 		if w := sm.pickFn(g, sm); w != nil {
-			sm.mIssued[g].Inc()
+			sm.grp[g].Issued++
 			if sm.Rec.Enabled(events.MaskSched) {
 				sm.Rec.Issue(g, w.ID, w.NextGI())
 			}
 			sm.issue(w)
 		} else {
-			sm.mNoIssue[g].Inc()
+			sm.grp[g].NoIssue++
 			if sm.Rec.Enabled(events.MaskSched) {
 				reason, culprit := sm.stallReason(g)
 				sm.Rec.Stall(g, reason, culprit)
 			}
-		}
-	}
-	// The provider's own refusal counter takes the cycle's total at once.
-	if sm.stalls != nil {
-		n := uint64(0)
-		for _, c := range sm.scanProv {
-			n += uint64(c)
-		}
-		if n > 0 {
-			sm.stalls.ChargeStalls(n)
 		}
 	}
 	sm.releaseBarriers()
@@ -737,7 +726,7 @@ func (sm *SM) closeWindow() {
 		}
 		sm.windowDistinct = 0
 	}
-	cur := sm.Provider.Stats().BackingAccesses
+	cur := sm.Prov.BackingAccesses
 	sm.Stats.BackingSeries = append(wordT.Grow(sm.a, sm.Stats.BackingSeries, 1), cur-sm.lastBackingCt)
 	sm.lastBackingCt = cur
 	if sm.Metrics.HasSink() {

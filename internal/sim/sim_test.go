@@ -8,7 +8,7 @@ import (
 )
 
 // nullProvider is a pass-through register provider for simulator tests.
-type nullProvider struct{ stats ProviderStats }
+type nullProvider struct{}
 
 func (nullProvider) Name() string                       { return "null" }
 func (*nullProvider) Attach(*SM) error                  { return nil }
@@ -17,7 +17,6 @@ func (*nullProvider) OnWriteback(*Warp, isa.Reg)        {}
 func (*nullProvider) OnWarpFinish(*Warp)                {}
 func (*nullProvider) Tick()                             {}
 func (*nullProvider) Drained() bool                     { return true }
-func (p *nullProvider) Stats() *ProviderStats           { return &p.stats }
 
 func smallKernel(t *testing.T) *isa.Kernel {
 	t.Helper()
