@@ -428,23 +428,27 @@ func TestRobustnessFlagsReachEveryMachine(t *testing.T) {
 				t.Fatalf("%v %v: -diag-out bundle %q (%v)", machine, c.args, raw, err)
 			}
 		}
-		plain, stderr, code := run()
-		if code != 0 {
-			t.Fatalf("%v: exit %d\n%s", machine, code, stderr)
-		}
-		flags := []string{"-sanitize", "-no-fastforward"}
-		if machine[0] == "-app" {
-			// A stepped application run is not compared: the fast-forward
-			// reads a standing hierarchy's clock as the new SM's, so later
-			// kernels of a fast-forwarded application are charged the
-			// earlier ones' cycles (ROADMAP item 8(3)); the plain output is
-			// the golden's.
-			flags = flags[:1]
-		}
-		for _, flag := range flags {
-			if got, stderr, code := run(flag); code != 0 || got != plain {
-				t.Errorf("%v %s: exit %d, output differs from the plain run\n%s%s", machine, flag, code, got, stderr)
-			}
+		sameAsPlain(t, machine, "-sanitize", "-no-fastforward")
+	}
+	// Stepped equals fast-forwarded over a standing hierarchy on the other
+	// applications too (whose fault sites the rows above do not pin).
+	for _, app := range []string{"bfs_app", "srad_app"} {
+		sameAsPlain(t, []string{"-app", app, "-scheme", "regless"}, "-no-fastforward")
+	}
+}
+
+// sameAsPlain runs machine at 8 warps plain and once under each flag, and
+// requires every output to be the plain one.
+func sameAsPlain(t *testing.T, machine []string, flags ...string) {
+	t.Helper()
+	args := append([]string{"-warps", "8"}, machine...)
+	plain, stderr, code := runMain(t, args...)
+	if code != 0 {
+		t.Fatalf("%v: exit %d\n%s", machine, code, stderr)
+	}
+	for _, flag := range flags {
+		if got, stderr, code := runMain(t, append(args[:len(args):len(args)], flag)...); code != 0 || got != plain {
+			t.Errorf("%v %s: exit %d, output differs from the plain run\n%s%s", machine, flag, code, got, stderr)
 		}
 	}
 }

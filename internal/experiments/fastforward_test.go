@@ -2,7 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+
+	"repro/internal/kernels"
+	"repro/internal/launch"
+	"repro/internal/mem"
 )
 
 // TestFastForwardDifferential is the cycle-skip fast-forward's ground
@@ -10,7 +15,8 @@ import (
 // count, and every exported metrics window — must be byte-identical
 // between a fast-forwarded run and a stepped one. Parallelism is pinned
 // to 1 so the JSONL streams are ordered identically and can be compared
-// as raw bytes.
+// as raw bytes. The three applications then run under every scheme, each
+// kernel's statistics compared field by field.
 func TestFastForwardDifferential(t *testing.T) {
 	render := func(noFF bool) (tables []byte, stream []byte, suite *Suite) {
 		var buf, jsonl bytes.Buffer
@@ -83,6 +89,35 @@ func TestFastForwardDifferential(t *testing.T) {
 			skipped, jumps)
 	}
 	t.Logf("fast-forward skipped %d cycles over %d jumps with identical output", skipped, jumps)
+
+	// The same over standing memory: an application's kernels share one
+	// hierarchy, whose clock a later kernel's SM (starting at zero) must
+	// not be compared against.
+	for _, app := range kernels.Apps() {
+		for _, scheme := range Schemes() {
+			run := func(noFF bool) *launch.Result {
+				su := Quick().Setup(DefaultCapacity)
+				su.NoFastForward = noFF
+				su.Hier = mem.New(mem.DefaultConfig())
+				res, err := Launch(app.Kernels, scheme, 1, su.Warps, su)
+				if err != nil {
+					t.Fatalf("%s/%s noFF=%v: %v", app.Name, scheme, noFF, err)
+				}
+				return res
+			}
+			ff, st := run(false), run(true)
+			if ff.FFJumps == 0 || st.FFJumps != 0 {
+				t.Errorf("%s/%s: %d jumps fast-forwarded, %d stepped", app.Name, scheme, ff.FFJumps, st.FFJumps)
+			}
+			for i, fr := range ff.PerLaunch {
+				a, b := *fr.PerSM[0], *st.PerLaunch[i].PerSM[0]
+				a.FFSkippedCycles, a.FFJumps = 0, 0
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("%s/%s kernel %d diverges:\nff      %+v\nstepped %+v", app.Name, scheme, i, a, b)
+				}
+			}
+		}
+	}
 }
 
 // diffLines reports the first differing line of two byte streams.

@@ -161,9 +161,11 @@ func New(a *arena.Arena, cfgv Config, l Launch) (*GPU, error) {
 		ctx:  context.Background(),
 	}
 	switch {
-	case g.L2 != nil:
-		// The standing level keeps its lines and counters; its clocks
+	case l.Hier != nil:
+		// Standing memory keeps its lines and counters; its clocks
 		// restart with this chip's.
+		l.Hier.ResetTiming()
+	case g.L2 != nil:
 		g.L2.ResetTiming()
 	case !cfgv.PrivateL2:
 		l2, err := mem.NewBankedL2In(a, cfgv.L2)

@@ -256,7 +256,12 @@ type Hierarchy struct {
 	// the chip-wide banked L2 it is attached to.
 	l2 l2Level
 
-	now uint64
+	// now is the clock every stamp below is kept in (ports, queues, LRU,
+	// the DRAM throttle); it runs on across the SMs of a standing
+	// hierarchy. epoch is where it stood when the present SM's clock read
+	// zero: the cycles exchanged with the SM (NextWake, FastForwardTo,
+	// fault arming) are now - epoch.
+	now, epoch uint64
 
 	// L1 port: one request per cycle (Table 1).
 	l1PortCycle uint64
@@ -295,7 +300,7 @@ func (h *Hierarchy) applyFault(w Waiter) Waiter {
 	if h.flt == nil || w == nil {
 		return w
 	}
-	drop, delay := h.flt.MemResponse(h.now)
+	drop, delay := h.flt.MemResponse(h.now - h.epoch)
 	if drop {
 		h.Stats.FaultDrops++
 		return nil
@@ -355,8 +360,13 @@ func newHierarchy(a *arena.Arena, cfg Config, l2 l2Level) *Hierarchy {
 	return h
 }
 
-// Now returns the hierarchy's current cycle.
-func (h *Hierarchy) Now() uint64 { return h.now }
+// ResetTiming restarts the clock the hierarchy shows its SM at zero, for
+// the next SM of a standing hierarchy (an application's kernels), which
+// starts its own there. The hierarchy's own clock runs on, so contents,
+// statistics, replacement order and what is left of the DRAM throttle
+// carry over exactly as if one SM had run the whole sequence. The caller
+// guarantees the hierarchy is drained.
+func (h *Hierarchy) ResetTiming() { h.epoch = h.now }
 
 // Tick advances one cycle and fires due completions.
 func (h *Hierarchy) Tick() {
@@ -426,7 +436,7 @@ func (h *Hierarchy) NextWake(dataWaiting bool) (uint64, bool) {
 			wake, ok = t, true
 		}
 	}
-	return wake, ok
+	return wake - h.epoch, ok
 }
 
 // FastForwardTo jumps the hierarchy clock to cycle without ticking the
@@ -434,7 +444,7 @@ func (h *Hierarchy) NextWake(dataWaiting bool) (uint64, bool) {
 // cycle (the fast-forward wake computation stops short of the earliest
 // completion), so skipped cycles are provably inert.
 func (h *Hierarchy) FastForwardTo(cycle uint64) {
-	if cycle > h.now {
+	if cycle += h.epoch; cycle > h.now {
 		h.now = cycle
 	}
 }
