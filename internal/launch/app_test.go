@@ -111,6 +111,7 @@ func TestAppMatchesBareLoop(t *testing.T) {
 				for _, k := range app.Kernels {
 					cfg, p := bareSM(t, scheme, k, noFF)
 					cfg.Warps = 8
+					hier.ResetTiming() // the new SM's clock starts at zero
 					smv, err := sim.NewWithHierarchy(cfg, k, p, want, hier)
 					if err != nil {
 						t.Fatal(err)

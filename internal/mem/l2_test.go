@@ -243,8 +243,8 @@ func TestBankedL2PortContention(t *testing.T) {
 	h := l2.AttachHierarchy(DefaultConfig())
 	var t1, t2 uint64
 	// Lines 0 and 2 both land in bank 0 (line mod 2).
-	l2.access(h, 0, false, call(func(Source) { t1 = h.Now() }))
-	l2.access(h, 2*LineSize, false, call(func(Source) { t2 = h.Now() }))
+	l2.access(h, 0, false, call(func(Source) { t1 = h.now }))
+	l2.access(h, 2*LineSize, false, call(func(Source) { t2 = h.now }))
 	drainHier(t, h)
 	if l2.Stats.PortQueueCycles != 1 {
 		t.Fatalf("port queue cycles = %d, want 1", l2.Stats.PortQueueCycles)
@@ -289,8 +289,8 @@ func TestBankedL2DRAMThrottle(t *testing.T) {
 	}
 	h := l2.AttachHierarchy(DefaultConfig())
 	var t1, t2 uint64
-	l2.access(h, 0, false, call(func(Source) { t1 = h.Now() }))        // bank 0
-	l2.access(h, LineSize, false, call(func(Source) { t2 = h.Now() })) // bank 1
+	l2.access(h, 0, false, call(func(Source) { t1 = h.now }))        // bank 0
+	l2.access(h, LineSize, false, call(func(Source) { t2 = h.now })) // bank 1
 	drainHier(t, h)
 	if l2.Stats.DRAMQueueCycles != 10 {
 		t.Fatalf("DRAM queue cycles = %d, want 10", l2.Stats.DRAMQueueCycles)

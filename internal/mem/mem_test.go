@@ -28,13 +28,13 @@ func TestL1HitLatency(t *testing.T) {
 	run(t, h, 100, func() bool { return doneW })
 
 	h.Tick() // free the port
-	start := h.Now()
+	start := h.now
 	doneR := false
 	if !h.L1Access(addr, false, func(Source) { doneR = true }) {
 		t.Fatal("L1 read refused")
 	}
 	run(t, h, 100, func() bool { return doneR })
-	lat := int(h.Now() - start)
+	lat := int(h.now - start)
 	if lat != DefaultConfig().L1HitLatency {
 		t.Fatalf("hit latency = %d, want %d", lat, DefaultConfig().L1HitLatency)
 	}
@@ -50,9 +50,9 @@ func TestL1MissGoesToL2(t *testing.T) {
 	if !h.L1Access(addr, false, func(Source) { done = true }) {
 		t.Fatal("refused")
 	}
-	start := h.Now()
+	start := h.now
 	run(t, h, 2000, func() bool { return done })
-	lat := int(h.Now() - start)
+	lat := int(h.now - start)
 	if lat <= DefaultConfig().L1HitLatency {
 		t.Fatalf("miss latency %d not above hit latency", lat)
 	}
@@ -181,12 +181,12 @@ func TestDataBypassesL1(t *testing.T) {
 	}
 	// Re-read: L2 hit, much faster.
 	h.Tick()
-	start := h.Now()
+	start := h.now
 	done2 := false
 	h.DataAccess(0x100, false, func(Source) { done2 = true })
 	run(t, h, 1000, func() bool { return done2 })
-	if int(h.Now()-start) > DefaultConfig().L2Latency+2 {
-		t.Fatalf("L2 hit took %d cycles", h.Now()-start)
+	if int(h.now-start) > DefaultConfig().L2Latency+2 {
+		t.Fatalf("L2 hit took %d cycles", h.now-start)
 	}
 	if h.Stats.L2Hits != 1 {
 		t.Fatalf("stats = %+v", h.Stats)
@@ -228,9 +228,9 @@ func TestDRAMBandwidthThrottle(t *testing.T) {
 		}
 		h.Tick()
 	}
-	start := h.Now()
+	start := h.now
 	run(t, h, 50000, func() bool { return n == 8 })
-	elapsed := int(h.Now() - start)
+	elapsed := int(h.now - start)
 	// 8 line transfers at 9 cycles/line must take at least ~63 cycles
 	// beyond the base latency of the last request.
 	if elapsed < (8-1)*cfg.DRAMCyclesPerLine {
@@ -325,11 +325,11 @@ func TestFarEventsHopToTheirCycle(t *testing.T) {
 	h := New(DefaultConfig())
 	var order []string
 	var firedAt uint64
-	h.deliverAfter(far, call(func(Source) { order = append(order, "far"); firedAt = h.Now() }), SrcL2)
+	h.deliverAfter(far, call(func(Source) { order = append(order, "far"); firedAt = h.now }), SrcL2)
 	h.deliverAfter(far-1, call(func(Source) { order = append(order, "near") }), SrcL2)
-	for h.Now() < far+10 {
-		if wake, ok := h.NextWake(false); len(order) < 2 && (!ok || wake <= h.Now() || (len(order) == 1 && wake > far)) {
-			t.Fatalf("cycle %d: NextWake = %d,%v with an event pending for cycle %d", h.Now(), wake, ok, far)
+	for h.now < far+10 {
+		if wake, ok := h.NextWake(false); len(order) < 2 && (!ok || wake <= h.now || (len(order) == 1 && wake > far)) {
+			t.Fatalf("cycle %d: NextWake = %d,%v with an event pending for cycle %d", h.now, wake, ok, far)
 		}
 		h.Tick()
 	}
@@ -338,5 +338,36 @@ func TestFarEventsHopToTheirCycle(t *testing.T) {
 	}
 	if !h.Drained() {
 		t.Fatal("hops left the calendar non-empty")
+	}
+}
+
+// TestResetTimingRestartsTheShownClock: after ResetTiming the cycles the
+// hierarchy exchanges with its SM — NextWake out, FastForwardTo in — count
+// from zero again, while what it holds (lines, statistics, the busy DRAM
+// throttle) is what the first SM left.
+func TestResetTimingRestartsTheShownClock(t *testing.T) {
+	h := New(DefaultConfig())
+	addr := RegSpaceBase + 3*LineSize
+	done := false
+	h.L1Access(addr, true, func(Source) { done = true })
+	run(t, h, 100, func() bool { return done })
+	h.Tick()
+	before := h.Stats
+
+	h.ResetTiming()
+	if h.Stats != before || !h.Drained() {
+		t.Fatalf("ResetTiming touched statistics or left work: %+v", h.Stats)
+	}
+	hit := false
+	if !h.L1Access(addr, false, func(Source) { hit = true }) {
+		t.Fatal("L1 read refused after ResetTiming")
+	}
+	lat := uint64(DefaultConfig().L1HitLatency)
+	if wake, ok := h.NextWake(false); !ok || wake != lat {
+		t.Fatalf("NextWake = %d,%v on the new SM's clock, want %d", wake, ok, lat)
+	}
+	h.FastForwardTo(lat - 1)
+	if h.Tick(); !hit || h.Stats.L1Hits != before.L1Hits+1 {
+		t.Fatalf("the line the first SM wrote did not hit at cycle %d (hit=%v, stats %+v)", lat, hit, h.Stats)
 	}
 }

@@ -21,7 +21,7 @@ type listener struct {
 	heard
 }
 
-func (l *listener) MemDone(src Source) { l.n, l.cycle, l.src = l.n+1, l.h.Now(), src }
+func (l *listener) MemDone(src Source) { l.n, l.cycle, l.src = l.n+1, l.h.now, src }
 
 // TestWaiterAndFuncPathsAgree: L1Access/DataAccess (a func) are adaptors
 // over L1AccessFor/DataAccessFor (a Waiter), so the same access on the
