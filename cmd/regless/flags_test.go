@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -25,7 +26,6 @@ func TestMain(m *testing.M) {
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		parallel  int
-		metrics   string
 		bucket    int
 		trace     string
 		report    bool
@@ -36,27 +36,26 @@ func TestValidateFlags(t *testing.T) {
 		csv       bool
 		wantErr   string
 	}{
-		{1, "", 100, "", false, "", 1, "", false, false, ""},
-		{8, "jsonl", 1, "", false, "", 60_000_000, "", false, false, ""},
-		{0, "", 100, "", false, "", 1, "", false, false, "-parallel must be at least 1"},
-		{-3, "", 100, "", false, "", 1, "", false, false, "-parallel must be at least 1"},
-		{1, "xml", 100, "", false, "", 1, "", false, false, `unknown -metrics format "xml"`},
-		{0, "xml", 100, "", false, "", 1, "", false, false, "-parallel must be at least 1"}, // first error wins
-		{1, "", 0, "", false, "", 1, "", false, false, "-bucket must be at least 1, got 0"},
-		{1, "", -50, "", false, "", 1, "", false, false, "-bucket must be at least 1, got -50"},
-		{1, "", 100, "out.json", false, "", 1, "", false, false, "-trace and -trace-report require -bench"},
-		{1, "", 100, "", true, "", 1, "", false, false, "-trace and -trace-report require -bench"},
-		{1, "", 100, "out.json", true, "nw", 1, "", false, false, ""},
-		{1, "", 100, "", false, "", 1, "", true, false, "-timeline and -csv require -bench"},
-		{1, "", 100, "", false, "", 1, "", false, true, "-timeline and -csv require -bench"},
-		{1, "", 100, "", false, "nw", 1, "", true, true, ""},
-		{1, "", 100, "", false, "", 0, "", false, false, "-max-cycles must be at least 1"},
-		{1, "", 100, "", false, "", 1, "mem-drop@5000", false, false, ""},
-		{1, "", 100, "", false, "", 1, "warp-eater", false, false, "unknown class"},
-		{1, "", 100, "", false, "", 1, "mem-drop:delay=9", false, false, "delay= applies to mem-delay"},
+		{1, 100, "", false, "", 1, "", false, false, ""},
+		{8, 1, "", false, "", 60_000_000, "", false, false, ""},
+		{0, 100, "", false, "", 1, "", false, false, "-parallel must be at least 1"},
+		{-3, 100, "", false, "", 1, "", false, false, "-parallel must be at least 1"},
+		{0, 0, "", false, "", 1, "", false, false, "-parallel must be at least 1"}, // first error wins
+		{1, 0, "", false, "", 1, "", false, false, "-bucket must be at least 1, got 0"},
+		{1, -50, "", false, "", 1, "", false, false, "-bucket must be at least 1, got -50"},
+		{1, 100, "out.json", false, "", 1, "", false, false, "-trace and -trace-report require -bench"},
+		{1, 100, "", true, "", 1, "", false, false, "-trace and -trace-report require -bench"},
+		{1, 100, "out.json", true, "nw", 1, "", false, false, ""},
+		{1, 100, "", false, "", 1, "", true, false, "-timeline and -csv require -bench"},
+		{1, 100, "", false, "", 1, "", false, true, "-timeline and -csv require -bench"},
+		{1, 100, "", false, "nw", 1, "", true, true, ""},
+		{1, 100, "", false, "", 0, "", false, false, "-max-cycles must be at least 1"},
+		{1, 100, "", false, "", 1, "mem-drop@5000", false, false, ""},
+		{1, 100, "", false, "", 1, "warp-eater", false, false, "unknown class"},
+		{1, 100, "", false, "", 1, "mem-drop:delay=9", false, false, "delay= applies to mem-delay"},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.parallel, c.metrics, c.bucket, c.trace, c.report, c.bench, c.maxCycles, c.faults, 1, c.timeline, c.csv, "", "regless")
+		err := validateFlags(c.parallel, c.bucket, c.trace, c.report, c.bench, c.maxCycles, c.faults, 1, c.timeline, c.csv, "", "regless")
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("validateFlags(%+v) = %v, want nil", c, err)
@@ -73,7 +72,7 @@ func TestValidateFlags(t *testing.T) {
 // the check serve makes of a request's scheme.
 func TestValidateSchemeFlag(t *testing.T) {
 	check := func(scheme, app string) error {
-		return validateFlags(1, "", 100, "", false, "nw", 1, "", 1, false, false, app, scheme)
+		return validateFlags(1, 100, "", false, "nw", 1, "", 1, false, false, app, scheme)
 	}
 	for _, sc := range experiments.Schemes() {
 		if err := check(string(sc), ""); err != nil {
@@ -106,7 +105,7 @@ func TestValidateSMsFlag(t *testing.T) {
 		{1, false, "srad_app", ""},
 	}
 	for _, c := range cases {
-		err := validateFlags(1, "", 100, "", false, "nw", 1, "", c.sms, c.timeline, false, c.app, "regless")
+		err := validateFlags(1, 100, "", false, "nw", 1, "", c.sms, c.timeline, false, c.app, "regless")
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("validateFlags(sms=%d timeline=%v app=%q) = %v, want nil", c.sms, c.timeline, c.app, err)
@@ -140,9 +139,9 @@ func runMain(t *testing.T, args ...string) (stdout, stderr string, exitCode int)
 	return out.String(), errb.String(), code
 }
 
-// TestBadFlagsExitWithUsage drives the real binary: invalid -parallel and
-// -metrics values must exit 2 with a usage message on stderr, leaving
-// stdout clean.
+// TestBadFlagsExitWithUsage drives the real binary: invalid flag values,
+// and the -metrics spelling -metrics-out replaced, must exit 2 with a
+// usage message on stderr, leaving stdout clean.
 func TestBadFlagsExitWithUsage(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -150,7 +149,7 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 	}{
 		{[]string{"-parallel", "0", "-experiment", "fig2"}, "-parallel must be at least 1, got 0"},
 		{[]string{"-parallel", "-2", "-list"}, "-parallel must be at least 1, got -2"},
-		{[]string{"-metrics", "csv", "-experiment", "fig2"}, `unknown -metrics format "csv"`},
+		{[]string{"-metrics", "jsonl", "-experiment", "fig2"}, "flag provided but not defined: -metrics"},
 		{[]string{"-bucket", "0", "-bench", "nw", "-timeline"}, "-bucket must be at least 1, got 0"},
 		{[]string{"-trace-report", "-experiment", "fig2"}, "-trace and -trace-report require -bench"},
 		{[]string{"-experiment", "fig14", "-timeline", "-csv"}, "-timeline and -csv require -bench"},
@@ -181,12 +180,13 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 	}
 }
 
-// TestMetricsStreamIsValidJSONL runs one small benchmark with -metrics
-// jsonl through the real binary and checks stdout is pure JSONL (tables
-// moved to stderr) with the run's labels on every record.
+// TestMetricsStreamIsValidJSONL runs one small benchmark with
+// -metrics-out - through the real binary and checks stdout is pure JSONL
+// (tables moved to stderr) with the run's labels on every record; sent to
+// a file, the same stream leaves the tables on stdout.
 func TestMetricsStreamIsValidJSONL(t *testing.T) {
 	stdout, stderr, code := runMain(t,
-		"-metrics", "jsonl", "-bench", "nw", "-scheme", "baseline", "-warps", "8")
+		"-metrics-out", "-", "-bench", "nw", "-scheme", "baseline", "-warps", "8")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
@@ -209,6 +209,13 @@ func TestMetricsStreamIsValidJSONL(t *testing.T) {
 		if rec.Bench != "nw" || rec.Scheme != "baseline" {
 			t.Fatalf("line %d mislabeled: %s", i+1, ln)
 		}
+	}
+	file := filepath.Join(t.TempDir(), "w.jsonl")
+	tables, _, code := runMain(t,
+		"-metrics-out", file, "-bench", "nw", "-scheme", "baseline", "-warps", "8")
+	if raw, err := os.ReadFile(file); code != 0 || err != nil || string(raw) != stdout || tables != stderr {
+		t.Fatalf("-metrics-out FILE: exit %d, %v; the file holds the stdout stream: %v, stdout the tables: %v",
+			code, err, string(raw) == stdout, tables == stderr)
 	}
 }
 

@@ -9,13 +9,12 @@
 //	regless -bench hotspot -scheme regless  # one run with stats
 //	regless -experiment all -markdown       # markdown output
 //	regless -warps 32                       # scale the SM occupancy
-//	regless -metrics jsonl -experiment fig17  # stream per-window metrics
+//	regless -metrics-out - -experiment fig17  # stream per-window metrics
 //	regless -cpuprofile cpu.pb.gz -experiment all  # profile the run
 //	regless serve -store /var/cache/regless   # sweep service (DESIGN.md §14)
 //
-// With -metrics jsonl and no -metrics-out, the JSONL stream takes stdout
-// and tables move to stderr, so piping into a JSON consumer always sees a
-// valid stream.
+// With -metrics-out -, the JSONL stream takes stdout and tables move to
+// stderr, so piping into a JSON consumer always sees a valid stream.
 package main
 
 import (
@@ -67,8 +66,7 @@ func main() {
 		traceOut   = flag.String("trace", "", "with -bench: write a Chrome trace-event JSON file (open in Perfetto)")
 		traceRep   = flag.Bool("trace-report", false, "with -bench: print a stall-attribution and preload-latency report")
 		gitSHA     = flag.String("snapshot-sha", "", "git revision to stamp into the -json snapshot (scripts/bench.sh)")
-		metricsFmt = flag.String("metrics", "", "stream per-window metrics; the only format is 'jsonl'")
-		metricsOut = flag.String("metrics-out", "", "write -metrics stream to a file (default: stdout, moving tables to stderr)")
+		metricsOut = flag.String("metrics-out", "", "stream per-window metrics as JSONL to this file ('-': stdout, moving tables to stderr)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		maxCycles  = flag.Uint64("max-cycles", 60_000_000, "simulation cycle limit per kernel (must be >= 1)")
@@ -87,7 +85,7 @@ func main() {
 		}
 		return
 	}
-	if err := validateFlags(*parallel, *metricsFmt, *bucket, *traceOut, *traceRep, *bench, *maxCycles, *faultSpec, *sms, *timeline, *csvOut, *app, *scheme); err != nil {
+	if err := validateFlags(*parallel, *bucket, *traceOut, *traceRep, *bench, *maxCycles, *faultSpec, *sms, *timeline, *csvOut, *app, *scheme); err != nil {
 		fmt.Fprintln(os.Stderr, "regless:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -110,19 +108,19 @@ func main() {
 		opts.Benchmarks = strings.Split(*benchList, ",")
 	}
 
-	// Tables normally print to stdout; a -metrics stream without a file
-	// destination takes stdout over and tables move to stderr.
+	// Tables normally print to stdout; a metrics stream sent there takes
+	// it over and tables move to stderr.
 	var out io.Writer = os.Stdout
-	if *metricsFmt != "" {
-		if *metricsOut != "" {
-			f, err := os.Create(*metricsOut)
-			check(err)
-			defer f.Close()
-			opts.MetricsWriter = f
-		} else {
-			opts.MetricsWriter = os.Stdout
-			out = os.Stderr
-		}
+	switch *metricsOut {
+	case "":
+	case "-":
+		opts.MetricsWriter = os.Stdout
+		out = os.Stderr
+	default:
+		f, err := os.Create(*metricsOut)
+		check(err)
+		defer f.Close()
+		opts.MetricsWriter = f
 	}
 	suite := experiments.NewSuite(opts)
 
@@ -194,7 +192,7 @@ func main() {
 // misread: a non-positive planner width used to mean "GOMAXPROCS" but now
 // the default carries that value, so anything below 1 is a mistake; the
 // timeline divides by the bucket.
-func validateFlags(parallel int, metricsFmt string, bucket int, traceOut string, traceRep bool, bench string, maxCycles uint64, faultSpec string, sms int, timeline, csv bool, app, scheme string) error {
+func validateFlags(parallel int, bucket int, traceOut string, traceRep bool, bench string, maxCycles uint64, faultSpec string, sms int, timeline, csv bool, app, scheme string) error {
 	if parallel < 1 {
 		return fmt.Errorf("-parallel must be at least 1, got %d", parallel)
 	}
@@ -203,9 +201,6 @@ func validateFlags(parallel int, metricsFmt string, bucket int, traceOut string,
 	}
 	if sms > 1 && app != "" {
 		return fmt.Errorf("-app runs are single-SM; use -sms 1")
-	}
-	if metricsFmt != "" && metricsFmt != "jsonl" {
-		return fmt.Errorf("unknown -metrics format %q (only \"jsonl\")", metricsFmt)
 	}
 	if bucket < 1 {
 		return fmt.Errorf("-bucket must be at least 1, got %d", bucket)

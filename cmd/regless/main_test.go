@@ -51,9 +51,9 @@ func TestExtensionGoldens(t *testing.T) {
 		"oversub_warps8.txt":      {"-experiment", "oversub", "-warps", "8"},
 		"app_backprop_warps8.txt": {"-app", "backprop_app", "-warps", "8"},
 
-		"metrics_nw_regless_warps8.jsonl":      {"-bench", "nw", "-scheme", "regless", "-warps", "8", "-metrics", "jsonl"},
-		"metrics_nw_regless_warps8_sms4.jsonl": {"-bench", "nw", "-scheme", "regless", "-warps", "8", "-sms", "4", "-metrics", "jsonl"},
-		"metrics_nw_rfv_warps8.jsonl":          {"-bench", "nw", "-scheme", "rfv", "-warps", "8", "-metrics", "jsonl"},
+		"metrics_nw_regless_warps8.jsonl":      {"-bench", "nw", "-scheme", "regless", "-warps", "8", "-metrics-out", "-"},
+		"metrics_nw_regless_warps8_sms4.jsonl": {"-bench", "nw", "-scheme", "regless", "-warps", "8", "-sms", "4", "-metrics-out", "-"},
+		"metrics_nw_rfv_warps8.jsonl":          {"-bench", "nw", "-scheme", "rfv", "-warps", "8", "-metrics-out", "-"},
 	} {
 		want, err := os.ReadFile(filepath.Join("..", "..", "scripts", "golden", golden))
 		if err != nil {

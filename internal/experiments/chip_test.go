@@ -126,6 +126,17 @@ func fillNumeric(t *testing.T, v any, seed uint64) {
 	}
 }
 
+// sumFields adds every uint64 field of the struct src points at into
+// dst's: the reference the product's fold (metrics.Add) is held to.
+func sumFields(dst, src any) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
+	for i := 0; i < d.NumField(); i++ {
+		if d.Field(i).Kind() == reflect.Uint64 {
+			d.Field(i).SetUint(d.Field(i).Uint() + s.Field(i).Uint())
+		}
+	}
+}
+
 // TestMergesCoverEveryCounter: every run's Stats/Prov/Mem come out of
 // mergeSimStats and metrics.Add, so a counter one of them skipped would
 // read zero in every table. Merging two filled

@@ -16,7 +16,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/kernels"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -127,8 +126,9 @@ func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
 		}
 		o := outcome{stats: *mergeSimStats(res), stores: su.Memory.GlobalStores()}
 		for _, smv := range g.SMs {
-			metrics.Add(&o.prov, &smv.Prov)
-			metrics.Add(&o.mem, &smv.Mem.Stats)
+			// Σ per-SM by the test's own walk, not the fold under test.
+			sumFields(&o.prov, &smv.Prov)
+			sumFields(&o.mem, &smv.Mem.Stats)
 		}
 		fresh[p] = o
 	}

@@ -453,7 +453,7 @@ func (s *Server) initMetrics() {
 	s.hHTTP = s.reg.AtomicHistogram("serve/http_us", spanBounds...)
 	// Windows always close (windowLoop); the hub fans each one out to
 	// the JSONL file (when configured) and to live SSE subscribers.
-	s.winHub = newWinHub(s.cfg.SSEBuffer)
+	s.winHub = &winHub{}
 	if s.cfg.MetricsWriter != nil {
 		s.jsonl = metrics.NewJSONLWriter(s.cfg.MetricsWriter)
 		s.winHub.fwd = s.jsonl.Run(metrics.String("component", "serve"))

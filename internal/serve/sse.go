@@ -293,8 +293,6 @@ type winHub struct {
 	subs []*sseStream
 }
 
-func newWinHub(int) *winHub { return &winHub{} }
-
 // Emit implements metrics.Sink. Window buffers are registry-owned and
 // reused, so the JSONL line is rendered (copied) before returning.
 func (h *winHub) Emit(w metrics.Window) {

@@ -107,7 +107,7 @@ test "$(go run ./cmd/regless -bench nw -scheme regless -warps 8 -sms 4 -timeline
 # the goldens are the output of the binary before statistics became
 # tagged struct fields and are not regenerated.
 for m in "regless_warps8:-scheme regless" "regless_warps8_sms4:-scheme regless -sms 4" "rfv_warps8:-scheme rfv"; do
-	go run ./cmd/regless -bench nw ${m#*:} -warps 8 -metrics jsonl 2> /dev/null |
+	go run ./cmd/regless -bench nw ${m#*:} -warps 8 -metrics-out - 2> /dev/null |
 		cmp - "scripts/golden/metrics_nw_${m%%:*}.jsonl"
 done
 
