@@ -55,9 +55,9 @@ type IssueMasker interface {
 }
 
 // ProviderStats counts register-scheme events; the energy model and the
-// per-figure experiments consume these. One lives on each SM (SM.Prov),
-// on the registry as "provider/..." — the names are shared across
-// schemes, so window streams from different providers line up column-wise.
+// per-figure experiments consume these. One lives on each SM (SM.Prov);
+// its cell names are shared across schemes, so window streams from
+// different providers line up column-wise.
 type ProviderStats struct {
 	// StructReads/StructWrites are accesses to the primary operand
 	// structure (main RF for baseline/RFV, OSU data banks for RegLess).

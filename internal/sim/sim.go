@@ -8,6 +8,11 @@
 // executes it functionally (package exec), so values, divergence, and
 // memory addresses are real; the surrounding machinery decides only *when*
 // each instruction issues and completes.
+//
+// Every count is a plain field of a statistics struct the SM owns — Stats,
+// Prov (the register scheme's, written by the provider through the
+// pointer it takes at Attach), one groupStats per scheduler — and a
+// `metric` tag on the field is what puts it on the SM's metrics registry.
 package sim
 
 import (

@@ -28,6 +28,16 @@ test -z "$(grep -rn 'sim\.DefaultConfig()\|gpu\.DefaultConfig()' --include=*.go 
 	grep -v _test.go | grep -v '^internal/experiments/chip.go:\|^internal/experiments/figures.go:')"
 test "$(grep -rn 'AttachSanitizer(\|AttachFaults(' --include=*.go cmd internal regless.go |
 	grep -v _test.go | grep -vc '^internal/sim/\|^internal/core/')" = 2
+# A counter is spelled once (DESIGN.md §9): a tagged field of its owner's
+# statistics struct, which the registry views and metrics.Add folds. No
+# second set of handles, no hand-written bind or sum list: every
+# "provider/... literal in product code is unique, and Registry.Bind is
+# called directly only for what a tag cannot name — the compressor's
+# per-pattern array.
+test -z "$(grep -rn 'ProviderCounters\|StallCharger\|metrics\.Counter\|addProviderStats\|addMemStats' --include=*.go cmd internal regless.go)"
+test -z "$(grep -rho '"provider/[a-z0-9_/]*' --include=*.go cmd internal regless.go --exclude=*_test.go | sort | uniq -d)"
+test -z "$(grep -rn 'r\.Bind(' --include=*.go cmd internal regless.go |
+	grep -v _test.go | grep -v '^internal/metrics/\|^internal/compress/metrics.go:')"
 go test -race -shuffle=on ./...
 # The allocation budget of a steady-state run is the program's only
 # without the race detector, whose instrumentation changes what
