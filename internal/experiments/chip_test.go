@@ -14,7 +14,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/rf"
 	"repro/internal/sim"
 )
@@ -137,9 +136,9 @@ func sumFields(dst, src any) {
 	}
 }
 
-// TestMergesCoverEveryCounter: every run's Stats/Prov/Mem come out of
-// mergeSimStats and metrics.Add, so a counter one of them skipped would
-// read zero in every table. Merging two filled
+// TestMergesCoverEveryCounter: every run's Stats come out of
+// mergeSimStats, so a counter it skipped would read zero in every table
+// (Prov and Mem are bare metrics.Add: TestCounterSpelledOnce). Merging two filled
 // structs must sum every field (Cycles: the chip's, i.e. the slowest
 // SM's; WorkingSetKB: the mean over SMs).
 func TestMergesCoverEveryCounter(t *testing.T) {
@@ -181,19 +180,6 @@ func TestMergesCoverEveryCounter(t *testing.T) {
 		"WorkingSetKB": (sa.WorkingSetKB + sb.WorkingSetKB) / 2,
 	})
 
-	var pa, pb, pm sim.ProviderStats
-	fillNumeric(t, &pa, seedA)
-	fillNumeric(t, &pb, seedB)
-	metrics.Add(&pm, &pa)
-	metrics.Add(&pm, &pb)
-	checkSums(&pm, nil)
-
-	var ma, mb, mm mem.Stats
-	fillNumeric(t, &ma, seedA)
-	fillNumeric(t, &mb, seedB)
-	metrics.Add(&mm, &ma)
-	metrics.Add(&mm, &mb)
-	checkSums(&mm, nil)
 }
 
 // TestInstrumentedRunHonorsContext: the instrumented path (serve's

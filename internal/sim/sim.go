@@ -311,21 +311,21 @@ type SM struct {
 
 // The element types an SM is made of (package arena).
 var (
-	smT      = arena.Of[SM]()
-	warpT    = arena.Of[Warp]()
-	warpPtrT = arena.Of[*Warp]()
-	groupT   = arena.Of[[]*Warp]()
-	wordT    = arena.Of[uint64]()
-	wordsT   = arena.Of[[]uint64]()
-	u32T     = arena.Of[uint32]()
-	i32T     = arena.Of[int32]()
-	intT     = arena.Of[int]()
-	byteT    = arena.Of[uint8]()
-	boolT    = arena.Of[bool]()
-	classT   = arena.Of[isa.Class]()
-	insnT    = arena.Of[*isa.Instruction]()
-	groupSt  = arena.Of[groupStats]()
-	reasonT  = arena.Of[events.StallReason]()
+	smT         = arena.Of[SM]()
+	warpT       = arena.Of[Warp]()
+	warpPtrT    = arena.Of[*Warp]()
+	groupT      = arena.Of[[]*Warp]()
+	wordT       = arena.Of[uint64]()
+	wordsT      = arena.Of[[]uint64]()
+	u32T        = arena.Of[uint32]()
+	i32T        = arena.Of[int32]()
+	intT        = arena.Of[int]()
+	byteT       = arena.Of[uint8]()
+	boolT       = arena.Of[bool]()
+	classT      = arena.Of[isa.Class]()
+	insnT       = arena.Of[*isa.Instruction]()
+	groupStatsT = arena.Of[groupStats]()
+	reasonT     = arena.Of[events.StallReason]()
 )
 
 // The cells of the SM's statistics structs (their tagged fields).
@@ -472,7 +472,7 @@ func NewWithHierarchyIn(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, 
 func (sm *SM) registerMetrics() {
 	r := sm.Metrics
 	r.Gauges((*lsuDepth)(sm), statCells.Bind(r, &sm.Stats)...)
-	sm.grp = groupSt.Make(sm.a, sm.Cfg.Schedulers)
+	sm.grp = groupStatsT.Make(sm.a, sm.Cfg.Schedulers)
 	for g := range sm.grp {
 		groupCells.BindAt(r, g, &sm.grp[g])
 	}
