@@ -105,6 +105,14 @@ done
 smsout="$(go run ./cmd/regless -sms 4 -experiment fig14 -warps 16)"
 test "$smsout" = "$(cat scripts/golden/sms4_fig14_warps16.txt)"
 
+# The CLI's main path: every paper table at 16 warps, byte for byte what
+# the binary printed before an experiment came to declare its runs once,
+# at either planner width. Not regenerated for a refactor.
+for par in 1 8; do
+	go run ./cmd/regless -experiment all -warps 16 -parallel "$par" |
+		cmp - scripts/golden/all_warps16.txt
+done
+
 # Timeline smoke: the fold over a run's recording must print what the
 # tracer that stepped the SM itself printed (the golden is that binary's
 # output), and a chip gets one timeline per SM.
