@@ -44,14 +44,14 @@ type ablationRun struct {
 	metaInsn uint64
 }
 
-func (s *Suite) runAblation(bench string, mutate func(*core.Config)) (*ablationRun, error) {
+func runAblation(o Options, bench string, mutate func(*core.Config)) (*ablationRun, error) {
 	k, err := kernels.Load(bench)
 	if err != nil {
 		return nil, err
 	}
 	// A chip of one at suite scale, whatever Opts.SMs says: the design
 	// choices under test are per-SM.
-	r, err := SimulateKernel(k, SchemeRegLess, s.Opts.Setup(AblationCapacity),
+	r, err := SimulateKernel(k, SchemeRegLess, o.Setup(AblationCapacity),
 		func(_ *sim.Config, c *core.Config) { mutate(c) })
 	if err != nil {
 		return nil, err
@@ -71,18 +71,18 @@ func (s *Suite) runAblation(bench string, mutate func(*core.Config)) (*ablationR
 // matrix runs on the suite's worker pool; each cell is an independent
 // deterministic simulation, so rows are assembled afterwards in a fixed
 // order.
-func Ablations(s *Suite) (*Table, error) {
+func Ablations(in *inputs) (*Table, error) {
 	t := &Table{
 		ID:     "ablation",
 		Title:  fmt.Sprintf("Design ablations at %d registers/SM (vs paper design)", AblationCapacity),
 		Header: []string{"Variant", "Run time", "Staged preloads", "L1 req/kcycle"},
 	}
 	variants := ablationVariants()
-	benches := s.benchmarks()
+	benches := in.Benchmarks
 	grid := make([]*ablationRun, len(variants)*len(benches))
-	err := s.forEach(len(grid), func(i int) error {
+	err := in.Opts.forEach(len(grid), func(i int) error {
 		v := variants[i/len(benches)]
-		r, err := s.runAblation(benches[i%len(benches)], v.mutate)
+		r, err := runAblation(in.Opts, benches[i%len(benches)], v.mutate)
 		if err != nil {
 			return err
 		}

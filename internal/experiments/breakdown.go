@@ -7,24 +7,17 @@ import (
 // EnergyBreakdown (extension) decomposes each benchmark's baseline GPU
 // energy into the model's components and shows where RegLess's savings
 // come from — the per-component view behind Figures 14 and 15.
-func EnergyBreakdown(s *Suite) (*Table, error) {
+func EnergyBreakdown(in *inputs) (*Table, error) {
 	t := &Table{
 		ID:    "breakdown",
 		Title: "GPU energy decomposition: baseline shares and RegLess deltas",
 		Header: []string{"Benchmark", "RF share", "Insn share", "Mem share", "Static share",
 			"RegLess RF", "RegLess total"},
 	}
-	for _, bench := range s.benchmarks() {
-		base, err := s.Get(bench, SchemeBaseline, 0)
-		if err != nil {
-			return nil, err
-		}
-		bb := energy.Compute(s.Params, base.EnergyScheme(), base.Activity())
-		rgl, err := s.Get(bench, SchemeRegLess, DefaultCapacity)
-		if err != nil {
-			return nil, err
-		}
-		rb := energy.Compute(s.Params, rgl.EnergyScheme(), rgl.Activity())
+	for i, bench := range in.Benchmarks {
+		base, rgl := in.Runs[i][0], in.Runs[i][1]
+		bb := energy.Compute(in.Params, base.EnergyScheme(), base.Activity())
+		rb := energy.Compute(in.Params, rgl.EnergyScheme(), rgl.Activity())
 		t.AddRow(bench,
 			pct(bb.RFTotal/bb.Total),
 			pct(bb.InsnEnergy/bb.Total),

@@ -32,14 +32,14 @@ const coResidentBias uint32 = 0x8000_0000
 // each kernel suffers, per scheme. RegLess adds register-staging
 // traffic to the shared level, so its interference profile is the
 // experiment's point.
-func CoResident(s *Suite) (*Table, error) {
+func CoResident(in *inputs) (*Table, error) {
 	t := &Table{
 		ID:    "coresident",
 		Title: "Multi-kernel co-residency: shared-L2 interference",
 		Header: []string{"Pair", "Scheme", "Iso cycles (A/B)", "Co cycles (A/B)",
 			"Slowdown A", "Slowdown B", "L2 hit% (iso A/co)"},
 	}
-	half := s.Opts.SMs / 2
+	half := in.Opts.SMs / 2
 	if half < 1 {
 		half = 4
 	}
@@ -50,7 +50,7 @@ func CoResident(s *Suite) (*Table, error) {
 		isoAL2Hit  float64
 	}
 	cells := make([]cell, len(coResidentPairs)*len(schemes))
-	err := s.forEach(len(cells), func(i int) error {
+	err := in.Opts.forEach(len(cells), func(i int) error {
 		pair := coResidentPairs[i/len(schemes)]
 		scheme := schemes[i%len(schemes)]
 		var ks [2]*isa.Kernel
@@ -64,7 +64,7 @@ func CoResident(s *Suite) (*Table, error) {
 		// chip runs k on its half of the chip, alone or beside co. Every
 		// chip is on a banked L2 of its own, a half of one SM included.
 		chip := func(k *isa.Kernel, co ...gpu.KernelSlot) (*gpu.Result, error) {
-			su := s.Opts.Setup(DefaultCapacity)
+			su := in.Opts.Setup(DefaultCapacity)
 			su.CoResident = co
 			var err error
 			if su.L2, err = mem.NewBankedL2(mem.DefaultBankedL2Config()); err != nil {

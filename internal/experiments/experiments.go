@@ -3,7 +3,8 @@
 // simulation cache so figures sharing runs (e.g. the baseline) pay once.
 //
 // The per-experiment index in DESIGN.md maps each paper figure/table to
-// its function here and to the benchmark in bench_test.go that drives it.
+// the modules behind it; plan.go holds the registry — each experiment's
+// ID, the runs it reads, its runner here.
 package experiments
 
 import (
@@ -268,9 +269,8 @@ type runEntry struct {
 
 // Suite memoizes simulation runs across experiments. Get is a
 // singleflight: concurrent callers of the same (bench, scheme, capacity)
-// share one in-flight simulation, so the run planner can fan an
-// experiment's requirements across a worker pool without duplicating
-// work.
+// share one in-flight simulation, so the run planner can fan what the
+// experiments read across a worker pool without duplicating work.
 type Suite struct {
 	Opts   Options
 	Params energy.Params
@@ -384,43 +384,17 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// parallelism resolves the planner's worker count.
-func (s *Suite) parallelism() int {
-	if s.Opts.Parallelism > 0 {
-		return s.Opts.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Warm ensures every key has a completed run, fanning cache misses across
-// the planner's worker pool. Keys are deduplicated after normalization;
-// already-cached keys cost nothing. The first error in key order is
-// returned (matching what a serial pass would report), after all workers
-// finish.
-func (s *Suite) Warm(keys []runKey) error {
-	seen := map[runKey]bool{}
-	work := make([]runKey, 0, len(keys))
-	for _, k := range keys {
-		k = normKey(k.bench, k.scheme, k.capacity)
-		if !seen[k] {
-			seen[k] = true
-			work = append(work, k)
-		}
-	}
-	return s.forEach(len(work), func(i int) error {
-		_, err := s.Get(work[i].bench, work[i].scheme, work[i].capacity)
-		return err
-	})
-}
-
-// forEach runs fn(0..n-1) across min(parallelism, n) workers and returns
+// forEach runs fn(0..n-1) across min(Parallelism, n) workers and returns
 // the first error by index. All indices are attempted even after a
 // failure, so the reported error does not depend on worker scheduling.
-func (s *Suite) forEach(n int, fn func(i int) error) error {
+func (o Options) forEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := s.parallelism()
+	workers := o.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
@@ -460,7 +434,7 @@ func (s *Suite) forEach(n int, fn func(i int) error) error {
 
 // CachedRuns returns every completed run in deterministic key order
 // (bench, then scheme, then capacity) — the raw material for throughput
-// reporting and JSON snapshots.
+// reporting.
 func (s *Suite) CachedRuns() []*Run {
 	s.mu.Lock()
 	entries := make([]*runEntry, 0, len(s.cache))

@@ -1,11 +1,22 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
 func quickSuite() *Suite { return NewSuite(Quick()) }
+
+// runByID makes one experiment's table the way the CLI does: the planner
+// warms and fetches what it declares, then its runner assembles.
+func runByID(s *Suite, id string) (*Table, error) {
+	fn, ok := ByID(id)
+	if !ok {
+		return nil, fmt.Errorf("unknown experiment %q", id)
+	}
+	return fn(s)
+}
 
 func TestRunCacheMemoizes(t *testing.T) {
 	s := quickSuite()
@@ -41,7 +52,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestFig2WorkingSetOrdering(t *testing.T) {
 	s := quickSuite()
-	tb, err := Fig2(s)
+	tb, err := runByID(s, "fig2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +80,7 @@ func sscan(s string, f *float64) (int, error) {
 
 func TestFig3Ordering(t *testing.T) {
 	s := quickSuite()
-	tb, err := Fig3(s)
+	tb, err := runByID(s, "fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,34 +99,43 @@ func TestFig3Ordering(t *testing.T) {
 }
 
 func TestFig13SweepShape(t *testing.T) {
-	s := quickSuite()
-	pts, err := s.sweepCapacities([]int{128, 512})
+	tb, err := runByID(quickSuite(), "fig13")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
+	if len(tb.Rows) != len(fig13Capacities) {
 		t.Fatal("missing points")
+	}
+	// point reads one capacity's row: geomean run time and GPU energy.
+	point := func(capacity string) (runTime, gpuEnergy float64) {
+		for _, row := range tb.Rows {
+			if row[0] == capacity {
+				fmtSscan(row[1], &runTime)
+				fmtSscan(row[2], &gpuEnergy)
+			}
+		}
+		return
 	}
 	// Larger capacity must not be slower and must cost more energy than
 	// the smaller one saves... at minimum: both run, energy < 1.05, and
 	// 512 run time within a few percent of baseline (paper's design
 	// goal).
-	if pts[1].RunTime > 1.10 {
-		t.Fatalf("RegLess-512 geomean run time %.3f, want ~1.0", pts[1].RunTime)
+	rt128, e128 := point("128")
+	rt512, e512 := point("512")
+	if rt512 == 0 || rt512 > 1.10 {
+		t.Fatalf("RegLess-512 geomean run time %.3f, want ~1.0", rt512)
 	}
-	if pts[0].RunTime < pts[1].RunTime*0.95 {
-		t.Fatalf("128-capacity faster than 512: %.3f vs %.3f", pts[0].RunTime, pts[1].RunTime)
+	if rt128 < rt512*0.95 {
+		t.Fatalf("128-capacity faster than 512: %.3f vs %.3f", rt128, rt512)
 	}
-	for _, p := range pts {
-		if p.GPUEnergy >= 1.0 {
-			t.Fatalf("capacity %d: GPU energy %.3f not below baseline", p.Capacity, p.GPUEnergy)
-		}
+	if e128 >= 1.0 || e512 >= 1.0 {
+		t.Fatalf("GPU energy not below baseline: %.3f at 128, %.3f at 512", e128, e512)
 	}
 }
 
 func TestFig14Ordering(t *testing.T) {
 	s := quickSuite()
-	tb, err := Fig14(s)
+	tb, err := runByID(s, "fig14")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +155,7 @@ func TestFig14Ordering(t *testing.T) {
 
 func TestFig15Bound(t *testing.T) {
 	s := quickSuite()
-	tb, err := Fig15(s)
+	tb, err := runByID(s, "fig15")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +170,7 @@ func TestFig15Bound(t *testing.T) {
 
 func TestFig17SourcesSane(t *testing.T) {
 	s := quickSuite()
-	tb, err := Fig17(s)
+	tb, err := runByID(s, "fig17")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +185,7 @@ func TestFig17SourcesSane(t *testing.T) {
 
 func TestFig18WithinBudget(t *testing.T) {
 	s := quickSuite()
-	tb, err := Fig18(s)
+	tb, err := runByID(s, "fig18")
 	if err != nil {
 		t.Fatal(err)
 	}

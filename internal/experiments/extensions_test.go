@@ -16,7 +16,7 @@ func extSuite() *Suite {
 
 func TestAblations(t *testing.T) {
 	s := extSuite()
-	tb, err := Ablations(s)
+	tb, err := runByID(s, "ablation")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestGPUScale(t *testing.T) {
 	s := extSuite()
 	s.Opts.Benchmarks = []string{"bfs"}
 	s.Opts.Warps = 8
-	tb, err := GPUScale(s)
+	tb, err := runByID(s, "gpuscale")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestGPUScale(t *testing.T) {
 func TestOversubscription(t *testing.T) {
 	s := extSuite()
 	s.Opts.Warps = 64
-	tb, err := Oversubscription(s)
+	tb, err := runByID(s, "oversub")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestOversubscription(t *testing.T) {
 
 func TestEnergyBreakdown(t *testing.T) {
 	s := extSuite()
-	tb, err := EnergyBreakdown(s)
+	tb, err := runByID(s, "breakdown")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestEnergyBreakdown(t *testing.T) {
 
 func TestSensitivity(t *testing.T) {
 	s := extSuite()
-	tb, err := Sensitivity(s)
+	tb, err := runByID(s, "sensitivity")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,22 +17,22 @@ var Capacities = []int{128, 192, 256, 384, 512, 1024, 2048}
 const DefaultCapacity = 512
 
 // Table1 prints the simulation parameters (paper Table 1).
-func Table1(s *Suite) (*Table, error) {
+func Table1(in *inputs) (*Table, error) {
 	c := sim.DefaultConfig()
 	t := &Table{ID: "table1", Title: "Simulation parameters", Header: []string{"Parameter", "Value"}}
 	// The two rows the L2 level (chosen by SM count in Assemble) changes.
 	smsRow := "1 (paper: 16; all RegLess mechanisms are per-SM)"
 	memRow := fmt.Sprintf("512KB L2 slice, DRAM %d cycles, 1 line per %d cycles",
 		c.Mem.DRAMLatency, c.Mem.DRAMCyclesPerLine)
-	if s.Opts.SMs > 1 {
+	if in.Opts.SMs > 1 {
 		l2 := mem.DefaultBankedL2Config()
-		smsRow = fmt.Sprintf("%d, lockstep, shared banked L2 (paper: 16)", s.Opts.SMs)
+		smsRow = fmt.Sprintf("%d, lockstep, shared banked L2 (paper: 16)", in.Opts.SMs)
 		memRow = fmt.Sprintf(
 			"2MB L2 (%d banks x %d sets x %d ways), %d MSHRs/bank, DRAM %d cycles, 1 line per %d cycles",
 			l2.Banks, l2.SetsPerBank, l2.Ways, l2.MSHRsPerBank, l2.DRAMLatency, l2.DRAMCyclesPerLine)
 	}
 	t.AddRow("SMs simulated", smsRow)
-	t.AddRow("Warps per SM", fmt.Sprintf("%d", s.Opts.Warps))
+	t.AddRow("Warps per SM", fmt.Sprintf("%d", in.Opts.Warps))
 	t.AddRow("Warp schedulers", fmt.Sprintf("%d, GTO", c.Schedulers))
 	t.AddRow("L1 cache", "48KB (64 sets x 6 ways x 128B), 32 MSHRs, data accesses bypassed")
 	t.AddRow("L1 bandwidth", "one request per cycle")
@@ -44,27 +44,20 @@ func Table1(s *Suite) (*Table, error) {
 
 // Fig2 measures the average register working set per 100-cycle window
 // under GTO and the two-level scheduler (paper Figure 2).
-func Fig2(s *Suite) (*Table, error) {
+func Fig2(in *inputs) (*Table, error) {
 	t := &Table{
 		ID:     "fig2",
 		Title:  "Average register working set per 100-cycle window (KB)",
 		Header: []string{"Benchmark", "GTO", "2-Level"},
 	}
 	var sumG, sum2 float64
-	for _, bench := range s.benchmarks() {
-		gto, err := s.Get(bench, SchemeBaseline, 0)
-		if err != nil {
-			return nil, err
-		}
-		two, err := s.Get(bench, SchemeBaseline2L, 0)
-		if err != nil {
-			return nil, err
-		}
+	for i, bench := range in.Benchmarks {
+		gto, two := in.Runs[i][0], in.Runs[i][1]
 		t.AddRow(bench, f1(gto.Stats.WorkingSetKB), f1(two.Stats.WorkingSetKB))
 		sumG += gto.Stats.WorkingSetKB
 		sum2 += two.Stats.WorkingSetKB
 	}
-	n := float64(len(s.benchmarks()))
+	n := float64(len(in.Benchmarks))
 	t.AddRow("MEAN", f1(sumG/n), f1(sum2/n))
 	t.Note("paper: both schedulers touch ≤10%% of the 256KB/SM file per window; 2-level below GTO")
 	return t, nil
@@ -72,19 +65,8 @@ func Fig2(s *Suite) (*Table, error) {
 
 // Fig3 samples backing-store accesses per 100-cycle window during
 // hotspot's steady state for baseline, RFH, and RegLess (paper Figure 3).
-func Fig3(s *Suite) (*Table, error) {
-	base, err := s.Get("hotspot", SchemeBaseline, 0)
-	if err != nil {
-		return nil, err
-	}
-	rfh, err := s.Get("hotspot", SchemeRFH, 0)
-	if err != nil {
-		return nil, err
-	}
-	rgl, err := s.Get("hotspot", SchemeRegLess, DefaultCapacity)
-	if err != nil {
-		return nil, err
-	}
+func Fig3(in *inputs) (*Table, error) {
+	base, rfh, rgl := in.Runs[0][0], in.Runs[0][1], in.Runs[0][2]
 	t := &Table{
 		ID:     "fig3",
 		Title:  "hotspot: backing-store accesses per 100-cycle window",
@@ -131,7 +113,7 @@ func Fig3(s *Suite) (*Table, error) {
 
 // Fig5 plots the live-register count per static instruction for a portion
 // of particle_filter (paper Figure 5).
-func Fig5(s *Suite) (*Table, error) {
+func Fig5(*inputs) (*Table, error) {
 	k, err := kernels.Load("particle_filter")
 	if err != nil {
 		return nil, err
@@ -165,7 +147,7 @@ func Fig5(s *Suite) (*Table, error) {
 
 // Fig11 reports area versus OSU capacity (paper Figure 11), normalized to
 // the 2048-entry baseline register file.
-func Fig11(s *Suite) (*Table, error) {
+func Fig11(*inputs) (*Table, error) {
 	t := &Table{
 		ID:     "fig11",
 		Title:  "Area for RegLess configurations (normalized to baseline RF)",
@@ -183,14 +165,11 @@ func Fig11(s *Suite) (*Table, error) {
 // Fig12 reports combined static and average dynamic power versus capacity
 // (paper Figure 12), normalized to the baseline RF, using the measured
 // suite-average OSU access rate.
-func Fig12(s *Suite) (*Table, error) {
+func Fig12(in *inputs) (*Table, error) {
 	// Measure accesses/cycle at the chosen design point.
 	var acc, cyc float64
-	for _, bench := range s.benchmarks() {
-		r, err := s.Get(bench, SchemeRegLess, DefaultCapacity)
-		if err != nil {
-			return nil, err
-		}
+	for _, row := range in.Runs {
+		r := row[0]
 		acc += float64(r.Prov.StructReads + r.Prov.StructWrites)
 		cyc += float64(r.Stats.Cycles)
 	}
@@ -201,74 +180,41 @@ func Fig12(s *Suite) (*Table, error) {
 		Header: []string{"Capacity", "OSU", "Compressor", "Total"},
 	}
 	for _, cap := range Capacities {
-		osuP := energy.Power(s.Params, energy.Scheme{Kind: energy.KindRegLess, Entries: cap}, rate)
-		full := energy.Power(s.Params, energy.Scheme{Kind: energy.KindRegLess, Entries: cap, Compressor: true}, rate)
+		osuP := energy.Power(in.Params, energy.Scheme{Kind: energy.KindRegLess, Entries: cap}, rate)
+		full := energy.Power(in.Params, energy.Scheme{Kind: energy.KindRegLess, Entries: cap, Compressor: true}, rate)
 		t.AddRow(fmt.Sprintf("%d", cap), f3(osuP), f3(full-osuP), f3(full))
 	}
 	t.Note("measured OSU access rate: %.2f accesses/cycle", rate)
 	return t, nil
 }
 
-// capacityPoint is one Figure 13 sweep point.
-type capacityPoint struct {
-	Capacity  int
-	RunTime   float64 // geomean normalized to baseline
-	GPUEnergy float64 // geomean normalized to baseline
-	WorstSlow float64 // worst-case per-benchmark slowdown
-}
-
-// sweepCapacities runs the suite at every capacity.
-func (s *Suite) sweepCapacities(caps []int) ([]capacityPoint, error) {
-	var out []capacityPoint
-	for _, cap := range caps {
-		var times, energies []float64
-		worst := 0.0
-		for _, bench := range s.benchmarks() {
-			base, err := s.Get(bench, SchemeBaseline, 0)
-			if err != nil {
-				return nil, err
-			}
-			rgl, err := s.Get(bench, SchemeRegLess, cap)
-			if err != nil {
-				return nil, err
-			}
-			rt := float64(rgl.Stats.Cycles) / float64(base.Stats.Cycles)
-			times = append(times, rt)
-			if rt > worst {
-				worst = rt
-			}
-			eBase := energy.Compute(s.Params, base.EnergyScheme(), base.Activity()).Total
-			eRgl := energy.Compute(s.Params, rgl.EnergyScheme(), rgl.Activity()).Total
-			energies = append(energies, eRgl/eBase)
-		}
-		out = append(out, capacityPoint{
-			Capacity:  cap,
-			RunTime:   GeoMean(times),
-			GPUEnergy: GeoMean(energies),
-			WorstSlow: worst,
-		})
-	}
-	return out, nil
-}
-
-// fig13Capacities is Figure 13's sweep (the planner declares the same
-// points as requirements).
+// fig13Capacities is Figure 13's sweep: the figure reads the baseline and
+// RegLess at each of these.
 var fig13Capacities = []int{128, 192, 256, 384, 512, 1024}
 
 // Fig13 sweeps run time versus GPU energy across OSU capacities (paper
 // Figure 13).
-func Fig13(s *Suite) (*Table, error) {
-	pts, err := s.sweepCapacities(fig13Capacities)
-	if err != nil {
-		return nil, err
-	}
+func Fig13(in *inputs) (*Table, error) {
 	t := &Table{
 		ID:     "fig13",
 		Title:  "Run time vs GPU energy across OSU capacities (normalized to baseline)",
 		Header: []string{"Capacity", "Run time (geomean)", "GPU energy (geomean)", "Worst-case run time"},
 	}
-	for _, p := range pts {
-		t.AddRow(fmt.Sprintf("%d", p.Capacity), f3(p.RunTime), f3(p.GPUEnergy), f3(p.WorstSlow))
+	for j, cap := range fig13Capacities {
+		var times, energies []float64
+		worst := 0.0
+		for _, row := range in.Runs {
+			base, rgl := row[0], row[1+j]
+			rt := float64(rgl.Stats.Cycles) / float64(base.Stats.Cycles)
+			times = append(times, rt)
+			if rt > worst {
+				worst = rt
+			}
+			eBase := energy.Compute(in.Params, base.EnergyScheme(), base.Activity()).Total
+			eRgl := energy.Compute(in.Params, rgl.EnergyScheme(), rgl.Activity()).Total
+			energies = append(energies, eRgl/eBase)
+		}
+		t.AddRow(fmt.Sprintf("%d", cap), f3(GeoMean(times)), f3(GeoMean(energies)), f3(worst))
 	}
 	t.Note("paper: small capacities are energy-Pareto-optimal; 512 chosen for no average performance loss")
 	return t, nil
@@ -276,28 +222,21 @@ func Fig13(s *Suite) (*Table, error) {
 
 // Fig14 reports register-structure energy per benchmark for RFH, RFV, and
 // RegLess, normalized to the baseline RF (paper Figure 14).
-func Fig14(s *Suite) (*Table, error) {
+func Fig14(in *inputs) (*Table, error) {
 	t := &Table{
 		ID:     "fig14",
 		Title:  "Register file energy (normalized to baseline)",
 		Header: []string{"Benchmark", "RFH", "RFV", "RegLess"},
 	}
 	var gH, gV, gR []float64
-	for _, bench := range s.benchmarks() {
-		base, err := s.Get(bench, SchemeBaseline, 0)
-		if err != nil {
-			return nil, err
-		}
-		eBase := energy.Compute(s.Params, base.EnergyScheme(), base.Activity()).RFTotal
+	for i, bench := range in.Benchmarks {
+		base := in.Runs[i][0]
+		eBase := energy.Compute(in.Params, base.EnergyScheme(), base.Activity()).RFTotal
 		row := []string{bench}
-		for _, sch := range []Scheme{SchemeRFH, SchemeRFV, SchemeRegLess} {
-			r, err := s.Get(bench, sch, DefaultCapacity)
-			if err != nil {
-				return nil, err
-			}
-			e := energy.Compute(s.Params, r.EnergyScheme(), r.Activity()).RFTotal / eBase
+		for _, r := range in.Runs[i][1:] {
+			e := energy.Compute(in.Params, r.EnergyScheme(), r.Activity()).RFTotal / eBase
 			row = append(row, f3(e))
-			switch sch {
+			switch r.Scheme {
 			case SchemeRFH:
 				gH = append(gH, e)
 			case SchemeRFV:
@@ -315,30 +254,23 @@ func Fig14(s *Suite) (*Table, error) {
 
 // Fig15 reports total GPU energy per benchmark including the No-RF upper
 // bound (paper Figure 15).
-func Fig15(s *Suite) (*Table, error) {
+func Fig15(in *inputs) (*Table, error) {
 	t := &Table{
 		ID:     "fig15",
 		Title:  "Total GPU energy (normalized to baseline)",
 		Header: []string{"Benchmark", "No RF", "RFH", "RFV", "RegLess"},
 	}
 	var gN, gH, gV, gR []float64
-	for _, bench := range s.benchmarks() {
-		base, err := s.Get(bench, SchemeBaseline, 0)
-		if err != nil {
-			return nil, err
-		}
-		eBase := energy.Compute(s.Params, base.EnergyScheme(), base.Activity()).Total
-		eNoRF := energy.Compute(s.Params, energy.Scheme{Kind: energy.KindNoRF}, base.Activity()).Total / eBase
+	for i, bench := range in.Benchmarks {
+		base := in.Runs[i][0]
+		eBase := energy.Compute(in.Params, base.EnergyScheme(), base.Activity()).Total
+		eNoRF := energy.Compute(in.Params, energy.Scheme{Kind: energy.KindNoRF}, base.Activity()).Total / eBase
 		row := []string{bench, f3(eNoRF)}
 		gN = append(gN, eNoRF)
-		for _, sch := range []Scheme{SchemeRFH, SchemeRFV, SchemeRegLess} {
-			r, err := s.Get(bench, sch, DefaultCapacity)
-			if err != nil {
-				return nil, err
-			}
-			e := energy.Compute(s.Params, r.EnergyScheme(), r.Activity()).Total / eBase
+		for _, r := range in.Runs[i][1:] {
+			e := energy.Compute(in.Params, r.EnergyScheme(), r.Activity()).Total / eBase
 			row = append(row, f3(e))
-			switch sch {
+			switch r.Scheme {
 			case SchemeRFH:
 				gH = append(gH, e)
 			case SchemeRFV:
@@ -356,40 +288,21 @@ func Fig15(s *Suite) (*Table, error) {
 
 // Fig16 reports normalized run time per benchmark for RegLess, with
 // geomeans for the no-compressor ablation, RFV, and RFH (paper Figure 16).
-func Fig16(s *Suite) (*Table, error) {
+func Fig16(in *inputs) (*Table, error) {
 	t := &Table{
 		ID:     "fig16",
 		Title:  "Run time (normalized to baseline; lower is better)",
 		Header: []string{"Benchmark", "RegLess"},
 	}
 	var gR, gNC, gV, gH []float64
-	for _, bench := range s.benchmarks() {
-		base, err := s.Get(bench, SchemeBaseline, 0)
-		if err != nil {
-			return nil, err
-		}
-		rgl, err := s.Get(bench, SchemeRegLess, DefaultCapacity)
-		if err != nil {
-			return nil, err
-		}
+	for i, bench := range in.Benchmarks {
+		row := in.Runs[i]
+		base, rgl, nc, v, h := row[0], row[1], row[2], row[3], row[4]
 		rt := float64(rgl.Stats.Cycles) / float64(base.Stats.Cycles)
 		t.AddRow(bench, f3(rt))
 		gR = append(gR, rt)
-
-		nc, err := s.Get(bench, SchemeRegLessNC, DefaultCapacity)
-		if err != nil {
-			return nil, err
-		}
 		gNC = append(gNC, float64(nc.Stats.Cycles)/float64(base.Stats.Cycles))
-		v, err := s.Get(bench, SchemeRFV, 0)
-		if err != nil {
-			return nil, err
-		}
 		gV = append(gV, float64(v.Stats.Cycles)/float64(base.Stats.Cycles))
-		h, err := s.Get(bench, SchemeRFH, 0)
-		if err != nil {
-			return nil, err
-		}
 		gH = append(gH, float64(h.Stats.Cycles)/float64(base.Stats.Cycles))
 	}
 	t.AddRow("GEOMEAN", f3(GeoMean(gR)))
@@ -402,18 +315,15 @@ func Fig16(s *Suite) (*Table, error) {
 
 // Fig17 breaks down where register preloads were served from (paper
 // Figure 17).
-func Fig17(s *Suite) (*Table, error) {
+func Fig17(in *inputs) (*Table, error) {
 	t := &Table{
 		ID:     "fig17",
 		Title:  "Register preload sources",
 		Header: []string{"Benchmark", "OSU", "Compressor", "L1", "L2/DRAM"},
 	}
 	var tot, osu, comp, l1, deep uint64
-	for _, bench := range s.benchmarks() {
-		r, err := s.Get(bench, SchemeRegLess, DefaultCapacity)
-		if err != nil {
-			return nil, err
-		}
+	for i, bench := range in.Benchmarks {
+		r := in.Runs[i][0]
 		p := r.Prov
 		n := p.Preloads()
 		if n == 0 {
@@ -441,18 +351,15 @@ func Fig17(s *Suite) (*Table, error) {
 
 // Fig18 reports RegLess's average L1 requests per cycle, split by type
 // (paper Figure 18).
-func Fig18(s *Suite) (*Table, error) {
+func Fig18(in *inputs) (*Table, error) {
 	t := &Table{
 		ID:     "fig18",
 		Title:  "RegLess L1 requests per cycle",
 		Header: []string{"Benchmark", "Preloads", "Stores", "Invalidations", "Total"},
 	}
 	var sumTotal float64
-	for _, bench := range s.benchmarks() {
-		r, err := s.Get(bench, SchemeRegLess, DefaultCapacity)
-		if err != nil {
-			return nil, err
-		}
+	for i, bench := range in.Benchmarks {
+		r := in.Runs[i][0]
 		cyc := float64(r.Stats.Cycles)
 		pre := float64(r.Prov.L1PreloadReads) / cyc
 		st := float64(r.Prov.L1StoreWrites) / cyc
@@ -461,24 +368,21 @@ func Fig18(s *Suite) (*Table, error) {
 			fmt.Sprintf("%.4f", inv), fmt.Sprintf("%.4f", pre+st+inv))
 		sumTotal += pre + st + inv
 	}
-	t.AddRow("MEAN", "", "", "", fmt.Sprintf("%.4f", sumTotal/float64(len(s.benchmarks()))))
+	t.AddRow("MEAN", "", "", "", fmt.Sprintf("%.4f", sumTotal/float64(len(in.Benchmarks))))
 	t.Note("paper: fewer than 0.02 requests/cycle on average (budget: 1)")
 	return t, nil
 }
 
 // Fig19 reports per-region preloads and concurrent live registers (paper
 // Figure 19).
-func Fig19(s *Suite) (*Table, error) {
+func Fig19(in *inputs) (*Table, error) {
 	t := &Table{
 		ID:     "fig19",
 		Title:  "Registers per region: preloads, mean and std of concurrent live",
 		Header: []string{"Benchmark", "Preloads", "Mean live", "Std dev"},
 	}
-	for _, bench := range s.benchmarks() {
-		r, err := s.Get(bench, SchemeRegLess, DefaultCapacity)
-		if err != nil {
-			return nil, err
-		}
+	for i, bench := range in.Benchmarks {
+		r := in.Runs[i][0]
 		_, preloads, meanLive, stdLive := r.Compiled.DynamicStats(r.RegionActivations)
 		t.AddRow(bench, f1(preloads), f1(meanLive), f1(stdLive))
 	}
@@ -488,17 +392,14 @@ func Fig19(s *Suite) (*Table, error) {
 
 // Table2 reports static instructions per region and dynamic cycles per
 // region (paper Table 2).
-func Table2(s *Suite) (*Table, error) {
+func Table2(in *inputs) (*Table, error) {
 	t := &Table{
 		ID:     "table2",
 		Title:  "Average instructions per region and cycles per region",
 		Header: []string{"Benchmark", "Insns/region", "Cycles/region"},
 	}
-	for _, bench := range s.benchmarks() {
-		r, err := s.Get(bench, SchemeRegLess, DefaultCapacity)
-		if err != nil {
-			return nil, err
-		}
+	for i, bench := range in.Benchmarks {
+		r := in.Runs[i][0]
 		insns, _, _, _ := r.Compiled.DynamicStats(r.RegionActivations)
 		cpr := 0.0
 		if r.Prov.RegionActivations > 0 {
@@ -509,6 +410,3 @@ func Table2(s *Suite) (*Table, error) {
 	t.Note("paper range: 3.3-16.0 insns/region, 16-1601 cycles/region")
 	return t, nil
 }
-
-// All and ByID live in plan.go: they drive the run planner before
-// assembling tables.

@@ -21,20 +21,20 @@ var gpuScaleSMs = []int{1, 4, 8, 16}
 // more sequential waves; more SMs trade waves for bank-port, MSHR, and
 // DRAM-bandwidth contention. The table reports where RegLess's staging
 // traffic makes that trade differently from the baseline RF.
-func GPUScale(s *Suite) (*Table, error) {
+func GPUScale(in *inputs) (*Table, error) {
 	t := &Table{
 		ID:    "gpuscale",
 		Title: "Multi-SM strong scaling: RegLess vs baseline on the banked L2 chip",
 		Header: []string{"Benchmark", "SMs", "Baseline cycles", "RegLess cycles",
 			"Run time", "L2 hit% (base/rgls)", "DRAM (base/rgls)", "Port-q cyc (base/rgls)"},
 	}
-	benches := s.benchmarks()
-	if s.Opts.SMs <= 1 && len(benches) > 6 {
+	benches := in.Benchmarks
+	if in.Opts.SMs <= 1 && len(benches) > 6 {
 		// The full 21-benchmark sweep is the -sms mode's job; the default
 		// one-SM invocation keeps the extension table affordable.
 		benches = benches[:6]
 	}
-	totalWarps := 16 * s.Opts.Warps
+	totalWarps := 16 * in.Opts.Warps
 	// One grid launch: its sequence and the cumulative traffic of the
 	// banked L2 its waves shared. Cell 2i is point i's baseline, 2i+1 its
 	// RegLess run.
@@ -46,7 +46,7 @@ func GPUScale(s *Suite) (*Table, error) {
 	point := func(i int) (string, int) {
 		return benches[i/2/len(gpuScaleSMs)], gpuScaleSMs[i/2%len(gpuScaleSMs)]
 	}
-	err := s.forEach(len(cells), func(i int) error {
+	err := in.Opts.forEach(len(cells), func(i int) error {
 		bench, sms := point(i)
 		k, err := kernels.Load(bench)
 		if err != nil {
@@ -57,7 +57,7 @@ func GPUScale(s *Suite) (*Table, error) {
 		// its contents stay warm across waves (a later wave reuses lines
 		// an earlier wave staged) while its timing restarts with each
 		// wave's clocks.
-		su := s.Opts.Setup(DefaultCapacity)
+		su := in.Opts.Setup(DefaultCapacity)
 		if su.L2, err = mem.NewBankedL2(mem.DefaultBankedL2Config()); err != nil {
 			return err
 		}

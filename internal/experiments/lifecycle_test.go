@@ -45,13 +45,11 @@ func TestCachedRunPinsNoMachine(t *testing.T) {
 		MaxCycles:   20_000_000,
 		Parallelism: 1,
 	}
-	var keys []runKey
-	for _, b := range opts.Benchmarks {
-		keys = append(keys, runKey{b, SchemeBaseline, 0}, runKey{b, SchemeRFV, 0}, runKey{b, SchemeRegLess, 512})
-	}
+	reads := Experiment{Reads: []schemeCap{{SchemeBaseline, 0}, {SchemeRFV, 0}, {SchemeRegLess, 512}}}
+	runs := len(opts.Benchmarks) * len(reads.Reads)
 	warm := func() *Suite {
 		s := NewSuite(opts)
-		if err := s.Warm(keys); err != nil {
+		if err := s.warm(reads); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -63,10 +61,10 @@ func TestCachedRunPinsNoMachine(t *testing.T) {
 	before := liveHeap()
 	s := warm()
 	grown := liveHeap() - before
-	if got := len(s.CachedRuns()); got != len(keys) {
-		t.Fatalf("%d cached runs, want %d", got, len(keys))
+	if got := len(s.CachedRuns()); got != runs {
+		t.Fatalf("%d cached runs, want %d", got, runs)
 	}
-	if perRun := grown / int64(len(keys)); perRun > 32<<10 {
+	if perRun := grown / int64(runs); perRun > 32<<10 {
 		t.Fatalf("a cached run holds %d KiB, want at most 32: it pins its machine", perRun>>10)
 	}
 	runtime.KeepAlive(s)
@@ -183,13 +181,10 @@ func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
 // however many runs it makes, and W workers leave at most W.
 func TestFreeListsBoundedByMachinesAlive(t *testing.T) {
 	opts := Quick()
-	var keys []runKey
-	for _, b := range opts.Benchmarks {
-		keys = append(keys, runKey{b, SchemeBaseline, 0}, runKey{b, SchemeRegLess, 128}, runKey{b, SchemeRegLess, 512})
-	}
+	reads := Experiment{Reads: []schemeCap{{SchemeBaseline, 0}, {SchemeRegLess, 128}, {SchemeRegLess, 512}}}
 	pass := func(workers int) int {
 		opts.Parallelism = workers
-		if err := NewSuite(opts).Warm(keys); err != nil {
+		if err := NewSuite(opts).warm(reads); err != nil {
 			t.Fatal(err)
 		}
 		return arena.Held()

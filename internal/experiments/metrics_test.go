@@ -31,7 +31,7 @@ func TestFig17MetricsReconcile(t *testing.T) {
 	opts := Quick()
 	opts.MetricsWriter = &stream
 	suite := NewSuite(opts)
-	if _, err := Fig17(suite); err != nil {
+	if _, err := runByID(suite, "fig17"); err != nil {
 		t.Fatal(err)
 	}
 	if err := suite.FlushMetrics(); err != nil {
@@ -107,7 +107,7 @@ func TestMetricsStreamParallelComplete(t *testing.T) {
 	opts.Parallelism = 8
 	opts.MetricsWriter = &stream
 	suite := NewSuite(opts)
-	if _, err := Fig17(suite); err != nil {
+	if _, err := runByID(suite, "fig17"); err != nil {
 		t.Fatal(err)
 	}
 	if err := suite.FlushMetrics(); err != nil {

@@ -15,12 +15,12 @@ import (
 // occupancy at floor(2048 / regsPerWarp) resident warps and must run the
 // grid in more waves; RegLess stages per-region registers only, keeps all
 // 64 warps resident, and finishes the same grid in fewer waves.
-func Oversubscription(s *Suite) (*Table, error) {
+func Oversubscription(in *inputs) (*Table, error) {
 	k, err := kernels.MicroOccupancy()
 	if err != nil {
 		return nil, err
 	}
-	fullWarps := s.Opts.Warps
+	fullWarps := in.Opts.Warps
 	// Occupancy limit, aligned down to a CTA-size multiple.
 	baseWarps := BaselineEntries / k.NumRegs / k.WarpsPerCTA * k.WarpsPerCTA
 	if baseWarps > fullWarps {
@@ -35,9 +35,9 @@ func Oversubscription(s *Suite) (*Table, error) {
 	// memory, and nothing but it persists between a launch's waves); run
 	// them on the worker pool.
 	var base, rgl *launch.Result
-	err = s.forEach(2, func(i int) error {
+	err = in.Opts.forEach(2, func(i int) error {
 		scheme, dst := SchemeBaseline, &base
-		su := s.Opts.Setup(DefaultCapacity)
+		su := in.Opts.Setup(DefaultCapacity)
 		if i == 1 {
 			scheme, dst = SchemeRegLess, &rgl
 		} else {

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/arena"
+	"repro/internal/energy"
 )
 
 // parOpts keeps concurrency tests fast: one tiny benchmark, forced
@@ -58,30 +60,30 @@ func TestSingleflightGet(t *testing.T) {
 	}
 }
 
-// TestWarmDedupes feeds the planner duplicate and alias keys (non-RegLess
-// capacities fold to zero) and checks one simulation per unique key.
+// TestWarmDedupes has experiments declare the same runs several times —
+// two tables reading one column, a column and its alias (non-RegLess
+// capacities fold to zero), a pinned benchmark the suite also holds — and
+// checks one simulation per unique key.
 func TestWarmDedupes(t *testing.T) {
 	s := NewSuite(parOpts())
 	var sims int32
 	s.OnSimulate = func(string, Scheme, int) { atomic.AddInt32(&sims, 1) }
-	keys := []runKey{
-		{"bfs", SchemeBaseline, 0},
-		{"bfs", SchemeBaseline, 512}, // alias of the previous key
-		{"bfs", SchemeBaseline, 0},
-		{"streamcluster", SchemeRegLess, 256},
-		{"streamcluster", SchemeRegLess, 256},
+	exps := []Experiment{
+		{Reads: []schemeCap{{SchemeBaseline, 0}, {SchemeRegLess, 256}}},
+		{Reads: []schemeCap{{SchemeBaseline, 512}, {SchemeRegLess, 256}}}, // baseline/512 is baseline/0
+		{Bench: "bfs", Reads: []schemeCap{{SchemeBaseline, 0}}},
 	}
-	if err := s.Warm(keys); err != nil {
+	if err := s.warm(exps...); err != nil {
 		t.Fatal(err)
 	}
-	if n := atomic.LoadInt32(&sims); n != 2 {
-		t.Fatalf("%d simulations ran, want 2 (bfs/baseline + streamcluster/regless-256)", n)
+	if n := atomic.LoadInt32(&sims); n != 4 {
+		t.Fatalf("%d simulations ran, want 4 (bfs, streamcluster x baseline, regless-256)", n)
 	}
-	// A second warm over the same keys is free.
-	if err := s.Warm(keys); err != nil {
+	// A second warm over the same declarations is free.
+	if err := s.warm(exps...); err != nil {
 		t.Fatal(err)
 	}
-	if n := atomic.LoadInt32(&sims); n != 2 {
+	if n := atomic.LoadInt32(&sims); n != 4 {
 		t.Fatalf("re-warm re-simulated: %d runs", n)
 	}
 }
@@ -90,19 +92,20 @@ func TestWarmDedupes(t *testing.T) {
 // parallel fan-out.
 func TestWarmError(t *testing.T) {
 	s := NewSuite(parOpts())
-	err := s.Warm([]runKey{
-		{"bfs", SchemeBaseline, 0},
-		{"nonesuch", SchemeBaseline, 0},
-	})
+	err := s.warm(
+		Experiment{Reads: []schemeCap{{SchemeBaseline, 0}}},
+		Experiment{Bench: "nonesuch", Reads: []schemeCap{{SchemeBaseline, 0}}})
 	if err == nil {
 		t.Fatal("unknown benchmark did not error")
 	}
 }
 
-// TestRequirementsCoverRunners verifies every declared requirement list is
-// complete: after Warm, running the experiment must trigger zero
-// additional simulations — the property that makes All's parallel fan-out
-// equivalent to the serial pass.
+// TestRequirementsCoverRunners verifies the planner warms everything a
+// table is made of: after warm, assembling the experiment must trigger
+// zero additional simulations — the property that makes All's parallel
+// fan-out equivalent to the serial pass. It holds by construction, which
+// the last row states: a runner is handed the runs its experiment declares
+// and nothing that leads to another.
 func TestRequirementsCoverRunners(t *testing.T) {
 	opts := Options{
 		Warps:       8,
@@ -110,20 +113,39 @@ func TestRequirementsCoverRunners(t *testing.T) {
 		MaxCycles:   20_000_000,
 		Parallelism: 4,
 	}
-	for _, e := range Experiments() {
-		if e.Requirements == nil {
+	probe := Experiment{ID: "undeclared", Reads: []schemeCap{{SchemeBaseline, 0}}, Run: func(in *inputs) (*Table, error) {
+		for i, row := range in.Runs {
+			if len(row) != 1 || row[0].Bench != in.Benchmarks[i] || row[0].Scheme != SchemeBaseline {
+				t.Errorf("row %d is not the one declared run: %d runs", i, len(row))
+			}
+		}
+		// No field of what the runner holds is, points to, or can call
+		// the Suite: numbers, names and finished runs only.
+		for typ, i := reflect.TypeOf(*in), 0; i < typ.NumField(); i++ {
+			switch f := typ.Field(i); f.Type {
+			case reflect.TypeOf(Options{}), reflect.TypeOf(energy.Params{}), reflect.TypeOf([]string{}), reflect.TypeOf([][]*Run{}):
+			default:
+				t.Errorf("inputs.%s is a %s: a way back to undeclared runs?", f.Name, f.Type)
+			}
+		}
+		return &Table{}, nil
+	}}
+	for _, e := range append(Experiments(), probe) {
+		if e.Reads == nil {
 			continue
 		}
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			s := NewSuite(opts)
 			var sims int32
 			s.OnSimulate = func(string, Scheme, int) { atomic.AddInt32(&sims, 1) }
-			if err := s.Warm(e.Requirements(s.Opts)); err != nil {
+			if err := s.warm(e); err != nil {
 				t.Fatal(err)
 			}
 			warmed := atomic.LoadInt32(&sims)
-			if _, err := e.Run(s); err != nil {
+			if want := len(e.Reads) * len(opts.Benchmarks); e.Bench == "" && int(warmed) != want {
+				t.Fatalf("warm simulated %d runs, the declaration is %d", warmed, want)
+			}
+			if _, err := s.table(e); err != nil {
 				t.Fatal(err)
 			}
 			if after := atomic.LoadInt32(&sims); after != warmed {
@@ -173,7 +195,7 @@ func TestForEachOrderIndependentError(t *testing.T) {
 	s := NewSuite(parOpts())
 	errA := &testErr{"a"}
 	errB := &testErr{"b"}
-	err := s.forEach(8, func(i int) error {
+	err := s.Opts.forEach(8, func(i int) error {
 		switch i {
 		case 3:
 			return errA

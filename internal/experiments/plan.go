@@ -1,25 +1,34 @@
 package experiments
 
-// The run planner. Each experiment declares the simulations its runner
-// will consult (Requirements); All and ByID collect the union, fan the
-// cache misses across the suite's worker pool (Suite.Warm), and only then
-// assemble tables serially from the warm cache. Because every simulation
-// is independent and deterministic, the printed tables are byte-identical
-// at any parallelism — the planner changes wall-clock only.
+import (
+	"slices"
 
-// Experiment couples a table runner with the planner's declaration of the
-// simulations it consumes.
+	"repro/internal/energy"
+)
+
+// The run planner. An experiment says once which suite runs its table is
+// made of (Reads). All and ByID simulate what of those the cache lacks
+// across the worker pool (warm), fetch them, and hand them to the runner
+// (table) — which holds its inputs and no Suite, so a table cannot be made
+// of a run the planner did not warm. Because every simulation is
+// independent and deterministic and tables are assembled serially, the
+// printed tables are byte-identical at any parallelism — the planner
+// changes wall-clock only.
+
+// Experiment is one table: its ID, the runs it reads, its runner.
 type Experiment struct {
 	// ID is the experiment identifier ("fig16", "table2", ...).
 	ID string
-	// Run assembles the table, reading simulations through Suite.Get.
-	Run func(*Suite) (*Table, error)
-	// Requirements lists every (bench, scheme, capacity) Run will consult
-	// under the given options. Nil means the experiment drives its own
-	// simulations outside the suite cache (ablation, gpuscale, oversub)
-	// or needs none (table1, fig5, fig11); such runners parallelize
-	// internally via Suite.forEach where it pays.
-	Requirements func(Options) []runKey
+	// Reads is the (scheme, capacity) columns the table reads of every
+	// benchmark of the suite — of Bench alone when that is set (Figure 3
+	// samples hotspot whatever the subset). The runner finds benchmark i's
+	// run under Reads[j] at Runs[i][j]. Nil: the table needs no simulation
+	// (table1, fig5, fig11) or builds machines no suite run is (ablation,
+	// gpuscale, coresident, oversub), fanned out by Options.forEach.
+	Reads []schemeCap
+	Bench string
+	// Run assembles the table.
+	Run func(*inputs) (*Table, error)
 }
 
 // schemeCap pairs a scheme with its RegLess capacity (0 for the rest).
@@ -28,91 +37,58 @@ type schemeCap struct {
 	capacity int
 }
 
-// benchCross builds the cross product of opts' benchmarks (suite order)
-// with the given scheme/capacity pairs.
-func benchCross(opts Options, scs ...schemeCap) []runKey {
-	out := make([]runKey, 0, len(opts.Benchmarks)*len(scs))
-	for _, b := range opts.benchmarks() {
-		for _, sc := range scs {
-			out = append(out, normKey(b, sc.scheme, sc.capacity))
-		}
-	}
-	return out
+// inputs is everything a runner sees of the suite: its options and energy
+// constants, the benchmarks in suite order, and of each the declared runs.
+type inputs struct {
+	Opts       Options
+	Params     energy.Params
+	Benchmarks []string
+	Runs       [][]*Run
 }
 
-func reqRegLessDefault(o Options) []runKey {
-	return benchCross(o, schemeCap{SchemeRegLess, DefaultCapacity})
-}
-
-// reqComparison covers the four-scheme comparisons of Figures 14 and 15.
-func reqComparison(o Options) []runKey {
-	return benchCross(o,
-		schemeCap{SchemeBaseline, 0},
-		schemeCap{SchemeRFH, 0},
-		schemeCap{SchemeRFV, 0},
-		schemeCap{SchemeRegLess, DefaultCapacity})
-}
-
-// reqBaseRegLess covers runners contrasting RegLess with the baseline.
-func reqBaseRegLess(o Options) []runKey {
-	return benchCross(o,
-		schemeCap{SchemeBaseline, 0},
-		schemeCap{SchemeRegLess, DefaultCapacity})
-}
+// The column sets several tables share.
+var (
+	regLessOnly    = []schemeCap{{SchemeRegLess, DefaultCapacity}}
+	baseAndRegLess = []schemeCap{{SchemeBaseline, 0}, {SchemeRegLess, DefaultCapacity}}
+	// The four-scheme comparison of Figures 14 and 15.
+	comparison = []schemeCap{{SchemeBaseline, 0}, {SchemeRFH, 0}, {SchemeRFV, 0}, {SchemeRegLess, DefaultCapacity}}
+)
 
 // paperExperiments returns the table/figure runners in paper order.
 func paperExperiments() []Experiment {
+	fig13 := []schemeCap{{SchemeBaseline, 0}}
+	for _, c := range fig13Capacities {
+		fig13 = append(fig13, schemeCap{SchemeRegLess, c})
+	}
 	return []Experiment{
-		{"table1", Table1, nil},
-		{"fig2", Fig2, func(o Options) []runKey {
-			return benchCross(o,
-				schemeCap{SchemeBaseline, 0},
-				schemeCap{SchemeBaseline2L, 0})
-		}},
-		{"fig3", Fig3, func(Options) []runKey {
-			// Fig3 samples hotspot regardless of the benchmark subset.
-			return []runKey{
-				normKey("hotspot", SchemeBaseline, 0),
-				normKey("hotspot", SchemeRFH, 0),
-				normKey("hotspot", SchemeRegLess, DefaultCapacity),
-			}
-		}},
-		{"fig5", Fig5, nil},
-		{"fig11", Fig11, nil},
-		{"fig12", Fig12, reqRegLessDefault},
-		{"fig13", Fig13, func(o Options) []runKey {
-			keys := benchCross(o, schemeCap{SchemeBaseline, 0})
-			for _, c := range fig13Capacities {
-				keys = append(keys, benchCross(o, schemeCap{SchemeRegLess, c})...)
-			}
-			return keys
-		}},
-		{"fig14", Fig14, reqComparison},
-		{"fig15", Fig15, reqComparison},
-		{"fig16", Fig16, func(o Options) []runKey {
-			return benchCross(o,
-				schemeCap{SchemeBaseline, 0},
-				schemeCap{SchemeRegLess, DefaultCapacity},
-				schemeCap{SchemeRegLessNC, DefaultCapacity},
-				schemeCap{SchemeRFV, 0},
-				schemeCap{SchemeRFH, 0})
-		}},
-		{"fig17", Fig17, reqRegLessDefault},
-		{"fig18", Fig18, reqRegLessDefault},
-		{"fig19", Fig19, reqRegLessDefault},
-		{"table2", Table2, reqRegLessDefault},
+		{ID: "table1", Run: Table1},
+		{ID: "fig2", Run: Fig2, Reads: []schemeCap{{SchemeBaseline, 0}, {SchemeBaseline2L, 0}}},
+		{ID: "fig3", Run: Fig3, Bench: "hotspot",
+			Reads: []schemeCap{{SchemeBaseline, 0}, {SchemeRFH, 0}, {SchemeRegLess, DefaultCapacity}}},
+		{ID: "fig5", Run: Fig5},
+		{ID: "fig11", Run: Fig11},
+		{ID: "fig12", Run: Fig12, Reads: regLessOnly},
+		{ID: "fig13", Run: Fig13, Reads: fig13},
+		{ID: "fig14", Run: Fig14, Reads: comparison},
+		{ID: "fig15", Run: Fig15, Reads: comparison},
+		{ID: "fig16", Run: Fig16, Reads: []schemeCap{{SchemeBaseline, 0}, {SchemeRegLess, DefaultCapacity},
+			{SchemeRegLessNC, DefaultCapacity}, {SchemeRFV, 0}, {SchemeRFH, 0}}},
+		{ID: "fig17", Run: Fig17, Reads: regLessOnly},
+		{ID: "fig18", Run: Fig18, Reads: regLessOnly},
+		{ID: "fig19", Run: Fig19, Reads: regLessOnly},
+		{ID: "table2", Run: Table2, Reads: regLessOnly},
 	}
 }
 
 // extensionExperiments returns the beyond-the-paper runners.
 func extensionExperiments() []Experiment {
 	return []Experiment{
-		{"ablation", Ablations, nil},
-		{"gpuscale", GPUScale, nil},
-		{"coresident", CoResident, nil},
-		{"oversub", Oversubscription, nil},
-		{"breakdown", EnergyBreakdown, reqBaseRegLess},
-		{"sensitivity", Sensitivity, reqBaseRegLess},
+		{ID: "ablation", Run: Ablations},
+		{ID: "gpuscale", Run: GPUScale},
+		{ID: "coresident", Run: CoResident},
+		{ID: "oversub", Run: Oversubscription},
+		{ID: "breakdown", Run: EnergyBreakdown, Reads: baseAndRegLess},
+		{ID: "sensitivity", Run: Sensitivity, Reads: baseAndRegLess},
 	}
 }
 
@@ -122,24 +98,73 @@ func Experiments() []Experiment {
 	return append(paperExperiments(), extensionExperiments()...)
 }
 
-// All runs every paper experiment in order. The planner first warms the
-// union of their requirements across the worker pool, then the tables are
-// assembled serially from the cache, so output matches a serial run
-// byte for byte.
-func All(s *Suite) ([]*Table, error) {
-	exps := paperExperiments()
-	var keys []runKey
+// warm simulates every run exps declare that the cache lacks, fanned
+// across the worker pool: each benchmark under each distinct column, then
+// the pinned benchmarks' runs. A run declared twice is one simulation
+// (Get is a singleflight). The first error in that order is returned —
+// what a serial pass would report — after all workers finish.
+func (s *Suite) warm(exps ...Experiment) error {
+	var cols []schemeCap
+	var pinned []runKey
 	for _, e := range exps {
-		if e.Requirements != nil {
-			keys = append(keys, e.Requirements(s.Opts)...)
+		for _, c := range e.Reads {
+			if e.Bench != "" {
+				pinned = append(pinned, runKey{e.Bench, c.scheme, c.capacity})
+			} else if !slices.Contains(cols, c) {
+				cols = append(cols, c)
+			}
 		}
 	}
-	if err := s.Warm(keys); err != nil {
+	benches := s.benchmarks()
+	grid := len(benches) * len(cols)
+	return s.Opts.forEach(grid+len(pinned), func(i int) error {
+		k := runKey{}
+		if i < grid {
+			c := cols[i%len(cols)]
+			k = runKey{benches[i/len(cols)], c.scheme, c.capacity}
+		} else {
+			k = pinned[i-grid]
+		}
+		_, err := s.Get(k.bench, k.scheme, k.capacity)
+		return err
+	})
+}
+
+// table fetches e's declared runs — cache hits after warm — and assembles
+// e's table from them.
+func (s *Suite) table(e Experiment) (*Table, error) {
+	in := &inputs{Opts: s.Opts, Params: s.Params, Benchmarks: s.benchmarks()}
+	if e.Bench != "" {
+		in.Benchmarks = []string{e.Bench}
+	}
+	if n := len(e.Reads); n > 0 {
+		flat := make([]*Run, len(in.Benchmarks)*n)
+		in.Runs = make([][]*Run, len(in.Benchmarks))
+		for i, bench := range in.Benchmarks {
+			in.Runs[i], flat = flat[:n:n], flat[n:]
+			for j, c := range e.Reads {
+				r, err := s.Get(bench, c.scheme, c.capacity)
+				if err != nil {
+					return nil, err
+				}
+				in.Runs[i][j] = r
+			}
+		}
+	}
+	return e.Run(in)
+}
+
+// All runs every paper experiment in order: one warm-up over the union of
+// what they read, then the tables serially from the cache, so output
+// matches a serial run byte for byte.
+func All(s *Suite) ([]*Table, error) {
+	exps := paperExperiments()
+	if err := s.warm(exps...); err != nil {
 		return nil, err
 	}
-	var out []*Table
+	out := make([]*Table, 0, len(exps))
 	for _, e := range exps {
-		tb, err := e.Run(s)
+		tb, err := s.table(e)
 		if err != nil {
 			return nil, err
 		}
@@ -148,23 +173,18 @@ func All(s *Suite) ([]*Table, error) {
 	return out, nil
 }
 
-// ByID returns the experiment function for an ID like "fig16". The
-// returned function warms the experiment's requirements in parallel
-// before assembling the table.
+// ByID returns the experiment function for an ID like "fig16": it warms
+// what the experiment reads in parallel, then assembles the table.
 func ByID(id string) (func(*Suite) (*Table, error), bool) {
 	for _, e := range Experiments() {
-		if e.ID != id {
-			continue
-		}
-		e := e
-		return func(s *Suite) (*Table, error) {
-			if e.Requirements != nil {
-				if err := s.Warm(e.Requirements(s.Opts)); err != nil {
+		if e.ID == id {
+			return func(s *Suite) (*Table, error) {
+				if err := s.warm(e); err != nil {
 					return nil, err
 				}
-			}
-			return e.Run(s)
-		}, true
+				return s.table(e)
+			}, true
+		}
 	}
 	return nil, false
 }

@@ -12,7 +12,7 @@ import (
 // little (it is dominated by the capacity ratio), while the GPU-level
 // saving scales with the assumed register-file share, bracketing the
 // paper's 11%.
-func Sensitivity(s *Suite) (*Table, error) {
+func Sensitivity(in *inputs) (*Table, error) {
 	type variant struct {
 		name   string
 		mutate func(*energy.Params)
@@ -45,15 +45,8 @@ func Sensitivity(s *Suite) (*Table, error) {
 		params := energy.DefaultParams()
 		v.mutate(&params)
 		var rfR, gpuR, bound []float64
-		for _, bench := range s.benchmarks() {
-			base, err := s.Get(bench, SchemeBaseline, 0)
-			if err != nil {
-				return nil, err
-			}
-			rgl, err := s.Get(bench, SchemeRegLess, DefaultCapacity)
-			if err != nil {
-				return nil, err
-			}
+		for _, row := range in.Runs {
+			base, rgl := row[0], row[1]
 			bb := energy.Compute(params, base.EnergyScheme(), base.Activity())
 			rb := energy.Compute(params, rgl.EnergyScheme(), rgl.Activity())
 			nb := energy.Compute(params, energy.Scheme{Kind: energy.KindNoRF}, base.Activity())
@@ -66,6 +59,6 @@ func Sensitivity(s *Suite) (*Table, error) {
 		t.AddRow(v.name, f3(GeoMean(rfR)), f3(GeoMean(gpuR)), f3(GeoMean(bound)))
 	}
 	t.Note(fmt.Sprintf("geomeans over %d benchmarks; simulations are shared, only the model constants change",
-		len(s.benchmarks())))
+		len(in.Benchmarks)))
 	return t, nil
 }
