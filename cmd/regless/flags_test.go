@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"flag"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -23,99 +25,169 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func TestValidateFlags(t *testing.T) {
-	cases := []struct {
-		parallel  int
-		bucket    int
-		trace     string
-		report    bool
-		bench     string
-		maxCycles uint64
-		faults    string
-		timeline  bool
-		csv       bool
-		wantErr   string
-	}{
-		{1, 100, "", false, "", 1, "", false, false, ""},
-		{8, 1, "", false, "", 60_000_000, "", false, false, ""},
-		{0, 100, "", false, "", 1, "", false, false, "-parallel must be at least 1"},
-		{-3, 100, "", false, "", 1, "", false, false, "-parallel must be at least 1"},
-		{0, 0, "", false, "", 1, "", false, false, "-parallel must be at least 1"}, // first error wins
-		{1, 0, "", false, "", 1, "", false, false, "-bucket must be at least 1, got 0"},
-		{1, -50, "", false, "", 1, "", false, false, "-bucket must be at least 1, got -50"},
-		{1, 100, "out.json", false, "", 1, "", false, false, "-trace and -trace-report require -bench"},
-		{1, 100, "", true, "", 1, "", false, false, "-trace and -trace-report require -bench"},
-		{1, 100, "out.json", true, "nw", 1, "", false, false, ""},
-		{1, 100, "", false, "", 1, "", true, false, "-timeline and -csv require -bench"},
-		{1, 100, "", false, "", 1, "", false, true, "-timeline and -csv require -bench"},
-		{1, 100, "", false, "nw", 1, "", true, true, ""},
-		{1, 100, "", false, "", 0, "", false, false, "-max-cycles must be at least 1"},
-		{1, 100, "", false, "", 1, "mem-drop@5000", false, false, ""},
-		{1, 100, "", false, "", 1, "warp-eater", false, false, "unknown class"},
-		{1, 100, "", false, "", 1, "mem-drop:delay=9", false, false, "delay= applies to mem-delay"},
+// parseCLI is main's flag handling without the process around it: the
+// CLI's flags on a fresh set, args parsed, the options they validate to.
+func parseCLI(args ...string) (experiments.Options, error) {
+	fs := flag.NewFlagSet("regless", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c := newCLI(fs)
+	if err := fs.Parse(args); err != nil {
+		return experiments.Options{}, err
 	}
-	for _, c := range cases {
-		err := validateFlags(c.parallel, c.bucket, c.trace, c.report, c.bench, c.maxCycles, c.faults, 1, c.timeline, c.csv, "", "regless")
-		if c.wantErr == "" {
-			if err != nil {
-				t.Errorf("validateFlags(%+v) = %v, want nil", c, err)
-			}
-			continue
+	return c.options()
+}
+
+// parseServe is the same of `regless serve`.
+func parseServe(args ...string) (experiments.Options, error) {
+	fs := flag.NewFlagSet("regless serve", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c := newServeCLI(fs)
+	if err := fs.Parse(args); err != nil {
+		return experiments.Options{}, err
+	}
+	return c.options()
+}
+
+// wantErr holds err to a substring ("" means nil).
+func wantErr(t *testing.T, args []string, err error, want string) {
+	t.Helper()
+	if want == "" && err != nil {
+		t.Errorf("%v: %v, want nil", args, err)
+	}
+	if want != "" && (err == nil || !strings.Contains(err.Error(), want)) {
+		t.Errorf("%v: %v, want error containing %q", args, err, want)
+	}
+}
+
+// TestMachineFlagsSharedByBothCommands: the seven machine flags are one
+// registration, so `regless` and `regless serve` carry them under the same
+// names with the same defaults and usage text, turn the same arguments
+// into the same options, and reject the same values in the same words.
+func TestMachineFlagsSharedByBothCommands(t *testing.T) {
+	cliSet, serveSet := flag.NewFlagSet("", flag.ContinueOnError), flag.NewFlagSet("", flag.ContinueOnError)
+	newCLI(cliSet)
+	newServeCLI(serveSet)
+	for _, name := range []string{"warps", "sms", "parallel", "max-cycles", "watchdog", "sanitize", "faults"} {
+		a, b := cliSet.Lookup(name), serveSet.Lookup(name)
+		if a == nil || b == nil || a.DefValue != b.DefValue || a.Usage != b.Usage {
+			t.Errorf("-%s differs between the commands: %+v vs %+v", name, a, b)
 		}
-		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("validateFlags(%+v) = %v, want error containing %q", c, err, c.wantErr)
+	}
+	both := 0
+	cliSet.VisitAll(func(f *flag.Flag) {
+		if serveSet.Lookup(f.Name) != nil && f.Name != "metrics-out" {
+			both++
 		}
+	})
+	if both != 7 {
+		t.Errorf("%d flags besides -metrics-out are on both commands, want the seven machine flags", both)
+	}
+
+	for _, c := range []struct {
+		args    []string
+		check   func(experiments.Options) bool
+		wantErr string
+	}{
+		{nil, func(o experiments.Options) bool {
+			return o.Warps == 64 && o.SMs == 1 && o.MaxCycles == 60_000_000 && o.Watchdog == 1_000_000 &&
+				!o.Sanitize && o.Faults == nil && len(o.Benchmarks) == 21
+		}, ""},
+		{[]string{"-warps", "8", "-sms", "4", "-parallel", "3", "-max-cycles", "5", "-watchdog", "0", "-sanitize"},
+			func(o experiments.Options) bool {
+				return o.Warps == 8 && o.SMs == 4 && o.Parallelism == 3 && o.MaxCycles == 5 && o.Watchdog == 0 && o.Sanitize
+			}, ""},
+		{[]string{"-faults", "mem-drop@5000; seed=3"}, func(o experiments.Options) bool { return o.Faults != nil }, ""},
+		{[]string{"-warps", "0"}, nil, "-warps must be at least 1, got 0"},
+		{[]string{"-sms", "0"}, nil, "-sms must be at least 1, got 0"},
+		{[]string{"-sms", "-4"}, nil, "-sms must be at least 1, got -4"},
+		{[]string{"-parallel", "0"}, nil, "-parallel must be at least 1, got 0"},
+		{[]string{"-parallel", "-3", "-max-cycles", "0"}, nil, "-parallel must be at least 1, got -3"}, // first error wins
+		{[]string{"-max-cycles", "0"}, nil, "-max-cycles must be at least 1, got 0"},
+		{[]string{"-faults", "warp-eater"}, nil, "unknown class"},
+		{[]string{"-faults", "mem-drop:delay=9"}, nil, "delay= applies to mem-delay"},
+	} {
+		viaCLI, errCLI := parseCLI(c.args...)
+		viaServe, errServe := parseServe(append([]string{"-store", "d"}, c.args...)...)
+		wantErr(t, c.args, errCLI, c.wantErr)
+		if (errCLI == nil) != (errServe == nil) || errCLI != nil && errCLI.Error() != errServe.Error() {
+			t.Errorf("%v: regless says %v, regless serve %v", c.args, errCLI, errServe)
+		}
+		if c.check != nil && !(c.check(viaCLI) && c.check(viaServe)) {
+			t.Errorf("%v: options %+v (regless), %+v (serve)", c.args, viaCLI, viaServe)
+		}
+	}
+	if _, err := parseServe("-warps", "8"); err == nil || err.Error() != "-store is required" {
+		t.Errorf("serve without -store: %v", err)
+	}
+}
+
+// TestValidateFlags: the rules only the single-invocation command line
+// has, and what only it can put into the options.
+func TestValidateFlags(t *testing.T) {
+	for _, c := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-bucket", "1"}, ""},
+		{[]string{"-parallel", "0", "-bucket", "0"}, "-parallel must be at least 1"}, // the machine's rules first
+		{[]string{"-bucket", "0"}, "-bucket must be at least 1, got 0"},
+		{[]string{"-bucket", "-50"}, "-bucket must be at least 1, got -50"},
+		{[]string{"-trace", "out.json"}, "-trace and -trace-report require -bench"},
+		{[]string{"-trace-report"}, "-trace and -trace-report require -bench"},
+		{[]string{"-trace", "out.json", "-trace-report", "-bench", "nw"}, ""},
+		{[]string{"-timeline"}, "-timeline and -csv require -bench"},
+		{[]string{"-csv"}, "-timeline and -csv require -bench"},
+		{[]string{"-timeline", "-csv", "-bench", "nw"}, ""},
+		{[]string{"-capacity", "32"}, ""},
+		{[]string{"-capacity", "2048"}, ""},
+		{[]string{"-capacity", "100"}, "-capacity must be a positive multiple of 32 registers (4 shards x 8 banks), got 100"},
+		{[]string{"-capacity", "0"}, "-capacity must be a positive multiple of 32"},
+		{[]string{"-capacity", "-5"}, "-capacity must be a positive multiple of 32"},
+		{[]string{"-json"}, "flag provided but not defined: -json"},
+		{[]string{"-snapshot-sha", "x"}, "flag provided but not defined: -snapshot-sha"},
+	} {
+		_, err := parseCLI(c.args...)
+		wantErr(t, c.args, err, c.wantErr)
+	}
+	opts, err := parseCLI("-no-fastforward", "-benchmarks", "nw,bfs")
+	if err != nil || !opts.NoFastForward || len(opts.Benchmarks) != 2 || !opts.Setup(512).NoFastForward {
+		t.Errorf("-no-fastforward -benchmarks nw,bfs: %+v, %v", opts, err)
+	}
+	if opts, err := parseCLI(); err != nil || opts.NoFastForward {
+		t.Errorf("no flags: NoFastForward %v, %v", opts.NoFastForward, err)
 	}
 }
 
 // TestValidateSchemeFlag: -scheme is admitted by experiments.ParseScheme,
 // the check serve makes of a request's scheme.
 func TestValidateSchemeFlag(t *testing.T) {
-	check := func(scheme, app string) error {
-		return validateFlags(1, 100, "", false, "nw", 1, "", 1, false, false, app, scheme)
-	}
 	for _, sc := range experiments.Schemes() {
-		if err := check(string(sc), ""); err != nil {
+		if _, err := parseCLI("-bench", "nw", "-scheme", string(sc)); err != nil {
 			t.Errorf("-scheme %s: %v", sc, err)
 		}
 	}
-	for _, app := range []string{"", "backprop_app"} {
-		if err := check("foo", app); err == nil || !strings.Contains(err.Error(), `unknown scheme "foo"`) {
-			t.Errorf("-scheme foo -app %q: %v", app, err)
-		}
+	for _, machine := range [][]string{{"-bench", "nw"}, {"-app", "backprop_app"}} {
+		args := append(machine, "-scheme", "foo")
+		_, err := parseCLI(args...)
+		wantErr(t, args, err, `unknown scheme "foo"`)
 	}
 }
 
-// TestValidateSMsFlag covers the multi-SM flag combinations: -sms must be
-// positive, the timeline renders chips, and -app (single-SM) rejects them.
+// TestValidateSMsFlag covers the multi-SM flag combinations: the timeline
+// renders chips, and -app (single-SM) rejects them.
 func TestValidateSMsFlag(t *testing.T) {
-	cases := []struct {
-		sms      int
-		timeline bool
-		app      string
-		wantErr  string
+	for _, c := range []struct {
+		args    []string
+		wantErr string
 	}{
-		{1, false, "", ""},
-		{16, false, "", ""},
-		{0, false, "", "-sms must be at least 1"},
-		{-4, false, "", "-sms must be at least 1"},
-		{4, true, "", ""},
-		{4, false, "srad_app", "-app runs are single-SM"},
-		{1, true, "", ""},
-		{1, false, "srad_app", ""},
-	}
-	for _, c := range cases {
-		err := validateFlags(1, 100, "", false, "nw", 1, "", c.sms, c.timeline, false, c.app, "regless")
-		if c.wantErr == "" {
-			if err != nil {
-				t.Errorf("validateFlags(sms=%d timeline=%v app=%q) = %v, want nil", c.sms, c.timeline, c.app, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("validateFlags(sms=%d timeline=%v app=%q) = %v, want error containing %q",
-				c.sms, c.timeline, c.app, err, c.wantErr)
-		}
+		{[]string{"-sms", "16", "-bench", "nw"}, ""},
+		{[]string{"-sms", "4", "-bench", "nw", "-timeline"}, ""},
+		{[]string{"-sms", "4", "-app", "srad_app"}, "-app runs are single-SM"},
+		{[]string{"-sms", "1", "-bench", "nw", "-timeline"}, ""},
+		{[]string{"-sms", "1", "-app", "srad_app"}, ""},
+	} {
+		_, err := parseCLI(c.args...)
+		wantErr(t, c.args, err, c.wantErr)
 	}
 }
 
@@ -155,6 +227,14 @@ func TestBadFlagsExitWithUsage(t *testing.T) {
 		{[]string{"-experiment", "fig14", "-timeline", "-csv"}, "-timeline and -csv require -bench"},
 		{[]string{"-bench", "nw", "-scheme", "foo"}, `unknown scheme "foo"`},
 		{[]string{"-app", "backprop_app", "-scheme", "foo"}, `unknown scheme "foo"`},
+		// The old bench ruler's options went with it (benchmark/ is the ruler).
+		{[]string{"-experiment", "fig2", "-json"}, "flag provided but not defined: -json"},
+		{[]string{"-experiment", "fig2", "-snapshot-sha", "x"}, "flag provided but not defined: -snapshot-sha"},
+		// One validator for both commands: serve always refused these two.
+		{[]string{"-bench", "nw", "-warps", "0"}, "-warps must be at least 1, got 0"},
+		{[]string{"serve", "-store", "d", "-warps", "0"}, "-warps must be at least 1, got 0"},
+		{[]string{"-bench", "nw", "-capacity", "100"}, "-capacity must be a positive multiple of 32"},
+		{[]string{"-bench", "nw", "-capacity", "-5"}, "-capacity must be a positive multiple of 32"},
 	}
 	for _, c := range cases {
 		stdout, stderr, code := runMain(t, c.args...)
@@ -260,40 +340,6 @@ func TestNoFastForwardFlag(t *testing.T) {
 	}
 	if on != off {
 		t.Fatalf("-no-fastforward changed results\nwith ff:\n%s\nwithout:\n%s", on, off)
-	}
-}
-
-// TestSnapshotFFCounters: the -json snapshot carries the fast-forward
-// counters — nonzero by default, zero under -no-fastforward — while the
-// simulated cycle total stays identical.
-func TestSnapshotFFCounters(t *testing.T) {
-	type snap struct {
-		SimCycles uint64 `json:"sim_cycles"`
-		FFSkipped uint64 `json:"ff_skipped_cycles"`
-		FFJumps   uint64 `json:"ff_jumps"`
-	}
-	run := func(extra ...string) snap {
-		args := append([]string{"-experiment", "fig2", "-benchmarks", "nw", "-warps", "8", "-json"}, extra...)
-		stdout, stderr, code := runMain(t, args...)
-		if code != 0 {
-			t.Fatalf("%v: exit %d, stderr:\n%s", args, code, stderr)
-		}
-		var s snap
-		if err := json.Unmarshal([]byte(stdout), &s); err != nil {
-			t.Fatalf("snapshot is not JSON: %v\n%s", err, stdout)
-		}
-		return s
-	}
-	ff := run()
-	stepped := run("-no-fastforward")
-	if ff.SimCycles == 0 || ff.SimCycles != stepped.SimCycles {
-		t.Fatalf("sim_cycles diverged: ff=%d stepped=%d", ff.SimCycles, stepped.SimCycles)
-	}
-	if ff.FFSkipped == 0 || ff.FFJumps == 0 {
-		t.Fatalf("fast-forward never engaged: %+v", ff)
-	}
-	if stepped.FFSkipped != 0 || stepped.FFJumps != 0 {
-		t.Fatalf("-no-fastforward still skipped cycles: %+v", stepped)
 	}
 }
 

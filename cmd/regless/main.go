@@ -19,7 +19,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -28,9 +27,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"repro/internal/compress"
+	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/experiments"
 	"repro/internal/faults"
@@ -47,85 +46,41 @@ func main() {
 		serveMain(os.Args[2:])
 		return
 	}
-	var (
-		experiment = flag.String("experiment", "", "experiment id (table1, fig2..fig19, table2, ablation, gpuscale, coresident, oversub, or 'all')")
-		bench      = flag.String("bench", "", "run one benchmark (with -scheme)")
-		app        = flag.String("app", "", "run a multi-kernel application (backprop_app, bfs_app, srad_app)")
-		scheme     = flag.String("scheme", "regless", fmt.Sprintf("scheme for -bench and -app, one of %v", experiments.Schemes()))
-		capacity   = flag.Int("capacity", experiments.DefaultCapacity, "RegLess OSU registers per SM")
-		warps      = flag.Int("warps", 64, "warps per SM")
-		sms        = flag.Int("sms", 1, "SMs on the chip (must be >= 1); >1 runs lockstep SMs sharing the banked L2 and DRAM")
-		benchList  = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 21)")
-		markdown   = flag.Bool("markdown", false, "emit markdown tables")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations in the run planner (must be >= 1); output is identical at any setting")
-		jsonOut    = flag.Bool("json", false, "with -experiment: emit a JSON benchmark snapshot (wall-clock, simcycles/s) instead of tables")
-		list       = flag.Bool("list", false, "list benchmarks and exit")
-		timeline   = flag.Bool("timeline", false, "with -bench: render a warp-state timeline")
-		bucket     = flag.Int("bucket", 100, "timeline bucket size in cycles (must be >= 1)")
-		csvOut     = flag.Bool("csv", false, "with -timeline: emit CSV instead of ASCII")
-		traceOut   = flag.String("trace", "", "with -bench: write a Chrome trace-event JSON file (open in Perfetto)")
-		traceRep   = flag.Bool("trace-report", false, "with -bench: print a stall-attribution and preload-latency report")
-		gitSHA     = flag.String("snapshot-sha", "", "git revision to stamp into the -json snapshot (scripts/bench.sh)")
-		metricsOut = flag.String("metrics-out", "", "stream per-window metrics as JSONL to this file ('-': stdout, moving tables to stderr)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		maxCycles  = flag.Uint64("max-cycles", 60_000_000, "simulation cycle limit per kernel (must be >= 1)")
-		watchdog   = flag.Uint64("watchdog", 1_000_000, "forward-progress watchdog threshold in cycles (0 disables)")
-		faultSpec  = flag.String("faults", "", "fault-injection spec, e.g. 'mem-drop@5000; seed=3' (DESIGN.md §11)")
-		sanitize   = flag.Bool("sanitize", false, "run the cycle-level invariant sanitizer every cycle")
-		noFF       = flag.Bool("no-fastforward", false, "step every cycle instead of skipping provably idle spans (differential validation; results are identical)")
-		diagOut    = flag.String("diag-out", "", "write the diagnostic bundle as JSON to this file on abnormal termination")
-	)
+	c := newCLI(flag.CommandLine)
 	flag.Parse()
-	diagOutPath = *diagOut
+	diagOutPath = c.diagOut
 
-	if *list {
+	if c.list {
 		for _, b := range kernels.Suite() {
 			fmt.Printf("%-16s %s\n", b.Name, b.Character)
 		}
 		return
 	}
-	if err := validateFlags(*parallel, *bucket, *traceOut, *traceRep, *bench, *maxCycles, *faultSpec, *sms, *timeline, *csvOut, *app, *scheme); err != nil {
+	opts, err := c.options()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "regless:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	opts := experiments.Default()
-	opts.Warps = *warps
-	opts.SMs = *sms
-	opts.Parallelism = *parallel
-	opts.MaxCycles = *maxCycles
-	opts.Watchdog = *watchdog
-	opts.Sanitize = *sanitize
-	opts.NoFastForward = *noFF
-	if *faultSpec != "" {
-		plan, err := faults.Parse(*faultSpec)
-		check(err) // validateFlags already vetted the spec
-		opts.Faults = plan
-	}
-	if *benchList != "" {
-		opts.Benchmarks = strings.Split(*benchList, ",")
-	}
-
 	// Tables normally print to stdout; a metrics stream sent there takes
 	// it over and tables move to stderr.
 	var out io.Writer = os.Stdout
-	switch *metricsOut {
+	switch c.metricsOut {
 	case "":
 	case "-":
 		opts.MetricsWriter = os.Stdout
 		out = os.Stderr
 	default:
-		f, err := os.Create(*metricsOut)
+		f, err := os.Create(c.metricsOut)
 		check(err)
 		defer f.Close()
 		opts.MetricsWriter = f
 	}
 	suite := experiments.NewSuite(opts)
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if c.cpuprofile != "" {
+		f, err := os.Create(c.cpuprofile)
 		check(err)
 		check(pprof.StartCPUProfile(f))
 		defer func() {
@@ -135,8 +90,8 @@ func main() {
 	}
 	defer func() {
 		check(suite.FlushMetrics())
-		if *memprofile != "" {
-			f, err := os.Create(*memprofile)
+		if c.memprofile != "" {
+			f, err := os.Create(c.memprofile)
 			check(err)
 			runtime.GC()
 			check(pprof.WriteHeapProfile(f))
@@ -144,135 +99,130 @@ func main() {
 		}
 	}()
 
-	sch := experiments.Scheme(*scheme) // validateFlags vetted the name
+	sch := experiments.Scheme(c.scheme) // options vetted the name
 	switch {
-	case *app != "":
-		runApp(*app, sch, opts.Setup(*capacity))
-	case *bench != "" && (*timeline || *traceOut != "" || *traceRep):
-		runTrace(traceOpts{
-			bench: *bench, scheme: sch,
-			bucket: *bucket, csv: *csvOut, timeline: *timeline,
-			traceFile: *traceOut, report: *traceRep, sms: *sms,
-			setup: opts.Setup(*capacity),
-		})
-	case *bench != "":
-		runOne(suite, out, *bench, sch, *capacity)
-	case *experiment == "all":
-		start := time.Now()
+	case c.app != "":
+		runApp(c.app, sch, opts.Setup(c.capacity))
+	case c.bench != "" && (c.timeline || c.traceFile != "" || c.traceReport):
+		runTrace(c, opts)
+	case c.bench != "":
+		runOne(suite, out, c.bench, sch, c.capacity)
+	case c.experiment == "all":
 		tables, err := experiments.All(suite)
 		check(err)
-		if *jsonOut {
-			emitSnapshot(suite, out, "all", *gitSHA, len(tables), time.Since(start))
-			return
-		}
 		for _, tb := range tables {
-			fmt.Fprintln(out, render(tb, *markdown))
+			fmt.Fprintln(out, render(tb, c.markdown))
 		}
-	case *experiment != "":
-		fn, ok := experiments.ByID(*experiment)
+	case c.experiment != "":
+		fn, ok := experiments.ByID(c.experiment)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", c.experiment)
 			os.Exit(2)
 		}
-		start := time.Now()
 		tb, err := fn(suite)
 		check(err)
-		if *jsonOut {
-			emitSnapshot(suite, out, *experiment, *gitSHA, 1, time.Since(start))
-			return
-		}
-		fmt.Fprintln(out, render(tb, *markdown))
+		fmt.Fprintln(out, render(tb, c.markdown))
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
-// validateFlags rejects flag values that would otherwise be silently
-// misread: a non-positive planner width used to mean "GOMAXPROCS" but now
-// the default carries that value, so anything below 1 is a mistake; the
-// timeline divides by the bucket.
-func validateFlags(parallel int, bucket int, traceOut string, traceRep bool, bench string, maxCycles uint64, faultSpec string, sms int, timeline, csv bool, app, scheme string) error {
-	if parallel < 1 {
-		return fmt.Errorf("-parallel must be at least 1, got %d", parallel)
-	}
-	if sms < 1 {
-		return fmt.Errorf("-sms must be at least 1, got %d", sms)
-	}
-	if sms > 1 && app != "" {
-		return fmt.Errorf("-app runs are single-SM; use -sms 1")
-	}
-	if bucket < 1 {
-		return fmt.Errorf("-bucket must be at least 1, got %d", bucket)
-	}
-	if (traceOut != "" || traceRep) && bench == "" {
-		return fmt.Errorf("-trace and -trace-report require -bench")
-	}
-	if (timeline || csv) && bench == "" {
-		return fmt.Errorf("-timeline and -csv require -bench")
-	}
-	if maxCycles < 1 {
-		return fmt.Errorf("-max-cycles must be at least 1, got %d", maxCycles)
-	}
-	if faultSpec != "" {
-		if _, err := faults.Parse(faultSpec); err != nil {
-			return err
+// machineFlags registers on fs the seven flags that fix the machine every
+// simulation of the process runs on and how many run at once — one set of
+// names, defaults and rules for `regless` and `regless serve` — and
+// returns the function that, once fs is parsed, yields the options they
+// spell or the first rule one of them breaks.
+func machineFlags(fs *flag.FlagSet) func() (experiments.Options, error) {
+	opts := experiments.Default()
+	fs.IntVar(&opts.Warps, "warps", opts.Warps, "warps per SM (must be >= 1)")
+	fs.IntVar(&opts.SMs, "sms", 1, "SMs on the chip (must be >= 1); >1 runs lockstep SMs sharing the banked L2 and DRAM")
+	fs.IntVar(&opts.Parallelism, "parallel", runtime.GOMAXPROCS(0), "concurrent simulations, in the run planner or serve's admission pool (must be >= 1); results are identical at any setting")
+	fs.Uint64Var(&opts.MaxCycles, "max-cycles", opts.MaxCycles, "simulation cycle limit per kernel (must be >= 1)")
+	fs.Uint64Var(&opts.Watchdog, "watchdog", 1_000_000, "forward-progress watchdog threshold in cycles (0 disables)")
+	fs.BoolVar(&opts.Sanitize, "sanitize", false, "run the cycle-level invariant sanitizer every cycle")
+	faultSpec := fs.String("faults", "", "fault-injection spec armed for every simulation, e.g. 'mem-drop@5000; seed=3' (DESIGN.md §11)")
+	return func() (experiments.Options, error) {
+		var err error
+		switch {
+		case opts.Warps < 1:
+			err = fmt.Errorf("-warps must be at least 1, got %d", opts.Warps)
+		case opts.SMs < 1:
+			err = fmt.Errorf("-sms must be at least 1, got %d", opts.SMs)
+		case opts.Parallelism < 1:
+			err = fmt.Errorf("-parallel must be at least 1, got %d", opts.Parallelism)
+		case opts.MaxCycles < 1:
+			err = fmt.Errorf("-max-cycles must be at least 1, got %d", opts.MaxCycles)
+		case *faultSpec != "":
+			opts.Faults, err = faults.Parse(*faultSpec)
 		}
+		return opts, err
 	}
-	_, err := experiments.ParseScheme(scheme)
-	return err
 }
 
-// benchSnapshot is the -json performance record: scripts/bench.sh writes
-// one per run so the suite's throughput is tracked across PRs.
-type benchSnapshot struct {
-	Experiment    string  `json:"experiment"`
-	GitSHA        string  `json:"git_sha,omitempty"`
-	GoVersion     string  `json:"go_version"`
-	Parallelism   int     `json:"parallelism"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-	Warps         int     `json:"warps"`
-	SMs           int     `json:"sms"`
-	Benchmarks    int     `json:"benchmarks"`
-	Tables        int     `json:"tables"`
-	Runs          int     `json:"runs"`
-	SimCycles     uint64  `json:"sim_cycles"`
-	FFSkipped     uint64  `json:"ff_skipped_cycles"`
-	FFJumps       uint64  `json:"ff_jumps"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	SimCyclesPerS float64 `json:"simcycles_per_sec"`
-	TablesPerS    float64 `json:"tables_per_sec"`
+// cli is the single-invocation command line: what to run and how to show
+// it, beside the machine flags.
+type cli struct {
+	experiment, bench, app, scheme, benchList string
+	capacity, bucket                          int
+	markdown, list, noFF                      bool
+	timeline, csv, traceReport                bool
+	traceFile, metricsOut, diagOut            string
+	cpuprofile, memprofile                    string
+	machine                                   func() (experiments.Options, error)
 }
 
-func emitSnapshot(s *experiments.Suite, out io.Writer, experiment, gitSHA string, tables int, wall time.Duration) {
-	runs := s.CachedRuns()
-	var cycles, ffSkipped, ffJumps uint64
-	for _, r := range runs {
-		cycles += r.Stats.Cycles
-		ffSkipped += r.Stats.FFSkippedCycles
-		ffJumps += r.Stats.FFJumps
+func newCLI(fs *flag.FlagSet) *cli {
+	c := &cli{machine: machineFlags(fs)}
+	fs.StringVar(&c.experiment, "experiment", "", "experiment id (table1, fig2..fig19, table2, ablation, gpuscale, coresident, oversub, or 'all')")
+	fs.StringVar(&c.bench, "bench", "", "run one benchmark (with -scheme)")
+	fs.StringVar(&c.app, "app", "", "run a multi-kernel application (backprop_app, bfs_app, srad_app)")
+	fs.StringVar(&c.scheme, "scheme", "regless", fmt.Sprintf("scheme for -bench and -app, one of %v", experiments.Schemes()))
+	fs.IntVar(&c.capacity, "capacity", experiments.DefaultCapacity, "RegLess OSU registers per SM (a positive multiple of 32)")
+	fs.StringVar(&c.benchList, "benchmarks", "", "comma-separated benchmark subset (default: all 21)")
+	fs.BoolVar(&c.markdown, "markdown", false, "emit markdown tables")
+	fs.BoolVar(&c.list, "list", false, "list benchmarks and exit")
+	fs.BoolVar(&c.timeline, "timeline", false, "with -bench: render a warp-state timeline")
+	fs.IntVar(&c.bucket, "bucket", 100, "timeline bucket size in cycles (must be >= 1)")
+	fs.BoolVar(&c.csv, "csv", false, "with -timeline: emit CSV instead of ASCII")
+	fs.StringVar(&c.traceFile, "trace", "", "with -bench: write a Chrome trace-event JSON file (open in Perfetto)")
+	fs.BoolVar(&c.traceReport, "trace-report", false, "with -bench: print a stall-attribution and preload-latency report")
+	fs.StringVar(&c.metricsOut, "metrics-out", "", "stream per-window metrics as JSONL to this file ('-': stdout, moving tables to stderr)")
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file at exit")
+	fs.BoolVar(&c.noFF, "no-fastforward", false, "step every cycle instead of skipping provably idle spans (differential validation; results are identical)")
+	fs.StringVar(&c.diagOut, "diag-out", "", "write the diagnostic bundle as JSON to this file on abnormal termination")
+	return c
+}
+
+// options is the machine flags' options plus what only this command line
+// can say, after the rules only it has: values that would otherwise be
+// silently misread (the timeline divides by the bucket; a capacity is
+// whole lines per bank) and renderings that need a -bench to render.
+func (c *cli) options() (experiments.Options, error) {
+	opts, err := c.machine()
+	if err != nil {
+		return opts, err
 	}
-	snap := benchSnapshot{
-		Experiment:    experiment,
-		GitSHA:        gitSHA,
-		GoVersion:     runtime.Version(),
-		Parallelism:   s.Opts.Parallelism,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Warps:         s.Opts.Warps,
-		SMs:           s.Opts.SMs,
-		Benchmarks:    len(s.Opts.Benchmarks),
-		Tables:        tables,
-		Runs:          len(runs),
-		SimCycles:     cycles,
-		FFSkipped:     ffSkipped,
-		FFJumps:       ffJumps,
-		WallSeconds:   wall.Seconds(),
-		SimCyclesPerS: float64(cycles) / wall.Seconds(),
-		TablesPerS:    float64(tables) / wall.Seconds(),
+	opts.NoFastForward = c.noFF
+	if c.benchList != "" {
+		opts.Benchmarks = strings.Split(c.benchList, ",")
 	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	check(enc.Encode(snap))
+	switch {
+	case opts.SMs > 1 && c.app != "":
+		return opts, fmt.Errorf("-app runs are single-SM; use -sms 1")
+	case c.bucket < 1:
+		return opts, fmt.Errorf("-bucket must be at least 1, got %d", c.bucket)
+	case (c.traceFile != "" || c.traceReport) && c.bench == "":
+		return opts, fmt.Errorf("-trace and -trace-report require -bench")
+	case (c.timeline || c.csv) && c.bench == "":
+		return opts, fmt.Errorf("-timeline and -csv require -bench")
+	}
+	if err := core.CheckCapacity(c.capacity); err != nil {
+		return opts, fmt.Errorf("-%w", err)
+	}
+	_, err = experiments.ParseScheme(c.scheme)
+	return opts, err
 }
 
 func render(tb *experiments.Table, md bool) string {
@@ -300,48 +250,35 @@ func runApp(name string, scheme experiments.Scheme, su experiments.SimSetup) {
 	fmt.Printf("total          %d cycles; L2 hits across launches: %d\n", res.Cycles, su.Hier.Stats.L2Hits)
 }
 
-// traceOpts parameterizes the traced single-benchmark run shared by
-// -timeline, -trace, and -trace-report (one simulation feeds all three).
-type traceOpts struct {
-	bench     string
-	scheme    experiments.Scheme
-	bucket    int
-	csv       bool
-	timeline  bool
-	traceFile string
-	report    bool
-	sms       int
-	setup     experiments.SimSetup
-}
-
-// runTrace is one instrumented run of any chip size, one recorder per
-// SM, rendered as asked: a warp-state timeline and a stall report per SM,
-// and one Perfetto export grouping each SM's tracks in its own process
-// block. The timeline alone needs only its own event families; the
-// Perfetto export and the stall report consume every family.
-func runTrace(o traceOpts) {
+// runTrace is the one instrumented run -timeline, -trace and
+// -trace-report share, of any chip size, one recorder per SM, rendered as
+// asked: a warp-state timeline and a stall report per SM, and one Perfetto
+// export grouping each SM's tracks in its own process block. The timeline
+// alone needs only its own event families; the Perfetto export and the
+// stall report consume every family.
+func runTrace(c *cli, opts experiments.Options) {
 	mask := events.MaskTimeline
-	if o.traceFile != "" || o.report {
+	if c.traceFile != "" || c.traceReport {
 		mask = events.MaskAll
 	}
-	inst, err := experiments.SimulateInstrumented(context.Background(), o.bench, o.scheme, o.sms, o.setup, mask)
+	inst, err := experiments.SimulateInstrumented(context.Background(), c.bench, experiments.Scheme(c.scheme), opts.SMs, opts.Setup(c.capacity), mask)
 	check(err)
 	// Labels name the SM only on a chip of several, as the Perfetto
 	// writer does for its "SM%d " track prefix.
-	chip := o.sms > 1
+	chip := opts.SMs > 1
 	who := func(i int) string {
 		if !chip {
-			return fmt.Sprintf("%s under %s", o.bench, o.scheme)
+			return fmt.Sprintf("%s under %s", c.bench, c.scheme)
 		}
 		return fmt.Sprintf("SM %d (warps %d..%d)", i, inst.FirstWarp[i], inst.FirstWarp[i]+inst.Warps[i]-1)
 	}
-	if chip && (o.report || o.timeline && !o.csv) {
-		fmt.Printf("%s under %s on %d SMs: %d chip cycles\n", o.bench, o.scheme, o.sms, inst.Run.Stats.Cycles)
+	if chip && (c.traceReport || c.timeline && !c.csv) {
+		fmt.Printf("%s under %s on %d SMs: %d chip cycles\n", c.bench, c.scheme, opts.SMs, inst.Run.Stats.Cycles)
 	}
-	if o.timeline {
+	if c.timeline {
 		for i, rec := range inst.Recs {
-			tl := trace.Fold(rec, inst.Cycles[i], inst.Warps[i], inst.FirstWarp[i], o.bucket)
-			if o.csv {
+			tl := trace.Fold(rec, inst.Cycles[i], inst.Warps[i], inst.FirstWarp[i], c.bucket)
+			if c.csv {
 				if chip {
 					fmt.Printf("# %s\n", who(i))
 				}
@@ -354,13 +291,13 @@ func runTrace(o traceOpts) {
 			fmt.Printf("total: %d cycles, IPC %.2f\n", st.Cycles, st.IPC())
 		}
 	}
-	if o.traceFile != "" {
+	if c.traceFile != "" {
 		metas := make([]events.TraceMeta, len(inst.Recs))
 		total := 0
 		for i, rec := range inst.Recs {
 			metas[i] = events.TraceMeta{
-				Bench:        o.bench,
-				Scheme:       string(o.scheme),
+				Bench:        c.bench,
+				Scheme:       c.scheme,
 				Warps:        inst.Warps[i],
 				Schedulers:   inst.Schedulers[i],
 				Cycles:       inst.Cycles[i],
@@ -370,7 +307,7 @@ func runTrace(o traceOpts) {
 			}
 			total += rec.Len()
 		}
-		f, err := os.Create(o.traceFile)
+		f, err := os.Create(c.traceFile)
 		check(err)
 		check(events.WriteChipPerfetto(f, inst.Recs, metas))
 		check(f.Close())
@@ -378,9 +315,9 @@ func runTrace(o traceOpts) {
 		if chip {
 			of = fmt.Sprintf(" (%d SMs)", len(inst.Recs))
 		}
-		fmt.Fprintf(os.Stderr, "regless: wrote %d events%s to %s (open in ui.perfetto.dev)\n", total, of, o.traceFile)
+		fmt.Fprintf(os.Stderr, "regless: wrote %d events%s to %s (open in ui.perfetto.dev)\n", total, of, c.traceFile)
 	}
-	if o.report {
+	if c.traceReport {
 		for i, rec := range inst.Recs {
 			fmt.Printf("%s: stall attribution over %d cycles\n", who(i), inst.Cycles[i])
 			fmt.Print(events.Analyze(rec, inst.Cycles[i], inst.Schedulers[i]).Render(10))

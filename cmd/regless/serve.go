@@ -2,7 +2,8 @@ package main
 
 // The `regless serve` subcommand: the sweep service of DESIGN.md §14. It
 // owns its own flag set (the service fixes the simulation configuration
-// at startup; requests choose the (bench, scheme, capacity) point) and
+// at startup, by the machine flags it shares with the CLI; requests choose
+// the (bench, scheme, capacity) point) and
 // shuts down cleanly on SIGINT/SIGTERM so operators and scripts get exit
 // code 0 from a deliberate stop.
 
@@ -13,13 +14,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"runtime/debug"
 	"syscall"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/serve"
 )
 
@@ -42,65 +41,68 @@ func resolveGitSHA() string {
 	return ""
 }
 
+// serveCLI is `regless serve`'s command line beside the machine flags,
+// which fix the configuration of every served simulation.
+type serveCLI struct {
+	addr, addrFile, storeDir, metricsOut string
+	pprof                                bool
+	reqTimeout, drainWait                time.Duration
+	queueLimit, breakerN                 int
+	storeMax                             int64
+	machine                              func() (experiments.Options, error)
+}
+
+func newServeCLI(fs *flag.FlagSet) *serveCLI {
+	c := &serveCLI{machine: machineFlags(fs)}
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
+	fs.StringVar(&c.addrFile, "addr-file", "", "write the bound address to this file once listening (scripts poll it)")
+	fs.StringVar(&c.storeDir, "store", "", "persistent result store directory (required; created if missing)")
+	fs.StringVar(&c.metricsOut, "metrics-out", "", "append the server's JSONL metrics windows to this file")
+	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
+	fs.DurationVar(&c.reqTimeout, "request-timeout", 0, "default per-request simulation budget (0 disables; clients may shorten via X-Regless-Timeout)")
+	fs.DurationVar(&c.drainWait, "drain-timeout", 30*time.Second, "graceful-shutdown window before in-flight runs are canceled (0 waits indefinitely)")
+	fs.IntVar(&c.queueLimit, "queue-limit", 1024, "admission queue bound; submissions beyond it are shed with 429")
+	fs.Int64Var(&c.storeMax, "store-max-bytes", 0, "store size budget in bytes, enforced by LRU eviction (0 disables)")
+	fs.IntVar(&c.breakerN, "breaker-threshold", 3, "sanitizer diagnostics per (bench,scheme,capacity) before the circuit breaker quarantines it")
+	return c
+}
+
+// options is the machine flags' options, once a store is named.
+func (c *serveCLI) options() (experiments.Options, error) {
+	if c.storeDir == "" {
+		return experiments.Options{}, fmt.Errorf("-store is required")
+	}
+	return c.machine()
+}
+
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("regless serve", flag.ExitOnError)
-	var (
-		addr       = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-		addrFile   = fs.String("addr-file", "", "write the bound address to this file once listening (scripts poll it)")
-		storeDir   = fs.String("store", "", "persistent result store directory (required; created if missing)")
-		warps      = fs.Int("warps", 64, "warps per SM for every served simulation")
-		sms        = fs.Int("sms", 1, "SMs on the chip (must be >= 1)")
-		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "bounded in-flight simulations in the admission pool (must be >= 1)")
-		maxCycles  = fs.Uint64("max-cycles", 60_000_000, "simulation cycle limit per run (must be >= 1)")
-		watchdog   = fs.Uint64("watchdog", 1_000_000, "forward-progress watchdog threshold in cycles (0 disables)")
-		sanitize   = fs.Bool("sanitize", false, "run the cycle-level invariant sanitizer in every simulation")
-		faultSpec  = fs.String("faults", "", "fault-injection spec armed for every simulation (DESIGN.md §11)")
-		metricsOut = fs.String("metrics-out", "", "append the server's JSONL metrics windows to this file")
-		pprofOn    = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-
-		reqTimeout = fs.Duration("request-timeout", 0, "default per-request simulation budget (0 disables; clients may shorten via X-Regless-Timeout)")
-		drainWait  = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown window before in-flight runs are canceled (0 waits indefinitely)")
-		queueLimit = fs.Int("queue-limit", 1024, "admission queue bound; submissions beyond it are shed with 429")
-		storeMax   = fs.Int64("store-max-bytes", 0, "store size budget in bytes, enforced by LRU eviction (0 disables)")
-		breakerN   = fs.Int("breaker-threshold", 3, "sanitizer diagnostics per (bench,scheme,capacity) before the circuit breaker quarantines it")
-	)
+	c := newServeCLI(fs)
 	fs.Parse(args)
 	if fs.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "regless serve: unexpected arguments %v\n", fs.Args())
 		fs.Usage()
 		os.Exit(2)
 	}
-	if err := validateServeFlags(*storeDir, *warps, *sms, *parallel, *maxCycles, *faultSpec); err != nil {
+	opts, err := c.options()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "regless serve:", err)
 		fs.Usage()
 		os.Exit(2)
 	}
 
-	opts := experiments.Default()
-	opts.Warps = *warps
-	opts.SMs = *sms
-	opts.Parallelism = *parallel
-	opts.MaxCycles = *maxCycles
-	opts.Watchdog = *watchdog
-	opts.Sanitize = *sanitize
-	if *faultSpec != "" {
-		plan, err := faults.Parse(*faultSpec)
-		check(err) // validateServeFlags already vetted the spec
-		opts.Faults = plan
-	}
-
 	cfg := serve.Config{
 		Opts:             opts,
-		StoreDir:         *storeDir,
+		StoreDir:         c.storeDir,
 		GitSHA:           resolveGitSHA(),
-		EnablePprof:      *pprofOn,
-		RequestTimeout:   *reqTimeout,
-		QueueLimit:       *queueLimit,
-		BreakerThreshold: *breakerN,
-		StoreMaxBytes:    *storeMax,
+		EnablePprof:      c.pprof,
+		RequestTimeout:   c.reqTimeout,
+		QueueLimit:       c.queueLimit,
+		BreakerThreshold: c.breakerN,
+		StoreMaxBytes:    c.storeMax,
 	}
-	if *metricsOut != "" {
-		f, err := os.OpenFile(*metricsOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if c.metricsOut != "" {
+		f, err := os.OpenFile(c.metricsOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		check(err)
 		defer f.Close()
 		cfg.MetricsWriter = f
@@ -108,13 +110,13 @@ func serveMain(args []string) {
 	srv, err := serve.New(cfg)
 	check(err)
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	check(err)
-	if *addrFile != "" {
-		check(os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644))
+	if c.addrFile != "" {
+		check(os.WriteFile(c.addrFile, []byte(ln.Addr().String()), 0o644))
 	}
 	fmt.Fprintf(os.Stderr, "regless: serving on http://%s (store %s, warps %d, sms %d, pool %d)\n",
-		ln.Addr(), *storeDir, *warps, *sms, *parallel)
+		ln.Addr(), c.storeDir, opts.Warps, opts.SMs, opts.Parallelism)
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	done := make(chan error, 1)
@@ -130,7 +132,7 @@ func serveMain(args []string) {
 		// receive terminal events; metrics flush; the store fsyncs.
 		check(httpSrv.Close())
 		<-done // http.ErrServerClosed
-		rep, err := srv.Drain(*drainWait)
+		rep, err := srv.Drain(c.drainWait)
 		check(err)
 		fmt.Fprintf(os.Stderr,
 			"regless: drain: %d pending, %d completed, %d canceled, timed_out=%v in %.2fs\n",
@@ -141,28 +143,4 @@ func serveMain(args []string) {
 		srv.Close()
 		check(err)
 	}
-}
-
-func validateServeFlags(storeDir string, warps, sms, parallel int, maxCycles uint64, faultSpec string) error {
-	if storeDir == "" {
-		return fmt.Errorf("-store is required")
-	}
-	if warps < 1 {
-		return fmt.Errorf("-warps must be at least 1, got %d", warps)
-	}
-	if sms < 1 {
-		return fmt.Errorf("-sms must be at least 1, got %d", sms)
-	}
-	if parallel < 1 {
-		return fmt.Errorf("-parallel must be at least 1, got %d", parallel)
-	}
-	if maxCycles < 1 {
-		return fmt.Errorf("-max-cycles must be at least 1")
-	}
-	if faultSpec != "" {
-		if _, err := faults.Parse(faultSpec); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -93,6 +93,18 @@ func ConfigForCapacity(regsPerSM int) Config {
 	return c
 }
 
+// CheckCapacity rejects a capacity ConfigForCapacity would round to whole
+// lines per bank, so a run is never labelled, keyed or stored under a
+// number of registers its OSU does not hold.
+func CheckCapacity(regsPerSM int) error {
+	c := DefaultConfig()
+	if cells := c.Shards * c.Banks; regsPerSM < cells || regsPerSM%cells != 0 {
+		return fmt.Errorf("capacity must be a positive multiple of %d registers (%d shards x %d banks), got %d",
+			cells, c.Shards, c.Banks, regsPerSM)
+	}
+	return nil
+}
+
 // CapacityRegisters returns total OSU registers per SM for this config.
 func (c Config) CapacityRegisters() int { return c.Shards * c.Banks * c.LinesPerBank }
 

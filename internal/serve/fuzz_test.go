@@ -39,6 +39,8 @@ func FuzzRunRequestDecode(f *testing.F) {
 	f.Add(`{"bench":"nw","scheme":"baseline"}`)
 	f.Add(`{"bench":"nw","scheme":"regless","capacity":256}`)
 	f.Add(`{"bench":"nw","scheme":"regless","capacity":-1}`)
+	f.Add(`{"bench":"nw","scheme":"regless","capacity":100}`)
+	f.Add(`{"bench":"nw","scheme":"baseline","capacity":100}`)
 	f.Add(`{"bench":"../etc","scheme":"regless"}`)
 	f.Add(`{"bench":"nw","scheme":"regless"} trailing`)
 	f.Add(`{"bench":"nw","unknown":true}`)

@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/jsonstr"
@@ -514,8 +515,13 @@ func (s *Server) KeyFor(req RunRequest) (store.Key, error) {
 		return store.Key{}, fmt.Errorf("negative capacity %d", req.Capacity)
 	}
 	capacity := req.Capacity
-	if capacity == 0 && scheme.HasCapacity() {
-		capacity = experiments.DefaultCapacity
+	if scheme.HasCapacity() {
+		if capacity == 0 {
+			capacity = experiments.DefaultCapacity
+		}
+		if err := core.CheckCapacity(capacity); err != nil {
+			return store.Key{}, err
+		}
 	}
 	report, err := canonicalizeReport(req.Report)
 	if err != nil {

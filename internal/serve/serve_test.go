@@ -154,6 +154,8 @@ func TestBadRequestsAre4xx(t *testing.T) {
 		{"unknown bench", "/v1/runs", `{"bench":"nope","scheme":"regless"}`},
 		{"unknown scheme", "/v1/runs", `{"bench":"nw","scheme":"nope"}`},
 		{"negative capacity", "/v1/runs", `{"bench":"nw","scheme":"regless","capacity":-1}`},
+		{"capacity not whole lines per bank", "/v1/runs", `{"bench":"nw","scheme":"regless","capacity":100}`},
+		{"sweep capacity not whole lines per bank", "/v1/sweeps", `{"benchmarks":["nw"],"schemes":["regless"],"capacities":[256,100]}`},
 		{"unknown field", "/v1/runs", `{"bench":"nw","scheme":"regless","warps":4}`},
 		{"trailing garbage", "/v1/runs", `{"bench":"nw","scheme":"regless"} extra`},
 		{"trailing brace", "/v1/runs", `{"bench":"nw","scheme":"regless"}}`},
@@ -172,6 +174,14 @@ func TestBadRequestsAre4xx(t *testing.T) {
 		if code := post(c.path, c.body); code < 400 || code >= 500 {
 			t.Errorf("%s: code = %d, want 4xx", c.name, code)
 		}
+	}
+	// A capacity the OSU cannot hold exactly is the client's mistake, under
+	// the one scheme family it means anything to: baseline ignores it.
+	if code := post("/v1/runs", `{"bench":"nw","scheme":"regless-nocomp","capacity":100}`); code != http.StatusBadRequest {
+		t.Errorf("regless-nocomp at capacity 100 = %d, want 400", code)
+	}
+	if k, err := s.KeyFor(RunRequest{Bench: "nw", Scheme: "baseline", Capacity: 100}); err != nil || k.Capacity != 0 {
+		t.Errorf("baseline at capacity 100: key capacity %d, %v; want 0, nil", k.Capacity, err)
 	}
 	if code := doJSON(t, h, "GET", "/v1/runs/deadbeef", "", nil, nil); code != http.StatusNotFound {
 		t.Errorf("unknown run id = %d, want 404", code)
