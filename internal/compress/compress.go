@@ -221,11 +221,6 @@ func (c *Compressor) IsCompressed(warp int, reg isa.Reg) bool {
 	return c.compressed[c.index(warp, reg)] != PatNone
 }
 
-// Pattern returns the stored pattern without charging a check.
-func (c *Compressor) Pattern(warp int, reg isa.Reg) Pattern {
-	return c.compressed[c.index(warp, reg)]
-}
-
 // CacheResult describes a compressed-line cache access.
 type CacheResult struct {
 	Hit bool

@@ -29,7 +29,7 @@ func TestAtomicCounterConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.AtomicCounter("serve/test")
 	var gaugeVal atomic.Int64
-	r.Gauge("serve/gauge", func() uint64 { return uint64(gaugeVal.Load()) })
+	r.Gauges(sampleFunc(func() uint64 { return uint64(gaugeVal.Load()) }), "serve/gauge")
 	sink := &collectSink{name: "serve/test"}
 	r.SetSink(sink)
 

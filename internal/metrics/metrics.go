@@ -114,7 +114,7 @@ var (
 func NewRegistry() *Registry { return NewRegistryIn(nil) }
 
 // NewRegistryIn is NewRegistry with the registry and everything it comes
-// to own allocated from a (nil: the heap). Names, gauge closures and the
+// to own allocated from a (nil: the heap). Names, samplers and the
 // sink stay the caller's.
 func NewRegistryIn(a *arena.Arena) *Registry {
 	r := registryT.New(a)
@@ -185,29 +185,15 @@ func (r *Registry) Bind(name string, v *uint64) {
 	r.register(cell{name: name, kind: KindCounter, val: v})
 }
 
-// Gauge registers a sampled instrument: fn runs at snapshot and window
-// boundaries only, never during counting. A nil registry ignores the call.
-func (r *Registry) Gauge(name string, fn func() uint64) {
-	if r == nil {
-		return
-	}
-	r.register(cell{name: name, kind: KindGauge, src: samplerFunc(fn)})
-}
-
-// samplerFunc is the Sampler of a lone func gauge.
-type samplerFunc func() uint64
-
-func (f samplerFunc) Sample(int) uint64 { return f() }
-
 // Sampler is a component's gauges read through one pointer: Sample(i) is
 // the current value of the i-th gauge it was registered with.
 type Sampler interface {
 	Sample(i int) uint64
 }
 
-// Gauges registers one gauge per name, the i-th reading s.Sample(i) at
-// snapshot and window boundaries — Gauge for a component that has
-// several, without a closure apiece. A nil registry ignores the call.
+// Gauges registers one sampled instrument per name, the i-th reading
+// s.Sample(i) at snapshot and window boundaries only, never during
+// counting. A nil registry ignores the call.
 func (r *Registry) Gauges(s Sampler, names ...string) {
 	if r == nil {
 		return

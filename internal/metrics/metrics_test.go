@@ -10,6 +10,11 @@ import (
 	"repro/internal/arena"
 )
 
+// sampleFunc is the Sampler of one gauge that is a func.
+type sampleFunc func() uint64
+
+func (f sampleFunc) Sample(int) uint64 { return f() }
+
 func TestCounterAndBind(t *testing.T) {
 	r := NewRegistry()
 	c := r.AtomicCounter("a/ops")
@@ -50,7 +55,7 @@ func TestNilRegistrySafe(t *testing.T) {
 	c := r.AtomicCounter("x")
 	c.Inc()
 	r.Bind("y", new(uint64))
-	r.Gauge("z", func() uint64 { return 1 })
+	r.Gauges(sampleFunc(func() uint64 { return 1 }), "z")
 	h := r.AtomicHistogram("h", 1, 2)
 	h.Observe(5)
 	if r.Len() != 0 || r.Names() != nil || r.Snapshot() != nil {
@@ -114,7 +119,7 @@ func (f sinkFunc) Emit(w Window) { f(w) }
 func TestGaugeSampledAtSnapshot(t *testing.T) {
 	r := NewRegistry()
 	depth := uint64(0)
-	r.Gauge("q/depth", func() uint64 { return depth })
+	r.Gauges(sampleFunc(func() uint64 { return depth }), "q/depth")
 	depth = 9
 	snap := r.Snapshot()
 	if len(snap) != 1 || snap[0].Value != 9 || snap[0].Kind != KindGauge {
@@ -195,7 +200,7 @@ func TestSnapshotDiff(t *testing.T) {
 	r := NewRegistry()
 	c := r.AtomicCounter("c")
 	g := uint64(1)
-	r.Gauge("g", func() uint64 { return g })
+	r.Gauges(sampleFunc(func() uint64 { return g }), "g")
 	c.Add(10)
 	prev := r.Snapshot()
 	c.Add(5)
@@ -264,7 +269,7 @@ func TestJSONLWriterValidAndLabeled(t *testing.T) {
 	c := r.AtomicCounter("provider/preloads")
 	z := r.AtomicCounter("provider/zero") // zero delta: must be elided
 	depth := uint64(4)
-	r.Gauge("osu/depth", func() uint64 { return depth })
+	r.Gauges(sampleFunc(func() uint64 { return depth }), "osu/depth")
 	r.SetSink(jw.Run(String("bench", "bfs"), String("scheme", "regless"), Int("capacity", 512)))
 
 	c.Add(2)

@@ -12,7 +12,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	c := r.AtomicCounter("serve/hits")
 	c.Add(7)
 	g := uint64(3)
-	r.Gauge("serve/queue_depth", func() uint64 { return g })
+	r.Gauges(sampleFunc(func() uint64 { return g }), "serve/queue_depth")
 	h := r.AtomicHistogram("serve/span_us", 10, 100)
 	h.Observe(5)   // le_10
 	h.Observe(50)  // le_100

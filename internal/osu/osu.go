@@ -140,9 +140,6 @@ func (o *OSU) Bank(warp int, reg isa.Reg) int {
 // Banks returns the configured bank count.
 func (o *OSU) Banks() int { return o.cfg.Banks }
 
-// LinesPerBank returns per-bank capacity.
-func (o *OSU) LinesPerBank() int { return o.cfg.LinesPerBank }
-
 // resident returns bank b's resident lines.
 func (o *OSU) resident(b int) []line {
 	return o.lines[b*o.cfg.LinesPerBank:][:o.count[b]]

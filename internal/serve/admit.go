@@ -30,6 +30,14 @@ type admitter struct {
 	inflight atomic.Int64
 }
 
+// Sample reads the admitter's gauges: queue depth, then in-flight runs.
+func (a *admitter) Sample(i int) uint64 {
+	if i == 0 {
+		return clampGauge(a.queued.Load())
+	}
+	return clampGauge(a.inflight.Load())
+}
+
 // newAdmitter starts `workers` pool goroutines executing run.
 func newAdmitter(workers int, run func(*job)) *admitter {
 	a := &admitter{queues: map[string][]*job{}}

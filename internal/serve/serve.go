@@ -432,15 +432,9 @@ func (s *Server) initMetrics() {
 	s.cCanceled = s.reg.AtomicCounter("serve/canceled")
 	s.cBreakerTrips = s.reg.AtomicCounter("serve/breaker_trips")
 	s.cBreakerRejects = s.reg.AtomicCounter("serve/breaker_rejects")
-	s.reg.Gauge("serve/queue_depth", func() uint64 { return clampGauge(s.admit.queued.Load()) })
-	s.reg.Gauge("serve/inflight", func() uint64 { return clampGauge(s.admit.inflight.Load()) })
-	s.reg.Gauge("store/puts", func() uint64 { return s.st.Stats().Puts })
-	s.reg.Gauge("store/quarantined", func() uint64 { return s.st.Stats().Quarantined })
-	s.reg.Gauge("store/recovered_temps", func() uint64 { return s.st.Stats().RecoveredTemps })
-	s.reg.Gauge("store/bytes", func() uint64 { return clampGauge(s.st.Bytes()) })
-	s.reg.Gauge("store/evictions", func() uint64 { return s.st.Stats().Evictions })
-	s.reg.Gauge("store/gc_runs", func() uint64 { return s.st.Stats().GCRuns })
-	s.reg.Gauge("store/gc_us", func() uint64 { return s.st.Stats().GCMicros })
+	s.reg.Gauges(s.admit, "serve/queue_depth", "serve/inflight")
+	s.reg.Gauges(storeGauges{s.st}, "store/puts", "store/quarantined", "store/recovered_temps",
+		"store/bytes", "store/evictions", "store/gc_runs", "store/gc_us")
 	// Span-latency histograms in wall microseconds; bucket bounds span
 	// 50us to 10s. Names and bounds are frozen — the Prometheus
 	// exposition derives bucket labels from them.
@@ -460,6 +454,16 @@ func (s *Server) initMetrics() {
 		s.winHub.fwd = s.jsonl.Run(metrics.String("component", "serve"))
 	}
 	s.reg.SetSink(s.winHub)
+}
+
+// storeGauges samples the store's activity counters, in the order they
+// are registered above, off one Stats snapshot a sample.
+type storeGauges struct{ st *store.Store }
+
+func (g storeGauges) Sample(i int) uint64 {
+	st := g.st.Stats()
+	return [...]uint64{st.Puts, st.Quarantined, st.RecoveredTemps, clampGauge(st.Bytes),
+		st.Evictions, st.GCRuns, st.GCMicros}[i]
 }
 
 func clampGauge(v int64) uint64 {

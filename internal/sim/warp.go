@@ -40,10 +40,6 @@ type Warp struct {
 
 	// lastIssue is the cycle this warp last issued (GTO tiebreak).
 	lastIssue uint64
-
-	// ProviderData carries provider-specific per-warp state (the
-	// RegLess capacity manager's warp record, RFV's rename map, ...).
-	ProviderData any
 }
 
 // Finished reports whether every lane has exited.

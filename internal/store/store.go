@@ -304,9 +304,6 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) tmpDir() string        { return filepath.Join(s.dir, "tmp") }
 func (s *Store) quarantineDir() string { return filepath.Join(s.dir, "quarantine") }
 
