@@ -38,6 +38,14 @@ test -z "$(grep -rn 'ProviderCounters\|StallCharger\|metrics\.Counter\|addProvid
 test -z "$(grep -rho '"provider/[a-z0-9_/]*' --include=*.go cmd internal regless.go --exclude=*_test.go | sort | uniq -d)"
 test -z "$(grep -rn 'r\.Bind(' --include=*.go cmd internal regless.go |
 	grep -v _test.go | grep -v '^internal/metrics/\|^internal/compress/metrics.go:')"
+# The CLI path says it once (DESIGN.md §8). One bench ruler: benchmark/ +
+# BENCHMARK.json, so the first-generation one stays gone. One declaration
+# of what an experiment reads (plan.go's Reads), none beside it. One
+# registration of the machine flags, for `regless` and `regless serve`
+# both.
+test -z "$(git ls-files 'BENCH_*' scripts/bench.sh bench_test.go)"
+test -z "$(grep -rn 'Requirements\|emitSnapshot\|benchSnapshot\|validateServeFlags\|snapshot-sha' --include=*.go --exclude=*_test.go cmd internal regless.go)"
+test "$(grep -rn '"max-cycles"' --include=*.go --exclude=*_test.go cmd | wc -l)" = 1
 go test -race -shuffle=on ./...
 # The allocation budget of a steady-state run is the program's only
 # without the race detector, whose instrumentation changes what
@@ -136,12 +144,12 @@ tracedir="$(mktemp -d)"
 trap 'rm -rf "$tracedir"' EXIT
 go run ./cmd/regless -bench nw -scheme regless -warps 8 \
 	-trace "$tracedir/trace.json" -trace-report > "$tracedir/report.txt"
-go run ./scripts/tracecheck "$tracedir/trace.json"
+go run ./scripts/smoke trace "$tracedir/trace.json"
 grep -q "stall attribution" "$tracedir/report.txt"
 test -z "$(grep "WARNING" "$tracedir/report.txt")"
 go run ./cmd/regless -bench nw -scheme regless -warps 8 -sms 4 \
 	-trace "$tracedir/trace4.json" > /dev/null
-go run ./scripts/tracecheck "$tracedir/trace4.json"
+go run ./scripts/smoke trace "$tracedir/trace4.json"
 
 # Fault-injection smoke suite (DESIGN.md §11): every class must be
 # tolerated (exit 0) or detected with a diagnostic naming a component
@@ -220,18 +228,18 @@ grep -q "request latency" "$tracedir/serve-load.txt"
 # check its spans tile, and strict-parse the Prometheus exposition
 # (unique series, monotone cumulative buckets, frozen span-histogram
 # names) plus one live metrics window.
-go run ./scripts/obscheck -addr "$serveaddr"
+go run ./scripts/smoke obs -addr "$serveaddr"
 kill -TERM "$servepid"
 wait "$servepid"
 test "$(grep -c "shut down cleanly" "$tracedir/serve-log.txt")" = 2
 REGLESS_SOAK_REQUESTS=250 go test -race -count=1 -run TestServeSoak ./internal/serve
 
-# Lifecycle smoke (DESIGN.md §16): lifecheck owns its own server with a
+# Lifecycle smoke (DESIGN.md §16): smoke life owns its own server with a
 # tiny -store-max-bytes, SIGTERMs it with a sweep still in flight, and
 # verifies the shutdown contract — exit 0, a drain report, no orphaned
 # tmp files, the byte budget honored on disk, and a healthy warm restart
 # that serves a run. The chaos drain soak then runs every serve fault
 # class against a live server under -race at a pinned request count,
 # with a mid-soak drain.
-go run ./scripts/lifecheck -bin "$tracedir/regless"
+go run ./scripts/smoke life -bin "$tracedir/regless"
 REGLESS_CHAOS_REQUESTS=160 go test -race -count=1 -run TestServeChaosDrainSoak ./internal/serve

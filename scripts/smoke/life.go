@@ -1,26 +1,7 @@
-// Command lifecheck is the service-lifecycle smoke checker scripts/
-// check.sh runs. It owns the whole server lifecycle (unlike obscheck,
-// which checks a server someone else started): it boots `regless serve`
-// with a tiny store budget, submits a sweep, SIGTERMs the server while
-// that work is still in flight, and then verifies the shutdown contract
-// of DESIGN.md §16:
-//
-//   - the process exits 0 (a deliberate stop is not an error) and logs
-//     its drain report and the "shut down cleanly" line
-//   - the store's tmp/ directory holds no orphaned partial files
-//   - the on-disk entry bytes respect -store-max-bytes
-//   - a warm restart over the same store comes up healthy and serves
-//     a run to completion, then shuts down just as cleanly
-//
-// Usage: lifecheck -bin ./regless [-budget 2048]
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -28,22 +9,24 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/internal/serve"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "lifecheck: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-func main() {
-	bin := flag.String("bin", "", "path to the regless binary (required)")
-	budget := flag.Int64("budget", 2048, "store byte budget passed as -store-max-bytes")
-	flag.Parse()
-	if *bin == "" {
-		fail("-bin is required")
-	}
-
-	dir, err := os.MkdirTemp("", "lifecheck-*")
+// checkLifecycle owns the whole server lifecycle (unlike obs, which checks
+// a server someone else started): it boots `regless serve` with a tiny
+// store budget, submits a sweep, SIGTERMs the server while that work is
+// still in flight, and then verifies the shutdown contract of DESIGN.md
+// §16:
+//
+//   - the process exits 0 (a deliberate stop is not an error) and logs
+//     its drain report and the "shut down cleanly" line
+//   - the store's tmp/ directory holds no orphaned partial files
+//   - the on-disk entry bytes respect -store-max-bytes
+//   - a warm restart over the same store comes up healthy and serves
+//     a run to completion, then shuts down just as cleanly
+func checkLifecycle(bin string, budget int64) {
+	dir, err := os.MkdirTemp("", "smoke-life-*")
 	if err != nil {
 		fail("%v", err)
 	}
@@ -51,9 +34,12 @@ func main() {
 	storeDir := filepath.Join(dir, "store")
 	logPath := filepath.Join(dir, "serve-log.txt")
 
-	// Pass 1: boot, put work in flight, SIGTERM mid-flight.
-	srv := startServe(*bin, dir, storeDir, logPath, *budget)
-	submitSweepAsync(srv.base)
+	// Pass 1: boot, put real work in flight without waiting for it, and
+	// SIGTERM while those runs are queued or simulating.
+	srv := startServe(bin, dir, storeDir, logPath, budget)
+	if code, raw := call(srv.base+"/v1/sweeps", `{"benchmarks":["nw","bfs"],"schemes":["baseline","regless"]}`, nil); code != http.StatusAccepted && code != http.StatusOK {
+		fail("POST /v1/sweeps: HTTP %d: %s", code, raw)
+	}
 	stopServe(srv)
 
 	log := readLog(logPath)
@@ -63,20 +49,28 @@ func main() {
 	if strings.Count(log, "shut down cleanly") != 1 {
 		fail("pass 1: missing clean-shutdown line:\n%s", log)
 	}
-	checkStore(storeDir, *budget)
+	checkStore(storeDir, budget)
 
 	// Pass 2: warm restart over the same store must come up healthy,
-	// serve a run, and shut down just as cleanly.
-	srv = startServe(*bin, dir, storeDir, logPath, *budget)
-	checkHealthOK(srv.base)
-	checkRunCompletes(srv.base)
+	// serve a run to completion, and shut down just as cleanly.
+	srv = startServe(bin, dir, storeDir, logPath, budget)
+	var h serve.Health
+	if code, _ := call(srv.base+"/healthz", "", &h); code != http.StatusOK || h.Status != "ok" {
+		fail("warm restart healthz: HTTP %d status %q", code, h.Status)
+	}
+	var st serve.RunStatus
+	if code, raw := call(srv.base+"/v1/runs?wait=1", `{"bench":"nw","scheme":"regless"}`, &st); code != http.StatusOK {
+		fail("POST /v1/runs: HTTP %d: %s", code, raw)
+	}
+	if st.Status != "done" || len(st.Result) == 0 {
+		fail("warm run finished %q (%s)", st.Status, st.Error)
+	}
 	stopServe(srv)
 
 	if strings.Count(readLog(logPath), "shut down cleanly") != 2 {
 		fail("pass 2: missing clean-shutdown line:\n%s", readLog(logPath))
 	}
-	checkStore(storeDir, *budget)
-	fmt.Println("lifecheck: ok")
+	checkStore(storeDir, budget)
 }
 
 type serveProc struct {
@@ -115,21 +109,6 @@ func startServe(bin, dir, storeDir, logPath string, budget int64) *serveProc {
 			fail("server never wrote %s", addrFile)
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// submitSweepAsync puts real work in flight without waiting for it: the
-// SIGTERM that follows lands while these runs are queued or simulating.
-func submitSweepAsync(base string) {
-	body := strings.NewReader(`{"benchmarks":["nw","bfs"],"schemes":["baseline","regless"]}`)
-	resp, err := http.Post(base+"/v1/sweeps", "application/json", body)
-	if err != nil {
-		fail("POST /v1/sweeps: %v", err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		fail("POST /v1/sweeps: %s: %s", resp.Status, raw)
 	}
 }
 
@@ -190,48 +169,5 @@ func checkStore(storeDir string, budget int64) {
 	}
 	if total > budget {
 		fail("store holds %d entry bytes, budget is %d", total, budget)
-	}
-}
-
-func checkHealthOK(base string) {
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		fail("GET /healthz: %v", err)
-	}
-	defer resp.Body.Close()
-	var h struct {
-		Status string `json:"status"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		fail("healthz: %v", err)
-	}
-	if resp.StatusCode != http.StatusOK || h.Status != "ok" {
-		fail("warm restart healthz: HTTP %d status %q", resp.StatusCode, h.Status)
-	}
-}
-
-// checkRunCompletes serves one run to completion on the warm server: the
-// restarted process must be fully operational over the drained store.
-func checkRunCompletes(base string) {
-	body := bytes.NewReader([]byte(`{"bench":"nw","scheme":"regless"}`))
-	resp, err := http.Post(base+"/v1/runs?wait=1", "application/json", body)
-	if err != nil {
-		fail("POST /v1/runs: %v", err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fail("POST /v1/runs: %s: %s", resp.Status, raw)
-	}
-	var st struct {
-		Status string          `json:"status"`
-		Result json.RawMessage `json:"result"`
-		Error  string          `json:"error"`
-	}
-	if err := json.Unmarshal(raw, &st); err != nil {
-		fail("run status: %v", err)
-	}
-	if st.Status != "done" || len(st.Result) == 0 {
-		fail("warm run finished %q (%s)", st.Status, st.Error)
 	}
 }

@@ -1,7 +1,19 @@
-// Command obscheck is the observability smoke checker scripts/check.sh
-// runs against a live `regless serve` instance. It exercises the
-// service-level observability surface end to end and fails loudly on any
-// malformed output:
+package main
+
+import (
+	"bufio"
+	"encoding/json"
+	"net/http"
+	"strconv"
+	"strings"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/serve"
+)
+
+// checkObservability exercises the service-level observability surface of
+// a live `regless serve` end to end and fails on any malformed output:
 //
 //   - /healthz must report uptime and a non-negative store entry count
 //   - a sweep must be followable over SSE to its terminal summary event
@@ -12,71 +24,9 @@
 //     parse: TYPE lines before samples, unique series, monotone
 //     cumulative buckets ending at +Inf, _count == +Inf bucket
 //   - /v1/metricsz/stream must deliver a window event
-//
-// Usage: obscheck -addr http://127.0.0.1:PORT
-package main
-
-import (
-	"bufio"
-	"encoding/json"
-	"flag"
-	"fmt"
-	"io"
-	"net/http"
-	"os"
-	"strconv"
-	"strings"
-	"time"
-)
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "obscheck: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-func main() {
-	addr := flag.String("addr", "", "server base URL (required)")
-	flag.Parse()
-	if *addr == "" {
-		fail("-addr is required")
-	}
-	base := strings.TrimSuffix(*addr, "/")
-	hc := &http.Client{Timeout: 5 * time.Minute}
-
-	checkHealthz(hc, base)
-	runID := checkSweepStream(hc, base)
-	checkTrace(hc, base, runID)
-	checkProm(hc, base)
-	checkMetricsStream(hc, base)
-	fmt.Println("obscheck: ok")
-}
-
-func getJSON(hc *http.Client, url string, v any) int {
-	resp, err := hc.Get(url)
-	if err != nil {
-		fail("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fail("GET %s: %v", url, err)
-	}
-	if v != nil {
-		if err := json.Unmarshal(raw, v); err != nil {
-			fail("GET %s: bad JSON: %v\n%s", url, err, raw)
-		}
-	}
-	return resp.StatusCode
-}
-
-func checkHealthz(hc *http.Client, base string) {
-	var h struct {
-		Status        string  `json:"status"`
-		UptimeSeconds float64 `json:"uptime_seconds"`
-		StoreEntries  int     `json:"store_entries"`
-	}
-	code := getJSON(hc, base+"/healthz", &h)
-	if code != http.StatusOK && code != http.StatusServiceUnavailable {
+func checkObservability(base string) {
+	var h serve.Health
+	if code, _ := call(base+"/healthz", "", &h); code != http.StatusOK && code != http.StatusServiceUnavailable {
 		fail("healthz: HTTP %d", code)
 	}
 	if h.Status == "" || h.UptimeSeconds <= 0 {
@@ -85,37 +35,22 @@ func checkHealthz(hc *http.Client, base string) {
 	if h.StoreEntries < 0 {
 		fail("healthz: store listing failed (store_entries %d)", h.StoreEntries)
 	}
+	runID := checkSweepStream(base)
+	checkTrace(base, runID)
+	checkProm(base)
+	checkMetricsStream(base)
 }
 
 // checkSweepStream submits a sweep and follows it over SSE — no polling
 // — until the summary event reports it done. Returns one finished run id.
-func checkSweepStream(hc *http.Client, base string) string {
-	body := strings.NewReader(`{"benchmarks":["nw"],"schemes":["baseline","regless"]}`)
-	resp, err := hc.Post(base+"/v1/sweeps", "application/json", body)
-	if err != nil {
-		fail("POST /v1/sweeps: %v", err)
+func checkSweepStream(base string) string {
+	var sw serve.SweepStatus
+	code, raw := call(base+"/v1/sweeps", `{"benchmarks":["nw"],"schemes":["baseline","regless"]}`, &sw)
+	if code != http.StatusAccepted && code != http.StatusOK || sw.ID == "" {
+		fail("POST /v1/sweeps: HTTP %d: %s", code, raw)
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		fail("POST /v1/sweeps: HTTP %d: %s", resp.StatusCode, raw)
-	}
-	var sw struct {
-		ID    string `json:"id"`
-		Total int    `json:"total"`
-	}
-	if err := json.Unmarshal(raw, &sw); err != nil || sw.ID == "" {
-		fail("sweep response: %v\n%s", err, raw)
-	}
-
-	sresp, err := hc.Get(base + "/v1/sweeps/" + sw.ID + "/events")
-	if err != nil {
-		fail("GET sweep events: %v", err)
-	}
+	sresp := openStream(base + "/v1/sweeps/" + sw.ID + "/events")
 	defer sresp.Body.Close()
-	if ct := sresp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		fail("sweep events content type %q", ct)
-	}
 	var runID string
 	runs := 0
 	event, data := "", ""
@@ -132,10 +67,7 @@ func checkSweepStream(hc *http.Client, base string) string {
 			switch event {
 			case "run":
 				runs++
-				var re struct {
-					ID     string `json:"id"`
-					Status string `json:"status"`
-				}
+				var re serve.RunStatus
 				if err := json.Unmarshal([]byte(data), &re); err != nil || re.ID == "" {
 					fail("bad run event %q: %v", data, err)
 				}
@@ -143,11 +75,7 @@ func checkSweepStream(hc *http.Client, base string) string {
 					runID = re.ID
 				}
 			case "summary":
-				var sum struct {
-					Status    string `json:"status"`
-					Total     int    `json:"total"`
-					Completed int    `json:"completed"`
-				}
+				var sum serve.SweepStatus
 				if err := json.Unmarshal([]byte(data), &sum); err != nil {
 					fail("bad summary event %q: %v", data, err)
 				}
@@ -169,18 +97,11 @@ func checkSweepStream(hc *http.Client, base string) string {
 	return ""
 }
 
-func checkTrace(hc *http.Client, base, runID string) {
-	type node struct {
-		Name     string  `json:"name"`
-		StartUS  int64   `json:"start_us"`
-		DurUS    int64   `json:"dur_us"`
-		Children []*node `json:"children"`
-	}
+func checkTrace(base, runID string) {
 	var tr struct {
-		ID   string `json:"id"`
-		Root *node  `json:"root"`
+		Root *obs.Node `json:"root"`
 	}
-	if code := getJSON(hc, base+"/v1/runs/"+runID+"/trace", &tr); code != http.StatusOK {
+	if code, _ := call(base+"/v1/runs/"+runID+"/trace", "", &tr); code != http.StatusOK {
 		fail("GET run trace: HTTP %d", code)
 	}
 	if tr.Root == nil || tr.Root.Name != "run" || len(tr.Root.Children) < 2 {
@@ -200,7 +121,7 @@ func checkTrace(hc *http.Client, base, runID string) {
 	var doc struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
 	}
-	if code := getJSON(hc, base+"/v1/runs/"+runID+"/trace?format=perfetto", &doc); code != http.StatusOK {
+	if code, _ := call(base+"/v1/runs/"+runID+"/trace?format=perfetto", "", &doc); code != http.StatusOK {
 		fail("GET perfetto trace: HTTP %d", code)
 	}
 	if len(doc.TraceEvents) == 0 {
@@ -213,8 +134,8 @@ func checkTrace(hc *http.Client, base, runID string) {
 // line, series are unique, histogram buckets are cumulative with
 // strictly-increasing le ending at +Inf, and _count equals the +Inf
 // bucket.
-func checkProm(hc *http.Client, base string) {
-	resp, err := hc.Get(base + "/metricsz?format=prom")
+func checkProm(base string) {
+	resp, err := client.Get(base + "/metricsz?format=prom")
 	if err != nil {
 		fail("GET prom metrics: %v", err)
 	}
@@ -382,11 +303,8 @@ func checkProm(hc *http.Client, base string) {
 
 // checkMetricsStream waits for one live metrics window over SSE (windows
 // close every MetricsEvery, 1s by default, so this is quick).
-func checkMetricsStream(hc *http.Client, base string) {
-	resp, err := hc.Get(base + "/v1/metricsz/stream")
-	if err != nil {
-		fail("GET metrics stream: %v", err)
-	}
+func checkMetricsStream(base string) {
+	resp := openStream(base + "/v1/metricsz/stream")
 	defer resp.Body.Close()
 	deadline := time.Now().Add(30 * time.Second)
 	event := ""
