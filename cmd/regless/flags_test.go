@@ -140,7 +140,7 @@ func TestValidateFlags(t *testing.T) {
 		{[]string{"-timeline", "-csv", "-bench", "nw"}, ""},
 		{[]string{"-capacity", "32"}, ""},
 		{[]string{"-capacity", "2048"}, ""},
-		{[]string{"-capacity", "100"}, "-capacity must be a positive multiple of 32 registers (4 shards x 8 banks), got 100"},
+		{[]string{"-capacity", "100"}, "-capacity must be a positive multiple of 32 registers (shards x banks), got 100"},
 		{[]string{"-capacity", "0"}, "-capacity must be a positive multiple of 32"},
 		{[]string{"-capacity", "-5"}, "-capacity must be a positive multiple of 32"},
 		{[]string{"-json"}, "flag provided but not defined: -json"},

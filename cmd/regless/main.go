@@ -357,18 +357,11 @@ func runOne(suite *experiments.Suite, out io.Writer, bench string, scheme experi
 			100*float64(r.Prov.PreloadFromL2DRAM)/float64(p))
 		fmt.Fprintf(out, "regions        %d activations, %.1f cycles/region, %d metadata insns\n",
 			r.Prov.RegionActivations,
-			float64(r.Prov.RegionCycles)/float64(max64(r.Prov.RegionActivations, 1)),
+			float64(r.Prov.RegionCycles)/float64(max(r.Prov.RegionActivations, 1)),
 			r.Prov.MetaInsns)
 		fmt.Fprintf(out, "L1 traffic     %d preload reads, %d stores, %d invalidations\n",
 			r.Prov.L1PreloadReads, r.Prov.L1StoreWrites, r.Prov.L1Invalidates)
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // diagOutPath is -diag-out's destination, consulted when check hits a

@@ -94,13 +94,11 @@ func ConfigForCapacity(regsPerSM int) Config {
 }
 
 // CheckCapacity rejects a capacity ConfigForCapacity would round to whole
-// lines per bank, so a run is never labelled, keyed or stored under a
-// number of registers its OSU does not hold.
+// lines per bank: a run is labelled, keyed and stored by what its OSU holds.
 func CheckCapacity(regsPerSM int) error {
 	c := DefaultConfig()
 	if cells := c.Shards * c.Banks; regsPerSM < cells || regsPerSM%cells != 0 {
-		return fmt.Errorf("capacity must be a positive multiple of %d registers (%d shards x %d banks), got %d",
-			cells, c.Shards, c.Banks, regsPerSM)
+		return fmt.Errorf("capacity must be a positive multiple of %d registers (shards x banks), got %d", cells, regsPerSM)
 	}
 	return nil
 }

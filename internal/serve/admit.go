@@ -32,10 +32,7 @@ type admitter struct {
 
 // Sample reads the admitter's gauges: queue depth, then in-flight runs.
 func (a *admitter) Sample(i int) uint64 {
-	if i == 0 {
-		return clampGauge(a.queued.Load())
-	}
-	return clampGauge(a.inflight.Load())
+	return clampGauge([...]int64{a.queued.Load(), a.inflight.Load()}[i])
 }
 
 // newAdmitter starts `workers` pool goroutines executing run.

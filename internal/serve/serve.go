@@ -466,12 +466,7 @@ func (g storeGauges) Sample(i int) uint64 {
 		st.Evictions, st.GCRuns, st.GCMicros}[i]
 }
 
-func clampGauge(v int64) uint64 {
-	if v < 0 {
-		return 0
-	}
-	return uint64(v)
-}
+func clampGauge(v int64) uint64 { return uint64(max(v, 0)) }
 
 // windowLoop closes a metrics window every MetricsEvery on a wall-clock
 // axis (seconds since start); the final partial window closes at Close.
