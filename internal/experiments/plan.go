@@ -118,7 +118,7 @@ func (s *Suite) warm(exps ...Experiment) error {
 	benches := s.benchmarks()
 	grid := len(benches) * len(cols)
 	return s.Opts.forEach(grid+len(pinned), func(i int) error {
-		k := runKey{}
+		var k runKey
 		if i < grid {
 			c := cols[i%len(cols)]
 			k = runKey{benches[i/len(cols)], c.scheme, c.capacity}

@@ -23,6 +23,8 @@ import (
 	"time"
 )
 
+const usage = "usage: smoke trace FILE | obs -addr URL | life -bin BINARY"
+
 // who prefixes every message: "smoke obs", ...
 var who = "smoke"
 
@@ -37,7 +39,7 @@ func main() {
 	bin := fs.String("bin", "", "life: path to the regless binary (required)")
 	budget := fs.Int64("budget", 2048, "life: store byte budget passed as -store-max-bytes")
 	if len(os.Args) < 2 {
-		fail("usage: smoke trace FILE | obs -addr URL | life -bin BINARY")
+		fail(usage)
 	}
 	who += " " + os.Args[1]
 	fs.Parse(os.Args[2:])
@@ -49,7 +51,7 @@ func main() {
 	case os.Args[1] == "life" && *bin != "":
 		checkLifecycle(*bin, *budget)
 	default:
-		fail("usage: smoke trace FILE | obs -addr URL | life -bin BINARY")
+		fail(usage)
 	}
 	fmt.Println(who + ": ok")
 }
