@@ -8,10 +8,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/serve"
 )
 
 // TestMain lets tests re-exec this binary as the real CLI: with
@@ -121,6 +123,50 @@ func TestMachineFlagsSharedByBothCommands(t *testing.T) {
 	}
 }
 
+// TestFrontDoorsAgreeOnCapacity: the command line and the service decide a
+// (scheme, capacity) pair by one rule (experiments.CanonicalCapacity), so
+// they accept the same pairs, as the same run, and refuse the rest in the
+// same words: a scheme without a capacity ignores it, RegLess reads 0 as
+// the paper's design point and wants whole lines per bank otherwise.
+func TestFrontDoorsAgreeOnCapacity(t *testing.T) {
+	srv, err := serve.New(serve.Config{
+		Opts:     experiments.Options{Warps: 8, MaxCycles: 2_000_000, Parallelism: 1},
+		StoreDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	regless := map[int]int{-32: -1, 0: experiments.DefaultCapacity, 100: -1, 512: 512, 2048: 2048} // -1: refused
+	for _, scheme := range experiments.Schemes() {
+		for _, capacity := range []int{-32, 0, 100, 512, 2048} {
+			want := 0
+			if scheme.HasCapacity() {
+				want = regless[capacity]
+			}
+			fs := flag.NewFlagSet("regless", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			c := newCLI(fs)
+			if err := fs.Parse([]string{"-bench", "nw", "-scheme", string(scheme), "-capacity", strconv.Itoa(capacity)}); err != nil {
+				t.Fatal(err)
+			}
+			_, errCLI := c.options()
+			key, errServe := srv.KeyFor(serve.RunRequest{Bench: "nw", Scheme: string(scheme), Capacity: capacity})
+			switch {
+			case want < 0:
+				if errCLI == nil || errServe == nil || errCLI.Error() != "-"+errServe.Error() ||
+					!strings.Contains(errServe.Error(), "capacity must be a positive multiple of 32") {
+					t.Errorf("%s/%d: regless says %v, serve %v; want both refused by the lines-per-bank rule", scheme, capacity, errCLI, errServe)
+				}
+			case errCLI != nil || errServe != nil:
+				t.Errorf("%s/%d: regless says %v, serve %v; want both accepted", scheme, capacity, errCLI, errServe)
+			case c.capacity != want || key.Capacity != want:
+				t.Errorf("%s/%d: regless runs capacity %d, serve keys %d; want %d", scheme, capacity, c.capacity, key.Capacity, want)
+			}
+		}
+	}
+}
+
 // TestValidateFlags: the rules only the single-invocation command line
 // has, and what only it can put into the options.
 func TestValidateFlags(t *testing.T) {
@@ -141,7 +187,8 @@ func TestValidateFlags(t *testing.T) {
 		{[]string{"-capacity", "32"}, ""},
 		{[]string{"-capacity", "2048"}, ""},
 		{[]string{"-capacity", "100"}, "-capacity must be a positive multiple of 32 registers (shards x banks), got 100"},
-		{[]string{"-capacity", "0"}, "-capacity must be a positive multiple of 32"},
+		{[]string{"-capacity", "0"}, ""}, // the paper's design point, as in a request
+		{[]string{"-scheme", "baseline", "-capacity", "100"}, ""},
 		{[]string{"-capacity", "-5"}, "-capacity must be a positive multiple of 32"},
 		{[]string{"-json"}, "flag provided but not defined: -json"},
 		{[]string{"-snapshot-sha", "x"}, "flag provided but not defined: -snapshot-sha"},
@@ -327,22 +374,6 @@ func TestRobustnessFlagsExitWithUsage(t *testing.T) {
 	}
 }
 
-// TestNoFastForwardFlag: -no-fastforward must be accepted and produce
-// byte-identical stats output to the default fast-forwarding run.
-func TestNoFastForwardFlag(t *testing.T) {
-	on, _, code := runMain(t, "-bench", "nw", "-scheme", "regless", "-warps", "8")
-	if code != 0 {
-		t.Fatalf("fast-forward run: exit %d", code)
-	}
-	off, stderr, code := runMain(t, "-no-fastforward", "-bench", "nw", "-scheme", "regless", "-warps", "8")
-	if code != 0 {
-		t.Fatalf("-no-fastforward run: exit %d, stderr:\n%s", code, stderr)
-	}
-	if on != off {
-		t.Fatalf("-no-fastforward changed results\nwith ff:\n%s\nwithout:\n%s", on, off)
-	}
-}
-
 // TestDiagnosticBundleEndToEnd drives the full crash path through the
 // real binary: a detected fault exits 1, renders the bundle on stderr,
 // and serializes it as JSON to -diag-out.
@@ -484,10 +515,9 @@ func TestRobustnessFlagsReachEveryMachine(t *testing.T) {
 		sameAsPlain(t, machine, "-sanitize", "-no-fastforward")
 	}
 	// Stepped equals fast-forwarded over a standing hierarchy on the other
-	// applications too (whose fault sites the rows above do not pin).
-	for _, app := range []string{"bfs_app", "srad_app"} {
-		sameAsPlain(t, []string{"-app", app, "-scheme", "regless"}, "-no-fastforward")
-	}
+	// applications too (whose fault sites the rows above do not pin;
+	// srad_app is a row of TestExtensionGoldens).
+	sameAsPlain(t, []string{"-app", "bfs_app", "-scheme", "regless"}, "-no-fastforward")
 }
 
 // sameAsPlain runs machine at 8 warps plain and once under each flag, and

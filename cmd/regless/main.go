@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"repro/internal/compress"
-	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/experiments"
 	"repro/internal/faults"
@@ -178,7 +177,7 @@ func newCLI(fs *flag.FlagSet) *cli {
 	fs.StringVar(&c.bench, "bench", "", "run one benchmark (with -scheme)")
 	fs.StringVar(&c.app, "app", "", "run a multi-kernel application (backprop_app, bfs_app, srad_app)")
 	fs.StringVar(&c.scheme, "scheme", "regless", fmt.Sprintf("scheme for -bench and -app, one of %v", experiments.Schemes()))
-	fs.IntVar(&c.capacity, "capacity", experiments.DefaultCapacity, "RegLess OSU registers per SM (a positive multiple of 32)")
+	fs.IntVar(&c.capacity, "capacity", experiments.DefaultCapacity, "RegLess OSU registers per SM (0: the paper's 512; else a positive multiple of 32; other schemes ignore it)")
 	fs.StringVar(&c.benchList, "benchmarks", "", "comma-separated benchmark subset (default: all 21)")
 	fs.BoolVar(&c.markdown, "markdown", false, "emit markdown tables")
 	fs.BoolVar(&c.list, "list", false, "list benchmarks and exit")
@@ -197,8 +196,8 @@ func newCLI(fs *flag.FlagSet) *cli {
 
 // options is the machine flags' options plus what only this command line
 // can say, after the rules only it has: values that would otherwise be
-// silently misread (the timeline divides by the bucket; a capacity is
-// whole lines per bank) and renderings that need a -bench to render.
+// silently misread (the timeline divides by the bucket) and renderings
+// that need a -bench to render.
 func (c *cli) options() (experiments.Options, error) {
 	opts, err := c.machine()
 	if err != nil {
@@ -218,11 +217,16 @@ func (c *cli) options() (experiments.Options, error) {
 	case (c.timeline || c.csv) && c.bench == "":
 		return opts, fmt.Errorf("-timeline and -csv require -bench")
 	}
-	if err := core.CheckCapacity(c.capacity); err != nil {
+	scheme, err := experiments.ParseScheme(c.scheme)
+	if err != nil {
+		return opts, err
+	}
+	// The capacity rule is the service's (Server.KeyFor): from here on
+	// c.capacity is what the run is keyed and labelled with.
+	if c.capacity, err = experiments.CanonicalCapacity(scheme, c.capacity); err != nil {
 		return opts, fmt.Errorf("-%w", err)
 	}
-	_, err = experiments.ParseScheme(c.scheme)
-	return opts, err
+	return opts, nil
 }
 
 func render(tb *experiments.Table, md bool) string {

@@ -27,34 +27,15 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/serve"
 )
-
-type runRequest struct {
-	Bench    string `json:"bench"`
-	Scheme   string `json:"scheme"`
-	Capacity int    `json:"capacity,omitempty"`
-}
-
-type runStatus struct {
-	ID     string          `json:"id"`
-	Status string          `json:"status"`
-	Cached bool            `json:"cached,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-}
-
-type sweepStatus struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
-}
 
 func main() {
 	var (
@@ -79,7 +60,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "reglessload: -requests and -clients must be at least 1")
 		os.Exit(2)
 	}
-	grid, err := buildGrid(*benchList, *schemes, *capsList)
+	sweep, err := buildSweep(*benchList, *schemes, *capsList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reglessload:", err)
 		os.Exit(2)
@@ -95,50 +76,49 @@ func main() {
 	}
 
 	if *table {
-		if err := printTable(hc, base, grid); err != nil {
+		if err := printTable(hc, base, sweep); err != nil {
 			fmt.Fprintln(os.Stderr, "reglessload:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	before, _ := fetchMetrics(hc, base)
-	lat := newLatencyTracker()
+	grid := gridOf(sweep)
+	before := fetchMetrics(hc, base)
+	// Every request's latency, each client writing its own stretch.
+	lat := make([]time.Duration, *requests)
 	start := time.Now()
 	var tally classTally
 	var wg sync.WaitGroup
 	perClient := (*requests + *clients - 1) / *clients
 	fired := 0
 	for c := 0; c < *clients && fired < *requests; c++ {
-		n := perClient
-		if fired+n > *requests {
-			n = *requests - fired
-		}
-		fired += n
+		n := min(perClient, *requests-fired)
 		wg.Add(1)
-		go func(client, n, offset int) {
+		go func(client int, lat []time.Duration) {
 			defer wg.Done()
 			name := fmt.Sprintf("load-%d", client)
-			for i := 0; i < n; i++ {
+			for i := range lat {
 				// Each client walks the grid from its own offset, so
 				// concurrent clients collide on keys (dedupe) while
 				// still covering every point.
-				req := grid[(offset+i)%len(grid)]
+				req := grid[(client+i)%len(grid)]
 				t0 := time.Now()
 				cls := submitRun(hc, base, name, req, *retries)
-				lat.observe(time.Since(t0))
+				lat[i] = time.Since(t0)
 				tally.count(cls)
 			}
-		}(c, n, c)
+		}(c, lat[fired:fired+n])
+		fired += n
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	after, _ := fetchMetrics(hc, base)
+	after := fetchMetrics(hc, base)
 
 	fmt.Printf("reglessload: %d requests (%d clients, %d grid points) in %.2fs (%.1f req/s)\n",
 		*requests, *clients, len(grid), wall.Seconds(), float64(*requests)/wall.Seconds())
 	tally.print(os.Stdout)
-	lat.printSummary(os.Stdout)
+	printLatency(os.Stdout, lat)
 	if before != nil && after != nil {
 		printDeltas(before, after)
 	}
@@ -192,132 +172,66 @@ func (t *classTally) print(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// latBounds bucket per-request latency in microseconds, 100µs to 10min
-// (wait=1 submissions block for the whole simulation).
-var latBounds = []uint64{
-	100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000,
-	100_000, 250_000, 500_000, 1_000_000, 2_500_000, 5_000_000,
-	10_000_000, 30_000_000, 60_000_000, 300_000_000, 600_000_000,
+// quantile is the q-th quantile (0..1) of the sorted samples, exactly:
+// the sample of rank q*n, the last one at most.
+func quantile(sorted []time.Duration, q float64) time.Duration {
+	return sorted[min(int(q*float64(len(sorted))), len(sorted)-1)]
 }
 
-// latencyTracker is the client-side latency distribution: the shared
-// metrics histogram (atomic — every synthetic client observes into it)
-// plus an exact maximum, which a bucketed histogram cannot recover.
-type latencyTracker struct {
-	reg  *metrics.Registry
-	hist metrics.Histogram
-	max  atomic.Uint64
+func fmtMS(d time.Duration) string {
+	return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond))
 }
 
-func newLatencyTracker() *latencyTracker {
-	reg := metrics.NewRegistry()
-	return &latencyTracker{reg: reg, hist: reg.AtomicHistogram("load/latency_us", latBounds...)}
-}
-
-func (l *latencyTracker) observe(d time.Duration) {
-	us := uint64(d / time.Microsecond)
-	l.hist.Observe(us)
-	for {
-		cur := l.max.Load()
-		if us <= cur || l.max.CompareAndSwap(cur, us) {
-			return
-		}
+// printLatency sorts the per-request latencies and renders their
+// distribution.
+func printLatency(w io.Writer, lat []time.Duration) {
+	slices.Sort(lat)
+	var sum time.Duration
+	for _, d := range lat {
+		sum += d
 	}
-}
-
-// counts reads the bucket cells back out of the registry (non-cumulative,
-// overflow bucket last).
-func (l *latencyTracker) counts() []uint64 {
-	out := make([]uint64, 0, len(latBounds)+1)
-	for _, b := range latBounds {
-		v, _ := l.reg.Value(fmt.Sprintf("load/latency_us/le_%d", b))
-		out = append(out, v)
-	}
-	v, _ := l.reg.Value("load/latency_us/inf")
-	return append(out, v)
-}
-
-// quantile interpolates the q-th quantile (0..1) from the bucket counts,
-// linearly within the containing bucket; the overflow bucket reports the
-// exact observed maximum.
-func (l *latencyTracker) quantile(counts []uint64, total uint64, q float64) uint64 {
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum, lo uint64
-	for i, c := range counts {
-		if cum+c > rank {
-			if i >= len(latBounds) {
-				return l.max.Load()
-			}
-			hi := latBounds[i]
-			// Position of the rank within this bucket, interpolated.
-			frac := float64(rank-cum) / float64(c)
-			return lo + uint64(frac*float64(hi-lo))
-		}
-		cum += c
-		if i < len(latBounds) {
-			lo = latBounds[i]
-		}
-	}
-	return l.max.Load()
-}
-
-func fmtUS(us uint64) string {
-	return fmt.Sprintf("%.1fms", float64(us)/1000)
-}
-
-// printSummary renders the per-request latency distribution table.
-func (l *latencyTracker) printSummary(w io.Writer) {
-	counts := l.counts()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return
-	}
-	sum, _ := l.reg.Value("load/latency_us/sum")
-	fmt.Fprintf(w, "  request latency (%d samples, mean %s):\n", total, fmtUS(sum/total))
+	fmt.Fprintf(w, "  request latency (%d samples, mean %s):\n", len(lat), fmtMS(sum/time.Duration(len(lat))))
 	for _, p := range []struct {
 		name string
 		q    float64
-	}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
-		fmt.Fprintf(w, "    %-4s %10s\n", p.name, fmtUS(l.quantile(counts, total, p.q)))
+	}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}, {"max", 1}} {
+		fmt.Fprintf(w, "    %-4s %10s\n", p.name, fmtMS(quantile(lat, p.q)))
 	}
-	fmt.Fprintf(w, "    %-4s %10s\n", "max", fmtUS(l.max.Load()))
 }
 
-func buildGrid(benchList, schemeList, capsList string) ([]runRequest, error) {
-	benches := splitList(benchList)
-	schemes := splitList(schemeList)
-	if len(benches) == 0 || len(schemes) == 0 {
-		return nil, fmt.Errorf("need at least one benchmark and one scheme")
+// buildSweep reads the grid flags into the sweep request -table submits
+// as it stands.
+func buildSweep(benchList, schemeList, capsList string) (serve.SweepRequest, error) {
+	sw := serve.SweepRequest{Benchmarks: splitList(benchList), Schemes: splitList(schemeList)}
+	if len(sw.Benchmarks) == 0 || len(sw.Schemes) == 0 {
+		return sw, fmt.Errorf("need at least one benchmark and one scheme")
 	}
-	caps := []int{0}
-	if capsList != "" {
-		caps = nil
-		for _, c := range splitList(capsList) {
-			n, err := strconv.Atoi(c)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("bad capacity %q", c)
-			}
-			caps = append(caps, n)
+	for _, c := range splitList(capsList) {
+		n, err := strconv.Atoi(c)
+		if err != nil || n < 0 {
+			return sw, fmt.Errorf("bad capacity %q", c)
 		}
+		sw.Capacities = append(sw.Capacities, n)
 	}
-	var grid []runRequest
-	for _, b := range benches {
-		for _, s := range schemes {
+	return sw, nil
+}
+
+// gridOf is the sweep's points as the run submissions the load mode fires,
+// in the server's grid order; no capacity means the server's default (0).
+func gridOf(sw serve.SweepRequest) []serve.RunRequest {
+	caps := sw.Capacities
+	if len(caps) == 0 {
+		caps = []int{0}
+	}
+	var grid []serve.RunRequest
+	for _, b := range sw.Benchmarks {
+		for _, s := range sw.Schemes {
 			for _, c := range caps {
-				grid = append(grid, runRequest{Bench: b, Scheme: s, Capacity: c})
+				grid = append(grid, serve.RunRequest{Bench: b, Scheme: s, Capacity: c})
 			}
 		}
 	}
-	return grid, nil
+	return grid
 }
 
 func splitList(s string) []string {
@@ -352,7 +266,7 @@ func waitForServer(hc *http.Client, base string, d time.Duration) error {
 // out the server's Retry-After hint with jitter so a thundering herd of
 // shed clients doesn't re-arrive in lockstep; every other outcome is
 // terminal.
-func submitRun(hc *http.Client, base, client string, req runRequest, retries int) errClass {
+func submitRun(hc *http.Client, base, client string, req serve.RunRequest, retries int) errClass {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return clsDisconnect
@@ -375,7 +289,7 @@ func submitRun(hc *http.Client, base, client string, req runRequest, retries int
 		}
 		switch {
 		case resp.StatusCode == http.StatusOK:
-			var st runStatus
+			var st serve.RunStatus
 			if err := json.Unmarshal(raw, &st); err != nil {
 				return clsDisconnect
 			}
@@ -414,10 +328,7 @@ func classifyTransport(err error) errClass {
 func backoff(retryAfter string) time.Duration {
 	secs := 1
 	if n, err := strconv.Atoi(strings.TrimSpace(retryAfter)); err == nil && n > 0 {
-		secs = n
-	}
-	if secs > 30 {
-		secs = 30
+		secs = min(n, 30)
 	}
 	d := time.Duration(secs) * time.Second
 	return d + rand.N(d/2+time.Millisecond)
@@ -425,29 +336,11 @@ func backoff(retryAfter string) time.Duration {
 
 // printTable submits the whole grid as one sweep and prints the rendered
 // table — the byte-stable artifact scripts diff across passes.
-func printTable(hc *http.Client, base string, grid []runRequest) error {
-	benchSet, schemeSet, capSet := map[string]bool{}, map[string]bool{}, map[int]bool{}
-	var benches, schemes []string
-	var caps []int
-	for _, g := range grid {
-		if !benchSet[g.Bench] {
-			benchSet[g.Bench] = true
-			benches = append(benches, g.Bench)
-		}
-		if !schemeSet[g.Scheme] {
-			schemeSet[g.Scheme] = true
-			schemes = append(schemes, g.Scheme)
-		}
-		if !capSet[g.Capacity] {
-			capSet[g.Capacity] = true
-			caps = append(caps, g.Capacity)
-		}
+func printTable(hc *http.Client, base string, req serve.SweepRequest) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
 	}
-	req := map[string]any{"benchmarks": benches, "schemes": schemes}
-	if !(len(caps) == 1 && caps[0] == 0) {
-		req["capacities"] = caps
-	}
-	body, _ := json.Marshal(req)
 	resp, err := hc.Post(base+"/v1/sweeps?wait=1", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -460,7 +353,7 @@ func printTable(hc *http.Client, base string, grid []runRequest) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("POST /v1/sweeps: %s: %s", resp.Status, strings.TrimSpace(string(raw)))
 	}
-	var sw sweepStatus
+	var sw serve.SweepStatus
 	if err := json.Unmarshal(raw, &sw); err != nil {
 		return err
 	}
@@ -479,17 +372,18 @@ func printTable(hc *http.Client, base string, grid []runRequest) error {
 	return err
 }
 
-func fetchMetrics(hc *http.Client, base string) (map[string]uint64, error) {
+// fetchMetrics reads the server's counters; nil if they cannot be had.
+func fetchMetrics(hc *http.Client, base string) map[string]uint64 {
 	resp, err := hc.Get(base + "/metricsz")
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	defer resp.Body.Close()
 	var m map[string]uint64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, err
+	if json.NewDecoder(resp.Body).Decode(&m) != nil {
+		return nil
 	}
-	return m, nil
+	return m
 }
 
 // printDeltas shows how the server's counters moved over the load run
@@ -499,7 +393,7 @@ func printDeltas(before, after map[string]uint64) {
 	for n := range after {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	fmt.Println("  server counters (delta over run):")
 	for _, n := range names {
 		d := after[n] - before[n]

@@ -177,7 +177,7 @@ func (p *Provider) AttachSanitizer(s *sanitizer.Sanitizer) {
 // OSU's active-line count, the warps' staged-register bookkeeping, and
 // the CM's reservations (active lines never exceed reservations).
 func (p *Provider) checkShardCapacity(si int, sh *shard) error {
-	for b := 0; b < p.cfg.Banks; b++ {
+	for b := 0; b < isa.NumBanks; b++ {
 		sum := 0
 		for _, ws := range p.warps {
 			if ws.shard == si {

@@ -28,7 +28,7 @@ func (p *Provider) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 
 	// Source reads: one OSU bank access each; same-bank collisions
 	// serialize.
-	var banksUsed [regionsBanksMax]bool
+	var banksUsed [isa.NumBanks]bool
 	for i := 0; i < in.Op.NumSrc(); i++ {
 		r := in.Src[i]
 		if !r.Valid() {
@@ -36,7 +36,7 @@ func (p *Provider) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 		}
 		p.st.StructReads++
 		sh.osu.CountRead()
-		b := (w.ID + int(r)) % p.cfg.Banks
+		b := sh.osu.Bank(w.ID, r)
 		if banksUsed[b] {
 			p.st.BankConflicts++
 			penalty++
@@ -92,8 +92,6 @@ func (p *Provider) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 	return penalty
 }
 
-const regionsBanksMax = 32
-
 func (p *Provider) warpID(ws *warpState) int { return ws.local*p.cfg.Shards + ws.shard }
 
 // applyErase frees a dead register's line immediately.
@@ -120,7 +118,7 @@ func (p *Provider) unstage(sh *shard, ws *warpState, reg isa.Reg) {
 	warp := p.warpID(ws)
 	ws.staged.clear(reg)
 	ws.dirty.clear(reg)
-	b := (warp + int(reg)) % p.cfg.Banks
+	b := sh.osu.Bank(warp, reg)
 	ws.activePerBank[b]--
 	if sh.cm.StateOf(ws.local) == cm.Draining {
 		sh.cm.ReleaseLine(ws.local, b)
@@ -197,7 +195,7 @@ func (p *Provider) CheckInvariants() error {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
 		// Active lines per bank must match the warps' staged counts.
-		for b := 0; b < p.cfg.Banks; b++ {
+		for b := 0; b < isa.NumBanks; b++ {
 			sum := 0
 			for w, ws := range p.warps {
 				if ws.shard == s {

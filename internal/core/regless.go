@@ -37,9 +37,9 @@ type Config struct {
 	// Shards is the number of independent RegLess instances (one per
 	// warp scheduler; 4 on the GTX 980).
 	Shards int
-	// Banks and LinesPerBank size each shard's OSU. The paper's chosen
-	// design point, 512 registers/SM, is 4 shards x 8 banks x 16 lines.
-	Banks        int
+	// LinesPerBank sizes each shard's OSU, isa.NumBanks banks of it. The
+	// paper's chosen design point, 512 registers/SM, is 4 shards x 8
+	// banks x 16 lines.
 	LinesPerBank int
 	// CompressorLines is each shard compressor's internal line storage
 	// (Table 1: 48 per SM = 12 per shard).
@@ -64,7 +64,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Shards:           4,
-		Banks:            8,
 		LinesPerBank:     16,
 		CompressorLines:  12,
 		EnableCompressor: true,
@@ -77,12 +76,12 @@ func DefaultConfig() Config {
 // capacity per SM in registers (Figure 11-13 sweep: 128..2048).
 func ConfigForCapacity(regsPerSM int) Config {
 	c := DefaultConfig()
-	c.LinesPerBank = regsPerSM / (c.Shards * c.Banks)
+	c.LinesPerBank = regsPerSM / (c.Shards * isa.NumBanks)
 	if c.LinesPerBank < 1 {
 		c.LinesPerBank = 1
 	}
 	c.Regions.BankLines = c.LinesPerBank
-	maxRegs := c.Shards * c.Banks * c.LinesPerBank / 4
+	maxRegs := c.Shards * isa.NumBanks * c.LinesPerBank / 4
 	if maxRegs > 32 {
 		maxRegs = 32
 	}
@@ -96,15 +95,14 @@ func ConfigForCapacity(regsPerSM int) Config {
 // CheckCapacity rejects a capacity ConfigForCapacity would round to whole
 // lines per bank: a run is labelled, keyed and stored by what its OSU holds.
 func CheckCapacity(regsPerSM int) error {
-	c := DefaultConfig()
-	if cells := c.Shards * c.Banks; regsPerSM < cells || regsPerSM%cells != 0 {
+	if cells := DefaultConfig().Shards * isa.NumBanks; regsPerSM < cells || regsPerSM%cells != 0 {
 		return fmt.Errorf("capacity must be a positive multiple of %d registers (shards x banks), got %d", cells, regsPerSM)
 	}
 	return nil
 }
 
 // CapacityRegisters returns total OSU registers per SM for this config.
-func (c Config) CapacityRegisters() int { return c.Shards * c.Banks * c.LinesPerBank }
+func (c Config) CapacityRegisters() int { return c.Shards * isa.NumBanks * c.LinesPerBank }
 
 type preloadReq struct {
 	warp       int // global warp id
@@ -266,7 +264,7 @@ func New(cfgv Config, k *isa.Kernel) (*Provider, error) {
 	if err != nil {
 		return nil, err
 	}
-	if lines := cfgv.Banks * cfgv.LinesPerBank; lines > osu.MaxLines {
+	if lines := isa.NumBanks * cfgv.LinesPerBank; lines > osu.MaxLines {
 		return nil, fmt.Errorf("core: %d OSU lines per shard exceed the %d a unit can index", lines, osu.MaxLines)
 	}
 	// Safety: every region must fit a shard's banks or the CM could
@@ -326,7 +324,7 @@ func (p *Provider) Attach(smv *sim.SM) error {
 	p.sm, p.a = smv, a
 	p.st = &smv.Prov
 	p.regionActivations = wordT.Make(a, len(p.comp.Regions))
-	p.usageScratch = intT.Make(a, p.cfg.Banks)
+	p.usageScratch = intT.Make(a, isa.NumBanks)
 	warpsPerShard := smv.Cfg.Warps / p.cfg.Shards
 	shards := shardT.Make(a, p.cfg.Shards)
 	p.shards = shardPtrT.Make(a, p.cfg.Shards)
@@ -335,12 +333,12 @@ func (p *Provider) Attach(smv *sim.SM) error {
 		*sh = shard{
 			a: a,
 			cm: cm.New(a, cm.Config{
-				Banks:        p.cfg.Banks,
+				Banks:        isa.NumBanks,
 				LinesPerBank: p.cfg.LinesPerBank,
 				FIFOStack:    p.cfg.FIFOStack,
 			}, warpsPerShard),
 			osu: osu.New(a, osu.Config{
-				Banks:        p.cfg.Banks,
+				Banks:        isa.NumBanks,
 				LinesPerBank: p.cfg.LinesPerBank,
 				Warps:        smv.Cfg.Warps,
 				Shards:       p.cfg.Shards,
@@ -352,7 +350,7 @@ func (p *Provider) Attach(smv *sim.SM) error {
 				Warps:      smv.Cfg.Warps,
 				Patterns:   p.cfg.CompressorPatterns,
 			}),
-			preloadQ: reqsT.Make(a, p.cfg.Banks),
+			preloadQ: reqsT.Make(a, isa.NumBanks),
 			invalQ:   reqT.Make(a, queueRoom)[:0],
 			evictQ:   reqT.Make(a, queueRoom)[:0],
 			l1ops:    l1opT.Make(a, queueRoom)[:0],
@@ -377,7 +375,7 @@ func (p *Provider) Attach(smv *sim.SM) error {
 			dirty:         newRegSet(a, smv.K.NumRegs),
 			deferred:      newRegSet(a, smv.K.NumRegs),
 			deferErase:    newRegSet(a, smv.K.NumRegs),
-			activePerBank: intT.Make(a, p.cfg.Banks),
+			activePerBank: intT.Make(a, isa.NumBanks),
 		}
 		p.warps[w] = &warps[w]
 	}

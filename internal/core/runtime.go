@@ -130,7 +130,7 @@ func (p *Provider) preload(sh *shard, req preloadReq) {
 	p.st.TagLookups++
 	if st, ok := sh.osu.Lookup(req.warp, req.reg); ok {
 		sh.osu.Activate(req.warp, req.reg)
-		p.stage(ws, req.reg, st == osu.StateDirty)
+		p.stage(sh, ws, req.reg, st == osu.StateDirty)
 		p.st.PreloadFromOSU++
 		p.rec.PreloadFill(ws.shard, req.warp, uint32(req.reg), events.SrcOSU)
 		if req.invalidate {
@@ -264,7 +264,7 @@ func (p *Provider) dropBacking(sh *shard, warp int, reg isa.Reg) {
 func (p *Provider) install(sh *shard, ws *warpState, reg isa.Reg, dirty bool) {
 	warp := ws.local*p.cfg.Shards + ws.shard
 	if sh.osu.Activate(warp, reg) {
-		p.stage(ws, reg, dirty)
+		p.stage(sh, ws, reg, dirty)
 		return
 	}
 	victim, hasVictim, err := sh.osu.Install(warp, reg)
@@ -278,16 +278,16 @@ func (p *Provider) install(sh *shard, ws *warpState, reg isa.Reg, dirty bool) {
 	if hasVictim {
 		sh.push(&sh.evictQ, preloadReq{warp: victim.Warp, reg: victim.Reg})
 	}
-	p.stage(ws, reg, dirty)
+	p.stage(sh, ws, reg, dirty)
 }
 
-func (p *Provider) stage(ws *warpState, reg isa.Reg, dirty bool) {
+func (p *Provider) stage(sh *shard, ws *warpState, reg isa.Reg, dirty bool) {
 	warp := ws.local*p.cfg.Shards + ws.shard
 	ws.staged.set(reg)
 	if dirty {
 		ws.dirty.set(reg)
 	}
-	ws.activePerBank[(warp+int(reg))%p.cfg.Banks]++
+	ws.activePerBank[sh.osu.Bank(warp, reg)]++
 }
 
 // processInvalidations executes one cache-invalidation annotation.
@@ -359,7 +359,7 @@ func (p *Provider) tryActivate(s int, sh *shard) {
 	ws := p.warps[warp]
 	ws.regionID = region.ID
 	for _, pl := range region.Preloads {
-		b := (warp + int(pl.Reg)) % p.cfg.Banks
+		b := sh.osu.Bank(warp, pl.Reg)
 		sh.push(&sh.preloadQ[b], preloadReq{warp: warp, reg: pl.Reg, invalidate: pl.Invalidate})
 		sh.preloadsQueued++
 		p.rec.PreloadIssue(s, warp, uint32(pl.Reg))
@@ -371,15 +371,15 @@ func (p *Provider) tryActivate(s int, sh *shard) {
 
 // rotatedUsage rebuilds the bank-rotated usage vector for warp into the
 // provider scratch buffer (the CM copies values out of it).
-func (p *Provider) rotatedUsage(warp int, bankUsage [8]int) []int {
+func (p *Provider) rotatedUsage(warp int, bankUsage [isa.NumBanks]int) []int {
 	usage := p.usageScratch
 	for i := range usage {
 		usage[i] = 0
 	}
-	b := warp % p.cfg.Banks
+	b := warp % isa.NumBanks
 	for _, u := range bankUsage {
 		usage[b] = u
-		if b++; b == p.cfg.Banks {
+		if b++; b == isa.NumBanks {
 			b = 0
 		}
 	}

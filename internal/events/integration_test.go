@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/events"
 	"repro/internal/experiments"
+	"repro/internal/kernels"
 	"repro/internal/sim"
 )
 
@@ -17,12 +18,17 @@ import (
 // for its metrics registry.
 func tracedRun(t *testing.T, scheme experiments.Scheme) (*events.Recorder, *sim.Stats, *sim.SM) {
 	t.Helper()
-	smv, _, err := experiments.BuildSM("nw", scheme, experiments.SimSetup{
-		Capacity: experiments.DefaultCapacity, Warps: 8, MaxCycles: 5_000_000,
-	})
+	k, err := kernels.Load("nw")
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, _, err := experiments.Assemble(nil, k, scheme, 1, experiments.SimSetup{
+		Capacity: experiments.DefaultCapacity, Warps: 8, MaxCycles: 5_000_000,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smv := g.SMs[0]
 	rec := events.NewRecorder(smv.Cfg.Schedulers, events.MaskAll)
 	smv.AttachRecorder(rec)
 	st, err := smv.Run()

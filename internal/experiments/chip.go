@@ -83,8 +83,8 @@ type Tune func(*sim.Config, *core.Config)
 //
 // The machine is allocated from a: runPoint passes the arena it took and
 // puts it back when the run is folded; everyone who keeps the chip —
-// BuildChip and BuildSM's callers, the launch sequences, tests — passes
-// nil, the heap. What su hands in is the caller's either way.
+// the launch sequences, tests, BuildChip/BuildSM's callers — passes nil,
+// the heap. What su hands in is the caller's either way.
 func Assemble(a *arena.Arena, k *isa.Kernel, scheme Scheme, sms int, su SimSetup, tune Tune) (*gpu.GPU, *core.Provider, error) {
 	cfg := gpu.DefaultConfig()
 	slots := make([]gpu.KernelSlot, 1, 1+len(su.CoResident))
@@ -154,7 +154,10 @@ func Launch(ks []*isa.Kernel, scheme Scheme, sms, gridWarps int, su SimSetup) (*
 	})
 }
 
-// BuildChip is Assemble for a suite benchmark by name.
+// BuildChip is Assemble for a suite benchmark by name. It and BuildSM are
+// shims with no caller in this module: benchmark/layers.go, which only a
+// benchmark-kind PR may edit, calls each at one site. That PR moves them
+// to Assemble and deletes both in one step (ROADMAP item 7(d)).
 func BuildChip(bench string, scheme Scheme, sms int, su SimSetup) (*gpu.GPU, *core.Provider, error) {
 	k, err := kernels.Load(bench)
 	if err != nil {
@@ -204,6 +207,9 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// The machine is built at the capacity the run is labelled with.
+	key := normKey(bench, scheme, su.Capacity)
+	su.Capacity = key.capacity
 	tr, parent := obs.FromContext(ctx)
 	build := tr.Start(parent, "build")
 	a := arena.Take()
@@ -212,7 +218,6 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 	if err != nil {
 		return nil, err
 	}
-	key := normKey(bench, scheme, su.Capacity)
 	inst := &Instrumented{Run: &Run{Bench: bench, Scheme: scheme, Capacity: key.capacity}}
 	if jsonl != nil && g.L2 != nil {
 		// Chip-level L2/DRAM counters ride SM 0's window stream (bound

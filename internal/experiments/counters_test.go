@@ -106,10 +106,7 @@ func TestCounterSpelledOnce(t *testing.T) {
 	}{
 		{SchemeRegLess, "regless"}, {SchemeBaseline, "rf"}, {SchemeRFV, "rf"}, {SchemeRFH, "rf"},
 	} {
-		g, _, err := BuildChip("nw", c.scheme, 2, SimSetup{Capacity: DefaultCapacity, Warps: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := assembleChip(t, "nw", c.scheme, 2, SimSetup{Capacity: DefaultCapacity, Warps: 8})
 		r := g.SMs[0].Metrics
 		g.L2.BindMetrics(r)
 		r.CheckNames() // panics on a name bound twice

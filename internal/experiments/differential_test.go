@@ -59,7 +59,7 @@ func differentialCases(t *testing.T) []diffCase {
 	return cases
 }
 
-// buildProviderFor mirrors BuildSM's provider table for an in-memory
+// buildProviderFor mirrors schemeProvider's table for an in-memory
 // kernel (microkernels have no benchmark name to Load by).
 func buildProviderFor(scheme Scheme, k *isa.Kernel, simCfg *sim.Config) (sim.Provider, error) {
 	switch scheme {

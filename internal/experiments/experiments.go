@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/exec"
 	"repro/internal/faults"
@@ -81,6 +82,22 @@ func ParseScheme(name string) (Scheme, error) {
 // canonicalises keys it reads back from disk without importing the engine
 // and keeps its own copy; a serve test holds the two together.)
 func (s Scheme) HasCapacity() bool { return s == SchemeRegLess || s == SchemeRegLessNC }
+
+// CanonicalCapacity is the capacity rule, said once for the command line,
+// the service's KeyFor and the run cache: a scheme without a capacity
+// ignores whatever it was given (0); under RegLess 0 means the paper's
+// design point, and any other value must be whole lines per bank
+// (core.CheckCapacity) — one that is not comes back as given, beside the
+// error, for the caller that labels a run rather than admits one.
+func CanonicalCapacity(scheme Scheme, capacity int) (int, error) {
+	switch {
+	case !scheme.HasCapacity():
+		return 0, nil
+	case capacity == 0:
+		return DefaultCapacity, nil
+	}
+	return capacity, core.CheckCapacity(capacity)
+}
 
 // BaselineEntries is the full register file capacity per SM in registers.
 const BaselineEntries = 2048
@@ -250,11 +267,11 @@ type runKey struct {
 	capacity int
 }
 
-// normKey canonicalizes a run key: schemes without a capacity fold to 0.
+// normKey canonicalizes a run key (CanonicalCapacity). The engine admits
+// nothing — a capacity off the rule is keyed as given and runs as
+// core.ConfigForCapacity rounds it.
 func normKey(bench string, scheme Scheme, capacity int) runKey {
-	if !scheme.HasCapacity() {
-		capacity = 0
-	}
+	capacity, _ = CanonicalCapacity(scheme, capacity)
 	return runKey{bench, scheme, capacity}
 }
 

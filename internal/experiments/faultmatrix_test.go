@@ -8,8 +8,10 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/faults"
+	"repro/internal/gpu"
 	"repro/internal/kernels"
 	"repro/internal/sanitizer"
+	"repro/internal/sim"
 )
 
 // matrixOutcome is one fault-injected run's classification.
@@ -23,6 +25,26 @@ type matrixOutcome struct {
 // and classifies the result. Panics are recovered and reported as matrix
 // failures rather than crashing the test binary, because the robustness
 // contract is precisely "never a raw panic".
+// assembleChip is Assemble, on the heap, for a suite benchmark by name.
+func assembleChip(t *testing.T, bench string, scheme Scheme, sms int, su SimSetup) *gpu.GPU {
+	t.Helper()
+	k, err := kernels.Load(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := Assemble(nil, k, scheme, sms, su, nil)
+	if err != nil {
+		t.Fatalf("Assemble: %v", err)
+	}
+	return g
+}
+
+// assembleSM is the lone SM of a chip of one.
+func assembleSM(t *testing.T, bench string, scheme Scheme, su SimSetup) *sim.SM {
+	t.Helper()
+	return assembleChip(t, bench, scheme, 1, su).SMs[0]
+}
+
 func runFaulted(t *testing.T, bench string, scheme Scheme, spec string) (out matrixOutcome) {
 	t.Helper()
 	plan, err := faults.Parse(spec)
@@ -35,7 +57,7 @@ func runFaulted(t *testing.T, bench string, scheme Scheme, spec string) (out mat
 			out.panicked = r
 		}
 	}()
-	smv, _, err := BuildSM(bench, scheme, SimSetup{
+	smv := assembleSM(t, bench, scheme, SimSetup{
 		Capacity:  DefaultCapacity,
 		Warps:     8,
 		MaxCycles: 2_000_000,
@@ -44,9 +66,6 @@ func runFaulted(t *testing.T, bench string, scheme Scheme, spec string) (out mat
 		Faults:    plan,
 		Memory:    mm,
 	})
-	if err != nil {
-		t.Fatalf("BuildSM: %v", err)
-	}
 	if _, err := smv.Run(); err != nil {
 		var d *sanitizer.Diagnostic
 		if !errors.As(err, &d) {
@@ -205,13 +224,10 @@ func TestSanitizedSuiteMatchesPlain(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeBaseline, SchemeRegLess} {
 		build := func(sanitize bool) (uint64, map[uint32]uint32) {
 			mm := exec.NewMemory(nil)
-			smv, _, err := BuildSM("nw", scheme, SimSetup{
+			smv := assembleSM(t, "nw", scheme, SimSetup{
 				Capacity: DefaultCapacity, Warps: 8, MaxCycles: 2_000_000,
 				Sanitize: sanitize, Memory: mm,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			st, err := smv.Run()
 			if err != nil {
 				t.Fatal(err)

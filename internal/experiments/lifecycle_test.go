@@ -114,10 +114,7 @@ func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
 	for _, p := range points {
 		su := setup(p)
 		su.Memory = exec.NewMemory(nil)
-		g, _, err := BuildChip(p.bench, p.scheme, p.sms, su)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := assembleChip(t, p.bench, p.scheme, p.sms, su)
 		res, err := g.Run()
 		if err != nil {
 			t.Fatalf("%+v: %v", p, err)

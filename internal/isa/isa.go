@@ -21,6 +21,14 @@ import "fmt"
 // WarpWidth is the number of SIMD lanes in a warp (CUDA warp size).
 const WarpWidth = 32
 
+// NumBanks is the operand staging unit's bank count (§5.2): register r of
+// warp w lives in bank (w + r) mod NumBanks. The register allocator
+// spreads an instruction's sources across banks by it, the region compiler
+// reserves lines per bank by it, the metadata encoding carries one usage
+// field per bank, and the hardware model is built with it — one constant,
+// here because every one of them already imports isa.
+const NumBanks = 8
+
 // Reg names an architectural register. Registers are dense small integers
 // assigned by the kernel builder; NoReg marks an unused operand slot.
 type Reg uint16

@@ -38,7 +38,6 @@ const PayloadBits = 54
 
 const (
 	bankFieldBits   = 4
-	numBanks        = regions.NumBanks
 	regBits         = 6 // up to 64 architectural registers
 	entryBits       = 8 // kind(1) + reg(6) + flag(1)
 	countBits       = 6
@@ -75,7 +74,7 @@ type InsnFlags struct {
 
 // Annotations is the decodable content of one region's metadata.
 type Annotations struct {
-	BankUsage [numBanks]int
+	BankUsage [isa.NumBanks]int
 	Entries   []Entry
 	Flags     []InsnFlags // one per instruction in the region
 	Compact   bool        // encoded with the single-word compact form
@@ -314,7 +313,7 @@ func Decode(words []uint64, numInsns int, compact bool) (Annotations, error) {
 	a := Annotations{Compact: compact}
 	if compact {
 		n := int(r.get(2))
-		for b := 0; b < numBanks; b++ {
+		for b := 0; b < isa.NumBanks; b++ {
 			a.BankUsage[b] = int(r.get(compactBankBits))
 		}
 		for i := 0; i < n; i++ {
@@ -325,7 +324,7 @@ func Decode(words []uint64, numInsns int, compact bool) (Annotations, error) {
 		}
 		return a, nil
 	}
-	for b := 0; b < numBanks; b++ {
+	for b := 0; b < isa.NumBanks; b++ {
 		a.BankUsage[b] = int(r.get(bankFieldBits))
 	}
 	total := int(r.get(countBits))

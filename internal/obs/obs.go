@@ -14,8 +14,8 @@
 // Every method is safe on a nil *Trace (no-op / zero), so producers
 // instrument unconditionally and the caller decides whether a trace
 // exists. Context carries a (*Trace, parent SpanID) pair across layer
-// boundaries — serve.execute hands it to experiments.Suite.GetCtx, which
-// records its kernel-load/build/run children without importing serve.
+// boundaries — serve.execute hands it to experiments.SimulateInstrumented,
+// which records its kernel-load/build/run children without importing serve.
 package obs
 
 import (

@@ -27,10 +27,6 @@ import (
 	"repro/internal/isa"
 )
 
-// NumBanks is the operand-staging-unit bank count used for the
-// conflict-avoidance heuristic.
-const NumBanks = 8
-
 // Result carries the rewritten kernel and the allocation map for
 // inspection.
 type Result struct {
@@ -201,7 +197,7 @@ func defOperandBanks(k *isa.Kernel, g *cfg.Graph) [][]int {
 			}
 			seen[in.Dst] = true
 			for _, s := range in.SrcRegs() {
-				out[in.Dst] = append(out[in.Dst], int(s)%NumBanks)
+				out[in.Dst] = append(out[in.Dst], int(s)%isa.NumBanks)
 			}
 		}
 	}
@@ -222,7 +218,7 @@ func pickColor(free *[]isa.Reg, avoid []int) isa.Reg {
 	}
 	best := -1
 	for i, c := range fl {
-		if !avoidSet[int(c)%NumBanks] {
+		if !avoidSet[int(c)%isa.NumBanks] {
 			best = i
 			break
 		}

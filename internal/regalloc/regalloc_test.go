@@ -213,7 +213,7 @@ func TestBankPreference(t *testing.T) {
 				continue
 			}
 			total++
-			if int(in.Src[0])%NumBanks == int(in.Src[1])%NumBanks {
+			if int(in.Src[0])%isa.NumBanks == int(in.Src[1])%isa.NumBanks {
 				conflicts++
 			}
 		}

@@ -64,26 +64,26 @@ func (c *Compiled) localLives(block, start, end int) ([]localLife, *bitvec.Set) 
 
 // localPressure returns the maximum concurrent presence (total and per
 // bank) over the range — the region's OSU reservation.
-func (c *Compiled) localPressure(block, start, end int) (int, [NumBanks]int) {
+func (c *Compiled) localPressure(block, start, end int) (int, [isa.NumBanks]int) {
 	lives, _ := c.localLives(block, start, end)
 	startGI := c.G.GlobalIndex(isa.PC{Block: block, Index: start})
 	maxLive := 0
-	var maxBank [NumBanks]int
+	var maxBank [isa.NumBanks]int
 	for i := start; i < end; i++ {
 		gi := startGI + (i - start)
 		n := 0
-		var bank [NumBanks]int
+		var bank [isa.NumBanks]int
 		for j := range lives {
 			l := &lives[j]
 			if l.from <= gi && gi <= l.until {
 				n++
-				bank[int(l.reg)%NumBanks]++
+				bank[int(l.reg)%isa.NumBanks]++
 			}
 		}
 		if n > maxLive {
 			maxLive = n
 		}
-		for b := 0; b < NumBanks; b++ {
+		for b := 0; b < isa.NumBanks; b++ {
 			if bank[b] > maxBank[b] {
 				maxBank[b] = bank[b]
 			}

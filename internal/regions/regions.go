@@ -22,10 +22,6 @@ import (
 	"repro/internal/isa"
 )
 
-// NumBanks is the number of OSU banks a region's registers are spread
-// across; bank of register r for warp w is (w + r) mod NumBanks (§5.2).
-const NumBanks = 8
-
 // Config bounds region sizes to the operand staging unit geometry.
 type Config struct {
 	// MaxRegsPerRegion caps a region's maximum concurrent live
@@ -79,7 +75,7 @@ type Region struct {
 	MaxLive int
 	// BankUsage[b] is the maximum concurrent registers in bank b
 	// assuming warp 0; the hardware rotates by warp ID.
-	BankUsage [NumBanks]int
+	BankUsage [isa.NumBanks]int
 
 	// Preloads list the input fetches (Figure 19's "preloads").
 	Preloads []Preload

@@ -10,7 +10,7 @@ import (
 // next job round-robin over clients with pending work, so a client
 // flooding thousands of submissions cannot starve another's single
 // request. This generalizes the PR 1 planner's bounded pool
-// (experiments.Suite.forEach over a fixed work slice) to a dynamic
+// (experiments.Options.forEach over a fixed work slice) to a dynamic
 // multi-tenant queue; the in-flight bound is the same contract — at most
 // `workers` simulations run at once, everything else waits in admission.
 type admitter struct {
@@ -39,10 +39,7 @@ func (a *admitter) Sample(i int) uint64 {
 func newAdmitter(workers int, run func(*job)) *admitter {
 	a := &admitter{queues: map[string][]*job{}}
 	a.cond = sync.NewCond(&a.mu)
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < max(workers, 1); w++ {
 		a.wg.Add(1)
 		go func() {
 			defer a.wg.Done()
@@ -60,40 +57,29 @@ func newAdmitter(workers int, run func(*job)) *admitter {
 	return a
 }
 
-// enqueue admits a job under its client's queue. Jobs enqueued after
-// close are still executed: close drains the queue before the workers
-// exit, so no admitted waiter is left hanging.
-func (a *admitter) enqueue(j *job) {
-	a.mu.Lock()
-	a.enqueueLocked(j)
-	a.mu.Unlock()
-	a.cond.Signal()
-}
-
-// tryEnqueue is enqueue with load shedding: when the total queued depth
-// has reached limit the job is rejected (false) instead of admitted.
-// The bound is across clients — fairness governs service order, not
-// admission — so one flooding client fills the shared queue and every
-// further submission sheds until workers catch up.
+// tryEnqueue admits a job under its client's queue, with load shedding:
+// when the total queued depth has reached limit (0: no limit) the job is
+// rejected (false) instead of admitted. The bound is across clients —
+// fairness governs service order, not admission — so one flooding client
+// fills the shared queue and every further submission sheds until workers
+// catch up. Jobs enqueued after close are still executed: close drains
+// the queue before the workers exit, so no admitted waiter is left
+// hanging.
 func (a *admitter) tryEnqueue(j *job, limit int) bool {
 	a.mu.Lock()
 	if limit > 0 && a.queued.Load() >= int64(limit) {
 		a.mu.Unlock()
 		return false
 	}
-	a.enqueueLocked(j)
-	a.mu.Unlock()
-	a.cond.Signal()
-	return true
-}
-
-func (a *admitter) enqueueLocked(j *job) {
-	q, had := a.queues[j.client]
-	if !had || len(q) == 0 {
+	q := a.queues[j.client]
+	if len(q) == 0 {
 		a.order = append(a.order, j.client)
 	}
 	a.queues[j.client] = append(q, j)
 	a.queued.Add(1)
+	a.mu.Unlock()
+	a.cond.Signal()
+	return true
 }
 
 // dequeue blocks for the next job, serving clients round-robin; ok is

@@ -16,11 +16,11 @@ func TestAdmitterFairness(t *testing.T) {
 
 	// Occupy the worker with A's first job (it blocks sending to exec
 	// until we receive), then stack the flood and B's single request.
-	a.enqueue(&job{client: "A"})
+	a.tryEnqueue(&job{client: "A"}, 0)
 	for i := 0; i < 99; i++ {
-		a.enqueue(&job{client: "A"})
+		a.tryEnqueue(&job{client: "A"}, 0)
 	}
-	a.enqueue(&job{client: "B"})
+	a.tryEnqueue(&job{client: "B"}, 0)
 
 	var order []string
 	for i := 0; i < 4; i++ {
@@ -64,7 +64,7 @@ func TestAdmitterDrainsOnClose(t *testing.T) {
 	})
 	const n = 200
 	for i := 0; i < n; i++ {
-		a.enqueue(&job{id: fmt.Sprint(i), client: fmt.Sprintf("c%d", i%7)})
+		a.tryEnqueue(&job{id: fmt.Sprint(i), client: fmt.Sprintf("c%d", i%7)}, 0)
 	}
 	a.close()
 	mu.Lock()

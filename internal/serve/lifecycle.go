@@ -61,9 +61,7 @@ func (s *Server) Drain(timeout time.Duration) (DrainReport, error) {
 	s.mu.Lock()
 	var pending []*job
 	for _, j := range s.jobs {
-		select {
-		case <-j.done:
-		default:
+		if !j.finished() {
 			pending = append(pending, j)
 		}
 	}
@@ -108,10 +106,7 @@ func (s *Server) Drain(timeout time.Duration) (DrainReport, error) {
 	}
 	rep.DurationSeconds = time.Since(start).Seconds()
 
-	var err error
-	if serr := s.st.Sync(); serr != nil {
-		err = serr
-	}
+	err := s.st.Sync()
 	if s.jsonl != nil {
 		if ferr := s.jsonl.Flush(); ferr != nil && err == nil {
 			err = ferr
@@ -157,18 +152,8 @@ func (s *Server) budgetFor(r *http.Request) (time.Duration, error) {
 // retryAfterSeconds estimates when shedding will clear: roughly the
 // queue's service time at current depth, clamped to [1s, 30s].
 func (s *Server) retryAfterSeconds() int {
-	workers := int64(s.cfg.Opts.Parallelism)
-	if workers < 1 {
-		workers = 1
-	}
-	est := 1 + s.admit.queued.Load()/workers
-	if est < 1 {
-		est = 1
-	}
-	if est > 30 {
-		est = 30
-	}
-	return int(est)
+	workers := int64(max(s.cfg.Opts.Parallelism, 1))
+	return int(min(1+s.admit.queued.Load()/workers, 30))
 }
 
 // ---------------------------------------------------------------------
@@ -189,8 +174,8 @@ func (k breakerKey) String() string {
 
 // noteDiagnostic counts one sanitizer/watchdog Diagnostic against the
 // config and trips the breaker at the threshold. Deduped re-submissions
-// of an already-failed job call this too (countOnly path in submit), so
-// a poisoned config that clients keep re-requesting trips even though
+// of an already-failed job call this too (submit's dedup branch), so a
+// poisoned config that clients keep re-requesting trips even though
 // the job map never re-simulates the identical key — the breaker's job
 // is to stop *variations* of the config (deep-dive report keys, warm
 // restarts) from re-simulating it forever.
@@ -201,17 +186,10 @@ func (s *Server) noteDiagnostic(k breakerKey) {
 		return
 	}
 	s.breakerHits[k]++
-	if s.breakerHits[k] >= s.breakerThreshold() {
+	if s.breakerHits[k] >= s.cfg.BreakerThreshold {
 		s.breakerOpen[k] = true
 		s.cBreakerTrips.Inc()
 	}
-}
-
-func (s *Server) breakerThreshold() int {
-	if s.cfg.BreakerThreshold > 0 {
-		return s.cfg.BreakerThreshold
-	}
-	return 3
 }
 
 // breakerBlocks reports whether the config is quarantined.

@@ -287,6 +287,52 @@ func TestOverloadSheds(t *testing.T) {
 	}
 }
 
+// TestRejectedSweepIsAllOrNothing: admission can refuse a sweep part-way
+// through its grid (queue full: 429). The cells it had already enqueued
+// belong to nobody — no waiter, no pin — so they are canceled, not
+// simulated while the server is shedding: every job the request created
+// ends under serve/canceled and serve/misses does not move.
+func TestRejectedSweepIsAllOrNothing(t *testing.T) {
+	opts := testOpts()
+	opts.Parallelism = 1
+	s, err := New(Config{Opts: opts, StoreDir: t.TempDir(), QueueLimit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	s.testExecGate = func(*job) { <-release }
+	h := s.Handler()
+
+	// Six cells into a queue of two (and at most one more on the gated
+	// worker): the third or fourth sheds.
+	sweep := SweepRequest{Benchmarks: []string{"nw", "bfs"}, Schemes: []string{"baseline", "regless", "rfv"}}
+	if code := doJSON(t, h, "POST", "/v1/sweeps", "aon", sweep, nil); code != http.StatusTooManyRequests {
+		t.Fatalf("POST sweep = %d, want 429", code)
+	}
+	created := counter(t, s, "serve/submissions") - counter(t, s, "serve/shed")
+	if shed := counter(t, s, "serve/shed"); shed != 1 || created < 2 {
+		t.Fatalf("serve/shed = %d, created %d; want one shed cell after at least two admitted", shed, created)
+	}
+	close(release)
+	waitUntil(t, "orphans resolved", func() bool { return counter(t, s, "serve/canceled") == created })
+	waitUntil(t, "pool idle", func() bool { return s.admit.queued.Load() == 0 && s.admit.inflight.Load() == 0 })
+	if hits, misses := counter(t, s, "serve/hits"), counter(t, s, "serve/misses"); hits != 0 || misses != 0 {
+		t.Fatalf("a refused sweep touched the store or simulated: hits %d, misses %d", hits, misses)
+	}
+
+	// The canceled cells satisfy nobody: a retry of one computes it.
+	var st RunStatus
+	if code := doJSON(t, h, "POST", "/v1/runs?wait=1", "aon", RunRequest{Bench: "nw", Scheme: "baseline"}, &st); code != http.StatusOK || st.Status != "done" {
+		t.Fatalf("retry after refused sweep = %d %q (%s)", code, st.Status, st.Error)
+	}
+	if misses := counter(t, s, "serve/misses"); misses != 1 {
+		t.Fatalf("serve/misses = %d after the retry, want 1", misses)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBreakerQuarantines(t *testing.T) {
 	// A corrupted OSU tag under RegLess is the pinned known-detected
 	// case: the sanitizer fails the run with a Diagnostic, feeding the

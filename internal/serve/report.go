@@ -10,7 +10,7 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/events"
@@ -72,22 +72,14 @@ var reportKinds = map[string]bool{"stalls": true, "preload": true}
 // canonicalizeReport validates and canonicalizes a request's report list
 // to the store.Key form: deduped, sorted, comma-joined ("" when empty).
 func canonicalizeReport(kinds []string) (string, error) {
-	if len(kinds) == 0 {
-		return "", nil
-	}
-	seen := map[string]bool{}
-	var out []string
 	for _, k := range kinds {
 		if !reportKinds[k] {
 			return "", fmt.Errorf("unknown report section %q (have: preload, stalls)", k)
 		}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
 	}
-	sort.Strings(out)
-	return strings.Join(out, ","), nil
+	out := slices.Clone(kinds)
+	slices.Sort(out)
+	return strings.Join(slices.Compact(out), ","), nil
 }
 
 // simulate runs the key's point: the one place the server simulates. A

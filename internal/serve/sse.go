@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,13 +23,7 @@ import (
 // sseFrame renders one SSE frame: "event: <name>\ndata: <data>\n\n".
 // data must be newline-free (all our payloads are single-line JSON).
 func sseFrame(event string, data []byte) []byte {
-	b := make([]byte, 0, len(event)+len(data)+16)
-	b = append(b, "event: "...)
-	b = append(b, event...)
-	b = append(b, "\ndata: "...)
-	b = append(b, data...)
-	b = append(b, "\n\n"...)
-	return b
+	return fmt.Appendf(nil, "event: %s\ndata: %s\n\n", event, data)
 }
 
 // sseStream is one subscriber: a bounded channel of ready-to-write
@@ -127,13 +122,7 @@ func (s *Server) unsubscribe(st *sseStream) {
 	s.sseMu.Lock()
 	defer s.sseMu.Unlock()
 	for id, subs := range s.runSubs {
-		kept := subs[:0]
-		for _, x := range subs {
-			if x != st {
-				kept = append(kept, x)
-			}
-		}
-		if len(kept) == 0 {
+		if kept := slices.DeleteFunc(subs, func(x *sseStream) bool { return x == st }); len(kept) == 0 {
 			delete(s.runSubs, id)
 		} else {
 			s.runSubs[id] = kept
@@ -171,9 +160,16 @@ func (sw *sseWriter) reportDrops(st *sseStream) bool {
 	return sw.frame(sseFrame("dropped", fmt.Appendf(nil, `{"dropped":%d}`, d)))
 }
 
-func startSSE(w http.ResponseWriter) (*sseWriter, bool) {
+// pump is the one stream loop: it opens the event stream and writes st's
+// frames as they arrive, a heartbeat comment while idle, and a "dropped"
+// marker after any gap. It returns ok when the stream ended on the
+// server's side — st completed or stop closed — and the caller may still
+// write its terminal frames; not ok means the client is gone (or cannot
+// stream at all, which is answered 500).
+func (s *Server) pump(w http.ResponseWriter, r *http.Request, st *sseStream, stop <-chan struct{}) (sw *sseWriter, ok bool) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
+		s.httpError(w, http.StatusInternalServerError, "response writer does not support streaming")
 		return nil, false
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -181,16 +177,35 @@ func startSSE(w http.ResponseWriter) (*sseWriter, bool) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	return &sseWriter{w: w, fl: fl}, true
+	sw = &sseWriter{w: w, fl: fl}
+	hb := time.NewTicker(s.cfg.SSEHeartbeat)
+	defer hb.Stop()
+	for {
+		select {
+		case f := <-st.ch:
+			if !sw.frame(f) || !sw.reportDrops(st) {
+				return sw, false
+			}
+		case <-hb.C:
+			if !sw.frame([]byte(": hb\n\n")) {
+				return sw, false
+			}
+		case <-st.complete:
+			return sw, true
+		case <-stop:
+			return sw, true
+		case <-r.Context().Done():
+			return sw, false
+		}
+	}
 }
 
 // handleSweepEvents streams one "run" event per completing job of the
 // sweep, heartbeat comments while idle, and a terminal "summary" event
 // once every job has finished.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	swp := s.lookupSweep(r.PathValue("id"))
+	swp := s.sweepOf(w, r)
 	if swp == nil {
-		s.httpError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
 		return
 	}
 	st := s.newStream(len(swp.jobs))
@@ -201,11 +216,10 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	s.sseMu.Lock()
 	already := 0
 	for _, j := range swp.jobs {
-		select {
-		case <-j.done:
+		if j.finished() {
 			st.deliver(runEventFrame(j))
 			already++
-		default:
+		} else {
 			s.runSubs[j.id] = append(s.runSubs[j.id], st)
 		}
 	}
@@ -213,58 +227,23 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	st.arrived(int64(already))
 	defer s.unsubscribe(st)
 
-	sw, ok := startSSE(w)
-	if !ok {
-		s.httpError(w, http.StatusInternalServerError, "response writer does not support streaming")
-		return
-	}
-	hb := time.NewTicker(s.cfg.SSEHeartbeat)
-	defer hb.Stop()
-	for {
-		select {
-		case f := <-st.ch:
-			if !sw.frame(f) || !sw.reportDrops(st) {
-				return
-			}
-		case <-hb.C:
-			if !sw.frame([]byte(": hb\n\n")) {
-				return
-			}
-		case <-st.complete:
-			sweepTerminalFrames(sw, st, swp, true)
-			return
-		case <-s.sseDrain:
-			// Server drain: every pending job has resolved (cleanly or by
-			// the drain deadline). Flush buffered frames, then close with
-			// the sweep summary if the sweep actually completed, else an
-			// explicit "draining" event so the client knows to re-poll a
-			// future process rather than wait.
-			select {
-			case <-st.complete:
-				sweepTerminalFrames(sw, st, swp, true)
-			default:
-				sweepTerminalFrames(sw, st, swp, false)
-			}
-			return
-		case <-r.Context().Done():
-			return
-		}
+	// The stream ends when the sweep completes, or at server drain once
+	// every pending job has resolved (cleanly or by the drain deadline).
+	if sw, ok := s.pump(w, r, st, s.sseDrain); ok {
+		sweepTerminalFrames(sw, st, swp)
 	}
 }
 
-// sweepTerminalFrames drains frames that raced the terminal signal and
-// closes the stream with a "summary" (complete) or "draining" event.
-func sweepTerminalFrames(sw *sseWriter, st *sseStream, swp *sweep, complete bool) {
-	for {
-		select {
-		case f := <-st.ch:
-			if !sw.frame(f) {
-				return
-			}
-			continue
-		default:
+// sweepTerminalFrames flushes the frames that raced the terminal signal
+// (only this goroutine receives from st.ch) and closes the stream: with the
+// sweep "summary" if the sweep actually completed, else an explicit
+// "draining" event so the client knows to re-poll a future process rather
+// than wait.
+func sweepTerminalFrames(sw *sseWriter, st *sseStream, swp *sweep) {
+	for len(st.ch) > 0 {
+		if !sw.frame(<-st.ch) {
+			return
 		}
-		break
 	}
 	if !sw.reportDrops(st) {
 		return
@@ -274,11 +253,13 @@ func sweepTerminalFrames(sw *sseWriter, st *sseStream, swp *sweep, complete bool
 		"id": sum.ID, "status": sum.Status, "total": sum.Total,
 		"completed": sum.Completed, "failed": sum.Failed,
 	})
-	if complete {
-		sw.frame(sseFrame("summary", data))
-		return
+	event := "draining"
+	select {
+	case <-st.complete:
+		event = "summary"
+	default:
 	}
-	sw.frame(sseFrame("draining", data))
+	sw.frame(sseFrame(event, data))
 }
 
 // ---------------------------------------------------------------------
@@ -322,13 +303,7 @@ func (h *winHub) subscribe(st *sseStream) {
 func (h *winHub) unsubscribe(st *sseStream) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	kept := make([]*sseStream, 0, len(h.subs))
-	for _, x := range h.subs {
-		if x != st {
-			kept = append(kept, x)
-		}
-	}
-	h.subs = kept
+	h.subs = slices.DeleteFunc(slices.Clone(h.subs), func(x *sseStream) bool { return x == st })
 }
 
 // handleMetricsStream streams every closed metrics window as one
@@ -339,27 +314,5 @@ func (s *Server) handleMetricsStream(w http.ResponseWriter, r *http.Request) {
 	st := s.newStream(0)
 	s.winHub.subscribe(st)
 	defer s.winHub.unsubscribe(st)
-	sw, ok := startSSE(w)
-	if !ok {
-		s.httpError(w, http.StatusInternalServerError, "response writer does not support streaming")
-		return
-	}
-	hb := time.NewTicker(s.cfg.SSEHeartbeat)
-	defer hb.Stop()
-	for {
-		select {
-		case f := <-st.ch:
-			if !sw.frame(f) || !sw.reportDrops(st) {
-				return
-			}
-		case <-hb.C:
-			if !sw.frame([]byte(": hb\n\n")) {
-				return
-			}
-		case <-s.stopWin:
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
+	s.pump(w, r, st, s.stopWin)
 }

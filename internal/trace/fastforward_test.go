@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/events"
 	"repro/internal/experiments"
+	"repro/internal/kernels"
 	"repro/internal/sim"
 )
 
@@ -21,19 +22,23 @@ func TestFastForwardTraceParity(t *testing.T) {
 		experiments.SchemeRegLess,
 		experiments.SchemeRegLessNC,
 	}
+	k, err := kernels.Load("hotspot")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var skipped uint64
 	for _, scheme := range schemes {
 		run := func(noFF bool) (traced, *sim.SM) {
-			smv, _, err := experiments.BuildSM("hotspot", scheme, experiments.SimSetup{
+			g, _, err := experiments.Assemble(nil, k, scheme, 1, experiments.SimSetup{
 				Capacity:      experiments.DefaultCapacity,
 				Warps:         16,
 				MaxCycles:     5_000_000,
 				NoFastForward: noFF,
-			})
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return foldRun(t, smv, 50, events.MaskAll), smv
+			return foldRun(t, g.SMs[0], 50, events.MaskAll), g.SMs[0]
 		}
 		ff, ffSM := run(false)
 		st, _ := run(true)

@@ -46,6 +46,10 @@ test -z "$(grep -rn 'r\.Bind(' --include=*.go cmd internal regless.go |
 test -z "$(git ls-files 'BENCH_*' scripts/bench.sh bench_test.go)"
 test -z "$(grep -rn 'Requirements\|emitSnapshot\|benchSnapshot\|validateServeFlags\|snapshot-sha' --include=*.go --exclude=*_test.go cmd internal regless.go)"
 test "$(grep -rn '"max-cycles"' --include=*.go --exclude=*_test.go cmd | wc -l)" = 1
+# The service path says it once (DESIGN.md §14): its clients decode with
+# serve's own wire types, and the OSU's bank count is isa.NumBanks.
+test -z "$(grep -rn 'type runRequest\|type runStatus\|type sweepStatus' --include=*.go cmd scripts)"
+test -z "$(grep -rn 'NumBanks *= *[0-9]' --include=*.go cmd internal regless.go | grep -v '^internal/isa/')"
 go test -race -shuffle=on ./...
 # The allocation budget of a steady-state run is the program's only
 # without the race detector, whose instrumentation changes what
@@ -71,71 +75,12 @@ go test -run '^$' -fuzz '^FuzzRunRequestDecode$' -fuzztime 5s ./internal/serve
 # their own checks.
 go test -run '^$' -bench . -benchtime 1x ./internal/serve ./internal/store
 
-# Fast-forward differential smoke: the cycle-skip fast-forward must be
-# invisible in the output — a run with -no-fastforward (stepping every
-# cycle) must print byte-identical tables. The Quick-scale suite-wide
-# version of this check (tables, metrics JSONL, per-run stats) runs as
-# TestFastForwardDifferential in the race gate above; this pins the CLI
-# wiring end to end.
-# An application's later kernels run over a standing hierarchy, whose
-# clock does not restart with theirs.
-for machine in "-bench nw -scheme regless" "-app srad_app"; do
-	ffa="$(go run ./cmd/regless $machine -warps 8)"
-	ffb="$(go run ./cmd/regless $machine -warps 8 -no-fastforward)"
-	test "$ffa" = "$ffb"
-done
-
-# Sanitizer smoke, one per scheduler kind (GTO under baseline, two-level
-# under rfh) and one under regless, the provider that gates issue — the
-# only one whose issue mask sim/readymask can find out of step with
-# CanIssueQuiet, and the one that brings the CM/OSU invariants along:
-# every invariant runs every cycle of a healthy machine end to end and
-# must stay silent — and the sanitized run must print what the plain one
-# does.
-for scheme in baseline rfh regless; do
-	sana="$(go run ./cmd/regless -bench nw -scheme "$scheme" -warps 8)"
-	sanb="$(go run ./cmd/regless -bench nw -scheme "$scheme" -warps 8 -sanitize)"
-	test "$sana" = "$sanb"
-done
-# The same on machines the suite cache does not build: co-resident kernels
-# on a split chip, and an application over a standing hierarchy.
-for machine in "-experiment coresident" "-app srad_app"; do
-	sana="$(go run ./cmd/regless $machine -warps 8)"
-	sanb="$(go run ./cmd/regless $machine -warps 8 -sanitize)"
-	test "$sana" = "$sanb"
-done
-
-# Multi-SM smoke: a 4-SM chip run of Figure 14 must reproduce the
-# committed golden byte for byte (lockstep determinism + the banked-L2
-# path). One SM needs no smoke of its own here: -sms 1 and the default
-# are the same options value, and that the chip of one equals a bare SM
-# is TestChipOfOneMatchesBareSM in the race gate above.
-smsout="$(go run ./cmd/regless -sms 4 -experiment fig14 -warps 16)"
-test "$smsout" = "$(cat scripts/golden/sms4_fig14_warps16.txt)"
-
-# The CLI's main path: every paper table at 16 warps, byte for byte what
-# the binary printed before an experiment came to declare its runs once,
-# at either planner width. Not regenerated for a refactor.
-for par in 1 8; do
-	go run ./cmd/regless -experiment all -warps 16 -parallel "$par" |
-		cmp - scripts/golden/all_warps16.txt
-done
-
-# Timeline smoke: the fold over a run's recording must print what the
-# tracer that stepped the SM itself printed (the golden is that binary's
-# output), and a chip gets one timeline per SM.
-tlout="$(go run ./cmd/regless -bench nw -scheme regless -warps 8 -timeline)"
-test "$tlout" = "$(cat scripts/golden/timeline_nw_warps8.txt)"
+# What the CLI prints, byte for byte, is one table in tier-1
+# (TestExtensionGoldens in cmd/regless: every scripts/golden file but the
+# serve one below, and the runs -no-fastforward and -sanitize must not
+# change); the race gate above has run it. Left here is what a golden
+# cannot say: a chip gets one timeline per SM.
 test "$(go run ./cmd/regless -bench nw -scheme regless -warps 8 -sms 4 -timeline | grep -c '^SM [0-3] ')" = 4
-
-# Metrics-wire smoke: the per-window JSONL stream — cell names, their
-# order, window boundaries, values — is a contract with whoever reads it;
-# the goldens are the output of the binary before statistics became
-# tagged struct fields and are not regenerated.
-for m in "regless_warps8:-scheme regless" "regless_warps8_sms4:-scheme regless -sms 4" "rfv_warps8:-scheme rfv"; do
-	go run ./cmd/regless -bench nw ${m#*:} -warps 8 -metrics-out - 2> /dev/null |
-		cmp - "scripts/golden/metrics_nw_${m%%:*}.jsonl"
-done
 
 # Trace-schema smoke test: a small traced run must produce a Perfetto
 # trace that validates — every span on a named track, on a chip's later
