@@ -59,17 +59,21 @@ func newAdmitter(workers int, run func(*job)) *admitter {
 
 // tryEnqueue admits a job under its client's queue, with load shedding:
 // when the total queued depth has reached limit (0: no limit) the job is
-// rejected (false) instead of admitted. The bound is across clients —
-// fairness governs service order, not admission — so one flooding client
-// fills the shared queue and every further submission sheds until workers
-// catch up. Jobs enqueued after close are still executed: close drains
-// the queue before the workers exit, so no admitted waiter is left
-// hanging.
-func (a *admitter) tryEnqueue(j *job, limit int) bool {
+// refused with errOverloaded instead of admitted. The bound is across
+// clients — fairness governs service order, not admission — so one
+// flooding client fills the shared queue and every further submission
+// sheds until workers catch up. A closed pool refuses with errDraining:
+// its workers may already have exited, and a job queued then would never
+// run.
+func (a *admitter) tryEnqueue(j *job, limit int) error {
 	a.mu.Lock()
+	if a.closed {
+		a.mu.Unlock()
+		return errDraining
+	}
 	if limit > 0 && a.queued.Load() >= int64(limit) {
 		a.mu.Unlock()
-		return false
+		return errOverloaded
 	}
 	q := a.queues[j.client]
 	if len(q) == 0 {
@@ -79,7 +83,7 @@ func (a *admitter) tryEnqueue(j *job, limit int) bool {
 	a.queued.Add(1)
 	a.mu.Unlock()
 	a.cond.Signal()
-	return true
+	return nil
 }
 
 // dequeue blocks for the next job, serving clients round-robin; ok is

@@ -165,7 +165,8 @@ func decodeStrict(body []byte, v any) error {
 // handler is accounted: when the last waiter of an unpinned job
 // disconnects, the job is abandoned (abandonIfOrphan). ok is false when
 // the client gave up: the 503 is written and the handler has nothing left
-// to say.
+// to say. A finished job is not waited on, so a job-map hit never asks
+// for the request context's Done channel (made on first use).
 func (s *Server) wait(w http.ResponseWriter, r *http.Request, jobs ...*job) (waited, ok bool) {
 	if !wantWait(r) {
 		return false, true
@@ -176,6 +177,9 @@ func (s *Server) wait(w http.ResponseWriter, r *http.Request, jobs ...*job) (wai
 	ok = true
 wait:
 	for _, j := range jobs {
+		if j.finished() {
+			continue
+		}
 		select {
 		case <-j.done:
 		case <-r.Context().Done():

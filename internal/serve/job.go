@@ -110,16 +110,20 @@ func (j *job) abandonIfOrphan() {
 // (breaker open, 503).
 func (s *Server) submit(a admitted, client, reqID string, budget time.Duration) (j *job, fresh bool, err error) {
 	key, id := a.key, a.id
+	bk := breakerKey{bench: key.Bench, scheme: key.Scheme, capacity: key.Capacity}
+	s.mu.Lock()
+	// Draining is decided under s.mu, which Drain takes for its snapshot
+	// after leaving the accepting state: every job admitted here is in it.
 	if s.draining() {
+		s.mu.Unlock()
 		return nil, false, errDraining
 	}
-	bk := breakerKey{bench: key.Bench, scheme: key.Scheme, capacity: key.Capacity}
-	if s.breakerBlocks(bk) {
+	if s.breakerOpen[bk] {
+		s.mu.Unlock()
 		s.cBreakerRejects.Inc()
 		return nil, false, fmt.Errorf("config %s is quarantined after repeated diagnostics", bk)
 	}
 	s.cSubmissions.Inc()
-	s.mu.Lock()
 	if j, ok := s.jobs[id]; ok && !j.abandonedFinal() {
 		s.mu.Unlock()
 		s.cDedup.Inc()
@@ -144,13 +148,15 @@ func (s *Server) submit(a admitted, client, reqID string, budget time.Duration) 
 	j.qspan = j.trace.StartAt(obs.Root, "queue", 0)
 	// Enqueue while still holding s.mu (admit workers never take s.mu
 	// with a.mu held, so the nesting is one-way): the job is visible in
-	// s.jobs only if admission accepted it, and a shed submission leaves
-	// no trace to dedup against.
-	if !s.admit.tryEnqueue(j, s.cfg.QueueLimit) {
+	// s.jobs only if admission accepted it, and a shed or refused
+	// submission leaves no trace to dedup against.
+	if err := s.admit.tryEnqueue(j, s.cfg.QueueLimit); err != nil {
 		s.mu.Unlock()
 		j.cancel()
-		s.cShed.Inc()
-		return nil, false, errOverloaded
+		if errors.Is(err, errOverloaded) {
+			s.cShed.Inc()
+		}
+		return nil, false, err
 	}
 	s.jobs[id] = j
 	s.mu.Unlock()
@@ -181,15 +187,20 @@ func (s *Server) execute(j *job) {
 	}
 
 	sg := tr.StartAt(obs.Root, "store-get", t0)
-	payload, ok, err := s.st.Get(j.key)
+	// A disk hit's reply is built around the payload where the store read
+	// it: one exact-size allocation, the only one the hit keeps.
+	ok, err := s.st.View(j.key, func(payload []byte) {
+		var hb [replyHeadRoom]byte
+		head := j.appendReplyHead(hb[:0], true)
+		reply := append(make([]byte, 0, len(head)+len(payload)+2), head...)
+		j.reply = append(append(reply, payload...), "}\n"...)
+	})
 	t1 := tr.Now()
 	tr.EndAt(sg, t1)
 	s.hSpanStoreGet.Observe(uint64(t1 - t0))
 	if err == nil && ok {
 		s.cHits.Inc()
 		tr.CloseAt(t1)
-		reply := j.appendReplyHead(make([]byte, 0, replyHeadRoom+len(j.reqID)+len(payload)), true)
-		j.reply = append(append(reply, payload...), "}\n"...)
 		j.finish(jobDone)
 		return
 	} else if err != nil {
@@ -299,9 +310,10 @@ func (j *job) appendReplyHead(dst []byte, cached bool) []byte {
 	return append(dst, `,"result":`...)
 }
 
-// replyHeadRoom covers a reply's head and tail around a request id that
-// needs no escaping (one that does grows the buffer once more).
-const replyHeadRoom = 160
+// replyHeadRoom holds a disk hit's reply head on the stack: 130 bytes
+// around a request id of up to maxRequestID bytes that needs no escaping
+// (one that does moves the head to the heap).
+const replyHeadRoom = 130 + maxRequestID
 
 var stateNames = [...]string{jobQueued: "queued", jobRunning: "running", jobDone: "done",
 	jobFailed: "failed", jobExpired: "expired", jobCanceled: "canceled"}

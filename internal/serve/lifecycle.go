@@ -192,13 +192,6 @@ func (s *Server) noteDiagnostic(k breakerKey) {
 	}
 }
 
-// breakerBlocks reports whether the config is quarantined.
-func (s *Server) breakerBlocks(k breakerKey) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.breakerOpen[k]
-}
-
 // openBreakers lists quarantined configs for /healthz.
 func (s *Server) openBreakers() []string {
 	s.mu.Lock()

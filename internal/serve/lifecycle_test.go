@@ -7,6 +7,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -110,6 +111,34 @@ func TestDrainDeadlineCancelsInflight(t *testing.T) {
 	// but records no failures.
 	if got := counter(t, s, "serve/failures"); got != 0 {
 		t.Fatalf("drain cancellation recorded %d failures", got)
+	}
+}
+
+// TestSubmitToClosedPoolIsRefused: a submission can find the pool closed
+// while the state still reads accepting (it passed the accepting check
+// before Drain's CAS, and reaches the admitter after close returned). It is
+// refused as draining and leaves no job behind: queued on a pool with no
+// workers it would never run, and a ?wait=1 handler would block on it until
+// its client left.
+func TestSubmitToClosedPoolIsRefused(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), testOpts())
+	defer s.Close()
+	s.admit.close()
+	a, err := s.admitRun([]byte(`{"bench":"nw","scheme":"baseline"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, _, err := s.submit(a, "dr", "", 0); !errors.Is(err, errDraining) || j != nil {
+		t.Fatalf("submit to a closed pool = job %v, %v; want errDraining and no job", j != nil, err)
+	}
+	var rej map[string]string
+	if code := doJSON(t, s.Handler(), "POST", "/v1/runs?wait=1", "dr", RunRequest{Bench: "nw", Scheme: "regless"}, &rej); code != http.StatusServiceUnavailable || !strings.Contains(rej["error"], "draining") {
+		t.Fatalf("POST ?wait=1 to a closed pool = %d %q, want 503 draining", code, rej["error"])
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.jobs) != 0 {
+		t.Fatalf("%d jobs left in the job map, want none", len(s.jobs))
 	}
 }
 

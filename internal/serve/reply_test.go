@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -231,9 +232,32 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 const memHitAllocCeiling = 3
 
 // A disk hit adds the job with its context and trace, the hand-off to the
-// pool, store.Get's file read and the reply built around the payload (19
-// objects; 65 when the entry was decoded to be verified).
-const diskHitAllocCeiling = 20
+// pool, the store's path and open file, and the reply, built around the
+// payload where the store read it into a recycled buffer (15 objects; 19
+// when the file was read into a fresh buffer and copied into the reply, 65
+// when the entry was decoded to be verified).
+const diskHitAllocCeiling = 16
+
+// diskHitBytesCeiling bounds a disk hit's bytes as the ceiling above bounds
+// its objects, so a dropped buffer cannot come back as a bigger object: the
+// 1.25 KB reply, the job with its trace and the store's paths come to 2.8 KB
+// (4.7 KB with the file read into a fresh buffer).
+const diskHitBytesCeiling = 3 << 10
+
+// bytesPerRun is testing.AllocsPerRun in bytes: what one call of f
+// allocates on the heap, the pool workers' share included, averaged over
+// runs after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
 
 func TestMemHitAllocations(t *testing.T) {
 	if raceEnabled {
@@ -257,7 +281,10 @@ func TestDiskHitAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(200, fire); got > diskHitAllocCeiling {
 		t.Errorf("a disk hit allocates %.0f objects in the handler, pool and store, ceiling %d", got, diskHitAllocCeiling)
 	}
-	if hits := s.Store().Stats().Hits; hits < 200 {
+	if got := bytesPerRun(200, fire); got > diskHitBytesCeiling {
+		t.Errorf("a disk hit allocates %.0f bytes in the handler, pool and store, ceiling %d", got, diskHitBytesCeiling)
+	}
+	if hits := s.Store().Stats().Hits; hits < 400 {
 		t.Fatalf("store served %d hits: the loop is not reading the disk", hits)
 	}
 }

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -91,9 +93,16 @@ func FuzzKeyCanonical(f *testing.F) {
 // fields, a key region that is valid JSON but not canonical, a payload that
 // matches its checksum and is not JSON — what the layout check accepts the
 // oracle accepts, with the same payload; Get's verifier (which is handed
-// the key) and Verify's (which recovers it from the file) agree; and an
-// entry written the old way, by json.Marshal, reads back.
+// the key) and Verify's (which recovers it from the file) agree; an entry
+// written the old way, by json.Marshal, reads back; and every file, laid
+// at its key's address, reads back through View and Get — the recycled
+// buffer, the growth past its start, quarantine — exactly as verifyEntry
+// judges its bytes.
 func FuzzVerifyEntry(f *testing.F) {
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add("nw", "", []byte(`{"cycles":1120,"ipc":0.96}`), uint8(0), uint16(0), byte(0))
 	f.Add("bfs", "preload,stalls", []byte(`{"a":[1,2,{"b":null}],"c":"d"}`), uint8(1), uint16(200), byte(0x40))
 	f.Add("nw", "", []byte(`{"cycles":1120}`), uint8(2), uint16(120), byte(1))
@@ -114,12 +123,14 @@ func FuzzVerifyEntry(f *testing.F) {
 		}
 		hash := sha256Hex(canon)
 
-		// check runs both verifiers and the oracle over one file.
+		// check runs both verifiers, the store's read path and the oracle
+		// over one file.
 		check := func(what string, raw []byte) (accepted bool) {
 			got, err := verifyEntry(canon, raw)
 			if ferr := verifyFile(hash, raw); (ferr == nil) != (err == nil) {
 				t.Fatalf("%s: handed the key: %v; recovering it from the file: %v\n%s", what, err, ferr, raw)
 			}
+			readBack(t, s, k, raw, got, err == nil)
 			if err != nil {
 				return false
 			}
@@ -179,4 +190,30 @@ func FuzzVerifyEntry(f *testing.F) {
 		}
 		check("damaged", bad)
 	})
+}
+
+// readBack writes raw as k's entry file and reads it through View, then
+// Get: a hit with want exactly when verifyEntry accepts raw, else a clean
+// miss that quarantines the file.
+func readBack(t *testing.T, s *Store, k Key, raw, want []byte, accepted bool) {
+	t.Helper()
+	path := entryPath(t, s, k)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var viewed []byte
+	ok, err := s.View(k, func(p []byte) { viewed = bytes.Clone(p) })
+	if err != nil || ok != accepted || !bytes.Equal(viewed, want) {
+		t.Fatalf("View = ok=%v err=%v %q; verifyEntry accepted=%v %q\n%s", ok, err, viewed, accepted, want, raw)
+	}
+	got, ok, err := s.Get(k)
+	if err != nil || ok != accepted || !bytes.Equal(got, want) {
+		t.Fatalf("Get after View = ok=%v err=%v %q; verifyEntry accepted=%v %q", ok, err, got, accepted, want)
+	}
+	if _, err := os.Stat(path); os.IsNotExist(err) == accepted {
+		t.Fatalf("entry file present=%v after reading it, verifyEntry accepted=%v", !accepted, accepted)
+	}
 }

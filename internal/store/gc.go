@@ -65,7 +65,7 @@ func (s *Store) maybeGC() {
 
 // gcCandidate is one entry considered for eviction.
 type gcCandidate struct {
-	hash  string
+	path  string
 	size  int64
 	atime int64
 }
@@ -85,13 +85,13 @@ func (s *Store) GC() (int, error) {
 
 	var cands []gcCandidate
 	var total int64
-	err := s.walkEntriesLocked(func(hash, path string) error {
+	err := s.walkEntriesLocked(func(_, path string) error {
 		fi, err := os.Stat(path)
 		if err != nil {
 			return nil // raced with nothing (we hold the lock); vanished entries just drop out
 		}
 		total += fi.Size()
-		cands = append(cands, gcCandidate{hash: hash, size: fi.Size(), atime: fi.ModTime().UnixNano()})
+		cands = append(cands, gcCandidate{path: path, size: fi.Size(), atime: fi.ModTime().UnixNano()})
 		return nil
 	})
 	if err != nil {
@@ -104,13 +104,13 @@ func (s *Store) GC() (int, error) {
 			if cands[i].atime != cands[j].atime {
 				return cands[i].atime < cands[j].atime
 			}
-			return cands[i].hash < cands[j].hash
+			return cands[i].path < cands[j].path // one dir, hash-named: hash order
 		})
 		for _, c := range cands {
 			if total <= s.opts.MaxBytes {
 				break
 			}
-			if rmErr := os.Remove(s.path(c.hash)); rmErr != nil && !os.IsNotExist(rmErr) {
+			if rmErr := os.Remove(c.path); rmErr != nil && !os.IsNotExist(rmErr) {
 				continue
 			}
 			s.dirty.Store(true)

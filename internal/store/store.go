@@ -36,8 +36,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -282,7 +284,7 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
-	s := &Store{dir: dir, opts: opts}
+	s := &Store{dir: filepath.Clean(dir), opts: opts}
 	for _, d := range []string{dir, s.tmpDir(), s.quarantineDir()} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
@@ -307,9 +309,52 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 func (s *Store) tmpDir() string        { return filepath.Join(s.dir, "tmp") }
 func (s *Store) quarantineDir() string { return filepath.Join(s.dir, "quarantine") }
 
-// path shards entries by the first hash byte to keep directories small.
-func (s *Store) path(hash string) string {
-	return filepath.Join(s.dir, hash[:2], hash+".json")
+// pathOf is the entry file of a canonical key, <dir>/<hh>/<hash>.json
+// (dir as Open cleaned it, hash the sha256 hex of canon, sharded by its
+// first byte to keep directories small), built in one allocation.
+func (s *Store) pathOf(canon []byte) string {
+	sum := sha256.Sum256(canon)
+	var buf [256]byte
+	p := append(append(buf[:0], s.dir...), filepath.Separator)
+	p = append(hex.AppendEncode(p, sum[:1]), filepath.Separator)
+	return string(append(hex.AppendEncode(p, sum[:]), ".json"...))
+}
+
+// entryBufs recycles the buffers entry files are read into and laid out
+// in, one per View or Put in flight: the only copy of a payload a hit
+// allocates is the one its caller keeps.
+var entryBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+
+// putEntryBuf hands a buffer back, unless one oversized entry grew it past
+// 64 KB: the pool is for the suite's 2 KB entries.
+func putEntryBuf(b *[]byte, grown []byte) {
+	if cap(grown) <= 64<<10 {
+		*b = grown[:0]
+		entryBufs.Put(b)
+	}
+}
+
+// readEntry reads the file at path into buf, growing it as needed: no
+// fstat to size it, the read that returns EOF ends it.
+func readEntry(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, cap(buf)+512)
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // Stats returns the activity counters.
@@ -327,30 +372,53 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Get returns the stored payload for the key, reporting whether it was
-// found intact. Corrupt entries (not the layout Put writes for this key,
-// checksum mismatch, unparseable payload) are quarantined and reported as
-// a miss; only I/O errors other than not-exist surface as err. A hit
-// stamps the entry's mtime (what GC's LRU ordering reads) and changes
-// nothing else on disk. The payload is a sub-slice of the bytes read.
-func (s *Store) Get(k Key) ([]byte, bool, error) {
-	var buf [canonicalBuf]byte
-	canon, err := k.appendCanonical(buf[:0])
+// Get returns a copy of the stored payload for the key, reporting whether
+// it was found intact: View, keeping what it is shown.
+func (s *Store) Get(k Key) (payload []byte, ok bool, err error) {
+	ok, err = s.View(k, func(p []byte) { payload = bytes.Clone(p) })
+	return payload, ok, err
+}
+
+// View calls fn with the stored payload for the key if it is found
+// intact, and reports whether it was. The entry is read into a recycled
+// buffer: the payload is valid only during the call, and fn must neither
+// keep nor modify it. Corrupt entries (not the layout Put writes for this
+// key, checksum mismatch, unparseable payload) are quarantined and
+// reported as a miss; only I/O errors other than not-exist surface as
+// err. A hit stamps the entry's mtime (what GC's LRU ordering reads) and
+// changes nothing else on disk.
+func (s *Store) View(k Key, fn func(payload []byte)) (bool, error) {
+	var kb [canonicalBuf]byte
+	canon, err := k.appendCanonical(kb[:0])
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
 	op := s.ops.Add(1)
 	s.chaosDelay(op)
+	buf := entryBufs.Get().(*[]byte)
+	raw, payload, err := s.read(canon, op, *buf)
+	defer putEntryBuf(buf, raw)
+	if payload == nil {
+		return false, err
+	}
+	fn(payload) // the buffer is private: no lock held
+	return true, nil
+}
+
+// read is View's work under the read lock: the entry for canon read into
+// buf (returned as raw, however it grew), checked, and on a hit stamped
+// and its payload returned, a sub-slice of raw; a miss returns none.
+func (s *Store) read(canon []byte, op uint64, buf []byte) (raw, payload []byte, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	path := s.path(sha256Hex(canon))
-	raw, err := os.ReadFile(path)
+	path := s.pathOf(canon)
+	raw, err = readEntry(path, buf)
 	if os.IsNotExist(err) {
 		s.misses.Add(1)
-		return nil, false, nil
+		return raw, nil, nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("store: %w", err)
+		return raw, nil, fmt.Errorf("store: %w", err)
 	}
 	if s.opts.Chaos.StoreCorrupts(op) && len(raw) > 0 {
 		// Simulated bit rot: flip one byte of what was read so the
@@ -361,11 +429,11 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 	if verr != nil {
 		s.quarantine(path)
 		s.misses.Add(1)
-		return nil, false, nil
+		return raw, nil, nil
 	}
 	s.hits.Add(1)
 	s.touch(path, op)
-	return payload, true, nil
+	return raw, payload, nil
 }
 
 var (
@@ -496,8 +564,9 @@ var errInjectedDiskFull = fmt.Errorf("injected disk-full fault")
 
 // appendEntry appends the entry file for a canonical key and its payload.
 func appendEntry(dst, canon, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
 	dst = append(append(dst, entryKeyField...), canon...)
-	dst = append(append(dst, entrySumField...), sha256Hex(payload)...)
+	dst = hex.AppendEncode(append(dst, entrySumField...), sum[:])
 	dst = append(append(dst, entryPayloadField...), payload...)
 	return append(dst, '}')
 }
@@ -505,9 +574,11 @@ func appendEntry(dst, canon, payload []byte) []byte {
 func (s *Store) put(canon, payload []byte, op uint64) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	hash := sha256Hex(canon)
-	body := appendEntry(make([]byte, 0, len(canon)+len(payload)+128), canon, payload)
-	tmp, err := os.CreateTemp(s.tmpDir(), hash+".*")
+	final := s.pathOf(canon)
+	buf := entryBufs.Get().(*[]byte)
+	body := appendEntry(*buf, canon, payload)
+	defer putEntryBuf(buf, body)
+	tmp, err := os.CreateTemp(s.tmpDir(), filepath.Base(final)+".*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -520,7 +591,6 @@ func (s *Store) put(canon, payload []byte, op uint64) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
-	final := s.path(hash)
 	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)

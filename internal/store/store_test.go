@@ -37,11 +37,11 @@ func mustOpen(t *testing.T, dir string) *Store {
 
 func entryPath(t *testing.T, s *Store, k Key) string {
 	t.Helper()
-	h, err := k.Hash()
+	canon, err := k.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.path(h)
+	return s.pathOf(canon)
 }
 
 func TestRoundTripAndWarmReopen(t *testing.T) {

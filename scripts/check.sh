@@ -64,7 +64,9 @@ go -C benchmark test ./...
 # Fuzz smokes, five seconds each (go test takes one package and one
 # target per -fuzz run): the store's canonical key bytes against
 # json.Marshal, its in-place entry verifier against the decode-based
-# oracle, and the service's body memo against the strict decoder. The
+# oracle and its read path (each input read back from disk through
+# View/Get) against the verifier, and the service's body memo against the
+# strict decoder. The
 # committed seeds run in the race gate above; this looks a little past
 # them on every check.
 go test -run '^$' -fuzz '^FuzzKeyCanonical$' -fuzztime 5s ./internal/store
