@@ -22,18 +22,17 @@ import (
 )
 
 func main() {
+	cfg := regions.DefaultConfig()
 	var (
 		bench   = flag.String("bench", "", "benchmark to inspect")
 		file    = flag.String("file", "", "assembly file to inspect instead of a benchmark")
 		format  = flag.Bool("format", false, "emit the kernel in assembly format and exit")
 		asmOnly = flag.Bool("asm", false, "print disassembly only")
 		summary = flag.Bool("summary", false, "print one summary line per benchmark")
-		maxRegs = flag.Int("max-regs", 32, "compiler: max registers per region")
-		lines   = flag.Int("bank-lines", 16, "compiler: OSU lines per bank")
 	)
+	flag.IntVar(&cfg.MaxRegsPerRegion, "max-regs", cfg.MaxRegsPerRegion, "compiler: max registers per region")
+	flag.IntVar(&cfg.BankLines, "bank-lines", cfg.BankLines, "compiler: OSU lines per bank")
 	flag.Parse()
-
-	cfg := regions.Config{MaxRegsPerRegion: *maxRegs, BankLines: *lines, MinRegionInsns: 6}
 
 	if *summary {
 		fmt.Printf("%-16s %5s %6s %12s %9s %9s %9s %9s\n",
@@ -104,11 +103,11 @@ func main() {
 		if len(r.Outputs) > 0 {
 			fmt.Printf("  outputs      %v\n", r.Outputs)
 		}
-		for gi, regs := range r.EraseAt {
-			fmt.Printf("  erase @%d   %v\n", gi, regs)
+		for _, gi := range regions.Indices(r.EraseAt) {
+			fmt.Printf("  erase @%d   %v\n", gi, r.EraseAt[gi])
 		}
-		for gi, regs := range r.EvictAt {
-			fmt.Printf("  evict @%d   %v\n", gi, regs)
+		for _, gi := range regions.Indices(r.EvictAt) {
+			fmt.Printf("  evict @%d   %v\n", gi, r.EvictAt[gi])
 		}
 	}
 	s := c.Summarize()

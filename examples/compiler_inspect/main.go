@@ -11,6 +11,7 @@ import (
 	repro "repro"
 	"repro/internal/cfg" // same-module access to the analysis layer
 	"repro/internal/isa"
+	"repro/internal/regions"
 )
 
 // buildDivergent reproduces the paper's Figure 7 shape: r1 defined before
@@ -74,12 +75,12 @@ func main() {
 			fmt.Printf(" cache-invalidate %v", reg)
 		}
 		fmt.Println()
-		for gi, regs := range r.EraseAt {
-			fmt.Printf("      erase %v at %v (value fully dead)\n", regs, g.PCOf(gi))
+		for _, gi := range regions.Indices(r.EraseAt) {
+			fmt.Printf("      erase %v at %v (value fully dead)\n", r.EraseAt[gi], g.PCOf(gi))
 		}
-		for gi, regs := range r.EvictAt {
+		for _, gi := range regions.Indices(r.EvictAt) {
 			fmt.Printf("      evict %v at %v (may still be needed: divergent sibling or later region)\n",
-				regs, g.PCOf(gi))
+				r.EvictAt[gi], g.PCOf(gi))
 		}
 	}
 	fmt.Println("\nNote how the redefined register is preloaded (its inactive-lane values")

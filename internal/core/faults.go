@@ -11,7 +11,7 @@ import (
 	"repro/internal/sanitizer"
 )
 
-// SetFaults implements sim.FaultAware: store the injector for runtime
+// SetFaults implements sim.Stager: store the injector for runtime
 // corruption (applied from Tick) and apply compile-time metadata faults
 // now. The shared compile-cache entry is read-only, so metadata
 // corruption works on a private clone of the compiled result.
@@ -147,7 +147,7 @@ func (p *Provider) applyFaults() {
 	}
 }
 
-// AttachSanitizer implements sim.SanitizerAware: register every shard's
+// AttachSanitizer implements sim.Stager: register every shard's
 // invariants — CM reservation bookkeeping, OSU line partition, capacity
 // state-machine transition legality (hooked into OnTransition, chained
 // with any recorder hook), and the cross-structure capacity agreement
@@ -195,7 +195,7 @@ func (p *Provider) checkShardCapacity(si int, sh *shard) error {
 	return nil
 }
 
-// WarpDiag implements sim.WarpReporter: warp w's capacity state and
+// WarpDiag implements sim.Stager: warp w's capacity state and
 // region for diagnostic bundles.
 func (p *Provider) WarpDiag(w int) (string, int) {
 	ws := p.warps[w]

@@ -141,7 +141,7 @@ func (p *Provider) finishDrain(sh *shard, ws *warpState) {
 	ws.regionID = -1
 }
 
-// OnWriteback implements sim.Provider: apply deferred last-use flags and
+// OnWriteback implements sim.Stager: apply deferred last-use flags and
 // complete draining regions.
 func (p *Provider) OnWriteback(w *sim.Warp, reg isa.Reg) {
 	ws := p.warps[w.ID]

@@ -1,4 +1,4 @@
-// Package core is the RegLess system itself: the sim.Provider that
+// Package core is the RegLess system itself: the sim.Stager that
 // replaces the register file with per-shard operand staging units managed
 // by capacity managers and compressors, all driven by the compiler
 // annotations from package regions (paper §3, §5).
@@ -184,7 +184,7 @@ type Provider struct {
 	comp *regions.Compiled
 	sm   *sim.SM
 	st   *sim.ProviderStats
-	rec  *events.Recorder // nil-safe event recorder (sim.RecorderAware)
+	rec  *events.Recorder // nil-safe event recorder (AttachRecorder)
 
 	a      *arena.Arena // the SM's: what Attach builds from (nil: the heap)
 	shards []*shard
@@ -206,6 +206,8 @@ type Provider struct {
 	// reusable buffer replaces a per-cycle allocation.
 	usageScratch []int
 }
+
+var _ sim.Stager = (*Provider)(nil)
 
 // compileCache memoizes the RegLess compiler output per (kernel, region
 // config). Region creation depends only on the kernel and regions.Config
@@ -388,13 +390,13 @@ func (p *Provider) regAddr(warp int, reg isa.Reg) uint32 {
 	return mem.RegSpaceBase + p.cfg.AddrOffset + uint32(int(reg)*p.sm.Cfg.Warps+warp)*mem.LineSize
 }
 
-// IssueMask implements sim.IssueMasker: a warp issues only while Active,
+// IssueMask implements sim.Stager: a warp issues only while Active,
 // so scheduler group g's issue mask is shard g's Active set itself — a
 // shard's local warp index is the warp's position in its group, because
 // Attach requires one shard per scheduler.
 func (p *Provider) IssueMask(g int) []uint64 { return p.shards[g].cm.ActiveMask() }
 
-// CanIssueQuiet implements sim.IssueProber: the per-warp reading of the
+// CanIssueQuiet implements sim.Stager: the per-warp reading of the
 // issue mask, for stall attribution and the checks that hold the mask to
 // it.
 func (p *Provider) CanIssueQuiet(w *sim.Warp) bool {
@@ -402,7 +404,7 @@ func (p *Provider) CanIssueQuiet(w *sim.Warp) bool {
 	return p.shards[ws.shard].cm.StateOf(ws.local) == cm.Active
 }
 
-// AttachRecorder implements sim.RecorderAware: forward the recorder into
+// AttachRecorder implements sim.Stager: forward the recorder into
 // each shard's machinery. Capacity-manager transitions and OSU line
 // events flow out via hooks; the initial all-Inactive states are seeded
 // here so consumers reconstruct full lifecycles (warps begin on the
@@ -429,7 +431,7 @@ func (p *Provider) AttachRecorder(rec *events.Recorder) {
 	}
 }
 
-// Drained implements sim.Provider.
+// Drained implements sim.Stager.
 func (p *Provider) Drained() bool {
 	for _, sh := range p.shards {
 		if sh.backlog() > 0 {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/osu"
 )
 
-// Tick implements sim.Provider: it advances each shard's machinery one
+// Tick implements sim.Stager: it advances each shard's machinery one
 // cycle — L1 port arbitration, eviction (compressor) processing, per-bank
 // preload queues, cache invalidations, and warp activation.
 func (p *Provider) Tick() {
@@ -386,7 +386,7 @@ func (p *Provider) rotatedUsage(warp int, bankUsage [isa.NumBanks]int) []int {
 	return usage
 }
 
-// TickIdle implements sim.TickIdler: with the rest of the machine frozen,
+// TickIdle implements sim.Stager: with the rest of the machine frozen,
 // Tick is a provable no-op exactly when every queue is empty and no
 // shard's stack top could act — the top warp is absent, or it is alive,
 // not at a barrier (DeferTop would rotate the stack), and its next region

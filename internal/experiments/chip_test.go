@@ -103,6 +103,30 @@ func TestChipOfOneMatchesBareSM(t *testing.T) {
 	}
 }
 
+// TestSchemeShapeMatchesCapacity: the SM meets a scheme as one of the
+// paper's two shapes, and which one is the scheme's own fact — a staging
+// unit (sim.Stager) exactly when the scheme has a capacity to size, a
+// register file (a plain sim.Provider, which the SM never ticks, drains
+// or asks about issue) otherwise.
+func TestSchemeShapeMatchesCapacity(t *testing.T) {
+	k, err := kernels.Load("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	su := chipOpts(1).Setup(DefaultCapacity)
+	for _, scheme := range Schemes() {
+		g, _, err := Assemble(nil, k, scheme, 1, su, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, staged := g.SMs[0].Provider.(sim.Stager)
+		if staged != scheme.HasCapacity() {
+			t.Errorf("%s: provider %T is a Stager: %v, scheme has a capacity: %v",
+				scheme, g.SMs[0].Provider, staged, scheme.HasCapacity())
+		}
+	}
+}
+
 // fillNumeric sets every numeric field of the struct v points at to a
 // distinct non-zero value derived from seed (slices get two elements),
 // and fails on a field kind it does not know — a new kind of counter

@@ -97,6 +97,18 @@ type Region struct {
 // NumInsns returns the region's static instruction count.
 func (r *Region) NumInsns() int { return r.End - r.Start }
 
+// Indices returns the global instruction indices an EraseAt or EvictAt map
+// annotates, ascending: ranging over the map itself visits them in a
+// different order on every run.
+func Indices(at map[int][]isa.Reg) []int {
+	gis := make([]int, 0, len(at))
+	for gi := range at {
+		gis = append(gis, gi)
+	}
+	sort.Ints(gis)
+	return gis
+}
+
 // Compiled is the full compiler output for one kernel.
 type Compiled struct {
 	Kernel *isa.Kernel

@@ -1,12 +1,13 @@
 // Package rf implements the non-RegLess register storage schemes the paper
 // compares against: the baseline banked register file, RFV (register file
 // virtualization, Jeon et al. [19]), and RFH (the compile-time managed
-// register file hierarchy, Gebhart et al. [11]).
+// register file hierarchy, Gebhart et al. [11]). Each is a plain
+// sim.Provider — a register file that always has the operands — so the SM
+// never ticks, drains or asks one whether a warp may issue.
 package rf
 
 import (
 	"repro/internal/exec"
-	"repro/internal/isa"
 	"repro/internal/sim"
 )
 
@@ -19,6 +20,8 @@ type Baseline struct {
 	sm *sim.SM
 	st *sim.ProviderStats
 }
+
+var _ sim.Provider = (*Baseline)(nil)
 
 // NewBaseline returns the baseline provider.
 func NewBaseline() *Baseline { return &Baseline{} }
@@ -59,21 +62,5 @@ func (b *Baseline) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 	return conflicts
 }
 
-// OnWriteback implements sim.Provider.
-func (b *Baseline) OnWriteback(*sim.Warp, isa.Reg) {}
-
 // OnWarpFinish implements sim.Provider.
 func (b *Baseline) OnWarpFinish(*sim.Warp) {}
-
-// Tick implements sim.Provider.
-func (b *Baseline) Tick() {}
-
-// Drained implements sim.Provider.
-func (b *Baseline) Drained() bool { return true }
-
-// HotHints implements sim.HintedProvider: the full RF has no per-cycle
-// machinery or writeback work. (It always has every register, so it
-// publishes no issue mask either.)
-func (b *Baseline) HotHints() sim.HotPathHints {
-	return sim.HotPathHints{PassiveTick: true, PassiveWriteback: true}
-}

@@ -33,6 +33,8 @@ type RFH struct {
 	orf     [][]isa.Reg // per warp: LRU list of buffered registers
 }
 
+var _ sim.Provider = (*RFH)(nil)
+
 // NewRFH builds the provider with the given per-warp ORF capacity.
 func NewRFH(orfEntries int) *RFH { return &RFH{ORFEntries: orfEntries} }
 
@@ -119,21 +121,5 @@ func (h *RFH) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 	return 0
 }
 
-// OnWriteback implements sim.Provider.
-func (h *RFH) OnWriteback(*sim.Warp, isa.Reg) {}
-
 // OnWarpFinish implements sim.Provider.
 func (h *RFH) OnWarpFinish(w *sim.Warp) { h.orf[w.ID] = nil }
-
-// Tick implements sim.Provider.
-func (h *RFH) Tick() {}
-
-// Drained implements sim.Provider.
-func (h *RFH) Drained() bool { return true }
-
-// HotHints implements sim.HintedProvider: RFH has no per-cycle machinery
-// or writeback work. (The hierarchy never gates issue, so it publishes
-// no issue mask.)
-func (h *RFH) HotHints() sim.HotPathHints {
-	return sim.HotPathHints{PassiveTick: true, PassiveWriteback: true}
-}

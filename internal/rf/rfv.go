@@ -39,6 +39,8 @@ type RFV struct {
 	refills      uint64
 }
 
+var _ sim.Provider = (*RFV)(nil)
+
 // rfvEntry is four bytes: every allocation queues one, and a mapping
 // released at its last read leaves its entry queued until it reaches the
 // head, so with a pool that never runs dry the queue grows by one entry
@@ -193,9 +195,6 @@ func (v *RFV) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 	return penalty
 }
 
-// OnWriteback implements sim.Provider.
-func (v *RFV) OnWriteback(*sim.Warp, isa.Reg) {}
-
 // OnWarpFinish releases the warp's remaining physical registers.
 func (v *RFV) OnWarpFinish(w *sim.Warp) {
 	for r, m := range v.mapped[w.ID] {
@@ -207,21 +206,8 @@ func (v *RFV) OnWarpFinish(w *sim.Warp) {
 	}
 }
 
-// Tick implements sim.Provider.
-func (v *RFV) Tick() {}
-
-// Drained implements sim.Provider.
-func (v *RFV) Drained() bool { return true }
-
 // LiveMapped returns the currently mapped physical register count (tests).
 func (v *RFV) LiveMapped() int { return v.physRegs - v.free }
 
 // Spills returns the victimization count (tests and experiments).
 func (v *RFV) Spills() uint64 { return v.spills }
-
-// HotHints implements sim.HintedProvider: RFV has no per-cycle machinery
-// or writeback work. (It never gates issue — pressure shows up as
-// spill/refill penalties from OnIssue — so it publishes no issue mask.)
-func (v *RFV) HotHints() sim.HotPathHints {
-	return sim.HotPathHints{PassiveTick: true, PassiveWriteback: true}
-}

@@ -181,6 +181,47 @@ func TestRequestBudgetExpires(t *testing.T) {
 	}
 }
 
+// TestResubmittedSweepFollowsFreshJobs: a sweep's id hashes its runs'
+// ids, so re-submitting a sweep whose runs expired lands on the same id
+// with fresh jobs for the same keys. The answer, and GET on the id, must
+// follow those jobs; the handler used to keep the sweep stored under the
+// id and answer "failed" with the expired runs while the fresh ones
+// simulated unobserved.
+func TestResubmittedSweepFollowsFreshJobs(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), testOpts())
+	defer s.Close()
+	s.testExecGate = func(j *job) { <-j.ctx.Done() }
+	h := s.Handler()
+	sweep := `{"benchmarks":["nw"],"schemes":["baseline","rfv"]}`
+
+	r := httptest.NewRequest("POST", "/v1/sweeps?wait=1", strings.NewReader(sweep))
+	r.Header.Set("X-Regless-Timeout", "20ms")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, r)
+	var first SweepStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &first); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("budgeted sweep = %d %v: %s", rec.Code, err, rec.Body)
+	}
+	if first.Status != "failed" || first.Runs[0].Status != "expired" {
+		t.Fatalf("budgeted sweep = %q, first run %q; want failed with expired runs", first.Status, first.Runs[0].Status)
+	}
+
+	s.testExecGate = nil
+	var again, got SweepStatus
+	if code := doJSON(t, h, "POST", "/v1/sweeps?wait=1", "resub", json.RawMessage(sweep), &again); code != http.StatusOK {
+		t.Fatalf("re-submitted sweep = %d", code)
+	}
+	if again.ID != first.ID {
+		t.Fatalf("re-submission has id %s, want %s (the id names the runs)", again.ID, first.ID)
+	}
+	if again.Status != "done" || again.Failed != 0 {
+		t.Fatalf("re-submitted sweep = %q with %d failed runs, want done", again.Status, again.Failed)
+	}
+	if code := doJSON(t, h, "GET", "/v1/sweeps/"+first.ID, "resub", nil, &got); code != http.StatusOK || got.Status != "done" {
+		t.Fatalf("GET re-submitted sweep = %d %q, want done", code, got.Status)
+	}
+}
+
 // TestReportRunBudgetExpires: a deep-dive ("report") request runs the
 // instrumented pipeline, which must poll its budget like any other run.
 // It used to ignore it — simulating to completion while holding a pool

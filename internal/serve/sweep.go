@@ -96,12 +96,11 @@ func (s *Server) handlePostSweep(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(h, j.id)
 	}
 	sw.id = hex.EncodeToString(h.Sum(nil))
+	// The id names the runs, not these job objects: a re-submission whose
+	// earlier jobs expired or were canceled got fresh ones from submit,
+	// and the sweep under the id must follow them, not the dead ones.
 	s.mu.Lock()
-	if prev, ok := s.sweeps[sw.id]; ok {
-		sw = prev
-	} else {
-		s.sweeps[sw.id] = sw
-	}
+	s.sweeps[sw.id] = sw
 	s.mu.Unlock()
 	if code, ok := s.settle(w, r, sw.jobs...); ok {
 		writeJSON(w, code, sw.status())

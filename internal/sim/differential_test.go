@@ -90,15 +90,11 @@ func TestMaskPickMatchesLinearOracle(t *testing.T) {
 		points = append(points, point{string(s), s, 0, nil})
 	}
 	points = append(points,
-		point{"baseline/lrr", experiments.SchemeBaseline, 0,
-			func(c *sim.Config, _ *core.Config) { c.Sched = sim.SchedLRR }},
 		// 80 warps behind one scheduler: the group's masks span two words.
 		point{"baseline/1x80", experiments.SchemeBaseline, 80,
 			func(c *sim.Config, _ *core.Config) { c.Schedulers = 1 }},
 		point{"baseline-2level/1x80", experiments.SchemeBaseline2L, 80,
 			func(c *sim.Config, _ *core.Config) { c.Schedulers = 1 }},
-		point{"baseline/lrr/1x80", experiments.SchemeBaseline, 80,
-			func(c *sim.Config, _ *core.Config) { c.Schedulers, c.Sched = 1, sim.SchedLRR }},
 	)
 	opts := experiments.Quick()
 	for _, noFF := range []bool{false, true} {

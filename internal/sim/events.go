@@ -5,32 +5,15 @@ import (
 	"repro/internal/isa"
 )
 
-// IssueProber is an optional Provider refinement: whether warp w may
-// issue its next instruction as far as register availability is
-// concerned, free of side effects. It is the per-warp definition of the
-// provider's issue mask (IssueMasker): stall attribution classifies with
-// it, and the sanitizer and the test oracle hold the mask to it.
-// Providers that never gate issue need not implement it.
-type IssueProber interface {
-	CanIssueQuiet(w *Warp) bool
-}
-
-// RecorderAware is an optional Provider refinement: providers that own
-// internal machinery (RegLess's per-shard CM/OSU/compressor) forward the
-// recorder so those layers emit their own events.
-type RecorderAware interface {
-	AttachRecorder(r *events.Recorder)
-}
-
 // AttachRecorder wires an event recorder through the whole machine: the
 // SM's scheduler (issue/stall/barrier/exit events), the memory hierarchy
-// (backing-store L1 accesses), and the provider's internals when it is
-// RecorderAware. Call once, before Run; a nil recorder detaches.
+// (backing-store L1 accesses), and a Stager's internals. Call once,
+// before Run; a nil recorder detaches.
 func (sm *SM) AttachRecorder(r *events.Recorder) {
 	sm.Rec = r
 	sm.Mem.SetRecorder(r)
-	if ra, ok := sm.Provider.(RecorderAware); ok {
-		ra.AttachRecorder(r)
+	if sm.stager != nil {
+		sm.stager.AttachRecorder(r)
 	}
 }
 
@@ -91,7 +74,7 @@ func (sm *SM) classifyWarp(w *Warp) events.StallReason {
 			return events.StallSFU
 		}
 	}
-	if sm.prober != nil && !sm.prober.CanIssueQuiet(w) {
+	if sm.stager != nil && !sm.stager.CanIssueQuiet(w) {
 		return events.StallCapacity
 	}
 	// Every hazard clear yet the scheduler skipped the group: does not

@@ -15,8 +15,8 @@ import (
 // hierarchy's event heap, (b) the LSU injecting lines, (c) the provider's
 // Tick machinery, and (d) the issue scan. After a zero-issue cycle the
 // scan's outcome is a pure function of state that only (a)-(c) can change:
-// barrier releases and window tracking need an issue, GTO and LRR mutate
-// their structures only on a successful pick, and per-warp stall timers
+// barrier releases and window tracking need an issue, GTO mutates its
+// structure only on a successful pick, and per-warp stall timers
 // are compared against the clock. The two-level scheduler is the
 // exception — its demote/promote pass can rotate pending order on
 // zero-issue cycles (barrier-stalled warps churn through the active set)
@@ -96,9 +96,10 @@ func fastForward(sms []*SM) bool {
 // nine attempts in ten, and exactly the one fastForward would make of
 // wakeTarget's answer after the costlier questions below, whose only
 // effect is the provider's does-not-fit memo; the provider is provably
-// idle — either hint-passive or reporting TickIdle on its current state;
-// the SM is not finished; and every group's scheduler is mutation-free on
-// failed picks (two-level demote/promote churns on zero-issue cycles).
+// idle — a register file always is, a Stager reports TickIdle on its
+// current state; the SM is not finished; and every group's scheduler is
+// mutation-free on failed picks (two-level demote/promote churns on
+// zero-issue cycles).
 func (sm *SM) ffEligible() bool {
 	if sm.Cfg.NoFastForward || sm.flt != nil || sm.lastProgress == sm.cycle {
 		return false
@@ -109,11 +110,8 @@ func (sm *SM) ffEligible() bool {
 	if t, ok := sm.Mem.NextWake(!sm.lsu.empty()); ok && t <= sm.cycle+1 {
 		return false
 	}
-	if !sm.passiveTick {
-		ti, ok := sm.Provider.(TickIdler)
-		if !ok || !ti.TickIdle() {
-			return false
-		}
+	if sm.stager != nil && !sm.stager.TickIdle() {
+		return false
 	}
 	if sm.Done() {
 		return false

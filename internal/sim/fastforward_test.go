@@ -7,33 +7,24 @@ import (
 	"repro/internal/sanitizer"
 )
 
-// passiveProvider is nullProvider plus truthful hot-path hints, so the
-// cycle-skip fast-forward engages (an unhinted provider without TickIdle
-// keeps the simulator on the stepped path).
-type passiveProvider struct{ nullProvider }
-
-func (*passiveProvider) HotHints() HotPathHints {
-	return HotPathHints{PassiveTick: true, PassiveWriteback: true}
-}
-
-// stuckPassiveProvider refuses every issue but has a passive tick: a
+// stuckIdleProvider refuses every issue but its Tick is always idle: a
 // livelock the fast-forward is allowed to skip across — straight into
 // the watchdog window, never past it.
-type stuckPassiveProvider struct{ stuckProvider }
+type stuckIdleProvider struct{ stuckProvider }
 
-func (*stuckPassiveProvider) HotHints() HotPathHints {
-	return HotPathHints{PassiveTick: true, PassiveWriteback: true}
-}
+func (*stuckIdleProvider) TickIdle() bool { return true }
 
 // TestFastForwardRunParity: a fast-forwarded run of the test kernel must
 // finish with identical statistics to a stepped run, and must actually
-// have skipped cycles (otherwise this test proves nothing).
+// have skipped cycles (otherwise this test proves nothing). The provider
+// is the plain register file: being no Stager is what makes it passive,
+// with nothing more to declare.
 func TestFastForwardRunParity(t *testing.T) {
 	k := smallKernel(t)
 	run := func(noFF bool) (*Stats, *SM) {
 		cfgv := testConfig()
 		cfgv.NoFastForward = noFF
-		sm, err := New(cfgv, k, &passiveProvider{}, exec.NewMemory(nil))
+		sm, err := New(cfgv, k, &nullProvider{}, exec.NewMemory(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +62,7 @@ func TestFastForwardWatchdogParity(t *testing.T) {
 		cfgv := testConfig()
 		cfgv.WatchdogCycles = 500
 		cfgv.NoFastForward = noFF
-		sm, err := New(cfgv, k, &stuckPassiveProvider{}, exec.NewMemory(nil))
+		sm, err := New(cfgv, k, &stuckIdleProvider{}, exec.NewMemory(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +91,7 @@ func TestFastForwardWatchdogParity(t *testing.T) {
 func TestFastForwardWatchdogQuietOnHealthyRun(t *testing.T) {
 	cfgv := testConfig()
 	cfgv.WatchdogCycles = 10_000
-	sm, err := New(cfgv, smallKernel(t), &passiveProvider{}, exec.NewMemory(nil))
+	sm, err := New(cfgv, smallKernel(t), &nullProvider{}, exec.NewMemory(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +110,7 @@ func TestFastForwardWatchdogQuietOnHealthyRun(t *testing.T) {
 // boundary check subsumes the per-cycle checks it replaces). The check
 // ledger must account for every cycle of the run.
 func TestFastForwardSanitizerAtSkipBoundaries(t *testing.T) {
-	sm, err := New(testConfig(), smallKernel(t), &passiveProvider{}, exec.NewMemory(nil))
+	sm, err := New(testConfig(), smallKernel(t), &nullProvider{}, exec.NewMemory(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package sim
 import "repro/internal/isa"
 
 // The linear oracle: warp readiness re-derived from the SoA arrays for
-// every candidate every cycle, and the three schedulers written against
+// every candidate every cycle, and the two schedulers written against
 // it — the pick path the ready masks (readymask.go) replaced, kept as the
 // reference the differential tests run the production pick against. It
 // reads no mask; it only writes them where production does (armStall), so
@@ -34,7 +34,7 @@ func (sm *SM) readyLinear(g int, id int32) bool {
 			return false
 		}
 	}
-	if sm.prober != nil && !sm.prober.CanIssueQuiet(sm.Warps[id]) {
+	if sm.stager != nil && !sm.stager.CanIssueQuiet(sm.Warps[id]) {
 		sm.Stats.IssueStalls++
 		sm.Prov.StallCycles++
 		sm.grp[g].ProviderStall++
@@ -157,46 +157,21 @@ func (s *twoLevelLinear) promote(g int, sm *SM) *Warp {
 	return nil
 }
 
-type lrrLinear struct {
-	next   []int
-	groups [][]*Warp
-}
-
-func (s *lrrLinear) candidates(g int) []*Warp { return s.groups[g] }
-func (s *lrrLinear) frozen(int, *SM) bool     { return true }
-
-func (s *lrrLinear) pick(g int, sm *SM) *Warp {
-	ws := s.groups[g]
-	n := len(ws)
-	for i := 0; i < n; i++ {
-		w := ws[(s.next[g]+i)%n]
-		if sm.readyLinear(g, int32(w.ID)) {
-			s.next[g] = (s.next[g] + i + 1) % n
-			return w
-		}
-	}
-	return nil
-}
-
 // UseLinearOracle swaps the SM's scheduler for the linear reference of
 // the same policy. Call before the first cycle.
 func (sm *SM) UseLinearOracle() {
-	switch sm.Cfg.Sched {
-	case SchedTwoLevel:
+	if sm.Cfg.Sched == SchedTwoLevel {
 		tl := newTwoLevel(nil, sm.groups, sm.Cfg.ActiveSet) // for the initial sets
 		s := &twoLevelLinear{active: tl.active, pending: tl.pending, size: tl.size}
 		sm.sched, sm.pickFn = s, s.pick
-	case SchedLRR:
-		s := &lrrLinear{next: make([]int, len(sm.groups)), groups: sm.groups}
-		sm.sched, sm.pickFn = s, s.pick
-	default:
-		cur := make([]int32, len(sm.groups))
-		for i := range cur {
-			cur[i] = -1
-		}
-		s := &gtoLinear{current: cur, groups: sm.groups}
-		sm.sched, sm.pickFn = s, s.pick
+		return
 	}
+	cur := make([]int32, len(sm.groups))
+	for i := range cur {
+		cur[i] = -1
+	}
+	s := &gtoLinear{current: cur, groups: sm.groups}
+	sm.sched, sm.pickFn = s, s.pick
 }
 
 // Pick is one issue decision: group g chose warp at cycle.

@@ -1,57 +1,79 @@
 package sim
 
 import (
+	"repro/internal/events"
 	"repro/internal/exec"
+	"repro/internal/faults"
 	"repro/internal/isa"
+	"repro/internal/sanitizer"
 )
 
-// Provider abstracts the register storage scheme under evaluation: the
-// baseline register file, RFV (register file virtualization, Jeon et al.),
-// RFH (the compile-time register hierarchy, Gebhart et al.), or RegLess.
-// The SM notifies the provider of issues, writebacks, and warp completion;
-// the provider drives its own machinery (capacity managers, preload
-// queues, compressors) from Tick. A provider that gates issue (RegLess
-// holds back warps whose regions are not staged) publishes a maintained
-// bit mask of the warps it lets through (IssueMasker) — the one Active
-// wire per warp the paper's scheduler sees (§5.1) — and the pick reads
-// that; the SM never asks about one warp at a time.
+// A register scheme meets the SM in one of the paper's two shapes, and
+// the SM resolves which once, at construction.
+//
+// Provider is a register file that always has the operands: the baseline
+// register file, RFV (register file virtualization, Jeon et al.) and RFH
+// (the compile-time register hierarchy, Gebhart et al.). The SM tells it
+// of issues and warp completion and it counts what they cost; it has no
+// machinery of its own, never gates issue and is always drained.
 type Provider interface {
 	// Name identifies the scheme in reports.
 	Name() string
 	// Attach binds the provider to the SM before simulation starts; the
-	// provider counts its events into sm.Prov from then on. A non-nil error (kernel mismatch, shard/scheduler disagreement)
-	// aborts construction instead of crashing mid-run.
+	// provider counts its events into sm.Prov from then on. A non-nil
+	// error (kernel mismatch, shard/scheduler disagreement) aborts
+	// construction instead of crashing mid-run.
 	Attach(sm *SM) error
 	// OnIssue is called when w issues; info is the executed instruction.
 	// The returned penalty is added as issue-stall cycles (operand bank
-	// conflicts, metadata instruction slots).
+	// conflicts, spill refills, metadata instruction slots).
 	OnIssue(w *Warp, info *exec.StepInfo) int
-	// OnWriteback is called when a destination write completes.
-	OnWriteback(w *Warp, reg isa.Reg)
 	// OnWarpFinish is called when a warp exits.
 	OnWarpFinish(w *Warp)
-	// Tick advances provider machinery by one cycle (called after the
-	// memory hierarchy tick, before instruction issue).
-	Tick()
-	// Drained reports whether no provider work is outstanding.
-	Drained() bool
 }
 
-// IssueMasker is an optional Provider refinement for schemes that gate
-// issue. IssueMask returns scheduler group g's words of the provider's
-// issue mask: bit p set means the warp at position p of the group (warp
-// g + p*Schedulers) may issue as far as register availability is
-// concerned. The SM fetches the slices once, after Attach, and reads
-// them every pick, so they must alias storage the provider keeps current
-// for the whole run. A provider without a mask is always issuable.
-//
-// Refusals are counted by the SM, by popcount below the pick, into
-// Stats.IssueStalls and Prov.StallCycles. A masked provider must also be
-// an IssueProber: CanIssueQuiet is the per-warp definition of the bit,
-// which the sanitizer, the test oracle and stall attribution compare
-// the mask against.
-type IssueMasker interface {
+// Stager is a per-shard staging unit (RegLess): machinery that runs every
+// cycle and a capacity manager that raises one Active wire per warp, the
+// only warps the scheduler may pick (§5.1).
+type Stager interface {
+	Provider
+	// Tick advances the staging machinery by one cycle (called after the
+	// memory hierarchy tick, before instruction issue).
+	Tick()
+	// TickIdle reports that, with the rest of the machine frozen, Tick is
+	// a provable no-op — no queued work, no activation that could succeed
+	// — so the cycle-skip fast-forward may skip its calls.
+	TickIdle() bool
+	// OnWriteback is called when a destination write completes.
+	OnWriteback(w *Warp, reg isa.Reg)
+	// Drained reports whether no staging work is outstanding.
+	Drained() bool
+	// IssueMask returns scheduler group g's words of the Active wires:
+	// bit p set means the warp at position p of the group (warp
+	// g + p*Schedulers) may issue as far as its registers are concerned.
+	// The SM fetches the slices once, after Attach, and reads them every
+	// pick, so they must alias storage kept current for the whole run.
+	// Refusals are counted by the SM, by popcount below the pick, into
+	// Stats.IssueStalls and Prov.StallCycles.
 	IssueMask(g int) []uint64
+	// CanIssueQuiet is the per-warp definition of w's mask bit, free of
+	// side effects: stall attribution classifies with it, and the
+	// sanitizer and the test oracle hold the mask to it.
+	CanIssueQuiet(w *Warp) bool
+	// AttachRecorder forwards the event recorder into the staging
+	// machinery (CM/OSU/compressor), so those layers emit their own
+	// events; nil detaches.
+	AttachRecorder(r *events.Recorder)
+	// AttachSanitizer registers the staging machinery's own invariant
+	// checks (OSU partition, CM reservations and transitions).
+	AttachSanitizer(s *sanitizer.Sanitizer)
+	// SetFaults hands over the injector for faults hosted in the staging
+	// machinery (corrupted OSU tags, flipped compressor patterns,
+	// mis-annotated region metadata).
+	SetFaults(in *faults.Injector)
+	// WarpDiag returns warp w's capacity state name and current region
+	// (region -1 when none), for diagnostic bundles.
+	WarpDiag(w int) (state string, region int)
 }
 
 // ProviderStats counts register-scheme events; the energy model and the
@@ -117,35 +139,4 @@ type ProviderStats struct {
 // Preloads returns the total preload count across sources.
 func (s *ProviderStats) Preloads() uint64 {
 	return s.PreloadFromOSU + s.PreloadFromCompressor + s.PreloadFromL1 + s.PreloadFromL2DRAM
-}
-
-// HotPathHints devirtualizes the per-cycle provider dispatch: the provider
-// set is closed (baseline/RFV/RFH/RegLess), and the three RF-style
-// providers have no-op Tick/OnWriteback — so the SM skips those interface
-// calls entirely on its hot path instead of paying a dynamic dispatch per
-// cycle and per writeback. Hints are capability declarations, not tuning
-// knobs: set a field only when the corresponding method is a provable
-// no-op for the provider's whole lifetime.
-type HotPathHints struct {
-	// PassiveTick: Tick is a no-op (no internal machinery to advance).
-	PassiveTick bool
-	// PassiveWriteback: OnWriteback is a no-op.
-	PassiveWriteback bool
-}
-
-// HintedProvider is an optional Provider refinement publishing hot-path
-// hints; providers that do not implement it get the all-false (fully
-// virtual) treatment.
-type HintedProvider interface {
-	HotHints() HotPathHints
-}
-
-// TickIdler is an optional Provider refinement for the cycle-skip
-// fast-forward: TickIdle reports that, with the rest of the machine
-// frozen, the provider's Tick is a provable no-op — no queued work, no
-// activation that could succeed — so skipping its Tick calls cannot
-// change behavior. Providers with PassiveTick are idle by construction
-// and need not implement this.
-type TickIdler interface {
-	TickIdle() bool
 }

@@ -22,9 +22,9 @@ import (
 //	mGlobal  the next instruction is a global memory access (wClass ==
 //	         ClassMemGlobal) — exact
 //	mSFU     the next instruction is an SFU op (wClass == ClassSFU) — exact
-//	mProv    the provider lets the warp issue — the provider's own words
-//	         (IssueMasker), exact by its contract; all ones for a provider
-//	         that does not gate issue
+//	mProv    the provider lets the warp issue — a Stager's own words
+//	         (Stager.IssueMask), exact by its contract; all ones for a
+//	         register file
 //
 // The masks are written only where the state under them is written; that
 // list is the contract (DESIGN.md §12) and the sanitizer's sim/readymask
@@ -57,13 +57,12 @@ func (sm *SM) initMasks() {
 	sm.mLive, sm.mSB, sm.mStall, sm.mGlobal, sm.mSFU = cut(0), cut(1), cut(2), cut(3), cut(4)
 }
 
-// bindIssueMask fetches the provider's issue mask, one slice per group,
-// after Attach. A provider without one is always issuable: every group
-// shares one all-ones slice.
+// bindIssueMask fetches a Stager's issue mask, one slice per group, after
+// Attach. A register file is always issuable: every group shares one
+// all-ones slice.
 func (sm *SM) bindIssueMask() error {
 	sm.mProv = wordsT.Make(sm.a, sm.Cfg.Schedulers)
-	im, ok := sm.Provider.(IssueMasker)
-	if !ok {
+	if sm.stager == nil {
 		open := wordT.Make(sm.a, sm.grpWords)
 		for i := range open {
 			open[i] = ^uint64(0)
@@ -73,11 +72,8 @@ func (sm *SM) bindIssueMask() error {
 		}
 		return nil
 	}
-	if sm.prober == nil {
-		return fmt.Errorf("sim: provider %q has an issue mask but no CanIssueQuiet to define it", sm.Provider.Name())
-	}
 	for g := range sm.mProv {
-		if sm.mProv[g] = im.IssueMask(g); len(sm.mProv[g]) != sm.grpWords {
+		if sm.mProv[g] = sm.stager.IssueMask(g); len(sm.mProv[g]) != sm.grpWords {
 			return fmt.Errorf("sim: provider %q issue mask for group %d has %d words, want %d",
 				sm.Provider.Name(), g, len(sm.mProv[g]), sm.grpWords)
 		}
@@ -122,35 +118,27 @@ func (sm *SM) expireStalls(g, w, i int) {
 	}
 }
 
-// scan is the pick primitive every scheduler issues through: the first
-// warp among group g's positions [lo, hi), in position order, that can
-// issue this cycle, or nil — as mask arithmetic, a word of warps at a
-// time. Warps that are not live or still stalled are passed over for
-// free, and so are those whose next instruction has no room in its unit
-// this cycle (LSU full, SFU interval running): one test per scan drops
-// the whole class. The pick is the first bit left that the provider lets
-// through. Two kinds of warp met before it are rejections, charged in
-// bulk by popcount: scoreboard-blocked warps, and free warps the
+// scan is GTO's oldest-first pick: the first warp of group g, in position
+// order, that can issue this cycle, or nil — as mask arithmetic, a word
+// of warps at a time. Warps that are not live or still stalled are passed
+// over for free, and so are those whose next instruction has no room in
+// its unit this cycle (LSU full, SFU interval running): one test per scan
+// drops the whole class. The pick is the first bit left that the provider
+// lets through. Two kinds of warp met before it are rejections, charged
+// in bulk by popcount: scoreboard-blocked warps, and free warps the
 // provider refused. The charges are exactly those of testing the same
 // warps one at a time in the same order, which is what the schedulers
 // did before the masks (the test oracle still does).
-func (sm *SM) scan(g, lo, hi int) *Warp {
+func (sm *SM) scan(g int) *Warp {
 	base, prov := g*sm.grpWords, sm.mProv[g]
 	lsuFull := !sm.lsu.hasRoom()
 	sfuBusy := sm.sfuNextIssue[g] > sm.cycle
-	for w := lo >> 6; w<<6 < hi; w++ {
-		span := ^uint64(0)
-		if s := lo - w<<6; s > 0 {
-			span <<= uint(s)
-		}
-		if e := hi - w<<6; e < 64 {
-			span &= 1<<uint(e) - 1
-		}
+	for w := 0; w < sm.grpWords; w++ {
 		i := base + w
-		if sm.mStall[i]&span != 0 {
+		if sm.mStall[i] != 0 {
 			sm.expireStalls(g, w, i)
 		}
-		cand := sm.mLive[i] &^ sm.mStall[i] & span
+		cand := sm.mLive[i] &^ sm.mStall[i]
 		blocked := cand & sm.mSB[i]
 		free := cand &^ blocked
 		if lsuFull {
@@ -247,7 +235,7 @@ func (sm *SM) checkMasks() error {
 			return fmt.Errorf("warp %d: SFU bit %v but next instruction class is %v", id, sfu, cls)
 		}
 		open := sm.mProv[w.Group][w.mword-w.Group*sm.grpWords]&w.mbit != 0
-		if want := sm.prober == nil || sm.prober.CanIssueQuiet(w); open != want {
+		if want := sm.stager == nil || sm.stager.CanIssueQuiet(w); open != want {
 			return fmt.Errorf("warp %d: provider issue bit %v but CanIssueQuiet says %v", id, open, want)
 		}
 	}

@@ -29,7 +29,7 @@ func TestGTOChargesBlockedCurrentTwice(t *testing.T) {
 	for _, noFF := range []bool{false, true} {
 		cfgv := testConfig()
 		cfgv.Warps, cfgv.Schedulers, cfgv.NoFastForward = 1, 1, noFF
-		sm, err := New(cfgv, b.MustKernel(), &passiveProvider{}, exec.NewMemory(nil))
+		sm, err := New(cfgv, b.MustKernel(), &nullProvider{}, exec.NewMemory(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestGTOChargesBlockedCurrentTwice(t *testing.T) {
 // per-warp truth (everything open), as a real gating provider keeps its
 // mask beside its state machine.
 type gateProvider struct {
-	nullProvider
+	nullStager
 	open []bool
 	mask [][]uint64
 }
@@ -78,7 +78,7 @@ func (p *gateProvider) CanIssueQuiet(w *Warp) bool { return p.open[w.ID] }
 // invariants with the sanitizer. Its per-warp answer reads the mask back,
 // so a drifted Active bit is left for the manager's check to find.
 type cmProvider struct {
-	nullProvider
+	nullStager
 	cms []*cm.CM
 }
 

@@ -8,52 +8,29 @@ import (
 	"repro/internal/sanitizer"
 )
 
-// SanitizerAware is an optional Provider refinement: providers with
-// internal machinery (RegLess's per-shard CM/OSU/compressor) register
-// their own invariant checks when a sanitizer is attached.
-type SanitizerAware interface {
-	AttachSanitizer(s *sanitizer.Sanitizer)
-}
-
-// FaultAware is an optional Provider refinement: providers that can host
-// injected faults (corrupted OSU tags, flipped compressor patterns,
-// mis-annotated region metadata) accept the injector.
-type FaultAware interface {
-	SetFaults(in *faults.Injector)
-}
-
-// WarpReporter is an optional Provider refinement: providers that track
-// per-warp capacity state (RegLess) report it for diagnostic bundles.
-type WarpReporter interface {
-	// WarpDiag returns warp w's capacity state name and current region
-	// (region -1 when none).
-	WarpDiag(w int) (state string, region int)
-}
-
 // AttachSanitizer wires the cycle-level invariant checker through the
-// machine: the SM registers its scoreboard/warp-state check and a
-// SanitizerAware provider adds its own (OSU partition, CM reservations
-// and transitions, staged-count agreement). Call once, before Run; a nil
-// sanitizer leaves checking disabled at one branch per cycle.
+// machine: the SM registers its scoreboard/warp-state check and a Stager
+// adds its own (OSU partition, CM reservations and transitions,
+// staged-count agreement). Call once, before Run; a nil sanitizer leaves
+// checking disabled at one branch per cycle.
 func (sm *SM) AttachSanitizer(s *sanitizer.Sanitizer) {
 	sm.san = s
 	sm.Metrics.CheckNames() // a sanitized run also holds its cell names unique
 	s.Register("sim/warps", sm.checkWarps)
 	s.Register("sim/readymask", sm.checkMasks)
-	if sa, ok := sm.Provider.(SanitizerAware); ok {
-		sa.AttachSanitizer(s)
+	if sm.stager != nil {
+		sm.stager.AttachSanitizer(s)
 	}
 }
 
 // AttachFaults hands the fault injector to every layer that can host
 // faults: the memory hierarchy (delayed/dropped L1 responses) and a
-// FaultAware provider (OSU/compressor/metadata corruption). Call once,
-// before Run.
+// Stager (OSU/compressor/metadata corruption). Call once, before Run.
 func (sm *SM) AttachFaults(in *faults.Injector) {
 	sm.flt = in
 	sm.Mem.SetFaults(in)
-	if fa, ok := sm.Provider.(FaultAware); ok {
-		fa.SetFaults(in)
+	if sm.stager != nil {
+		sm.stager.SetFaults(in)
 	}
 }
 
@@ -120,14 +97,13 @@ func (sm *SM) checkWarps() error {
 const diagEvents = 64
 
 // diagnose completes a Diagnostic with the machine context: run
-// identity, applied faults, per-warp state (capacity phase via
-// WarpReporter), the attributed stall breakdown, a metrics snapshot, and
-// the last recorded events.
+// identity, applied faults, per-warp state (a Stager's capacity phase),
+// the attributed stall breakdown, a metrics snapshot, and the last
+// recorded events.
 func (sm *SM) diagnose(d *sanitizer.Diagnostic) *sanitizer.Diagnostic {
 	d.Kernel = sm.K.Name
 	d.Provider = sm.Provider.Name()
 	d.FaultsApplied = sm.flt.Applied()
-	wr, _ := sm.Provider.(WarpReporter)
 	var counts [events.NumStallReasons]int
 	for _, w := range sm.Warps {
 		wd := sanitizer.WarpDiag{
@@ -139,8 +115,8 @@ func (sm *SM) diagnose(d *sanitizer.Diagnostic) *sanitizer.Diagnostic {
 			PendingWrites: w.pendingTotal,
 			LastIssue:     w.lastIssue,
 		}
-		if wr != nil {
-			wd.State, wd.Region = wr.WarpDiag(w.ID)
+		if sm.stager != nil {
+			wd.State, wd.Region = sm.stager.WarpDiag(w.ID)
 		}
 		d.Warps = append(d.Warps, wd)
 		if !w.Finished() {

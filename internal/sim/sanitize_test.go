@@ -13,7 +13,7 @@ import (
 // stuckProvider refuses every issue — an issue mask with no bit set: a
 // synthetic livelock (the machine ticks but no warp ever makes forward
 // progress).
-type stuckProvider struct{ nullProvider }
+type stuckProvider struct{ nullStager }
 
 func (*stuckProvider) IssueMask(int) []uint64   { return []uint64{0} }
 func (*stuckProvider) CanIssueQuiet(*Warp) bool { return false }
@@ -21,7 +21,7 @@ func (*stuckProvider) CanIssueQuiet(*Warp) bool { return false }
 // faultingProvider latches a fault report from inside Tick, modeling a
 // layer that detects corruption in a hook with no error return.
 type faultingProvider struct {
-	nullProvider
+	nullStager
 	sm *SM
 }
 

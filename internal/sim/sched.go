@@ -5,7 +5,6 @@ import "repro/internal/arena"
 var (
 	gtoT      = arena.Of[gto]()
 	twoLevelT = arena.Of[twoLevel]()
-	lrrT      = arena.Of[lrr]()
 )
 
 // scheduler picks the warp a scheduler group issues from each cycle.
@@ -17,9 +16,9 @@ var (
 // scheduler is frozen, or the post-skip pick order diverges from a
 // stepped run's.
 //
-// Every policy finds its warp through SM.scan over the ready masks
-// (readymask.go); what differs is which positions it offers and in what
-// order.
+// Both policies — the paper's GTO and two-level — test warps through the
+// ready masks (readymask.go): GTO scans its whole group (SM.scan), the
+// two-level scheduler only its active set (SM.scanWarp).
 type scheduler interface {
 	pick(group int, sm *SM) *Warp
 	candidates(group int) []*Warp
@@ -52,7 +51,7 @@ func (s *gto) pick(g int, sm *SM) *Warp {
 	if cur := s.current[g]; cur != nil && sm.scanWarp(cur) {
 		return cur
 	}
-	w := sm.scan(g, 0, len(s.groups[g]))
+	w := sm.scan(g)
 	if w != nil {
 		s.current[g] = w
 	}
@@ -182,34 +181,4 @@ func (s *twoLevel) promote(g int) *Warp {
 		}
 	}
 	return nil
-}
-
-// lrr is loose round-robin: each cycle starts the scan one past the last
-// issuer, giving every ready warp an equal share of issue slots.
-type lrr struct {
-	next   []int // per group: the position the next scan starts at
-	groups [][]*Warp
-}
-
-func newLRR(a *arena.Arena, groups [][]*Warp) *lrr {
-	s := lrrT.New(a)
-	s.next, s.groups = intT.Make(a, len(groups)), groups
-	return s
-}
-
-func (s *lrr) candidates(g int) []*Warp { return s.groups[g] }
-
-// frozen: a failed LRR pick leaves next untouched.
-func (s *lrr) frozen(int, *SM) bool { return true }
-
-func (s *lrr) pick(g int, sm *SM) *Warp {
-	n := len(s.groups[g])
-	w := sm.scan(g, s.next[g], n)
-	if w == nil {
-		w = sm.scan(g, 0, s.next[g])
-	}
-	if w != nil {
-		s.next[g] = (w.ID/sm.Cfg.Schedulers + 1) % n
-	}
-	return w
 }

@@ -2,7 +2,8 @@
 // across 4 scheduler groups (Table 1's GTX 980 SM), GTO or two-level warp
 // scheduling, a scoreboard, latency-modelled execution pipes, CTA barriers,
 // an LSU with address coalescing over the bypassing L2 path, and a
-// pluggable register Provider (baseline RF / RFV / RFH / RegLess).
+// pluggable register scheme: a Provider register file (baseline RF / RFV /
+// RFH) or a Stager staging unit (RegLess).
 //
 // The simulator co-simulates function and timing: issuing an instruction
 // executes it functionally (package exec), so values, divergence, and
@@ -42,19 +43,13 @@ const (
 	// SchedTwoLevel is the two-level scheduler of Gebhart et al. [9],
 	// used by the RFH and Figure 2 experiments.
 	SchedTwoLevel
-	// SchedLRR is loose round-robin: fairness-first, no greediness.
-	SchedLRR
 )
 
 func (s SchedKind) String() string {
-	switch s {
-	case SchedTwoLevel:
+	if s == SchedTwoLevel {
 		return "2-level"
-	case SchedLRR:
-		return "LRR"
-	default:
-		return "GTO"
 	}
+	return "GTO"
 }
 
 // Config parameterizes the SM (defaults follow Table 1).
@@ -216,21 +211,18 @@ type SM struct {
 	// emission site.
 	Rec *events.Recorder
 
-	// prober is the provider's per-warp issue test (nil: always
-	// issuable), resolved once at construction.
-	prober IssueProber
+	// stager is Provider as a Stager, resolved once at construction; nil
+	// for a register file, which is passive, always issuable and always
+	// drained, so the SM makes none of those calls.
+	stager Stager
 
 	groups [][]*Warp
 	sched  scheduler
 	lsu    *lsu
 
-	// Devirtualized hot-path dispatch, resolved once at construction:
-	// pickFn is the concrete scheduler's pick (no itab lookup per group
-	// per cycle) and the hint flags elide provider calls that are
-	// provable no-ops (HotPathHints).
-	pickFn      func(int, *SM) *Warp
-	passiveTick bool
-	passiveWB   bool
+	// pickFn is the concrete scheduler's pick, resolved once at
+	// construction (no itab lookup per group per cycle).
+	pickFn func(int, *SM) *Warp
 
 	grp []groupStats // per scheduler group
 
@@ -438,14 +430,10 @@ func NewWithHierarchyIn(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, 
 		sm.setLive(w)
 		sm.refreshInsn(w)
 	}
-	switch cfgv.Sched {
-	case SchedTwoLevel:
+	if cfgv.Sched == SchedTwoLevel {
 		s := newTwoLevel(a, sm.groups, cfgv.ActiveSet)
 		sm.sched, sm.pickFn = s, s.pick
-	case SchedLRR:
-		s := newLRR(a, sm.groups)
-		sm.sched, sm.pickFn = s, s.pick
-	default:
+	} else {
 		s := newGTO(a, sm.groups)
 		sm.sched, sm.pickFn = s, s.pick
 	}
@@ -453,12 +441,7 @@ func NewWithHierarchyIn(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, 
 	if err := p.Attach(sm); err != nil {
 		return nil, err
 	}
-	if hp, ok := p.(HintedProvider); ok {
-		h := hp.HotHints()
-		sm.passiveTick = h.PassiveTick
-		sm.passiveWB = h.PassiveWriteback
-	}
-	sm.prober, _ = p.(IssueProber)
+	sm.stager, _ = p.(Stager)
 	if err := sm.bindIssueMask(); err != nil {
 		return nil, err
 	}
@@ -518,7 +501,7 @@ func (sm *SM) Run() (*Stats, error) {
 
 // Done reports whether every warp finished and all machinery drained.
 func (sm *SM) Done() bool {
-	return sm.allDone() && sm.Provider.Drained() && sm.Mem.Drained() && sm.lsu.empty()
+	return sm.allDone() && (sm.stager == nil || sm.stager.Drained()) && sm.Mem.Drained() && sm.lsu.empty()
 }
 
 // Finalize closes the statistics windows and returns the stats. Call once
@@ -548,8 +531,8 @@ func (sm *SM) step() {
 			sm.Warps[e.warp].completePending(e.reg, e.mem)
 		}
 	}
-	if !sm.passiveTick {
-		sm.Provider.Tick()
+	if sm.stager != nil {
+		sm.stager.Tick()
 	}
 	sm.lsu.tick()
 	for g := range sm.scanSB {

@@ -3,20 +3,36 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/exec"
+	"repro/internal/faults"
 	"repro/internal/isa"
+	"repro/internal/sanitizer"
 )
 
-// nullProvider is a pass-through register provider for simulator tests.
+// nullProvider is a pass-through register file for simulator tests.
 type nullProvider struct{}
 
 func (nullProvider) Name() string                       { return "null" }
 func (*nullProvider) Attach(*SM) error                  { return nil }
 func (*nullProvider) OnIssue(*Warp, *exec.StepInfo) int { return 0 }
-func (*nullProvider) OnWriteback(*Warp, isa.Reg)        {}
 func (*nullProvider) OnWarpFinish(*Warp)                {}
-func (*nullProvider) Tick()                             {}
-func (*nullProvider) Drained() bool                     { return true }
+
+// nullStager is the no-op Stager the fakes that tick or gate issue embed:
+// every warp of a one-word group open, never idle (so a run with one
+// steps every cycle), always drained.
+type nullStager struct{ nullProvider }
+
+func (*nullStager) Tick()                                {}
+func (*nullStager) TickIdle() bool                       { return false }
+func (*nullStager) OnWriteback(*Warp, isa.Reg)           {}
+func (*nullStager) Drained() bool                        { return true }
+func (*nullStager) IssueMask(int) []uint64               { return []uint64{^uint64(0)} }
+func (*nullStager) CanIssueQuiet(*Warp) bool             { return true }
+func (*nullStager) AttachRecorder(*events.Recorder)      {}
+func (*nullStager) AttachSanitizer(*sanitizer.Sanitizer) {}
+func (*nullStager) SetFaults(*faults.Injector)           {}
+func (*nullStager) WarpDiag(int) (string, int)           { return "", -1 }
 
 func smallKernel(t *testing.T) *isa.Kernel {
 	t.Helper()
@@ -236,60 +252,6 @@ func TestMaxCyclesGuard(t *testing.T) {
 	}
 	if _, err := sm.Run(); err == nil {
 		t.Fatal("MaxCycles guard did not trip")
-	}
-}
-
-func TestLRRSchedulerCompletes(t *testing.T) {
-	cfgv := testConfig()
-	cfgv.Sched = SchedLRR
-	k := smallKernel(t)
-	_, mm := runSim(t, k, cfgv)
-	ref, err := exec.Run(k, cfgv.Warps, exec.NewMemory(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := mm.GlobalStores()
-	for a, v := range ref.Stores {
-		if got[a] != v {
-			t.Fatalf("LRR run diverged at %#x", a)
-		}
-	}
-}
-
-func TestLRRFairness(t *testing.T) {
-	// Pure ALU kernel: under LRR every warp's last-issue cycles should
-	// interleave (no warp monopolizes), unlike GTO.
-	b := isa.NewBuilder("fair", 4)
-	v := b.Movi(1)
-	for i := 0; i < 30; i++ {
-		v = b.Addi(v, 1)
-	}
-	b.Stg(v, v, 0x200000)
-	b.Exit()
-	k := b.MustKernel()
-	cfgv := testConfig()
-	cfgv.Warps = 8
-	cfgv.Sched = SchedLRR
-	mm := exec.NewMemory(nil)
-	sm, err := New(cfgv, k, &nullProvider{}, mm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sm.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// All warps in a group finish within a small window of one another.
-	var last [4]uint64
-	for _, w := range sm.Warps {
-		if w.lastIssue > last[w.Group] {
-			last[w.Group] = w.lastIssue
-		}
-	}
-	for _, w := range sm.Warps {
-		if last[w.Group]-w.lastIssue > 64 {
-			t.Fatalf("warp %d finished %d cycles before its group's last",
-				w.ID, last[w.Group]-w.lastIssue)
-		}
 	}
 }
 

@@ -91,8 +91,8 @@ func (w *Warp) completePending(r isa.Reg, memOp bool) {
 	if sm.mSB[w.mword]&w.mbit != 0 {
 		sm.refreshSB(w) // a write landing can only unblock
 	}
-	if !sm.passiveWB {
-		sm.Provider.OnWriteback(w, r)
+	if sm.stager != nil {
+		sm.stager.OnWriteback(w, r)
 	}
 }
 

@@ -161,7 +161,7 @@ func (f timerFunc) Fire() { f() }
 
 // afterProvider schedules a callback delay cycles ahead at cycle 50.
 type afterProvider struct {
-	nullProvider
+	nullStager
 	sm    *SM
 	delay int
 	ran   bool

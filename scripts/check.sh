@@ -50,6 +50,13 @@ test "$(grep -rn '"max-cycles"' --include=*.go --exclude=*_test.go cmd | wc -l)"
 # serve's own wire types, and the OSU's bank count is isa.NumBanks.
 test -z "$(grep -rn 'type runRequest\|type runStatus\|type sweepStatus' --include=*.go cmd scripts)"
 test -z "$(grep -rn 'NumBanks *= *[0-9]' --include=*.go cmd internal regless.go | grep -v '^internal/isa/')"
+# A register scheme meets the SM in one of the paper's two shapes
+# (DESIGN.md §12), sim.Provider or sim.Stager, resolved once in the SM
+# constructor, and warps are scheduled GTO or two-level: the nine optional
+# provider refinements and the LRR scheduler stay gone, and no SM code
+# asks its provider again what it is.
+test -z "$(grep -rnw 'IssueMasker\|IssueProber\|HotPathHints\|HintedProvider\|TickIdler\|RecorderAware\|SanitizerAware\|FaultAware\|WarpReporter\|SchedLRR' --include=*.go cmd internal regless.go)"
+test -z "$(grep -rn 'sm\.Provider\.(' --include=*.go --exclude=*_test.go internal/sim)"
 go test -race -shuffle=on ./...
 # The allocation budget of a steady-state run is the program's only
 # without the race detector, whose instrumentation changes what
