@@ -151,7 +151,7 @@ func (lv *Liveness) updateSoftDefs() bool {
 			if lv.SoftDef[gi] {
 				continue
 			}
-			if lv.isSoftDef(b, in.Dst) {
+			if lv.LiveOnSiblingPath(b, in.Dst) {
 				lv.SoftDef[gi] = true
 				grew = true
 			}
@@ -160,56 +160,16 @@ func (lv *Liveness) updateSoftDefs() bool {
 	return grew
 }
 
-// isSoftDef implements Algorithm 2: a definition in block insnBB of reg is
-// soft when some strictly-dominating block (with no reconvergence point in
-// between) has a successor off the path to insnBB on which reg is live —
-// i.e. an earlier definition reaches uses under control conditions
-// different from this write's.
-func (lv *Liveness) isSoftDef(insnBB int, reg isa.Reg) bool {
-	g := lv.G
-	doms := g.Dominators(insnBB)
-	domSet := make(map[int]bool, len(doms))
-	for _, d := range doms {
-		domSet[d] = true
-	}
-	for _, domBB := range doms {
-		if domBB == insnBB {
-			continue
-		}
-		// Skip if a reconvergence point lies between domBB and the
-		// definition: a strict postdominator of domBB that also
-		// dominates insnBB.
-		reconverged := false
-		for _, pd := range g.PostDominators(domBB) {
-			if pd != domBB && domSet[pd] {
-				reconverged = true
-				break
-			}
-		}
-		if reconverged {
-			continue
-		}
-		for _, succ := range g.Succs[domBB] {
-			if g.Dominates(succ, insnBB) {
-				continue
-			}
-			if lv.blockIn[succ].Get(int(reg)) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // LiveOnSiblingPath reports whether reg is live at the entry of a
 // divergent sibling path of block b: a successor of a strict dominator of
 // b (with no reconvergence point in between) that does not itself
 // dominate b. Under SIMT execution both arms of a divergent branch run,
 // so a value that is dead along b's own path may still be needed by the
-// sibling arm's lanes — the dual of Algorithm 2's soft-definition test,
-// used to keep last-use erase/invalidate annotations divergence-safe
-// (§4.4: "it is only safe ... when the entire register is known to be
-// dead").
+// sibling arm's lanes. It is Algorithm 2's test — a definition of reg in
+// b is soft exactly when it holds (an earlier definition reaches uses
+// under control conditions different from this write's) — and keeps
+// last-use erase/invalidate annotations divergence-safe (§4.4: "it is
+// only safe ... when the entire register is known to be dead").
 func (lv *Liveness) LiveOnSiblingPath(b int, reg isa.Reg) bool {
 	g := lv.G
 	doms := g.Dominators(b)
@@ -221,6 +181,8 @@ func (lv *Liveness) LiveOnSiblingPath(b int, reg isa.Reg) bool {
 		if domBB == b {
 			continue
 		}
+		// Skip if a reconvergence point lies between domBB and b: a
+		// strict postdominator of domBB that also dominates b.
 		reconverged := false
 		for _, pd := range g.PostDominators(domBB) {
 			if pd != domBB && domSet[pd] {

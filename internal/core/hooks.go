@@ -185,27 +185,20 @@ func (p *Provider) OnWarpFinish(w *sim.Warp) {
 	ws.regionID = -1
 }
 
-// CheckInvariants verifies cross-structure consistency (tests).
+// CheckInvariants verifies cross-structure consistency (tests): each
+// shard's CM and OSU, and the capacity agreement the sanitizer checks
+// (checkShardCapacity).
 func (p *Provider) CheckInvariants() error {
 	for s, sh := range p.shards {
-		if err := sh.cm.CheckInvariants(); err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
+		err := sh.cm.CheckInvariants()
+		if err == nil {
+			err = sh.osu.CheckInvariants()
 		}
-		if err := sh.osu.CheckInvariants(); err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
+		if err == nil {
+			err = p.checkShardCapacity(s, sh)
 		}
-		// Active lines per bank must match the warps' staged counts.
-		for b := 0; b < isa.NumBanks; b++ {
-			sum := 0
-			for w, ws := range p.warps {
-				if ws.shard == s {
-					sum += ws.activePerBank[b]
-					_ = w
-				}
-			}
-			if got := sh.osu.ActiveLines(b); got != sum {
-				return fmt.Errorf("shard %d bank %d: OSU active %d != warp sum %d", s, b, got, sum)
-			}
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
 	return nil

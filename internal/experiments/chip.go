@@ -294,8 +294,10 @@ func SimulateKernel(k *isa.Kernel, scheme Scheme, su SimSetup, tune Tune) (*Run,
 // non-zero, an event recorder keeping those families on every SM — how
 // serve runs every point (a "report" request is a non-zero mask) and how
 // the CLI runs -timeline, -trace and -trace-report. Nothing is cached or
-// shared: callers that want that have the store, or a Suite.
-// Cancellation and trace spans work as in Suite.GetCtx.
+// shared: callers that want that have the store, or a Suite. Trace spans
+// are recorded as in Suite.GetCtx; unlike a suite run, this one is
+// abandoned with ctx's error once ctx is done (serve's job expiry, cancel
+// and drain).
 func SimulateInstrumented(ctx context.Context, bench string, scheme Scheme, sms int, su SimSetup, mask events.Mask) (*Instrumented, error) {
 	k, err := loadKernel(ctx, bench)
 	if err != nil {

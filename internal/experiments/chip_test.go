@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
@@ -206,10 +207,28 @@ func TestMergesCoverEveryCounter(t *testing.T) {
 
 }
 
-// TestInstrumentedRunHonorsContext: the instrumented path (serve's
-// "report" requests) is the same pipeline as Suite.GetCtx, so it stops
-// for a context that is already done and for one that expires mid-run.
-// It used never to attach the context and simulated to completion.
+// cancelOpts stretches a run past many cancellation polls. Every repo
+// benchmark finishes in a few thousand cycles — fewer loop iterations than
+// one poll interval — so a mem-delay fault parks one response for 800k
+// cycles (under the 1M watchdog), and NoFastForward keeps the loop
+// stepping through the idle span (fault injection disables the skip
+// anyway): ~100 context polls per run, while a full run still completes in
+// well under a second.
+func cancelOpts() Options {
+	plan, err := faults.Parse("mem-delay@500:delay=800000")
+	if err != nil {
+		panic(err)
+	}
+	return Options{
+		Warps: 8, Benchmarks: []string{"nw"}, MaxCycles: 2_000_000,
+		NoFastForward: true, Faults: plan,
+	}
+}
+
+// TestInstrumentedRunHonorsContext: the instrumented path is how serve
+// runs every point, and the one run path that is canceled (a job's
+// expiry, cancel or drain), so it stops for a context that is already
+// done and for one that expires mid-run, on a chip of one and of two.
 func TestInstrumentedRunHonorsContext(t *testing.T) {
 	opts := cancelOpts() // one response parked for 800k stepped cycles
 	canceled, cancel := context.WithCancel(context.Background())
@@ -225,6 +244,44 @@ func TestInstrumentedRunHonorsContext(t *testing.T) {
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%d SMs: instrumented run past its deadline = %v, want DeadlineExceeded", sms, err)
 		}
+	}
+}
+
+// TestChipRunCanceled: a 2-SM instrumented run whose context is canceled
+// mid-run (a serve job canceled or drained) stops and returns
+// context.Canceled instead of simulating to completion.
+func TestChipRunCanceled(t *testing.T) {
+	opts := cancelOpts()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := SimulateInstrumented(ctx, "nw", SchemeBaseline, 2, opts.Setup(0), events.MaskSched)
+		errCh <- err
+	}()
+	time.AfterFunc(20*time.Millisecond, cancel)
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled chip run = %v, want context.Canceled", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("canceled chip run did not return")
+	}
+}
+
+// TestDeadlineExceededClassified: a run handed a context already past its
+// deadline (a serve job that expired in the queue) reports
+// DeadlineExceeded, not Canceled, so the service can tell expiry from a
+// client's cancel.
+func TestDeadlineExceededClassified(t *testing.T) {
+	opts := cancelOpts()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	time.Sleep(2 * time.Millisecond)
+	_, err := SimulateInstrumented(ctx, "nw", SchemeBaseline, 1, opts.Setup(0), events.MaskSched)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run past its deadline = %v, want DeadlineExceeded", err)
 	}
 }
 

@@ -9,13 +9,11 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,9 +76,7 @@ func ParseScheme(name string) (Scheme, error) {
 
 // HasCapacity reports whether a run's capacity means anything under the
 // scheme: it sizes RegLess's OSU and nothing else, so every other scheme's
-// runs are keyed, labelled and stored at capacity 0. (internal/store
-// canonicalises keys it reads back from disk without importing the engine
-// and keeps its own copy; a serve test holds the two together.)
+// runs are keyed, labelled and stored at capacity 0.
 func (s Scheme) HasCapacity() bool { return s == SchemeRegLess || s == SchemeRegLessNC }
 
 // CanonicalCapacity is the capacity rule, said once for the command line,
@@ -333,72 +329,42 @@ func (s *Suite) Get(bench string, scheme Scheme, capacity int) (*Run, error) {
 	return s.GetCtx(context.Background(), bench, scheme, capacity)
 }
 
-// GetCtx is Get with service-level span recording and cooperative
-// cancellation. When ctx carries an obs trace, the suite records its
+// GetCtx is Get under the obs trace ctx may carry: the suite records its
 // phases — "suite-wait" when another caller's in-flight simulation is
 // joined, else "kernel-load"/"build"/"run" children under the carried
-// parent span. When ctx is cancelable, the cycle loop polls
-// it and an abandoned simulation returns ctx's error instead of running
-// to completion.
-//
-// Cancellation must not poison the cache: simulation errors are cached
-// (deterministic — retrying cannot help), but a context error says
-// nothing about the key, so the leader removes its entry before
-// publishing, a joined follower whose own ctx is still live re-runs the
-// key, and the next Get simulates fresh. Without a trace or a deadline in
-// ctx this is exactly Get.
+// parent span. A suite run is never canceled: its result is every later
+// caller's, so ctx's cancellation is stripped before the simulation starts
+// (only for a ctx that has any — a Background or trace-only ctx is used as
+// given). The service, which does cancel, runs SimulateInstrumented under
+// its job's context instead.
 func (s *Suite) GetCtx(ctx context.Context, bench string, scheme Scheme, capacity int) (*Run, error) {
 	key := normKey(bench, scheme, capacity)
-	for {
-		s.mu.Lock()
-		e, ok := s.cache[key]
-		if !ok {
-			e = &runEntry{done: make(chan struct{})}
-			s.cache[key] = e
-		}
-		s.mu.Unlock()
-		if ok {
-			tr, parent := obs.FromContext(ctx)
-			wait := tr.Start(parent, "suite-wait")
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				tr.End(wait)
-				return nil, fmt.Errorf("%s/%s/%d: %w", key.bench, key.scheme, key.capacity, ctx.Err())
-			}
-			tr.End(wait)
-			if e.err != nil && isCtxErr(e.err) && ctx.Err() == nil {
-				// The leader was abandoned but this caller was not:
-				// its entry is gone from the cache, so loop and lead.
-				continue
-			}
-			return e.run, e.err
-		}
-		if s.OnSimulate != nil {
-			s.OnSimulate(key.bench, key.scheme, key.capacity)
-		}
-		r, err := s.simulate(ctx, key.bench, key.scheme, key.capacity)
-		if err != nil {
-			if isCtxErr(err) {
-				s.mu.Lock()
-				if s.cache[key] == e {
-					delete(s.cache, key)
-				}
-				s.mu.Unlock()
-			}
-			e.err = fmt.Errorf("%s/%s/%d: %w", key.bench, key.scheme, key.capacity, err)
-		} else {
-			e.run = r
-		}
-		close(e.done)
+	s.mu.Lock()
+	e, ok := s.cache[key]
+	if !ok {
+		e = &runEntry{done: make(chan struct{})}
+		s.cache[key] = e
+	}
+	s.mu.Unlock()
+	if ok {
+		tr, parent := obs.FromContext(ctx)
+		wait := tr.Start(parent, "suite-wait")
+		<-e.done
+		tr.End(wait)
 		return e.run, e.err
 	}
-}
-
-// isCtxErr reports whether err is a cancellation/deadline error rather
-// than a result of the simulation itself.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	if s.OnSimulate != nil {
+		s.OnSimulate(key.bench, key.scheme, key.capacity)
+	}
+	if ctx.Done() != nil {
+		ctx = context.WithoutCancel(ctx)
+	}
+	e.run, e.err = s.simulate(ctx, key.bench, key.scheme, key.capacity)
+	if e.err != nil {
+		e.err = fmt.Errorf("%s/%s/%d: %w", key.bench, key.scheme, key.capacity, e.err)
+	}
+	close(e.done)
+	return e.run, e.err
 }
 
 // forEach runs fn(0..n-1) across min(Parallelism, n) workers and returns
@@ -447,36 +413,6 @@ func (o Options) forEach(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// CachedRuns returns every completed run in deterministic key order
-// (bench, then scheme, then capacity) — the raw material for throughput
-// reporting.
-func (s *Suite) CachedRuns() []*Run {
-	s.mu.Lock()
-	entries := make([]*runEntry, 0, len(s.cache))
-	for _, e := range s.cache {
-		entries = append(entries, e)
-	}
-	s.mu.Unlock()
-	var out []*Run
-	for _, e := range entries {
-		<-e.done
-		if e.run != nil {
-			out = append(out, e.run)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Bench != b.Bench {
-			return a.Bench < b.Bench
-		}
-		if a.Scheme != b.Scheme {
-			return a.Scheme < b.Scheme
-		}
-		return a.Capacity < b.Capacity
-	})
-	return out
 }
 
 func (s *Suite) simulate(ctx context.Context, bench string, scheme Scheme, capacity int) (*Run, error) {

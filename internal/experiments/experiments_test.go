@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -33,6 +34,29 @@ func TestRunCacheMemoizes(t *testing.T) {
 	}
 	if a.Stats.Cycles == 0 {
 		t.Fatal("empty run")
+	}
+}
+
+// TestGetCtxPreCanceledSimulatesOnce: a suite run's result is every later
+// caller's, so it is never canceled — a GetCtx handed a context that is
+// already done simulates the key once, to completion (cancelOpts' run
+// polls its context ~100 times), and a later Get shares that Run.
+func TestGetCtxPreCanceledSimulatesOnce(t *testing.T) {
+	s := NewSuite(cancelOpts())
+	simulations := 0
+	s.OnSimulate = func(string, Scheme, int) { simulations++ }
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	a, err := s.GetCtx(ctx, "nw", SchemeRegLess, 512)
+	if err != nil || a == nil {
+		t.Fatalf("GetCtx with a canceled ctx = %v, %v; want the run", a, err)
+	}
+	b, err := s.Get("nw", SchemeRegLess, 512)
+	if err != nil || b != a {
+		t.Fatalf("Get after it = %p, %v; want the same *Run %p", b, err, a)
+	}
+	if simulations != 1 {
+		t.Fatalf("%d simulations, want 1", simulations)
 	}
 }
 

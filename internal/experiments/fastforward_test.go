@@ -51,7 +51,7 @@ func TestFastForwardDifferential(t *testing.T) {
 		diffLines(t, ffStream, stStream)
 	}
 
-	ffRuns, stRuns := ffSuite.CachedRuns(), stSuite.CachedRuns()
+	ffRuns, stRuns := cachedRuns(ffSuite), cachedRuns(stSuite)
 	if len(ffRuns) != len(stRuns) || len(ffRuns) == 0 {
 		t.Fatalf("run counts differ: %d vs %d", len(ffRuns), len(stRuns))
 	}

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/arena"
@@ -31,6 +33,27 @@ func liveHeap() int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
+}
+
+// cachedRuns returns every completed run s holds, in key order (bench,
+// then scheme, then capacity).
+func cachedRuns(s *Suite) []*Run {
+	s.mu.Lock()
+	entries := make([]*runEntry, 0, len(s.cache))
+	for _, e := range s.cache {
+		entries = append(entries, e)
+	}
+	s.mu.Unlock()
+	var out []*Run
+	for _, e := range entries {
+		if <-e.done; e.run != nil {
+			out = append(out, e.run)
+		}
+	}
+	slices.SortFunc(out, func(a, b *Run) int {
+		return cmp.Or(cmp.Compare(a.Bench, b.Bench), cmp.Compare(a.Scheme, b.Scheme), cmp.Compare(a.Capacity, b.Capacity))
+	})
+	return out
 }
 
 // TestCachedRunPinsNoMachine warms a full-scale Suite and weighs it. A
@@ -61,7 +84,7 @@ func TestCachedRunPinsNoMachine(t *testing.T) {
 	before := liveHeap()
 	s := warm()
 	grown := liveHeap() - before
-	if got := len(s.CachedRuns()); got != runs {
+	if got := len(cachedRuns(s)); got != runs {
 		t.Fatalf("%d cached runs, want %d", got, runs)
 	}
 	if perRun := grown / int64(runs); perRun > 32<<10 {
@@ -285,7 +308,7 @@ func TestRunsAreReadOnly(t *testing.T) {
 			Activations []uint64
 		}
 		var all []numbers
-		for _, r := range s.CachedRuns() {
+		for _, r := range cachedRuns(s) {
 			all = append(all, numbers{r.Stats, r.Prov, r.Mem, r.Chip, r.RegionActivations})
 		}
 		out, err := json.Marshal(all)
@@ -295,7 +318,7 @@ func TestRunsAreReadOnly(t *testing.T) {
 		return out
 	}
 	before := snapshot()
-	for _, r := range s.CachedRuns() {
+	for _, r := range cachedRuns(s) {
 		if len(r.Chip.PerSM) != 1 || r.Stats != r.Chip.PerSM[0] {
 			t.Fatalf("%s/%s: a chip of one must hand out its SM's own detached Stats", r.Bench, r.Scheme)
 		}

@@ -74,7 +74,7 @@ func TestFig17MetricsReconcile(t *testing.T) {
 		a.deep += rec.Counters["provider/preload_from_l2dram"]
 	}
 
-	runs := suite.CachedRuns()
+	runs := cachedRuns(suite)
 	if len(runs) == 0 {
 		t.Fatal("no cached runs")
 	}

@@ -33,16 +33,11 @@ type check struct {
 
 // Sanitizer runs registered invariant checks each cycle.
 type Sanitizer struct {
-	// Every throttles checking to every Nth cycle (default 1: every
-	// cycle). Violations between checked cycles surface at the next
-	// checked one.
-	Every uint64
-
 	checks []check
 }
 
-// New builds an every-cycle sanitizer.
-func New() *Sanitizer { return &Sanitizer{Every: 1} }
+// New builds a sanitizer with no checks registered.
+func New() *Sanitizer { return &Sanitizer{} }
 
 // Register adds an invariant under a component name ("osu/s2",
 // "cm/s0/transitions", "sim/warps"); the name becomes the Diagnostic's
@@ -61,9 +56,6 @@ func (s *Sanitizer) Enabled() bool { return s != nil && len(s.checks) > 0 }
 // first violation, or nil. Nil-safe: a nil receiver always passes.
 func (s *Sanitizer) Check(cycle uint64) *Diagnostic {
 	if s == nil {
-		return nil
-	}
-	if s.Every > 1 && cycle%s.Every != 0 {
 		return nil
 	}
 	for _, c := range s.checks {

@@ -55,10 +55,11 @@ func KernelHash(name string) (string, error) {
 	return h, nil
 }
 
-// KeyFor canonicalizes a run request against this server's configuration.
-// Errors are admission errors (unknown bench/scheme, bad capacity) and
-// map to 4xx; the capacity rule is the command line's
-// (experiments.CanonicalCapacity).
+// KeyFor canonicalizes a run request against this server's configuration:
+// it is the one place a store key's rule is said — the capacity is the
+// command line's (experiments.CanonicalCapacity) and the SM count New's
+// normalized Options, and the store keeps the key as given. Errors are
+// admission errors (unknown bench/scheme, bad capacity) and map to 4xx.
 func (s *Server) KeyFor(req RunRequest) (store.Key, error) {
 	scheme, err := experiments.ParseScheme(req.Scheme)
 	if err != nil {
@@ -88,7 +89,7 @@ func (s *Server) KeyFor(req RunRequest) (store.Key, error) {
 		Sanitize:  s.cfg.Opts.Sanitize,
 		Faults:    s.faultsSpec,
 		Report:    report,
-	}.Normalized()
+	}
 	if err := k.Validate(); err != nil {
 		return store.Key{}, err
 	}

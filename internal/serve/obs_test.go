@@ -295,12 +295,10 @@ func pendingSubs(s *Server) int {
 func TestSweepEventsSlowClientDrops(t *testing.T) {
 	dir := t.TempDir()
 	hold := make(chan struct{})
-	s, err := New(Config{Opts: testOpts(), StoreDir: dir, SSEBuffer: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, dir, testOpts())
 	defer s.Close()
 	s.testExecGate = func(*job) { <-hold }
+	s.sseBuffer = 1
 
 	var sw SweepStatus
 	doJSON(t, s.Handler(), "POST", "/v1/sweeps", "c",
@@ -391,11 +389,10 @@ func waitCond(t *testing.T, cond func() bool) {
 	}
 }
 
+// TestMetricsStreamDeliversWindows waits out the server's one-second
+// window period for a live window.
 func TestMetricsStreamDeliversWindows(t *testing.T) {
-	s, err := New(Config{Opts: testOpts(), StoreDir: t.TempDir(), MetricsEvery: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, t.TempDir(), testOpts())
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

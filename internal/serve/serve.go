@@ -50,24 +50,15 @@ type Config struct {
 	// StoreDir roots the persistent result store (required).
 	StoreDir string
 	// MetricsWriter, when non-nil, receives the server's own JSONL
-	// window stream (hit/miss/queue counters); MetricsEvery is the
-	// window period (default 1s). Windows close on this period whether
-	// or not a writer is configured — /v1/metricsz/stream subscribers
-	// receive the same stream live.
+	// window stream (hit/miss/queue counters), one window a second.
+	// Windows close whether or not a writer is configured —
+	// /v1/metricsz/stream subscribers receive the same stream live.
 	MetricsWriter io.Writer
-	MetricsEvery  time.Duration
 
 	// GitSHA stamps /healthz (ldflags or VCS build info; "" omits it).
 	GitSHA string
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// SSEHeartbeat is the keepalive comment interval on SSE streams
-	// (default 15s); SSEBuffer is each subscriber's bounded frame buffer
-	// (default 64) — a slow client overflowing it loses frames and is
-	// told so with a "dropped" marker event rather than stalling the
-	// execution path.
-	SSEHeartbeat time.Duration
-	SSEBuffer    int
 
 	// RequestTimeout is the default per-request simulation budget: a
 	// job older than this is canceled mid-cycle-loop and reported as
@@ -135,6 +126,11 @@ type Server struct {
 	// testExecGate, when non-nil, is called at the top of execute —
 	// tests use it to hold jobs while they stage SSE subscribers.
 	testExecGate func(*job)
+	// sseBuffer is each SSE subscriber's bounded frame buffer (64 frames;
+	// a test shrinks it after New): a slow client overflowing it loses
+	// frames and is told so with a "dropped" marker event rather than
+	// stalling the execution path.
+	sseBuffer int
 
 	start   time.Time
 	stopWin chan struct{}
@@ -167,15 +163,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.Opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	cfg.Opts = cfg.Opts.Normalized()
-	if cfg.MetricsEvery <= 0 {
-		cfg.MetricsEvery = time.Second
-	}
-	if cfg.SSEHeartbeat <= 0 {
-		cfg.SSEHeartbeat = 15 * time.Second
-	}
-	if cfg.SSEBuffer < 1 {
-		cfg.SSEBuffer = 64
-	}
 	if cfg.QueueLimit < 1 {
 		cfg.QueueLimit = 1024
 	}
@@ -209,6 +196,7 @@ func New(cfg Config) (*Server, error) {
 		runSubs:     map[string][]*sseStream{},
 		breakerHits: map[breakerKey]int{},
 		breakerOpen: map[breakerKey]bool{},
+		sseBuffer:   64,
 		start:       time.Now(),
 		stopWin:     make(chan struct{}),
 		winDone:     make(chan struct{}),
@@ -278,11 +266,11 @@ func (g storeGauges) Sample(i int) uint64 {
 
 func clampGauge(v int64) uint64 { return uint64(max(v, 0)) }
 
-// windowLoop closes a metrics window every MetricsEvery on a wall-clock
-// axis (seconds since start); the final partial window closes at Close.
+// windowLoop closes a metrics window every second on a wall-clock axis
+// (seconds since start); the final partial window closes at Close.
 func (s *Server) windowLoop() {
 	defer close(s.winDone)
-	t := time.NewTicker(s.cfg.MetricsEvery)
+	t := time.NewTicker(time.Second)
 	defer t.Stop()
 	for {
 		select {

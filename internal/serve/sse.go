@@ -46,7 +46,7 @@ type sseStream struct {
 
 func (s *Server) newStream(total int) *sseStream {
 	return &sseStream{
-		ch:       make(chan []byte, s.cfg.SSEBuffer),
+		ch:       make(chan []byte, s.sseBuffer),
 		complete: make(chan struct{}),
 		total:    total,
 		drop:     s.cSSEDropped,
@@ -161,7 +161,7 @@ func (sw *sseWriter) reportDrops(st *sseStream) bool {
 }
 
 // pump is the one stream loop: it opens the event stream and writes st's
-// frames as they arrive, a heartbeat comment while idle, and a "dropped"
+// frames as they arrive, a heartbeat comment every 15 s, and a "dropped"
 // marker after any gap. It returns ok when the stream ended on the
 // server's side — st completed or stop closed — and the caller may still
 // write its terminal frames; not ok means the client is gone (or cannot
@@ -178,7 +178,7 @@ func (s *Server) pump(w http.ResponseWriter, r *http.Request, st *sseStream, sto
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	sw = &sseWriter{w: w, fl: fl}
-	hb := time.NewTicker(s.cfg.SSEHeartbeat)
+	hb := time.NewTicker(15 * time.Second)
 	defer hb.Stop()
 	for {
 		select {

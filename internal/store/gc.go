@@ -11,17 +11,12 @@ import (
 )
 
 // Options configure resource limits and test hooks for a store. The zero
-// value means: unbounded growth, quarantine kept a day, wall clock, no
-// chaos.
+// value means: unbounded growth, wall clock, no chaos.
 type Options struct {
 	// MaxBytes is the size budget for entry files. When a Put pushes the
 	// store past it, a GC pass evicts least-recently-used entries until
 	// the store fits again. Zero or negative disables eviction.
 	MaxBytes int64
-	// QuarantineMaxAge bounds how long quarantined corpses are kept for
-	// inspection; GC passes (and Open) remove older ones. Zero means
-	// DefaultQuarantineMaxAge; negative keeps them forever.
-	QuarantineMaxAge time.Duration
 	// Now substitutes the clock used for access-time stamps and
 	// quarantine aging. Nil means time.Now.
 	Now func() time.Time
@@ -31,10 +26,6 @@ type Options struct {
 	// "disk-full@2" arms against the second store operation.
 	Chaos *faults.Injector
 }
-
-// DefaultQuarantineMaxAge is how long quarantined entries survive when
-// Options does not say otherwise.
-const DefaultQuarantineMaxAge = 24 * time.Hour
 
 func (s *Store) now() time.Time {
 	if s.opts.Now != nil {
@@ -124,17 +115,10 @@ func (s *Store) GC() (int, error) {
 	return evicted, nil
 }
 
-// ageQuarantineLocked removes quarantine corpses older than the
-// configured retention. Caller holds mu.
+// ageQuarantineLocked removes quarantine corpses kept for inspection
+// longer than a day. Caller holds mu.
 func (s *Store) ageQuarantineLocked() {
-	maxAge := s.opts.QuarantineMaxAge
-	if maxAge == 0 {
-		maxAge = DefaultQuarantineMaxAge
-	}
-	if maxAge < 0 {
-		return
-	}
-	cutoff := s.now().Add(-maxAge)
+	cutoff := s.now().Add(-24 * time.Hour)
 	files, err := os.ReadDir(s.quarantineDir())
 	if err != nil {
 		return

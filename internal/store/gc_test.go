@@ -321,13 +321,13 @@ func TestWarmRestartTrimsToSmallerBudget(t *testing.T) {
 func TestQuarantineAging(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
-	s := mustOpenWith(t, dir, Options{QuarantineMaxAge: time.Hour, Now: clk.Now})
+	s := mustOpenWith(t, dir, Options{Now: clk.Now})
 	k := testKey("rot")
 	if err := s.Put(k, []byte(`{"x":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	// The entry sits untouched for two days — twice the retention — and
-	// only then rots; the next Get quarantines it.
+	// The entry sits untouched for two days — twice the day of retention —
+	// and only then rots; the next Get quarantines it.
 	clk.Advance(48 * time.Hour)
 	p := entryPath(t, s, k)
 	if err := os.WriteFile(p, []byte("not json"), 0o644); err != nil {
@@ -350,13 +350,13 @@ func TestQuarantineAging(t *testing.T) {
 	}
 	// Retention counts from the quarantine, not from the entry's last
 	// stamp: the corpse outlives a GC now and one just inside the window.
-	for _, wait := range []time.Duration{0, 59 * time.Minute} {
+	for _, wait := range []time.Duration{0, 23*time.Hour + 59*time.Minute} {
 		clk.Advance(wait)
 		if _, err := s.GC(); err != nil {
 			t.Fatal(err)
 		}
 		if corpses() != 1 {
-			t.Fatalf("corpse of an old entry removed %v into its %v retention", wait, time.Hour)
+			t.Fatalf("corpse of an old entry removed %v into its day of retention", wait)
 		}
 	}
 	clk.Advance(2 * time.Minute)

@@ -59,9 +59,9 @@ type Key struct {
 	KernelSHA string `json:"kernel_sha"`
 	Bench     string `json:"bench"`
 	Scheme    string `json:"scheme"`
-	// Capacity is the RegLess OSU capacity in registers per SM;
-	// canonicalization folds it to 0 for schemes it does not apply to,
-	// mirroring the experiment suite's key normalization.
+	// Capacity is the RegLess OSU capacity in registers per SM. The store
+	// keys it as given: the caller canonicalizes (serve's KeyFor folds it
+	// to 0 for schemes it does not apply to).
 	Capacity int `json:"capacity"`
 	Warps    int `json:"warps"`
 	SMs      int `json:"sms"`
@@ -80,27 +80,6 @@ type Key struct {
 	// is omitted from the canonical form, keeping every pre-existing
 	// entry's address unchanged.
 	Report string `json:"report,omitempty"`
-}
-
-// reglessScheme is experiments.Scheme.HasCapacity, and Normalized's SM
-// alias experiments.Options.Normalized's, said again: the store
-// canonicalises keys it reads back from disk and imports nothing of the
-// engine. serve's TestStoreKeyNormalisationMatchesEngine holds the copies
-// together.
-func reglessScheme(s string) bool { return s == "regless" || s == "regless-nocomp" }
-
-// Normalized returns the canonical form of the key: capacity folded to 0
-// for non-RegLess schemes and the 0/1 SM aliasing resolved (both mean a
-// chip of one SM, so keys written before the suite normalised the count
-// keep resolving).
-func (k Key) Normalized() Key {
-	if !reglessScheme(k.Scheme) {
-		k.Capacity = 0
-	}
-	if k.SMs == 0 {
-		k.SMs = 1
-	}
-	return k
 }
 
 // isHex reports whether s is entirely lowercase hex.
@@ -140,8 +119,8 @@ func (k Key) Validate() error {
 	if k.Warps < 1 {
 		return fmt.Errorf("store: warps must be at least 1, got %d", k.Warps)
 	}
-	if k.SMs < 0 {
-		return fmt.Errorf("store: negative sms %d", k.SMs)
+	if k.SMs < 1 {
+		return fmt.Errorf("store: sms must be at least 1, got %d", k.SMs)
 	}
 	if k.MaxCycles < 1 {
 		return fmt.Errorf("store: max_cycles must be at least 1, got %d", k.MaxCycles)
@@ -149,24 +128,23 @@ func (k Key) Validate() error {
 	return nil
 }
 
-// Canonical returns the canonical serialized key: validated, normalized,
-// and written with a fixed field order. Equal keys produce equal bytes;
+// Canonical returns the canonical serialized key: validated and written
+// with a fixed field order. Equal keys produce equal bytes;
 // re-canonicalizing a decoded canonical form is the identity (fuzzed).
 func (k Key) Canonical() ([]byte, error) {
 	return k.appendCanonical(nil)
 }
 
-// appendCanonical appends the canonical form to dst: the normalized
-// fields in declaration order, the optional ones omitted at their zero
-// value — byte for byte what json.Marshal(k.Normalized()) writes (fuzzed
-// against it), without the reflection. Every address and every entry ever
-// written hangs off these bytes: a field is added at the end, omitted when
-// empty, or not at all.
+// appendCanonical appends the canonical form to dst: the fields as given,
+// in declaration order, the optional ones omitted at their zero value —
+// byte for byte what json.Marshal(k) writes (fuzzed against it), without
+// the reflection. Every address and every entry ever written hangs off
+// these bytes: a field is added at the end, omitted when empty, or not at
+// all.
 func (k Key) appendCanonical(dst []byte) ([]byte, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	k = k.Normalized()
 	dst = jsonstr.Append(append(dst, `{"kernel_sha":`...), k.KernelSHA)
 	dst = jsonstr.Append(append(dst, `,"bench":`...), k.Bench)
 	dst = jsonstr.Append(append(dst, `,"scheme":`...), k.Scheme)
@@ -518,7 +496,8 @@ func verifyFile(hash string, raw []byte) error {
 }
 
 // quarantine moves a corrupt entry aside (best effort: a concurrent Get
-// may have already moved it), stamped now: QuarantineMaxAge counts from here.
+// may have already moved it), stamped now: its day of retention counts
+// from here.
 func (s *Store) quarantine(path string) {
 	dst := filepath.Join(s.quarantineDir(), filepath.Base(path))
 	if err := os.Rename(path, dst); err == nil {

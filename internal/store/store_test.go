@@ -82,49 +82,29 @@ func TestRoundTripAndWarmReopen(t *testing.T) {
 	}
 }
 
-func TestKeyNormalizationAliases(t *testing.T) {
-	// Capacity folds to 0 for non-RegLess schemes, so two baseline keys
-	// differing only in capacity share one address.
-	a, b := testKey("nw"), testKey("nw")
-	a.Scheme, b.Scheme = "baseline", "baseline"
-	a.Capacity, b.Capacity = 256, 512
-	ha, err := a.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := b.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ha != hb {
-		t.Error("baseline keys with different capacities did not alias")
-	}
-
-	// For RegLess the capacity is load-bearing.
-	c, d := testKey("nw"), testKey("nw")
-	c.Capacity, d.Capacity = 256, 512
-	hc, _ := c.Hash()
-	hd, _ := d.Hash()
-	if hc == hd {
-		t.Error("regless keys with different capacities collided")
-	}
-
-	// SMs 0 and 1 both mean a chip of one SM.
-	e, f := testKey("nw"), testKey("nw")
-	e.SMs, f.SMs = 0, 1
-	he, _ := e.Hash()
-	hf, _ := f.Hash()
-	if he != hf {
-		t.Error("SMs 0 and 1 did not alias")
-	}
-
-	// A fault plan is load-bearing: instrumented runs never alias clean
-	// entries.
-	g := testKey("nw")
-	g.Faults = "osu-tag@200; seed=3"
-	hg, _ := g.Hash()
-	if hg == ha || hg == hc {
-		t.Error("fault-armed key aliased a clean key")
+// TestKeyFieldsAreLoadBearing: the store keeps keys as given — which runs
+// are one run is the caller's rule (serve's KeyFor) — so every field
+// change is a different address.
+func TestKeyFieldsAreLoadBearing(t *testing.T) {
+	seen := map[string]string{}
+	for name, mutate := range map[string]func(*Key){
+		"plain":           func(*Key) {},
+		"capacity":        func(k *Key) { k.Capacity = 256 },
+		"baseline":        func(k *Key) { k.Scheme = "baseline" },
+		"baseline at 256": func(k *Key) { k.Scheme, k.Capacity = "baseline", 256 },
+		"sms":             func(k *Key) { k.SMs = 2 },
+		"faults":          func(k *Key) { k.Faults = "osu-tag@200; seed=3" },
+	} {
+		k := testKey("nw")
+		mutate(&k)
+		h, err := k.Hash()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if other, ok := seen[h]; ok {
+			t.Errorf("keys %q and %q share an address", name, other)
+		}
+		seen[h] = name
 	}
 }
 
@@ -141,6 +121,7 @@ func TestKeyValidateRejects(t *testing.T) {
 		{"scheme with backslash", func(k *Key) { k.Scheme = `a\b` }},
 		{"negative capacity", func(k *Key) { k.Capacity = -1 }},
 		{"zero warps", func(k *Key) { k.Warps = 0 }},
+		{"zero sms", func(k *Key) { k.SMs = 0 }},
 		{"negative sms", func(k *Key) { k.SMs = -1 }},
 		{"zero max cycles", func(k *Key) { k.MaxCycles = 0 }},
 	}

@@ -57,6 +57,12 @@ test -z "$(grep -rn 'NumBanks *= *[0-9]' --include=*.go cmd internal regless.go 
 # asks its provider again what it is.
 test -z "$(grep -rnw 'IssueMasker\|IssueProber\|HotPathHints\|HintedProvider\|TickIdler\|RecorderAware\|SanitizerAware\|FaultAware\|WarpReporter\|SchedLRR' --include=*.go cmd internal regless.go)"
 test -z "$(grep -rn 'sm\.Provider\.(' --include=*.go --exclude=*_test.go internal/sim)"
+# The run path keeps only what its callers use (DESIGN.md §8, §14): a
+# suite run is never canceled, the store keeps keys as given (serve's
+# KeyFor is the one canonicaliser), and the service's window and SSE
+# periods and the store's quarantine retention are constants, not knobs.
+test -z "$(grep -rn 'isCtxErr\|CachedRuns\|reglessScheme\|QuarantineMaxAge\|SSEHeartbeat\|SSEBuffer\|MetricsEvery' --include=*.go cmd internal regless.go scripts)"
+test -z "$(grep -rn 'Normalized' --include=*.go --exclude=*_test.go internal/store)"
 go test -race -shuffle=on ./...
 # The allocation budget of a steady-state run is the program's only
 # without the race detector, whose instrumentation changes what

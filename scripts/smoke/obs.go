@@ -302,7 +302,7 @@ func checkProm(base string) {
 }
 
 // checkMetricsStream waits for one live metrics window over SSE (windows
-// close every MetricsEvery, 1s by default, so this is quick).
+// close every second, so this is quick).
 func checkMetricsStream(base string) {
 	resp := openStream(base + "/v1/metricsz/stream")
 	defer resp.Body.Close()
