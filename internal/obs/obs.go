@@ -20,6 +20,7 @@ package obs
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 )
@@ -53,11 +54,26 @@ type Trace struct {
 }
 
 // NewTrace opens a trace whose root span is named root and starts at
-// microsecond 0 (the epoch is captured now).
-func NewTrace(root string) *Trace {
-	t := &Trace{epoch: time.Now(), spans: make([]Span, 1, 8)}
+// microsecond 0 (the epoch is captured now), with room for 8 spans.
+func NewTrace(root string) *Trace { return NewTraceCap(root, 8) }
+
+// NewTraceCap is NewTrace with room for n spans, the root included: a
+// producer that knows how many spans it records sizes the trace once.
+func NewTraceCap(root string, n int) *Trace {
+	t := &Trace{epoch: time.Now(), spans: make([]Span, 1, max(n, 1))}
 	t.spans[0] = Span{Name: root, Parent: NoSpan, Start: 0, End: -1}
 	return t
+}
+
+// Grow makes room for n more spans in at most one allocation, for a
+// producer that learns part-way how many more it will record.
+func (t *Trace) Grow(n int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.spans = slices.Grow(t.spans, n)
+	t.mu.Unlock()
 }
 
 // Now returns the current trace time in microseconds since the epoch

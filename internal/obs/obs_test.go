@@ -83,6 +83,41 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
+// TestSizedTraceRecordsWithoutGrowing: a trace made with room for n spans
+// records n of them, root included, without allocating, and Grow makes
+// room for more in one allocation.
+func TestSizedTraceRecordsWithoutGrowing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	record := func(tr *Trace, n int) {
+		for i := 0; i < n; i++ {
+			tr.EndAt(tr.StartAt(Root, "child", int64(i)), int64(i))
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		traceSink = NewTraceCap("run", 3)
+		record(traceSink, 2)
+	}); a != 2 {
+		t.Fatalf("a trace of 3 spans sized for 3 allocates %.0f objects, want the trace and its spans", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		traceSink = NewTraceCap("run", 3)
+		record(traceSink, 2)
+		traceSink.Grow(4)
+		record(traceSink, 4)
+	}); a != 3 {
+		t.Fatalf("a trace of 7 spans sized for 3 and grown by 4 allocates %.0f objects, want 3", a)
+	}
+	if n := len(traceSink.Spans()); n != 7 {
+		t.Fatalf("spans = %d, want 7", n)
+	}
+}
+
+// traceSink keeps the traces the allocation test makes on the heap, as a
+// server's jobs keep theirs.
+var traceSink *Trace
+
 func TestContextPropagation(t *testing.T) {
 	if tr, parent := FromContext(context.Background()); tr != nil || parent != NoSpan {
 		t.Fatalf("empty context returned %v, %d", tr, parent)

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/kernels"
 )
 
 // fuzzServer builds one server per fuzz target, shared across its
@@ -31,10 +34,12 @@ func fuzzServer(f *testing.F) *Server {
 	return s
 }
 
-// FuzzRunRequestDecode fuzzes the run-submission decoder: arbitrary
-// bodies must never panic the handler and must answer every malformed
-// request with a 4xx, never a 5xx and never an admission (the strict
-// decoder rejects unknown fields, trailing data, and oversized bodies).
+// FuzzRunRequestDecode fuzzes run admission end to end: arbitrary bodies
+// must never panic the handler and must answer every malformed request
+// with a 4xx, never a 5xx and never an admission. The strict decoder
+// (unknown fields, trailing data and oversized bodies rejected) is the
+// reference; the body memo and the scanner in front of it may never change
+// an answer.
 func FuzzRunRequestDecode(f *testing.F) {
 	f.Add(`{"bench":"nw","scheme":"baseline"}`)
 	f.Add(`{"bench":"nw","scheme":"regless","capacity":256}`)
@@ -61,8 +66,6 @@ func FuzzRunRequestDecode(f *testing.F) {
 		req := httptest.NewRequest("POST", "/v1/runs", strings.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req) // a panic here fails the fuzz target
-		// The strict decoder is the reference for what is admissible: the
-		// body memo in front of it may never change an answer.
 		var rr RunRequest
 		admissible := decodeStrict([]byte(body), &rr) == nil
 		if admissible {
@@ -76,6 +79,97 @@ func FuzzRunRequestDecode(f *testing.F) {
 			// Malformed: rejected, not crashed.
 		default:
 			t.Fatalf("POST /v1/runs with %q = %d (admissible: %v), want 202 or 4xx", body, rec.Code, admissible)
+		}
+	})
+}
+
+// compactBodies are the run bodies json.Marshal writes for every point a
+// client of the suite names: each benchmark under each scheme, with the
+// capacity omitted (0) or, for a scheme that has one, each swept capacity.
+func compactBodies(tb testing.TB) map[string]RunRequest {
+	tb.Helper()
+	out := map[string]RunRequest{}
+	for _, bench := range kernels.Names() {
+		for _, scheme := range experiments.Schemes() {
+			capacities := []int{0}
+			if scheme.HasCapacity() {
+				capacities = append(capacities, experiments.Capacities...)
+			}
+			for _, capacity := range capacities {
+				rr := RunRequest{Bench: bench, Scheme: string(scheme), Capacity: capacity}
+				b, err := json.Marshal(rr)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				out[string(b)] = rr
+			}
+		}
+	}
+	return out
+}
+
+// scanNearMisses are bodies one step from what the scanner reads; each
+// must go to the decoder, which accepts some of them.
+var scanNearMisses = []string{
+	`{"bench":"nw","scheme":"regless","capacity":0}`,
+	`{"bench":"nw","scheme":"regless","capacity":-1}`,
+	`{"bench":"nw","scheme":"regless","capacity":007}`,
+	`{"bench":"nw","scheme":"regless","capacity":1e2}`,
+	`{"bench":"nw","scheme":"regless","capacity":512.0}`,
+	`{"bench":"nw","scheme":"regless","capacity":1234567890}`,
+	`{"bench":"nw","scheme":"regless","capacity":}`,
+	`{"bench":"nw","scheme":"regless","capacity":512`,
+	`{"Bench":"nw","scheme":"regless"}`,
+	"{\"bench\":\"n\\u0077\",\"scheme\":\"regless\"}",
+	`{"bench":"nw","scheme":"baseline","scheme":"regless"}`,
+	`{"bench":"nw","scheme":"regless","report":["stalls"]}`,
+	`{"bench":"nw","scheme":"regless"} `,
+	"{\"bench\":\"nw\",\"scheme\":\"regless\"}\n",
+	`{"bench":"nw","scheme":"regless"}}`,
+	`{"bench":"nw","scheme":"regless",}`,
+	`{"bench":"nw","scheme":"regless"`,
+	`{"bench":"nope","scheme":"regless"}`,
+	`{"bench":"nw","scheme":"regles"}`,
+	`{"scheme":"regless","bench":"nw"}`,
+	`{"bench":"nw"}`,
+}
+
+// TestScanReadsCompactBodiesOnly: the scanner reads every compact body of
+// the suite as the request it was marshaled from, and declines every near
+// miss.
+func TestScanReadsCompactBodiesOnly(t *testing.T) {
+	for body, want := range compactBodies(t) {
+		if got, ok := scanRunRequest([]byte(body)); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("scan %s = %+v ok=%v, want %+v", body, got, ok, want)
+		}
+	}
+	for _, body := range scanNearMisses {
+		if got, ok := scanRunRequest([]byte(body)); ok {
+			t.Errorf("scan %s = %+v, want it left to the decoder", body, got)
+		}
+	}
+}
+
+// FuzzRunRequestScan holds the scanner to the strict decoder: whatever
+// body it accepts, decodeStrict accepts too and reads as the same request.
+func FuzzRunRequestScan(f *testing.F) {
+	for body := range compactBodies(f) {
+		f.Add(body)
+	}
+	for _, body := range scanNearMisses {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		got, ok := scanRunRequest([]byte(body))
+		if !ok {
+			return
+		}
+		var want RunRequest
+		if err := decodeStrict([]byte(body), &want); err != nil {
+			t.Fatalf("scanner read %q as %+v, the decoder refuses it: %v", body, got, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scanner read %q as %+v, the decoder as %+v", body, got, want)
 		}
 	})
 }

@@ -143,8 +143,9 @@ func (s *Server) submit(a admitted, client, reqID string, budget time.Duration) 
 		j.ctx, j.cancel = context.WithCancel(context.Background())
 	}
 	// The queue span starts at the trace epoch (offset 0) so the child
-	// spans tile the root exactly from its first microsecond.
-	j.trace = obs.NewTrace("run")
+	// spans tile the root exactly from its first microsecond. The trace
+	// is sized for a hit; a miss grows it once in execute.
+	j.trace = obs.NewTraceCap("run", hitSpans)
 	j.qspan = j.trace.StartAt(obs.Root, "queue", 0)
 	// Enqueue while still holding s.mu (admit workers never take s.mu
 	// with a.mu held, so the nesting is one-way): the job is visible in
@@ -162,6 +163,16 @@ func (s *Server) submit(a admitted, client, reqID string, budget time.Duration) 
 	s.mu.Unlock()
 	return j, true, nil
 }
+
+// The spans a job's trace records, counted: a disk hit's are the root
+// "run", "queue" and "store-get"; a miss adds "simulate" with the three
+// the run records under it ("kernel-load", "build", "run"), "assemble"
+// and "store-put" (TestTraceSizedPerJobKind). A trace sized for the larger
+// count costs every hit the bytes only a miss uses.
+const (
+	hitSpans  = 3
+	missSpans = hitSpans + 6
+)
 
 // execute runs one admitted job on a pool worker: disk hit, else
 // simulate and persist. The job's trace records the phases as sibling
@@ -208,6 +219,7 @@ func (s *Server) execute(j *job) {
 	}
 	s.cMisses.Inc()
 
+	tr.Grow(missSpans - hitSpans)
 	simSpan := tr.StartAt(obs.Root, "simulate", t1)
 	run, rep, err := s.simulate(obs.NewContext(j.ctx, tr, simSpan), j.key)
 	t2 := tr.Now()

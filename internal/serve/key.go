@@ -14,6 +14,7 @@ package serve
 // import cycle.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -116,21 +117,27 @@ func (s *Server) resolve(req RunRequest) (admitted, error) {
 	return admitted{key: key, id: id}, nil
 }
 
-// The body memo. Strict decode, KeyFor and Hash are together a pure
+// The body memo. Reading a body, KeyFor and Hash are together a pure
 // function of the body's bytes for the life of a Server (its configuration
 // and the kernels are fixed), and a figure re-reads the same few hundred
-// points, so a body that was admitted once is looked up instead. The memo
-// holds successful admissions only — a rejected body is decoded, and
-// rejected, again every time — and is bounded by constants rather than
-// evicted: at most memoEntries bodies of at most memoBodyMax bytes (2 MiB
-// of bodies at worst, and a sweep's bodies are under 70 bytes); past
-// either bound a body simply takes the decoder, as every body does first.
+// points, so a body that was admitted once is looked up instead. The
+// scanner made a first reading cheap, not a repeated one: without the memo
+// every job-map hit canonicalises and hashes its key again, and
+// BenchmarkHandlerMemHit goes from 1.4 µs and 2 allocations to 2.6 µs and
+// 4 (2-vCPU Xeon). The memo holds successful admissions only — a rejected
+// body is read, and rejected, again every time — and is bounded by
+// constants rather than evicted: at most memoEntries bodies of at most
+// memoBodyMax bytes (2 MiB of bodies at worst, and a sweep's bodies are
+// under 70 bytes); past either bound a body is simply read again, as every
+// body is first.
 const (
 	memoEntries = 4096
 	memoBodyMax = 512
 )
 
-// admitRun resolves the body of a run submission.
+// admitRun resolves the body of a run submission: from the memo, else
+// read by scanRunRequest, else by decodeStrict, the reference for what a
+// body says.
 func (s *Server) admitRun(body []byte) (admitted, error) {
 	s.memoMu.Lock()
 	a, ok := s.memo[string(body)]
@@ -138,9 +145,15 @@ func (s *Server) admitRun(body []byte) (admitted, error) {
 	if ok {
 		return a, nil
 	}
-	var req RunRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return admitted{}, fmt.Errorf("bad run request: %v", err)
+	req, ok := scanRunRequest(body)
+	if !ok {
+		// Declared here, so that only a body the scanner declines puts the
+		// request the decoder fills on the heap.
+		var decoded RunRequest
+		if err := decodeStrict(body, &decoded); err != nil {
+			return admitted{}, fmt.Errorf("bad run request: %v", err)
+		}
+		req = decoded
 	}
 	a, err := s.resolve(req)
 	if err != nil {
@@ -154,4 +167,66 @@ func (s *Server) admitRun(body []byte) (admitted, error) {
 		s.memoMu.Unlock()
 	}
 	return a, nil
+}
+
+// The names a scanned body may carry, as their packages spell them.
+var (
+	benchNames  = kernels.Names()
+	schemeNames = experiments.Schemes()
+)
+
+// scanRunRequest reads a run body spelled exactly as json.Marshal spells a
+// RunRequest without a report — {"bench":"B","scheme":"S"}, with
+// ,"capacity":N before the brace when N is not 0 — where B is a benchmark
+// of the suite, S a scheme and N a positive decimal of at most nine digits
+// without a leading zero. Those names are made of [A-Za-z0-9_.+-], so a
+// name that matches one needs no unescaping, and the strings returned are
+// the packages' own: nothing aliases body and nothing is allocated. Any
+// other body, well-formed or not, is not ok and goes to the decoder; a body
+// the scanner does accept, decodeStrict reads as the same request
+// (FuzzRunRequestScan).
+func scanRunRequest(body []byte) (RunRequest, bool) {
+	var req RunRequest
+	rest, ok := bytes.CutPrefix(body, []byte(`{"bench":"`))
+	if ok {
+		req.Bench, rest, ok = cutName(rest, benchNames)
+	}
+	if ok {
+		rest, ok = bytes.CutPrefix(rest, []byte(`,"scheme":"`))
+	}
+	if ok {
+		req.Scheme, rest, ok = cutName(rest, schemeNames)
+	}
+	if !ok {
+		return RunRequest{}, false
+	}
+	if string(rest) == "}" {
+		return req, true
+	}
+	digits, ok := bytes.CutPrefix(rest, []byte(`,"capacity":`))
+	if !ok || len(digits) < 2 || len(digits) > 10 || digits[0] == '0' || digits[len(digits)-1] != '}' {
+		return RunRequest{}, false
+	}
+	for _, c := range digits[:len(digits)-1] {
+		if c < '0' || c > '9' {
+			return RunRequest{}, false
+		}
+		req.Capacity = req.Capacity*10 + int(c-'0')
+	}
+	return req, true
+}
+
+// cutName reads a JSON string's body up to its closing quote and returns
+// the one of names it spells, and what follows the quote.
+func cutName[S ~string](b []byte, names []S) (string, []byte, bool) {
+	end := bytes.IndexByte(b, '"')
+	if end < 0 {
+		return "", b, false
+	}
+	for _, n := range names {
+		if string(b[:end]) == string(n) {
+			return string(n), b[end+1:], true
+		}
+	}
+	return "", b, false
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -103,6 +104,37 @@ func TestRunTraceTilesExecution(t *testing.T) {
 		t.Fatal("warm run not served from store")
 	}
 	assertTiling(t, traceTree(t, warm, wst.ID), []string{"queue", "store-get"})
+}
+
+// TestTraceSizedPerJobKind: a miss records exactly missSpans spans and a
+// disk hit exactly hitSpans, and each fills its trace: the span slice
+// neither grew while recording (it would have left room behind) nor has
+// room the job never uses, so one span more must allocate.
+func TestTraceSizedPerJobKind(t *testing.T) {
+	dir := t.TempDir()
+	for _, kind := range []struct {
+		what  string
+		spans int
+	}{{"miss", missSpans}, {"disk hit", hitSpans}} {
+		s := newTestServer(t, dir, testOpts())
+		if code, body := post(t, s.Handler(), "/v1/runs?wait=1", "", RunRequest{Bench: "nw", Scheme: "regless"}); code != http.StatusOK {
+			t.Fatalf("%s = %d %s", kind.what, code, body)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tr := theJob(t, s).trace
+		if n := len(tr.Spans()); n != kind.spans {
+			t.Errorf("a %s records %d spans, its trace is sized for %d", kind.what, n, kind.spans)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr.Start(obs.Root, "one more")
+		runtime.ReadMemStats(&after)
+		if after.Mallocs == before.Mallocs {
+			t.Errorf("a %s's trace had room for a span it never records", kind.what)
+		}
+	}
 }
 
 func TestRunTracePerfettoExport(t *testing.T) {

@@ -240,9 +240,17 @@ const diskHitAllocCeiling = 16
 
 // diskHitBytesCeiling bounds a disk hit's bytes as the ceiling above bounds
 // its objects, so a dropped buffer cannot come back as a bigger object: the
-// 1.25 KB reply, the job with its trace and the store's paths come to 2.8 KB
-// (4.7 KB with the file read into a fresh buffer).
+// 1.25 KB reply, the job with its trace and the store's paths come to 2.6 KB
+// (2.8 KB with room for 8 spans in every trace, 4.7 KB with the file read
+// into a fresh buffer).
 const diskHitBytesCeiling = 3 << 10
+
+// A compact run body admitted for the first time: the id, and the memo
+// entry that remembers it — its copy of the body and the boxed value (an
+// admitted is larger than the 128 bytes a map keeps in place); the
+// scanner and KeyFor allocate nothing (3 objects; 13 when decodeStrict
+// read every body).
+const firstAdmitAllocCeiling = 4
 
 // bytesPerRun is testing.AllocsPerRun in bytes: what one call of f
 // allocates on the heap, the pool workers' share included, averaged over
@@ -286,6 +294,29 @@ func TestDiskHitAllocations(t *testing.T) {
 	}
 	if hits := s.Store().Stats().Hits; hits < 400 {
 		t.Fatalf("store served %d hits: the loop is not reading the disk", hits)
+	}
+}
+
+// TestFirstAdmissionAllocations admits a body the memo has never seen —
+// the memo is emptied before every admission — as a sweep client writes
+// it, so the scanner reads it.
+func TestFirstAdmissionAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	s := newTestServer(t, t.TempDir(), testOpts())
+	defer s.Close()
+	body := []byte(`{"bench":"b+tree","scheme":"regless","capacity":256}`)
+	got := testing.AllocsPerRun(200, func() {
+		s.memoMu.Lock()
+		clear(s.memo)
+		s.memoMu.Unlock()
+		if _, err := s.admitRun(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > firstAdmitAllocCeiling {
+		t.Errorf("a first admission allocates %.0f objects, ceiling %d", got, firstAdmitAllocCeiling)
 	}
 }
 

@@ -12,6 +12,8 @@
 //
 //	HTTP handler  -> canonical store.Key (content-addressed job id)
 //	  body memo   -> a body seen before is its (key, id) again: no decode
+//	  scanner     -> a body as json.Marshal writes it is read in place;
+//	                 any other goes to the strict decoder
 //	  jobs map    -> submissions of the same key attach to one job (dedupe)
 //	  admitter    -> per-client round-robin FIFO into a bounded pool
 //	  store.Get   -> disk hit: serve the stored bytes verbatim

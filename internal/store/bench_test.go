@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 )
@@ -15,11 +16,10 @@ func benchStore(b *testing.B) (string, []Key) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	payload := append(append([]byte(`{"pad":"`), bytes.Repeat([]byte("x"), 1600)...), `"}`...)
 	keys := make([]Key, 105)
 	for i := range keys {
 		keys[i] = testKey(fmt.Sprintf("bench%03d", i))
-		if err := s.Put(keys[i], payload); err != nil {
+		if err := s.Put(keys[i], benchPayload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -27,6 +27,57 @@ func benchStore(b *testing.B) (string, []Key) {
 		b.Fatal(err)
 	}
 	return dir, keys
+}
+
+// benchPayload is about what a suite run stores.
+var benchPayload = append(append([]byte(`{"pad":"`), bytes.Repeat([]byte("x"), 1600)...), `"}`...)
+
+// fillShards puts one entry into each of the 256 shards, so that every
+// later Put lands in a directory the store has already made.
+func fillShards(tb testing.TB, s *Store) {
+	tb.Helper()
+	var seen [256]bool
+	for i, n := 0, 0; n < len(seen); i++ {
+		k := testKey(fmt.Sprintf("shard%d", i))
+		canon, err := k.Canonical()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if sh := sha256.Sum256(canon); !seen[sh[0]] {
+			seen[sh[0]] = true
+			n++
+			if err := s.Put(k, benchPayload); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+// freshKeys are n keys no store of these tests has seen.
+func freshKeys(n int) []Key {
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = testKey(fmt.Sprintf("fresh%d", i))
+	}
+	return keys
+}
+
+// BenchmarkPutFresh is one Put of a key never stored before into a shard
+// the store has made: what each serve_cold miss writes.
+func BenchmarkPutFresh(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	fillShards(b, s)
+	keys := freshKeys(b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, k := range keys {
+		if err := s.Put(k, benchPayload); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkGetHit is one warm Get: read, verify, stamp.

@@ -37,6 +37,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
@@ -44,6 +46,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"unicode/utf8"
 
 	"repro/internal/jsonstr"
@@ -223,6 +226,13 @@ type Store struct {
 	opts Options
 
 	mu sync.RWMutex
+	// shards are the 256 entry directories <dir>/00 to <dir>/ff, each
+	// made once in the store's life (see place), whose locks order the
+	// Puts into them.
+	shards [256]struct {
+		mu   sync.Mutex
+		made bool
+	}
 
 	hits, misses, puts, quarantined, recovered atomic.Uint64
 	evictions, gcRuns, gcMicros                atomic.Uint64
@@ -289,13 +299,14 @@ func (s *Store) quarantineDir() string { return filepath.Join(s.dir, "quarantine
 
 // pathOf is the entry file of a canonical key, <dir>/<hh>/<hash>.json
 // (dir as Open cleaned it, hash the sha256 hex of canon, sharded by its
-// first byte to keep directories small), built in one allocation.
-func (s *Store) pathOf(canon []byte) string {
+// first byte hh to keep directories small), built in one allocation, and
+// the shard.
+func (s *Store) pathOf(canon []byte) (string, byte) {
 	sum := sha256.Sum256(canon)
 	var buf [256]byte
 	p := append(append(buf[:0], s.dir...), filepath.Separator)
 	p = append(hex.AppendEncode(p, sum[:1]), filepath.Separator)
-	return string(append(hex.AppendEncode(p, sum[:]), ".json"...))
+	return string(append(hex.AppendEncode(p, sum[:]), ".json"...)), sum[0]
 }
 
 // entryBufs recycles the buffers entry files are read into and laid out
@@ -389,7 +400,7 @@ func (s *Store) View(k Key, fn func(payload []byte)) (bool, error) {
 func (s *Store) read(canon []byte, op uint64, buf []byte) (raw, payload []byte, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	path := s.pathOf(canon)
+	path, _ := s.pathOf(canon)
 	raw, err = readEntry(path, buf)
 	if os.IsNotExist(err) {
 		s.misses.Add(1)
@@ -528,12 +539,15 @@ func (s *Store) Put(k Key, payload []byte) error {
 	if s.opts.Chaos.StoreWriteFails(op) {
 		return fmt.Errorf("store: %w", errInjectedDiskFull)
 	}
-	if err := s.put(canon, payload, op); err != nil {
-		return err
+	resync, err := s.put(canon, payload, op)
+	// Budget enforcement, and the re-derived total after a shard vanished,
+	// happen outside the read lock put held.
+	if resync {
+		s.GC()
+	} else if err == nil {
+		s.maybeGC()
 	}
-	// Budget enforcement happens outside the read lock put held.
-	s.maybeGC()
-	return nil
+	return err
 }
 
 // errInjectedDiskFull marks a chaos-injected write failure; callers treat
@@ -550,46 +564,123 @@ func appendEntry(dst, canon, payload []byte) []byte {
 	return append(dst, '}')
 }
 
-func (s *Store) put(canon, payload []byte, op uint64) error {
+// put writes the entry to a tmp file and renames it into place under the
+// read lock. resync reports that the key's shard directory had vanished
+// under the live store, taking whatever entries it held out of the byte
+// total: the caller re-derives the total once the lock is released.
+func (s *Store) put(canon, payload []byte, op uint64) (resync bool, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	final := s.pathOf(canon)
+	final, shard := s.pathOf(canon)
 	buf := entryBufs.Get().(*[]byte)
 	body := appendEntry(*buf, canon, payload)
 	defer putEntryBuf(buf, body)
-	tmp, err := os.CreateTemp(s.tmpDir(), filepath.Base(final)+".*")
+	tmp, err := s.createTmp(final)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return false, fmt.Errorf("store: %w", err)
 	}
 	if _, err := tmp.Write(body); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+		return false, fmt.Errorf("store: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+		return false, fmt.Errorf("store: %w", err)
 	}
-	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
+	old, resync, err := s.place(tmp.Name(), final, shard)
+	if err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	// Replacing an existing entry rewrites identical bytes (results are
-	// deterministic), so the byte delta of a replacement is zero; only a
-	// fresh entry grows the total.
-	var old int64
-	if fi, err := os.Stat(final); err == nil {
-		old = fi.Size()
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+		return resync, fmt.Errorf("store: %w", err)
 	}
 	s.dirty.Store(true)
 	s.bytes.Add(int64(len(body)) - old)
 	s.puts.Add(1)
 	s.touch(final, op)
+	return resync, nil
+}
+
+// createTmp creates the private file a Put writes the entry at final into:
+// <dir>/tmp/<hash>.json.<random>, its path built in one allocation (where
+// os.CreateTemp makes five), and created exclusively, so a clash draws
+// another name.
+func (s *Store) createTmp(final string) (*os.File, error) {
+	for {
+		var buf [256]byte
+		p := append(append(buf[:0], s.dir...), filepath.Separator)
+		p = append(append(append(p, "tmp"...), filepath.Separator), filepath.Base(final)...)
+		p = strconv.AppendUint(append(p, '.'), rand.Uint64(), 36)
+		f, err := os.OpenFile(string(p), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, err
+		}
+	}
+}
+
+// place renames the tmp file to final, its entry's path in shard, and
+// returns the size of the entry it replaced. A replacement rewrites
+// identical bytes (results are deterministic), so only a fresh entry grows
+// the total, and the shard's lock makes the size read and the rename one
+// step: of two Puts of one key, the second sees the first's entry. A shard
+// directory is made by the first Put into it; if it has since vanished,
+// the rename finds no directory, and place makes it again, retries once
+// and reports resync.
+func (s *Store) place(tmp, final string, shard byte) (old int64, resync bool, err error) {
+	sh := &s.shards[shard]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if !sh.made {
+		if err := mkdirShard(final); err != nil {
+			return 0, false, err
+		}
+		sh.made = true
+	}
+	old = sizeOf(final)
+	err = rename(tmp, final)
+	if errors.Is(err, syscall.ENOENT) {
+		if err := mkdirShard(final); err != nil {
+			return 0, true, err
+		}
+		resync, err = true, rename(tmp, final)
+	}
+	return old, resync, err
+}
+
+// mkdirShard makes the directory an entry path lies in, if it is missing.
+func mkdirShard(path string) error {
+	if err := os.Mkdir(filepath.Dir(path), 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
+		return err
+	}
 	return nil
+}
+
+// sizeOf is the size of the file at path, 0 if there is none, read into a
+// Stat_t on the stack where os.Stat would allocate a FileInfo.
+func sizeOf(path string) int64 {
+	var st syscall.Stat_t
+	for {
+		switch err := syscall.Stat(path, &st); err {
+		case nil:
+			return int64(st.Size)
+		case syscall.EINTR:
+		default:
+			return 0
+		}
+	}
+}
+
+// rename is os.Rename without its Lstat of the destination, which only
+// guards against replacing a directory: an entry path never names one.
+func rename(from, to string) error {
+	for {
+		err := syscall.Rename(from, to)
+		if err == nil {
+			return nil
+		}
+		if err != syscall.EINTR {
+			return &os.LinkError{Op: "rename", Old: from, New: to, Err: err}
+		}
+	}
 }
 
 // Len walks the store and returns the number of entry files present

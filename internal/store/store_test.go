@@ -41,7 +41,8 @@ func entryPath(t *testing.T, s *Store, k Key) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.pathOf(canon)
+	p, _ := s.pathOf(canon)
+	return p
 }
 
 func TestRoundTripAndWarmReopen(t *testing.T) {

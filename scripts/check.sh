@@ -78,13 +78,15 @@ go -C benchmark test ./...
 # target per -fuzz run): the store's canonical key bytes against
 # json.Marshal, its in-place entry verifier against the decode-based
 # oracle and its read path (each input read back from disk through
-# View/Get) against the verifier, and the service's body memo against the
-# strict decoder. The
+# View/Get) against the verifier, the service's body memo and scanner
+# against the strict decoder, and the scanner alone against the decoder's
+# reading of every body it accepts. The
 # committed seeds run in the race gate above; this looks a little past
 # them on every check.
 go test -run '^$' -fuzz '^FuzzKeyCanonical$' -fuzztime 5s ./internal/store
 go test -run '^$' -fuzz '^FuzzVerifyEntry$' -fuzztime 5s ./internal/store
 go test -run '^$' -fuzz '^FuzzRunRequestDecode$' -fuzztime 5s ./internal/serve
+go test -run '^$' -fuzz '^FuzzRunRequestScan$' -fuzztime 5s ./internal/serve
 # The handler/store benchmarks are the quick rulers DESIGN.md §14 and
 # the README quote; one iteration each keeps them compiling and passing
 # their own checks.
