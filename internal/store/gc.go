@@ -1,9 +1,9 @@
 package store
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io/fs"
 	"sort"
 	"time"
 
@@ -34,12 +34,12 @@ func (s *Store) now() time.Time {
 	return time.Now()
 }
 
-// touch stamps an access on the entry's own mtime (one atomic inode
-// update, best effort), moved into the past by any armed clock-skew fault
-// so the entry ages early.
-func (s *Store) touch(path string, op uint64) {
+// touch stamps an access on the entry open as f, its own mtime (one atomic
+// inode update, best effort), moved into the past by any armed clock-skew
+// fault so the entry ages early.
+func (s *Store) touch(f handle, op uint64) {
 	now := s.now().Add(-time.Duration(s.opts.Chaos.ClockSkewSeconds(op)) * time.Second)
-	_ = os.Chtimes(path, now, now)
+	_ = f.stamp(now.UnixNano())
 }
 
 // Bytes returns the current entry-file byte total (tmp and quarantine excluded).
@@ -54,11 +54,11 @@ func (s *Store) maybeGC() {
 	s.GC()
 }
 
-// gcCandidate is one entry considered for eviction.
+// gcCandidate is one entry considered for eviction: its shard's name and
+// its own, its size and its mtime.
 type gcCandidate struct {
-	path  string
-	size  int64
-	atime int64
+	shard, name string
+	size, mtime int64
 }
 
 // GC takes the writer lock (so it never races an in-flight Get or Put),
@@ -74,40 +74,20 @@ func (s *Store) GC() (int, error) {
 		s.gcMicros.Add(uint64(time.Since(start).Microseconds()))
 	}()
 
-	var cands []gcCandidate
 	var total int64
-	err := s.walkEntriesLocked(func(_, path string) error {
-		fi, err := os.Stat(path)
-		if err != nil {
-			return nil // raced with nothing (we hold the lock); vanished entries just drop out
+	err := s.walkLocked(func(sh handle, _, name []byte) error {
+		if size, _, err := sh.stat(name); err == nil { // a vanished entry just drops out
+			total += size
 		}
-		total += fi.Size()
-		cands = append(cands, gcCandidate{path: path, size: fi.Size(), atime: fi.ModTime().UnixNano()})
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
-
 	evicted := 0
 	if s.opts.MaxBytes > 0 && total > s.opts.MaxBytes {
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].atime != cands[j].atime {
-				return cands[i].atime < cands[j].atime
-			}
-			return cands[i].path < cands[j].path // one dir, hash-named: hash order
-		})
-		for _, c := range cands {
-			if total <= s.opts.MaxBytes {
-				break
-			}
-			if rmErr := os.Remove(c.path); rmErr != nil && !os.IsNotExist(rmErr) {
-				continue
-			}
-			s.dirty.Store(true)
-			total -= c.size
-			evicted++
-			s.evictions.Add(1)
+		if evicted, total, err = s.evictLocked(); err != nil {
+			return 0, err
 		}
 	}
 	s.bytes.Store(total)
@@ -115,23 +95,61 @@ func (s *Store) GC() (int, error) {
 	return evicted, nil
 }
 
+// evictLocked is GC over budget: a second walk collects every entry, and
+// the least recently used (oldest mtime; equal stamps in shard, then hash,
+// order) are removed until the rest fit. It returns how many it removed and
+// the bytes left. An entry already gone leaves the total but is not counted
+// as an eviction. Caller holds mu as a writer.
+func (s *Store) evictLocked() (evicted int, total int64, err error) {
+	var cands []gcCandidate
+	err = s.walkLocked(func(sh handle, shard, name []byte) error {
+		if size, mtime, err := sh.stat(name); err == nil {
+			total += size
+			cands = append(cands, gcCandidate{shard: cstr(shard), name: cstr(name), size: size, mtime: mtime})
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
+		if a.mtime != b.mtime {
+			return a.mtime < b.mtime
+		}
+		if a.shard != b.shard {
+			return a.shard < b.shard
+		}
+		return a.name < b.name
+	})
+	for _, c := range cands {
+		if total <= s.opts.MaxBytes {
+			break
+		}
+		var pb [pathBuf]byte
+		switch err := cwd.unlink(s.appendPath(pb[:0], []byte(c.shard), []byte(c.name))); {
+		case err == nil:
+			s.dirty.Store(true)
+			total -= c.size
+			evicted++
+			s.evictions.Add(1)
+		case errors.Is(err, fs.ErrNotExist):
+			total -= c.size
+		}
+	}
+	return evicted, total, nil
+}
+
 // ageQuarantineLocked removes quarantine corpses kept for inspection
 // longer than a day. Caller holds mu.
 func (s *Store) ageQuarantineLocked() {
-	cutoff := s.now().Add(-24 * time.Hour)
-	files, err := os.ReadDir(s.quarantineDir())
-	if err != nil {
-		return
-	}
-	for _, f := range files {
-		fi, err := f.Info()
-		if err != nil {
-			continue
+	cutoff := s.now().Add(-24 * time.Hour).UnixNano()
+	_ = s.eachIn(quarantineName, func(q handle, name []byte) error {
+		if _, mtime, err := q.stat(name); err == nil && mtime < cutoff {
+			_ = q.unlink(name) // a corpse left behind is aged at the next GC
 		}
-		if fi.ModTime().Before(cutoff) {
-			os.Remove(filepath.Join(s.quarantineDir(), f.Name()))
-		}
-	}
+		return nil
+	}) // best effort: quarantine/ holds nothing served
 }
 
 // Sync fsyncs the store's directories so every completed rename is
@@ -146,26 +164,27 @@ func (s *Store) Sync() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dirs := []string{s.dir, s.tmpDir(), s.quarantineDir()}
-	shards, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, sh := range shards {
-		if sh.IsDir() && sh.Name() != "tmp" && sh.Name() != "quarantine" {
-			dirs = append(dirs, filepath.Join(s.dir, sh.Name()))
-		}
-	}
-	for _, d := range dirs {
-		f, err := os.Open(d)
+	for _, sub := range [][]byte{nil, tmpName, quarantineName} {
+		var pb [pathBuf]byte
+		path := s.appendPath(pb[:0], sub)
+		d, err := openAt(cwd, path, dirFlags, 0)
 		if err != nil {
-			return fmt.Errorf("store: %w", err)
+			return fmt.Errorf("store: open %s: %w", cstr(path), err)
 		}
-		serr := f.Sync()
-		f.Close()
-		if serr != nil {
-			return fmt.Errorf("store: sync %s: %w", d, serr)
+		err = d.sync()
+		d.close()
+		if err != nil {
+			return fmt.Errorf("store: sync %s: %w", cstr(path), err)
 		}
+	}
+	err := s.eachShard(func(sh handle, shard []byte) error {
+		if err := sh.sync(); err != nil {
+			return fmt.Errorf("store: sync %s/%s: %w", s.dir, cstr(shard), err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	s.dirty.Store(false)
 	return nil

@@ -340,7 +340,7 @@ func TestQuarantineAging(t *testing.T) {
 	if _, ok, err := s.Get(k); ok || err != nil {
 		t.Fatalf("Get corrupt = ok=%v err=%v", ok, err)
 	}
-	qdir := s.quarantineDir()
+	qdir := filepath.Join(dir, "quarantine")
 	corpses := func() int {
 		ents, _ := os.ReadDir(qdir)
 		return len(ents)

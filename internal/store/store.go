@@ -36,7 +36,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"math/rand/v2"
 	"os"
@@ -273,19 +272,19 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: empty directory")
 	}
 	s := &Store{dir: filepath.Clean(dir), opts: opts}
-	for _, d := range []string{dir, s.tmpDir(), s.quarantineDir()} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
+	for _, sub := range []string{"", string(tmpName), string(quarantineName)} {
+		if err := os.MkdirAll(filepath.Join(s.dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	temps, err := os.ReadDir(s.tmpDir())
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	for _, t := range temps {
-		if err := os.Remove(filepath.Join(s.tmpDir(), t.Name())); err == nil {
+	err := s.eachIn(tmpName, func(tmp handle, name []byte) error {
+		if tmp.unlink(name) == nil {
 			s.recovered.Add(1)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// One GC pass at open: sums bytes, trims to budget, ages quarantine.
 	if _, err := s.GC(); err != nil {
@@ -294,19 +293,116 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) tmpDir() string        { return filepath.Join(s.dir, "tmp") }
-func (s *Store) quarantineDir() string { return filepath.Join(s.dir, "quarantine") }
+// The store reaches the disk through a handful of primitives (dirio_*.go):
+// open relative to a directory, read a directory's names into a buffer,
+// stat and unlink relative to a directory, stamp an open file's times and
+// rename. Their names and paths are NUL-terminated byte strings: a
+// directory entry's own bytes, or a path appendPath builds in a buffer on
+// the caller's stack.
 
-// pathOf is the entry file of a canonical key, <dir>/<hh>/<hash>.json
-// (dir as Open cleaned it, hash the sha256 hex of canon, sharded by its
-// first byte hh to keep directories small), built in one allocation, and
-// the shard.
-func (s *Store) pathOf(canon []byte) (string, byte) {
-	sum := sha256.Sum256(canon)
-	var buf [256]byte
-	p := append(append(buf[:0], s.dir...), filepath.Separator)
-	p = append(hex.AppendEncode(p, sum[:1]), filepath.Separator)
-	return string(append(hex.AppendEncode(p, sum[:]), ".json"...)), sum[0]
+// Names in the store's directory that are not shards, and the suffixes of
+// the names in a shard that the walk reads.
+var (
+	tmpName        = []byte("tmp")
+	quarantineName = []byte("quarantine")
+	jsonSuffix     = []byte(".json\x00")
+	atimeSuffix    = []byte(".atime\x00")
+	nul            = []byte{0}
+)
+
+// pathBuf sizes the stack buffers paths are built in: a longer store
+// directory only moves the path to the heap.
+const pathBuf = 512
+
+// appendPath appends <dir>/<elem>/..., NUL-terminated, to dst (dir as Open
+// cleaned it). An elem may end in its own NUL, as a name nextName returns
+// does; an empty one is left out.
+func (s *Store) appendPath(dst []byte, elems ...[]byte) []byte {
+	dst = append(dst, s.dir...)
+	for _, e := range elems {
+		if e = bytes.TrimSuffix(e, nul); len(e) > 0 {
+			dst = append(append(dst, '/'), e...)
+		}
+	}
+	return append(dst, 0)
+}
+
+// appendEntryPath appends the entry file of the canonical key whose sha256
+// is sum: <dir>/<hh>/<hash>.json, sharded by the hash's first byte hh to
+// keep directories small.
+func (s *Store) appendEntryPath(dst []byte, sum *[sha256.Size]byte) []byte {
+	var name [sha256.Size*2 + len(".json")]byte
+	hex.Encode(name[:], sum[:])
+	copy(name[sha256.Size*2:], ".json")
+	return s.appendPath(dst, name[:2], name[:])
+}
+
+// cstr is a NUL-terminated path as a string, for an error message.
+func cstr(p []byte) string { return string(bytes.TrimSuffix(p, nul)) }
+
+// isName reports whether the NUL-terminated name is want.
+func isName(name, want []byte) bool { return bytes.Equal(bytes.TrimSuffix(name, nul), want) }
+
+// isDot reports whether a directory entry's name is "." or "..".
+func isDot(name []byte) bool { return string(name) == "." || string(name) == ".." }
+
+// nameBufs recycles the buffers directory names are read into, two per
+// walk in flight (the store's directory and a shard).
+var nameBufs = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
+
+// eachName calls fn with every name in the open directory d, NUL-terminated
+// and valid only during the call.
+func eachName(d handle, fn func(name []byte) error) error {
+	buf := nameBufs.Get().(*[]byte)
+	defer nameBufs.Put(buf)
+	for {
+		batch, err := d.readNames(*buf)
+		*buf = batch
+		if err != nil {
+			return fmt.Errorf("store: reading a directory: %w", err)
+		}
+		if len(batch) == 0 {
+			return nil
+		}
+		for name, rest := nextName(batch); name != nil; name, rest = nextName(rest) {
+			if err := fn(name); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// eachIn calls fn with every name in the store's directory sub (the store's
+// own for none) and that directory, open for the call.
+func (s *Store) eachIn(sub []byte, fn func(d handle, name []byte) error) error {
+	var pb [pathBuf]byte
+	path := s.appendPath(pb[:0], sub)
+	d, err := openAt(cwd, path, dirFlags, 0)
+	if err != nil {
+		return fmt.Errorf("store: open %s: %w", cstr(path), err)
+	}
+	defer d.close()
+	return eachName(d, func(name []byte) error { return fn(d, name) })
+}
+
+// eachShard calls fn with every shard directory, open for the call, and its
+// name: every directory in the store's but tmp/ and quarantine/. What is a
+// directory is what opens as one: a d_type may be DT_UNKNOWN.
+func (s *Store) eachShard(fn func(sh handle, shard []byte) error) error {
+	return s.eachIn(nil, func(root handle, name []byte) error {
+		if isName(name, tmpName) || isName(name, quarantineName) {
+			return nil
+		}
+		sh, err := openAt(root, name, dirFlags, 0)
+		if errors.Is(err, syscall.ENOTDIR) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("store: open %s/%s: %w", s.dir, cstr(name), err)
+		}
+		defer sh.close()
+		return fn(sh, name)
+	})
 }
 
 // entryBufs recycles the buffers entry files are read into and laid out
@@ -323,24 +419,16 @@ func putEntryBuf(b *[]byte, grown []byte) {
 	}
 }
 
-// readEntry reads the file at path into buf, growing it as needed: no
-// fstat to size it, the read that returns EOF ends it.
-func readEntry(path string, buf []byte) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return buf, err
-	}
-	defer f.Close()
+// readAll reads the open file f to its end into buf, growing it as needed:
+// no fstat to size it, the read that returns nothing ends it.
+func readAll(f handle, buf []byte) ([]byte, error) {
 	for {
 		if len(buf) == cap(buf) {
 			buf = slices.Grow(buf, cap(buf)+512)
 		}
-		n, err := f.Read(buf[len(buf):cap(buf)])
+		n, err := f.read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
+		if n == 0 || err != nil {
 			return buf, err
 		}
 	}
@@ -396,18 +484,26 @@ func (s *Store) View(k Key, fn func(payload []byte)) (bool, error) {
 
 // read is View's work under the read lock: the entry for canon read into
 // buf (returned as raw, however it grew), checked, and on a hit stamped
-// and its payload returned, a sub-slice of raw; a miss returns none.
+// and its payload returned, a sub-slice of raw; a miss returns none. One
+// descriptor serves the read, the stamp and a quarantine.
 func (s *Store) read(canon []byte, op uint64, buf []byte) (raw, payload []byte, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	path, _ := s.pathOf(canon)
-	raw, err = readEntry(path, buf)
-	if os.IsNotExist(err) {
+	sum := sha256.Sum256(canon)
+	var pb [pathBuf]byte
+	path := s.appendEntryPath(pb[:0], &sum)
+	f, err := openAt(cwd, path, syscall.O_RDONLY, 0)
+	if errors.Is(err, fs.ErrNotExist) {
 		s.misses.Add(1)
-		return raw, nil, nil
+		return buf, nil, nil
 	}
 	if err != nil {
-		return raw, nil, fmt.Errorf("store: %w", err)
+		return buf, nil, fmt.Errorf("store: open %s: %w", cstr(path), err)
+	}
+	defer f.close()
+	raw, err = readAll(f, buf)
+	if err != nil {
+		return raw, nil, fmt.Errorf("store: read %s: %w", cstr(path), err)
 	}
 	if s.opts.Chaos.StoreCorrupts(op) && len(raw) > 0 {
 		// Simulated bit rot: flip one byte of what was read so the
@@ -416,12 +512,12 @@ func (s *Store) read(canon []byte, op uint64, buf []byte) (raw, payload []byte, 
 	}
 	payload, verr := verifyEntry(canon, raw)
 	if verr != nil {
-		s.quarantine(path)
+		s.quarantine(f, path)
 		s.misses.Add(1)
 		return raw, nil, nil
 	}
 	s.hits.Add(1)
-	s.touch(path, op)
+	s.touch(f, op)
 	return raw, payload, nil
 }
 
@@ -506,16 +602,16 @@ func verifyFile(hash string, raw []byte) error {
 	return err
 }
 
-// quarantine moves a corrupt entry aside (best effort: a concurrent Get
-// may have already moved it), stamped now: its day of retention counts
-// from here.
-func (s *Store) quarantine(path string) {
-	dst := filepath.Join(s.quarantineDir(), filepath.Base(path))
-	if err := os.Rename(path, dst); err == nil {
+// quarantine moves the corrupt entry open as f at path aside (best effort:
+// a concurrent Get may have already moved it), stamped now first: its day
+// of retention counts from here, and the rename keeps the stamp.
+func (s *Store) quarantine(f handle, path []byte) {
+	var qb [pathBuf]byte
+	dst := s.appendPath(qb[:0], quarantineName, path[bytes.LastIndexByte(path, '/')+1:])
+	_ = f.stamp(s.now().UnixNano()) // best effort, as every stamp
+	if rename(path, dst) == nil {
 		s.quarantined.Add(1)
 		s.dirty.Store(true)
-		now := s.now()
-		_ = os.Chtimes(dst, now, now)
 	}
 }
 
@@ -571,49 +667,56 @@ func appendEntry(dst, canon, payload []byte) []byte {
 func (s *Store) put(canon, payload []byte, op uint64) (resync bool, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	final, shard := s.pathOf(canon)
+	sum := sha256.Sum256(canon)
+	var fb, tb [pathBuf]byte
+	final := s.appendEntryPath(fb[:0], &sum)
 	buf := entryBufs.Get().(*[]byte)
 	body := appendEntry(*buf, canon, payload)
 	defer putEntryBuf(buf, body)
-	tmp, err := s.createTmp(final)
+	tmp, err := s.writeTmp(tb[:0], final, body, op)
 	if err != nil {
 		return false, fmt.Errorf("store: %w", err)
 	}
-	if _, err := tmp.Write(body); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return false, fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return false, fmt.Errorf("store: %w", err)
-	}
-	old, resync, err := s.place(tmp.Name(), final, shard)
+	old, resync, err := s.place(tmp, final, sum[0])
 	if err != nil {
-		os.Remove(tmp.Name())
+		_ = cwd.unlink(tmp) // the rename's error is the one to report
 		return resync, fmt.Errorf("store: %w", err)
 	}
 	s.dirty.Store(true)
 	s.bytes.Add(int64(len(body)) - old)
 	s.puts.Add(1)
-	s.touch(final, op)
 	return resync, nil
 }
 
-// createTmp creates the private file a Put writes the entry at final into:
-// <dir>/tmp/<hash>.json.<random>, its path built in one allocation (where
-// os.CreateTemp makes five), and created exclusively, so a clash draws
-// another name.
-func (s *Store) createTmp(final string) (*os.File, error) {
+// writeTmp writes body to the private file a Put places at final and
+// returns its path, built in dst: <dir>/tmp/<hash>.json.<random>, created
+// exclusively, so a clash draws another name. The file is stamped as the
+// entry's access (the rename that places it keeps its mtime) and closed; on
+// failure it is removed.
+func (s *Store) writeTmp(dst, final, body []byte, op uint64) ([]byte, error) {
+	base := final[bytes.LastIndexByte(final, '/')+1:]
 	for {
-		var buf [256]byte
-		p := append(append(buf[:0], s.dir...), filepath.Separator)
-		p = append(append(append(p, "tmp"...), filepath.Separator), filepath.Base(final)...)
-		p = strconv.AppendUint(append(p, '.'), rand.Uint64(), 36)
-		f, err := os.OpenFile(string(p), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
-		if !errors.Is(err, fs.ErrExist) {
-			return f, err
+		p := s.appendPath(dst, tmpName, base)
+		p = append(strconv.AppendUint(append(p[:len(p)-1], '.'), rand.Uint64(), 36), 0)
+		f, err := openAt(cwd, p, syscall.O_WRONLY|syscall.O_CREAT|syscall.O_EXCL, 0o600)
+		if errors.Is(err, fs.ErrExist) {
+			continue
 		}
+		if err != nil {
+			return nil, fmt.Errorf("create %s: %w", cstr(p), err)
+		}
+		err = f.write(body)
+		if err == nil {
+			s.touch(f, op)
+		}
+		if cerr := f.close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			_ = cwd.unlink(p) // the write's error is the one to report
+			return nil, fmt.Errorf("write %s: %w", cstr(p), err)
+		}
+		return p, nil
 	}
 }
 
@@ -625,7 +728,7 @@ func (s *Store) createTmp(final string) (*os.File, error) {
 // directory is made by the first Put into it; if it has since vanished,
 // the rename finds no directory, and place makes it again, retries once
 // and reports resync.
-func (s *Store) place(tmp, final string, shard byte) (old int64, resync bool, err error) {
+func (s *Store) place(tmp, final []byte, shard byte) (old int64, resync bool, err error) {
 	sh := &s.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -635,59 +738,37 @@ func (s *Store) place(tmp, final string, shard byte) (old int64, resync bool, er
 		}
 		sh.made = true
 	}
-	old = sizeOf(final)
+	if size, _, err := cwd.stat(final); err == nil {
+		old = size
+	}
 	err = rename(tmp, final)
-	if errors.Is(err, syscall.ENOENT) {
+	if errors.Is(err, fs.ErrNotExist) {
 		if err := mkdirShard(final); err != nil {
 			return 0, true, err
 		}
 		resync, err = true, rename(tmp, final)
 	}
-	return old, resync, err
+	if err != nil {
+		return old, resync, fmt.Errorf("rename %s %s: %w", cstr(tmp), cstr(final), err)
+	}
+	return old, resync, nil
 }
 
 // mkdirShard makes the directory an entry path lies in, if it is missing.
-func mkdirShard(path string) error {
-	if err := os.Mkdir(filepath.Dir(path), 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
+func mkdirShard(path []byte) error {
+	if err := os.Mkdir(string(path[:bytes.LastIndexByte(path, '/')]), 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
 		return err
 	}
 	return nil
 }
 
-// sizeOf is the size of the file at path, 0 if there is none, read into a
-// Stat_t on the stack where os.Stat would allocate a FileInfo.
-func sizeOf(path string) int64 {
-	var st syscall.Stat_t
-	for {
-		switch err := syscall.Stat(path, &st); err {
-		case nil:
-			return int64(st.Size)
-		case syscall.EINTR:
-		default:
-			return 0
-		}
-	}
-}
-
-// rename is os.Rename without its Lstat of the destination, which only
-// guards against replacing a directory: an entry path never names one.
-func rename(from, to string) error {
-	for {
-		err := syscall.Rename(from, to)
-		if err == nil {
-			return nil
-		}
-		if err != syscall.EINTR {
-			return &os.LinkError{Op: "rename", Old: from, New: to, Err: err}
-		}
-	}
-}
-
 // Len walks the store and returns the number of entry files present
 // (without verifying them; see Verify).
 func (s *Store) Len() (int, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	n := 0
-	err := s.walkEntries(func(string, string) error { n++; return nil })
+	err := s.walkLocked(func(handle, []byte, []byte) error { n++; return nil })
 	return n, err
 }
 
@@ -698,28 +779,41 @@ func (s *Store) Len() (int, error) {
 // error; the int is the number of intact entries. A consistency check for
 // tests and operators, not a hot path.
 func (s *Store) Verify() (int, error) {
-	temps, err := os.ReadDir(s.tmpDir())
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	temps := 0
+	if err := s.eachIn(tmpName, func(handle, []byte) error { temps++; return nil }); err != nil {
+		return 0, err
 	}
-	if len(temps) > 0 {
-		return 0, fmt.Errorf("store: %d partial tmp files present", len(temps))
+	if temps > 0 {
+		return 0, fmt.Errorf("store: %d partial tmp files present", temps)
 	}
 	intact := 0
 	var bad []string
-	err = s.walkEntries(func(hash, path string) error {
-		raw, err := os.ReadFile(path)
+	buf := entryBufs.Get().(*[]byte)
+	err := s.walkLocked(func(sh handle, shard, name []byte) error {
+		var pb [pathBuf]byte
+		path := s.appendPath(pb[:0], shard, name)
+		f, err := openAt(sh, name, syscall.O_RDONLY, 0)
 		if err != nil {
-			return err
+			return fmt.Errorf("store: open %s: %w", cstr(path), err)
 		}
+		defer f.close()
+		raw, err := readAll(f, (*buf)[:0])
+		*buf = raw
+		if err != nil {
+			return fmt.Errorf("store: read %s: %w", cstr(path), err)
+		}
+		hash := string(bytes.TrimSuffix(name, jsonSuffix))
 		if verr := verifyFile(hash, raw); verr != nil {
-			s.quarantine(path)
+			s.quarantine(f, path)
 			bad = append(bad, fmt.Sprintf("entry %s: %v", hash, verr))
 			return nil
 		}
 		intact++
 		return nil
 	})
+	putEntryBuf(buf, *buf)
 	if err != nil {
 		return intact, err
 	}
@@ -729,44 +823,22 @@ func (s *Store) Verify() (int, error) {
 	return intact, nil
 }
 
-// walkEntries visits every entry file as (hash, path), skipping the tmp
-// and quarantine directories and anything that is not an entry. An
-// access-time sidecar (<hash>.atime, from binaries that predate mtime
-// stamps) is unlinked: Open's GC walk meets them all, at the first boot.
-func (s *Store) walkEntries(fn func(hash, path string) error) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.walkEntriesLocked(fn)
-}
-
-// walkEntriesLocked is walkEntries for callers already holding mu in
-// either mode.
-func (s *Store) walkEntriesLocked(fn func(hash, path string) error) error {
-	shards, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, sh := range shards {
-		name := sh.Name()
-		if !sh.IsDir() || name == "tmp" || name == "quarantine" {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.dir, name))
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		for _, f := range files {
-			hash, ok := strings.CutSuffix(f.Name(), ".json")
-			if !ok {
-				if strings.HasSuffix(f.Name(), ".atime") {
-					os.Remove(filepath.Join(s.dir, name, f.Name()))
-				}
-				continue
+// walkLocked visits every entry file, with mu held in either mode: fn gets
+// the shard directory it lies in (open for the call), the shard's name and
+// the entry's, both NUL-terminated and valid only during the call. Names in
+// a shard other than <hash>.json are skipped, and an access-time sidecar
+// (<hash>.atime, from binaries that predate mtime stamps) is unlinked:
+// Open's GC walk meets them all, at the first boot.
+func (s *Store) walkLocked(fn func(sh handle, shard, name []byte) error) error {
+	return s.eachShard(func(sh handle, shard []byte) error {
+		return eachName(sh, func(name []byte) error {
+			switch {
+			case bytes.HasSuffix(name, jsonSuffix):
+				return fn(sh, shard, name)
+			case bytes.HasSuffix(name, atimeSuffix):
+				_ = sh.unlink(name) // a sidecar left behind is swept at the next walk
 			}
-			if err := fn(hash, filepath.Join(s.dir, name, f.Name())); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+			return nil
+		})
+	})
 }

@@ -41,8 +41,8 @@ func entryPath(t *testing.T, s *Store, k Key) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := s.pathOf(canon)
-	return p
+	sum := sha256.Sum256(canon)
+	return cstr(s.appendEntryPath(nil, &sum))
 }
 
 func TestRoundTripAndWarmReopen(t *testing.T) {

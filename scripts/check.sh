@@ -9,6 +9,11 @@ set -eux
 cd "$(dirname "$0")/.."
 test -z "$(gofmt -l cmd internal scripts examples *.go)"
 go vet ./...
+# The store reaches the disk through raw system calls on Linux and through
+# package os elsewhere (internal/store/dirio_*.go); nothing else builds the
+# portable file, so it is vetted for two of the systems it serves.
+GOOS=darwin go vet ./internal/store ./internal/serve
+GOOS=freebsd go vet ./internal/store ./internal/serve
 # The timeline is a view of a finished recording: it may know the event
 # format and nothing of the machine that produced it. (test -z, not
 # `! ... | grep -q`: set -e ignores the status of a negated pipeline.)
