@@ -20,7 +20,7 @@ func testSimCfg() sim.Config {
 // equivalence with the functional reference plus structural invariants.
 func runRegLess(t *testing.T, k *isa.Kernel, simCfg sim.Config, cfg Config) (*sim.Stats, *Provider) {
 	t.Helper()
-	p, err := New(cfg, k)
+	p, err := New(nil, cfg, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestProviderRejectsOversizedRegion(t *testing.T) {
 	k := b.MustKernel()
 	cfg := DefaultConfig()
 	cfg.LinesPerBank = 0 // degenerate
-	if _, err := New(cfg, k); err == nil {
+	if _, err := New(nil, cfg, k); err == nil {
 		t.Fatal("New accepted a region larger than a bank")
 	}
 }
@@ -316,7 +316,7 @@ func TestActivationMemoIsInvisible(t *testing.T) {
 		for _, capacity := range []int{128, 512} {
 			run := func(wipe bool) (sim.Stats, sim.ProviderStats) {
 				k := kernels.MustLoad(bench)
-				p, err := New(ConfigForCapacity(capacity), k)
+				p, err := New(nil, ConfigForCapacity(capacity), k)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -103,7 +103,7 @@ func TestFuzzEquivalence(t *testing.T) {
 			cfg := ConfigForCapacity(capacity)
 			cfg.EnableCompressor = rng.Intn(4) != 0
 			cfg.FIFOStack = rng.Intn(4) == 0
-			p, err := New(cfg, k)
+			p, err := New(nil, cfg, k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -260,8 +260,9 @@ func compileCached(k *isa.Kernel, cfg regions.Config) (*regions.Compiled, error)
 // New compiles k and builds the provider. The same compiled result is
 // exposed via Compiled for experiments. Compilation is memoized per
 // (kernel, region config); the shared *regions.Compiled is read-only, and
-// each provider keeps its own runtime state and counters.
-func New(cfgv Config, k *isa.Kernel) (*Provider, error) {
+// each provider keeps its own runtime state and counters. The provider is
+// allocated from a (nil: the heap), the arena of the SM it will attach to.
+func New(a *arena.Arena, cfgv Config, k *isa.Kernel) (*Provider, error) {
 	comp, err := compileCached(k, cfgv.Regions)
 	if err != nil {
 		return nil, err
@@ -279,7 +280,9 @@ func New(cfgv Config, k *isa.Kernel) (*Provider, error) {
 			}
 		}
 	}
-	return &Provider{cfg: cfgv, comp: comp}, nil
+	p := providerT.New(a)
+	p.cfg, p.comp = cfgv, comp
+	return p, nil
 }
 
 // RegionActivations returns a copy of the region-activation profile:
@@ -299,6 +302,7 @@ func (p *Provider) Name() string { return "regless" }
 // arena), and the per-shard name of the one cell the provider registers
 // itself — a gauge; a shard has no counters of its own, hence no fields.
 var (
+	providerT = arena.Of[Provider]()
 	shardT    = arena.Of[shard]()
 	shardPtrT = arena.Of[*shard]()
 	wsT       = arena.Of[warpState]()

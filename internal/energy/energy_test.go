@@ -21,7 +21,7 @@ func simCfg() sim.Config {
 func runBaseline(t *testing.T, name string) energy.Activity {
 	t.Helper()
 	k := kernels.MustLoad(name)
-	p := rf.NewBaseline()
+	p := rf.NewBaseline(nil)
 	smv, err := sim.New(simCfg(), k, p, exec.NewMemory(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestGPUEnergySavingsEndToEnd(t *testing.T) {
 	bNoRF := energy.Compute(params, energy.Scheme{Kind: energy.KindNoRF}, aBase)
 
 	k := kernels.MustLoad(name)
-	p, err := core.New(core.DefaultConfig(), k)
+	p, err := core.New(nil, core.DefaultConfig(), k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/arena"
+	"repro/internal/gpu"
 	"repro/internal/kernels"
 )
 
@@ -18,13 +19,12 @@ import (
 // fixed point and filled the per-kernel memos (graph and liveness,
 // compiled regions), a pass on a fresh Suite in another order may
 // allocate, per run, no more than what a run keeps: the Run with its chip
-// result, detached statistics and series, the suite's cache entry — and
-// the few records Assemble makes on the heap because they are the
-// caller's (the configuration, the provider before it has an SM to take
-// an arena from). Everything a machine is made of comes from the arena,
-// and whoever waits on a memory access or a timer is a pointer into it,
-// so a third pass, in yet another order, allocates the same to within
-// 0.1 %.
+// result, detached statistics and series, region profile, and the
+// suite's cache entry. Everything else a run builds comes from the arena
+// — the configuration Assemble tunes, the slot list and the providers as
+// much as the machine (TestAssembleAllocatesNothing) — and whoever waits
+// on a memory access or a timer is a pointer into it, so a third pass, in
+// yet another order, allocates the same to within 0.1 %.
 //
 // What is left to vary is the runtime's, and is kept out of the reading
 // or under the tolerance rather than widened for: a collection that
@@ -44,8 +44,8 @@ func TestSteadyStateRunBudget(t *testing.T) {
 		bytes, mallocs uint64 // per run: the reading plus a quarter
 	}{
 		{"1sm", 1, []schemeCap{{SchemeBaseline, 0}, {SchemeBaseline2L, 0}, {SchemeRFV, 0}, {SchemeRFH, 0},
-			{SchemeRegLess, 128}, {SchemeRegLess, 512}, {SchemeRegLessNC, 512}}, 3100, 18},
-		{"4sm", 4, []schemeCap{{SchemeBaseline, 0}, {SchemeRegLess, 512}}, 7500, 39},
+			{SchemeRegLess, 128}, {SchemeRegLess, 512}, {SchemeRegLessNC, 512}}, 2120, 9},
+		{"4sm", 4, []schemeCap{{SchemeBaseline, 0}, {SchemeRegLess, 512}}, 6050, 23},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			var keys []runKey
@@ -89,5 +89,42 @@ func TestSteadyStateRunBudget(t *testing.T) {
 				t.Errorf("%d arenas parked after three serial passes, want 1", arena.Held())
 			}
 		})
+	}
+}
+
+// TestAssembleAllocatesNothing: once an arena has grown to a machine,
+// assembling that machine again takes nothing from the heap — not the
+// configuration it tunes, the slot list, the RegLess configuration, the
+// providers or anything under the SMs — for every scheme, on one SM and
+// on four, and with a co-resident kernel beside the assembled one.
+func TestAssembleAllocatesNothing(t *testing.T) {
+	k, co := kernels.MustLoad("nw"), kernels.MustLoad("bfs")
+	type machine struct {
+		scheme Scheme
+		sms    int
+		su     SimSetup
+	}
+	var machines []machine
+	for _, scheme := range Schemes() {
+		su := Quick().Setup(DefaultCapacity)
+		shared := su
+		shared.CoResident = []gpu.KernelSlot{{K: co, SMs: 1, AddrBias: coResidentBias}}
+		machines = append(machines, machine{scheme, 1, su}, machine{scheme, 4, su}, machine{scheme, 1, shared})
+	}
+	a := arena.Take()
+	assemble := func(m machine) {
+		a.Reset()
+		if _, _, err := Assemble(a, k, m.scheme, m.sms, m.su, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range machines { // grow the arena to every machine
+		assemble(m)
+	}
+	for _, m := range machines {
+		if n := testing.AllocsPerRun(20, func() { assemble(m) }); n != 0 {
+			t.Errorf("%s on %d SMs (%d co-resident): Assemble allocates %.0f objects on the heap, want 0",
+				m.scheme, m.sms, len(m.su.CoResident), n)
+		}
 	}
 }

@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/arena"
@@ -33,38 +34,63 @@ import (
 
 // schemeProvider is the one scheme → register file table: it sets the
 // warp scheduler the scheme implies on simCfg and returns what builds the
-// provider for SM number sm of a slot running k. RegLess providers are
-// built from the returned configuration as it reads when mk runs — so an
-// Assemble Tune applied in between is seen — in the SM's own
-// backing-store window: disjoint 16 MB offsets keep per-SM register
-// spills from aliasing in a shared L2 (one kernel's SMs share data lines
-// but never register lines).
-func schemeProvider(scheme Scheme, capacity int, simCfg *sim.Config) (mk gpu.ProviderFactory, rl *core.Config, err error) {
-	c := core.ConfigForCapacity(capacity)
-	c.EnableCompressor = scheme == SchemeRegLess
-	baseline := func(int, *isa.Kernel) (sim.Provider, error) { return rf.NewBaseline(), nil }
+// provider for each SM, with the RegLess configuration it reads — made in
+// a, like everything else Assemble builds.
+func schemeProvider(a *arena.Arena, scheme Scheme, capacity int, simCfg *sim.Config) (mk gpu.ProviderFactory, rl *core.Config, err error) {
+	rl = coreCfgT.New(a)
+	*rl = core.ConfigForCapacity(capacity)
+	rl.EnableCompressor = scheme == SchemeRegLess
 	switch scheme {
 	case SchemeBaseline:
-		mk = baseline
+		mk = newBaseline
 	case SchemeBaseline2L:
-		simCfg.Sched, mk = sim.SchedTwoLevel, baseline
+		simCfg.Sched, mk = sim.SchedTwoLevel, newBaseline
 	case SchemeRFV:
-		simCfg.Sched = sim.SchedTwoLevel
-		mk = func(int, *isa.Kernel) (sim.Provider, error) { return rf.NewRFV(RFVEntries), nil }
+		simCfg.Sched, mk = sim.SchedTwoLevel, newRFV
 	case SchemeRFH:
-		simCfg.Sched = sim.SchedTwoLevel
-		mk = func(int, *isa.Kernel) (sim.Provider, error) { return rf.NewRFH(RFHORFEntries), nil }
+		simCfg.Sched, mk = sim.SchedTwoLevel, newRFH
 	case SchemeRegLess, SchemeRegLessNC:
-		mk = func(sm int, k *isa.Kernel) (sim.Provider, error) {
-			smc := c
-			smc.AddrOffset = uint32(sm) << 24
-			return core.New(smc, k)
-		}
+		mk = (*reglessFactory)(rl)
 	default:
 		return nil, nil, fmt.Errorf("unknown scheme %q", scheme)
 	}
-	return mk, &c, nil
+	return mk, rl, nil
 }
+
+// The register files' factories: each builds its provider in the SM's arena.
+var (
+	newBaseline = gpu.FactoryFunc(func(a *arena.Arena, _ int, _ *isa.Kernel) (sim.Provider, error) {
+		return rf.NewBaseline(a), nil
+	})
+	newRFV = gpu.FactoryFunc(func(a *arena.Arena, _ int, _ *isa.Kernel) (sim.Provider, error) {
+		return rf.NewRFV(a, RFVEntries), nil
+	})
+	newRFH = gpu.FactoryFunc(func(a *arena.Arena, _ int, _ *isa.Kernel) (sim.Provider, error) {
+		return rf.NewRFH(a, RFHORFEntries), nil
+	})
+)
+
+// reglessFactory builds RegLess providers from the configuration as it
+// reads when the chip is built — so an Assemble Tune applied in between is
+// seen — each in its SM's own backing-store window: disjoint 16 MB offsets
+// keep per-SM register spills from aliasing in a shared L2 (one kernel's
+// SMs share data lines but never register lines).
+type reglessFactory core.Config
+
+// NewProvider implements gpu.ProviderFactory.
+func (c *reglessFactory) NewProvider(a *arena.Arena, sm int, k *isa.Kernel) (sim.Provider, error) {
+	smc := core.Config(*c)
+	smc.AddrOffset = uint32(sm) << 24
+	return core.New(a, smc, k)
+}
+
+// What Assemble makes before there is a chip: the configuration it tunes,
+// the slot list and the RegLess configuration (package arena).
+var (
+	gpuCfgT  = arena.Of[gpu.Config]()
+	coreCfgT = arena.Of[core.Config]()
+	slotT    = arena.Of[gpu.KernelSlot]()
+)
 
 // Tune adjusts an assembly after the scheme's defaults are applied: the
 // per-SM timing configuration and, for RegLess schemes, the core
@@ -81,17 +107,19 @@ type Tune func(*sim.Config, *core.Config)
 // RegLess schemes); scheme-wide provider statistics are summed across SMs
 // at result time. tune may be nil.
 //
-// The machine is allocated from a: runPoint passes the arena it took and
-// puts it back when the run is folded; everyone who keeps the chip —
-// the launch sequences, tests, BuildChip/BuildSM's callers — passes nil,
-// the heap. What su hands in is the caller's either way.
+// The machine — and the configuration, slot list and providers it is
+// built from — is allocated from a: runPoint passes the arena it took and
+// puts it back when the run is folded; everyone who keeps the chip — the
+// launch sequences, tests, BuildChip/BuildSM's callers — passes nil, the
+// heap. What su hands in is the caller's either way.
 func Assemble(a *arena.Arena, k *isa.Kernel, scheme Scheme, sms int, su SimSetup, tune Tune) (*gpu.GPU, *core.Provider, error) {
-	cfg := gpu.DefaultConfig()
-	slots := make([]gpu.KernelSlot, 1, 1+len(su.CoResident))
+	cfg := gpuCfgT.New(a)
+	*cfg = gpu.DefaultConfig()
+	slots := slotT.Make(a, 1+len(su.CoResident))
 	slots[0] = gpu.KernelSlot{K: k, SMs: sms, Mem: su.Memory}
 	total := sms
-	for _, s := range su.CoResident {
-		slots = append(slots, s)
+	for i, s := range su.CoResident {
+		slots[1+i] = s
 		total += s.SMs
 	}
 	// The one place the L2 level follows from the SM count: a chip of one
@@ -109,14 +137,14 @@ func Assemble(a *arena.Arena, k *isa.Kernel, scheme Scheme, sms int, su SimSetup
 	}
 	cfg.SM.NoFastForward = su.NoFastForward
 
-	mk, rl, err := schemeProvider(scheme, su.Capacity, &cfg.SM)
+	mk, rl, err := schemeProvider(a, scheme, su.Capacity, &cfg.SM)
 	if err != nil {
 		return nil, nil, err
 	}
 	if tune != nil {
 		tune(&cfg.SM, rl)
 	}
-	g, err := gpu.New(a, cfg, gpu.Launch{
+	g, err := gpu.New(a, *cfg, gpu.Launch{
 		Slots: slots, Factory: mk,
 		FirstWarp: su.FirstWarp, EndWarp: su.EndWarp,
 		L2: su.L2, Hier: su.Hier,
@@ -157,7 +185,7 @@ func Launch(ks []*isa.Kernel, scheme Scheme, sms, gridWarps int, su SimSetup) (*
 // BuildChip is Assemble for a suite benchmark by name. It and BuildSM are
 // shims with no caller in this module: benchmark/layers.go, which only a
 // benchmark-kind PR may edit, calls each at one site. That PR moves them
-// to Assemble and deletes both in one step (ROADMAP item 7(d)).
+// to Assemble and deletes both in one step (ROADMAP item 11).
 func BuildChip(bench string, scheme Scheme, sms int, su SimSetup) (*gpu.GPU, *core.Provider, error) {
 	k, err := kernels.Load(bench)
 	if err != nil {
@@ -193,17 +221,18 @@ type Instrumented struct {
 
 // runPoint is the one way a point is simulated: take an arena, assemble
 // the chip in it, attach what observes it — an event recorder per SM
-// when mask is non-zero, the JSONL window stream when jsonl is non-nil,
+// when mask is non-zero (handed out through inst, which may be nil only
+// when mask is zero), the JSONL window stream when jsonl is non-nil,
 // ctx's cancellation and "build"/"run" trace spans — run it, fold the
 // per-SM results into a Run, and put the arena back for the next
 // assembly. Recording and streaming are passive, so the Run is the same
 // whatever is attached. Nothing the Run, the recorders or the stream keep
 // may point into the machine: once the arena is back, the machine is the
-// next run's memory. A failed run puts nothing back: its
-// *sanitizer.Diagnostic may quote machine state, and failures are rare
-// enough to leave to the collector.
+// next run's memory. A failed run puts its arena back too, unless its
+// error carries a *sanitizer.Diagnostic, which may quote machine state:
+// failures that do are rare enough to leave to the collector.
 func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, sms int,
-	su SimSetup, tune Tune, mask events.Mask, jsonl *metrics.JSONLWriter) (*Instrumented, error) {
+	su SimSetup, tune Tune, inst *Instrumented, mask events.Mask, jsonl *metrics.JSONLWriter) (*Run, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -216,9 +245,8 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 	g, rp, err := Assemble(a, k, scheme, sms, su, tune)
 	tr.End(build)
 	if err != nil {
-		return nil, err
+		return nil, release(a, err)
 	}
-	inst := &Instrumented{Run: &Run{Bench: bench, Scheme: scheme, Capacity: key.capacity}}
 	if jsonl != nil && g.L2 != nil {
 		// Chip-level L2/DRAM counters ride SM 0's window stream (bound
 		// before the sink: a registry freezes once it streams).
@@ -250,11 +278,9 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 	res, err := g.Run()
 	tr.End(cycle)
 	if err != nil {
-		return nil, err
+		return nil, release(a, err)
 	}
-	run := inst.Run
-	run.Chip = res
-	run.Stats = mergeSimStats(res)
+	run := &Run{Bench: bench, Scheme: scheme, Capacity: key.capacity, Chip: res, Stats: mergeSimStats(res)}
 	for i, smv := range g.SMs {
 		metrics.Add(&run.Prov, &smv.Prov)
 		metrics.Add(&run.Mem, &smv.Mem.Stats)
@@ -266,7 +292,17 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 		run.Compiled, run.RegionActivations = rp.Compiled(), rp.RegionActivations()
 	}
 	arena.Put(a)
-	return inst, nil
+	return run, nil
+}
+
+// release puts back the arena of a run that failed with err, unless err
+// carries a *sanitizer.Diagnostic (runPoint), and returns err.
+func release(a *arena.Arena, err error) error {
+	var diag *sanitizer.Diagnostic
+	if !errors.As(err, &diag) {
+		arena.Put(a)
+	}
+	return err
 }
 
 // loadKernel is kernels.Load under a "kernel-load" trace span.
@@ -282,11 +318,7 @@ func loadKernel(ctx context.Context, bench string) (*isa.Kernel, error) {
 // SimulateKernel runs an arbitrary kernel on a chip of one, outside the
 // suite cache: the public Simulate and the ablation table.
 func SimulateKernel(k *isa.Kernel, scheme Scheme, su SimSetup, tune Tune) (*Run, error) {
-	inst, err := runPoint(context.Background(), k, k.Name, scheme, 1, su, tune, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	return inst.Run, nil
+	return runPoint(context.Background(), k, k.Name, scheme, 1, su, tune, nil, 0, nil)
 }
 
 // SimulateInstrumented runs (bench, scheme) once on sms SMs with the su
@@ -303,7 +335,11 @@ func SimulateInstrumented(ctx context.Context, bench string, scheme Scheme, sms 
 	if err != nil {
 		return nil, err
 	}
-	return runPoint(ctx, k, bench, scheme, sms, su, nil, mask, nil)
+	inst := &Instrumented{}
+	if inst.Run, err = runPoint(ctx, k, bench, scheme, sms, su, nil, inst, mask, nil); err != nil {
+		return nil, err
+	}
+	return inst, nil
 }
 
 // mergeSimStats folds per-SM statistics into one SM-shaped Stats: event

@@ -43,11 +43,11 @@ func bareSM(t *testing.T, scheme Scheme, k *isa.Kernel, opts Options) *sim.SM {
 	switch scheme {
 	case SchemeBaseline2L:
 		simCfg.Sched = sim.SchedTwoLevel
-		p = rf.NewBaseline()
+		p = rf.NewBaseline(nil)
 	case SchemeRegLessNC:
 		c := core.ConfigForCapacity(DefaultCapacity)
 		c.EnableCompressor = false
-		p, err = core.New(c, k)
+		p, err = core.New(nil, c, k)
 	default:
 		p, err = buildProviderFor(scheme, k, &simCfg)
 	}

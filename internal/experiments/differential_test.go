@@ -64,15 +64,15 @@ func differentialCases(t *testing.T) []diffCase {
 func buildProviderFor(scheme Scheme, k *isa.Kernel, simCfg *sim.Config) (sim.Provider, error) {
 	switch scheme {
 	case SchemeBaseline:
-		return rf.NewBaseline(), nil
+		return rf.NewBaseline(nil), nil
 	case SchemeRFV:
 		simCfg.Sched = sim.SchedTwoLevel
-		return rf.NewRFV(RFVEntries), nil
+		return rf.NewRFV(nil, RFVEntries), nil
 	case SchemeRFH:
 		simCfg.Sched = sim.SchedTwoLevel
-		return rf.NewRFH(RFHORFEntries), nil
+		return rf.NewRFH(nil, RFHORFEntries), nil
 	case SchemeRegLess:
-		return core.New(core.ConfigForCapacity(DefaultCapacity), k)
+		return core.New(nil, core.ConfigForCapacity(DefaultCapacity), k)
 	}
 	return nil, fmt.Errorf("unknown scheme %q", scheme)
 }

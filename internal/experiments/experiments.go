@@ -272,12 +272,12 @@ func normKey(bench string, scheme Scheme, capacity int) runKey {
 }
 
 // runEntry is one singleflight cache slot: the first caller simulates and
-// closes done; every other caller of the same key blocks on done and
+// marks it done; every other caller of the same key waits for that and
 // shares the result.
 type runEntry struct {
-	done chan struct{}
-	run  *Run
-	err  error
+	sync.WaitGroup // one: the first caller's simulation
+	run            *Run
+	err            error
 }
 
 // Suite memoizes simulation runs across experiments. Get is a
@@ -342,14 +342,15 @@ func (s *Suite) GetCtx(ctx context.Context, bench string, scheme Scheme, capacit
 	s.mu.Lock()
 	e, ok := s.cache[key]
 	if !ok {
-		e = &runEntry{done: make(chan struct{})}
+		e = &runEntry{}
+		e.Add(1)
 		s.cache[key] = e
 	}
 	s.mu.Unlock()
 	if ok {
 		tr, parent := obs.FromContext(ctx)
 		wait := tr.Start(parent, "suite-wait")
-		<-e.done
+		e.Wait()
 		tr.End(wait)
 		return e.run, e.err
 	}
@@ -363,7 +364,7 @@ func (s *Suite) GetCtx(ctx context.Context, bench string, scheme Scheme, capacit
 	if e.err != nil {
 		e.err = fmt.Errorf("%s/%s/%d: %w", key.bench, key.scheme, key.capacity, e.err)
 	}
-	close(e.done)
+	e.Done()
 	return e.run, e.err
 }
 
@@ -420,11 +421,7 @@ func (s *Suite) simulate(ctx context.Context, bench string, scheme Scheme, capac
 	if err != nil {
 		return nil, err
 	}
-	inst, err := runPoint(ctx, k, bench, scheme, s.Opts.SMs, s.Opts.Setup(capacity), nil, 0, s.jsonl)
-	if err != nil {
-		return nil, err
-	}
-	return inst.Run, nil
+	return runPoint(ctx, k, bench, scheme, s.Opts.SMs, s.Opts.Setup(capacity), nil, nil, 0, s.jsonl)
 }
 
 // SimSetup parameterizes one chip assembly beyond (kernel, scheme, SM

@@ -5,19 +5,27 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/arena"
+	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/exec"
+	"repro/internal/faults"
 	"repro/internal/gpu"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
+	"repro/internal/osu"
+	"repro/internal/sanitizer"
 	"repro/internal/sim"
 )
 
@@ -46,7 +54,7 @@ func cachedRuns(s *Suite) []*Run {
 	s.mu.Unlock()
 	var out []*Run
 	for _, e := range entries {
-		if <-e.done; e.run != nil {
+		if e.Wait(); e.run != nil {
 			out = append(out, e.run)
 		}
 	}
@@ -169,11 +177,11 @@ func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
 		if i%2 == 1 {
 			su.Memory = exec.NewMemory(nil)
 		}
-		inst, err := runPoint(context.Background(), k, p.bench, p.scheme, p.sms, su, nil, 0, nil)
+		r, err := runPoint(context.Background(), k, p.bench, p.scheme, p.sms, su, nil, nil, 0, nil)
 		if err != nil {
 			t.Fatalf("%+v: %v", p, err)
 		}
-		r, want := inst.Run, fresh[p]
+		want := fresh[p]
 		where := fmt.Sprintf("run %d, %+v", i, p)
 		if !reflect.DeepEqual(*r.Stats, want.stats) {
 			t.Fatalf("%s: Stats in a recycled arena differ from the heap's:\n%+v\n%+v", where, *r.Stats, want.stats)
@@ -223,6 +231,52 @@ func TestFreeListsBoundedByMachinesAlive(t *testing.T) {
 	}
 }
 
+// TestFailedRunReturnsItsArena: a run that ends without a Diagnostic —
+// canceled mid-cycle-loop (a serve job canceled or expired), or refused
+// at assembly — puts its arena back as a finished run does. Only a run
+// whose error carries a *sanitizer.Diagnostic, which may quote the
+// machine, leaves its arena to the collector.
+func TestFailedRunReturnsItsArena(t *testing.T) {
+	arena.Drop()
+	defer arena.Drop()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer time.AfterFunc(20*time.Millisecond, cancel).Stop()
+	_, err := SimulateInstrumented(ctx, "nw", SchemeBaseline, 1, cancelOpts().Setup(0), 0)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "abandoned at cycle") {
+		t.Fatalf("run canceled mid-cycle-loop = %v, want context.Canceled from the cycle loop", err)
+	}
+	if n := arena.Held(); n != 1 {
+		t.Fatalf("%d arenas parked after a canceled run, want 1", n)
+	}
+
+	arena.Drop()
+	lines := osu.MaxLines/isa.NumBanks + 1 // more than an OSU can index
+	refused := core.DefaultConfig().Shards * isa.NumBanks * lines
+	_, err = SimulateInstrumented(context.Background(), "nw", SchemeRegLess, 1, Quick().Setup(refused), 0)
+	if err == nil || !strings.Contains(err.Error(), "can index") {
+		t.Fatalf("run at capacity %d = %v, want refused at assembly", refused, err)
+	}
+	if n := arena.Held(); n != 1 {
+		t.Fatalf("%d arenas parked after a refused capacity, want 1", n)
+	}
+
+	arena.Drop()
+	plan, err := faults.Parse("osu-tag@200; seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	su := Quick().Setup(DefaultCapacity)
+	su.Faults, su.Sanitize, su.Watchdog = plan, true, 20000
+	_, err = SimulateInstrumented(context.Background(), "nw", SchemeRegLess, 1, su, 0)
+	var diag *sanitizer.Diagnostic
+	if !errors.As(err, &diag) {
+		t.Fatalf("faulted run = %v, want a Diagnostic", err)
+	}
+	if n := arena.Held(); n != 0 {
+		t.Fatalf("%d arenas parked after a run that failed with a Diagnostic, want 0", n)
+	}
+}
+
 // TestResultSurvivesArenaReuse: everything run A hands its consumers — the
 // Run with its chip result and region profile, the JSONL window stream,
 // the recorders' analysis — is the same bytes after A's arena has gone
@@ -245,7 +299,8 @@ func TestResultSurvivesArenaReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	su := opts.Setup(DefaultCapacity)
-	a, err := runPoint(context.Background(), k, "nw", SchemeRegLess, 1, su, nil, events.MaskAll, s.jsonl)
+	var a Instrumented
+	a.Run, err = runPoint(context.Background(), k, "nw", SchemeRegLess, 1, su, nil, &a, events.MaskAll, s.jsonl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +330,7 @@ func TestResultSurvivesArenaReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runPoint(context.Background(), kb, "hotspot", SchemeRegLess, 1, su, nil, events.MaskAll, nil); err != nil {
+	if _, err := runPoint(context.Background(), kb, "hotspot", SchemeRegLess, 1, su, nil, &Instrumented{}, events.MaskAll, nil); err != nil {
 		t.Fatal(err)
 	}
 	if taken != 1 || arena.Held() != 1 {

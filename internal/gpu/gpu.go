@@ -54,9 +54,22 @@ func DefaultConfig() Config {
 }
 
 // ProviderFactory builds one SM's register provider for the kernel its
-// slot runs. smIndex identifies the SM within its kernel (providers
-// needing disjoint backing-store spaces derive an address offset from it).
-type ProviderFactory func(smIndex int, k *isa.Kernel) (sim.Provider, error)
+// slot runs, in the chip's arena a (nil: the heap). sm identifies the SM
+// within its kernel (providers needing disjoint backing-store spaces
+// derive an address offset from it). It is an interface so that a
+// factory carrying configuration is a pointer to it — which may itself
+// live in the arena — rather than a closure the heap has to hold.
+type ProviderFactory interface {
+	NewProvider(a *arena.Arena, sm int, k *isa.Kernel) (sim.Provider, error)
+}
+
+// FactoryFunc is a function as a ProviderFactory.
+type FactoryFunc func(a *arena.Arena, sm int, k *isa.Kernel) (sim.Provider, error)
+
+// NewProvider implements ProviderFactory.
+func (f FactoryFunc) NewProvider(a *arena.Arena, sm int, k *isa.Kernel) (sim.Provider, error) {
+	return f(a, sm, k)
+}
 
 // KernelSlot is one kernel's share of the chip: which kernel and how many
 // SMs it owns. Each slot has its own functional memory (kernels do not
@@ -128,10 +141,10 @@ var (
 
 // New builds the chip for one launch: private L1s over the configured L2
 // level, each slot's warp range striped across its SMs by warp ID. The
-// whole chip — the SMs and everything under them, an L2 level or a
-// functional memory the launch did not hand in — is allocated from a
-// (nil: the heap). The caller owns a: once the run's results have been
-// read out it may put the arena back and the chip is gone with it
+// whole chip — the SMs and everything under them, their providers, an L2
+// level or a functional memory the launch did not hand in — is allocated
+// from a (nil: the heap). The caller owns a: once the run's results have
+// been read out it may put the arena back and the chip is gone with it
 // (experiments.runPoint). What the launch handed in stays the caller's,
 // wherever it was made.
 func New(a *arena.Arena, cfgv Config, l Launch) (*GPU, error) {
@@ -192,7 +205,7 @@ func New(a *arena.Arena, cfgv Config, l Launch) (*GPU, error) {
 				}
 				smCfg.Warps = min(smCfg.Warps, l.EndWarp-smCfg.WarpIDBase)
 			}
-			p, err := l.Factory(i, s.K)
+			p, err := l.Factory.NewProvider(a, i, s.K)
 			if err != nil {
 				return nil, fmt.Errorf("gpu: slot %d SM %d provider: %w", si, i, err)
 			}

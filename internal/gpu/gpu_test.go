@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/isa"
@@ -22,7 +23,7 @@ func smallCfg(warps int) Config {
 }
 
 func baselineFactory() ProviderFactory {
-	return func(int, *isa.Kernel) (sim.Provider, error) { return rf.NewBaseline(), nil }
+	return FactoryFunc(func(a *arena.Arena, _ int, _ *isa.Kernel) (sim.Provider, error) { return rf.NewBaseline(a), nil })
 }
 
 // oneKernel is the launch most tests here build: k's grid across sms SMs.
@@ -74,11 +75,11 @@ func TestMultiSMEquivalence(t *testing.T) {
 func TestMultiSMRegLess(t *testing.T) {
 	k := kernels.MustLoad("hotspot")
 	const sms, warps = 4, 8
-	factory := func(i int, k *isa.Kernel) (sim.Provider, error) {
+	factory := FactoryFunc(func(a *arena.Arena, i int, k *isa.Kernel) (sim.Provider, error) {
 		cfg := core.DefaultConfig()
 		cfg.AddrOffset = uint32(i) << 24 // disjoint backing stores
-		return core.New(cfg, k)
-	}
+		return core.New(a, cfg, k)
+	})
 	mm := exec.NewMemory(nil)
 	g, err := New(nil, smallCfg(warps), oneKernel(k, sms, factory, mm))
 	if err != nil {

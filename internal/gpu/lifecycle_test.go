@@ -53,11 +53,11 @@ func TestResultDetachedFromSM(t *testing.T) {
 // and keeps its stores. Both chips count what a chip on the heap counts.
 func TestArenaChipLeavesCallersMemoryAlone(t *testing.T) {
 	k := kernels.MustLoad("nw")
-	factory := func(i int, k *isa.Kernel) (sim.Provider, error) {
+	factory := FactoryFunc(func(a *arena.Arena, i int, k *isa.Kernel) (sim.Provider, error) {
 		cfg := core.DefaultConfig()
 		cfg.AddrOffset = uint32(i) << 24
-		return core.New(cfg, k)
-	}
+		return core.New(a, cfg, k)
+	})
 	run := func(a *arena.Arena, mm *exec.Memory) (*GPU, *Result) {
 		t.Helper()
 		g, err := New(a, smallCfg(8), oneKernel(k, 2, factory, mm))

@@ -37,12 +37,12 @@ func bareSM(t *testing.T, scheme experiments.Scheme, k *isa.Kernel, noFF bool) (
 	cfg.NoFastForward = noFF
 	switch scheme {
 	case experiments.SchemeBaseline:
-		return cfg, rf.NewBaseline()
+		return cfg, rf.NewBaseline(nil)
 	case experiments.SchemeRFV:
 		cfg.Sched = sim.SchedTwoLevel
-		return cfg, rf.NewRFV(experiments.RFVEntries)
+		return cfg, rf.NewRFV(nil, experiments.RFVEntries)
 	case experiments.SchemeRegLess:
-		p, err := core.New(core.ConfigForCapacity(experiments.DefaultCapacity), k)
+		p, err := core.New(nil, core.ConfigForCapacity(experiments.DefaultCapacity), k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package rf
 
 import (
+	"repro/internal/arena"
 	"repro/internal/exec"
 	"repro/internal/sim"
 )
@@ -23,8 +24,11 @@ type Baseline struct {
 
 var _ sim.Provider = (*Baseline)(nil)
 
-// NewBaseline returns the baseline provider.
-func NewBaseline() *Baseline { return &Baseline{} }
+var baselineT = arena.Of[Baseline]()
+
+// NewBaseline returns the baseline provider, allocated from a (nil: the
+// heap).
+func NewBaseline(a *arena.Arena) *Baseline { return baselineT.New(a) }
 
 // Name implements sim.Provider.
 func (b *Baseline) Name() string { return "baseline" }

@@ -51,7 +51,7 @@ func TestBaselineAllBenchmarks(t *testing.T) {
 		t.Run(bm.Name, func(t *testing.T) {
 			t.Parallel()
 			k := kernels.MustLoad(bm.Name)
-			st := runProvider(t, k, testCfg(), NewBaseline())
+			st := runProvider(t, k, testCfg(), NewBaseline(nil))
 			if st.IPC() <= 0 {
 				t.Fatalf("IPC = %v", st.IPC())
 			}
@@ -61,7 +61,7 @@ func TestBaselineAllBenchmarks(t *testing.T) {
 
 func TestBaselineCountsAccesses(t *testing.T) {
 	k := kernels.MustLoad("streamcluster")
-	p := NewBaseline()
+	p := NewBaseline(nil)
 	st := runProvider(t, k, testCfg(), p)
 	ps := p.st
 	if ps.StructReads == 0 || ps.StructWrites == 0 {
@@ -84,7 +84,7 @@ func TestRFVEquivalenceAndRelease(t *testing.T) {
 			k := kernels.MustLoad(name)
 			// Generous pool: no stalls expected, but mapping/release
 			// must still work.
-			p := NewRFV(1024)
+			p := NewRFV(nil, 1024)
 			runProvider(t, k, testCfg(), p)
 			if p.LiveMapped() != 0 {
 				t.Fatalf("%d physical registers leaked", p.LiveMapped())
@@ -101,9 +101,9 @@ func TestRFVPressureSpills(t *testing.T) {
 	// and slow the run down versus a large pool.
 	k := kernels.MustLoad("dwt2d")
 	cfgv := testCfg()
-	big := NewRFV(2048)
+	big := NewRFV(nil, 2048)
 	stBig := runProvider(t, k, cfgv, big)
-	small := NewRFV(k.NumRegs + 8)
+	small := NewRFV(nil, k.NumRegs+8)
 	stSmall := runProvider(t, k, cfgv, small)
 	if small.Spills() == 0 {
 		t.Fatal("tiny pool produced no spills")
@@ -122,7 +122,7 @@ func TestRFHLevelSplit(t *testing.T) {
 		k := kernels.MustLoad(name)
 		cfgv := testCfg()
 		cfgv.Sched = sim.SchedTwoLevel
-		p := NewRFH(4)
+		p := NewRFH(nil, 4)
 		runProvider(t, k, cfgv, p)
 		ps := p.st
 		lrf += ps.LRFAccesses
@@ -146,11 +146,11 @@ func TestRFHBackingBelowBaseline(t *testing.T) {
 	// Figure 3's ordering: RFH makes far fewer backing-store accesses
 	// than the baseline on hotspot.
 	k := kernels.MustLoad("hotspot")
-	base := NewBaseline()
+	base := NewBaseline(nil)
 	runProvider(t, k, testCfg(), base)
 	cfgv := testCfg()
 	cfgv.Sched = sim.SchedTwoLevel
-	hier := NewRFH(8)
+	hier := NewRFH(nil, 8)
 	runProvider(t, k, cfgv, hier)
 	if hier.st.BackingAccesses*2 >= base.st.BackingAccesses {
 		t.Fatalf("RFH backing %d not well below baseline %d",
@@ -197,7 +197,7 @@ func TestRFVVictimOrderPinned(t *testing.T) {
 		k := kernels.MustLoad(pin.bench)
 		cfgv := testCfg()
 		cfgv.Sched = sim.SchedTwoLevel
-		p := NewRFV(4 * k.NumRegs)
+		p := NewRFV(nil, 4*k.NumRegs)
 		// Not runProvider: hybridsort's stored words move with timing this
 		// far from the suite's configuration (every thread stores to one of
 		// four bucket words, last writer wins), which is no business of

@@ -8,6 +8,7 @@ import (
 )
 
 var (
+	rfhT  = arena.Of[RFH]()
 	regT  = arena.Of[isa.Reg]()
 	regsT = arena.Of[[]isa.Reg]()
 )
@@ -35,8 +36,13 @@ type RFH struct {
 
 var _ sim.Provider = (*RFH)(nil)
 
-// NewRFH builds the provider with the given per-warp ORF capacity.
-func NewRFH(orfEntries int) *RFH { return &RFH{ORFEntries: orfEntries} }
+// NewRFH builds the provider with the given per-warp ORF capacity,
+// allocated from a (nil: the heap).
+func NewRFH(a *arena.Arena, orfEntries int) *RFH {
+	h := rfhT.New(a)
+	h.ORFEntries = orfEntries
+	return h
+}
 
 // Name implements sim.Provider.
 func (h *RFH) Name() string { return "rfh" }

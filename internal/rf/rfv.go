@@ -62,6 +62,7 @@ type victimFIFO struct {
 }
 
 var (
+	rfvT   = arena.Of[RFV]()
 	entryT = arena.Of[rfvEntry]()
 	boolT  = arena.Of[bool]()
 	boolsT = arena.Of[[]bool]()
@@ -86,9 +87,12 @@ func (q *victimFIFO) pop() rfvEntry {
 }
 
 // NewRFV builds the provider with the given physical pool size (the paper
-// assumes half the baseline register file).
-func NewRFV(physRegs int) *RFV {
-	return &RFV{physRegs: physRegs, SpillPenalty: 40}
+// assumes half the baseline register file), allocated from a (nil: the
+// heap).
+func NewRFV(a *arena.Arena, physRegs int) *RFV {
+	v := rfvT.New(a)
+	v.physRegs, v.SpillPenalty = physRegs, 40
+	return v
 }
 
 // Name implements sim.Provider.

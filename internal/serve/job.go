@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -231,12 +232,7 @@ func (s *Server) execute(j *job) {
 	}
 
 	asm := tr.StartAt(obs.Root, "assemble", t2)
-	res := s.resultFrom(run)
-	res.Report = rep
-	// Marshaled straight into the reply: one buffer for store and responses.
-	buf := bytes.NewBuffer(j.appendReplyHead(nil, false))
-	head := buf.Len()
-	merr := json.NewEncoder(buf).Encode(res)
+	payload, merr := s.encodeReply(j, run, rep)
 	t3 := tr.Now()
 	tr.EndAt(asm, t3)
 	s.hSpanAssemble.Observe(uint64(t3 - t2))
@@ -244,10 +240,9 @@ func (s *Server) execute(j *job) {
 		s.fail(j, t3, merr)
 		return
 	}
-	reply := buf.Bytes()[:buf.Len()-1] // Encode ends with a newline
 
 	sp := tr.StartAt(obs.Root, "store-put", t3)
-	perr := s.st.Put(j.key, reply[head:])
+	perr := s.st.Put(j.key, payload)
 	t4 := tr.Now()
 	tr.EndAt(sp, t4)
 	s.hSpanStorePut.Observe(uint64(t4 - t3))
@@ -257,8 +252,57 @@ func (s *Server) execute(j *job) {
 		s.cStoreErrors.Inc()
 	}
 	tr.CloseAt(t4)
-	j.reply = append(reply, "}\n"...)
 	j.finish(jobDone)
+}
+
+// encodeScratch is what a miss encodes its result through, recycled across
+// misses: the RunResult the encoder reads by pointer (one passed by value
+// would be boxed, a copy on the heap per miss) and the buffer it writes.
+type encodeScratch struct {
+	res RunResult
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var encodeScratches = sync.Pool{New: func() any {
+	sc := new(encodeScratch)
+	sc.enc = json.NewEncoder(&sc.buf)
+	return sc
+}}
+
+// maxScratch is the largest encoding buffer a scratch goes back to the
+// pool with: an exceptional report's must not stay pinned (the store's
+// rule for its read buffers).
+const maxScratch = 64 << 10
+
+// recycle puts sc back in the pool, holding no result.
+func (sc *encodeScratch) recycle() {
+	sc.res = RunResult{}
+	if sc.buf.Cap() <= maxScratch {
+		encodeScratches.Put(sc)
+	}
+}
+
+// encodeReply sets the reply of a job that simulated run: the head, the
+// payload as json.Encoder writes it, and "}\n", in one exact-size
+// allocation — the only one it makes. It returns the payload, which is
+// what the store keeps.
+func (s *Server) encodeReply(j *job, run *experiments.Run, rep *RunReport) ([]byte, error) {
+	sc := encodeScratches.Get().(*encodeScratch)
+	defer sc.recycle()
+	sc.res = s.resultFrom(run)
+	sc.res.Report = rep
+	sc.buf.Reset()
+	if err := sc.enc.Encode(&sc.res); err != nil {
+		return nil, err
+	}
+	enc := sc.buf.Bytes()
+	enc = enc[:len(enc)-1] // Encode ends with a newline
+	var hb [replyHeadRoom]byte
+	head := j.appendReplyHead(hb[:0], false)
+	reply := append(make([]byte, 0, len(head)+len(enc)+2), head...)
+	j.reply = append(append(reply, enc...), "}\n"...)
+	return j.reply[len(head) : len(j.reply)-2], nil
 }
 
 func (s *Server) resultFrom(r *experiments.Run) RunResult {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -192,14 +193,16 @@ func (s *Server) noteDiagnostic(k breakerKey) {
 	}
 }
 
-// openBreakers lists quarantined configs for /healthz.
+// openBreakers lists quarantined configs for /healthz, sorted, so that
+// two polls of an unchanged server agree.
 func (s *Server) openBreakers() []string {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]string, 0, len(s.breakerOpen))
 	for k := range s.breakerOpen {
 		out = append(out, k.String())
 	}
+	s.mu.Unlock()
+	slices.Sort(out)
 	return out
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -457,6 +458,28 @@ func TestBreakerQuarantines(t *testing.T) {
 	}
 	if len(hz.Breakers) != 1 || !strings.HasPrefix(hz.Breakers[0], "nw/regless/") {
 		t.Fatalf("healthz breakers = %v", hz.Breakers)
+	}
+}
+
+// TestHealthzListsBreakersSorted: /healthz names the open breakers in one
+// order, poll after poll, whatever order the server's map ranges them in.
+func TestHealthzListsBreakersSorted(t *testing.T) {
+	s, err := New(Config{Opts: testOpts(), StoreDir: t.TempDir(), BreakerThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, k := range []breakerKey{{"nw", "regless", 512}, {"bfs", "rfv", 0}, {"nw", "regless", 128}} {
+		s.noteDiagnostic(k)
+	}
+	want := []string{"bfs/rfv/0", "nw/regless/128", "nw/regless/512"}
+	h := s.Handler()
+	for poll := 0; poll < 50; poll++ {
+		var hz Health
+		doJSON(t, h, "GET", "/healthz", "", nil, &hz)
+		if !slices.Equal(hz.Breakers, want) {
+			t.Fatalf("poll %d: healthz breakers = %v, want %v", poll, hz.Breakers, want)
+		}
 	}
 }
 

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -254,6 +257,18 @@ const diskHitBytesCeiling = 2304
 // read every body).
 const firstAdmitAllocCeiling = 4
 
+// A miss allocates, beyond the run SimulateInstrumented returns, what a
+// disk hit does — the job with its context and trace, the pool hand-off,
+// the reply at its exact size — plus the trace grown once for the run's
+// spans and the context the run is traced under (14 objects, 2.6 KB; 19
+// and 3.4 KB when the result was boxed into json.Encoder's interface, the
+// reply head built on the heap and the reply encoded into a fresh
+// bytes.Buffer).
+const (
+	missAllocCeiling = 15
+	missBytesCeiling = 2816
+)
+
 // bytesPerRun is testing.AllocsPerRun in bytes: what one call of f
 // allocates on the heap, the pool workers' share included, averaged over
 // runs after a warm-up call.
@@ -358,5 +373,65 @@ func BenchmarkHandlerDiskHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fire()
+	}
+}
+
+// TestMissAllocations weighs what execute adds to a simulation on a miss:
+// a miss through the whole handler stack, less what the run alone
+// allocates. Before each miss the job map is emptied and the store's
+// entry removed, outside the measurement.
+func TestMissAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	if runtime.GOOS != "linux" || (runtime.GOARCH != "amd64" && runtime.GOARCH != "arm64") {
+		t.Skip("the store's portable file-system primitives allocate what the ceilings count out")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dir := t.TempDir()
+	opts := testOpts()
+	s := newTestServer(t, dir, opts)
+	defer s.Close()
+	fire := hitLoop(t, s)
+	const runs = 20
+	measure := func(prepare, f func()) (objects, bytes uint64) {
+		var m0, m1 runtime.MemStats
+		for i := 0; i < runs; i++ {
+			prepare()
+			runtime.ReadMemStats(&m0)
+			f()
+			runtime.ReadMemStats(&m1)
+			objects += m1.Mallocs - m0.Mallocs
+			bytes += m1.TotalAlloc - m0.TotalAlloc
+		}
+		return objects / runs, bytes / runs
+	}
+	forget := func() {
+		s.mu.Lock()
+		clear(s.jobs)
+		s.mu.Unlock()
+		entries, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("store holds %d entries (%v), want the one the miss wrote", len(entries), err)
+		}
+		if err := os.Remove(entries[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	missObjects, missBytes := measure(forget, fire)
+	runObjects, runBytes := measure(func() {}, func() {
+		if _, err := experiments.SimulateInstrumented(context.Background(), "nw", experiments.SchemeRegLess,
+			1, opts.Setup(experiments.DefaultCapacity), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if misses := s.Store().Stats().Misses; misses < runs {
+		t.Fatalf("store saw %d misses: the loop is not simulating", misses)
+	}
+	objects, bytes := missObjects-runObjects, missBytes-runBytes
+	t.Logf("a miss allocates %d objects, %d B beyond its run's %d objects, %d B", objects, bytes, runObjects, runBytes)
+	if objects > missAllocCeiling || bytes > missBytesCeiling {
+		t.Errorf("a miss allocates %d objects, %d B beyond its run, ceiling %d, %d B",
+			objects, bytes, missAllocCeiling, missBytesCeiling)
 	}
 }

@@ -25,6 +25,10 @@ type scheduler interface {
 	frozen(group int, sm *SM) bool
 }
 
+// The SM's pickFn for each policy.
+func pickGTO(g int, sm *SM) *Warp      { return sm.gto.pick(g, sm) }
+func pickTwoLevel(g int, sm *SM) *Warp { return sm.twoLevel.pick(g, sm) }
+
 // gto is greedy-then-oldest: keep issuing from the current warp until it
 // stalls, then switch to the oldest ready warp (smallest ID — all warps
 // launch together).

@@ -221,8 +221,12 @@ type SM struct {
 	lsu    *lsu
 
 	// pickFn is the concrete scheduler's pick, resolved once at
-	// construction (no itab lookup per group per cycle).
-	pickFn func(int, *SM) *Warp
+	// construction (no itab lookup per group per cycle): a package-level
+	// function over the typed scheduler below, since a method value would
+	// be a closure on the heap.
+	pickFn   func(int, *SM) *Warp
+	gto      *gto
+	twoLevel *twoLevel
 
 	grp []groupStats // per scheduler group
 
@@ -431,11 +435,11 @@ func NewWithHierarchyIn(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, 
 		sm.refreshInsn(w)
 	}
 	if cfgv.Sched == SchedTwoLevel {
-		s := newTwoLevel(a, sm.groups, cfgv.ActiveSet)
-		sm.sched, sm.pickFn = s, s.pick
+		sm.twoLevel = newTwoLevel(a, sm.groups, cfgv.ActiveSet)
+		sm.sched, sm.pickFn = sm.twoLevel, pickTwoLevel
 	} else {
-		s := newGTO(a, sm.groups)
-		sm.sched, sm.pickFn = s, s.pick
+		sm.gto = newGTO(a, sm.groups)
+		sm.sched, sm.pickFn = sm.gto, pickGTO
 	}
 	sm.lsu = newLSU(sm, cfgv.LSUQueue)
 	if err := p.Attach(sm); err != nil {

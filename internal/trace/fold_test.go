@@ -30,18 +30,18 @@ func bareSM(t *testing.T, scheme experiments.Scheme) *sim.SM {
 	var err error
 	switch scheme {
 	case experiments.SchemeBaseline:
-		p = rf.NewBaseline()
+		p = rf.NewBaseline(nil)
 	case experiments.SchemeBaseline2L:
-		cfg.Sched, p = sim.SchedTwoLevel, rf.NewBaseline()
+		cfg.Sched, p = sim.SchedTwoLevel, rf.NewBaseline(nil)
 	case experiments.SchemeRFV:
-		cfg.Sched, p = sim.SchedTwoLevel, rf.NewRFV(experiments.RFVEntries)
+		cfg.Sched, p = sim.SchedTwoLevel, rf.NewRFV(nil, experiments.RFVEntries)
 	case experiments.SchemeRFH:
-		cfg.Sched, p = sim.SchedTwoLevel, rf.NewRFH(experiments.RFHORFEntries)
+		cfg.Sched, p = sim.SchedTwoLevel, rf.NewRFH(nil, experiments.RFHORFEntries)
 	case experiments.SchemeRegLessNC:
 		rl.EnableCompressor = false
 		fallthrough
 	case experiments.SchemeRegLess:
-		p, err = core.New(rl, k)
+		p, err = core.New(nil, rl, k)
 	}
 	if err != nil {
 		t.Fatal(err)

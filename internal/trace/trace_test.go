@@ -40,13 +40,13 @@ func traceRun(t *testing.T, regless bool) traced {
 	cfg.MaxCycles = 5_000_000
 	var p sim.Provider
 	if regless {
-		rp, err := core.New(core.DefaultConfig(), k)
+		rp, err := core.New(nil, core.DefaultConfig(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p = rp
 	} else {
-		p = rf.NewBaseline()
+		p = rf.NewBaseline(nil)
 	}
 	smv, err := sim.New(cfg, k, p, exec.NewMemory(nil))
 	if err != nil {

@@ -69,10 +69,16 @@ test -z "$(grep -rn 'sm\.Provider\.(' --include=*.go --exclude=*_test.go interna
 test -z "$(grep -rn 'isCtxErr\|CachedRuns\|reglessScheme\|QuarantineMaxAge\|SSEHeartbeat\|SSEBuffer\|MetricsEvery' --include=*.go cmd internal regless.go scripts)"
 test -z "$(grep -rn 'Normalized' --include=*.go --exclude=*_test.go internal/store)"
 go test -race -shuffle=on ./...
-# The allocation budget of a steady-state run is the program's only
-# without the race detector, whose instrumentation changes what
-# allocates: the test is built out of the race gate above and run here.
-go test -count=1 -run TestSteadyStateRunBudget ./internal/experiments
+# Allocation counts are the program's only without the race detector,
+# whose instrumentation changes what allocates: every allocation gate is
+# built out of the race gate above, or skips itself there, and runs here
+# — a run's budget and its assembly, the SM's result, the service's hits,
+# miss and admission, the store's Get, Put and Open, a sized trace.
+go test -count=1 -run 'TestSteadyStateRunBudget|TestAssembleAllocatesNothing' ./internal/experiments
+go test -count=1 -run 'TestRunAllocatesItsResultOnly' ./internal/sim
+go test -count=1 -run 'TestMemHitAllocations|TestDiskHitAllocations|TestMissAllocations|TestFirstAdmissionAllocations' ./internal/serve
+go test -count=1 -run 'TestGetHitAllocations|TestPutAllocations|TestOpenAllocationsIndependentOfEntries' ./internal/store
+go test -count=1 -run 'TestSizedTraceRecordsWithoutGrowing' ./internal/obs
 scripts/cover.sh
 # The benchmark is its own module (benchmark/go.mod), so the root
 # ./... patterns never compile it: a signature change that breaks it
