@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/arena"
@@ -285,11 +284,13 @@ func New(a *arena.Arena, cfgv Config, k *isa.Kernel) (*Provider, error) {
 	return p, nil
 }
 
-// RegionActivations returns a copy of the region-activation profile:
-// entry id counts the dynamic executions of compiled region id — what
-// regions.Compiled.DynamicStats folds for Figure 19 and Table 2.
+// RegionActivations returns the region-activation profile: entry id counts
+// the dynamic executions of compiled region id — what
+// regions.Compiled.DynamicStats folds for Figure 19 and Table 2. It is the
+// provider's own, made where the provider was: read it, and copy what
+// must outlive the provider's arena.
 func (p *Provider) RegionActivations() []uint64 {
-	return slices.Clone(p.regionActivations)
+	return p.regionActivations
 }
 
 // Compiled exposes the compiler output (region statistics experiments).

@@ -45,7 +45,7 @@ func TestSteadyStateRunBudget(t *testing.T) {
 	}{
 		{"1sm", 1, []schemeCap{{SchemeBaseline, 0}, {SchemeBaseline2L, 0}, {SchemeRFV, 0}, {SchemeRFH, 0},
 			{SchemeRegLess, 128}, {SchemeRegLess, 512}, {SchemeRegLessNC, 512}}, 2120, 9},
-		{"4sm", 4, []schemeCap{{SchemeBaseline, 0}, {SchemeRegLess, 512}}, 6050, 23},
+		{"4sm", 4, []schemeCap{{SchemeBaseline, 0}, {SchemeRegLess, 512}}, 5725, 19},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			var keys []runKey

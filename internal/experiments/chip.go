@@ -219,22 +219,37 @@ type Instrumented struct {
 	FirstWarp  []int
 }
 
+// What runPoint folds a run into, in the machine's arena.
+var (
+	instT     = arena.Of[Instrumented]()
+	runT      = arena.Of[Run]()
+	simStatsT = arena.Of[sim.Stats]()
+	wordT     = arena.Of[uint64]()
+)
+
 // runPoint is the one way a point is simulated: take an arena, assemble
 // the chip in it, attach what observes it — an event recorder per SM
-// when mask is non-zero (handed out through inst, which may be nil only
-// when mask is zero), the JSONL window stream when jsonl is non-nil,
+// when mask is non-zero, the JSONL window stream when jsonl is non-nil,
 // ctx's cancellation and "build"/"run" trace spans — run it, fold the
-// per-SM results into a Run, and put the arena back for the next
-// assembly. Recording and streaming are passive, so the Run is the same
-// whatever is attached. Nothing the Run, the recorders or the stream keep
-// may point into the machine: once the arena is back, the machine is the
-// next run's memory. A failed run puts its arena back too, unless its
-// error carries a *sanitizer.Diagnostic, which may quote machine state:
-// failures that do are rare enough to leave to the collector.
+// per-SM results into a Run, hand use the fold, and put the arena back
+// for the next assembly. Recording and streaming are passive, so the Run
+// is the same whatever is attached.
+//
+// The fold is made in the machine's arena: the Instrumented use is handed,
+// its Run, the Run's Stats and series, Chip and RegionActivations all
+// point into it until use returns, and once the arena is back they are the
+// next run's memory. So use reads the fold where it lies — serve encodes
+// its reply from it — and copies what it keeps with Run.Detach, the one
+// copy of a result to the heap. The recorders and their per-SM facts are
+// the heap's, use's to keep. use's error is runPoint's.
+//
+// A failed run puts its arena back too, unless its error carries a
+// *sanitizer.Diagnostic, which may quote machine state: failures that do
+// are rare enough to leave to the collector.
 func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, sms int,
-	su SimSetup, tune Tune, inst *Instrumented, mask events.Mask, jsonl *metrics.JSONLWriter) (*Run, error) {
+	su SimSetup, tune Tune, mask events.Mask, jsonl *metrics.JSONLWriter, use func(*Instrumented) error) (err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	// The machine is built at the capacity the run is labelled with.
 	key := normKey(bench, scheme, su.Capacity)
@@ -242,16 +257,26 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 	tr, parent := obs.FromContext(ctx)
 	build := tr.Start(parent, "build")
 	a := arena.Take()
+	defer func() {
+		if err != nil {
+			var diag *sanitizer.Diagnostic
+			if errors.As(err, &diag) {
+				return
+			}
+		}
+		arena.Put(a)
+	}()
 	g, rp, err := Assemble(a, k, scheme, sms, su, tune)
 	tr.End(build)
 	if err != nil {
-		return nil, release(a, err)
+		return err
 	}
 	if jsonl != nil && g.L2 != nil {
 		// Chip-level L2/DRAM counters ride SM 0's window stream (bound
 		// before the sink: a registry freezes once it streams).
 		g.L2.BindMetrics(g.SMs[0].Metrics)
 	}
+	inst := instT.New(a)
 	for i, smv := range g.SMs {
 		if mask != 0 {
 			rec := events.NewRecorder(smv.Cfg.Schedulers, mask)
@@ -278,9 +303,10 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 	res, err := g.Run()
 	tr.End(cycle)
 	if err != nil {
-		return nil, release(a, err)
+		return err
 	}
-	run := &Run{Bench: bench, Scheme: scheme, Capacity: key.capacity, Chip: res, Stats: mergeSimStats(res)}
+	run := runT.New(a)
+	*run = Run{Bench: bench, Scheme: scheme, Capacity: key.capacity, Chip: res, Stats: mergeSimStats(a, res)}
 	for i, smv := range g.SMs {
 		metrics.Add(&run.Prov, &smv.Prov)
 		metrics.Add(&run.Mem, &smv.Mem.Stats)
@@ -291,18 +317,8 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 	if rp != nil {
 		run.Compiled, run.RegionActivations = rp.Compiled(), rp.RegionActivations()
 	}
-	arena.Put(a)
-	return run, nil
-}
-
-// release puts back the arena of a run that failed with err, unless err
-// carries a *sanitizer.Diagnostic (runPoint), and returns err.
-func release(a *arena.Arena, err error) error {
-	var diag *sanitizer.Diagnostic
-	if !errors.As(err, &diag) {
-		arena.Put(a)
-	}
-	return err
+	inst.Run = run
+	return use(inst)
 }
 
 // loadKernel is kernels.Load under a "kernel-load" trace span.
@@ -318,49 +334,73 @@ func loadKernel(ctx context.Context, bench string) (*isa.Kernel, error) {
 // SimulateKernel runs an arbitrary kernel on a chip of one, outside the
 // suite cache: the public Simulate and the ablation table.
 func SimulateKernel(k *isa.Kernel, scheme Scheme, su SimSetup, tune Tune) (*Run, error) {
-	return runPoint(context.Background(), k, k.Name, scheme, 1, su, tune, nil, 0, nil)
+	var run *Run
+	err := runPoint(context.Background(), k, k.Name, scheme, 1, su, tune, 0, nil, func(in *Instrumented) error {
+		run = in.Run.Detach()
+		return nil
+	})
+	return run, err
 }
 
 // SimulateInstrumented runs (bench, scheme) once on sms SMs with the su
 // sizing (su.Capacity is the RegLess capacity) and, when mask is
 // non-zero, an event recorder keeping those families on every SM — how
-// serve runs every point (a "report" request is a non-zero mask) and how
-// the CLI runs -timeline, -trace and -trace-report. Nothing is cached or
-// shared: callers that want that have the store, or a Suite. Trace spans
-// are recorded as in Suite.GetCtx; unlike a suite run, this one is
-// abandoned with ctx's error once ctx is done (serve's job expiry, cancel
-// and drain).
+// the CLI runs -timeline, -trace and -trace-report. It is SimulateWith
+// for a caller that keeps what it is handed: the Instrumented and its Run
+// detached from the run's arena.
 func SimulateInstrumented(ctx context.Context, bench string, scheme Scheme, sms int, su SimSetup, mask events.Mask) (*Instrumented, error) {
-	k, err := loadKernel(ctx, bench)
-	if err != nil {
-		return nil, err
-	}
-	inst := &Instrumented{}
-	if inst.Run, err = runPoint(ctx, k, bench, scheme, sms, su, nil, inst, mask, nil); err != nil {
-		return nil, err
-	}
-	return inst, nil
+	var out *Instrumented
+	err := SimulateWith(ctx, bench, scheme, sms, su, mask, func(in *Instrumented) error {
+		kept := *in
+		kept.Run = in.Run.Detach()
+		out = &kept
+		return nil
+	})
+	return out, err
 }
 
-// mergeSimStats folds per-SM statistics into one SM-shaped Stats: event
-// counters sum (metrics.Add), and what is not a sum is set here — cycles
-// are the chip run time (slowest SM), WorkingSetKB averages over SMs (it
-// is itself a per-window mean), and BackingSeries sums elementwise (the
-// chip's backing traffic over time). The fold of one SM is that SM's
-// statistics, so a chip of one returns them as they are — Run.Stats and
-// Run.Chip.PerSM[0] are then one Stats with one series, which is sound
-// because a Run is read-only.
-func mergeSimStats(res *gpu.Result) *sim.Stats {
+// SimulateWith runs (bench, scheme) as SimulateInstrumented does and hands
+// use the simulation where the run folded it, in the machine's arena: what
+// use is handed — the Instrumented, its Run and everything the Run points
+// to but the recorders — is valid until use returns, and use copies what
+// it keeps (Run.Detach). It is how serve runs every point (a "report"
+// request is a non-zero mask): the reply is encoded from the fold before
+// the arena goes back. Nothing is cached or shared: callers that want that
+// have the store, or a Suite. Trace spans are recorded as in Suite.GetCtx;
+// unlike a suite run, this one is abandoned with ctx's error once ctx is
+// done (serve's job expiry, cancel and drain). use's error is returned as
+// it is; a simulation's failure never reaches use.
+func SimulateWith(ctx context.Context, bench string, scheme Scheme, sms int, su SimSetup, mask events.Mask, use func(*Instrumented) error) error {
+	k, err := loadKernel(ctx, bench)
+	if err != nil {
+		return err
+	}
+	return runPoint(ctx, k, bench, scheme, sms, su, nil, mask, nil, use)
+}
+
+// mergeSimStats folds per-SM statistics into one SM-shaped Stats, made in
+// a (nil: the heap): event counters sum (metrics.Add), and what is not a
+// sum is set here — cycles are the chip run time (slowest SM),
+// WorkingSetKB averages over SMs (it is itself a per-window mean), and
+// BackingSeries sums elementwise (the chip's backing traffic over time).
+// The fold of one SM is that SM's statistics, so a chip of one returns
+// them as they are — Run.Stats and Run.Chip.PerSM[0] are then one Stats
+// with one series, which is sound because a Run is read-only.
+func mergeSimStats(a *arena.Arena, res *gpu.Result) *sim.Stats {
 	if len(res.PerSM) == 1 {
 		return res.PerSM[0]
 	}
-	out := &sim.Stats{}
+	out := simStatsT.New(a)
+	n := 0
+	for _, st := range res.PerSM {
+		n = max(n, len(st.BackingSeries))
+	}
+	if n > 0 {
+		out.BackingSeries = wordT.Make(a, n)
+	}
 	for _, st := range res.PerSM {
 		metrics.Add(out, st)
 		out.WorkingSetKB += st.WorkingSetKB
-		if grow := len(st.BackingSeries) - len(out.BackingSeries); grow > 0 {
-			out.BackingSeries = append(out.BackingSeries, make([]uint64, grow)...)
-		}
 		for i, v := range st.BackingSeries {
 			out.BackingSeries[i] += v
 		}

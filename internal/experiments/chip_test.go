@@ -199,7 +199,7 @@ func TestMergesCoverEveryCounter(t *testing.T) {
 	var sa, sb sim.Stats
 	fillNumeric(t, &sa, seedA)
 	fillNumeric(t, &sb, seedB)
-	merged := mergeSimStats(&gpu.Result{Cycles: sb.Cycles, PerSM: []*sim.Stats{&sa, &sb}})
+	merged := mergeSimStats(nil, &gpu.Result{Cycles: sb.Cycles, PerSM: []*sim.Stats{&sa, &sb}})
 	checkSums(merged, map[string]float64{
 		"Cycles":       float64(sb.Cycles),
 		"WorkingSetKB": (sa.WorkingSetKB + sb.WorkingSetKB) / 2,

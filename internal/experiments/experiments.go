@@ -206,12 +206,14 @@ func (o Options) benchmarks() []string {
 	return out
 }
 
-// Run is one completed simulation: numbers only. Nothing reachable from
-// it points into the machine it was measured on (sim.SM, core.Provider,
-// exec.Memory, mem.Hierarchy) — the Suite caches Runs for the life of
-// the process, and the machine's arena is the next machine's the
-// moment the run is folded (runPoint). A Run is read-only: every caller
-// of a key gets the same one, Compiled is shared with every run of its
+// Run is one completed simulation: numbers only. runPoint folds it in the
+// machine's arena, where it lives until runPoint's consumer returns;
+// every Run handed out beyond that — the Suite's, SimulateKernel's,
+// SimulateInstrumented's — is Detach's copy, and nothing reachable from it
+// points into the machine it was measured on (sim.SM, core.Provider,
+// exec.Memory, mem.Hierarchy) or its arena, which is the next machine's
+// the moment the run is consumed. A Run is read-only: every caller of a
+// key gets the same one, Compiled is shared with every run of its
 // (kernel, region config), and on a chip of one Stats is Chip.PerSM[0].
 type Run struct {
 	Bench    string
@@ -234,6 +236,35 @@ type Run struct {
 	// folded from (one PerSM entry and a zero L2 on a chip of one, whose
 	// L2 is the SM's private slice).
 	Chip *gpu.Result
+}
+
+// Detach returns r copied to the heap: the Run, its Stats and series, the
+// chip result with every SM's statistics and series, and the region
+// profile — everything runPoint folded in the machine's arena — so that
+// the copy outlives the arena. It is the one place a result is copied;
+// Compiled is the compile cache's and stays shared. On a chip of one the
+// copy's Stats is its Chip.PerSM[0], as r's is.
+func (r *Run) Detach() *Run {
+	detach := func(st *sim.Stats) *sim.Stats {
+		c := *st
+		c.BackingSeries = slices.Clone(st.BackingSeries)
+		return &c
+	}
+	out := *r
+	chip := *r.Chip
+	chip.PerSM = make([]*sim.Stats, len(r.Chip.PerSM))
+	for i, st := range r.Chip.PerSM {
+		chip.PerSM[i] = detach(st)
+	}
+	chip.KernelCycles = slices.Clone(r.Chip.KernelCycles)
+	out.Chip = &chip
+	if r.Stats == r.Chip.PerSM[0] {
+		out.Stats = chip.PerSM[0]
+	} else {
+		out.Stats = detach(r.Stats)
+	}
+	out.RegionActivations = slices.Clone(r.RegionActivations)
+	return &out
 }
 
 // Activity converts the run for the energy model.
@@ -335,7 +366,7 @@ func (s *Suite) Get(bench string, scheme Scheme, capacity int) (*Run, error) {
 // parent span. A suite run is never canceled: its result is every later
 // caller's, so ctx's cancellation is stripped before the simulation starts
 // (only for a ctx that has any — a Background or trace-only ctx is used as
-// given). The service, which does cancel, runs SimulateInstrumented under
+// given). The service, which does cancel, runs SimulateWith under
 // its job's context instead.
 func (s *Suite) GetCtx(ctx context.Context, bench string, scheme Scheme, capacity int) (*Run, error) {
 	key := normKey(bench, scheme, capacity)
@@ -421,7 +452,12 @@ func (s *Suite) simulate(ctx context.Context, bench string, scheme Scheme, capac
 	if err != nil {
 		return nil, err
 	}
-	return runPoint(ctx, k, bench, scheme, s.Opts.SMs, s.Opts.Setup(capacity), nil, nil, 0, s.jsonl)
+	var run *Run
+	err = runPoint(ctx, k, bench, scheme, s.Opts.SMs, s.Opts.Setup(capacity), nil, 0, s.jsonl, func(in *Instrumented) error {
+		run = in.Run.Detach()
+		return nil
+	})
+	return run, err
 }
 
 // SimSetup parameterizes one chip assembly beyond (kernel, scheme, SM

@@ -150,7 +150,7 @@ func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", p, err)
 		}
-		o := outcome{stats: *mergeSimStats(res), stores: su.Memory.GlobalStores()}
+		o := outcome{stats: *mergeSimStats(nil, res), stores: su.Memory.GlobalStores()}
 		for _, smv := range g.SMs {
 			// Σ per-SM by the test's own walk, not the fold under test.
 			sumFields(&o.prov, &smv.Prov)
@@ -177,7 +177,11 @@ func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
 		if i%2 == 1 {
 			su.Memory = exec.NewMemory(nil)
 		}
-		r, err := runPoint(context.Background(), k, p.bench, p.scheme, p.sms, su, nil, nil, 0, nil)
+		var r *Run
+		err = runPoint(context.Background(), k, p.bench, p.scheme, p.sms, su, nil, 0, nil, func(in *Instrumented) error {
+			r = in.Run.Detach()
+			return nil
+		})
 		if err != nil {
 			t.Fatalf("%+v: %v", p, err)
 		}
@@ -277,52 +281,82 @@ func TestFailedRunReturnsItsArena(t *testing.T) {
 	}
 }
 
-// TestResultSurvivesArenaReuse: everything run A hands its consumers — the
-// Run with its chip result and region profile, the JSONL window stream,
-// the recorders' analysis — is the same bytes after A's arena has gone
-// back under poison and run B has been built and run in it. A result that
-// aliased the arena (a Stats pointing at the SM's, a series sharing its
-// backing array, a sink that kept the registry's name table) reads
+// TestResultSurvivesArenaReuse: every Run the package hands out — a
+// Suite's, SimulateKernel's, SimulateInstrumented's on one SM and on two
+// (a merged Stats of its own) — holds a heap chip's numbers, chip result
+// and region profile included, after its arena has gone back under poison
+// and run B has been built and run in it; and what else the runs handed
+// out — the JSONL window stream, the recorders' analysis — is the same
+// bytes after B as before it. A result that aliased the arena (a Run,
+// Stats or chip result folded there and not detached, a series sharing
+// its backing array, a sink that kept the registry's name table) reads
 // scribble or B's numbers instead.
 func TestResultSurvivesArenaReuse(t *testing.T) {
+	type numbers struct {
+		Stats       *sim.Stats
+		Chip        *gpu.Result
+		Activations []uint64
+	}
+	encode := func(v any) string {
+		t.Helper()
+		out, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	opts := Quick()
+	su := opts.Setup(DefaultCapacity)
+	heap := map[int]string{} // by SM count: a chip built on the heap
+	for _, sms := range []int{1, 2} {
+		g := assembleChip(t, "nw", SchemeRegLess, sms, su)
+		res, err := g.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap[sms] = encode(numbers{mergeSimStats(nil, res), res, g.SMs[0].Provider.(*core.Provider).RegionActivations()})
+	}
+
 	arena.Drop()
 	arena.SetPoison(true)
 	defer arena.SetPoison(false)
 	defer arena.Drop()
-
 	var stream bytes.Buffer
-	opts := Quick()
 	opts.MetricsWriter = &stream
 	s := NewSuite(opts)
-	k, err := kernels.Load("nw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	su := opts.Setup(DefaultCapacity)
-	var a Instrumented
-	a.Run, err = runPoint(context.Background(), k, "nw", SchemeRegLess, 1, su, nil, &a, events.MaskAll, s.jsonl)
+	suited, err := s.Get("nw", SchemeRegLess, DefaultCapacity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.FlushMetrics(); err != nil {
 		t.Fatal(err)
 	}
-	snapshot := func() []byte {
-		t.Helper()
-		out, err := json.Marshal(struct {
-			Run         *Run
-			Activations []uint64
-			Report      *events.Report
-			Stream      string
-		}{a.Run, a.Run.RegionActivations, events.Analyze(a.Recs[0], a.Cycles[0], a.Schedulers[0]), stream.String()})
+	kernel, err := SimulateKernel(kernels.MustLoad("nw"), SchemeRegLess, su, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := map[string]*Run{"Suite": suited, "SimulateKernel": kernel}
+	var insts []*Instrumented
+	for _, sms := range []int{1, 2} {
+		in, err := SimulateInstrumented(context.Background(), "nw", SchemeRegLess, sms, su, events.MaskAll)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		insts = append(insts, in)
+		kept[fmt.Sprintf("SimulateInstrumented on %d SMs", sms)] = in.Run
 	}
-	before := snapshot()
-	if len(a.Run.RegionActivations) == 0 || a.Run.Chip == nil || stream.Len() == 0 {
-		t.Fatal("run A left nothing to alias")
+	handedOut := func() string {
+		var reports []*events.Report
+		for _, in := range insts {
+			for i, rec := range in.Recs {
+				reports = append(reports, events.Analyze(rec, in.Cycles[i], in.Schedulers[i]))
+			}
+		}
+		return encode(reports) + stream.String()
+	}
+	before := handedOut()
+	if stream.Len() == 0 || len(insts[1].Recs) != 2 || insts[1].Run.Stats == insts[1].Run.Chip.PerSM[0] {
+		t.Fatal("runs A left no stream, recorders or merged Stats to alias")
 	}
 	taken := arena.Held()
 
@@ -330,14 +364,23 @@ func TestResultSurvivesArenaReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runPoint(context.Background(), kb, "hotspot", SchemeRegLess, 1, su, nil, &Instrumented{}, events.MaskAll, nil); err != nil {
+	if err := runPoint(context.Background(), kb, "hotspot", SchemeRegLess, 2, su, nil, events.MaskAll, nil,
+		func(*Instrumented) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if taken != 1 || arena.Held() != 1 {
-		t.Fatalf("run B did not run in run A's arena (%d parked before, %d after)", taken, arena.Held())
+		t.Fatalf("run B did not run in runs A's arena (%d parked before, %d after)", taken, arena.Held())
 	}
-	if after := snapshot(); !bytes.Equal(before, after) {
-		t.Fatalf("run A's results changed once its arena was reused:\n%s\n%s", before, after)
+	for what, r := range kept {
+		if len(r.Stats.BackingSeries) == 0 || len(r.RegionActivations) == 0 {
+			t.Fatalf("%s: a Run with nothing to alias", what)
+		}
+		if got, want := encode(numbers{r.Stats, r.Chip, r.RegionActivations}), heap[len(r.Chip.PerSM)]; got != want {
+			t.Fatalf("%s: the Run once its arena was reused\n%s\nthe heap chip's\n%s", what, got, want)
+		}
+	}
+	if after := handedOut(); before != after {
+		t.Fatalf("the stream or the recorders changed once their arena was reused:\n%s\n%s", before, after)
 	}
 }
 

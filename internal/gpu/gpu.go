@@ -125,6 +125,9 @@ type GPU struct {
 
 	// ctx is what Run hands the cycle loop to poll (AttachContext).
 	ctx context.Context
+	// a is the arena the chip was built from and Run folds its result
+	// into (nil: the heap).
+	a *arena.Arena
 }
 
 // AttachContext makes Run abandon the simulation once ctx is done (the
@@ -133,20 +136,23 @@ type GPU struct {
 func (g *GPU) AttachContext(ctx context.Context) { g.ctx = ctx }
 
 var (
-	gpuT   = arena.Of[GPU]()
-	smPtrT = arena.Of[*sim.SM]()
-	memT   = arena.Of[*exec.Memory]()
-	intT   = arena.Of[int]()
+	gpuT      = arena.Of[GPU]()
+	smPtrT    = arena.Of[*sim.SM]()
+	memT      = arena.Of[*exec.Memory]()
+	intT      = arena.Of[int]()
+	resultT   = arena.Of[Result]()
+	statsPtrT = arena.Of[*sim.Stats]()
+	wordT     = arena.Of[uint64]()
 )
 
 // New builds the chip for one launch: private L1s over the configured L2
 // level, each slot's warp range striped across its SMs by warp ID. The
 // whole chip — the SMs and everything under them, their providers, an L2
 // level or a functional memory the launch did not hand in — is allocated
-// from a (nil: the heap). The caller owns a: once the run's results have
-// been read out it may put the arena back and the chip is gone with it
-// (experiments.runPoint). What the launch handed in stays the caller's,
-// wherever it was made.
+// from a (nil: the heap), and so is the Result Run folds. The caller owns
+// a: once the run's results have been read out it may put the arena back
+// and the chip and its Result are gone with it (experiments.runPoint).
+// What the launch handed in stays the caller's, wherever it was made.
 func New(a *arena.Arena, cfgv Config, l Launch) (*GPU, error) {
 	total := 0
 	for _, s := range l.Slots {
@@ -172,6 +178,7 @@ func New(a *arena.Arena, cfgv Config, l Launch) (*GPU, error) {
 		Mems: memT.Make(a, len(l.Slots))[:0],
 		L2:   l.L2,
 		ctx:  context.Background(),
+		a:    a,
 	}
 	switch {
 	case l.Hier != nil:
@@ -249,6 +256,10 @@ type Result struct {
 // at the end. An SM's abnormal termination (MaxCycles, watchdog,
 // sanitizer) is its *sanitizer.Diagnostic, prefixed with the SM's index
 // when the chip has more than one.
+//
+// The Result, and every SM's statistics in it (sim.SM.Finalize), is
+// folded into the chip's arena: on a heap chip it is a heap result that
+// holds no machine, on an arena chip it is gone with the arena.
 func (g *GPU) Run() (*Result, error) {
 	var checkL2 func() error
 	if g.L2 != nil {
@@ -260,16 +271,20 @@ func (g *GPU) Run() (*Result, error) {
 		}
 		return nil, err
 	}
-	res := &Result{KernelCycles: make([]uint64, len(g.Mems))}
 	if g.L2 != nil {
 		if err := g.L2.CheckInvariants(); err != nil {
 			return nil, err
 		}
+	}
+	res := resultT.New(g.a)
+	res.KernelCycles = wordT.Make(g.a, len(g.Mems))
+	res.PerSM = statsPtrT.Make(g.a, len(g.SMs))
+	if g.L2 != nil {
 		res.L2 = g.L2.Stats
 	}
 	for i, smv := range g.SMs {
 		st := smv.Finalize()
-		res.PerSM = append(res.PerSM, st)
+		res.PerSM[i] = st
 		res.TotalInsns += st.DynInsns
 		res.FFSkippedCycles += st.FFSkippedCycles
 		res.FFJumps += st.FFJumps

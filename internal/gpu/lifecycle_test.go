@@ -48,9 +48,10 @@ func TestResultDetachedFromSM(t *testing.T) {
 
 // TestArenaChipLeavesCallersMemoryAlone: a chip built in an arena takes
 // everything it makes from it — SMs, the L2 level, the memory it was not
-// handed — and the arena going back (scribbled over, under poison) takes
-// all of that with it; a memory the caller passed in was made elsewhere
-// and keeps its stores. Both chips count what a chip on the heap counts.
+// handed, the Result its run folds — and the arena going back (scribbled
+// over, under poison) takes all of that with it; a memory the caller
+// passed in was made elsewhere and keeps its stores. Both chips count what
+// a chip on the heap counts.
 func TestArenaChipLeavesCallersMemoryAlone(t *testing.T) {
 	k := kernels.MustLoad("nw")
 	factory := FactoryFunc(func(a *arena.Arena, i int, k *isa.Kernel) (sim.Provider, error) {
@@ -90,14 +91,17 @@ func TestArenaChipLeavesCallersMemoryAlone(t *testing.T) {
 	if regs[0][0] != ^uint32(0) {
 		t.Fatal("the chip's registers were not the arena's: putting it back left them readable")
 	}
+	if got.Cycles != 0 || got.PerSM != nil {
+		t.Fatal("the chip's Result was not the arena's: putting it back left it readable")
+	}
 
 	mm := exec.NewMemory(nil)
 	a = arena.Take()
 	_, got = run(a, mm)
-	arena.Put(a)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("a chip in a recycled arena counts\n%+v\non the heap\n%+v", got, want)
 	}
+	arena.Put(a)
 	if !reflect.DeepEqual(mm.GlobalStores(), stores) {
 		t.Fatal("the caller's memory lost its stores with the arena")
 	}

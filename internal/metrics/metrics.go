@@ -133,6 +133,16 @@ func (r *Registry) register(c cell) int {
 	return len(r.cells) - 1
 }
 
+// Reserve makes room for n more cells, for a registry whose owner knows
+// how many it registers: the cell table then grows once, not by doubling.
+// A nil registry ignores the call.
+func (r *Registry) Reserve(n int) {
+	if r == nil {
+		return
+	}
+	r.cells = cellT.Grow(r.a, r.cells, n)
+}
+
 func (r *Registry) indexCell(name string, i int) {
 	if _, dup := r.index[name]; dup {
 		panic(fmt.Sprintf("metrics: duplicate registration of %q", name))

@@ -14,7 +14,7 @@
 // Every method is safe on a nil *Trace (no-op / zero), so producers
 // instrument unconditionally and the caller decides whether a trace
 // exists. Context carries a (*Trace, parent SpanID) pair across layer
-// boundaries — serve.execute hands it to experiments.SimulateInstrumented,
+// boundaries — serve.execute hands it to experiments.SimulateWith,
 // which records its kernel-load/build/run children without importing serve.
 package obs
 

@@ -125,11 +125,20 @@ const maxBody = 1 << 20
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // readBody reads the request's body, at most maxBody bytes of it, into a
-// pooled buffer the caller hands back with putBody.
+// pooled buffer the caller hands back with putBody. A body that declares
+// a Content-Length within the bound is read as it is: net/http already
+// ends it at its declared length. One without a declaration (chunked) or
+// declaring more is read through http.MaxBytesReader, which refuses it
+// past the bound and closes the connection after the reply — the
+// limiter is a heap object per request, which most requests do without.
 func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+	body := r.Body
+	if r.ContentLength < 0 || r.ContentLength > maxBody {
+		body = http.MaxBytesReader(w, body, maxBody)
+	}
+	if _, err := buf.ReadFrom(body); err != nil {
 		putBody(buf)
 		return nil, err
 	}

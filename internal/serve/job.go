@@ -39,8 +39,10 @@ const (
 // done closes after the final fields (reply, cached, errText, diag) are
 // set, so any reader that observed the closed channel reads them race-free.
 type job struct {
-	id     string
-	key    store.Key
+	id string
+	// key is the admission's, which the body memo keeps (admitRun): the
+	// job points at it rather than holding a 128-byte copy.
+	key    *store.Key
 	client string
 	// reqID is the X-Request-ID of the submission that created the job —
 	// the end-to-end trace handle echoed in statuses and Diagnostics.
@@ -109,8 +111,8 @@ func (j *job) abandonIfOrphan() {
 // Admission can reject: errDraining (shutdown in progress, 503),
 // errOverloaded (queue at its limit, 429), or a quarantined config
 // (breaker open, 503).
-func (s *Server) submit(a admitted, client, reqID string, budget time.Duration) (j *job, fresh bool, err error) {
-	key, id := a.key, a.id
+func (s *Server) submit(a *admitted, client, reqID string, budget time.Duration) (j *job, fresh bool, err error) {
+	key, id := &a.key, a.id
 	bk := breakerKey{bench: key.Bench, scheme: key.Scheme, capacity: key.Capacity}
 	s.mu.Lock()
 	// Draining is decided under s.mu, which Drain takes for its snapshot
@@ -201,7 +203,7 @@ func (s *Server) execute(j *job) {
 	sg := tr.StartAt(obs.Root, "store-get", t0)
 	// A disk hit's reply is built around the payload where the store read
 	// it: one exact-size allocation, the only one the hit keeps.
-	ok, err := s.st.View(j.key, func(payload []byte) {
+	ok, err := s.st.View(*j.key, func(payload []byte) {
 		var hb [replyHeadRoom]byte
 		head := j.appendReplyHead(hb[:0], true)
 		reply := append(make([]byte, 0, len(head)+len(payload)+2), head...)
@@ -220,29 +222,43 @@ func (s *Server) execute(j *job) {
 	}
 	s.cMisses.Inc()
 
+	// The reply is encoded from the run where the simulation folded it, in
+	// the machine's arena, before the arena goes back: "simulate" ends and
+	// "assemble" starts inside simulate's consumer, and "assemble" ends when
+	// simulate returns, so the arena's return is charged to "assemble".
 	tr.Grow(missSpans - hitSpans)
 	simSpan := tr.StartAt(obs.Root, "simulate", t1)
-	run, rep, err := s.simulate(obs.NewContext(j.ctx, tr, simSpan), j.key)
-	t2 := tr.Now()
-	tr.EndAt(simSpan, t2)
-	s.hSpanSimulate.Observe(uint64(t2 - t1))
-	if err != nil {
-		s.fail(j, t2, err)
+	var (
+		assembled bool
+		t2        int64
+		asm       obs.SpanID
+		payload   []byte
+	)
+	err = s.simulate(obs.NewContext(j.ctx, tr, simSpan), j.key, func(run *experiments.Run, rep *RunReport) error {
+		assembled, t2 = true, tr.Now()
+		tr.EndAt(simSpan, t2)
+		s.hSpanSimulate.Observe(uint64(t2 - t1))
+		asm = tr.StartAt(obs.Root, "assemble", t2)
+		var err error
+		payload, err = s.encodeReply(j, run, rep)
+		return err
+	})
+	t3 := tr.Now()
+	if !assembled {
+		tr.EndAt(simSpan, t3)
+		s.hSpanSimulate.Observe(uint64(t3 - t1))
+		s.fail(j, t3, err)
 		return
 	}
-
-	asm := tr.StartAt(obs.Root, "assemble", t2)
-	payload, merr := s.encodeReply(j, run, rep)
-	t3 := tr.Now()
 	tr.EndAt(asm, t3)
 	s.hSpanAssemble.Observe(uint64(t3 - t2))
-	if merr != nil {
-		s.fail(j, t3, merr)
+	if err != nil {
+		s.fail(j, t3, err)
 		return
 	}
 
 	sp := tr.StartAt(obs.Root, "store-put", t3)
-	perr := s.st.Put(j.key, payload)
+	perr := s.st.Put(*j.key, payload)
 	t4 := tr.Now()
 	tr.EndAt(sp, t4)
 	s.hSpanStorePut.Observe(uint64(t4 - t3))

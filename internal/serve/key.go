@@ -105,16 +105,16 @@ type admitted struct {
 }
 
 // resolve canonicalizes a run request and addresses it.
-func (s *Server) resolve(req RunRequest) (admitted, error) {
+func (s *Server) resolve(req RunRequest) (*admitted, error) {
 	key, err := s.KeyFor(req)
 	if err != nil {
-		return admitted{}, err
+		return nil, err
 	}
 	id, err := key.Hash()
 	if err != nil {
-		return admitted{}, err
+		return nil, err
 	}
-	return admitted{key: key, id: id}, nil
+	return &admitted{key: key, id: id}, nil
 }
 
 // The body memo. Reading a body, KeyFor and Hash are together a pure
@@ -137,8 +137,9 @@ const (
 
 // admitRun resolves the body of a run submission: from the memo, else
 // read by scanRunRequest, else by decodeStrict, the reference for what a
-// body says.
-func (s *Server) admitRun(body []byte) (admitted, error) {
+// body says. What it returns is shared — with the memo and every job of
+// its key — and read-only.
+func (s *Server) admitRun(body []byte) (*admitted, error) {
 	s.memoMu.Lock()
 	a, ok := s.memo[string(body)]
 	s.memoMu.Unlock()
@@ -151,13 +152,13 @@ func (s *Server) admitRun(body []byte) (admitted, error) {
 		// request the decoder fills on the heap.
 		var decoded RunRequest
 		if err := decodeStrict(body, &decoded); err != nil {
-			return admitted{}, fmt.Errorf("bad run request: %v", err)
+			return nil, fmt.Errorf("bad run request: %v", err)
 		}
 		req = decoded
 	}
 	a, err := s.resolve(req)
 	if err != nil {
-		return admitted{}, err
+		return nil, err
 	}
 	if len(body) <= memoBodyMax {
 		s.memoMu.Lock()

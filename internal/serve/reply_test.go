@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/experiments"
 )
 
@@ -229,44 +231,48 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 // The allocation ceilings are what hitLoop reads per request, plus one
 // object of slack. They may only go down.
 //
-// A job-map hit: the request-id header value and the body's size limiter
-// (2 objects; 24 when the body was decoded and the key hashed per request,
-// 25 when the reply went through json.NewEncoder as well).
-const memHitAllocCeiling = 3
+// A job-map hit: the request-id header value; a body that declares its
+// length is read without a size limiter (1 object; 2 with the limiter, 24
+// when the body was decoded and the key hashed per request, 25 when the
+// reply went through json.NewEncoder as well).
+const memHitAllocCeiling = 2
 
 // A disk hit adds the job with its context and trace, the hand-off to the
 // pool, and the reply, built around the payload where the store read it
 // into a recycled buffer; the store itself allocates nothing, its path on
-// the stack and its file a descriptor (10 objects; 15 with the store's path
-// string, *os.File and NUL-terminated path copies, 19 when the file was
-// read into a fresh buffer and copied into the reply, 65 when the entry was
-// decoded to be verified).
-const diskHitAllocCeiling = 11
+// the stack and its file a descriptor (9 objects; 10 with the body's size
+// limiter, 15 with the store's path string, *os.File and NUL-terminated
+// path copies, 19 when the file was read into a fresh buffer and copied
+// into the reply, 65 when the entry was decoded to be verified).
+const diskHitAllocCeiling = 10
 
 // diskHitBytesCeiling bounds a disk hit's bytes as the ceiling above bounds
 // its objects, so a dropped buffer cannot come back as a bigger object: the
-// 1.25 KB reply and the job with its trace come to 2.1 KB (2.6 KB with the
-// store's paths and open file, 2.8 KB with room for 8 spans in every trace,
-// 4.7 KB with the file read into a fresh buffer).
-const diskHitBytesCeiling = 2304
+// 1.25 KB reply and the job with its trace come to 1.9 KB (2.1 KB with the
+// limiter and a job that held its key, 2.6 KB with the store's paths and
+// open file, 2.8 KB with room for 8 spans in every trace, 4.7 KB with the
+// file read into a fresh buffer).
+const diskHitBytesCeiling = 2048
 
 // A compact run body admitted for the first time: the id, and the memo
-// entry that remembers it — its copy of the body and the boxed value (an
-// admitted is larger than the 128 bytes a map keeps in place); the
-// scanner and KeyFor allocate nothing (3 objects; 13 when decodeStrict
-// read every body).
+// entry that remembers it — its copy of the body and the admission it
+// points at, which every job of its key shares; the scanner and KeyFor
+// allocate nothing (3 objects; 13 when decodeStrict read every body).
 const firstAdmitAllocCeiling = 4
 
-// A miss allocates, beyond the run SimulateInstrumented returns, what a
-// disk hit does — the job with its context and trace, the pool hand-off,
-// the reply at its exact size — plus the trace grown once for the run's
-// spans and the context the run is traced under (14 objects, 2.6 KB; 19
-// and 3.4 KB when the result was boxed into json.Encoder's interface, the
-// reply head built on the heap and the reply encoded into a fresh
-// bytes.Buffer).
+// A miss, whole: what a disk hit allocates — the job with its context and
+// trace, the pool hand-off, the reply at its exact size — plus the trace
+// grown once for the run's spans and the context the run is traced under.
+// The run itself leaves nothing on the heap: its machine and the fold of
+// its result are the arena's, and the reply is encoded from the fold
+// before the arena goes back (12 objects, 2.3 KB; 22 and 3.7 KB when the
+// fold was copied to the heap to be encoded and the cycle loop polled the
+// job context's Done channel, 27 and 4.5 KB when the result was boxed
+// into json.Encoder's interface, the reply head built on the heap and the
+// reply encoded into a fresh bytes.Buffer).
 const (
-	missAllocCeiling = 15
-	missBytesCeiling = 2816
+	missAllocCeiling = 13
+	missBytesCeiling = 2560
 )
 
 // bytesPerRun is testing.AllocsPerRun in bytes: what one call of f
@@ -376,10 +382,9 @@ func BenchmarkHandlerDiskHit(b *testing.B) {
 	}
 }
 
-// TestMissAllocations weighs what execute adds to a simulation on a miss:
-// a miss through the whole handler stack, less what the run alone
-// allocates. Before each miss the job map is emptied and the store's
-// entry removed, outside the measurement.
+// TestMissAllocations weighs a miss through the whole handler stack — the
+// simulation included. Before each miss the job map is emptied and the
+// store's entry removed, outside the measurement.
 func TestMissAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -389,24 +394,12 @@ func TestMissAllocations(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dir := t.TempDir()
-	opts := testOpts()
-	s := newTestServer(t, dir, opts)
+	s := newTestServer(t, dir, testOpts())
 	defer s.Close()
 	fire := hitLoop(t, s)
 	const runs = 20
-	measure := func(prepare, f func()) (objects, bytes uint64) {
-		var m0, m1 runtime.MemStats
-		for i := 0; i < runs; i++ {
-			prepare()
-			runtime.ReadMemStats(&m0)
-			f()
-			runtime.ReadMemStats(&m1)
-			objects += m1.Mallocs - m0.Mallocs
-			bytes += m1.TotalAlloc - m0.TotalAlloc
-		}
-		return objects / runs, bytes / runs
-	}
-	forget := func() {
+	var objects, bytes uint64
+	for i := 0; i < runs; i++ {
 		s.mu.Lock()
 		clear(s.jobs)
 		s.mu.Unlock()
@@ -417,21 +410,77 @@ func TestMissAllocations(t *testing.T) {
 		if err := os.Remove(entries[0]); err != nil {
 			t.Fatal(err)
 		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		fire()
+		runtime.ReadMemStats(&m1)
+		objects += m1.Mallocs - m0.Mallocs
+		bytes += m1.TotalAlloc - m0.TotalAlloc
 	}
-	missObjects, missBytes := measure(forget, fire)
-	runObjects, runBytes := measure(func() {}, func() {
-		if _, err := experiments.SimulateInstrumented(context.Background(), "nw", experiments.SchemeRegLess,
-			1, opts.Setup(experiments.DefaultCapacity), 0); err != nil {
-			t.Fatal(err)
-		}
-	})
 	if misses := s.Store().Stats().Misses; misses < runs {
 		t.Fatalf("store saw %d misses: the loop is not simulating", misses)
 	}
-	objects, bytes := missObjects-runObjects, missBytes-runBytes
-	t.Logf("a miss allocates %d objects, %d B beyond its run's %d objects, %d B", objects, bytes, runObjects, runBytes)
+	objects, bytes = objects/runs, bytes/runs
+	t.Logf("a miss allocates %d objects, %d B", objects, bytes)
 	if objects > missAllocCeiling || bytes > missBytesCeiling {
-		t.Errorf("a miss allocates %d objects, %d B beyond its run, ceiling %d, %d B",
-			objects, bytes, missAllocCeiling, missBytesCeiling)
+		t.Errorf("a miss allocates %d objects, %d B, ceiling %d, %d B", objects, bytes, missAllocCeiling, missBytesCeiling)
+	}
+}
+
+// TestMissReplyUnderPoison: a miss encodes its reply from the run where the
+// simulation folded it, in the machine's arena, before the arena goes back
+// (experiments.SimulateWith). With every arena scribbled over on its way
+// back, each miss's reply must still be the payload of a fresh computation:
+// the one built from a Suite.Get of the same point, plus, for a report key,
+// the analysis of a SimulateInstrumented run — plain and report keys, on
+// one SM and on two. A reply read from the fold after its arena went back
+// carries scribble, or the next run's numbers.
+func TestMissReplyUnderPoison(t *testing.T) {
+	arena.Drop()
+	arena.SetPoison(true)
+	defer arena.SetPoison(false)
+	defer arena.Drop()
+	for _, sms := range []int{1, 2} {
+		opts := testOpts()
+		opts.SMs = sms
+		s := newTestServer(t, t.TempDir(), opts)
+		suite := experiments.NewSuite(opts)
+		for _, rr := range []RunRequest{
+			{Bench: "nw", Scheme: "regless"},
+			{Bench: "bfs", Scheme: "baseline"},
+			{Bench: "nw", Scheme: "regless", Report: []string{"stalls", "preload"}},
+			{Bench: "bfs", Scheme: "rfh", Report: []string{"stalls"}},
+		} {
+			what := fmt.Sprintf("%d SMs, %+v", sms, rr)
+			code, body := post(t, s.Handler(), "/v1/runs?wait=1", "", rr)
+			var st RunStatus
+			if err := json.Unmarshal(body, &st); err != nil || code != http.StatusOK || st.Status != "done" {
+				t.Fatalf("%s: %d %s (%v)", what, code, body, err)
+			}
+			key, err := s.KeyFor(rr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scheme := experiments.Scheme(key.Scheme)
+			want := refPayload(t, suite, opts, key.Bench, scheme, key.Capacity)
+			if key.Report != "" {
+				in, err := experiments.SimulateInstrumented(context.Background(), key.Bench, scheme, sms,
+					opts.Setup(key.Capacity), reportMask)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := json.Marshal(reportOf(key.Report, in))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(append(append(want[:len(want)-1], `,"report":`...), rep...), '}')
+			}
+			if !bytes.Equal(st.Result, want) {
+				t.Fatalf("%s: the reply's payload is not a fresh computation's:\ngot  %s\nwant %s", what, st.Result, want)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

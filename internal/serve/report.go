@@ -69,6 +69,10 @@ type PreloadReport struct {
 // reportKinds are the recognized deep-dive sections.
 var reportKinds = map[string]bool{"stalls": true, "preload": true}
 
+// reportMask is the event families a reported run records: what both
+// sections are analysed from.
+const reportMask = events.MaskSched | events.MaskStates | events.MaskPreloads
+
 // canonicalizeReport validates and canonicalizes a request's report list
 // to the store.Key form: deduped, sorted, comma-joined ("" when empty).
 func canonicalizeReport(kinds []string) (string, error) {
@@ -82,29 +86,44 @@ func canonicalizeReport(kinds []string) (string, error) {
 	return strings.Join(slices.Compact(out), ","), nil
 }
 
-// simulate runs the key's point: the one place the server simulates. A
-// key that asks for report sections runs with event recorders attached
-// (passive: the statistics are the plain run's) and gets the analysis per
-// SM. ctx carries the job's budget, which the cycle loop polls, and its
-// obs trace, under which the run records "kernel-load"/"build"/"run".
-// Nothing below caches or dedupes: that is the jobs map's and the store's.
-func (s *Server) simulate(ctx context.Context, key store.Key) (*experiments.Run, *RunReport, error) {
+// simulate runs the key's point — the one place the server simulates — and
+// hands use the run and, for a key that asks for report sections, their
+// analysis per SM (the run then has event recorders attached: passive, so
+// the statistics are the plain run's). The run is where the simulation
+// folded it, in its machine's arena (experiments.SimulateWith): use reads
+// it before the arena goes back and keeps nothing of it. ctx carries the
+// job's budget, which the cycle loop polls, and its obs trace, under which
+// the run records "kernel-load"/"build"/"run". A failed simulation is
+// returned labelled with its point and never reaches use; use's error is
+// returned as it is. Nothing below caches or dedupes: that is the jobs
+// map's and the store's.
+func (s *Server) simulate(ctx context.Context, key *store.Key, use func(*experiments.Run, *RunReport) error) error {
 	var mask events.Mask
 	if key.Report != "" {
-		mask = events.MaskSched | events.MaskStates | events.MaskPreloads
+		mask = reportMask
 	}
-	inst, err := experiments.SimulateInstrumented(ctx, key.Bench,
-		experiments.Scheme(key.Scheme), s.cfg.Opts.SMs, s.cfg.Opts.Setup(key.Capacity), mask)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s/%s/%d: %w", key.Bench, key.Scheme, key.Capacity, err)
+	simulated := false
+	err := experiments.SimulateWith(ctx, key.Bench, experiments.Scheme(key.Scheme), s.cfg.Opts.SMs,
+		s.cfg.Opts.Setup(key.Capacity), mask, func(in *experiments.Instrumented) error {
+			simulated = true
+			return use(in.Run, reportOf(key.Report, in))
+		})
+	if err != nil && !simulated {
+		return fmt.Errorf("%s/%s/%d: %w", key.Bench, key.Scheme, key.Capacity, err)
 	}
-	if mask == 0 {
-		return inst.Run, nil, nil
+	return err
+}
+
+// reportOf is the analysis of an instrumented run that report, a store
+// key's canonical section list, asks for; nil for none.
+func reportOf(report string, in *experiments.Instrumented) *RunReport {
+	if report == "" {
+		return nil
 	}
-	kinds := strings.Split(key.Report, ",")
+	kinds := strings.Split(report, ",")
 	rep := &RunReport{Kinds: kinds}
-	for i, rec := range inst.Recs {
-		an := events.Analyze(rec, inst.Cycles[i], inst.Schedulers[i])
+	for i, rec := range in.Recs {
+		an := events.Analyze(rec, in.Cycles[i], in.Schedulers[i])
 		smr := SMReport{SM: i}
 		for _, k := range kinds {
 			switch k {
@@ -116,7 +135,7 @@ func (s *Server) simulate(ctx context.Context, key store.Key) (*experiments.Run,
 		}
 		rep.SMs = append(rep.SMs, smr)
 	}
-	return inst.Run, rep, nil
+	return rep
 }
 
 func stallsReport(an *events.Report) *StallsReport {

@@ -17,7 +17,8 @@
 //	  jobs map    -> submissions of the same key attach to one job (dedupe)
 //	  admitter    -> per-client round-robin FIFO into a bounded pool
 //	  store.Get   -> disk hit: serve the stored bytes verbatim
-//	  simulate    -> miss: experiments.SimulateInstrumented, store.Put
+//	  simulate    -> miss: experiments.SimulateWith, the reply encoded
+//	                 from the run in its arena, store.Put
 //
 // Because the store holds the marshaled response payload itself, a hit —
 // in this process or any later one — is byte-identical to the response
@@ -118,7 +119,7 @@ type Server struct {
 	// memo maps run-request bodies to what they were admitted as
 	// (admitRun), under memoMu.
 	memoMu sync.Mutex
-	memo   map[string]admitted
+	memo   map[string]*admitted
 
 	// sseMu guards runSubs: per-job SSE subscriber lists, appended at
 	// stream registration and drained by publishRun when the job ends.
@@ -194,7 +195,7 @@ func New(cfg Config) (*Server, error) {
 		chaos:       chaos,
 		jobs:        map[string]*job{},
 		sweeps:      map[string]*sweep{},
-		memo:        map[string]admitted{},
+		memo:        map[string]*admitted{},
 		runSubs:     map[string][]*sseStream{},
 		breakerHits: map[breakerKey]int{},
 		breakerOpen: map[breakerKey]bool{},
@@ -216,8 +217,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// serveCells is how many cells initMetrics registers — 14 counters, 9
+// gauges, and 6 span histograms of 19 cells (17 bounds, the overflow, the
+// sum) — which the registry reserves at once.
+const serveCells = 14 + 9 + 6*19
+
 func (s *Server) initMetrics() {
 	s.reg = metrics.NewRegistry()
+	s.reg.Reserve(serveCells)
 	s.cHTTPRequests = s.reg.AtomicCounter("serve/http_requests")
 	s.cHTTPErrors = s.reg.AtomicCounter("serve/http_errors")
 	s.cSubmissions = s.reg.AtomicCounter("serve/submissions")

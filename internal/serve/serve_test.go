@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"testing"
 
@@ -197,6 +198,66 @@ func TestBadRequestsAre4xx(t *testing.T) {
 	}
 }
 
+// TestBodyLimit: a request body is read to at most maxBody bytes, over a
+// real connection. A body that declares more, or a chunked one that runs
+// past the bound, is refused with 400 and its connection closed, not
+// reused; a body that declares maxBody bytes is read in full (a run
+// request at the end of a mebibyte of whitespace is admitted) and its
+// connection kept.
+func TestBodyLimit(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), testOpts())
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	run := []byte(`{"bench":"nw","scheme":"baseline"}`)
+	padded := func(n int) []byte { return append(bytes.Repeat([]byte(" "), n-len(run)), run...) }
+	for _, c := range []struct {
+		name   string
+		body   io.Reader
+		code   int
+		reused bool
+	}{
+		{"declared over the bound", bytes.NewReader(padded(maxBody + 1024)), http.StatusBadRequest, false},
+		{"chunked past the bound", io.MultiReader(bytes.NewReader(padded(maxBody + 1024))), http.StatusBadRequest, false},
+		{"declared at the bound", bytes.NewReader(padded(maxBody)), http.StatusOK, true},
+	} {
+		// A client of its own, so the only connection it can reuse is the
+		// one the body went over.
+		client := &http.Client{Transport: &http.Transport{}}
+		resp, err := client.Post(srv.URL+"/v1/runs?wait=1", "application/json", c.body)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.code || resp.Close == c.reused {
+			t.Fatalf("%s: %d %s, connection closed %v; want %d, closed %v",
+				c.name, resp.StatusCode, msg, resp.Close, c.code, !c.reused)
+		}
+		if c.code == http.StatusBadRequest && !bytes.Contains(msg, []byte("too large")) {
+			t.Fatalf("%s: refused with %s, want the size limit", c.name, msg)
+		}
+		var reused bool
+		req, err := http.NewRequest("GET", srv.URL+"/healthz", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+		}))
+		next, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s: the next request: %v", c.name, err)
+		}
+		io.Copy(io.Discard, next.Body)
+		next.Body.Close()
+		client.CloseIdleConnections()
+		if reused != c.reused {
+			t.Fatalf("%s: the next request reused the connection: %v, want %v", c.name, reused, c.reused)
+		}
+	}
+}
+
 // TestColdWarmRestart is the PR's acceptance proof: the same sweep
 // submitted to a fresh server and again to a restarted server over the
 // same store directory returns byte-identical results, with the second
@@ -312,6 +373,16 @@ func TestHealthzStartsOK(t *testing.T) {
 	}
 	if h.Status != "ok" || h.Failures != 0 {
 		t.Fatalf("health = %+v", h)
+	}
+}
+
+// TestRegistryReservesItsCells: the cells the server reserves are the ones
+// it registers, so its registry grows once.
+func TestRegistryReservesItsCells(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), testOpts())
+	defer s.Close()
+	if got := s.Metrics().Len(); got != serveCells {
+		t.Fatalf("the server registers %d cells and reserves %d", got, serveCells)
 	}
 }
 

@@ -21,7 +21,7 @@ type sweep struct {
 
 // expand canonicalizes the sweep's cells in deterministic grid order —
 // all of them before anything is admitted, so a bad cell rejects the sweep.
-func (s *Server) expand(req SweepRequest) ([]admitted, error) {
+func (s *Server) expand(req SweepRequest) ([]*admitted, error) {
 	if len(req.Benchmarks) == 0 {
 		return nil, fmt.Errorf("sweep names no benchmarks")
 	}
@@ -32,7 +32,7 @@ func (s *Server) expand(req SweepRequest) ([]admitted, error) {
 	if len(caps) == 0 {
 		caps = []int{0} // KeyFor resolves 0 to the scheme's default
 	}
-	var cells []admitted
+	var cells []*admitted
 	for _, b := range req.Benchmarks {
 		for _, sc := range req.Schemes {
 			for _, c := range caps {

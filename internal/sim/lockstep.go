@@ -21,31 +21,30 @@ const CancelCheckInterval = 8192
 // wakeup (fastForward). afterJump, when non-nil, validates shared state
 // at each skip boundary. The caller finalizes the SMs.
 //
-// A cancelable ctx is polled every CancelCheckInterval iterations, so a
-// simulation abandoned by its requester (deadline expiry, client
-// disconnect, server drain) frees its worker instead of running to
-// completion; the returned error wraps ctx.Err(). context.Background()
-// (nil Done channel) costs one nil compare per iteration — the inner
-// loop is the hottest code in the repository.
+// ctx is polled every CancelCheckInterval iterations, so a simulation
+// abandoned by its requester (deadline expiry, client disconnect, server
+// drain) frees its worker instead of running to completion; the returned
+// error wraps ctx.Err(). The poll is ctx.Err(), not a receive from
+// ctx.Done(): a cancelable context makes its Done channel on first use, a
+// heap object per served run that nothing else asks for. Between polls
+// an iteration pays one mask test, whatever ctx is — the inner loop is
+// the hottest code in the repository.
 //
 // Abnormal terminations — a MaxCycles overrun, a watchdog trip, a
 // sanitizer violation, a fault reported by a provider — return a
 // *sanitizer.Diagnostic carrying the machine state at detection, with the
 // index of the SM it came from (-1 when the error is not one SM's).
 func RunLockstep(ctx context.Context, sms []*SM, afterJump func() error) (int, error) {
-	cancel := ctx.Done()
 	for iter := uint64(1); ; iter++ {
-		if cancel != nil && iter%CancelCheckInterval == 0 {
-			select {
-			case <-cancel:
+		if iter%CancelCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
 				at := sms[0] // unfinished SMs share the highest cycle
 				for _, sm := range sms {
 					if sm.cycle > at.cycle {
 						at = sm
 					}
 				}
-				return -1, fmt.Errorf("sim: kernel %q abandoned at cycle %d: %w", at.K.Name, at.cycle, ctx.Err())
-			default:
+				return -1, fmt.Errorf("sim: kernel %q abandoned at cycle %d: %w", at.K.Name, at.cycle, err)
 			}
 		}
 		active := false

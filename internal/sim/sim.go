@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/calendar"
@@ -322,6 +321,7 @@ var (
 	insnT       = arena.Of[*isa.Instruction]()
 	groupStatsT = arena.Of[groupStats]()
 	reasonT     = arena.Of[events.StallReason]()
+	statsT      = arena.Of[Stats]()
 )
 
 // The cells of the SM's statistics structs (their tagged fields).
@@ -509,16 +509,20 @@ func (sm *SM) Done() bool {
 }
 
 // Finalize closes the statistics windows and returns the stats. Call once
-// after RunLockstep. What it returns is a detached copy: a result
-// that keeps it keeps these numbers, not the machine they were counted
-// on (a pointer into sm.Stats would hold every warp's registers, the
-// caches and the provider reachable for as long as the result lives).
+// after RunLockstep. What it returns is a copy folded into the SM's arena
+// (nil: the heap), series included: it shares nothing with sm.Stats, so a
+// heap SM's result keeps these numbers and not the machine they were
+// counted on, and an arena SM's lives exactly as long as the machine —
+// until its arena goes back (experiments.runPoint, whose Run.Detach is
+// what outlives it).
 func (sm *SM) Finalize() *Stats {
 	sm.finishWindows()
 	sm.Stats.Cycles = sm.cycle
-	st := sm.Stats
-	st.BackingSeries = slices.Clone(st.BackingSeries)
-	return &st
+	st := statsT.New(sm.a)
+	*st = sm.Stats
+	series := sm.Stats.BackingSeries
+	st.BackingSeries = append(wordT.Grow(sm.a, nil, len(series)), series...)
+	return st
 }
 
 func (sm *SM) allDone() bool { return sm.unfinished == 0 }

@@ -78,6 +78,17 @@ func rename(from, to []byte) error {
 	}
 }
 
+// mkdir makes the directory at path, NUL-terminated.
+func mkdir(path []byte, perm uint32) error {
+	at := cwd
+	for {
+		_, _, e := syscall.Syscall(syscall.SYS_MKDIRAT, uintptr(at), uintptr(unsafe.Pointer(&path[0])), uintptr(perm))
+		if e != syscall.EINTR {
+			return errnoErr(e)
+		}
+	}
+}
+
 // stamp sets the open file's access and modification times to ns (Unix
 // nanoseconds): utimensat with no path is futimens.
 func (h handle) stamp(ns int64) error {

@@ -54,6 +54,9 @@ func (h handle) unlink(name []byte) error { return syscall.Unlink(h.path(name)) 
 // rename moves the file at path from to path to, both NUL-terminated.
 func rename(from, to []byte) error { return syscall.Rename(cwd.path(from), cwd.path(to)) }
 
+// mkdir makes the directory at path, NUL-terminated.
+func mkdir(path []byte, perm uint32) error { return os.Mkdir(cwd.path(path), os.FileMode(perm)) }
+
 // stamp sets the open file's access and modification times to ns (Unix
 // nanoseconds), through the path it was opened by.
 func (h handle) stamp(ns int64) error {

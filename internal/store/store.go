@@ -754,9 +754,13 @@ func (s *Store) place(tmp, final []byte, shard byte) (old int64, resync bool, er
 	return old, resync, nil
 }
 
-// mkdirShard makes the directory an entry path lies in, if it is missing.
+// mkdirShard makes the directory an entry path lies in, if it is missing:
+// its path is the entry's up to the last slash, NUL-terminated on the
+// stack.
 func mkdirShard(path []byte) error {
-	if err := os.Mkdir(string(path[:bytes.LastIndexByte(path, '/')]), 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
+	var db [pathBuf]byte
+	dir := append(append(db[:0], path[:bytes.LastIndexByte(path, '/')]...), 0)
+	if err := mkdir(dir, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
 		return err
 	}
 	return nil

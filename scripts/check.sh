@@ -68,12 +68,17 @@ test -z "$(grep -rn 'sm\.Provider\.(' --include=*.go --exclude=*_test.go interna
 # periods and the store's quarantine retention are constants, not knobs.
 test -z "$(grep -rn 'isCtxErr\|CachedRuns\|reglessScheme\|QuarantineMaxAge\|SSEHeartbeat\|SSEBuffer\|MetricsEvery' --include=*.go cmd internal regless.go scripts)"
 test -z "$(grep -rn 'Normalized' --include=*.go --exclude=*_test.go internal/store)"
+# A run's memory is taken, given back and copied in one place each
+# (DESIGN.md §8), checked on the type-checked product code: arena.Take and
+# arena.Put only in experiments.runPoint, a clone of sim.Stats.BackingSeries
+# only in experiments.(*Run).Detach.
+go run ./scripts/smoke guard
 go test -race -shuffle=on ./...
 # Allocation counts are the program's only without the race detector,
 # whose instrumentation changes what allocates: every allocation gate is
 # built out of the race gate above, or skips itself there, and runs here
 # — a run's budget and its assembly, the SM's result, the service's hits,
-# miss and admission, the store's Get, Put and Open, a sized trace.
+# whole miss and admission, the store's Get, Put and Open, a sized trace.
 go test -count=1 -run 'TestSteadyStateRunBudget|TestAssembleAllocatesNothing' ./internal/experiments
 go test -count=1 -run 'TestRunAllocatesItsResultOnly' ./internal/sim
 go test -count=1 -run 'TestMemHitAllocations|TestDiskHitAllocations|TestMissAllocations|TestFirstAdmissionAllocations' ./internal/serve

@@ -6,6 +6,7 @@
 //	smoke trace FILE                  # a `regless -trace` Perfetto file (DESIGN.md §10)
 //	smoke obs -addr http://HOST:PORT  # a live server's observability surface (§15)
 //	smoke life -bin ./regless         # the shutdown and restart contract (§16)
+//	smoke guard                       # where product code takes, returns and copies a run's memory (§8)
 //
 // What comes over the wire is decoded into the types the server encodes
 // it from (serve.Health, serve.SweepStatus, serve.RunStatus, obs.Node,
@@ -23,7 +24,7 @@ import (
 	"time"
 )
 
-const usage = "usage: smoke trace FILE | obs -addr URL | life -bin BINARY"
+const usage = "usage: smoke trace FILE | obs -addr URL | life -bin BINARY | guard"
 
 // who prefixes every message: "smoke obs", ...
 var who = "smoke"
@@ -50,6 +51,8 @@ func main() {
 		checkObservability(strings.TrimSuffix(*addr, "/"))
 	case os.Args[1] == "life" && *bin != "":
 		checkLifecycle(*bin, *budget)
+	case os.Args[1] == "guard" && fs.NArg() == 0:
+		checkGuards()
 	default:
 		fail(usage)
 	}
