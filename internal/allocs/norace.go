@@ -1,0 +1,5 @@
+//go:build !race
+
+package allocs
+
+const raceBuild = false

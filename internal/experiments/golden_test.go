@@ -2,17 +2,13 @@ package experiments
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// update rewrites the golden files instead of diffing against them:
-//
-//	go test ./internal/experiments -run TestSuiteGolden -update
-var update = flag.Bool("update", false, "rewrite golden files")
+	"repro/internal/allocs"
+)
 
 // renderAll produces the canonical text of every table at Quick scale —
 // the exact bytes `regless -experiment all` prints for these options.
@@ -35,11 +31,14 @@ func renderAll(t *testing.T) []byte {
 // checked-in transcript: any drift in simulation results, statistics
 // plumbing, or table formatting fails with the first differing line. The
 // metrics-registry refactor (and anything after it) must keep this output
-// byte-identical; intentional changes re-bless with -update.
+// byte-identical; intentional changes re-bless with -update (the ledger's
+// flag, allocs.Update):
+//
+//	go test ./internal/experiments -run TestSuiteGolden -update
 func TestSuiteGolden(t *testing.T) {
 	got := renderAll(t)
 	golden := filepath.Join("testdata", "suite_golden.txt")
-	if *update {
+	if *allocs.Update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/allocs"
 	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/events"
@@ -33,15 +34,6 @@ import (
 // machine, a finished machine's arena is the next machine's, and a
 // machine built in a recycled arena is indistinguishable from one built
 // on the heap.
-
-// liveHeap is the heap in use once everything unreachable is collected.
-func liveHeap() int64 {
-	runtime.GC()
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return int64(ms.HeapAlloc)
-}
 
 // cachedRuns returns every completed run s holds, in key order (bench,
 // then scheme, then capacity).
@@ -89,9 +81,9 @@ func TestCachedRunPinsNoMachine(t *testing.T) {
 	// cache's — loaded kernels, compiled regions, and the parked arena
 	// that held its machines — so the second's growth is its Runs.
 	warm()
-	before := liveHeap()
+	before := allocs.LiveHeap()
 	s := warm()
-	grown := liveHeap() - before
+	grown := allocs.LiveHeap() - before
 	if got := len(cachedRuns(s)); got != runs {
 		t.Fatalf("%d cached runs, want %d", got, runs)
 	}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/allocs"
 	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/isa"
@@ -137,15 +138,6 @@ func TestGridValidation(t *testing.T) {
 	}
 }
 
-// liveHeap is the heap in use once everything unreachable is collected.
-func liveHeap() int64 {
-	runtime.GC()
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return int64(ms.HeapAlloc)
-}
-
 // TestGridResultPinsNoMachine: a Result holds each wave's numbers, not
 // each wave's chip. Four 64-warp SMs per wave are about 1 MB of
 // registers, caches and scoreboards; a result that pointed into them
@@ -160,9 +152,9 @@ func TestGridResultPinsNoMachine(t *testing.T) {
 		return res
 	}
 	run() // compile caches, kernel tables: not the result's
-	before := liveHeap()
+	before := allocs.LiveHeap()
 	res := run()
-	grown := liveHeap() - before
+	grown := allocs.LiveHeap() - before
 	if res.Launches != 8 {
 		t.Fatalf("%d waves, want 8", res.Launches)
 	}

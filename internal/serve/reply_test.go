@@ -8,9 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -228,124 +225,6 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// The allocation ceilings are what hitLoop reads per request, plus one
-// object of slack. They may only go down.
-//
-// A job-map hit: the request-id header value; a body that declares its
-// length is read without a size limiter (1 object; 2 with the limiter, 24
-// when the body was decoded and the key hashed per request, 25 when the
-// reply went through json.NewEncoder as well).
-const memHitAllocCeiling = 2
-
-// A disk hit adds the job with its context and trace, the hand-off to the
-// pool, and the reply, built around the payload where the store read it
-// into a recycled buffer; the store itself allocates nothing, its path on
-// the stack and its file a descriptor (9 objects; 10 with the body's size
-// limiter, 15 with the store's path string, *os.File and NUL-terminated
-// path copies, 19 when the file was read into a fresh buffer and copied
-// into the reply, 65 when the entry was decoded to be verified).
-const diskHitAllocCeiling = 10
-
-// diskHitBytesCeiling bounds a disk hit's bytes as the ceiling above bounds
-// its objects, so a dropped buffer cannot come back as a bigger object: the
-// 1.25 KB reply and the job with its trace come to 1.9 KB (2.1 KB with the
-// limiter and a job that held its key, 2.6 KB with the store's paths and
-// open file, 2.8 KB with room for 8 spans in every trace, 4.7 KB with the
-// file read into a fresh buffer).
-const diskHitBytesCeiling = 2048
-
-// A compact run body admitted for the first time: the id, and the memo
-// entry that remembers it — its copy of the body and the admission it
-// points at, which every job of its key shares; the scanner and KeyFor
-// allocate nothing (3 objects; 13 when decodeStrict read every body).
-const firstAdmitAllocCeiling = 4
-
-// A miss, whole: what a disk hit allocates — the job with its context and
-// trace, the pool hand-off, the reply at its exact size — plus the trace
-// grown once for the run's spans and the context the run is traced under.
-// The run itself leaves nothing on the heap: its machine and the fold of
-// its result are the arena's, and the reply is encoded from the fold
-// before the arena goes back (12 objects, 2.3 KB; 22 and 3.7 KB when the
-// fold was copied to the heap to be encoded and the cycle loop polled the
-// job context's Done channel, 27 and 4.5 KB when the result was boxed
-// into json.Encoder's interface, the reply head built on the heap and the
-// reply encoded into a fresh bytes.Buffer).
-const (
-	missAllocCeiling = 13
-	missBytesCeiling = 2560
-)
-
-// bytesPerRun is testing.AllocsPerRun in bytes: what one call of f
-// allocates on the heap, the pool workers' share included, averaged over
-// runs after a warm-up call.
-func bytesPerRun(runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
-}
-
-func TestMemHitAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts under the race detector are not the program's")
-	}
-	s := newTestServer(t, t.TempDir(), testOpts())
-	defer s.Close()
-	fire := hitLoop(t, s)
-	if got := testing.AllocsPerRun(200, fire); got > memHitAllocCeiling {
-		t.Errorf("a job-map hit allocates %.0f objects in the handler, ceiling %d", got, memHitAllocCeiling)
-	}
-}
-
-func TestDiskHitAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts under the race detector are not the program's")
-	}
-	if runtime.GOOS != "linux" || (runtime.GOARCH != "amd64" && runtime.GOARCH != "arm64") {
-		t.Skip("the store's portable file-system primitives allocate what the ceilings count out")
-	}
-	s := newTestServer(t, t.TempDir(), testOpts())
-	defer s.Close()
-	fire := diskHitLoop(hitLoop(t, s), s)
-	if got := testing.AllocsPerRun(200, fire); got > diskHitAllocCeiling {
-		t.Errorf("a disk hit allocates %.0f objects in the handler, pool and store, ceiling %d", got, diskHitAllocCeiling)
-	}
-	if got := bytesPerRun(200, fire); got > diskHitBytesCeiling {
-		t.Errorf("a disk hit allocates %.0f bytes in the handler, pool and store, ceiling %d", got, diskHitBytesCeiling)
-	}
-	if hits := s.Store().Stats().Hits; hits < 400 {
-		t.Fatalf("store served %d hits: the loop is not reading the disk", hits)
-	}
-}
-
-// TestFirstAdmissionAllocations admits a body the memo has never seen —
-// the memo is emptied before every admission — as a sweep client writes
-// it, so the scanner reads it.
-func TestFirstAdmissionAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts under the race detector are not the program's")
-	}
-	s := newTestServer(t, t.TempDir(), testOpts())
-	defer s.Close()
-	body := []byte(`{"bench":"b+tree","scheme":"regless","capacity":256}`)
-	got := testing.AllocsPerRun(200, func() {
-		s.memoMu.Lock()
-		clear(s.memo)
-		s.memoMu.Unlock()
-		if _, err := s.admitRun(body); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got > firstAdmitAllocCeiling {
-		t.Errorf("a first admission allocates %.0f objects, ceiling %d", got, firstAdmitAllocCeiling)
-	}
-}
-
 // diskHitLoop turns hitLoop's request into a disk hit: the job map is
 // emptied before every request, so each one runs admission, the pool
 // hand-off, store.Get and the reply build.
@@ -379,51 +258,6 @@ func BenchmarkHandlerDiskHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fire()
-	}
-}
-
-// TestMissAllocations weighs a miss through the whole handler stack — the
-// simulation included. Before each miss the job map is emptied and the
-// store's entry removed, outside the measurement.
-func TestMissAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts under the race detector are not the program's")
-	}
-	if runtime.GOOS != "linux" || (runtime.GOARCH != "amd64" && runtime.GOARCH != "arm64") {
-		t.Skip("the store's portable file-system primitives allocate what the ceilings count out")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	dir := t.TempDir()
-	s := newTestServer(t, dir, testOpts())
-	defer s.Close()
-	fire := hitLoop(t, s)
-	const runs = 20
-	var objects, bytes uint64
-	for i := 0; i < runs; i++ {
-		s.mu.Lock()
-		clear(s.jobs)
-		s.mu.Unlock()
-		entries, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
-		if err != nil || len(entries) != 1 {
-			t.Fatalf("store holds %d entries (%v), want the one the miss wrote", len(entries), err)
-		}
-		if err := os.Remove(entries[0]); err != nil {
-			t.Fatal(err)
-		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		fire()
-		runtime.ReadMemStats(&m1)
-		objects += m1.Mallocs - m0.Mallocs
-		bytes += m1.TotalAlloc - m0.TotalAlloc
-	}
-	if misses := s.Store().Stats().Misses; misses < runs {
-		t.Fatalf("store saw %d misses: the loop is not simulating", misses)
-	}
-	objects, bytes = objects/runs, bytes/runs
-	t.Logf("a miss allocates %d objects, %d B", objects, bytes)
-	if objects > missAllocCeiling || bytes > missBytesCeiling {
-		t.Errorf("a miss allocates %d objects, %d B, ceiling %d, %d B", objects, bytes, missAllocCeiling, missBytesCeiling)
 	}
 }
 

@@ -92,61 +92,3 @@ func TestBytesMatchDiskAfterEveryPut(t *testing.T) {
 		assertBytesMatchDisk(t, s, dir, "8 concurrent Puts of one key")
 	}
 }
-
-// putAllocCeiling is what a Put of a fresh key into a shard the store has
-// made allocates, plus one: nothing. Its paths are built on the stack and
-// handed to the system calls as they are, its file is a descriptor, and its
-// entry is laid out in a recycled buffer (9 objects when each system call
-// took a NUL-terminated copy of a path string and the tmp file was an
-// *os.File; 13 with os.CreateTemp naming it, 20 when every Put also made its
-// directory and read a FileInfo for the old size and another in the
-// rename). It may only go down.
-const putAllocCeiling = 1
-
-// putBytesCeiling bounds those bytes as the ceiling above bounds objects,
-// so the entry buffer the pool recycles cannot come back as an allocation
-// (936 bytes at a 36-byte directory when seven copies of a path reached the
-// heap; 2 072 with os.CreateTemp, the FileInfos and a directory made per
-// Put).
-const putBytesCeiling = 128
-
-// skipUncounted skips an allocation test where its counts are not the
-// ones it states.
-func skipUncounted(t *testing.T) {
-	t.Helper()
-	if raceEnabled {
-		t.Skip("allocation counts under the race detector are not the program's")
-	}
-	if !rawIO {
-		t.Skip("the portable file-system primitives allocate what the ceilings count out")
-	}
-}
-
-func TestPutAllocations(t *testing.T) {
-	skipUncounted(t)
-	s := mustOpen(t, t.TempDir())
-	fillShards(t, s)
-	keys := freshKeys(402)
-	next := 0
-	put := func() {
-		if err := s.Put(keys[next], benchPayload); err != nil {
-			t.Fatal(err)
-		}
-		next++
-	}
-	if got := testing.AllocsPerRun(200, put); got > putAllocCeiling {
-		t.Errorf("a fresh Put allocates %.0f objects, ceiling %d", got, putAllocCeiling)
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	put()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for next < len(keys) {
-		put()
-	}
-	runtime.ReadMemStats(&after)
-	got := float64(after.TotalAlloc-before.TotalAlloc) / 200
-	if got > putBytesCeiling {
-		t.Errorf("a fresh Put allocates %.0f bytes, ceiling %d", got, putBytesCeiling)
-	}
-}

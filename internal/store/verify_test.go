@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -267,31 +266,5 @@ func TestPutStoresPayloadVerbatim(t *testing.T) {
 	}
 	if n, err := s.Verify(); n != 1 || err != nil {
 		t.Fatalf("Verify = %d, %v", n, err)
-	}
-}
-
-// getHitAllocCeiling is what a Get hit allocates, plus one: the payload
-// copy Get keeps. The path is built on the stack, and one descriptor serves
-// the read and the mtime stamp (6 objects when the path was a string, the
-// file an *os.File and the open and the stamp each took a NUL-terminated
-// copy of the path; 9 when the file was read into a fresh buffer and the
-// path built by sha256Hex and filepath.Join, 30 when the entry was
-// decoded). It may only go down.
-const getHitAllocCeiling = 2
-
-func TestGetHitAllocations(t *testing.T) {
-	skipUncounted(t)
-	s := mustOpen(t, t.TempDir())
-	k := testKey("nw")
-	if err := s.Put(k, []byte(`{"pad":"`+strings.Repeat("x", 1600)+`"}`)); err != nil {
-		t.Fatal(err)
-	}
-	got := testing.AllocsPerRun(200, func() {
-		if _, ok, err := s.Get(k); !ok || err != nil {
-			t.Fatalf("Get = ok=%v err=%v", ok, err)
-		}
-	})
-	if got > getHitAllocCeiling {
-		t.Errorf("a Get hit allocates %.0f objects, ceiling %d", got, getHitAllocCeiling)
 	}
 }

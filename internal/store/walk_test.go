@@ -181,27 +181,3 @@ func TestWalkMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// TestOpenAllocationsIndependentOfEntries: a warm boot allocates the same
-// objects over 105 entries as over 420: the walk holds no value per entry.
-func TestOpenAllocationsIndependentOfEntries(t *testing.T) {
-	skipUncounted(t)
-	allocs := map[int]float64{}
-	for _, n := range []int{105, 420} {
-		dir := t.TempDir()
-		s := mustOpen(t, dir)
-		for _, k := range freshKeys(n) {
-			if err := s.Put(k, benchPayload); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs[n] = testing.AllocsPerRun(20, func() {
-			if _, err := OpenWith(dir, Options{}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if allocs[105] != allocs[420] {
-		t.Errorf("Open allocates %.0f objects over 105 entries, %.0f over 420", allocs[105], allocs[420])
-	}
-}
