@@ -23,39 +23,20 @@ import (
 	"fmt"
 
 	"repro/internal/arena"
+	"repro/internal/events"
 )
 
-// State is a warp's capacity state.
-type State uint8
+// State is a warp's capacity state, declared (and documented) as
+// events.Phase so that recordings and diagnostics carry it as is.
+type State = events.Phase
 
 const (
-	// Inactive warps hold no reservation and sit on the warp stack.
-	Inactive State = iota
-	// Preloading warps hold a reservation while inputs are fetched.
-	Preloading
-	// Active warps may issue instructions.
-	Active
-	// Draining warps issued their region's last instruction but have
-	// outstanding register writes.
-	Draining
-	// Finished warps exited the kernel.
-	Finished
+	Inactive   = events.PhaseInactive
+	Preloading = events.PhasePreloading
+	Active     = events.PhaseActive
+	Draining   = events.PhaseDraining
+	Finished   = events.PhaseFinished
 )
-
-func (s State) String() string {
-	switch s {
-	case Inactive:
-		return "inactive"
-	case Preloading:
-		return "preloading"
-	case Active:
-		return "active"
-	case Draining:
-		return "draining"
-	default:
-		return "finished"
-	}
-}
 
 // Config sizes the manager.
 type Config struct {

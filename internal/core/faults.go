@@ -164,7 +164,7 @@ func (p *Provider) AttachSanitizer(s *sanitizer.Sanitizer) {
 			if prev != nil {
 				prev(local, to, region)
 			}
-			tc.Observe(local, uint8(to))
+			tc.Observe(local, to)
 		}
 		s.Register(fmt.Sprintf("cm/s%d/transitions", si), tc.Err)
 		s.Register(fmt.Sprintf("core/s%d/capacity", si), func() error {

@@ -421,7 +421,7 @@ func (p *Provider) AttachRecorder(rec *events.Recorder) {
 	for s, sh := range p.shards {
 		s, sh := s, sh
 		for local := 0; local < warpsPerShard; local++ {
-			rec.State(s, local*p.cfg.Shards+s, events.Phase(sh.cm.StateOf(local)), sh.cm.RegionOf(local))
+			rec.State(s, local*p.cfg.Shards+s, sh.cm.StateOf(local), sh.cm.RegionOf(local))
 		}
 		// Chain rather than overwrite: the sanitizer's transition checker
 		// may already be hooked in (either attach order works).
@@ -430,7 +430,7 @@ func (p *Provider) AttachRecorder(rec *events.Recorder) {
 			if prev != nil {
 				prev(local, to, region)
 			}
-			rec.State(s, local*p.cfg.Shards+s, events.Phase(to), region)
+			rec.State(s, local*p.cfg.Shards+s, to, region)
 		}
 		sh.osu.SetRecorder(rec, s)
 	}

@@ -22,7 +22,12 @@
 // A calibration test asserts the 16.7% property against live simulation.
 package energy
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/mem"
+	"repro/internal/sim"
+)
 
 // Params holds every free constant, in arbitrary consistent energy units
 // (one unit ≈ 1 pJ at the calibration point).
@@ -135,33 +140,14 @@ type Scheme struct {
 	Compressor bool
 }
 
-// Activity is the measured event mix of one simulation run.
+// Activity is one run's counters, read where the simulator keeps them:
+// the SM's statistics, its register scheme's and its memory system's.
+// Compute prices Cycles and tagged counters only, so a run's energy is a
+// function of what a metrics window carries (DESIGN.md §9).
 type Activity struct {
-	Cycles   uint64
-	DynInsns uint64
-	// MetaInsns is metadata instruction slots (RegLess).
-	MetaInsns uint64
-
-	// StructReads/Writes are accesses to the primary operand structure.
-	StructReads  uint64
-	StructWrites uint64
-	// TagLookups are standalone OSU tag probes (preloads).
-	TagLookups uint64
-
-	// RFH level split (reads+writes classified by serving level).
-	LRFAccesses uint64
-	ORFAccesses uint64
-	MRFAccesses uint64
-
-	// Compressor activity.
-	CompMatches   uint64
-	CompBitChecks uint64
-	CompCacheOps  uint64
-
-	// Memory system activity (register traffic and data traffic).
-	L1Accesses   uint64
-	L2Accesses   uint64
-	DRAMAccesses uint64
+	Sim  *sim.Stats
+	Prov *sim.ProviderStats
+	Mem  *mem.Stats
 }
 
 // Breakdown is the energy decomposition of one run.
@@ -181,33 +167,35 @@ type Breakdown struct {
 	Total float64
 }
 
-// Compute evaluates the model.
+// Compute evaluates the model. Counters priced alike are summed as
+// integers before they are priced.
 func Compute(p Params, s Scheme, a Activity) Breakdown {
+	st, ps, ms := a.Sim, a.Prov, a.Mem
 	var b Breakdown
-	cyc := float64(a.Cycles)
+	cyc := float64(st.Cycles)
 
 	switch s.Kind {
 	case KindBaseline:
-		b.RFDynamic = float64(a.StructReads+a.StructWrites) * p.RFAccess(s.Entries)
+		b.RFDynamic = float64(ps.StructReads+ps.StructWrites) * p.RFAccess(s.Entries)
 		b.RFStatic = cyc * p.RFStatic(s.Entries)
 	case KindRFV:
-		b.RFDynamic = float64(a.StructReads+a.StructWrites) * p.RFAccess(s.Entries)
+		b.RFDynamic = float64(ps.StructReads+ps.StructWrites) * p.RFAccess(s.Entries)
 		b.RFStatic = cyc * (p.RFStatic(s.Entries) + p.SmallStatic)
 	case KindRFH:
-		b.RFDynamic = float64(a.LRFAccesses)*p.LRFAccess +
-			float64(a.ORFAccesses)*p.ORFAccess +
-			float64(a.MRFAccesses)*p.RFAccess(p.RFEntriesFull)
+		b.RFDynamic = float64(ps.LRFAccesses)*p.LRFAccess +
+			float64(ps.ORFAccesses)*p.ORFAccess +
+			float64(ps.MRFAccesses)*p.RFAccess(p.RFEntriesFull)
 		// The full-size MRF remains resident behind the buffers.
 		b.RFStatic = cyc * (p.RFStatic(p.RFEntriesFull) + p.SmallStatic)
 	case KindRegLess:
 		access := p.RFAccess(s.Entries) + p.TagAccess
-		b.RFDynamic = float64(a.StructReads+a.StructWrites)*access +
-			float64(a.TagLookups)*p.TagLookup
+		b.RFDynamic = float64(ps.StructReads+ps.StructWrites)*access +
+			float64(ps.TagLookups)*p.TagLookup
 		b.RFStatic = cyc * p.RFStatic(s.Entries)
 		if s.Compressor {
-			b.RFDynamic += float64(a.CompMatches)*p.CompressorMatch +
-				float64(a.CompBitChecks)*p.CompressorBitCheck +
-				float64(a.CompCacheOps)*p.CompressorCache
+			b.RFDynamic += float64(ps.CompressorHits+ps.CompressorMisses)*p.CompressorMatch +
+				float64(ps.CompressorBitChecks)*p.CompressorBitCheck +
+				float64(ps.CompressorCacheOps)*p.CompressorCache
 			b.RFStatic += cyc * p.CompressorStatic
 		}
 	case KindNoRF:
@@ -215,11 +203,11 @@ func Compute(p Params, s Scheme, a Activity) Breakdown {
 	}
 	b.RFTotal = b.RFDynamic + b.RFStatic
 
-	b.InsnEnergy = float64(a.DynInsns)*p.InsnPipeline +
-		float64(a.MetaInsns)*p.InsnPipeline*p.MetaInsnFrac
-	b.MemEnergy = float64(a.L1Accesses)*p.L1Access +
-		float64(a.L2Accesses)*p.L2Access +
-		float64(a.DRAMAccesses)*p.DRAMAccess
+	b.InsnEnergy = float64(st.DynInsns)*p.InsnPipeline +
+		float64(ps.MetaInsns)*p.InsnPipeline*p.MetaInsnFrac
+	b.MemEnergy = float64(ms.L1Reads+ms.L1Writes+ms.L1Invalidations)*p.L1Access +
+		float64(ms.L2Hits+ms.L2Misses)*p.L2Access +
+		float64(ms.DRAMAccesses)*p.DRAMAccess
 	b.GPUStaticEnergy = cyc * p.GPUStatic
 	b.Total = b.RFTotal + b.InsnEnergy + b.MemEnergy + b.GPUStaticEnergy
 	return b

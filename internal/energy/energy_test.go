@@ -1,12 +1,15 @@
 package energy_test
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/exec"
 	"repro/internal/kernels"
+	"repro/internal/mem"
 	"repro/internal/rf"
 	"repro/internal/sim"
 )
@@ -30,7 +33,7 @@ func runBaseline(t *testing.T, name string) energy.Activity {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return energy.FromRun(st, &smv.Prov, smv.Mem.Stats)
+	return energy.Activity{Sim: st, Prov: &smv.Prov, Mem: &smv.Mem.Stats}
 }
 
 // Calibration: across a representative subset, the baseline register file
@@ -54,17 +57,16 @@ func TestCalibrationRFShare(t *testing.T) {
 func TestSchemeOrderingOnFixedActivity(t *testing.T) {
 	p := energy.DefaultParams()
 	a := energy.Activity{
-		Cycles:       100_000,
-		DynInsns:     150_000,
-		StructReads:  250_000,
-		StructWrites: 130_000,
-		TagLookups:   20_000,
-		LRFAccesses:  100_000,
-		ORFAccesses:  200_000,
-		MRFAccesses:  80_000,
-		L1Accesses:   2_000,
-		L2Accesses:   10_000,
-		DRAMAccesses: 3_000,
+		Sim: &sim.Stats{Cycles: 100_000, DynInsns: 150_000},
+		Prov: &sim.ProviderStats{
+			StructReads:  250_000,
+			StructWrites: 130_000,
+			TagLookups:   20_000,
+			LRFAccesses:  100_000,
+			ORFAccesses:  200_000,
+			MRFAccesses:  80_000,
+		},
+		Mem: &mem.Stats{L1Reads: 2_000, L2Hits: 10_000, DRAMAccesses: 3_000},
 	}
 	base := energy.Compute(p, energy.Scheme{Kind: energy.KindBaseline, Entries: 2048}, a)
 	rfv := energy.Compute(p, energy.Scheme{Kind: energy.KindRFV, Entries: 1024}, a)
@@ -88,6 +90,89 @@ func TestSchemeOrderingOnFixedActivity(t *testing.T) {
 	// activity.
 	if base.InsnEnergy != rfv.InsnEnergy || base.MemEnergy != regless.MemEnergy {
 		t.Fatal("non-RF energy differs on identical activity")
+	}
+}
+
+// freeCounters are the tagged counters no scheme prices: they describe a
+// run (what issued, where a preload came from, what was refused) but are
+// no event the model charges energy for. A new counter is priced in
+// Compute or named here.
+var freeCounters = []string{
+	"sim.Stats.IssueStalls", "sim.Stats.ALUOps", "sim.Stats.FMAOps",
+	"sim.Stats.SFUOps", "sim.Stats.GlobalLoads", "sim.Stats.GlobalStores",
+	"sim.Stats.SharedOps", "sim.Stats.Branches", "sim.Stats.Barriers",
+	"sim.Stats.MemLines", "sim.Stats.ActiveLanes",
+
+	"sim.ProviderStats.BankConflicts", "sim.ProviderStats.BackingAccesses",
+	"sim.ProviderStats.PreloadFromOSU", "sim.ProviderStats.PreloadFromCompressor",
+	"sim.ProviderStats.PreloadFromL1", "sim.ProviderStats.PreloadFromL2DRAM",
+	"sim.ProviderStats.Evictions", "sim.ProviderStats.CacheInvalidations",
+	"sim.ProviderStats.StallCycles", "sim.ProviderStats.L1PreloadReads",
+	"sim.ProviderStats.L1StoreWrites", "sim.ProviderStats.L1Invalidates",
+	"sim.ProviderStats.RegionActivations", "sim.ProviderStats.RegionCycles",
+
+	"mem.Stats.L1Hits", "mem.Stats.L1Misses", "mem.Stats.L1Writebacks",
+	"mem.Stats.DataReads", "mem.Stats.DataWrites", "mem.Stats.L1PortRejects",
+	"mem.Stats.MSHRRejects", "mem.Stats.DataRejects",
+}
+
+// TestEveryCounterPricedOrFree sets one counter of the three statistics
+// structs at a time and prices it under every scheme. A tagged counter is
+// priced or in freeCounters, never both; an untagged one other than
+// Cycles (the fast-forward and fault tallies) is never priced, so energy
+// depends only on what a metrics window carries.
+func TestEveryCounterPricedOrFree(t *testing.T) {
+	p := energy.DefaultParams()
+	schemes := []energy.Scheme{
+		{Kind: energy.KindBaseline, Entries: 2048},
+		{Kind: energy.KindRFV, Entries: 1024},
+		{Kind: energy.KindRFH, Entries: 2048},
+		{Kind: energy.KindRegLess, Entries: 512, Compressor: true},
+		{Kind: energy.KindRegLess, Entries: 512},
+		{Kind: energy.KindNoRF},
+	}
+	// Each owner points at one of a's three pointers, so a field set
+	// through it after reset is the only non-zero counter a holds.
+	var a energy.Activity
+	owners := []any{&a.Sim, &a.Prov, &a.Mem}
+	reset := func() { a = energy.Activity{Sim: &sim.Stats{}, Prov: &sim.ProviderStats{}, Mem: &mem.Stats{}} }
+	seen := map[string]bool{}
+	for _, ptr := range owners {
+		typ := reflect.TypeOf(ptr).Elem().Elem()
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() || f.Type.Kind() != reflect.Uint64 {
+				continue
+			}
+			name := typ.String() + "." + f.Name
+			reset()
+			reflect.ValueOf(ptr).Elem().Elem().Field(i).SetUint(1000)
+			priced := false
+			for _, s := range schemes {
+				if energy.Compute(p, s, a) != (energy.Breakdown{}) {
+					priced = true
+				}
+			}
+			tagged, free := f.Tag.Get("metric") != "", slices.Contains(freeCounters, name)
+			seen[name] = true
+			switch {
+			case name == "sim.Stats.Cycles":
+				if !priced {
+					t.Errorf("%s is not priced", name)
+				}
+			case !tagged:
+				if priced {
+					t.Errorf("%s is priced but no metrics window carries it", name)
+				}
+			case priced == free:
+				t.Errorf("%s: priced %v, listed free %v", name, priced, free)
+			}
+		}
+	}
+	for _, name := range freeCounters {
+		if !seen[name] {
+			t.Errorf("free counter %s is no uint64 field of the three structs", name)
+		}
 	}
 }
 
@@ -154,7 +239,7 @@ func TestGPUEnergySavingsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aRL := energy.FromRun(st, &smv.Prov, smv.Mem.Stats)
+	aRL := energy.Activity{Sim: st, Prov: &smv.Prov, Mem: &smv.Mem.Stats}
 	bRL := energy.Compute(params, energy.Scheme{Kind: energy.KindRegLess, Entries: 512, Compressor: true}, aRL)
 
 	if !(bNoRF.Total < bRL.Total && bRL.Total < bBase.Total) {

@@ -163,16 +163,27 @@ func (r StallReason) String() string {
 	}
 }
 
-// Phase mirrors the capacity manager's warp states (cm.State values)
-// without importing package cm from this leaf package.
+// Phase is a warp's capacity state: the state machine of the capacity
+// manager (paper §5.1), whose cm.State it is. It is declared in this leaf
+// package so that the recorder, its consumers and the sanitizer name the
+// states cm moves warps through.
 type Phase uint8
 
 const (
+	// PhaseInactive warps hold no reservation and sit on the warp stack.
 	PhaseInactive Phase = iota
+	// PhasePreloading warps hold a reservation while inputs are fetched.
 	PhasePreloading
+	// PhaseActive warps may issue instructions.
 	PhaseActive
+	// PhaseDraining warps issued their region's last instruction but
+	// have outstanding register writes.
 	PhaseDraining
+	// PhaseFinished warps exited the kernel.
 	PhaseFinished
+
+	// NumPhases sizes per-phase tables.
+	NumPhases
 )
 
 // String names the phase.
@@ -191,12 +202,18 @@ func (p Phase) String() string {
 	}
 }
 
-// LineState mirrors osu.State for OSU line events.
+// LineState classifies a resident OSU line (paper §5.2); it is osu.State,
+// and line events carry it as is.
 type LineState uint8
 
 const (
+	// LineActive lines belong to a running (or draining) region.
 	LineActive LineState = iota
+	// LineClean lines are evictable and unchanged since they were read
+	// from the backing store: reclaiming them is free.
 	LineClean
+	// LineDirty lines are evictable but modified: reclaiming them
+	// requires a writeback.
 	LineDirty
 )
 

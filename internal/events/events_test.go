@@ -242,3 +242,23 @@ func TestEventRegionRoundTrip(t *testing.T) {
 		t.Fatalf("regions = %v", regions)
 	}
 }
+
+// TestStateNames pins the names the capacity manager's warp states
+// (cm.State) and the OSU's line states (osu.State) print as: diagnostic
+// bundles carry both, and Perfetto names a warp's phase spans by them.
+func TestStateNames(t *testing.T) {
+	phases := []string{"inactive", "preloading", "active", "draining", "finished"}
+	if len(phases) != int(NumPhases) {
+		t.Fatalf("%d phase names for %d phases", len(phases), NumPhases)
+	}
+	for p, want := range phases {
+		if got := Phase(p).String(); got != want {
+			t.Errorf("Phase(%d) = %q, want %q", p, got, want)
+		}
+	}
+	for s, want := range []string{"active", "clean", "dirty"} {
+		if got := LineState(s).String(); got != want {
+			t.Errorf("LineState(%d) = %q, want %q", s, got, want)
+		}
+	}
+}

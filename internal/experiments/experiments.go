@@ -267,9 +267,9 @@ func (r *Run) Detach() *Run {
 	return &out
 }
 
-// Activity converts the run for the energy model.
+// Activity is the run's counters, as the energy model reads them.
 func (r *Run) Activity() energy.Activity {
-	return energy.FromRun(r.Stats, &r.Prov, r.Mem)
+	return energy.Activity{Sim: r.Stats, Prov: &r.Prov, Mem: &r.Mem}
 }
 
 // EnergyScheme maps the run to its energy-model scheme.

@@ -30,30 +30,15 @@ type Config struct {
 	Warps, Shards, NumRegs int
 }
 
-// State classifies a resident line.
-type State uint8
+// State classifies a resident line, declared (and documented) as
+// events.LineState so that line events carry it as is.
+type State = events.LineState
 
 const (
-	// StateActive lines belong to a running (or draining) region.
-	StateActive State = iota
-	// StateClean lines are evictable and unchanged since they were read
-	// from the backing store: reclaiming them is free.
-	StateClean
-	// StateDirty lines are evictable but modified: reclaiming them
-	// requires a writeback.
-	StateDirty
+	StateActive = events.LineActive
+	StateClean  = events.LineClean
+	StateDirty  = events.LineDirty
 )
-
-func (s State) String() string {
-	switch s {
-	case StateActive:
-		return "active"
-	case StateClean:
-		return "clean"
-	default:
-		return "dirty"
-	}
-}
 
 // line is one tagged entry; a free cell carries the tag NoReg.
 type line struct {
@@ -100,8 +85,6 @@ func (o *OSU) SetRecorder(r *events.Recorder, shard int) {
 	o.rec = r
 	o.shard = shard
 }
-
-func lineState(s State) events.LineState { return events.LineState(s) }
 
 // MaxLines is the most lines (Banks x LinesPerBank) one unit can index.
 const MaxLines = 1<<16 - 1
@@ -188,7 +171,7 @@ func (o *OSU) Activate(warp int, reg isa.Reg) bool {
 	ln := &o.lines[at]
 	o.Stats.Hits++
 	o.clock++
-	o.rec.OSULine(events.KindOSUActivate, o.shard, warp, uint32(reg), lineState(ln.state))
+	o.rec.OSULine(events.KindOSUActivate, o.shard, warp, uint32(reg), ln.state)
 	ln.state = StateActive
 	ln.lru = o.clock
 	return true
@@ -291,7 +274,7 @@ func (o *OSU) Erase(warp int, reg isa.Reg) bool {
 		return false
 	}
 	o.Stats.Erases++
-	o.rec.OSULine(events.KindOSUErase, o.shard, warp, uint32(reg), lineState(o.lines[at].state))
+	o.rec.OSULine(events.KindOSUErase, o.shard, warp, uint32(reg), o.lines[at].state)
 	o.remove(at)
 	return true
 }
@@ -310,7 +293,7 @@ func (o *OSU) MarkEvictable(warp int, reg isa.Reg, dirty bool) bool {
 	} else {
 		ln.state = StateClean
 	}
-	o.rec.OSULine(events.KindOSUDemote, o.shard, warp, uint32(reg), lineState(ln.state))
+	o.rec.OSULine(events.KindOSUDemote, o.shard, warp, uint32(reg), ln.state)
 	ln.lru = o.clock
 	return true
 }
@@ -329,7 +312,7 @@ func (o *OSU) FreeWarp(warp int) int {
 		base := b * o.cfg.LinesPerBank
 		for i := 0; i < o.count[b]; {
 			if ln := &o.lines[base+i]; ln.warp == int32(warp) {
-				o.rec.OSULine(events.KindOSUErase, o.shard, warp, uint32(ln.reg), lineState(ln.state))
+				o.rec.OSULine(events.KindOSUErase, o.shard, warp, uint32(ln.reg), ln.state)
 				o.remove(base + i)
 				n++
 			} else {

@@ -11,9 +11,10 @@
 // disabled checker (one branch per cycle), matching the metrics/events
 // idiom.
 //
-// The package deliberately depends only on the standard library: the
-// layers under test (cm, osu, sim, core) import it for the Diagnostic
-// type, so it must sit below all of them.
+// The package deliberately depends only on the standard library and the
+// leaf package events (for the capacity states it checks): the layers
+// under test (cm, osu, sim, core) import it for the Diagnostic type, so
+// it must sit below all of them.
 package sanitizer
 
 import (
@@ -21,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/events"
 )
 
 // CheckFunc verifies one invariant; nil means it holds.
@@ -71,45 +74,16 @@ func (s *Sanitizer) Check(cycle uint64) *Diagnostic {
 	return nil
 }
 
-// Capacity-manager phases for transition-legality checking. The values
-// mirror internal/cm's State ordering (and events.Phase); sanitizer
-// redeclares them so it stays a leaf package.
-const (
-	PhaseInactive uint8 = iota
-	PhasePreloading
-	PhaseActive
-	PhaseDraining
-	PhaseFinished
-	numPhases
-)
-
-func phaseName(p uint8) string {
-	switch p {
-	case PhaseInactive:
-		return "inactive"
-	case PhasePreloading:
-		return "preloading"
-	case PhaseActive:
-		return "active"
-	case PhaseDraining:
-		return "draining"
-	case PhaseFinished:
-		return "finished"
-	default:
-		return fmt.Sprintf("phase(%d)", p)
-	}
-}
-
 // legalTransitions[from][to] encodes the capacity state machine of
 // paper §5.1: Inactive -> Preloading (inputs pending) or Active
 // (immediate), Preloading -> Active, Active -> Draining, Draining ->
 // Inactive; any live state may go straight to Finished (warp exit).
-var legalTransitions = [numPhases][numPhases]bool{
-	PhaseInactive:   {PhasePreloading: true, PhaseActive: true, PhaseFinished: true},
-	PhasePreloading: {PhaseActive: true, PhaseFinished: true},
-	PhaseActive:     {PhaseDraining: true, PhaseFinished: true},
-	PhaseDraining:   {PhaseInactive: true, PhaseFinished: true},
-	PhaseFinished:   {},
+var legalTransitions = [events.NumPhases][events.NumPhases]bool{
+	events.PhaseInactive:   {events.PhasePreloading: true, events.PhaseActive: true, events.PhaseFinished: true},
+	events.PhasePreloading: {events.PhaseActive: true, events.PhaseFinished: true},
+	events.PhaseActive:     {events.PhaseDraining: true, events.PhaseFinished: true},
+	events.PhaseDraining:   {events.PhaseInactive: true, events.PhaseFinished: true},
+	events.PhaseFinished:   {},
 }
 
 // TransitionChecker validates the per-warp capacity state machine from a
@@ -117,28 +91,32 @@ var legalTransitions = [numPhases][numPhases]bool{
 // reports only the entered state — the checker remembers each warp's
 // previous one). Violations latch into Err, which is registered as an
 // ordinary sanitizer check: hooks have no error return, so the per-cycle
-// sweep surfaces the latched violation.
+// sweep surfaces the latched violation. It keeps its own per-warp state
+// rather than asking the CM: it is the independent check.
 type TransitionChecker struct {
-	state []uint8
+	state []events.Phase
 	err   error
 }
 
 // NewTransitionChecker tracks n warps, all starting Inactive.
 func NewTransitionChecker(n int) *TransitionChecker {
-	return &TransitionChecker{state: make([]uint8, n)}
+	return &TransitionChecker{state: make([]events.Phase, n)}
 }
 
 // Observe records warp w entering state `to`, latching a violation on an
 // illegal edge. Self-transitions are illegal too: the CM never
 // re-announces a state.
-func (t *TransitionChecker) Observe(w int, to uint8) {
+func (t *TransitionChecker) Observe(w int, to events.Phase) {
 	if t.err != nil || w < 0 || w >= len(t.state) {
 		return
 	}
 	from := t.state[w]
-	if to >= numPhases || !legalTransitions[from][to] {
-		t.err = fmt.Errorf("warp %d: illegal capacity transition %s -> %s",
-			w, phaseName(from), phaseName(to))
+	if to >= events.NumPhases {
+		t.err = fmt.Errorf("warp %d: capacity state %d out of range", w, to)
+		return
+	}
+	if !legalTransitions[from][to] {
+		t.err = fmt.Errorf("warp %d: illegal capacity transition %s -> %s", w, from, to)
 		return
 	}
 	t.state[w] = to

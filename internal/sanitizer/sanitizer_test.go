@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/events"
 )
 
 func TestNilSanitizerIsNoOp(t *testing.T) {
@@ -62,15 +64,15 @@ func TestTransitionCheckerLegalPath(t *testing.T) {
 	tc := NewTransitionChecker(2)
 	// Warp 0 cycles through the full lifecycle twice, then exits.
 	for i := 0; i < 2; i++ {
-		for _, to := range []uint8{PhasePreloading, PhaseActive, PhaseDraining, PhaseInactive} {
+		for _, to := range []events.Phase{events.PhasePreloading, events.PhaseActive, events.PhaseDraining, events.PhaseInactive} {
 			tc.Observe(0, to)
 		}
 	}
-	tc.Observe(0, PhaseActive) // inactive -> active (no pending inputs)
-	tc.Observe(0, PhaseFinished)
+	tc.Observe(0, events.PhaseActive) // inactive -> active (no pending inputs)
+	tc.Observe(0, events.PhaseFinished)
 	// Warp 1 exits straight from preloading.
-	tc.Observe(1, PhasePreloading)
-	tc.Observe(1, PhaseFinished)
+	tc.Observe(1, events.PhasePreloading)
+	tc.Observe(1, events.PhaseFinished)
 	if err := tc.Err(); err != nil {
 		t.Fatalf("legal path flagged: %v", err)
 	}
@@ -79,14 +81,14 @@ func TestTransitionCheckerLegalPath(t *testing.T) {
 func TestTransitionCheckerIllegalEdges(t *testing.T) {
 	cases := []struct {
 		name string
-		path []uint8
+		path []events.Phase
 	}{
-		{"inactive->draining", []uint8{PhaseDraining}},
-		{"self-transition", []uint8{PhasePreloading, PhasePreloading}},
-		{"active->preloading", []uint8{PhaseActive, PhasePreloading}},
-		{"finished->active", []uint8{PhaseFinished, PhaseActive}},
-		{"draining->active", []uint8{PhaseActive, PhaseDraining, PhaseActive}},
-		{"out-of-range", []uint8{numPhases + 3}},
+		{"inactive->draining", []events.Phase{events.PhaseDraining}},
+		{"self-transition", []events.Phase{events.PhasePreloading, events.PhasePreloading}},
+		{"active->preloading", []events.Phase{events.PhaseActive, events.PhasePreloading}},
+		{"finished->active", []events.Phase{events.PhaseFinished, events.PhaseActive}},
+		{"draining->active", []events.Phase{events.PhaseActive, events.PhaseDraining, events.PhaseActive}},
+		{"out-of-range", []events.Phase{events.NumPhases + 3}},
 	}
 	for _, c := range cases {
 		tc := NewTransitionChecker(1)
@@ -101,9 +103,9 @@ func TestTransitionCheckerIllegalEdges(t *testing.T) {
 
 func TestTransitionCheckerLatchesFirst(t *testing.T) {
 	tc := NewTransitionChecker(1)
-	tc.Observe(0, PhaseDraining) // illegal
+	tc.Observe(0, events.PhaseDraining) // illegal
 	first := tc.Err()
-	tc.Observe(0, PhaseFinished) // would be fine, must not clear
+	tc.Observe(0, events.PhaseFinished) // would be fine, must not clear
 	if tc.Err() != first {
 		t.Error("latched violation changed")
 	}
@@ -112,8 +114,8 @@ func TestTransitionCheckerLatchesFirst(t *testing.T) {
 	}
 	// Out-of-range warp IDs are ignored, not panics.
 	tc2 := NewTransitionChecker(1)
-	tc2.Observe(-1, PhaseActive)
-	tc2.Observe(5, PhaseActive)
+	tc2.Observe(-1, events.PhaseActive)
+	tc2.Observe(5, events.PhaseActive)
 	if tc2.Err() != nil {
 		t.Errorf("out-of-range warp latched: %v", tc2.Err())
 	}

@@ -65,6 +65,12 @@ test -z "$(grep -rn 'NumBanks *= *[0-9]' --include=*.go cmd internal regless.go 
 # asks its provider again what it is.
 test -z "$(grep -rnw 'IssueMasker\|IssueProber\|HotPathHints\|HintedProvider\|TickIdler\|RecorderAware\|SanitizerAware\|FaultAware\|WarpReporter\|SchedLRR' --include=*.go cmd internal regless.go)"
 test -z "$(grep -rn 'sm\.Provider\.(' --include=*.go --exclude=*_test.go internal/sim)"
+# One spelling of the energy model's inputs and of the states (DESIGN.md
+# §4, §10): energy prices the simulator's own counters, and a warp's
+# capacity state and an OSU line's state are declared in events, which
+# cm, osu and the sanitizer use as they are.
+test -z "$(grep -rn 'func FromRun\|func lineState\|PhaseInactive uint8\|phaseName' --include=*.go cmd internal regless.go)"
+test -z "$(grep -rn 'mirrors' internal/events)"
 # The run path keeps only what its callers use (DESIGN.md §8, §14): a
 # suite run is never canceled, the store keeps keys as given (serve's
 # KeyFor is the one canonicaliser), and the service's window and SSE
