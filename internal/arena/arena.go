@@ -6,15 +6,16 @@
 // arena — registers, pages, caches, scoreboards, queues, all at once —
 // goes back for the next machine.
 //
-// Memory is requested through a Type[T], a package-level handle per
-// element type (`var warpT = arena.Of[Warp]()`), so every chunk is an
-// ordinary []T the collector understands. Everything handed out is
-// zeroed, and a nil *Arena is the Go heap: `warpT.Make(nil, n)` is
-// `make([]Warp, n)`. A constructor is therefore written once, as
-// straight-line "allocate and initialise" code, and a machine nobody
-// will return is built by passing nil. There is no reset path to drift
-// from the build path: a recycled machine is stale-free because Reset
-// zeroes every byte that was handed out, whatever it was used for.
+// Memory is requested by element type — Make[Warp](a, n), New[Warp](a),
+// Grow(a, s, n) — and the arena keeps one pool per type, so every chunk is
+// an ordinary []T the collector understands and every caller of one type
+// shares its pool. Everything handed out is zeroed, and a nil *Arena is
+// the Go heap: Make[Warp](nil, n) is make([]Warp, n). A constructor is
+// therefore written once, as straight-line "allocate and initialise"
+// code, and a machine nobody will return is built by passing nil. There
+// is no reset path to drift from the build path: a recycled machine is
+// stale-free because Reset zeroes every byte that was handed out,
+// whatever it was used for.
 //
 // A type's chunks are searched first-fit in the order they were made, and
 // a new chunk is at least as large as the request that did not fit. So a
@@ -50,7 +51,7 @@ const (
 // Arena holds the memory of one machine at a time. It is not safe for
 // concurrent use; whoever took it owns it until Put.
 type Arena struct {
-	pools []pool // by Type id; nil until the type's first request
+	pools map[reflect.Type]pool // by element type
 }
 
 // pool is a typed[T] seen without its T.
@@ -61,27 +62,13 @@ type pool interface {
 
 type typed[T any] struct {
 	chunks []chunk[T]
+	size   int  // bytes per element
 	scalar bool // T holds no pointers
 }
 
 type chunk[T any] struct {
 	buf  []T
 	used int
-}
-
-// Type is the handle memory of element type T is requested through. Each
-// Of call is a pool of its own in every arena.
-type Type[T any] struct {
-	id, size int // size: bytes per element
-	scalar   bool
-}
-
-var nextID atomic.Int32
-
-// Of registers a handle for element type T.
-func Of[T any]() Type[T] {
-	t := reflect.TypeFor[T]()
-	return Type[T]{id: int(nextID.Add(1)) - 1, size: max(1, int(t.Size())), scalar: !hasPointers(t)}
 }
 
 func hasPointers(t reflect.Type) bool {
@@ -102,43 +89,48 @@ func hasPointers(t reflect.Type) bool {
 	return false
 }
 
-func (t Type[T]) pool(a *Arena) *typed[T] {
-	if t.id >= len(a.pools) {
-		a.pools = append(a.pools, make([]pool, t.id+1-len(a.pools))...)
-	}
-	if p := a.pools[t.id]; p != nil {
+// poolOf returns a's pool of element type T, made on T's first request.
+// The type is read through a nil *T: reflect.TypeFor[T] boxes a zero T,
+// which for an element too large for the stack (a 66 KiB page) is a heap
+// copy per call.
+func poolOf[T any](a *Arena) *typed[T] {
+	t := reflect.TypeOf((*T)(nil)).Elem()
+	if p, ok := a.pools[t]; ok {
 		return p.(*typed[T])
 	}
-	p := &typed[T]{scalar: t.scalar}
-	a.pools[t.id] = p
+	if a.pools == nil {
+		a.pools = make(map[reflect.Type]pool)
+	}
+	p := &typed[T]{size: max(1, int(t.Size())), scalar: !hasPointers(t)}
+	a.pools[t] = p
 	return p
 }
 
 // Make returns n zeroed elements with no spare capacity, so that an
 // append cannot run into a neighbour. With a nil arena it is make([]T, n).
-func (t Type[T]) Make(a *Arena, n int) []T {
+func Make[T any](a *Arena, n int) []T {
 	if a == nil {
 		return make([]T, n)
 	}
-	p := t.pool(a)
+	p := poolOf[T](a)
 	for i := range p.chunks {
 		if c := &p.chunks[i]; len(c.buf)-c.used >= n {
 			c.used += n
 			return c.buf[c.used-n : c.used : c.used]
 		}
 	}
-	size := min(floorBytes<<min(len(p.chunks), 8), ceilBytes) / t.size
+	size := min(floorBytes<<min(len(p.chunks), 8), ceilBytes) / p.size
 	buf := make([]T, max(n, size, 1))
 	p.chunks = append(p.chunks, chunk[T]{buf: buf, used: n})
 	return buf[:n:n]
 }
 
 // New returns one zeroed T. With a nil arena it is new(T).
-func (t Type[T]) New(a *Arena) *T {
+func New[T any](a *Arena) *T {
 	if a == nil {
 		return new(T)
 	}
-	return &t.Make(a, 1)[0]
+	return &Make[T](a, 1)[0]
 }
 
 // Grow returns s with room for n more elements: s itself when it has the
@@ -147,14 +139,14 @@ func (t Type[T]) New(a *Arena) *T {
 // arena slice at run time grows it through here first — a plain append
 // past the capacity would silently move the slice to the heap. With a nil
 // arena it is what append does.
-func (t Type[T]) Grow(a *Arena, s []T, n int) []T {
+func Grow[T any](a *Arena, s []T, n int) []T {
 	if cap(s)-len(s) >= n {
 		return s
 	}
 	if a == nil {
 		return slices.Grow(s, n)
 	}
-	grown := t.Make(a, max(2*cap(s), len(s)+n))[:len(s)]
+	grown := Make[T](a, max(2*cap(s), len(s)+n))[:len(s)]
 	copy(grown, s)
 	return grown
 }
@@ -163,9 +155,7 @@ func (t Type[T]) Grow(a *Arena, s []T, n int) []T {
 // all available again.
 func (a *Arena) Reset() {
 	for _, p := range a.pools {
-		if p != nil {
-			p.reset()
-		}
+		p.reset()
 	}
 }
 
@@ -227,9 +217,7 @@ func Take() *Arena {
 func Put(a *Arena) {
 	if poison.Load() {
 		for _, p := range a.pools {
-			if p != nil {
-				p.scribble()
-			}
+			p.scribble()
 		}
 	} else {
 		a.Reset()

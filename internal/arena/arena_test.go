@@ -20,12 +20,8 @@ type pointerRec struct {
 	fn   func()
 }
 
-var (
-	wordT    = Of[uint32]()
-	scalarT  = Of[scalarRec]()
-	pointerT = Of[pointerRec]()
-	bigT     = Of[[16 << 10]uint64]() // 128 KiB an element: always a chunk of its own
-)
+// huge is 128 KiB an element: always a chunk of its own.
+type huge = [16 << 10]uint64
 
 // request is one Make in a replayable sequence.
 type request struct{ kind, n int }
@@ -38,7 +34,7 @@ func replay(t *testing.T, a *Arena, reqs []request) []uintptr {
 	for i, r := range reqs {
 		switch r.kind {
 		case 0:
-			s := wordT.Make(a, r.n)
+			s := Make[uint32](a, r.n)
 			for j, v := range s {
 				if v != 0 {
 					t.Fatalf("request %d: word %d = %#x, want zeroed memory", i, j, v)
@@ -47,7 +43,7 @@ func replay(t *testing.T, a *Arena, reqs []request) []uintptr {
 			}
 			at[i] = uintptr(unsafe.Pointer(unsafe.SliceData(s)))
 		case 1:
-			s := scalarT.Make(a, r.n)
+			s := Make[scalarRec](a, r.n)
 			for j, v := range s {
 				if v != (scalarRec{}) {
 					t.Fatalf("request %d: record %d = %+v, want zeroed memory", i, j, v)
@@ -56,7 +52,7 @@ func replay(t *testing.T, a *Arena, reqs []request) []uintptr {
 			}
 			at[i] = uintptr(unsafe.Pointer(unsafe.SliceData(s)))
 		default:
-			s := pointerT.Make(a, r.n)
+			s := Make[pointerRec](a, r.n)
 			for j := range s {
 				if s[j].n != 0 || s[j].name != "" || s[j].next != nil || s[j].fn != nil {
 					t.Fatalf("request %d: record %d = %+v, want zeroed memory", i, j, s[j])
@@ -80,15 +76,15 @@ func randomRequests(rng *rand.Rand, n int) []request {
 // TestNilArenaIsTheHeap: with a nil arena the three requests are make,
 // new and append's growth.
 func TestNilArenaIsTheHeap(t *testing.T) {
-	s := wordT.Make(nil, 5)
+	s := Make[uint32](nil, 5)
 	if len(s) != 5 || cap(s) != 5 {
 		t.Fatalf("Make(nil, 5): len %d cap %d", len(s), cap(s))
 	}
-	if p := pointerT.New(nil); p == nil || p.name != "" {
+	if p := New[pointerRec](nil); p == nil || p.name != "" {
 		t.Fatal("New(nil) is not new(T)")
 	}
-	g := wordT.Grow(nil, append(s, 1), 0)
-	if g = wordT.Grow(nil, g[:cap(g)], 3); cap(g)-len(g) < 3 {
+	g := Grow(nil, append(s, 1), 0)
+	if g = Grow(nil, g[:cap(g)], 3); cap(g)-len(g) < 3 {
 		t.Fatalf("Grow(nil) left room for %d, want 3", cap(g)-len(g))
 	}
 	if g[5] != 1 {
@@ -96,14 +92,29 @@ func TestNilArenaIsTheHeap(t *testing.T) {
 	}
 }
 
+// words is a second call site for []uint32.
+func words(a *Arena, n int) []uint32 { return Make[uint32](a, n) }
+
 // TestMakeNewGrowAreZeroedAndDisjoint: spans come back zeroed, with no
-// spare capacity, never overlapping; Grow keeps the contents and hands
-// out room that is zero too.
+// spare capacity, never overlapping, and one element type is one pool
+// whoever asks for it; Grow keeps the contents and hands out room that is
+// zero too.
 func TestMakeNewGrowAreZeroedAndDisjoint(t *testing.T) {
 	a := new(Arena)
 	owner := map[*uint32]int{}
+	var first []uint32
 	for i := 0; i < 200; i++ {
-		s := wordT.Make(a, 1+i%37)
+		var s []uint32
+		if i%2 == 0 {
+			s = Make[uint32](a, 1+i%37)
+		} else {
+			s = words(a, 1+i%37)
+		}
+		if i == 0 {
+			first = s
+		} else if i == 1 && uintptr(unsafe.Pointer(&first[0]))+4 != uintptr(unsafe.Pointer(&s[0])) {
+			t.Fatal("two call sites asking for one element type were not served from one chunk")
+		}
 		if cap(s) != len(s) {
 			t.Fatalf("span %d has spare capacity %d", i, cap(s)-len(s))
 		}
@@ -118,13 +129,16 @@ func TestMakeNewGrowAreZeroedAndDisjoint(t *testing.T) {
 			s[j] = uint32(i + 1)
 		}
 	}
-	p := pointerT.New(a)
+	if len(a.pools) != 1 {
+		t.Fatalf("one element type from two call sites made %d pools", len(a.pools))
+	}
+	p := New[pointerRec](a)
 	if p.n != 0 || p.name != "" || p.next != nil || p.fn != nil {
 		t.Fatal("New handed out a used record")
 	}
-	q := wordT.Make(a, 4)[:0]
+	q := Make[uint32](a, 4)[:0]
 	for i := 0; i < 1000; i++ {
-		q = append(wordT.Grow(a, q, 1), uint32(i))
+		q = append(Grow(a, q, 1), uint32(i))
 	}
 	for i, v := range q {
 		if v != uint32(i) {
@@ -168,11 +182,11 @@ func TestResetReplaysTheSameAddresses(t *testing.T) {
 			for _, r := range reqs {
 				switch r.kind {
 				case 0:
-					wordT.Make(a, r.n)
+					Make[uint32](a, r.n)
 				case 1:
-					scalarT.Make(a, r.n)
+					Make[scalarRec](a, r.n)
 				default:
-					pointerT.Make(a, r.n)
+					Make[pointerRec](a, r.n)
 				}
 			}
 		}); n != 0 {
@@ -182,21 +196,30 @@ func TestResetReplaysTheSameAddresses(t *testing.T) {
 }
 
 // TestLargeRequestsGetTheirOwnChunk: a request past the chunk ceiling is
-// a chunk of exactly its size, so small spans never land behind it.
+// a chunk of exactly its size, so small spans never land behind it, and a
+// warmed arena serves it again without allocating: the element type is
+// read through a nil *T, where reflect.TypeFor[T] would box a heap copy
+// of a zero T on every request.
 func TestLargeRequestsGetTheirOwnChunk(t *testing.T) {
 	a := new(Arena)
-	big := bigT.Make(a, 1)
-	small := wordT.Make(a, 3)
+	big := Make[huge](a, 1)
+	small := Make[uint32](a, 3)
 	_ = small
-	p := bigT.pool(a)
+	p := poolOf[huge](a)
 	if len(p.chunks) != 1 || len(p.chunks[0].buf) != 1 {
 		t.Fatalf("a 128 KiB element sits in %d chunks, the first of %d elements", len(p.chunks), len(p.chunks[0].buf))
 	}
-	wide := wordT.Make(a, ceilBytes) // 4 x the ceiling, in bytes
-	if w := wordT.pool(a); len(w.chunks[len(w.chunks)-1].buf) != len(wide) {
+	wide := Make[uint32](a, ceilBytes) // 4 x the ceiling, in bytes
+	if w := poolOf[uint32](a); len(w.chunks[len(w.chunks)-1].buf) != len(wide) {
 		t.Fatal("a span past the ceiling shares its chunk")
 	}
 	big[0][0] = 1
+	if n := testing.AllocsPerRun(5, func() {
+		a.Reset()
+		Make[huge](a, 1)
+	}); n != 0 {
+		t.Fatalf("a warmed Make of a 128 KiB element allocates %v objects, want 0", n)
+	}
 }
 
 // TestTakeIsLIFOAndCleared: Take pops the most recent Put, and what the
@@ -212,9 +235,9 @@ func TestTakeIsLIFOAndCleared(t *testing.T) {
 	}
 	reqs := []request{{0, 100}, {1, 9}, {2, 5}, {0, 3000}}
 	replay(t, a, reqs)
-	wa, sa, pa := wordT.pool(a).chunks[0].buf, scalarT.pool(a).chunks[0].buf, pointerT.pool(a).chunks[0].buf
+	wa, sa, pa := poolOf[uint32](a).chunks[0].buf, poolOf[scalarRec](a).chunks[0].buf, poolOf[pointerRec](a).chunks[0].buf
 	replay(t, b, reqs)
-	wb := wordT.pool(b).chunks[0].buf
+	wb := poolOf[uint32](b).chunks[0].buf
 
 	SetPoison(true)
 	Put(a)
@@ -281,7 +304,7 @@ func TestConcurrentTakePut(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				a := Take()
-				s := wordT.Make(a, 64)
+				s := Make[uint32](a, 64)
 				for j := range s {
 					if s[j] != 0 {
 						t.Error("took an arena somebody else is writing")

@@ -30,10 +30,9 @@ import (
 	"repro/internal/arena"
 )
 
-// Cell is one slab entry: an event and its link (the slot's next entry,
-// or the next free cell). It is exported so that an instantiating package
-// can register the arena handle its ring's slab is made through.
-type Cell[E any] struct {
+// cell is one slab entry: an event and its link (the slot's next entry,
+// or the next free cell).
+type cell[E any] struct {
 	e    E
 	next int32
 }
@@ -41,29 +40,21 @@ type Cell[E any] struct {
 // slot is one cycle's FIFO as slab indices; head < 0 means empty.
 type slot struct{ head, tail int32 }
 
-var (
-	slotT = arena.Of[slot]()
-	occT  = arena.Of[uint64]()
-)
-
 // Ring is a calendar of events of type E. The zero Ring is not usable;
 // build one with New.
 type Ring[E any] struct {
 	slots []slot   // length is a power of two, at least 64
 	occ   []uint64 // bit s set iff slots[s] is non-empty
-	slab  []Cell[E]
+	slab  []cell[E]
 	free  int32 // head of the free-cell list, -1 when none
 	n     int   // events pending
-
 	a     *arena.Arena
-	cells arena.Type[Cell[E]]
 }
 
 // New sizes the ring so that a delay of maxDelay cycles fits without
-// growing. Its storage comes from a (nil: the heap), the slab through
-// the caller's handle.
-func New[E any](a *arena.Arena, cells arena.Type[Cell[E]], maxDelay int) Ring[E] {
-	w := Ring[E]{free: -1, a: a, cells: cells, slab: cells.Make(a, 64)[:0]}
+// growing. Its storage comes from a (nil: the heap).
+func New[E any](a *arena.Arena, maxDelay int) Ring[E] {
+	w := Ring[E]{free: -1, a: a, slab: arena.Make[cell[E]](a, 64)[:0]}
 	w.resize(ringSize(uint64(maxDelay)))
 	return w
 }
@@ -75,11 +66,11 @@ func ringSize(d uint64) int {
 }
 
 func (w *Ring[E]) resize(size int) {
-	w.slots = slotT.Make(w.a, size)
+	w.slots = arena.Make[slot](w.a, size)
 	for i := range w.slots {
 		w.slots[i].head = -1
 	}
-	w.occ = occT.Make(w.a, size>>6)
+	w.occ = arena.Make[uint64](w.a, size>>6)
 }
 
 // Push schedules e at cycle at >= now.
@@ -92,9 +83,9 @@ func (w *Ring[E]) Push(now, at uint64, e E) {
 		w.free = w.slab[i].next
 	} else {
 		i = int32(len(w.slab))
-		w.slab = append(w.cells.Grow(w.a, w.slab, 1), Cell[E]{})
+		w.slab = append(arena.Grow(w.a, w.slab, 1), cell[E]{})
 	}
-	w.slab[i] = Cell[E]{e: e, next: -1}
+	w.slab[i] = cell[E]{e: e, next: -1}
 	w.n++
 	s := at & uint64(len(w.slots)-1)
 	if sl := &w.slots[s]; sl.head < 0 {
@@ -139,7 +130,7 @@ func (w *Ring[E]) Pop(now uint64) E {
 	if sl.head = c.next; sl.head < 0 {
 		w.occ[s>>6] &^= 1 << (s & 63)
 	}
-	w.slab[i] = Cell[E]{next: w.free} // drops what the event referenced
+	w.slab[i] = cell[E]{next: w.free} // drops what the event referenced
 	w.free = i
 	w.n--
 	return c.e

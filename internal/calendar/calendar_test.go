@@ -64,8 +64,6 @@ func (q *heapQueue) pop() heapEvent {
 	return top
 }
 
-var intCellT = arena.Of[Cell[int]]()
-
 // TestRingMatchesHeapOracle drives a ring and the heap with the same
 // seeded schedules — delays of 1 to 5 000 cycles against a ring sized
 // for 320, so a burst of long ones re-buckets it more than once; pushes
@@ -81,7 +79,7 @@ func TestRingMatchesHeapOracle(t *testing.T) {
 			a = new(arena.Arena)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		w := New(a, intCellT, 320)
+		w := New[int](a, 320)
 		var ref heapQueue
 		var now uint64
 		next, long := 0, 900
@@ -150,7 +148,7 @@ func TestRingMatchesHeapOracle(t *testing.T) {
 // without allocating — on the heap, and in an arena it does not grow.
 func TestRingSteadyStateAllocatesNothing(t *testing.T) {
 	for _, a := range []*arena.Arena{nil, new(arena.Arena)} {
-		w := New(a, intCellT, 320)
+		w := New[int](a, 320)
 		now := uint64(0)
 		round := func() {
 			for i := 0; i < 500; i++ {

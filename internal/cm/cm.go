@@ -106,32 +106,24 @@ type CM struct {
 	pendingPreloads []int
 }
 
-var (
-	cmT    = arena.Of[CM]()
-	stateT = arena.Of[State]()
-	wordT  = arena.Of[uint64]()
-	intT   = arena.Of[int]()
-	intsT  = arena.Of[[]int]()
-)
-
 // New builds a CM for n warps, allocated from a (nil: the heap). All
 // warps start Inactive with warp 0 on top of the stack (oldest-first
 // activation at kernel launch).
 func New(a *arena.Arena, cfg Config, n int) *CM {
-	c := cmT.New(a)
+	c := arena.New[CM](a)
 	*c = CM{
 		cfg:             cfg,
-		state:           stateT.Make(a, n),
-		active:          wordT.Make(a, max(1, (n+63)/64)),
+		state:           arena.Make[State](a, n),
+		active:          arena.Make[uint64](a, max(1, (n+63)/64)),
 		epoch:           1,
-		stack:           intT.Make(a, n)[:0], // a warp is on it at most once
-		reserved:        intT.Make(a, cfg.Banks),
-		warpRes:         intsT.Make(a, n),
-		region:          intT.Make(a, n),
-		activatedAt:     wordT.Make(a, n),
-		pendingPreloads: intT.Make(a, n),
+		stack:           arena.Make[int](a, n)[:0], // a warp is on it at most once
+		reserved:        arena.Make[int](a, cfg.Banks),
+		warpRes:         arena.Make[[]int](a, n),
+		region:          arena.Make[int](a, n),
+		activatedAt:     arena.Make[uint64](a, n),
+		pendingPreloads: arena.Make[int](a, n),
 	}
-	res := intT.Make(a, n*cfg.Banks)
+	res := arena.Make[int](a, n*cfg.Banks)
 	for w := 0; w < n; w++ {
 		c.warpRes[w] = res[w*cfg.Banks : (w+1)*cfg.Banks : (w+1)*cfg.Banks]
 		c.region[w] = -1

@@ -184,19 +184,13 @@ type cline struct {
 	lru   uint64
 }
 
-var (
-	compressorT = arena.Of[Compressor]()
-	patternT    = arena.Of[Pattern]()
-	clineT      = arena.Of[cline]()
-)
-
 // New builds a compressor, allocated from a (nil: the heap).
 func New(a *arena.Arena, cfg Config) *Compressor {
-	c := compressorT.New(a)
+	c := arena.New[Compressor](a)
 	*c = Compressor{
 		cfg:        cfg,
-		compressed: patternT.Make(a, cfg.NumRegs*cfg.Warps),
-		cache:      clineT.Make(a, cfg.CacheLines)[:0],
+		compressed: arena.Make[Pattern](a, cfg.NumRegs*cfg.Warps),
+		cache:      arena.Make[cline](a, cfg.CacheLines)[:0],
 	}
 	return c
 }

@@ -25,7 +25,7 @@ func runRegLess(t *testing.T, k *isa.Kernel, simCfg sim.Config, cfg Config) (*si
 		t.Fatal(err)
 	}
 	mm := exec.NewMemory(nil)
-	smv, err := sim.New(simCfg, k, p, mm)
+	smv, err := sim.New(nil, simCfg, k, p, mm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestActivationMemoIsInvisible(t *testing.T) {
 				}
 				simCfg := testSimCfg()
 				simCfg.Warps = 64 // enough warps that regions queue for capacity
-				smv, err := sim.New(simCfg, k, prov, exec.NewMemory(nil))
+				smv, err := sim.New(nil, simCfg, k, prov, exec.NewMemory(nil), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

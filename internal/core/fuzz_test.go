@@ -111,7 +111,7 @@ func TestFuzzEquivalence(t *testing.T) {
 			simCfg.Warps = warps
 			simCfg.MaxCycles = 10_000_000
 			mm := exec.NewMemory(nil)
-			smv, err := sim.New(simCfg, k, p, mm)
+			smv, err := sim.New(nil, simCfg, k, p, mm, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

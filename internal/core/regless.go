@@ -147,10 +147,10 @@ type shard struct {
 }
 
 // pushL1 queues an L1 request for the shared port.
-func (sh *shard) pushL1(op l1op) { sh.l1ops = append(l1opT.Grow(sh.a, sh.l1ops, 1), op) }
+func (sh *shard) pushL1(op l1op) { sh.l1ops = append(arena.Grow(sh.a, sh.l1ops, 1), op) }
 
 // push appends r to one of the shard's request queues.
-func (sh *shard) push(q *[]preloadReq, r preloadReq) { *q = append(reqT.Grow(sh.a, *q, 1), r) }
+func (sh *shard) push(q *[]preloadReq, r preloadReq) { *q = append(arena.Grow(sh.a, *q, 1), r) }
 
 // backlog is the work queued in the shard: preloads, invalidations,
 // evictions and L1 operations.
@@ -279,7 +279,7 @@ func New(a *arena.Arena, cfgv Config, k *isa.Kernel) (*Provider, error) {
 			}
 		}
 	}
-	p := providerT.New(a)
+	p := arena.New[Provider](a)
 	p.cfg, p.comp = cfgv, comp
 	return p, nil
 }
@@ -299,24 +299,9 @@ func (p *Provider) Compiled() *regions.Compiled { return p.comp }
 // Name implements sim.Provider.
 func (p *Provider) Name() string { return "regless" }
 
-// The element types a provider's run-time state is made of (package
-// arena), and the per-shard name of the one cell the provider registers
-// itself — a gauge; a shard has no counters of its own, hence no fields.
-var (
-	providerT = arena.Of[Provider]()
-	shardT    = arena.Of[shard]()
-	shardPtrT = arena.Of[*shard]()
-	wsT       = arena.Of[warpState]()
-	wsPtrT    = arena.Of[*warpState]()
-	reqT      = arena.Of[preloadReq]()
-	reqsT     = arena.Of[[]preloadReq]()
-	l1opT     = arena.Of[l1op]()
-	fillT     = arena.Of[fill]()
-	wordT     = arena.Of[uint64]()
-	intT      = arena.Of[int]()
-
-	shardCells = metrics.FieldsOf[struct{}]("core/s%d/", "preload_backlog")
-)
+// shardCells names the one cell a shard registers itself — a gauge; a
+// shard has no counters of its own, hence no fields.
+var shardCells = metrics.FieldsOf[struct{}]("core/s%d/", "preload_backlog")
 
 // Attach implements sim.Provider. Everything the run mutates is built
 // here, from the SM's arena.
@@ -330,11 +315,11 @@ func (p *Provider) Attach(smv *sim.SM) error {
 	a := smv.Arena()
 	p.sm, p.a = smv, a
 	p.st = &smv.Prov
-	p.regionActivations = wordT.Make(a, len(p.comp.Regions))
-	p.usageScratch = intT.Make(a, isa.NumBanks)
+	p.regionActivations = arena.Make[uint64](a, len(p.comp.Regions))
+	p.usageScratch = arena.Make[int](a, isa.NumBanks)
 	warpsPerShard := smv.Cfg.Warps / p.cfg.Shards
-	shards := shardT.Make(a, p.cfg.Shards)
-	p.shards = shardPtrT.Make(a, p.cfg.Shards)
+	shards := arena.Make[shard](a, p.cfg.Shards)
+	p.shards = arena.Make[*shard](a, p.cfg.Shards)
 	for s := range p.shards {
 		sh := &shards[s]
 		*sh = shard{
@@ -357,13 +342,13 @@ func (p *Provider) Attach(smv *sim.SM) error {
 				Warps:      smv.Cfg.Warps,
 				Patterns:   p.cfg.CompressorPatterns,
 			}),
-			preloadQ: reqsT.Make(a, isa.NumBanks),
-			invalQ:   reqT.Make(a, queueRoom)[:0],
-			evictQ:   reqT.Make(a, queueRoom)[:0],
-			l1ops:    l1opT.Make(a, queueRoom)[:0],
+			preloadQ: arena.Make[[]preloadReq](a, isa.NumBanks),
+			invalQ:   arena.Make[preloadReq](a, queueRoom)[:0],
+			evictQ:   arena.Make[preloadReq](a, queueRoom)[:0],
+			l1ops:    arena.Make[l1op](a, queueRoom)[:0],
 		}
 		for b := range sh.preloadQ {
-			sh.preloadQ[b] = reqT.Make(a, queueRoom)[:0]
+			sh.preloadQ[b] = arena.Make[preloadReq](a, queueRoom)[:0]
 		}
 		p.shards[s] = sh
 		sh.cm.BindMetrics(smv.Metrics, s)
@@ -371,8 +356,8 @@ func (p *Provider) Attach(smv *sim.SM) error {
 		sh.cmp.BindMetrics(smv.Metrics, s)
 		smv.Metrics.Gauges(sh, shardCells.BindAt(smv.Metrics, s, &struct{}{})...)
 	}
-	warps := wsT.Make(a, smv.Cfg.Warps)
-	p.warps = wsPtrT.Make(a, smv.Cfg.Warps)
+	warps := arena.Make[warpState](a, smv.Cfg.Warps)
+	p.warps = arena.Make[*warpState](a, smv.Cfg.Warps)
 	for w := range p.warps {
 		warps[w] = warpState{
 			shard:         w % p.cfg.Shards,
@@ -382,7 +367,7 @@ func (p *Provider) Attach(smv *sim.SM) error {
 			dirty:         newRegSet(a, smv.K.NumRegs),
 			deferred:      newRegSet(a, smv.K.NumRegs),
 			deferErase:    newRegSet(a, smv.K.NumRegs),
-			activePerBank: intT.Make(a, isa.NumBanks),
+			activePerBank: arena.Make[int](a, isa.NumBanks),
 		}
 		p.warps[w] = &warps[w]
 	}

@@ -16,7 +16,7 @@ type regSet struct {
 }
 
 func newRegSet(a *arena.Arena, numRegs int) regSet {
-	return regSet{bits: wordT.Make(a, (numRegs+63)/64)}
+	return regSet{bits: arena.Make[uint64](a, (numRegs+63)/64)}
 }
 
 func (s *regSet) has(r isa.Reg) bool {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/events"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -201,7 +202,7 @@ func (f *fill) MemDone(src mem.Source) { f.p.landed(f, fillSrc(src)) }
 func (p *Provider) newFill(sh *shard, ws *warpState, req preloadReq, compressed bool) *fill {
 	f := p.freeFills
 	if f == nil {
-		f = fillT.New(p.a)
+		f = arena.New[fill](p.a)
 		f.p = p
 	} else {
 		p.freeFills = f.next

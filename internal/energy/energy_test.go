@@ -25,7 +25,7 @@ func runBaseline(t *testing.T, name string) energy.Activity {
 	t.Helper()
 	k := kernels.MustLoad(name)
 	p := rf.NewBaseline(nil)
-	smv, err := sim.New(simCfg(), k, p, exec.NewMemory(nil))
+	smv, err := sim.New(nil, simCfg(), k, p, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestGPUEnergySavingsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smv, err := sim.New(simCfg(), k, p, exec.NewMemory(nil))
+	smv, err := sim.New(nil, simCfg(), k, p, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,20 +34,13 @@ const (
 	pageMask  = uint32(pageWords - 1) // word-index mask within a page
 )
 
+// A page is 66 KiB and a run touches a handful for a few KB of stores, so
+// pages are made on first store — from the memory's arena, where each is
+// a chunk of its own that the next machine's pages reuse.
 type page struct {
 	vals    [pageWords]uint32
 	written [pageWords / 64]uint64
 }
-
-// A page is 66 KiB and a run touches a handful for a few KB of stores, so
-// pages are made on first store — from the memory's arena, where each is
-// a chunk of its own that the next machine's pages reuse.
-var (
-	memoryT   = arena.Of[Memory]()
-	pagedMemT = arena.Of[pagedMem]()
-	pageT     = arena.Of[page]()
-	pageRefT  = arena.Of[pageRef]()
-)
 
 // pageRef lists one page under its key (the address bits above pageShift).
 type pageRef struct {
@@ -91,9 +84,9 @@ func (p *pagedMem) ensure(ar *arena.Arena, a uint32) *page {
 	}
 	i, ok := p.search(key)
 	if !ok {
-		p.pages = append(pageRefT.Grow(ar, p.pages, 1), pageRef{})
+		p.pages = append(arena.Grow(ar, p.pages, 1), pageRef{})
 		copy(p.pages[i+1:], p.pages[i:])
-		p.pages[i] = pageRef{key, pageT.New(ar)}
+		p.pages[i] = pageRef{key, arena.New[page](ar)}
 	}
 	p.lastKey, p.lastPg = key, p.pages[i].pg
 	return p.lastPg
@@ -120,7 +113,7 @@ func NewMemoryIn(a *arena.Arena, init func(addr uint32) uint32) *Memory {
 	if init == nil {
 		init = Mix
 	}
-	m := memoryT.New(a)
+	m := arena.New[Memory](a)
 	m.a, m.init = a, init
 	return m
 }
@@ -179,7 +172,7 @@ func (m *Memory) LoadShared(cta int, addr uint32) uint32 {
 // StoreShared writes to cta's shared memory.
 func (m *Memory) StoreShared(cta int, addr, val uint32) {
 	for cta >= len(m.shared) {
-		m.shared = append(pagedMemT.Grow(m.a, m.shared, 1), pagedMem{})
+		m.shared = append(arena.Grow(m.a, m.shared, 1), pagedMem{})
 	}
 	a := wordAddr(addr)
 	m.shared[cta].ensure(m.a, a).vals[(a>>2)&pageMask] = val

@@ -5,8 +5,6 @@ import (
 	"repro/internal/isa"
 )
 
-var regT = arena.Of[[isa.WarpWidth]uint32]()
-
 // RegFile is the architectural register storage of one SM's warps: one
 // span, warp after warp.
 type RegFile struct {
@@ -17,7 +15,7 @@ type RegFile struct {
 // NewRegFile returns zeroed storage, made from a, for warps warps of
 // numRegs registers each.
 func NewRegFile(a *arena.Arena, warps, numRegs int) RegFile {
-	return RegFile{regs: regT.Make(a, warps*numRegs), numRegs: numRegs}
+	return RegFile{regs: arena.Make[[isa.WarpWidth]uint32](a, warps*numRegs), numRegs: numRegs}
 }
 
 // Warp returns warp i's registers (i counts from 0 within this file).

@@ -60,15 +60,10 @@ func NewWarp(k *isa.Kernel, g *cfg.Graph, id, cta int, mem *Memory) *Warp {
 	return NewWarpOn(nil, make([][isa.WarpWidth]uint32, k.NumRegs), k, g, id, cta, mem)
 }
 
-var (
-	warpT  = arena.Of[Warp]()
-	frameT = arena.Of[frame]()
-)
-
 // NewWarpOn is NewWarp made from a (nil: the heap) over caller-provided
 // register storage: k.NumRegs zeroed registers (a RegFile's Warp slice).
 func NewWarpOn(a *arena.Arena, regs [][isa.WarpWidth]uint32, k *isa.Kernel, g *cfg.Graph, id, cta int, mem *Memory) *Warp {
-	w := warpT.New(a)
+	w := arena.New[Warp](a)
 	*w = Warp{
 		ID:   id,
 		CTA:  cta,
@@ -78,7 +73,7 @@ func NewWarpOn(a *arena.Arena, regs [][isa.WarpWidth]uint32, k *isa.Kernel, g *c
 		Regs: regs,
 		a:    a,
 		// Room for divergence nested three deep before the stack regrows.
-		stack: frameT.Make(a, 8)[:0],
+		stack: arena.Make[frame](a, 8)[:0],
 	}
 	w.stack = append(w.stack, frame{pc: isa.PC{Block: 0, Index: 0}, rejoin: -1, mask: FullMask})
 	return w
@@ -430,7 +425,7 @@ func (w *Warp) branch(pc isa.PC, target int, taken, mask uint32) {
 		} else {
 			f.pc = isa.PC{Block: rejoin, Index: 0}
 		}
-		w.stack = append(frameT.Grow(w.a, w.stack, 2),
+		w.stack = append(arena.Grow(w.a, w.stack, 2),
 			frame{pc: isa.PC{Block: pc.Block + 1, Index: 0}, rejoin: rejoin, mask: fall},
 			frame{pc: isa.PC{Block: target, Index: 0}, rejoin: rejoin, mask: taken},
 		)

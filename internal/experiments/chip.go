@@ -37,7 +37,7 @@ import (
 // provider for each SM, with the RegLess configuration it reads — made in
 // a, like everything else Assemble builds.
 func schemeProvider(a *arena.Arena, scheme Scheme, capacity int, simCfg *sim.Config) (mk gpu.ProviderFactory, rl *core.Config, err error) {
-	rl = coreCfgT.New(a)
+	rl = arena.New[core.Config](a)
 	*rl = core.ConfigForCapacity(capacity)
 	rl.EnableCompressor = scheme == SchemeRegLess
 	switch scheme {
@@ -84,14 +84,6 @@ func (c *reglessFactory) NewProvider(a *arena.Arena, sm int, k *isa.Kernel) (sim
 	return core.New(a, smc, k)
 }
 
-// What Assemble makes before there is a chip: the configuration it tunes,
-// the slot list and the RegLess configuration (package arena).
-var (
-	gpuCfgT  = arena.Of[gpu.Config]()
-	coreCfgT = arena.Of[core.Config]()
-	slotT    = arena.Of[gpu.KernelSlot]()
-)
-
 // Tune adjusts an assembly after the scheme's defaults are applied: the
 // per-SM timing configuration and, for RegLess schemes, the core
 // configuration. It exists for the two callers whose variants are not
@@ -113,9 +105,9 @@ type Tune func(*sim.Config, *core.Config)
 // launch sequences, tests, BuildChip/BuildSM's callers — passes nil, the
 // heap. What su hands in is the caller's either way.
 func Assemble(a *arena.Arena, k *isa.Kernel, scheme Scheme, sms int, su SimSetup, tune Tune) (*gpu.GPU, *core.Provider, error) {
-	cfg := gpuCfgT.New(a)
+	cfg := arena.New[gpu.Config](a)
 	*cfg = gpu.DefaultConfig()
-	slots := slotT.Make(a, 1+len(su.CoResident))
+	slots := arena.Make[gpu.KernelSlot](a, 1+len(su.CoResident))
 	slots[0] = gpu.KernelSlot{K: k, SMs: sms, Mem: su.Memory}
 	total := sms
 	for i, s := range su.CoResident {
@@ -219,14 +211,6 @@ type Instrumented struct {
 	FirstWarp  []int
 }
 
-// What runPoint folds a run into, in the machine's arena.
-var (
-	instT     = arena.Of[Instrumented]()
-	runT      = arena.Of[Run]()
-	simStatsT = arena.Of[sim.Stats]()
-	wordT     = arena.Of[uint64]()
-)
-
 // runPoint is the one way a point is simulated: take an arena, assemble
 // the chip in it, attach what observes it — an event recorder per SM
 // when mask is non-zero, the JSONL window stream when jsonl is non-nil,
@@ -276,7 +260,7 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 		// before the sink: a registry freezes once it streams).
 		g.L2.BindMetrics(g.SMs[0].Metrics)
 	}
-	inst := instT.New(a)
+	inst := arena.New[Instrumented](a)
 	for i, smv := range g.SMs {
 		if mask != 0 {
 			rec := events.NewRecorder(smv.Cfg.Schedulers, mask)
@@ -305,7 +289,7 @@ func runPoint(ctx context.Context, k *isa.Kernel, bench string, scheme Scheme, s
 	if err != nil {
 		return err
 	}
-	run := runT.New(a)
+	run := arena.New[Run](a)
 	*run = Run{Bench: bench, Scheme: scheme, Capacity: key.capacity, Chip: res, Stats: mergeSimStats(a, res)}
 	for i, smv := range g.SMs {
 		metrics.Add(&run.Prov, &smv.Prov)
@@ -390,13 +374,13 @@ func mergeSimStats(a *arena.Arena, res *gpu.Result) *sim.Stats {
 	if len(res.PerSM) == 1 {
 		return res.PerSM[0]
 	}
-	out := simStatsT.New(a)
+	out := arena.New[sim.Stats](a)
 	n := 0
 	for _, st := range res.PerSM {
 		n = max(n, len(st.BackingSeries))
 	}
 	if n > 0 {
-		out.BackingSeries = wordT.Make(a, n)
+		out.BackingSeries = arena.Make[uint64](a, n)
 	}
 	for _, st := range res.PerSM {
 		metrics.Add(out, st)

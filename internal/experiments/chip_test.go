@@ -54,7 +54,7 @@ func bareSM(t *testing.T, scheme Scheme, k *isa.Kernel, opts Options) *sim.SM {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smv, err := sim.New(simCfg, k, p, nil)
+	smv, err := sim.New(nil, simCfg, k, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

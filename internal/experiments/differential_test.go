@@ -96,7 +96,7 @@ func TestDifferentialStoreEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				mm := exec.NewMemory(nil)
-				smv, err := sim.New(simCfg, c.k, p, mm)
+				smv, err := sim.New(nil, simCfg, c.k, p, mm, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -135,16 +135,6 @@ type GPU struct {
 // canceled.
 func (g *GPU) AttachContext(ctx context.Context) { g.ctx = ctx }
 
-var (
-	gpuT      = arena.Of[GPU]()
-	smPtrT    = arena.Of[*sim.SM]()
-	memT      = arena.Of[*exec.Memory]()
-	intT      = arena.Of[int]()
-	resultT   = arena.Of[Result]()
-	statsPtrT = arena.Of[*sim.Stats]()
-	wordT     = arena.Of[uint64]()
-)
-
 // New builds the chip for one launch: private L1s over the configured L2
 // level, each slot's warp range striped across its SMs by warp ID. The
 // whole chip — the SMs and everything under them, their providers, an L2
@@ -170,12 +160,12 @@ func New(a *arena.Arena, cfgv Config, l Launch) (*GPU, error) {
 	if cfgv.PrivateL2 && l.L2 != nil || l.Hier != nil && (!cfgv.PrivateL2 || total != 1) {
 		return nil, fmt.Errorf("gpu: standing memory does not match the chip's L2 level")
 	}
-	g := gpuT.New(a)
+	g := arena.New[GPU](a)
 	*g = GPU{
 		Cfg:  cfgv,
-		SMs:  smPtrT.Make(a, total)[:0],
-		Slot: intT.Make(a, total)[:0],
-		Mems: memT.Make(a, len(l.Slots))[:0],
+		SMs:  arena.Make[*sim.SM](a, total)[:0],
+		Slot: arena.Make[int](a, total)[:0],
+		Mems: arena.Make[*exec.Memory](a, len(l.Slots))[:0],
 		L2:   l.L2,
 		ctx:  context.Background(),
 		a:    a,
@@ -221,7 +211,7 @@ func New(a *arena.Arena, cfgv Config, l Launch) (*GPU, error) {
 			if g.L2 != nil {
 				hier = g.L2.AttachHierarchy(smCfg.Mem) // made where the L2 was
 			}
-			smv, err := sim.NewWithHierarchyIn(a, smCfg, s.K, p, mm, hier)
+			smv, err := sim.New(a, smCfg, s.K, p, mm, hier)
 			if err != nil {
 				return nil, fmt.Errorf("gpu: slot %d SM %d: %w", si, i, err)
 			}
@@ -276,9 +266,9 @@ func (g *GPU) Run() (*Result, error) {
 			return nil, err
 		}
 	}
-	res := resultT.New(g.a)
-	res.KernelCycles = wordT.Make(g.a, len(g.Mems))
-	res.PerSM = statsPtrT.Make(g.a, len(g.SMs))
+	res := arena.New[Result](g.a)
+	res.KernelCycles = arena.Make[uint64](g.a, len(g.Mems))
+	res.PerSM = arena.Make[*sim.Stats](g.a, len(g.SMs))
 	if g.L2 != nil {
 		res.L2 = g.L2.Stats
 	}

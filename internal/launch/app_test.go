@@ -98,7 +98,7 @@ func TestAppByNameUnknown(t *testing.T) {
 
 // TestAppMatchesBareLoop: an application through the one loop — each
 // kernel a chip of one handed the standing hierarchy — is the loop as it
-// read before every launch was a chip: a bare sim.NewWithHierarchy per
+// read before every launch was a chip: a bare sim.New per
 // kernel over one mem.New and one functional memory.
 func TestAppMatchesBareLoop(t *testing.T) {
 	for _, app := range kernels.Apps() {
@@ -112,7 +112,7 @@ func TestAppMatchesBareLoop(t *testing.T) {
 					cfg, p := bareSM(t, scheme, k, noFF)
 					cfg.Warps = 8
 					hier.ResetTiming() // the new SM's clock starts at zero
-					smv, err := sim.NewWithHierarchy(cfg, k, p, want, hier)
+					smv, err := sim.New(nil, cfg, k, p, want, hier)
 					if err != nil {
 						t.Fatal(err)
 					}

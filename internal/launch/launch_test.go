@@ -60,7 +60,7 @@ func bareWaves(t *testing.T, k *isa.Kernel, scheme experiments.Scheme, total, re
 		cfg, p := bareSM(t, scheme, k, noFF)
 		cfg.Warps = min(resident, total-base)
 		cfg.WarpIDBase = base
-		smv, err := sim.New(cfg, k, p, mm)
+		smv, err := sim.New(nil, cfg, k, p, mm, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

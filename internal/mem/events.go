@@ -1,10 +1,5 @@
 package mem
 
-import (
-	"repro/internal/arena"
-	"repro/internal/calendar"
-)
-
 // request says who waits on an access below the L1 and what the data's
 // arrival means to them. It travels by value through the L2 level and
 // the event queue, so a line request allocates nothing on its way down
@@ -52,8 +47,6 @@ type event struct {
 	wait int    // cycles still to go once this hop lands (schedule)
 	req  request
 }
-
-var eventCellT = arena.Of[calendar.Cell[event]]()
 
 // horizon is the farthest ahead an event is put on the calendar, whose
 // ring spans the delays it holds. Nothing the machine does on its own

@@ -134,13 +134,6 @@ type BankedL2 struct {
 	Stats        BankedL2Stats
 }
 
-var (
-	bankedL2T = arena.Of[BankedL2]()
-	l2bankT   = arena.Of[l2bank]()
-	l2waiterT = arena.Of[l2waiter]()
-	l2mshrT   = arena.Of[mshr[l2waiter]]()
-)
-
 // NewBankedL2 builds the shared level.
 func NewBankedL2(cfg BankedL2Config) (*BankedL2, error) { return NewBankedL2In(nil, cfg) }
 
@@ -150,11 +143,11 @@ func NewBankedL2In(a *arena.Arena, cfg BankedL2Config) (*BankedL2, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	l2 := bankedL2T.New(a)
-	*l2 = BankedL2{cfg: cfg, a: a, banks: l2bankT.Make(a, cfg.Banks)}
+	l2 := arena.New[BankedL2](a)
+	*l2 = BankedL2{cfg: cfg, a: a, banks: arena.Make[l2bank](a, cfg.Banks)}
 	for i := range l2.banks {
 		l2.banks[i].cache = newCache(a, cfg.SetsPerBank, cfg.Ways)
-		l2.banks[i].mshrs = newMSHRFile(a, l2mshrT, cfg.MSHRsPerBank)
+		l2.banks[i].mshrs = newMSHRFile[l2waiter](a, cfg.MSHRsPerBank)
 	}
 	return l2, nil
 }
@@ -258,7 +251,7 @@ func (l2 *BankedL2) access(h *Hierarchy, a uint32, write bool, r request) {
 			bank.misses++
 			h.Stats.L2Misses++
 			l2.Stats.MSHRMerges++
-			m.waiters = append(l2waiterT.Grow(l2.a, m.waiters, 1), l2waiter{h, r})
+			m.waiters = append(arena.Grow(l2.a, m.waiters, 1), l2waiter{h, r})
 			return
 		}
 		if bank.mshrs.full() {
@@ -275,7 +268,7 @@ func (l2 *BankedL2) access(h *Hierarchy, a uint32, write bool, r request) {
 			return
 		}
 		m := bank.mshrs.take(a)
-		m.waiters = append(l2waiterT.Grow(l2.a, m.waiters, 1), l2waiter{h, r})
+		m.waiters = append(arena.Grow(l2.a, m.waiters, 1), l2waiter{h, r})
 	}
 	pd := l2.portDelay(bank, now)
 	l2.Stats.Misses++

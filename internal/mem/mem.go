@@ -181,18 +181,9 @@ type cache struct {
 	lines      []line
 }
 
-var (
-	cacheT     = arena.Of[cache]()
-	lineT      = arena.Of[line]()
-	hierarchyT = arena.Of[Hierarchy]()
-	privateL2T = arena.Of[privateL2]()
-	waiterT    = arena.Of[Waiter]()
-	l1mshrT    = arena.Of[mshr[Waiter]]()
-)
-
 func newCache(a *arena.Arena, sets, ways int) *cache {
-	c := cacheT.New(a)
-	*c = cache{sets: sets, ways: ways, lines: lineT.Make(a, sets*ways)}
+	c := arena.New[cache](a)
+	*c = cache{sets: sets, ways: ways, lines: arena.Make[line](a, sets*ways)}
 	return c
 }
 
@@ -340,22 +331,22 @@ func New(cfg Config) *Hierarchy { return NewIn(nil, cfg) }
 
 // NewIn is New with everything allocated from a (nil: the heap).
 func NewIn(a *arena.Arena, cfg Config) *Hierarchy {
-	l2 := privateL2T.New(a)
+	l2 := arena.New[privateL2](a)
 	l2.cache = newCache(a, cfg.L2Sets, cfg.L2Ways)
 	return newHierarchy(a, cfg, l2)
 }
 
 func newHierarchy(a *arena.Arena, cfg Config, l2 l2Level) *Hierarchy {
-	h := hierarchyT.New(a)
+	h := arena.New[Hierarchy](a)
 	*h = Hierarchy{
 		cfg:   cfg,
 		a:     a,
 		l1:    newCache(a, cfg.L1Sets, cfg.L1Ways),
 		l2:    l2,
-		mshrs: newMSHRFile(a, l1mshrT, cfg.L1MSHRs),
+		mshrs: newMSHRFile[Waiter](a, cfg.L1MSHRs),
 		// Sized for a DRAM round trip; a backlog behind the bandwidth
 		// throttle re-buckets the ring.
-		events: calendar.New(a, eventCellT, cfg.L2Latency+cfg.DRAMLatency),
+		events: calendar.New[event](a, cfg.L2Latency+cfg.DRAMLatency),
 	}
 	return h
 }
@@ -507,7 +498,7 @@ func (h *Hierarchy) L1AccessFor(addr uint32, write bool, w Waiter) bool {
 	if m := h.mshrs.find(a); m != nil {
 		h.claimL1Port()
 		h.countL1(write)
-		m.waiters = append(waiterT.Grow(h.a, m.waiters, 1), h.applyFault(w))
+		m.waiters = append(arena.Grow(h.a, m.waiters, 1), h.applyFault(w))
 		h.Stats.L1Misses++
 		h.rec.L1(write, false, a)
 		return true
@@ -521,7 +512,7 @@ func (h *Hierarchy) L1AccessFor(addr uint32, write bool, w Waiter) bool {
 	h.Stats.L1Misses++
 	h.rec.L1(write, false, a)
 	m := h.mshrs.take(a)
-	m.waiters = append(waiterT.Grow(h.a, m.waiters, 1), h.applyFault(w))
+	m.waiters = append(arena.Grow(h.a, m.waiters, 1), h.applyFault(w))
 	h.l2Access(a, false, request{kind: reqL1Fill, line: a})
 	return true
 }

@@ -17,8 +17,8 @@ type mshr[W any] struct {
 	waiters []W
 }
 
-func newMSHRFile[W any](a *arena.Arena, regs arena.Type[mshr[W]], size int) mshrFile[W] {
-	return mshrFile[W]{regs: regs.Make(a, max(size, 0))[:0]}
+func newMSHRFile[W any](a *arena.Arena, size int) mshrFile[W] {
+	return mshrFile[W]{regs: arena.Make[mshr[W]](a, max(size, 0))[:0]}
 }
 
 func (f *mshrFile[W]) inUse() int { return len(f.regs) }

@@ -26,7 +26,7 @@ func (c *collectSink) Emit(w Window) {
 // data-race proof; the arithmetic check proves no increment is lost and
 // the window deltas sum to the final value.
 func TestAtomicCounterConcurrent(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	c := r.AtomicCounter("serve/test")
 	var gaugeVal atomic.Int64
 	r.Gauges(sampleFunc(func() uint64 { return uint64(gaugeVal.Load()) }), "serve/gauge")

@@ -102,22 +102,11 @@ type Registry struct {
 	winKinds []Kind
 }
 
-var (
-	registryT = arena.Of[Registry]()
-	cellT     = arena.Of[cell]()
-	wordT     = arena.Of[uint64]()
-	nameT     = arena.Of[string]()
-	kindT     = arena.Of[Kind]()
-)
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return NewRegistryIn(nil) }
-
-// NewRegistryIn is NewRegistry with the registry and everything it comes
-// to own allocated from a (nil: the heap). Names, samplers and the
-// sink stay the caller's.
-func NewRegistryIn(a *arena.Arena) *Registry {
-	r := registryT.New(a)
+// NewRegistry returns an empty registry, with the registry and
+// everything it comes to own allocated from a (nil: the heap). Names,
+// samplers and the sink stay the caller's.
+func NewRegistry(a *arena.Arena) *Registry {
+	r := arena.New[Registry](a)
 	r.a = a
 	return r
 }
@@ -129,7 +118,7 @@ func (r *Registry) register(c cell) int {
 	if r.index != nil {
 		r.indexCell(c.name, len(r.cells))
 	}
-	r.cells = append(cellT.Grow(r.a, r.cells, 1), c)
+	r.cells = append(arena.Grow(r.a, r.cells, 1), c)
 	return len(r.cells) - 1
 }
 
@@ -140,7 +129,7 @@ func (r *Registry) Reserve(n int) {
 	if r == nil {
 		return
 	}
-	r.cells = cellT.Grow(r.a, r.cells, n)
+	r.cells = arena.Grow(r.a, r.cells, n)
 }
 
 func (r *Registry) indexCell(name string, i int) {
@@ -179,7 +168,7 @@ func (r *Registry) AtomicCounter(name string) AtomicCounter {
 	if r == nil {
 		return AtomicCounter{}
 	}
-	v := wordT.New(r.a)
+	v := arena.New[uint64](r.a)
 	r.register(cell{name: name, kind: KindCounter, val: v, atomic: true})
 	return AtomicCounter{v: v}
 }
@@ -243,12 +232,12 @@ func (r *Registry) AtomicHistogram(name string, bounds ...uint64) Histogram {
 	first := len(r.cells)
 	h := Histogram{bounds: bounds, cells: make([]*uint64, len(bounds)+1)}
 	for i, b := range bounds {
-		h.cells[i] = wordT.New(r.a)
+		h.cells[i] = arena.New[uint64](r.a)
 		r.register(cell{name: fmt.Sprintf("%s/le_%d", name, b), kind: KindCounter, val: h.cells[i], atomic: true})
 	}
-	h.cells[len(bounds)] = wordT.New(r.a)
+	h.cells[len(bounds)] = arena.New[uint64](r.a)
 	r.register(cell{name: name + "/inf", kind: KindCounter, val: h.cells[len(bounds)], atomic: true})
-	h.sum = wordT.New(r.a)
+	h.sum = arena.New[uint64](r.a)
 	r.register(cell{name: name + "/sum", kind: KindCounter, val: h.sum, atomic: true})
 	r.hists = append(r.hists, histMeta{name: name, bounds: bounds, first: first})
 	return h
@@ -416,9 +405,9 @@ func (r *Registry) SetSink(s Sink) {
 		return
 	}
 	r.sink = s
-	r.last = wordT.Make(r.a, len(r.cells))
-	r.winNames = nameT.Make(r.a, len(r.cells))
-	r.winKinds = kindT.Make(r.a, len(r.cells))
+	r.last = arena.Make[uint64](r.a, len(r.cells))
+	r.winNames = arena.Make[string](r.a, len(r.cells))
+	r.winKinds = arena.Make[Kind](r.a, len(r.cells))
 	for i := range r.cells {
 		c := &r.cells[i]
 		if c.kind == KindCounter {
@@ -427,7 +416,7 @@ func (r *Registry) SetSink(s Sink) {
 		r.winNames[i] = c.name
 		r.winKinds[i] = c.kind
 	}
-	r.scratch = wordT.Make(r.a, len(r.cells))
+	r.scratch = arena.Make[uint64](r.a, len(r.cells))
 }
 
 // HasSink reports whether a sink is installed — the simulator's one-branch

@@ -16,7 +16,7 @@ type sampleFunc func() uint64
 func (f sampleFunc) Sample(int) uint64 { return f() }
 
 func TestCounterAndBind(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	c := r.AtomicCounter("a/ops")
 	var external uint64
 	r.Bind("b/ops", &external)
@@ -73,7 +73,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	r.AtomicCounter("dup")
 	r.AtomicCounter("dup")
 	r.CheckNames() // registration does not look; the index build does
@@ -82,7 +82,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 // TestDuplicateAfterIndexPanicsAtRegistration: once the index exists (a
 // Value call built it), a duplicate is caught as it is registered.
 func TestDuplicateAfterIndexPanicsAtRegistration(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	r.AtomicCounter("dup")
 	if _, ok := r.Value("dup"); !ok {
 		t.Fatal("Value did not find a registered cell")
@@ -106,7 +106,7 @@ func TestRegistrationAfterSinkPanics(t *testing.T) {
 			t.Fatal("registration after SetSink did not panic")
 		}
 	}()
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	r.AtomicCounter("a")
 	r.SetSink(sinkFunc(func(Window) {}))
 	r.AtomicCounter("b")
@@ -117,7 +117,7 @@ type sinkFunc func(Window)
 func (f sinkFunc) Emit(w Window) { f(w) }
 
 func TestGaugeSampledAtSnapshot(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	depth := uint64(0)
 	r.Gauges(sampleFunc(func() uint64 { return depth }), "q/depth")
 	depth = 9
@@ -137,7 +137,7 @@ func (q *queues) Sample(i int) uint64 { return [2]uint64{q.depth, q.inFlight}[i]
 // window close as a value, not a delta — what Gauge does with a closure
 // apiece — and registering them allocates nothing beyond the cell table.
 func TestGaugesSampleTheirComponent(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	q := &queues{}
 	c := r.AtomicCounter("q/pushed")
 	r.Gauges(q, "q/depth", "q/in_flight")
@@ -163,7 +163,7 @@ func TestGaugesSampleTheirComponent(t *testing.T) {
 		t.Fatalf("exposition of a Sampler's gauge (err %v):\n%s", err, prom.String())
 	}
 
-	r2 := NewRegistry()
+	r2 := NewRegistry(nil)
 	r2.Gauges(q, "warm/a", "warm/b") // the cell table reaches its size
 	if n := testing.AllocsPerRun(10, func() {
 		r2.cells = r2.cells[:0]
@@ -174,7 +174,7 @@ func TestGaugesSampleTheirComponent(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	h := r.AtomicHistogram("lat", 1, 8, 64)
 	for _, v := range []uint64{0, 1, 2, 8, 9, 64, 65, 1000} {
 		h.Observe(v)
@@ -193,11 +193,11 @@ func TestHistogramBadBoundsPanics(t *testing.T) {
 			t.Fatal("non-increasing bounds did not panic")
 		}
 	}()
-	NewRegistry().AtomicHistogram("bad", 4, 4)
+	NewRegistry(nil).AtomicHistogram("bad", 4, 4)
 }
 
 func TestSnapshotDiff(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	c := r.AtomicCounter("c")
 	g := uint64(1)
 	r.Gauges(sampleFunc(func() uint64 { return g }), "g")
@@ -219,7 +219,7 @@ func TestSnapshotDiff(t *testing.T) {
 }
 
 func TestWindowDeltasSumToTotal(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	c := r.AtomicCounter("events")
 	var wins []Window
 	var deltas []uint64
@@ -265,7 +265,7 @@ func TestJSONLWriterValidAndLabeled(t *testing.T) {
 	var buf bytes.Buffer
 	jw := NewJSONLWriter(&buf)
 
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	c := r.AtomicCounter("provider/preloads")
 	z := r.AtomicCounter("provider/zero") // zero delta: must be elided
 	depth := uint64(4)
@@ -339,7 +339,7 @@ func BenchmarkCounterDisabled(b *testing.B) {
 }
 
 func BenchmarkCounterEnabled(b *testing.B) {
-	c := NewRegistry().AtomicCounter("x")
+	c := NewRegistry(nil).AtomicCounter("x")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
@@ -353,7 +353,7 @@ func BenchmarkCounterEnabled(b *testing.B) {
 // word however the table grows after it, in an arena and on the heap.
 func TestOwnedCountersShareChunksAndStayPut(t *testing.T) {
 	for _, a := range []*arena.Arena{nil, new(arena.Arena)} {
-		r := NewRegistryIn(a)
+		r := NewRegistry(a)
 		first := r.AtomicCounter("c/first")
 		first.Add(3)
 		h := r.AtomicHistogram("h", 1, 2)
@@ -385,7 +385,7 @@ func TestOwnedCountersShareChunksAndStayPut(t *testing.T) {
 	a := new(arena.Arena)
 	perRegistry := testing.AllocsPerRun(20, func() {
 		a.Reset()
-		r := NewRegistryIn(a)
+		r := NewRegistry(a)
 		for _, n := range all {
 			r.AtomicCounter(n)
 		}
@@ -414,7 +414,7 @@ type shardStats struct {
 // same strings.
 func TestNamesRowsAreBuiltOnce(t *testing.T) {
 	f := FieldsOf[shardStats]("cm/s%d/", "stack_depth")
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	var st shardStats
 	extra := f.BindAt(r, 2, &st)
 	if got := r.Names(); len(got) != 2 || got[0] != "cm/s2/drains" || got[1] != "cm/s2/finishes" {
@@ -434,7 +434,7 @@ func TestNamesRowsAreBuiltOnce(t *testing.T) {
 	if fixed := FieldsOf[shardStats]("mem/").Bind(nil, &st); len(fixed) != 0 {
 		t.Fatalf("a nil registry's Bind returned %q", fixed)
 	}
-	r2 := NewRegistry()
+	r2 := NewRegistry(nil)
 	f.BindAt(r2, 2, &st) // the cell table reaches its size
 	if got := testing.AllocsPerRun(10, func() {
 		r2.cells = r2.cells[:0]

@@ -8,7 +8,7 @@ import (
 )
 
 func TestWritePrometheusFormat(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	c := r.AtomicCounter("serve/hits")
 	c.Add(7)
 	g := uint64(3)
@@ -52,7 +52,7 @@ func TestWritePrometheusNilRegistry(t *testing.T) {
 }
 
 func TestHistogramSumCell(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	h := r.AtomicHistogram("lat", 1, 8)
 	h.Observe(0)
 	h.Observe(9)
@@ -62,7 +62,7 @@ func TestHistogramSumCell(t *testing.T) {
 }
 
 func TestAtomicHistogramConcurrent(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	h := r.AtomicHistogram("load/latency_us", 10, 100)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -89,7 +89,7 @@ func TestAtomicHistogramConcurrent(t *testing.T) {
 }
 
 func TestAppendWindowMatchesJSONL(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(nil)
 	c := r.AtomicCounter("a")
 	var got Window
 	r.SetSink(sinkFunc(func(w Window) {

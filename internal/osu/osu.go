@@ -89,24 +89,17 @@ func (o *OSU) SetRecorder(r *events.Recorder, shard int) {
 // MaxLines is the most lines (Banks x LinesPerBank) one unit can index.
 const MaxLines = 1<<16 - 1
 
-var (
-	osuT   = arena.Of[OSU]()
-	lineT  = arena.Of[line]()
-	intT   = arena.Of[int]()
-	indexT = arena.Of[uint16]()
-)
-
 // New builds an OSU, allocated from a (nil: the heap).
 func New(a *arena.Arena, cfg Config) *OSU {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	o := osuT.New(a)
+	o := arena.New[OSU](a)
 	*o = OSU{
 		cfg:   cfg,
-		lines: lineT.Make(a, cfg.Banks*cfg.LinesPerBank),
-		count: intT.Make(a, cfg.Banks),
-		index: indexT.Make(a, (cfg.Warps+cfg.Shards-1)/cfg.Shards*cfg.NumRegs),
+		lines: arena.Make[line](a, cfg.Banks*cfg.LinesPerBank),
+		count: arena.Make[int](a, cfg.Banks),
+		index: arena.Make[uint16](a, (cfg.Warps+cfg.Shards-1)/cfg.Shards*cfg.NumRegs),
 	}
 	for i := range o.lines {
 		o.lines[i].reg = isa.NoReg // a free cell's tag

@@ -24,11 +24,9 @@ type Baseline struct {
 
 var _ sim.Provider = (*Baseline)(nil)
 
-var baselineT = arena.Of[Baseline]()
-
 // NewBaseline returns the baseline provider, allocated from a (nil: the
 // heap).
-func NewBaseline(a *arena.Arena) *Baseline { return baselineT.New(a) }
+func NewBaseline(a *arena.Arena) *Baseline { return arena.New[Baseline](a) }
 
 // Name implements sim.Provider.
 func (b *Baseline) Name() string { return "baseline" }

@@ -21,7 +21,7 @@ func testCfg() sim.Config {
 func runProvider(t *testing.T, k *isa.Kernel, cfgv sim.Config, p sim.Provider) *sim.Stats {
 	t.Helper()
 	mm := exec.NewMemory(nil)
-	smv, err := sim.New(cfgv, k, p, mm)
+	smv, err := sim.New(nil, cfgv, k, p, mm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestRFVVictimOrderPinned(t *testing.T) {
 		// far from the suite's configuration (every thread stores to one of
 		// four bucket words, last writer wins), which is no business of
 		// the queue.
-		smv, err := sim.New(cfgv, k, p, nil)
+		smv, err := sim.New(nil, cfgv, k, p, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,12 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-var (
-	rfhT  = arena.Of[RFH]()
-	regT  = arena.Of[isa.Reg]()
-	regsT = arena.Of[[]isa.Reg]()
-)
-
 // RFH models the compile-time managed register file hierarchy (Gebhart et
 // al. [11]): a last-result file (LRF) capturing immediate producer-to-
 // consumer forwarding, a small per-warp operand register file (ORF), and
@@ -39,7 +33,7 @@ var _ sim.Provider = (*RFH)(nil)
 // NewRFH builds the provider with the given per-warp ORF capacity,
 // allocated from a (nil: the heap).
 func NewRFH(a *arena.Arena, orfEntries int) *RFH {
-	h := rfhT.New(a)
+	h := arena.New[RFH](a)
 	h.ORFEntries = orfEntries
 	return h
 }
@@ -51,11 +45,11 @@ func (h *RFH) Name() string { return "rfh" }
 func (h *RFH) Attach(sm *sim.SM) error {
 	h.sm = sm
 	h.st = &sm.Prov
-	h.lastDst = regT.Make(sm.Arena(), len(sm.Warps))
+	h.lastDst = arena.Make[isa.Reg](sm.Arena(), len(sm.Warps))
 	for i := range h.lastDst {
 		h.lastDst[i] = isa.NoReg
 	}
-	h.orf = regsT.Make(sm.Arena(), len(sm.Warps))
+	h.orf = arena.Make[[]isa.Reg](sm.Arena(), len(sm.Warps))
 	return nil
 }
 
@@ -80,7 +74,7 @@ func (h *RFH) orfInsert(w int, r isa.Reg) {
 	lst := h.orf[w]
 	if len(lst) < h.ORFEntries {
 		if lst == nil {
-			lst = regT.Make(h.sm.Arena(), h.ORFEntries)[:0]
+			lst = arena.Make[isa.Reg](h.sm.Arena(), h.ORFEntries)[:0]
 		}
 		lst = append(lst, r)
 		copy(lst[1:], lst)

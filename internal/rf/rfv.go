@@ -61,16 +61,9 @@ type victimFIFO struct {
 	a       *arena.Arena // what the ring grows in (nil: the heap)
 }
 
-var (
-	rfvT   = arena.Of[RFV]()
-	entryT = arena.Of[rfvEntry]()
-	boolT  = arena.Of[bool]()
-	boolsT = arena.Of[[]bool]()
-)
-
 func (q *victimFIFO) push(e rfvEntry) {
 	if q.n == len(q.buf) {
-		grown := entryT.Make(q.a, max(2*len(q.buf), 256))
+		grown := arena.Make[rfvEntry](q.a, max(2*len(q.buf), 256))
 		k := copy(grown, q.buf[q.head:])
 		copy(grown[k:], q.buf[:q.head])
 		q.buf, q.head = grown, 0
@@ -90,7 +83,7 @@ func (q *victimFIFO) pop() rfvEntry {
 // assumes half the baseline register file), allocated from a (nil: the
 // heap).
 func NewRFV(a *arena.Arena, physRegs int) *RFV {
-	v := rfvT.New(a)
+	v := arena.New[RFV](a)
 	v.physRegs, v.SpillPenalty = physRegs, 40
 	return v
 }
@@ -109,8 +102,8 @@ func (v *RFV) Attach(sm *sim.SM) error {
 	_, v.lv = cfg.For(sm.K)
 	v.free = v.physRegs
 	v.fifo.a = a
-	v.mapped, v.spilled = boolsT.Make(a, warps), boolsT.Make(a, warps)
-	bits := boolT.Make(a, 2*warps*regs)
+	v.mapped, v.spilled = arena.Make[[]bool](a, warps), arena.Make[[]bool](a, warps)
+	bits := arena.Make[bool](a, 2*warps*regs)
 	for i := range v.mapped {
 		v.mapped[i], bits = bits[:regs:regs], bits[regs:]
 		v.spilled[i], bits = bits[:regs:regs], bits[regs:]

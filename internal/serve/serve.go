@@ -223,7 +223,7 @@ func New(cfg Config) (*Server, error) {
 const serveCells = 14 + 9 + 6*19
 
 func (s *Server) initMetrics() {
-	s.reg = metrics.NewRegistry()
+	s.reg = metrics.NewRegistry(nil)
 	s.reg.Reserve(serveCells)
 	s.cHTTPRequests = s.reg.AtomicCounter("serve/http_requests")
 	s.cHTTPErrors = s.reg.AtomicCounter("serve/http_errors")

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/bits"
 
+	"repro/internal/arena"
 	"repro/internal/events"
 )
 
@@ -180,8 +181,8 @@ func (sm *SM) replicateSkip(end uint64) {
 	recSched := sm.Rec.Enabled(events.MaskSched)
 	if recSched {
 		if sm.ffReason == nil {
-			sm.ffReason = reasonT.Make(sm.a, sm.Cfg.Schedulers)
-			sm.ffCulprit = intT.Make(sm.a, sm.Cfg.Schedulers)
+			sm.ffReason = arena.Make[events.StallReason](sm.a, sm.Cfg.Schedulers)
+			sm.ffCulprit = arena.Make[int](sm.a, sm.Cfg.Schedulers)
 		}
 		// The attribution is a pure function of the frozen state:
 		// compute it once (sm.cycle still on the stepped cycle) and

@@ -24,7 +24,7 @@ func TestFastForwardRunParity(t *testing.T) {
 	run := func(noFF bool) (*Stats, *SM) {
 		cfgv := testConfig()
 		cfgv.NoFastForward = noFF
-		sm, err := New(cfgv, k, &nullProvider{}, exec.NewMemory(nil))
+		sm, err := New(nil, cfgv, k, &nullProvider{}, exec.NewMemory(nil), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestFastForwardWatchdogParity(t *testing.T) {
 		cfgv := testConfig()
 		cfgv.WatchdogCycles = 500
 		cfgv.NoFastForward = noFF
-		sm, err := New(cfgv, k, &stuckIdleProvider{}, exec.NewMemory(nil))
+		sm, err := New(nil, cfgv, k, &stuckIdleProvider{}, exec.NewMemory(nil), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestFastForwardWatchdogParity(t *testing.T) {
 func TestFastForwardWatchdogQuietOnHealthyRun(t *testing.T) {
 	cfgv := testConfig()
 	cfgv.WatchdogCycles = 10_000
-	sm, err := New(cfgv, smallKernel(t), &nullProvider{}, exec.NewMemory(nil))
+	sm, err := New(nil, cfgv, smallKernel(t), &nullProvider{}, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFastForwardWatchdogQuietOnHealthyRun(t *testing.T) {
 // boundary check subsumes the per-cycle checks it replaces). The check
 // ledger must account for every cycle of the run.
 func TestFastForwardSanitizerAtSkipBoundaries(t *testing.T) {
-	sm, err := New(testConfig(), smallKernel(t), &nullProvider{}, exec.NewMemory(nil))
+	sm, err := New(nil, testConfig(), smallKernel(t), &nullProvider{}, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,17 +43,11 @@ func (op *memOp) MemDone(mem.Source) {
 	}
 }
 
-var (
-	lsuT      = arena.Of[lsu]()
-	memOpT    = arena.Of[memOp]()
-	memOpPtrT = arena.Of[*memOp]()
-)
-
 func newLSU(sm *SM, capacity int) *lsu {
-	l := lsuT.New(sm.a)
+	l := arena.New[lsu](sm.a)
 	// The pick refuses a global access while the queue is full, so it
 	// never outgrows its capacity.
-	*l = lsu{sm: sm, cap: capacity, queue: memOpPtrT.Make(sm.a, capacity)[:0]}
+	*l = lsu{sm: sm, cap: capacity, queue: arena.Make[*memOp](sm.a, capacity)[:0]}
 	return l
 }
 
@@ -64,7 +58,7 @@ func (l *lsu) empty() bool { return len(l.queue) == 0 }
 func (l *lsu) alloc() *memOp {
 	op := l.free
 	if op == nil {
-		op = memOpT.New(l.sm.a)
+		op = arena.New[memOp](l.sm.a)
 		op.l = l
 		return op
 	}

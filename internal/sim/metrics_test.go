@@ -16,7 +16,7 @@ import (
 func TestRegistryMirrorsStats(t *testing.T) {
 	k := smallKernel(t)
 	cfgv := testConfig()
-	sm, err := New(cfgv, k, &nullProvider{}, exec.NewMemory(nil))
+	sm, err := New(nil, cfgv, k, &nullProvider{}, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRegistryMirrorsStats(t *testing.T) {
 func TestSnapshotDiffAcrossRun(t *testing.T) {
 	k := smallKernel(t)
 	cfgv := testConfig()
-	sm, err := New(cfgv, k, &nullProvider{}, exec.NewMemory(nil))
+	sm, err := New(nil, cfgv, k, &nullProvider{}, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

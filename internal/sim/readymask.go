@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/arena"
 	"repro/internal/isa"
 )
 
@@ -52,7 +53,7 @@ func (sm *SM) initMasks() {
 	// One span cut in five: a pick reads all five masks of its group, and
 	// side by side they share cache lines instead of holding one each.
 	n := sm.Cfg.Schedulers * sm.grpWords
-	m := wordT.Make(sm.a, 5*n)
+	m := arena.Make[uint64](sm.a, 5*n)
 	cut := func(i int) []uint64 { return m[i*n : (i+1)*n : (i+1)*n] }
 	sm.mLive, sm.mSB, sm.mStall, sm.mGlobal, sm.mSFU = cut(0), cut(1), cut(2), cut(3), cut(4)
 }
@@ -61,9 +62,9 @@ func (sm *SM) initMasks() {
 // Attach. A register file is always issuable: every group shares one
 // all-ones slice.
 func (sm *SM) bindIssueMask() error {
-	sm.mProv = wordsT.Make(sm.a, sm.Cfg.Schedulers)
+	sm.mProv = arena.Make[[]uint64](sm.a, sm.Cfg.Schedulers)
 	if sm.stager == nil {
-		open := wordT.Make(sm.a, sm.grpWords)
+		open := arena.Make[uint64](sm.a, sm.grpWords)
 		for i := range open {
 			open[i] = ^uint64(0)
 		}

@@ -29,7 +29,7 @@ func TestGTOChargesBlockedCurrentTwice(t *testing.T) {
 	for _, noFF := range []bool{false, true} {
 		cfgv := testConfig()
 		cfgv.Warps, cfgv.Schedulers, cfgv.NoFastForward = 1, 1, noFF
-		sm, err := New(cfgv, b.MustKernel(), &nullProvider{}, exec.NewMemory(nil))
+		sm, err := New(nil, cfgv, b.MustKernel(), &nullProvider{}, exec.NewMemory(nil), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestSanitizerCatchesMaskDrift(t *testing.T) {
 			func(sm *SM, w *Warp) { sm.mProv[w.Group][0] ^= w.mbit }, "cm/g1", "warp 1 active bit"},
 	}
 	for _, d := range drifts {
-		sm, err := New(testConfig(), smallKernel(t), d.provider(), exec.NewMemory(nil))
+		sm, err := New(nil, testConfig(), smallKernel(t), d.provider(), exec.NewMemory(nil), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestSanitizerCatchesMaskDrift(t *testing.T) {
 			t.Errorf("%s: got %s: %q, want %s naming %q", d.name, got.Component, got.Violation, d.comp, d.naming)
 		}
 	}
-	sm, err := New(testConfig(), smallKernel(t), &nullProvider{}, exec.NewMemory(nil))
+	sm, err := New(nil, testConfig(), smallKernel(t), &nullProvider{}, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSanitizerCatchesMaskDrift(t *testing.T) {
 // front of the queue, or submit's append regrows it for the whole run.
 func TestLSUQueueKeepsItsCapacity(t *testing.T) {
 	cfgv := testConfig()
-	sm, err := New(cfgv, smallKernel(t), &nullProvider{}, exec.NewMemory(nil))
+	sm, err := New(nil, cfgv, smallKernel(t), &nullProvider{}, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

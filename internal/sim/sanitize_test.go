@@ -50,7 +50,7 @@ func asDiagnostic(t *testing.T, err error) *sanitizer.Diagnostic {
 func TestWatchdogFiresOnLivelock(t *testing.T) {
 	cfgv := testConfig()
 	cfgv.WatchdogCycles = 500
-	sm, err := New(cfgv, smallKernel(t), &stuckProvider{}, exec.NewMemory(nil))
+	sm, err := New(nil, cfgv, smallKernel(t), &stuckProvider{}, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestWatchdogFiresOnLivelock(t *testing.T) {
 func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	cfgv := testConfig()
 	cfgv.WatchdogCycles = 10_000
-	sm, err := New(cfgv, smallKernel(t), &nullProvider{}, exec.NewMemory(nil))
+	sm, err := New(nil, cfgv, smallKernel(t), &nullProvider{}, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestMaxCyclesProducesDiagnostic(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		sms := make([]*SM, n)
 		for i := range sms {
-			sm, err := New(cfgv, smallKernel(t), &stuckProvider{}, exec.NewMemory(nil))
+			sm, err := New(nil, cfgv, smallKernel(t), &stuckProvider{}, exec.NewMemory(nil), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestMaxCyclesProducesDiagnostic(t *testing.T) {
 // run as a completed diagnostic bundle.
 func TestReportFaultSurfacesAtEndOfCycle(t *testing.T) {
 	p := &faultingProvider{}
-	sm, err := New(testConfig(), smallKernel(t), p, exec.NewMemory(nil))
+	sm, err := New(nil, testConfig(), smallKernel(t), p, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestReportFaultSurfacesAtEndOfCycle(t *testing.T) {
 // TestSanitizerSweepCatchesScoreboardCorruption: the SM's own registered
 // invariant (scoreboard totals) turns state corruption into a diagnostic.
 func TestSanitizerSweepCatchesScoreboardCorruption(t *testing.T) {
-	sm, err := New(testConfig(), smallKernel(t), &nullProvider{}, exec.NewMemory(nil))
+	sm, err := New(nil, testConfig(), smallKernel(t), &nullProvider{}, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSanitizedRunMatchesPlainRun(t *testing.T) {
 	k := smallKernel(t)
 	plain, _ := runSim(t, k, testConfig())
 
-	sm, err := New(testConfig(), k, &nullProvider{}, exec.NewMemory(nil))
+	sm, err := New(nil, testConfig(), k, &nullProvider{}, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

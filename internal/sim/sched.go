@@ -2,11 +2,6 @@ package sim
 
 import "repro/internal/arena"
 
-var (
-	gtoT      = arena.Of[gto]()
-	twoLevelT = arena.Of[twoLevel]()
-)
-
 // scheduler picks the warp a scheduler group issues from each cycle.
 // candidates exposes the warps pick actually considered this cycle so
 // stall attribution classifies the same set (the two-level scheduler
@@ -38,8 +33,8 @@ type gto struct {
 }
 
 func newGTO(a *arena.Arena, groups [][]*Warp) *gto {
-	s := gtoT.New(a)
-	s.current, s.groups = warpPtrT.Make(a, len(groups)), groups
+	s := arena.New[gto](a)
+	s.current, s.groups = arena.Make[*Warp](a, len(groups)), groups
 	return s
 }
 
@@ -73,15 +68,15 @@ type twoLevel struct {
 }
 
 func newTwoLevel(a *arena.Arena, groups [][]*Warp, size int) *twoLevel {
-	s := twoLevelT.New(a)
+	s := arena.New[twoLevel](a)
 	s.size = size
-	s.active, s.pending = groupT.Make(a, len(groups)), groupT.Make(a, len(groups))
+	s.active, s.pending = arena.Make[[]*Warp](a, len(groups)), arena.Make[[]*Warp](a, len(groups))
 	for i, g := range groups {
 		n := min(size, len(g))
 		// Room for the most either can hold: the active set is capped at
 		// size, and with it empty every warp of the group is pending.
-		s.active[i] = append(warpPtrT.Make(a, size)[:0], g[:n]...)
-		s.pending[i] = append(warpPtrT.Make(a, len(g))[:0], g[n:]...)
+		s.active[i] = append(arena.Make[*Warp](a, size)[:0], g[:n]...)
+		s.pending[i] = append(arena.Make[*Warp](a, len(g))[:0], g[n:]...)
 	}
 	return s
 }

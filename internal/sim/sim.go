@@ -304,26 +304,6 @@ type SM struct {
 	nextWindow uint64
 }
 
-// The element types an SM is made of (package arena).
-var (
-	smT         = arena.Of[SM]()
-	warpT       = arena.Of[Warp]()
-	warpPtrT    = arena.Of[*Warp]()
-	groupT      = arena.Of[[]*Warp]()
-	wordT       = arena.Of[uint64]()
-	wordsT      = arena.Of[[]uint64]()
-	u32T        = arena.Of[uint32]()
-	i32T        = arena.Of[int32]()
-	intT        = arena.Of[int]()
-	byteT       = arena.Of[uint8]()
-	boolT       = arena.Of[bool]()
-	classT      = arena.Of[isa.Class]()
-	insnT       = arena.Of[*isa.Instruction]()
-	groupStatsT = arena.Of[groupStats]()
-	reasonT     = arena.Of[events.StallReason]()
-	statsT      = arena.Of[Stats]()
-)
-
 // The cells of the SM's statistics structs (their tagged fields).
 var (
 	statCells  = metrics.FieldsOf[Stats]("sim/", "lsu_queue_depth")
@@ -331,25 +311,15 @@ var (
 	provCells  = metrics.FieldsOf[ProviderStats]("provider/")
 )
 
-// New builds an SM running kernel k under the given provider. The memory
-// image mm may be nil for the default deterministic contents.
-func New(cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory) (*SM, error) {
-	return NewWithHierarchy(cfgv, k, p, mm, nil)
-}
-
-// NewWithHierarchy is New with an injected memory hierarchy (multi-SM
-// simulation attaches per-SM hierarchies to a shared L2). A nil hierarchy
-// builds a private one from cfgv.Mem.
-func NewWithHierarchy(cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, hier *mem.Hierarchy) (*SM, error) {
-	return NewWithHierarchyIn(nil, cfgv, k, p, mm, hier)
-}
-
-// NewWithHierarchyIn is NewWithHierarchy with the SM and everything it
-// builds — warps, scoreboards, masks, calendar, registry, a default
-// memory or hierarchy, and what the provider attaches (Arena) —
-// allocated from a. It is for a caller that puts the arena back once the
-// run's results are read out (experiments.runPoint); nil is the heap.
-func NewWithHierarchyIn(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, hier *mem.Hierarchy) (*SM, error) {
+// New builds an SM running kernel k under the given provider, with the
+// SM and everything it builds — warps, scoreboards, masks, calendar,
+// registry, a default memory or hierarchy, and what the provider attaches
+// (Arena) — allocated from a (nil: the heap). A caller that passes an
+// arena puts it back once the run's results are read out
+// (experiments.runPoint). A nil memory image mm has the default
+// deterministic contents; a nil hierarchy is a private one built from
+// cfgv.Mem (a chip attaches each SM's to a shared L2).
+func New(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory, hier *mem.Hierarchy) (*SM, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
@@ -372,17 +342,17 @@ func NewWithHierarchyIn(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, 
 		hier = mem.NewIn(a, cfgv.Mem)
 	}
 	g, _ := cfg.For(k)
-	sm := smT.New(a)
+	sm := arena.New[SM](a)
 	*sm = SM{
 		Cfg:          cfgv,
 		K:            k,
 		G:            g,
 		Mem:          hier,
 		Provider:     p,
-		Metrics:      metrics.NewRegistryIn(a),
+		Metrics:      metrics.NewRegistry(a),
 		a:            a,
-		sfuNextIssue: wordT.Make(a, cfgv.Schedulers),
-		wheel:        calendar.New(a, wheelCellT, maxLat),
+		sfuNextIssue: arena.Make[uint64](a, cfgv.Schedulers),
+		wheel:        calendar.New[wheelEntry](a, maxLat),
 		nextWindow:   noWake,
 	}
 	if cfgv.WindowSize > 0 {
@@ -392,28 +362,28 @@ func NewWithHierarchyIn(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, 
 	if sm.maskWords < 1 {
 		sm.maskWords = 1
 	}
-	sm.wFlags = byteT.Make(a, cfgv.Warps)
-	sm.wStallUntil = wordT.Make(a, cfgv.Warps)
-	sm.wClass = classT.Make(a, cfgv.Warps)
-	sm.wInsn = insnT.Make(a, cfgv.Warps)
-	sm.wPending = wordT.Make(a, cfgv.Warps*sm.maskWords)
-	sm.wNeed = wordT.Make(a, cfgv.Warps*sm.maskWords)
-	sm.windowMask = wordT.Make(a, cfgv.Warps*sm.maskWords)
-	sm.scanSB = u32T.Make(a, cfgv.Schedulers)
-	sm.scanProv = u32T.Make(a, cfgv.Schedulers)
+	sm.wFlags = arena.Make[uint8](a, cfgv.Warps)
+	sm.wStallUntil = arena.Make[uint64](a, cfgv.Warps)
+	sm.wClass = arena.Make[isa.Class](a, cfgv.Warps)
+	sm.wInsn = arena.Make[*isa.Instruction](a, cfgv.Warps)
+	sm.wPending = arena.Make[uint64](a, cfgv.Warps*sm.maskWords)
+	sm.wNeed = arena.Make[uint64](a, cfgv.Warps*sm.maskWords)
+	sm.windowMask = arena.Make[uint64](a, cfgv.Warps*sm.maskWords)
+	sm.scanSB = arena.Make[uint32](a, cfgv.Schedulers)
+	sm.scanProv = arena.Make[uint32](a, cfgv.Schedulers)
 	numCTAs := (cfgv.Warps + k.WarpsPerCTA - 1) / k.WarpsPerCTA
-	sm.ctaAt = i32T.Make(a, numCTAs)
-	sm.ctaLive = i32T.Make(a, numCTAs)
-	sm.ctaDirtyFlg = boolT.Make(a, numCTAs)
-	sm.ctaDirty = i32T.Make(a, numCTAs)[:0]
+	sm.ctaAt = arena.Make[int32](a, numCTAs)
+	sm.ctaLive = arena.Make[int32](a, numCTAs)
+	sm.ctaDirtyFlg = arena.Make[bool](a, numCTAs)
+	sm.ctaDirty = arena.Make[int32](a, numCTAs)[:0]
 	sm.registerMetrics()
 	sm.initMasks()
 	regs := exec.NewRegFile(a, cfgv.Warps, k.NumRegs)
-	warps := warpT.Make(a, cfgv.Warps)
-	sm.Warps = warpPtrT.Make(a, cfgv.Warps)
-	sm.groups = groupT.Make(a, cfgv.Schedulers)
+	warps := arena.Make[Warp](a, cfgv.Warps)
+	sm.Warps = arena.Make[*Warp](a, cfgv.Warps)
+	sm.groups = arena.Make[[]*Warp](a, cfgv.Schedulers)
 	for i := range sm.groups {
-		sm.groups[i] = warpPtrT.Make(a, cfgv.Warps/cfgv.Schedulers)[:0]
+		sm.groups[i] = arena.Make[*Warp](a, cfgv.Warps/cfgv.Schedulers)[:0]
 	}
 	for i := 0; i < cfgv.Warps; i++ {
 		gid := cfgv.WarpIDBase + i
@@ -459,7 +429,7 @@ func NewWithHierarchyIn(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, 
 func (sm *SM) registerMetrics() {
 	r := sm.Metrics
 	r.Gauges((*lsuDepth)(sm), statCells.Bind(r, &sm.Stats)...)
-	sm.grp = groupStatsT.Make(sm.a, sm.Cfg.Schedulers)
+	sm.grp = arena.Make[groupStats](sm.a, sm.Cfg.Schedulers)
 	for g := range sm.grp {
 		groupCells.BindAt(r, g, &sm.grp[g])
 	}
@@ -518,10 +488,10 @@ func (sm *SM) Done() bool {
 func (sm *SM) Finalize() *Stats {
 	sm.finishWindows()
 	sm.Stats.Cycles = sm.cycle
-	st := statsT.New(sm.a)
+	st := arena.New[Stats](sm.a)
 	*st = sm.Stats
 	series := sm.Stats.BackingSeries
-	st.BackingSeries = append(wordT.Grow(sm.a, nil, len(series)), series...)
+	st.BackingSeries = append(arena.Grow[uint64](sm.a, nil, len(series)), series...)
 	return st
 }
 
@@ -723,7 +693,7 @@ func (sm *SM) closeWindow() {
 		sm.windowDistinct = 0
 	}
 	cur := sm.Prov.BackingAccesses
-	sm.Stats.BackingSeries = append(wordT.Grow(sm.a, sm.Stats.BackingSeries, 1), cur-sm.lastBackingCt)
+	sm.Stats.BackingSeries = append(arena.Grow(sm.a, sm.Stats.BackingSeries, 1), cur-sm.lastBackingCt)
 	sm.lastBackingCt = cur
 	if sm.Metrics.HasSink() {
 		sm.Metrics.CloseWindow(sm.cycle)

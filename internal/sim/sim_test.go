@@ -56,7 +56,7 @@ func smallKernel(t *testing.T) *isa.Kernel {
 func runSim(t *testing.T, k *isa.Kernel, cfgv Config) (*Stats, *exec.Memory) {
 	t.Helper()
 	mm := exec.NewMemory(nil)
-	sm, err := New(cfgv, k, &nullProvider{}, mm)
+	sm, err := New(nil, cfgv, k, &nullProvider{}, mm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestMaxCyclesGuard(t *testing.T) {
 	cfgv := testConfig()
 	cfgv.MaxCycles = 10
 	mm := exec.NewMemory(nil)
-	sm, err := New(cfgv, smallKernel(t), &nullProvider{}, mm)
+	sm, err := New(nil, cfgv, smallKernel(t), &nullProvider{}, mm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"repro/internal/arena"
-	"repro/internal/calendar"
 	"repro/internal/isa"
 )
 
@@ -28,5 +26,3 @@ type wheelEntry struct {
 type Timer interface {
 	Fire()
 }
-
-var wheelCellT = arena.Of[calendar.Cell[wheelEntry]]()

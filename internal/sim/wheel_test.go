@@ -49,7 +49,7 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 	delays := []uint64{1, 3, 6, 6, 6, 24, 26}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		w := calendar.New(nil, wheelCellT, 26)
+		w := calendar.New[wheelEntry](nil, 26)
 		ring := uint64(64) // the delays the ring holds: 26 fits the smallest
 		var ref refHeap
 		var now, seq uint64
@@ -136,7 +136,7 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 // list, so a wheel that has reached its working size pushes and pops
 // without allocating.
 func TestWheelSteadyStateAllocatesNothing(t *testing.T) {
-	w := calendar.New(nil, wheelCellT, 26)
+	w := calendar.New[wheelEntry](nil, 26)
 	now := uint64(0)
 	round := func() {
 		for i := 0; i < 200; i++ {
@@ -181,7 +181,7 @@ func (p *afterProvider) Fire() { p.ran = true }
 func TestAfterRejectsNonPositiveDelay(t *testing.T) {
 	for _, delay := range []int{0, -3} {
 		p := &afterProvider{delay: delay}
-		sm, err := New(testConfig(), smallKernel(t), p, exec.NewMemory(nil))
+		sm, err := New(nil, testConfig(), smallKernel(t), p, exec.NewMemory(nil), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestAfterRejectsNonPositiveDelay(t *testing.T) {
 		}
 	}
 	p := &afterProvider{delay: 1}
-	sm, err := New(testConfig(), smallKernel(t), p, exec.NewMemory(nil))
+	sm, err := New(nil, testConfig(), smallKernel(t), p, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

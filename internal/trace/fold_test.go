@@ -46,7 +46,7 @@ func bareSM(t *testing.T, scheme experiments.Scheme) *sim.SM {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smv, err := sim.New(cfg, k, p, nil)
+	smv, err := sim.New(nil, cfg, k, p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

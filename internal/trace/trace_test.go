@@ -48,7 +48,7 @@ func traceRun(t *testing.T, regless bool) traced {
 	} else {
 		p = rf.NewBaseline(nil)
 	}
-	smv, err := sim.New(cfg, k, p, exec.NewMemory(nil))
+	smv, err := sim.New(nil, cfg, k, p, exec.NewMemory(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,12 @@ test -z "$(grep -rn 'cfg\.New(\|cfg\.ComputeLiveness(' --include=*.go cmd intern
 # code that calls an SM constructor, experiments.Assemble the only place
 # options meet the default configuration (Table 1 prints it) and the only
 # one that attaches the sanitizer or the injector to an SM.
-test -z "$(grep -rn 'sim\.New(\|sim\.NewWithHierarchy(\|sim\.NewWithHierarchyIn(' --include=*.go cmd internal regless.go |
+test -z "$(grep -rn 'sim\.New(' --include=*.go cmd internal regless.go |
 	grep -v _test.go | grep -v '^internal/gpu/')"
+# Arena memory is asked for by element type (arena.Make/New/Grow), with
+# no per-package handles, and an SM or a registry has one constructor,
+# arena first (nil: the heap).
+test -z "$(grep -rn 'arena\.Of\[\|arena\.Type\[\|NewWithHierarchy\|NewRegistryIn' --include=*.go cmd internal regless.go scripts)"
 test -z "$(grep -rn 'sim\.DefaultConfig()\|gpu\.DefaultConfig()' --include=*.go cmd internal/experiments |
 	grep -v _test.go | grep -v '^internal/experiments/chip.go:\|^internal/experiments/figures.go:')"
 test "$(grep -rn 'AttachSanitizer(\|AttachFaults(' --include=*.go cmd internal regless.go |
