@@ -15,6 +15,9 @@ type localLife struct {
 	input       bool // live into the region and touched by it
 	defined     bool // written in the region
 	hardRedef   bool // a non-soft write in the region kills the old value
+	// written: the last touch in the region is the register's own write,
+	// so its line is held until the writeback lands, past until.
+	written bool
 }
 
 // localLives computes the presence windows for every register touched in
@@ -42,6 +45,7 @@ func (c *Compiled) localLives(block, start, end int) ([]localLife, *bitvec.Set) 
 		if gi > l.until {
 			l.until = gi
 		}
+		l.written = def
 		if def {
 			l.defined = true
 			if hard {
@@ -62,8 +66,11 @@ func (c *Compiled) localLives(block, start, end int) ([]localLife, *bitvec.Set) 
 	return lives, liveIn
 }
 
-// localPressure returns the maximum concurrent presence (total and per
-// bank) over the range — the region's OSU reservation.
+// localPressure returns the maximum concurrent live registers (total)
+// and OSU lines held (per bank) over the range; the per-bank figure is
+// the region's reservation. A register whose last touch is its own write
+// holds its line to the region's end: the warp drains its writebacks
+// before the region is left, so that bound is sound.
 func (c *Compiled) localPressure(block, start, end int) (int, [isa.NumBanks]int) {
 	lives, _ := c.localLives(block, start, end)
 	startGI := c.G.GlobalIndex(isa.PC{Block: block, Index: start})
@@ -75,8 +82,13 @@ func (c *Compiled) localPressure(block, start, end int) (int, [isa.NumBanks]int)
 		var bank [isa.NumBanks]int
 		for j := range lives {
 			l := &lives[j]
-			if l.from <= gi && gi <= l.until {
+			if l.from > gi {
+				continue
+			}
+			if gi <= l.until {
 				n++
+			}
+			if gi <= l.until || l.written {
 				bank[int(l.reg)%isa.NumBanks]++
 			}
 		}

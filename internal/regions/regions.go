@@ -70,11 +70,13 @@ type Region struct {
 	// are never transferred to or from memory.
 	Interior []isa.Reg
 
-	// MaxLive is the region's OSU reservation: the maximum number of
-	// concurrently-present registers (Figure 19's "mean live").
+	// MaxLive is the maximum number of concurrently live registers, a
+	// liveness statistic (Figure 19's "mean live"); it reserves nothing.
 	MaxLive int
-	// BankUsage[b] is the maximum concurrent registers in bank b
-	// assuming warp 0; the hardware rotates by warp ID.
+	// BankUsage[b] is the region's OSU reservation in bank b: the maximum
+	// number of lines it holds there at once, a written register's line
+	// until the region ends, assuming warp 0; the hardware rotates by
+	// warp ID.
 	BankUsage [isa.NumBanks]int
 
 	// Preloads list the input fetches (Figure 19's "preloads").

@@ -27,20 +27,15 @@ import (
 // sits over it (the register-pressure shapes of RegDem, arXiv
 // 1907.02894).
 //
-// Well-formed means three things. Barriers sit only in convergent code,
-// so every warp of a CTA reaches each one. The result is independent of
-// timing — every store goes to a slot only its own thread writes, global
-// loads read addresses nobody stores to, a shared slot is read by a
-// neighbour only between two barriers — so it must match the functional
-// reference under every scheme. And code is emitted in dependency
-// chains: the instruction after one that writes a register reads that
-// register, or writes nothing for the rest of the block (take/end
-// below). The region compiler counts a line whose last touch in a region
-// is its own write as free from the next instruction on, while the OSU
-// holds it until the writeback; a region that goes on to define another
-// register in the same bank then holds a line more than it reserved —
-// the first finding of this generator, recorded in ROADMAP.md. Chains
-// are the shape that cannot do that, wherever regions are cut.
+// Well-formed means two things. Barriers sit only in convergent code,
+// so every warp of a CTA reaches each one. And the result is independent
+// of timing — every store goes to a slot only its own thread writes,
+// global loads read addresses nobody stores to, a shared slot is read by
+// a neighbour only between two barriers — so it must match the
+// functional reference under every scheme. Code is emitted in dependency
+// chains (take/end below), and half of them end in a write nothing reads
+// next: the OSU holds that line until the writeback lands, which the
+// region's bank reservation must cover.
 type kernelGen struct {
 	b    *isa.Builder
 	rng  *rand.Rand
@@ -64,12 +59,13 @@ func (g *kernelGen) take() isa.Reg {
 	return g.pick()
 }
 
-// end closes a chain: a pending write is read by a store to one of this
-// thread's slots.
+// end closes a chain: half the time a pending write is read by a store
+// to one of this thread's slots, otherwise it is left unread.
 func (g *kernelGen) end() {
-	if g.cur.Valid() {
+	if g.cur.Valid() && g.rng.Intn(2) == 1 {
 		g.b.Stg(g.slot, g.take(), 0x0200_0000+uint32(g.rng.Intn(64))*0x10000)
 	}
+	g.cur = isa.NoReg
 }
 
 // put folds the chain into a long-lived value, redefining it in place as
@@ -234,13 +230,14 @@ func genKernel(seed int64) (*isa.Kernel, error) {
 // TestGeneratedKernelDifferential holds the maintained state — ready
 // masks, class masks, the provider's issue mask, the timing calendar,
 // the tag index, the activation memo — to three references over
-// generated kernels, at the five points that differ in how picks are
-// made and gated: for each seed and scheme, the mask pick must equal the
-// linear oracle pick for pick (with Stats, ProviderStats and mem.Stats),
-// a run with fast-forward off must equal the run with it on, a run under
-// the sanitizer must stay silent and equal too, and the stored words
-// must be the functional reference's. A failure prints the seed and the
-// kernel as assembly, which internal/asm (and `kernelinfo`) read back.
+// generated kernels, at the seven points that differ in how picks are
+// made and gated (RegLess at four capacities): for each seed and scheme,
+// the mask pick must equal the linear oracle pick for pick (with Stats,
+// ProviderStats and mem.Stats), a run with fast-forward off must equal
+// the run with it on, a run under the sanitizer must stay silent and
+// equal too, and the stored words must be the functional reference's. A
+// failure prints the seed and the kernel as assembly, which internal/asm
+// (and `kernelinfo`) read back.
 //
 // A fourth relation rides along: recycled ≡ fresh. Each point's first
 // run is built in the arena the previous point — another scheme, or the
@@ -262,6 +259,8 @@ func TestGeneratedKernelDifferential(t *testing.T) {
 		{experiments.SchemeBaseline2L, experiments.DefaultCapacity},
 		{experiments.SchemeRFH, experiments.DefaultCapacity},
 		{experiments.SchemeRegLess, 128},
+		{experiments.SchemeRegLess, 192},
+		{experiments.SchemeRegLess, 256},
 		{experiments.SchemeRegLess, 512},
 	}
 	under, over := 0, 0
