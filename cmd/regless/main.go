@@ -173,7 +173,11 @@ type cli struct {
 
 func newCLI(fs *flag.FlagSet) *cli {
 	c := &cli{machine: machineFlags(fs)}
-	fs.StringVar(&c.experiment, "experiment", "", "experiment id (table1, fig2..fig19, table2, ablation, gpuscale, coresident, oversub, or 'all')")
+	var ids []string
+	for _, e := range experiments.Experiments() {
+		ids = append(ids, e.ID)
+	}
+	fs.StringVar(&c.experiment, "experiment", "", "experiment id ("+strings.Join(ids, ", ")+", or 'all')")
 	fs.StringVar(&c.bench, "bench", "", "run one benchmark (with -scheme)")
 	fs.StringVar(&c.app, "app", "", "run a multi-kernel application (backprop_app, bfs_app, srad_app)")
 	fs.StringVar(&c.scheme, "scheme", "regless", fmt.Sprintf("scheme for -bench and -app, one of %v", experiments.Schemes()))

@@ -6,40 +6,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/experiments"
 )
 
-// TestParallelOutputIdentical is the -parallel seed-stability smoke test:
-// the full experiment suite rendered with a serial planner must be
-// byte-identical to the same suite rendered with a parallel planner.
-func TestParallelOutputIdentical(t *testing.T) {
-	render := func(par int) string {
-		opts := experiments.Quick()
-		opts.Parallelism = par
-		s := experiments.NewSuite(opts)
-		tables, err := experiments.All(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		for _, tb := range tables {
-			b.WriteString(tb.Render())
-			b.WriteByte('\n')
-		}
-		return b.String()
-	}
-	serial := render(1)
-	parallel := render(8)
-	if serial != parallel {
-		t.Fatalf("-parallel 1 and -parallel 8 disagree:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
-	}
-}
-
 // TestExtensionGoldens is the one table of what the command line prints,
-// byte for byte: a row holds an invocation's stdout either to a golden
-// file (scripts/golden/) or to a second invocation's stdout.
+// byte for byte: a row holds an invocation's stdout to a golden file
+// (scripts/golden/), to a second invocation's stdout, or — for the
+// -markdown invocations EXPERIMENTS.md reports — to that document, in
+// which each of its table blocks must appear verbatim.
 //
 // The goldens pin what experiments.All at Quick scale (hence
 // TestSuiteGolden) leaves out, each captured from the binary before the
@@ -47,7 +20,7 @@ func TestParallelOutputIdentical(t *testing.T) {
 // the four extension tables and an application run (the ablation table at
 // 16 warps: at 8 every variant reads 1.000); `-experiment all` itself,
 // every paper table at 16 warps, in which the planner may not show at any
-// width; Figure 14 on a 4-SM chip (lockstep determinism and the banked-L2
+// width (serial and parallel planners both); Figure 14 on a 4-SM chip (lockstep determinism and the banked-L2
 // path); the timeline as the tracer that stepped the SM itself printed it;
 // and the metrics_*.jsonl window streams on stdout — cell names, their
 // order, window boundaries and values.
@@ -66,9 +39,18 @@ func TestExtensionGoldens(t *testing.T) {
 	}
 	srad, cores := []string{"-app", "srad_app", "-warps", "8"}, []string{"-experiment", "coresident", "-warps", "8"}
 	with := func(args []string, flag string) []string { return append(args[:len(args):len(args)], flag) }
+	doc := func(experiment string, extra ...string) []string {
+		return append([]string{"-experiment", experiment, "-markdown"}, extra...)
+	}
+	subset := []string{"-benchmarks", "bfs,dwt2d,hotspot,hybridsort,lud,streamcluster"}
+	experimentsMD, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		golden string   // a file under scripts/golden, or
-		same   []string // the invocation that must print the same
+		same   []string // the invocation that must print the same, or
+		inDoc  bool     // every table block must appear in EXPERIMENTS.md
 		args   []string
 	}{
 		{golden: "ablation_warps16.txt", args: []string{"-experiment", "ablation", "-warps", "16"}},
@@ -92,7 +74,28 @@ func TestExtensionGoldens(t *testing.T) {
 		{same: nw("regless"), args: nw("regless", "-sanitize")},
 		{same: cores, args: with(cores, "-sanitize")},
 		{same: srad, args: with(srad, "-sanitize")},
+
+		{inDoc: true, args: doc("all")},
+		{inDoc: true, args: doc("claims")},
+		{inDoc: true, args: doc("gpuscale")},
+		{inDoc: true, args: doc("coresident")},
+		{inDoc: true, args: doc("oversub")},
+		{inDoc: true, args: doc("ablation", subset...)},
+		{inDoc: true, args: doc("breakdown", subset...)},
+		{inDoc: true, args: doc("sensitivity", subset...)},
 	} {
+		if c.inDoc {
+			stdout, stderr, code := runMain(t, c.args...)
+			if code != 0 {
+				t.Errorf("%v: exit %d\n%s", c.args, code, stderr)
+			}
+			for _, block := range strings.Split(stdout, "### ")[1:] {
+				if block = "### " + strings.TrimRight(block, "\n") + "\n"; !strings.Contains(string(experimentsMD), block) {
+					t.Errorf("%v: EXPERIMENTS.md lacks this block:\n%s", c.args, block)
+				}
+			}
+			continue
+		}
 		var want, what string
 		if c.golden != "" {
 			raw, err := os.ReadFile(filepath.Join("..", "..", "scripts", "golden", c.golden))

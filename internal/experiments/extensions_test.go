@@ -1,9 +1,15 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// fmtSscan parses a table cell's leading float.
+func fmtSscan(s string, f *float64) (int, error) {
+	return fmt.Sscanf(s, "%f", f)
+}
 
 func extSuite() *Suite {
 	s := NewSuite(Options{

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/energy"
@@ -50,15 +51,11 @@ func Fig2(in *inputs) (*Table, error) {
 		Title:  "Average register working set per 100-cycle window (KB)",
 		Header: []string{"Benchmark", "GTO", "2-Level"},
 	}
-	var sumG, sum2 float64
+	gto, two := in.column(0, workingSet), in.column(1, workingSet)
 	for i, bench := range in.Benchmarks {
-		gto, two := in.Runs[i][0], in.Runs[i][1]
-		t.AddRow(bench, f1(gto.Stats.WorkingSetKB), f1(two.Stats.WorkingSetKB))
-		sumG += gto.Stats.WorkingSetKB
-		sum2 += two.Stats.WorkingSetKB
+		t.AddRow(bench, f1(gto[i]), f1(two[i]))
 	}
-	n := float64(len(in.Benchmarks))
-	t.AddRow("MEAN", f1(sumG/n), f1(sum2/n))
+	t.AddRow("MEAN", f1(mean(gto)), f1(mean(two)))
 	t.Note("paper: both schedulers touch ≤10%% of the 256KB/SM file per window; 2-level below GTO")
 	return t, nil
 }
@@ -95,18 +92,7 @@ func Fig3(in *inputs) (*Table, error) {
 		t.AddRow(fmt.Sprintf("%d", i), get(base.Stats.BackingSeries, i),
 			get(rfh.Stats.BackingSeries, i), get(rgl.Stats.BackingSeries, i))
 	}
-	avg := func(sr []uint64) float64 {
-		if len(sr) == 0 {
-			return 0
-		}
-		var s uint64
-		for _, x := range sr {
-			s += x
-		}
-		return float64(s) / float64(len(sr))
-	}
-	t.AddRow("AVG(all)", f1(avg(base.Stats.BackingSeries)), f1(avg(rfh.Stats.BackingSeries)),
-		f1(avg(rgl.Stats.BackingSeries)))
+	t.AddRow("AVG(all)", f1(backingPerWindow(base)), f1(backingPerWindow(rfh)), f1(backingPerWindow(rgl)))
 	t.Note("paper: baseline ~600, RFH well below, RegLess near zero")
 	return t, nil
 }
@@ -201,20 +187,9 @@ func Fig13(in *inputs) (*Table, error) {
 		Header: []string{"Capacity", "Run time (geomean)", "GPU energy (geomean)", "Worst-case run time"},
 	}
 	for j, cap := range fig13Capacities {
-		var times, energies []float64
-		worst := 0.0
-		for _, row := range in.Runs {
-			base, rgl := row[0], row[1+j]
-			rt := float64(rgl.Stats.Cycles) / float64(base.Stats.Cycles)
-			times = append(times, rt)
-			if rt > worst {
-				worst = rt
-			}
-			eBase := energy.Compute(in.Params, base.EnergyScheme(), base.Activity()).Total
-			eRgl := energy.Compute(in.Params, rgl.EnergyScheme(), rgl.Activity()).Total
-			energies = append(energies, eRgl/eBase)
-		}
-		t.AddRow(fmt.Sprintf("%d", cap), f3(GeoMean(times)), f3(GeoMean(energies)), f3(worst))
+		times := in.ratios(1+j, cycles)
+		t.AddRow(fmt.Sprintf("%d", cap), f3(GeoMean(times)), f3(GeoMean(in.ratios(1+j, in.gpuEnergy))),
+			f3(slices.Max(times)))
 	}
 	t.Note("paper: small capacities are energy-Pareto-optimal; 512 chosen for no average performance loss")
 	return t, nil
@@ -228,26 +203,7 @@ func Fig14(in *inputs) (*Table, error) {
 		Title:  "Register file energy (normalized to baseline)",
 		Header: []string{"Benchmark", "RFH", "RFV", "RegLess"},
 	}
-	var gH, gV, gR []float64
-	for i, bench := range in.Benchmarks {
-		base := in.Runs[i][0]
-		eBase := energy.Compute(in.Params, base.EnergyScheme(), base.Activity()).RFTotal
-		row := []string{bench}
-		for _, r := range in.Runs[i][1:] {
-			e := energy.Compute(in.Params, r.EnergyScheme(), r.Activity()).RFTotal / eBase
-			row = append(row, f3(e))
-			switch r.Scheme {
-			case SchemeRFH:
-				gH = append(gH, e)
-			case SchemeRFV:
-				gV = append(gV, e)
-			default:
-				gR = append(gR, e)
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.AddRow("GEOMEAN", f3(GeoMean(gH)), f3(GeoMean(gV)), f3(GeoMean(gR)))
+	t.addGeoMeanRows(in.Benchmarks, in.ratios(1, in.rfEnergy), in.ratios(2, in.rfEnergy), in.ratios(3, in.rfEnergy))
 	t.Note("paper: RFH 0.380, RFV 0.548, RegLess 0.247 (savings 62.0%%, 45.2%%, 75.3%%)")
 	return t, nil
 }
@@ -260,28 +216,8 @@ func Fig15(in *inputs) (*Table, error) {
 		Title:  "Total GPU energy (normalized to baseline)",
 		Header: []string{"Benchmark", "No RF", "RFH", "RFV", "RegLess"},
 	}
-	var gN, gH, gV, gR []float64
-	for i, bench := range in.Benchmarks {
-		base := in.Runs[i][0]
-		eBase := energy.Compute(in.Params, base.EnergyScheme(), base.Activity()).Total
-		eNoRF := energy.Compute(in.Params, energy.Scheme{Kind: energy.KindNoRF}, base.Activity()).Total / eBase
-		row := []string{bench, f3(eNoRF)}
-		gN = append(gN, eNoRF)
-		for _, r := range in.Runs[i][1:] {
-			e := energy.Compute(in.Params, r.EnergyScheme(), r.Activity()).Total / eBase
-			row = append(row, f3(e))
-			switch r.Scheme {
-			case SchemeRFH:
-				gH = append(gH, e)
-			case SchemeRFV:
-				gV = append(gV, e)
-			default:
-				gR = append(gR, e)
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.AddRow("GEOMEAN", f3(GeoMean(gN)), f3(GeoMean(gH)), f3(GeoMean(gV)), f3(GeoMean(gR)))
+	t.addGeoMeanRows(in.Benchmarks, in.column(0, in.noRFBound),
+		in.ratios(1, in.gpuEnergy), in.ratios(2, in.gpuEnergy), in.ratios(3, in.gpuEnergy))
 	t.Note("paper: No-RF bound 0.833 (16.7%% saving); RegLess 0.89 (11%%), RFV 0.963, RFH 0.971")
 	return t, nil
 }
@@ -294,21 +230,10 @@ func Fig16(in *inputs) (*Table, error) {
 		Title:  "Run time (normalized to baseline; lower is better)",
 		Header: []string{"Benchmark", "RegLess"},
 	}
-	var gR, gNC, gV, gH []float64
-	for i, bench := range in.Benchmarks {
-		row := in.Runs[i]
-		base, rgl, nc, v, h := row[0], row[1], row[2], row[3], row[4]
-		rt := float64(rgl.Stats.Cycles) / float64(base.Stats.Cycles)
-		t.AddRow(bench, f3(rt))
-		gR = append(gR, rt)
-		gNC = append(gNC, float64(nc.Stats.Cycles)/float64(base.Stats.Cycles))
-		gV = append(gV, float64(v.Stats.Cycles)/float64(base.Stats.Cycles))
-		gH = append(gH, float64(h.Stats.Cycles)/float64(base.Stats.Cycles))
-	}
-	t.AddRow("GEOMEAN", f3(GeoMean(gR)))
-	t.AddRow("GEOMEAN no-compressor", f3(GeoMean(gNC)))
-	t.AddRow("GEOMEAN RFV", f3(GeoMean(gV)))
-	t.AddRow("GEOMEAN RFH", f3(GeoMean(gH)))
+	t.addGeoMeanRows(in.Benchmarks, in.ratios(1, cycles))
+	t.AddRow("GEOMEAN no-compressor", f3(GeoMean(in.ratios(2, cycles))))
+	t.AddRow("GEOMEAN RFV", f3(GeoMean(in.ratios(3, cycles))))
+	t.AddRow("GEOMEAN RFH", f3(GeoMean(in.ratios(4, cycles))))
 	t.Note("paper: RegLess geomean 1.00; no-compressor +10.2%%; RFV/RFH slower (2-level scheduler)")
 	return t, nil
 }
@@ -321,29 +246,20 @@ func Fig17(in *inputs) (*Table, error) {
 		Title:  "Register preload sources",
 		Header: []string{"Benchmark", "OSU", "Compressor", "L1", "L2/DRAM"},
 	}
-	var tot, osu, comp, l1, deep uint64
-	for i, bench := range in.Benchmarks {
-		r := in.Runs[i][0]
-		p := r.Prov
-		n := p.Preloads()
+	sources := func(label string, p sim.ProviderStats) {
+		n := float64(p.Preloads())
 		if n == 0 {
-			t.AddRow(bench, "-", "-", "-", "-")
-			continue
+			t.AddRow(label, "-", "-", "-", "-")
+			return
 		}
-		t.AddRow(bench,
-			pct(float64(p.PreloadFromOSU)/float64(n)),
-			pct(float64(p.PreloadFromCompressor)/float64(n)),
-			pct(float64(p.PreloadFromL1)/float64(n)),
-			pct(float64(p.PreloadFromL2DRAM)/float64(n)))
-		tot += n
-		osu += p.PreloadFromOSU
-		comp += p.PreloadFromCompressor
-		l1 += p.PreloadFromL1
-		deep += p.PreloadFromL2DRAM
+		t.AddRow(label, pct(float64(p.PreloadFromOSU)/n), pct(float64(p.PreloadFromCompressor)/n),
+			pct(float64(p.PreloadFromL1)/n), pct(float64(p.PreloadFromL2DRAM)/n))
 	}
-	if tot > 0 {
-		t.AddRow("MEAN", pct(float64(osu)/float64(tot)), pct(float64(comp)/float64(tot)),
-			pct(float64(l1)/float64(tot)), pct(float64(deep)/float64(tot)))
+	for i, bench := range in.Benchmarks {
+		sources(bench, in.Runs[i][0].Prov)
+	}
+	if all := in.preloads(0); all.Preloads() > 0 {
+		sources("MEAN", all)
 	}
 	t.Note("paper: 0.9%% of preloads from L1, 0.013%% from L2/DRAM")
 	return t, nil
@@ -357,18 +273,12 @@ func Fig18(in *inputs) (*Table, error) {
 		Title:  "RegLess L1 requests per cycle",
 		Header: []string{"Benchmark", "Preloads", "Stores", "Invalidations", "Total"},
 	}
-	var sumTotal float64
 	for i, bench := range in.Benchmarks {
-		r := in.Runs[i][0]
-		cyc := float64(r.Stats.Cycles)
-		pre := float64(r.Prov.L1PreloadReads) / cyc
-		st := float64(r.Prov.L1StoreWrites) / cyc
-		inv := float64(r.Prov.L1Invalidates) / cyc
+		pre, st, inv := l1Requests(in.Runs[i][0])
 		t.AddRow(bench, fmt.Sprintf("%.4f", pre), fmt.Sprintf("%.4f", st),
 			fmt.Sprintf("%.4f", inv), fmt.Sprintf("%.4f", pre+st+inv))
-		sumTotal += pre + st + inv
 	}
-	t.AddRow("MEAN", "", "", "", fmt.Sprintf("%.4f", sumTotal/float64(len(in.Benchmarks))))
+	t.AddRow("MEAN", "", "", "", fmt.Sprintf("%.4f", mean(in.column(0, l1Total))))
 	t.Note("paper: fewer than 0.02 requests/cycle on average (budget: 1)")
 	return t, nil
 }
@@ -409,4 +319,87 @@ func Table2(in *inputs) (*Table, error) {
 	}
 	t.Note("paper range: 3.3-16.0 insns/region, 16-1601 cycles/region")
 	return t, nil
+}
+
+// column returns f of column j's run, benchmark by benchmark.
+func (in *inputs) column(j int, f func(*Run) float64) []float64 {
+	xs := make([]float64, len(in.Runs))
+	for i, row := range in.Runs {
+		xs[i] = f(row[j])
+	}
+	return xs
+}
+
+// ratios returns, benchmark by benchmark, f of column j's run over f of
+// the baseline's (column 0): what Figures 13-16 normalize.
+func (in *inputs) ratios(j int, f func(*Run) float64) []float64 {
+	xs := in.column(j, f)
+	for i, row := range in.Runs {
+		xs[i] /= f(row[0])
+	}
+	return xs
+}
+
+// preloads sums column j's preloads by source (Figure 17's MEAN row).
+func (in *inputs) preloads(j int) sim.ProviderStats {
+	var all sim.ProviderStats
+	for _, row := range in.Runs {
+		p := &row[j].Prov
+		all.PreloadFromOSU += p.PreloadFromOSU
+		all.PreloadFromCompressor += p.PreloadFromCompressor
+		all.PreloadFromL1 += p.PreloadFromL1
+		all.PreloadFromL2DRAM += p.PreloadFromL2DRAM
+	}
+	return all
+}
+
+// mean is the arithmetic mean of xs.
+func mean(xs []float64) float64 {
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
+// What the figures read of one run: run time, register working set
+// (Figure 2), backing-store accesses per 100-cycle window (Figure 3),
+// register-structure and GPU energy (Figures 14 and 15), the No-RF bound
+// as a share of GPU energy (Figure 15), and L1 requests per cycle
+// (Figure 18).
+func cycles(r *Run) float64     { return float64(r.Stats.Cycles) }
+func workingSet(r *Run) float64 { return r.Stats.WorkingSetKB }
+
+func backingPerWindow(r *Run) float64 {
+	sr := r.Stats.BackingSeries
+	if len(sr) == 0 {
+		return 0
+	}
+	var sum uint64
+	for _, x := range sr {
+		sum += x
+	}
+	return float64(sum) / float64(len(sr))
+}
+
+func (in *inputs) rfEnergy(r *Run) float64 {
+	return energy.Compute(in.Params, r.EnergyScheme(), r.Activity()).RFTotal
+}
+
+func (in *inputs) gpuEnergy(r *Run) float64 {
+	return energy.Compute(in.Params, r.EnergyScheme(), r.Activity()).Total
+}
+
+func (in *inputs) noRFBound(r *Run) float64 {
+	return energy.Compute(in.Params, energy.Scheme{Kind: energy.KindNoRF}, r.Activity()).Total / in.gpuEnergy(r)
+}
+
+func l1Requests(r *Run) (pre, st, inv float64) {
+	cyc := float64(r.Stats.Cycles)
+	return float64(r.Prov.L1PreloadReads) / cyc, float64(r.Prov.L1StoreWrites) / cyc, float64(r.Prov.L1Invalidates) / cyc
+}
+
+func l1Total(r *Run) float64 {
+	pre, st, inv := l1Requests(r)
+	return pre + st + inv
 }

@@ -54,12 +54,18 @@ var (
 	comparison = []schemeCap{{SchemeBaseline, 0}, {SchemeRFH, 0}, {SchemeRFV, 0}, {SchemeRegLess, DefaultCapacity}}
 )
 
+// fig13Reads is Figure 13's columns: the baseline, then RegLess at each
+// of fig13Capacities.
+func fig13Reads() []schemeCap {
+	cols := []schemeCap{{SchemeBaseline, 0}}
+	for _, c := range fig13Capacities {
+		cols = append(cols, schemeCap{SchemeRegLess, c})
+	}
+	return cols
+}
+
 // paperExperiments returns the table/figure runners in paper order.
 func paperExperiments() []Experiment {
-	fig13 := []schemeCap{{SchemeBaseline, 0}}
-	for _, c := range fig13Capacities {
-		fig13 = append(fig13, schemeCap{SchemeRegLess, c})
-	}
 	return []Experiment{
 		{ID: "table1", Run: Table1},
 		{ID: "fig2", Run: Fig2, Reads: []schemeCap{{SchemeBaseline, 0}, {SchemeBaseline2L, 0}}},
@@ -68,7 +74,7 @@ func paperExperiments() []Experiment {
 		{ID: "fig5", Run: Fig5},
 		{ID: "fig11", Run: Fig11},
 		{ID: "fig12", Run: Fig12, Reads: regLessOnly},
-		{ID: "fig13", Run: Fig13, Reads: fig13},
+		{ID: "fig13", Run: Fig13, Reads: fig13Reads()},
 		{ID: "fig14", Run: Fig14, Reads: comparison},
 		{ID: "fig15", Run: Fig15, Reads: comparison},
 		{ID: "fig16", Run: Fig16, Reads: []schemeCap{{SchemeBaseline, 0}, {SchemeRegLess, DefaultCapacity},
@@ -89,6 +95,9 @@ func extensionExperiments() []Experiment {
 		{ID: "oversub", Run: Oversubscription},
 		{ID: "breakdown", Run: EnergyBreakdown, Reads: baseAndRegLess},
 		{ID: "sensitivity", Run: Sensitivity, Reads: baseAndRegLess},
+		{ID: "claims", Run: Claims, Reads: append(fig13Reads(),
+			schemeCap{SchemeBaseline2L, 0}, schemeCap{SchemeRFH, 0}, schemeCap{SchemeRFV, 0},
+			schemeCap{SchemeRegLessNC, DefaultCapacity})},
 	}
 }
 

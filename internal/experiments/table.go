@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is one experiment's printable result.
@@ -26,14 +27,15 @@ func (t *Table) Note(format string, args ...any) {
 func (t *Table) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", strings.ToUpper(t.ID), t.Title)
+	// Widths count runes, as fmt's padding does.
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -79,14 +81,26 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
+// addGeoMeanRows adds a row of cols' values per benchmark, then a GEOMEAN
+// row of each column's geometric mean.
+func (t *Table) addGeoMeanRows(benchmarks []string, cols ...[]float64) {
+	for i, bench := range benchmarks {
+		row := []string{bench}
+		for _, c := range cols {
+			row = append(row, f3(c[i]))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	geo := []string{"GEOMEAN"}
+	for _, c := range cols {
+		geo = append(geo, f3(GeoMean(c)))
+	}
+	t.Rows = append(t.Rows, geo)
+}
+
 func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
 func f3(x float64) string { return fmt.Sprintf("%.3f", x) }
 func f1(x float64) string { return fmt.Sprintf("%.1f", x) }
 func pct(x float64) string {
 	return fmt.Sprintf("%.1f%%", 100*x)
-}
-
-// fmtSscan parses a leading float (test helper shared with the _test file).
-func fmtSscan(s string, f *float64) (int, error) {
-	return fmt.Sscanf(s, "%f", f)
 }

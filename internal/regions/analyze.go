@@ -82,13 +82,10 @@ func (c *Compiled) localPressure(block, start, end int) (int, [isa.NumBanks]int)
 		var bank [isa.NumBanks]int
 		for j := range lives {
 			l := &lives[j]
-			if l.from > gi {
-				continue
-			}
-			if gi <= l.until {
+			if l.from <= gi && gi <= l.until {
 				n++
 			}
-			if gi <= l.until || l.written {
+			if l.from <= gi && (gi <= l.until || l.written) {
 				bank[int(l.reg)%isa.NumBanks]++
 			}
 		}

@@ -200,8 +200,10 @@ func NewExperimentSuite() *ExperimentSuite {
 	return experiments.NewSuite(experiments.Default())
 }
 
-// RunExperiment regenerates one paper table or figure by ID: "table1",
-// "fig2", "fig3", "fig5", "fig11".."fig19", or "table2".
+// RunExperiment regenerates one table by ID, any that
+// experiments.Experiments() registers: a paper table or figure ("table1",
+// "fig16", ...), the claims table ("claims") or an extension ("gpuscale",
+// ...).
 func RunExperiment(s *ExperimentSuite, id string) (*ExperimentTable, error) {
 	fn, ok := experiments.ByID(id)
 	if !ok {

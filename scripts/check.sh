@@ -96,6 +96,9 @@ go test -race -shuffle=on ./...
 go test -count=1 -run '^TestAllocations$' ./...
 test -z "$(grep -rln 'raceEnabled\|rawIO\|skipUncounted\|bytesPerRun\|AllocCeiling\|BytesCeiling' --include=*.go .)"
 test -z "$(go list -deps ./cmd/... . | grep '^repro/internal/allocs$')"
+# The paper comparison is the claims experiment, computed from runs: no
+# product code parses a rendered table back into numbers.
+test -z "$(grep -rln 'fmtSscan' --include=*.go --exclude=*_test.go cmd internal regless.go)"
 scripts/cover.sh
 # The benchmark is its own module (benchmark/go.mod), so the root
 # ./... patterns never compile it: a signature change that breaks it
