@@ -6,7 +6,36 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
+
+// TestParallelOutputIdentical is the -parallel seed-stability smoke test:
+// the full experiment suite rendered with a serial planner must be
+// byte-identical to the same suite rendered with a parallel planner.
+func TestParallelOutputIdentical(t *testing.T) {
+	render := func(par int) string {
+		opts := experiments.Quick()
+		opts.Parallelism = par
+		s := experiments.NewSuite(opts)
+		tables, err := experiments.All(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, tb := range tables {
+			b.WriteString(tb.Render())
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	serial := render(1)
+	parallel := render(8)
+	if serial != parallel {
+		t.Fatalf("-parallel 1 and -parallel 8 disagree:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			serial, parallel)
+	}
+}
 
 // TestExtensionGoldens is the one table of what the command line prints,
 // byte for byte: a row holds an invocation's stdout to a golden file

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -71,6 +72,124 @@ func TestTableRendering(t *testing.T) {
 	md := tb.Markdown()
 	if !strings.Contains(md, "| A | B |") {
 		t.Fatalf("markdown output:\n%s", md)
+	}
+}
+
+// quickInputs is what experiment id's runner sees at Quick scale, warmed
+// as ByID warms it: the figure tests below check the values a table is
+// computed from, not its rendered cells.
+func quickInputs(t *testing.T, id string) *inputs {
+	t.Helper()
+	s := quickSuite()
+	for _, e := range Experiments() {
+		if e.ID != id {
+			continue
+		}
+		if err := s.warm(e); err != nil {
+			t.Fatal(err)
+		}
+		in, err := s.gather(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	t.Fatalf("unknown experiment %q", id)
+	return nil
+}
+
+func TestFig2WorkingSetOrdering(t *testing.T) {
+	in := quickInputs(t, "fig2")
+	tb, err := Fig2(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != len(in.Benchmarks)+1 {
+		t.Fatalf("rows = %d", len(tb.Rows))
+	}
+	// The mean 2-level working set must not exceed GTO's (the paper's
+	// motivation for coordinating scheduling with allocation).
+	g, two := mean(in.column(0, workingSet)), mean(in.column(1, workingSet))
+	if two > g*1.05 {
+		t.Fatalf("2-level working set %v above GTO %v", two, g)
+	}
+}
+
+func TestFig3Ordering(t *testing.T) {
+	in := quickInputs(t, "fig3")
+	// Baseline >> RegLess over the whole run (Figure 3's point).
+	base, rgl := backingPerWindow(in.Runs[0][0]), backingPerWindow(in.Runs[0][2])
+	if base <= rgl*2 {
+		t.Fatalf("baseline backing accesses (%v) not well above RegLess (%v)", base, rgl)
+	}
+}
+
+func TestFig13SweepShape(t *testing.T) {
+	in := quickInputs(t, "fig13")
+	tb, err := Fig13(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != len(fig13Capacities) {
+		t.Fatal("missing points")
+	}
+	// point is one capacity's geomean run time and GPU energy.
+	point := func(capacity int) (runTime, gpuEnergy float64) {
+		j := 1 + slices.Index(fig13Capacities, capacity)
+		return GeoMean(in.ratios(j, cycles)), GeoMean(in.ratios(j, in.gpuEnergy))
+	}
+	// 512's run time within a few percent of the baseline (the paper's
+	// design goal), 128 no faster, and both below the baseline's energy.
+	rt128, e128 := point(128)
+	rt512, e512 := point(512)
+	if rt512 == 0 || rt512 > 1.10 {
+		t.Fatalf("RegLess-512 geomean run time %.3f, want ~1.0", rt512)
+	}
+	if rt128 < rt512*0.95 {
+		t.Fatalf("128-capacity faster than 512: %.3f vs %.3f", rt128, rt512)
+	}
+	if e128 >= 1.0 || e512 >= 1.0 {
+		t.Fatalf("GPU energy not below baseline: %.3f at 128, %.3f at 512", e128, e512)
+	}
+}
+
+func TestFig14Ordering(t *testing.T) {
+	in := quickInputs(t, "fig14")
+	rf := func(j int) float64 { return GeoMean(in.ratios(j, in.rfEnergy)) }
+	rfh, rfv, rgl := rf(1), rf(2), rf(3)
+	// Paper ordering: RegLess < RFH < RFV < 1.
+	if !(rgl < rfh && rgl < rfv && rfh < 1 && rfv < 1) {
+		t.Fatalf("RF energy ordering wrong: rfh=%v rfv=%v regless=%v", rfh, rfv, rgl)
+	}
+	if rgl > 0.45 {
+		t.Fatalf("RegLess RF energy %.3f, want ~0.25", rgl)
+	}
+}
+
+func TestFig15Bound(t *testing.T) {
+	in := quickInputs(t, "fig15")
+	norf, rgl := GeoMean(in.column(0, in.noRFBound)), GeoMean(in.ratios(3, in.gpuEnergy))
+	if !(norf < rgl && rgl < 1.0) {
+		t.Fatalf("bound violated: norf=%v regless=%v", norf, rgl)
+	}
+}
+
+func TestFig17SourcesSane(t *testing.T) {
+	in := quickInputs(t, "fig17")
+	// Over all benchmarks: the OSU serves most preloads.
+	p := in.preloads(0)
+	if p.Preloads() == 0 {
+		t.Fatal("no preloads")
+	}
+	if osuPct := 100 * float64(p.PreloadFromOSU) / float64(p.Preloads()); osuPct < 50 {
+		t.Fatalf("OSU serves only %.1f%% of preloads", osuPct)
+	}
+}
+
+func TestFig18WithinBudget(t *testing.T) {
+	in := quickInputs(t, "fig18")
+	if l1 := mean(in.column(0, l1Total)); l1 > 0.25 {
+		t.Fatalf("mean L1 traffic %.3f req/cycle — far above the paper's ~0.02", l1)
 	}
 }
 

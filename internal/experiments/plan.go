@@ -142,6 +142,15 @@ func (s *Suite) warm(exps ...Experiment) error {
 // table fetches e's declared runs — cache hits after warm — and assembles
 // e's table from them.
 func (s *Suite) table(e Experiment) (*Table, error) {
+	in, err := s.gather(e)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(in)
+}
+
+// gather fetches e's declared runs into the inputs its runner sees.
+func (s *Suite) gather(e Experiment) (*inputs, error) {
 	in := &inputs{Opts: s.Opts, Params: s.Params, Benchmarks: s.benchmarks()}
 	if e.Bench != "" {
 		in.Benchmarks = []string{e.Bench}
@@ -160,7 +169,7 @@ func (s *Suite) table(e Experiment) (*Table, error) {
 			}
 		}
 	}
-	return e.Run(in)
+	return in, nil
 }
 
 // All runs every paper experiment in order: one warm-up over the union of
