@@ -177,7 +177,7 @@ func Launch(ks []*isa.Kernel, scheme Scheme, sms, gridWarps int, su SimSetup) (*
 // BuildChip is Assemble for a suite benchmark by name. It and BuildSM are
 // shims with no caller in this module: benchmark/layers.go, which only a
 // benchmark-kind PR may edit, calls each at one site. That PR moves them
-// to Assemble and deletes both in one step (ROADMAP item 11).
+// to Assemble and deletes both in one step (ROADMAP item 9).
 func BuildChip(bench string, scheme Scheme, sms int, su SimSetup) (*gpu.GPU, *core.Provider, error) {
 	k, err := kernels.Load(bench)
 	if err != nil {

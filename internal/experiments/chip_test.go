@@ -8,14 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/faults"
+	"repro/internal/gen/bare"
 	"repro/internal/gpu"
-	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
-	"repro/internal/rf"
 	"repro/internal/sim"
 )
 
@@ -27,38 +25,6 @@ func chipOpts(sms int) Options {
 		MaxCycles:  20_000_000,
 		SMs:        sms,
 	}
-}
-
-// bareSM builds the reference for the chip-of-one differential: a lone
-// SM constructed directly with sim.New — its own provider table, no gpu,
-// no assembly, no merges.
-func bareSM(t *testing.T, scheme Scheme, k *isa.Kernel, opts Options) *sim.SM {
-	t.Helper()
-	simCfg := sim.DefaultConfig()
-	simCfg.Warps = opts.Warps
-	simCfg.MaxCycles = opts.MaxCycles
-	simCfg.NoFastForward = opts.NoFastForward
-	var p sim.Provider
-	var err error
-	switch scheme {
-	case SchemeBaseline2L:
-		simCfg.Sched = sim.SchedTwoLevel
-		p = rf.NewBaseline(nil)
-	case SchemeRegLessNC:
-		c := core.ConfigForCapacity(DefaultCapacity)
-		c.EnableCompressor = false
-		p, err = core.New(nil, c, k)
-	default:
-		p, err = buildProviderFor(scheme, k, &simCfg)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	smv, err := sim.New(nil, simCfg, k, p, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return smv
 }
 
 // TestChipOfOneMatchesBareSM is the differential behind "a 1-SM run is a
@@ -76,8 +42,13 @@ func TestChipOfOneMatchesBareSM(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cfg := sim.DefaultConfig()
+			cfg.Warps, cfg.MaxCycles, cfg.NoFastForward = opts.Warps, opts.MaxCycles, noFF
 			for _, scheme := range Schemes() {
-				ref := bareSM(t, scheme, k, opts)
+				ref, err := bare.SM(string(scheme), k, cfg, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
 				want, err := ref.Run()
 				if err != nil {
 					t.Fatal(err)

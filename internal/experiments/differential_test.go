@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/gen/bare"
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/rf"
 	"repro/internal/sim"
 )
 
@@ -59,24 +58,6 @@ func differentialCases(t *testing.T) []diffCase {
 	return cases
 }
 
-// buildProviderFor mirrors schemeProvider's table for an in-memory
-// kernel (microkernels have no benchmark name to Load by).
-func buildProviderFor(scheme Scheme, k *isa.Kernel, simCfg *sim.Config) (sim.Provider, error) {
-	switch scheme {
-	case SchemeBaseline:
-		return rf.NewBaseline(nil), nil
-	case SchemeRFV:
-		simCfg.Sched = sim.SchedTwoLevel
-		return rf.NewRFV(nil, RFVEntries), nil
-	case SchemeRFH:
-		simCfg.Sched = sim.SchedTwoLevel
-		return rf.NewRFH(nil, RFHORFEntries), nil
-	case SchemeRegLess:
-		return core.New(nil, core.ConfigForCapacity(DefaultCapacity), k)
-	}
-	return nil, fmt.Errorf("unknown scheme %q", scheme)
-}
-
 // TestDifferentialStoreEquivalence runs every kernel under every provider
 // and demands bit-identical global stores versus the functional reference
 // — timing models may reorder and stall, but never change architectural
@@ -91,12 +72,8 @@ func TestDifferentialStoreEquivalence(t *testing.T) {
 				simCfg := sim.DefaultConfig()
 				simCfg.Warps = warps
 				simCfg.MaxCycles = 20_000_000
-				p, err := buildProviderFor(scheme, c.k, &simCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
 				mm := exec.NewMemory(nil)
-				smv, err := sim.New(nil, simCfg, c.k, p, mm, nil)
+				smv, err := bare.SM(string(scheme), c.k, simCfg, mm, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

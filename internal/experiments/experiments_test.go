@@ -1,11 +1,16 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/energy"
+	"repro/internal/gen"
+	"repro/internal/regalloc"
 )
 
 func quickSuite() *Suite { return NewSuite(Quick()) }
@@ -207,6 +212,51 @@ func TestClaimsHold(t *testing.T) {
 			t.Errorf("%s: %s: measured %s, check %s: FAILS", row[0], row[1], row[3], row[4])
 		}
 	}
+}
+
+// TestClaimsOverGeneratedKernels asks whether the paper's claims are
+// RegLess's or the 21 tuned kernels': it makes the claims table of each
+// of internal/gen's seeds 1-50 alone, at Default() scale, and counts per
+// row the seeds it holds on — any verdict but FAILS, as TestClaimsHold
+// reads it. The counts are pinned in testdata/claims_generated.txt; a
+// change that moves results re-blesses them with -update, as it does the
+// suite golden.
+func TestClaimsOverGeneratedKernels(t *testing.T) {
+	const seeds = 50
+	exps, opts := Experiments(), Default()
+	claims := exps[slices.IndexFunc(exps, func(e Experiment) bool { return e.ID == "claims" })]
+	tables := make([]*Table, seeds)
+	err := opts.forEach(seeds, func(i int) error {
+		res, err := regalloc.Allocate(gen.Kernel(int64(i + 1)))
+		if err != nil {
+			return err
+		}
+		in := &inputs{Opts: opts, Params: energy.DefaultParams(), Benchmarks: []string{res.Kernel.Name},
+			Runs: [][]*Run{make([]*Run, len(claims.Reads))}}
+		for j, c := range claims.Reads {
+			if in.Runs[0][j], err = SimulateKernel(res.Kernel, c.scheme, opts.Setup(c.capacity), nil); err != nil {
+				return err
+			}
+		}
+		tables[i], err = claims.Run(in)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "# Of internal/gen's seeds 1-%d, each alone at %d warps, how many each claims row holds on.\n"+
+		"# Rewrite: go test ./internal/experiments -run ClaimsOverGeneratedKernels -update\n", seeds, opts.Warps)
+	for r, row := range tables[0].Rows {
+		held := 0
+		for _, tb := range tables {
+			if tb.Rows[r][len(row)-1] != "FAILS" {
+				held++
+			}
+		}
+		fmt.Fprintf(&buf, "%2d/%d  %s  %s: %s\n", held, seeds, row[0], row[1], row[4])
+	}
+	matchGolden(t, "claims_generated.txt", buf.Bytes())
 }
 
 func TestAllExperimentsRun(t *testing.T) {

@@ -36,12 +36,15 @@ func renderAll(t *testing.T) []byte {
 //
 //	go test ./internal/experiments -run TestSuiteGolden -update
 func TestSuiteGolden(t *testing.T) {
-	got := renderAll(t)
-	golden := filepath.Join("testdata", "suite_golden.txt")
+	matchGolden(t, "suite_golden.txt", renderAll(t))
+}
+
+// matchGolden holds got to testdata/name, failing at the first differing
+// line; -update rewrites the file instead.
+func matchGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *allocs.Update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -59,10 +62,10 @@ func TestSuiteGolden(t *testing.T) {
 	wl := strings.Split(string(want), "\n")
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("suite output diverges from %s at line %d:\n got: %q\nwant: %q\n(re-bless intentional changes with -update)",
+			t.Fatalf("output diverges from %s at line %d:\n got: %q\nwant: %q\n(re-bless intentional changes with -update)",
 				golden, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("suite output length changed: %d lines vs %d in %s (re-bless with -update)",
+	t.Fatalf("output length changed: %d lines vs %d in %s (re-bless with -update)",
 		len(gl), len(wl), golden)
 }

@@ -1,0 +1,49 @@
+// Package bare is the reference machine the differential tests hold the
+// assembled one to: a lone SM from sim.New, with each scheme's register
+// provider and scheduler said by hand — no gpu, no Assemble, no arena.
+//
+// A scheme is named by its string value and sized by the paper's numbers
+// written out (RFV's half-size 1024-entry file, RFH's 8-entry ORF,
+// RegLess at its 512-register design point), not by experiments' table
+// and constants: experiments' own tests use it, and a reference read from
+// what it checks checks nothing.
+// Only tests import it.
+package bare
+
+import (
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/isa"
+	"repro/internal/mem"
+	"repro/internal/rf"
+	"repro/internal/sim"
+)
+
+// SM builds k under scheme on cfg, with the scheme's scheduler in place of
+// cfg's, over mm and hier (nil: the SM's own).
+func SM(scheme string, k *isa.Kernel, cfg sim.Config, mm *exec.Memory, hier *mem.Hierarchy) (*sim.SM, error) {
+	var p sim.Provider
+	switch scheme {
+	case "baseline":
+		p = rf.NewBaseline(nil)
+	case "baseline-2level":
+		cfg.Sched, p = sim.SchedTwoLevel, rf.NewBaseline(nil)
+	case "rfv":
+		cfg.Sched, p = sim.SchedTwoLevel, rf.NewRFV(nil, 1024)
+	case "rfh":
+		cfg.Sched, p = sim.SchedTwoLevel, rf.NewRFH(nil, 8)
+	case "regless", "regless-nocomp":
+		c := core.ConfigForCapacity(512)
+		c.EnableCompressor = scheme == "regless"
+		rl, err := core.New(nil, c, k)
+		if err != nil {
+			return nil, err
+		}
+		p = rl
+	default:
+		return nil, fmt.Errorf("no bare reference for scheme %q", scheme)
+	}
+	return sim.New(nil, cfg, k, p, mm, hier)
+}

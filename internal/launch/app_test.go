@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/experiments"
+	"repro/internal/gen/bare"
 	"repro/internal/kernels"
 	"repro/internal/launch"
 	"repro/internal/mem"
@@ -109,10 +110,10 @@ func TestAppMatchesBareLoop(t *testing.T) {
 				var cycles uint64
 				var per []*sim.Stats
 				for _, k := range app.Kernels {
-					cfg, p := bareSM(t, scheme, k, noFF)
-					cfg.Warps = 8
+					cfg := sim.DefaultConfig()
+					cfg.Warps, cfg.MaxCycles, cfg.NoFastForward = 8, 10_000_000, noFF
 					hier.ResetTiming() // the new SM's clock starts at zero
-					smv, err := sim.New(nil, cfg, k, p, want, hier)
+					smv, err := bare.SM(string(scheme), k, cfg, want, hier)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -4,13 +4,12 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/experiments"
+	"repro/internal/gen/bare"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/launch"
-	"repro/internal/rf"
 	"repro/internal/sim"
 )
 
@@ -28,39 +27,14 @@ func waves(k *isa.Kernel, scheme experiments.Scheme, total, resident int, mm *ex
 	return experiments.Launch([]*isa.Kernel{k}, scheme, 1, total, su)
 }
 
-// bareSM is the reference machine: the scheme's provider and scheduler
-// said by hand, for a sim constructor called directly.
-func bareSM(t *testing.T, scheme experiments.Scheme, k *isa.Kernel, noFF bool) (sim.Config, sim.Provider) {
-	t.Helper()
-	cfg := sim.DefaultConfig()
-	cfg.MaxCycles = 10_000_000
-	cfg.NoFastForward = noFF
-	switch scheme {
-	case experiments.SchemeBaseline:
-		return cfg, rf.NewBaseline(nil)
-	case experiments.SchemeRFV:
-		cfg.Sched = sim.SchedTwoLevel
-		return cfg, rf.NewRFV(nil, experiments.RFVEntries)
-	case experiments.SchemeRegLess:
-		p, err := core.New(nil, core.ConfigForCapacity(experiments.DefaultCapacity), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cfg, p
-	}
-	t.Fatalf("no bare reference for %s", scheme)
-	return cfg, nil
-}
-
 // bareWaves is the wave loop as it read before every launch was a chip: a
 // bare sim.New per wave over one functional memory, cycles summed.
 func bareWaves(t *testing.T, k *isa.Kernel, scheme experiments.Scheme, total, resident int, noFF bool, mm *exec.Memory) (cycles uint64, perWave []*sim.Stats) {
 	t.Helper()
 	for base := 0; base < total; base += resident {
-		cfg, p := bareSM(t, scheme, k, noFF)
-		cfg.Warps = min(resident, total-base)
-		cfg.WarpIDBase = base
-		smv, err := sim.New(nil, cfg, k, p, mm, nil)
+		cfg := sim.DefaultConfig()
+		cfg.Warps, cfg.WarpIDBase, cfg.MaxCycles, cfg.NoFastForward = min(resident, total-base), base, 10_000_000, noFF
+		smv, err := bare.SM(string(scheme), k, cfg, mm, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

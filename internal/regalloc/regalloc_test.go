@@ -1,9 +1,9 @@
 package regalloc
 
 import (
-	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/isa"
 )
 
@@ -57,7 +57,7 @@ func TestAllocatePreservesStructure(t *testing.T) {
 }
 
 func TestOverlappingIntervalsDistinctColors(t *testing.T) {
-	for _, k := range []*isa.Kernel{randomKernel(1), randomKernel(2), randomKernel(3), diamondLoop()} {
+	for _, k := range []*isa.Kernel{gen.Kernel(1), gen.Kernel(2), gen.Kernel(3), diamondLoop()} {
 		res, err := Allocate(k)
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
@@ -83,55 +83,6 @@ func checkNoColorConflicts(t *testing.T, res *Result) {
 			}
 		}
 	}
-}
-
-// randomKernel builds a structured random kernel: straightline chunks,
-// if/else diamonds, and counted loops with varying value lifetimes.
-func randomKernel(seed int64) *isa.Kernel {
-	rng := rand.New(rand.NewSource(seed))
-	b := isa.NewBuilder("rand", 2)
-	live := []isa.Reg{b.Tid(), b.Movi(7)}
-	pick := func() isa.Reg { return live[rng.Intn(len(live))] }
-	for step := 0; step < 12; step++ {
-		switch rng.Intn(4) {
-		case 0: // straightline ALU
-			for i := 0; i < 1+rng.Intn(4); i++ {
-				r := b.Iadd(pick(), pick())
-				live = append(live, r)
-			}
-		case 1: // diamond
-			elseL, join := b.Label(), b.Label()
-			c := b.OpImm(isa.OpIADDI, pick(), uint32(rng.Intn(3)))
-			b.Bnz(c, elseL)
-			t1 := b.Addi(pick(), 1)
-			b.Bra(join)
-			b.Bind(elseL)
-			t2 := b.Addi(pick(), 2)
-			b.Bind(join)
-			r := b.Iadd(t1, t2) // soft-ish merge of both arms
-			live = append(live, r)
-		case 2: // counted loop
-			i := b.Movi(uint32(2 + rng.Intn(3)))
-			acc := b.Movi(0)
-			top := b.Label()
-			b.Bind(top)
-			b.Op2To(isa.OpIADD, acc, acc, pick())
-			b.OpImmTo(isa.OpIADDI, i, i, ^uint32(0))
-			b.Bnz(i, top)
-			live = append(live, acc)
-		case 3: // memory
-			addr := b.Muli(pick(), 4)
-			v := b.Ldg(addr, 0)
-			b.Stg(addr, v, 64)
-			live = append(live, v)
-		}
-		if len(live) > 8 {
-			live = live[len(live)-8:]
-		}
-	}
-	b.Stg(pick(), pick(), 0)
-	b.Exit()
-	return b.MustKernel()
 }
 
 func diamondLoop() *isa.Kernel {

@@ -1,9 +1,9 @@
 package regions
 
 import (
-	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/isa"
 	"repro/internal/regalloc"
 )
@@ -338,8 +338,7 @@ func TestLoopInductionInvalidation(t *testing.T) {
 
 func TestRandomKernelsInvariants(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		k := randomKernel(seed)
-		alloc, err := regalloc.Allocate(k)
+		alloc, err := regalloc.Allocate(gen.Kernel(seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -351,8 +350,7 @@ func TestRandomKernelsInvariants(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	k := randomKernel(42)
-	alloc, err := regalloc.Allocate(k)
+	alloc, err := regalloc.Allocate(gen.Kernel(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,54 +365,6 @@ func TestSummarize(t *testing.T) {
 	if s.InteriorFrac < 0 || s.InteriorFrac > 1 {
 		t.Fatalf("InteriorFrac out of range: %v", s.InteriorFrac)
 	}
-}
-
-// randomKernel builds a structured random kernel (mirrors the generator in
-// package regalloc's tests).
-func randomKernel(seed int64) *isa.Kernel {
-	rng := rand.New(rand.NewSource(seed))
-	b := isa.NewBuilder("rand", 2)
-	live := []isa.Reg{b.Tid(), b.Movi(7)}
-	pick := func() isa.Reg { return live[rng.Intn(len(live))] }
-	for step := 0; step < 15; step++ {
-		switch rng.Intn(4) {
-		case 0:
-			for i := 0; i < 1+rng.Intn(5); i++ {
-				live = append(live, b.Iadd(pick(), pick()))
-			}
-		case 1:
-			elseL, join := b.Label(), b.Label()
-			c := b.OpImm(isa.OpIADDI, pick(), uint32(rng.Intn(3)))
-			b.Bnz(c, elseL)
-			t1 := b.Addi(pick(), 1)
-			b.Bra(join)
-			b.Bind(elseL)
-			t2 := b.Addi(pick(), 2)
-			b.Bind(join)
-			live = append(live, b.Iadd(t1, t2))
-		case 2:
-			i := b.Movi(uint32(2 + rng.Intn(3)))
-			acc := b.Movi(0)
-			top := b.Label()
-			b.Bind(top)
-			b.Op2To(isa.OpIADD, acc, acc, pick())
-			b.OpImmTo(isa.OpIADDI, i, i, ^uint32(0))
-			b.Bnz(i, top)
-			live = append(live, acc)
-		case 3:
-			addr := b.Muli(pick(), 4)
-			v := b.Ldg(addr, 0)
-			u := b.Addi(v, 3)
-			b.Stg(addr, u, 64)
-			live = append(live, u)
-		}
-		if len(live) > 8 {
-			live = live[len(live)-8:]
-		}
-	}
-	b.Stg(pick(), pick(), 0)
-	b.Exit()
-	return b.MustKernel()
 }
 
 // TestSplitPointWindow exercises Algorithm 1's FindSplitPoint window

@@ -7,51 +7,14 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/experiments"
+	"repro/internal/gen/bare"
 	"repro/internal/kernels"
-	"repro/internal/rf"
 	"repro/internal/sim"
 )
 
 const foldBench, foldWarps, foldBucket = "hotspot", 16, 50
-
-// bareSM is the reference machine for the fold: a lone SM from sim.New
-// with its own scheme table — no gpu, no Assemble, no arena.
-func bareSM(t *testing.T, scheme experiments.Scheme) *sim.SM {
-	t.Helper()
-	k := kernels.MustLoad(foldBench)
-	cfg := sim.DefaultConfig()
-	cfg.Warps = foldWarps
-	cfg.MaxCycles = 5_000_000
-	rl := core.ConfigForCapacity(experiments.DefaultCapacity)
-	var p sim.Provider
-	var err error
-	switch scheme {
-	case experiments.SchemeBaseline:
-		p = rf.NewBaseline(nil)
-	case experiments.SchemeBaseline2L:
-		cfg.Sched, p = sim.SchedTwoLevel, rf.NewBaseline(nil)
-	case experiments.SchemeRFV:
-		cfg.Sched, p = sim.SchedTwoLevel, rf.NewRFV(nil, experiments.RFVEntries)
-	case experiments.SchemeRFH:
-		cfg.Sched, p = sim.SchedTwoLevel, rf.NewRFH(nil, experiments.RFHORFEntries)
-	case experiments.SchemeRegLessNC:
-		rl.EnableCompressor = false
-		fallthrough
-	case experiments.SchemeRegLess:
-		p, err = core.New(nil, rl, k)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	smv, err := sim.New(nil, cfg, k, p, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return smv
-}
 
 func instrumented(t *testing.T, scheme experiments.Scheme, sms int) *experiments.Instrumented {
 	t.Helper()
@@ -71,8 +34,14 @@ func instrumented(t *testing.T, scheme experiments.Scheme, sms int) *experiments
 // machine — a chip of one out of Assemble and an arena folds to what a
 // bare sim.New SM does.
 func TestFoldProperties(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Warps, cfg.MaxCycles = foldWarps, 5_000_000
 	for _, scheme := range experiments.Schemes() {
-		ref := foldRun(t, bareSM(t, scheme), foldBucket, events.MaskTimeline)
+		smv, err := bare.SM(string(scheme), kernels.MustLoad(foldBench), cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := foldRun(t, smv, foldBucket, events.MaskTimeline)
 
 		hists, insns := histograms(ref.Events, ref.Stats.Cycles, foldWarps, foldBucket)
 		var issued uint64

@@ -27,11 +27,13 @@ test -z "$(go list -deps ./internal/trace | grep '^repro/internal/sim$')"
 test -z "$(grep -rn 'cfg\.New(\|cfg\.ComputeLiveness(' --include=*.go cmd internal regless.go |
 	grep -v _test | grep -v '^internal/cfg/\|^internal/regalloc/')"
 # One way to build a machine (DESIGN.md §8): gpu.New is the only product
-# code that calls an SM constructor, experiments.Assemble the only place
-# options meet the default configuration (Table 1 prints it) and the only
-# one that attaches the sanitizer or the injector to an SM.
+# code that calls an SM constructor (internal/gen/bare, the tests'
+# hand-written reference machine, is not product code: see the
+# internal/gen guard below), experiments.Assemble the only place options
+# meet the default configuration (Table 1 prints it) and the only one
+# that attaches the sanitizer or the injector to an SM.
 test -z "$(grep -rn 'sim\.New(' --include=*.go cmd internal regless.go |
-	grep -v _test.go | grep -v '^internal/gpu/')"
+	grep -v _test.go | grep -v '^internal/gpu/\|^internal/gen/bare/')"
 # Arena memory is asked for by element type (arena.Make/New/Grow), with
 # no per-package handles, and an SM or a registry has one constructor,
 # arena first (nil: the heap).
@@ -96,6 +98,9 @@ go test -race -shuffle=on ./...
 go test -count=1 -run '^TestAllocations$' ./...
 test -z "$(grep -rln 'raceEnabled\|rawIO\|skipUncounted\|bytesPerRun\|AllocCeiling\|BytesCeiling' --include=*.go .)"
 test -z "$(go list -deps ./cmd/... . | grep '^repro/internal/allocs$')"
+# The program generator and the bare reference machine (internal/gen,
+# internal/gen/bare) are test support too: no product code imports them.
+test -z "$(go list -deps ./cmd/... . | grep '^repro/internal/gen')"
 # The paper comparison is the claims experiment, computed from runs: no
 # product code parses a rendered table back into numbers.
 test -z "$(grep -rln 'fmtSscan' --include=*.go --exclude=*_test.go cmd internal regless.go)"
