@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/exec"
@@ -40,14 +41,8 @@ func runRegLess(t *testing.T, k *isa.Kernel, simCfg sim.Config, cfg Config) (*si
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mm.GlobalStores()
-	if len(got) != len(ref.Stores) {
-		t.Fatalf("store count %d, want %d", len(got), len(ref.Stores))
-	}
-	for a, v := range ref.Stores {
-		if got[a] != v {
-			t.Fatalf("RegLess changed behaviour at %#x: %d vs %d", a, got[a], v)
-		}
+	if got := mm.GlobalStores(); !maps.Equal(got, ref.Stores) {
+		t.Fatalf("RegLess changed behaviour: %d stored words, functional %d", len(got), len(ref.Stores))
 	}
 	return st, p
 }

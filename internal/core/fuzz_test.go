@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -53,15 +54,9 @@ func TestFuzzEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := mm.GlobalStores()
-			if len(got) != len(ref.Stores) {
-				t.Fatalf("seed %d: %d stores vs %d", seed, len(got), len(ref.Stores))
-			}
-			for a, v := range ref.Stores {
-				if got[a] != v {
-					t.Fatalf("seed %d warps %d capacity %d: mismatch at %#x: %d vs %d",
-						seed, warps, capacity, a, got[a], v)
-				}
+			if got := mm.GlobalStores(); !maps.Equal(got, ref.Stores) {
+				t.Fatalf("seed %d warps %d capacity %d: %d stored words, functional %d",
+					seed, warps, capacity, len(got), len(ref.Stores))
 			}
 		})
 	}

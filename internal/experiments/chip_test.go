@@ -9,70 +9,43 @@ import (
 	"time"
 
 	"repro/internal/events"
+	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/gen/bare"
 	"repro/internal/gpu"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
-// chipOpts is a small chip configuration the differential tests share.
-func chipOpts(sms int) Options {
-	return Options{
-		Warps:      8,
-		Benchmarks: []string{"bfs"},
-		MaxCycles:  20_000_000,
-		SMs:        sms,
-	}
-}
-
 // TestChipOfOneMatchesBareSM is the differential behind "a 1-SM run is a
-// chip of one": for every scheme on the Quick benchmarks, with
-// fast-forward on and off, the suite's Run — assembled as a chip, run by
-// the chip loop, folded through the per-SM merges — must deep-equal what
-// a bare sim.New(...).Run() of the same kernel and provider reports.
+// chip of one": on every drawn machine bare.Run can be — one SM at
+// RegLess's design point, on its private L2 slice, alone — each launch of
+// the assembled sequence reports the Stats of the bare SM's wave, and a
+// single launch through runPoint also its Prov and Mem, with no banked
+// L2 traffic.
 func TestChipOfOneMatchesBareSM(t *testing.T) {
-	for _, noFF := range []bool{false, true} {
-		opts := Quick()
-		opts.NoFastForward = noFF
-		s := NewSuite(opts)
-		for _, bench := range opts.Benchmarks {
-			k, err := kernels.Load(bench)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := sim.DefaultConfig()
-			cfg.Warps, cfg.MaxCycles, cfg.NoFastForward = opts.Warps, opts.MaxCycles, noFF
-			for _, scheme := range Schemes() {
-				ref, err := bare.SM(string(scheme), k, cfg, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := ref.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := s.Get(bench, scheme, DefaultCapacity)
-				if err != nil {
-					t.Fatal(err)
-				}
-				where := fmt.Sprintf("%s/%s noFF=%v", bench, scheme, noFF)
-				if !reflect.DeepEqual(got.Stats, want) {
-					t.Errorf("%s: Stats diverge:\nchip %+v\nbare %+v", where, got.Stats, want)
-				}
-				if !reflect.DeepEqual(got.Prov, ref.Prov) {
-					t.Errorf("%s: Prov diverge:\nchip %+v\nbare %+v", where, got.Prov, ref.Prov)
-				}
-				if got.Mem != ref.Mem.Stats {
-					t.Errorf("%s: Mem diverge:\nchip %+v\nbare %+v", where, got.Mem, ref.Mem.Stats)
-				}
-				if len(got.Chip.PerSM) != 1 || got.Chip.L2 != (mem.BankedL2Stats{}) {
-					t.Errorf("%s: a chip of one ran on the banked L2: %+v", where, got.Chip)
-				}
-			}
+	t.Parallel()
+	eachDrawn(t, chipOfOneDrawn, func(t *testing.T, m machine) {
+		ref, err := bare.Run(string(m.scheme), m.ks, m.grid, m.warps, exec.NewMemory(nil), m.setup().Hier)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
 		}
-	}
+		if !singleLaunch(m) {
+			got := m.mustRun(t, nil)
+			for i, smv := range ref {
+				same(t, m, fmt.Sprint("launch ", i, " Stats"), got.Res.PerLaunch[i].PerSM[0], &smv.Stats)
+			}
+			return
+		}
+		got, err := SimulateKernel(m.ks[0], m.scheme, m.setup(), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		same(t, m, "Stats, Prov, Mem and banked L2 counters", []any{got.Stats, got.Prov, got.Mem, got.Chip.L2},
+			[]any{&ref[0].Stats, ref[0].Prov, ref[0].Mem.Stats, mem.BankedL2Stats{}})
+	})
 }
 
 // TestSchemeShapeMatchesCapacity: the SM meets a scheme as one of the
@@ -81,11 +54,8 @@ func TestChipOfOneMatchesBareSM(t *testing.T) {
 // register file (a plain sim.Provider, which the SM never ticks, drains
 // or asks about issue) otherwise.
 func TestSchemeShapeMatchesCapacity(t *testing.T) {
-	k, err := kernels.Load("bfs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	su := chipOpts(1).Setup(DefaultCapacity)
+	k := kernels.MustLoad("bfs")
+	su := SimSetup{Capacity: DefaultCapacity, Warps: 8}
 	for _, scheme := range Schemes() {
 		g, _, err := Assemble(nil, k, scheme, 1, su, nil)
 		if err != nil {
@@ -256,68 +226,32 @@ func TestDeadlineExceededClassified(t *testing.T) {
 	}
 }
 
-// TestChipFFParity checks that the coordinated chip fast-forward is pure
-// elision at -sms 4: stepping every cycle and jumping frozen spans must
-// produce identical cycles, instructions, and memory traffic.
+// TestChipFFParity: the coordinated fast-forward is pure elision. On
+// every drawn machine, stepping every cycle reports what jumping frozen
+// spans does — every statistic but the fast-forward's own counters, the
+// stores, the standing memory's counters — and the draw must jump.
 func TestChipFFParity(t *testing.T) {
-	ff := NewSuite(chipOpts(4))
-	stepped := NewSuite(chipOpts(4))
-	stepped.Opts.NoFastForward = true
-
-	for _, scheme := range []Scheme{SchemeBaseline, SchemeRegLess} {
-		cap := 0
-		if scheme == SchemeRegLess {
-			cap = DefaultCapacity
-		}
-		a, err := ff.simulate(context.Background(), "bfs", scheme, cap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := stepped.simulate(context.Background(), "bfs", scheme, cap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Chip.FFJumps == 0 {
-			t.Fatalf("%s: chip fast-forward never engaged", scheme)
-		}
-		if a.Stats.Cycles != b.Stats.Cycles || a.Stats.DynInsns != b.Stats.DynInsns {
-			t.Fatalf("%s: FF on %d cycles/%d insns vs off %d/%d", scheme,
-				a.Stats.Cycles, a.Stats.DynInsns, b.Stats.Cycles, b.Stats.DynInsns)
-		}
-		if a.Chip.L2 != b.Chip.L2 {
-			t.Fatalf("%s: L2 traffic diverges under FF:\n%+v\nvs\n%+v", scheme, a.Chip.L2, b.Chip.L2)
-		}
-		for i := range a.Chip.PerSM {
-			if a.Chip.PerSM[i].Cycles != b.Chip.PerSM[i].Cycles {
-				t.Fatalf("%s: SM %d cycles %d vs %d", scheme, i,
-					a.Chip.PerSM[i].Cycles, b.Chip.PerSM[i].Cycles)
-			}
-		}
+	t.Parallel()
+	var jumps uint64
+	eachDrawn(t, anyDrawn, func(t *testing.T, m machine) {
+		ff := m.mustRun(t, nil)
+		stepped := m.mustRun(t, func(su *SimSetup) { su.NoFastForward = true })
+		jumps += ff.Res.FFJumps
+		same(t, m, "stepped and fast-forwarded runs", stepped, ff.withoutFF())
+	})
+	if jumps == 0 {
+		t.Fatal("fast-forward never engaged on the draw: the parity proved nothing")
 	}
 }
 
-// TestChipDeterminism16 runs the same 16-SM chip twice from fresh state
-// and requires bit-identical results: cycles, per-SM stats, chip L2 and
-// DRAM counters.
+// TestChipDeterminism16: the same machine built twice from fresh state
+// runs bit-identically — a 16-SM chip, and every drawn machine.
 func TestChipDeterminism16(t *testing.T) {
-	a, err := NewSuite(chipOpts(16)).simulate(context.Background(), "bfs", SchemeRegLess, DefaultCapacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSuite(chipOpts(16)).simulate(context.Background(), "bfs", SchemeRegLess, DefaultCapacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Chip.Cycles != b.Chip.Cycles {
-		t.Fatalf("cycles %d vs %d", a.Chip.Cycles, b.Chip.Cycles)
-	}
-	if a.Chip.L2 != b.Chip.L2 {
-		t.Fatalf("L2 stats diverge:\n%+v\nvs\n%+v", a.Chip.L2, b.Chip.L2)
-	}
-	if !reflect.DeepEqual(a.Stats, b.Stats) {
-		t.Fatalf("merged stats diverge:\n%+v\nvs\n%+v", a.Stats, b.Stats)
-	}
-	if !reflect.DeepEqual(a.Mem, b.Mem) {
-		t.Fatalf("mem stats diverge:\n%+v\nvs\n%+v", a.Mem, b.Mem)
-	}
+	t.Parallel()
+	bfs := []*isa.Kernel{kernels.MustLoad("bfs")}
+	sixteen := machine{scheme: SchemeRegLess, capacity: DefaultCapacity, warps: 8, sms: 16, grid: 128, standing: "cold", seq: "bfs", ks: bfs}
+	same(t, sixteen, "two runs", sixteen.mustRun(t, nil), sixteen.mustRun(t, nil))
+	eachDrawn(t, anyDrawn, func(t *testing.T, m machine) {
+		same(t, m, "two runs", m.mustRun(t, nil), m.mustRun(t, nil))
+	})
 }

@@ -4,82 +4,33 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/mem"
 )
 
-// bankedSetup is a small setup on a fresh banked L2, the level every
-// co-residency chip runs on.
-func bankedSetup(t *testing.T) SimSetup {
-	t.Helper()
-	opts := Quick()
-	opts.Warps = 8
-	su := opts.Setup(DefaultCapacity)
-	l2, err := mem.NewBankedL2(mem.DefaultBankedL2Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	su.L2 = l2
-	return su
-}
-
-// TestCoResidentSlots: two kernels sharing a chip share nothing but the
-// L2 and DRAM. Each slot's stores and instruction count are those of its
-// kernel executed alone (exec.Run over the slot's warps), and contending
-// for the shared level never makes a kernel faster than it runs on the
-// same SMs with the other half of the chip idle.
+// TestCoResidentSlots: two kernels sharing a chip (beside: k on half of
+// four SMs, co on the rest) share nothing but the L2 and DRAM, and
+// contending for it never makes a kernel faster than it runs with the
+// other half idle. That each slot stores what its kernel stores alone is
+// the store relation's, on drawn machines with a co-resident slot.
 func TestCoResidentSlots(t *testing.T) {
-	const half = 2
 	for _, pair := range coResidentPairs {
 		for _, scheme := range []Scheme{SchemeBaseline, SchemeRegLess} {
 			t.Run(fmt.Sprintf("%s+%s/%s", pair[0], pair[1], scheme), func(t *testing.T) {
 				t.Parallel()
 				ks := [2]*isa.Kernel{kernels.MustLoad(pair[0]), kernels.MustLoad(pair[1])}
-				run := func(su SimSetup, k *isa.Kernel) (*gpu.GPU, *gpu.Result) {
-					g, _, err := Assemble(nil, k, scheme, half, su, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := g.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					return g, res
+				beside := func(k, co *isa.Kernel) *gpu.Result {
+					m := machine{scheme: scheme, capacity: DefaultCapacity, warps: 8, sms: 2, grid: 16,
+						standing: "L2", seq: k.Name, ks: []*isa.Kernel{k}, co: co}
+					return m.mustRun(t, nil).Res.PerLaunch[0]
 				}
-				su := bankedSetup(t)
-				su.CoResident = []gpu.KernelSlot{{K: ks[1], SMs: half, AddrBias: coResidentBias}}
-				g, co := run(su, ks[0])
-				if len(g.SMs) != 2*half || len(co.KernelCycles) != 2 {
-					t.Fatalf("%d SMs, %d kernel times", len(g.SMs), len(co.KernelCycles))
+				co := beside(ks[0], ks[1])
+				if len(co.PerSM) != 4 || len(co.KernelCycles) != 2 {
+					t.Fatalf("%d SMs, %d kernel times", len(co.PerSM), len(co.KernelCycles))
 				}
 				for slot, k := range ks {
-					ref, err := exec.Run(k, half*su.Warps, exec.NewMemory(nil))
-					if err != nil {
-						t.Fatal(err)
-					}
-					var insns uint64
-					for i, st := range co.PerSM {
-						if g.Slot[i] == slot {
-							insns += st.DynInsns
-						}
-					}
-					if insns != ref.DynInsns {
-						t.Errorf("slot %d (%s): %d instructions, alone %d", slot, k.Name, insns, ref.DynInsns)
-					}
-					got := g.Mems[slot].GlobalStores()
-					if len(got) != len(ref.Stores) {
-						t.Fatalf("slot %d (%s): %d stores, alone %d", slot, k.Name, len(got), len(ref.Stores))
-					}
-					for a, v := range ref.Stores {
-						if got[a] != v {
-							t.Fatalf("slot %d (%s): store at %#x diverged", slot, k.Name, a)
-						}
-					}
-					_, iso := run(bankedSetup(t), k)
-					if co.KernelCycles[slot] < iso.KernelCycles[0] {
+					if iso := beside(k, nil); co.KernelCycles[slot] < iso.KernelCycles[0] {
 						t.Errorf("slot %d (%s): %d cycles co-resident, %d isolated",
 							slot, k.Name, co.KernelCycles[slot], iso.KernelCycles[0])
 					}
@@ -93,7 +44,7 @@ func TestCoResidentSlots(t *testing.T) {
 // last assertion: one SM handed a banked L2 runs on it, not on a private
 // slice, and what it leaves there is the next launch's warm level.
 func TestChipOfOneOnStandingL2(t *testing.T) {
-	su := bankedSetup(t)
+	su := machine{warps: 8, standing: "L2"}.setup()
 	run, err := SimulateKernel(kernels.MustLoad("bfs"), SchemeBaseline, su, nil)
 	if err != nil {
 		t.Fatal(err)

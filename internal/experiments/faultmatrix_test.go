@@ -3,15 +3,16 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/gpu"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/sanitizer"
-	"repro/internal/sim"
 )
 
 // matrixOutcome is one fault-injected run's classification.
@@ -21,30 +22,20 @@ type matrixOutcome struct {
 	stores   map[uint32]uint32     // final global stores when completed
 }
 
-// runFaulted executes one fault-injected, sanitized simulation of `bench`
-// and classifies the result. Panics are recovered and reported as matrix
-// failures rather than crashing the test binary, because the robustness
-// contract is precisely "never a raw panic".
 // assembleChip is Assemble, on the heap, for a suite benchmark by name.
 func assembleChip(t *testing.T, bench string, scheme Scheme, sms int, su SimSetup) *gpu.GPU {
 	t.Helper()
-	k, err := kernels.Load(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _, err := Assemble(nil, k, scheme, sms, su, nil)
+	g, _, err := Assemble(nil, kernels.MustLoad(bench), scheme, sms, su, nil)
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
 	return g
 }
 
-// assembleSM is the lone SM of a chip of one.
-func assembleSM(t *testing.T, bench string, scheme Scheme, su SimSetup) *sim.SM {
-	t.Helper()
-	return assembleChip(t, bench, scheme, 1, su).SMs[0]
-}
-
+// runFaulted executes one fault-injected, sanitized simulation of `bench`
+// and classifies the result. Panics are recovered and reported as matrix
+// failures rather than crashing the test binary, because the robustness
+// contract is precisely "never a raw panic".
 func runFaulted(t *testing.T, bench string, scheme Scheme, spec string) (out matrixOutcome) {
 	t.Helper()
 	plan, err := faults.Parse(spec)
@@ -57,7 +48,7 @@ func runFaulted(t *testing.T, bench string, scheme Scheme, spec string) (out mat
 			out.panicked = r
 		}
 	}()
-	smv := assembleSM(t, bench, scheme, SimSetup{
+	smv := assembleChip(t, bench, scheme, 1, SimSetup{
 		Capacity:  DefaultCapacity,
 		Warps:     8,
 		MaxCycles: 2_000_000,
@@ -65,7 +56,7 @@ func runFaulted(t *testing.T, bench string, scheme Scheme, spec string) (out mat
 		Sanitize:  true,
 		Faults:    plan,
 		Memory:    mm,
-	})
+	}).SMs[0]
 	if _, err := smv.Run(); err != nil {
 		var d *sanitizer.Diagnostic
 		if !errors.As(err, &d) {
@@ -78,30 +69,10 @@ func runFaulted(t *testing.T, bench string, scheme Scheme, spec string) (out mat
 	return out
 }
 
-// refStores computes the functional reference output for a benchmark.
+// refStores is the functional reference output of a benchmark's grid.
 func refStores(t *testing.T, bench string, warps int) map[uint32]uint32 {
-	t.Helper()
-	k, err := kernels.Load(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := exec.Run(k, warps, exec.NewMemory(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ref.Stores
-}
-
-func sameStores(a, b map[uint32]uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
+	stores, _ := machine{grid: warps, ks: []*isa.Kernel{kernels.MustLoad(bench)}}.reference(t)
+	return stores[0]
 }
 
 // TestFaultMatrixToleratedOrDetected is the robustness contract's proof:
@@ -133,7 +104,7 @@ func TestFaultMatrixToleratedOrDetected(t *testing.T) {
 					}
 					t.Logf("detected by %s: %s", d.Component, d.Violation)
 				default:
-					if !sameStores(out.stores, ref) {
+					if !maps.Equal(out.stores, ref) {
 						t.Fatalf("fault silently corrupted output: %d stores vs %d reference",
 							len(out.stores), len(ref))
 					}
@@ -210,37 +181,20 @@ func TestFaultClassesTolerated(t *testing.T) {
 			if out.diag != nil {
 				t.Fatalf("tolerable fault was flagged: %s", out.diag.Error())
 			}
-			if !sameStores(out.stores, ref) {
+			if !maps.Equal(out.stores, ref) {
 				t.Fatal("tolerable fault changed the functional output")
 			}
 		})
 	}
 }
 
-// TestSanitizedSuiteMatchesPlain: a sanitized, fault-free run must
-// produce the same cycle count and output as the plain run — the checker
-// observes, never perturbs.
+// TestSanitizedSuiteMatchesPlain: on every drawn machine a sanitized,
+// fault-free run reports what the plain run does — the checker observes,
+// never perturbs.
 func TestSanitizedSuiteMatchesPlain(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeBaseline, SchemeRegLess} {
-		build := func(sanitize bool) (uint64, map[uint32]uint32) {
-			mm := exec.NewMemory(nil)
-			smv := assembleSM(t, "nw", scheme, SimSetup{
-				Capacity: DefaultCapacity, Warps: 8, MaxCycles: 2_000_000,
-				Sanitize: sanitize, Memory: mm,
-			})
-			st, err := smv.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st.Cycles, mm.GlobalStores()
-		}
-		plainCycles, plainStores := build(false)
-		sanCycles, sanStores := build(true)
-		if plainCycles != sanCycles {
-			t.Errorf("%s: sanitizer changed timing: %d vs %d cycles", scheme, plainCycles, sanCycles)
-		}
-		if !sameStores(plainStores, sanStores) {
-			t.Errorf("%s: sanitizer changed output", scheme)
-		}
-	}
+	t.Parallel()
+	eachDrawn(t, anyDrawn, func(t *testing.T, m machine) {
+		sanitized := m.mustRun(t, func(su *SimSetup) { su.Sanitize = true })
+		same(t, m, "sanitized and plain runs", sanitized, m.mustRun(t, nil))
+	})
 }

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/events"
-	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/isa"
@@ -95,60 +93,43 @@ func TestCachedRunPinsNoMachine(t *testing.T) {
 
 // outcome is everything a run leaves behind for its consumers.
 type outcome struct {
-	stats  sim.Stats
-	prov   sim.ProviderStats
-	mem    mem.Stats
-	stores map[uint32]uint32
+	Stats  sim.Stats
+	Prov   sim.ProviderStats
+	Mem    mem.Stats
+	Stores map[uint32]uint32
 }
 
 // TestRecycledMatchesFreshUnderPoison is what proves Reset. The
-// reference for every point is a chip built on the heap — fresh
-// allocations throughout. Then, with every arena that goes back
-// scribbled over on the way (all-ones words, written bitmaps full, cache
-// lines valid and dirty under wild tags, OSU cells resident, scoreboards
-// and masks set), the same points go through runPoint in a shuffled
-// order, each built in the arena the ones before it ran in, and must
-// report the same Stats, ProviderStats, mem.Stats and stored words. A
-// Reset that missed a page, a written bitmap, the registers or a line
+// reference for every drawn single-launch machine is its chip built on
+// the heap — fresh allocations throughout. Then, with every arena that
+// goes back scribbled over on the way (all-ones words, written bitmaps
+// full, cache lines valid and dirty under wild tags, OSU cells resident,
+// scoreboards and masks set), the same machines go through runPoint in a
+// shuffled order, each built in the arena the ones before it ran in, and
+// must report the same Stats, ProviderStats, mem.Stats and stored words.
+// A Reset that missed a page, a written bitmap, the registers or a line
 // array hands the next run that garbage and cannot pass.
 func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
-	type point struct {
-		bench    string
-		scheme   Scheme
-		capacity int
-		sms      int
-	}
-	var points []point
-	for i, b := range kernels.Names() {
-		for _, sc := range []schemeCap{{SchemeBaseline, 0}, {SchemeRFH, 0}, {SchemeRegLess, 128}} {
-			points = append(points, point{b, sc.scheme, sc.capacity, 1})
-			if i%5 == 0 && sc.scheme != SchemeRFH { // and the banked L2's arrays
-				points = append(points, point{b, sc.scheme, sc.capacity, 4})
-			}
-		}
-	}
-	setup := func(p point) SimSetup {
-		return SimSetup{Capacity: p.capacity, Warps: 16, MaxCycles: 20_000_000}
-	}
-
+	ms := singleDrawn.machines()
 	arena.Drop()
 	defer arena.Drop()
-	fresh := make(map[point]outcome, len(points))
-	for _, p := range points {
-		su := setup(p)
-		su.Memory = exec.NewMemory(nil)
-		g := assembleChip(t, p.bench, p.scheme, p.sms, su)
+	fresh := make([]outcome, len(ms))
+	for i, m := range ms {
+		su := m.setup()
+		g, _, err := Assemble(nil, m.ks[0], m.scheme, m.sms, su, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
 		res, err := g.Run()
 		if err != nil {
-			t.Fatalf("%+v: %v", p, err)
+			t.Fatalf("%s: %v", m, err)
 		}
-		o := outcome{stats: *mergeSimStats(nil, res), stores: su.Memory.GlobalStores()}
+		fresh[i] = outcome{Stats: *mergeSimStats(nil, res), Stores: su.Memory.GlobalStores()}
 		for _, smv := range g.SMs {
 			// Σ per-SM by the test's own walk, not the fold under test.
-			sumFields(&o.prov, &smv.Prov)
-			sumFields(&o.mem, &smv.Mem.Stats)
+			sumFields(&fresh[i].Prov, &smv.Prov)
+			sumFields(&fresh[i].Mem, &smv.Mem.Stats)
 		}
-		fresh[p] = o
 	}
 	if n := arena.Held(); n != 0 {
 		t.Fatalf("%d arenas parked while building the references: a kept chip must be built on the heap", n)
@@ -156,45 +137,30 @@ func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
 
 	arena.SetPoison(true)
 	defer arena.SetPoison(false)
-	rand.New(rand.NewSource(17)).Shuffle(len(points), func(i, j int) { points[i], points[j] = points[j], points[i] })
-	for i, p := range points {
-		k, err := kernels.Load(p.bench)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for n, i := range rand.New(rand.NewSource(17)).Perm(len(ms)) {
+		m, want := ms[i], fresh[i]
 		// Odd runs keep their stores to compare — in a memory of the
 		// test's own, which the machine's arena must leave alone; even
 		// runs let the chip make its memory in the arena, pages and all.
-		su := setup(p)
-		if i%2 == 1 {
-			su.Memory = exec.NewMemory(nil)
+		su := m.setup()
+		if n%2 == 0 {
+			su.Memory = nil
 		}
 		var r *Run
-		err = runPoint(context.Background(), k, p.bench, p.scheme, p.sms, su, nil, 0, nil, func(in *Instrumented) error {
+		err := runPoint(context.Background(), m.ks[0], m.seq, m.scheme, m.sms, su, nil, 0, nil, func(in *Instrumented) error {
 			r = in.Run.Detach()
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("%+v: %v", p, err)
+			t.Fatalf("%s: %v", m, err)
 		}
-		want := fresh[p]
-		where := fmt.Sprintf("run %d, %+v", i, p)
-		if !reflect.DeepEqual(*r.Stats, want.stats) {
-			t.Fatalf("%s: Stats in a recycled arena differ from the heap's:\n%+v\n%+v", where, *r.Stats, want.stats)
-		}
-		if r.Prov != want.prov {
-			t.Fatalf("%s: ProviderStats differ:\n%+v\n%+v", where, r.Prov, want.prov)
-		}
-		if r.Mem != want.mem {
-			t.Fatalf("%s: mem.Stats differ:\n%+v\n%+v", where, r.Mem, want.mem)
-		}
+		got := outcome{Stats: *r.Stats, Prov: r.Prov, Mem: r.Mem, Stores: want.Stores}
 		if su.Memory != nil {
-			if got := su.Memory.GlobalStores(); !reflect.DeepEqual(got, want.stores) {
-				t.Fatalf("%s: %d stored words differ from the fresh run's %d", where, len(got), len(want.stores))
-			}
+			got.Stores = su.Memory.GlobalStores()
 		}
+		same(t, m, fmt.Sprint("run ", n, " in a recycled arena and the heap run"), got, want)
 		if arena.Held() != 1 {
-			t.Fatalf("%s: %d arenas parked, want the one every run takes and puts back", where, arena.Held())
+			t.Fatalf("%s: run %d: %d arenas parked, want the one every run takes and puts back", m, n, arena.Held())
 		}
 	}
 }
@@ -352,10 +318,7 @@ func TestResultSurvivesArenaReuse(t *testing.T) {
 	}
 	taken := arena.Held()
 
-	kb, err := kernels.Load("hotspot")
-	if err != nil {
-		t.Fatal(err)
-	}
+	kb := kernels.MustLoad("hotspot")
 	if err := runPoint(context.Background(), kb, "hotspot", SchemeRegLess, 2, su, nil, events.MaskAll, nil,
 		func(*Instrumented) error { return nil }); err != nil {
 		t.Fatal(err)

@@ -136,9 +136,7 @@ func TestMetricsStreamParallelComplete(t *testing.T) {
 func TestMetricsStreamSMLabel(t *testing.T) {
 	for _, sms := range []int{1, 2} {
 		var stream bytes.Buffer
-		opts := chipOpts(sms)
-		opts.MetricsWriter = &stream
-		suite := NewSuite(opts)
+		suite := NewSuite(Options{Warps: 8, Benchmarks: []string{"bfs"}, MaxCycles: 20_000_000, SMs: sms, MetricsWriter: &stream})
 		if _, err := suite.Get("bfs", SchemeBaseline, 0); err != nil {
 			t.Fatal(err)
 		}

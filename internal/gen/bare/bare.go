@@ -7,7 +7,7 @@
 // RegLess at its 512-register design point), not by experiments' table
 // and constants: experiments' own tests use it, and a reference read from
 // what it checks checks nothing.
-// Only tests import it.
+// Run is the same machine over a launch sequence. Only tests import it.
 package bare
 
 import (
@@ -46,4 +46,31 @@ func SM(scheme string, k *isa.Kernel, cfg sim.Config, mm *exec.Memory, hier *mem
 		return nil, fmt.Errorf("no bare reference for scheme %q", scheme)
 	}
 	return sim.New(nil, cfg, k, p, mm, hier)
+}
+
+// Run is the launch loop as it read before every launch was a chip: ks
+// in order, each over a grid of grid warps in waves of at most resident,
+// one SM per wave over mm and hier (nil: each SM's own), whose timing
+// restarts with the SM. It returns the waves' SMs, run.
+func Run(scheme string, ks []*isa.Kernel, grid, resident int, mm *exec.Memory, hier *mem.Hierarchy) ([]*sim.SM, error) {
+	var sms []*sim.SM
+	cfg := sim.DefaultConfig()
+	cfg.MaxCycles = 20_000_000 // a bound only a hang reaches
+	for _, k := range ks {
+		for base := 0; base < grid; base += resident {
+			cfg.Warps, cfg.WarpIDBase = min(resident, grid-base), base
+			if hier != nil {
+				hier.ResetTiming() // the new SM's clock starts at zero
+			}
+			smv, err := SM(scheme, k, cfg, mm, hier)
+			if err == nil {
+				_, err = smv.Run()
+			}
+			if err != nil {
+				return nil, err
+			}
+			sms = append(sms, smv)
+		}
+	}
+	return sms, nil
 }

@@ -100,8 +100,9 @@ type Launch struct {
 	// FirstWarp is the global ID of the launch's first warp: SM i of a
 	// slot hosts warps from FirstWarp + i*Config.SM.Warps of the slot's
 	// grid. EndWarp, when non-zero, ends the range: the SM it falls in
-	// holds the short last chunk and the slot's SMs past it are not built
-	// (a grid's last wave).
+	// holds the short last chunk and the first slot's SMs past it are not
+	// built (a grid's last wave); a range that leaves an SM of a later,
+	// co-resident slot unbuilt is an error.
 	FirstWarp, EndWarp int
 	// L2 is a standing banked L2 the chip runs on instead of a cold one:
 	// contents and statistics from earlier launches, timing reset here.
@@ -198,6 +199,9 @@ func New(a *arena.Arena, cfgv Config, l Launch) (*GPU, error) {
 			smCfg.WarpIDBase = l.FirstWarp + i*smCfg.Warps
 			if l.EndWarp != 0 {
 				if smCfg.WarpIDBase >= l.EndWarp {
+					if si > 0 { // a co-resident kernel built short computes less than it does alone
+						return nil, fmt.Errorf("gpu: warp range [%d, %d) leaves SM %d of co-resident slot %d unbuilt", l.FirstWarp, l.EndWarp, i, si)
+					}
 					break
 				}
 				smCfg.Warps = min(smCfg.Warps, l.EndWarp-smCfg.WarpIDBase)

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"errors"
+	"maps"
 	"strings"
 	"testing"
 
@@ -56,14 +57,8 @@ func TestMultiSMEquivalence(t *testing.T) {
 			if res.TotalInsns != ref.DynInsns {
 				t.Fatalf("instructions: gpu %d, functional %d", res.TotalInsns, ref.DynInsns)
 			}
-			got := mm.GlobalStores()
-			if len(got) != len(ref.Stores) {
-				t.Fatalf("store count %d, want %d", len(got), len(ref.Stores))
-			}
-			for a, v := range ref.Stores {
-				if got[a] != v {
-					t.Fatalf("store mismatch at %#x: %d vs %d", a, got[a], v)
-				}
+			if got := mm.GlobalStores(); !maps.Equal(got, ref.Stores) {
+				t.Fatalf("%d stored words differ from the functional run's %d", len(got), len(ref.Stores))
 			}
 			if res.Cycles == 0 || len(res.PerSM) != sms {
 				t.Fatalf("degenerate result %+v", res)
@@ -92,11 +87,8 @@ func TestMultiSMRegLess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mm.GlobalStores()
-	for a, v := range ref.Stores {
-		if got[a] != v {
-			t.Fatalf("RegLess multi-SM diverged at %#x", a)
-		}
+	if got := mm.GlobalStores(); !maps.Equal(got, ref.Stores) {
+		t.Fatalf("RegLess multi-SM diverged: %d stored words, functional %d", len(got), len(ref.Stores))
 	}
 }
 
@@ -129,10 +121,17 @@ func TestSharedL2Contention(t *testing.T) {
 	}
 }
 
+// TestGPURejectsZeroSMs: a chip with no SMs, or with an SM of a
+// co-resident slot outside the launch's warp range, is not built.
 func TestGPURejectsZeroSMs(t *testing.T) {
 	k := kernels.MustLoad("nw")
 	if _, err := New(nil, smallCfg(8), oneKernel(k, 0, baselineFactory(), nil)); err == nil {
 		t.Fatal("accepted zero SMs")
+	}
+	l := oneKernel(k, 1, baselineFactory(), nil)
+	l.Slots, l.EndWarp = append(l.Slots, KernelSlot{K: k, SMs: 2}), 8
+	if _, err := New(nil, smallCfg(8), l); err == nil {
+		t.Fatal("accepted a co-resident slot built short of its SMs")
 	}
 }
 

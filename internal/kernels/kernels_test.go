@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/exec"
@@ -71,13 +72,8 @@ func TestAllBenchmarksBuildAndRun(t *testing.T) {
 			if len(want.Stores) == 0 {
 				t.Fatal("kernel produced no output")
 			}
-			if len(want.Stores) != len(got.Stores) {
-				t.Fatalf("store count mismatch: %d vs %d", len(want.Stores), len(got.Stores))
-			}
-			for a, v := range want.Stores {
-				if got.Stores[a] != v {
-					t.Fatalf("regalloc changed behaviour at %#x: %d vs %d", a, got.Stores[a], v)
-				}
+			if !maps.Equal(got.Stores, want.Stores) {
+				t.Fatalf("regalloc changed behaviour: %d stored words, %d before", len(got.Stores), len(want.Stores))
 			}
 		})
 	}

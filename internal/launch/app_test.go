@@ -1,7 +1,6 @@
 package launch_test
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/exec"
@@ -10,33 +9,16 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/launch"
 	"repro/internal/mem"
-	"repro/internal/sim"
 )
 
 // runApp launches an application's kernels back to back on one SM, mm
 // and one hierarchy standing between them; it returns the hierarchy's
 // cumulative statistics with the sequence.
-func runApp(app kernels.Application, scheme experiments.Scheme, noFF bool, mm *exec.Memory) (*launch.Result, mem.Stats, error) {
+func runApp(app kernels.Application, scheme experiments.Scheme, mm *exec.Memory) (*launch.Result, mem.Stats, error) {
 	su := setup(8)
-	su.NoFastForward = noFF
 	su.Memory, su.Hier = mm, mem.New(mem.DefaultConfig())
 	res, err := experiments.Launch(app.Kernels, scheme, 1, 8, su)
 	return res, su.Hier.Stats, err
-}
-
-// sameAsFunctional demands mm hold what the application's kernels store
-// when run in order through the pure functional executor on one memory.
-func sameAsFunctional(t *testing.T, app kernels.Application, mm *exec.Memory) {
-	t.Helper()
-	ref := exec.NewMemory(nil)
-	for _, k := range app.Kernels {
-		if _, err := exec.Run(k, 8, ref); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if want, got := ref.GlobalStores(), mm.GlobalStores(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("app chain stores diverge from the functional run's (%d vs %d)", len(got), len(want))
-	}
 }
 
 func TestAppsRunAndChain(t *testing.T) {
@@ -48,14 +30,14 @@ func TestAppsRunAndChain(t *testing.T) {
 				t.Fatalf("application has %d kernels", len(app.Kernels))
 			}
 			mm := exec.NewMemory(nil)
-			res, _, err := runApp(app, experiments.SchemeBaseline, false, mm)
+			res, _, err := runApp(app, experiments.SchemeBaseline, mm)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(res.PerLaunch) != len(app.Kernels) || res.Cycles == 0 {
 				t.Fatalf("degenerate result %+v", res)
 			}
-			sameAsFunctional(t, app, mm)
+			sameStores(t, app.Kernels, 8, mm)
 		})
 	}
 }
@@ -66,10 +48,10 @@ func TestAppRegLess(t *testing.T) {
 		t.Fatal(err)
 	}
 	mm := exec.NewMemory(nil)
-	if _, _, err := runApp(app, experiments.SchemeRegLess, false, mm); err != nil {
+	if _, _, err := runApp(app, experiments.SchemeRegLess, mm); err != nil {
 		t.Fatal(err)
 	}
-	sameAsFunctional(t, app, mm)
+	sameStores(t, app.Kernels, 8, mm)
 }
 
 func TestAppWarmCaches(t *testing.T) {
@@ -79,7 +61,7 @@ func TestAppWarmCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hier, err := runApp(app, experiments.SchemeBaseline, false, nil)
+	_, hier, err := runApp(app, experiments.SchemeBaseline, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,48 +74,32 @@ func TestAppByNameUnknown(t *testing.T) {
 	if _, err := kernels.AppByName("nosuch_app"); err == nil {
 		t.Fatal("unknown app accepted")
 	}
-	if _, _, err := runApp(kernels.Application{Name: "empty"}, experiments.SchemeBaseline, false, nil); err == nil {
+	if _, _, err := runApp(kernels.Application{Name: "empty"}, experiments.SchemeBaseline, nil); err == nil {
 		t.Fatal("empty app accepted")
 	}
 }
 
 // TestAppMatchesBareLoop: an application through the one loop — each
 // kernel a chip of one handed the standing hierarchy — is the loop as it
-// read before every launch was a chip: a bare sim.New per
+// read before every launch was a chip (bare.Run): a bare sim.New per
 // kernel over one mem.New and one functional memory.
 func TestAppMatchesBareLoop(t *testing.T) {
 	for _, app := range kernels.Apps() {
 		for _, scheme := range referenceSchemes {
-			for _, noFF := range []bool{false, true} {
-				want := exec.NewMemory(nil)
-				hier := mem.New(mem.DefaultConfig())
-				var cycles uint64
-				var per []*sim.Stats
-				for _, k := range app.Kernels {
-					cfg := sim.DefaultConfig()
-					cfg.Warps, cfg.MaxCycles, cfg.NoFastForward = 8, 10_000_000, noFF
-					hier.ResetTiming() // the new SM's clock starts at zero
-					smv, err := bare.SM(string(scheme), k, cfg, want, hier)
-					if err != nil {
-						t.Fatal(err)
-					}
-					st, err := smv.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					cycles += st.Cycles
-					per = append(per, st)
-				}
-				mm := exec.NewMemory(nil)
-				res, stats, err := runApp(app, scheme, noFF, mm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				where := app.Name + "/" + string(scheme)
-				sameSequence(t, where, res, cycles, per, mm, want)
-				if stats != hier.Stats {
-					t.Errorf("%s: hierarchy statistics diverge:\nchip %+v\nbare %+v", where, stats, hier.Stats)
-				}
+			want, hier := exec.NewMemory(nil), mem.New(mem.DefaultConfig())
+			ref, err := bare.Run(string(scheme), app.Kernels, 8, 8, want, hier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mm := exec.NewMemory(nil)
+			res, stats, err := runApp(app, scheme, mm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			where := app.Name + "/" + string(scheme)
+			sameSequence(t, where, res, ref, mm, want)
+			if stats != hier.Stats {
+				t.Errorf("%s: hierarchy statistics diverge:\nchip %+v\nbare %+v", where, stats, hier.Stats)
 			}
 		}
 	}

@@ -42,8 +42,8 @@ func TestGridEquivalence(t *testing.T) {
 	if res.Launches != 2 {
 		t.Fatalf("waves = %d", res.Launches)
 	}
-	if ref := sameStores(t, k, 32, mm); res.Insns != ref.DynInsns {
-		t.Fatalf("insns %d vs %d", res.Insns, ref.DynInsns)
+	if insns := sameStores(t, []*isa.Kernel{k}, 32, mm); res.Insns != insns {
+		t.Fatalf("insns %d vs %d", res.Insns, insns)
 	}
 	if sum := launchSum(res); sum != res.Cycles {
 		t.Fatalf("cycles %d != wave sum %d", res.Cycles, sum)
@@ -97,7 +97,7 @@ func TestGridRegLess(t *testing.T) {
 	if res.Launches != 2 {
 		t.Fatalf("waves = %d", res.Launches)
 	}
-	sameStores(t, k, 32, mm)
+	sameStores(t, []*isa.Kernel{k}, 32, mm)
 }
 
 // TestGridShortLastWave: a grid that does not fill its last wave builds
@@ -113,8 +113,8 @@ func TestGridShortLastWave(t *testing.T) {
 	if res.Launches != 2 || len(res.PerLaunch[0].PerSM) != 4 || len(res.PerLaunch[1].PerSM) != 1 {
 		t.Fatalf("%d launches, last on %d SMs", res.Launches, len(res.PerLaunch[res.Launches-1].PerSM))
 	}
-	if ref := sameStores(t, k, 40, mm); res.Insns != ref.DynInsns {
-		t.Fatalf("insns %d vs %d", res.Insns, ref.DynInsns)
+	if insns := sameStores(t, []*isa.Kernel{k}, 40, mm); res.Insns != insns {
+		t.Fatalf("insns %d vs %d", res.Insns, insns)
 	}
 }
 

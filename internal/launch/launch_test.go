@@ -1,12 +1,14 @@
 package launch_test
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/gen/bare"
+	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/launch"
@@ -27,41 +29,20 @@ func waves(k *isa.Kernel, scheme experiments.Scheme, total, resident int, mm *ex
 	return experiments.Launch([]*isa.Kernel{k}, scheme, 1, total, su)
 }
 
-// bareWaves is the wave loop as it read before every launch was a chip: a
-// bare sim.New per wave over one functional memory, cycles summed.
-func bareWaves(t *testing.T, k *isa.Kernel, scheme experiments.Scheme, total, resident int, noFF bool, mm *exec.Memory) (cycles uint64, perWave []*sim.Stats) {
-	t.Helper()
-	for base := 0; base < total; base += resident {
-		cfg := sim.DefaultConfig()
-		cfg.Warps, cfg.WarpIDBase, cfg.MaxCycles, cfg.NoFastForward = min(resident, total-base), base, 10_000_000, noFF
-		smv, err := bare.SM(string(scheme), k, cfg, mm, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := smv.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cycles += st.Cycles
-		perWave = append(perWave, st)
-	}
-	return cycles, perWave
-}
-
 // referenceSchemes are the ones the assembled sequence is held to a bare
 // loop under: the plain file, a two-level scheduler, and RegLess.
 var referenceSchemes = []experiments.Scheme{experiments.SchemeBaseline, experiments.SchemeRFV, experiments.SchemeRegLess}
 
 // sameSequence demands the assembled sequence report what the bare loop
-// did: total cycles, every launch's statistics, the final stores.
-func sameSequence(t *testing.T, where string, res *launch.Result, cycles uint64, per []*sim.Stats, got, want *exec.Memory) {
+// did: every launch's statistics (so the cycles they sum to), the stores.
+func sameSequence(t *testing.T, where string, res *launch.Result, ref []*sim.SM, got, want *exec.Memory) {
 	t.Helper()
-	if res.Cycles != cycles || res.Launches != len(per) || len(res.PerLaunch) != len(per) {
-		t.Fatalf("%s: %d cycles in %d launches, bare %d in %d", where, res.Cycles, res.Launches, cycles, len(per))
+	if res.Cycles != launchSum(res) || res.Launches != len(ref) || len(res.PerLaunch) != len(ref) {
+		t.Fatalf("%s: %d cycles (%d summed) in %d launches, bare %d", where, res.Cycles, launchSum(res), res.Launches, len(ref))
 	}
-	for i, st := range per {
-		if !reflect.DeepEqual(res.PerLaunch[i].PerSM[0], st) {
-			t.Errorf("%s: launch %d statistics diverge:\nchip %+v\nbare %+v", where, i, res.PerLaunch[i].PerSM[0], st)
+	for i, smv := range ref {
+		if !reflect.DeepEqual(res.PerLaunch[i].PerSM[0], &smv.Stats) {
+			t.Errorf("%s: launch %d statistics diverge:\nchip %+v\nbare %+v", where, i, res.PerLaunch[i].PerSM[0], smv.Stats)
 		}
 	}
 	if !reflect.DeepEqual(got.GlobalStores(), want.GlobalStores()) {
@@ -70,42 +51,47 @@ func sameSequence(t *testing.T, where string, res *launch.Result, cycles uint64,
 }
 
 // TestWavesMatchBareLoop: a grid launched in waves through the one loop —
-// each wave a chip of one assembled for its warp range — is the bare loop,
-// with a short last wave (40 warps in waves of 16), fast-forward on and
-// off.
+// each wave a chip of one assembled for its warp range — is the bare loop
+// (bare.Run), with a short last wave (40 warps in waves of 16). Stepped
+// runs are the fast-forward relation's (experiments.TestChipFFParity).
 func TestWavesMatchBareLoop(t *testing.T) {
 	k := kernels.MustLoad("nw")
 	for _, scheme := range referenceSchemes {
-		for _, noFF := range []bool{false, true} {
-			want := exec.NewMemory(nil)
-			cycles, per := bareWaves(t, k, scheme, 40, 16, noFF, want)
-			su := setup(16)
-			su.NoFastForward = noFF
-			su.Memory = exec.NewMemory(nil)
-			res, err := experiments.Launch([]*isa.Kernel{k}, scheme, 1, 40, su)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(per) != 3 || per[2].DynInsns >= per[1].DynInsns {
-				t.Fatalf("the last wave is not short: %d waves", len(per))
-			}
-			sameSequence(t, string(scheme), res, cycles, per, su.Memory, want)
+		want := exec.NewMemory(nil)
+		ref, err := bare.Run(string(scheme), []*isa.Kernel{k}, 40, 16, want, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		su := setup(16)
+		su.Memory = exec.NewMemory(nil)
+		res, err := experiments.Launch([]*isa.Kernel{k}, scheme, 1, 40, su)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref) != 3 || ref[2].Stats.DynInsns >= ref[1].Stats.DynInsns {
+			t.Fatalf("the last wave is not short: %d waves", len(ref))
+		}
+		sameSequence(t, string(scheme), res, ref, su.Memory, want)
 	}
 }
 
-// sameStores demands mm hold what a functional run of the whole grid
-// stores.
-func sameStores(t *testing.T, k *isa.Kernel, warps int, mm *exec.Memory) *exec.RunResult {
+// sameStores demands mm hold what a functional run of ks, in order over
+// one memory, stores over grids of warps; it returns the instructions
+// that run executes.
+func sameStores(t *testing.T, ks []*isa.Kernel, warps int, mm *exec.Memory) (insns uint64) {
 	t.Helper()
-	ref, err := exec.Run(k, warps, exec.NewMemory(nil))
-	if err != nil {
-		t.Fatal(err)
+	ref := exec.NewMemory(nil)
+	for _, k := range ks {
+		r, err := exec.Run(k, warps, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insns += r.DynInsns
 	}
-	if got := mm.GlobalStores(); !reflect.DeepEqual(got, ref.Stores) {
-		t.Fatalf("launch stores diverge from the functional run's (%d vs %d)", len(got), len(ref.Stores))
+	if got, want := mm.GlobalStores(), ref.GlobalStores(); !maps.Equal(got, want) {
+		t.Fatalf("launch stores diverge from the functional run's (%d vs %d)", len(got), len(want))
 	}
-	return ref
+	return insns
 }
 
 // launchSum is the cycles of a sequence's launches added up.
@@ -126,8 +112,8 @@ func TestWaveEquivalence(t *testing.T) {
 	if res.Launches != 4 {
 		t.Fatalf("waves = %d", res.Launches)
 	}
-	if ref := sameStores(t, k, 32, mm); res.Insns != ref.DynInsns {
-		t.Fatalf("insns %d vs %d", res.Insns, ref.DynInsns)
+	if insns := sameStores(t, []*isa.Kernel{k}, 32, mm); res.Insns != insns {
+		t.Fatalf("insns %d vs %d", res.Insns, insns)
 	}
 	// Total cycles = sum of waves.
 	if sum := launchSum(res); sum != res.Cycles {
@@ -142,7 +128,7 @@ func TestWaveRegLess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameStores(t, k, 16, mm)
+	sameStores(t, []*isa.Kernel{k}, 16, mm)
 	if res.Launches != 2 {
 		t.Fatalf("waves = %d", res.Launches)
 	}
@@ -173,5 +159,10 @@ func TestLaunchValidation(t *testing.T) {
 	}
 	if _, err := waves(k, experiments.SchemeBaseline, 0, 8, nil); err == nil {
 		t.Fatal("accepted zero warps")
+	}
+	su := setup(8)
+	su.CoResident = []gpu.KernelSlot{{K: k, SMs: 2}}
+	if _, err := experiments.Launch([]*isa.Kernel{k}, experiments.SchemeBaseline, 1, 8, su); err == nil {
+		t.Fatal("accepted a co-resident slot with an SM outside the warp range")
 	}
 }

@@ -1,6 +1,7 @@
 package rf
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/exec"
@@ -33,14 +34,8 @@ func runProvider(t *testing.T, k *isa.Kernel, cfgv sim.Config, p sim.Provider) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mm.GlobalStores()
-	if len(got) != len(ref.Stores) {
-		t.Fatalf("%s: store count %d, want %d", p.Name(), len(got), len(ref.Stores))
-	}
-	for a, v := range ref.Stores {
-		if got[a] != v {
-			t.Fatalf("%s: store mismatch at %#x: %d vs %d", p.Name(), a, got[a], v)
-		}
+	if got := mm.GlobalStores(); !maps.Equal(got, ref.Stores) {
+		t.Fatalf("%s: %d stored words differ from the functional run's %d", p.Name(), len(got), len(ref.Stores))
 	}
 	return st
 }

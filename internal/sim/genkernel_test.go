@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 
@@ -94,14 +95,8 @@ func TestGeneratedKernelDifferential(t *testing.T) {
 				if err != nil {
 					fail("%s, %s: %v", where, what, err)
 				}
-				got := su.Memory.GlobalStores()
-				if len(got) != len(ref.Stores) {
-					fail("%s, %s: %d words stored, reference %d", where, what, len(got), len(ref.Stores))
-				}
-				for a, v := range ref.Stores {
-					if got[a] != v {
-						fail("%s, %s: word %#x = %d, reference %d", where, what, a, got[a], v)
-					}
+				if got := su.Memory.GlobalStores(); !maps.Equal(got, ref.Stores) {
+					fail("%s, %s: %d words stored differ from the reference's %d", where, what, len(got), len(ref.Stores))
 				}
 				return out
 			}

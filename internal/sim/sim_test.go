@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/events"
@@ -88,14 +89,8 @@ func TestSimCompletesAndMatchesFunctional(t *testing.T) {
 	if ref.DynInsns != st.DynInsns {
 		t.Fatalf("dyn insns: sim %d vs functional %d", st.DynInsns, ref.DynInsns)
 	}
-	got := mm.GlobalStores()
-	if len(got) != len(ref.Stores) {
-		t.Fatalf("store counts differ: %d vs %d", len(got), len(ref.Stores))
-	}
-	for a, v := range ref.Stores {
-		if got[a] != v {
-			t.Fatalf("store mismatch at %#x: %d vs %d", a, got[a], v)
-		}
+	if got := mm.GlobalStores(); !maps.Equal(got, ref.Stores) {
+		t.Fatalf("%d stored words differ from the functional run's %d", len(got), len(ref.Stores))
 	}
 }
 
@@ -196,11 +191,8 @@ func TestTwoLevelSchedulerCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mm.GlobalStores()
-	for a, v := range ref.Stores {
-		if got[a] != v {
-			t.Fatalf("two-level run diverged at %#x", a)
-		}
+	if got := mm.GlobalStores(); !maps.Equal(got, ref.Stores) {
+		t.Fatalf("two-level run diverged: %d stored words, functional %d", len(got), len(ref.Stores))
 	}
 	if st.Cycles == 0 {
 		t.Fatal("no cycles")

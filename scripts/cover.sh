@@ -3,14 +3,15 @@
 # with a merged statement-coverage profile and fails if total coverage
 # drops below the floor — a ratchet against landing untested subsystems.
 #
-# The floor sits well under the measured level (~89% at the time this
-# was set) so routine churn never trips it; only a genuinely untested
-# addition does. Raise the floor when coverage durably improves.
+# The floor sits just under the measured level (89.5% when it was raised
+# from 80% to 88%, so deleting hand-listed test rows for generated ones
+# cannot quietly cost coverage); only a genuinely untested addition or a
+# lost relation trips it. Raise the floor when coverage durably improves.
 #
 # Usage: scripts/cover.sh [floor-percent]
 set -eu
 cd "$(dirname "$0")/.."
-floor="${1:-80}"
+floor="${1:-88}"
 profile="$(mktemp)"
 trap 'rm -f "$profile"' EXIT
 go test -count=1 -coverprofile="$profile" ./internal/... > /dev/null
