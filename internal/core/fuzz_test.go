@@ -2,61 +2,52 @@ package core
 
 import (
 	"maps"
-	"math/rand"
 	"testing"
 
 	"repro/internal/exec"
-	"repro/internal/gen"
-	"repro/internal/regalloc"
+	"repro/internal/gen/machine"
 	"repro/internal/sim"
 )
 
-// TestFuzzEquivalence runs internal/gen's kernels under RegLess at random
-// capacities and asserts bit-identical final memory versus the functional
-// reference — the strongest transparency check in the suite.
+// TestFuzzEquivalence holds what no scheme reaches to the functional
+// reference: RegLess with its FIFO stack. On every drawn machine that
+// runs generated kernels under RegLess, each kernel of the sequence runs
+// over the grid in waves of the machine's resident warps, one lone SM a
+// wave, the invariants checked after each, and the stored words must be
+// exec.Run's.
 func TestFuzzEquivalence(t *testing.T) {
-	capacities := []int{128, 256, 512, 1024}
-	for seed := int64(0); seed < 12; seed++ {
-		seed := seed
+	for _, m := range machine.FIFO.Machines() {
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(seed * 977))
-			res, err := regalloc.Allocate(gen.Kernel(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			k := res.Kernel
-			warps := 4 * (1 + rng.Intn(4))
-			capacity := capacities[rng.Intn(len(capacities))]
-
-			cfg := ConfigForCapacity(capacity)
-			cfg.EnableCompressor = rng.Intn(4) != 0
-			cfg.FIFOStack = rng.Intn(4) == 0
-			p, err := New(nil, cfg, k)
-			if err != nil {
-				t.Fatal(err)
-			}
+			mm, ref := exec.NewMemory(nil), exec.NewMemory(nil)
+			cfg := ConfigForCapacity(m.Capacity)
+			cfg.EnableCompressor, cfg.FIFOStack = m.Scheme == "regless", true
 			simCfg := sim.DefaultConfig()
-			simCfg.Warps = warps
 			simCfg.MaxCycles = 10_000_000
-			mm := exec.NewMemory(nil)
-			smv, err := sim.New(nil, simCfg, k, p, mm, nil)
-			if err != nil {
-				t.Fatal(err)
+			for _, k := range m.Ks {
+				for base := 0; base < m.Grid; base += m.Warps {
+					simCfg.Warps, simCfg.WarpIDBase = min(m.Warps, m.Grid-base), base
+					p, err := New(nil, cfg, k)
+					var smv *sim.SM
+					if err == nil {
+						smv, err = sim.New(nil, simCfg, k, p, mm, nil)
+					}
+					if err == nil {
+						_, err = smv.Run()
+					}
+					if err == nil {
+						err = p.CheckInvariants()
+					}
+					if err != nil {
+						t.Fatalf("%s: %s from warp %d: %v", m, k.Name, base, err)
+					}
+				}
+				if _, err := exec.Run(k, m.Grid, ref); err != nil {
+					t.Fatalf("%s: %v", m, err)
+				}
 			}
-			if _, err := smv.Run(); err != nil {
-				t.Fatalf("seed %d warps %d capacity %d: %v", seed, warps, capacity, err)
-			}
-			if err := p.CheckInvariants(); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			ref, err := exec.Run(k, warps, exec.NewMemory(nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := mm.GlobalStores(); !maps.Equal(got, ref.Stores) {
-				t.Fatalf("seed %d warps %d capacity %d: %d stored words, functional %d",
-					seed, warps, capacity, len(got), len(ref.Stores))
+			if got, want := mm.GlobalStores(), ref.GlobalStores(); !maps.Equal(got, want) {
+				t.Fatalf("%s: %d stored words, functional %d", m, len(got), len(want))
 			}
 		})
 	}

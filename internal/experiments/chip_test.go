@@ -12,6 +12,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/gen/bare"
+	"repro/internal/gen/machine"
 	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
@@ -20,31 +21,25 @@ import (
 )
 
 // TestChipOfOneMatchesBareSM is the differential behind "a 1-SM run is a
-// chip of one": on every drawn machine bare.Run can be — one SM at
-// RegLess's design point, on its private L2 slice, alone — each launch of
-// the assembled sequence reports the Stats of the bare SM's wave, and a
-// single launch through runPoint also its Prov and Mem, with no banked
-// L2 traffic.
+// chip of one": on every drawn machine bare.Run can be — one SM, on its
+// private L2 slice, alone, at any capacity — each launch of the assembled
+// sequence reports the Stats of the bare SM's wave, and a single launch
+// also its Prov and Mem, with no banked L2 traffic.
 func TestChipOfOneMatchesBareSM(t *testing.T) {
 	t.Parallel()
-	eachDrawn(t, chipOfOneDrawn, func(t *testing.T, m machine) {
-		ref, err := bare.Run(string(m.scheme), m.ks, m.grid, m.warps, exec.NewMemory(nil), m.setup().Hier)
+	machine.ChipsOfOne.Each(t, func(t *testing.T, m machine.Machine) {
+		ref, err := bare.Run(m.Scheme, m.Capacity, m.Ks, m.Grid, m.Warps, exec.NewMemory(nil), setup(m).Hier)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		if !singleLaunch(m) {
-			got := m.mustRun(t, nil)
-			for i, smv := range ref {
-				same(t, m, fmt.Sprint("launch ", i, " Stats"), got.Res.PerLaunch[i].PerSM[0], &smv.Stats)
-			}
-			return
+		got := mustRun(t, m, nil)
+		for i, smv := range ref {
+			machine.Same(t, m, fmt.Sprint("launch ", i, " Stats"), got.Res.PerLaunch[i].PerSM[0], &smv.Stats)
 		}
-		got, err := SimulateKernel(m.ks[0], m.scheme, m.setup(), nil)
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
+		if m.SingleLaunch() {
+			machine.Same(t, m, "Prov, Mem and banked L2 counters", []any{got.Prov, got.Mem, got.Res.PerLaunch[0].L2},
+				[]any{ref[0].Prov, ref[0].Mem.Stats, mem.BankedL2Stats{}})
 		}
-		same(t, m, "Stats, Prov, Mem and banked L2 counters", []any{got.Stats, got.Prov, got.Mem, got.Chip.L2},
-			[]any{&ref[0].Stats, ref[0].Prov, ref[0].Mem.Stats, mem.BankedL2Stats{}})
 	})
 }
 
@@ -229,15 +224,16 @@ func TestDeadlineExceededClassified(t *testing.T) {
 // TestChipFFParity: the coordinated fast-forward is pure elision. On
 // every drawn machine, stepping every cycle reports what jumping frozen
 // spans does — every statistic but the fast-forward's own counters, the
-// stores, the standing memory's counters — and the draw must jump.
+// stores, the standing memory's counters and a single launch's window
+// stream — and the draw must jump.
 func TestChipFFParity(t *testing.T) {
 	t.Parallel()
 	var jumps uint64
-	eachDrawn(t, anyDrawn, func(t *testing.T, m machine) {
-		ff := m.mustRun(t, nil)
-		stepped := m.mustRun(t, func(su *SimSetup) { su.NoFastForward = true })
+	machine.Every.Each(t, func(t *testing.T, m machine.Machine) {
+		ff := mustRun(t, m, nil)
+		stepped := mustRun(t, m, func(su *SimSetup) { su.NoFastForward = true })
 		jumps += ff.Res.FFJumps
-		same(t, m, "stepped and fast-forwarded runs", stepped, ff.withoutFF())
+		machine.Same(t, m, "stepped and fast-forwarded runs", stepped, ff.withoutFF())
 	})
 	if jumps == 0 {
 		t.Fatal("fast-forward never engaged on the draw: the parity proved nothing")
@@ -248,10 +244,10 @@ func TestChipFFParity(t *testing.T) {
 // runs bit-identically — a 16-SM chip, and every drawn machine.
 func TestChipDeterminism16(t *testing.T) {
 	t.Parallel()
-	bfs := []*isa.Kernel{kernels.MustLoad("bfs")}
-	sixteen := machine{scheme: SchemeRegLess, capacity: DefaultCapacity, warps: 8, sms: 16, grid: 128, standing: "cold", seq: "bfs", ks: bfs}
-	same(t, sixteen, "two runs", sixteen.mustRun(t, nil), sixteen.mustRun(t, nil))
-	eachDrawn(t, anyDrawn, func(t *testing.T, m machine) {
-		same(t, m, "two runs", m.mustRun(t, nil), m.mustRun(t, nil))
+	sixteen := machine.Machine{Scheme: string(SchemeRegLess), Capacity: DefaultCapacity, Warps: 8, SMs: 16, Grid: 128,
+		Standing: "cold", Seq: "bfs", Ks: []*isa.Kernel{kernels.MustLoad("bfs")}}
+	machine.Same(t, sixteen, "two runs", mustRun(t, sixteen, nil), mustRun(t, sixteen, nil))
+	machine.Every.Each(t, func(t *testing.T, m machine.Machine) {
+		machine.Same(t, m, "two runs", mustRun(t, m, nil), mustRun(t, m, nil))
 	})
 }

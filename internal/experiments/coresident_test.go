@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/gen/machine"
 	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
@@ -21,9 +22,9 @@ func TestCoResidentSlots(t *testing.T) {
 				t.Parallel()
 				ks := [2]*isa.Kernel{kernels.MustLoad(pair[0]), kernels.MustLoad(pair[1])}
 				beside := func(k, co *isa.Kernel) *gpu.Result {
-					m := machine{scheme: scheme, capacity: DefaultCapacity, warps: 8, sms: 2, grid: 16,
-						standing: "L2", seq: k.Name, ks: []*isa.Kernel{k}, co: co}
-					return m.mustRun(t, nil).Res.PerLaunch[0]
+					m := machine.Machine{Scheme: string(scheme), Capacity: DefaultCapacity, Warps: 8, SMs: 2, Grid: 16,
+						Standing: "L2", Seq: k.Name, Ks: []*isa.Kernel{k}, Co: co}
+					return mustRun(t, m, nil).Res.PerLaunch[0]
 				}
 				co := beside(ks[0], ks[1])
 				if len(co.PerSM) != 4 || len(co.KernelCycles) != 2 {
@@ -44,7 +45,7 @@ func TestCoResidentSlots(t *testing.T) {
 // last assertion: one SM handed a banked L2 runs on it, not on a private
 // slice, and what it leaves there is the next launch's warm level.
 func TestChipOfOneOnStandingL2(t *testing.T) {
-	su := machine{warps: 8, standing: "L2"}.setup()
+	su := setup(machine.Machine{Warps: 8, Standing: "L2"})
 	run, err := SimulateKernel(kernels.MustLoad("bfs"), SchemeBaseline, su, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/gen/machine"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 )
@@ -48,27 +49,28 @@ func differentialCases(t *testing.T) map[string]*isa.Kernel {
 // and every drawn machine, and demands bit-identical global stores versus
 // the functional reference — timing models may reorder and stall, but
 // never change architectural results. A drawn machine that runs a kernel
-// racyKernels lists is skipped; each entry's own machine must diverge.
+// machine.RacyKernels lists is skipped; each entry's own machine must
+// diverge.
 func TestDifferentialStoreEquivalence(t *testing.T) {
 	t.Parallel()
-	check := func(t *testing.T, m machine) {
-		want, insns := m.reference(t)
-		got := m.mustRun(t, nil)
-		same(t, m, "stores and instructions against exec.Run", []any{got.Stores, got.Res.Insns}, []any{want, insns})
+	check := func(t *testing.T, m machine.Machine) {
+		want, insns := reference(t, m)
+		got := mustRun(t, m, nil)
+		machine.Same(t, m, "stores and instructions against exec.Run", []any{got.Stores, got.Res.Insns}, []any{want, insns})
 	}
-	eachDrawn(t, raceFreeDrawn, check)
-	for name, seed := range racyKernels {
-		m := drawMachine(seed)
-		want, _ := m.reference(t)
-		if !slices.Contains(m.kernels(), kernels.MustLoad(name)) || slices.EqualFunc(m.mustRun(t, nil).Stores, want, maps.Equal) {
-			t.Errorf("%s: %s no longer races here: take it off racyKernels", m, name)
+	machine.Stores.Each(t, check)
+	for name, seed := range machine.RacyKernels {
+		m := machine.Draw(seed)
+		want, _ := reference(t, m)
+		if !slices.Contains(m.Kernels(), kernels.MustLoad(name)) || slices.EqualFunc(mustRun(t, m, nil).Stores, want, maps.Equal) {
+			t.Errorf("%s: %s no longer races here: take it off machine.RacyKernels", m, name)
 		}
 	}
 	for name, k := range differentialCases(t) {
 		for _, scheme := range differentialSchemes {
-			m := machine{scheme: scheme, warps: 16, sms: 1, grid: 16, standing: "cold", seq: name, ks: []*isa.Kernel{k}}
+			m := machine.Machine{Scheme: string(scheme), Warps: 16, SMs: 1, Grid: 16, Standing: "cold", Seq: name, Ks: []*isa.Kernel{k}}
 			if scheme.HasCapacity() {
-				m.capacity = DefaultCapacity
+				m.Capacity = DefaultCapacity
 			}
 			t.Run(fmt.Sprintf("%s/%s", name, scheme), func(t *testing.T) {
 				t.Parallel()

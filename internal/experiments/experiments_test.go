@@ -9,8 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/energy"
-	"repro/internal/gen"
-	"repro/internal/regalloc"
+	"repro/internal/gen/machine"
 )
 
 func quickSuite() *Suite { return NewSuite(Quick()) }
@@ -226,15 +225,12 @@ func TestClaimsOverGeneratedKernels(t *testing.T) {
 	exps, opts := Experiments(), Default()
 	claims := exps[slices.IndexFunc(exps, func(e Experiment) bool { return e.ID == "claims" })]
 	tables := make([]*Table, seeds)
-	err := opts.forEach(seeds, func(i int) error {
-		res, err := regalloc.Allocate(gen.Kernel(int64(i + 1)))
-		if err != nil {
-			return err
-		}
-		in := &inputs{Opts: opts, Params: energy.DefaultParams(), Benchmarks: []string{res.Kernel.Name},
+	err := opts.forEach(seeds, func(i int) (err error) {
+		k := machine.Generated()[i]
+		in := &inputs{Opts: opts, Params: energy.DefaultParams(), Benchmarks: []string{k.Name},
 			Runs: [][]*Run{make([]*Run, len(claims.Reads))}}
 		for j, c := range claims.Reads {
-			if in.Runs[0][j], err = SimulateKernel(res.Kernel, c.scheme, opts.Setup(c.capacity), nil); err != nil {
+			if in.Runs[0][j], err = SimulateKernel(k, c.scheme, opts.Setup(c.capacity), nil); err != nil {
 				return err
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/faults"
+	"repro/internal/gen/machine"
 	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
@@ -71,7 +72,7 @@ func runFaulted(t *testing.T, bench string, scheme Scheme, spec string) (out mat
 
 // refStores is the functional reference output of a benchmark's grid.
 func refStores(t *testing.T, bench string, warps int) map[uint32]uint32 {
-	stores, _ := machine{grid: warps, ks: []*isa.Kernel{kernels.MustLoad(bench)}}.reference(t)
+	stores, _ := reference(t, machine.Machine{Grid: warps, Ks: []*isa.Kernel{kernels.MustLoad(bench)}})
 	return stores[0]
 }
 
@@ -189,12 +190,12 @@ func TestFaultClassesTolerated(t *testing.T) {
 }
 
 // TestSanitizedSuiteMatchesPlain: on every drawn machine a sanitized,
-// fault-free run reports what the plain run does — the checker observes,
-// never perturbs.
+// fault-free run reports what the plain run does, a single launch's window
+// stream too — the checker observes, never perturbs.
 func TestSanitizedSuiteMatchesPlain(t *testing.T) {
 	t.Parallel()
-	eachDrawn(t, anyDrawn, func(t *testing.T, m machine) {
-		sanitized := m.mustRun(t, func(su *SimSetup) { su.Sanitize = true })
-		same(t, m, "sanitized and plain runs", sanitized, m.mustRun(t, nil))
+	machine.Every.Each(t, func(t *testing.T, m machine.Machine) {
+		sanitized := mustRun(t, m, func(su *SimSetup) { su.Sanitize = true })
+		machine.Same(t, m, "sanitized and plain runs", sanitized, mustRun(t, m, nil))
 	})
 }

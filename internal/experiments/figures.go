@@ -17,6 +17,12 @@ var Capacities = []int{128, 192, 256, 384, 512, 1024, 2048}
 // DefaultCapacity is the paper's chosen design point (§6.2).
 const DefaultCapacity = 512
 
+// ModelEpoch names the model a result comes from — the compiler passes
+// and the timing model — in serve's store keys. A change that moves a
+// result bumps it: the goldens' -update will not re-bless moved results
+// under the epoch they were blessed at.
+const ModelEpoch = 0
+
 // Table1 prints the simulation parameters (paper Table 1).
 func Table1(in *inputs) (*Table, error) {
 	c := sim.DefaultConfig()

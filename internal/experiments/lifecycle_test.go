@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/faults"
+	"repro/internal/gen/machine"
 	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
@@ -91,78 +91,80 @@ func TestCachedRunPinsNoMachine(t *testing.T) {
 	runtime.KeepAlive(s)
 }
 
-// outcome is everything a run leaves behind for its consumers.
-type outcome struct {
-	Stats  sim.Stats
-	Prov   sim.ProviderStats
-	Mem    mem.Stats
-	Stores map[uint32]uint32
-}
-
 // TestRecycledMatchesFreshUnderPoison is what proves Reset. The
-// reference for every drawn single-launch machine is its chip built on
-// the heap — fresh allocations throughout. Then, with every arena that
+// reference for every drawn single-launch machine is its run in an arena
+// of its own — fresh allocations throughout — which must itself match the
+// chip built on the Go heap (Launch) in result, stores and standing
+// memory counters. Then, with every arena that
 // goes back scribbled over on the way (all-ones words, written bitmaps
 // full, cache lines valid and dirty under wild tags, OSU cells resident,
-// scoreboards and masks set), the same machines go through runPoint in a
-// shuffled order, each built in the arena the ones before it ran in, and
-// must report the same Stats, ProviderStats, mem.Stats and stored words.
-// A Reset that missed a page, a written bitmap, the registers or a line
+// scoreboards and masks set), the same machines run again, each built in
+// the arena a machine of another scheme and kernel ran in before it, and
+// must report the same statistics, stored words and window stream. A
+// Reset that missed a page, a written bitmap, the registers or a line
 // array hands the next run that garbage and cannot pass.
 func TestRecycledMatchesFreshUnderPoison(t *testing.T) {
-	ms := singleDrawn.machines()
-	arena.Drop()
+	ms := interleaved(t, machine.OneLaunch.Machines())
 	defer arena.Drop()
-	fresh := make([]outcome, len(ms))
+	fresh := make([]ran, len(ms))
 	for i, m := range ms {
-		su := m.setup()
-		g, _, err := Assemble(nil, m.ks[0], m.scheme, m.sms, su, nil)
-		if err != nil {
+		arena.Drop()
+		fresh[i] = mustRun(t, m, nil)
+		su := setup(m)
+		var heap ran
+		var err error
+		if heap.Res, err = Launch(m.Ks, Scheme(m.Scheme), m.SMs, m.Grid, su); err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
-		res, err := g.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		fresh[i] = outcome{Stats: *mergeSimStats(nil, res), Stores: su.Memory.GlobalStores()}
-		for _, smv := range g.SMs {
-			// Σ per-SM by the test's own walk, not the fold under test.
-			sumFields(&fresh[i].Prov, &smv.Prov)
-			sumFields(&fresh[i].Mem, &smv.Mem.Stats)
-		}
+		heap.keep(su)
+		want := fresh[i]
+		want.Prov, want.Mem, want.Stream = heap.Prov, heap.Mem, heap.Stream
+		machine.Same(t, m, "the run in a fresh arena and the heap-built chip", want, heap)
 	}
-	if n := arena.Held(); n != 0 {
-		t.Fatalf("%d arenas parked while building the references: a kept chip must be built on the heap", n)
-	}
+	arena.Drop()
 
 	arena.SetPoison(true)
 	defer arena.SetPoison(false)
-	for n, i := range rand.New(rand.NewSource(17)).Perm(len(ms)) {
-		m, want := ms[i], fresh[i]
+	for i, m := range ms {
+		want := fresh[i]
 		// Odd runs keep their stores to compare — in a memory of the
 		// test's own, which the machine's arena must leave alone; even
 		// runs let the chip make its memory in the arena, pages and all.
-		su := m.setup()
-		if n%2 == 0 {
-			su.Memory = nil
-		}
-		var r *Run
-		err := runPoint(context.Background(), m.ks[0], m.seq, m.scheme, m.sms, su, nil, 0, nil, func(in *Instrumented) error {
-			r = in.Run.Detach()
-			return nil
+		got := mustRun(t, m, func(su *SimSetup) {
+			if i%2 == 0 {
+				su.Memory, want.Stores = nil, want.Stores[1:]
+			}
 		})
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		got := outcome{Stats: *r.Stats, Prov: r.Prov, Mem: r.Mem, Stores: want.Stores}
-		if su.Memory != nil {
-			got.Stores = su.Memory.GlobalStores()
-		}
-		same(t, m, fmt.Sprint("run ", n, " in a recycled arena and the heap run"), got, want)
+		machine.Same(t, m, fmt.Sprint("run ", i, " in a recycled arena and the fresh run"), got, want)
 		if arena.Held() != 1 {
-			t.Fatalf("%s: run %d: %d arenas parked, want the one every run takes and puts back", m, n, arena.Held())
+			t.Fatalf("%s: run %d: %d arenas parked, want the one every run takes and puts back", m, i, arena.Held())
 		}
 	}
+}
+
+// interleaved is ms reordered so each machine follows one of another
+// scheme and kernel, whose arena it is built in: greedily, of the
+// machines that may come next, one of the scheme most of those left have.
+func interleaved(t *testing.T, ms []machine.Machine) (out []machine.Machine) {
+	left := map[string]int{}
+	for _, m := range ms {
+		left[m.Scheme]++
+	}
+	for len(ms) > 0 {
+		next := -1
+		for i, m := range ms {
+			fits := len(out) == 0 || m.Scheme != out[len(out)-1].Scheme && m.Ks[0] != out[len(out)-1].Ks[0]
+			if fits && (next < 0 || left[m.Scheme] > left[ms[next].Scheme]) {
+				next = i
+			}
+		}
+		if next < 0 {
+			t.Fatalf("no machine of the draw left to follow %s with another scheme and kernel", out[len(out)-1])
+		}
+		left[ms[next].Scheme]--
+		out, ms = append(out, ms[next]), slices.Delete(ms, next, next+1)
+	}
+	return out
 }
 
 // TestFreeListsBoundedByMachinesAlive states the bound of the one free

@@ -3,9 +3,9 @@
 // provider and scheduler said by hand — no gpu, no Assemble, no arena.
 //
 // A scheme is named by its string value and sized by the paper's numbers
-// written out (RFV's half-size 1024-entry file, RFH's 8-entry ORF,
-// RegLess at its 512-register design point), not by experiments' table
-// and constants: experiments' own tests use it, and a reference read from
+// written out (RFV's half-size 1024-entry file, RFH's 8-entry ORF) or by
+// the caller (RegLess's capacity), not by experiments' table and
+// constants: experiments' own tests use it, and a reference read from
 // what it checks checks nothing.
 // Run is the same machine over a launch sequence. Only tests import it.
 package bare
@@ -22,8 +22,9 @@ import (
 )
 
 // SM builds k under scheme on cfg, with the scheme's scheduler in place of
-// cfg's, over mm and hier (nil: the SM's own).
-func SM(scheme string, k *isa.Kernel, cfg sim.Config, mm *exec.Memory, hier *mem.Hierarchy) (*sim.SM, error) {
+// cfg's, over mm and hier (nil: the SM's own). capacity sizes RegLess's
+// OSU; the other schemes ignore it.
+func SM(scheme string, capacity int, k *isa.Kernel, cfg sim.Config, mm *exec.Memory, hier *mem.Hierarchy) (*sim.SM, error) {
 	var p sim.Provider
 	switch scheme {
 	case "baseline":
@@ -35,7 +36,7 @@ func SM(scheme string, k *isa.Kernel, cfg sim.Config, mm *exec.Memory, hier *mem
 	case "rfh":
 		cfg.Sched, p = sim.SchedTwoLevel, rf.NewRFH(nil, 8)
 	case "regless", "regless-nocomp":
-		c := core.ConfigForCapacity(512)
+		c := core.ConfigForCapacity(capacity)
 		c.EnableCompressor = scheme == "regless"
 		rl, err := core.New(nil, c, k)
 		if err != nil {
@@ -52,7 +53,7 @@ func SM(scheme string, k *isa.Kernel, cfg sim.Config, mm *exec.Memory, hier *mem
 // in order, each over a grid of grid warps in waves of at most resident,
 // one SM per wave over mm and hier (nil: each SM's own), whose timing
 // restarts with the SM. It returns the waves' SMs, run.
-func Run(scheme string, ks []*isa.Kernel, grid, resident int, mm *exec.Memory, hier *mem.Hierarchy) ([]*sim.SM, error) {
+func Run(scheme string, capacity int, ks []*isa.Kernel, grid, resident int, mm *exec.Memory, hier *mem.Hierarchy) ([]*sim.SM, error) {
 	var sms []*sim.SM
 	cfg := sim.DefaultConfig()
 	cfg.MaxCycles = 20_000_000 // a bound only a hang reaches
@@ -62,7 +63,7 @@ func Run(scheme string, ks []*isa.Kernel, grid, resident int, mm *exec.Memory, h
 			if hier != nil {
 				hier.ResetTiming() // the new SM's clock starts at zero
 			}
-			smv, err := SM(scheme, k, cfg, mm, hier)
+			smv, err := SM(scheme, capacity, k, cfg, mm, hier)
 			if err == nil {
 				_, err = smv.Run()
 			}

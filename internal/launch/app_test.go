@@ -87,7 +87,7 @@ func TestAppMatchesBareLoop(t *testing.T) {
 	for _, app := range kernels.Apps() {
 		for _, scheme := range referenceSchemes {
 			want, hier := exec.NewMemory(nil), mem.New(mem.DefaultConfig())
-			ref, err := bare.Run(string(scheme), app.Kernels, 8, 8, want, hier)
+			ref, err := bare.Run(string(scheme), 512, app.Kernels, 8, 8, want, hier)
 			if err != nil {
 				t.Fatal(err)
 			}

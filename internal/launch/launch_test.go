@@ -58,7 +58,7 @@ func TestWavesMatchBareLoop(t *testing.T) {
 	k := kernels.MustLoad("nw")
 	for _, scheme := range referenceSchemes {
 		want := exec.NewMemory(nil)
-		ref, err := bare.Run(string(scheme), []*isa.Kernel{k}, 40, 16, want, nil)
+		ref, err := bare.Run(string(scheme), 512, []*isa.Kernel{k}, 40, 16, want, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

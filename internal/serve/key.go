@@ -90,6 +90,7 @@ func (s *Server) KeyFor(req RunRequest) (store.Key, error) {
 		Sanitize:  s.cfg.Opts.Sanitize,
 		Faults:    s.faultsSpec,
 		Report:    report,
+		Model:     experiments.ModelEpoch,
 	}
 	if err := k.Validate(); err != nil {
 		return store.Key{}, err

@@ -3,14 +3,18 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/gen/machine"
 )
 
 // testOpts is the reduced-scale server configuration shared by the serve
@@ -98,42 +102,45 @@ func refPayload(t *testing.T, suite *experiments.Suite, opts experiments.Options
 	return raw
 }
 
+// TestRunEndpointMatchesDirectSuite: on every drawn point serve runs —
+// one suite kernel over the whole chip, cold, alone — a run served cold
+// is byte for byte the direct suite's, an entry stored under another
+// model epoch is never served in its place, and a server restarted on the
+// same store serves the same bytes from it. One server, and one store,
+// per drawn (warps, SMs).
 func TestRunEndpointMatchesDirectSuite(t *testing.T) {
-	opts := testOpts()
-	s := newTestServer(t, t.TempDir(), opts)
-	defer s.Close()
-	h := s.Handler()
-
-	var st RunStatus
-	code := doJSON(t, h, "POST", "/v1/runs?wait=1", "c1", RunRequest{Bench: "nw", Scheme: "regless"}, &st)
-	if code != http.StatusOK || st.Status != "done" {
-		t.Fatalf("POST run = %d %q (%s)", code, st.Status, st.Error)
-	}
-	if st.Cached {
-		t.Fatal("first run of an empty store claims cached")
-	}
-	want := refPayload(t, experiments.NewSuite(opts), opts, "nw", experiments.SchemeRegLess, experiments.DefaultCapacity)
-	if !bytes.Equal(st.Result, want) {
-		t.Fatalf("served result differs from direct Suite.Get:\n%s\n%s", st.Result, want)
-	}
-
-	// Poll endpoint returns the same job and the same bytes.
-	var st2 RunStatus
-	if code := doJSON(t, h, "GET", "/v1/runs/"+st.ID, "", nil, &st2); code != http.StatusOK {
-		t.Fatalf("GET run = %d", code)
-	}
-	if !bytes.Equal(st2.Result, st.Result) {
-		t.Fatal("poll returned different bytes than submit")
-	}
-
-	// Resubmission dedupes onto the same job.
-	var st3 RunStatus
-	doJSON(t, h, "POST", "/v1/runs?wait=1", "c2", RunRequest{Bench: "nw", Scheme: "regless", Capacity: experiments.DefaultCapacity}, &st3)
-	if st3.ID != st.ID {
-		t.Fatalf("explicit default capacity minted a second job: %s vs %s", st3.ID, st.ID)
-	}
-	if got := counter(t, s, "serve/dedup"); got != 1 {
-		t.Fatalf("dedup counter = %d, want 1", got)
+	root, ms := t.TempDir(), machine.ServedPoints.Machines()
+	cold := make([][]byte, len(ms))
+	for pass, cached := range []bool{false, true} {
+		servers := map[[2]int]*Server{}
+		for i, m := range ms {
+			opts := experiments.Options{Warps: m.Warps, SMs: m.SMs, MaxCycles: 20_000_000}
+			shape := [2]int{m.Warps, m.SMs}
+			if servers[shape] == nil {
+				servers[shape] = newTestServer(t, filepath.Join(root, fmt.Sprint(shape)), opts)
+			}
+			s := servers[shape]
+			req, want := RunRequest{Bench: m.Seq, Scheme: m.Scheme, Capacity: m.Capacity}, cold[i]
+			if !cached {
+				k, err := s.KeyFor(req)
+				if k.Model = experiments.ModelEpoch + 1; err == nil {
+					err = s.Store().Put(k, []byte(`{"stale":true}`))
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", m, err)
+				}
+				want = refPayload(t, experiments.NewSuite(opts), opts, m.Seq, experiments.Scheme(m.Scheme), m.Capacity)
+			}
+			var st RunStatus
+			if code := doJSON(t, s.Handler(), "POST", "/v1/runs?wait=1", "", req, &st); code != http.StatusOK || st.Status != "done" || st.Cached != cached {
+				t.Fatalf("%s: pass %d: POST run = %d %q, cached %v (%s)", m, pass, code, st.Status, st.Cached, st.Error)
+			}
+			cold[i] = st.Result
+			machine.Same(t, m, fmt.Sprint("pass ", pass, ": served and direct results"), string(st.Result), string(want))
+		}
+		for _, s := range servers {
+			s.Close()
+		}
 	}
 }
 
@@ -270,14 +277,10 @@ func TestColdWarmRestart(t *testing.T) {
 		Schemes:    []string{"baseline", "regless"},
 	}
 
-	type pass struct {
-		results map[string][]byte // job id -> result bytes
-		cached  map[string]bool
-		table   string
-		hits    uint64
-		misses  uint64
-	}
-	runPass := func(t *testing.T) pass {
+	// runPass submits the sweep to a fresh server over dir, which must
+	// serve all four runs from the store when cached and none when not,
+	// and returns each run's bytes by job id and the sweep's table.
+	runPass := func(t *testing.T, cached bool) (map[string][]byte, string) {
 		s := newTestServer(t, dir, opts)
 		defer s.Close()
 		h := s.Handler()
@@ -288,71 +291,44 @@ func TestColdWarmRestart(t *testing.T) {
 		if sw.Status != "done" || sw.Total != 4 || sw.Completed != 4 || sw.Failed != 0 {
 			t.Fatalf("sweep = %+v", sw)
 		}
-		p := pass{results: map[string][]byte{}, cached: map[string]bool{}}
+		results := map[string][]byte{}
 		for _, r := range sw.Runs {
 			var st RunStatus
-			if code := doJSON(t, h, "GET", "/v1/runs/"+r.ID, "", nil, &st); code != http.StatusOK {
-				t.Fatalf("GET run %s = %d", r.ID, code)
+			if code := doJSON(t, h, "GET", "/v1/runs/"+r.ID, "", nil, &st); code != http.StatusOK || len(st.Result) == 0 {
+				t.Fatalf("GET run %s = %d with %d result bytes", r.ID, code, len(st.Result))
 			}
-			if len(st.Result) == 0 {
-				t.Fatalf("run %s served no result", r.ID)
+			if st.Cached != cached {
+				t.Fatalf("run %s: cached %v, want %v", r.ID, st.Cached, cached)
 			}
-			p.results[r.ID] = st.Result
-			p.cached[r.ID] = st.Cached
+			results[r.ID] = st.Result
 		}
-		req := httptest.NewRequest("GET", "/v1/sweeps/"+sw.ID+"/table", nil)
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/sweeps/"+sw.ID+"/table", nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("GET table = %d", rec.Code)
 		}
-		p.table = rec.Body.String()
-		p.hits = counter(t, s, "serve/hits")
-		p.misses = counter(t, s, "serve/misses")
+		want := map[bool][2]uint64{false: {0, 4}, true: {4, 0}}[cached]
+		if hits, misses := counter(t, s, "serve/hits"), counter(t, s, "serve/misses"); hits != want[0] || misses != want[1] {
+			t.Fatalf("cached %v: hits=%d misses=%d, want %d/%d", cached, hits, misses, want[0], want[1])
+		}
 		if n, err := s.Store().Verify(); err != nil || n != 4 {
 			t.Fatalf("store Verify = %d, %v", n, err)
 		}
-		return p
+		return results, rec.Body.String()
 	}
 
-	cold := runPass(t)
-	if cold.misses != 4 || cold.hits != 0 {
-		t.Fatalf("cold pass: hits=%d misses=%d, want 0/4", cold.hits, cold.misses)
+	cold, coldTable := runPass(t, false)
+	warm, warmTable := runPass(t, true) // fresh Server, same directory: the restart
+	if !maps.EqualFunc(warm, cold, bytes.Equal) {
+		t.Fatalf("runs not byte-identical across restart:\n%s\n%s", warm, cold)
 	}
-	for id, c := range cold.cached {
-		if c {
-			t.Fatalf("cold pass served %s from a store that was empty", id)
-		}
-	}
-
-	warm := runPass(t) // fresh Server, same directory: the restart
-	if warm.hits != 4 || warm.misses != 0 {
-		t.Fatalf("warm pass: hits=%d misses=%d, want 4/0 (>=95%% from store)", warm.hits, warm.misses)
-	}
-	for id, c := range warm.cached {
-		if !c {
-			t.Fatalf("warm pass recomputed %s", id)
-		}
-	}
-	if len(warm.results) != len(cold.results) {
-		t.Fatalf("pass sizes differ: %d vs %d", len(warm.results), len(cold.results))
-	}
-	for id, want := range cold.results {
-		got, ok := warm.results[id]
-		if !ok {
-			t.Fatalf("warm pass lost run %s", id)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("run %s not byte-identical across restart:\n%s\n%s", id, got, want)
-		}
-	}
-	if warm.table != cold.table {
-		t.Fatalf("table not byte-identical across restart:\n%q\n%q", warm.table, cold.table)
+	if warmTable != coldTable {
+		t.Fatalf("table not byte-identical across restart:\n%q\n%q", warmTable, coldTable)
 	}
 
 	// And the bytes match an independent direct computation.
 	suite := experiments.NewSuite(opts)
-	for id, got := range cold.results {
+	for id, got := range cold {
 		var res RunResult
 		if err := json.Unmarshal(got, &res); err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/gen/machine"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 )
@@ -63,11 +64,7 @@ func suiteKernels(t *testing.T) []*isa.Kernel {
 // exits, barriers) — and it is the same pair every time it is asked for.
 func TestMemoizedAnalysisEqualsFresh(t *testing.T) {
 	ks := suiteKernels(t)
-	for seed := int64(1); seed <= 50; seed++ {
-		k, err := genKernel(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+	for _, k := range machine.Generated() {
 		ks = append(ks, k)
 	}
 	for _, k := range ks {

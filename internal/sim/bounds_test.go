@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/gen/machine"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 )
@@ -33,11 +34,7 @@ func TestIssueAndL1PortBounds(t *testing.T) {
 		}
 		subjects = append(subjects, subject{k, experiments.Quick().Warps})
 	}
-	for seed := int64(1); seed <= 50; seed++ {
-		k, err := genKernel(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+	for _, k := range machine.Generated() {
 		subjects = append(subjects, subject{k, 8})
 	}
 	var issueMax, portMax float64

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
-	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/isa"
@@ -28,13 +26,10 @@ type maskedRun struct {
 	jsonl []byte
 }
 
-// runPick builds the chip in a (nil: the heap), runs it, and copies out
-// what it leaves behind: nothing in the result points into the machine,
-// so the caller may put a back.
-func runPick(a *arena.Arena, k *isa.Kernel, scheme experiments.Scheme, su experiments.SimSetup,
-	tune experiments.Tune, oracle bool) (maskedRun, error) {
-	var out maskedRun
-	g, _, err := experiments.Assemble(a, k, scheme, 1, su, tune)
+// runPick builds the chip on the heap, picking through the ready masks
+// or the linear oracle, runs it, and copies out what it leaves behind.
+func runPick(k *isa.Kernel, scheme experiments.Scheme, su experiments.SimSetup, tune experiments.Tune, oracle bool) (out maskedRun, err error) {
+	g, _, err := experiments.Assemble(nil, k, scheme, 1, su, tune)
 	if err != nil {
 		return out, err
 	}
@@ -53,22 +48,42 @@ func runPick(a *arena.Arena, k *isa.Kernel, scheme experiments.Scheme, su experi
 		return out, err
 	}
 	out.stats, out.prov, out.mem, out.jsonl = sm.Stats, sm.Prov, sm.Mem.Stats, buf.Bytes()
-	out.stats.BackingSeries = slices.Clone(out.stats.BackingSeries)
 	return out, nil
 }
 
-func mustRunPick(t *testing.T, bench string, scheme experiments.Scheme, su experiments.SimSetup,
-	tune experiments.Tune, oracle bool) maskedRun {
-	t.Helper()
-	k, err := kernels.Load(bench)
+// oracleDiverges runs k twice, picking through the masks and through the
+// oracle, and says where the two part: a pick, the Stats, ProviderStats,
+// mem.Stats or the window stream.
+func oracleDiverges(k *isa.Kernel, scheme experiments.Scheme, su experiments.SimSetup, tune experiments.Tune) error {
+	got, err := runPick(k, scheme, su, tune, false)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	out, err := runPick(nil, k, scheme, su, tune, oracle)
+	want, err := runPick(k, scheme, su, tune, true)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	return out
+	if len(got.picks) == 0 {
+		return fmt.Errorf("no picks logged")
+	}
+	for i := range want.picks {
+		if i >= len(got.picks) || got.picks[i] != want.picks[i] {
+			return fmt.Errorf("pick %d diverges: masks %+v, oracle %+v", i, got.picks[min(i, len(got.picks)-1)], want.picks[i])
+		}
+	}
+	switch {
+	case len(got.picks) != len(want.picks):
+		return fmt.Errorf("%d picks, oracle %d", len(got.picks), len(want.picks))
+	case !reflect.DeepEqual(got.stats, want.stats):
+		return fmt.Errorf("Stats diverge:\nmasks  %+v\noracle %+v", got.stats, want.stats)
+	case got.prov != want.prov:
+		return fmt.Errorf("ProviderStats diverge:\nmasks  %+v\noracle %+v", got.prov, want.prov)
+	case got.mem != want.mem:
+		return fmt.Errorf("mem.Stats diverge:\nmasks  %+v\noracle %+v", got.mem, want.mem)
+	case !bytes.Equal(got.jsonl, want.jsonl):
+		return fmt.Errorf("JSONL metric streams differ (%d vs %d bytes)", len(got.jsonl), len(want.jsonl))
+	}
+	return nil
 }
 
 // TestMaskPickMatchesLinearOracle runs every point twice — once picking
@@ -106,31 +121,8 @@ func TestMaskPickMatchesLinearOracle(t *testing.T) {
 					su.Warps = p.warps
 				}
 				where := fmt.Sprintf("%s/%s noFF=%v", bench, p.name, noFF)
-				got := mustRunPick(t, bench, p.scheme, su, p.tune, false)
-				want := mustRunPick(t, bench, p.scheme, su, p.tune, true)
-				if len(got.picks) == 0 {
-					t.Fatalf("%s: no picks logged", where)
-				}
-				for i := range want.picks {
-					if i >= len(got.picks) || got.picks[i] != want.picks[i] {
-						t.Fatalf("%s: pick %d diverges: masks %+v, oracle %+v",
-							where, i, got.picks[min(i, len(got.picks)-1)], want.picks[i])
-					}
-				}
-				if len(got.picks) != len(want.picks) {
-					t.Fatalf("%s: %d picks, oracle %d", where, len(got.picks), len(want.picks))
-				}
-				if !reflect.DeepEqual(got.stats, want.stats) {
-					t.Errorf("%s: Stats diverge:\nmasks  %+v\noracle %+v", where, got.stats, want.stats)
-				}
-				if got.prov != want.prov {
-					t.Errorf("%s: ProviderStats diverge:\nmasks  %+v\noracle %+v", where, got.prov, want.prov)
-				}
-				if got.mem != want.mem {
-					t.Errorf("%s: mem.Stats diverge:\nmasks  %+v\noracle %+v", where, got.mem, want.mem)
-				}
-				if !bytes.Equal(got.jsonl, want.jsonl) {
-					t.Errorf("%s: JSONL metric streams differ (%d vs %d bytes)", where, len(got.jsonl), len(want.jsonl))
+				if err := oracleDiverges(kernels.MustLoad(bench), p.scheme, su, p.tune); err != nil {
+					t.Fatalf("%s: %v", where, err)
 				}
 			}
 		}

@@ -21,16 +21,16 @@ const fuzzSHA = "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a0
 // through json.Marshal wrote when the addresses in every existing store
 // were minted.
 func FuzzKeyCanonical(f *testing.F) {
-	f.Add(fuzzSHA, "nw", "regless", 512, 8, 1, uint64(1000), uint64(0), false, "", "")
-	f.Add(fuzzSHA, "bfs", "baseline", 256, 64, 15, uint64(60_000_000), uint64(20_000), true, "osu-tag@200; seed=3", "")
-	f.Add("", "", "", 0, 0, 0, uint64(0), uint64(0), false, "", "")
-	f.Add("abc", "../../etc", `a\b`, -5, -1, -2, uint64(1), uint64(1), true, "\x00", "")
-	f.Add(strings.ToUpper(fuzzSHA), "nw", "regless-nocomp", 1<<30, 1, 0, uint64(1), uint64(0), false, "seed=9", "")
-	f.Add(fuzzSHA, "nw", "regless", 512, 8, 1, uint64(1000), uint64(0), false, "", "preload,stalls")
-	f.Add(fuzzSHA, `b+tree <"é"&>`, "rfv", 0, 64, 4, uint64(1)<<63, ^uint64(0), true, "a\tb\x7f", "st/alls")
-	f.Add(fuzzSHA, "nw", "regless", 512, 8, 1, uint64(1000), uint64(0), false, "\u2028", "<&>\"")
+	f.Add(fuzzSHA, "nw", "regless", 512, 8, 1, uint64(1000), uint64(0), false, "", "", 0)
+	f.Add(fuzzSHA, "bfs", "baseline", 256, 64, 15, uint64(60_000_000), uint64(20_000), true, "osu-tag@200; seed=3", "", 0)
+	f.Add("", "", "", 0, 0, 0, uint64(0), uint64(0), false, "", "", 0)
+	f.Add("abc", "../../etc", `a\b`, -5, -1, -2, uint64(1), uint64(1), true, "\x00", "", -1)
+	f.Add(strings.ToUpper(fuzzSHA), "nw", "regless-nocomp", 1<<30, 1, 0, uint64(1), uint64(0), false, "seed=9", "", 0)
+	f.Add(fuzzSHA, "nw", "regless", 512, 8, 1, uint64(1000), uint64(0), false, "", "preload,stalls", 1)
+	f.Add(fuzzSHA, `b+tree <"é"&>`, "rfv", 0, 64, 4, uint64(1)<<63, ^uint64(0), true, "a\tb\x7f", "st/alls", 0)
+	f.Add(fuzzSHA, "nw", "regless", 512, 8, 1, uint64(1000), uint64(0), false, "\u2028", "<&>\"", 0)
 
-	f.Fuzz(func(t *testing.T, sha, bench, scheme string, capacity, warps, sms int, maxCycles, watchdog uint64, sanitize bool, faults, report string) {
+	f.Fuzz(func(t *testing.T, sha, bench, scheme string, capacity, warps, sms int, maxCycles, watchdog uint64, sanitize bool, faults, report string, model int) {
 		k := Key{
 			KernelSHA: sha,
 			Bench:     bench,
@@ -43,6 +43,7 @@ func FuzzKeyCanonical(f *testing.F) {
 			Sanitize:  sanitize,
 			Faults:    faults,
 			Report:    report,
+			Model:     model,
 		}
 		c1, err := k.Canonical()
 		if err != nil {

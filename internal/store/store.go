@@ -82,6 +82,11 @@ type Key struct {
 	// is omitted from the canonical form, keeping every pre-existing
 	// entry's address unchanged.
 	Report string `json:"report,omitempty"`
+	// Model is the epoch of what turns a kernel into a result — the
+	// compiler passes and the timing model (experiments.ModelEpoch): a
+	// result that moved is a new key. 0 is omitted, as every entry written
+	// before it was.
+	Model int `json:"model,omitempty"`
 }
 
 // isHex reports whether s is entirely lowercase hex.
@@ -115,8 +120,8 @@ func (k Key) Validate() error {
 	if strings.ContainsAny(k.Report, "/\\\x00") || !utf8.ValidString(k.Report) {
 		return fmt.Errorf("store: bad report spec %q", k.Report)
 	}
-	if k.Capacity < 0 {
-		return fmt.Errorf("store: negative capacity %d", k.Capacity)
+	if k.Capacity < 0 || k.Model < 0 {
+		return fmt.Errorf("store: negative capacity %d or model %d", k.Capacity, k.Model)
 	}
 	if k.Warps < 1 {
 		return fmt.Errorf("store: warps must be at least 1, got %d", k.Warps)
@@ -165,6 +170,9 @@ func (k Key) appendCanonical(dst []byte) ([]byte, error) {
 	}
 	if k.Report != "" {
 		dst = jsonstr.Append(append(dst, `,"report":`...), k.Report)
+	}
+	if k.Model != 0 {
+		dst = strconv.AppendInt(append(dst, `,"model":`...), int64(k.Model), 10)
 	}
 	return append(dst, '}'), nil
 }

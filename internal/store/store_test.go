@@ -121,6 +121,7 @@ func TestKeyValidateRejects(t *testing.T) {
 		{"empty scheme", func(k *Key) { k.Scheme = "" }},
 		{"scheme with backslash", func(k *Key) { k.Scheme = `a\b` }},
 		{"negative capacity", func(k *Key) { k.Capacity = -1 }},
+		{"negative model", func(k *Key) { k.Model = -1 }},
 		{"zero warps", func(k *Key) { k.Warps = 0 }},
 		{"zero sms", func(k *Key) { k.SMs = 0 }},
 		{"negative sms", func(k *Key) { k.SMs = -1 }},

@@ -37,7 +37,7 @@ func TestFoldProperties(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Warps, cfg.MaxCycles = foldWarps, 5_000_000
 	for _, scheme := range experiments.Schemes() {
-		smv, err := bare.SM(string(scheme), kernels.MustLoad(foldBench), cfg, nil, nil)
+		smv, err := bare.SM(string(scheme), 512, kernels.MustLoad(foldBench), cfg, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
