@@ -103,11 +103,15 @@ func main() {
 		if len(r.Outputs) > 0 {
 			fmt.Printf("  outputs      %v\n", r.Outputs)
 		}
-		for _, gi := range regions.Indices(r.EraseAt) {
-			fmt.Printf("  erase @%d   %v\n", gi, r.EraseAt[gi])
+		for i, regs := range r.EraseAt {
+			if len(regs) > 0 {
+				fmt.Printf("  erase @%d   %v\n", r.StartGI+i, regs)
+			}
 		}
-		for _, gi := range regions.Indices(r.EvictAt) {
-			fmt.Printf("  evict @%d   %v\n", gi, r.EvictAt[gi])
+		for i, regs := range r.EvictAt {
+			if len(regs) > 0 {
+				fmt.Printf("  evict @%d   %v\n", r.StartGI+i, regs)
+			}
 		}
 	}
 	s := c.Summarize()

@@ -11,7 +11,6 @@ import (
 	repro "repro"
 	"repro/internal/cfg" // same-module access to the analysis layer
 	"repro/internal/isa"
-	"repro/internal/regions"
 )
 
 // buildDivergent reproduces the paper's Figure 7 shape: r1 defined before
@@ -75,12 +74,16 @@ func main() {
 			fmt.Printf(" cache-invalidate %v", reg)
 		}
 		fmt.Println()
-		for _, gi := range regions.Indices(r.EraseAt) {
-			fmt.Printf("      erase %v at %v (value fully dead)\n", r.EraseAt[gi], g.PCOf(gi))
+		for i, regs := range r.EraseAt {
+			if len(regs) > 0 {
+				fmt.Printf("      erase %v at %v (value fully dead)\n", regs, g.PCOf(r.StartGI+i))
+			}
 		}
-		for _, gi := range regions.Indices(r.EvictAt) {
-			fmt.Printf("      evict %v at %v (may still be needed: divergent sibling or later region)\n",
-				r.EvictAt[gi], g.PCOf(gi))
+		for i, regs := range r.EvictAt {
+			if len(regs) > 0 {
+				fmt.Printf("      evict %v at %v (may still be needed: divergent sibling or later region)\n",
+					regs, g.PCOf(r.StartGI+i))
+			}
 		}
 	}
 	fmt.Println("\nNote how the redefined register is preloaded (its inactive-lane values")

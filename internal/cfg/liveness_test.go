@@ -57,19 +57,8 @@ func TestLivenessStraightline(t *testing.T) {
 }
 
 func TestLivenessAcrossLoop(t *testing.T) {
-	b := isa.NewBuilder("loop", 1)
-	i := b.Movi(4)
-	acc := b.Movi(0)
-	top := b.Label()
-	b.Bind(top)
-	b.Op2To(isa.OpIADD, acc, acc, i)
-	b.OpImmTo(isa.OpIADDI, i, i, ^uint32(0))
-	b.Bnz(i, top)
-	b.Stg(acc, acc, 0)
-	b.Exit()
-	k := b.MustKernel()
-	g := New(k)
-	lv := ComputeLiveness(g)
+	lv := ComputeLiveness(New(loopKernel(t)))
+	i, acc := isa.Reg(0), isa.Reg(1) // loopKernel's counter and accumulator
 
 	// acc and i are live into the loop header (block 1).
 	in := lv.BlockLiveIn(1)
@@ -164,103 +153,4 @@ func TestHardDefWhenNoOtherPathUse(t *testing.T) {
 			t.Fatalf("definition at %v wrongly marked soft", pc)
 		}
 	}
-}
-
-func TestPlanRegistersStraightline(t *testing.T) {
-	b := isa.NewBuilder("plan", 1)
-	x := b.Movi(1)
-	y := b.Movi(2)
-	z := b.Iadd(x, y)
-	b.Stg(z, z, 0)
-	b.Exit()
-	k := b.MustKernel()
-	g := New(k)
-	lv := ComputeLiveness(g)
-	plans := lv.PlanRegisters()
-	if len(plans) != 3 {
-		t.Fatalf("plans = %d, want 3", len(plans))
-	}
-	byReg := map[isa.Reg]RegPlan{}
-	for _, p := range plans {
-		byReg[p.Reg] = p
-	}
-	px := byReg[x]
-	if len(px.Defs) != 1 || len(px.LastUses) != 1 {
-		t.Fatalf("x plan = %+v", px)
-	}
-	// x dies at the iadd (gi 2); its invalidation chain head must
-	// postdominate both def and last use. Single block: head is block 0.
-	if len(px.InvalidationChain) == 0 || px.InvalidationChain[0] != 0 {
-		t.Fatalf("x invalidation chain = %v", px.InvalidationChain)
-	}
-	if px.SoftDefCount != 0 {
-		t.Fatalf("x soft defs = %d", px.SoftDefCount)
-	}
-}
-
-func TestPlanRegistersSoftDef(t *testing.T) {
-	k, r1 := softDefKernel(t)
-	g := New(k)
-	lv := ComputeLiveness(g)
-	var plan *RegPlan
-	for i := range lv.PlanRegisters() {
-		p := lv.PlanRegisters()[i]
-		if p.Reg == r1 {
-			plan = &p
-			break
-		}
-	}
-	if plan == nil {
-		t.Fatal("no plan for r1")
-	}
-	if plan.SoftDefCount != 1 {
-		t.Fatalf("r1 soft def count = %d, want 1", plan.SoftDefCount)
-	}
-	if len(plan.Defs) != 2 {
-		t.Fatalf("r1 defs = %v, want 2", plan.Defs)
-	}
-	// The invalidation chain head must be the join block (3), which
-	// postdominates both definitions and the final use.
-	if len(plan.InvalidationChain) == 0 || plan.InvalidationChain[0] != 3 {
-		t.Fatalf("r1 invalidation chain = %v, want head 3", plan.InvalidationChain)
-	}
-	// r1's last touch inside the join block is its use at B3:0.
-	want := g.GlobalIndex(isa.PC{Block: 3, Index: 0})
-	if plan.LastPointInHead != want {
-		t.Fatalf("LastPointInHead = %d, want %d", plan.LastPointInHead, want)
-	}
-}
-
-func TestPlanEdgeDeaths(t *testing.T) {
-	b := isa.NewBuilder("edgedeath", 1)
-	i := b.Movi(4)
-	acc := b.Movi(0)
-	top := b.Label()
-	b.Bind(top)
-	b.Op2To(isa.OpIADD, acc, acc, i)
-	b.OpImmTo(isa.OpIADDI, i, i, ^uint32(0))
-	b.Bnz(i, top)
-	b.Stg(acc, acc, 0)
-	b.Exit()
-	k := b.MustKernel()
-	g := New(k)
-	lv := ComputeLiveness(g)
-	for _, p := range lv.PlanRegisters() {
-		if p.Reg != i {
-			continue
-		}
-		// i is read by the loop condition each iteration and dies on
-		// the exit edge B1->B2.
-		found := false
-		for _, e := range p.EdgeDeaths {
-			if e.From == 1 && e.To == 2 {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("i edge deaths = %v, want B1->B2", p.EdgeDeaths)
-		}
-		return
-	}
-	t.Fatal("no plan for i")
 }

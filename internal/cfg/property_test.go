@@ -1,53 +1,13 @@
 package cfg
 
 import (
-	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/isa"
 )
 
-// randomCFGKernel builds a structured random kernel (nested diamonds and
-// loops) for property testing the analyses.
-func randomCFGKernel(seed int64) *isa.Kernel {
-	rng := rand.New(rand.NewSource(seed))
-	b := isa.NewBuilder("prop", 1)
-	x := b.Tid()
-	var emit func(depth int)
-	emit = func(depth int) {
-		if depth == 0 {
-			b.Op2To(isa.OpIADD, x, x, x)
-			return
-		}
-		switch rng.Intn(3) {
-		case 0: // diamond
-			c := b.Addi(x, uint32(rng.Intn(5)))
-			elseL, join := b.Label(), b.Label()
-			b.Bnz(c, elseL)
-			emit(depth - 1)
-			b.Bra(join)
-			b.Bind(elseL)
-			emit(depth - 1)
-			b.Bind(join)
-		case 1: // loop
-			i := b.Movi(uint32(1 + rng.Intn(3)))
-			top := b.Label()
-			b.Bind(top)
-			emit(depth - 1)
-			b.OpImmTo(isa.OpIADDI, i, i, ^uint32(0))
-			b.Bnz(i, top)
-		default: // straightline
-			emit(depth - 1)
-			b.Op2To(isa.OpXOR, x, x, x)
-		}
-	}
-	emit(3)
-	b.Stg(x, x, 0)
-	b.Exit()
-	return b.MustKernel()
-}
-
-// TestDominatorAxioms checks, on random structured CFGs:
+// TestDominatorAxioms checks, on generated kernels:
 //   - the entry dominates every reachable block;
 //   - dominance is reflexive and antisymmetric;
 //   - idom(b) strictly dominates b and every other strict dominator of b
@@ -55,7 +15,7 @@ func randomCFGKernel(seed int64) *isa.Kernel {
 //   - every block postdominates itself and exit blocks have no ipdom.
 func TestDominatorAxioms(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		k := randomCFGKernel(seed)
+		k := gen.Kernel(seed)
 		g := New(k)
 		for b := range k.Blocks {
 			if !g.Reachable(b) {
@@ -96,7 +56,7 @@ func TestDominatorAxioms(t *testing.T) {
 // guarantee the executor relies on).
 func TestIPDomIsReconvergence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		k := randomCFGKernel(seed)
+		k := gen.Kernel(seed)
 		g := New(k)
 		for b := range k.Blocks {
 			if !g.Reachable(b) || len(g.Succs[b]) < 2 {
@@ -122,7 +82,7 @@ func TestIPDomIsReconvergence(t *testing.T) {
 // registers that are actually defined somewhere.
 func TestLivenessMonotone(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		k := randomCFGKernel(seed)
+		k := gen.Kernel(seed)
 		g := New(k)
 		lv := ComputeLiveness(g)
 		for b, blk := range k.Blocks {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cm"
 	"repro/internal/faults"
@@ -57,29 +57,23 @@ func (p *Provider) applyMetaFaults() {
 	}
 	if hasErase {
 		id := p.pickRegion(erase.Region, func(r *regions.Region) bool {
-			return len(r.EraseAt) > 0
+			return slices.ContainsFunc(r.EraseAt, func(regs []isa.Reg) bool { return len(regs) > 0 })
 		})
 		if id < 0 {
 			p.flt.Note(faults.MetaErase, "no region with erase annotations; fault skipped")
 		} else {
 			r := *cp.Regions[id]
-			gis := make([]int, 0, len(r.EraseAt))
-			for gi := range r.EraseAt {
-				gis = append(gis, gi)
+			var flagged []int
+			for i, regs := range r.EraseAt {
+				if len(regs) > 0 {
+					flagged = append(flagged, i)
+				}
 			}
-			sort.Ints(gis)
-			gi := gis[p.flt.Pick(len(gis))]
-			ea := make(map[int][]isa.Reg, len(r.EraseAt))
-			for k, v := range r.EraseAt {
-				ea[k] = v
-			}
-			regsList := ea[gi]
-			if len(regsList) > 1 {
-				ea[gi] = regsList[1:]
-			} else {
-				delete(ea, gi)
-			}
-			r.EraseAt = ea
+			i := flagged[p.flt.Pick(len(flagged))]
+			gi := r.StartGI + i
+			r.EraseAt = slices.Clone(r.EraseAt)
+			regsList := r.EraseAt[i]
+			r.EraseAt[i] = regsList[1:]
 			cp.Regions[id] = &r
 			p.flt.Note(faults.MetaErase,
 				fmt.Sprintf("region %d dropped erase of %v at gi %d (staged-register leak)", id, regsList[0], gi))

@@ -55,7 +55,8 @@ func (p *Provider) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 
 	// Last-use annotations at this instruction. Flags naming the
 	// destination ride with the write and apply at writeback (§5.2.2).
-	for _, reg := range region.EraseAt[gi] {
+	at := gi - region.StartGI
+	for _, reg := range region.EraseAt[at] {
 		if in.Op.HasDst() && reg == in.Dst {
 			ws.deferred.set(reg)
 			ws.deferErase.set(reg)
@@ -63,7 +64,7 @@ func (p *Provider) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 			p.applyErase(sh, ws, reg)
 		}
 	}
-	for _, reg := range region.EvictAt[gi] {
+	for _, reg := range region.EvictAt[at] {
 		if in.Op.HasDst() && reg == in.Dst {
 			ws.deferred.set(reg)
 			ws.deferErase.clear(reg)

@@ -81,7 +81,7 @@ type Annotations struct {
 }
 
 // Build collects a region's annotations into encodable form. Last-use
-// flags are derived from the region's EraseAt/EvictAt maps by matching
+// flags are derived from the region's EraseAt/EvictAt tables by matching
 // registers to the instruction's operand slots.
 func Build(c *regions.Compiled, r *regions.Region) Annotations {
 	a := Annotations{BankUsage: r.BankUsage}
@@ -100,7 +100,6 @@ func Build(c *regions.Compiled, r *regions.Region) Annotations {
 
 	blk := c.Kernel.Blocks[r.Block]
 	for i := r.Start; i < r.End; i++ {
-		gi := r.StartGI + (i - r.Start)
 		in := &blk.Insns[i]
 		var f InsnFlags
 		mark := func(reg isa.Reg, erase bool) {
@@ -116,10 +115,10 @@ func Build(c *regions.Compiled, r *regions.Region) Annotations {
 				f.Erase[3] = erase
 			}
 		}
-		for _, reg := range r.EraseAt[gi] {
+		for _, reg := range r.EraseAt[i-r.Start] {
 			mark(reg, true)
 		}
-		for _, reg := range r.EvictAt[gi] {
+		for _, reg := range r.EvictAt[i-r.Start] {
 			mark(reg, false)
 		}
 		a.Flags = append(a.Flags, f)

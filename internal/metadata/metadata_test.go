@@ -40,26 +40,6 @@ func randomAnnotations(rng *rand.Rand, compact bool) Annotations {
 	return a
 }
 
-func annotationsEqual(a, b Annotations) bool {
-	if a.Compact != b.Compact || a.BankUsage != b.BankUsage {
-		return false
-	}
-	if len(a.Entries) != len(b.Entries) || len(a.Flags) != len(b.Flags) {
-		return false
-	}
-	for i := range a.Entries {
-		if a.Entries[i] != b.Entries[i] {
-			return false
-		}
-	}
-	for i := range a.Flags {
-		if a.Flags[i] != b.Flags[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
@@ -74,7 +54,7 @@ func TestRoundTripRandom(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		got.Compact = a.Compact
-		if !annotationsEqual(a, got) {
+		if !reflect.DeepEqual(a, got) {
 			t.Fatalf("trial %d roundtrip mismatch:\n got %+v\nwant %+v", trial, got, a)
 		}
 	}
@@ -166,7 +146,7 @@ func TestBuildEncodeDecodeRealKernel(t *testing.T) {
 			t.Fatalf("region %d: %v", r.ID, err)
 		}
 		got.Compact = a.Compact
-		if !annotationsEqual(a, got) {
+		if !reflect.DeepEqual(a, got) {
 			t.Fatalf("region %d roundtrip mismatch:\n got %+v\nwant %+v", r.ID, got, a)
 		}
 		// Every preload and invalidation must appear as an entry.
@@ -192,32 +172,6 @@ func TestApplySetsCosts(t *testing.T) {
 	}
 	if sum != total {
 		t.Fatalf("Apply total %d != sum %d", total, sum)
-	}
-}
-
-func TestBuildFlagsMatchRegionMaps(t *testing.T) {
-	c := buildCompiled(t)
-	for _, r := range c.Regions {
-		a := Build(c, r)
-		// Count flagged operands vs. region's erase+evict registers.
-		flagCount := 0
-		for _, f := range a.Flags {
-			for s := 0; s < 4; s++ {
-				if f.LastUse[s] {
-					flagCount++
-				}
-			}
-		}
-		mapCount := 0
-		for _, regs := range r.EraseAt {
-			mapCount += len(regs)
-		}
-		for _, regs := range r.EvictAt {
-			mapCount += len(regs)
-		}
-		if flagCount != mapCount {
-			t.Fatalf("region %d: %d operand flags for %d map entries", r.ID, flagCount, mapCount)
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package regions
 
 import (
 	"repro/internal/bitvec"
-	"repro/internal/cfg"
 	"repro/internal/isa"
 )
 
@@ -27,11 +26,11 @@ func (c *Compiled) localLives(block, start, end int) ([]localLife, *bitvec.Set) 
 	startGI := c.G.GlobalIndex(isa.PC{Block: block, Index: start})
 	liveIn := c.Lv.LiveIn(startGI)
 
-	idx := map[isa.Reg]int{}
+	idx := c.lifeIdx
 	var lives []localLife
 	touch := func(r isa.Reg, gi int, def, hard bool) {
-		j, ok := idx[r]
-		if !ok {
+		j := idx[r]
+		if j < 0 {
 			j = len(lives)
 			idx[r] = j
 			from := gi
@@ -62,6 +61,9 @@ func (c *Compiled) localLives(block, start, end int) ([]localLife, *bitvec.Set) 
 		if in.Op.HasDst() {
 			touch(in.Dst, gi, true, !c.Lv.SoftDef[gi])
 		}
+	}
+	for j := range lives {
+		idx[lives[j].reg] = -1
 	}
 	return lives, liveIn
 }
@@ -123,7 +125,11 @@ func (c *Compiled) inputsOutputs(block, start, end int) (int, int) {
 // annotations, preloads, and erase/evict points.
 func (c *Compiled) classifyAll() {
 	c.CrossRegs = bitvec.New(c.Kernel.NumRegs)
+	erase := make([][]isa.Reg, c.G.NumInsns())
+	evict := make([][]isa.Reg, c.G.NumInsns())
 	for _, r := range c.Regions {
+		r.EraseAt = erase[r.StartGI:r.EndGI:r.EndGI]
+		r.EvictAt = evict[r.StartGI:r.EndGI:r.EndGI]
 		c.classify(r)
 	}
 }
@@ -160,10 +166,11 @@ func (c *Compiled) classify(r *Region) {
 		// (on this path or a divergent sibling's) becomes evictable at
 		// its last in-region touch; otherwise its line is erased
 		// outright (dead value).
+		at := l.until - r.StartGI
 		if liveOut.Get(int(l.reg)) || siblingLive {
-			r.EvictAt[l.until] = append(r.EvictAt[l.until], l.reg)
+			r.EvictAt[at] = append(r.EvictAt[at], l.reg)
 		} else {
-			r.EraseAt[l.until] = append(r.EraseAt[l.until], l.reg)
+			r.EraseAt[at] = append(r.EraseAt[at], l.reg)
 		}
 
 		// Preloads: every input is fetched before activation. The read
@@ -183,13 +190,12 @@ func (c *Compiled) classify(r *Region) {
 // one invalidation at a region start that postdominates all its
 // definitions and deaths (§4.3-4.4).
 func (c *Compiled) annotate() {
-	plans := c.Lv.PlanRegisters()
-	for _, p := range plans {
-		if !c.CrossRegs.Get(int(p.Reg)) || len(p.EdgeDeaths) == 0 {
+	for _, p := range planRegisters(c.Lv) {
+		if !c.CrossRegs.Get(int(p.reg)) || !p.edgeDeath {
 			continue
 		}
 		if tgt := c.invalidationRegion(&p); tgt != nil {
-			tgt.CacheInvalidations = append(tgt.CacheInvalidations, p.Reg)
+			tgt.CacheInvalidations = append(tgt.CacheInvalidations, p.reg)
 		}
 	}
 }
@@ -200,15 +206,15 @@ func (c *Compiled) annotate() {
 // invalidation re-executes every iteration while a single post-loop one is
 // equivalent (the register is dead at every chain block) and far cheaper
 // in L1 port traffic.
-func (c *Compiled) invalidationRegion(p *cfg.RegPlan) *Region {
+func (c *Compiled) invalidationRegion(p *regPlan) *Region {
 	if r := c.invalidationRegionPass(p, true); r != nil {
 		return r
 	}
 	return c.invalidationRegionPass(p, false)
 }
 
-func (c *Compiled) invalidationRegionPass(p *cfg.RegPlan, skipLoops bool) *Region {
-	for i, block := range p.InvalidationChain {
+func (c *Compiled) invalidationRegionPass(p *regPlan, skipLoops bool) *Region {
+	for i, block := range p.invalidationChain {
 		if !c.G.Reachable(block) {
 			continue
 		}
@@ -217,8 +223,8 @@ func (c *Compiled) invalidationRegionPass(p *cfg.RegPlan, skipLoops bool) *Regio
 		}
 		blockStartGI := c.G.GlobalIndex(isa.PC{Block: block, Index: 0})
 		after := blockStartGI - 1
-		if i == 0 && p.LastPointInHead >= 0 {
-			after = p.LastPointInHead
+		if i == 0 && p.lastPointInHead >= 0 {
+			after = p.lastPointInHead
 		}
 		// First region in this block starting after `after`.
 		blk := c.Kernel.Blocks[block]

@@ -1,54 +1,48 @@
-package cfg
+package regions
 
 import (
+	"repro/internal/cfg"
 	"repro/internal/isa"
 )
 
-// RegPlan summarizes one architectural register's lifetime structure: where
-// it is defined, where its live ranges end, and where a whole-register
-// cache invalidation may safely be placed (paper §4.3–4.4). The RegLess
-// compiler (package regions) consumes these to emit erase / evict /
-// invalidate annotations.
+// regPlan says where a whole-register cache invalidation of one
+// architectural register may safely be placed (paper §4.3–4.4), from where
+// the register is defined and where its live ranges end; annotate places
+// the invalidation annotations from it.
 //
 // A register's value may only be deleted from the memory system at a point
 // that (a) postdominates every definition and death point, so all divergent
 // paths that used it have reconverged, and (b) has the register dead in the
-// liveness solution. InvalidationChain lists the candidate blocks in order
+// liveness solution. invalidationChain lists the candidate blocks in order
 // (the common postdominator, then its postdominators); an empty chain means
 // the register's final death coincides with kernel exit.
-type RegPlan struct {
-	Reg isa.Reg
-	// Defs are global instruction indexes that write the register.
-	Defs []int
-	// SoftDefCount is how many of Defs are soft definitions.
-	SoftDefCount int
-	// LastUses are global instruction indexes of reads after which the
-	// register is no longer live on the fallthrough path.
-	LastUses []int
-	// EdgeDeaths are CFG edges on which the register dies (live at the
-	// source block end, dead into the target) — e.g. loop exits.
-	EdgeDeaths []Edge
-	// InvalidationChain is the ordered list of candidate blocks for the
+type regPlan struct {
+	reg isa.Reg
+	// edgeDeath: the register dies on a CFG edge (live at the source
+	// block's end, dead into the target), e.g. a loop exit.
+	edgeDeath bool
+	// invalidationChain is the ordered list of candidate blocks for the
 	// invalidation annotation: the nearest common postdominator of all
 	// defs and deaths, followed by its postdominator chain.
-	InvalidationChain []int
-	// LastPointInHead is the global index of the last def or use of the
-	// register inside InvalidationChain[0], or -1 if none; the
+	invalidationChain []int
+	// lastPointInHead is the global index of the last def or use of the
+	// register inside invalidationChain[0], or -1 if none; the
 	// invalidation must be placed after it.
-	LastPointInHead int
+	lastPointInHead int
 }
 
-// PlanRegisters computes a RegPlan for every register that is defined at
+// planRegisters computes a regPlan for every register that is defined at
 // least once in reachable code.
-func (lv *Liveness) PlanRegisters() []RegPlan {
+func planRegisters(lv *cfg.Liveness) []regPlan {
 	g := lv.G
 	k := g.K
-	plans := make([]RegPlan, 0, k.NumRegs)
+	plans := make([]regPlan, 0, k.NumRegs)
 
 	for r := 0; r < k.NumRegs; r++ {
 		reg := isa.Reg(r)
-		plan := RegPlan{Reg: reg, LastPointInHead: -1}
+		plan := regPlan{reg: reg, lastPointInHead: -1}
 		blocks := map[int]bool{} // blocks containing defs or deaths
+		defined := false
 
 		for b, blk := range k.Blocks {
 			if !g.Reachable(b) {
@@ -58,10 +52,7 @@ func (lv *Liveness) PlanRegisters() []RegPlan {
 				in := &blk.Insns[i]
 				gi := g.GlobalIndex(isa.PC{Block: b, Index: i})
 				if in.Op.HasDst() && in.Dst == reg {
-					plan.Defs = append(plan.Defs, gi)
-					if lv.SoftDef[gi] {
-						plan.SoftDefCount++
-					}
+					defined = true
 					blocks[b] = true
 				}
 				reads := false
@@ -71,25 +62,24 @@ func (lv *Liveness) PlanRegisters() []RegPlan {
 					}
 				}
 				if reads && lv.IsLastUse(gi, reg) {
-					plan.LastUses = append(plan.LastUses, gi)
 					blocks[b] = true
 				}
 			}
 			// Edge deaths: live out of b overall, dead into a
 			// particular successor.
-			if lv.blockOut[b].Get(r) {
+			if lv.LiveOut(g.GlobalIndex(isa.PC{Block: b, Index: len(blk.Insns) - 1})).Get(r) {
 				for _, s := range g.Succs[b] {
-					if !lv.blockIn[s].Get(r) {
-						plan.EdgeDeaths = append(plan.EdgeDeaths, Edge{From: b, To: s})
+					if !lv.BlockLiveIn(s).Get(r) {
+						plan.edgeDeath = true
 						blocks[s] = true
 					}
 				}
 			}
 		}
-		if len(plan.Defs) == 0 {
+		if !defined {
 			continue
 		}
-		plan.InvalidationChain, plan.LastPointInHead = lv.invalidationChain(reg, blocks)
+		plan.invalidationChain, plan.lastPointInHead = invalidationChain(g, reg, blocks)
 		plans = append(plans, plan)
 	}
 	return plans
@@ -98,8 +88,7 @@ func (lv *Liveness) PlanRegisters() []RegPlan {
 // invalidationChain finds the nearest common postdominator of the given
 // blocks and returns it with its postdominator chain, plus the last
 // def/use position of reg inside the head block.
-func (lv *Liveness) invalidationChain(reg isa.Reg, blocks map[int]bool) ([]int, int) {
-	g := lv.G
+func invalidationChain(g *cfg.Graph, reg isa.Reg, blocks map[int]bool) ([]int, int) {
 	if len(blocks) == 0 {
 		return nil, -1
 	}

@@ -84,12 +84,14 @@ type Region struct {
 	// CacheInvalidations are registers whose backing-store copies are
 	// deleted when this region starts: control flow has made them dead.
 	CacheInvalidations []isa.Reg
-	// EraseAt maps a global instruction index to interior registers
-	// whose last use it is; their OSU lines free immediately.
-	EraseAt map[int][]isa.Reg
-	// EvictAt maps a global instruction index to input/output registers
-	// whose last in-region use it is; their OSU lines become evictable.
-	EvictAt map[int][]isa.Reg
+	// EraseAt[gi-StartGI] lists the registers whose last use is global
+	// instruction gi and whose value is then dead; their OSU lines free
+	// immediately. One entry per region instruction.
+	EraseAt [][]isa.Reg
+	// EvictAt[gi-StartGI] lists the registers whose last in-region use is
+	// gi but which are still needed after the region; their OSU lines
+	// become evictable.
+	EvictAt [][]isa.Reg
 
 	// MetaInsns is the instruction-stream overhead of this region's
 	// annotations (filled in by package metadata via SetMetaCost).
@@ -98,18 +100,6 @@ type Region struct {
 
 // NumInsns returns the region's static instruction count.
 func (r *Region) NumInsns() int { return r.End - r.Start }
-
-// Indices returns the global instruction indices an EraseAt or EvictAt map
-// annotates, ascending: ranging over the map itself visits them in a
-// different order on every run.
-func Indices(at map[int][]isa.Reg) []int {
-	gis := make([]int, 0, len(at))
-	for gi := range at {
-		gis = append(gis, gi)
-	}
-	sort.Ints(gis)
-	return gis
-}
 
 // Compiled is the full compiler output for one kernel.
 type Compiled struct {
@@ -126,6 +116,10 @@ type Compiled struct {
 	// one region — the only registers that can ever reside in the
 	// memory hierarchy.
 	CrossRegs *bitvec.Set
+
+	// lifeIdx maps a register to its entry in localLives' result while
+	// that runs, and is -1 everywhere between calls.
+	lifeIdx []int
 }
 
 // RegionAt returns the region containing global instruction index gi, or
@@ -151,9 +145,13 @@ func Compile(k *isa.Kernel, cfgOpts Config) (*Compiled, error) {
 		Lv:       lv,
 		Cfg:      cfgOpts,
 		RegionOf: make([]int, g.NumInsns()),
+		lifeIdx:  make([]int, k.NumRegs),
 	}
 	for i := range c.RegionOf {
 		c.RegionOf[i] = -1
+	}
+	for i := range c.lifeIdx {
+		c.lifeIdx[i] = -1
 	}
 	c.createRegions()
 	c.classifyAll()
@@ -200,8 +198,6 @@ func (c *Compiled) appendRegion(block, start, end int) {
 		End:     end,
 		StartGI: c.G.GlobalIndex(isa.PC{Block: block, Index: start}),
 		EndGI:   c.G.GlobalIndex(isa.PC{Block: block, Index: start}) + (end - start),
-		EraseAt: map[int][]isa.Reg{},
-		EvictAt: map[int][]isa.Reg{},
 	}
 	c.Regions = append(c.Regions, r)
 }

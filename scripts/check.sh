@@ -88,7 +88,19 @@ test -z "$(grep -rn 'Normalized' --include=*.go --exclude=*_test.go internal/sto
 # arena.Put only in experiments.runPoint, a clone of sim.Stats.BackingSeries
 # only in experiments.(*Run).Detach.
 go run ./scripts/smoke guard
-go test -race -shuffle=on ./...
+# The compiler's validator (internal/regions/validate_test.go) is a second
+# model only while it uses none of the analysis it checks.
+test -z "$(grep -nw 'Lv\|LiveIn\|LiveOut\|SoftDef\|PlanRegisters\|ComputeLiveness' internal/regions/validate_test.go)"
+# The race gate prints each package's wall time and fails a package past
+# 480 s, well before go test's 600 s default timeout kills it mid-run.
+racelog="$(mktemp)"
+rc=0
+go test -race -shuffle=on ./... > "$racelog" 2>&1 || rc=$?
+cat "$racelog"
+slow="$(awk '$1 == "ok" && $3 ~ /s$/ { t = $3; sub(/s$/, "", t); printf "race gate: %s %ss\n", $2, t > "/dev/stderr"; if (t + 0 > 480) print $2 }' "$racelog")"
+rm -f "$racelog"
+test "$rc" = 0
+test -z "$slow"
 # Allocation counts are the program's only without the race detector,
 # whose instrumentation changes what allocates: each package's
 # TestAllocations skips itself in the race gate above and holds its heap
