@@ -16,7 +16,8 @@ import (
 //   - a Get hit: the payload copy Get keeps, and nothing for the path or
 //     the descriptor that serves the read and the mtime stamp;
 //   - a warm Open over 105 entries and over 420, which must read the same:
-//     the walk holds no value per entry.
+//     the walk holds no value per entry;
+//   - the payload check a hit and a Put make, on a served payload: nothing.
 func TestAllocations(t *testing.T) { measurePaths(t, allocs.Open(t)) }
 
 // The tests below each hold one of the paths to its rows.
@@ -24,6 +25,8 @@ func TestAllocations(t *testing.T) { measurePaths(t, allocs.Open(t)) }
 func TestPutAllocations(t *testing.T) { measurePaths(t, allocs.Open(t, "put/fresh")) }
 
 func TestGetHitAllocations(t *testing.T) { measurePaths(t, allocs.Open(t, "get/hit")) }
+
+func TestJSONValueAllocations(t *testing.T) { measurePaths(t, allocs.Open(t, "json/payload")) }
 
 func TestOpenAllocationsIndependentOfEntries(t *testing.T) {
 	measurePaths(t, allocs.Open(t, "open/105", "open/420"))
@@ -49,6 +52,13 @@ func measurePaths(t *testing.T, l *allocs.Ledger) {
 	l.Measure("get/hit", allocs.Op{Calls: 200, Do: func() {
 		if _, ok, err := s.Get(k); !ok || err != nil {
 			t.Fatalf("Get = ok=%v err=%v", ok, err)
+		}
+	}})
+
+	payload := servedPayload(t)
+	l.Measure("json/payload", allocs.Op{Calls: 200, Do: func() {
+		if !isJSONValue(payload) {
+			t.Fatal("the served payload is not one JSON value")
 		}
 	}})
 

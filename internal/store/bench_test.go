@@ -127,3 +127,24 @@ func BenchmarkSyncClean(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkJSONValue is the payload check every Get hit and every Put make,
+// on a served payload: the store's one pass, and the encoding/json
+// predicate it stands for.
+func BenchmarkJSONValue(b *testing.B) {
+	p := servedPayload(b)
+	for _, check := range []struct {
+		name  string
+		valid func([]byte) bool
+	}{{"scan", isJSONValue}, {"encoding-json", validJSONValue}} {
+		b.Run(check.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(p)))
+			for i := 0; i < b.N; i++ {
+				if !check.valid(p) {
+					b.Fatal("the served payload is not one JSON value")
+				}
+			}
+		})
+	}
+}

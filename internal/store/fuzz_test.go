@@ -146,7 +146,7 @@ func FuzzVerifyEntry(f *testing.F) {
 		// The file as Put lays it out, around whatever the payload is: a hit
 		// exactly when the payload is one JSON value.
 		good := appendEntry(nil, canon, payload)
-		if want := isJSONValue(payload); check("as laid out", good) != want {
+		if want := validJSONValue(payload); check("as laid out", good) != want {
 			t.Fatalf("payload %q: accepted = %v, want %v", payload, !want, want)
 		}
 
@@ -212,4 +212,68 @@ func readBack(t *testing.T, s *Store, k Key, raw, want []byte, accepted bool) {
 	if _, err := os.Stat(path); os.IsNotExist(err) == accepted {
 		t.Fatalf("entry file present=%v after reading it, verifyEntry accepted=%v", !accepted, accepted)
 	}
+}
+
+// validJSONValue is what a stored payload must be, spelled with
+// encoding/json: one value, and no whitespace around it. isJSONValue is the
+// store's one-pass spelling of it.
+func validJSONValue(p []byte) bool {
+	return len(bytes.TrimSpace(p)) == len(p) && json.Valid(p)
+}
+
+// servedPayload is a payload as the service stores it: lud under RegLess at
+// the default 64 warps, 1 259 bytes.
+func servedPayload(tb testing.TB) []byte {
+	tb.Helper()
+	p, err := os.ReadFile(filepath.Join("testdata", "payload_lud_regless.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// nested is n containers inside one another, opened by open and closed by
+// close, around inner.
+func nested(open, inner, close string, n int) []byte {
+	return []byte(strings.Repeat(open, n) + inner + strings.Repeat(close, n))
+}
+
+// FuzzJSONValue holds the store's one-pass JSON check to encoding/json's:
+// for every input, isJSONValue accepts exactly what validJSONValue does.
+// The seeds are where the two could part: a served payload, the nesting
+// limit on either side, every escape and every way to spoil one, the bytes
+// a string may and may not hold, the edges of the number grammar, the
+// literals' prefixes and suffixes, and each kind of whitespace, which may
+// stand between tokens and never around the value.
+func FuzzJSONValue(f *testing.F) {
+	f.Add(servedPayload(f))
+	f.Add(nested(`[{"a":`, "1", "}]", maxJSONDepth/2))
+	f.Add(nested(`[{"a":`, "[]", "}]", maxJSONDepth/2))
+	for _, n := range []int{maxJSONDepth, maxJSONDepth + 1} {
+		f.Add(nested("[", "", "]", n))
+		f.Add(nested("[", "1", "]", n))
+		f.Add(nested(`{"":`, "{}", "}", n-1))
+		f.Add(nested(`{"a":`, "1", "}", n))
+	}
+	for _, s := range []string{
+		`"\"\\\/\b\f\n\r\t\u00e9\uABCD\uFfFf"`, `"\u12"`, `"\u12`, `"\u"`, `"\u12g4"`,
+		`"\x"`, `"\'"`, `"\`, `"abc`, `"`, `""`, `"\u0000"`,
+		"\"a\x01b\"", "\"\x1f\"", "\"\x00\"", "\"a\tb\"", "\"\x7f\"", "\"\xff\xfe\"", "\"\xc3\"",
+		"\"\xed\xa0\x80\"", `"abcdefgh\"ijklmnop"`, `"abcdefgh\\ijklmnop"`, "\"abcdefghijklmno\x1f\"",
+		`"abcdefghijklmnop"`, `"abcdefg"`, `{"abcdefghij":"klmnopqrstuvwxyz"}`,
+		`-0`, `01`, `1.`, `1e+`, `.5`, `+1`, `-`, `-01`, `1.e5`, `0.5e+10`, `1E-5`, `-1.5E07`, `0e0`, `00`, `1e`,
+		`[01]`, `[0,0.5,-0,0e1,10]`, `{"a":00}`, `[0x]`,
+		`[1,]`, `[,1]`, `{"a":1,}`, `{"a"}`, `{"a":}`, `{1:2}`, `{"a" : 1 , "b" :[ ] }`, `[1 2]`, `{}}`, `[]]`, `[}`, `{]`,
+		`t`, `tru`, `true`, `truex`, `trUe`, `f`, `fals`, `false`, `falsey`, `n`, `nul`, `null`, `nulll`, `nullx`,
+		`[true,false,null]`, `[truefalse]`, `{"a":nul}`,
+		" 1", "1 ", "\t1", "1\t", "\n{}", "{}\n", "\r[]", "[]\r", "\v1", "1\v", "\f1", "1\f",
+		"\u00851", "1\u0085", "\u00a0null", "null\u00a0", "[ 1,\t2\n,\r3 ]", "[\v1]", "[1\u00a0]", "",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if got, want := isJSONValue(p), validJSONValue(p); got != want {
+			t.Fatalf("isJSONValue = %v, encoding/json says %v, for %q", got, want, p)
+		}
+	})
 }

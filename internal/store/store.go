@@ -572,13 +572,6 @@ func verifyEntry(canon, raw []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// isJSONValue reports whether p is one JSON value and nothing else: no
-// whitespace around it either, which a decoder reading the entry would not
-// count into the value (and so not into its checksum).
-func isJSONValue(p []byte) bool {
-	return len(bytes.TrimSpace(p)) == len(p) && json.Valid(p)
-}
-
 // verifyFile is verifyEntry for a caller that holds only the file's name
 // (Verify's walk): the key is recovered from the file itself. The key
 // region ends at the first `},"payload_sha256":"` — a sequence no JSON

@@ -64,6 +64,10 @@ test "$(grep -rn '"max-cycles"' --include=*.go --exclude=*_test.go cmd | wc -l)"
 # serve's own wire types, and the OSU's bank count is isa.NumBanks.
 test -z "$(grep -rn 'type runRequest\|type runStatus\|type sweepStatus' --include=*.go cmd scripts)"
 test -z "$(grep -rn 'NumBanks *= *[0-9]' --include=*.go cmd internal regless.go | grep -v '^internal/isa/')"
+# A stored payload's JSON check is spelled once (DESIGN.md §14): the store's
+# one-pass isJSONValue, which FuzzJSONValue holds to encoding/json's
+# predicate; only tests spell the predicate.
+test -z "$(grep -rn 'json\.Valid(' --include=*.go --exclude=*_test.go internal/store internal/serve)"
 # A register scheme meets the SM in one of the paper's two shapes
 # (DESIGN.md §12), sim.Provider or sim.Stager, resolved once in the SM
 # constructor, and warps are scheduled GTO or two-level: the nine optional
