@@ -50,7 +50,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	code := http.StatusServiceUnavailable
 	switch {
-	case s.draining():
+	case s.draining.Load():
 		h.Status = "draining"
 	case h.Queued >= int64(s.cfg.QueueLimit):
 		h.Status = "overloaded"

@@ -117,11 +117,11 @@ func (s *Server) submit(a *admitted, client, reqID string, budget time.Duration)
 	s.mu.Lock()
 	// Draining is decided under s.mu, which Drain takes for its snapshot
 	// after leaving the accepting state: every job admitted here is in it.
-	if s.draining() {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		return nil, false, errDraining
 	}
-	if s.breakerOpen[bk] {
+	if s.breaker[bk] >= s.cfg.BreakerThreshold {
 		s.mu.Unlock()
 		s.cBreakerRejects.Inc()
 		return nil, false, fmt.Errorf("config %s is quarantined after repeated diagnostics", bk)
@@ -187,7 +187,6 @@ func (s *Server) execute(j *job) {
 	}
 	defer j.cancel()
 	j.state.Store(jobRunning)
-	defer s.publishRun(j)
 	tr := j.trace
 	t0 := tr.Now()
 	tr.EndAt(j.qspan, t0)

@@ -17,16 +17,6 @@ import (
 	"unicode/utf8"
 )
 
-// Service states. Transitions are one-way: accepting -> draining ->
-// stopped. Submissions are accepted only in stateAccepting; reads
-// (status polls, tables, traces, metrics) work in every state so an
-// operator can inspect a draining server.
-const (
-	stateAccepting int32 = iota
-	stateDraining
-	stateStopped
-)
-
 // DrainReport summarizes a graceful shutdown: how many pending jobs
 // finished cleanly, how many were canceled at the deadline, and whether
 // the deadline fired at all.
@@ -43,16 +33,18 @@ type DrainReport struct {
 	DurationSeconds float64 `json:"duration_seconds"`
 }
 
-// Drain gracefully shuts the server down: new submissions are rejected
-// with 503 "draining" immediately, in-flight and queued jobs get up to
-// timeout to finish (timeout <= 0 waits indefinitely) before their
-// contexts are canceled, SSE subscribers receive their terminal summary
-// (or an explicit "draining" event) and close, the final metrics window
-// flushes, and the store is fsynced. Safe to call once; later calls
-// (including Close after Drain) return immediately.
+// Drain gracefully shuts the server down. Transitions are one-way:
+// accepting -> draining (s.draining set) -> stopped (s.drained closed).
+// New submissions are rejected with 503 "draining" immediately, while
+// reads (status polls, tables, traces, metrics) keep working; in-flight
+// and queued jobs get up to timeout to finish (timeout <= 0 waits
+// indefinitely) before their contexts are canceled, which ends every
+// sweep stream with its summary; the final metrics window flushes, and
+// the store is fsynced. Safe to call once; later calls (including Close
+// after Drain) wait for the first to finish and return.
 func (s *Server) Drain(timeout time.Duration) (DrainReport, error) {
 	start := time.Now()
-	if !s.state.CompareAndSwap(stateAccepting, stateDraining) {
+	if !s.draining.CompareAndSwap(false, true) {
 		<-s.drained
 		return DrainReport{}, nil
 	}
@@ -86,10 +78,6 @@ func (s *Server) Drain(timeout time.Duration) (DrainReport, error) {
 		timer.Stop()
 	}
 
-	// All jobs have finished (cleanly or canceled). Let sweep SSE
-	// subscribers flush their terminal events and exit.
-	close(s.sseDrain)
-
 	// Flush the final metrics window to subscribers and the JSONL stream
 	// before tearing the window loop down.
 	close(s.stopWin)
@@ -113,13 +101,9 @@ func (s *Server) Drain(timeout time.Duration) (DrainReport, error) {
 			err = ferr
 		}
 	}
-	s.state.Store(stateStopped)
 	close(s.drained)
 	return rep, err
 }
-
-// draining reports whether the server has left the accepting state.
-func (s *Server) draining() bool { return s.state.Load() != stateAccepting }
 
 // ---------------------------------------------------------------------
 // Request budgets
@@ -183,13 +167,11 @@ func (k breakerKey) String() string {
 func (s *Server) noteDiagnostic(k breakerKey) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.breakerOpen[k] {
-		return
-	}
-	s.breakerHits[k]++
-	if s.breakerHits[k] >= s.cfg.BreakerThreshold {
-		s.breakerOpen[k] = true
-		s.cBreakerTrips.Inc()
+	if s.breaker[k] < s.cfg.BreakerThreshold {
+		s.breaker[k]++
+		if s.breaker[k] == s.cfg.BreakerThreshold {
+			s.cBreakerTrips.Inc()
+		}
 	}
 }
 
@@ -197,9 +179,11 @@ func (s *Server) noteDiagnostic(k breakerKey) {
 // two polls of an unchanged server agree.
 func (s *Server) openBreakers() []string {
 	s.mu.Lock()
-	out := make([]string, 0, len(s.breakerOpen))
-	for k := range s.breakerOpen {
-		out = append(out, k.String())
+	var out []string
+	for k, n := range s.breaker {
+		if n >= s.cfg.BreakerThreshold {
+			out = append(out, k.String())
+		}
 	}
 	s.mu.Unlock()
 	slices.Sort(out)

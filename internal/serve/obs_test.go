@@ -1,8 +1,8 @@
 package serve
 
 // Observability-layer tests: run traces (span tiling, Perfetto export),
-// Prometheus exposition, SSE sweep/metrics streams (completion, slow
-// client overflow, disconnect cleanup), deep-dive reports, and the
+// Prometheus exposition, SSE sweep/metrics streams (completion, a slow
+// client, disconnect cleanup, window overflow), deep-dive reports, and the
 // /healthz build/store fields.
 
 import (
@@ -13,11 +13,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -308,27 +310,21 @@ func (w *gateWriter) String() string {
 	return w.buf.String()
 }
 
-// pendingSubs counts per-job subscription entries.
-func pendingSubs(s *Server) int {
-	s.sseMu.Lock()
-	defer s.sseMu.Unlock()
-	return len(s.runSubs)
-}
-
-func TestSweepEventsSlowClientDrops(t *testing.T) {
-	dir := t.TempDir()
-	hold := make(chan struct{})
-	s := newTestServer(t, dir, testOpts())
+// TestSweepEventsSlowClientLosesNothing: a client whose socket is stalled
+// while every job of a sweep larger than a window subscriber's buffer ends
+// still reads one run event per job, then the summary, and nothing drops.
+func TestSweepEventsSlowClientLosesNothing(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), testOpts())
 	defer s.Close()
-	s.testExecGate = func(*job) { <-hold }
-	s.sseBuffer = 1
-
+	hold := make(chan struct{})
+	s.testExecGate = func(j *job) { <-hold; j.cancel() } // each job ends unsimulated
+	var caps []int
+	for c := 32; len(caps) < 80; c += 32 {
+		caps = append(caps, c)
+	}
 	var sw SweepStatus
 	doJSON(t, s.Handler(), "POST", "/v1/sweeps", "c",
-		SweepRequest{Benchmarks: []string{"nw", "bfs"}, Schemes: []string{"baseline", "regless"}}, &sw)
-	if sw.Total != 4 {
-		t.Fatalf("sweep has %d jobs, want 4", sw.Total)
-	}
+		SweepRequest{Benchmarks: []string{"nw"}, Schemes: []string{"regless"}, Capacities: caps}, &sw)
 
 	writerGate := make(chan struct{})
 	w := &gateWriter{gate: writerGate, hdr: http.Header{}}
@@ -339,30 +335,26 @@ func TestSweepEventsSlowClientDrops(t *testing.T) {
 		defer close(handlerDone)
 		s.handleSweepEvents(w, req)
 	}()
-
-	// Wait for the stream to register on every job, then let the pool
-	// run. All four completions publish while the client's socket is
-	// stuck: buffer 1 means at most two frames survive (one in the
-	// writer's hand, one buffered) and at least two drop.
-	waitCond(t, func() bool { return pendingSubs(s) == 4 })
 	close(hold)
-	waitCond(t, func() bool { return pendingSubs(s) == 0 })
+	waitUntil(t, "every job to end", func() bool { return counter(t, s, "serve/canceled") == uint64(len(caps)) })
 	close(writerGate)
 	select {
 	case <-handlerDone:
 	case <-time.After(30 * time.Second):
-		t.Fatal("stream did not terminate after drops")
+		t.Fatal("stream did not end after its sweep")
 	}
 
-	out := w.String()
-	if !strings.Contains(out, "event: dropped") {
-		t.Fatalf("slow client was not told about dropped frames:\n%s", out)
+	events := readSSE(t, bufio.NewReader(strings.NewReader(w.String())), "summary")
+	for _, ev := range events[:len(events)-1] {
+		if ev.name != "run" {
+			t.Fatalf("slow client got a %q event: %s", ev.name, ev.data)
+		}
 	}
-	if !strings.Contains(out, "event: summary") {
-		t.Fatalf("stream did not end with a summary:\n%s", out)
+	if len(events) != len(caps)+1 || events[len(caps)].name != "summary" {
+		t.Fatalf("slow client read %d events, want %d runs and the summary:\n%s", len(events), len(caps), w)
 	}
-	if n := counter(t, s, "serve/sse_dropped"); n < 2 {
-		t.Fatalf("serve/sse_dropped = %d, want >= 2", n)
+	if n := counter(t, s, "serve/sse_dropped"); n != 0 {
+		t.Fatalf("serve/sse_dropped = %d, want 0", n)
 	}
 }
 
@@ -380,35 +372,64 @@ func TestSweepEventsDisconnectCleansUp(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest("GET", "/v1/sweeps/"+sw.ID+"/events", nil).WithContext(ctx)
 	req.SetPathValue("id", sw.ID)
-	rec := httptest.NewRecorder()
-	handlerDone := make(chan struct{})
-	go func() {
-		defer close(handlerDone)
-		s.handleSweepEvents(rec, req)
-	}()
-	waitCond(t, func() bool { return pendingSubs(s) == 2 })
+	go s.handleSweepEvents(httptest.NewRecorder(), req)
+	// The handler and one watcher per held job.
+	waitUntil(t, "the stream to watch both jobs", func() bool { return streamGoroutines() == 3 })
 
-	// Mid-stream disconnect: the handler returns and its subscription
-	// disappears from every job, so completions later fan out to nobody.
+	// Mid-stream disconnect, with both jobs still held: the handler
+	// returns and nothing it started outlives it.
 	cancel()
-	select {
-	case <-handlerDone:
-	case <-time.After(30 * time.Second):
-		t.Fatal("handler did not return on client disconnect")
-	}
-	if n := pendingSubs(s); n != 0 {
-		t.Fatalf("%d job subscriptions leaked after disconnect", n)
-	}
+	waitUntil(t, "the handler and its watchers to exit", func() bool { return streamGoroutines() == 0 })
 }
 
-func waitCond(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in 30s")
+// streamGoroutines counts the goroutines in a sweep stream's handler or
+// started by it.
+func streamGoroutines() (n int) {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "handleSweepEvents") {
+			n++
 		}
-		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestMetricsStreamSlowClientDrops: the window stream is pushed by the
+// registry, so a stalled subscriber loses what its buffer cannot hold and
+// is told how many with one dropped marker.
+func TestMetricsStreamSlowClientDrops(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), testOpts())
+	defer s.Close()
+	// A hub of its own: the server's ticks cannot reach this subscriber.
+	hub := &winHub{}
+	st := &sseStream{ch: make(chan []byte, windowBuffer), drop: s.cSSEDropped}
+	hub.subscribe(st)
+	gate, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	w := &gateWriter{gate: gate, hdr: http.Header{}}
+	go func() {
+		defer close(done)
+		s.pump(w, httptest.NewRequest("GET", "/v1/metricsz/stream", nil), st, stop)
+	}()
+	hub.Emit(metrics.Window{})
+	waitUntil(t, "the writer to take the first window", func() bool { return len(st.ch) == 0 })
+	const lost = 5
+	for range windowBuffer + lost {
+		hub.Emit(metrics.Window{})
+	}
+	close(gate)
+	waitUntil(t, "the buffer to drain", func() bool { return len(st.ch) == 0 })
+	close(stop)
+	<-done
+
+	out := w.String()
+	if got := strings.Count(out, "event: window"); got != 1+windowBuffer {
+		t.Fatalf("%d windows written, want %d", got, 1+windowBuffer)
+	}
+	if strings.Count(out, "event: dropped") != 1 || !strings.Contains(out, fmt.Sprintf(`{"dropped":%d}`, lost)) {
+		t.Fatalf("want one dropped marker of %d:\n%s", lost, out)
+	}
+	if n := counter(t, s, "serve/sse_dropped"); n != lost {
+		t.Fatalf("serve/sse_dropped = %d, want %d", n, lost)
 	}
 }
 

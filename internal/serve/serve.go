@@ -112,40 +112,27 @@ type Server struct {
 	jobs   map[string]*job
 	sweeps map[string]*sweep
 	recent []FailureBrief
-	// breakerHits/breakerOpen quarantine poisoned configs (under mu).
-	breakerHits map[breakerKey]int
-	breakerOpen map[breakerKey]bool
+	// breaker counts each config's Diagnostics (under mu); a config at
+	// BreakerThreshold or more is quarantined.
+	breaker map[breakerKey]int
 
 	// memo maps run-request bodies to what they were admitted as
 	// (admitRun), under memoMu.
 	memoMu sync.Mutex
 	memo   map[string]*admitted
 
-	// sseMu guards runSubs: per-job SSE subscriber lists, appended at
-	// stream registration and drained by publishRun when the job ends.
-	sseMu   sync.Mutex
-	runSubs map[string][]*sseStream
-
 	// testExecGate, when non-nil, is called at the top of execute —
-	// tests use it to hold jobs while they stage SSE subscribers.
+	// tests use it to hold jobs while they open streams and polls.
 	testExecGate func(*job)
-	// sseBuffer is each SSE subscriber's bounded frame buffer (64 frames;
-	// a test shrinks it after New): a slow client overflowing it loses
-	// frames and is told so with a "dropped" marker event rather than
-	// stalling the execution path.
-	sseBuffer int
 
 	start   time.Time
 	stopWin chan struct{}
 	winDone chan struct{}
 	handler http.Handler
 
-	// Lifecycle: accepting -> draining -> stopped (see lifecycle.go).
-	// sseDrain closes once every pending job has resolved during drain
-	// (sweep streams flush terminal events); drained closes when the
-	// drain completes end to end.
-	state    atomic.Int32
-	sseDrain chan struct{}
+	// Lifecycle (see lifecycle.go): Drain sets draining once, and
+	// drained closes when the drain completes end to end (stopped).
+	draining atomic.Bool
 	drained  chan struct{}
 
 	// Request-ID minting and the client-abort chaos request counter.
@@ -190,21 +177,17 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:         cfg,
-		st:          st,
-		chaos:       chaos,
-		jobs:        map[string]*job{},
-		sweeps:      map[string]*sweep{},
-		memo:        map[string]*admitted{},
-		runSubs:     map[string][]*sseStream{},
-		breakerHits: map[breakerKey]int{},
-		breakerOpen: map[breakerKey]bool{},
-		sseBuffer:   64,
-		start:       time.Now(),
-		stopWin:     make(chan struct{}),
-		winDone:     make(chan struct{}),
-		sseDrain:    make(chan struct{}),
-		drained:     make(chan struct{}),
+		cfg:     cfg,
+		st:      st,
+		chaos:   chaos,
+		jobs:    map[string]*job{},
+		sweeps:  map[string]*sweep{},
+		memo:    map[string]*admitted{},
+		breaker: map[breakerKey]int{},
+		start:   time.Now(),
+		stopWin: make(chan struct{}),
+		winDone: make(chan struct{}),
+		drained: make(chan struct{}),
 	}
 	s.bootID = bootIDFrom(s.start)
 	if cfg.Opts.Faults != nil {

@@ -2,10 +2,11 @@ package serve
 
 // Server-sent-event streaming: per-run completion events for a sweep
 // (GET /v1/sweeps/{id}/events) and the live metrics-window stream
-// (GET /v1/metricsz/stream). Both share one subscriber shape — a bounded
-// frame buffer drained by the handler goroutine — and one overflow
-// policy: a slow client loses frames and is told how many with a
-// "dropped" marker event; the execution path never blocks on a client.
+// (GET /v1/metricsz/stream), both written by one loop, pump. A sweep
+// stream reads its own jobs: each frame is staged when its job ends, and
+// nothing is dropped. The window stream is pushed by the registry, which
+// must not wait for a client: a slow one loses frames and is told how
+// many with a "dropped" marker event.
 
 import (
 	"bytes"
@@ -26,17 +27,13 @@ func sseFrame(event string, data []byte) []byte {
 	return fmt.Appendf(nil, "event: %s\ndata: %s\n\n", event, data)
 }
 
-// sseStream is one subscriber: a bounded channel of ready-to-write
-// frames. Publishers deliver with a non-blocking send; overflow bumps
-// dropped instead of stalling. For sweep streams, total is the sweep's
-// job count and complete closes when the got counter reaches it; metric
-// streams use total 0 (never complete, terminated by disconnect/close).
+// sseStream is one stream's frames. A sweep stream's channel holds a
+// frame for each of its jobs and closes after the last; a metrics-window
+// subscriber's is bounded (windowBuffer), and Emit delivers with a
+// non-blocking send whose overflow bumps dropped instead of stalling.
 type sseStream struct {
-	ch       chan []byte
-	complete chan struct{}
-	total    int
-	got      atomic.Int64
-	dropped  atomic.Int64
+	ch      chan []byte
+	dropped atomic.Int64
 	// reported counts drops already surfaced to the client; only the
 	// writer goroutine touches it.
 	reported int64
@@ -44,14 +41,8 @@ type sseStream struct {
 	drop metrics.AtomicCounter
 }
 
-func (s *Server) newStream(total int) *sseStream {
-	return &sseStream{
-		ch:       make(chan []byte, s.sseBuffer),
-		complete: make(chan struct{}),
-		total:    total,
-		drop:     s.cSSEDropped,
-	}
-}
+// windowBuffer is a metrics-window subscriber's frame buffer.
+const windowBuffer = 64
 
 // deliver enqueues a frame without blocking; a full buffer drops it.
 func (st *sseStream) deliver(frame []byte) {
@@ -60,16 +51,6 @@ func (st *sseStream) deliver(frame []byte) {
 	default:
 		st.dropped.Add(1)
 		st.drop.Inc()
-	}
-}
-
-// arrived counts one finished job toward total and closes complete on
-// the last one. The caller ensures each job is counted exactly once per
-// stream (registration pre-counts finished jobs, publishRun counts the
-// rest), so there is exactly one closer.
-func (st *sseStream) arrived(n int64) {
-	if st.total > 0 && st.got.Add(n) == int64(st.total) {
-		close(st.complete)
 	}
 }
 
@@ -96,38 +77,6 @@ func runEventFrame(j *job) []byte {
 	}
 	data, _ := json.Marshal(ev)
 	return sseFrame("run", data)
-}
-
-// publishRun fans a finished job out to the streams subscribed to it
-// and retires the subscription entry. Runs after finish (deferred last
-// in execute), so subscribers observe final job state.
-func (s *Server) publishRun(j *job) {
-	s.sseMu.Lock()
-	subs := s.runSubs[j.id]
-	delete(s.runSubs, j.id)
-	s.sseMu.Unlock()
-	if len(subs) == 0 {
-		return
-	}
-	frame := runEventFrame(j)
-	for _, st := range subs {
-		st.deliver(frame)
-		st.arrived(1)
-	}
-}
-
-// unsubscribe removes the stream from every per-job list (disconnect
-// path; completed streams were already drained by publishRun).
-func (s *Server) unsubscribe(st *sseStream) {
-	s.sseMu.Lock()
-	defer s.sseMu.Unlock()
-	for id, subs := range s.runSubs {
-		if kept := slices.DeleteFunc(subs, func(x *sseStream) bool { return x == st }); len(kept) == 0 {
-			delete(s.runSubs, id)
-		} else {
-			s.runSubs[id] = kept
-		}
-	}
 }
 
 // sseWriter pairs the response with its flusher and tracks write errors
@@ -163,9 +112,9 @@ func (sw *sseWriter) reportDrops(st *sseStream) bool {
 // pump is the one stream loop: it opens the event stream and writes st's
 // frames as they arrive, a heartbeat comment every 15 s, and a "dropped"
 // marker after any gap. It returns ok when the stream ended on the
-// server's side — st completed or stop closed — and the caller may still
-// write its terminal frames; not ok means the client is gone (or cannot
-// stream at all, which is answered 500).
+// server's side — st's channel closed or stop closed — and the caller may
+// still write its terminal frames; not ok means the client is gone (or
+// cannot stream at all, which is answered 500).
 func (s *Server) pump(w http.ResponseWriter, r *http.Request, st *sseStream, stop <-chan struct{}) (sw *sseWriter, ok bool) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -182,7 +131,10 @@ func (s *Server) pump(w http.ResponseWriter, r *http.Request, st *sseStream, sto
 	defer hb.Stop()
 	for {
 		select {
-		case f := <-st.ch:
+		case f, open := <-st.ch:
+			if !open {
+				return sw, true
+			}
 			if !sw.frame(f) || !sw.reportDrops(st) {
 				return sw, false
 			}
@@ -190,8 +142,6 @@ func (s *Server) pump(w http.ResponseWriter, r *http.Request, st *sseStream, sto
 			if !sw.frame([]byte(": hb\n\n")) {
 				return sw, false
 			}
-		case <-st.complete:
-			return sw, true
 		case <-stop:
 			return sw, true
 		case <-r.Context().Done():
@@ -200,52 +150,43 @@ func (s *Server) pump(w http.ResponseWriter, r *http.Request, st *sseStream, sto
 	}
 }
 
-// handleSweepEvents streams one "run" event per completing job of the
-// sweep, heartbeat comments while idle, and a terminal "summary" event
-// once every job has finished.
+// handleSweepEvents streams one "run" event per job of the sweep as the
+// job ends, heartbeat comments while idle, and a terminal "summary" event
+// once every job has ended. A finished job's frame is staged at once; a
+// pending job's by a goroutine that waits on the job and leaves with the
+// stream. The channel holds every job's frame, so no send blocks, and the
+// last one closes it.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	swp := s.sweepOf(w, r)
 	if swp == nil {
 		return
 	}
-	st := s.newStream(len(swp.jobs))
-	// Register under sseMu: a job is either already finished (emit its
-	// event now) or publishRun — which also takes sseMu and runs strictly
-	// after finish — will see this subscription. No completion can slip
-	// between the check and the append.
-	s.sseMu.Lock()
-	already := 0
+	st := &sseStream{ch: make(chan []byte, len(swp.jobs))}
+	var left atomic.Int64
+	left.Store(int64(len(swp.jobs)))
+	stage := func(j *job) {
+		st.ch <- runEventFrame(j)
+		if left.Add(-1) == 0 {
+			close(st.ch)
+		}
+	}
+	gone := make(chan struct{})
+	defer close(gone)
 	for _, j := range swp.jobs {
 		if j.finished() {
-			st.deliver(runEventFrame(j))
-			already++
-		} else {
-			s.runSubs[j.id] = append(s.runSubs[j.id], st)
+			stage(j)
+			continue
 		}
+		go func() {
+			select {
+			case <-j.done:
+				stage(j)
+			case <-gone:
+			}
+		}()
 	}
-	s.sseMu.Unlock()
-	st.arrived(int64(already))
-	defer s.unsubscribe(st)
-
-	// The stream ends when the sweep completes, or at server drain once
-	// every pending job has resolved (cleanly or by the drain deadline).
-	if sw, ok := s.pump(w, r, st, s.sseDrain); ok {
-		sweepTerminalFrames(sw, st, swp)
-	}
-}
-
-// sweepTerminalFrames flushes the frames that raced the terminal signal
-// (only this goroutine receives from st.ch) and closes the stream: with the
-// sweep "summary" if the sweep actually completed, else an explicit
-// "draining" event so the client knows to re-poll a future process rather
-// than wait.
-func sweepTerminalFrames(sw *sseWriter, st *sseStream, swp *sweep) {
-	for len(st.ch) > 0 {
-		if !sw.frame(<-st.ch) {
-			return
-		}
-	}
-	if !sw.reportDrops(st) {
+	sw, ok := s.pump(w, r, st, nil)
+	if !ok {
 		return
 	}
 	sum := swp.status()
@@ -253,13 +194,7 @@ func sweepTerminalFrames(sw *sseWriter, st *sseStream, swp *sweep) {
 		"id": sum.ID, "status": sum.Status, "total": sum.Total,
 		"completed": sum.Completed, "failed": sum.Failed,
 	})
-	event := "draining"
-	select {
-	case <-st.complete:
-		event = "summary"
-	default:
-	}
-	sw.frame(sseFrame(event, data))
+	sw.frame(sseFrame("summary", data))
 }
 
 // ---------------------------------------------------------------------
@@ -311,7 +246,7 @@ func (h *winHub) unsubscribe(st *sseStream) {
 // window machinery rather than re-sampling. The stream ends when the
 // client disconnects or the server closes.
 func (s *Server) handleMetricsStream(w http.ResponseWriter, r *http.Request) {
-	st := s.newStream(0)
+	st := &sseStream{ch: make(chan []byte, windowBuffer), drop: s.cSSEDropped}
 	s.winHub.subscribe(st)
 	defer s.winHub.unsubscribe(st)
 	s.pump(w, r, st, s.stopWin)

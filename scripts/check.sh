@@ -86,6 +86,10 @@ test -z "$(grep -rn 'mirrors' internal/events)"
 # KeyFor is the one canonicaliser), and the service's window and SSE
 # periods and the store's quarantine retention are constants, not knobs.
 test -z "$(grep -rn 'isCtxErr\|CachedRuns\|reglessScheme\|QuarantineMaxAge\|SSEHeartbeat\|SSEBuffer\|MetricsEvery' --include=*.go cmd internal regless.go scripts)"
+# A sweep's event stream reads its own jobs (DESIGN.md §14): no subscriber
+# registry, publish hook or drain signal of its own, and a stopped server is
+# its drained channel closed, not a third state.
+test -z "$(grep -rnw 'runSubs\|sseMu\|publishRun\|sseDrain\|sseBuffer\|stateStopped' internal/serve)"
 test -z "$(grep -rn 'Normalized' --include=*.go --exclude=*_test.go internal/store)"
 # A run's memory is taken, given back and copied in one place each
 # (DESIGN.md §8), checked on the type-checked product code: arena.Take and
