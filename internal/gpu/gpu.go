@@ -2,7 +2,8 @@
 // multiprocessors in lockstep, each with a private L1 and register
 // scheme, sharing one banked 2 MB L2 and the DRAM interface (Table 1's
 // 16-SM GTX 980) — or, when the assembler says so (Config.PrivateL2: the
-// paper's per-SM evaluation, a chip of one), each on its own L2 slice.
+// paper's per-SM evaluation, a chip of one), each on a one-bank slice of
+// its own (mem.New). Both are the one L2 model, mem.BankedL2.
 // What a chip runs is a Launch. With one kernel slot all SMs run the same
 // kernel over disjoint global warp ID ranges — the CUDA grid is striped
 // across SMs — and share one functional memory, so the multi-SM run is
@@ -38,8 +39,8 @@ type Config struct {
 	SM sim.Config
 	// L2 sizes the chip-wide banked L2 and DRAM interface.
 	L2 mem.BankedL2Config
-	// PrivateL2 gives every SM its own flat L2 slice and DRAM share
-	// (sized by SM.Mem) instead of attaching it to the banked L2. It
+	// PrivateL2 gives every SM a one-bank slice of its own with its DRAM
+	// share (sized by SM.Mem) instead of attaching it to the banked L2. It
 	// carries one decision made by whoever assembles the chip
 	// (experiments.Assemble sets it for a chip of one that was handed no
 	// banked L2 — the paper's per-SM evaluation); nothing here infers it

@@ -31,7 +31,7 @@ type evKind uint8
 const (
 	// evDeliver hands src to the request (Hierarchy.deliver).
 	evDeliver evKind = iota
-	// evFetched: the DRAM fetch of L2 line addr has landed (l2Level.fetched).
+	// evFetched: the DRAM fetch of L2 line addr has landed (BankedL2.fetched).
 	evFetched
 	// evRetry re-presents a read the banked L2 bounced off a full MSHR file.
 	evRetry

@@ -1,13 +1,13 @@
-// Banked chip-level L2 + DRAM back end for multi-SM simulation.
-//
-// Where mem.go's privateL2 is a flat slice per SM, BankedL2 is the
-// l2Level every SM's hierarchy on a chip shares: a set-associative cache
+// BankedL2 is the one L2 + DRAM back end: a set-associative cache
 // interleaved across banks by line address, each bank with its own
-// single-request-per-cycle port and its own MSHR file (secondary misses
+// request-per-cycle port limit and its own MSHR file (secondary misses
 // from *any* SM merge onto the first fetch of a line), all backed by one
-// DRAM interface with a latency and a chip-wide bandwidth budget. This
-// is where inter-SM interference lives: one SM's preload traffic
-// occupies bank ports, steals MSHRs, and evicts lines another SM staged.
+// DRAM interface with a latency and a bandwidth budget. A chip of one's
+// slice is the degenerate level (New: one bank, no port limit, no MSHRs,
+// the SM's DRAM share); a larger chip's is the shared one every SM's
+// hierarchy attaches to, and that is where inter-SM interference lives:
+// one SM's preload traffic occupies bank ports, steals MSHRs, and evicts
+// lines another SM staged.
 //
 // Access is single-threaded: the GPU model ticks its SMs in lockstep on
 // one goroutine, so SM index order is the (deterministic) arbitration
@@ -48,9 +48,9 @@ type BankedL2Config struct {
 	Latency int
 	// DRAMLatency is the miss penalty beyond L2.
 	DRAMLatency int
-	// DRAMCyclesPerLine throttles the chip-wide DRAM interface: minimum
-	// cycles between line transfers (224 GB/s at 1 GHz moves a 128 B
-	// line every ~0.57 cycles; rounded to 1).
+	// DRAMCyclesPerLine throttles the level's DRAM interface: minimum
+	// cycles between line transfers (the chip's 224 GB/s at 1 GHz moves a
+	// 128 B line every ~0.57 cycles; rounded to 1).
 	DRAMCyclesPerLine int
 }
 
@@ -122,14 +122,14 @@ type l2bank struct {
 	hits, misses uint64
 }
 
-// BankedL2 is the chip-wide shared L2 + DRAM interface.
+// BankedL2 is an L2 + DRAM interface: one SM's slice or the chip's.
 type BankedL2 struct {
 	cfg BankedL2Config
 	// a is what the level was made from, its waiter lists grow in, and the
 	// hierarchies attached to it are made from (nil: the heap).
 	a     *arena.Arena
 	banks []l2bank
-	// DRAM bandwidth throttle (chip-wide).
+	// DRAM bandwidth throttle (the whole level's).
 	dramNextFree uint64
 	Stats        BankedL2Stats
 }
@@ -143,26 +143,28 @@ func NewBankedL2In(a *arena.Arena, cfg BankedL2Config) (*BankedL2, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newBankedL2(a, cfg), nil
+}
+
+// newBankedL2 builds the level unchecked: NewBankedL2In validates a
+// geometry handed in, NewIn derives the slice's from a mem.Config.
+func newBankedL2(a *arena.Arena, cfg BankedL2Config) *BankedL2 {
 	l2 := arena.New[BankedL2](a)
 	*l2 = BankedL2{cfg: cfg, a: a, banks: arena.Make[l2bank](a, cfg.Banks)}
 	for i := range l2.banks {
 		l2.banks[i].cache = newCache(a, cfg.SetsPerBank, cfg.Ways)
 		l2.banks[i].mshrs = newMSHRFile[l2waiter](a, cfg.MSHRsPerBank)
 	}
-	return l2, nil
+	return l2
 }
-
-// Config returns the geometry the level was built with.
-func (l2 *BankedL2) Config() BankedL2Config { return l2.cfg }
 
 // bankOf interleaves line addresses across banks and returns the bank
 // plus the bank-local probe address (consecutive lines hit consecutive
 // banks; within a bank, the line's bank-local index feeds the existing
 // set mapping).
 func (l2 *BankedL2) bankOf(a uint32) (*l2bank, uint32) {
-	ln := a / LineSize
-	b := int(ln) % l2.cfg.Banks
-	return &l2.banks[b], (ln / uint32(l2.cfg.Banks)) * LineSize
+	ln, n := a/LineSize, uint32(l2.cfg.Banks)
+	return &l2.banks[ln%n], ln / n * LineSize
 }
 
 // portDelay charges bank-port arbitration at cycle now: the request is
@@ -189,7 +191,7 @@ func (l2 *BankedL2) portDelay(b *l2bank, now uint64) int {
 	return int(wait)
 }
 
-// dramQueueDelay advances the chip-wide bandwidth throttle and returns
+// dramQueueDelay advances the level's bandwidth throttle and returns
 // the queueing delay for one line transfer.
 func (l2 *BankedL2) dramQueueDelay(now uint64) int {
 	start := now
@@ -201,11 +203,14 @@ func (l2 *BankedL2) dramQueueDelay(now uint64) int {
 	return int(start - now)
 }
 
-// dramWrite consumes write bandwidth (completion is not tracked — the
-// line is already installed and the writeback buffer is not modelled).
-func (l2 *BankedL2) dramWrite(now uint64) {
+// dramWrite consumes write bandwidth for a dirty victim h's access
+// evicted, and charges the DRAM access to h (completion is not tracked —
+// the line is already installed and the writeback buffer is not
+// modelled).
+func (l2 *BankedL2) dramWrite(h *Hierarchy) {
 	l2.Stats.DRAMWrites++
-	l2.dramQueueDelay(now)
+	h.Stats.DRAMAccesses++
+	l2.dramQueueDelay(h.now)
 }
 
 // access runs one L2 access submitted by hierarchy h at h.Now(). The
@@ -238,7 +243,7 @@ func (l2 *BankedL2) access(h *Hierarchy, a uint32, write bool, r request) {
 		h.Stats.L2Misses++
 		v := bank.cache.victim(ba)
 		if v.valid && v.dirty {
-			l2.dramWrite(now)
+			l2.dramWrite(h)
 		}
 		*v = line{tag: ba / LineSize, valid: true, dirty: true, lru: now}
 		return
@@ -287,7 +292,7 @@ func (l2 *BankedL2) fetched(h *Hierarchy, a uint32, r request) {
 	bank, ba := l2.bankOf(a)
 	v := bank.cache.victim(ba)
 	if v.valid && v.dirty {
-		l2.dramWrite(h.now)
+		l2.dramWrite(h)
 	}
 	*v = line{tag: ba / LineSize, valid: true, lru: h.now}
 	if l2.cfg.MSHRsPerBank == 0 {
@@ -325,18 +330,6 @@ func (l2 *BankedL2) ResetTiming() {
 func (l2 *BankedL2) invalidate(a uint32) {
 	bank, ba := l2.bankOf(a)
 	bank.cache.invalidate(ba)
-}
-
-// BankLoads reports per-bank (hits, misses) — the interleaving-balance
-// signal for the gpuscale table and the sanitizer's bank accounting.
-func (l2 *BankedL2) BankLoads() (hits, misses []uint64) {
-	hits = make([]uint64, len(l2.banks))
-	misses = make([]uint64, len(l2.banks))
-	for i := range l2.banks {
-		hits[i] = l2.banks[i].hits
-		misses[i] = l2.banks[i].misses
-	}
-	return hits, misses
 }
 
 // CheckInvariants validates the level's structural invariants (run by

@@ -97,13 +97,31 @@ func (o *l2Oracle) access(a uint32, write bool) {
 // TestBankedL2MapOracle replays a random mixed read/write stream through
 // the banked L2, serialized (drain between accesses), and checks every
 // counter against the oracle: hits, misses, DRAM fetches, and dirty
-// writebacks must agree exactly.
+// writebacks must agree exactly, and the requesting hierarchy is charged
+// one DRAM access per fetch and per writeback. It runs on the chip's
+// shape (banked, ported, with MSHRs) and on a chip of one's (one bank,
+// no port limit, no MSHRs — what New builds).
 func TestBankedL2MapOracle(t *testing.T) {
-	cfg := BankedL2Config{
-		Banks: 4, SetsPerBank: 4, Ways: 2,
-		PortsPerBank: 1, MSHRsPerBank: 8, MSHRRetry: 2,
-		Latency: 2, DRAMLatency: 3, DRAMCyclesPerLine: 1,
+	shapes := []struct {
+		name string
+		cfg  BankedL2Config
+	}{
+		{"banked", BankedL2Config{
+			Banks: 4, SetsPerBank: 4, Ways: 2,
+			PortsPerBank: 1, MSHRsPerBank: 8, MSHRRetry: 2,
+			Latency: 2, DRAMLatency: 3, DRAMCyclesPerLine: 1,
+		}},
+		{"slice", BankedL2Config{
+			Banks: 1, SetsPerBank: 16, Ways: 2,
+			Latency: 2, DRAMLatency: 3, DRAMCyclesPerLine: 1,
+		}},
 	}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) { replayL2Oracle(t, shape.cfg) })
+	}
+}
+
+func replayL2Oracle(t *testing.T, cfg BankedL2Config) {
 	l2, err := NewBankedL2(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +157,10 @@ func TestBankedL2MapOracle(t *testing.T) {
 	}
 	if l2.Stats.DRAMWrites != oracle.writes {
 		t.Fatalf("DRAM writes = %d, oracle %d", l2.Stats.DRAMWrites, oracle.writes)
+	}
+	if h.Stats.DRAMAccesses != oracle.fetches+oracle.writes {
+		t.Fatalf("hierarchy DRAM accesses = %d, oracle %d fetches + %d writebacks",
+			h.Stats.DRAMAccesses, oracle.fetches, oracle.writes)
 	}
 	if err := l2.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -267,9 +289,8 @@ func TestBankedL2Interleave(t *testing.T) {
 		l2.access(h, uint32(i)*LineSize, false, request{})
 	}
 	drainHier(t, h)
-	_, misses := l2.BankLoads()
-	for b, m := range misses {
-		if m != 1 {
+	for b := range l2.banks {
+		if m := l2.banks[b].misses; m != 1 {
 			t.Fatalf("bank %d got %d misses, want exactly 1 (round-robin interleave)", b, m)
 		}
 	}

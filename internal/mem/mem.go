@@ -1,11 +1,10 @@
 // Package mem models the memory hierarchy at cycle granularity: the
 // per-SM L1 data cache (48 KB, 32 MSHRs, one request per cycle —
-// Table 1), an L2, and DRAM with a bandwidth limit. The L2 level sits
-// behind one seam (l2Level) with two implementations: a private flat
-// slice with a per-SM DRAM share (privateL2, this file — what a chip of
-// one SM runs on) or the chip-wide BankedL2 (l2.go) that all SMs'
-// hierarchies share. Which one a run gets is decided where the chip is
-// assembled (experiments.Assemble), not here.
+// Table 1), an L2, and DRAM with a bandwidth limit. The L2 is one model,
+// BankedL2 (l2.go): a chip of one runs on its own one-bank slice with the
+// SM's DRAM share (New), a larger chip attaches every SM's hierarchy to
+// one shared banked level (AttachHierarchy). Which one a run gets is
+// decided where the chip is assembled (experiments.Assemble), not here.
 //
 // Following the paper's GTX 980 configuration, ordinary global data
 // accesses *bypass* the L1 and go straight to L2 ("data accesses bypassed",
@@ -67,8 +66,8 @@ type Config struct {
 
 	// AddrBias shifts this hierarchy's addresses before they reach a
 	// shared (banked) L2, so co-resident kernels with identical virtual
-	// layouts occupy distinct lines. Zero for private L2s and for
-	// single-kernel multi-SM runs (SMs of one kernel genuinely share
+	// layouts occupy distinct lines. Zero on a hierarchy's own slice and
+	// for single-kernel multi-SM runs (SMs of one kernel genuinely share
 	// lines).
 	AddrBias uint32
 }
@@ -243,9 +242,9 @@ type Hierarchy struct {
 	a *arena.Arena
 
 	l1 *cache
-	// l2 is the level below the L1: this hierarchy's private slice or
-	// the chip-wide banked L2 it is attached to.
-	l2 l2Level
+	// l2 is the level below the L1: this hierarchy's own one-bank slice
+	// or the chip-wide banked L2 it is attached to.
+	l2 *BankedL2
 
 	// now is the clock every stamp below is kept in (ports, queues, LRU,
 	// the DRAM throttle); it runs on across the SMs of a standing
@@ -315,28 +314,23 @@ func (d *delayed) MemDone(src Source) {
 	d.h.deliverAfter(d.delay, request{kind: reqCall, w: d.w}, src)
 }
 
-// l2Level is what sits below a hierarchy's L1. Every call takes the
-// bias-adjusted line address. access charges the requesting hierarchy's
-// statistics and schedules r's delivery (reqNone for writes) on its event
-// queue; a read miss schedules evFetched there instead, which comes back
-// through fetched when the line arrives from DRAM.
-type l2Level interface {
-	access(h *Hierarchy, a uint32, write bool, r request)
-	fetched(h *Hierarchy, a uint32, r request)
-	invalidate(a uint32)
-}
-
-// New builds a hierarchy over its own private L2 slice.
+// New builds a hierarchy over its own L2 slice: a one-bank BankedL2
+// with no port limit and no MSHRs, sized by cfg's L2 and DRAM fields.
 func New(cfg Config) *Hierarchy { return NewIn(nil, cfg) }
 
 // NewIn is New with everything allocated from a (nil: the heap).
 func NewIn(a *arena.Arena, cfg Config) *Hierarchy {
-	l2 := arena.New[privateL2](a)
-	l2.cache = newCache(a, cfg.L2Sets, cfg.L2Ways)
-	return newHierarchy(a, cfg, l2)
+	return newHierarchy(a, cfg, newBankedL2(a, BankedL2Config{
+		Banks:             1,
+		SetsPerBank:       cfg.L2Sets,
+		Ways:              cfg.L2Ways,
+		Latency:           cfg.L2Latency,
+		DRAMLatency:       cfg.DRAMLatency,
+		DRAMCyclesPerLine: cfg.DRAMCyclesPerLine,
+	}))
 }
 
-func newHierarchy(a *arena.Arena, cfg Config, l2 l2Level) *Hierarchy {
+func newHierarchy(a *arena.Arena, cfg Config, l2 *BankedL2) *Hierarchy {
 	h := arena.New[Hierarchy](a)
 	*h = Hierarchy{
 		cfg:   cfg,
@@ -560,66 +554,9 @@ func (h *Hierarchy) L1InvalidateQuiet(addr uint32) {
 
 // l2Access runs an access at the L2 level (L1 misses and writebacks,
 // bypassing data accesses); r is reqNone for writes. The co-residency
-// address bias is applied here, once, for either implementation.
+// address bias is applied here, once.
 func (h *Hierarchy) l2Access(a uint32, write bool, r request) {
 	h.l2.access(h, a+h.cfg.AddrBias, write, r)
-}
-
-// privateL2 is one SM's flat L2 slice with its own share of the DRAM
-// bandwidth: no banks, ports, or MSHRs, so nothing another SM does can
-// be seen through it.
-type privateL2 struct {
-	cache *cache
-	// DRAM bandwidth throttle (this SM's share).
-	dramNextFree uint64
-}
-
-func (l2 *privateL2) invalidate(a uint32) { l2.cache.invalidate(a) }
-
-func (l2 *privateL2) access(h *Hierarchy, a uint32, write bool, r request) {
-	if ln := l2.cache.lookup(a, h.now); ln != nil {
-		h.Stats.L2Hits++
-		if write {
-			ln.dirty = true
-		}
-		if r.kind != reqNone {
-			h.deliverAfter(h.cfg.L2Latency, r, SrcL2)
-		}
-		return
-	}
-	h.Stats.L2Misses++
-	if write {
-		// Write-allocate without fetch (register lines are whole).
-		v := l2.cache.victim(a)
-		if v.valid && v.dirty {
-			l2.dramQueueDelay(h) // consumes bandwidth; completion not tracked
-		}
-		*v = line{tag: a / LineSize, valid: true, dirty: true, lru: h.now}
-		return
-	}
-	delay := h.cfg.L2Latency + h.cfg.DRAMLatency + l2.dramQueueDelay(h)
-	h.schedule(delay, event{kind: evFetched, addr: a, req: r})
-}
-
-func (l2 *privateL2) fetched(h *Hierarchy, a uint32, r request) {
-	v := l2.cache.victim(a)
-	if v.valid && v.dirty {
-		l2.dramQueueDelay(h)
-	}
-	*v = line{tag: a / LineSize, valid: true, lru: h.now}
-	h.deliver(r, SrcDRAM)
-}
-
-// dramQueueDelay advances the slice's DRAM bandwidth throttle and
-// returns the queueing delay for one line transfer.
-func (l2 *privateL2) dramQueueDelay(h *Hierarchy) int {
-	h.Stats.DRAMAccesses++
-	start := h.now
-	if l2.dramNextFree > start {
-		start = l2.dramNextFree
-	}
-	l2.dramNextFree = start + uint64(h.cfg.DRAMCyclesPerLine)
-	return int(start - h.now)
 }
 
 // DataAccess is DataAccessFor with a func to call in place of a Waiter

@@ -91,6 +91,9 @@ test -z "$(grep -rn 'isCtxErr\|CachedRuns\|reglessScheme\|QuarantineMaxAge\|SSEH
 # its drained channel closed, not a third state.
 test -z "$(grep -rnw 'runSubs\|sseMu\|publishRun\|sseDrain\|sseBuffer\|stateStopped' internal/serve)"
 test -z "$(grep -rn 'Normalized' --include=*.go --exclude=*_test.go internal/store)"
+# One L2 model (DESIGN.md §13): a chip of one's slice is a one-bank
+# BankedL2, so the private slice type and the seam it sat behind stay gone.
+test -z "$(grep -rnw 'privateL2\|l2Level' --include=*.go cmd internal)"
 # A run's memory is taken, given back and copied in one place each
 # (DESIGN.md §8), checked on the type-checked product code: arena.Take and
 # arena.Put only in experiments.runPoint, a clone of sim.Stats.BackingSeries
