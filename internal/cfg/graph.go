@@ -51,6 +51,11 @@ type Graph struct {
 	// layout.
 	insnBase []int
 	numInsns int
+
+	// Insns is every instruction decoded, by global index (decode.go);
+	// NeedWords is the length of each one's scoreboard need mask.
+	Insns     []Insn
+	NeedWords int
 }
 
 // Edge is a CFG edge.
@@ -86,6 +91,7 @@ func New(k *isa.Kernel) *Graph {
 		total += len(b.Insns)
 	}
 	g.numInsns = total
+	g.decode()
 	return g
 }
 

@@ -15,8 +15,8 @@ import (
 func (p *Provider) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 	ws := p.warps[w.ID]
 	sh := p.shards[ws.shard]
-	in := info.Insn
-	gi := p.comp.G.GlobalIndex(info.PC)
+	rec := info.D
+	gi := int(rec.GI)
 	region := p.comp.Regions[ws.regionID]
 
 	penalty := 0
@@ -27,37 +27,31 @@ func (p *Provider) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 	}
 
 	// Source reads: one OSU bank access each; same-bank collisions
-	// serialize.
-	var banksUsed [isa.NumBanks]bool
-	for i := 0; i < in.Op.NumSrc(); i++ {
-		r := in.Src[i]
-		if !r.Valid() {
-			continue
-		}
-		p.st.StructReads++
-		sh.osu.CountRead()
-		b := sh.osu.Bank(w.ID, r)
-		if banksUsed[b] {
-			p.st.BankConflicts++
-			penalty++
-		}
-		banksUsed[b] = true
+	// serialize. Whether two sources collide does not depend on the warp
+	// (the bank is (warp + reg) mod banks), so the decoded record carries
+	// the count.
+	if n := rec.NSrc; n > 0 {
+		p.st.StructReads += uint64(n)
+		sh.osu.CountReads(int(n))
+		p.st.BankConflicts += uint64(rec.BankConflicts)
+		penalty += int(rec.BankConflicts)
 	}
-	if in.Op.HasDst() && in.Dst.Valid() {
+	dst := rec.Dst
+	if dst != isa.NoReg {
 		p.st.StructWrites++
 		sh.osu.CountWrite()
-		if !ws.staged.has(in.Dst) {
+		if !ws.staged.has(dst) {
 			// Interior register's first write allocates its line.
-			p.install(sh, ws, in.Dst, true)
+			p.install(sh, ws, dst, true)
 		}
-		ws.dirty.set(in.Dst)
+		ws.dirty.set(dst)
 	}
 
 	// Last-use annotations at this instruction. Flags naming the
 	// destination ride with the write and apply at writeback (§5.2.2).
 	at := gi - region.StartGI
 	for _, reg := range region.EraseAt[at] {
-		if in.Op.HasDst() && reg == in.Dst {
+		if reg == dst {
 			ws.deferred.set(reg)
 			ws.deferErase.set(reg)
 		} else {
@@ -65,7 +59,7 @@ func (p *Provider) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 		}
 	}
 	for _, reg := range region.EvictAt[at] {
-		if in.Op.HasDst() && reg == in.Dst {
+		if reg == dst {
 			ws.deferred.set(reg)
 			ws.deferErase.clear(reg)
 		} else {
@@ -76,12 +70,12 @@ func (p *Provider) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 	// Region completion: the next instruction lies outside this region,
 	// or a back edge re-enters it at its start (a new dynamic instance —
 	// regions are scheduled atomically, so the warp drains and
-	// reactivates; its inputs are usually still resident, §4.1).
+	// reactivates; its inputs are usually still resident, §4.1). A
+	// region is the global-index range [StartGI, EndGI).
 	if !info.Exited && !w.Finished() {
-		next := w.NextGI()
-		if p.comp.RegionOf[next] != ws.regionID || next == region.StartGI {
+		if next := w.NextGI(); next <= region.StartGI || next >= region.EndGI {
 			willPend := w.PendingWrites()
-			if in.Op.HasDst() && in.Dst.Valid() {
+			if dst != isa.NoReg {
 				willPend++ // this instruction's write is added after OnIssue
 			}
 			sh.cm.BeginDrain(ws.local, ws.activePerBank)

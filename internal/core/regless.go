@@ -137,8 +137,10 @@ type shard struct {
 	// evictQ holds displaced dirty lines awaiting compression/writeback
 	// (a victim buffer: preloads check it).
 	evictQ []preloadReq
-	// l1ops holds L1 requests awaiting the shared port.
-	l1ops []l1op
+	// l1ops holds L1 requests awaiting the shared port; l1Queued points
+	// at the provider's count of them over all shards.
+	l1ops    []l1op
+	l1Queued *int
 
 	// noFit is the CM epoch at which the stack's top warp was found not
 	// to fit (0: no such verdict). Until the epoch moves the answer
@@ -147,7 +149,10 @@ type shard struct {
 }
 
 // pushL1 queues an L1 request for the shared port.
-func (sh *shard) pushL1(op l1op) { sh.l1ops = append(arena.Grow(sh.a, sh.l1ops, 1), op) }
+func (sh *shard) pushL1(op l1op) {
+	sh.l1ops = append(arena.Grow(sh.a, sh.l1ops, 1), op)
+	*sh.l1Queued++
+}
 
 // push appends r to one of the shard's request queues.
 func (sh *shard) push(q *[]preloadReq, r preloadReq) { *q = append(arena.Grow(sh.a, *q, 1), r) }
@@ -196,7 +201,8 @@ type Provider struct {
 	// regionActivations[id] counts dynamic executions of each region.
 	regionActivations []uint64
 
-	rrShard int // round-robin start for L1 port arbitration
+	rrShard  int // round-robin start for L1 port arbitration
+	l1Queued int // L1 operations queued over all shards (Tick skips the port at 0)
 
 	freeFills *fill // preload-fetch record pool (runtime.go)
 
@@ -346,6 +352,7 @@ func (p *Provider) Attach(smv *sim.SM) error {
 			invalQ:   arena.Make[preloadReq](a, queueRoom)[:0],
 			evictQ:   arena.Make[preloadReq](a, queueRoom)[:0],
 			l1ops:    arena.Make[l1op](a, queueRoom)[:0],
+			l1Queued: &p.l1Queued,
 		}
 		for b := range sh.preloadQ {
 			sh.preloadQ[b] = arena.Make[preloadReq](a, queueRoom)[:0]

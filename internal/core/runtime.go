@@ -12,19 +12,29 @@ import (
 
 // Tick implements sim.Stager: it advances each shard's machinery one
 // cycle — L1 port arbitration, eviction (compressor) processing, per-bank
-// preload queues, cache invalidations, and warp activation.
+// preload queues, cache invalidations, and warp activation. It visits
+// only what has work: the L1 port when an operation is queued for it, a
+// shard's queues when they hold any, and an activation attempt unless
+// the shard's does-not-fit verdict still stands.
 func (p *Provider) Tick() {
 	if p.flt != nil {
 		p.applyFaults()
 	}
-	p.drainL1Ops()
+	if p.l1Queued > 0 {
+		p.drainL1Ops()
+	}
 	for _, sh := range p.shards {
+		if len(sh.evictQ)+sh.preloadsQueued+len(sh.invalQ) == 0 {
+			continue
+		}
 		p.processEvictions(sh)
 		p.processPreloads(sh)
 		p.processInvalidations(sh)
 	}
 	for s, sh := range p.shards {
-		p.tryActivate(s, sh)
+		if sh.noFit != sh.cm.Epoch() {
+			p.tryActivate(s, sh)
+		}
 	}
 }
 
@@ -42,8 +52,11 @@ func popFront[T any](q []T) []T {
 // port, Table 1), round-robin across shards.
 func (p *Provider) drainL1Ops() {
 	n := len(p.shards)
-	for i := 0; i < n; i++ {
-		sh := p.shards[(p.rrShard+i)%n]
+	for i, s := 0, p.rrShard; i < n; i, s = i+1, s+1 {
+		if s == n {
+			s = 0
+		}
+		sh := p.shards[s]
 		if len(sh.l1ops) == 0 {
 			continue
 		}
@@ -67,7 +80,10 @@ func (p *Provider) drainL1Ops() {
 		if ok {
 			p.st.BackingAccesses++
 			sh.l1ops = popFront(sh.l1ops)
-			p.rrShard = (p.rrShard + i + 1) % n
+			p.l1Queued--
+			if p.rrShard = s + 1; p.rrShard == n {
+				p.rrShard = 0
+			}
 			return
 		}
 		// Port busy this cycle; no other shard will succeed either.
@@ -317,11 +333,10 @@ func (p *Provider) processInvalidations(sh *shard) {
 }
 
 // tryActivate activates the top warp of the shard's stack if its next
-// region fits (one activation attempt per cycle, §5.1).
+// region fits (one activation attempt per cycle, §5.1). Tick does not
+// call it while the shard's does-not-fit verdict stands (same top, same
+// reservations: it still does not fit).
 func (p *Provider) tryActivate(s int, sh *shard) {
-	if sh.noFit == sh.cm.Epoch() {
-		return // same top, same reservations: it still does not fit
-	}
 	local := sh.cm.Top()
 	if local < 0 {
 		return

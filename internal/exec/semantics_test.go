@@ -204,7 +204,7 @@ func TestActiveLaneCountAndMask(t *testing.T) {
 	// Step until the divergent movi executes; its mask must be 16 lanes.
 	for !w.Done() {
 		info := w.Step()
-		if info.Insn.Op == isa.OpMOVI && info.PC.Block > 0 {
+		if info.D.In.Op == isa.OpMOVI && info.D.PC.Block > 0 {
 			if n := popcount(info.Mask); n != 16 {
 				t.Fatalf("divergent movi mask = %d lanes", n)
 			}

@@ -12,18 +12,18 @@ import (
 // FullMask has all 32 lanes active.
 const FullMask uint32 = 0xFFFFFFFF
 
-// frame is one SIMT reconvergence stack entry: execute from pc under mask
-// until reaching block rejoin (-1 = never, the bottom frame).
+// frame is one SIMT reconvergence stack entry: execute from instruction
+// gi (global index, in block) under mask until reaching block rejoin
+// (-1 = never, the bottom frame).
 type frame struct {
-	pc     isa.PC
-	rejoin int
-	mask   uint32
+	gi, block, rejoin int32
+	mask              uint32
 }
 
 // StepInfo describes one executed instruction, for the timing simulator.
 type StepInfo struct {
-	PC   isa.PC
-	Insn *isa.Instruction
+	// D is the executed instruction, decoded (its PC, operands, class).
+	D *cfg.Insn
 	// Mask is the active-lane mask the instruction executed under.
 	Mask uint32
 	// Addrs holds the per-active-lane byte addresses of a memory
@@ -51,7 +51,8 @@ type Warp struct {
 	stack   []frame
 	done    bool
 	addrBuf [isa.WarpWidth]uint32
-	stepped uint64 // dynamic instruction count
+	scratch [isa.WarpWidth]uint32 // a divergent instruction's lane results (lanes)
+	stepped uint64                // dynamic instruction count
 }
 
 // NewWarp creates a warp at the kernel entry with all lanes active.
@@ -75,7 +76,7 @@ func NewWarpOn(a *arena.Arena, regs [][isa.WarpWidth]uint32, k *isa.Kernel, g *c
 		// Room for divergence nested three deep before the stack regrows.
 		stack: arena.Make[frame](a, 8)[:0],
 	}
-	w.stack = append(w.stack, frame{pc: isa.PC{Block: 0, Index: 0}, rejoin: -1, mask: FullMask})
+	w.stack = append(w.stack, frame{gi: 0, block: 0, rejoin: -1, mask: FullMask})
 	return w
 }
 
@@ -85,11 +86,12 @@ func (w *Warp) Done() bool { return w.done }
 // Steps returns the dynamic instruction count executed so far.
 func (w *Warp) Steps() uint64 { return w.stepped }
 
-// PC returns the next instruction's location. Only valid when !Done().
-func (w *Warp) PC() isa.PC { return w.top().pc }
+// GI returns the next instruction's global index. Only valid when !Done().
+func (w *Warp) GI() int { return int(w.top().gi) }
 
-// Insn returns the next instruction to execute. Only valid when !Done().
-func (w *Warp) Insn() *isa.Instruction { return w.K.At(w.top().pc) }
+// Decoded returns the next instruction's decoded record. Only valid when
+// !Done().
+func (w *Warp) Decoded() *cfg.Insn { return &w.G.Insns[w.top().gi] }
 
 // ActiveMask returns the current active-lane mask.
 func (w *Warp) ActiveMask() uint32 {
@@ -121,317 +123,308 @@ func (w *Warp) StepInto(info *StepInfo) {
 		panic("exec: Step on finished warp")
 	}
 	f := w.top()
-	pc := f.pc
-	in := w.K.At(pc)
+	rec := &w.G.Insns[f.gi]
+	in := rec.In
 	mask := f.mask
-	*info = StepInfo{PC: pc, Insn: in, Mask: mask}
+	*info = StepInfo{D: rec, Mask: mask}
 	w.stepped++
 
 	// Arithmetic cases carry their own lane loops rather than sharing a
 	// closure-taking helper: the old binop/triop shape cost two indirect
 	// calls per lane (helper -> writeDst -> op), which dominated the
-	// functional step. A full-mask loop with the op inline vectorizes to
-	// straight-line array code.
+	// functional step. Each computes all 32 lanes with no test of a mask
+	// bit: into the destination itself under a full mask, else into a
+	// scratch row that merge blends in by arithmetic on the mask, so a
+	// divergent mask has no branch per lane to mispredict. Memory
+	// operations visit only the active lanes, in lane order, by their set
+	// bits.
 	switch in.Op {
 	case isa.OpNOP:
-		w.advance()
 	case isa.OpMOVI:
-		d := &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = in.Imm
-			}
+		d, imm := w.lanes(in.Dst, mask), in.Imm
+		for lane := range d {
+			d[lane] = imm
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpTID:
-		d := &w.Regs[in.Dst]
+		d := w.lanes(in.Dst, mask)
 		base := uint32(w.ID * isa.WarpWidth)
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = base + uint32(lane)
-			}
+		for lane := range d {
+			d[lane] = (base + uint32(lane))
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpLANE:
-		d := &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = uint32(lane)
-			}
+		d := w.lanes(in.Dst, mask)
+		for lane := range d {
+			d[lane] = uint32(lane)
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpWID:
-		d := &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = uint32(w.ID)
-			}
+		d, id := w.lanes(in.Dst, mask), uint32(w.ID)
+		for lane := range d {
+			d[lane] = id
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpIADD, isa.OpFADD:
-		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = a[lane] + b[lane]
-			}
+		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], w.lanes(in.Dst, mask)
+		for lane := range d {
+			d[lane] = a[lane] + b[lane]
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpISUB:
-		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = a[lane] - b[lane]
-			}
+		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], w.lanes(in.Dst, mask)
+		for lane := range d {
+			d[lane] = a[lane] - b[lane]
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpIADDI:
-		a, d, imm := &w.Regs[in.Src[0]], &w.Regs[in.Dst], in.Imm
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = a[lane] + imm
-			}
+		a, d, imm := &w.Regs[in.Src[0]], w.lanes(in.Dst, mask), in.Imm
+		for lane := range d {
+			d[lane] = a[lane] + imm
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpIMUL, isa.OpFMUL:
-		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = a[lane] * b[lane]
-			}
+		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], w.lanes(in.Dst, mask)
+		for lane := range d {
+			d[lane] = a[lane] * b[lane]
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpIMULI:
-		a, d, imm := &w.Regs[in.Src[0]], &w.Regs[in.Dst], in.Imm
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = a[lane] * imm
-			}
+		a, d, imm := &w.Regs[in.Src[0]], w.lanes(in.Dst, mask), in.Imm
+		for lane := range d {
+			d[lane] = a[lane] * imm
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpIMAD, isa.OpFFMA:
 		a, b, c := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], &w.Regs[in.Src[2]]
-		d := &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = a[lane]*b[lane] + c[lane]
-			}
+		d := w.lanes(in.Dst, mask)
+		for lane := range d {
+			d[lane] = a[lane]*b[lane] + c[lane]
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpAND:
-		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = a[lane] & b[lane]
-			}
+		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], w.lanes(in.Dst, mask)
+		for lane := range d {
+			d[lane] = a[lane] & b[lane]
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpOR:
-		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = a[lane] | b[lane]
-			}
+		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], w.lanes(in.Dst, mask)
+		for lane := range d {
+			d[lane] = a[lane] | b[lane]
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpXOR:
-		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = a[lane] ^ b[lane]
-			}
+		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], w.lanes(in.Dst, mask)
+		for lane := range d {
+			d[lane] = a[lane] ^ b[lane]
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpSHLI:
-		a, d, sh := &w.Regs[in.Src[0]], &w.Regs[in.Dst], in.Imm&31
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = a[lane] << sh
-			}
+		a, d, sh := &w.Regs[in.Src[0]], w.lanes(in.Dst, mask), in.Imm&31
+		for lane := range d {
+			d[lane] = a[lane] << sh
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpSHRI:
-		a, d, sh := &w.Regs[in.Src[0]], &w.Regs[in.Dst], in.Imm&31
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = a[lane] >> sh
-			}
+		a, d, sh := &w.Regs[in.Src[0]], w.lanes(in.Dst, mask), in.Imm&31
+		for lane := range d {
+			d[lane] = a[lane] >> sh
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpMIN:
-		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				v := a[lane]
-				if b[lane] < v {
-					v = b[lane]
-				}
-				d[lane] = v
-			}
+		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], w.lanes(in.Dst, mask)
+		for lane := range d {
+			d[lane] = min(a[lane], b[lane])
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpMAX:
-		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				v := a[lane]
-				if b[lane] > v {
-					v = b[lane]
-				}
-				d[lane] = v
-			}
+		a, b, d := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], w.lanes(in.Dst, mask)
+		for lane := range d {
+			d[lane] = max(a[lane], b[lane])
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpSELP:
 		a, b, c := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]], &w.Regs[in.Src[2]]
-		d := &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				if c[lane] != 0 {
-					d[lane] = a[lane]
-				} else {
-					d[lane] = b[lane]
-				}
-			}
+		d := w.lanes(in.Dst, mask)
+		for lane := range d {
+			p := nonzero(c[lane])
+			d[lane] = a[lane]&p | b[lane]&^p
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpSFU:
-		s, d := &w.Regs[in.Src[0]], &w.Regs[in.Dst]
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) != 0 {
-				d[lane] = Mix(s[lane])
-			}
+		s, d := &w.Regs[in.Src[0]], w.lanes(in.Dst, mask)
+		for lane := range d {
+			d[lane] = Mix(s[lane])
 		}
-		w.advance()
+		w.merge(in.Dst, mask)
 	case isa.OpLDG, isa.OpLDS:
 		// The lanes of a global access mostly share a 64 KiB page: it is
 		// resolved when a lane leaves the previous lane's, not per lane.
 		addrs, dst := &w.Regs[in.Src[0]], &w.Regs[in.Dst]
-		var pg *page
-		key, n := ^uint32(0), 0
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			a := addrs[lane] + in.Imm
-			w.addrBuf[n] = a
-			n++
-			if in.Op == isa.OpLDS {
+		n := 0
+		if in.Op == isa.OpLDS {
+			for m := mask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				a := addrs[lane] + in.Imm
+				w.addrBuf[n] = a
+				n++
 				dst[lane] = w.Mem.LoadShared(w.CTA, a)
-				continue
 			}
-			if a = wordAddr(a); a>>pageShift != key {
-				key, pg = a>>pageShift, w.Mem.global.lookup(a)
+		} else {
+			var pg *page
+			key := ^uint32(0)
+			for m := mask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				a := addrs[lane] + in.Imm
+				w.addrBuf[n] = a
+				n++
+				if a = wordAddr(a); a>>pageShift != key {
+					key, pg = a>>pageShift, w.Mem.global.lookup(a)
+				}
+				dst[lane] = w.Mem.loadGlobalIn(pg, a)
 			}
-			dst[lane] = w.Mem.loadGlobalIn(pg, a)
 		}
 		info.Addrs = w.addrBuf[:n]
-		w.advance()
 	case isa.OpSTG, isa.OpSTS:
 		addrs, vals := &w.Regs[in.Src[0]], &w.Regs[in.Src[1]]
-		var pg *page
-		key, n := ^uint32(0), 0
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if mask&(1<<uint(lane)) == 0 {
-				continue
-			}
-			a := addrs[lane] + in.Imm
-			w.addrBuf[n] = a
-			n++
-			if in.Op == isa.OpSTS {
+		n := 0
+		if in.Op == isa.OpSTS {
+			for m := mask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				a := addrs[lane] + in.Imm
+				w.addrBuf[n] = a
+				n++
 				w.Mem.StoreShared(w.CTA, a, vals[lane])
-				continue
 			}
-			if a = wordAddr(a); a>>pageShift != key {
-				key, pg = a>>pageShift, w.Mem.global.ensure(w.Mem.a, a)
+		} else {
+			var pg *page
+			key := ^uint32(0)
+			for m := mask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				a := addrs[lane] + in.Imm
+				w.addrBuf[n] = a
+				n++
+				if a = wordAddr(a); a>>pageShift != key {
+					key, pg = a>>pageShift, w.Mem.global.ensure(w.Mem.a, a)
+				}
+				pg.store(a, vals[lane])
 			}
-			pg.store(a, vals[lane])
 		}
 		info.Addrs = w.addrBuf[:n]
-		w.advance()
 	case isa.OpBNZ, isa.OpBZ:
+		// The lanes whose condition is non-zero, one bit each, then the
+		// taken set is that or its complement under the mask.
 		cond := &w.Regs[in.Src[0]]
-		var taken uint32
-		for lane := 0; lane < isa.WarpWidth; lane++ {
-			bit := uint32(1) << uint(lane)
-			if mask&bit == 0 {
-				continue
-			}
-			nz := cond[lane] != 0
-			if (in.Op == isa.OpBNZ) == nz {
-				taken |= bit
-			}
+		var nz uint32
+		for lane, c := range cond {
+			nz |= (c | -c) >> 31 << uint(lane)
 		}
-		w.branch(pc, in.Target, taken, mask)
+		taken := mask & nz
+		if in.Op == isa.OpBZ {
+			taken = mask &^ nz
+		}
+		w.branch(rec, taken, mask)
+		return
 	case isa.OpBRA:
-		w.jump(in.Target)
+		w.toBlock(int32(in.Target))
+		return
 	case isa.OpBAR:
 		info.AtBarrier = true
-		w.advance()
 	case isa.OpEXIT:
 		w.exit(mask)
 		info.Exited = w.done
+		return
 	default:
 		panic(fmt.Sprintf("exec: unhandled opcode %v", in.Op))
 	}
+	w.advance(rec)
 }
 
-// advance moves to the next instruction, following fallthrough at block
-// ends and popping reconvergence frames whose rejoin block is reached.
-func (w *Warp) advance() {
-	f := w.top()
-	f.pc.Index++
-	if f.pc.Index >= len(w.K.Blocks[f.pc.Block].Insns) {
-		w.toBlock(f.pc.Block + 1)
+// lanes returns where an instruction with destination dst computes its
+// lane results under mask: the register itself when every lane is
+// active, else the warp's scratch row, which merge then blends in.
+func (w *Warp) lanes(dst isa.Reg, mask uint32) *[isa.WarpWidth]uint32 {
+	if mask == FullMask {
+		return &w.Regs[dst]
+	}
+	return &w.scratch
+}
+
+// merge copies the active lanes of the scratch row to dst, visiting the
+// mask's set bits (nothing to do under a full mask: lanes wrote the
+// register).
+func (w *Warp) merge(dst isa.Reg, mask uint32) {
+	if mask == FullMask {
+		return
+	}
+	d := &w.Regs[dst]
+	for m := mask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		d[lane] = w.scratch[lane]
 	}
 }
 
-// jump transfers the top frame to the start of block b, handling
-// reconvergence pops.
-func (w *Warp) jump(b int) { w.toBlock(b) }
+// nonzero returns all ones when v is not zero and zero when it is.
+func nonzero(v uint32) uint32 { return -((v | -v) >> 31) }
 
-func (w *Warp) toBlock(b int) {
+// advance moves past d, the instruction just executed at the top frame:
+// to the next instruction of its block, or across the block end by
+// fallthrough, popping reconvergence frames whose rejoin block is reached.
+func (w *Warp) advance(d *cfg.Insn) {
+	if d.Next >= 0 {
+		w.top().gi = d.Next
+		return
+	}
+	w.toBlock(int32(d.PC.Block) + 1)
+}
+
+func (w *Warp) toBlock(b int32) {
 	f := w.top()
-	f.pc = isa.PC{Block: b, Index: 0}
+	f.gi, f.block = w.G.BlockStart(int(b)), b
 	// Pop frames whose reconvergence block has been reached. The frame
 	// below resumes at its own pc: sibling frames hold the other
 	// divergent path, and the parent frame was parked at this rejoin
 	// block when the divergence was created.
-	for len(w.stack) > 1 && w.top().pc.Block == w.top().rejoin {
+	for len(w.stack) > 1 && w.top().block == w.top().rejoin {
 		w.stack = w.stack[:len(w.stack)-1]
 	}
 }
 
-// branch handles a potentially divergent conditional branch at pc with the
+// branch handles a potentially divergent conditional branch d with the
 // given taken mask.
-func (w *Warp) branch(pc isa.PC, target int, taken, mask uint32) {
+func (w *Warp) branch(d *cfg.Insn, taken, mask uint32) {
 	fall := mask &^ taken
+	blk := int32(d.PC.Block)
 	switch {
 	case taken == 0:
-		w.advance()
+		w.advance(d)
 	case fall == 0:
-		w.jump(target)
+		w.toBlock(int32(d.In.Target))
 	default:
 		// Divergence: reconverge at the immediate postdominator of
 		// the branch block. Replace the current frame position with
 		// the reconvergence point, then push the fallthrough and
 		// taken paths (taken executes first).
-		rejoin := w.G.IPDom[pc.Block]
+		rejoin := int32(w.G.IPDom[blk])
 		f := w.top()
 		if rejoin == -1 {
 			// No reconvergence (both arms exit); run arms to
-			// completion with rejoin sentinel -1.
-			f.pc = isa.PC{Block: pc.Block, Index: len(w.K.Blocks[pc.Block].Insns) - 1}
-			// This frame becomes unreachable once both arms exit.
+			// completion with rejoin sentinel -1. The frame parks on
+			// its block's last instruction and becomes unreachable
+			// once both arms exit.
+			f.gi = w.G.BlockStart(int(blk)) + int32(len(w.K.Blocks[blk].Insns)) - 1
 		} else {
-			f.pc = isa.PC{Block: rejoin, Index: 0}
+			f.gi, f.block = w.G.BlockStart(int(rejoin)), rejoin
 		}
+		target := int32(d.In.Target)
 		w.stack = append(arena.Grow(w.a, w.stack, 2),
-			frame{pc: isa.PC{Block: pc.Block + 1, Index: 0}, rejoin: rejoin, mask: fall},
-			frame{pc: isa.PC{Block: target, Index: 0}, rejoin: rejoin, mask: taken},
+			frame{gi: w.G.BlockStart(int(blk + 1)), block: blk + 1, rejoin: rejoin, mask: fall},
+			frame{gi: w.G.BlockStart(int(target)), block: target, rejoin: rejoin, mask: taken},
 		)
 		// Immediately pop if a pushed path starts at its rejoin
 		// (degenerate hammock).
-		for len(w.stack) > 1 && w.top().pc.Block == w.top().rejoin {
+		for len(w.stack) > 1 && w.top().block == w.top().rejoin {
 			w.stack = w.stack[:len(w.stack)-1]
 		}
 	}

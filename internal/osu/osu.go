@@ -291,8 +291,8 @@ func (o *OSU) MarkEvictable(warp int, reg isa.Reg, dirty bool) bool {
 	return true
 }
 
-// CountRead accounts one data-array read.
-func (o *OSU) CountRead() { o.Stats.Reads++ }
+// CountReads accounts n data-array reads (one instruction's sources).
+func (o *OSU) CountReads(n int) { o.Stats.Reads += uint64(n) }
 
 // CountWrite accounts one data-array write.
 func (o *OSU) CountWrite() { o.Stats.Writes++ }

@@ -9,6 +9,7 @@ package rf
 import (
 	"repro/internal/arena"
 	"repro/internal/exec"
+	"repro/internal/isa"
 	"repro/internal/sim"
 )
 
@@ -40,23 +41,19 @@ func (b *Baseline) Attach(sm *sim.SM) error {
 
 // OnIssue counts RF accesses and charges operand-bank conflicts.
 func (b *Baseline) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
-	in := info.Insn
+	rec := info.D
 	var banks [BaselineBanks]bool
 	conflicts := 0
-	for i := 0; i < in.Op.NumSrc(); i++ {
-		r := in.Src[i]
-		if !r.Valid() {
-			continue
-		}
-		b.st.StructReads++
-		b.st.BackingAccesses++
+	for _, r := range rec.Srcs() {
 		bank := (int(r) + w.ID) % BaselineBanks
 		if banks[bank] {
 			conflicts++
 		}
 		banks[bank] = true
 	}
-	if in.Op.HasDst() && in.Dst.Valid() {
+	b.st.StructReads += uint64(rec.NSrc)
+	b.st.BackingAccesses += uint64(rec.NSrc)
+	if rec.Dst != isa.NoReg {
 		b.st.StructWrites++
 		b.st.BackingAccesses++
 	}

@@ -91,12 +91,8 @@ func (h *RFH) orfInsert(w int, r isa.Reg) {
 
 // OnIssue classifies each operand access by hierarchy level.
 func (h *RFH) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
-	in := info.Insn
-	for i := 0; i < in.Op.NumSrc(); i++ {
-		r := in.Src[i]
-		if !r.Valid() {
-			continue
-		}
+	rec := info.D
+	for _, r := range rec.Srcs() {
 		h.st.StructReads++
 		switch {
 		case r == h.lastDst[w.ID]:
@@ -109,12 +105,12 @@ func (h *RFH) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 			h.orfInsert(w.ID, r)
 		}
 	}
-	if in.Op.HasDst() && in.Dst.Valid() {
+	if dst := rec.Dst; dst != isa.NoReg {
 		h.st.StructWrites++
 		// Writes land in the ORF (compiler-allocated); eviction later
 		// costs an MRF access.
-		h.orfInsert(w.ID, in.Dst)
-		h.lastDst[w.ID] = in.Dst
+		h.orfInsert(w.ID, dst)
+		h.lastDst[w.ID] = dst
 	} else {
 		h.lastDst[w.ID] = isa.NoReg
 	}

@@ -162,14 +162,10 @@ func (v *RFV) touch(w int, r isa.Reg) int {
 // OnIssue performs renaming, access counting, last-use release, and
 // spill/refill accounting.
 func (v *RFV) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
-	in := info.Insn
-	gi := v.sm.G.GlobalIndex(info.PC)
+	rec := info.D
+	gi := int(rec.GI)
 	penalty := 0
-	for i := 0; i < in.Op.NumSrc(); i++ {
-		r := in.Src[i]
-		if !r.Valid() {
-			continue
-		}
+	for _, r := range rec.Srcs() {
 		v.st.StructReads++
 		penalty += v.touch(w.ID, r)
 		// Release at last read (renaming reclaims dead values).
@@ -178,12 +174,12 @@ func (v *RFV) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 			v.free++
 		}
 	}
-	if in.Op.HasDst() && in.Dst.Valid() {
+	if dst := rec.Dst; dst != isa.NoReg {
 		v.st.StructWrites++
-		if !v.mapped[w.ID][in.Dst] {
+		if !v.mapped[w.ID][dst] {
 			// A fresh write does not refill: the old value dies.
-			v.spilled[w.ID][in.Dst] = false
-			penalty += v.alloc(w.ID, in.Dst)
+			v.spilled[w.ID][dst] = false
+			penalty += v.alloc(w.ID, dst)
 		}
 	}
 	if penalty > 0 {

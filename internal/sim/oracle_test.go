@@ -161,7 +161,7 @@ func (s *twoLevelLinear) promote(g int, sm *SM) *Warp {
 // the same policy. Call before the first cycle.
 func (sm *SM) UseLinearOracle() {
 	if sm.Cfg.Sched == SchedTwoLevel {
-		tl := newTwoLevel(nil, sm.groups, sm.Cfg.ActiveSet) // for the initial sets
+		tl := newTwoLevel(nil, sm, sm.Cfg.ActiveSet) // for the initial sets
 		s := &twoLevelLinear{active: tl.active, pending: tl.pending, size: tl.size}
 		sm.sched, sm.pickFn = s, s.pick
 		return

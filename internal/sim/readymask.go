@@ -23,6 +23,9 @@ import (
 //	mGlobal  the next instruction is a global memory access (wClass ==
 //	         ClassMemGlobal) — exact
 //	mSFU     the next instruction is an SFU op (wClass == ClassSFU) — exact
+//	mMem     a global load of the warp is outstanding (pendingMem > 0) —
+//	         exact; mMem & mSB is "blocked on memory", the two-level
+//	         scheduler's demotion test
 //	mProv    the provider lets the warp issue — a Stager's own words
 //	         (Stager.IssueMask), exact by its contract; all ones for a
 //	         register file
@@ -34,7 +37,9 @@ import (
 //	issue            barrier/exit flags (setLive), the provider's penalty
 //	                 stall (armStall), and refreshSB once after refreshInsn
 //	refreshInsn      the class masks, beside wClass
+//	addPending       a global load's destination (mMem)
 //	completePending  the wheel's and the LSU's writebacks both end here
+//	                 (mSB, and mMem when a warp's last load lands)
 //	releaseBarriers  barrier flag cleared
 //	twoLevel.pick    the promotion-latency stall (armStall)
 //	the provider     mProv, at its own state transitions (for RegLess the
@@ -50,12 +55,12 @@ func (sm *SM) initMasks() {
 	if sm.grpWords < 1 {
 		sm.grpWords = 1
 	}
-	// One span cut in five: a pick reads all five masks of its group, and
-	// side by side they share cache lines instead of holding one each.
+	// One span cut in six: a pick reads the masks of its group, and side
+	// by side they share cache lines instead of holding one each.
 	n := sm.Cfg.Schedulers * sm.grpWords
-	m := arena.Make[uint64](sm.a, 5*n)
+	m := arena.Make[uint64](sm.a, 6*n)
 	cut := func(i int) []uint64 { return m[i*n : (i+1)*n : (i+1)*n] }
-	sm.mLive, sm.mSB, sm.mStall, sm.mGlobal, sm.mSFU = cut(0), cut(1), cut(2), cut(3), cut(4)
+	sm.mLive, sm.mSB, sm.mStall, sm.mGlobal, sm.mSFU, sm.mMem = cut(0), cut(1), cut(2), cut(3), cut(4), cut(5)
 }
 
 // bindIssueMask fetches a Stager's issue mask, one slice per group, after
@@ -84,6 +89,7 @@ func (sm *SM) bindIssueMask() error {
 
 // setLive mirrors a wFlags write into the live mask.
 func (sm *SM) setLive(w *Warp) {
+	sm.moved(w)
 	if sm.wFlags[w.ID] == 0 {
 		sm.mLive[w.mword] |= w.mbit
 	} else {
@@ -94,6 +100,7 @@ func (sm *SM) setLive(w *Warp) {
 // armStall is the only way wStallUntil is written: the timer and its
 // armed bit move together.
 func (sm *SM) armStall(w *Warp, until uint64) {
+	sm.moved(w)
 	sm.wStallUntil[w.ID] = until
 	sm.mStall[w.mword] |= w.mbit
 }
@@ -101,6 +108,7 @@ func (sm *SM) armStall(w *Warp, until uint64) {
 // refreshSB re-derives w's scoreboard bit after its need mask or pending
 // set changed.
 func (sm *SM) refreshSB(w *Warp) {
+	sm.moved(w)
 	if sm.sbReady(w.ID) {
 		sm.mSB[w.mword] &^= w.mbit
 	} else {
@@ -119,77 +127,82 @@ func (sm *SM) expireStalls(g, w, i int) {
 	}
 }
 
-// scan is GTO's oldest-first pick: the first warp of group g, in position
-// order, that can issue this cycle, or nil — as mask arithmetic, a word
-// of warps at a time. Warps that are not live or still stalled are passed
-// over for free, and so are those whose next instruction has no room in
-// its unit this cycle (LSU full, SFU interval running): one test per scan
-// drops the whole class. The pick is the first bit left that the provider
-// lets through. Two kinds of warp met before it are rejections, charged
-// in bulk by popcount: scoreboard-blocked warps, and free warps the
-// provider refused. The charges are exactly those of testing the same
-// warps one at a time in the same order, which is what the schedulers
-// did before the masks (the test oracle still does).
-func (sm *SM) scan(g int) *Warp {
-	base, prov := g*sm.grpWords, sm.mProv[g]
-	lsuFull := !sm.lsu.hasRoom()
-	sfuBusy := sm.sfuNextIssue[g] > sm.cycle
-	for w := 0; w < sm.grpWords; w++ {
-		i := base + w
-		if sm.mStall[i] != 0 {
-			sm.expireStalls(g, w, i)
+// verdict is the pick's reading of word p of group g, a word of warps at
+// a time: armed stalls that have run out are dropped, then ready is the
+// warps that can issue this cycle, blocked those the scoreboard stops
+// and refused those the provider does not let through. Warps that are
+// not live or still stalled are in none of the three, and so are those
+// whose next instruction has no room in its unit this cycle (LSU full,
+// SFU interval running): one test per word drops the whole class.
+// Meeting a blocked or a refused warp before the pick is a rejection;
+// the picks charge them.
+func (sm *SM) verdict(g, p int) (ready, blocked, refused uint64) {
+	i := g*sm.grpWords + p
+	if sm.mStall[i] != 0 {
+		sm.expireStalls(g, p, i)
+	}
+	cand := sm.mLive[i] &^ sm.mStall[i]
+	blocked = cand & sm.mSB[i]
+	free := cand &^ blocked
+	if !sm.lsu.hasRoom() {
+		free &^= sm.mGlobal[i]
+	}
+	if sm.sfuNextIssue[g] > sm.cycle {
+		free &^= sm.mSFU[i]
+	}
+	prov := sm.mProv[g][p]
+	return free & prov, blocked, free &^ prov
+}
+
+// scan is GTO's oldest-first pick: the position of the first warp of
+// group g, in position order, that can issue this cycle, or -1 — the
+// verdicts a word at a time, word known's (v) handed in by the greedy
+// check that read it already (known -1: none). The blocked and refused
+// warps met before the pick are charged in bulk by popcount: exactly the
+// charges of testing the same warps one at a time in the same order,
+// which is what the schedulers did before the masks (the test oracle
+// still does).
+func (sm *SM) scan(g, known int, v [3]uint64) int {
+	for p := 0; p < sm.grpWords; p++ {
+		ready, blocked, refused := v[0], v[1], v[2]
+		if p != known {
+			ready, blocked, refused = sm.verdict(g, p)
 		}
-		cand := sm.mLive[i] &^ sm.mStall[i]
-		blocked := cand & sm.mSB[i]
-		free := cand &^ blocked
-		if lsuFull {
-			free &^= sm.mGlobal[i]
-		}
-		if sfuBusy {
-			free &^= sm.mSFU[i]
-		}
-		refused := free &^ prov[w]
-		if pick := free & prov[w]; pick != 0 {
-			b := bits.TrailingZeros64(pick)
+		if ready != 0 {
+			b := bits.TrailingZeros64(ready)
 			below := uint64(1)<<uint(b) - 1
 			sm.chargeScoreboard(g, bits.OnesCount64(blocked&below))
 			sm.chargeProvider(g, bits.OnesCount64(refused&below))
-			return sm.groups[g][w<<6+b]
+			return p<<6 + b
 		}
 		sm.chargeScoreboard(g, bits.OnesCount64(blocked))
 		sm.chargeProvider(g, bits.OnesCount64(refused))
 	}
-	return nil
+	return -1
 }
 
-// scanWarp is scan over w's one position — GTO's greedy check, the
-// two-level active set — as straight bit tests.
-func (sm *SM) scanWarp(w *Warp) bool {
-	i, bit, g := w.mword, w.mbit, w.Group
-	if sm.mLive[i]&bit == 0 {
-		return false
-	}
-	if sm.mStall[i]&bit != 0 {
-		if sm.wStallUntil[w.ID] > sm.cycle {
-			return false
+// scanList is scan over the warps of list in list order (the two-level
+// active set, whose order is its own), read off their words' verdicts:
+// the first that can issue, charging the blocked and refused ones met
+// before it, as testing them one at a time charged.
+func (sm *SM) scanList(g int, list []*Warp) *Warp {
+	word := -1
+	var ready, blocked, refused uint64
+	for _, w := range list {
+		if p := w.mword - g*sm.grpWords; p != word {
+			word = p
+			ready, blocked, refused = sm.verdict(g, p)
 		}
-		sm.mStall[i] &^= bit
+		switch b := w.mbit; {
+		case ready&b != 0:
+			return w
+		case blocked&b != 0:
+			sm.chargeScoreboard(g, 1)
+		case refused&b != 0:
+			sm.chargeProvider(g, 1)
+		}
 	}
-	if sm.mSB[i]&bit != 0 {
-		sm.chargeScoreboard(g, 1)
-		return false
-	}
-	if sm.mGlobal[i]&bit != 0 && !sm.lsu.hasRoom() {
-		return false
-	}
-	if sm.mSFU[i]&bit != 0 && sm.sfuNextIssue[g] > sm.cycle {
-		return false
-	}
-	if sm.mProv[g][i-g*sm.grpWords]&bit == 0 {
-		sm.chargeProvider(g, 1)
-		return false
-	}
-	return true
+	return nil
 }
 
 func (sm *SM) chargeScoreboard(g, n int) {
@@ -234,6 +247,9 @@ func (sm *SM) checkMasks() error {
 		}
 		if sfu := sm.mSFU[w.mword]&w.mbit != 0; sfu != (cls == isa.ClassSFU) {
 			return fmt.Errorf("warp %d: SFU bit %v but next instruction class is %v", id, sfu, cls)
+		}
+		if loads := sm.mMem[w.mword]&w.mbit != 0; loads != (w.pendingMem > 0) {
+			return fmt.Errorf("warp %d: outstanding-load bit %v but %d loads pending", id, loads, w.pendingMem)
 		}
 		open := sm.mProv[w.Group][w.mword-w.Group*sm.grpWords]&w.mbit != 0
 		if want := sm.stager == nil || sm.stager.CanIssueQuiet(w); open != want {

@@ -237,13 +237,12 @@ type SM struct {
 	a *arena.Arena
 
 	// Struct-of-arrays warp hot state, indexed by warp ID (see Warp).
-	// wPending and wNeed are maskWords 64-bit words per warp; wInsn and
-	// wClass cache the decoded next instruction so pick never re-derives
-	// it.
+	// wPending and wNeed are maskWords 64-bit words per warp; wClass and
+	// wNeed cache the next instruction's decoded record so pick never
+	// re-derives it.
 	wFlags      []uint8
 	wStallUntil []uint64
 	wClass      []isa.Class
-	wInsn       []*isa.Instruction
 	wPending    []uint64
 	wNeed       []uint64
 	maskWords   int
@@ -251,11 +250,11 @@ type SM struct {
 	// Per-group ready masks over that state, grpWords words per group,
 	// the provider's issue mask (one slice per group, the provider's own
 	// words), and the count of warps yet to finish (readymask.go).
-	mLive, mSB, mStall []uint64
-	mGlobal, mSFU      []uint64
-	mProv              [][]uint64
-	grpWords           int
-	unfinished         int
+	mLive, mSB, mStall  []uint64
+	mGlobal, mSFU, mMem []uint64
+	mProv               [][]uint64
+	grpWords            int
+	unfinished          int
 
 	// stepInfo is issue's one StepInfo: providers read it during OnIssue
 	// and keep no pointer, so every issue reuses it instead of letting a
@@ -290,6 +289,12 @@ type SM struct {
 	lastProgress uint64
 
 	sfuNextIssue []uint64
+
+	// Per-group pick replay (replay.go): the last failed pick's
+	// rejections and the inputs it read, and the provider's issue words
+	// at that pick.
+	replay     []pickReplay
+	replayProv []uint64
 
 	// Working-set window tracking: a per-warp register bitmask (maskWords
 	// words per warp) plus a running distinct count — the same
@@ -358,14 +363,10 @@ func New(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory
 	if cfgv.WindowSize > 0 {
 		sm.nextWindow = uint64(cfgv.WindowSize)
 	}
-	sm.maskWords = (k.NumRegs + 63) / 64
-	if sm.maskWords < 1 {
-		sm.maskWords = 1
-	}
+	sm.maskWords = g.NeedWords
 	sm.wFlags = arena.Make[uint8](a, cfgv.Warps)
 	sm.wStallUntil = arena.Make[uint64](a, cfgv.Warps)
 	sm.wClass = arena.Make[isa.Class](a, cfgv.Warps)
-	sm.wInsn = arena.Make[*isa.Instruction](a, cfgv.Warps)
 	sm.wPending = arena.Make[uint64](a, cfgv.Warps*sm.maskWords)
 	sm.wNeed = arena.Make[uint64](a, cfgv.Warps*sm.maskWords)
 	sm.windowMask = arena.Make[uint64](a, cfgv.Warps*sm.maskWords)
@@ -378,6 +379,7 @@ func New(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory
 	sm.ctaDirty = arena.Make[int32](a, numCTAs)[:0]
 	sm.registerMetrics()
 	sm.initMasks()
+	sm.initReplay()
 	regs := exec.NewRegFile(a, cfgv.Warps, k.NumRegs)
 	warps := arena.Make[Warp](a, cfgv.Warps)
 	sm.Warps = arena.Make[*Warp](a, cfgv.Warps)
@@ -405,7 +407,7 @@ func New(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory
 		sm.refreshInsn(w)
 	}
 	if cfgv.Sched == SchedTwoLevel {
-		sm.twoLevel = newTwoLevel(a, sm.groups, cfgv.ActiveSet)
+		sm.twoLevel = newTwoLevel(a, sm, cfgv.ActiveSet)
 		sm.sched, sm.pickFn = sm.twoLevel, pickTwoLevel
 	} else {
 		sm.gto = newGTO(a, sm.groups)
@@ -518,7 +520,7 @@ func (sm *SM) step() {
 		sm.scanProv[g] = 0
 	}
 	for g := 0; g < sm.Cfg.Schedulers; g++ {
-		if w := sm.pickFn(g, sm); w != nil {
+		if w := sm.pick(g); w != nil {
 			sm.grp[g].Issued++
 			if sm.Rec.Enabled(events.MaskSched) {
 				sm.Rec.Issue(g, w.ID, w.NextGI())
@@ -539,9 +541,9 @@ func (sm *SM) step() {
 // issue executes one instruction from w and models its timing.
 func (sm *SM) issue(w *Warp) {
 	id := w.ID
-	cls := sm.wClass[id] // the issuing instruction's class (pre-refresh)
 	info := &sm.stepInfo
 	w.Exec.StepInto(info)
+	rec := info.D
 	w.lastIssue = sm.cycle
 	sm.lastProgress = sm.cycle
 	sm.Stats.DynInsns++
@@ -553,29 +555,28 @@ func (sm *SM) issue(w *Warp) {
 		sm.armStall(w, sm.cycle+uint64(penalty))
 	}
 
-	in := info.Insn
-	switch cls {
+	switch rec.Class {
 	case isa.ClassALU:
 		sm.Stats.ALUOps++
-		sm.retire(w, in, sm.Cfg.ALULat, false)
+		sm.retire(w, rec.Dst, sm.Cfg.ALULat)
 	case isa.ClassFMA:
 		sm.Stats.FMAOps++
-		sm.retire(w, in, sm.Cfg.FMALat, false)
+		sm.retire(w, rec.Dst, sm.Cfg.FMALat)
 	case isa.ClassSFU:
 		sm.Stats.SFUOps++
 		sm.sfuNextIssue[w.Group] = sm.cycle + uint64(sm.Cfg.SFUIssueInterval)
-		sm.retire(w, in, sm.Cfg.SFULat, false)
+		sm.retire(w, rec.Dst, sm.Cfg.SFULat)
 	case isa.ClassMemShared:
 		sm.Stats.SharedOps++
-		sm.retire(w, in, sm.Cfg.ShmemLat, false)
+		sm.retire(w, rec.Dst, sm.Cfg.ShmemLat)
 	case isa.ClassMemGlobal:
-		if in.Op.IsStore() {
+		if rec.Dst == isa.NoReg {
 			sm.Stats.GlobalStores++
 			sm.lsu.submit(w, isa.NoReg, info.Addrs, true)
 		} else {
 			sm.Stats.GlobalLoads++
-			w.addPending(in.Dst, true)
-			sm.lsu.submit(w, in.Dst, info.Addrs, false)
+			w.addPending(rec.Dst, true)
+			sm.lsu.submit(w, rec.Dst, info.Addrs, false)
 		}
 	case isa.ClassControl:
 		sm.Stats.Branches++
@@ -601,14 +602,14 @@ func (sm *SM) issue(w *Warp) {
 	sm.refreshSB(w)
 }
 
-// retire schedules the scoreboard release for a fixed-latency op.
-func (sm *SM) retire(w *Warp, in *isa.Instruction, lat int, memOp bool) {
-	if !in.Op.HasDst() || !in.Dst.Valid() {
+// retire schedules the scoreboard release of a fixed-latency op's
+// destination (none: nothing to release).
+func (sm *SM) retire(w *Warp, dst isa.Reg, lat int) {
+	if dst == isa.NoReg {
 		return
 	}
-	dst := in.Dst
-	w.addPending(dst, memOp)
-	sm.wheel.Push(sm.cycle, sm.cycle+uint64(lat), wheelEntry{warp: int32(w.ID), reg: dst, mem: memOp})
+	w.addPending(dst, false)
+	sm.wheel.Push(sm.cycle, sm.cycle+uint64(lat), wheelEntry{warp: int32(w.ID), reg: dst})
 }
 
 // markCTADirty queues warp id's CTA for a barrier-release check at the

@@ -49,7 +49,7 @@ func (w *Warp) Finished() bool { return w.sm.wFlags[w.ID]&warpFinished != 0 }
 func (w *Warp) AtBarrier() bool { return w.sm.wFlags[w.ID]&warpAtBarrier != 0 }
 
 // NextGI returns the next instruction's global index.
-func (w *Warp) NextGI() int { return w.sm.G.GlobalIndex(w.Exec.PC()) }
+func (w *Warp) NextGI() int { return w.Exec.GI() }
 
 // PendingWrites reports outstanding writes (draining condition).
 func (w *Warp) PendingWrites() int { return w.pendingTotal }
@@ -78,6 +78,8 @@ func (w *Warp) addPending(r isa.Reg, memOp bool) {
 	w.pendingTotal++
 	if memOp {
 		w.pendingMem++
+		sm.mMem[w.mword] |= w.mbit
+		sm.moved(w)
 	}
 }
 
@@ -86,7 +88,10 @@ func (w *Warp) completePending(r isa.Reg, memOp bool) {
 	sm.wPending[w.ID*sm.maskWords+int(r)>>6] &^= 1 << (uint(r) & 63)
 	w.pendingTotal--
 	if memOp {
-		w.pendingMem--
+		if w.pendingMem--; w.pendingMem == 0 {
+			sm.mMem[w.mword] &^= w.mbit
+			sm.moved(w)
+		}
 	}
 	if sm.mSB[w.mword]&w.mbit != 0 {
 		sm.refreshSB(w) // a write landing can only unblock
@@ -107,46 +112,31 @@ func (sm *SM) pendingCount(id int) int {
 	return n
 }
 
-// MemoryBlocked reports the warp is waiting on an outstanding global load
-// whose destination its next instruction needs.
-func (w *Warp) MemoryBlocked() bool {
-	return w.pendingMem > 0 && !w.Finished() && w.sm.mSB[w.mword]&w.mbit != 0
-}
-
-// refreshInsn re-derives warp w's cached decode — next instruction,
-// class (with its two class-mask bits), and scoreboard need mask — after
-// its PC moved (issue) or it finished. The need mask covers valid sources
-// plus the destination: the same register set the map-based scoreboard
-// walked.
+// refreshInsn re-reads warp w's cached decode — class (with its two
+// class-mask bits) and scoreboard need mask — from its next instruction's
+// decoded record after its PC moved (issue) or it finished. The need mask
+// covers the sources plus the destination: the same register set the
+// map-based scoreboard walked.
 func (sm *SM) refreshInsn(w *Warp) {
 	id := w.ID
-	base := id * sm.maskWords
-	for i := 0; i < sm.maskWords; i++ {
-		sm.wNeed[base+i] = 0
-	}
+	sm.moved(w)
+	need := sm.wNeed[id*sm.maskWords : (id+1)*sm.maskWords]
 	sm.mGlobal[w.mword] &^= w.mbit
 	sm.mSFU[w.mword] &^= w.mbit
 	if sm.wFlags[id]&warpFinished != 0 {
-		sm.wInsn[id] = nil
+		clear(need)
 		sm.wClass[id] = isa.ClassALU
 		return
 	}
-	in := w.Exec.Insn()
-	sm.wInsn[id] = in
-	cls := in.Op.ClassOf()
-	sm.wClass[id] = cls
-	switch cls {
+	rec := w.Exec.Decoded()
+	sm.wClass[id] = rec.Class
+	switch rec.Class {
 	case isa.ClassMemGlobal:
 		sm.mGlobal[w.mword] |= w.mbit
 	case isa.ClassSFU:
 		sm.mSFU[w.mword] |= w.mbit
 	}
-	for i := 0; i < in.Op.NumSrc(); i++ {
-		if r := in.Src[i]; r.Valid() {
-			sm.wNeed[base+int(r)>>6] |= 1 << (uint(r) & 63)
-		}
-	}
-	if in.Op.HasDst() && in.Dst.Valid() {
-		sm.wNeed[base+int(in.Dst)>>6] |= 1 << (uint(in.Dst) & 63)
+	for i, v := range rec.Need {
+		need[i] = v
 	}
 }

@@ -75,6 +75,11 @@ test -z "$(grep -rn 'json\.Valid(' --include=*.go --exclude=*_test.go internal/s
 # asks its provider again what it is.
 test -z "$(grep -rnw 'IssueMasker\|IssueProber\|HotPathHints\|HintedProvider\|TickIdler\|RecorderAware\|SanitizerAware\|FaultAware\|WarpReporter\|SchedLRR' --include=*.go cmd internal regless.go)"
 test -z "$(grep -rn 'sm\.Provider\.(' --include=*.go --exclude=*_test.go internal/sim)"
+# An issued instruction is read off its decoded record (cfg.Insn, built
+# once per kernel with the graph, DESIGN.md §12): the SM's issue path and
+# RegLess's issue hook do not re-ask the opcode table or re-derive the
+# global index and region per issue.
+test -z "$(grep -n 'ClassOf()\|NumSrc()\|HasDst()\|GlobalIndex(\|RegionOf\[' internal/sim/sim.go internal/sim/warp.go internal/core/hooks.go)"
 # One spelling of the energy model's inputs and of the states (DESIGN.md
 # §4, §10): energy prices the simulator's own counters, and a warp's
 # capacity state and an OSU line's state are declared in events, which
