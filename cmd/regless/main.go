@@ -35,7 +35,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/sanitizer"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -285,7 +284,7 @@ func runTrace(c *cli, opts experiments.Options) {
 	}
 	if c.timeline {
 		for i, rec := range inst.Recs {
-			tl := trace.Fold(rec, inst.Cycles[i], inst.Warps[i], inst.FirstWarp[i], c.bucket)
+			tl := events.FoldTimeline(rec, inst.Cycles[i], inst.Warps[i], inst.FirstWarp[i], c.bucket)
 			if c.csv {
 				if chip {
 					fmt.Printf("# %s\n", who(i))

@@ -17,7 +17,7 @@ func (p *Provider) OnIssue(w *sim.Warp, info *exec.StepInfo) int {
 	sh := p.shards[ws.shard]
 	rec := info.D
 	gi := int(rec.GI)
-	region := p.comp.Regions[ws.regionID]
+	region := p.comp.Regions[sh.cm.RegionOf(ws.local)]
 
 	penalty := 0
 	// Metadata instructions precede the region's first real instruction.
@@ -127,13 +127,12 @@ func (p *Provider) finishDrain(sh *shard, ws *warpState) {
 		// aborts with a Diagnostic at the end of this cycle.
 		p.sm.ReportFault(fmt.Sprintf("core/s%d/drain", ws.shard),
 			fmt.Sprintf("warp %d finished region %d with %d staged registers",
-				p.warpID(ws), ws.regionID, ws.staged.len()), p.warpID(ws))
+				p.warpID(ws), sh.cm.RegionOf(ws.local), ws.staged.len()), p.warpID(ws))
 		return
 	}
 	cycles := sh.cm.FinishDrain(ws.local, p.sm.Cycle())
 	p.st.RegionCycles += cycles
 	p.st.RegionActivations++
-	ws.regionID = -1
 }
 
 // OnWriteback implements sim.Stager: apply deferred last-use flags and
@@ -177,7 +176,6 @@ func (p *Provider) OnWarpFinish(w *sim.Warp) {
 	for b := range ws.activePerBank {
 		ws.activePerBank[b] = 0
 	}
-	ws.regionID = -1
 }
 
 // CheckInvariants verifies cross-structure consistency (tests): each

@@ -167,9 +167,8 @@ func (sh *shard) backlog() int {
 func (sh *shard) Sample(int) uint64 { return uint64(sh.backlog()) }
 
 type warpState struct {
-	shard    int
-	local    int
-	regionID int
+	shard int
+	local int
 	// staged marks registers currently held active for the region.
 	staged regSet
 	// dirty marks staged registers written since staging.
@@ -369,7 +368,6 @@ func (p *Provider) Attach(smv *sim.SM) error {
 		warps[w] = warpState{
 			shard:         w % p.cfg.Shards,
 			local:         w / p.cfg.Shards,
-			regionID:      -1,
 			staged:        newRegSet(a, smv.K.NumRegs),
 			dirty:         newRegSet(a, smv.K.NumRegs),
 			deferred:      newRegSet(a, smv.K.NumRegs),

@@ -372,8 +372,6 @@ func (p *Provider) tryActivate(s int, sh *shard) {
 		return
 	}
 	p.regionActivations[region.ID]++
-	ws := p.warps[warp]
-	ws.regionID = region.ID
 	for _, pl := range region.Preloads {
 		b := sh.osu.Bank(warp, pl.Reg)
 		sh.push(&sh.preloadQ[b], preloadReq{warp: warp, reg: pl.Reg, invalidate: pl.Invalidate})

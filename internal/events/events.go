@@ -1,8 +1,8 @@
 // Package events is the simulation's structured event recorder: a
 // cycle-stamped, typed log of what the machine did. Every consumer reads
-// the recording of a finished run: the Perfetto exporter and the
-// stall-attribution analyzer here, the warp-state timeline in
-// internal/trace, the diagnostic bundle's last-events view (Tail).
+// the recording of a finished run: the Perfetto exporter, the
+// stall-attribution analyzer and the warp-state timeline here, the
+// diagnostic bundle's last-events view (Tail).
 //
 // The design follows internal/metrics: a nil *Recorder is a valid no-op
 // (every emit method checks the receiver), so instrumented code calls
@@ -15,7 +15,7 @@
 //
 // Events are 24-byte structs with kind-specific payload fields; the
 // emitting layer defines the encoding and the consumers in this package
-// (Analyze, WriteChipPerfetto) and in internal/trace decode it:
+// (Analyze, WriteChipPerfetto, FoldTimeline) decode it:
 //
 //	Kind          Warp       A             B        Arg
 //	Issue         issuer     -             group    global insn index

@@ -1,72 +1,65 @@
-// Package trace renders warp-state timelines — the view a RegLess
-// designer needs to see the capacity manager breathing: warps cycling
-// through inactive/preloading/active/draining as regions stage, and
-// issue slots filling or starving.
-//
-// A timeline is a fold over the event recording of a finished run (any
-// run: the package knows nothing of the simulator): capacity phases from
-// KindWarpState transitions, barriers and exits from the scheduler events
-// every scheme emits, instructions from KindIssue. The same recorder
-// doubles as the source for Perfetto export and stall-attribution
-// analysis.
-package trace
+package events
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/events"
 )
 
-// State is the per-warp condition in one bucket.
-type State byte
+// Glyph is a warp's timeline character in one bucket: the condition it
+// spent the most cycles in.
+type Glyph byte
 
-// Timeline glyphs: each bucket shows the state the warp spent the most
-// cycles in.
+// Timeline glyphs.
 const (
-	// StateIdle: not issuing, no capacity state (baseline schemes).
-	StateIdle State = '.'
-	// StateInactive: on the RegLess warp stack.
-	StateInactive State = '-'
-	// StatePreloading: inputs being staged.
-	StatePreloading State = 'p'
-	// StateActive: eligible to issue.
-	StateActive State = 'A'
-	// StateDraining: waiting for final writebacks.
-	StateDraining State = 'd'
-	// StateBarrier: waiting at a CTA barrier.
-	StateBarrier State = 'b'
-	// StateFinished: warp exited.
-	StateFinished State = ' '
+	// GlyphIdle: not issuing, no capacity state (baseline schemes).
+	GlyphIdle Glyph = '.'
+	// GlyphInactive: on the RegLess warp stack.
+	GlyphInactive Glyph = '-'
+	// GlyphPreloading: inputs being staged.
+	GlyphPreloading Glyph = 'p'
+	// GlyphActive: eligible to issue.
+	GlyphActive Glyph = 'A'
+	// GlyphDraining: waiting for final writebacks.
+	GlyphDraining Glyph = 'd'
+	// GlyphBarrier: waiting at a CTA barrier.
+	GlyphBarrier Glyph = 'b'
+	// GlyphFinished: warp exited.
+	GlyphFinished Glyph = ' '
 )
 
-// Sample is one time bucket's view of the machine.
-type Sample struct {
+// TimelineSample is one time bucket's view of the machine.
+type TimelineSample struct {
 	StartCycle uint64
-	// Warp[i] is warp i's dominant state in the bucket.
-	Warp []State
+	// Warp[i] is warp i's dominant glyph in the bucket.
+	Warp []Glyph
 	// Insns is the number of instructions issued in the bucket.
 	Insns uint64
 }
 
-// Result is one SM's timeline.
-type Result struct {
+// Timeline is one SM's warp-state timeline — the view a RegLess designer
+// needs to see the capacity manager breathing: warps cycling through
+// inactive/preloading/active/draining as regions stage, and issue slots
+// filling or starving. Like Analyze it is a fold over the recording of a
+// finished run: capacity phases from KindWarpState transitions, barriers
+// and exits from the scheduler events every scheme emits, instructions
+// from KindIssue.
+type Timeline struct {
 	Bucket int
 	// FirstWarp is the global ID of the SM's warp 0 (row labels).
 	FirstWarp int
-	Samples   []Sample
+	Samples   []TimelineSample
 }
 
-// Fold buckets one SM's finished run every `bucket` (at least 1) cycles:
-// rec is the recorder that observed it (it must have kept
-// events.MaskTimeline), cycles the SM's cycle count, warps its warp count
-// and firstWarp its first global warp ID.
-func Fold(rec *events.Recorder, cycles uint64, warps, firstWarp, bucket int) *Result {
+// FoldTimeline buckets one SM's finished run every `bucket` (at least 1)
+// cycles: rec is the recorder that observed it (it must have kept
+// MaskTimeline), cycles the SM's cycle count, warps its warp count and
+// firstWarp its first global warp ID.
+func FoldTimeline(rec *Recorder, cycles uint64, warps, firstWarp, bucket int) *Timeline {
 	hists, insns := histograms(rec, cycles, warps, uint64(bucket))
-	res := &Result{Bucket: bucket, FirstWarp: firstWarp, Samples: make([]Sample, len(hists))}
+	res := &Timeline{Bucket: bucket, FirstWarp: firstWarp, Samples: make([]TimelineSample, len(hists))}
 	for k, h := range hists {
-		s := Sample{StartCycle: uint64(k) * uint64(bucket), Warp: make([]State, warps), Insns: insns[k]}
+		s := TimelineSample{StartCycle: uint64(k) * uint64(bucket), Warp: make([]Glyph, warps), Insns: insns[k]}
 		for w := range h {
 			s.Warp[w] = dominant(&h[w])
 		}
@@ -78,13 +71,13 @@ func Fold(rec *events.Recorder, cycles uint64, warps, firstWarp, bucket int) *Re
 // histograms is the fold proper. Cycle stamps run 1..cycles, so bucket k
 // holds the stamps in (k*b, (k+1)*b] (the last one may be short);
 // hists[k][w][c] is how many of them warp w spent in class c (a
-// stateOrder index) and insns[k] how many instructions issued in them. A
+// glyphOrder index) and insns[k] how many instructions issued in them. A
 // warp's class changes only where a state, barrier or exit event is
 // stamped and holds from that cycle until the next one, so each stretch
 // is charged to the buckets it overlaps by interval arithmetic: a span
 // the run fast-forwarded over needs no special case, because nothing
 // fires inside it.
-func histograms(rec *events.Recorder, cycles uint64, warps int, b uint64) (hists [][][7]int, insns []uint64) {
+func histograms(rec *Recorder, cycles uint64, warps int, b uint64) (hists [][][7]int, insns []uint64) {
 	hists = make([][][7]int, (cycles+b-1)/b)
 	for k := range hists {
 		hists[k] = make([][7]int, warps)
@@ -94,12 +87,12 @@ func histograms(rec *events.Recorder, cycles uint64, warps int, b uint64) (hists
 	// different buffers (shard vs. scheduler group), each in cycle order:
 	// collect them and merge by cycle. They set independent fields, so the
 	// order within one cycle does not matter.
-	var changes []events.Event
-	rec.ForEach(func(e events.Event) {
+	var changes []Event
+	rec.ForEach(func(e Event) {
 		switch e.Kind {
-		case events.KindIssue:
+		case KindIssue:
 			insns[(e.Cycle-1)/b]++
-		case events.KindWarpState, events.KindBarrier, events.KindExit:
+		case KindWarpState, KindBarrier, KindExit:
 			changes = append(changes, e)
 		}
 	})
@@ -129,17 +122,17 @@ func histograms(rec *events.Recorder, cycles uint64, warps int, b uint64) (hists
 	return hists, insns
 }
 
-var stateOrder = [7]State{StateIdle, StateInactive, StatePreloading,
-	StateActive, StateDraining, StateBarrier, StateFinished}
+var glyphOrder = [7]Glyph{GlyphIdle, GlyphInactive, GlyphPreloading,
+	GlyphActive, GlyphDraining, GlyphBarrier, GlyphFinished}
 
-func dominant(hist *[7]int) State {
+func dominant(hist *[7]int) Glyph {
 	best, n := 0, -1
 	for i, c := range hist {
 		if c > n {
 			best, n = i, c
 		}
 	}
-	return stateOrder[best]
+	return glyphOrder[best]
 }
 
 // warpFold is one warp in mid-fold: what its events so far add up to, and
@@ -147,41 +140,41 @@ func dominant(hist *[7]int) State {
 type warpFold struct {
 	finished, barrier bool
 	phased            bool // a WarpState event has arrived (never, on baseline schemes)
-	phase             events.Phase
+	phase             Phase
 	charged           uint64
 }
 
-func (wf *warpFold) apply(e events.Event) {
+func (wf *warpFold) apply(e Event) {
 	switch e.Kind {
-	case events.KindWarpState:
-		wf.phased, wf.phase = true, events.Phase(e.A)
-	case events.KindBarrier:
+	case KindWarpState:
+		wf.phased, wf.phase = true, Phase(e.A)
+	case KindBarrier:
 		wf.barrier = e.A == 1
-	case events.KindExit:
+	case KindExit:
 		wf.finished = true
 	}
 }
 
-// class returns the warp's stateOrder index with the timeline's
+// class returns the warp's glyphOrder index with the timeline's
 // priority: finished beats barrier beats capacity phase; a warp that
 // never emitted a phase reads as Idle.
 func (wf *warpFold) class() int {
 	switch {
 	case wf.finished:
-		return 6 // StateFinished
+		return 6 // GlyphFinished
 	case wf.barrier:
-		return 5 // StateBarrier
+		return 5 // GlyphBarrier
 	case !wf.phased:
-		return 0 // StateIdle
+		return 0 // GlyphIdle
 	}
 	switch wf.phase {
-	case events.PhaseInactive:
+	case PhaseInactive:
 		return 1
-	case events.PhasePreloading:
+	case PhasePreloading:
 		return 2
-	case events.PhaseActive:
+	case PhaseActive:
 		return 3
-	case events.PhaseDraining:
+	case PhaseDraining:
 		return 4
 	default:
 		return 6
@@ -190,7 +183,7 @@ func (wf *warpFold) class() int {
 
 // Render draws the timeline: one row per warp, one column per bucket,
 // with an IPC footer. maxCols clips long runs (0 = no clip).
-func (r *Result) Render(maxCols int) string {
+func (r *Timeline) Render(maxCols int) string {
 	var b strings.Builder
 	cols := len(r.Samples)
 	if maxCols > 0 && cols > maxCols {
@@ -235,7 +228,7 @@ func ipcGlyph(ipc float64) byte {
 
 // CSV emits the samples as comma-separated rows: cycle, insns, then one
 // state column per warp.
-func (r *Result) CSV() string {
+func (r *Timeline) CSV() string {
 	var b strings.Builder
 	b.WriteString("cycle,insns")
 	if len(r.Samples) > 0 {

@@ -1,4 +1,4 @@
-package trace
+package events_test
 
 import (
 	"testing"

@@ -1,4 +1,4 @@
-package trace
+package events_test
 
 import (
 	"context"
@@ -43,7 +43,7 @@ func TestFoldProperties(t *testing.T) {
 		}
 		ref := foldRun(t, smv, foldBucket, events.MaskTimeline)
 
-		hists, insns := histograms(ref.Events, ref.Stats.Cycles, foldWarps, foldBucket)
+		hists, insns := events.Histograms(ref.Events, ref.Stats.Cycles, foldWarps, foldBucket)
 		var issued uint64
 		for k, h := range hists {
 			want := min(uint64(foldBucket), ref.Stats.Cycles-uint64(k*foldBucket))
@@ -70,8 +70,8 @@ func TestFoldProperties(t *testing.T) {
 		}
 
 		inst := instrumented(t, scheme, 1)
-		chip := Fold(inst.Recs[0], inst.Cycles[0], inst.Warps[0], inst.FirstWarp[0], foldBucket)
-		if !reflect.DeepEqual(chip, ref.Result) {
+		chip := events.FoldTimeline(inst.Recs[0], inst.Cycles[0], inst.Warps[0], inst.FirstWarp[0], foldBucket)
+		if !reflect.DeepEqual(chip, ref.Timeline) {
 			t.Errorf("%s: chip of one folds differently from the bare SM:\n%s\n%s", scheme, chip.Render(0), ref.Render(0))
 		}
 	}
@@ -91,7 +91,7 @@ func TestFoldPerSMOnChip(t *testing.T) {
 		if inst.Warps[i] != foldWarps || inst.FirstWarp[i] != i*foldWarps {
 			t.Fatalf("SM %d: %d warps from %d, want %d from %d", i, inst.Warps[i], inst.FirstWarp[i], foldWarps, i*foldWarps)
 		}
-		tl := Fold(rec, inst.Cycles[i], inst.Warps[i], inst.FirstWarp[i], foldBucket)
+		tl := events.FoldTimeline(rec, inst.Cycles[i], inst.Warps[i], inst.FirstWarp[i], foldBucket)
 		if want := (inst.Cycles[i] + foldBucket - 1) / foldBucket; uint64(len(tl.Samples)) != want {
 			t.Errorf("SM %d: %d buckets over %d cycles, want %d", i, len(tl.Samples), inst.Cycles[i], want)
 		}

@@ -1,4 +1,4 @@
-package trace
+package events_test
 
 import (
 	"os"
@@ -10,7 +10,7 @@ import (
 // run byte-for-byte. The goldens were captured from the pre-event-stream
 // sampler (which read Provider.WarpState every cycle); the event-driven
 // reconstruction must reproduce them exactly. Regenerate with
-// TRACE_UPDATE_GOLDEN=1 go test ./internal/trace -run TestTimelineGolden
+// TRACE_UPDATE_GOLDEN=1 go test ./internal/events -run TestTimelineGolden
 func TestTimelineGolden(t *testing.T) {
 	for _, c := range []struct {
 		name    string

@@ -1,4 +1,4 @@
-package trace
+package events_test
 
 import (
 	"strings"
@@ -14,7 +14,7 @@ import (
 
 // traced is a finished run with everything a view of it needs.
 type traced struct {
-	*Result
+	*events.Timeline
 	Stats  *sim.Stats
 	Events *events.Recorder
 }
@@ -29,7 +29,7 @@ func foldRun(t *testing.T, smv *sim.SM, bucket int, mask events.Mask) traced {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return traced{Fold(rec, st.Cycles, smv.Cfg.Warps, smv.Cfg.WarpIDBase, bucket), st, rec}
+	return traced{events.FoldTimeline(rec, st.Cycles, smv.Cfg.Warps, smv.Cfg.WarpIDBase, bucket), st, rec}
 }
 
 func traceRun(t *testing.T, regless bool) traced {
@@ -61,19 +61,19 @@ func TestTimelineRegLess(t *testing.T) {
 		t.Fatal("empty trace")
 	}
 	// Every RegLess state must appear somewhere in a staged run.
-	seen := map[State]bool{}
+	seen := map[events.Glyph]bool{}
 	for _, s := range res.Samples {
 		for _, st := range s.Warp {
 			seen[st] = true
 		}
 	}
-	if !seen[StateActive] {
+	if !seen[events.GlyphActive] {
 		t.Fatalf("active state never sampled; saw %v", seen)
 	}
-	if !seen[StateInactive] && !seen[StatePreloading] && !seen[StateDraining] && !seen[StateBarrier] {
+	if !seen[events.GlyphInactive] && !seen[events.GlyphPreloading] && !seen[events.GlyphDraining] && !seen[events.GlyphBarrier] {
 		t.Fatalf("no staging states sampled; saw %v", seen)
 	}
-	if seen[StateIdle] {
+	if seen[events.GlyphIdle] {
 		t.Fatalf("RegLess trace contains the baseline idle state; saw %v", seen)
 	}
 	out := res.Render(0)
@@ -94,7 +94,7 @@ func TestTimelineBaselineUsesIdle(t *testing.T) {
 	res := traceRun(t, false)
 	for _, s := range res.Samples {
 		for _, st := range s.Warp {
-			if st != StateIdle && st != StateFinished && st != StateBarrier {
+			if st != events.GlyphIdle && st != events.GlyphFinished && st != events.GlyphBarrier {
 				t.Fatalf("baseline trace contains RegLess state %c", st)
 			}
 		}

@@ -52,7 +52,6 @@ type Warp struct {
 	done    bool
 	addrBuf [isa.WarpWidth]uint32
 	scratch [isa.WarpWidth]uint32 // a divergent instruction's lane results (lanes)
-	stepped uint64                // dynamic instruction count
 }
 
 // NewWarp creates a warp at the kernel entry with all lanes active.
@@ -82,9 +81,6 @@ func NewWarpOn(a *arena.Arena, regs [][isa.WarpWidth]uint32, k *isa.Kernel, g *c
 
 // Done reports whether every lane has exited.
 func (w *Warp) Done() bool { return w.done }
-
-// Steps returns the dynamic instruction count executed so far.
-func (w *Warp) Steps() uint64 { return w.stepped }
 
 // GI returns the next instruction's global index. Only valid when !Done().
 func (w *Warp) GI() int { return int(w.top().gi) }
@@ -127,7 +123,6 @@ func (w *Warp) StepInto(info *StepInfo) {
 	in := rec.In
 	mask := f.mask
 	*info = StepInfo{D: rec, Mask: mask}
-	w.stepped++
 
 	// Arithmetic cases carry their own lane loops rather than sharing a
 	// closure-taking helper: the old binop/triop shape cost two indirect

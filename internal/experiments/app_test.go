@@ -1,4 +1,4 @@
-package launch_test
+package experiments_test
 
 import (
 	"testing"
@@ -7,14 +7,13 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gen/bare"
 	"repro/internal/kernels"
-	"repro/internal/launch"
 	"repro/internal/mem"
 )
 
 // runApp launches an application's kernels back to back on one SM, mm
 // and one hierarchy standing between them; it returns the hierarchy's
 // cumulative statistics with the sequence.
-func runApp(app kernels.Application, scheme experiments.Scheme, mm *exec.Memory) (*launch.Result, mem.Stats, error) {
+func runApp(app kernels.Application, scheme experiments.Scheme, mm *exec.Memory) (*experiments.LaunchResult, mem.Stats, error) {
 	su := setup(8)
 	su.Memory, su.Hier = mm, mem.New(mem.DefaultConfig())
 	res, err := experiments.Launch(app.Kernels, scheme, 1, 8, su)

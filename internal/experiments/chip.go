@@ -24,7 +24,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/launch"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/rf"
@@ -156,22 +155,80 @@ func Assemble(a *arena.Arena, k *isa.Kernel, scheme Scheme, sms int, su SimSetup
 	return g, rp, nil
 }
 
-// Launch runs kernels back to back on chips of sms SMs, each over a grid of
-// gridWarps warps in waves of at most su.Warps resident per SM
-// (launch.Run): every chip is assembled from su with its wave's warp
-// range. All launches share su.Memory (a fresh one when nil), so the
-// sequence is architecturally one big run; what timing state persists
-// between them is the standing memory su hands in — nothing, a banked L2,
-// or the SM's hierarchy.
-func Launch(ks []*isa.Kernel, scheme Scheme, sms, gridWarps int, su SimSetup) (*launch.Result, error) {
+// LaunchResult aggregates a launch sequence. Launches run back to back,
+// so Cycles sums each chip's time (its slowest SM's); Insns and the
+// coordinated fast-forward's counters sum over every SM and launch.
+// PerLaunch holds each launch's chip result: numbers only, never the chip.
+type LaunchResult struct {
+	Cycles                   uint64
+	Launches                 int
+	Insns                    uint64
+	FFSkippedCycles, FFJumps uint64
+	PerLaunch                []*gpu.Result
+}
+
+// Launch runs kernels back to back, the way a CUDA stream does, on chips
+// of sms SMs assembled from su: each kernel's grid of gridWarps warps,
+// when it holds more warps than the chip keeps resident (su.Warps per SM),
+// proceeds in sequential *waves* (as hardware CTA schedulers do once
+// occupancy is exhausted), and an application's kernels follow one
+// another. This is what makes occupancy experiments fair: an
+// occupancy-limited configuration runs the same total work in more waves
+// rather than silently doing less work.
+//
+// Within a wave each SM takes a contiguous CTA-aligned chunk of warps
+// (gpu.Launch's warp range) and all SMs run concurrently. Waves are
+// synchronous: a fast SM idles at the wave boundary rather than stealing
+// the next chunk early. That sacrifices a little fidelity (real
+// schedulers backfill per-CTA) for determinism — chunk->SM assignment is
+// a pure function of grid size, chip size and occupancy, never of timing.
+//
+// All launches share su.Memory (a fresh one when nil), so the sequence is
+// architecturally one big run; what timing state persists between them
+// is the standing memory su hands in — nothing, a banked L2, or the SM's
+// hierarchy.
+func Launch(ks []*isa.Kernel, scheme Scheme, sms, gridWarps int, su SimSetup) (*LaunchResult, error) {
+	chipWarps := su.Warps * sms
+	if len(ks) == 0 {
+		return nil, fmt.Errorf("launch: no kernels")
+	}
+	if gridWarps <= 0 || chipWarps <= 0 {
+		return nil, fmt.Errorf("launch: warps must be positive")
+	}
+	for _, k := range ks {
+		if gridWarps%k.WarpsPerCTA != 0 {
+			return nil, fmt.Errorf("launch: grid %d not a multiple of %s's CTA size %d",
+				gridWarps, k.Name, k.WarpsPerCTA)
+		}
+		if gridWarps > chipWarps && chipWarps%k.WarpsPerCTA != 0 {
+			return nil, fmt.Errorf("launch: wave size %d not a multiple of %s's CTA size %d",
+				chipWarps, k.Name, k.WarpsPerCTA)
+		}
+	}
 	if su.Memory == nil {
 		su.Memory = exec.NewMemory(nil)
 	}
-	return launch.Run(ks, gridWarps, su.Warps*sms, func(k *isa.Kernel, first, end int) (*gpu.GPU, error) {
-		su.FirstWarp, su.EndWarp = first, end
-		g, _, err := Assemble(nil, k, scheme, sms, su, nil)
-		return g, err
-	})
+	res := &LaunchResult{}
+	for ki, k := range ks {
+		for first := 0; first < gridWarps; first += chipWarps {
+			su.FirstWarp, su.EndWarp = first, min(first+chipWarps, gridWarps)
+			g, _, err := Assemble(nil, k, scheme, sms, su, nil)
+			var r *gpu.Result
+			if err == nil {
+				r, err = g.Run()
+			}
+			if err != nil {
+				return nil, fmt.Errorf("launch: kernel %d (%s) wave %d: %w", ki, k.Name, first/chipWarps, err)
+			}
+			res.Cycles += r.Cycles
+			res.Insns += r.TotalInsns
+			res.FFSkippedCycles += r.FFSkippedCycles
+			res.FFJumps += r.FFJumps
+			res.PerLaunch = append(res.PerLaunch, r)
+			res.Launches++
+		}
+	}
+	return res, nil
 }
 
 // BuildChip is Assemble for a suite benchmark by name. It and BuildSM are
@@ -202,7 +259,7 @@ type Instrumented struct {
 	// Recs holds one recorder per SM (nil when nothing was recorded);
 	// the other slices are what a view of Recs[i] needs to know of SM i:
 	// Schedulers and Cycles are the events.Analyze inputs (scheduler group
-	// count, cycle count), Warps and FirstWarp the trace.Fold ones (warp
+	// count, cycle count), Warps and FirstWarp the events.FoldTimeline ones (warp
 	// count, global ID of its warp 0).
 	Recs       []*events.Recorder
 	Schedulers []int

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/launch"
 	"repro/internal/mem"
 )
 
@@ -39,7 +38,7 @@ func GPUScale(in *inputs) (*Table, error) {
 	// banked L2 its waves shared. Cell 2i is point i's baseline, 2i+1 its
 	// RegLess run.
 	type cell struct {
-		*launch.Result
+		*LaunchResult
 		l2 mem.BankedL2Stats
 	}
 	cells := make([]cell, 2*len(benches)*len(gpuScaleSMs))

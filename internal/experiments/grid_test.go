@@ -1,4 +1,4 @@
-package launch_test
+package experiments_test
 
 import (
 	"runtime"
@@ -9,14 +9,13 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/launch"
 	"repro/internal/mem"
 )
 
 // grid launches one kernel's grid on an sms-SM chip, mm and one banked L2
 // standing between the waves; it returns the L2's cumulative traffic with
 // the sequence.
-func grid(t *testing.T, k *isa.Kernel, scheme experiments.Scheme, total, resident, sms int, mm *exec.Memory) (*launch.Result, mem.BankedL2Stats, error) {
+func grid(t *testing.T, k *isa.Kernel, scheme experiments.Scheme, total, resident, sms int, mm *exec.Memory) (*experiments.LaunchResult, mem.BankedL2Stats, error) {
 	t.Helper()
 	l2, err := mem.NewBankedL2(mem.DefaultBankedL2Config())
 	if err != nil {
@@ -144,7 +143,7 @@ func TestGridValidation(t *testing.T) {
 // (PerLaunch -> PerSM -> &sm.Stats did) would keep every wave's alive.
 func TestGridResultPinsNoMachine(t *testing.T) {
 	k := kernels.MustLoad("streamcluster")
-	run := func() *launch.Result {
+	run := func() *experiments.LaunchResult {
 		res, _, err := grid(t, k, experiments.SchemeBaseline, 8*4*64, 64, 4, nil)
 		if err != nil {
 			t.Fatal(err)

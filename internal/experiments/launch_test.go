@@ -1,4 +1,4 @@
-package launch_test
+package experiments_test
 
 import (
 	"maps"
@@ -11,7 +11,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/launch"
 	"repro/internal/sim"
 )
 
@@ -23,7 +22,7 @@ func setup(resident int) experiments.SimSetup {
 
 // waves launches one kernel's grid on a chip of one, mm standing between
 // the waves and nothing else.
-func waves(k *isa.Kernel, scheme experiments.Scheme, total, resident int, mm *exec.Memory) (*launch.Result, error) {
+func waves(k *isa.Kernel, scheme experiments.Scheme, total, resident int, mm *exec.Memory) (*experiments.LaunchResult, error) {
 	su := setup(resident)
 	su.Memory = mm
 	return experiments.Launch([]*isa.Kernel{k}, scheme, 1, total, su)
@@ -35,7 +34,7 @@ var referenceSchemes = []experiments.Scheme{experiments.SchemeBaseline, experime
 
 // sameSequence demands the assembled sequence report what the bare loop
 // did: every launch's statistics (so the cycles they sum to), the stores.
-func sameSequence(t *testing.T, where string, res *launch.Result, ref []*sim.SM, got, want *exec.Memory) {
+func sameSequence(t *testing.T, where string, res *experiments.LaunchResult, ref []*sim.SM, got, want *exec.Memory) {
 	t.Helper()
 	if res.Cycles != launchSum(res) || res.Launches != len(ref) || len(res.PerLaunch) != len(ref) {
 		t.Fatalf("%s: %d cycles (%d summed) in %d launches, bare %d", where, res.Cycles, launchSum(res), res.Launches, len(ref))
@@ -95,7 +94,7 @@ func sameStores(t *testing.T, ks []*isa.Kernel, warps int, mm *exec.Memory) (ins
 }
 
 // launchSum is the cycles of a sequence's launches added up.
-func launchSum(res *launch.Result) (sum uint64) {
+func launchSum(res *experiments.LaunchResult) (sum uint64) {
 	for _, w := range res.PerLaunch {
 		sum += w.Cycles
 	}
@@ -159,6 +158,12 @@ func TestLaunchValidation(t *testing.T) {
 	}
 	if _, err := waves(k, experiments.SchemeBaseline, 0, 8, nil); err == nil {
 		t.Fatal("accepted zero warps")
+	}
+	// A wave that splits a CTA is refused before wave 0 runs, not when
+	// the second wave's first warp turns out misaligned.
+	const split = "launch: wave size 12 not a multiple of nw's CTA size 8"
+	if _, err := waves(k, experiments.SchemeBaseline, 24, 12, nil); err == nil || err.Error() != split {
+		t.Fatalf("wave splitting a CTA: got %v, want %q", err, split)
 	}
 	su := setup(8)
 	su.CoResident = []gpu.KernelSlot{{K: k, SMs: 2}}

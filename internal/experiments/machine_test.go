@@ -14,7 +14,6 @@ import (
 	"repro/internal/gen/machine"
 	"repro/internal/gpu"
 	"repro/internal/isa"
-	"repro/internal/launch"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/sanitizer"
@@ -40,7 +39,7 @@ func setup(m machine.Machine) SimSetup {
 // slot's stored words, the standing memory's counters and, for a single
 // launch, its provider and memory counters and its JSONL window stream.
 type ran struct {
-	Res    *launch.Result
+	Res    *LaunchResult
 	Stores []map[uint32]uint32
 	L2     mem.BankedL2Stats
 	Hier   mem.Stats
@@ -64,7 +63,7 @@ func run(m machine.Machine, tune func(*SimSetup)) (r ran, err error) {
 		err = runPoint(context.Background(), m.Ks[0], m.Seq, Scheme(m.Scheme), m.SMs, su, nil, 0, jw, func(in *Instrumented) error {
 			run := in.Run.Detach()
 			c := run.Chip
-			r.Res = &launch.Result{Cycles: c.Cycles, Launches: 1, Insns: c.TotalInsns,
+			r.Res = &LaunchResult{Cycles: c.Cycles, Launches: 1, Insns: c.TotalInsns,
 				FFSkippedCycles: c.FFSkippedCycles, FFJumps: c.FFJumps, PerLaunch: []*gpu.Result{c}}
 			r.Prov, r.Mem = run.Prov, run.Mem
 			return nil

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/kernels"
-	"repro/internal/launch"
 )
 
 // Oversubscription (extension) demonstrates the paper's related-work claim
@@ -34,7 +33,7 @@ func Oversubscription(in *inputs) (*Table, error) {
 	// The two launches are independent (each gets a private functional
 	// memory, and nothing but it persists between a launch's waves); run
 	// them on the worker pool.
-	var base, rgl *launch.Result
+	var base, rgl *LaunchResult
 	err = in.Opts.forEach(2, func(i int) error {
 		scheme, dst := SchemeBaseline, &base
 		su := in.Opts.Setup(DefaultCapacity)

@@ -64,7 +64,7 @@ func (sm *SM) classifyWarp(w *Warp) events.StallReason {
 		}
 		return events.StallScoreboard
 	}
-	switch sm.wClass[id] {
+	switch sm.nextClass(id) {
 	case isa.ClassMemGlobal:
 		if !sm.lsu.hasRoom() {
 			return events.StallLSU

@@ -24,7 +24,7 @@ func (sm *SM) readyLinear(g int, id int32) bool {
 		sm.scanSB[g]++
 		return false
 	}
-	switch sm.wClass[id] {
+	switch sm.nextClass(int(id)) {
 	case isa.ClassMemGlobal:
 		if !sm.lsu.hasRoom() {
 			return false

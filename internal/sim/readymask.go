@@ -20,9 +20,9 @@ import (
 //	mStall   a stall timer was armed — a superset of wStallUntil > cycle;
 //	         expired bits are dropped lazily by the next pick that meets
 //	         them (expireStalls)
-//	mGlobal  the next instruction is a global memory access (wClass ==
-//	         ClassMemGlobal) — exact
-//	mSFU     the next instruction is an SFU op (wClass == ClassSFU) — exact
+//	mGlobal  the next instruction is a global memory access (its decoded
+//	         class is ClassMemGlobal) — exact
+//	mSFU     the next instruction is an SFU op (class ClassSFU) — exact
 //	mMem     a global load of the warp is outstanding (pendingMem > 0) —
 //	         exact; mMem & mSB is "blocked on memory", the two-level
 //	         scheduler's demotion test
@@ -36,7 +36,7 @@ import (
 //
 //	issue            barrier/exit flags (setLive), the provider's penalty
 //	                 stall (armStall), and refreshSB once after refreshInsn
-//	refreshInsn      the class masks, beside wClass
+//	refreshInsn      the class masks, from the next decoded record
 //	addPending       a global load's destination (mMem)
 //	completePending  the wheel's and the LSU's writebacks both end here
 //	                 (mSB, and mMem when a warp's last load lands)
@@ -241,7 +241,7 @@ func (sm *SM) checkMasks() error {
 			return fmt.Errorf("warp %d: stalled until cycle %d but its stall bit is not armed",
 				id, sm.wStallUntil[id])
 		}
-		cls := sm.wClass[id]
+		cls := sm.nextClass(id)
 		if global := sm.mGlobal[w.mword]&w.mbit != 0; global != (cls == isa.ClassMemGlobal) {
 			return fmt.Errorf("warp %d: global-access bit %v but next instruction class is %v", id, global, cls)
 		}

@@ -132,8 +132,8 @@ func TestSanitizerCatchesMaskDrift(t *testing.T) {
 			func(sm *SM, w *Warp) { sm.mGlobal[w.mword] ^= w.mbit }, "sim/readymask", "warp 5"},
 		{"SFU class bit flipped", null,
 			func(sm *SM, w *Warp) { sm.mSFU[w.mword] ^= w.mbit }, "sim/readymask", "warp 5"},
-		{"class written past refreshInsn", null,
-			func(sm *SM, w *Warp) { sm.wClass[w.ID] = isa.ClassSFU }, "sim/readymask", "warp 5"},
+		{"class written past refreshInsn", null, // the masks of an SFU op, the record's class unchanged
+			func(sm *SM, w *Warp) { sm.mGlobal[w.mword] &^= w.mbit; sm.mSFU[w.mword] |= w.mbit }, "sim/readymask", "warp 5"},
 		{"provider issue bit flipped", func() Provider { return &gateProvider{} },
 			func(sm *SM, w *Warp) { sm.mProv[w.Group][0] ^= w.mbit }, "sim/readymask", "warp 5"},
 		{"provider state moved without its bit", func() Provider { return &gateProvider{} },

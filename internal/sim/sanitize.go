@@ -73,18 +73,13 @@ func (sm *SM) checkHealth() error {
 	return nil
 }
 
-// checkWarps is the SM's own invariant: per-warp scoreboard totals agree
-// with the per-register counters and no warp is in an impossible state.
+// checkWarps is the SM's own invariant: no warp waits on more loads than
+// it has registers pending, and none is in an impossible state.
 func (sm *SM) checkWarps() error {
 	for _, w := range sm.Warps {
-		sum := sm.pendingCount(w.ID)
-		if sum != w.pendingTotal {
-			return fmt.Errorf("warp %d: scoreboard counters sum to %d but pending total is %d",
-				w.ID, sum, w.pendingTotal)
-		}
-		if w.pendingMem < 0 || w.pendingMem > w.pendingTotal {
+		if n := sm.pendingCount(w.ID); w.pendingMem < 0 || w.pendingMem > n {
 			return fmt.Errorf("warp %d: pending mem writes %d outside [0,%d]",
-				w.ID, w.pendingMem, w.pendingTotal)
+				w.ID, w.pendingMem, n)
 		}
 		if w.Finished() && w.AtBarrier() {
 			return fmt.Errorf("warp %d: finished while waiting at a barrier", w.ID)
@@ -112,7 +107,7 @@ func (sm *SM) diagnose(d *sanitizer.Diagnostic) *sanitizer.Diagnostic {
 			Region:        -1,
 			Finished:      w.Finished(),
 			AtBarrier:     w.AtBarrier(),
-			PendingWrites: w.pendingTotal,
+			PendingWrites: sm.pendingCount(w.ID),
 			LastIssue:     w.lastIssue,
 		}
 		if sm.stager != nil {

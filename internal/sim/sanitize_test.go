@@ -155,7 +155,8 @@ func TestReportFaultSurfacesAtEndOfCycle(t *testing.T) {
 }
 
 // TestSanitizerSweepCatchesScoreboardCorruption: the SM's own registered
-// invariant (scoreboard totals) turns state corruption into a diagnostic.
+// invariant (no more loads outstanding than registers pending) turns
+// state corruption into a diagnostic.
 func TestSanitizerSweepCatchesScoreboardCorruption(t *testing.T) {
 	sm, err := New(nil, testConfig(), smallKernel(t), &nullProvider{}, exec.NewMemory(nil), nil)
 	if err != nil {
@@ -165,7 +166,7 @@ func TestSanitizerSweepCatchesScoreboardCorruption(t *testing.T) {
 	if err := sm.checkHealth(); err != nil {
 		t.Fatalf("fresh machine unhealthy: %v", err)
 	}
-	sm.Warps[2].pendingTotal = 7 // desync from the per-register counters
+	sm.Warps[2].pendingMem = 7 // more loads than the scoreboard has registers pending
 	err = sm.checkHealth()
 	d := asDiagnostic(t, err)
 	if d.Component != "sim/warps" {

@@ -237,12 +237,11 @@ type SM struct {
 	a *arena.Arena
 
 	// Struct-of-arrays warp hot state, indexed by warp ID (see Warp).
-	// wPending and wNeed are maskWords 64-bit words per warp; wClass and
-	// wNeed cache the next instruction's decoded record so pick never
-	// re-derives it.
+	// wPending and wNeed are maskWords 64-bit words per warp; wNeed
+	// caches the next instruction's register set so pick never re-derives
+	// it.
 	wFlags      []uint8
 	wStallUntil []uint64
-	wClass      []isa.Class
 	wPending    []uint64
 	wNeed       []uint64
 	maskWords   int
@@ -366,7 +365,6 @@ func New(a *arena.Arena, cfgv Config, k *isa.Kernel, p Provider, mm *exec.Memory
 	sm.maskWords = g.NeedWords
 	sm.wFlags = arena.Make[uint8](a, cfgv.Warps)
 	sm.wStallUntil = arena.Make[uint64](a, cfgv.Warps)
-	sm.wClass = arena.Make[isa.Class](a, cfgv.Warps)
 	sm.wPending = arena.Make[uint64](a, cfgv.Warps*sm.maskWords)
 	sm.wNeed = arena.Make[uint64](a, cfgv.Warps*sm.maskWords)
 	sm.windowMask = arena.Make[uint64](a, cfgv.Warps*sm.maskWords)

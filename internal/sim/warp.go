@@ -35,10 +35,9 @@ type Warp struct {
 	// pendingMem counts outstanding global-load destinations (used by
 	// the two-level scheduler to demote stalled warps).
 	pendingMem int
-	// pendingTotal counts all outstanding writes (region draining).
-	pendingTotal int
 
-	// lastIssue is the cycle this warp last issued (GTO tiebreak).
+	// lastIssue is the cycle this warp last issued, for the Diagnostic's
+	// per-warp rows.
 	lastIssue uint64
 }
 
@@ -52,7 +51,7 @@ func (w *Warp) AtBarrier() bool { return w.sm.wFlags[w.ID]&warpAtBarrier != 0 }
 func (w *Warp) NextGI() int { return w.Exec.GI() }
 
 // PendingWrites reports outstanding writes (draining condition).
-func (w *Warp) PendingWrites() int { return w.pendingTotal }
+func (w *Warp) PendingWrites() int { return w.sm.pendingCount(w.ID) }
 
 // sbReady reports that no pending write overlaps warp id's next
 // instruction: the cached register-need mask against the scoreboard
@@ -75,7 +74,6 @@ func (sm *SM) sbReady(id int) bool {
 func (w *Warp) addPending(r isa.Reg, memOp bool) {
 	sm := w.sm
 	sm.wPending[w.ID*sm.maskWords+int(r)>>6] |= 1 << (uint(r) & 63)
-	w.pendingTotal++
 	if memOp {
 		w.pendingMem++
 		sm.mMem[w.mword] |= w.mbit
@@ -86,7 +84,6 @@ func (w *Warp) addPending(r isa.Reg, memOp bool) {
 func (w *Warp) completePending(r isa.Reg, memOp bool) {
 	sm := w.sm
 	sm.wPending[w.ID*sm.maskWords+int(r)>>6] &^= 1 << (uint(r) & 63)
-	w.pendingTotal--
 	if memOp {
 		if w.pendingMem--; w.pendingMem == 0 {
 			sm.mMem[w.mword] &^= w.mbit
@@ -101,8 +98,8 @@ func (w *Warp) completePending(r isa.Reg, memOp bool) {
 	}
 }
 
-// pendingCount returns the number of registers with outstanding writes
-// (sanitizer cross-check against pendingTotal).
+// pendingCount returns the number of registers with outstanding writes:
+// a register has at most one, so this is the warp's pending-write count.
 func (sm *SM) pendingCount(id int) int {
 	base := id * sm.maskWords
 	n := 0
@@ -112,9 +109,18 @@ func (sm *SM) pendingCount(id int) int {
 	return n
 }
 
-// refreshInsn re-reads warp w's cached decode — class (with its two
-// class-mask bits) and scoreboard need mask — from its next instruction's
-// decoded record after its PC moved (issue) or it finished. The need mask
+// nextClass is warp id's next instruction class, read from its decoded
+// record (ALU for a finished warp, which has none).
+func (sm *SM) nextClass(id int) isa.Class {
+	if sm.wFlags[id]&warpFinished != 0 {
+		return isa.ClassALU
+	}
+	return sm.Warps[id].Exec.Decoded().Class
+}
+
+// refreshInsn re-reads warp w's cached decode — the two class-mask bits
+// and the scoreboard need mask — from its next instruction's decoded
+// record after its PC moved (issue) or it finished. The need mask
 // covers the sources plus the destination: the same register set the
 // map-based scoreboard walked.
 func (sm *SM) refreshInsn(w *Warp) {
@@ -125,11 +131,9 @@ func (sm *SM) refreshInsn(w *Warp) {
 	sm.mSFU[w.mword] &^= w.mbit
 	if sm.wFlags[id]&warpFinished != 0 {
 		clear(need)
-		sm.wClass[id] = isa.ClassALU
 		return
 	}
 	rec := w.Exec.Decoded()
-	sm.wClass[id] = rec.Class
 	switch rec.Class {
 	case isa.ClassMemGlobal:
 		sm.mGlobal[w.mword] |= w.mbit

@@ -17,13 +17,11 @@ GOOS=freebsd go vet ./internal/store ./internal/serve
 # linux/386 builds the portable file too, so its tests run here, on the
 # host, against the spelling every non-linux unix uses.
 GOARCH=386 go test -count=1 ./internal/store ./internal/serve
-# The timeline is a view of a finished recording: it may know the event
-# format and nothing of the machine that produced it. (test -z, not
-# `! ... | grep -q`: set -e ignores the status of a negated pipeline.)
-test -z "$(go list -deps ./internal/trace | grep '^repro/internal/sim$')"
 # A kernel's graph and liveness are computed once per kernel, by cfg.For:
 # the only other analysis site is regalloc, which analyses a kernel it
 # then rewrites (examples/ are not product code and are not looked at).
+# (test -z, not `! ... | grep -q`: set -e ignores the status of a negated
+# pipeline.)
 test -z "$(grep -rn 'cfg\.New(\|cfg\.ComputeLiveness(' --include=*.go cmd internal regless.go |
 	grep -v _test | grep -v '^internal/cfg/\|^internal/regalloc/')"
 # One way to build a machine (DESIGN.md §8): gpu.New is the only product
